@@ -1,11 +1,13 @@
 package repro
 
 import (
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -101,6 +103,60 @@ func TestDocsFreshnessEngines(t *testing.T) {
 		for _, k := range protocol.Kinds() {
 			if !strings.Contains(text, string(k)) {
 				t.Errorf("%s does not mention consensus engine %q", src, k)
+			}
+		}
+	}
+}
+
+// docAnchor matches a code anchor of the form `path/file.go:Name`. Anchors
+// name a declaration, never a line: line numbers rot with every edit above
+// them and nothing notices.
+var (
+	docAnchor     = regexp.MustCompile(`([A-Za-z0-9_./-]+\.go):([A-Za-z_][A-Za-z0-9_]*)`)
+	docLineAnchor = regexp.MustCompile(`[A-Za-z0-9_./-]+\.go:[0-9]+`)
+)
+
+// TestDocsFreshnessAnchors fails when a code anchor in the user-facing
+// documentation names a file that does not exist, or a function, method
+// or type that file does not declare, or falls back to a line number.
+func TestDocsFreshnessAnchors(t *testing.T) {
+	declared := map[string]map[string]bool{} // file -> top-level names
+	fset := token.NewFileSet()
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range docLineAnchor.FindAllString(string(raw), -1) {
+			t.Errorf("%s: anchor %s cites a line number; cite file.go:FuncOrMethod", doc, m)
+		}
+		for _, m := range docAnchor.FindAllStringSubmatch(string(raw), -1) {
+			file, name := m[1], m[2]
+			names, ok := declared[file]
+			if !ok {
+				af, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+				if err != nil {
+					t.Errorf("%s: anchor %s: %v", doc, m[0], err)
+					declared[file] = nil
+					continue
+				}
+				names = map[string]bool{}
+				for _, d := range af.Decls {
+					switch d := d.(type) {
+					case *ast.FuncDecl:
+						names[d.Name.Name] = true
+					case *ast.GenDecl:
+						for _, sp := range d.Specs {
+							if ts, ok := sp.(*ast.TypeSpec); ok {
+								names[ts.Name.Name] = true
+							}
+						}
+					}
+				}
+				declared[file] = names
+			}
+			if names != nil && !names[name] {
+				t.Errorf("%s: anchor %s: %s declares no function, method or type %s", doc, m[0], file, name)
 			}
 		}
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/big"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/crypto/threshsig"
@@ -21,12 +20,15 @@ func bigFromBytes(b []byte) *big.Int { return new(big.Int).SetBytes(b) }
 //
 // The -small variant (Fig. 5b) inlines tiny proposals (Dumbo's CBC-commit
 // carries a 2f+1-sized node-ID list).
+//
+// This is the only certified-broadcast machine: Dumbo's two CBCs and
+// Alea's VCBC queues (see VCBC) are instances of it that differ in wire
+// kind alone.
 type CBC struct {
-	env   *Env
-	kind  packet.Kind
-	small bool
-	frag  int
-	slots []*cbcSlot
+	dissemination
+	echoes  sigCollector
+	echoTag string
+	slots   []*cbcSlot
 
 	onDeliver func(slot int, value []byte, cert []byte)
 
@@ -34,28 +36,17 @@ type CBC struct {
 }
 
 type cbcSlot struct {
-	leader int
-
-	value     []byte
-	frags     [][]byte
-	fragTotal int
-	assembled bool
+	valueSlot
 
 	sentShare bool
-	shares    map[int]*threshsig.SigShare // leader only
-	combining bool
-
-	cert      []byte
+	cert      thresholdSig // shares are gathered by the leader only
 	certHash  Hash8
 	delivered bool
-
-	needRepair bool
-	repairAt   time.Duration
 }
 
 // CBCOptions configures a CBC component.
 type CBCOptions struct {
-	Kind      packet.Kind // KindCBCValue or KindCBCCommit
+	Kind      packet.Kind // KindCBCValue, KindCBCCommit, or (through NewVCBC) KindVCBC
 	Slots     int
 	Small     bool
 	FragSize  int
@@ -64,22 +55,21 @@ type CBCOptions struct {
 
 // NewCBC creates the component and registers it on the transport.
 func NewCBC(env *Env, opts CBCOptions) *CBC {
-	if opts.FragSize <= 0 {
-		opts.FragSize = 160
-	}
 	c := &CBC{
-		env:       env,
-		kind:      opts.Kind,
-		small:     opts.Small,
-		frag:      opts.FragSize,
-		onDeliver: opts.OnDeliver,
-		finDone:   packet.NewBitSet(opts.Slots),
+		dissemination: newDissemination(env, opts.Kind, opts.Small, opts.FragSize),
+		echoTag:       "cbc-echo",
+		onDeliver:     opts.OnDeliver,
+		finDone:       packet.NewBitSet(opts.Slots),
 	}
+	if opts.Kind == packet.KindVCBC {
+		// Each wire kind signs under its own tag. The tag decides every
+		// certificate's value, and through big.Int.Bytes() its length on
+		// the air, so it is part of the wire format.
+		c.echoTag = "vcbc-echo"
+	}
+	c.echoes = sigCollector{env: env, key: env.Suite.TSHigh, combined: c.certified}
 	for i := 0; i < opts.Slots; i++ {
-		c.slots = append(c.slots, &cbcSlot{
-			leader: i % env.N,
-			shares: make(map[int]*threshsig.SigShare),
-		})
+		c.slots = append(c.slots, &cbcSlot{})
 	}
 	env.T.Register(opts.Kind, c)
 	return c
@@ -107,10 +97,11 @@ func (c *CBC) Value(slot int) []byte {
 	return c.slots[slot].value
 }
 
-// shareMessage is the string the ECHO threshold shares sign.
+// shareMessage is the string the ECHO threshold shares sign,
+// domain-separated per wire kind by the tag and the kind byte.
 func (c *CBC) shareMessage(slot int, h Hash8) []byte {
 	msg := make([]byte, 0, 32)
-	msg = append(msg, "cbc-echo"...)
+	msg = append(msg, c.echoTag...)
 	msg = append(msg, byte(c.kind))
 	msg = binary.BigEndian.AppendUint32(msg, c.env.Session)
 	msg = binary.BigEndian.AppendUint16(msg, c.env.Epoch)
@@ -120,32 +111,7 @@ func (c *CBC) shareMessage(slot int, h Hash8) []byte {
 
 // Propose starts instance slot with this node as leader.
 func (c *CBC) Propose(slot int, value []byte) {
-	s := c.slots[slot]
-	if s.leader != c.env.Me {
-		panic(fmt.Sprintf("component: node %d proposing CBC slot %d led by %d", c.env.Me, slot, s.leader))
-	}
-	if c.small {
-		c.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseInitial, Slot: uint8(slot)},
-			Data:      append([]byte(nil), value...),
-		})
-	} else {
-		total := (len(value) + c.frag - 1) / c.frag
-		if total == 0 {
-			total = 1
-		}
-		for i := 0; i < total; i++ {
-			lo, hi := i*c.frag, (i+1)*c.frag
-			if hi > len(value) {
-				hi = len(value)
-			}
-			c.env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseInitial, Slot: uint8(slot), Sub: uint8(i)},
-				Flags:     uint8(total),
-				Data:      append([]byte(nil), value[lo:hi]...),
-			})
-		}
-	}
+	c.propose(slot, value)
 	c.acceptValue(slot, value)
 }
 
@@ -158,11 +124,10 @@ func (c *CBC) acceptValue(slot int, value []byte) {
 	s.value = value
 	if !s.sentShare {
 		s.sentShare = true
-		h := HashValue(value)
-		msg := c.shareMessage(slot, h)
+		s.cert.msg = c.shareMessage(slot, HashValue(value))
 		env := c.env
 		env.Exec(env.Suite.Cost.TSSign, func() {
-			share, err := env.Suite.TSHigh.Sign(env.Suite.TSHighShare, msg, env.Rand)
+			share, err := env.Suite.TSHigh.Sign(env.Suite.TSHighShare, s.cert.msg, env.Rand)
 			if err != nil {
 				panic(fmt.Sprintf("component: cbc share signing: %v", err))
 			}
@@ -170,8 +135,8 @@ func (c *CBC) acceptValue(slot int, value []byte) {
 				IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(env.Me)},
 				Data:      EncodeSigShare(share),
 			})
-			if s.leader == env.Me {
-				c.applyShare(slot, env.Me, share)
+			if c.leader(slot) == env.Me {
+				c.echoes.add(&s.cert, slot, env.Me, share)
 			}
 		})
 	}
@@ -181,137 +146,43 @@ func (c *CBC) acceptValue(slot int, value []byte) {
 // HandleSection implements core.Handler.
 func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 	w := int(from)
-	switch sec.Phase {
-	case packet.PhaseInitial:
-		for _, e := range sec.Entries {
-			c.handleInitial(w, e)
+	for _, e := range sec.Entries {
+		slot := int(e.Slot)
+		if slot >= len(c.slots) {
+			continue
 		}
-	case packet.PhaseEcho:
-		for _, e := range sec.Entries {
-			slot := int(e.Slot)
-			if slot >= len(c.slots) {
-				continue
+		s := c.slots[slot]
+		switch sec.Phase {
+		case packet.PhaseInitial:
+			if value, whole := c.receive(slot, &s.valueSlot, w, e); whole {
+				c.acceptValue(slot, value)
 			}
-			// Only the slot's leader combines shares.
-			if c.slots[slot].leader != c.env.Me {
-				continue
+		case packet.PhaseEcho:
+			// Only the slot's leader combines shares, and only over the
+			// value it proposed.
+			if c.leader(slot) == c.env.Me && s.assembled {
+				c.echoes.offer(&s.cert, slot, w, e.Data)
 			}
-			c.handleShareData(slot, w, e.Data)
-		}
-	case packet.PhaseFinish:
-		for _, e := range sec.Entries {
-			c.handleFinish(int(e.Slot), w, e.Data)
-		}
-	case packet.PhaseRepair:
-		for _, e := range sec.Entries {
-			c.handleRepairRequest(int(e.Slot), e.Data)
+		case packet.PhaseFinish:
+			c.handleFinish(slot, e.Data)
+		case packet.PhaseRepair:
+			c.handleRepairRequest(slot, e.Data)
 		}
 	}
 }
 
-func (c *CBC) handleInitial(w int, e packet.Entry) {
-	slot := int(e.Slot)
-	if slot >= len(c.slots) {
-		return
-	}
+// certified runs at the leader once the ECHO shares combined.
+func (c *CBC) certified(slot int) {
 	s := c.slots[slot]
-	// After a repair request any peer may supply the value; delivery
-	// re-checks the hash against the quorum certificate.
-	if s.assembled || (w != s.leader && !s.needRepair) {
-		return
-	}
-	if c.small {
-		c.acceptValue(slot, append([]byte(nil), e.Data...))
-		return
-	}
-	total := int(e.Flags)
-	if total == 0 {
-		return
-	}
-	if s.frags == nil {
-		s.frags = make([][]byte, total)
-		s.fragTotal = total
-	}
-	if total != s.fragTotal || int(e.Sub) >= total || s.frags[e.Sub] != nil {
-		return
-	}
-	s.frags[e.Sub] = append([]byte(nil), e.Data...)
-	for _, f := range s.frags {
-		if f == nil {
-			return
-		}
-	}
-	var value []byte
-	for _, f := range s.frags {
-		value = append(value, f...)
-	}
-	c.acceptValue(slot, value)
-}
-
-func (c *CBC) handleShareData(slot, w int, raw []byte) {
-	s := c.slots[slot]
-	if _, dup := s.shares[w]; dup || s.cert != nil || !s.assembled {
-		return
-	}
-	share, err := DecodeSigShare(raw)
-	if err != nil {
-		c.env.Reject()
-		return
-	}
-	// Verifier shares the per-message fixed work across the quorum of
-	// share checks; the virtual TSVerifyShare charge stays per share.
-	ver := c.env.Suite.TSHigh.Verifier(c.shareMessage(slot, HashValue(s.value)))
-	env := c.env
-	env.Exec(env.Suite.Cost.TSVerifyShare, func() {
-		if _, dup := s.shares[w]; dup || s.cert != nil {
-			return
-		}
-		if err := ver.Verify(share); err != nil {
-			env.Reject()
-			return
-		}
-		c.applyShare(slot, w, share)
+	s.certHash = HashValue(s.value)
+	c.env.T.Update(core.Intent{
+		IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseFinish, Slot: uint8(slot)},
+		Data:      EncodeFinish(s.certHash, s.cert.sig),
 	})
+	c.deliver(slot)
 }
 
-func (c *CBC) applyShare(slot, w int, share *threshsig.SigShare) {
-	s := c.slots[slot]
-	if _, dup := s.shares[w]; dup || s.cert != nil {
-		return
-	}
-	s.shares[w] = share
-	if len(s.shares) < c.env.Quorum() || s.combining {
-		return
-	}
-	s.combining = true
-	shares := make([]*threshsig.SigShare, 0, len(s.shares))
-	for _, sh := range s.shares {
-		shares = append(shares, sh)
-	}
-	h := HashValue(s.value)
-	msg := c.shareMessage(slot, h)
-	env := c.env
-	env.Exec(env.Suite.Cost.TSCombine, func() {
-		sig, err := env.Suite.TSHigh.Combine(msg, shares)
-		if err != nil {
-			s.combining = false
-			s.shares = make(map[int]*threshsig.SigShare)
-			return
-		}
-		s.cert = sig.Bytes()
-		s.certHash = h
-		env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseFinish, Slot: uint8(slot)},
-			Data:      EncodeFinish(h, s.cert),
-		})
-		c.deliver(slot)
-	})
-}
-
-func (c *CBC) handleFinish(slot, w int, raw []byte) {
-	if slot >= len(c.slots) {
-		return
-	}
+func (c *CBC) handleFinish(slot int, raw []byte) {
 	s := c.slots[slot]
 	if s.delivered {
 		return
@@ -331,19 +202,15 @@ func (c *CBC) handleFinish(slot, w int, raw []byte) {
 			env.Reject()
 			return
 		}
-		s.cert = cert
+		s.cert.sig = cert
 		s.certHash = h
-		if !s.assembled {
-			c.requestRepair(slot)
-			return
-		}
-		if HashValue(s.value) != h {
+		if s.assembled && HashValue(s.value) != h {
 			// A certificate for a different value than we assembled: the
 			// certificate wins (2f+1 nodes vouched for it).
-			s.assembled = false
-			s.value = nil
-			s.frags = nil
-			c.requestRepair(slot)
+			s.drop()
+		}
+		if !s.assembled {
+			c.requestRepair(slot, &s.valueSlot, false)
 			return
 		}
 		c.deliver(slot)
@@ -352,102 +219,50 @@ func (c *CBC) handleFinish(slot, w int, raw []byte) {
 
 func (c *CBC) deliver(slot int) {
 	s := c.slots[slot]
-	if s.delivered || s.cert == nil || !s.assembled {
+	if s.delivered || s.cert.sig == nil || !s.assembled {
 		return
 	}
 	if HashValue(s.value) != s.certHash {
-		// Repair supplied a value that does not match the certificate.
-		s.assembled = false
-		s.value = nil
-		s.frags = nil
-		s.needRepair = false
-		c.requestRepair(slot)
+		// Repair supplied a value that does not match the certificate:
+		// drop it and ask again, advertising nothing as held.
+		s.drop()
+		c.requestRepair(slot, &s.valueSlot, false)
 		return
 	}
 	s.delivered = true
 	c.finDone.Set(slot)
 	c.env.T.SetNack(c.kind, packet.PhaseFinish, c.finDone)
 	c.env.T.Remove(core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)})
-	if s.needRepair {
-		c.env.T.Remove(core.IntentKey{Kind: c.kind, Phase: packet.PhaseRepair, Slot: uint8(slot)})
-	}
+	c.repairDone(slot, &s.valueSlot)
 	if c.onDeliver != nil {
-		c.onDeliver(slot, s.value, s.cert)
+		c.onDeliver(slot, s.value, s.cert.sig)
 	}
 }
 
-func (c *CBC) requestRepair(slot int) {
-	s := c.slots[slot]
-	if s.needRepair {
-		return
-	}
-	s.needRepair = true
-	have := packet.NewBitSet(256)
-	for i, f := range s.frags {
-		if f != nil {
-			have.Set(i)
-		}
-	}
-	c.env.T.Update(core.Intent{
-		IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseRepair, Slot: uint8(slot)},
-		Data:      have,
-	})
+// Fetch requests a slot's value and certificate from peers. CBC has no
+// totality guarantee of its own, so the agreement layer pulls: Dumbo and
+// Alea call this when a binary agreement accepts a candidate whose
+// broadcast this node missed, and Alea when a queue head it re-proposed
+// from its log lacks only the certificate — a node that holds the value
+// asks for the certificate alone.
+func (c *CBC) Fetch(slot int) {
+	s := &c.slots[slot].valueSlot
+	c.requestRepair(slot, s, s.assembled)
 }
-
-// Fetch requests a slot's value and certificate from peers (Dumbo calls
-// this when a serial ABA accepts a candidate whose CBC this node missed;
-// CBC has no totality guarantee of its own).
-func (c *CBC) Fetch(slot int) { c.requestRepair(slot) }
 
 func (c *CBC) handleRepairRequest(slot int, have packet.BitSet) {
-	if slot >= len(c.slots) {
-		return
-	}
 	s := c.slots[slot]
-	if !s.assembled {
+	if !c.repairDue(&s.valueSlot) {
 		return
 	}
-	now := c.env.Sched.Now()
-	if s.repairAt != 0 && now-s.repairAt < 2*time.Second {
-		return
-	}
-	s.repairAt = now
-	delay := time.Duration(float64(300*time.Millisecond) * (0.5 + c.env.Rand.Float64()))
-	value := s.value
-	if s.cert != nil {
+	delay := c.repairJitter()
+	if s.cert.sig != nil {
 		// Anyone holding the certificate can re-publish FINISH; it
 		// verifies under the threshold key regardless of the sender.
-		cert, h := s.cert, s.certHash
 		c.env.T.Update(core.Intent{
 			IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseFinish, Slot: uint8(slot)},
-			Data:      EncodeFinish(h, cert),
+			Data:      EncodeFinish(s.certHash, s.cert.sig),
 		})
 	}
-	c.env.Sched.PostAfter(delay, func() {
-		if c.small {
-			c.env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseInitial, Slot: uint8(slot)},
-				Data:      append([]byte(nil), value...),
-			})
-			return
-		}
-		total := (len(value) + c.frag - 1) / c.frag
-		if total == 0 {
-			total = 1
-		}
-		for i := 0; i < total; i++ {
-			if have.Get(i) {
-				continue
-			}
-			lo, hi := i*c.frag, (i+1)*c.frag
-			if hi > len(value) {
-				hi = len(value)
-			}
-			c.env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseInitial, Slot: uint8(slot), Sub: uint8(i)},
-				Flags:     uint8(total),
-				Data:      append([]byte(nil), value[lo:hi]...),
-			})
-		}
-	})
+	c.reserve(slot, &s.valueSlot, have, delay)
 }

@@ -41,14 +41,18 @@ func NewDecryptor(env *Env, slots int, onPlain func(slot int, plaintext []byte))
 	return d
 }
 
-// Submit provides the ciphertext accepted for a slot and releases this
-// node's decryption share.
+// Submit provides the ciphertext accepted for a slot, releases this
+// node's decryption share, and verifies the peers' shares that arrived
+// ahead of the ciphertext (a peer whose ACS completed first).
 func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) {
-	if _, dup := d.slots[slot]; dup {
+	s, ok := d.slots[slot]
+	if !ok {
+		s = &decSlot{shares: make(map[int]*threshenc.DecShare)}
+		d.slots[slot] = s
+	} else if s.ct != nil {
 		return
 	}
-	s := &decSlot{ct: ct, shares: make(map[int]*threshenc.DecShare), pending: make(map[int][]byte)}
-	d.slots[slot] = s
+	s.ct = ct
 	env := d.env
 	env.Exec(env.Suite.Cost.TEDecShare, func() {
 		share, err := env.Suite.TE.DecryptShare(env.Suite.TEShare, ct, env.Rand)
@@ -61,10 +65,14 @@ func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) {
 		})
 		d.applyShare(slot, env.Me, share)
 	})
-	for w, raw := range s.pending {
-		d.handleShareData(slot, w, raw)
+	// Parked shares drain in node order: map order must not leak into
+	// event scheduling.
+	for w := 0; w < env.N; w++ {
+		if raw, ok := s.pending[w]; ok {
+			d.handleShareData(slot, w, raw)
+		}
 	}
-	s.pending = make(map[int][]byte)
+	s.pending = nil // nothing parks once the ciphertext is known
 }
 
 // Plaintext returns the recovered plaintext for a slot, or nil.
@@ -133,34 +141,6 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 		}
 		d.handleShareData(slot, w, e.Data)
 	}
-}
-
-// SubmitLate attaches a ciphertext to a slot whose shares arrived first.
-func (d *Decryptor) SubmitLate(slot int, ct *threshenc.Ciphertext) {
-	s, ok := d.slots[slot]
-	if !ok || s.ct != nil {
-		d.Submit(slot, ct)
-		return
-	}
-	s.ct = ct
-	env := d.env
-	env.Exec(env.Suite.Cost.TEDecShare, func() {
-		share, err := env.Suite.TE.DecryptShare(env.Suite.TEShare, ct, env.Rand)
-		if err != nil {
-			return
-		}
-		env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Slot: uint8(slot), Sub: uint8(env.Me)},
-			Data:      EncodeDecShare(share),
-		})
-		d.applyShare(slot, env.Me, share)
-	})
-	for w := 0; w < d.env.N; w++ {
-		if raw, ok := s.pending[w]; ok {
-			d.handleShareData(slot, w, raw)
-		}
-	}
-	s.pending = make(map[int][]byte)
 }
 
 func (d *Decryptor) handleShareData(slot, w int, raw []byte) {

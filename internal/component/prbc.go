@@ -15,8 +15,9 @@ import (
 // combine into a proof that at least one honest node holds the proposal
 // (Fig. 1a's blue phase, packet structure Fig. 4c).
 type PRBC struct {
-	env *Env
-	rbc *RBC
+	env   *Env
+	rbc   *RBC
+	dones sigCollector
 
 	onProof   func(slot int, value []byte, proof []byte)
 	onDeliver func(slot int, value []byte)
@@ -26,13 +27,9 @@ type PRBC struct {
 }
 
 type prbcSlot struct {
-	shares    map[int]*threshsig.SigShare
+	proof     thresholdSig   // proof.msg is set at our RBC delivery
 	pending   map[int][]byte // shares received before our RBC delivery
-	combining bool
-	proof     []byte
-	hash      Hash8
-	delivered bool
-	peersDone packet.BitSet // peers whose NACK confirms a combined proof
+	peersDone packet.BitSet  // peers whose NACK confirms a combined proof
 }
 
 // PRBCOptions configures a PRBC component.
@@ -52,9 +49,9 @@ func NewPRBC(env *Env, opts PRBCOptions) *PRBC {
 		onDeliver: opts.OnDeliver,
 		sigDone:   packet.NewBitSet(opts.Slots),
 	}
+	p.dones = sigCollector{env: env, key: env.Suite.TSLow, combined: p.proven}
 	for i := 0; i < opts.Slots; i++ {
 		p.slots = append(p.slots, &prbcSlot{
-			shares:    make(map[int]*threshsig.SigShare),
 			pending:   make(map[int][]byte),
 			peersDone: packet.NewBitSet(env.N),
 		})
@@ -76,13 +73,13 @@ func (p *PRBC) Propose(slot int, value []byte) { p.rbc.Propose(slot, value) }
 func (p *PRBC) RBC() *RBC { return p.rbc }
 
 // Proof returns the combined proof for a slot, or nil.
-func (p *PRBC) Proof(slot int) []byte { return p.slots[slot].proof }
+func (p *PRBC) Proof(slot int) []byte { return p.slots[slot].proof.sig }
 
 // ProvenCount returns the number of slots with combined proofs.
 func (p *PRBC) ProvenCount() int {
 	n := 0
 	for _, s := range p.slots {
-		if s.proof != nil {
+		if s.proof.sig != nil {
 			n++
 		}
 	}
@@ -111,12 +108,10 @@ func (p *PRBC) VerifyProof(slot int, h Hash8, proof []byte) error {
 
 func (p *PRBC) onRBCDeliver(slot int, value []byte) {
 	s := p.slots[slot]
-	s.hash = HashValue(value)
-	s.delivered = true
-	msg := p.doneMessage(slot, s.hash)
+	s.proof.msg = p.doneMessage(slot, HashValue(value))
 	env := p.env
 	env.Exec(env.Suite.Cost.TSSign, func() {
-		share, err := env.Suite.TSLow.Sign(env.Suite.TSLowShare, msg, env.Rand)
+		share, err := env.Suite.TSLow.Sign(env.Suite.TSLowShare, s.proof.msg, env.Rand)
 		if err != nil {
 			panic(fmt.Sprintf("component: prbc share signing: %v", err))
 		}
@@ -124,16 +119,16 @@ func (p *PRBC) onRBCDeliver(slot int, value []byte) {
 			IntentKey: core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(env.Me)},
 			Data:      EncodeSigShare(share),
 		})
-		p.applyShare(slot, env.Me, share)
+		p.dones.add(&s.proof, slot, env.Me, share)
 	})
 	// Process shares that arrived before our delivery, in node order
 	// (map iteration order must not leak into event scheduling).
 	for w := 0; w < p.env.N; w++ {
 		if raw, ok := s.pending[w]; ok {
-			p.handleShareData(slot, w, raw)
+			p.dones.offer(&s.proof, slot, w, raw)
 		}
 	}
-	s.pending = make(map[int][]byte)
+	s.pending = nil // nothing parks once the message is known
 	if p.onDeliver != nil {
 		p.onDeliver(slot, value)
 	}
@@ -162,80 +157,29 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 			continue
 		}
 		s := p.slots[slot]
-		if s.proof != nil {
+		if s.proof.sig != nil {
 			continue
 		}
-		if !s.delivered {
+		if s.proof.msg == nil {
 			// Cannot verify until we know the hash; park it.
 			if _, dup := s.pending[int(from)]; !dup {
 				s.pending[int(from)] = append([]byte(nil), e.Data...)
 			}
 			continue
 		}
-		p.handleShareData(slot, int(from), e.Data)
+		p.dones.offer(&s.proof, slot, int(from), e.Data)
 	}
 }
 
-func (p *PRBC) handleShareData(slot, w int, raw []byte) {
-	s := p.slots[slot]
-	if _, dup := s.shares[w]; dup || s.proof != nil {
-		return
+// proven runs once a slot's DONE shares combined into a proof.
+func (p *PRBC) proven(slot int) {
+	p.sigDone.Set(slot)
+	// Keep our share intent live: a peer that missed share frames
+	// (half-duplex, loss) still needs it; peersDone tracking prunes it.
+	p.env.T.SetNack(packet.KindPRBC, packet.PhaseDone, p.sigDone)
+	if p.onProof != nil {
+		p.onProof(slot, p.rbc.Value(slot), p.slots[slot].proof.sig)
 	}
-	share, err := DecodeSigShare(raw)
-	if err != nil {
-		p.env.Reject()
-		return
-	}
-	// The verifier snapshot shares the per-message fixed work (hash and
-	// Delta power) across all N share checks; virtual time still charges a
-	// full TSVerifyShare per share.
-	ver := p.env.Suite.TSLow.Verifier(p.doneMessage(slot, s.hash))
-	env := p.env
-	env.Exec(env.Suite.Cost.TSVerifyShare, func() {
-		if _, dup := s.shares[w]; dup || s.proof != nil {
-			return
-		}
-		if err := ver.Verify(share); err != nil {
-			env.Reject() // Byzantine share: discard
-			return
-		}
-		p.applyShare(slot, w, share)
-	})
-}
-
-func (p *PRBC) applyShare(slot, w int, share *threshsig.SigShare) {
-	s := p.slots[slot]
-	if _, dup := s.shares[w]; dup || s.proof != nil {
-		return
-	}
-	s.shares[w] = share
-	if len(s.shares) < p.env.Weak() || s.combining {
-		return
-	}
-	s.combining = true
-	shares := make([]*threshsig.SigShare, 0, len(s.shares))
-	for _, sh := range s.shares {
-		shares = append(shares, sh)
-	}
-	msg := p.doneMessage(slot, s.hash)
-	env := p.env
-	env.Exec(env.Suite.Cost.TSCombine, func() {
-		sig, err := env.Suite.TSLow.Combine(msg, shares)
-		if err != nil {
-			// A bad share slipped through; drop them all and wait for more.
-			s.combining = false
-			s.shares = make(map[int]*threshsig.SigShare)
-			return
-		}
-		s.proof = sig.Bytes()
-		p.sigDone.Set(slot)
-		// Keep our share intent live: a peer that missed share frames
-		// (half-duplex, loss) still needs it; peersDone tracking prunes it.
-		env.T.SetNack(packet.KindPRBC, packet.PhaseDone, p.sigDone)
-		if p.onProof != nil {
-			p.onProof(slot, p.rbc.Value(slot), s.proof)
-		}
-	})
 }
 
 // DecodeSigShareless parses a combined signature from its raw bytes.

@@ -1,9 +1,6 @@
 package component
 
 import (
-	"fmt"
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/packet"
 )
@@ -19,10 +16,7 @@ import (
 // PhaseRepair intent; peers holding the value re-broadcast the missing
 // fragments after a randomized suppression delay.
 type RBC struct {
-	env   *Env
-	kind  packet.Kind
-	small bool
-	frag  int
+	dissemination
 	slots []*rbcSlot
 
 	onDeliver func(slot int, value []byte)
@@ -32,24 +26,16 @@ type RBC struct {
 }
 
 type rbcSlot struct {
-	leader int
-
-	// Value dissemination.
-	value     []byte
-	frags     [][]byte
-	fragTotal int
-	assembled bool
+	valueSlot
 
 	// Votes: first vote per peer wins (equivocation containment).
 	echoes  map[int]Hash8
 	readies map[int]Hash8
 
-	sentEcho   bool
-	sentReady  bool
-	readyHash  Hash8
-	delivered  bool
-	needRepair bool
-	repairAt   time.Duration // last repair response, for rate limiting
+	sentEcho  bool
+	sentReady bool
+	readyHash Hash8
+	delivered bool
 
 	peersEchoDone  packet.BitSet
 	peersReadyDone packet.BitSet
@@ -66,24 +52,17 @@ type RBCOptions struct {
 
 // NewRBC creates the component and registers it on the transport.
 func NewRBC(env *Env, opts RBCOptions) *RBC {
-	if opts.FragSize <= 0 {
-		opts.FragSize = 160
-	}
 	if opts.Kind == 0 {
 		opts.Kind = packet.KindRBC
 	}
 	r := &RBC{
-		env:       env,
-		kind:      opts.Kind,
-		small:     opts.Small,
-		frag:      opts.FragSize,
-		onDeliver: opts.OnDeliver,
-		echoDone:  packet.NewBitSet(opts.Slots),
-		readyDone: packet.NewBitSet(opts.Slots),
+		dissemination: newDissemination(env, opts.Kind, opts.Small, opts.FragSize),
+		onDeliver:     opts.OnDeliver,
+		echoDone:      packet.NewBitSet(opts.Slots),
+		readyDone:     packet.NewBitSet(opts.Slots),
 	}
 	for i := 0; i < opts.Slots; i++ {
 		r.slots = append(r.slots, &rbcSlot{
-			leader:         i % env.N,
 			echoes:         make(map[int]Hash8),
 			readies:        make(map[int]Hash8),
 			peersEchoDone:  packet.NewBitSet(env.N),
@@ -119,32 +98,7 @@ func (r *RBC) DeliveredCount() int {
 
 // Propose starts instance slot with this node as leader.
 func (r *RBC) Propose(slot int, value []byte) {
-	s := r.slots[slot]
-	if s.leader != r.env.Me {
-		panic(fmt.Sprintf("component: node %d proposing for slot %d led by %d", r.env.Me, slot, s.leader))
-	}
-	if r.small {
-		r.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseInitial, Slot: uint8(slot)},
-			Data:      append([]byte(nil), value...),
-		})
-	} else {
-		total := (len(value) + r.frag - 1) / r.frag
-		if total == 0 {
-			total = 1
-		}
-		for i := 0; i < total; i++ {
-			lo, hi := i*r.frag, (i+1)*r.frag
-			if hi > len(value) {
-				hi = len(value)
-			}
-			r.env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseInitial, Slot: uint8(slot), Sub: uint8(i)},
-				Flags:     uint8(total),
-				Data:      append([]byte(nil), value[lo:hi]...),
-			})
-		}
-	}
+	r.propose(slot, value)
 	r.acceptValue(slot, value)
 }
 
@@ -206,39 +160,9 @@ func (r *RBC) handleInitial(w int, e packet.Entry) {
 	if slot >= len(r.slots) {
 		return
 	}
-	s := r.slots[slot]
-	// INITIAL is normally only accepted from the leader; after a repair
-	// request any peer may supply the value (delivery re-checks the hash
-	// against the READY quorum, so forged repairs cannot be delivered).
-	if s.assembled || (w != s.leader && !s.needRepair) {
-		return
+	if value, whole := r.receive(slot, &r.slots[slot].valueSlot, w, e); whole {
+		r.acceptValue(slot, value)
 	}
-	if r.small {
-		r.acceptValue(slot, append([]byte(nil), e.Data...))
-		return
-	}
-	total := int(e.Flags)
-	if total == 0 || total > 255 {
-		return
-	}
-	if s.frags == nil {
-		s.frags = make([][]byte, total)
-		s.fragTotal = total
-	}
-	if total != s.fragTotal || int(e.Sub) >= total || s.frags[e.Sub] != nil {
-		return
-	}
-	s.frags[e.Sub] = append([]byte(nil), e.Data...)
-	for _, f := range s.frags {
-		if f == nil {
-			return
-		}
-	}
-	var value []byte
-	for _, f := range s.frags {
-		value = append(value, f...)
-	}
-	r.acceptValue(slot, value)
 }
 
 func (r *RBC) applyEcho(slot, w int, h Hash8) {
@@ -304,24 +228,18 @@ func (r *RBC) maybeDeliver(slot int) {
 	if !found {
 		return
 	}
-	if !s.assembled {
-		r.requestRepair(slot)
-		return
-	}
-	if HashValue(s.value) != qh {
+	if s.assembled && HashValue(s.value) != qh {
 		// The quorum converged on a different proposal than the one we
 		// assembled (equivocating leader). Drop ours and repair.
 		r.env.Reject()
-		s.assembled = false
-		s.value = nil
-		s.frags = nil
-		r.requestRepair(slot)
+		s.drop()
+	}
+	if !s.assembled {
+		r.requestRepair(slot, &s.valueSlot, false)
 		return
 	}
 	s.delivered = true
-	if s.needRepair {
-		r.env.T.Remove(core.IntentKey{Kind: r.kind, Phase: packet.PhaseRepair, Slot: uint8(slot)})
-	}
+	r.repairDone(slot, &s.valueSlot)
 	if r.onDeliver != nil {
 		r.onDeliver(slot, s.value)
 	}
@@ -336,28 +254,8 @@ func (r *RBC) maybeDeliver(slot int) {
 // forged repair response cannot smuggle in a wrong value.
 func (r *RBC) RequestRepair(slot int) {
 	if slot < len(r.slots) && !r.slots[slot].delivered {
-		r.requestRepair(slot)
+		r.requestRepair(slot, &r.slots[slot].valueSlot, false)
 	}
-}
-
-// requestRepair asks peers for the INITIAL fragments of a slot we are
-// missing while holding a READY quorum for it.
-func (r *RBC) requestRepair(slot int) {
-	s := r.slots[slot]
-	if s.needRepair {
-		return
-	}
-	s.needRepair = true
-	have := packet.NewBitSet(256)
-	for i, f := range s.frags {
-		if f != nil {
-			have.Set(i)
-		}
-	}
-	r.env.T.Update(core.Intent{
-		IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseRepair, Slot: uint8(slot)},
-		Data:      have,
-	})
 }
 
 // handleRepairRequest re-broadcasts INITIAL fragments for peers that are
@@ -367,14 +265,9 @@ func (r *RBC) handleRepairRequest(slot int, have packet.BitSet) {
 		return
 	}
 	s := r.slots[slot]
-	if !s.assembled {
+	if !r.repairDue(&s.valueSlot) {
 		return
 	}
-	now := r.env.Sched.Now()
-	if s.repairAt != 0 && now-s.repairAt < 2*time.Second {
-		return // rate-limit repair responses
-	}
-	s.repairAt = now
 	// Re-announce our ECHO and READY votes alongside the fragments: a
 	// requester that lost its state (crash recovery) needs the vote quorum
 	// back on the air, and trackPeerDone may have pruned those intents when
@@ -392,35 +285,7 @@ func (r *RBC) handleRepairRequest(slot int, have packet.BitSet) {
 			Data:      s.readyHash[:],
 		})
 	}
-	delay := time.Duration(float64(300*time.Millisecond) * (0.5 + r.env.Rand.Float64()))
-	value := s.value
-	r.env.Sched.PostAfter(delay, func() {
-		if r.small {
-			r.env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseInitial, Slot: uint8(slot)},
-				Data:      append([]byte(nil), value...),
-			})
-			return
-		}
-		total := (len(value) + r.frag - 1) / r.frag
-		if total == 0 {
-			total = 1
-		}
-		for i := 0; i < total; i++ {
-			if have.Get(i) {
-				continue
-			}
-			lo, hi := i*r.frag, (i+1)*r.frag
-			if hi > len(value) {
-				hi = len(value)
-			}
-			r.env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseInitial, Slot: uint8(slot), Sub: uint8(i)},
-				Flags:     uint8(total),
-				Data:      append([]byte(nil), value[lo:hi]...),
-			})
-		}
-	})
+	r.reserve(slot, &s.valueSlot, have, r.repairJitter())
 }
 
 // trackPeerDone prunes our vote intents once every peer has signalled (via

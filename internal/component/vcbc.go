@@ -3,49 +3,18 @@ package component
 import (
 	"encoding/binary"
 	"fmt"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/crypto/threshsig"
 	"repro/internal/packet"
 )
 
-// VCBC runs N parallel verifiable consistent-broadcast instances, the
-// dissemination half of Alea-BFT's broadcast/agreement split: sender i
-// broadcasts its batch into queue i (INITIAL), every node returns a
-// 2f+1-threshold signature share over it (ECHO), and the sender combines
-// and broadcasts the quorum certificate (FINISH). The "verifiable" part
-// beyond CBC is the transferable proof: Proof packs (slot, hash,
-// certificate) into a self-contained blob any third party can check with
-// VerifyProof, which is what lets queue heads move between nodes after
-// the agreement phase accepts a queue this node never saw delivered.
-type VCBC struct {
-	env   *Env
-	frag  int
-	slots []*vcbcSlot
-
-	onDeliver func(slot int, value []byte, cert []byte)
-
-	finDone packet.BitSet
-}
-
-type vcbcSlot struct {
-	value     []byte
-	frags     [][]byte
-	fragTotal int
-	assembled bool
-
-	sentShare bool
-	shares    map[int]*threshsig.SigShare // sender only
-	combining bool
-
-	cert      []byte
-	certHash  Hash8
-	delivered bool
-
-	needRepair bool
-	repairAt   time.Duration
-}
+// VCBC is verifiable consistent broadcast, the dissemination half of
+// Alea-BFT. By Alea's own definition that is consistent broadcast plus a
+// transferable proof, so the machine is CBC on the KindVCBC wire kind
+// (queue i is slot i, led by node i) and this type adds only the proof:
+// what lets a queue head move between nodes after the agreement phase
+// accepts a queue this node never saw delivered.
+type VCBC struct{ *CBC }
 
 // VCBCOptions configures a VCBC component.
 type VCBCOptions struct {
@@ -54,49 +23,14 @@ type VCBCOptions struct {
 	OnDeliver func(slot int, value []byte, cert []byte)
 }
 
-// NewVCBC creates the component and registers it on the transport. Slot i
-// is always led by node i: one broadcast queue per sender.
+// NewVCBC creates the component and registers it on the transport.
 func NewVCBC(env *Env, opts VCBCOptions) *VCBC {
-	if opts.FragSize <= 0 {
-		opts.FragSize = 160
-	}
-	v := &VCBC{
-		env:       env,
-		frag:      opts.FragSize,
-		onDeliver: opts.OnDeliver,
-		finDone:   packet.NewBitSet(opts.Slots),
-	}
-	for i := 0; i < opts.Slots; i++ {
-		v.slots = append(v.slots, &vcbcSlot{shares: make(map[int]*threshsig.SigShare)})
-	}
-	env.T.Register(packet.KindVCBC, v)
-	return v
+	cbcOpts := CBCOptions{Kind: packet.KindVCBC, Slots: opts.Slots, FragSize: opts.FragSize, OnDeliver: opts.OnDeliver}
+	return &VCBC{NewCBC(env, cbcOpts)}
 }
 
-// leader returns the slot's broadcaster (slot i is queue i, led by node i).
-func (v *VCBC) leader(slot int) int { return slot % v.env.N }
-
-// Delivered reports whether a slot completed.
-func (v *VCBC) Delivered(slot int) bool { return v.slots[slot].delivered }
-
-// DeliveredCount returns the number of completed slots.
-func (v *VCBC) DeliveredCount() int {
-	n := 0
-	for _, s := range v.slots {
-		if s.delivered {
-			n++
-		}
-	}
-	return n
-}
-
-// Value returns a delivered slot's value (nil before delivery).
-func (v *VCBC) Value(slot int) []byte {
-	if !v.slots[slot].delivered {
-		return nil
-	}
-	return v.slots[slot].value
-}
+// Broadcast pushes value onto the head of this node's own queue, slot.
+func (v *VCBC) Broadcast(slot int, value []byte) { v.Propose(slot, value) }
 
 // Proof returns a delivered slot's transferable proof — the (slot, hash,
 // certificate) blob VerifyProof checks — or nil before delivery.
@@ -105,14 +39,13 @@ func (v *VCBC) Proof(slot int) []byte {
 	if !s.delivered {
 		return nil
 	}
-	return EncodeVCBCProof(VCBCProof{Slot: uint8(slot), Hash: s.certHash, Cert: s.cert})
+	return EncodeVCBCProof(VCBCProof{Slot: uint8(slot), Hash: s.certHash, Cert: s.cert.sig})
 }
 
-// VerifyProof checks a transferable proof against this component's
-// epoch identity: the blob must decode, name the given slot, and carry a
-// 2f+1-threshold certificate over that slot's share message. Pure
-// verification — callers on the protocol path charge Suite.Cost.TSVerify
-// around it (the Dumbo proof-vector idiom).
+// VerifyProof checks a transferable proof against this component's epoch
+// identity: the blob must decode, name the given slot, and carry a 2f+1
+// certificate over that slot's share message. Pure verification — protocol
+// callers charge Suite.Cost.TSVerify around it (Dumbo's proof-vector idiom).
 func (v *VCBC) VerifyProof(slot int, raw []byte) error {
 	p, err := DecodeVCBCProof(raw)
 	if err != nil {
@@ -121,348 +54,7 @@ func (v *VCBC) VerifyProof(slot int, raw []byte) error {
 	if int(p.Slot) != slot {
 		return fmt.Errorf("component: vcbc proof names slot %d, want %d", p.Slot, slot)
 	}
-	msg := v.shareMessage(slot, p.Hash)
-	return v.env.Suite.TSHigh.Verify(msg, &threshsig.Signature{S: bigFromBytes(p.Cert)})
-}
-
-// shareMessage is the string the ECHO threshold shares sign,
-// domain-separated from CBC's by the "vcbc-echo" tag and the wire kind.
-func (v *VCBC) shareMessage(slot int, h Hash8) []byte {
-	msg := make([]byte, 0, 32)
-	msg = append(msg, "vcbc-echo"...)
-	msg = append(msg, byte(packet.KindVCBC))
-	msg = binary.BigEndian.AppendUint32(msg, v.env.Session)
-	msg = binary.BigEndian.AppendUint16(msg, v.env.Epoch)
-	msg = append(msg, byte(slot))
-	return append(msg, h[:]...)
-}
-
-// Broadcast starts instance slot with this node as the sender, pushing
-// value onto the head of this node's queue.
-func (v *VCBC) Broadcast(slot int, value []byte) {
-	if v.leader(slot) != v.env.Me {
-		panic(fmt.Sprintf("component: node %d broadcasting VCBC queue %d owned by %d", v.env.Me, slot, v.leader(slot)))
-	}
-	total := (len(value) + v.frag - 1) / v.frag
-	if total == 0 {
-		total = 1
-	}
-	for i := 0; i < total; i++ {
-		lo, hi := i*v.frag, (i+1)*v.frag
-		if hi > len(value) {
-			hi = len(value)
-		}
-		v.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: packet.KindVCBC, Phase: packet.PhaseInitial, Slot: uint8(slot), Sub: uint8(i)},
-			Flags:     uint8(total),
-			Data:      append([]byte(nil), value[lo:hi]...),
-		})
-	}
-	v.acceptValue(slot, value)
-}
-
-func (v *VCBC) acceptValue(slot int, value []byte) {
-	s := v.slots[slot]
-	if s.assembled {
-		return
-	}
-	s.assembled = true
-	s.value = value
-	if !s.sentShare {
-		s.sentShare = true
-		h := HashValue(value)
-		msg := v.shareMessage(slot, h)
-		env := v.env
-		env.Exec(env.Suite.Cost.TSSign, func() {
-			share, err := env.Suite.TSHigh.Sign(env.Suite.TSHighShare, msg, env.Rand)
-			if err != nil {
-				panic(fmt.Sprintf("component: vcbc share signing: %v", err))
-			}
-			env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: packet.KindVCBC, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(env.Me)},
-				Data:      EncodeSigShare(share),
-			})
-			if v.leader(slot) == env.Me {
-				v.applyShare(slot, env.Me, share)
-			}
-		})
-	}
-	v.deliver(slot)
-}
-
-// HandleSection implements core.Handler.
-func (v *VCBC) HandleSection(from uint16, sec packet.Section) {
-	w := int(from)
-	switch sec.Phase {
-	case packet.PhaseInitial:
-		for _, e := range sec.Entries {
-			v.handleInitial(w, e)
-		}
-	case packet.PhaseEcho:
-		for _, e := range sec.Entries {
-			slot := int(e.Slot)
-			if slot >= len(v.slots) {
-				continue
-			}
-			// Only the queue's sender combines shares.
-			if v.leader(slot) != v.env.Me {
-				continue
-			}
-			v.handleShareData(slot, w, e.Data)
-		}
-	case packet.PhaseFinish:
-		for _, e := range sec.Entries {
-			v.handleFinish(int(e.Slot), e.Data)
-		}
-	case packet.PhaseRepair:
-		for _, e := range sec.Entries {
-			v.handleRepairRequest(int(e.Slot), e.Data)
-		}
-	}
-}
-
-func (v *VCBC) handleInitial(w int, e packet.Entry) {
-	slot := int(e.Slot)
-	if slot >= len(v.slots) {
-		return
-	}
-	s := v.slots[slot]
-	// After a repair request any peer may supply the value; delivery
-	// re-checks the hash against the quorum certificate.
-	if s.assembled || (w != v.leader(slot) && !s.needRepair) {
-		return
-	}
-	total := int(e.Flags)
-	if total == 0 {
-		return
-	}
-	if s.frags == nil {
-		s.frags = make([][]byte, total)
-		s.fragTotal = total
-	}
-	if total != s.fragTotal || int(e.Sub) >= total || s.frags[e.Sub] != nil {
-		return
-	}
-	s.frags[e.Sub] = append([]byte(nil), e.Data...)
-	for _, f := range s.frags {
-		if f == nil {
-			return
-		}
-	}
-	var value []byte
-	for _, f := range s.frags {
-		value = append(value, f...)
-	}
-	v.acceptValue(slot, value)
-}
-
-func (v *VCBC) handleShareData(slot, w int, raw []byte) {
-	s := v.slots[slot]
-	if _, dup := s.shares[w]; dup || s.cert != nil || !s.assembled {
-		return
-	}
-	share, err := DecodeSigShare(raw)
-	if err != nil {
-		v.env.Reject()
-		return
-	}
-	ver := v.env.Suite.TSHigh.Verifier(v.shareMessage(slot, HashValue(s.value)))
-	env := v.env
-	env.Exec(env.Suite.Cost.TSVerifyShare, func() {
-		if _, dup := s.shares[w]; dup || s.cert != nil {
-			return
-		}
-		if err := ver.Verify(share); err != nil {
-			env.Reject()
-			return
-		}
-		v.applyShare(slot, w, share)
-	})
-}
-
-func (v *VCBC) applyShare(slot, w int, share *threshsig.SigShare) {
-	s := v.slots[slot]
-	if _, dup := s.shares[w]; dup || s.cert != nil {
-		return
-	}
-	s.shares[w] = share
-	if len(s.shares) < v.env.Quorum() || s.combining {
-		return
-	}
-	s.combining = true
-	shares := make([]*threshsig.SigShare, 0, len(s.shares))
-	for _, sh := range s.shares {
-		shares = append(shares, sh)
-	}
-	h := HashValue(s.value)
-	msg := v.shareMessage(slot, h)
-	env := v.env
-	env.Exec(env.Suite.Cost.TSCombine, func() {
-		sig, err := env.Suite.TSHigh.Combine(msg, shares)
-		if err != nil {
-			s.combining = false
-			s.shares = make(map[int]*threshsig.SigShare)
-			return
-		}
-		s.cert = sig.Bytes()
-		s.certHash = h
-		env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: packet.KindVCBC, Phase: packet.PhaseFinish, Slot: uint8(slot)},
-			Data:      EncodeFinish(h, s.cert),
-		})
-		v.deliver(slot)
-	})
-}
-
-func (v *VCBC) handleFinish(slot int, raw []byte) {
-	if slot >= len(v.slots) {
-		return
-	}
-	s := v.slots[slot]
-	if s.delivered {
-		return
-	}
-	h, cert, err := DecodeFinish(raw)
-	if err != nil {
-		v.env.Reject()
-		return
-	}
-	msg := v.shareMessage(slot, h)
-	env := v.env
-	env.Exec(env.Suite.Cost.TSVerify, func() {
-		if s.delivered {
-			return
-		}
-		if err := env.Suite.TSHigh.Verify(msg, &threshsig.Signature{S: bigFromBytes(cert)}); err != nil {
-			env.Reject()
-			return
-		}
-		s.cert = cert
-		s.certHash = h
-		if !s.assembled {
-			v.requestRepair(slot)
-			return
-		}
-		if HashValue(s.value) != h {
-			// A certificate for a different value than we assembled: the
-			// certificate wins (2f+1 nodes vouched for it).
-			s.assembled = false
-			s.value = nil
-			s.frags = nil
-			v.requestRepair(slot)
-			return
-		}
-		v.deliver(slot)
-	})
-}
-
-func (v *VCBC) deliver(slot int) {
-	s := v.slots[slot]
-	if s.delivered || s.cert == nil || !s.assembled {
-		return
-	}
-	if HashValue(s.value) != s.certHash {
-		// Repair supplied a value that does not match the certificate.
-		s.assembled = false
-		s.value = nil
-		s.frags = nil
-		s.needRepair = false
-		v.requestRepair(slot)
-		return
-	}
-	s.delivered = true
-	v.finDone.Set(slot)
-	v.env.T.SetNack(packet.KindVCBC, packet.PhaseFinish, v.finDone)
-	v.env.T.Remove(core.IntentKey{Kind: packet.KindVCBC, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(v.env.Me)})
-	if s.needRepair {
-		v.env.T.Remove(core.IntentKey{Kind: packet.KindVCBC, Phase: packet.PhaseRepair, Slot: uint8(slot)})
-	}
-	if v.onDeliver != nil {
-		v.onDeliver(slot, s.value, s.cert)
-	}
-}
-
-// Fetch requests a slot's value and certificate from peers. Alea's
-// agreement loop calls this when a binary agreement accepts a queue whose
-// VCBC this node missed; like CBC, VCBC has no totality guarantee of its
-// own, so acceptance is the pull trigger.
-func (v *VCBC) Fetch(slot int) { v.requestRepair(slot) }
-
-func (v *VCBC) requestRepair(slot int) {
-	s := v.slots[slot]
-	if s.needRepair {
-		return
-	}
-	s.needRepair = true
-	have := packet.NewBitSet(256)
-	if s.assembled {
-		// Re-proposal pull (Reproposed): the value is already in hand, only
-		// the certificate state is missing — advertise every fragment held
-		// so responders skip the value re-serve.
-		total := (len(s.value) + v.frag - 1) / v.frag
-		if total == 0 {
-			total = 1
-		}
-		for i := 0; i < total; i++ {
-			have.Set(i)
-		}
-	} else {
-		for i, f := range s.frags {
-			if f != nil {
-				have.Set(i)
-			}
-		}
-	}
-	v.env.T.Update(core.Intent{
-		IntentKey: core.IntentKey{Kind: packet.KindVCBC, Phase: packet.PhaseRepair, Slot: uint8(slot)},
-		Data:      have,
-	})
-}
-
-func (v *VCBC) handleRepairRequest(slot int, have packet.BitSet) {
-	if slot >= len(v.slots) {
-		return
-	}
-	s := v.slots[slot]
-	if !s.assembled {
-		return
-	}
-	now := v.env.Sched.Now()
-	if s.repairAt != 0 && now-s.repairAt < 2*time.Second {
-		return
-	}
-	s.repairAt = now
-	delay := time.Duration(float64(300*time.Millisecond) * (0.5 + v.env.Rand.Float64()))
-	value := s.value
-	if s.cert != nil {
-		// Anyone holding the certificate can re-publish FINISH; it
-		// verifies under the threshold key regardless of the sender.
-		cert, h := s.cert, s.certHash
-		v.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: packet.KindVCBC, Phase: packet.PhaseFinish, Slot: uint8(slot)},
-			Data:      EncodeFinish(h, cert),
-		})
-	}
-	v.env.Sched.PostAfter(delay, func() {
-		total := (len(value) + v.frag - 1) / v.frag
-		if total == 0 {
-			total = 1
-		}
-		for i := 0; i < total; i++ {
-			if have.Get(i) {
-				continue
-			}
-			lo, hi := i*v.frag, (i+1)*v.frag
-			if hi > len(value) {
-				hi = len(value)
-			}
-			v.env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: packet.KindVCBC, Phase: packet.PhaseInitial, Slot: uint8(slot), Sub: uint8(i)},
-				Flags:     uint8(total),
-				Data:      append([]byte(nil), value[lo:hi]...),
-			})
-		}
-	})
+	return v.env.Suite.TSHigh.Verify(v.shareMessage(slot, p.Hash), &threshsig.Signature{S: bigFromBytes(p.Cert)})
 }
 
 // VCBCProof is the decoded transferable proof: a slot's identity, value

@@ -10,9 +10,7 @@ import (
 
 func testKey(t testing.TB, k, l int) *Key {
 	t.Helper()
-	// Shared seeded fixture: tests and benchmarks with the same geometry
-	// reuse one dealer run.
-	key, err := DealCached(group.Default(), k, l, 11)
+	key, err := Deal(group.Default(), k, l, rand.New(rand.NewSource(11)))
 	if err != nil {
 		t.Fatal(err)
 	}

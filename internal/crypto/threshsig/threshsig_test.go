@@ -8,9 +8,12 @@ import (
 
 func testKey(t testing.TB, k, l int) *Key {
 	t.Helper()
-	// Shared seeded fixture: every test and benchmark with the same
-	// geometry reuses one dealer run (TS-512: fastest).
-	key, err := DealCached("TS-512", k, l, 7)
+	// TS-512 is the fastest fixture; the fixed seed keeps keys reproducible.
+	fix, err := FixtureByName("TS-512")
+	if err != nil {
+		t.Fatal(err)
+	}
+	key, err := Deal(fix.Name, fix.P, fix.Q, k, l, rand.New(rand.NewSource(7)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -218,7 +218,7 @@ func (a *ACS) maybeFinish() {
 					a.plains[slot] = nil
 					continue
 				}
-				a.dec.SubmitLate(slot, ct)
+				a.dec.Submit(slot, ct)
 				return
 			}
 		}

@@ -453,6 +453,33 @@ func (c *Chain) commit(e int, ep *chainEpoch) {
 	}
 }
 
+// MaxProposalBytes is the largest proposal one broadcast carries: an
+// INITIAL entry names its fragment count in one byte, so 255 fragments,
+// and the engines leave the components' fragment size at its 160 B
+// default. The component refuses anything larger at propose time.
+const MaxProposalBytes = 255 * 160
+
+// ciphertextEnvelope bounds what threshold encryption adds to a proposal
+// (component.EncodeCiphertext): a length-prefixed group element, at most
+// the 384 B of SG-3072, a 32 B tag and a 4 B body length.
+const ciphertextEnvelope = 2 + 384 + 32 + 4
+
+// CheckProposalSize returns an error if a proposal cut under this config
+// from txSize-byte transactions could exceed MaxProposalBytes once framed
+// by EncodeBatch and, when the engine encrypts, wrapped in a ciphertext.
+func (cfg ChainConfig) CheckProposalSize(txSize int) error {
+	max := cfg.Mempool.WithDefaults().MaxBatchBytes
+	worst := 2 + max + 2*(max/txSize)
+	if cfg.Encrypt {
+		worst += ciphertextEnvelope
+	}
+	if worst > MaxProposalBytes {
+		return fmt.Errorf("protocol: MaxBatchBytes %d allows proposals of %d B; one broadcast carries at most %d B (255 fragments of 160 B)",
+			max, worst, MaxProposalBytes)
+	}
+	return nil
+}
+
 // EncodeBatch serializes a proposal batch: u16 count, then u16-length-
 // prefixed transactions. An empty batch encodes to a 2-byte header, so a
 // node with nothing to propose still participates in the epoch.

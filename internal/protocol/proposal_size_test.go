@@ -1,0 +1,66 @@
+package protocol
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+
+	"repro/internal/component"
+	"repro/internal/crypto"
+	"repro/internal/crypto/group"
+	"repro/internal/node"
+	"repro/internal/sim"
+	"repro/internal/wireless"
+)
+
+// TestMaxProposalBytesIsTheComponentCap ties the constant run.Spec
+// validation uses to the limit the broadcast components enforce: a
+// proposal of exactly MaxProposalBytes is accepted, one byte more is
+// refused at propose time.
+func TestMaxProposalBytesIsTheComponentCap(t *testing.T) {
+	sched := sim.New(1)
+	ch := wireless.NewChannel(sched, wireless.DefaultConfig())
+	suites, err := crypto.Deal(4, 1, crypto.LightConfig(), rand.New(rand.NewSource(1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd := node.New(sched, ch, 0, suites[0], node.Config{Batched: true, Seed: 1})
+	env := &component.Env{N: 4, F: 1, Suite: nd.Suite, T: nd.Transport(), CPU: nd.CPU, Sched: sched, Rand: nd.Rand}
+	rbc := component.NewRBC(env, component.RBCOptions{Slots: 8})
+	rbc.Propose(0, make([]byte, MaxProposalBytes))
+	defer func() {
+		if r := recover(); r == nil {
+			t.Errorf("%d B proposal accepted", MaxProposalBytes+1)
+		}
+	}()
+	rbc.Propose(4, make([]byte, MaxProposalBytes+1))
+}
+
+func TestCheckProposalSize(t *testing.T) {
+	for _, g := range group.All() {
+		if n := (g.P.BitLen() + 7) / 8; 2+n+32+4 > ciphertextEnvelope {
+			t.Errorf("group %s: a %d B element overflows the %d B ciphertext envelope", g.Name, n, ciphertextEnvelope)
+		}
+	}
+	cfg := DefaultChainConfig(HoneyBadger, CoinSig)
+	if err := cfg.CheckProposalSize(64); err != nil {
+		t.Fatalf("default config refused: %v", err)
+	}
+	// The batch alone fits the broadcast; its framing does not.
+	cfg.Mempool.MaxBatchBytes = MaxProposalBytes
+	err := cfg.CheckProposalSize(64)
+	if err == nil || !strings.Contains(err.Error(), "255 fragments of 160 B") {
+		t.Fatalf("MaxBatchBytes %d: %v", MaxProposalBytes, err)
+	}
+	// The largest cap whose framed, encrypted worst case still fits.
+	cfg.Encrypt = true
+	fits := (MaxProposalBytes - 2 - ciphertextEnvelope) * 64 / 66
+	cfg.Mempool.MaxBatchBytes = fits
+	if err := cfg.CheckProposalSize(64); err != nil {
+		t.Errorf("MaxBatchBytes %d refused: %v", fits, err)
+	}
+	cfg.Mempool.MaxBatchBytes = fits + 64
+	if cfg.CheckProposalSize(64) == nil {
+		t.Errorf("MaxBatchBytes %d accepted", fits+64)
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/byz"
 	"repro/internal/crypto"
 	"repro/internal/node"
 	"repro/internal/protocol"
@@ -29,47 +28,6 @@ import (
 // nodes); the completion barrier and log checks then cover honest nodes
 // only.
 
-// chainLifecycle adapts the SMR deployment to the scenario engine. Unlike
-// the one-shot drivers, recovery here is mid-run: the chain engine resumes
-// at its commit frontier and catches up on the live pipeline.
-type chainLifecycle struct {
-	nodes  []*node.Node
-	chains []*protocol.Chain
-}
-
-// NodeCount implements scenario.Sizer so churn events can draw victims.
-func (l chainLifecycle) NodeCount() int { return len(l.nodes) }
-
-func (l chainLifecycle) CrashNode(i int) {
-	if i < 0 || i >= len(l.nodes) || l.nodes[i].Down() {
-		return
-	}
-	l.chains[i].Crash()
-	l.nodes[i].Crash()
-}
-
-func (l chainLifecycle) RecoverNode(i int) {
-	if i < 0 || i >= len(l.nodes) || !l.nodes[i].Down() {
-		return
-	}
-	l.nodes[i].Recover()
-	l.chains[i].Recover()
-}
-
-// SetByzantine implements scenario.ByzLifecycle. The behavior lands on
-// the node's mux, so every epoch of the pipeline — open and future —
-// misbehaves from here on.
-func (l chainLifecycle) SetByzantine(i int, behavior string) {
-	if i < 0 || i >= len(l.nodes) {
-		return
-	}
-	b, err := byz.New(behavior)
-	if err != nil {
-		return
-	}
-	l.nodes[i].SetBehavior(b)
-}
-
 // chainConfig builds the per-node engine config from the Spec's workload.
 func chainConfig(spec Spec) (protocol.ChainConfig, error) {
 	ccfg := protocol.DefaultChainConfig(spec.Protocol, spec.Coin)
@@ -82,7 +40,7 @@ func chainConfig(spec Spec) (protocol.ChainConfig, error) {
 	if max := ccfg.Mempool.WithDefaults().MaxBatchBytes; spec.Workload.TxSize > max {
 		return ccfg, fmt.Errorf("run: TxSize %d exceeds proposal cap MaxBatchBytes %d", spec.Workload.TxSize, max)
 	}
-	return ccfg, nil
+	return ccfg, ccfg.CheckProposalSize(spec.Workload.TxSize)
 }
 
 // runChain executes the SingleHop × Chain cell. It fails if any correct
@@ -124,7 +82,14 @@ func runChain(spec Spec) (*Report, error) {
 		}
 		chains[i] = c
 	}
-	eng := scenario.Start(sched, spec.Scenario, spec.Seed, chainLifecycle{nodes: nodes, chains: chains})
+	// Unlike the one-shot drivers, recovery here is mid-run: the chain
+	// engine resumes at its commit frontier and catches up on the live
+	// pipeline.
+	eng := scenario.Start(sched, spec.Scenario, spec.Seed, lifecycle{
+		nodes:     nodes,
+		crashed:   func(i int) { chains[i].Crash() },
+		recovered: func(i int) { chains[i].Recover() },
+	})
 	ch.SetDeliveryHook(eng.Hook())
 
 	// Client workload: sustained offered load broadcast to every live

@@ -2,6 +2,7 @@ package run
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -294,5 +295,21 @@ func TestChainScenarioDeterministic(t *testing.T) {
 	if a.Duration != b.Duration || a.Chain.CommittedTxs != b.Chain.CommittedTxs || a.Accesses != b.Accesses {
 		t.Errorf("scenario run not deterministic: %v/%d/%d vs %v/%d/%d",
 			a.Duration, a.Chain.CommittedTxs, a.Accesses, b.Duration, b.Chain.CommittedTxs, b.Accesses)
+	}
+}
+
+// TestChainRejectsUncarriableBatchCap: a MaxBatchBytes whose proposals
+// could not fit one broadcast's 255 fragments is refused before the run
+// starts, on both chain cells, instead of stalling an epoch mid-run.
+func TestChainRejectsUncarriableBatchCap(t *testing.T) {
+	for _, spec := range []Spec{
+		quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, true, 1),
+		quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 2, 1),
+	} {
+		spec.Workload.Mempool.MaxBatchBytes = protocol.MaxProposalBytes
+		if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "MaxBatchBytes") {
+			t.Errorf("%s x %s: MaxBatchBytes %d: err = %v", spec.Topology.Kind, spec.Workload.Kind,
+				protocol.MaxProposalBytes, err)
+		}
 	}
 }

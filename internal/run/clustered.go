@@ -87,7 +87,7 @@ func runClusteredOneShot(spec Spec) (*Report, error) {
 		}
 		clusters[c] = cl
 	}
-	eng := scenario.Start(sched, spec.Scenario, spec.Seed, osLifecycle{flat})
+	eng := scenario.Start(sched, spec.Scenario, spec.Seed, oneShotLifecycle(flat))
 	for c, cl := range clusters {
 		base := c * P
 		cl.ch.SetDeliveryHook(eng.HookMapped(func(id wireless.NodeID) int { return base + int(id) }))
@@ -198,7 +198,7 @@ func (cl *oneShotCluster) startLocalEpoch(sched *sim.Scheduler, epoch uint16, sp
 	}
 	// Followers additionally listen for the leader's global RESULT.
 	for i, n := range cl.nodes {
-		if n.crashed {
+		if n.Down() {
 			continue
 		}
 		i := i
@@ -264,7 +264,7 @@ func (cl *oneShotCluster) publishResult(epoch uint16) {
 		return
 	}
 	leader := cl.nodes[cl.leader]
-	if leader.crashed {
+	if leader.Down() {
 		return // a dead leader cannot disseminate; the epoch stalls
 	}
 	cl.resultSent = true

@@ -162,17 +162,29 @@ func (d *mhcDriver) member(flat int) (*mhcCluster, *mhcMember) {
 	return d.clusters[flat/p], d.clusters[flat/p].members[flat%p]
 }
 
-// CrashNode implements scenario.Lifecycle across the cluster tier.
-func (d *mhcDriver) CrashNode(i int) {
-	if i < 0 || i >= d.spec.Nodes() {
-		return
+// lifecycle adapts the cluster tier to the scenario engine. A byz event
+// arms the member's cluster seat too: the cluster's uplink is only as
+// trustworthy as its members.
+func (d *mhcDriver) lifecycle() lifecycle {
+	l := lifecycle{
+		crashed:   d.crashed,
+		recovered: d.recovered,
+		armed: func(i int, b byz.Behavior) {
+			cl, _ := d.member(i)
+			cl.seat.SetBehavior(b)
+		},
 	}
+	for _, cl := range d.clusters {
+		for _, m := range cl.members {
+			l.nodes = append(l.nodes, m.node)
+		}
+	}
+	return l
+}
+
+func (d *mhcDriver) crashed(i int) {
 	cl, m := d.member(i)
-	if m.node.Down() {
-		return
-	}
 	m.chain.Crash()
-	m.node.Crash()
 	m.latest = nil // its transports are gone with the mux epochs
 	// Relay failover: cuts the crashed node was designated to submit are
 	// taken over by the next live member in rotation. The in-flight share
@@ -183,16 +195,9 @@ func (d *mhcDriver) CrashNode(i int) {
 	d.pumpCuts(cl)
 }
 
-// RecoverNode implements scenario.Lifecycle: mid-run chain recovery.
-func (d *mhcDriver) RecoverNode(i int) {
-	if i < 0 || i >= d.spec.Nodes() {
-		return
-	}
+// recovered is mid-run chain recovery.
+func (d *mhcDriver) recovered(i int) {
 	cl, m := d.member(i)
-	if !m.node.Down() {
-		return
-	}
-	m.node.Recover()
 	m.chain.Recover()
 	// A member that comes back with its chain already at the target has no
 	// pipeline epoch left to carry or hear beacons on (Chain.Recover cannot
@@ -210,21 +215,6 @@ func (d *mhcDriver) RecoverNode(i int) {
 	// re-beaconed down so recovered followers hear it.
 	d.pumpCuts(cl)
 	d.beacon(cl, len(cl.gchain.Log()))
-}
-
-// SetByzantine arms the behavior on the member and on its cluster's seat:
-// the cluster's uplink is only as trustworthy as its members.
-func (d *mhcDriver) SetByzantine(i int, behavior string) {
-	if i < 0 || i >= d.spec.Nodes() {
-		return
-	}
-	b, err := byz.New(behavior)
-	if err != nil {
-		return
-	}
-	cl, m := d.member(i)
-	m.node.SetBehavior(b)
-	cl.seat.SetBehavior(b)
 }
 
 // pumpCuts advances the cluster's cut pipeline. The designated relay for
@@ -605,7 +595,7 @@ func runClusteredChain(spec Spec) (*Report, error) {
 		cl.gchain.OnCommit = func(g int) { d.onGlobalCommit(cl, g) }
 	}
 
-	eng := scenario.Start(sched, spec.Scenario, spec.Seed, d)
+	eng := scenario.Start(sched, spec.Scenario, spec.Seed, d.lifecycle())
 	for c, cl := range d.clusters {
 		base := c * P
 		cl.ch.SetDeliveryHook(eng.HookMapped(func(id wireless.NodeID) int { return base + int(id) }))

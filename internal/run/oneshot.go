@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/byz"
 	"repro/internal/component"
 	"repro/internal/crypto"
 	"repro/internal/node"
@@ -18,8 +17,7 @@ import (
 // for the one-shot drivers.
 type osNode struct {
 	*node.Node
-	idx     int
-	crashed bool // currently down (scenario-driven)
+	idx int
 	// byz marks a node the scenario ever scripts Byzantine: it keeps
 	// running (and misbehaving) but is excluded from completion barriers
 	// and from the honest-safety checks.
@@ -28,52 +26,20 @@ type osNode struct {
 	done bool
 }
 
-// osLifecycle adapts a slice of osNodes to the scenario engine. Crash
+// oneShotLifecycle adapts a slice of osNodes to the scenario engine. Crash
 // takes the node off the air immediately and excludes it from the epoch
 // barrier; recovery re-admits it at the next epoch boundary (one-shot
 // epochs have no mid-epoch join protocol — contrast with the chain
-// workload, which rejoins mid-run).
-type osLifecycle struct{ nodes []*osNode }
-
-func (l osLifecycle) CrashNode(i int) {
-	if i < 0 || i >= len(l.nodes) {
-		return
+// workload, which rejoins mid-run), so done stays set until then.
+func oneShotLifecycle(nodes []*osNode) lifecycle {
+	l := lifecycle{crashed: func(i int) {
+		nodes[i].inst = nil  // in-memory epoch state is gone
+		nodes[i].done = true // excluded from the epoch barrier
+	}}
+	for _, n := range nodes {
+		l.nodes = append(l.nodes, n.Node)
 	}
-	n := l.nodes[i]
-	if n.crashed {
-		return
-	}
-	n.crashed = true
-	n.inst = nil  // in-memory epoch state is gone
-	n.done = true // excluded from the epoch barrier
-	n.Node.Crash()
-}
-
-func (l osLifecycle) RecoverNode(i int) {
-	if i < 0 || i >= len(l.nodes) {
-		return
-	}
-	n := l.nodes[i]
-	if !n.crashed {
-		return
-	}
-	n.Node.Recover()
-	n.crashed = false
-	// done stays true: the node sits out the rest of the current epoch.
-}
-
-// SetByzantine implements scenario.ByzLifecycle: arm the behavior on the
-// deployment node. The name was validated by validateByz before the run.
-func (l osLifecycle) SetByzantine(i int, behavior string) {
-	if i < 0 || i >= len(l.nodes) {
-		return
-	}
-	b, err := byz.New(behavior)
-	if err != nil {
-		return
-	}
-	l.nodes[i].byz = true
-	l.nodes[i].Node.SetBehavior(b)
+	return l
 }
 
 // runOneShot executes the SingleHop × OneShot cell.
@@ -94,7 +60,7 @@ func runOneShot(spec Spec) (*Report, error) {
 	for i := range nodes {
 		nodes[i] = &osNode{Node: node.New(sched, ch, wireless.NodeID(i), suites[i], ncfg), idx: i, byz: byzN[i]}
 	}
-	eng := scenario.Start(sched, spec.Scenario, spec.Seed, osLifecycle{nodes})
+	eng := scenario.Start(sched, spec.Scenario, spec.Seed, oneShotLifecycle(nodes))
 	ch.SetDeliveryHook(eng.Hook())
 
 	rep := spec.report()
@@ -116,7 +82,7 @@ func runOneShot(spec Spec) (*Report, error) {
 		for _, n := range nodes {
 			// Agreement is an honest-node property: a Byzantine node's own
 			// engine is not bound by what it told its peers.
-			if !n.crashed && !n.byz && n.inst != nil {
+			if !n.Down() && !n.byz && n.inst != nil {
 				insts = append(insts, n.inst)
 			}
 		}
@@ -145,7 +111,7 @@ func runOneShot(spec Spec) (*Report, error) {
 func (n *osNode) startEpoch(sched *sim.Scheduler, epoch uint16, spec Spec, onDone func()) {
 	n.done = false
 	n.inst = nil
-	if n.crashed {
+	if n.Down() {
 		n.done = true // crashed nodes never finish; exclude from barrier
 		return
 	}
@@ -185,7 +151,7 @@ func allHonestDone(nodes []*osNode) bool {
 // honest node's output; agreement tests verify outputs match).
 func countTxs(nodes []*osNode, txSize int) int {
 	for _, n := range nodes {
-		if n.crashed || n.byz || n.inst == nil {
+		if n.Down() || n.byz || n.inst == nil {
 			continue
 		}
 		total := 0

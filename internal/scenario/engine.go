@@ -11,8 +11,10 @@ import (
 
 // Lifecycle is the driver-side interface the engine drives crash and
 // recovery events through. Implementations must be idempotent: crashing a
-// dead node or recovering a live one is a no-op.
+// dead node or recovering a live one is a no-op. NodeCount sizes the
+// deployment for churn events, which draw their victims uniformly.
 type Lifecycle interface {
+	NodeCount() int
 	CrashNode(i int)
 	RecoverNode(i int)
 }
@@ -23,13 +25,6 @@ type Lifecycle interface {
 // treat them as trusted.
 type ByzLifecycle interface {
 	SetByzantine(i int, behavior string)
-}
-
-// Sizer is the optional extension a Lifecycle implements to support
-// churn events, which draw victims uniformly and so need to know how
-// many nodes exist. Churn events are silently inert without it.
-type Sizer interface {
-	NodeCount() int
 }
 
 // mobilityField is the fixed field edge (metres) mobility events walk
@@ -176,14 +171,10 @@ func Start(sched *sim.Scheduler, plan Plan, seed int64, life Lifecycle) *Engine 
 			}
 			var tick func()
 			tick = func() {
-				sz, ok := e.life.(Sizer)
-				if !ok {
-					return // driver cannot size the deployment; churn is inert
-				}
 				if until > 0 && sched.Now() >= until {
 					return
 				}
-				victim := e.rng.Intn(sz.NodeCount())
+				victim := e.rng.Intn(e.life.NodeCount())
 				if !e.churned[victim] {
 					e.churned[victim] = true
 					e.life.CrashNode(victim)

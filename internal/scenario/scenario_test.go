@@ -253,11 +253,6 @@ func TestEngineChurnCrashesAndRejoins(t *testing.T) {
 			t.Fatalf("victim %d outside the deployment", c.node)
 		}
 	}
-	// A Lifecycle without NodeCount leaves churn inert.
-	sched2 := sim.New(1)
-	plain := struct{ Lifecycle }{}
-	Start(sched2, Plan{}.Then(ChurnFrom(0, 0, 5*time.Minute, time.Minute)), 1, plain)
-	sched2.RunUntil(time.Hour)
 }
 
 func TestDownForever(t *testing.T) {
