@@ -24,9 +24,9 @@
 // -topology clustered it runs local chains per cluster and orders cluster
 // cuts on the global tier.
 //
-// -arrival swaps the fixed -txinterval submission loop for the open-loop
-// client traffic generator (internal/traffic, single-hop chain only):
-// "poisson" offers memoryless aggregate arrivals at -rate tx/s; "onoff"
+// -arrival swaps the fixed -txinterval client process for a seed-derived
+// one (internal/traffic; under -topology clustered every arrival is one
+// transaction per cluster, like a fixed tick): "poisson" offers memoryless aggregate arrivals at -rate tx/s; "onoff"
 // spreads the same rate over -clients bursty clients, each alternating
 // exponential on (-onmean) and off (-offmean) phases. -mempool-cap
 // bounds each node's pending+in-flight payload bytes; submissions beyond
@@ -102,10 +102,10 @@ func main() {
 		batch      = fs.Int("batch", 4, "oneshot: transactions per proposal")
 		txsize     = fs.Int("txsize", 64, "bytes per transaction")
 		depth      = fs.Int("depth", 2, "chain: pipeline depth (concurrent epochs)")
-		txinterval = fs.Duration("txinterval", 4*time.Second, "chain: client submission interval")
+		txinterval = fs.Duration("txinterval", 4*time.Second, "chain: gap of the fixed client arrival process")
 		gclag      = fs.Int("gclag", 0, "chain: epochs kept behind the frontier for repairs (0 = engine default)")
 
-		arrival    = fs.String("arrival", "", "chain: open-loop arrival process, poisson | onoff ('' = fixed -txinterval loop)")
+		arrival    = fs.String("arrival", "", "chain: client arrival process, poisson | onoff ('' = one arrival every -txinterval)")
 		rate       = fs.Float64("rate", 0.02, "chain: aggregate offered rate in tx/s (with -arrival)")
 		clients    = fs.Int("clients", 0, "chain: simulated client population (with -arrival; 0 = default 1000)")
 		onmean     = fs.Duration("onmean", 0, "chain: mean on-phase length per client (with -arrival onoff; 0 = default)")

@@ -18,10 +18,7 @@ import (
 // These tests pin the unified run API to the committed BENCH trajectory
 // files: selected honest-path points of BENCH_chain.json,
 // BENCH_faults.json, and BENCH_byz.json are re-run through run.Run and
-// every recorded number must reproduce bit-identically. The files were
-// produced by the legacy drivers; the goldens are the proof that the
-// api_redesign changed the surface without changing a single simulated
-// outcome.
+// every recorded number must reproduce bit-identically.
 
 type goldenFile struct {
 	Experiment string            `json:"experiment"`

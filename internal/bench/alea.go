@@ -18,21 +18,14 @@ import (
 // adversary axes. All engines charge crypto through the same cost model,
 // so the latency/throughput columns are head-to-head comparable.
 type AleaPoint struct {
-	Protocol       string  `json:"protocol"`
-	Transport      string  `json:"transport"` // "batched" | "baseline"
-	Scenario       string  `json:"scenario"`
-	Spec           string  `json:"spec,omitempty"` // the scenario DSL actually run
-	Seed           int64   `json:"seed"`
-	Epochs         int     `json:"epochs"`
-	CommittedTxs   int     `json:"committed_txs"`
-	VirtualSecs    float64 `json:"virtual_s"`
-	ThroughputBps  float64 `json:"throughput_Bps"`
-	CommitLatencyS float64 `json:"commit_latency_s"`
-	HonestSafe     bool    `json:"honest_safe"`
-	Error          string  `json:"error,omitempty"`
-	// ElapsedMS is the wall-clock cost of producing this row — sweep
-	// metadata, not a simulated (golden-checked) outcome.
-	ElapsedMS int64 `json:"elapsed_ms"`
+	Protocol  string `json:"protocol"`
+	Transport string `json:"transport"` // "batched" | "baseline"
+	Scenario  string `json:"scenario"`
+	Spec      string `json:"spec,omitempty"` // the scenario DSL actually run
+	Seed      int64  `json:"seed"`
+	smrStats
+	provenance
+	wallClock
 }
 
 // aleaProtoAxis is the three-engine axis, signature coin throughout (the
@@ -111,29 +104,14 @@ func AleaSweep(seed int64, epochs int, opts sweep.Options) ([]AleaPoint, error) 
 			pt.Error = err.Error()
 			return pt, nil
 		}
-		pt.Epochs = res.Chain.EpochsCommitted
-		pt.CommittedTxs = res.Chain.CommittedTxs
-		pt.VirtualSecs = res.Duration.Seconds()
-		pt.ThroughputBps = res.Chain.ThroughputBps
-		pt.CommitLatencyS = res.Chain.MeanCommitLatency.Seconds()
-		// The driver already verified agreement and gap-freedom across
-		// honest logs; what remains is provenance.
-		forged := protocol.CountForged(res.Chain.Logs, c.Config.Workload.TxSize, res.Chain.SubmittedTxs)
-		pt.HonestSafe = forged == 0
-		if forged > 0 {
-			pt.Error = fmt.Sprintf("%d forged transactions committed", forged)
-		}
+		pt.fill(res)
+		pt.audit(res, c.Config.Workload.TxSize)
 		return pt, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]AleaPoint, len(results))
-	for i, r := range results {
-		r.Value.ElapsedMS = r.Elapsed.Milliseconds()
-		rows[i] = r.Value
-	}
-	return rows, nil
+	return stampedRows(results), nil
 }
 
 // runAleaExp is the registry entry: sweep, table, trajectory.

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"repro/internal/byz"
-	"repro/internal/protocol"
 	"repro/internal/run"
 	"repro/internal/scenario"
 	"repro/internal/sweep"
@@ -17,25 +16,18 @@ import (
 // containing only genuine client transactions — nothing the adversary
 // forged, corrupted, or equivocated survived into the log.
 type ByzPoint struct {
-	Behavior       string  `json:"behavior"`
-	Spec           string  `json:"spec"` // the scenario DSL actually run
-	Protocol       string  `json:"protocol"`
-	Transport      string  `json:"transport"` // "batched" | "baseline"
-	ByzNodes       int     `json:"byz_nodes"` // f = (N-1)/3
-	Epochs         int     `json:"epochs"`
-	CommittedTxs   int     `json:"committed_txs"`
-	VirtualSecs    float64 `json:"virtual_s"`
-	ThroughputBps  float64 `json:"throughput_Bps"`
-	CommitLatencyS float64 `json:"commit_latency_s"`
+	Behavior  string `json:"behavior"`
+	Spec      string `json:"spec"` // the scenario DSL actually run
+	Protocol  string `json:"protocol"`
+	Transport string `json:"transport"` // "batched" | "baseline"
+	ByzNodes  int    `json:"byz_nodes"` // f = (N-1)/3
+	smrStats
 	// RejectedMsgs counts the invalid shares, certificates, proofs, and
 	// malformed proposals the component defenses discarded across all
 	// nodes — how much of the attack the verification layer absorbed.
 	RejectedMsgs uint64 `json:"rejected_msgs"`
-	HonestSafe   bool   `json:"honest_safe"`
-	Error        string `json:"error,omitempty"`
-	// ElapsedMS is the wall-clock cost of producing this row — sweep
-	// metadata, not a simulated (golden-checked) outcome.
-	ElapsedMS int64 `json:"elapsed_ms"`
+	provenance
+	wallClock
 }
 
 // behaviorAxis arms f = (N-1)/3 replicas with one active-Byzantine
@@ -95,30 +87,15 @@ func ByzSweep(seed int64, epochs int, opts sweep.Options) ([]ByzPoint, error) {
 			pt.Error = err.Error()
 			return pt, nil
 		}
-		pt.Epochs = res.Chain.EpochsCommitted
-		pt.CommittedTxs = res.Chain.CommittedTxs
-		pt.VirtualSecs = res.Duration.Seconds()
-		pt.ThroughputBps = res.Chain.ThroughputBps
-		pt.CommitLatencyS = res.Chain.MeanCommitLatency.Seconds()
+		pt.fill(res)
 		pt.RejectedMsgs = res.Rejected
-		// The driver already verified agreement and gap-freedom across
-		// honest logs; what remains is provenance.
-		forged := protocol.CountForged(res.Chain.Logs, c.Config.Workload.TxSize, res.Chain.SubmittedTxs)
-		pt.HonestSafe = forged == 0
-		if forged > 0 {
-			pt.Error = fmt.Sprintf("%d forged transactions committed", forged)
-		}
+		pt.audit(res, c.Config.Workload.TxSize)
 		return pt, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]ByzPoint, len(results))
-	for i, r := range results {
-		r.Value.ElapsedMS = r.Elapsed.Milliseconds()
-		rows[i] = r.Value
-	}
-	return rows, nil
+	return stampedRows(results), nil
 }
 
 // runByzExp is the registry entry: sweep, table, trajectory.

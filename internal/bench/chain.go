@@ -15,20 +15,14 @@ import (
 // wireless channel, and how much epoch pipelining buys on top of
 // ConsensusBatcher.
 type ChainPoint struct {
-	Protocol       string  `json:"protocol"`
-	Transport      string  `json:"transport"` // "batched" | "baseline"
-	Depth          int     `json:"depth"`
-	Epochs         int     `json:"epochs"`
-	CommittedTxs   int     `json:"committed_txs"`
-	CommittedBytes uint64  `json:"committed_bytes"`
-	VirtualSecs    float64 `json:"virtual_s"`
-	ThroughputBps  float64 `json:"throughput_Bps"`
-	CommitLatencyS float64 `json:"commit_latency_s"`
-	Accesses       uint64  `json:"accesses"`
-	DedupDropped   int     `json:"dedup_dropped"`
-	// ElapsedMS is the wall-clock cost of producing this row — sweep
-	// metadata, not a simulated (golden-checked) outcome.
-	ElapsedMS int64 `json:"elapsed_ms"`
+	Protocol  string `json:"protocol"`
+	Transport string `json:"transport"` // "batched" | "baseline"
+	Depth     int    `json:"depth"`
+	smrStats
+	CommittedBytes uint64 `json:"committed_bytes"`
+	Accesses       uint64 `json:"accesses"`
+	DedupDropped   int    `json:"dedup_dropped"`
+	wallClock
 }
 
 // ChainThroughput sweeps pipeline depth for two protocol families under
@@ -48,29 +42,21 @@ func ChainThroughput(seed int64, epochs int, opts sweep.Options) ([]ChainPoint, 
 		if err != nil {
 			return ChainPoint{}, fmt.Errorf("bench: chain %s: %w", c.Name(), err)
 		}
-		return ChainPoint{
+		pt := ChainPoint{
 			Protocol:       c.Labels[0],
 			Transport:      c.Labels[1],
 			Depth:          c.Config.Workload.Window,
-			Epochs:         res.Chain.EpochsCommitted,
-			CommittedTxs:   res.Chain.CommittedTxs,
 			CommittedBytes: res.Chain.CommittedBytes,
-			VirtualSecs:    res.Duration.Seconds(),
-			ThroughputBps:  res.Chain.ThroughputBps,
-			CommitLatencyS: res.Chain.MeanCommitLatency.Seconds(),
 			Accesses:       res.Accesses,
 			DedupDropped:   res.Chain.DedupDropped,
-		}, nil
+		}
+		pt.fill(res)
+		return pt, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]ChainPoint, len(results))
-	for i, r := range results {
-		r.Value.ElapsedMS = r.Elapsed.Milliseconds()
-		rows[i] = r.Value
-	}
-	return rows, nil
+	return stampedRows(results), nil
 }
 
 // runChainExp is the registry entry: sweep, table, trajectory.

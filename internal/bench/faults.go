@@ -17,21 +17,15 @@ import (
 // crashes with recovery, partitions, jamming bursts, and the adversarial
 // delay schedule the asynchronous model is defined against.
 type FaultPoint struct {
-	Scenario       string  `json:"scenario"`
-	Spec           string  `json:"spec"` // the scenario DSL actually run
-	Protocol       string  `json:"protocol"`
-	Transport      string  `json:"transport"` // "batched" | "baseline"
-	Epochs         int     `json:"epochs"`
-	CommittedTxs   int     `json:"committed_txs"`
-	VirtualSecs    float64 `json:"virtual_s"`
-	ThroughputBps  float64 `json:"throughput_Bps"`
-	CommitLatencyS float64 `json:"commit_latency_s"`
-	Accesses       uint64  `json:"accesses"`
-	Collisions     uint64  `json:"collisions"`
-	Error          string  `json:"error,omitempty"` // deadline/deadlock, if the scenario defeated the run
-	// ElapsedMS is the wall-clock cost of producing this row — sweep
-	// metadata, not a simulated (golden-checked) outcome.
-	ElapsedMS int64 `json:"elapsed_ms"`
+	Scenario  string `json:"scenario"`
+	Spec      string `json:"spec"` // the scenario DSL actually run
+	Protocol  string `json:"protocol"`
+	Transport string `json:"transport"` // "batched" | "baseline"
+	smrStats
+	Accesses   uint64 `json:"accesses"`
+	Collisions uint64 `json:"collisions"`
+	Error      string `json:"error,omitempty"` // deadline/deadlock, if the scenario defeated the run
+	wallClock
 }
 
 // faultScenario names one scripted plan of the sweep. Crash/recovery times
@@ -106,11 +100,7 @@ func FaultSweep(seed int64, epochs int, opts sweep.Options) ([]FaultPoint, error
 			pt.Error = err.Error()
 			return pt, nil
 		}
-		pt.Epochs = res.Chain.EpochsCommitted
-		pt.CommittedTxs = res.Chain.CommittedTxs
-		pt.VirtualSecs = res.Duration.Seconds()
-		pt.ThroughputBps = res.Chain.ThroughputBps
-		pt.CommitLatencyS = res.Chain.MeanCommitLatency.Seconds()
+		pt.fill(res)
 		pt.Accesses = res.Accesses
 		pt.Collisions = res.Collisions
 		return pt, nil
@@ -118,12 +108,7 @@ func FaultSweep(seed int64, epochs int, opts sweep.Options) ([]FaultPoint, error
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]FaultPoint, len(results))
-	for i, r := range results {
-		r.Value.ElapsedMS = r.Elapsed.Milliseconds()
-		rows[i] = r.Value
-	}
-	return rows, nil
+	return stampedRows(results), nil
 }
 
 // runFaultsExp is the registry entry: sweep, table, trajectory.

@@ -25,10 +25,9 @@ type MHChainPoint struct {
 	// Scenario is the fault/adversary DSL the cell ran (empty for the
 	// fault-free grid).
 	Scenario string `json:"scenario,omitempty"`
-	// Epochs is the per-cluster commit target every honest node reached.
-	Epochs int `json:"epochs"`
-	// CommittedTxs sums one reference node per cluster.
-	CommittedTxs int `json:"committed_txs"`
+	// Epochs is the per-cluster commit target every honest node reached;
+	// the commit counters sum one reference node per cluster.
+	smrStats
 	// OrderedCuts / GlobalEntries describe the cross-cluster total order
 	// built on the global tier (certificate-verified cuts only).
 	OrderedCuts   int `json:"ordered_cuts"`
@@ -37,17 +36,12 @@ type MHChainPoint struct {
 	// as forged/unsigned (summed across seats); ForgedCommitted counts
 	// forged cuts that survived into the cut order — the run driver's
 	// provenance check fails the whole cell if it is ever non-zero.
-	RejectedCuts    int     `json:"rejected_cuts"`
-	ForgedCommitted int     `json:"forged_committed"`
-	VirtualSecs     float64 `json:"virtual_s"`
-	ThroughputBps   float64 `json:"throughput_Bps"`
-	CommitLatencyS  float64 `json:"commit_latency_s"`
-	LocalAccesses   uint64  `json:"local_accesses"`
-	GlobalAccesses  uint64  `json:"global_accesses"`
-	Error           string  `json:"error,omitempty"`
-	// ElapsedMS is the wall-clock cost of producing this row — sweep
-	// metadata, not a simulated (golden-checked) outcome.
-	ElapsedMS int64 `json:"elapsed_ms"`
+	RejectedCuts    int    `json:"rejected_cuts"`
+	ForgedCommitted int    `json:"forged_committed"`
+	LocalAccesses   uint64 `json:"local_accesses"`
+	GlobalAccesses  uint64 `json:"global_accesses"`
+	Error           string `json:"error,omitempty"`
+	wallClock
 }
 
 // forgeAxis scripts the forged-cut attack (byz.NameForgeCut) on the last
@@ -103,8 +97,7 @@ func MHChainSweep(seed int64, epochs int, opts sweep.Options) ([]MHChainPoint, e
 			pt.Error = err.Error()
 			return pt, nil
 		}
-		pt.Epochs = res.Chain.EpochsCommitted
-		pt.CommittedTxs = res.Chain.CommittedTxs
+		pt.fill(res)
 		pt.OrderedCuts = res.Tiers.OrderedCuts
 		pt.GlobalEntries = res.Tiers.GlobalEntries
 		pt.RejectedCuts = res.Tiers.CutCerts.RejectedCuts
@@ -112,9 +105,6 @@ func MHChainSweep(seed int64, epochs int, opts sweep.Options) ([]MHChainPoint, e
 		// certificate against the true cluster logs and errors on any
 		// forgery that slipped through, so a successful run proves zero.
 		pt.ForgedCommitted = 0
-		pt.VirtualSecs = res.Duration.Seconds()
-		pt.ThroughputBps = res.Chain.ThroughputBps
-		pt.CommitLatencyS = res.Chain.MeanCommitLatency.Seconds()
 		pt.LocalAccesses = res.Tiers.LocalAccesses
 		pt.GlobalAccesses = res.Tiers.GlobalAccesses
 		return pt, nil
@@ -141,12 +131,7 @@ func MHChainSweep(seed int64, epochs int, opts sweep.Options) ([]MHChainPoint, e
 		return nil, err
 	}
 	results = append(results, forgeResults...)
-	rows := make([]MHChainPoint, len(results))
-	for i, r := range results {
-		r.Value.ElapsedMS = r.Elapsed.Milliseconds()
-		rows[i] = r.Value
-	}
-	return rows, nil
+	return stampedRows(results), nil
 }
 
 // runMHChainExp is the registry entry: sweep, table, trajectory.

@@ -5,7 +5,6 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/protocol"
 	"repro/internal/run"
 	"repro/internal/sweep"
 	"repro/internal/traffic"
@@ -35,14 +34,11 @@ type TrafficPoint struct {
 	ThroughputBps float64 `json:"throughput_Bps"`
 	// Per-transaction submit->commit latency percentiles (seconds) at the
 	// reference node — the client-visible tail, not epoch latency.
-	P50S       float64 `json:"p50_s"`
-	P90S       float64 `json:"p90_s"`
-	P99S       float64 `json:"p99_s"`
-	HonestSafe bool    `json:"honest_safe"`
-	Error      string  `json:"error,omitempty"`
-	// ElapsedMS is the wall-clock cost of producing this row — sweep
-	// metadata, not a simulated (golden-checked) outcome.
-	ElapsedMS int64 `json:"elapsed_ms"`
+	P50S float64 `json:"p50_s"`
+	P90S float64 `json:"p90_s"`
+	P99S float64 `json:"p99_s"`
+	provenance
+	wallClock
 }
 
 // trafficPatternAxis selects the arrival process. Both points share the
@@ -123,24 +119,13 @@ func TrafficSweep(seed int64, epochs int, opts sweep.Options) ([]TrafficPoint, e
 			pt.P90S = lat.P90.Seconds()
 			pt.P99S = lat.P99.Seconds()
 		}
-		// The driver already verified agreement and gap-freedom across
-		// honest logs; what remains is provenance.
-		forged := protocol.CountForged(res.Chain.Logs, c.Config.Workload.TxSize, res.Chain.SubmittedTxs)
-		pt.HonestSafe = forged == 0
-		if forged > 0 {
-			pt.Error = fmt.Sprintf("%d forged transactions committed", forged)
-		}
+		pt.audit(res, c.Config.Workload.TxSize)
 		return pt, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	rows := make([]TrafficPoint, len(results))
-	for i, r := range results {
-		r.Value.ElapsedMS = r.Elapsed.Milliseconds()
-		rows[i] = r.Value
-	}
-	return rows, nil
+	return stampedRows(results), nil
 }
 
 // runTrafficExp is the registry entry: sweep, table, trajectory.

@@ -1,9 +1,9 @@
 // Package node is the deployment layer: it assembles one simulated
 // consensus participant — CPU, frame authentication, radio station, and
 // either a single-epoch core.Transport or an epoch-pipelining core.Mux —
-// from a crypto suite and a transport configuration. All three protocol
-// drivers (Run, RunMultihop, ChainRun) and the bench rigs build their
-// nodes here instead of hand-wiring the same five objects.
+// from a crypto suite and a transport configuration. internal/run's group
+// builder and the bench rigs build their nodes here instead of
+// hand-wiring the same five objects.
 //
 // The layer also owns the node fault lifecycle the scenario engine drives:
 // Crash takes the node off the air (inbound gate closed, radio queue

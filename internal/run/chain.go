@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/crypto"
 	"repro/internal/node"
 	"repro/internal/protocol"
-	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/traffic"
-	"repro/internal/wireless"
 )
 
 // SingleHop × Chain: a sustained multi-epoch SMR simulation — N Chain
@@ -43,173 +40,228 @@ func chainConfig(spec Spec) (protocol.ChainConfig, error) {
 	return ccfg, ccfg.CheckProposalSize(spec.Workload.TxSize)
 }
 
+// chainGroup is a consensus group running the SMR pipeline: one
+// protocol.Chain per node. The single-hop cell is one chainGroup; the
+// clustered cell is M of them plus one over the seats, whose clients are
+// the clusters' cut relays (mhchain.go).
+type chainGroup struct {
+	*group
+	chains []*protocol.Chain
+	// byz marks the members outside every check: safety is an honest-node
+	// property, and a Byzantine node's own log is not bound by what it
+	// told its peers.
+	byz []bool
+	// live marks the honest members not scripted to stay down: the
+	// completion barrier, the reference node and the reported logs.
+	live []bool
+	// maxOpen is the pipeline-depth high-water mark (see observe).
+	maxOpen int
+}
+
+// newChainGroup runs a chain on every node of g. Member i is Byzantine if
+// byz holds base+i, and scripted to stay down if gone does.
+func newChainGroup(sched *sim.Scheduler, g *group, f int, ccfg protocol.ChainConfig, base int, byz, gone map[int]bool) *chainGroup {
+	cg := &chainGroup{group: g}
+	for i, n := range g.nodes {
+		cg.chains = append(cg.chains, protocol.NewChain(sched, n.CPU, n.Mux(), n.Suite, len(g.nodes), f, i,
+			n.TransportConfig().Session, n.Rand, ccfg))
+		cg.byz = append(cg.byz, byz[base+i])
+		cg.live = append(cg.live, !byz[base+i] && !gone[base+i])
+	}
+	return cg
+}
+
+// observe folds chain i's current pipeline depth into the high-water
+// mark; the local tiers call it from OnCommit.
+func (g *chainGroup) observe(i int) {
+	if o := g.chains[i].OpenEpochs(); o > g.maxOpen {
+		g.maxOpen = o
+	}
+}
+
+// done reports whether every live member has committed target epochs.
+func (g *chainGroup) done(target int) bool {
+	for i, c := range g.chains {
+		if g.live[i] && c.CommittedEpochs() < target {
+			return false
+		}
+	}
+	return true
+}
+
+// submit broadcasts one client transaction to the mempool of every member
+// on the air. A node that is down misses the submissions of its outage
+// (clients cannot reach it), which commit-time dedup makes harmless.
+func (g *chainGroup) submit(tx []byte) {
+	for i, c := range g.chains {
+		if !g.nodes[i].Down() {
+			c.Submit(tx)
+		}
+	}
+}
+
+// check verifies SMR safety over the group's honest members: gap-free
+// logs, identical over every shared prefix.
+func (g *chainGroup) check() error {
+	honest := make([]*protocol.Chain, len(g.chains))
+	for i, c := range g.chains {
+		if !g.byz[i] {
+			honest[i] = c
+		}
+	}
+	return protocol.CheckLogs(honest)
+}
+
+// ref returns the first live member's chain — the node the commit
+// counters are read from — or nil if the group has none.
+func (g *chainGroup) ref() *protocol.Chain {
+	for i, c := range g.chains {
+		if g.live[i] {
+			return c
+		}
+	}
+	return nil
+}
+
+// logs returns each live member's committed log (nil for the others).
+func (g *chainGroup) logs() [][]protocol.LogEntry {
+	out := make([][]protocol.LogEntry, len(g.chains))
+	for i, c := range g.chains {
+		if g.live[i] {
+			out[i] = c.Log()
+		}
+	}
+	return out
+}
+
+func (g *chainGroup) frontiers() []int {
+	out := make([]int, len(g.chains))
+	for i, c := range g.chains {
+		out[i] = c.CommittedEpochs()
+	}
+	return out
+}
+
+// localsDone is the client-visible completion point: every live member of
+// every local group has committed the target.
+func localsDone(locals []*chainGroup, target int) bool {
+	for _, g := range locals {
+		if !g.done(target) {
+			return false
+		}
+	}
+	return true
+}
+
+// startClients arms the run's one client process. Every arrival hands
+// each local group its own transaction, broadcast to the group's live
+// mempools; sequence numbers are deployment-global so payloads are
+// distinct across clusters, and arrival k's transaction for group c is
+// number k*len(locals)+c. Offered load is sustained — arrivals only cease
+// once every local group has reached the target. Whatever the chains
+// cannot absorb stays behind as mempool backlog (SubmittedTxs -
+// CommittedTxs) or, under a MaxPendingBytes cap, as counted admission
+// rejections — not silent loss. The process is the fixed TxInterval one
+// unless Workload.Arrival selects a seed-derived client population.
+func startClients(sched *sim.Scheduler, spec Spec, locals []*chainGroup) *traffic.Gen {
+	submit := func(seq int) bool {
+		if localsDone(locals, spec.Workload.Epochs) {
+			return false
+		}
+		for c, g := range locals {
+			g.submit(protocol.MakeClientTx(seq*len(locals)+c, spec.Workload.TxSize))
+		}
+		return true
+	}
+	gen := traffic.NewFixed(sched, spec.Workload.TxInterval, submit)
+	if spec.Workload.Arrival.Enabled() {
+		gen = traffic.New(sched, spec.Workload.Arrival, spec.Seed, submit)
+	}
+	gen.Start()
+	return gen
+}
+
+// chainReport folds the local groups into the Report's Chain section:
+// the commit counters of one reference member per group (logs are
+// identical within a group, and check has run), summed across groups.
+func chainReport(rep *Report, locals []*chainGroup, target int, gen *traffic.Gen) *ChainReport {
+	cr := &ChainReport{EpochsCommitted: target, SubmittedTxs: gen.Submitted() * len(locals)}
+	rep.Chain = cr
+	var latSum time.Duration
+	for _, g := range locals {
+		cr.Logs = append(cr.Logs, g.logs()...)
+		if g.maxOpen > cr.MaxOpenEpochs {
+			cr.MaxOpenEpochs = g.maxOpen
+		}
+		if ref := g.ref(); ref != nil {
+			cr.CommittedTxs += ref.CommittedTxs()
+			cr.CommittedBytes += ref.CommittedBytes()
+			cr.DedupDropped += ref.DedupDropped()
+			latSum += ref.MeanCommitLatency()
+		}
+	}
+	cr.MeanCommitLatency = latSum / time.Duration(len(locals))
+	if rep.Duration > 0 {
+		cr.ThroughputBps = float64(cr.CommittedBytes) / rep.Duration.Seconds()
+	}
+	return cr
+}
+
 // runChain executes the SingleHop × Chain cell. It fails if any correct
 // pair of nodes commits diverging logs, if a log has a gap, or if the
 // deadline passes before every correct node commits the target.
 func runChain(spec Spec) (*Report, error) {
-	byzN := spec.Scenario.ByzNodes()
-	if err := byzPerGroup(byzN, 1, spec.N, spec.F); err != nil {
-		return nil, err
-	}
 	perma := spec.Scenario.DownForever()
 	if len(perma) >= spec.N {
 		return nil, fmt.Errorf("run: all %d nodes crashed; nothing to run", spec.N)
 	}
-	sched := sim.New(spec.Seed)
-	ch := wireless.NewChannel(sched, spec.Net)
-
-	suites, err := crypto.DealCached(spec.N, spec.F, spec.Crypto, spec.Seed^0x5eed)
-	if err != nil {
-		return nil, err
-	}
-
 	ccfg, err := chainConfig(spec)
 	if err != nil {
 		return nil, err
 	}
-	ncfg := node.Config{Transport: spec.Transport, Batched: spec.Batched, Seed: spec.Seed}
-	nodes := make([]*node.Node, spec.N)
-	chains := make([]*protocol.Chain, spec.N)
-	maxOpen := 0
-	for i := 0; i < spec.N; i++ {
-		nodes[i] = node.NewMux(sched, ch, wireless.NodeID(i), suites[i], ncfg)
-		c := protocol.NewChain(sched, nodes[i].CPU, nodes[i].Mux(), suites[i], spec.N, spec.F, i,
-			nodes[i].TransportConfig().Session, nodes[i].Rand, ccfg)
-		c.OnCommit = func(int) {
-			if o := c.OpenEpochs(); o > maxOpen {
-				maxOpen = o
-			}
-		}
-		chains[i] = c
+	d, err := newDeployment(spec)
+	if err != nil {
+		return nil, err
 	}
-	// Unlike the one-shot drivers, recovery here is mid-run: the chain
+	g := newChainGroup(d.sched, d.locals[0], spec.F, ccfg, 0, d.byz, perma)
+	for i, c := range g.chains {
+		c.OnCommit = func(int) { g.observe(i) }
+	}
+	// Unlike the one-shot workload, recovery here is mid-run: the chain
 	// engine resumes at its commit frontier and catches up on the live
 	// pipeline.
-	eng := scenario.Start(sched, spec.Scenario, spec.Seed, lifecycle{
-		nodes:     nodes,
-		crashed:   func(i int) { chains[i].Crash() },
-		recovered: func(i int) { chains[i].Recover() },
+	d.wire(lifecycle{
+		crashed:   func(i int) { g.chains[i].Crash() },
+		recovered: func(i int) { g.chains[i].Recover() },
 	})
-	ch.SetDeliveryHook(eng.Hook())
-
-	// Client workload: sustained offered load broadcast to every live
-	// node's mempool — injection only ceases with the run itself.
-	// Whatever the chain cannot absorb stays behind as mempool backlog
-	// (SubmittedTxs - CommittedTxs) or, under a MaxPendingBytes cap, as
-	// counted admission rejections — not silent loss. A node that is down
-	// misses the submissions of its outage (clients cannot reach it),
-	// which commit-time dedup makes harmless. The legacy workload is one
-	// transaction every TxInterval; Workload.Arrival swaps in the
-	// open-loop generator (Poisson or bursty on-off client population).
-	target := spec.Workload.Epochs
-	chainsDone := func() bool {
-		for i, c := range chains {
-			if perma[i] || byzN[i] {
-				continue // dead or Byzantine; the barrier covers honest nodes
-			}
-			if c.CommittedEpochs() < target {
-				return false
-			}
-		}
-		return true
-	}
-	submitted := 0
-	submitTx := func(seq int) bool {
-		if chainsDone() {
-			return false
-		}
-		tx := protocol.MakeClientTx(seq, spec.Workload.TxSize)
-		for i, c := range chains {
-			if !nodes[i].Down() {
-				c.Submit(tx)
-			}
-		}
-		return true
-	}
-	var gen *traffic.Gen
-	if spec.Workload.Arrival.Enabled() {
-		gen = traffic.New(sched, spec.Workload.Arrival, spec.Seed, submitTx)
-		gen.Start()
-	} else {
-		var inject func()
-		inject = func() {
-			if !submitTx(submitted) {
-				return
-			}
-			submitted++
-			sched.PostAfter(spec.Workload.TxInterval, inject)
-		}
-		sched.PostAfter(100*time.Millisecond, inject)
-	}
-	for _, c := range chains {
+	locals := []*chainGroup{g}
+	gen := startClients(d.sched, spec, locals)
+	for _, c := range g.chains {
 		c.Start()
 	}
 
-	if err := node.Drive(sched, spec.Deadline, chainsDone); err != nil {
+	target := spec.Workload.Epochs
+	if err := node.Drive(d.sched, spec.Deadline, func() bool { return g.done(target) }); err != nil {
 		return nil, fmt.Errorf("run: chain run (%s %s batched=%v depth=%d) at frontier %v: %w",
-			spec.Protocol, spec.Coin, spec.Batched, spec.Workload.Window, frontiers(chains), err)
+			spec.Protocol, spec.Coin, spec.Batched, spec.Workload.Window, g.frontiers(), err)
 	}
-	if gen != nil {
-		submitted = gen.Submitted()
-	}
-	rep := spec.report()
-	cr := &ChainReport{
-		EpochsCommitted: target,
-		SubmittedTxs:    submitted,
-		MaxOpenEpochs:   maxOpen,
-		Logs:            make([][]protocol.LogEntry, spec.N),
-	}
-	rep.Chain = cr
-	rep.Duration = sched.Now()
-	// Safety is an honest-node property: a Byzantine node's own log is
-	// not bound by what it told its peers, so it is excluded here.
-	honest := make([]*protocol.Chain, len(chains))
-	for i, c := range chains {
-		if !byzN[i] {
-			honest[i] = c
-		}
-	}
-	if err := protocol.CheckLogs(honest); err != nil {
+	if err := g.check(); err != nil {
 		return nil, err
 	}
-	first := true
-	for i, c := range chains {
-		if perma[i] || byzN[i] {
-			continue
-		}
-		cr.Logs[i] = c.Log()
-		if peak := c.Mempool().PeakPoolBytes(); peak > cr.PeakMempoolBytes {
+	rep := spec.report()
+	d.fold(rep)
+	cr := chainReport(rep, locals, target, gen)
+	// The client-visible per-transaction measurements are the single-hop
+	// cell's: one group, one client stream, one reference mempool.
+	for i, c := range g.chains {
+		if peak := c.Mempool().PeakPoolBytes(); g.live[i] && peak > cr.PeakMempoolBytes {
 			cr.PeakMempoolBytes = peak
 		}
-		if first {
-			first = false
-			cr.CommittedTxs = c.CommittedTxs()
-			cr.CommittedBytes = c.CommittedBytes()
-			cr.MeanCommitLatency = c.MeanCommitLatency()
-			cr.DedupDropped = c.DedupDropped()
-			cr.TxLatency = NewLatencyStats(c.TxLatencies())
-			cr.TxLatencySample = c.TxLatencies()
-			cr.AdmissionRejected = c.Mempool().RejectedFull()
-		}
 	}
-	if rep.Duration > 0 {
-		cr.ThroughputBps = float64(cr.CommittedBytes) / rep.Duration.Seconds()
+	if ref := g.ref(); ref != nil {
+		cr.TxLatency = NewLatencyStats(ref.TxLatencies())
+		cr.TxLatencySample = ref.TxLatencies()
+		cr.AdmissionRejected = ref.Mempool().RejectedFull()
 	}
-	st := ch.Stats()
-	rep.Accesses = st.Accesses
-	rep.Collisions = st.Collisions
-	rep.Frames = st.Frames
-	rep.BytesOnAir = st.BytesOnAir
-	foldNodeStats(rep, nodes)
 	return rep, nil
-}
-
-func frontiers(chains []*protocol.Chain) []int {
-	out := make([]int, 0, len(chains))
-	for _, c := range chains {
-		if c != nil {
-			out = append(out, c.CommittedEpochs())
-		}
-	}
-	return out
 }

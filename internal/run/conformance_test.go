@@ -3,6 +3,7 @@ package run
 import (
 	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 	"time"
 
@@ -297,6 +298,14 @@ func TestConformanceCatchesBrokenEngines(t *testing.T) {
 	spec := conformanceSpec("broken-agreement", true)
 	if _, err := Run(spec); err == nil {
 		t.Error("agreement-violating engine passed the driver")
+	}
+	// The one-shot epoch skeleton checks agreement per cluster under the
+	// clustered topology too (here member 0 of every cluster forges).
+	clustered := Defaults("broken-agreement", protocol.CoinSig)
+	clustered.Topology = Clustered(4, 4)
+	clustered.Workload = OneShot(1)
+	if _, err := Run(clustered); err == nil || !strings.Contains(err.Error(), "safety violation") {
+		t.Errorf("agreement-violating engine on the clustered one-shot cell: err = %v, want a safety violation", err)
 	}
 	restore()
 

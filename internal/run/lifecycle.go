@@ -2,15 +2,167 @@ package run
 
 import (
 	"repro/internal/byz"
+	"repro/internal/crypto"
 	"repro/internal/node"
+	"repro/internal/scenario"
+	"repro/internal/sim"
+	"repro/internal/wireless"
 )
 
-// lifecycle adapts every driver's deployment to the scenario engine. The
-// bounds check, the idempotence guard on node.Down, and the arming of a
-// Byzantine behavior live here once; a driver supplies only what crash and
-// recovery mean for the state it keeps beside each node.
+// group is one consensus group: n nodes holding the shares of one
+// dealing, attached as stations 0..n-1 of one single-hop channel.
+type group struct {
+	ch    *wireless.Channel
+	nodes []*node.Node
+}
+
+// deployment is the skeleton every matrix cell runs on: one scheduler and
+// the consensus groups on it. The paper's Sec. V-B deployment is
+// "single-hop clusters plus a global tier running the same protocol", so a
+// cluster is a single-hop deployment and single-hop is the one-group case.
+type deployment struct {
+	spec  Spec
+	sched *sim.Scheduler
+	// byz is the set of flat node ids the scenario ever scripts Byzantine.
+	byz map[int]bool
+	// locals are the groups the scenario acts on: group c's node i is flat
+	// scenario id c*spec.N + i.
+	locals []*group
+	// seats is the clustered topology's global tier — seat c is cluster
+	// c's uplink on a separate channel (the paper uses separate channels
+	// to avoid interference); nil on single-hop.
+	seats *group
+}
+
+// newDeployment builds the Spec's groups. The chain workload gets
+// epoch-mux nodes, the one-shot workload single-transport ones. Nothing
+// here touches the scheduler's queue or RNG, so construction order is
+// free; start order is not, and stays with the callers.
+func newDeployment(spec Spec) (*deployment, error) {
+	clusters := 1
+	if spec.Topology.Kind == TopoClustered {
+		clusters = spec.Topology.Clusters
+	}
+	d := &deployment{spec: spec, sched: sim.New(spec.Seed), byz: spec.Scenario.ByzNodes()}
+	if err := byzPerGroup(d.byz, clusters, spec.N, spec.F); err != nil {
+		return nil, err
+	}
+	cfg := node.Config{Transport: spec.Transport, Batched: spec.Batched, Seed: spec.Seed}
+	for c := 0; c < clusters; c++ {
+		dealSeed := spec.Seed ^ 0x5eed
+		if spec.Topology.Kind == TopoClustered {
+			dealSeed = spec.Seed + int64(c)*101
+		}
+		g, err := d.newGroup(spec.N, spec.F, dealSeed, cfg, nil)
+		if err != nil {
+			return nil, err
+		}
+		d.locals = append(d.locals, g)
+	}
+	if spec.Topology.Kind != TopoClustered {
+		return d, nil
+	}
+	// The global tier is domain-separated from the local one: its own
+	// dealing, node seeds and transport session.
+	cfg.Seed = spec.Seed ^ 0x61
+	cfg.Transport.Session = globalSession(spec.Transport.Session)
+	var cpus []*sim.CPU
+	if spec.Workload.Kind == LoadOneShot {
+		// A one-shot seat is the cluster leader's second radio: compute
+		// shares the member's single core. For simplicity each seat stays
+		// on one member's core (the epoch-0 leader's) while leaders
+		// rotate. A chain seat is a second radio+MCU of its own.
+		for _, g := range d.locals {
+			cpus = append(cpus, g.nodes[0].CPU)
+		}
+	}
+	var err error
+	d.seats, err = d.newGroup(clusters, (clusters-1)/3, spec.Seed^0x61, cfg, cpus)
+	return d, err
+}
+
+// newGroup deals n suites tolerating f faults from dealSeed and wires one
+// node per suite onto a fresh channel. cpus, if non-nil, gives node i an
+// existing compute core to share.
+func (d *deployment) newGroup(n, f int, dealSeed int64, cfg node.Config, cpus []*sim.CPU) (*group, error) {
+	suites, err := crypto.DealCached(n, f, d.spec.Crypto, dealSeed)
+	if err != nil {
+		return nil, err
+	}
+	g := &group{ch: wireless.NewChannel(d.sched, d.spec.Net), nodes: make([]*node.Node, n)}
+	for i := range g.nodes {
+		if cpus != nil {
+			cfg.CPU = cpus[i]
+		}
+		if d.spec.Workload.Kind == LoadChain {
+			g.nodes[i] = node.NewMux(d.sched, g.ch, wireless.NodeID(i), suites[i], cfg)
+		} else {
+			g.nodes[i] = node.New(d.sched, g.ch, wireless.NodeID(i), suites[i], cfg)
+		}
+	}
+	return g, nil
+}
+
+// wire starts the scenario engine over the flat local node space and
+// installs every channel's delivery hook. The caller's lifecycle supplies
+// what crash, recovery and arming mean for the state it keeps beside the
+// nodes. Node-keyed effects (partitions, mobility, duty-cycling) act on
+// the local channels through each group's flat id base; the global
+// channel's stations are outside the scenario's id space, so it sees the
+// network-level effects (loss, jam, delay) only.
+func (d *deployment) wire(l lifecycle) {
+	for _, g := range d.locals {
+		l.nodes = append(l.nodes, g.nodes...)
+	}
+	eng := scenario.Start(d.sched, d.spec.Scenario, d.spec.Seed, l)
+	for c, g := range d.locals {
+		base := c * d.spec.N
+		g.ch.SetDeliveryHook(eng.HookMapped(func(id wireless.NodeID) int { return base + int(id) }))
+	}
+	if d.seats != nil {
+		d.seats.ch.SetDeliveryHook(eng.HookNetOnly())
+	}
+}
+
+// fold stamps the run's virtual duration and sums every channel's and
+// every node's counters into the Report's flat fields — one fold for
+// every cell, so a counter added here cannot go missing from one of them.
+// Under the clustered topology the global tier's share is also split out
+// into Tiers.
+func (d *deployment) fold(rep *Report) {
+	rep.Duration = d.sched.Now()
+	addChannel := func(g *group) uint64 {
+		st := g.ch.Stats()
+		rep.Accesses += st.Accesses
+		rep.Collisions += st.Collisions
+		rep.Frames += st.Frames
+		rep.BytesOnAir += st.BytesOnAir
+		return st.Accesses
+	}
+	var nodes []*node.Node
+	for _, g := range d.locals {
+		addChannel(g)
+		nodes = append(nodes, g.nodes...)
+	}
+	if d.seats != nil {
+		rep.Tiers = &TierReport{LocalAccesses: rep.Accesses}
+		rep.Tiers.GlobalAccesses = addChannel(d.seats)
+		rep.Tiers.GlobalLogicalSent = node.SumStats(d.seats.nodes).LogicalSent
+		nodes = append(nodes, d.seats.nodes...)
+	}
+	ts := node.SumStats(nodes)
+	rep.LogicalSent = ts.LogicalSent
+	rep.SignOps = ts.SignOps
+	rep.VerifyOps = ts.VerifyOps
+	rep.Rejected = ts.Rejected
+}
+
+// lifecycle adapts a deployment to the scenario engine. The bounds check,
+// the idempotence guard on node.Down, and the arming of a Byzantine
+// behavior live here once; a cell supplies only what crash and recovery
+// mean for the state it keeps beside each node.
 type lifecycle struct {
-	nodes []*node.Node // in scenario node-id order
+	nodes []*node.Node // in scenario node-id order; filled by deployment.wire
 	// crashed tears down the driver's in-memory state for node i, which
 	// has just gone off the air; recovered restarts it on the node's
 	// fresh transport. Either may be nil.

@@ -5,28 +5,22 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
-	"time"
 
 	"repro/internal/byz"
 	"repro/internal/core"
-	"repro/internal/crypto"
 	"repro/internal/crypto/threshsig"
 	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/protocol"
-	"repro/internal/scenario"
-	"repro/internal/sim"
-	"repro/internal/wireless"
 )
 
-// Clustered × Chain: the matrix cell the legacy drivers could not reach —
-// pipelined multi-epoch SMR over the paper's Sec. V-B two-tier wireless
-// deployment.
+// Clustered × Chain: pipelined multi-epoch SMR over the paper's Sec. V-B
+// two-tier wireless deployment, composed from M+1 chain groups (chain.go).
 //
-// Each cluster is a full chain deployment on its own channel: P mux nodes
-// running protocol.Chain, ordering that cluster's client traffic into a
-// local replicated log. One uplink seat per cluster (a second radio+MCU
-// on the global channel) runs a second protocol.Chain over the M seats,
+// Each cluster is a chain group on its own channel: P mux nodes running
+// protocol.Chain, ordering that cluster's client traffic into a local
+// replicated log. One uplink seat per cluster (a second radio+MCU on the
+// global channel) is a member of one more chain group over the M seats,
 // whose "client transactions" are cluster cuts — (cluster, epoch, digest)
 // records of committed local log entries. Relay duty rotates: the leader
 // for local epoch e is member e mod P; when it commits e it hands the cut
@@ -116,11 +110,11 @@ type cutCollect struct {
 	combining bool
 }
 
-// mhcCluster is one cluster: members on a private channel plus the
-// global-tier seat and its ordering chain.
+// mhcCluster is one cluster: its local chain group, the driver-side state
+// of each member, and the cluster's seat in the global chain group.
 type mhcCluster struct {
 	idx     int
-	ch      *wireless.Channel
+	local   *chainGroup
 	members []*mhcMember
 	seat    *node.Node
 	gchain  *protocol.Chain
@@ -145,7 +139,9 @@ type mhcDriver struct {
 	spec     Spec
 	target   int
 	clusters []*mhcCluster
-	perma    map[int]bool
+	// seats is the global chain group; its byz members are the seats of
+	// tainted clusters.
+	seats *chainGroup
 	// gsession is the global-tier transport session, bound into every
 	// cut-certificate message (cross-deployment replay separation).
 	gsession uint32
@@ -166,7 +162,7 @@ func (d *mhcDriver) member(flat int) (*mhcCluster, *mhcMember) {
 // arms the member's cluster seat too: the cluster's uplink is only as
 // trustworthy as its members.
 func (d *mhcDriver) lifecycle() lifecycle {
-	l := lifecycle{
+	return lifecycle{
 		crashed:   d.crashed,
 		recovered: d.recovered,
 		armed: func(i int, b byz.Behavior) {
@@ -174,12 +170,6 @@ func (d *mhcDriver) lifecycle() lifecycle {
 			cl.seat.SetBehavior(b)
 		},
 	}
-	for _, cl := range d.clusters {
-		for _, m := range cl.members {
-			l.nodes = append(l.nodes, m.node)
-		}
-	}
-	return l
 }
 
 func (d *mhcDriver) crashed(i int) {
@@ -457,11 +447,10 @@ func (d *mhcDriver) beacon(cl *mhcCluster, g int) {
 // hookMember wires one member's chain into the driver: cut relay on local
 // commits, the pipeline-depth gauge, and beacon send/receive on every
 // pipeline epoch transport.
-func (d *mhcDriver) hookMember(cl *mhcCluster, m *mhcMember, maxOpen *int) {
+func (d *mhcDriver) hookMember(cl *mhcCluster, i int) {
+	m := cl.members[i]
 	m.chain.OnCommit = func(int) {
-		if o := m.chain.OpenEpochs(); o > *maxOpen {
-			*maxOpen = o
-		}
+		cl.local.observe(i)
 		d.pumpCuts(cl)
 	}
 	m.chain.OnEpochOpen = func(_ int, tr *core.Transport) {
@@ -485,8 +474,8 @@ func (d *mhcDriver) hookMember(cl *mhcCluster, m *mhcMember, maxOpen *int) {
 func runClusteredChain(spec Spec) (*Report, error) {
 	M, P := spec.Topology.Clusters, spec.Topology.PerCluster
 	fg := (M - 1) / 3
-	byzN := spec.Scenario.ByzNodes()
-	if err := byzPerGroup(byzN, M, P, spec.F); err != nil {
+	dep, err := newDeployment(spec)
+	if err != nil {
 		return nil, err
 	}
 	perma := spec.Scenario.DownForever()
@@ -494,17 +483,12 @@ func runClusteredChain(spec Spec) (*Report, error) {
 	// clusters are Byzantine participants of the M-seat global group:
 	// more than f_g of them exceeds what the global tier tolerates.
 	// Reject upfront, like every other invalid adversarial plan.
-	taintedClusters := 0
-	for c := 0; c < M; c++ {
-		for i := 0; i < P; i++ {
-			if byzN[c*P+i] {
-				taintedClusters++
-				break
-			}
-		}
+	tainted := make(map[int]bool)
+	for flat := range dep.byz {
+		tainted[flat/P] = true
 	}
-	if taintedClusters > fg {
-		return nil, fmt.Errorf("run: byz events taint %d clusters' uplink seats, global tier tolerates f=%d", taintedClusters, fg)
+	if len(tainted) > fg {
+		return nil, fmt.Errorf("run: byz events taint %d clusters' uplink seats, global tier tolerates f=%d", len(tainted), fg)
 	}
 	// Every cluster needs f+1 honest members not scripted to stay dead:
 	// relay duty and the reference log come from the honest live members,
@@ -514,7 +498,7 @@ func runClusteredChain(spec Spec) (*Report, error) {
 	for c := 0; c < M; c++ {
 		live := 0
 		for i := 0; i < P; i++ {
-			if flat := c*P + i; !perma[flat] && !byzN[flat] {
+			if flat := c*P + i; !perma[flat] && !dep.byz[flat] {
 				live++
 			}
 		}
@@ -524,105 +508,46 @@ func runClusteredChain(spec Spec) (*Report, error) {
 	}
 	target := spec.Workload.Epochs
 
-	sched := sim.New(spec.Seed)
-	globalCh := wireless.NewChannel(sched, spec.Net)
-	globalSuites, err := crypto.DealCached(M, fg, spec.Crypto, spec.Seed^0x61)
-	if err != nil {
-		return nil, err
-	}
-	// Per-cluster suites are dealt before the global chain is configured:
-	// the cluster keys' signature length sets the certified-cut wire size
-	// the global mempool's batch policy must know.
-	clusterSuites := make([][]*crypto.Suite, M)
-	for c := 0; c < M; c++ {
-		if clusterSuites[c], err = crypto.DealCached(P, spec.F, spec.Crypto, spec.Seed+int64(c)*101); err != nil {
-			return nil, err
-		}
-	}
-	cutTxSize := cutHeaderSize + clusterSuites[0][0].TSLow.SignatureLen()
-
 	ccfg, err := chainConfig(spec)
 	if err != nil {
 		return nil, err
 	}
 	// The global chain orders cut records: no payload encryption (digests
 	// are public), no sharding (each seat proposes exactly its own
-	// cluster's cuts), and a cut policy that proposes as soon as one cut
-	// is pending — cut cadence, not batch fill, sets the global tempo.
-	gccfg := protocol.DefaultChainConfig(spec.Protocol, spec.Coin)
-	gccfg.Batched = spec.Batched
+	// cluster's cuts), no epoch bound (it runs until every cluster's cuts
+	// are ordered), and a cut policy that proposes as soon as one cut is
+	// pending — cut cadence, not batch fill, sets the global tempo. The
+	// cluster keys' signature length sets the certified-cut wire size the
+	// batch policy must know.
+	gccfg := ccfg
 	gccfg.Encrypt = false
-	gccfg.Window = spec.Workload.Window
-	gccfg.GCLag = spec.Workload.GCLag
-	gccfg.MaxEpochs = 0 // runs until every cluster's cuts are ordered
-	gccfg.Mempool = protocol.MempoolConfig{TargetBatchBytes: cutTxSize, Shards: 1}
-
-	d := &mhcDriver{spec: spec, target: target, perma: perma, keys: make([]*threshsig.PublicKey, M)}
-	for c := 0; c < M; c++ {
-		d.keys[c] = clusterSuites[c][0].TSLow
+	gccfg.MaxEpochs = 0
+	gccfg.Mempool = protocol.MempoolConfig{
+		TargetBatchBytes: cutHeaderSize + dep.locals[0].nodes[0].Suite.TSLow.SignatureLen(),
+		Shards:           1,
 	}
-	ncfg := node.Config{Transport: spec.Transport, Batched: spec.Batched, Seed: spec.Seed}
-	gcfg := node.Config{Transport: spec.Transport, Batched: spec.Batched, Seed: spec.Seed ^ 0x61}
-	gcfg.Transport.Session = globalSession(spec.Transport.Session)
-	d.gsession = gcfg.Transport.Session
 
-	maxOpen := 0
-	for c := 0; c < M; c++ {
-		ch := wireless.NewChannel(sched, spec.Net)
-		suites := clusterSuites[c]
-		cl := &mhcCluster{idx: c, ch: ch, gotCuts: make([]map[int]bool, M)}
-		for i := 0; i < P; i++ {
-			n := node.NewMux(sched, ch, wireless.NodeID(i), suites[i], ncfg)
-			chain := protocol.NewChain(sched, n.CPU, n.Mux(), suites[i], P, spec.F, i,
-				n.TransportConfig().Session, n.Rand, ccfg)
-			m := &mhcMember{node: n, chain: chain, byz: byzN[c*P+i],
-				cutShares: make(map[int]*threshsig.SigShare)}
-			cl.tainted = cl.tainted || m.byz
-			cl.members = append(cl.members, m)
-		}
-		// The uplink seat: a second radio+MCU per cluster on the global
-		// channel, running the cross-cluster ordering chain.
-		cl.seat = node.NewMux(sched, globalCh, wireless.NodeID(c), globalSuites[c], gcfg)
-		cl.gchain = protocol.NewChain(sched, cl.seat.CPU, cl.seat.Mux(), globalSuites[c], M, fg, c,
-			cl.seat.TransportConfig().Session, cl.seat.Rand, gccfg)
-		d.clusters = append(d.clusters, cl)
-	}
-	for _, cl := range d.clusters {
-		cl := cl
-		for _, m := range cl.members {
-			d.hookMember(cl, m, &maxOpen)
+	d := &mhcDriver{spec: spec, target: target, gsession: dep.seats.nodes[0].TransportConfig().Session}
+	d.seats = newChainGroup(dep.sched, dep.seats, fg, gccfg, 0, tainted, nil)
+	var locals []*chainGroup
+	for c, lg := range dep.locals {
+		base := c * P
+		cl := &mhcCluster{idx: c, seat: dep.seats.nodes[c], gchain: d.seats.chains[c],
+			tainted: tainted[c], gotCuts: make([]map[int]bool, M)}
+		cl.local = newChainGroup(dep.sched, lg, spec.F, ccfg, base, dep.byz, perma)
+		for i, n := range lg.nodes {
+			cl.members = append(cl.members, &mhcMember{node: n, chain: cl.local.chains[i], byz: dep.byz[base+i],
+				cutShares: make(map[int]*threshsig.SigShare)})
+			d.hookMember(cl, i)
 		}
 		cl.gchain.OnCommit = func(g int) { d.onGlobalCommit(cl, g) }
+		d.keys = append(d.keys, lg.nodes[0].Suite.TSLow)
+		d.clusters = append(d.clusters, cl)
+		locals = append(locals, cl.local)
 	}
+	dep.wire(d.lifecycle())
 
-	eng := scenario.Start(sched, spec.Scenario, spec.Seed, d.lifecycle())
-	for c, cl := range d.clusters {
-		base := c * P
-		cl.ch.SetDeliveryHook(eng.HookMapped(func(id wireless.NodeID) int { return base + int(id) }))
-	}
-	globalCh.SetDeliveryHook(eng.HookNetOnly())
-
-	// Client workload: each cluster receives its own sustained stream —
-	// one transaction per TxInterval, broadcast to the cluster's live
-	// mempools. Sequence numbers are global so payloads are distinct
-	// across clusters.
-	honestMember := func(flat int) bool { return !byzN[flat] && !perma[flat] }
-	localsDone := func() bool {
-		for c, cl := range d.clusters {
-			for i, m := range cl.members {
-				if honestMember(c*P+i) && m.chain.CommittedEpochs() < target {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	untainted := 0
-	for _, cl := range d.clusters {
-		if !cl.tainted {
-			untainted++
-		}
-	}
+	untainted := M - len(tainted)
 	globalDone := func() bool {
 		for _, cl := range d.clusters {
 			if cl.tainted {
@@ -640,46 +565,32 @@ func runClusteredChain(spec Spec) (*Report, error) {
 		return true
 	}
 	heardDone := func() bool {
-		for c, cl := range d.clusters {
+		for _, cl := range d.clusters {
 			if cl.tainted {
 				continue
 			}
 			for i, m := range cl.members {
-				if honestMember(c*P+i) && m.heardCuts < untainted*target {
+				if cl.local.live[i] && m.heardCuts < untainted*target {
 					return false
 				}
 			}
 		}
 		return true
 	}
-	done := func() bool { return localsDone() && globalDone() && heardDone() }
+	done := func() bool { return localsDone(locals, target) && globalDone() && heardDone() }
 
-	submitted := 0
-	var inject func()
-	inject = func() {
-		if localsDone() {
-			return
-		}
-		for _, cl := range d.clusters {
-			tx := protocol.MakeClientTx(submitted, spec.Workload.TxSize)
-			submitted++
-			for _, m := range cl.members {
-				if !m.node.Down() {
-					m.chain.Submit(tx)
-				}
-			}
-		}
-		sched.PostAfter(spec.Workload.TxInterval, inject)
-	}
-	sched.PostAfter(100*time.Millisecond, inject)
+	// Scheduler ties break by post order: the first client arrival is
+	// armed before any chain starts, and the chains start cluster by
+	// cluster, each followed by its seat.
+	gen := startClients(dep.sched, spec, locals)
 	for _, cl := range d.clusters {
-		for _, m := range cl.members {
-			m.chain.Start()
+		for _, c := range cl.local.chains {
+			c.Start()
 		}
 		cl.gchain.Start()
 	}
 
-	if err := node.Drive(sched, spec.Deadline, done); err != nil {
+	if err := node.Drive(dep.sched, spec.Deadline, done); err != nil {
 		front := make([][]int, M)
 		cuts := make([]int, M)
 		heard := make([][]int, M)
@@ -689,67 +600,58 @@ func runClusteredChain(spec Spec) (*Report, error) {
 			gstate[c] = fmt.Sprintf("c%d{gfront=%d open=%d pool=%d/%dB nextCut=%d}",
 				c, cl.gchain.CommittedEpochs(), cl.gchain.OpenEpochs(),
 				cl.gchain.Mempool().Len(), cl.gchain.Mempool().PendingBytes(), cl.nextCut)
+			front[c] = cl.local.frontiers()
 			for _, m := range cl.members {
-				front[c] = append(front[c], m.chain.CommittedEpochs())
 				heard[c] = append(heard[c], m.heardCuts)
 			}
 		}
 		return nil, fmt.Errorf("run: clustered chain (%s %s batched=%v depth=%d) at frontiers %v, seat cuts %v, heard %v, global %v: %w",
 			spec.Protocol, spec.Coin, spec.Batched, spec.Workload.Window, front, cuts, heard, gstate, err)
 	}
-
-	rep, err := d.finishClusteredChain(spec, sched, globalCh, submitted, maxOpen, byzN)
+	refSeat, err := d.checkSafety()
 	if err != nil {
 		return nil, err
 	}
+
+	rep := spec.report()
+	dep.fold(rep)
+	// The Chain section keeps to the counters that sum across clusters: a
+	// per-transaction latency sample needs a cross-cluster definition
+	// first (every cluster has its own client stream and reference pool).
+	chainReport(rep, locals, target, gen)
+	certs := d.certs
+	rep.Tiers.GlobalEntries = len(refSeat.gchain.Log())
+	rep.Tiers.OrderedCuts = refSeat.cutCount
+	rep.Tiers.CutCerts = &certs
+	rep.Tiers.GlobalLogs = d.seats.logs()
 	return rep, nil
 }
 
-// finishClusteredChain runs the post-run safety checks — local agreement
-// per cluster, global agreement across untainted seats, cut provenance,
-// and follower frontier-digest consistency — then folds the two tiers'
-// measurements into the Report.
-func (d *mhcDriver) finishClusteredChain(spec Spec, sched *sim.Scheduler, globalCh *wireless.Channel, submitted, maxOpen int, byzN map[int]bool) (*Report, error) {
-	M, P := spec.Topology.Clusters, spec.Topology.PerCluster
-
+// checkSafety runs the post-run safety checks — local agreement per
+// cluster, global agreement across untainted seats, cut provenance, and
+// follower frontier-digest consistency — and returns the reference seat:
+// the untainted one with the longest cut order.
+func (d *mhcDriver) checkSafety() (*mhcCluster, error) {
+	M := len(d.clusters)
 	// Local tier: the honest members of every cluster (tainted or not)
 	// must have committed identical gap-free logs.
-	refMember := make([]*mhcMember, M) // first honest member per cluster
 	for c, cl := range d.clusters {
-		honest := make([]*protocol.Chain, P)
-		for i, m := range cl.members {
-			flat := c*P + i
-			if !byzN[flat] && !d.perma[flat] {
-				honest[i] = m.chain
-				if refMember[c] == nil {
-					refMember[c] = m
-				}
-			}
-		}
-		if err := protocol.CheckLogs(honest); err != nil {
+		if err := cl.local.check(); err != nil {
 			return nil, fmt.Errorf("run: cluster %d: %w", c, err)
-		}
-		if refMember[c] == nil {
-			return nil, fmt.Errorf("run: cluster %d has no honest live member", c)
 		}
 	}
 
 	// Global tier: untainted seats must agree on the cross-cluster order.
 	var refSeat *mhcCluster
-	globalHonest := make([]*protocol.Chain, M)
-	for c, cl := range d.clusters {
-		if cl.tainted {
-			continue
-		}
-		globalHonest[c] = cl.gchain
-		if refSeat == nil || cl.cutCount > refSeat.cutCount {
+	for _, cl := range d.clusters {
+		if !cl.tainted && (refSeat == nil || cl.cutCount > refSeat.cutCount) {
 			refSeat = cl
 		}
 	}
 	if refSeat == nil {
 		return nil, fmt.Errorf("run: every cluster is Byzantine-tainted; no trusted global order")
 	}
-	if err := protocol.CheckLogs(globalHonest); err != nil {
+	if err := d.seats.check(); err != nil {
 		return nil, fmt.Errorf("run: global tier: %w", err)
 	}
 
@@ -781,7 +683,9 @@ func (d *mhcDriver) finishClusteredChain(spec Spec, sched *sim.Scheduler, global
 			if d.clusters[c2].tainted {
 				continue
 			}
-			if want := entryDigest(refMember[c2].chain.Log()[e]); dig != want {
+			// The cluster's reference member exists: the pre-run check
+			// admitted only clusters with f+1 honest live members.
+			if want := entryDigest(d.clusters[c2].local.ref().Log()[e]); dig != want {
 				return nil, fmt.Errorf("run: global order holds a forged cut with a valid certificate for cluster %d epoch %d", c2, e)
 			}
 			seen[c2][e] = true
@@ -805,8 +709,7 @@ func (d *mhcDriver) finishClusteredChain(spec Spec, sched *sim.Scheduler, global
 			continue
 		}
 		for i, m := range cl.members {
-			flat := c*P + i
-			if byzN[flat] || d.perma[flat] {
+			if !cl.local.live[i] {
 				continue
 			}
 			if m.heardCuts > refSeat.cutCount {
@@ -818,54 +721,5 @@ func (d *mhcDriver) finishClusteredChain(spec Spec, sched *sim.Scheduler, global
 			}
 		}
 	}
-
-	rep := spec.report()
-	rep.Duration = sched.Now()
-	cr := &ChainReport{
-		EpochsCommitted: d.target,
-		SubmittedTxs:    submitted,
-		MaxOpenEpochs:   maxOpen,
-		Logs:            make([][]protocol.LogEntry, M*P),
-	}
-	rep.Chain = cr
-	var latSum time.Duration
-	for c, cl := range d.clusters {
-		ref := refMember[c]
-		cr.CommittedTxs += ref.chain.CommittedTxs()
-		cr.CommittedBytes += ref.chain.CommittedBytes()
-		cr.DedupDropped += ref.chain.DedupDropped()
-		latSum += ref.chain.MeanCommitLatency()
-		for i, m := range cl.members {
-			flat := c*P + i
-			if !byzN[flat] && !d.perma[flat] {
-				cr.Logs[flat] = m.chain.Log()
-			}
-		}
-	}
-	cr.MeanCommitLatency = latSum / time.Duration(M)
-	if rep.Duration > 0 {
-		cr.ThroughputBps = float64(cr.CommittedBytes) / rep.Duration.Seconds()
-	}
-
-	certs := d.certs
-	rep.Tiers = &TierReport{
-		GlobalEntries: len(refSeat.gchain.Log()),
-		OrderedCuts:   refSeat.cutCount,
-		CutCerts:      &certs,
-		GlobalLogs:    make([][]protocol.LogEntry, M),
-	}
-	var localChs []*wireless.Channel
-	var nodes, seats []*node.Node
-	for _, cl := range d.clusters {
-		localChs = append(localChs, cl.ch)
-		for _, m := range cl.members {
-			nodes = append(nodes, m.node)
-		}
-		seats = append(seats, cl.seat)
-		if !cl.tainted {
-			rep.Tiers.GlobalLogs[cl.idx] = cl.gchain.Log()
-		}
-	}
-	foldTwoTierStats(rep, globalCh, localChs, nodes, seats)
-	return rep, nil
+	return refSeat, nil
 }

@@ -5,115 +5,169 @@ import (
 	"time"
 
 	"repro/internal/component"
-	"repro/internal/crypto"
 	"repro/internal/node"
 	"repro/internal/protocol"
-	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/wireless"
 )
 
-// osNode bundles one node's per-run state on top of the deployment layer
-// for the one-shot drivers.
+// osNode bundles one node's per-epoch state on top of the deployment
+// layer for the one-shot workload.
 type osNode struct {
 	*node.Node
 	idx int
 	// byz marks a node the scenario ever scripts Byzantine: it keeps
 	// running (and misbehaving) but is excluded from completion barriers
 	// and from the honest-safety checks.
-	byz  bool
+	byz bool
+	// inst is the epoch's engine; nil for a node that was down at the
+	// epoch start or crashed during it (its in-memory epoch state is
+	// gone). Recovery re-admits a node at the next epoch boundary —
+	// one-shot epochs have no mid-epoch join protocol, unlike the chain
+	// workload — so inst stays nil until then and the barrier skips it.
 	inst protocol.Instance
-	done bool
+	// finished marks the epoch complete at this node: its own decision on
+	// single-hop, the global order heard from its leader under clustered.
+	finished bool
 }
 
-// oneShotLifecycle adapts a slice of osNodes to the scenario engine. Crash
-// takes the node off the air immediately and excludes it from the epoch
-// barrier; recovery re-admits it at the next epoch boundary (one-shot
-// epochs have no mid-epoch join protocol — contrast with the chain
-// workload, which rejoins mid-run), so done stays set until then.
-func oneShotLifecycle(nodes []*osNode) lifecycle {
-	l := lifecycle{crashed: func(i int) {
-		nodes[i].inst = nil  // in-memory epoch state is gone
-		nodes[i].done = true // excluded from the epoch barrier
-	}}
-	for _, n := range nodes {
-		l.nodes = append(l.nodes, n.Node)
-	}
-	return l
+// oneShotGroup is one consensus group of the one-shot workload and, under
+// the clustered topology, its uplink to the global tier (clustered.go).
+type oneShotGroup struct {
+	nodes []*osNode
+	// seat is the cluster's persistent seat on the global tier, occupied
+	// by the epoch's leader; nil on single-hop.
+	seat          *node.Node
+	idx, clusters int
+	leader        int               // index within the cluster this epoch
+	global        protocol.Instance // the seat's engine this epoch
+	resultSent    bool
 }
 
-// runOneShot executes the SingleHop × OneShot cell.
+// runOneShot executes the one-shot workload on either topology: every
+// group runs Epochs independent consensus epochs in lockstep, and under
+// the clustered topology each group's rotating leader additionally orders
+// the clusters' outputs on the global tier (clustered.go).
 func runOneShot(spec Spec) (*Report, error) {
-	byzN := spec.Scenario.ByzNodes()
-	if err := byzPerGroup(byzN, 1, spec.N, spec.F); err != nil {
-		return nil, err
-	}
-	sched := sim.New(spec.Seed)
-	ch := wireless.NewChannel(sched, spec.Net)
-
-	suites, err := crypto.DealCached(spec.N, spec.F, spec.Crypto, spec.Seed^0x5eed)
+	d, err := newDeployment(spec)
 	if err != nil {
 		return nil, err
 	}
-	ncfg := node.Config{Transport: spec.Transport, Batched: spec.Batched, Seed: spec.Seed}
-	nodes := make([]*osNode, spec.N)
-	for i := range nodes {
-		nodes[i] = &osNode{Node: node.New(sched, ch, wireless.NodeID(i), suites[i], ncfg), idx: i, byz: byzN[i]}
+	groups := make([]*oneShotGroup, len(d.locals))
+	var flat []*osNode // scenario node-id space
+	for c, g := range d.locals {
+		og := &oneShotGroup{}
+		for i, n := range g.nodes {
+			og.nodes = append(og.nodes, &osNode{Node: n, idx: i, byz: d.byz[c*spec.N+i]})
+		}
+		if d.seats != nil {
+			og.seat, og.idx, og.clusters = d.seats.nodes[c], c, len(d.locals)
+		}
+		flat = append(flat, og.nodes...)
+		groups[c] = og
 	}
-	eng := scenario.Start(sched, spec.Scenario, spec.Seed, oneShotLifecycle(nodes))
-	ch.SetDeliveryHook(eng.Hook())
+	d.wire(lifecycle{crashed: func(i int) { flat[i].inst = nil }})
 
 	rep := spec.report()
 	os := &OneShotReport{}
 	rep.OneShot = os
 	for epoch := 0; epoch < spec.Workload.Epochs; epoch++ {
-		start := sched.Now()
-		for _, n := range nodes {
-			n.startEpoch(sched, uint16(epoch), spec, nil)
+		start := d.sched.Now()
+		for _, g := range groups {
+			g.startEpoch(d.sched, uint16(epoch), spec)
 		}
-		err := node.Drive(sched, start+spec.Deadline, func() bool { return allHonestDone(nodes) })
+		err := node.Drive(d.sched, start+spec.Deadline, func() bool {
+			for _, n := range flat {
+				// Only honest nodes participating in this epoch are
+				// waited on.
+				if !n.finished && n.inst != nil && !n.byz {
+					return false
+				}
+			}
+			return true
+		})
 		if err != nil {
-			return nil, fmt.Errorf("run: epoch %d (%s %s batched=%v): %w",
-				epoch, spec.Protocol, spec.Coin, spec.Batched, err)
+			return nil, fmt.Errorf("run: %s epoch %d (%s %s batched=%v): %w",
+				spec.Topology.Kind, epoch, spec.Protocol, spec.Coin, spec.Batched, err)
 		}
-		os.EpochLatencies = append(os.EpochLatencies, sched.Now()-start)
-		os.DeliveredTxs += countTxs(nodes, spec.Workload.TxSize)
-		insts := make([]protocol.Instance, 0, len(nodes))
-		for _, n := range nodes {
+		os.EpochLatencies = append(os.EpochLatencies, d.sched.Now()-start)
+		var seats []protocol.Instance
+		for c, g := range groups {
 			// Agreement is an honest-node property: a Byzantine node's own
-			// engine is not bound by what it told its peers.
-			if !n.Down() && !n.byz && n.inst != nil {
-				insts = append(insts, n.inst)
+			// engine is not bound by what it told its peers — nor is the
+			// seat it occupies as its cluster's leader.
+			insts := make([]protocol.Instance, 0, len(g.nodes))
+			for _, n := range g.nodes {
+				if !n.Down() && !n.byz && n.inst != nil {
+					insts = append(insts, n.inst)
+				}
+			}
+			if err := protocol.AgreementCheck(insts); err != nil {
+				return nil, fmt.Errorf("run: epoch %d group %d safety violation: %w", epoch, c, err)
+			}
+			// The outputs agree, so the first honest node's count is the
+			// group's.
+			if len(insts) > 0 {
+				for _, prop := range insts[0].Outputs() {
+					os.DeliveredTxs += len(prop) / spec.Workload.TxSize
+				}
+			}
+			if leader := g.nodes[g.leader]; g.seat != nil && !leader.Down() && !leader.byz {
+				seats = append(seats, g.global)
 			}
 		}
-		if err := protocol.AgreementCheck(insts); err != nil {
-			return nil, fmt.Errorf("run: epoch %d safety violation: %w", epoch, err)
+		if err := protocol.AgreementCheck(seats); err != nil {
+			return nil, fmt.Errorf("run: epoch %d global tier safety violation: %w", epoch, err)
 		}
 	}
 
-	finishOneShot(rep, sched)
-	chst := ch.Stats()
-	rep.Accesses = chst.Accesses
-	rep.Collisions = chst.Collisions
-	rep.Frames = chst.Frames
-	rep.BytesOnAir = chst.BytesOnAir
-	deployed := make([]*node.Node, len(nodes))
-	for i, n := range nodes {
-		deployed[i] = n.Node
+	d.fold(rep)
+	var sum time.Duration
+	for _, l := range os.EpochLatencies {
+		sum += l
 	}
-	foldNodeStats(rep, deployed)
+	os.MeanLatency = sum / time.Duration(len(os.EpochLatencies))
+	if rep.Duration > 0 {
+		os.TPM = float64(os.DeliveredTxs) / rep.Duration.Minutes()
+	}
 	return rep, nil
 }
 
+// startEpoch starts every member's epoch. On single-hop a node's own
+// decision finishes its epoch; under clustered the leader's decision
+// feeds the cluster digest to the global tier instead — a completion
+// callback, not a polling loop — and the epoch finishes when the global
+// order comes back down.
+func (g *oneShotGroup) startEpoch(sched *sim.Scheduler, epoch uint16, spec Spec) {
+	if g.seat != nil {
+		// The global instance must exist before the leader's local
+		// decision callback can feed it the cluster digest.
+		g.attachGlobal(sched, epoch, spec)
+	}
+	for _, n := range g.nodes {
+		var onDecide func()
+		switch {
+		case g.seat == nil:
+			onDecide = func() { n.finished = true }
+		case n.idx == g.leader:
+			inst := g.global
+			onDecide = func() { inst.Start(clusterDigest(n, epoch)) }
+		default:
+			onDecide = func() {} // a follower waits for its leader's RESULT
+		}
+		n.startEpoch(sched, epoch, spec, onDecide)
+	}
+	if g.seat != nil {
+		g.listen()
+	}
+}
+
 // startEpoch rebuilds the node's components for a fresh epoch and submits
-// its proposal. onDone, if non-nil, fires when the node decides the epoch
-// locally (the clustered driver chains the global tier off it).
-func (n *osNode) startEpoch(sched *sim.Scheduler, epoch uint16, spec Spec, onDone func()) {
-	n.done = false
+// its proposal. onDecide fires when the node decides the epoch locally.
+func (n *osNode) startEpoch(sched *sim.Scheduler, epoch uint16, spec Spec, onDecide func()) {
+	n.finished = false
 	n.inst = nil
 	if n.Down() {
-		n.done = true // crashed nodes never finish; exclude from barrier
-		return
+		return // crashed nodes sit the epoch out
 	}
 	tr := n.Transport()
 	tr.SetEpoch(epoch)
@@ -129,62 +183,6 @@ func (n *osNode) startEpoch(sched *sim.Scheduler, epoch uint16, spec Spec, onDon
 		Sched:   sched,
 		Rand:    n.Rand,
 	}
-	n.inst = protocol.NewInstance(env, spec.Protocol, spec.Coin, spec.Batched, spec.Encrypt, func() {
-		n.done = true
-		if onDone != nil {
-			onDone()
-		}
-	})
+	n.inst = protocol.NewInstance(env, spec.Protocol, spec.Coin, spec.Batched, spec.Encrypt, onDecide)
 	n.inst.Start(protocol.MakeProposal(n.idx, int(epoch), spec.Workload.BatchSize, spec.Workload.TxSize))
-}
-
-func allHonestDone(nodes []*osNode) bool {
-	for _, n := range nodes {
-		if !n.done && !n.byz {
-			return false
-		}
-	}
-	return true
-}
-
-// countTxs counts the transactions accepted this epoch (from the first
-// honest node's output; agreement tests verify outputs match).
-func countTxs(nodes []*osNode, txSize int) int {
-	for _, n := range nodes {
-		if n.Down() || n.byz || n.inst == nil {
-			continue
-		}
-		total := 0
-		for _, prop := range n.inst.Outputs() {
-			total += len(prop) / txSize
-		}
-		return total
-	}
-	return 0
-}
-
-// finishOneShot derives the mean latency and throughput measurements.
-func finishOneShot(rep *Report, sched *sim.Scheduler) {
-	os := rep.OneShot
-	var sum time.Duration
-	for _, l := range os.EpochLatencies {
-		sum += l
-	}
-	if len(os.EpochLatencies) > 0 {
-		os.MeanLatency = sum / time.Duration(len(os.EpochLatencies))
-	}
-	rep.Duration = sched.Now()
-	if now := sched.Now(); now > 0 {
-		os.TPM = float64(os.DeliveredTxs) / now.Minutes()
-	}
-}
-
-// foldNodeStats sums the deployment nodes' transport counters into the
-// flat Report fields.
-func foldNodeStats(rep *Report, nodes []*node.Node) {
-	ts := node.SumStats(nodes)
-	rep.LogicalSent = ts.LogicalSent
-	rep.SignOps = ts.SignOps
-	rep.VerifyOps = ts.VerifyOps
-	rep.Rejected = ts.Rejected
 }

@@ -1,0 +1,166 @@
+package run_test
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"testing"
+	"time"
+
+	"repro/internal/protocol"
+	"repro/internal/run"
+	"repro/internal/scenario"
+	"repro/internal/traffic"
+)
+
+// reportDigest hashes everything a run yields: the Report's stable JSON
+// plus the three sections JSON omits — the committed logs of both tiers
+// and the raw per-transaction latency sample.
+func reportDigest(t *testing.T, rep *run.Report) string {
+	t.Helper()
+	js, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	h.Write(js)
+	num := func(v int64) {
+		var b [8]byte
+		binary.BigEndian.PutUint64(b[:], uint64(v))
+		h.Write(b[:])
+	}
+	logs := func(all [][]protocol.LogEntry) {
+		num(int64(len(all)))
+		for _, log := range all {
+			num(int64(len(log)))
+			for _, entry := range log {
+				num(int64(entry.Epoch))
+				num(int64(len(entry.Txs)))
+				for _, tx := range entry.Txs {
+					num(int64(len(tx)))
+					h.Write(tx)
+				}
+			}
+		}
+	}
+	if rep.Chain != nil {
+		logs(rep.Chain.Logs)
+		num(int64(len(rep.Chain.TxLatencySample)))
+		for _, d := range rep.Chain.TxLatencySample {
+			num(int64(d))
+		}
+	}
+	if rep.Tiers != nil {
+		logs(rep.Tiers.GlobalLogs)
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestMatrixPinned pins the trajectory of all four Topology × Workload
+// cells: any change to construction order, seed derivation, RNG draw
+// order, client sequence numbering or the Report fold moves a digest and
+// fails here, under its cell's name, in seconds. The digests are a
+// determinism pin, not a correctness oracle: regenerate them (the
+// failure message prints the new value) only with a change that is meant
+// to move trajectories.
+func TestMatrixPinned(t *testing.T) {
+	base := func(p protocol.Kind, coin protocol.CoinKind, topo run.Topology, load run.Workload) run.Spec {
+		spec := run.Defaults(p, coin)
+		spec.Topology = topo
+		spec.Workload = load
+		spec.Seed = 3
+		return spec
+	}
+	fast := func(epochs int) run.Workload {
+		load := run.Chain(epochs)
+		load.TxInterval = 2 * time.Second
+		return load
+	}
+	cases := []struct {
+		cell, name string
+		spec       func() run.Spec
+		want       string
+	}{
+		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
+			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
+		}, "cde88f148ecf8aa151ebddd68d1c17ff83db059115c664275843f3de55eeefe2"},
+		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
+			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
+			spec.Batched = false
+			spec.Scenario = scenario.MustParse("crash@0s:3")
+			return spec
+		}, "8d1aa9966195f95dbbc86149edd0eda3b29770365439c6e3e05e95048c44aa0c"},
+		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
+			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
+			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
+			spec.Scenario = scenario.MustParse("crash@30s:3;recover@6m:3")
+			return spec
+		}, "accad38247741116dc61f5e11dd1e6e4b5d8ca3d36bb9a9aa3609651547bdca5"},
+		{"Clustered×OneShot", "HB-SC", func() run.Spec {
+			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
+		}, "ac287109a946af8b1ada8f2c2a22ad86533b3711b51fe9133bf46486fe31644c"},
+		{"Clustered×OneShot", "BEAT", func() run.Spec {
+			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
+		}, "76f6999e94fd29ca84778889c2fa55ed2623c533bb3ea0ab6077a3a1d3390955"},
+		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
+			// Cluster 0's member 1 (a follower in epoch 0) crashes and
+			// rejoins as epoch 1's leader; cluster 2's member 3 is
+			// Byzantine but never leads.
+			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
+			spec.Scenario = scenario.MustParse("crash@10s:1;recover@2m:1;byz@0s:11:garbage")
+			return spec
+		}, "719d63452f3153c14a2195182a1b7056fa4c97a9ec026a5be4ec24582ddeec7d"},
+		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
+			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
+			spec.Workload.GCLag = 4
+			spec.Scenario = scenario.MustParse("crash@4m:2;recover@9m:2")
+			return spec
+		}, "1ffc6d0c26f82c3dc50a1c0aae54e7b5cf0309e22fbf55a6b45340a1b09198c2"},
+		{"SingleHop×Chain", "poisson", func() run.Spec {
+			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
+			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
+			return spec
+		}, "729765cdfe5051d95cd40cafc0040cf0efa53a81834bd92d4c9c8c0f4d5d1f39"},
+		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
+			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
+			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
+				OnMean: time.Minute, OffMean: 2 * time.Minute}
+			spec.Workload.Mempool.MaxPendingBytes = 1024
+			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
+			return spec
+		}, "75a2929f662c76fdb4e2d3fd6bbde126ccab0244df7d40591febcd94b955e486"},
+		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
+			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
+			// Cluster 0 member 1 is the designated relay for local epoch 1.
+			spec.Scenario = scenario.MustParse("crash@3m:1")
+			return spec
+		}, "daa3330e184134a2b319ca6774603866f93528b34d0cdd671154c53a071a536f"},
+		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
+			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
+			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
+			return spec
+		}, "a0b5f558541aba0089b32fea0e1ecfb2365c5fc60f5743d22cbad39b7f7a6e12"},
+		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
+			// A forging seat the whole run, and cluster 0's member 0 away
+			// across several relay turns, back through mid-run catch-up.
+			spec := base(protocol.BEAT, "", run.Clustered(4, 4), fast(4))
+			spec.Workload.GCLag = 4
+			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
+			return spec
+		}, "b150a58a7c88291489a79b970cb414f2b1be7a9f636ba1ecc6b6519012b3adc1"},
+	}
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.cell+"/"+tc.name, func(t *testing.T) {
+			t.Parallel()
+			rep, err := run.Run(tc.spec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := reportDigest(t, rep); got != tc.want {
+				t.Errorf("%s trajectory moved:\n got  %s\n want %s", tc.name, got, tc.want)
+			}
+		})
+	}
+}

@@ -8,7 +8,7 @@ import (
 )
 
 // Run executes one experiment and returns its measurements. The Spec's
-// two axes select the driver:
+// two axes select the matrix cell:
 //
 //	SingleHop × OneShot — the paper's evaluation runs (Fig. 13a)
 //	Clustered × OneShot — the Sec. V-B two-tier deployment (Fig. 13b)
@@ -27,11 +27,9 @@ func Run(spec Spec) (*Report, error) {
 		return nil, err
 	}
 	switch {
-	case spec.Topology.Kind == TopoSingleHop && spec.Workload.Kind == LoadOneShot:
+	case spec.Workload.Kind == LoadOneShot:
 		return runOneShot(spec)
-	case spec.Topology.Kind == TopoClustered && spec.Workload.Kind == LoadOneShot:
-		return runClusteredOneShot(spec)
-	case spec.Topology.Kind == TopoSingleHop && spec.Workload.Kind == LoadChain:
+	case spec.Topology.Kind == TopoSingleHop:
 		return runChain(spec)
 	default:
 		return runClusteredChain(spec)

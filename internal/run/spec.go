@@ -4,13 +4,14 @@
 // sustained chain SMR) — plus the protocol, coin, transport, crypto,
 // channel, and fault-scenario knobs every deployment shares.
 //
-// The package replaces the three parallel drivers the repo grew — the
-// protocol package's legacy one-shot, multihop, and chain entry points —
-// and their three drifting Options/Result structs. Composing the axes also fills the
-// matrix cell none of the legacy drivers could reach: Clustered × Chain,
-// pipelined multi-epoch SMR over the paper's Sec. V-B two-tier wireless
-// deployment, where each cluster runs a local replicated log and rotating
-// leaders order cluster cuts on the global tier (see mhchain.go).
+// Every cell runs on one deployment skeleton (lifecycle.go): consensus
+// groups — n nodes with dealt suites on one channel — wired to the
+// scenario engine at a flat id base. Single-hop is the one-group case; the
+// paper's Sec. V-B clustered topology is M local groups plus one more over
+// the global-tier seats. The chain workload runs a chain group per group
+// (chain.go) fed by one client process (internal/traffic); Clustered ×
+// Chain composes M+1 of them, the seats' clients being the clusters' cut
+// relays (mhchain.go).
 //
 // Every run is a deterministic function of its Spec: the same Spec
 // reproduces the same Report bit-for-bit, which the golden BENCH tests
@@ -81,15 +82,17 @@ type Workload struct {
 	BatchSize int
 	// TxSize is the payload size in bytes (both workloads).
 	TxSize int
-	// TxInterval is the chain workload's mean gap between client
-	// submissions. Each transaction is broadcast to every live node's
-	// mempool (per cluster, under the clustered topology).
+	// TxInterval is the gap of the chain workload's default client
+	// process: one arrival 100 ms in, then one every TxInterval
+	// (traffic.NewFixed). Each arrival is one transaction per consensus
+	// group — the network under single-hop, each cluster under the
+	// clustered topology — broadcast to the group's live mempools.
 	TxInterval time.Duration
-	// Arrival selects the open-loop client traffic generator
+	// Arrival swaps the fixed process for a seed-derived one
 	// (internal/traffic: Poisson or bursty on-off arrivals from a
-	// simulated client population) in place of the fixed TxInterval loop.
-	// Chain workload on the single-hop topology only; the zero value
-	// keeps the legacy fixed-interval submission.
+	// simulated client population); arrivals fan out exactly as the fixed
+	// ones do. Chain workload only; the zero value keeps the fixed
+	// process.
 	Arrival traffic.Pattern
 	// Window is the chain pipeline depth (1 = sequential epochs).
 	Window int
@@ -177,9 +180,8 @@ func Defaults(p protocol.Kind, coin protocol.CoinKind) Spec {
 	}
 }
 
-// normalize fills the Spec's zero-valued tuning fields with the legacy
-// drivers' defaults, so the one builder serves every matrix cell without
-// the old field-by-field copies drifting apart again.
+// normalize fills the Spec's zero-valued tuning fields with the workload
+// defaults, so the one builder serves every matrix cell.
 func (s Spec) normalize() Spec {
 	if s.Topology.Kind == "" {
 		s.Topology.Kind = TopoSingleHop
@@ -264,13 +266,8 @@ func (s Spec) validate() error {
 	if err := s.Workload.Arrival.Validate(); err != nil {
 		return err
 	}
-	if s.Workload.Arrival.Enabled() {
-		if s.Workload.Kind != LoadChain {
-			return fmt.Errorf("run: Arrival traffic requires the chain workload, got %q", s.Workload.Kind)
-		}
-		if s.Topology.Kind != TopoSingleHop {
-			return fmt.Errorf("run: Arrival traffic is single-hop only (the clustered driver keeps the fixed-interval workload)")
-		}
+	if s.Workload.Arrival.Enabled() && s.Workload.Kind != LoadChain {
+		return fmt.Errorf("run: Arrival traffic requires the chain workload, got %q", s.Workload.Kind)
 	}
 	return nil
 }

@@ -124,12 +124,51 @@ func TestChainOnOffArrivals(t *testing.T) {
 	}
 }
 
-func TestArrivalValidation(t *testing.T) {
+// TestClusteredChainPoissonArrivals: the one client path serves the
+// clustered topology too — every Poisson arrival fans out as one
+// transaction per cluster, exactly like a fixed-interval tick.
+func TestClusteredChainPoissonArrivals(t *testing.T) {
 	spec := trafficSpec(2)
 	spec.Topology = run.Clustered(4, 4)
-	if _, err := run.Run(spec); err == nil {
-		t.Error("Arrival accepted on the clustered topology")
+	res, err := run.Run(spec)
+	if err != nil {
+		t.Fatalf("Poisson arrivals on the clustered topology: %v", err)
 	}
+	c := res.Chain
+	if c.SubmittedTxs == 0 || c.SubmittedTxs%4 != 0 {
+		t.Fatalf("SubmittedTxs = %d, want a positive multiple of the 4 clusters", c.SubmittedTxs)
+	}
+	if forged := protocol.CountForged(c.Logs, spec.Workload.TxSize, c.SubmittedTxs); forged != 0 {
+		t.Fatalf("%d forged transactions", forged)
+	}
+	// Every cluster commits, and no transaction is committed by two
+	// clusters: the client streams are distinct.
+	owner := map[string]int{}
+	for cl := 0; cl < 4; cl++ {
+		txs := 0
+		for _, entry := range c.Logs[cl*4] {
+			for _, tx := range entry.Txs {
+				if prev, dup := owner[string(tx)]; dup {
+					t.Fatalf("tx committed by clusters %d and %d", prev, cl)
+				}
+				owner[string(tx)] = cl
+				txs++
+			}
+		}
+		if txs == 0 {
+			t.Errorf("cluster %d committed no client transactions", cl)
+		}
+	}
+	again, err := run.Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a, b := reportDigest(t, res), reportDigest(t, again); a != b {
+		t.Fatalf("same Spec, different trajectories: %s vs %s", a, b)
+	}
+}
+
+func TestArrivalValidation(t *testing.T) {
 	bad := trafficSpec(2)
 	bad.Workload.Arrival.Kind = "fractal"
 	if _, err := run.Run(bad); err == nil {

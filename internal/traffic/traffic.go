@@ -1,22 +1,25 @@
-// Package traffic is the open-loop client workload layer: a
-// deterministic, seed-derived generator of transaction arrival processes
-// from a population of simulated clients, driven off the internal/sim
-// scheduler. Unlike the chain workload's legacy fixed-interval loop
-// (closed-loop and gentle), an open-loop generator keeps offering load at
-// its own pace regardless of how fast the system commits — which is what
-// exposes saturation behavior: throughput plateaus at capacity, latency
-// percentiles climb with the backlog, and mempool admission control
-// (protocol.MempoolConfig.MaxPendingBytes) starts rejecting what the
-// chain cannot absorb.
+// Package traffic is the client workload layer: deterministic generators
+// of transaction arrival processes, driven off the internal/sim scheduler.
+// Every process here is open-loop — it offers load at its own pace and
+// never waits for a commit — and every chain run feeds its clients through
+// exactly one Gen.
 //
-// Two arrival processes cover the load shapes a wireless deployment
-// faces: Poisson (memoryless aggregate arrivals, the superposition of the
-// whole client population) and OnOff (bursty Markov-modulated arrivals:
-// each client alternates exponential ON bursts and OFF silences, emitting
-// only while ON, so the instantaneous rate swings far above and below the
-// long-run average). Both are pure functions of the seed: the same seed
-// reproduces the same arrival times bit-for-bit, which the BENCH golden
-// tests rely on.
+// The fixed process (NewFixed) is the default workload: one arrival every
+// constant gap, no randomness at all — one load point, at the run
+// package's default gap a constant overload sized so the mempool can
+// always fill the next proposal. The seed-derived processes (New) model a
+// population of simulated clients at a configurable offered rate, which
+// is what exposes saturation behavior: throughput plateaus at
+// capacity, latency percentiles climb with the backlog, and mempool
+// admission control (protocol.MempoolConfig.MaxPendingBytes) starts
+// rejecting what the chain cannot absorb. Two of them cover the load
+// shapes a wireless deployment faces: Poisson (memoryless aggregate
+// arrivals, the superposition of the whole client population) and OnOff
+// (bursty Markov-modulated arrivals: each client alternates exponential ON
+// bursts and OFF silences, emitting only while ON, so the instantaneous
+// rate swings far above and below the long-run average). Both are pure
+// functions of the seed: the same seed reproduces the same arrival times
+// bit-for-bit, which the BENCH golden tests rely on.
 package traffic
 
 import (
@@ -48,8 +51,8 @@ const (
 	OnOff Kind = "onoff"
 )
 
-// Pattern describes one open-loop workload. The zero value is disabled:
-// drivers fall back to their legacy fixed-interval submission loop.
+// Pattern describes one seed-derived arrival process. The zero value is
+// disabled: the run's clients follow the fixed process instead.
 type Pattern struct {
 	Kind Kind
 	// Clients is the simulated client population size (on-off state
@@ -64,7 +67,7 @@ type Pattern struct {
 	OffMean time.Duration
 }
 
-// Enabled reports whether the pattern selects an open-loop process.
+// Enabled reports whether the pattern selects a seed-derived process.
 func (p Pattern) Enabled() bool { return p.Kind != "" }
 
 // WithDefaults fills zero-valued tuning fields: 1000 clients, 2 min
@@ -110,18 +113,23 @@ func (p Pattern) String() string {
 	return fmt.Sprintf("%s(%g tx/s, %d clients)", p.Kind, p.Rate, p.Clients)
 }
 
-// Gen drives one Pattern on a scheduler. Each arrival invokes the submit
-// callback with its global sequence number (monotonic from 0, the
+// Gen drives one arrival process on a scheduler. Each arrival invokes the
+// submit callback with its global sequence number (monotonic from 0, the
 // provenance contract protocol.MakeClientTx expects); the first false
 // return stops the generator for good.
 type Gen struct {
 	sched  *sim.Scheduler
-	rng    *rand.Rand
-	pat    Pattern
+	rng    *rand.Rand    // nil for the fixed process
+	pat    Pattern       // disabled for the fixed process
+	gap    time.Duration // the fixed process's inter-arrival gap
 	submit func(seq int) bool
 	seq    int
 	done   bool
 }
+
+// fixedFirst is the fixed process's first arrival: just after the run
+// starts, so the first proposals already find client traffic pooled.
+const fixedFirst = 100 * time.Millisecond
 
 // New builds a generator for a validated pattern. Its randomness is
 // derived from the run seed (not the scheduler's RNG), so the arrival
@@ -135,13 +143,25 @@ func New(sched *sim.Scheduler, p Pattern, seed int64, submit func(seq int) bool)
 	}
 }
 
-// Start arms the arrival process. Poisson schedules the single aggregate
-// stream; on-off spawns one state machine per client.
+// NewFixed builds the deterministic constant-gap process: the first
+// arrival 100 ms in, then one every gap. It holds no RNG and draws from
+// none, so it perturbs nothing else in the run.
+func NewFixed(sched *sim.Scheduler, gap time.Duration, submit func(seq int) bool) *Gen {
+	if gap <= 0 {
+		panic("traffic: the fixed process needs a positive gap") // would never advance virtual time
+	}
+	return &Gen{sched: sched, gap: gap, submit: submit}
+}
+
+// Start arms the arrival process. The fixed process and Poisson schedule
+// one stream; on-off spawns one state machine per client.
 func (g *Gen) Start() {
-	switch g.pat.Kind {
-	case Poisson:
-		g.sched.PostAfter(g.expGap(g.pat.Rate), g.poissonArrive)
-	case OnOff:
+	switch {
+	case g.gap > 0:
+		g.sched.PostAfter(fixedFirst, g.arrive)
+	case g.pat.Kind == Poisson:
+		g.sched.PostAfter(g.expGap(g.pat.Rate), g.arrive)
+	case g.pat.Kind == OnOff:
 		// Scale the per-client ON rate so the population's time average
 		// is Rate: each client is ON for OnMean/(OnMean+OffMean) of the
 		// time.
@@ -170,11 +190,17 @@ func (g *Gen) emit() bool {
 	return true
 }
 
-func (g *Gen) poissonArrive() {
+// arrive is the single-stream processes' arrival: offer it, then schedule
+// the next one a constant (fixed) or exponential (Poisson) gap away.
+func (g *Gen) arrive() {
 	if !g.emit() {
 		return
 	}
-	g.sched.PostAfter(g.expGap(g.pat.Rate), g.poissonArrive)
+	gap := g.gap
+	if gap == 0 {
+		gap = g.expGap(g.pat.Rate)
+	}
+	g.sched.PostAfter(gap, g.arrive)
 }
 
 // startClient runs one on-off state machine: an OFF silence, then an ON

@@ -161,3 +161,47 @@ func TestOnOffApproachesConfiguredAverage(t *testing.T) {
 		t.Fatalf("onoff long-run rate: %v arrivals, want within 15%% of %v", n, want)
 	}
 }
+
+// TestFixedProcess pins the default client workload: arrivals at exactly
+// 100 ms + k×gap with sequence 0,1,2…, a first refusal that ends the
+// process for good, and no RNG draw anywhere — the scheduler's stream is
+// where an untouched scheduler's is.
+func TestFixedProcess(t *testing.T) {
+	const gap = 3 * time.Second
+	sched, untouched := sim.New(11), sim.New(11)
+	var times []time.Duration
+	calls := 0
+	g := NewFixed(sched, gap, func(seq int) bool {
+		calls++
+		if seq != len(times) {
+			t.Fatalf("sequence gap: got seq %d at arrival %d", seq, len(times))
+		}
+		if len(times) == 5 {
+			return false
+		}
+		times = append(times, sched.Now())
+		return true
+	})
+	if g.rng != nil {
+		t.Fatal("the fixed process holds an RNG")
+	}
+	g.Start()
+	sched.RunUntil(time.Hour)
+	for k, at := range times {
+		if want := 100*time.Millisecond + time.Duration(k)*gap; at != want {
+			t.Errorf("arrival %d at %v, want %v", k, at, want)
+		}
+	}
+	if len(times) != 5 || g.Submitted() != 5 {
+		t.Fatalf("%d arrivals recorded, Submitted() = %d, want 5 and 5", len(times), g.Submitted())
+	}
+	if calls != 6 {
+		t.Fatalf("submit called %d times, want 6: the refusal must stop the process for good", calls)
+	}
+	if sched.Pending() != 0 {
+		t.Fatalf("%d events still queued after the refusal", sched.Pending())
+	}
+	if a, b := sched.Rand().Int63(), untouched.Rand().Int63(); a != b {
+		t.Fatal("the fixed process drew from the scheduler's RNG")
+	}
+}
