@@ -14,6 +14,7 @@ import (
 	"math/big"
 
 	"repro/internal/crypto/group"
+	"repro/internal/crypto/mont"
 	"repro/internal/crypto/shamir"
 )
 
@@ -27,14 +28,16 @@ type Proof struct {
 func Size(g *group.Group) int { return 32 + g.ScalarLen() }
 
 // Prove returns a proof that a = g1^x and b = g2^x share the exponent x.
-func Prove(g *group.Group, g1, g2, a, b, x *big.Int, rand io.Reader) (*Proof, error) {
+// The bases come as tables: both are raised to the same fresh nonce here
+// and to other exponents by the caller and by every verifier.
+func Prove(g *group.Group, g1, g2 *mont.Table, a, b, x *big.Int, rand io.Reader) (*Proof, error) {
 	w, err := shamir.RandInt(rand, g.Q)
 	if err != nil {
 		return nil, err
 	}
-	t1 := g.Exp(g1, w)
-	t2 := g.Exp(g2, w)
-	c := challenge(g, g1, g2, a, b, t1, t2)
+	t1 := g1.Exp(w)
+	t2 := g2.Exp(w)
+	c := challenge(g, g1.Base(), g2.Base(), a, b, t1, t2)
 	z := new(big.Int).Mul(c, x)
 	z.Add(z, w)
 	z.Mod(z, g.Q)
@@ -43,24 +46,28 @@ func Prove(g *group.Group, g1, g2, a, b, x *big.Int, rand io.Reader) (*Proof, er
 
 // Verify checks a proof against the claimed pairs (g1, a) and (g2, b).
 //
-// b is membership-checked through the group's verdict memo: in every use
-// here (coin and decryption shares) b is a verification key that recurs
-// across thousands of checks. a is the share value and is checked exactly
-// each time it is first seen — callers that verify the same share many
-// times (one per simulated party) dedup whole verdicts a layer up.
-func Verify(g *group.Group, g1, g2, a, b *big.Int, p *Proof) error {
+// In every use here (coin and decryption shares) a is a verification key
+// that recurs across thousands of checks: it comes with its table and is
+// membership-checked through the group's verdict memo. b is the share
+// value, seen once — callers that verify the same share many times (one
+// per simulated party) dedup whole verdicts a layer up — so it is checked
+// exactly, and its two powers (b^Q for membership, b^-c for the
+// commitment) share one short comb built here, which costs less than the
+// second power alone would.
+func Verify(g *group.Group, g1, g2, a *mont.Table, b *big.Int, p *Proof) error {
 	if p == nil || p.C == nil || p.Z == nil {
 		return errors.New("dleq: nil proof")
 	}
-	if !g.IsElement(a) || !g.IsElementCached(b) {
+	bt := g.Table(b, mont.TeethShort)
+	if !g.IsElementCached(a.Base()) || !g.IsTableElement(bt) {
 		return errors.New("dleq: claimed values not in group")
 	}
 	// Recompute commitments: t1 = g1^z * a^-c, t2 = g2^z * b^-c.
 	negC := new(big.Int).Neg(p.C)
 	negC.Mod(negC, g.Q)
-	t1 := g.Mul(g.Exp(g1, p.Z), g.Exp(a, negC))
-	t2 := g.Mul(g.Exp(g2, p.Z), g.Exp(b, negC))
-	if challenge(g, g1, g2, a, b, t1, t2).Cmp(p.C) != 0 {
+	t1 := g.Mul(g1.Exp(p.Z), a.Exp(negC))
+	t2 := g.Mul(g2.Exp(p.Z), bt.Exp(negC))
+	if challenge(g, g1.Base(), g2.Base(), a.Base(), b, t1, t2).Cmp(p.C) != 0 {
 		return errors.New("dleq: proof rejected")
 	}
 	return nil
@@ -68,8 +75,9 @@ func Verify(g *group.Group, g1, g2, a, b *big.Int, p *Proof) error {
 
 // Statement is one (claimed pairs, proof) instance for VerifyBatch.
 type Statement struct {
-	G1, G2 *big.Int // bases
-	A, B   *big.Int // claimed powers: A = G1^x, B = G2^x
+	G1, G2 *mont.Table // bases
+	A      *mont.Table // claimed power A = G1^x, a recurring value
+	B      *big.Int    // claimed power B = G2^x, a one-shot value
 	Proof  *Proof
 }
 
@@ -77,18 +85,19 @@ type Statement struct {
 // statement, in order. A statement fails exactly when Verify would fail
 // it — the batch rejects everything per-statement verification rejects.
 //
-// The amortization is the shared fixed-point work (memoized membership of
-// the recurring B values, one pass over the batch); each proof's
-// commitments are still recomputed individually. A randomized-linear-
-// combination shortcut is impossible for Fiat–Shamir Chaum–Pedersen
-// proofs: the verifier must reproduce every proof's exact commitments
-// (t1, t2) to recheck its challenge hash, and a random combination of
-// several statements yields only a blended commitment that validates no
-// individual challenge. (Where the per-item check is a bare group
-// equation — e.g. subgroup membership v^Q = 1 — an RLC is unsound here
-// too: Z_p^* has small-order components outside the subgroup, which a
-// combination detects only with constant probability, and this simulator
-// requires accept/reject decisions to be exact.)
+// The amortization is the shared fixed-base work: the comb tables of G1,
+// G2 and the recurring A values are built once and read by every
+// statement that names them, and the membership verdicts of the A values
+// are memoized; each proof's commitments are still recomputed
+// individually. A randomized-linear-combination shortcut is impossible
+// for Fiat–Shamir Chaum–Pedersen proofs: the verifier must reproduce
+// every proof's exact commitments (t1, t2) to recheck its challenge hash,
+// and a random combination of several statements yields only a blended
+// commitment that validates no individual challenge. (Where the per-item
+// check is a bare group equation — e.g. subgroup membership v^Q = 1 — an
+// RLC is unsound here too: Z_p^* has small-order components outside the
+// subgroup, which a combination detects only with constant probability,
+// and this simulator requires accept/reject decisions to be exact.)
 func VerifyBatch(g *group.Group, stmts []Statement) []error {
 	errs := make([]error, len(stmts))
 	for i, st := range stmts {

@@ -21,6 +21,8 @@ import (
 	"fmt"
 	"math/big"
 	"sync"
+
+	"repro/internal/crypto/mont"
 )
 
 // Group describes a prime-order subgroup of Z_p^*. The embedded parameter
@@ -37,6 +39,20 @@ type Group struct {
 	mu       sync.Mutex
 	cofactor *big.Int        // (P-1)/Q, computed on first HashToGroup
 	members  map[string]bool // memoized IsElement verdicts for recurring values
+
+	engineOnce sync.Once
+	mod        *mont.Modulus // exponentiation engine mod P
+	gTable     *mont.Table   // comb of G, built on the first ExpG
+}
+
+// engine returns the group's exponentiation engine, set up on first use
+// (groups are built as plain struct literals).
+func (g *Group) engine() *mont.Modulus {
+	g.engineOnce.Do(func() {
+		g.mod = mont.NewModulus(g.P)
+		g.gTable = g.mod.NewTable(g.G, g.Q.BitLen(), mont.TeethLong)
+	})
+	return g.mod
 }
 
 // ElementLen returns the byte length of a serialized group element.
@@ -46,12 +62,30 @@ func (g *Group) ElementLen() int { return (g.P.BitLen() + 7) / 8 }
 func (g *Group) ScalarLen() int { return (g.Q.BitLen() + 7) / 8 }
 
 // Exp returns base^e mod P.
-func (g *Group) Exp(base, e *big.Int) *big.Int {
-	return new(big.Int).Exp(base, e, g.P)
+func (g *Group) Exp(base, e *big.Int) *big.Int { return g.engine().Exp(base, e) }
+
+// ExpG returns G^e mod P, through G's comb table.
+func (g *Group) ExpG(e *big.Int) *big.Int { return g.GTable().Exp(e) }
+
+// GTable returns the comb table of the generator.
+func (g *Group) GTable() *mont.Table {
+	g.engine()
+	return g.gTable
 }
 
-// ExpG returns G^e mod P.
-func (g *Group) ExpG(e *big.Int) *big.Int { return g.Exp(g.G, e) }
+// Table prepares base for repeated exponentiation by scalars: Exp on the
+// result equals g.Exp(base, e). The comb is built on the table's first
+// use, with mont.TeethLong for a base that lives as long as a key and
+// mont.TeethShort for one used a handful of times.
+func (g *Group) Table(base *big.Int, teeth int) *mont.Table {
+	return g.engine().NewTable(base, g.Q.BitLen(), teeth)
+}
+
+// MulExp returns the product of bases[i]^exps[i] mod P on one squaring
+// chain.
+func (g *Group) MulExp(bases, exps []*big.Int) *big.Int {
+	return g.engine().MulExp(bases, exps)
+}
 
 // Mul returns a*b mod P.
 func (g *Group) Mul(a, b *big.Int) *big.Int {
@@ -113,6 +147,17 @@ func (g *Group) IsElement(v *big.Int) bool {
 		return false
 	}
 	return g.Exp(v, g.Q).Cmp(big.NewInt(1)) == 0
+}
+
+// IsTableElement is IsElement of a table's base, with the membership
+// power taken through the table — for a value about to be raised to
+// another exponent as well.
+func (g *Group) IsTableElement(t *mont.Table) bool {
+	v := t.Base()
+	if v == nil || v.Sign() <= 0 || v.Cmp(g.P) >= 0 {
+		return false
+	}
+	return t.Exp(g.Q).Cmp(big.NewInt(1)) == 0
 }
 
 // IsElementCached is IsElement with a per-group verdict memo. Use it for

@@ -1,23 +1,35 @@
-// Package mont implements modular exponentiation for odd fixed-width
-// moduli using Montgomery multiplication over stack-allocated word
-// arrays. It exists purely as a faster drop-in for big.Int.Exp on the
-// simulator's hot verification paths: results are bit-exact (the reduced
-// residue is unique, and Exp always returns it fully reduced), so
-// accept/reject decisions and every byte derived from an exponentiation
-// are identical to the math/big path.
+// Package mont is the repository's modular exponentiation engine: one
+// set of calls — Exp, MulExp and the fixed-base Table — behind which every
+// threshold-crypto operation raises its powers. Results are bit-exact
+// with math/big (the reduced residue is unique and every call returns it
+// fully reduced), so accept/reject decisions and every byte derived from
+// an exponentiation are identical to the big.Int.Exp path; only the
+// simulator's host time changes.
 //
-// The speed comes from what is *not* done per call: no nat allocations,
-// no normalization passes, and no per-limb function calls — a fully
-// unrolled CIOS (coarsely integrated operand scanning) kernel works
-// directly on fixed-size arrays that never leave the stack. Only the
-// width the hot parameter sets lean on gets a kernel: 4 words, the
-// 256-bit CRT halves through which every TS-512 threshold-RSA
-// exponentiation runs. At wider moduli math/big's assembly inner loops
-// win back the advantage (measured on the 512-bit SG-512 shape), so
-// NewModulus declines them and callers keep using big.Int.Exp.
+// Two things make it faster than calling big.Int.Exp per power:
 //
-// A Modulus is immutable after construction and all per-call scratch is
-// on the stack, so Exp is safe for concurrent use.
+//   - Fewer multiplications. A Table precomputes a Lim–Lee comb of one
+//     base, after which a 256-bit exponent costs about 64 multiplications
+//     (teeth = 8) instead of the ≈ 335 of a windowed square-and-multiply;
+//     MulExp raises a product of powers on one shared squaring chain
+//     (Straus), about 0.6× the cost of the powers taken separately. Every
+//     hot call site has a recurring base or a product of two powers.
+//   - Cheaper multiplications. For the two widths the light parameter
+//     sets lean on — 4 words (the 256-bit CRT halves of TS-512) and 8
+//     words (the SG-512 group, the halves of TS-1024) — an unrolled CIOS
+//     (coarsely integrated operand scanning) Montgomery kernel works on
+//     word arrays that never leave the stack: no nat allocations, no
+//     normalization passes. At 4 words that is 1.8× math/big's
+//     multiplication; at 8 words it is parity, and the gain there is the
+//     multiplication count alone.
+//
+// A modulus of any other width (or an even one, or a 32-bit platform) has
+// no kernel and answers the same calls through big.Int.Exp, so callers
+// have one path whatever the parameter set.
+//
+// A Modulus is immutable after construction, a Table is immutable once
+// built (sync.Once), and all per-call scratch is on the stack, so every
+// method is safe for concurrent use.
 package mont
 
 import (
@@ -25,35 +37,37 @@ import (
 	"math/bits"
 )
 
-// maxWords is the widest supported modulus (4 words = 256 bits).
-const maxWords = 4
+// maxWords is the widest kernel (8 words = 512 bits).
+const maxWords = 8
 
-// Modulus holds the precomputed Montgomery constants for one odd modulus.
-// It is immutable after construction and safe for concurrent use.
+// winSize is the entry count of one base's 4-bit window table.
+const winSize = 16
+
+// Modulus holds the precomputed Montgomery constants for one modulus. It
+// is immutable after construction and safe for concurrent use.
 type Modulus struct {
+	nat   *big.Int         // the modulus as written
+	w     int              // kernel width in words: 4, 8, or 0 (math/big answers)
 	m     [maxWords]uint64 // modulus, little-endian words
 	r2    [maxWords]uint64 // R^2 mod m (to-Montgomery factor), R = 2^(64w)
-	w     int              // live word count (always 4)
+	one   [maxWords]uint64 // R mod m: 1 in Montgomery form
 	n0inv uint64           // -m^{-1} mod 2^64
-	nat   *big.Int         // the modulus as written, for fallbacks
 }
 
-// NewModulus precomputes Montgomery constants for m. It returns nil when
-// m has no specialized kernel (anything but an odd 4-word value, or a
-// platform whose big.Word is not 64 bits) — callers treat nil as "use
-// big.Int.Exp".
+// NewModulus prepares m > 0 (nil otherwise). An odd 4- or 8-word modulus
+// on a 64-bit platform gets a Montgomery kernel; every other modulus
+// answers the same calls through math/big.
 func NewModulus(m *big.Int) *Modulus {
-	if bits.UintSize != 64 || m == nil || m.Sign() <= 0 || m.Bit(0) == 0 {
+	if m == nil || m.Sign() <= 0 {
 		return nil
 	}
+	mod := &Modulus{nat: new(big.Int).Set(m)}
 	words := m.Bits()
-	if len(words) != 4 {
-		return nil
+	if bits.UintSize != 64 || m.Bit(0) == 0 || (len(words) != 4 && len(words) != 8) {
+		return mod
 	}
-	mod := &Modulus{w: len(words), nat: new(big.Int).Set(m)}
-	for i, wd := range words {
-		mod.m[i] = uint64(wd)
-	}
+	mod.w = len(words)
+	load(mod.m[:], m)
 	// inv = m[0]^{-1} mod 2^64 by Newton iteration: an odd m[0] is its own
 	// inverse mod 8, and each step doubles the valid bit count (3 -> 96).
 	inv := mod.m[0]
@@ -62,151 +76,145 @@ func NewModulus(m *big.Int) *Modulus {
 	}
 	mod.n0inv = -inv
 	r := new(big.Int).Lsh(big.NewInt(1), uint(64*mod.w))
-	r.Mul(r, r)
-	r.Mod(r, m)
-	for i, wd := range r.Bits() {
-		mod.r2[i] = uint64(wd)
-	}
+	load(mod.one[:], new(big.Int).Mod(r, m))
+	load(mod.r2[:], r.Mod(r.Mul(r, r), m))
 	return mod
 }
+
+// HasKernel reports whether the modulus runs on a Montgomery kernel, so
+// that a Table of it is a comb (whose cost does not grow with the
+// exponent) and not math/big behind the same call.
+func (mod *Modulus) HasKernel() bool { return mod.w != 0 }
 
 // Exp returns x^e mod m, fully reduced — bit-exact with
 // new(big.Int).Exp(x, e, m). Negative exponents (modular inverses) take
 // the big.Int path unchanged.
 func (mod *Modulus) Exp(x, e *big.Int) *big.Int {
-	if e.Sign() < 0 {
+	if mod.w == 0 || e.Sign() < 0 {
 		return new(big.Int).Exp(x, e, mod.nat)
 	}
-	if e.Sign() == 0 {
-		return big.NewInt(1)
-	}
-	if x.Sign() < 0 || x.Cmp(mod.nat) >= 0 {
-		x = new(big.Int).Mod(x, mod.nat)
-	}
-	if x.Sign() == 0 {
-		return new(big.Int)
-	}
-
-	var xw [maxWords]uint64
-	for i, wd := range x.Bits() {
-		xw[i] = uint64(wd)
-	}
-	// Power table in Montgomery form for 4-bit windows: tbl[i] = x^i * R.
-	var tbl [16][maxWords]uint64
-	mod.mul(&tbl[1], &xw, &mod.r2)
-	for i := 2; i < 16; i++ {
-		mod.mul(&tbl[i], &tbl[i-1], &tbl[1])
-	}
-
-	// Left-to-right 4-bit windows over the exponent, skipping the leading
-	// zero nibbles so tiny exponents (2, 65537) cost only their true length.
+	var win [winSize * maxWords]uint64
 	var z [maxWords]uint64
+	mod.window(win[:winSize*mod.w], x)
+	mod.powProduct(z[:mod.w], win[:winSize*mod.w], [][]big.Word{e.Bits()})
+	return mod.fromMont(z[:mod.w])
+}
+
+// MulExp returns the product of bases[i]^exps[i] mod m, fully reduced,
+// on one squaring chain shared by all the powers. A negative exponent
+// sends the whole product through math/big; like big.Int.Exp, the result
+// is then nil when the base has no inverse.
+func (mod *Modulus) MulExp(bases, exps []*big.Int) *big.Int {
+	kernel := mod.w != 0
+	for _, e := range exps {
+		kernel = kernel && e.Sign() >= 0
+	}
+	if !kernel {
+		z := big.NewInt(1)
+		for i, b := range bases {
+			t := new(big.Int).Exp(b, exps[i], mod.nat)
+			if t == nil {
+				return nil
+			}
+			z.Mul(z, t)
+			z.Mod(z, mod.nat)
+		}
+		return z
+	}
+	// Two bases — every DLEQ commitment, an N=4 combine — fit the stack.
+	var stack [2 * winSize * maxWords]uint64
+	win := stack[:]
+	if need := len(bases) * winSize * mod.w; need > len(win) {
+		win = make([]uint64, need)
+	}
+	words := make([][]big.Word, len(bases))
+	for i, b := range bases {
+		mod.window(win[i*winSize*mod.w:(i+1)*winSize*mod.w], b)
+		words[i] = exps[i].Bits()
+	}
+	var z [maxWords]uint64
+	mod.powProduct(z[:mod.w], win, words)
+	return mod.fromMont(z[:mod.w])
+}
+
+// window fills win with the 4-bit window table of x in Montgomery form:
+// win[j] = x^j·R for j < 16.
+func (mod *Modulus) window(win []uint64, x *big.Int) {
+	w := mod.w
+	copy(win[:w], mod.one[:w])
+	mod.toMont(win[w:2*w], x)
+	for j := 2; j < winSize; j++ {
+		mod.mul(win[j*w:(j+1)*w], win[(j-1)*w:j*w], win[w:2*w])
+	}
+}
+
+// powProduct sets z to the product over i of x_i^{exps[i]} in Montgomery
+// form, where win holds the window tables of the x_i back to back.
+// Left-to-right 4-bit windows over all exponents at once: one run of four
+// squarings per nibble position serves every base. Leading zero nibbles
+// are skipped, so tiny exponents (2, 65537) cost only their true length.
+func (mod *Modulus) powProduct(z, win []uint64, exps [][]big.Word) {
+	w := mod.w
+	top := 0
+	for _, e := range exps {
+		top = max(top, len(e))
+	}
+	copy(z, mod.one[:w])
 	started := false
-	words := e.Bits()
-	for i := len(words) - 1; i >= 0; i-- {
-		wd := uint64(words[i])
+	for i := top - 1; i >= 0; i-- {
 		for sh := 60; sh >= 0; sh -= 4 {
-			nib := (wd >> uint(sh)) & 0xf
-			if !started {
+			if started {
+				mod.mul(z, z, z)
+				mod.mul(z, z, z)
+				mod.mul(z, z, z)
+				mod.mul(z, z, z)
+			}
+			for b, e := range exps {
+				if i >= len(e) {
+					continue
+				}
+				nib := int(uint64(e[i])>>uint(sh)) & 0xf
 				if nib == 0 {
 					continue
 				}
-				z = tbl[nib]
-				started = true
-				continue
-			}
-			mod.mul(&z, &z, &z)
-			mod.mul(&z, &z, &z)
-			mod.mul(&z, &z, &z)
-			mod.mul(&z, &z, &z)
-			if nib != 0 {
-				mod.mul(&z, &z, &tbl[nib])
+				entry := win[(b*winSize+nib)*w : (b*winSize+nib+1)*w]
+				if started {
+					mod.mul(z, z, entry)
+				} else {
+					copy(z, entry)
+					started = true
+				}
 			}
 		}
 	}
+}
 
-	// Leave the Montgomery domain: multiply by 1 strips the R factor.
-	var onew [maxWords]uint64
-	onew[0] = 1
-	mod.mul(&z, &z, &onew)
+// load writes x's words into dst, zero-extended. x must fit.
+func load(dst []uint64, x *big.Int) {
+	clear(dst)
+	for i, wd := range x.Bits() {
+		dst[i] = uint64(wd)
+	}
+}
 
+// toMont sets z = x·R mod m, reducing x into [0, m) first if need be.
+func (mod *Modulus) toMont(z []uint64, x *big.Int) {
+	if x.Sign() < 0 || x.Cmp(mod.nat) >= 0 {
+		x = new(big.Int).Mod(x, mod.nat)
+	}
+	load(z, x)
+	mod.mul(z, z, mod.r2[:mod.w])
+}
+
+// fromMont leaves the Montgomery domain (a multiplication by plain 1
+// strips the R factor) and returns the residue. z is overwritten.
+func (mod *Modulus) fromMont(z []uint64) *big.Int {
+	var plain1 [maxWords]uint64
+	plain1[0] = 1
+	mod.mul(z, z, plain1[:mod.w])
 	out := make([]big.Word, mod.w)
-	for i := 0; i < mod.w; i++ {
-		out[i] = big.Word(z[i])
+	for i, wd := range z {
+		out[i] = big.Word(wd)
 	}
 	return new(big.Int).SetBits(out)
-}
-
-// mul sets z = x*y*R^{-1} mod m (the Montgomery product). Inputs must be
-// < m; the output is < m. z may alias x and/or y: the product
-// accumulates in locals and z is written only at the end.
-func (mod *Modulus) mul(z, x, y *[maxWords]uint64) {
-	mod.mul4(z, x, y)
-}
-
-// mul4 is the 4-word CIOS kernel. Each outer iteration folds in one word
-// of y and immediately Montgomery-reduces one word, keeping the
-// accumulator at 4 words + 1 bit (t4); the 128-bit column sums
-// x[j]*yi + t[j] + carry and q*m[j] + t[j] + carry cannot overflow, so
-// plain hi+carry adds are exact.
-func (mod *Modulus) mul4(z, x, y *[maxWords]uint64) {
-	m0, m1, m2, m3 := mod.m[0], mod.m[1], mod.m[2], mod.m[3]
-	x0, x1, x2, x3 := x[0], x[1], x[2], x[3]
-	inv := mod.n0inv
-	var t0, t1, t2, t3, t4 uint64
-	for i := 0; i < 4; i++ {
-		yi := y[i]
-		var c, cc uint64
-		hi, lo := bits.Mul64(x0, yi)
-		t0, cc = bits.Add64(t0, lo, 0)
-		c = hi + cc
-		hi, lo = bits.Mul64(x1, yi)
-		lo, cc = bits.Add64(lo, c, 0)
-		hi += cc
-		t1, cc = bits.Add64(t1, lo, 0)
-		c = hi + cc
-		hi, lo = bits.Mul64(x2, yi)
-		lo, cc = bits.Add64(lo, c, 0)
-		hi += cc
-		t2, cc = bits.Add64(t2, lo, 0)
-		c = hi + cc
-		hi, lo = bits.Mul64(x3, yi)
-		lo, cc = bits.Add64(lo, c, 0)
-		hi += cc
-		t3, cc = bits.Add64(t3, lo, 0)
-		c = hi + cc
-		t4, cc = bits.Add64(t4, c, 0)
-		t5 := cc
-
-		q := t0 * inv
-		hi, lo = bits.Mul64(q, m0)
-		_, cc = bits.Add64(lo, t0, 0)
-		c = hi + cc
-		hi, lo = bits.Mul64(q, m1)
-		lo, cc = bits.Add64(lo, c, 0)
-		hi += cc
-		t0, cc = bits.Add64(t1, lo, 0)
-		c = hi + cc
-		hi, lo = bits.Mul64(q, m2)
-		lo, cc = bits.Add64(lo, c, 0)
-		hi += cc
-		t1, cc = bits.Add64(t2, lo, 0)
-		c = hi + cc
-		hi, lo = bits.Mul64(q, m3)
-		lo, cc = bits.Add64(lo, c, 0)
-		hi += cc
-		t2, cc = bits.Add64(t3, lo, 0)
-		c = hi + cc
-		t3, cc = bits.Add64(t4, c, 0)
-		t4 = t5 + cc
-	}
-	r0, b := bits.Sub64(t0, m0, 0)
-	r1, b := bits.Sub64(t1, m1, b)
-	r2, b := bits.Sub64(t2, m2, b)
-	r3, b := bits.Sub64(t3, m3, b)
-	if t4 != 0 || b == 0 {
-		z[0], z[1], z[2], z[3] = r0, r1, r2, r3
-	} else {
-		z[0], z[1], z[2], z[3] = t0, t1, t2, t3
-	}
 }

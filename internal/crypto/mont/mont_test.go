@@ -20,143 +20,280 @@ func randBelow(rng *rand.Rand, m *big.Int) *big.Int {
 	return new(big.Int).Rand(rng, m)
 }
 
-// TestExpMatchesBigInt cross-checks Exp against big.Int.Exp on random
-// inputs across the supported width range, including exponents much
-// longer and much shorter than the modulus.
-func TestExpMatchesBigInt(t *testing.T) {
+func randBits(rng *rand.Rand, n int) *big.Int {
+	return new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(n)))
+}
+
+// checkAll compares the engine's three ways of raising x^e (and, with a
+// second pair, x^e·y^f) against math/big. It is the one oracle behind the
+// property test, the edge cases and the fuzz target.
+func checkAll(t *testing.T, mod *Modulus, x, e, y, f *big.Int) {
+	t.Helper()
+	m := mod.nat
+	want := new(big.Int).Exp(x, e, m)
+	if got := mod.Exp(x, e); !same(got, want) {
+		t.Fatalf("m=%v: Exp(%v, %v) = %v, want %v", m, x, e, got, want)
+	}
+	for _, shape := range [][2]int{{256, TeethShort}, {256, TeethLong}, {512, TeethLong}, {100, 3}, {4096, 7}} {
+		expBits, teeth := shape[0], shape[1]
+		tab := mod.NewTable(x, expBits, teeth)
+		// Twice: the first call builds the comb, the second reads it.
+		for pass := 0; pass < 2; pass++ {
+			if got := tab.Exp(e); !same(got, want) {
+				t.Fatalf("m=%v expBits=%d teeth=%d pass=%d: Table(%v).Exp(%v) = %v, want %v", m, expBits, teeth, pass, x, e, got, want)
+			}
+		}
+	}
+	var prod *big.Int
+	if yf := new(big.Int).Exp(y, f, m); want != nil && yf != nil {
+		prod = yf.Mul(yf, want)
+		prod.Mod(prod, m)
+	}
+	if got := mod.MulExp([]*big.Int{x, y}, []*big.Int{e, f}); !same(got, prod) {
+		t.Fatalf("m=%v: MulExp(%v^%v, %v^%v) = %v, want %v", m, x, e, y, f, got, prod)
+	}
+}
+
+// same treats two nils (no inverse, as big.Int.Exp reports it) as equal.
+func same(a, b *big.Int) bool {
+	if a == nil || b == nil {
+		return a == nil && b == nil
+	}
+	return a.Cmp(b) == 0
+}
+
+// testWidths covers both kernels at and below the top of their word
+// range, and one width with no kernel (math/big behind the same calls).
+var testWidths = []int{200, 225, 256, 450, 512, 320}
+
+// TestMatchesBigInt cross-checks Exp, Table.Exp and MulExp against
+// big.Int on random inputs, including exponents much longer and much
+// shorter than the comb span.
+func TestMatchesBigInt(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	// 4-word moduli, at and below the top of the word range.
-	for _, bitLen := range []int{200, 225, 256} {
+	for _, bitLen := range testWidths {
 		m := randOdd(rng, bitLen)
 		mod := NewModulus(m)
-		if mod == nil {
-			t.Fatalf("NewModulus rejected odd %d-bit modulus", bitLen)
+		if wantW := map[int]int{4: 4, 8: 8}[len(m.Bits())]; mod.w != wantW {
+			t.Fatalf("%d-bit modulus: kernel width %d, want %d", bitLen, mod.w, wantW)
 		}
-		for _, ebits := range []int{1, 8, 64, bitLen, 2 * bitLen} {
-			for trial := 0; trial < 10; trial++ {
-				x := randBelow(rng, m)
-				e := new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(ebits)))
-				want := new(big.Int).Exp(x, e, m)
-				got := mod.Exp(x, e)
-				if got.Cmp(want) != 0 {
-					t.Fatalf("bits=%d ebits=%d: Exp(%v, %v) = %v, want %v", bitLen, ebits, x, e, got, want)
-				}
+		for _, ebits := range []int{1, 8, 64, 255, 256, 257, 2 * bitLen} {
+			for trial := 0; trial < 6; trial++ {
+				checkAll(t, mod, randBelow(rng, m), randBits(rng, ebits), randBelow(rng, m), randBits(rng, 256))
 			}
 		}
 	}
 }
 
-func TestExpEdgeCases(t *testing.T) {
+func TestEdgeCases(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	m := randOdd(rng, 256)
-	mod := NewModulus(m)
-	mm1 := new(big.Int).Sub(m, big.NewInt(1))
-	big65537 := big.NewInt(65537)
-	cases := []struct{ x, e *big.Int }{
-		{big.NewInt(0), big.NewInt(0)},
-		{big.NewInt(0), big.NewInt(5)},
-		{big.NewInt(1), big.NewInt(0)},
-		{big.NewInt(1), mm1},
-		{mm1, big.NewInt(1)},
-		{mm1, big.NewInt(2)},
-		{mm1, mm1},
-		{big.NewInt(2), big65537},
-		{new(big.Int).Add(m, big.NewInt(7)), big.NewInt(3)}, // x >= m: reduced first
-		{new(big.Int).Neg(big.NewInt(3)), big.NewInt(3)},    // x < 0: reduced first
-		{new(big.Int).Set(m), big.NewInt(9)},                // x == m
-		{big.NewInt(7), new(big.Int).Neg(big.NewInt(3))},    // e < 0: big.Int fallback
-		{big.NewInt(3), new(big.Int).Lsh(mm1, 512)},         // huge exponent
-	}
-	for _, tc := range cases {
-		want := new(big.Int).Exp(tc.x, tc.e, m)
-		got := mod.Exp(tc.x, tc.e)
-		if got.Cmp(want) != 0 {
-			t.Errorf("Exp(%v, %v) = %v, want %v", tc.x, tc.e, got, want)
+	for _, bitLen := range []int{256, 512, 320} {
+		m := randOdd(rng, bitLen)
+		mod := NewModulus(m)
+		mm1 := new(big.Int).Sub(m, big.NewInt(1))
+		all256 := new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), 256), big.NewInt(1))
+		bases := []*big.Int{
+			big.NewInt(0), big.NewInt(1), big.NewInt(2), mm1,
+			new(big.Int).Set(m),                     // x == m: reduced first
+			new(big.Int).Add(m, big.NewInt(7)),      // x > m
+			new(big.Int).Neg(big.NewInt(3)),         // x < 0
+			new(big.Int).Lsh(big.NewInt(1), 64*9+1), // wider than any kernel
 		}
-	}
-}
-
-func TestNewModulusRejects(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	if NewModulus(nil) != nil {
-		t.Error("accepted nil")
-	}
-	if NewModulus(big.NewInt(0)) != nil {
-		t.Error("accepted zero")
-	}
-	if NewModulus(big.NewInt(-7)) != nil {
-		t.Error("accepted negative")
-	}
-	if NewModulus(big.NewInt(10)) != nil {
-		t.Error("accepted even")
-	}
-	if NewModulus(big.NewInt(1)) != nil {
-		t.Error("accepted one")
-	}
-	if NewModulus(randOdd(rng, 64*maxWords+1)) != nil {
-		t.Error("accepted modulus wider than maxWords")
-	}
-	if NewModulus(randOdd(rng, 320)) != nil {
-		t.Error("accepted 5-word modulus (no kernel)")
-	}
-	if NewModulus(randOdd(rng, 512)) != nil {
-		t.Error("accepted 8-word modulus (no kernel)")
-	}
-	if NewModulus(randOdd(rng, 64*maxWords)) == nil {
-		t.Error("rejected modulus at exactly maxWords")
-	}
-}
-
-// TestExpConcurrent exercises one Modulus from several goroutines under
-// the race detector: Exp must share no mutable state across calls.
-func TestExpConcurrent(t *testing.T) {
-	m := randOdd(rand.New(rand.NewSource(4)), 256)
-	mod := NewModulus(m)
-	done := make(chan error, 4)
-	for g := 0; g < 4; g++ {
-		go func(seed int64) {
-			rng := rand.New(rand.NewSource(seed))
-			for i := 0; i < 50; i++ {
-				x := randBelow(rng, m)
-				e := randBelow(rng, m)
-				want := new(big.Int).Exp(x, e, m)
-				if got := mod.Exp(x, e); got.Cmp(want) != 0 {
-					done <- errGot
-					return
-				}
+		exps := []*big.Int{
+			big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(65537), mm1,
+			all256,                                  // fills the comb span exactly
+			new(big.Int).Add(all256, big.NewInt(1)), // one bit past it
+			new(big.Int).Lsh(mm1, 512),              // far past it
+			big.NewInt(-1), big.NewInt(-3),          // inverse: math/big answers
+		}
+		for _, x := range bases {
+			for _, e := range exps {
+				checkAll(t, mod, x, e, mm1, big.NewInt(3))
+				checkAll(t, mod, big.NewInt(5), all256, x, e)
 			}
-			done <- nil
-		}(int64(g))
-	}
-	for g := 0; g < 4; g++ {
-		if err := <-done; err != nil {
-			t.Fatal(err)
 		}
 	}
 }
 
-var errGot = errMismatch{}
+// TestMulExpManyBases takes the heap path (more than two bases) and the
+// degenerate shapes.
+func TestMulExpManyBases(t *testing.T) {
+	rng := rand.New(rand.NewSource(6))
+	for _, bitLen := range []int{256, 512, 320} {
+		m := randOdd(rng, bitLen)
+		mod := NewModulus(m)
+		for k := 0; k <= 5; k++ {
+			bases := make([]*big.Int, k)
+			exps := make([]*big.Int, k)
+			want := big.NewInt(1)
+			for i := range bases {
+				bases[i], exps[i] = randBelow(rng, m), randBits(rng, 100+60*i)
+				want.Mul(want, new(big.Int).Exp(bases[i], exps[i], m))
+				want.Mod(want, m)
+			}
+			if got := mod.MulExp(bases, exps); got.Cmp(want) != 0 {
+				t.Fatalf("%d bits, %d bases: got %v want %v", bitLen, k, got, want)
+			}
+		}
+	}
+}
 
-type errMismatch struct{}
+func TestNewModulusKernels(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range []*big.Int{nil, big.NewInt(0), big.NewInt(-7)} {
+		if NewModulus(m) != nil {
+			t.Errorf("accepted %v", m)
+		}
+	}
+	for _, tc := range []struct {
+		m *big.Int
+		w int
+	}{
+		{big.NewInt(10), 0},
+		{big.NewInt(1), 0},
+		{randOdd(rng, 320), 0},
+		{randOdd(rng, 64*maxWords+1), 0},
+		{new(big.Int).Lsh(big.NewInt(1), 255), 0}, // 4 words, even
+		{randOdd(rng, 193), 4},
+		{randOdd(rng, 256), 4},
+		{randOdd(rng, 449), 8},
+		{randOdd(rng, 512), 8},
+	} {
+		mod := NewModulus(tc.m)
+		if mod == nil || mod.w != tc.w {
+			t.Errorf("%d-bit modulus %v: got %+v, want kernel width %d", tc.m.BitLen(), tc.m, mod, tc.w)
+		}
+	}
+	// No kernel still answers, even mod an even number.
+	ten := NewModulus(big.NewInt(10))
+	if got := ten.Exp(big.NewInt(7), big.NewInt(3)); got.Int64() != 3 {
+		t.Errorf("7^3 mod 10 = %v", got)
+	}
+	if got := ten.NewTable(big.NewInt(7), 8, TeethShort).Exp(big.NewInt(3)); got.Int64() != 3 {
+		t.Errorf("table 7^3 mod 10 = %v", got)
+	}
+}
 
-func (errMismatch) Error() string { return "mont: result mismatch under concurrency" }
+// TestConcurrent shares one Modulus and one Table, built lazily under
+// contention, between goroutines under the race detector.
+func TestConcurrent(t *testing.T) {
+	for _, bitLen := range []int{256, 512} {
+		rng := rand.New(rand.NewSource(4))
+		m := randOdd(rng, bitLen)
+		mod := NewModulus(m)
+		base := randBelow(rng, m)
+		tab := mod.NewTable(base, 256, TeethLong)
+		done := make(chan bool, 4)
+		for g := 0; g < 4; g++ {
+			go func(seed int64) {
+				rng := rand.New(rand.NewSource(seed))
+				ok := true
+				for i := 0; i < 30 && ok; i++ {
+					x, e := randBelow(rng, m), randBits(rng, 256)
+					ok = mod.Exp(x, e).Cmp(new(big.Int).Exp(x, e, m)) == 0 &&
+						tab.Exp(e).Cmp(new(big.Int).Exp(base, e, m)) == 0
+				}
+				done <- ok
+			}(int64(g))
+		}
+		for g := 0; g < 4; g++ {
+			if !<-done {
+				t.Fatalf("%d bits: result mismatch under concurrency", bitLen)
+			}
+		}
+	}
+}
+
+// FuzzExpMatchesBig feeds arbitrary moduli, bases and exponents to every
+// engine entry point and compares with math/big.
+func FuzzExpMatchesBig(f *testing.F) {
+	rng := rand.New(rand.NewSource(7))
+	for _, bitLen := range []int{256, 512, 320} {
+		f.Add(randOdd(rng, bitLen).Bytes(), randBits(rng, bitLen).Bytes(), randBits(rng, 256).Bytes(),
+			randBits(rng, bitLen).Bytes(), randBits(rng, 300).Bytes(), false)
+	}
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff}, []byte{0}, []byte{}, []byte{1}, []byte{1}, true)
+	f.Fuzz(func(t *testing.T, mb, xb, eb, yb, fb []byte, neg bool) {
+		if len(mb) > 80 || len(eb) > 160 || len(fb) > 160 {
+			return // keep one execution in the microseconds
+		}
+		m := new(big.Int).SetBytes(mb)
+		// Stretch short inputs onto the kernel widths: most mutations
+		// would otherwise test only the math/big path.
+		if n := m.BitLen(); n > 64 && n < 193 {
+			m.Lsh(m, uint(256-n)).SetBit(m, 0, 1)
+		}
+		mod := NewModulus(m)
+		if mod == nil {
+			return
+		}
+		x, e := new(big.Int).SetBytes(xb), new(big.Int).SetBytes(eb)
+		y, fe := new(big.Int).SetBytes(yb), new(big.Int).SetBytes(fb)
+		if neg {
+			x.Neg(x)
+			fe.Neg(fe)
+		}
+		checkAll(t, mod, x, e, y, fe)
+	})
+}
+
+func benchSetup(bitLen int) (mod *Modulus, m, x, y, e, f *big.Int) {
+	rng := rand.New(rand.NewSource(5))
+	m = randOdd(rng, bitLen)
+	return NewModulus(m), m, randBelow(rng, m), randBelow(rng, m), randBits(rng, 256), randBits(rng, 256)
+}
+
+var sink *big.Int
 
 func benchExp(b *testing.B, bitLen int, useMont bool) {
-	rng := rand.New(rand.NewSource(5))
-	m := randOdd(rng, bitLen)
-	mod := NewModulus(m)
-	x := randBelow(rng, m)
-	e := randBelow(rng, m)
+	mod, m, x, _, e, _ := benchSetup(bitLen)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if useMont {
-			mod.Exp(x, e)
+			sink = mod.Exp(x, e)
 		} else {
-			new(big.Int).Exp(x, e, m)
+			sink = new(big.Int).Exp(x, e, m)
 		}
 	}
 }
 
 func BenchmarkExp256Mont(b *testing.B)   { benchExp(b, 256, true) }
 func BenchmarkExp256BigInt(b *testing.B) { benchExp(b, 256, false) }
+func BenchmarkExp512Mont(b *testing.B)   { benchExp(b, 512, true) }
+func BenchmarkExp512BigInt(b *testing.B) { benchExp(b, 512, false) }
+
+// BenchmarkExp512Table is one power through a built comb: 64
+// multiplications at 8 teeth against Exp512Mont's ≈ 335.
+func BenchmarkExp512Table(b *testing.B) {
+	mod, _, x, _, e, _ := benchSetup(512)
+	tab := mod.NewTable(x, 256, TeethLong)
+	tab.Exp(e)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = tab.Exp(e)
+	}
+}
+
+// BenchmarkExp512TableBuild is what a fresh base pays before its first
+// power, at the size used for per-ciphertext and per-message bases.
+func BenchmarkExp512TableBuild(b *testing.B) {
+	mod, _, x, _, e, _ := benchSetup(512)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink = mod.NewTable(x, 256, TeethShort).Exp(e)
+	}
+}
+
+// BenchmarkExp512MulExp is x^e·y^f on one squaring chain; compare with
+// two BenchmarkExp512Mont.
+func BenchmarkExp512MulExp(b *testing.B) {
+	mod, _, x, y, e, f := benchSetup(512)
+	bases, exps := []*big.Int{x, y}, []*big.Int{e, f}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sink = mod.MulExp(bases, exps)
+	}
+}

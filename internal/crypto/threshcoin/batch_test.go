@@ -4,6 +4,8 @@ import (
 	"math/big"
 	"math/rand"
 	"testing"
+
+	"repro/internal/crypto/mont"
 )
 
 // TestVerifySharesMatchesPerShare pins the batch contract against an
@@ -91,7 +93,8 @@ func BenchmarkVerifySharesBatch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pk.cc = &tcCache{
-			bases:    make(map[string]*big.Int),
+			vks:      key.Public.cc.vks,
+			bases:    make(map[string]*mont.Table),
 			verified: make(map[[32]byte]error),
 		}
 		for j, err := range pk.VerifyShares(name, shares) {

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/crypto/dleq"
 	"repro/internal/crypto/group"
+	"repro/internal/crypto/mont"
 	"repro/internal/crypto/shamir"
 )
 
@@ -33,17 +34,21 @@ type PublicKey struct {
 	K     int        // shares needed
 	L     int        // total parties
 
-	// cc is attached by Deal: memoized per-coin base elements and
-	// share-verification verdicts. Both are pure functions of public
-	// inputs, so hits are exact; keys built without Deal run the slow
-	// path. Guarded: dealt keys are shared across concurrent simulations.
+	// cc is attached by Deal: the comb tables of the verification keys,
+	// memoized per-coin base elements (with their combs) and
+	// share-verification verdicts. All are pure functions of public
+	// inputs, so hits are exact; keys built without Deal run the same
+	// code on throwaway tables. Guarded: dealt keys are shared across
+	// concurrent simulations.
 	cc *tcCache
 }
 
 type tcCache struct {
+	vks []*mont.Table // combs of the VKs, each built on its first verification
+
 	mu       sync.Mutex
-	bases    map[string]*big.Int // coin name -> HashToGroup base
-	verified map[[32]byte]error  // (name, share) -> verdict
+	bases    map[string]*mont.Table // coin name -> HashToGroup base
+	verified map[[32]byte]error     // (name, share) -> verdict
 }
 
 // cacheCap bounds each memo map; overflow clears the map (a safety
@@ -85,25 +90,39 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 		priv[i] = PrivateShare{Index: sh.X, S: sh.Y}
 		vks[i] = g.ExpG(sh.Y)
 	}
+	cc := &tcCache{
+		vks:      make([]*mont.Table, l),
+		bases:    make(map[string]*mont.Table),
+		verified: make(map[[32]byte]error),
+	}
+	for i, vk := range vks {
+		cc.vks[i] = g.Table(vk, mont.TeethLong)
+	}
 	return &Key{
-		Public: PublicKey{
-			Group: g, VK: g.ExpG(s), VKs: vks, K: k, L: l,
-			cc: &tcCache{
-				bases:    make(map[string]*big.Int),
-				verified: make(map[[32]byte]error),
-			},
-		},
+		Public: PublicKey{Group: g, VK: g.ExpG(s), VKs: vks, K: k, L: l, cc: cc},
 		Shares: priv,
 	}, nil
 }
 
-// base returns the per-coin base element ĥ = HashToGroup(name), memoized:
-// every party derives the same base for the same coin (one share + up to
-// l verifications + one combine per node), and the hash-to-group cofactor
-// exponentiation is the dominant cost.
-func (pk *PublicKey) base(name []byte) *big.Int {
+// vkTable returns the comb of party index's verification key.
+func (pk *PublicKey) vkTable(index int) *mont.Table {
 	if pk.cc == nil {
-		return pk.Group.HashToGroup("threshcoin-base", name)
+		return pk.Group.Table(pk.VKs[index-1], mont.TeethShort)
+	}
+	return pk.cc.vks[index-1]
+}
+
+// base returns the per-coin base element ĥ = HashToGroup(name) as a comb
+// table, memoized: every party derives the same base for the same coin
+// and raises it to its share and its proof nonce, every share's
+// verification raises it once more, and the hash-to-group cofactor
+// exponentiation costs as much as any of those powers.
+func (pk *PublicKey) base(name []byte) *mont.Table {
+	derive := func() *mont.Table {
+		return pk.Group.Table(pk.Group.HashToGroup("threshcoin-base", name), mont.TeethShort)
+	}
+	if pk.cc == nil {
+		return derive()
 	}
 	pk.cc.mu.Lock()
 	h := pk.cc.bases[string(name)]
@@ -111,7 +130,7 @@ func (pk *PublicKey) base(name []byte) *big.Int {
 	if h != nil {
 		return h
 	}
-	h = pk.Group.HashToGroup("threshcoin-base", name)
+	h = derive()
 	pk.cc.mu.Lock()
 	if len(pk.cc.bases) >= cacheCap {
 		clear(pk.cc.bases)
@@ -124,8 +143,8 @@ func (pk *PublicKey) base(name []byte) *big.Int {
 // Share produces party i's share of the coin identified by name.
 func (pk *PublicKey) Share(priv PrivateShare, name []byte, rand io.Reader) (*CoinShare, error) {
 	h := pk.base(name)
-	sigma := pk.Group.Exp(h, priv.S)
-	proof, err := dleq.Prove(pk.Group, pk.Group.G, h, pk.VKs[priv.Index-1], sigma, priv.S, rand)
+	sigma := h.Exp(priv.S)
+	proof, err := dleq.Prove(pk.Group, pk.Group.GTable(), h, pk.VKs[priv.Index-1], sigma, priv.S, rand)
 	if err != nil {
 		return nil, fmt.Errorf("threshcoin: proving share: %w", err)
 	}
@@ -142,8 +161,11 @@ func (pk *PublicKey) VerifyShare(name []byte, sh *CoinShare) error {
 	if sh.Sigma == nil || sh.Proof == nil || sh.Proof.C == nil || sh.Proof.Z == nil {
 		return errors.New("threshcoin: missing share material")
 	}
+	verify := func() error {
+		return dleq.Verify(pk.Group, pk.Group.GTable(), pk.base(name), pk.vkTable(sh.Index), sh.Sigma, sh.Proof)
+	}
 	if pk.cc == nil {
-		return dleq.Verify(pk.Group, pk.Group.G, pk.base(name), pk.VKs[sh.Index-1], sh.Sigma, sh.Proof)
+		return verify()
 	}
 	key := shareKey(name, sh)
 	pk.cc.mu.Lock()
@@ -152,7 +174,7 @@ func (pk *PublicKey) VerifyShare(name []byte, sh *CoinShare) error {
 	if hit {
 		return verdict
 	}
-	err := dleq.Verify(pk.Group, pk.Group.G, pk.base(name), pk.VKs[sh.Index-1], sh.Sigma, sh.Proof)
+	err := verify()
 	pk.cc.mu.Lock()
 	if len(pk.cc.verified) >= cacheCap {
 		clear(pk.cc.verified)
@@ -218,10 +240,11 @@ func (pk *PublicKey) Combine(name []byte, shares []*CoinShare) ([32]byte, error)
 		pts[i] = shamir.Share{X: sh.Index}
 	}
 	lams := shamir.LagrangeSet(pts, pk.Group.Q)
-	sigma := big.NewInt(1)
+	sigmas := make([]*big.Int, pk.K)
 	for i, sh := range use {
-		sigma = pk.Group.Mul(sigma, pk.Group.Exp(sh.Sigma, lams[i]))
+		sigmas[i] = sh.Sigma
 	}
+	sigma := pk.Group.MulExp(sigmas, lams)
 	d := sha256.New()
 	d.Write([]byte("threshcoin-out"))
 	d.Write(name)

@@ -22,6 +22,7 @@ import (
 
 	"repro/internal/crypto/dleq"
 	"repro/internal/crypto/group"
+	"repro/internal/crypto/mont"
 	"repro/internal/crypto/shamir"
 )
 
@@ -33,16 +34,31 @@ type PublicKey struct {
 	K     int
 	L     int
 
-	// cc is attached by Deal: memoized decryption-share verdicts. Every
-	// party verifies every other party's share of each ciphertext, and
-	// the verdict is a pure function of public inputs, so hits are exact.
+	// cc is attached by Deal: the comb tables of the key's fixed bases
+	// and of each ciphertext's C1, and memoized decryption-share
+	// verdicts. Every party verifies every other party's share of each
+	// ciphertext, and a verdict — like a power — is a pure function of
+	// public inputs, so hits are exact; keys built without Deal run
+	// the same code on throwaway tables. Guarded: dealt keys are shared
+	// across concurrent simulations.
 	cc *teCache
 }
 
 type teCache struct {
+	h   *mont.Table   // comb of H, built on the first Encrypt
+	vks []*mont.Table // combs of the VKs, each built on its first verification
+
 	mu       sync.Mutex
 	verified map[[32]byte]error
+	// c1s holds the comb of each live ciphertext's C1, keyed by Tag: one
+	// C1 is raised to about twelve exponents (every party's share and
+	// proof nonce, every share's verification).
+	c1s map[[32]byte]*mont.Table
 }
+
+// cacheCap bounds each memo map; overflow clears the map (a safety
+// valve — a sweep cell's working set is far smaller).
+const cacheCap = 4096
 
 // PrivateShare is party i's decryption key share.
 type PrivateShare struct {
@@ -86,13 +102,53 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 		priv[i] = PrivateShare{Index: sh.X, Z: sh.Y}
 		vks[i] = g.ExpG(sh.Y)
 	}
-	return &Key{
-		Public: PublicKey{
-			Group: g, H: g.ExpG(z), VKs: vks, K: k, L: l,
-			cc: &teCache{verified: make(map[[32]byte]error)},
-		},
-		Shares: priv,
-	}, nil
+	pk := PublicKey{Group: g, H: g.ExpG(z), VKs: vks, K: k, L: l}
+	pk.cc = &teCache{
+		h:        g.Table(pk.H, mont.TeethLong),
+		vks:      make([]*mont.Table, l),
+		verified: make(map[[32]byte]error),
+		c1s:      make(map[[32]byte]*mont.Table),
+	}
+	for i, vk := range vks {
+		pk.cc.vks[i] = g.Table(vk, mont.TeethLong)
+	}
+	return &Key{Public: pk, Shares: priv}, nil
+}
+
+// hTable returns the comb of H.
+func (pk *PublicKey) hTable() *mont.Table {
+	if pk.cc == nil {
+		return pk.Group.Table(pk.H, mont.TeethShort)
+	}
+	return pk.cc.h
+}
+
+// vkTable returns the comb of party index's verification key.
+func (pk *PublicKey) vkTable(index int) *mont.Table {
+	if pk.cc == nil {
+		return pk.Group.Table(pk.VKs[index-1], mont.TeethShort)
+	}
+	return pk.cc.vks[index-1]
+}
+
+// c1Table returns the comb of ct.C1, shared by everyone who touches ct.
+// The caller has checked the tag, which binds C1, so the tag is the key.
+// Safe under concurrent misses: one table wins.
+func (pk *PublicKey) c1Table(ct *Ciphertext) *mont.Table {
+	if pk.cc == nil {
+		return pk.Group.Table(ct.C1, mont.TeethShort)
+	}
+	pk.cc.mu.Lock()
+	defer pk.cc.mu.Unlock()
+	t := pk.cc.c1s[ct.Tag]
+	if t == nil {
+		if len(pk.cc.c1s) >= cacheCap {
+			clear(pk.cc.c1s)
+		}
+		t = pk.Group.Table(ct.C1, mont.TeethShort)
+		pk.cc.c1s[ct.Tag] = t
+	}
+	return t
 }
 
 // Encrypt produces a ciphertext decryptable by any k parties.
@@ -102,7 +158,7 @@ func (pk *PublicKey) Encrypt(plaintext []byte, rand io.Reader) (*Ciphertext, err
 		return nil, fmt.Errorf("threshenc: sampling nonce: %w", err)
 	}
 	c1 := pk.Group.ExpG(r)
-	seed := kdf(pk.Group.Exp(pk.H, r))
+	seed := kdf(pk.hTable().Exp(r))
 	body := make([]byte, len(plaintext))
 	xorStream(seed, plaintext, body)
 	ct := &Ciphertext{C1: c1, Body: body}
@@ -115,8 +171,9 @@ func (pk *PublicKey) DecryptShare(priv PrivateShare, ct *Ciphertext, rand io.Rea
 	if err := checkCiphertext(ct); err != nil {
 		return nil, err
 	}
-	d := pk.Group.Exp(ct.C1, priv.Z)
-	proof, err := dleq.Prove(pk.Group, pk.Group.G, ct.C1, pk.VKs[priv.Index-1], d, priv.Z, rand)
+	c1 := pk.c1Table(ct)
+	d := c1.Exp(priv.Z)
+	proof, err := dleq.Prove(pk.Group, pk.Group.GTable(), c1, pk.VKs[priv.Index-1], d, priv.Z, rand)
 	if err != nil {
 		return nil, fmt.Errorf("threshenc: proving share: %w", err)
 	}
@@ -138,8 +195,11 @@ func (pk *PublicKey) VerifyShare(ct *Ciphertext, sh *DecShare) error {
 	if err := checkCiphertext(ct); err != nil {
 		return err
 	}
+	verify := func() error {
+		return dleq.Verify(pk.Group, pk.Group.GTable(), pk.c1Table(ct), pk.vkTable(sh.Index), sh.D, sh.Proof)
+	}
 	if pk.cc == nil {
-		return dleq.Verify(pk.Group, pk.Group.G, ct.C1, pk.VKs[sh.Index-1], sh.D, sh.Proof)
+		return verify()
 	}
 	key := decShareKey(ct, sh)
 	pk.cc.mu.Lock()
@@ -148,9 +208,9 @@ func (pk *PublicKey) VerifyShare(ct *Ciphertext, sh *DecShare) error {
 	if hit {
 		return verdict
 	}
-	err := dleq.Verify(pk.Group, pk.Group.G, ct.C1, pk.VKs[sh.Index-1], sh.D, sh.Proof)
+	err := verify()
 	pk.cc.mu.Lock()
-	if len(pk.cc.verified) >= 4096 {
+	if len(pk.cc.verified) >= cacheCap {
 		clear(pk.cc.verified)
 	}
 	pk.cc.verified[key] = err
@@ -216,10 +276,11 @@ func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error)
 		pts[i] = shamir.Share{X: sh.Index}
 	}
 	lams := shamir.LagrangeSet(pts, pk.Group.Q)
-	hr := big.NewInt(1)
+	ds := make([]*big.Int, pk.K)
 	for i, sh := range use {
-		hr = pk.Group.Mul(hr, pk.Group.Exp(sh.D, lams[i]))
+		ds[i] = sh.D
 	}
+	hr := pk.Group.MulExp(ds, lams)
 	out := make([]byte, len(ct.Body))
 	xorStream(kdf(hr), ct.Body, out)
 	return out, nil

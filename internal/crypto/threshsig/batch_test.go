@@ -3,7 +3,10 @@ package threshsig
 import (
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"repro/internal/crypto/mont"
 )
 
 // slowKey returns a copy of the public key with the memo cache and CRT
@@ -42,6 +45,47 @@ func badShareMatrix(t testing.TB, key *Key, msg []byte) []*SigShare {
 		{Index: key.Public.L + 1, X: sh.X, C: sh.C, Z: sh.Z},                          // index overflow
 		nil, // nil share
 		honest[2],
+		{Index: sh.Index, X: fixP(t), C: sh.C, Z: sh.Z},                              // shares a factor with N
+		{Index: sh.Index, X: fixP(t), C: big.NewInt(0), Z: sh.Z},                     // same, nothing to invert
+		{Index: sh.Index, X: sh.X, C: new(big.Int).Neg(sh.C), Z: sh.Z},               // negative challenge
+		{Index: sh.Index, X: sh.X, C: sh.C, Z: new(big.Int).Neg(sh.Z)},               // negative response
+		{Index: sh.Index, X: sh.X, C: sh.C, Z: new(big.Int).Lsh(sh.Z, 600)},          // response far past the comb
+		{Index: sh.Index, X: sh.X, C: new(big.Int).Lsh(sh.C, 300), Z: sh.Z},          // oversized challenge
+		{Index: sh.Index, X: new(big.Int).Sub(key.Public.N, sh.X), C: sh.C, Z: sh.Z}, // -x_i: same square
+	}
+}
+
+func fixP(t testing.TB) *big.Int {
+	t.Helper()
+	fix, err := FixtureByName("TS-512")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fix.P
+}
+
+// TestDegenerateShareNamed: a share that is not a unit mod N (here the
+// prime factor itself) is rejected for what it is, on the accelerated and
+// on the plain path, by VerifyShare and by Combine — not by the challenge
+// mismatch or failed final verification its garbage powers would cause
+// further on.
+func TestDegenerateShareNamed(t *testing.T) {
+	key := testKey(t, 2, 4)
+	msg := []byte("degenerate")
+	good, err := key.Public.Sign(key.Shares[0], msg, rand.New(rand.NewSource(51)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &SigShare{Index: 2, X: fixP(t), C: good.C, Z: good.Z}
+	for name, pk := range map[string]*PublicKey{"accel": &key.Public, "plain": slowKey(key.Public)} {
+		if err := pk.VerifyShare(msg, bad); err == nil || !strings.Contains(err.Error(), "degenerate") {
+			t.Errorf("%s: VerifyShare = %v, want a degenerate-share error", name, err)
+		}
+		for _, shares := range [][]*SigShare{{good, bad}, {bad, good}} {
+			if _, err := pk.Combine(msg, shares); err == nil || !strings.Contains(err.Error(), "non-invertible") {
+				t.Errorf("%s: Combine = %v, want a non-invertible-share error", name, err)
+			}
+		}
 	}
 }
 
@@ -86,7 +130,7 @@ func TestVerifierMatchesVerifyShare(t *testing.T) {
 }
 
 // TestAccelMatchesPlainExp pins the CRT accelerator against math/big across
-// edge exponents (0, 1, e >= p-1) and base values (0, 1, p, multiples of a
+// edge exponents (0, 1, e >= p-1, e < 0) and base values (0, 1, p, multiples of a
 // prime factor).
 func TestAccelMatchesPlainExp(t *testing.T) {
 	fix := Fixtures()[0]
@@ -106,12 +150,19 @@ func TestAccelMatchesPlainExp(t *testing.T) {
 		big.NewInt(0), big.NewInt(1), big.NewInt(2), big.NewInt(65537),
 		new(big.Int).Sub(fix.P, big.NewInt(1)), // p-1 exactly
 		new(big.Int).Mul(n, big.NewInt(3)),     // far beyond both p-1, q-1
+		big.NewInt(-1), big.NewInt(-65537),     // inverse powers: nil for a non-unit
+		new(big.Int).Neg(n),
 	}
 	for _, b := range bases {
-		for _, e := range exps {
-			want := new(big.Int).Exp(b, e, n)
-			if got := acc.exp(b, e); got.Cmp(want) != 0 {
-				t.Errorf("acc.exp(%v, %v) = %v, want %v", b, e, got, want)
+		// One-shot, and through combs of both sizes (built by the first
+		// exponent, read by the rest).
+		for _, cb := range []base{acc.split(b), acc.fixed(b, mont.TeethShort), acc.fixed(b, mont.TeethLong)} {
+			for _, e := range exps {
+				want := new(big.Int).Exp(b, e, n)
+				got := acc.exp(cb, e)
+				if (got == nil) != (want == nil) || (got != nil && got.Cmp(want) != 0) {
+					t.Errorf("acc.exp(%v, %v) = %v, want %v", b, e, got, want)
+				}
 			}
 		}
 	}

@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math/big"
 	"sync"
+
+	"repro/internal/crypto/mont"
 )
 
 // pkCache memoizes the deterministic intermediate values of a dealt key.
@@ -22,9 +24,10 @@ type pkCache struct {
 	// fixed per key, computed on first use.
 	delta      *big.Int
 	gcdA, gcdB *big.Int
-	// msgs: per-message context (x = H(msg), x4d = x^{4*delta}) shared by
-	// Sign, VerifyShare, Combine, and Verify. One message is touched by
-	// every party of the simulation, so the hit rate is ~(parties-1)/parties.
+	// msgs: per-message context (x = H(msg), x4d = x^{4*delta} and the
+	// comb of y = x^{2*delta}) shared by Sign, VerifyShare, Combine, and
+	// Verify. One message is touched by every party of the simulation, so
+	// the hit rate is ~(parties-1)/parties.
 	msgs map[[32]byte]*msgCtx
 	// verified: share-verification verdicts keyed by (msg, share). Each
 	// share is verified by every other party; the verdict is a pure
@@ -38,6 +41,53 @@ type pkCache struct {
 type msgCtx struct {
 	x   *big.Int // H(msg) in Z_N
 	x4d *big.Int // x^{4*delta} — the share-proof base
+	// y = x^{2*delta}, the one base every big power of the message is
+	// taken from: a share is x_i = y^{s_i}, and the proof commitments are
+	// x4d^w = y^{2w} and x4d^z = y^{2z} — about a dozen powers per message
+	// across its signers and verifiers.
+	y base
+}
+
+// oneShot prepares v for a single power.
+func (pk *PublicKey) oneShot(v *big.Int) base {
+	if pk.acc == nil {
+		return base{v: v}
+	}
+	return pk.acc.split(v)
+}
+
+// fixed prepares v for many powers (see accel.fixed).
+func (pk *PublicKey) fixed(v *big.Int, teeth int) base {
+	if pk.acc == nil {
+		return base{v: v}
+	}
+	return pk.acc.fixed(v, teeth)
+}
+
+// vBase and vkBase return the key's fixed bases V and VK_index.
+func (pk *PublicKey) vBase() base {
+	if pk.acc == nil {
+		return base{v: pk.V}
+	}
+	return pk.acc.v
+}
+
+func (pk *PublicKey) vkBase(index int) base {
+	if pk.acc == nil {
+		return base{v: pk.VKs[index-1]}
+	}
+	return pk.acc.vks[index-1]
+}
+
+// pow returns b^e mod N through the CRT accelerator when the key was
+// produced by Deal; hand-built keys fall back to plain modexp. Either
+// way a negative e is the inverse power, and the result is then nil when
+// b is not a unit mod N.
+func (pk *PublicKey) pow(b base, e *big.Int) *big.Int {
+	if b.xp != nil {
+		return pk.acc.exp(b, e)
+	}
+	return new(big.Int).Exp(b.v, e, pk.N)
 }
 
 // cacheCap bounds each memo map; on overflow the map is cleared (the
@@ -45,16 +95,8 @@ type msgCtx struct {
 // safety valve, not a tuning knob).
 const cacheCap = 4096
 
-// exp computes base^e mod N through the CRT accelerator when the key was
-// produced by Deal; hand-built keys fall back to plain modexp. Negative
-// exponents always take the slow path (none of the hot call sites use
-// them).
-func (pk *PublicKey) exp(base, e *big.Int) *big.Int {
-	if pk.acc != nil && e.Sign() >= 0 {
-		return pk.acc.exp(base, e)
-	}
-	return new(big.Int).Exp(base, e, pk.N)
-}
+// exp is pow for a base raised once.
+func (pk *PublicKey) exp(v, e *big.Int) *big.Int { return pk.pow(pk.oneShot(v), e) }
 
 // deltaL returns L! (cached when the key carries a cache).
 func (pk *PublicKey) deltaL() *big.Int {
@@ -73,10 +115,8 @@ func (pk *PublicKey) deltaL() *big.Int {
 // first use. Safe under concurrent misses: both goroutines compute the
 // same pure values and one result wins.
 func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
-	d := pk.deltaL()
 	if pk.cc == nil {
-		x := hashToModulus(pk.N, pk.Salt, msg)
-		return &msgCtx{x: x, x4d: pk.exp(x, new(big.Int).Lsh(d, 2))}
+		return pk.newCtx(msg)
 	}
 	key := sha256.Sum256(msg)
 	pk.cc.mu.Lock()
@@ -85,8 +125,7 @@ func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
 	if ctx != nil {
 		return ctx
 	}
-	x := hashToModulus(pk.N, pk.Salt, msg)
-	ctx = &msgCtx{x: x, x4d: pk.exp(x, new(big.Int).Lsh(d, 2))}
+	ctx = pk.newCtx(msg)
 	pk.cc.mu.Lock()
 	if prior := pk.cc.msgs[key]; prior != nil {
 		ctx = prior
@@ -98,6 +137,12 @@ func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
 	}
 	pk.cc.mu.Unlock()
 	return ctx
+}
+
+func (pk *PublicKey) newCtx(msg []byte) *msgCtx {
+	x := hashToModulus(pk.N, pk.Salt, msg)
+	y := pk.exp(x, new(big.Int).Lsh(pk.deltaL(), 1))
+	return &msgCtx{x: x, x4d: pk.exp(y, two), y: pk.fixed(y, mont.TeethShort)}
 }
 
 // combineExponents returns the cached Bezout pair (a, b) with

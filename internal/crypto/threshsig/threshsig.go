@@ -22,6 +22,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+
+	"repro/internal/crypto/mont"
 )
 
 var (
@@ -87,6 +89,7 @@ func Deal(name string, p, q *big.Int, k, l int, rand io.Reader) (*Key, error) {
 		return nil, fmt.Errorf("threshsig: invalid threshold %d of %d", k, l)
 	}
 	n := new(big.Int).Mul(p, q)
+	pk := PublicKey{Name: name, N: n, K: k, L: l, acc: newAccel(p, q)}
 	// m = p' * q' with p = 2p'+1, q = 2q'+1. With non-safe fixture primes
 	// this is still (p-1)(q-1)/4; interpolation uses the integer-delta
 	// trick, which needs no structure on m.
@@ -125,27 +128,29 @@ func Deal(name string, p, q *big.Int, k, l int, rand io.Reader) (*Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	v := new(big.Int).Exp(r, two, n)
-	vks := make([]*big.Int, l)
-	for i, sh := range shares {
-		vks[i] = new(big.Int).Exp(v, sh.S, n)
+	pk.E, pk.V = e, pk.exp(r, two)
+	if pk.acc != nil {
+		pk.acc.v = pk.acc.fixed(pk.V, mont.TeethLong)
+		pk.acc.vks = make([]base, l)
 	}
-	var salt [16]byte
-	if _, err := io.ReadFull(rand, salt[:]); err != nil {
+	pk.VKs = make([]*big.Int, l)
+	for i, sh := range shares {
+		// Through v's comb: the l powers here pay for it, and the run's
+		// first signature share finds it built.
+		pk.VKs[i] = pk.pow(pk.vBase(), sh.S)
+		if pk.acc != nil {
+			pk.acc.vks[i] = pk.acc.fixed(pk.VKs[i], mont.TeethLong)
+		}
+	}
+	if _, err := io.ReadFull(rand, pk.Salt[:]); err != nil {
 		return nil, fmt.Errorf("threshsig: sampling salt: %w", err)
 	}
-	return &Key{
-		Public: PublicKey{
-			Name: name, N: n, E: e, V: v, VKs: vks, K: k, L: l, Salt: salt,
-			acc: newAccel(p, q),
-			cc: &pkCache{
-				msgs:     make(map[[32]byte]*msgCtx),
-				verified: make(map[[32]byte]error),
-				lag:      make(map[string]*big.Int),
-			},
-		},
-		Shares: shares,
-	}, nil
+	pk.cc = &pkCache{
+		msgs:     make(map[[32]byte]*msgCtx),
+		verified: make(map[[32]byte]error),
+		lag:      make(map[string]*big.Int),
+	}
+	return &Key{Public: pk, Shares: shares}, nil
 }
 
 // delta returns l! as a big integer.
@@ -184,11 +189,8 @@ func hashToModulus(n *big.Int, salt [16]byte, msg []byte) *big.Int {
 // Sign produces party i's signature share on msg, with a validity proof.
 func (pk *PublicKey) Sign(share PrivateShare, msg []byte, rand io.Reader) (*SigShare, error) {
 	ctx := pk.ctxFor(msg)
-	d := pk.deltaL()
-	// exponent 2*delta*s_i
-	exp := new(big.Int).Lsh(d, 1)
-	exp.Mul(exp, share.S)
-	xi := pk.exp(ctx.x, exp)
+	// x_i = x^{2*delta*s_i} = y^{s_i}
+	xi := pk.pow(ctx.y, share.S)
 
 	// Proof of log equality: log_{x4d}(xi^2) == log_v(v_i), exponent s_i.
 	// x4d = x^{4*delta}.
@@ -202,8 +204,8 @@ func (pk *PublicKey) Sign(share PrivateShare, msg []byte, rand io.Reader) (*SigS
 	if err != nil {
 		return nil, err
 	}
-	t1 := pk.exp(x4d, w)
-	t2 := pk.exp(pk.V, w)
+	t1 := pk.pow(ctx.y, new(big.Int).Lsh(w, 1)) // x4d^w
+	t2 := pk.pow(pk.vBase(), w)
 	c := proofChallenge(pk, x4d, xi2, vi, t1, t2)
 	// z = w + c*s_i over the integers.
 	z := new(big.Int).Mul(c, share.S)
@@ -230,6 +232,11 @@ func checkShareShape(pk *PublicKey, sh *SigShare) error {
 	}
 	if sh.C == nil || sh.Z == nil {
 		return errors.New("threshsig: missing share proof")
+	}
+	// An honest proof is a hash and a sum of non-negative terms. (The
+	// verdict memo keys on magnitudes, so a sign must not reach it.)
+	if sh.C.Sign() < 0 || sh.Z.Sign() < 0 {
+		return errors.New("threshsig: negative share proof")
 	}
 	return nil
 }
@@ -264,25 +271,25 @@ func (pk *PublicKey) verifyShareWith(ctx *msgCtx, msgDigest [32]byte, sh *SigSha
 // verifyShareFull recomputes the share's Chaum–Pedersen proof.
 func (pk *PublicKey) verifyShareFull(ctx *msgCtx, sh *SigShare) error {
 	x4d := ctx.x4d
-	xi2 := pk.exp(sh.X, two)
-	vi := pk.VKs[sh.Index-1]
-	// Recompute commitments: t1 = x4d^z * xi2^{-c}, t2 = v^z * vi^{-c}.
-	t1 := pk.exp(x4d, sh.Z)
-	inv := pk.exp(xi2, sh.C)
-	inv.ModInverse(inv, pk.N)
-	if inv.Sign() == 0 {
+	// The proof divides by a power of the share, so the share must be a
+	// unit mod N (an honest x_i is a power of H(msg)).
+	xi := pk.oneShot(sh.X)
+	if !pk.isUnit(xi) {
 		return errors.New("threshsig: degenerate share")
 	}
-	t1.Mul(t1, inv)
-	t1.Mod(t1, pk.N)
-	t2 := pk.exp(pk.V, sh.Z)
-	inv2 := pk.exp(vi, sh.C)
-	inv2.ModInverse(inv2, pk.N)
-	if inv2.Sign() == 0 {
+	xi2 := pk.pow(xi, two)
+	vi := pk.VKs[sh.Index-1]
+	// Recompute commitments: t1 = x4d^z * xi2^{-c}, t2 = v^z * vi^{-c},
+	// with x4d^z = y^{2z}.
+	negC := new(big.Int).Neg(sh.C)
+	t1 := pk.mulPow(ctx.y, new(big.Int).Lsh(sh.Z, 1), pk.oneShot(xi2), negC)
+	if t1 == nil {
+		return errors.New("threshsig: degenerate share")
+	}
+	t2 := pk.mulPow(pk.vBase(), sh.Z, pk.vkBase(sh.Index), negC)
+	if t2 == nil {
 		return errors.New("threshsig: degenerate verification key")
 	}
-	t2.Mul(t2, inv2)
-	t2.Mod(t2, pk.N)
 	if proofChallenge(pk, x4d, xi2, vi, t1, t2).Cmp(sh.C) != 0 {
 		return errors.New("threshsig: share proof rejected")
 	}
@@ -313,18 +320,15 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 	w := big.NewInt(1)
 	for _, sh := range use {
 		lam := pk.lagrangeFor(use, sh.Index, d)
-		exp := new(big.Int).Lsh(lam, 1) // 2 * lambda
-		neg := exp.Sign() < 0
-		if neg {
-			exp.Neg(exp)
+		// 2 * lambda may be negative: an inverse power, for which the
+		// share must be a unit mod N. Every share is held to that — an
+		// honest x_i is a power of H(msg) — so a degenerate one is named
+		// here and not by the final verification.
+		xi := pk.oneShot(sh.X)
+		if !pk.isUnit(xi) {
+			return nil, errors.New("threshsig: non-invertible share")
 		}
-		t := pk.exp(sh.X, exp)
-		if neg {
-			t.ModInverse(t, pk.N)
-			if t.Sign() == 0 {
-				return nil, errors.New("threshsig: non-invertible share")
-			}
-		}
+		t := pk.pow(xi, new(big.Int).Lsh(lam, 1))
 		w.Mul(w, t)
 		w.Mod(w, pk.N)
 	}
@@ -335,7 +339,10 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 	if !ok {
 		return nil, errors.New("threshsig: exponent not coprime to 4*delta^2")
 	}
-	sigma := pk.mulPow(x, a, w, b)
+	sigma := pk.mulPow(pk.oneShot(x), a, pk.oneShot(w), b)
+	if sigma == nil {
+		return nil, errors.New("threshsig: non-invertible message hash")
+	}
 	sig := &Signature{S: sigma}
 	if err := pk.Verify(msg, sig); err != nil {
 		return nil, fmt.Errorf("threshsig: combination failed (bad share among inputs): %w", err)
@@ -382,21 +389,24 @@ func integerLagrange(subset []*SigShare, i int, d *big.Int) *big.Int {
 	return out
 }
 
-// mulPow computes x^a * w^b mod N handling negative exponents.
-func (pk *PublicKey) mulPow(x, a, w, b *big.Int) *big.Int {
-	f := func(base, exp *big.Int) *big.Int {
-		if exp.Sign() >= 0 {
-			return pk.exp(base, exp)
-		}
-		e := new(big.Int).Neg(exp)
-		t := pk.exp(base, e)
-		t.ModInverse(t, pk.N)
-		return t
+// mulPow computes x^a * w^b mod N. A negative exponent is an inverse
+// power; the result is nil when its base is not a unit mod N.
+func (pk *PublicKey) mulPow(x base, a *big.Int, w base, b *big.Int) *big.Int {
+	xa, wb := pk.pow(x, a), pk.pow(w, b)
+	if xa == nil || wb == nil {
+		return nil
 	}
-	out := f(x, a)
-	out.Mul(out, f(w, b))
-	out.Mod(out, pk.N)
-	return out
+	xa.Mul(xa, wb)
+	return xa.Mod(xa, pk.N)
+}
+
+// isUnit reports whether x is invertible mod N: nonzero mod both primes
+// when the key knows them.
+func (pk *PublicKey) isUnit(x base) bool {
+	if x.xp != nil {
+		return x.xp.Sign() != 0 && x.xq.Sign() != 0
+	}
+	return new(big.Int).GCD(nil, nil, x.v, pk.N).Cmp(one) == 0
 }
 
 func proofChallenge(pk *PublicKey, parts ...*big.Int) *big.Int {
