@@ -146,12 +146,12 @@ func newBenchABA(env *component.Env, v ABAVariant, slots int, shared bool) inter
 	case ABASC:
 		return component.NewCachinABA(env, component.CachinOptions{
 			Slots: slots, SharedCoin: shared,
-			Coin: &component.SigCoin{PK: env.Suite.TSLow, Share: env.Suite.TSLowShare, Env: env},
+			Coin: component.SigCoin(env),
 		})
 	case ABACP:
 		return component.NewCachinABA(env, component.CachinOptions{
 			Slots: slots, SharedCoin: shared,
-			Coin: &component.FlipCoin{PK: env.Suite.TC, Share: env.Suite.TCShare, Env: env},
+			Coin: component.FlipCoin(env),
 		})
 	default:
 		panic(fmt.Sprintf("bench: unknown ABA variant %q", v))

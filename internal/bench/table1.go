@@ -170,7 +170,7 @@ func measureComponentPackets(name string, batched bool, seed int64) (float64, er
 			env := env
 			abas[i] = component.NewCachinABA(env, component.CachinOptions{
 				Slots: 4, SharedCoin: batched,
-				Coin: &component.SigCoin{PK: env.Suite.TSLow, Share: env.Suite.TSLowShare, Env: env},
+				Coin: component.SigCoin(env),
 			})
 		}
 		for i := range rig.Envs {

@@ -17,12 +17,10 @@ import (
 // voters — so a single batched frame carries everything the paper's
 // Nack_RBC_1..3 fields do.
 //
-// Termination uses the same DECIDED-claim gadget as CachinABA.
+// Termination is the DECIDED-claim gadget CachinABA uses (deciding).
 type BrachaABA struct {
-	env      *Env
-	slots    []*brachaSlot
-	onDecide func(slot int, value bool)
-	roundCap int
+	deciding
+	slots []*brachaSlot
 }
 
 const (
@@ -32,12 +30,10 @@ const (
 )
 
 type brachaSlot struct {
+	termination
 	started bool
 	round   uint16
 	est     uint8 // voteZero or voteOne
-	decided *bool
-	halted  bool
-	claims  map[int]bool
 	rounds  map[uint16]*brachaRound
 }
 
@@ -60,25 +56,22 @@ type brachaPhase struct {
 // BrachaOptions configures the component.
 type BrachaOptions struct {
 	Slots    int
-	RoundCap int
 	OnDecide func(slot int, value bool)
 }
 
 // NewBrachaABA creates the component and registers it on the transport.
 func NewBrachaABA(env *Env, opts BrachaOptions) *BrachaABA {
-	if opts.RoundCap <= 0 {
-		opts.RoundCap = 64
-	}
-	a := &BrachaABA{env: env, onDecide: opts.OnDecide, roundCap: opts.RoundCap}
+	a := &BrachaABA{deciding: deciding{env: env, onDecide: opts.OnDecide, pruned: isVotePhase}}
 	for i := 0; i < opts.Slots; i++ {
-		a.slots = append(a.slots, &brachaSlot{
-			rounds: make(map[uint16]*brachaRound),
-			claims: make(map[int]bool),
-		})
+		s := &brachaSlot{rounds: make(map[uint16]*brachaRound)}
+		a.slots = append(a.slots, s)
+		a.terms = append(a.terms, &s.termination)
 	}
 	env.T.Register(packet.KindABA, a)
 	return a
 }
+
+func isVotePhase(p packet.Phase) bool { return p >= packet.PhaseVote1 && p <= packet.PhaseVote3 }
 
 // Input starts an instance with an initial estimate.
 func (a *BrachaABA) Input(slot int, v bool) {
@@ -90,20 +83,6 @@ func (a *BrachaABA) Input(slot int, v bool) {
 	s.est = uint8(b2i(v))
 	s.round = 1
 	a.castVote(slot, s.round, 0, s.est)
-}
-
-// Decided returns the decision for a slot, or nil.
-func (a *BrachaABA) Decided(slot int) *bool { return a.slots[slot].decided }
-
-// DecidedCount returns how many instances decided.
-func (a *BrachaABA) DecidedCount() int {
-	n := 0
-	for _, s := range a.slots {
-		if s.decided != nil {
-			n++
-		}
-	}
-	return n
 }
 
 func (a *BrachaABA) phase(slot int, round uint16, ph int) *brachaPhase {
@@ -179,7 +158,7 @@ func (a *BrachaABA) publish(slot int, round uint16, ph int) {
 func (a *BrachaABA) HandleSection(from uint16, sec packet.Section) {
 	w := int(from)
 	switch {
-	case sec.Phase >= packet.PhaseVote1 && sec.Phase <= packet.PhaseVote3:
+	case isVotePhase(sec.Phase):
 		ph := int(sec.Phase - packet.PhaseVote1)
 		for _, e := range sec.Entries {
 			if int(e.Slot) >= len(a.slots) {
@@ -188,12 +167,7 @@ func (a *BrachaABA) HandleSection(from uint16, sec packet.Section) {
 			a.applyView(int(e.Slot), e.Round, ph, w, e.Data)
 		}
 	case sec.Phase == packet.PhaseDecided:
-		for _, e := range sec.Entries {
-			if int(e.Slot) >= len(a.slots) || len(e.Data) < 1 {
-				continue
-			}
-			a.applyDecided(int(e.Slot), w, e.Data[0] == 1)
-		}
+		a.handleDecided(w, sec)
 	}
 }
 
@@ -202,7 +176,7 @@ func (a *BrachaABA) HandleSection(from uint16, sec packet.Section) {
 func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte) {
 	s := a.slots[slot]
 	n := a.env.N
-	if !s.started || s.halted || int(round) > a.roundCap || len(data) < 1+2*n {
+	if !s.started || s.halted || int(round) > roundCap || len(data) < 1+2*n {
 		return
 	}
 	p := a.phase(slot, round, ph)
@@ -316,7 +290,7 @@ func (a *BrachaABA) finishRound(slot int, round uint16, counts [3]int) {
 	if s.halted {
 		return
 	}
-	if int(round)+1 > a.roundCap {
+	if int(round)+1 > roundCap {
 		panic("component: bracha ABA exceeded round cap (liveness bug)")
 	}
 	s.round = round + 1
@@ -324,52 +298,10 @@ func (a *BrachaABA) finishRound(slot int, round uint16, counts [3]int) {
 		cutoff := s.round - 1
 		a.env.T.RemoveWhere(func(k core.IntentKey) bool {
 			return k.Kind == packet.KindABA && int(k.Slot) == slot &&
-				k.Phase >= packet.PhaseVote1 && k.Phase <= packet.PhaseVote3 &&
-				k.Round != 0 && k.Round < cutoff
+				isVotePhase(k.Phase) && k.Round != 0 && k.Round < cutoff
 		})
 	}
 	a.castVote(slot, s.round, 0, s.est)
-}
-
-func (a *BrachaABA) decide(slot int, v bool) {
-	s := a.slots[slot]
-	if s.decided != nil {
-		return
-	}
-	dec := v
-	s.decided = &dec
-	a.env.T.Update(core.Intent{
-		IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseDecided, Slot: uint8(slot)},
-		Data:      []byte{uint8(b2i(v))},
-	})
-	a.applyDecided(slot, a.env.Me, v)
-	if a.onDecide != nil {
-		a.onDecide(slot, v)
-	}
-}
-
-func (a *BrachaABA) applyDecided(slot, w int, v bool) {
-	s := a.slots[slot]
-	if _, seen := s.claims[w]; seen {
-		return
-	}
-	s.claims[w] = v
-	matching := 0
-	for _, cv := range s.claims {
-		if cv == v {
-			matching++
-		}
-	}
-	if matching >= a.env.Weak() && s.decided == nil {
-		a.decide(slot, v)
-	}
-	if matching >= a.env.N-a.env.F && !s.halted {
-		s.halted = true
-		a.env.T.RemoveWhere(func(k core.IntentKey) bool {
-			return k.Kind == packet.KindABA && int(k.Slot) == slot &&
-				k.Phase >= packet.PhaseVote1 && k.Phase <= packet.PhaseVote3
-		})
-	}
 }
 
 func countByte(m map[int]uint8, v uint8) int {

@@ -16,16 +16,12 @@ import (
 //   - serial execution releases coin shares only for the active instance,
 //     so Byzantine nodes cannot learn future coins early.
 type CachinABA struct {
-	env        *Env
-	coin       CoinSource
+	deciding
+	coin       collector[[]byte, []byte, bool]
 	sharedCoin bool
 	catchUp    bool
 	slots      []*abaSlot
-	coins      map[coinKey]*coinState
-
-	onDecide func(slot int, value bool)
-
-	roundCap int
+	coins      map[int]*coinState // by coinKey.id
 }
 
 type coinKey struct {
@@ -33,22 +29,22 @@ type coinKey struct {
 	round uint16
 }
 
+// id is the coin's identity in the share collector.
+func (k coinKey) id() int { return int(k.slot)<<16 | int(k.round) }
+
+// coinState is one coin: the tally of its shares over the coin's name,
+// and who is waiting for its value.
 type coinState struct {
+	tally[[]byte, []byte, bool]
 	released bool
-	shares   map[int][]byte
-	verified int
-	value    *bool
 	waiting  []func(bool)
-	combined bool
 }
 
 type abaSlot struct {
+	termination
 	started bool
 	round   uint16
 	est     bool
-	decided *bool
-	halted  bool
-	claims  map[int]bool // DECIDED claims by peer
 	rounds  map[uint16]*abaRound
 }
 
@@ -70,7 +66,6 @@ type CachinOptions struct {
 	Slots      int
 	Coin       CoinSource
 	SharedCoin bool // one coin per round across all instances (batched mode)
-	RoundCap   int  // safety bound on rounds (default 64)
 	// RoundCatchUp replays the round == s.round sends this node skipped
 	// while peers raced ahead (see startRound), and re-serves this node's
 	// pruned sends for rounds a reborn peer is still climbing through
@@ -88,23 +83,20 @@ type CachinOptions struct {
 
 // NewCachinABA creates the component and registers it on the transport.
 func NewCachinABA(env *Env, opts CachinOptions) *CachinABA {
-	if opts.RoundCap <= 0 {
-		opts.RoundCap = 64
-	}
 	a := &CachinABA{
-		env:        env,
-		coin:       opts.Coin,
+		deciding:   deciding{env: env, onDecide: opts.OnDecide},
 		sharedCoin: opts.SharedCoin,
 		catchUp:    opts.RoundCatchUp,
-		coins:      make(map[coinKey]*coinState),
-		onDecide:   opts.OnDecide,
-		roundCap:   opts.RoundCap,
+		coins:      make(map[int]*coinState),
 	}
+	a.pruned = func(p packet.Phase) bool {
+		return p == packet.PhaseBval || p == packet.PhaseAux || (p == packet.PhaseShare && !a.sharedCoin)
+	}
+	a.coin = collector[[]byte, []byte, bool]{scheme: opts.Coin.scheme, env: env, combined: a.coinCombined}
 	for i := 0; i < opts.Slots; i++ {
-		a.slots = append(a.slots, &abaSlot{
-			rounds: make(map[uint16]*abaRound),
-			claims: make(map[int]bool),
-		})
+		s := &abaSlot{rounds: make(map[uint16]*abaRound)}
+		a.slots = append(a.slots, s)
+		a.terms = append(a.terms, &s.termination)
 	}
 	env.T.Register(packet.KindABA, a)
 	return a
@@ -125,20 +117,6 @@ func (a *CachinABA) Input(slot int, v bool) {
 	a.startRound(slot)
 }
 
-// Decided returns the decision for a slot, or nil.
-func (a *CachinABA) Decided(slot int) *bool { return a.slots[slot].decided }
-
-// DecidedCount returns how many instances have decided.
-func (a *CachinABA) DecidedCount() int {
-	n := 0
-	for _, s := range a.slots {
-		if s.decided != nil {
-			n++
-		}
-	}
-	return n
-}
-
 func (a *CachinABA) round(slot int, r uint16) *abaRound {
 	s := a.slots[slot]
 	rd := s.rounds[r]
@@ -157,7 +135,7 @@ func (a *CachinABA) startRound(slot int) {
 	if s.halted {
 		return
 	}
-	if int(s.round) > a.roundCap {
+	if int(s.round) > roundCap {
 		panic("component: cachin ABA exceeded round cap (liveness bug)")
 	}
 	a.sendBval(slot, s.round, s.est)
@@ -196,6 +174,12 @@ func (a *CachinABA) sendBval(slot int, round uint16, v bool) {
 		return
 	}
 	rd.bvalSent[b2i(v)] = true
+	a.publishBval(slot, round, rd)
+	a.applyBval(slot, round, a.env.Me, v)
+}
+
+// publishBval puts the BVALs this node has sent in a round on the air.
+func (a *CachinABA) publishBval(slot int, round uint16, rd *abaRound) {
 	var bits uint8
 	if rd.bvalSent[0] {
 		bits |= 1
@@ -207,7 +191,6 @@ func (a *CachinABA) sendBval(slot int, round uint16, v bool) {
 		IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseBval, Slot: uint8(slot), Round: round},
 		Data:      []byte{bits},
 	})
-	a.applyBval(slot, round, a.env.Me, v)
 }
 
 func (a *CachinABA) sendAux(slot int, round uint16, v bool) {
@@ -217,11 +200,16 @@ func (a *CachinABA) sendAux(slot int, round uint16, v bool) {
 	}
 	rd.auxSent = true
 	rd.auxVal = v
+	a.publishAux(slot, round, rd)
+	a.applyAux(slot, round, a.env.Me, v)
+}
+
+// publishAux puts the AUX vote this node cast in a round on the air.
+func (a *CachinABA) publishAux(slot int, round uint16, rd *abaRound) {
 	a.env.T.Update(core.Intent{
 		IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux, Slot: uint8(slot), Round: round},
-		Data:      []byte{uint8(b2i(v))},
+		Data:      []byte{uint8(b2i(rd.auxVal))},
 	})
-	a.applyAux(slot, round, a.env.Me, v)
 }
 
 // HandleSection implements core.Handler.
@@ -254,12 +242,7 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 			a.handleCoinShare(e.Slot, e.Round, w, e.Data)
 		}
 	case packet.PhaseDecided:
-		for _, e := range sec.Entries {
-			if int(e.Slot) >= len(a.slots) || len(e.Data) < 1 {
-				continue
-			}
-			a.applyDecided(int(e.Slot), w, e.Data[0] == 1)
-		}
+		a.handleDecided(w, sec)
 	}
 }
 
@@ -294,88 +277,20 @@ func (a *CachinABA) reserveRound(slot int, round uint16) {
 	}
 	rd.reservedAt = now
 	if rd.bvalSent[0] || rd.bvalSent[1] {
-		var bits uint8
-		if rd.bvalSent[0] {
-			bits |= 1
-		}
-		if rd.bvalSent[1] {
-			bits |= 2
-		}
-		a.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseBval, Slot: uint8(slot), Round: round},
-			Data:      []byte{bits},
-		})
+		a.publishBval(slot, round, rd)
 	}
 	if rd.auxSent {
-		a.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux, Slot: uint8(slot), Round: round},
-			Data:      []byte{uint8(b2i(rd.auxVal))},
-		})
+		a.publishAux(slot, round, rd)
 	}
 	k := a.coinKeyFor(slot, round)
-	if cs := a.coins[k]; cs != nil && cs.released {
-		if data := cs.shares[a.env.Me]; data != nil {
-			a.env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Slot: k.slot, Sub: uint8(a.env.Me), Round: round},
-				Data:      data,
-			})
-		}
-	}
-}
-
-// decide records the local decision and broadcasts a DECIDED claim. The
-// node keeps participating in rounds (deterministically, est = v) until
-// N-f claims confirm that every honest node can terminate — the standard
-// termination gadget for common-coin ABA.
-func (a *CachinABA) decide(slot int, v bool) {
-	s := a.slots[slot]
-	if s.decided != nil {
-		return
-	}
-	dec := v
-	s.decided = &dec
-	a.env.T.Update(core.Intent{
-		IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseDecided, Slot: uint8(slot)},
-		Data:      []byte{uint8(b2i(v))},
-	})
-	a.applyDecided(slot, a.env.Me, v)
-	if a.onDecide != nil {
-		a.onDecide(slot, v)
-	}
-}
-
-func (a *CachinABA) applyDecided(slot, w int, v bool) {
-	s := a.slots[slot]
-	if _, seen := s.claims[w]; seen {
-		return
-	}
-	s.claims[w] = v
-	matching := 0
-	for _, cv := range s.claims {
-		if cv == v {
-			matching++
-		}
-	}
-	// f+1 matching claims contain one honest decider: adopt.
-	if matching >= a.env.Weak() && s.decided == nil {
-		a.decide(slot, v)
-	}
-	// N-f claims: every honest node can now terminate from claims alone.
-	if matching >= a.env.N-a.env.F && !s.halted {
-		s.halted = true
-		a.env.T.RemoveWhere(func(k core.IntentKey) bool {
-			if k.Kind != packet.KindABA || int(k.Slot) != slot {
-				return false
-			}
-			return k.Phase == packet.PhaseBval || k.Phase == packet.PhaseAux ||
-				(k.Phase == packet.PhaseShare && !a.sharedCoin)
-		})
+	if cs := a.coins[k.id()]; cs != nil && cs.own != nil {
+		a.env.T.Update(core.Intent{IntentKey: a.shareIntent(k), Data: cs.own})
 	}
 }
 
 func (a *CachinABA) applyBval(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
-	if !s.started || s.halted || int(round) > a.roundCap {
+	if !s.started || s.halted || int(round) > roundCap {
 		return
 	}
 	rd := a.round(slot, round)
@@ -398,7 +313,7 @@ func (a *CachinABA) applyBval(slot int, round uint16, w int, v bool) {
 
 func (a *CachinABA) applyAux(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
-	if !s.started || s.halted || int(round) > a.roundCap {
+	if !s.started || s.halted || int(round) > roundCap {
 		return
 	}
 	rd := a.round(slot, round)
@@ -445,11 +360,17 @@ func (a *CachinABA) coinKeyFor(slot int, round uint16) coinKey {
 	return coinKey{slot: uint8(slot), round: round}
 }
 
+// shareIntent is where this node's share of coin k goes on the air.
+func (a *CachinABA) shareIntent(k coinKey) core.IntentKey {
+	return core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Slot: k.slot, Sub: uint8(a.env.Me), Round: k.round}
+}
+
 func (a *CachinABA) coinState(k coinKey) *coinState {
-	cs := a.coins[k]
+	cs := a.coins[k.id()]
 	if cs == nil {
-		cs = &coinState{shares: make(map[int][]byte)}
-		a.coins[k] = cs
+		cs = &coinState{}
+		cs.subject, cs.open = coinName(a.env.Session, a.env.Epoch, k.slot, k.round), true
+		a.coins[k.id()] = cs
 	}
 	return cs
 }
@@ -461,88 +382,29 @@ func (a *CachinABA) releaseCoinShare(slot int, round uint16) {
 		return
 	}
 	cs.released = true
-	name := coinName(a.env.Session, a.env.Epoch, k.slot, k.round)
-	shareCost, _, _ := a.coin.Costs()
-	env := a.env
-	env.Exec(shareCost, func() {
-		data, err := a.coin.ShareData(name)
-		if err != nil {
-			panic("component: coin share generation failed: " + err.Error())
-		}
-		env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Slot: k.slot, Sub: uint8(env.Me), Round: round},
-			Data:      data,
-		})
-		a.acceptCoinShare(k, env.Me, data)
-	})
+	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k), true)
 }
 
 func (a *CachinABA) handleCoinShare(slot uint8, round uint16, w int, data []byte) {
+	if a.sharedCoin != (slot == sharedSlot) {
+		return // batched mode uses the shared coin and nothing else does
+	}
 	k := coinKey{slot: slot, round: round}
-	if a.sharedCoin && slot != sharedSlot {
-		return // batched mode only uses the shared coin
-	}
-	if !a.sharedCoin && slot == sharedSlot {
-		return
-	}
-	cs := a.coinState(k)
-	if _, dup := cs.shares[w]; dup || cs.value != nil {
-		return
-	}
-	name := coinName(a.env.Session, a.env.Epoch, k.slot, k.round)
-	_, verifyCost, _ := a.coin.Costs()
-	data = append([]byte(nil), data...)
-	env := a.env
-	env.Exec(verifyCost, func() {
-		if _, dup := cs.shares[w]; dup || cs.value != nil {
-			return
-		}
-		if err := a.coin.VerifyShare(name, data); err != nil {
-			env.Reject() // Byzantine share
-			return
-		}
-		a.acceptCoinShare(k, w, data)
-	})
+	a.coin.offer(&a.coinState(k).tally, k.id(), w, data)
 }
 
-func (a *CachinABA) acceptCoinShare(k coinKey, w int, data []byte) {
-	cs := a.coinState(k)
-	if _, dup := cs.shares[w]; dup || cs.combined {
-		return
+func (a *CachinABA) coinCombined(id int, v bool) {
+	cs := a.coins[id]
+	for _, fn := range cs.waiting {
+		fn(v)
 	}
-	cs.shares[w] = data
-	if len(cs.shares) < a.coin.Threshold() {
-		return
-	}
-	cs.combined = true
-	name := coinName(a.env.Session, a.env.Epoch, k.slot, k.round)
-	raw := make([][]byte, 0, len(cs.shares))
-	for _, d := range cs.shares {
-		raw = append(raw, d)
-	}
-	_, _, combineCost := a.coin.Costs()
-	env := a.env
-	env.Exec(combineCost, func() {
-		v, err := a.coin.Combine(name, raw)
-		if err != nil {
-			// A bad share slipped through (possible only if verification
-			// was skipped); reset and wait for more shares.
-			cs.combined = false
-			cs.shares = make(map[int][]byte)
-			return
-		}
-		cs.value = &v
-		for _, fn := range cs.waiting {
-			fn(v)
-		}
-		cs.waiting = nil
-	})
+	cs.waiting = nil
 }
 
 func (a *CachinABA) withCoin(slot int, round uint16, fn func(bool)) {
 	cs := a.coinState(a.coinKeyFor(slot, round))
-	if cs.value != nil {
-		fn(*cs.value)
+	if cs.done {
+		fn(cs.value)
 		return
 	}
 	cs.waiting = append(cs.waiting, fn)

@@ -106,7 +106,7 @@ func TestCachinABAByzantineCoinShares(t *testing.T) {
 		abas[i] = NewCachinABA(env, CachinOptions{
 			Slots:      2,
 			SharedCoin: true,
-			Coin:       &SigCoin{PK: env.Suite.TSLow, Share: env.Suite.TSLowShare, Env: env},
+			Coin:       SigCoin(env),
 		})
 	}
 	// Node 3 spams forged coin shares for rounds 1..3.

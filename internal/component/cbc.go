@@ -2,7 +2,6 @@ package component
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/big"
 
 	"repro/internal/core"
@@ -26,7 +25,7 @@ func bigFromBytes(b []byte) *big.Int { return new(big.Int).SetBytes(b) }
 // kind alone.
 type CBC struct {
 	dissemination
-	echoes  sigCollector
+	echoes  collector[[]byte, *threshsig.SigShare, []byte]
 	echoTag string
 	slots   []*cbcSlot
 
@@ -38,8 +37,9 @@ type CBC struct {
 type cbcSlot struct {
 	valueSlot
 
-	sentShare bool
-	cert      thresholdSig // shares are gathered by the leader only
+	// cert is the quorum certificate over the value this node signed;
+	// shares are gathered by the leader only.
+	cert      tally[[]byte, *threshsig.SigShare, []byte]
 	certHash  Hash8
 	delivered bool
 }
@@ -67,7 +67,9 @@ func NewCBC(env *Env, opts CBCOptions) *CBC {
 		// the air, so it is part of the wire format.
 		c.echoTag = "vcbc-echo"
 	}
-	c.echoes = sigCollector{env: env, key: env.Suite.TSHigh, combined: c.certified}
+	c.echoes = collector[[]byte, *threshsig.SigShare, []byte]{
+		scheme: sigScheme(env, env.Suite.TSHigh, env.Suite.TSHighShare), env: env, combined: c.certified,
+	}
 	for i := 0; i < opts.Slots; i++ {
 		c.slots = append(c.slots, &cbcSlot{})
 	}
@@ -122,23 +124,10 @@ func (c *CBC) acceptValue(slot int, value []byte) {
 	}
 	s.assembled = true
 	s.value = value
-	if !s.sentShare {
-		s.sentShare = true
-		s.cert.msg = c.shareMessage(slot, HashValue(value))
-		env := c.env
-		env.Exec(env.Suite.Cost.TSSign, func() {
-			share, err := env.Suite.TSHigh.Sign(env.Suite.TSHighShare, s.cert.msg, env.Rand)
-			if err != nil {
-				panic(fmt.Sprintf("component: cbc share signing: %v", err))
-			}
-			env.T.Update(core.Intent{
-				IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(env.Me)},
-				Data:      EncodeSigShare(share),
-			})
-			if c.leader(slot) == env.Me {
-				c.echoes.add(&s.cert, slot, env.Me, share)
-			}
-		})
+	if !s.cert.open { // a node signs once per slot
+		c.echoes.begin(&s.cert, slot, c.shareMessage(slot, HashValue(value)),
+			core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)},
+			c.leader(slot) == c.env.Me)
 	}
 	c.deliver(slot)
 }
@@ -172,14 +161,21 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 }
 
 // certified runs at the leader once the ECHO shares combined.
-func (c *CBC) certified(slot int) {
+func (c *CBC) certified(slot int, _ []byte) {
 	s := c.slots[slot]
 	s.certHash = HashValue(s.value)
+	c.publishFinish(slot)
+	c.deliver(slot)
+}
+
+// publishFinish puts a slot's certificate on the air. Anyone holding it
+// can: it verifies under the threshold key regardless of the sender.
+func (c *CBC) publishFinish(slot int) {
+	s := c.slots[slot]
 	c.env.T.Update(core.Intent{
 		IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseFinish, Slot: uint8(slot)},
-		Data:      EncodeFinish(s.certHash, s.cert.sig),
+		Data:      EncodeFinish(s.certHash, s.cert.value),
 	})
-	c.deliver(slot)
 }
 
 func (c *CBC) handleFinish(slot int, raw []byte) {
@@ -202,7 +198,7 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 			env.Reject()
 			return
 		}
-		s.cert.sig = cert
+		s.cert.value, s.cert.done = cert, true
 		s.certHash = h
 		if s.assembled && HashValue(s.value) != h {
 			// A certificate for a different value than we assembled: the
@@ -219,7 +215,7 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 
 func (c *CBC) deliver(slot int) {
 	s := c.slots[slot]
-	if s.delivered || s.cert.sig == nil || !s.assembled {
+	if s.delivered || !s.cert.done || !s.assembled {
 		return
 	}
 	if HashValue(s.value) != s.certHash {
@@ -235,7 +231,7 @@ func (c *CBC) deliver(slot int) {
 	c.env.T.Remove(core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)})
 	c.repairDone(slot, &s.valueSlot)
 	if c.onDeliver != nil {
-		c.onDeliver(slot, s.value, s.cert.sig)
+		c.onDeliver(slot, s.value, s.cert.value)
 	}
 }
 
@@ -256,13 +252,8 @@ func (c *CBC) handleRepairRequest(slot int, have packet.BitSet) {
 		return
 	}
 	delay := c.repairJitter()
-	if s.cert.sig != nil {
-		// Anyone holding the certificate can re-publish FINISH; it
-		// verifies under the threshold key regardless of the sender.
-		c.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseFinish, Slot: uint8(slot)},
-			Data:      EncodeFinish(s.certHash, s.cert.sig),
-		})
+	if s.cert.done {
+		c.publishFinish(slot)
 	}
 	c.reserve(slot, &s.valueSlot, have, delay)
 }

@@ -6,14 +6,15 @@ import (
 	"math/big"
 
 	"repro/internal/crypto/dleq"
-	"repro/internal/crypto/threshcoin"
+	"repro/internal/crypto/dlthresh"
+	"repro/internal/crypto/group"
 	"repro/internal/crypto/threshenc"
 	"repro/internal/crypto/threshsig"
 )
 
 // Share payloads on the wire are a 1-byte index followed by three
-// length-prefixed big integers; threshold-signature shares, coin shares,
-// and decryption shares all fit this shape.
+// length-prefixed big integers: a threshold-signature share and a
+// discrete-log threshold share (coin or decryption) both fit this shape.
 
 var errShortShare = errors.New("component: truncated share encoding")
 
@@ -74,33 +75,24 @@ func DecodeSigShare(buf []byte) (*threshsig.SigShare, error) {
 	return &threshsig.SigShare{Index: idx, X: ints[0], C: ints[1], Z: ints[2]}, nil
 }
 
-// EncodeCoinShare serializes a threshold-coin share.
-func EncodeCoinShare(sh *threshcoin.CoinShare) []byte {
-	return encodeShare(sh.Index, sh.Sigma, sh.Proof.C, sh.Proof.Z)
+// EncodeDLShare serializes a discrete-log threshold share: a coin share
+// or a decryption share.
+func EncodeDLShare(sh *dlthresh.Share) []byte {
+	return encodeShare(sh.Index, sh.V, sh.Proof.C, sh.Proof.Z)
 }
 
-// DecodeCoinShare parses a threshold-coin share.
-func DecodeCoinShare(buf []byte) (*threshcoin.CoinShare, error) {
+// DecodeDLShare parses a discrete-log threshold share.
+func DecodeDLShare(buf []byte) (*dlthresh.Share, error) {
 	idx, ints, err := decodeShare(buf, 3)
 	if err != nil {
 		return nil, err
 	}
-	return &threshcoin.CoinShare{Index: idx, Sigma: ints[0], Proof: &dleq.Proof{C: ints[1], Z: ints[2]}}, nil
+	return &dlthresh.Share{Index: idx, V: ints[0], Proof: &dleq.Proof{C: ints[1], Z: ints[2]}}, nil
 }
 
-// EncodeDecShare serializes a threshold-decryption share.
-func EncodeDecShare(sh *threshenc.DecShare) []byte {
-	return encodeShare(sh.Index, sh.D, sh.Proof.C, sh.Proof.Z)
-}
-
-// DecodeDecShare parses a threshold-decryption share.
-func DecodeDecShare(buf []byte) (*threshenc.DecShare, error) {
-	idx, ints, err := decodeShare(buf, 3)
-	if err != nil {
-		return nil, err
-	}
-	return &threshenc.DecShare{Index: idx, D: ints[0], Proof: &dleq.Proof{C: ints[1], Z: ints[2]}}, nil
-}
+// CiphertextOverhead returns the bytes EncodeCiphertext adds to a
+// plaintext encrypted over g: threshenc's own, plus C1's length prefix.
+func CiphertextOverhead(g *group.Group) int { return 2 + threshenc.CiphertextOverhead(g) }
 
 // EncodeCiphertext serializes a threshold ciphertext for RBC dissemination.
 func EncodeCiphertext(ct *threshenc.Ciphertext) []byte {

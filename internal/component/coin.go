@@ -3,145 +3,75 @@ package component
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
-	"time"
 
 	"repro/internal/crypto/threshcoin"
-	"repro/internal/crypto/threshsig"
 )
 
-// CoinSource abstracts the common-coin implementations the paper compares:
-// threshold signatures (ABA-SC, HoneyBadgerBFT/Dumbo) and threshold coin
-// flipping (ABA-CP, BEAT). Bracha's ABA (ABA-LC) needs no CoinSource — its
-// coin is local randomness.
-type CoinSource interface {
-	// ShareData returns this node's encoded share of the named coin.
-	ShareData(name []byte) ([]byte, error)
-	// VerifyShare checks a peer's encoded share.
-	VerifyShare(name []byte, data []byte) error
-	// Combine folds threshold verified shares into the coin bit.
-	Combine(name []byte, shares [][]byte) (bool, error)
-	// Threshold is the number of shares Combine needs.
-	Threshold() int
-	// Costs returns the virtual compute times (share, verify, combine).
-	Costs() (share, verify, combine time.Duration)
-	// ShareLen returns the approximate encoded share size in bytes.
-	ShareLen() int
+// CoinSource is a common coin as CachinABA's share collector sees it: a
+// threshold scheme over the coin's name whose shares stay encoded until
+// their verification has been charged, and whose value is one bit. The
+// paper compares two: threshold signatures (ABA-SC, HoneyBadgerBFT/Dumbo)
+// and threshold coin flipping (ABA-CP, BEAT). Bracha's ABA (ABA-LC) needs
+// none — its coin is local randomness.
+type CoinSource struct {
+	scheme[[]byte, []byte, bool]
 }
 
 // SigCoin derives the coin from a threshold signature on the coin name
 // (hash of the unique combined signature), as HoneyBadgerBFT does.
-type SigCoin struct {
-	PK    *threshsig.PublicKey
-	Share threshsig.PrivateShare
-	Env   *Env
+func SigCoin(env *Env) CoinSource {
+	return coinOf(sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare), func(sig []byte) bool {
+		d := sha256.Sum256(sig)
+		return d[0]&1 == 1
+	})
 }
-
-var _ CoinSource = (*SigCoin)(nil)
-
-// ShareData implements CoinSource.
-func (c *SigCoin) ShareData(name []byte) ([]byte, error) {
-	sh, err := c.PK.Sign(c.Share, name, c.Env.Rand)
-	if err != nil {
-		return nil, fmt.Errorf("component: signing coin share: %w", err)
-	}
-	return EncodeSigShare(sh), nil
-}
-
-// VerifyShare implements CoinSource.
-func (c *SigCoin) VerifyShare(name, data []byte) error {
-	sh, err := DecodeSigShare(data)
-	if err != nil {
-		return err
-	}
-	return c.PK.VerifyShare(name, sh)
-}
-
-// Combine implements CoinSource.
-func (c *SigCoin) Combine(name []byte, raw [][]byte) (bool, error) {
-	shares := make([]*threshsig.SigShare, 0, len(raw))
-	for _, d := range raw {
-		sh, err := DecodeSigShare(d)
-		if err != nil {
-			return false, err
-		}
-		shares = append(shares, sh)
-	}
-	sig, err := c.PK.Combine(name, shares)
-	if err != nil {
-		return false, err
-	}
-	d := sha256.Sum256(sig.Bytes())
-	return d[0]&1 == 1, nil
-}
-
-// Threshold implements CoinSource.
-func (c *SigCoin) Threshold() int { return c.PK.K }
-
-// Costs implements CoinSource.
-func (c *SigCoin) Costs() (time.Duration, time.Duration, time.Duration) {
-	cost := c.Env.Suite.Cost
-	return cost.TSSign, cost.TSVerifyShare, cost.TSCombine
-}
-
-// ShareLen implements CoinSource.
-func (c *SigCoin) ShareLen() int { return c.PK.ShareLen() }
 
 // FlipCoin is BEAT's threshold coin flipping (Cachin–Kursawe–Shoup PRF).
-type FlipCoin struct {
-	PK    *threshcoin.PublicKey
-	Share threshcoin.PrivateShare
-	Env   *Env
+func FlipCoin(env *Env) CoinSource {
+	return coinOf(flipScheme(env), threshcoin.Bit)
 }
 
-var _ CoinSource = (*FlipCoin)(nil)
-
-// ShareData implements CoinSource.
-func (c *FlipCoin) ShareData(name []byte) ([]byte, error) {
-	sh, err := c.PK.Share(c.Share, name, c.Env.Rand)
-	if err != nil {
-		return nil, fmt.Errorf("component: coin flipping share: %w", err)
+// coinOf turns a scheme over coin names into a coin: the same scheme with
+// decoding deferred into verification and combination — a coin share is
+// charged its verification before anything looks inside it — and the
+// combined value reduced to a bit.
+func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
+	c := scheme[[]byte, []byte, bool]{
+		k: s.k, shareCost: s.shareCost, verifyCost: s.verifyCost, combineCost: s.combineCost,
+		share: func(name []byte) ([]byte, error) {
+			sh, err := s.share(name)
+			if err != nil {
+				return nil, err
+			}
+			return s.encode(sh), nil
+		},
+		encode: func(raw []byte) []byte { return raw },
+		decode: func(raw []byte) ([]byte, error) { return append([]byte(nil), raw...), nil },
+		verify: func(name, raw []byte) error {
+			sh, err := s.decode(raw)
+			if err != nil {
+				return err
+			}
+			return s.verify(name, sh)
+		},
+		combine: func(name []byte, raws [][]byte) (bool, error) {
+			shares := make([]S, 0, len(raws))
+			for _, raw := range raws {
+				sh, err := s.decode(raw)
+				if err != nil {
+					return false, err
+				}
+				shares = append(shares, sh)
+			}
+			v, err := s.combine(name, shares)
+			if err != nil {
+				return false, err
+			}
+			return bit(v), nil
+		},
 	}
-	return EncodeCoinShare(sh), nil
+	return CoinSource{c}
 }
-
-// VerifyShare implements CoinSource.
-func (c *FlipCoin) VerifyShare(name, data []byte) error {
-	sh, err := DecodeCoinShare(data)
-	if err != nil {
-		return err
-	}
-	return c.PK.VerifyShare(name, sh)
-}
-
-// Combine implements CoinSource.
-func (c *FlipCoin) Combine(name []byte, raw [][]byte) (bool, error) {
-	shares := make([]*threshcoin.CoinShare, 0, len(raw))
-	for _, d := range raw {
-		sh, err := DecodeCoinShare(d)
-		if err != nil {
-			return false, err
-		}
-		shares = append(shares, sh)
-	}
-	out, err := c.PK.Combine(name, shares)
-	if err != nil {
-		return false, err
-	}
-	return threshcoin.Bit(out), nil
-}
-
-// Threshold implements CoinSource.
-func (c *FlipCoin) Threshold() int { return c.PK.K }
-
-// Costs implements CoinSource.
-func (c *FlipCoin) Costs() (time.Duration, time.Duration, time.Duration) {
-	cost := c.Env.Suite.Cost
-	return cost.TCShare, cost.TCVerifyShare, cost.TCCombine
-}
-
-// ShareLen implements CoinSource.
-func (c *FlipCoin) ShareLen() int { return c.PK.ShareLen() }
 
 // coinName builds the canonical coin identifier. Batched parallel ABA uses
 // one coin per round shared across instances (slot = sharedSlot), exactly

@@ -279,7 +279,7 @@ func TestCachinABAAgreementAllOnes(t *testing.T) {
 				abas[i] = NewCachinABA(env, CachinOptions{
 					Slots:      4,
 					SharedCoin: shared,
-					Coin:       &SigCoin{PK: env.Suite.TSLow, Share: env.Suite.TSLowShare, Env: env},
+					Coin:       SigCoin(env),
 				})
 			}
 			for i := range tn.envs {
@@ -314,7 +314,7 @@ func TestCachinABAMixedInputsAgree(t *testing.T) {
 		abas[i] = NewCachinABA(env, CachinOptions{
 			Slots:      2,
 			SharedCoin: true,
-			Coin:       &FlipCoin{PK: env.Suite.TC, Share: env.Suite.TCShare, Env: env},
+			Coin:       FlipCoin(env),
 		})
 	}
 	// Split inputs 2-2: agreement must still hold (either value is valid).
@@ -379,7 +379,7 @@ func TestCachinABAWithCrashFault(t *testing.T) {
 		abas[i] = NewCachinABA(env, CachinOptions{
 			Slots:      1,
 			SharedCoin: true,
-			Coin:       &SigCoin{PK: env.Suite.TSLow, Share: env.Suite.TSLowShare, Env: env},
+			Coin:       SigCoin(env),
 		})
 	}
 	// Node 3 crashed: no input, and its transport is silenced.

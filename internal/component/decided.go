@@ -1,0 +1,102 @@
+package component
+
+import (
+	"repro/internal/core"
+	"repro/internal/packet"
+)
+
+// roundCap is the safety bound on the rounds of one binary agreement:
+// passing it means a liveness bug, not bad luck with the coin.
+const roundCap = 64
+
+// termination is one instance's share of the DECIDED gadget, embedded by
+// value in the instance's slot.
+type termination struct {
+	decided *bool
+	halted  bool
+	claims  map[int]bool // DECIDED claims by peer
+}
+
+// deciding is the DECIDED termination gadget of binary agreement, embedded
+// by value in CachinABA and BrachaABA: a node that decides broadcasts a
+// DECIDED claim and keeps participating in rounds (deterministically,
+// est = v) until N-f claims confirm that every honest node can terminate
+// from claims alone.
+type deciding struct {
+	env      *Env
+	terms    []*termination
+	onDecide func(slot int, value bool)
+	// pruned says which of a halted instance's per-round intents go off
+	// the air: all the owning agreement tells the gadget about itself.
+	pruned func(packet.Phase) bool
+}
+
+// Decided returns the decision for a slot, or nil.
+func (d *deciding) Decided(slot int) *bool { return d.terms[slot].decided }
+
+// DecidedCount returns how many instances have decided.
+func (d *deciding) DecidedCount() int {
+	n := 0
+	for _, t := range d.terms {
+		if t.decided != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// decide records the local decision and broadcasts a DECIDED claim.
+func (d *deciding) decide(slot int, v bool) {
+	t := d.terms[slot]
+	if t.decided != nil {
+		return
+	}
+	dec := v
+	t.decided = &dec
+	d.env.T.Update(core.Intent{
+		IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseDecided, Slot: uint8(slot)},
+		Data:      []byte{uint8(b2i(v))},
+	})
+	d.applyDecided(slot, d.env.Me, v)
+	if d.onDecide != nil {
+		d.onDecide(slot, v)
+	}
+}
+
+// handleDecided takes a peer's DECIDED section.
+func (d *deciding) handleDecided(w int, sec packet.Section) {
+	for _, e := range sec.Entries {
+		if int(e.Slot) >= len(d.terms) || len(e.Data) < 1 {
+			continue
+		}
+		d.applyDecided(int(e.Slot), w, e.Data[0] == 1)
+	}
+}
+
+func (d *deciding) applyDecided(slot, w int, v bool) {
+	t := d.terms[slot]
+	if _, seen := t.claims[w]; seen {
+		return
+	}
+	if t.claims == nil {
+		t.claims = make(map[int]bool)
+	}
+	t.claims[w] = v
+	matching := 0
+	for _, cv := range t.claims {
+		if cv == v {
+			matching++
+		}
+	}
+	// f+1 matching claims contain one honest decider: adopt.
+	if matching >= d.env.Weak() && t.decided == nil {
+		d.decide(slot, v)
+	}
+	// N-f claims: every honest node can now terminate from claims alone.
+	if matching >= d.env.N-d.env.F && !t.halted {
+		t.halted = true
+		d.env.T.RemoveWhere(func(k core.IntentKey) bool {
+			return k.Kind == packet.KindABA && int(k.Slot) == slot && d.pruned(k.Phase)
+		})
+	}
+}

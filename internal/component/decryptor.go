@@ -12,20 +12,20 @@ import (
 // recover each plaintext. Shares ride the same batched packets as
 // everything else (vertical batching across the accepted slots).
 type Decryptor struct {
-	env   *Env
-	slots map[int]*decSlot
+	env    *Env
+	shares collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]
+	slots  map[int]*decSlot
 
 	onPlain func(slot int, plaintext []byte)
 
 	done packet.BitSet
 }
 
+// decSlot is the plaintext of one accepted ciphertext in the making; it
+// opens when the ciphertext is submitted, and peers' shares that arrive
+// ahead of it (a peer whose ACS completed first) park in it.
 type decSlot struct {
-	ct        *threshenc.Ciphertext
-	shares    map[int]*threshenc.DecShare
-	pending   map[int][]byte
-	combining bool
-	plain     []byte
+	tally[*threshenc.Ciphertext, *threshenc.DecShare, []byte]
 	peersDone packet.BitSet
 }
 
@@ -37,48 +37,39 @@ func NewDecryptor(env *Env, slots int, onPlain func(slot int, plaintext []byte))
 		onPlain: onPlain,
 		done:    packet.NewBitSet(slots),
 	}
+	d.shares = collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{scheme: decScheme(env), env: env, combined: d.recovered}
 	env.T.Register(packet.KindDec, d)
 	return d
 }
 
-// Submit provides the ciphertext accepted for a slot, releases this
-// node's decryption share, and verifies the peers' shares that arrived
-// ahead of the ciphertext (a peer whose ACS completed first).
-func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) {
+// slot returns a slot's state, creating it on first mention.
+func (d *Decryptor) slot(slot int) *decSlot {
 	s, ok := d.slots[slot]
 	if !ok {
-		s = &decSlot{shares: make(map[int]*threshenc.DecShare)}
+		s = &decSlot{}
 		d.slots[slot] = s
-	} else if s.ct != nil {
-		return
 	}
-	s.ct = ct
-	env := d.env
-	env.Exec(env.Suite.Cost.TEDecShare, func() {
-		share, err := env.Suite.TE.DecryptShare(env.Suite.TEShare, ct, env.Rand)
-		if err != nil {
-			return // malformed ciphertext: nothing to contribute
-		}
-		env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Slot: uint8(slot), Sub: uint8(env.Me)},
-			Data:      EncodeDecShare(share),
-		})
-		d.applyShare(slot, env.Me, share)
-	})
-	// Parked shares drain in node order: map order must not leak into
-	// event scheduling.
-	for w := 0; w < env.N; w++ {
-		if raw, ok := s.pending[w]; ok {
-			d.handleShareData(slot, w, raw)
-		}
+	return s
+}
+
+// shareIntent is where this node's decryption share for slot goes on the air.
+func (d *Decryptor) shareIntent(slot int) core.IntentKey {
+	return core.IntentKey{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Slot: uint8(slot), Sub: uint8(d.env.Me)}
+}
+
+// Submit provides the ciphertext accepted for a slot, releases this
+// node's decryption share, and verifies the peers' shares that arrived
+// ahead of the ciphertext.
+func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) {
+	if s := d.slot(slot); !s.open {
+		d.shares.begin(&s.tally, slot, ct, d.shareIntent(slot), true)
 	}
-	s.pending = nil // nothing parks once the ciphertext is known
 }
 
 // Plaintext returns the recovered plaintext for a slot, or nil.
 func (d *Decryptor) Plaintext(slot int) []byte {
 	if s, ok := d.slots[slot]; ok {
-		return s.plain
+		return s.value
 	}
 	return nil
 }
@@ -103,13 +94,8 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 			if s.peersDone != nil && s.peersDone.Get(w) {
 				wasPruned := s.peersDone.Count() >= d.env.N-1
 				s.peersDone.Clear(w)
-				if wasPruned {
-					if share, ok := s.shares[d.env.Me]; ok {
-						d.env.T.Update(core.Intent{
-							IntentKey: core.IntentKey{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Slot: uint8(slot), Sub: uint8(d.env.Me)},
-							Data:      EncodeDecShare(share),
-						})
-					}
+				if wasPruned && s.own != nil {
+					d.env.T.Update(core.Intent{IntentKey: d.shareIntent(slot), Data: s.own})
 				}
 			}
 			continue
@@ -119,84 +105,24 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 		}
 		s.peersDone.Set(w)
 		if s.peersDone.Count() >= d.env.N-1 {
-			d.env.T.Remove(core.IntentKey{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Slot: uint8(slot), Sub: uint8(d.env.Me)})
+			d.env.T.Remove(d.shareIntent(slot))
 		}
 	}
 	for _, e := range sec.Entries {
-		slot := int(e.Slot)
-		s, ok := d.slots[slot]
-		if !ok {
-			// Ciphertext not known yet (our ACS is still completing); park.
-			d.slots[slot] = &decSlot{
-				shares:  make(map[int]*threshenc.DecShare),
-				pending: map[int][]byte{w: append([]byte(nil), e.Data...)},
-			}
-			continue
-		}
-		if s.ct == nil {
-			if _, dup := s.pending[w]; !dup {
-				s.pending[w] = append([]byte(nil), e.Data...)
-			}
-			continue
-		}
-		d.handleShareData(slot, w, e.Data)
+		// Until our ACS completes the ciphertext is not known: the share parks.
+		d.shares.offer(&d.slot(int(e.Slot)).tally, int(e.Slot), w, e.Data)
 	}
 }
 
-func (d *Decryptor) handleShareData(slot, w int, raw []byte) {
-	s := d.slots[slot]
-	if _, dup := s.shares[w]; dup || s.plain != nil {
-		return
+// recovered runs once a slot's shares combined into its plaintext.
+func (d *Decryptor) recovered(slot int, plain []byte) {
+	if slot < len(d.done)*8 {
+		d.done.Set(slot)
+		d.env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
 	}
-	share, err := DecodeDecShare(raw)
-	if err != nil {
-		d.env.Reject()
-		return
+	// The share intent stays live until peersDone confirms everyone
+	// combined (see HandleSection).
+	if d.onPlain != nil {
+		d.onPlain(slot, plain)
 	}
-	env := d.env
-	env.Exec(env.Suite.Cost.TEVerifyShare, func() {
-		if _, dup := s.shares[w]; dup || s.plain != nil {
-			return
-		}
-		if err := env.Suite.TE.VerifyShare(s.ct, share); err != nil {
-			env.Reject() // Byzantine share
-			return
-		}
-		d.applyShare(slot, w, share)
-	})
-}
-
-func (d *Decryptor) applyShare(slot, w int, share *threshenc.DecShare) {
-	s := d.slots[slot]
-	if _, dup := s.shares[w]; dup || s.plain != nil {
-		return
-	}
-	s.shares[w] = share
-	if len(s.shares) < d.env.Weak() || s.combining {
-		return
-	}
-	s.combining = true
-	shares := make([]*threshenc.DecShare, 0, len(s.shares))
-	for _, sh := range s.shares {
-		shares = append(shares, sh)
-	}
-	env := d.env
-	env.Exec(env.Suite.Cost.TECombine, func() {
-		plain, err := env.Suite.TE.Combine(s.ct, shares)
-		if err != nil {
-			s.combining = false
-			s.shares = make(map[int]*threshenc.DecShare)
-			return
-		}
-		s.plain = plain
-		if slot < len(d.done)*8 {
-			d.done.Set(slot)
-			env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
-		}
-		// The share intent stays live until peersDone confirms everyone
-		// combined (see HandleSection).
-		if d.onPlain != nil {
-			d.onPlain(slot, plain)
-		}
-	})
 }

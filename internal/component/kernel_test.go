@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/crypto/threshsig"
 	"repro/internal/packet"
 )
 
@@ -106,7 +107,7 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 					}
 				}
 			}
-			finish := EncodeFinish(nodes[0].slots[0].certHash, nodes[0].slots[0].cert.sig)
+			finish := EncodeFinish(nodes[0].slots[0].certHash, nodes[0].slots[0].cert.value)
 			initial := leaderOut.entries(packet.PhaseInitial, 0)
 
 			t.Run("proof transfers", func(t *testing.T) {
@@ -324,4 +325,297 @@ func TestDecryptorShareBeforeCiphertext(t *testing.T) {
 	if !bytes.Equal(decs[3].Plaintext(0), plain) {
 		t.Errorf("decrypted %q", decs[3].Plaintext(0))
 	}
+}
+
+// collectorRig is one user's tally on node 0, seen through the one
+// collector with the type parameters erased, so a single table can drive
+// CBC's certificate, PRBC's DONE proof, both coins and the Decryptor.
+type collectorRig struct {
+	k           int
+	verifyCost  time.Duration
+	decodeFirst bool // an undecodable share is refused before anything is charged
+	offer       func(w int, raw []byte)
+	peer        func(w int) []byte // node w's genuine encoded share of the subject
+	poison      func()             // leave k-1 verified copies of node 1's share under other senders
+	held        func() int         // shares gathered
+	done        func() bool
+	own         func() []byte
+	combined    *int               // times the user's callback ran
+	check       func(t *testing.T) // the combined value is the right one
+}
+
+func rigOf[X, S, V any](c *collector[X, S, V], tl *tally[X, S, V], id int, peers []scheme[X, S, V]) collectorRig {
+	runs := new(int)
+	then := c.combined
+	c.combined = func(id int, v V) { *runs++; then(id, v) }
+	return collectorRig{
+		k: c.k, verifyCost: c.verifyCost, decodeFirst: true, combined: runs,
+		offer: func(w int, raw []byte) { c.offer(tl, id, w, raw) },
+		peer: func(w int) []byte {
+			sh, err := peers[w].share(tl.subject)
+			if err != nil {
+				panic(err)
+			}
+			return peers[w].encode(sh)
+		},
+		poison: func() {
+			sh, err := peers[1].share(tl.subject)
+			if err != nil {
+				panic(err)
+			}
+			tl.shares = make(map[int]S)
+			for i := 1; i < c.k; i++ {
+				tl.shares[100+i] = sh
+			}
+		},
+		held: func() int { return len(tl.shares) },
+		done: func() bool { return tl.done },
+		own:  func() []byte { return tl.own },
+	}
+}
+
+func peerSchemes[X, S, V any](tn *testNet, of func(*Env) scheme[X, S, V]) []scheme[X, S, V] {
+	out := make([]scheme[X, S, V], len(tn.envs))
+	for i, env := range tn.envs {
+		out[i] = of(env)
+	}
+	return out
+}
+
+// collectorUsers builds each user of the share collector on node 0 with
+// its own share already released, and returns the tally it gathers in.
+var collectorUsers = []struct {
+	name string
+	rig  func(t *testing.T, tn *testNet) collectorRig
+}{
+	{"cbc-certificate", func(t *testing.T, tn *testNet) collectorRig {
+		c := NewCBC(tn.envs[0], CBCOptions{Kind: packet.KindCBCValue, Slots: 4})
+		c.Propose(0, []byte("certified value"))
+		r := rigOf(&c.echoes, &c.slots[0].cert, 0, peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
+			return sigScheme(env, env.Suite.TSHigh, env.Suite.TSHighShare)
+		}))
+		r.check = func(t *testing.T) {
+			if !c.Delivered(0) {
+				t.Error("certificate combined, slot not delivered")
+			}
+			sig := &threshsig.Signature{S: bigFromBytes(c.slots[0].cert.value)}
+			if err := tn.envs[0].Suite.TSHigh.Verify(c.slots[0].cert.subject, sig); err != nil {
+				t.Errorf("combined certificate does not verify: %v", err)
+			}
+		}
+		return r
+	}},
+	{"prbc-done-proof", func(t *testing.T, tn *testNet) collectorRig {
+		p := NewPRBC(tn.envs[0], PRBCOptions{Slots: 4})
+		value := []byte("proven value")
+		p.onRBCDeliver(1, value)
+		r := rigOf(&p.dones, &p.slots[1].proof, 1, peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
+			return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+		}))
+		r.check = func(t *testing.T) {
+			if err := p.VerifyProof(1, HashValue(value), p.Proof(1)); err != nil {
+				t.Errorf("combined proof does not verify: %v", err)
+			}
+		}
+		return r
+	}},
+	{"sig-coin", func(t *testing.T, tn *testNet) collectorRig { return coinRig(t, tn, SigCoin) }},
+	{"flip-coin", func(t *testing.T, tn *testNet) collectorRig { return coinRig(t, tn, FlipCoin) }},
+	{"decryptor", func(t *testing.T, tn *testNet) collectorRig {
+		plain := []byte("threshold-encrypted proposal")
+		ct, err := tn.envs[1].Suite.TE.Encrypt(plain, tn.envs[1].Rand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []byte
+		d := NewDecryptor(tn.envs[0], 4, func(_ int, p []byte) { got = p })
+		d.Submit(2, ct)
+		r := rigOf(&d.shares, &d.slot(2).tally, 2, peerSchemes(tn, decScheme))
+		r.check = func(t *testing.T) {
+			if !bytes.Equal(got, plain) || !bytes.Equal(d.Plaintext(2), plain) {
+				t.Errorf("recovered %q / %q, want %q", got, d.Plaintext(2), plain)
+			}
+		}
+		return r
+	}},
+}
+
+func coinRig(t *testing.T, tn *testNet, source func(*Env) CoinSource) collectorRig {
+	a := NewCachinABA(tn.envs[0], CachinOptions{Slots: 2, Coin: source(tn.envs[0])})
+	k := coinKey{slot: 1, round: 1}
+	cs := a.coinState(k)
+	var got []bool
+	a.withCoin(1, 1, func(v bool) { got = append(got, v) })
+	a.releaseCoinShare(1, 1)
+	r := rigOf(&a.coin, &cs.tally, k.id(), peerSchemes(tn, func(env *Env) scheme[[]byte, []byte, bool] {
+		return source(env).scheme
+	}))
+	r.decodeFirst = false // a coin share is charged before it is looked into
+	r.check = func(t *testing.T) {
+		// Any two other shares give the same bit.
+		s := source(tn.envs[3]).scheme
+		want, err := s.combine(cs.subject, [][]byte{r.peer(2), r.peer(3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != 1 || got[0] != want || cs.value != want {
+			t.Errorf("coin waiters saw %v, tally holds %v, want %v", got, cs.value, want)
+		}
+		a.withCoin(1, 1, func(v bool) { got = append(got, v) })
+		if len(got) != 2 || got[1] != want {
+			t.Errorf("a waiter arriving after the coin saw %v", got)
+		}
+	}
+	return r
+}
+
+// TestShareCollector runs the one verify → collect → combine machine
+// through each of its users, on node 0 with the peers' shares handed in
+// directly.
+func TestShareCollector(t *testing.T) {
+	for _, u := range collectorUsers {
+		t.Run(u.name, func(t *testing.T) {
+			tn := newTestNet(t, 41, 0, true)
+			env := tn.envs[0]
+			r := u.rig(t, tn)
+			tn.settle(time.Second) // this node's own share is made and counted
+			if r.held() != 1 || r.own() == nil {
+				t.Fatalf("after release: %d shares held, own share %x", r.held(), r.own())
+			}
+			// offered hands in a share and reports the CPU time charged for
+			// taking it (Exec books a job when it is posted) and, once the
+			// job has run, the rejections it caused.
+			offered := func(w int, raw []byte) (time.Duration, uint64) {
+				busy, rej := env.CPU.BusyTotal(), env.T.Stats().Rejected
+				r.offer(w, raw)
+				cost := env.CPU.BusyTotal() - busy
+				tn.settle(time.Second)
+				return cost, env.T.Stats().Rejected - rej
+			}
+			good := r.peer(1)
+
+			wantCost := r.verifyCost
+			if r.decodeFirst {
+				wantCost = 0
+			}
+			if cost, rej := offered(1, good[:len(good)/2]); cost != wantCost || rej != 1 || r.held() != 1 {
+				t.Errorf("undecodable share: charged %v (want %v), %d rejections, %d held", cost, wantCost, rej, r.held())
+			}
+			bad := append([]byte(nil), good...)
+			bad[len(bad)-1] ^= 1
+			if cost, rej := offered(1, bad); cost != r.verifyCost || rej != 1 || r.held() != 1 {
+				t.Errorf("invalid share: charged %v (want %v), %d rejections, %d held", cost, r.verifyCost, rej, r.held())
+			}
+
+			// A combination that fails — k copies of one share — drops
+			// every share, keeps the node's own beside them, and leaves
+			// the tally collecting.
+			r.poison()
+			own := r.own()
+			offered(1, good)
+			if r.done() || r.held() != 0 || *r.combined != 0 || !bytes.Equal(r.own(), own) {
+				t.Fatalf("after a failed combination: done %v, %d held, %d callbacks, own share kept %v",
+					r.done(), r.held(), *r.combined, bytes.Equal(r.own(), own))
+			}
+
+			// It recovers from fresh shares; a sender's second copy costs
+			// nothing and counts for nothing.
+			if cost, _ := offered(1, good); cost != r.verifyCost || r.held() != 1 {
+				t.Errorf("first share after the reset: charged %v, %d held", cost, r.held())
+			}
+			if cost, rej := offered(1, good); cost != 0 || rej != 0 || r.held() != 1 {
+				t.Errorf("duplicate share: charged %v, %d rejections, %d held", cost, rej, r.held())
+			}
+			for w := 2; !r.done() && w < 4; w++ {
+				offered(w, r.peer(w))
+			}
+			if !r.done() || *r.combined != 1 {
+				t.Fatalf("did not recover: done %v, %d callbacks", r.done(), *r.combined)
+			}
+			r.check(t)
+
+			// Once the value is set a share is not even verified.
+			if cost, rej := offered(3, r.peer(3)); cost != 0 || rej != 0 || *r.combined != 1 {
+				t.Errorf("share after the value: charged %v, %d rejections, %d callbacks", cost, rej, *r.combined)
+			}
+		})
+	}
+}
+
+// TestOwnShareReplay: what a node re-serves to a peer that lost its state
+// is its own share as the tally kept it — under RoundCatchUp for a coin,
+// on a cleared done-bit for the Decryptor — and a share that came too
+// late to count was not kept.
+func TestOwnShareReplay(t *testing.T) {
+	shareOnAir := func(rec *recorder, phase packet.Phase, round uint16) [][]byte {
+		var out [][]byte
+		for _, in := range rec.seen {
+			if in.Phase == phase && in.Round == round {
+				out = append(out, in.Data)
+			}
+		}
+		return out
+	}
+	t.Run("coin", func(t *testing.T) {
+		tn := newTestNet(t, 43, 0, true)
+		env := tn.envs[0]
+		rec := record(env)
+		a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: SigCoin(env), RoundCatchUp: true})
+		a.Input(0, true)
+		peer := func(w int, round uint16) []byte {
+			raw, err := SigCoin(tn.envs[w]).share(coinName(env.Session, env.Epoch, 0, round))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return raw
+		}
+		// Round 1: our share counts. Round 2: two peers' shares combine
+		// before ours exists.
+		a.releaseCoinShare(0, 1)
+		a.handleCoinShare(0, 2, 1, peer(1, 2))
+		a.handleCoinShare(0, 2, 2, peer(2, 2))
+		tn.settle(time.Second)
+		a.releaseCoinShare(0, 2)
+		tn.settle(time.Second)
+		a.round(0, 2)        // the node has been through rounds 1 and 2 …
+		a.slots[0].round = 4 // … and left them behind.
+		for _, round := range []uint16{1, 2} {
+			if n := len(shareOnAir(rec, packet.PhaseShare, round)); n != 1 {
+				t.Fatalf("round %d: share published %d times", round, n)
+			}
+		}
+		a.reserveRound(0, 1)
+		a.reserveRound(0, 2)
+		if got := shareOnAir(rec, packet.PhaseShare, 1); len(got) != 2 || !bytes.Equal(got[0], got[1]) {
+			t.Errorf("round 1: the share that counted was re-served %d times", len(got)-1)
+		}
+		if got := shareOnAir(rec, packet.PhaseShare, 2); len(got) != 1 {
+			t.Errorf("round 2: the share that came after the coin was re-served")
+		}
+	})
+	t.Run("decryptor", func(t *testing.T) {
+		tn := newTestNet(t, 44, 0, true)
+		env := tn.envs[0]
+		rec := record(env)
+		ct, err := env.Suite.TE.Encrypt([]byte("replayed"), env.Rand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := NewDecryptor(env, 4, nil)
+		d.Submit(0, ct)
+		tn.settle(time.Second)
+		done := packet.NewBitSet(4)
+		done.Set(0)
+		for w := 1; w < 4; w++ { // every peer confirms: the share leaves the air
+			d.HandleSection(uint16(w), packet.Section{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Nack: done})
+		}
+		if n := len(shareOnAir(rec, packet.PhaseDecShare, 0)); n != 1 {
+			t.Fatalf("share published %d times before any replay", n)
+		}
+		// Peer 2 comes back without the done bit.
+		d.HandleSection(2, packet.Section{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Nack: packet.NewBitSet(4)})
+		if got := shareOnAir(rec, packet.PhaseDecShare, 0); len(got) != 2 || !bytes.Equal(got[0], got[1]) {
+			t.Errorf("share re-served %d times to a peer that lost its state", len(got)-1)
+		}
+	})
 }

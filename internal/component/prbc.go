@@ -2,7 +2,6 @@ package component
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/crypto/threshsig"
@@ -17,7 +16,7 @@ import (
 type PRBC struct {
 	env   *Env
 	rbc   *RBC
-	dones sigCollector
+	dones collector[[]byte, *threshsig.SigShare, []byte]
 
 	onProof   func(slot int, value []byte, proof []byte)
 	onDeliver func(slot int, value []byte)
@@ -27,9 +26,10 @@ type PRBC struct {
 }
 
 type prbcSlot struct {
-	proof     thresholdSig   // proof.msg is set at our RBC delivery
-	pending   map[int][]byte // shares received before our RBC delivery
-	peersDone packet.BitSet  // peers whose NACK confirms a combined proof
+	// proof opens at our RBC delivery, which fixes the message signed;
+	// shares received before that park in it.
+	proof     tally[[]byte, *threshsig.SigShare, []byte]
+	peersDone packet.BitSet // peers whose NACK confirms a combined proof
 }
 
 // PRBCOptions configures a PRBC component.
@@ -49,12 +49,11 @@ func NewPRBC(env *Env, opts PRBCOptions) *PRBC {
 		onDeliver: opts.OnDeliver,
 		sigDone:   packet.NewBitSet(opts.Slots),
 	}
-	p.dones = sigCollector{env: env, key: env.Suite.TSLow, combined: p.proven}
+	p.dones = collector[[]byte, *threshsig.SigShare, []byte]{
+		scheme: sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare), env: env, combined: p.proven,
+	}
 	for i := 0; i < opts.Slots; i++ {
-		p.slots = append(p.slots, &prbcSlot{
-			pending:   make(map[int][]byte),
-			peersDone: packet.NewBitSet(env.N),
-		})
+		p.slots = append(p.slots, &prbcSlot{peersDone: packet.NewBitSet(env.N)})
 	}
 	p.rbc = NewRBC(env, RBCOptions{
 		Kind:      packet.KindRBC,
@@ -73,13 +72,13 @@ func (p *PRBC) Propose(slot int, value []byte) { p.rbc.Propose(slot, value) }
 func (p *PRBC) RBC() *RBC { return p.rbc }
 
 // Proof returns the combined proof for a slot, or nil.
-func (p *PRBC) Proof(slot int) []byte { return p.slots[slot].proof.sig }
+func (p *PRBC) Proof(slot int) []byte { return p.slots[slot].proof.value }
 
 // ProvenCount returns the number of slots with combined proofs.
 func (p *PRBC) ProvenCount() int {
 	n := 0
 	for _, s := range p.slots {
-		if s.proof.sig != nil {
+		if s.proof.done {
 			n++
 		}
 	}
@@ -107,28 +106,8 @@ func (p *PRBC) VerifyProof(slot int, h Hash8, proof []byte) error {
 }
 
 func (p *PRBC) onRBCDeliver(slot int, value []byte) {
-	s := p.slots[slot]
-	s.proof.msg = p.doneMessage(slot, HashValue(value))
-	env := p.env
-	env.Exec(env.Suite.Cost.TSSign, func() {
-		share, err := env.Suite.TSLow.Sign(env.Suite.TSLowShare, s.proof.msg, env.Rand)
-		if err != nil {
-			panic(fmt.Sprintf("component: prbc share signing: %v", err))
-		}
-		env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(env.Me)},
-			Data:      EncodeSigShare(share),
-		})
-		p.dones.add(&s.proof, slot, env.Me, share)
-	})
-	// Process shares that arrived before our delivery, in node order
-	// (map iteration order must not leak into event scheduling).
-	for w := 0; w < p.env.N; w++ {
-		if raw, ok := s.pending[w]; ok {
-			p.dones.offer(&s.proof, slot, w, raw)
-		}
-	}
-	s.pending = nil // nothing parks once the message is known
+	p.dones.begin(&p.slots[slot].proof, slot, p.doneMessage(slot, HashValue(value)),
+		core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(p.env.Me)}, true)
 	if p.onDeliver != nil {
 		p.onDeliver(slot, value)
 	}
@@ -156,29 +135,19 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 		if slot >= len(p.slots) {
 			continue
 		}
-		s := p.slots[slot]
-		if s.proof.sig != nil {
-			continue
-		}
-		if s.proof.msg == nil {
-			// Cannot verify until we know the hash; park it.
-			if _, dup := s.pending[int(from)]; !dup {
-				s.pending[int(from)] = append([]byte(nil), e.Data...)
-			}
-			continue
-		}
-		p.dones.offer(&s.proof, slot, int(from), e.Data)
+		// Until our RBC delivers we do not know the hash: the share parks.
+		p.dones.offer(&p.slots[slot].proof, slot, int(from), e.Data)
 	}
 }
 
 // proven runs once a slot's DONE shares combined into a proof.
-func (p *PRBC) proven(slot int) {
+func (p *PRBC) proven(slot int, proof []byte) {
 	p.sigDone.Set(slot)
 	// Keep our share intent live: a peer that missed share frames
 	// (half-duplex, loss) still needs it; peersDone tracking prunes it.
 	p.env.T.SetNack(packet.KindPRBC, packet.PhaseDone, p.sigDone)
 	if p.onProof != nil {
-		p.onProof(slot, p.rbc.Value(slot), p.slots[slot].proof.sig)
+		p.onProof(slot, p.rbc.Value(slot), proof)
 	}
 }
 

@@ -1,83 +1,212 @@
 package component
 
 import (
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/crypto/threshcoin"
+	"repro/internal/crypto/threshenc"
 	"repro/internal/crypto/threshsig"
 )
 
-// thresholdSig is one threshold signature in the making: the shares
-// gathered so far over msg, and the full signature once it exists —
-// combined here, or accepted from a peer that combined it. CBC's quorum
-// certificate and PRBC's DONE proof are both one of these, embedded by
-// value in the slot.
-type thresholdSig struct {
-	msg       []byte // what the shares sign; nil until this node knows it
-	shares    map[int]*threshsig.SigShare
+// scheme is a threshold scheme as the share collector sees it: how this
+// node's share of a subject X (the message signed, the coin named, the
+// ciphertext opened) is made and encoded, how a peer's is decoded and
+// verified, how k verified ones combine into a V, and what each step
+// costs in virtual time.
+type scheme[X, S, V any] struct {
+	k                                  int
+	shareCost, verifyCost, combineCost time.Duration
+
+	share   func(x X) (S, error)
+	encode  func(sh S) []byte
+	decode  func(raw []byte) (S, error)
+	verify  func(x X, sh S) error
+	combine func(x X, shares []S) (V, error)
+}
+
+// tally is one threshold value in the making: the verified shares
+// gathered so far, and the value once it exists — combined here, or
+// accepted from a peer that combined it. CBC's quorum certificate, PRBC's
+// DONE proof, CachinABA's coin and the Decryptor's plaintext are each one
+// of these, embedded by value in the slot.
+type tally[X, S, V any] struct {
+	subject X    // what the shares are shares of
+	open    bool // subject is known: shares can be verified
+
+	// own is this node's encoded share, for a peer that lost its state and
+	// asks for it back. It is kept beside the gathered shares, which a
+	// failed combination drops — but only a share that counted here is
+	// kept: one made after the threshold was reached is published once and
+	// never re-served (the sweeps' crash-recovery rows are pinned to that).
+	own       []byte
+	parked    map[int][]byte // peers' shares that arrived ahead of the subject
+	shares    map[int]S
 	combining bool
-	sig       []byte
+	done      bool
+	value     V
 }
 
-// sigCollector turns signature shares into thresholdSigs for every slot of
-// one component: shares verify and combine under key, key.K of them make a
-// signature, and combined runs once a slot's signature is set.
-type sigCollector struct {
+// collector runs every tally of one component through the one
+// verify → collect → combine machine, and calls combined once a tally's
+// value was combined here.
+type collector[X, S, V any] struct {
+	scheme[X, S, V]
 	env      *Env
-	key      *threshsig.PublicKey
-	combined func(slot int)
+	combined func(id int, value V)
 }
 
-// offer takes node w's encoded share for a slot whose message is known.
-func (c *sigCollector) offer(t *thresholdSig, slot, w int, raw []byte) {
-	if _, dup := t.shares[w]; dup || t.sig != nil {
+// begin fixes what t's shares are shares of, publishes this node's own
+// share under key — counting it here too if collect — and takes up the
+// shares that were waiting for the subject.
+func (c *collector[X, S, V]) begin(t *tally[X, S, V], id int, x X, key core.IntentKey, collect bool) {
+	t.subject, t.open = x, true
+	c.contribute(t, id, key, collect)
+	// Parked shares drain in node order: map order must not leak into
+	// event scheduling.
+	for w := 0; w < c.env.N; w++ {
+		if raw, ok := t.parked[w]; ok {
+			c.offer(t, id, w, raw)
+		}
+	}
+	t.parked = nil
+}
+
+// contribute makes this node's share of t's subject and publishes it.
+func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.IntentKey, collect bool) {
+	c.env.Exec(c.shareCost, func() {
+		share, err := c.share(t.subject)
+		if err != nil {
+			return // nothing to contribute to a malformed ciphertext
+		}
+		raw := c.encode(share)
+		c.env.T.Update(core.Intent{IntentKey: key, Data: raw})
+		if collect && c.add(t, id, c.env.Me, share) {
+			t.own = raw
+		}
+	})
+}
+
+// offer takes node w's encoded share.
+func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, raw []byte) {
+	if _, dup := t.shares[w]; dup || t.done {
 		return
 	}
-	share, err := DecodeSigShare(raw)
+	if !t.open {
+		// Nothing to verify against yet: park the peer's first copy.
+		if _, dup := t.parked[w]; !dup {
+			if t.parked == nil {
+				t.parked = make(map[int][]byte)
+			}
+			t.parked[w] = append([]byte(nil), raw...)
+		}
+		return
+	}
+	share, err := c.decode(raw)
 	if err != nil {
 		c.env.Reject()
 		return
 	}
-	// The verifier snapshot shares the per-message fixed work (hash and
-	// Delta power) across all share checks; virtual time still charges a
-	// full TSVerifyShare per share.
-	ver := c.key.Verifier(t.msg)
-	c.env.Exec(c.env.Suite.Cost.TSVerifyShare, func() {
-		if _, dup := t.shares[w]; dup || t.sig != nil {
+	c.env.Exec(c.verifyCost, func() {
+		if _, dup := t.shares[w]; dup || t.done {
 			return
 		}
-		if err := ver.Verify(share); err != nil {
+		if err := c.verify(t.subject, share); err != nil {
 			c.env.Reject() // Byzantine share: discard
 			return
 		}
-		c.add(t, slot, w, share)
+		c.add(t, id, w, share)
 	})
 }
 
-// add records a verified share (a peer's, or this node's own) and combines
-// once the threshold is reached.
-func (c *sigCollector) add(t *thresholdSig, slot, w int, share *threshsig.SigShare) {
-	if _, dup := t.shares[w]; dup || t.sig != nil {
-		return
+// add records a verified share (a peer's, or this node's own) unless it
+// comes too late to count, and combines once the threshold is reached.
+func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) bool {
+	if _, dup := t.shares[w]; dup || t.combining || t.done {
+		return false
 	}
 	if t.shares == nil {
-		t.shares = make(map[int]*threshsig.SigShare)
+		t.shares = make(map[int]S)
 	}
 	t.shares[w] = share
-	if len(t.shares) < c.key.K || t.combining {
-		return
+	if len(t.shares) < c.k {
+		return true
 	}
 	t.combining = true
-	shares := make([]*threshsig.SigShare, 0, len(t.shares))
+	shares := make([]S, 0, len(t.shares))
 	for _, sh := range t.shares {
 		shares = append(shares, sh)
 	}
-	c.env.Exec(c.env.Suite.Cost.TSCombine, func() {
-		sig, err := c.key.Combine(t.msg, shares)
+	c.env.Exec(c.combineCost, func() {
+		value, err := c.combine(t.subject, shares)
+		t.combining = false
 		if err != nil {
 			// A bad share slipped through; drop them all and wait for more.
-			t.combining = false
 			t.shares = nil
 			return
 		}
-		t.sig = sig.Bytes()
-		c.combined(slot)
+		t.value, t.done = value, true
+		c.combined(id, value)
 	})
+	return true
+}
+
+// must wraps share-making that fails only when the node's randomness does.
+func must[S any](sh S, err error) (S, error) {
+	if err != nil {
+		panic("component: making a threshold share: " + err.Error())
+	}
+	return sh, nil
+}
+
+// sigScheme is threshold signing under one of the suite's keys: shares of
+// a message combine into the signature's bytes.
+func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) scheme[[]byte, *threshsig.SigShare, []byte] {
+	cost := env.Suite.Cost
+	return scheme[[]byte, *threshsig.SigShare, []byte]{
+		k: key.K, shareCost: cost.TSSign, verifyCost: cost.TSVerifyShare, combineCost: cost.TSCombine,
+		share:  func(msg []byte) (*threshsig.SigShare, error) { return must(key.Sign(priv, msg, env.Rand)) },
+		encode: EncodeSigShare,
+		decode: DecodeSigShare,
+		verify: key.VerifyShare,
+		combine: func(msg []byte, shares []*threshsig.SigShare) ([]byte, error) {
+			sig, err := key.Combine(msg, shares)
+			if err != nil {
+				return nil, err
+			}
+			return sig.Bytes(), nil
+		},
+	}
+}
+
+// flipScheme is the suite's threshold coin flipping: shares of a coin's
+// name combine into its digest.
+func flipScheme(env *Env) scheme[[]byte, *threshcoin.CoinShare, [32]byte] {
+	cost, key := env.Suite.Cost, env.Suite.TC
+	return scheme[[]byte, *threshcoin.CoinShare, [32]byte]{
+		k: key.K, shareCost: cost.TCShare, verifyCost: cost.TCVerifyShare, combineCost: cost.TCCombine,
+		share: func(name []byte) (*threshcoin.CoinShare, error) {
+			return must(key.Share(env.Suite.TCShare, name, env.Rand))
+		},
+		encode:  EncodeDLShare,
+		decode:  DecodeDLShare,
+		verify:  key.VerifyShare,
+		combine: key.Combine,
+	}
+}
+
+// decScheme is the suite's threshold decryption: shares of a ciphertext
+// combine into its plaintext.
+func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte] {
+	cost, key := env.Suite.Cost, env.Suite.TE
+	return scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{
+		k: key.K, shareCost: cost.TEDecShare, verifyCost: cost.TEVerifyShare, combineCost: cost.TECombine,
+		share: func(ct *threshenc.Ciphertext) (*threshenc.DecShare, error) {
+			return key.DecryptShare(env.Suite.TEShare, ct, env.Rand)
+		},
+		encode:  EncodeDLShare,
+		decode:  DecodeDLShare,
+		verify:  key.VerifyShare,
+		combine: key.Combine,
+	}
 }

@@ -39,7 +39,7 @@ func (v *VCBC) Proof(slot int) []byte {
 	if !s.delivered {
 		return nil
 	}
-	return EncodeVCBCProof(VCBCProof{Slot: uint8(slot), Hash: s.certHash, Cert: s.cert.sig})
+	return EncodeVCBCProof(VCBCProof{Slot: uint8(slot), Hash: s.certHash, Cert: s.cert.value})
 }
 
 // VerifyProof checks a transferable proof against this component's epoch

@@ -80,7 +80,7 @@ func TestDealCachedMatchesHistoricalDerivation(t *testing.T) {
 			cached[i].TSLowShare.S.Cmp(fresh[i].TSLowShare.S) != 0 ||
 			cached[i].TSHighShare.S.Cmp(fresh[i].TSHighShare.S) != 0 ||
 			cached[i].TCShare.S.Cmp(fresh[i].TCShare.S) != 0 ||
-			cached[i].TEShare.Z.Cmp(fresh[i].TEShare.Z) != 0 {
+			cached[i].TEShare.S.Cmp(fresh[i].TEShare.S) != 0 {
 			t.Errorf("suite %d: threshold material diverges between cache hits", i)
 		}
 	}

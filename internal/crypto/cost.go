@@ -16,7 +16,9 @@ import "time"
 // implementations are orders of magnitude faster in wall time; the
 // microbenchmarks (Fig. 10 repro) measure those real times separately,
 // while simulations use this model so crypto/airtime ratios match the
-// paper's hardware. See EXPERIMENTS.md.
+// paper's hardware. See EXPERIMENTS.md. The modeled STM32 has one core:
+// n operations are charged n times the per-operation cost, and the
+// host-side memos and comb tables never discount virtual time.
 type CostModel struct {
 	PKSign   time.Duration // public-key digital signature over a frame
 	PKVerify time.Duration // verification of a frame signature
@@ -34,21 +36,6 @@ type CostModel struct {
 	TEDecShare    time.Duration
 	TEVerifyShare time.Duration
 	TECombine     time.Duration
-}
-
-// BatchCost returns the virtual time charged for a batch of n operations
-// with the given per-operation cost. The host-side batch verification APIs
-// (threshsig.PublicKey.VerifyShares, threshcoin, threshenc, dleq.VerifyBatch)
-// amortize only *host* wall-clock work — memoized fixed points, shared
-// per-message context. The modeled STM32 has one core and verifies shares
-// serially, so a batch is charged exactly n times the per-op cost: there is
-// no virtual-time discount, and simulated latencies stay comparable with
-// the paper's per-operation measurements.
-func BatchCost(per time.Duration, n int) time.Duration {
-	if n <= 0 {
-		return 0
-	}
-	return time.Duration(n) * per
 }
 
 // scale multiplies every field of the base model.

@@ -24,9 +24,6 @@ type Proof struct {
 	Z *big.Int
 }
 
-// Size returns the serialized proof size in bytes for the given group.
-func Size(g *group.Group) int { return 32 + g.ScalarLen() }
-
 // Prove returns a proof that a = g1^x and b = g2^x share the exponent x.
 // The bases come as tables: both are raised to the same fresh nonce here
 // and to other exponents by the caller and by every verifier.
@@ -71,39 +68,6 @@ func Verify(g *group.Group, g1, g2, a *mont.Table, b *big.Int, p *Proof) error {
 		return errors.New("dleq: proof rejected")
 	}
 	return nil
-}
-
-// Statement is one (claimed pairs, proof) instance for VerifyBatch.
-type Statement struct {
-	G1, G2 *mont.Table // bases
-	A      *mont.Table // claimed power A = G1^x, a recurring value
-	B      *big.Int    // claimed power B = G2^x, a one-shot value
-	Proof  *Proof
-}
-
-// VerifyBatch checks a batch of proofs and returns one verdict per
-// statement, in order. A statement fails exactly when Verify would fail
-// it — the batch rejects everything per-statement verification rejects.
-//
-// The amortization is the shared fixed-base work: the comb tables of G1,
-// G2 and the recurring A values are built once and read by every
-// statement that names them, and the membership verdicts of the A values
-// are memoized; each proof's commitments are still recomputed
-// individually. A randomized-linear-combination shortcut is impossible
-// for Fiat–Shamir Chaum–Pedersen proofs: the verifier must reproduce
-// every proof's exact commitments (t1, t2) to recheck its challenge hash,
-// and a random combination of several statements yields only a blended
-// commitment that validates no individual challenge. (Where the per-item
-// check is a bare group equation — e.g. subgroup membership v^Q = 1 — an
-// RLC is unsound here too: Z_p^* has small-order components outside the
-// subgroup, which a combination detects only with constant probability,
-// and this simulator requires accept/reject decisions to be exact.)
-func VerifyBatch(g *group.Group, stmts []Statement) []error {
-	errs := make([]error, len(stmts))
-	for i, st := range stmts {
-		errs[i] = Verify(g, st.G1, st.G2, st.A, st.B, st.Proof)
-	}
-	return errs
 }
 
 func challenge(g *group.Group, parts ...*big.Int) *big.Int {

@@ -171,11 +171,3 @@ func TestProofBindsToBases(t *testing.T) {
 		t.Error("proof transplanted to different base accepted")
 	}
 }
-
-func TestSizePositive(t *testing.T) {
-	for _, g := range group.All() {
-		if Size(g) <= 32 {
-			t.Errorf("%s: Size = %d", g.Name, Size(g))
-		}
-	}
-}

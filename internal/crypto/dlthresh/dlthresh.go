@@ -1,0 +1,233 @@
+// Package dlthresh is the discrete-log threshold kernel under the common
+// coin (threshcoin) and threshold encryption (threshenc), which the paper
+// runs over one Diffie–Hellman group: a secret s Shamir-shared in the
+// exponent, party i's share of a use being base^{s_i} with a DLEQ proof
+// against its verification key g^{s_i}, and any k shares interpolating to
+// base^s. What the base is — a coin's hash-to-group point, a ciphertext's
+// C1 — and what base^s is then used for is all the two schemes add.
+//
+// The trusted Deal is the one set-up assumption of the deployment; a
+// dealerless key generation replaces it here, through NewPublicKey, and
+// nowhere else.
+package dlthresh
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
+	"fmt"
+	"io"
+	"math/big"
+	"sync"
+
+	"repro/internal/crypto/dleq"
+	"repro/internal/crypto/group"
+	"repro/internal/crypto/mont"
+	"repro/internal/crypto/shamir"
+)
+
+// PublicKey holds the verification material of a (K, L) sharing.
+type PublicKey struct {
+	Group *group.Group
+	VK    *big.Int   // g^s
+	VKs   []*big.Int // g^{s_i}
+	K     int        // shares needed
+	L     int        // total parties
+
+	// cc holds the comb tables of the key's fixed bases and of each live
+	// use's base, and memoized share verdicts: every party verifies every
+	// other party's share of each use. All are pure functions of public
+	// inputs, so hits are exact. Guarded: dealt keys are shared across
+	// concurrent simulations.
+	cc *cache
+}
+
+type cache struct {
+	vk  *mont.Table   // comb of VK, built on its first power
+	vks []*mont.Table // combs of the VKs, each built on its first verification
+
+	mu       sync.Mutex
+	bases    map[string]*mont.Table // Base.Tag -> comb of the element
+	verified map[[32]byte]error     // (Base.Tag, share) -> verdict
+}
+
+// cacheCap bounds each memo map; overflow clears the map (a safety
+// valve — a sweep cell's working set is far smaller).
+const cacheCap = 4096
+
+// PrivateShare is party Index's share of the secret.
+type PrivateShare struct {
+	Index int
+	S     *big.Int
+}
+
+// Share is one party's contribution to a use: V = base^{s_i}, with proof.
+type Share struct {
+	Index int
+	V     *big.Int
+	Proof *dleq.Proof
+}
+
+// Base names the element the shares of one use are powers of. Tag keys
+// the kernel's memos and must bind the element (a coin's name, a
+// ciphertext's binding tag); Element computes it when no memo has it.
+type Base struct {
+	Tag     []byte
+	Element func() *big.Int
+}
+
+// Key is the dealer output.
+type Key struct {
+	Public PublicKey
+	Shares []PrivateShare
+}
+
+// Deal shares a fresh secret (k, l) over g.
+func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
+	s, err := shamir.RandInt(rand, g.Q)
+	if err != nil {
+		return nil, fmt.Errorf("dlthresh: sampling secret: %w", err)
+	}
+	shares, err := shamir.Deal(s, k, l, g.Q, rand)
+	if err != nil {
+		return nil, err
+	}
+	priv := make([]PrivateShare, l)
+	vks := make([]*big.Int, l)
+	for i, sh := range shares {
+		priv[i] = PrivateShare{Index: sh.X, S: sh.Y}
+		vks[i] = g.ExpG(sh.Y)
+	}
+	return &Key{Public: NewPublicKey(g, g.ExpG(s), vks, k), Shares: priv}, nil
+}
+
+// NewPublicKey assembles a key from its verification material.
+func NewPublicKey(g *group.Group, vk *big.Int, vks []*big.Int, k int) PublicKey {
+	cc := &cache{
+		vk:       g.Table(vk, mont.TeethLong),
+		vks:      make([]*mont.Table, len(vks)),
+		bases:    make(map[string]*mont.Table),
+		verified: make(map[[32]byte]error),
+	}
+	for i, v := range vks {
+		cc.vks[i] = g.Table(v, mont.TeethLong)
+	}
+	return PublicKey{Group: g, VK: vk, VKs: vks, K: k, L: len(vks), cc: cc}
+}
+
+// ExpVK returns VK^e through the key's comb.
+func (pk *PublicKey) ExpVK(e *big.Int) *big.Int { return pk.cc.vk.Exp(e) }
+
+// table returns the comb of b's element, shared by everyone who touches
+// the use: each party raises it to its share and its proof nonce, every
+// share's verification raises it once more, and a coin's hash-to-group
+// element costs as much as any of those powers — so it is computed
+// outside the lock. Safe under concurrent misses: one table wins.
+func (pk *PublicKey) table(b Base) *mont.Table {
+	cc := pk.cc
+	cc.mu.Lock()
+	t := cc.bases[string(b.Tag)]
+	cc.mu.Unlock()
+	if t != nil {
+		return t
+	}
+	t = pk.Group.Table(b.Element(), mont.TeethShort)
+	cc.mu.Lock()
+	defer cc.mu.Unlock()
+	if prior := cc.bases[string(b.Tag)]; prior != nil {
+		return prior
+	}
+	if len(cc.bases) >= cacheCap {
+		clear(cc.bases)
+	}
+	cc.bases[string(b.Tag)] = t
+	return t
+}
+
+// Share produces party priv.Index's share of the use named by b.
+func (pk *PublicKey) Share(b Base, priv PrivateShare, rand io.Reader) (*Share, error) {
+	t := pk.table(b)
+	v := t.Exp(priv.S)
+	proof, err := dleq.Prove(pk.Group, pk.Group.GTable(), t, pk.VKs[priv.Index-1], v, priv.S, rand)
+	if err != nil {
+		return nil, fmt.Errorf("dlthresh: proving share: %w", err)
+	}
+	return &Share{Index: priv.Index, V: v, Proof: proof}, nil
+}
+
+// VerifyShare checks a share of the use named by b. Verdicts are memoized
+// per (tag, share), which is sound because the tag binds the element and
+// the rest of the key covers every byte the proof check reads: the memo
+// key hashes magnitudes, so a share whose value is outside (0, P) or
+// whose proof scalars are outside [0, Q) — a negated copy of a good
+// share, say — is refused before the memo is consulted.
+func (pk *PublicKey) VerifyShare(b Base, sh *Share) error {
+	if sh == nil || sh.Index < 1 || sh.Index > pk.L {
+		return errors.New("dlthresh: bad share index")
+	}
+	if sh.V == nil || sh.Proof == nil || sh.Proof.C == nil || sh.Proof.Z == nil {
+		return errors.New("dlthresh: missing share material")
+	}
+	g := pk.Group
+	if sh.V.Sign() <= 0 || sh.V.Cmp(g.P) >= 0 ||
+		sh.Proof.C.Sign() < 0 || sh.Proof.C.Cmp(g.Q) >= 0 ||
+		sh.Proof.Z.Sign() < 0 || sh.Proof.Z.Cmp(g.Q) >= 0 {
+		return errors.New("dlthresh: share out of range")
+	}
+	key := shareKey(b.Tag, sh)
+	cc := pk.cc
+	cc.mu.Lock()
+	verdict, hit := cc.verified[key]
+	cc.mu.Unlock()
+	if hit {
+		return verdict
+	}
+	err := dleq.Verify(g, g.GTable(), pk.table(b), cc.vks[sh.Index-1], sh.V, sh.Proof)
+	cc.mu.Lock()
+	if len(cc.verified) >= cacheCap {
+		clear(cc.verified)
+	}
+	cc.verified[key] = err
+	cc.mu.Unlock()
+	return err
+}
+
+// shareKey digests a (tag, share) pair for the verdict memo.
+func shareKey(tag []byte, sh *Share) [32]byte {
+	h := sha256.New()
+	var lb [4]byte
+	binary.BigEndian.PutUint32(lb[:], uint32(len(tag)))
+	h.Write(lb[:])
+	h.Write(tag)
+	binary.BigEndian.PutUint32(lb[:], uint32(sh.Index))
+	h.Write(lb[:])
+	for _, v := range []*big.Int{sh.V, sh.Proof.C, sh.Proof.Z} {
+		b := v.Bytes()
+		binary.BigEndian.PutUint32(lb[:], uint32(len(b)))
+		h.Write(lb[:])
+		h.Write(b)
+	}
+	var out [32]byte
+	h.Sum(out[:0])
+	return out
+}
+
+// Combine interpolates the first K shares in the exponent: base^s, the
+// same element from any K valid shares of one use.
+func (pk *PublicKey) Combine(shares []*Share) (*big.Int, error) {
+	if len(shares) < pk.K {
+		return nil, fmt.Errorf("dlthresh: need %d shares, have %d", pk.K, len(shares))
+	}
+	pts := make([]shamir.Share, pk.K)
+	vs := make([]*big.Int, pk.K)
+	seen := make(map[int]bool, pk.K)
+	for i, sh := range shares[:pk.K] {
+		if seen[sh.Index] {
+			return nil, fmt.Errorf("dlthresh: duplicate share %d", sh.Index)
+		}
+		seen[sh.Index] = true
+		pts[i] = shamir.Share{X: sh.Index}
+		vs[i] = sh.V
+	}
+	return pk.Group.MulExp(vs, shamir.LagrangeSet(pts, pk.Group.Q)), nil
+}

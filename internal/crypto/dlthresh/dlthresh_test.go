@@ -1,0 +1,216 @@
+package dlthresh
+
+import (
+	"math/big"
+	"math/rand"
+	"testing"
+
+	"repro/internal/crypto/dleq"
+	"repro/internal/crypto/group"
+	"repro/internal/crypto/mont"
+)
+
+func testKey(t testing.TB, k, l int) *Key {
+	t.Helper()
+	key, err := Deal(group.Default(), k, l, rand.New(rand.NewSource(11)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
+}
+
+// testBase is a use whose element is a fixed power of the generator.
+func testBase(g *group.Group, tag string) Base {
+	return Base{Tag: []byte(tag), Element: func() *big.Int {
+		return g.ExpG(g.HashToScalar("dlthresh-test", []byte(tag)))
+	}}
+}
+
+// refVerify is the share check with no memo and no kept table: the
+// structural checks, then the proof against throwaway combs.
+func refVerify(pk *PublicKey, b Base, sh *Share) bool {
+	if sh == nil || sh.Index < 1 || sh.Index > pk.L || sh.V == nil || sh.Proof == nil {
+		return false
+	}
+	g := pk.Group
+	tab := func(v *big.Int) *mont.Table { return g.Table(v, mont.TeethShort) }
+	return dleq.Verify(g, g.GTable(), tab(b.Element()), tab(pk.VKs[sh.Index-1]), sh.V, sh.Proof) == nil
+}
+
+func sharesOf(t testing.TB, key *Key, b Base, seed int64) []*Share {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]*Share, key.Public.L)
+	for i := range out {
+		sh, err := key.Public.Share(b, key.Shares[i], rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = sh
+	}
+	return out
+}
+
+// TestVerifyShareMatrix runs every rejection class the fault-injection
+// (byz) tests feed the protocol through VerifyShare: the verdict is the
+// expected one, it is the memo-free reference's, and it is the same when
+// replayed from the memo.
+func TestVerifyShareMatrix(t *testing.T) {
+	key := testKey(t, 2, 4)
+	pk := &key.Public
+	g := pk.Group
+	use := testBase(g, "matrix use")
+	honest := sharesOf(t, key, use, 33)
+	other := sharesOf(t, key, testBase(g, "other use"), 34)
+	sh := honest[0]
+	neg := func(v *big.Int) *big.Int { return new(big.Int).Neg(v) }
+	plus := func(v, d *big.Int) *big.Int { return new(big.Int).Add(v, d) }
+	matrix := []struct {
+		name string
+		sh   *Share
+		ok   bool
+	}{
+		{"honest 1", honest[0], true},
+		{"honest 2", honest[1], true},
+		{"honest 3", honest[2], true},
+		{"tampered value", &Share{Index: sh.Index, V: plus(sh.V, big.NewInt(1)), Proof: sh.Proof}, false},
+		{"wrong index", &Share{Index: 2, V: sh.V, Proof: sh.Proof}, false},
+		{"swapped proof", &Share{Index: sh.Index, V: sh.V, Proof: honest[1].Proof}, false},
+		{"garbage proof", &Share{Index: sh.Index, V: sh.V, Proof: &dleq.Proof{C: big.NewInt(7), Z: big.NewInt(9)}}, false},
+		{"share of another use", other[0], false},
+		{"nil share", nil, false},
+		{"nil value", &Share{Index: sh.Index, Proof: sh.Proof}, false},
+		{"nil proof", &Share{Index: sh.Index, V: sh.V}, false},
+		{"nil challenge", &Share{Index: sh.Index, V: sh.V, Proof: &dleq.Proof{Z: sh.Proof.Z}}, false},
+		{"nil response", &Share{Index: sh.Index, V: sh.V, Proof: &dleq.Proof{C: sh.Proof.C}}, false},
+		{"index underflow", &Share{Index: 0, V: sh.V, Proof: sh.Proof}, false},
+		{"index overflow", &Share{Index: 99, V: sh.V, Proof: sh.Proof}, false},
+		{"value outside the subgroup", &Share{Index: sh.Index, V: big.NewInt(2), Proof: sh.Proof}, false},
+		{"zero value", &Share{Index: sh.Index, V: new(big.Int), Proof: sh.Proof}, false},
+		{"value + P", &Share{Index: sh.Index, V: plus(sh.V, g.P), Proof: sh.Proof}, false},
+		{"negated value", &Share{Index: sh.Index, V: neg(sh.V), Proof: sh.Proof}, false},
+		{"negated challenge", &Share{Index: sh.Index, V: sh.V, Proof: &dleq.Proof{C: neg(sh.Proof.C), Z: sh.Proof.Z}}, false},
+		{"negated response", &Share{Index: sh.Index, V: sh.V, Proof: &dleq.Proof{C: sh.Proof.C, Z: neg(sh.Proof.Z)}}, false},
+		{"response + Q", &Share{Index: sh.Index, V: sh.V, Proof: &dleq.Proof{C: sh.Proof.C, Z: plus(sh.Proof.Z, g.Q)}}, false},
+	}
+	for _, c := range matrix {
+		for _, pass := range []string{"first", "memoized"} {
+			if got := pk.VerifyShare(use, c.sh) == nil; got != c.ok {
+				t.Errorf("%s (%s): accepted = %v, want %v", c.name, pass, got, c.ok)
+			}
+		}
+		// The reference knows nothing of the range rule: it may accept a
+		// malleated response, never reject what the kernel accepts.
+		if ref := refVerify(pk, use, c.sh); c.ok && !ref {
+			t.Errorf("%s: kernel accepts what the memo-free reference rejects", c.name)
+		} else if ref && !c.ok && c.name != "response + Q" {
+			t.Errorf("%s: memo-free reference accepts", c.name)
+		}
+	}
+}
+
+// TestSignCannotReplayVerdict: the memo key hashes magnitudes, so a share
+// with a negated field has the key of the share it was made from. It must
+// be refused whether or not the good share's verdict is already memoized,
+// and must not poison the good share's verdict either.
+func TestSignCannotReplayVerdict(t *testing.T) {
+	key := testKey(t, 2, 4)
+	pk := &key.Public
+	use := testBase(pk.Group, "sign use")
+	good := sharesOf(t, key, use, 35)[0]
+	neg := func(v *big.Int) *big.Int { return new(big.Int).Neg(v) }
+	bad := []*Share{
+		{Index: good.Index, V: neg(good.V), Proof: good.Proof},
+		{Index: good.Index, V: good.V, Proof: &dleq.Proof{C: neg(good.Proof.C), Z: good.Proof.Z}},
+		{Index: good.Index, V: good.V, Proof: &dleq.Proof{C: good.Proof.C, Z: neg(good.Proof.Z)}},
+	}
+	for i, sh := range bad {
+		if shareKey(use.Tag, sh) != shareKey(use.Tag, good) {
+			t.Fatalf("negated share %d has its own memo key: the test no longer tests the memo", i)
+		}
+	}
+	check := func(when string) {
+		for i, sh := range bad {
+			if pk.VerifyShare(use, sh) == nil {
+				t.Errorf("%s: negated share %d accepted", when, i)
+			}
+		}
+	}
+	check("cold memo")
+	if err := pk.VerifyShare(use, good); err != nil {
+		t.Fatalf("good share rejected after its negations were: %v", err)
+	}
+	check("good verdict memoized")
+}
+
+func TestCombine(t *testing.T) {
+	key := testKey(t, 3, 5)
+	pk := &key.Public
+	use := testBase(pk.Group, "combine use")
+	all := sharesOf(t, key, use, 36)
+	a, err := pk.Combine([]*Share{all[0], all[1], all[2]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := pk.Combine([]*Share{all[4], all[2], all[3], all[0]}) // a spare share is ignored
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Cmp(b) != 0 {
+		t.Error("different share subsets interpolate to different elements")
+	}
+	// base^s by its definition: the test base is g^e, so base^s = VK^e.
+	e := pk.Group.HashToScalar("dlthresh-test", use.Tag)
+	if want := pk.ExpVK(e); a.Cmp(want) != 0 {
+		t.Error("combined element is not base^s")
+	}
+	if _, err := pk.Combine(all[:2]); err == nil {
+		t.Error("too few shares accepted")
+	}
+	if _, err := pk.Combine([]*Share{all[0], all[1], all[0]}); err == nil {
+		t.Error("duplicate shares accepted")
+	}
+}
+
+// TestMemosOverflow: a memo that fills up is cleared and goes on giving
+// the verdicts a cold one gives.
+func TestMemosOverflow(t *testing.T) {
+	key := testKey(t, 2, 4)
+	pk := &key.Public
+	use := testBase(pk.Group, "overflow use")
+	good := sharesOf(t, key, use, 37)[1]
+	junk := &Share{Index: 1, V: big.NewInt(2), Proof: &dleq.Proof{C: big.NewInt(1), Z: big.NewInt(1)}}
+	one := big.NewInt(1)
+	for i := 0; i < cacheCap+2; i++ {
+		b := Base{Tag: []byte{byte(i), byte(i >> 8)}, Element: func() *big.Int { return one }}
+		if pk.VerifyShare(b, junk) == nil {
+			t.Fatal("junk share accepted")
+		}
+	}
+	if n := len(pk.cc.verified); n > cacheCap {
+		t.Errorf("verdict memo holds %d entries, cap %d", n, cacheCap)
+	}
+	if n := len(pk.cc.bases); n > cacheCap {
+		t.Errorf("base memo holds %d entries, cap %d", n, cacheCap)
+	}
+	if err := pk.VerifyShare(use, good); err != nil {
+		t.Errorf("good share rejected after the memos overflowed: %v", err)
+	}
+}
+
+// BenchmarkVerifyShare measures one share verification with a cold
+// verdict memo (the base's and the verification key's combs stay built,
+// as they are for all but a use's first verifier).
+func BenchmarkVerifyShare(b *testing.B) {
+	key := testKey(b, 2, 4)
+	pk := &key.Public
+	use := testBase(pk.Group, "bench use")
+	sh := sharesOf(b, key, use, 43)[0]
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		clear(pk.cc.verified)
+		if err := pk.VerifyShare(use, sh); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -87,7 +87,7 @@ func TestShareVerificationRejectsByzantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Flipped sigma.
-	bad := &CoinShare{Index: sh.Index, Sigma: new(big.Int).Add(sh.Sigma, big.NewInt(1)), Proof: sh.Proof}
+	bad := &CoinShare{Index: sh.Index, V: new(big.Int).Add(sh.V, big.NewInt(1)), Proof: sh.Proof}
 	if err := key.Public.VerifyShare(name, bad); err == nil {
 		t.Error("tampered sigma accepted")
 	}
@@ -96,12 +96,22 @@ func TestShareVerificationRejectsByzantine(t *testing.T) {
 		t.Error("share replayed across coin names accepted")
 	}
 	// Wrong index.
-	bad = &CoinShare{Index: 2, Sigma: sh.Sigma, Proof: sh.Proof}
+	bad = &CoinShare{Index: 2, V: sh.V, Proof: sh.Proof}
 	if err := key.Public.VerifyShare(name, bad); err == nil {
 		t.Error("share accepted under wrong index")
 	}
-	if err := key.Public.VerifyShare(name, &CoinShare{Index: 99, Sigma: sh.Sigma, Proof: sh.Proof}); err == nil {
+	if err := key.Public.VerifyShare(name, &CoinShare{Index: 99, V: sh.V, Proof: sh.Proof}); err == nil {
 		t.Error("out-of-range index accepted")
+	}
+	if err := key.Public.VerifyShare(name, &CoinShare{Index: sh.Index, V: sh.V}); err == nil {
+		t.Error("share without a proof accepted")
+	}
+	if err := key.Public.VerifyShare(name, nil); err == nil {
+		t.Error("nil share accepted")
+	}
+	// None of the rejections above may have cost the honest share its verdict.
+	if err := key.Public.VerifyShare(name, sh); err != nil {
+		t.Errorf("honest share rejected: %v", err)
 	}
 }
 
@@ -118,13 +128,6 @@ func TestCombineErrors(t *testing.T) {
 	}
 	if _, err := key.Public.Combine(name, []*CoinShare{sh, sh, sh}); err == nil {
 		t.Error("duplicate shares accepted")
-	}
-}
-
-func TestShareLenReasonable(t *testing.T) {
-	key := testKey(t, 2, 4)
-	if l := key.Public.ShareLen(); l < key.Public.Group.ElementLen() {
-		t.Errorf("ShareLen = %d, smaller than one element", l)
 	}
 }
 
@@ -155,5 +158,29 @@ func TestDeterministicBitDistribution(t *testing.T) {
 	}
 	if heads == 0 || heads == total {
 		t.Errorf("degenerate coin: %d/%d heads", heads, total)
+	}
+}
+
+// BenchmarkCoin measures one coin end to end at a fresh name: two shares,
+// one verification, one combination.
+func BenchmarkCoin(b *testing.B) {
+	key := testKey(b, 2, 4)
+	rng := rand.New(rand.NewSource(43))
+	for i := 0; i < b.N; i++ {
+		name := []byte{byte(i), byte(i >> 8), byte(i >> 16), byte(i >> 24)}
+		s0, err := key.Public.Share(key.Shares[0], name, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		s1, err := key.Public.Share(key.Shares[1], name, rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if err := key.Public.VerifyShare(name, s1); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := key.Public.Combine(name, []*CoinShare{s0, s1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

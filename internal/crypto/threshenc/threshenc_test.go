@@ -123,14 +123,32 @@ func TestShareVerificationRejectsByzantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := &DecShare{Index: sh.Index, D: new(big.Int).Add(sh.D, big.NewInt(1)), Proof: sh.Proof}
+	bad := &DecShare{Index: sh.Index, V: new(big.Int).Add(sh.V, big.NewInt(1)), Proof: sh.Proof}
 	if err := key.Public.VerifyShare(ct, bad); err == nil {
 		t.Error("tampered decryption share accepted")
+	}
+	if err := key.Public.VerifyShare(ct, &DecShare{Index: 2, V: sh.V, Proof: sh.Proof}); err == nil {
+		t.Error("share accepted under wrong index")
+	}
+	if err := key.Public.VerifyShare(ct, &DecShare{Index: sh.Index, V: sh.V}); err == nil {
+		t.Error("share without a proof accepted")
 	}
 	// A bad share slipped into Combine yields wrong plaintext; since the
 	// protocol verifies shares first, we assert shares ARE distinguishable.
 	if err := key.Public.VerifyShare(ct, sh); err != nil {
 		t.Errorf("honest share rejected: %v", err)
+	}
+	// A tampered ciphertext fails every share, the memoized honest one
+	// included: the tag is rechecked before the memo is consulted.
+	tampered := &Ciphertext{C1: ct.C1, Body: append([]byte(nil), ct.Body...), Tag: ct.Tag}
+	tampered.Body[0] ^= 0xFF
+	if err := key.Public.VerifyShare(tampered, sh); err == nil {
+		t.Error("share accepted against a tampered ciphertext")
+	}
+	// So does one whose C1 was swapped under the old tag.
+	swapped := &Ciphertext{C1: new(big.Int).Add(ct.C1, big.NewInt(1)), Body: ct.Body, Tag: ct.Tag}
+	if err := key.Public.VerifyShare(swapped, sh); err == nil {
+		t.Error("share accepted against a ciphertext whose C1 the tag does not bind")
 	}
 }
 

@@ -253,24 +253,3 @@ func (v *ShareVerifier) Verify(sh *SigShare) error {
 	}
 	return v.pk.verifyShareWith(v.ctx, v.digest, sh)
 }
-
-// VerifyShares checks a batch of shares of one message and returns one
-// verdict per share, in order. The batch amortizes the message context
-// across the shares and replays memoized verdicts; each share's proof is
-// still checked individually and exactly, so a batch rejects precisely
-// the shares per-share verification rejects.
-//
-// No randomized-linear-combination shortcut is possible here: the shares
-// carry Fiat–Shamir Chaum–Pedersen proofs, whose verification must
-// recompute each proof's commitments (t1, t2) exactly to recheck the
-// challenge hash — an RLC over several proofs yields only a combined
-// commitment, which verifies no individual hash. The honest amortization
-// is the shared base work above.
-func (pk *PublicKey) VerifyShares(msg []byte, shares []*SigShare) []error {
-	v := pk.Verifier(msg)
-	errs := make([]error, len(shares))
-	for i, sh := range shares {
-		errs[i] = v.Verify(sh)
-	}
-	return errs
-}

@@ -215,14 +215,11 @@ func (pk *PublicKey) Sign(share PrivateShare, msg []byte, rand io.Reader) (*SigS
 
 // VerifyShare checks a signature share against msg.
 func (pk *PublicKey) VerifyShare(msg []byte, sh *SigShare) error {
-	if err := checkShareShape(pk, sh); err != nil {
-		return err
-	}
-	return pk.verifyShareWith(pk.ctxFor(msg), sha256.Sum256(msg), sh)
+	return pk.Verifier(msg).Verify(sh)
 }
 
-// checkShareShape performs the cheap structural checks shared by the
-// single and batch verification paths.
+// checkShareShape performs the cheap structural checks shared by
+// VerifyShare and ShareVerifier.
 func checkShareShape(pk *PublicKey, sh *SigShare) error {
 	if sh == nil || sh.Index < 1 || sh.Index > pk.L {
 		return errors.New("threshsig: bad share index")

@@ -66,7 +66,7 @@ func newABA(env *component.Env, slots int, coin CoinKind, shared, catchUp bool, 
 			Slots:        slots,
 			SharedCoin:   shared,
 			RoundCatchUp: catchUp,
-			Coin:         &component.SigCoin{PK: env.Suite.TSLow, Share: env.Suite.TSLowShare, Env: env},
+			Coin:         component.SigCoin(env),
 			OnDecide:     onDecide,
 		})
 	case CoinFlip:
@@ -74,7 +74,7 @@ func newABA(env *component.Env, slots int, coin CoinKind, shared, catchUp bool, 
 			Slots:        slots,
 			SharedCoin:   shared,
 			RoundCatchUp: catchUp,
-			Coin:         &component.FlipCoin{PK: env.Suite.TC, Share: env.Suite.TCShare, Env: env},
+			Coin:         component.FlipCoin(env),
 			OnDecide:     onDecide,
 		})
 	default:

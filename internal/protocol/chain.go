@@ -10,6 +10,7 @@ import (
 	"repro/internal/component"
 	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/crypto/group"
 	"repro/internal/sim"
 )
 
@@ -459,10 +460,16 @@ func (c *Chain) commit(e int, ep *chainEpoch) {
 // default. The component refuses anything larger at propose time.
 const MaxProposalBytes = 255 * 160
 
-// ciphertextEnvelope bounds what threshold encryption adds to a proposal
-// (component.EncodeCiphertext): a length-prefixed group element, at most
-// the 384 B of SG-3072, a 32 B tag and a 4 B body length.
-const ciphertextEnvelope = 2 + 384 + 32 + 4
+// ciphertextEnvelope bounds what threshold encryption adds to a proposal:
+// the ciphertext codec's overhead over the largest group a suite can be
+// dealt on.
+func ciphertextEnvelope() int {
+	worst := 0
+	for _, g := range group.All() {
+		worst = max(worst, component.CiphertextOverhead(g))
+	}
+	return worst
+}
 
 // CheckProposalSize returns an error if a proposal cut under this config
 // from txSize-byte transactions could exceed MaxProposalBytes once framed
@@ -471,7 +478,7 @@ func (cfg ChainConfig) CheckProposalSize(txSize int) error {
 	max := cfg.Mempool.WithDefaults().MaxBatchBytes
 	worst := 2 + max + 2*(max/txSize)
 	if cfg.Encrypt {
-		worst += ciphertextEnvelope
+		worst += ciphertextEnvelope()
 	}
 	if worst > MaxProposalBytes {
 		return fmt.Errorf("protocol: MaxBatchBytes %d allows proposals of %d B; one broadcast carries at most %d B (255 fragments of 160 B)",

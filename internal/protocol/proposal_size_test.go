@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/component"
 	"repro/internal/crypto"
-	"repro/internal/crypto/group"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/wireless"
@@ -37,11 +36,6 @@ func TestMaxProposalBytesIsTheComponentCap(t *testing.T) {
 }
 
 func TestCheckProposalSize(t *testing.T) {
-	for _, g := range group.All() {
-		if n := (g.P.BitLen() + 7) / 8; 2+n+32+4 > ciphertextEnvelope {
-			t.Errorf("group %s: a %d B element overflows the %d B ciphertext envelope", g.Name, n, ciphertextEnvelope)
-		}
-	}
 	cfg := DefaultChainConfig(HoneyBadger, CoinSig)
 	if err := cfg.CheckProposalSize(64); err != nil {
 		t.Fatalf("default config refused: %v", err)
@@ -54,7 +48,7 @@ func TestCheckProposalSize(t *testing.T) {
 	}
 	// The largest cap whose framed, encrypted worst case still fits.
 	cfg.Encrypt = true
-	fits := (MaxProposalBytes - 2 - ciphertextEnvelope) * 64 / 66
+	fits := (MaxProposalBytes - 2 - ciphertextEnvelope()) * 64 / 66
 	cfg.Mempool.MaxBatchBytes = fits
 	if err := cfg.CheckProposalSize(64); err != nil {
 		t.Errorf("MaxBatchBytes %d refused: %v", fits, err)

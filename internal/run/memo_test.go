@@ -51,7 +51,7 @@ func fillMemos(t *testing.T, spec run.Spec) {
 	rng := rand.New(rand.NewSource(99))
 	// A share that fails group membership: rejected (and the verdict
 	// memoized) right after the ciphertext's context is created.
-	junk := &threshenc.DecShare{Index: 1, D: big.NewInt(2),
+	junk := &threshenc.DecShare{Index: 1, V: big.NewInt(2),
 		Proof: &dleq.Proof{C: big.NewInt(1), Z: big.NewInt(1)}}
 	for i := 0; i < memoCap-2; i++ {
 		msg := []byte(fmt.Sprintf("filler/%d", i))

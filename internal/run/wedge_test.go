@@ -11,7 +11,7 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestSustainedEquivocationWedge pins ROADMAP item 6 as an in-tree
+// TestSustainedEquivocationWedge pins ROADMAP item 2 as an in-tree
 // repro: under a sustained equivocation adversary (f Byzantine nodes
 // from t=0), the three BENCH_alea.json cells below wedge — every honest
 // node stalls at the same epoch frontier until the run deadline fires —
@@ -21,11 +21,11 @@ import (
 // engines.
 //
 // The test is skipped: it documents a known open bug, not a regression
-// gate. Whoever fixes item 6 should delete the Skip and flip the
+// gate. Whoever fixes item 2 should delete the Skip and flip the
 // expectation — a fixed engine commits all 12 epochs and the run
 // returns nil.
 func TestSustainedEquivocationWedge(t *testing.T) {
-	t.Skip("ROADMAP item 6: sustained-equivocation liveness wedge (known open bug; " +
+	t.Skip("ROADMAP item 2: sustained-equivocation liveness wedge (known open bug; " +
 		"remove this Skip when fixing it and expect the runs to succeed)")
 
 	cases := []struct {
@@ -56,7 +56,7 @@ func TestSustainedEquivocationWedge(t *testing.T) {
 			_, err := run.Run(spec)
 			if err == nil {
 				t.Fatal("cell completed: the equivocation wedge is gone — " +
-					"close ROADMAP item 6 and turn this into a liveness gate")
+					"close ROADMAP item 2 and turn this into a liveness gate")
 			}
 			if !node.IsDeadline(err) {
 				t.Fatalf("expected the documented deadline wedge, got a different failure: %v", err)
