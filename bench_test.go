@@ -2,205 +2,24 @@ package repro
 
 import (
 	"testing"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/sweep"
 )
 
-// Each benchmark regenerates one table or figure of the paper's evaluation
-// section. Custom metrics carry the simulated quantities: virtual_s is
-// virtual (simulated) seconds of protocol latency, tpm is transactions per
-// virtual minute. Run `go test -bench=. -benchmem` or use cmd/wbft-bench
-// for the full printed tables.
-
-func reportLatency(b *testing.B, name string, d time.Duration) {
-	b.ReportMetric(d.Seconds(), name+"_virtual_s")
-}
-
-// BenchmarkTable1MessageOverhead regenerates Table I: message overhead per
-// node for N=4 parallel components under wired/baseline/ConsensusBatcher.
-func BenchmarkTable1MessageOverhead(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Table1(int64(i)+1, sweep.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				b.ReportMetric(r.MeasuredBatched, "pkts_"+r.Component[:3]+"_cb")
-			}
-		}
-	}
-}
-
-// BenchmarkFig10aThresholdSigOps measures the real latency of threshold
-// signature operations across parameter sets (Fig. 10a).
-func BenchmarkFig10aThresholdSigOps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Fig10aThresholdSig(1, sweep.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10bThresholdCoinOps measures threshold coin-flipping
-// operations across group sizes (Fig. 10b).
-func BenchmarkFig10bThresholdCoinOps(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Fig10bThresholdCoin(1, sweep.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig10cSignatureSizes reports signature sizes (Fig. 10c).
-func BenchmarkFig10cSignatureSizes(b *testing.B) {
-	var rows []bench.SizeRow
-	for i := 0; i < b.N; i++ {
-		rows = bench.Fig10cSizes()
-	}
-	for _, r := range rows {
-		b.ReportMetric(float64(r.Bytes), r.Name+"_bytes")
-	}
-}
-
-// BenchmarkFig10dCryptoImpact runs HoneyBadgerBFT-SC under light vs heavy
-// crypto (Fig. 10d).
-func BenchmarkFig10dCryptoImpact(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig10dCryptoImpact(int64(i)+1, 1, []int{4}, sweep.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				reportLatency(b, r.Config[:5], r.Latency)
-			}
-		}
-	}
-}
-
-// BenchmarkFig11aBroadcastParallelism sweeps broadcast parallelism
-// (Fig. 11a).
-func BenchmarkFig11aBroadcastParallelism(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig11aBroadcastParallelism(int64(i)+1, sweep.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				if r.Parallel == 4 {
-					reportLatency(b, string(r.Kind), r.Latency)
+// BenchmarkExperiment runs every registered experiment — each table and
+// figure of the paper's evaluation section plus the beyond-the-paper SMR
+// sweeps — once per iteration at smoke-sized parameters, so `-benchtime 1x`
+// compiles and exercises the whole registry without regenerating a golden.
+// The numbers worth reading are the rendered tables: use cmd/wbft-bench.
+func BenchmarkExperiment(b *testing.B) {
+	for _, e := range bench.Experiments() {
+		b.Run(e.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ctx := &bench.Context{Seed: int64(i) + 1, Epochs: 1, Batch: 4, Reps: 1, ChainEpochs: 2}
+				if _, err := e.Rows(ctx); err != nil {
+					b.Fatal(err)
 				}
 			}
-		}
-	}
-}
-
-// BenchmarkFig11bProposalSize sweeps proposal sizes (Fig. 11b).
-func BenchmarkFig11bProposalSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Fig11bProposalSize(int64(i)+1, sweep.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig12aABAParallel sweeps parallel ABA instances (Fig. 12a).
-func BenchmarkFig12aABAParallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig12aParallel(int64(i)+1, sweep.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				if r.Count == 4 {
-					reportLatency(b, string(r.Variant), r.Latency)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFig12bABASerial sweeps serial ABA instances (Fig. 12b).
-func BenchmarkFig12bABASerial(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := bench.Fig12bSerial(int64(i)+1, sweep.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig13aSingleHop runs the 8-protocol single-hop comparison
-// (Fig. 13a).
-func BenchmarkFig13aSingleHop(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig13aSingleHop(int64(i)+1, 1, 4, sweep.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				reportLatency(b, r.Name, r.Latency)
-			}
-		}
-	}
-}
-
-// BenchmarkFig13bMultiHop runs the 8-protocol 16-node multi-hop comparison
-// (Fig. 13b).
-func BenchmarkFig13bMultiHop(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.Fig13bMultiHop(int64(i)+1, 1, 4, sweep.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				reportLatency(b, r.Name, r.Latency)
-			}
-		}
-	}
-}
-
-// BenchmarkChainSustainedThroughput runs the SMR pipeline-depth sweep
-// (beyond the paper): committed payload bytes per virtual second across
-// transports, protocols, and pipeline depths 1/2/4.
-func BenchmarkChainSustainedThroughput(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.ChainThroughput(int64(i)+1, 8, sweep.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				if r.Protocol == "HB-SC" && r.Transport == "batched" {
-					name := "Bps_depth" + string(rune('0'+r.Depth))
-					b.ReportMetric(r.ThroughputBps, name)
-				}
-			}
-		}
-	}
-}
-
-// BenchmarkFaultScenarios runs the scripted fault sweep (beyond the
-// paper): sustained SMR throughput under crash, crash+recovery, delay
-// adversary, jamming bursts, and partition/heal, per transport.
-func BenchmarkFaultScenarios(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		rows, err := bench.FaultSweep(int64(i)+1, 6, sweep.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if i == 0 {
-			for _, r := range rows {
-				if r.Protocol == "HB-SC" && r.Transport == "batched" && r.Error == "" {
-					b.ReportMetric(r.ThroughputBps, "Bps_"+r.Scenario)
-				}
-			}
-		}
+		})
 	}
 }

@@ -16,6 +16,9 @@
 // whose name ("HB-SC/batched/depth=2") contains the substring. -json and
 // -csv write the selected experiment's points as machine-readable files
 // (the BENCH_*.json trajectories; with -exp all they apply to chain).
+// -chain-epochs defaults, per experiment, to the count its committed
+// trajectory was generated at (-list shows it), so
+// `-exp NAME -json BENCH_NAME.json` regenerates the committed file.
 // -cpuprofile and -memprofile write pprof profiles covering the selected
 // experiments (the memory profile is a heap snapshot taken after the last
 // experiment finishes, with an up-to-date allocation record). -v streams
@@ -30,7 +33,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"runtime/pprof"
-	"strings"
 	"time"
 
 	"repro/internal/bench"
@@ -53,7 +55,7 @@ func main() {
 	epochs := flag.Int("epochs", 1, "epochs per protocol run")
 	batch := flag.Int("batch", 4, "transactions per proposal")
 	reps := flag.Int("reps", 3, "repetitions for crypto microbenchmarks")
-	chainEpochs := flag.Int("chain-epochs", 10, "epochs per run of the chain-workload sweeps")
+	chainEpochs := flag.Int("chain-epochs", 0, "epochs per run of the chain-workload sweeps (default: the count the experiment's committed golden was generated at, see -list)")
 	jsonPath := flag.String("json", "", "write the experiment's points to this JSON trajectory file")
 	csvPath := flag.String("csv", "", "write the experiment's points to this CSV file")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the run to this file")
@@ -150,9 +152,8 @@ func run(ctx *bench.Context, exp, jsonPath, csvPath string) error {
 		printList(os.Stderr)
 		os.Exit(2)
 	}
-	if (jsonPath != "" || csvPath != "") && !e.Trajectory {
-		return fmt.Errorf("experiment %q has no machine-readable point emission (-json/-csv); trajectory experiments: %s",
-			exp, strings.Join(trajectoryNames(), ", "))
+	if (jsonPath != "" || csvPath != "") && e.Golden == "" {
+		return fmt.Errorf("experiment %q has no machine-readable point emission (-json/-csv); see -list for the trajectory experiments", exp)
 	}
 	ctx.JSONPath, ctx.CSVPath = jsonPath, csvPath
 	return e.Run(ctx)
@@ -162,22 +163,12 @@ func printList(w *os.File) {
 	fmt.Fprintln(w, "registered experiments (-exp NAME, or -exp all):")
 	for _, e := range bench.Experiments() {
 		tags := ""
-		if e.Trajectory {
-			tags = "  [-json/-csv]"
+		if e.Golden != "" {
+			tags = fmt.Sprintf("  [-json/-csv: %s at -chain-epochs %d]", e.Golden, e.Epochs)
 		}
 		if e.Serial {
 			tags += "  [serial]"
 		}
-		fmt.Fprintf(w, "  %-8s %s%s\n", e.Name, e.Desc, tags)
+		fmt.Fprintf(w, "  %-8s %s%s\n", e.Name, e.Title, tags)
 	}
-}
-
-func trajectoryNames() []string {
-	var out []string
-	for _, e := range bench.Experiments() {
-		if e.Trajectory {
-			out = append(out, e.Name)
-		}
-	}
-	return out
 }

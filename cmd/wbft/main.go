@@ -62,6 +62,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -83,8 +84,8 @@ func main() {
 
 	fs := flag.NewFlagSet("wbft", flag.ExitOnError)
 	var (
-		proto    = fs.String("protocol", "honeybadger", engineList())
-		coin     = fs.String("coin", "SC", "LC (local) | SC (threshold sig) | CP (coin flipping)")
+		proto    = fs.String("protocol", "honeybadger", list(protocol.Kinds()))
+		coin     = fs.String("coin", "SC", list(protocol.Coins())+": local | threshold sig | coin flipping")
 		baseline = fs.Bool("baseline", false, "disable ConsensusBatcher (per-instance packets)")
 		topology = fs.String("topology", "single", "single (one channel) | clustered (two-tier, per-cluster channels)")
 		workload = fs.String("workload", "oneshot", "oneshot (independent epochs) | chain (pipelined SMR log)")
@@ -93,7 +94,7 @@ func main() {
 		loss     = fs.Float64("loss", 0.02, "per-receiver frame loss probability")
 		heavy    = fs.Bool("heavy", false, "heavy crypto parameter set (BN254-equivalent)")
 		crash    = fs.String("crash", "", "comma-separated node ids to crash at t=0")
-		scen     = fs.String("scenario", "", "scripted fault DSL: crash|recover|partition|heal|loss|jam|delay|byz events (e.g. crash@30m:3;byz@0s:2:garbage)")
+		scen     = fs.String("scenario", "", "scripted fault DSL: "+list(scenario.Kinds())+" events (e.g. crash@30m:3;byz@0s:2:garbage)")
 		jsonPath = fs.String("json", "", "also write the run.Report JSON to this file")
 
 		clusters   = fs.Int("clusters", 4, "clustered: number of clusters M (3f+1)")
@@ -114,7 +115,9 @@ func main() {
 	)
 	fs.Parse(args)
 
-	spec := run.Defaults(checkKind(*proto), protocol.CoinKind(*coin))
+	spec := run.Defaults(
+		check("protocol", protocol.Kind(*proto), protocol.Kinds()),
+		check("coin", protocol.CoinKind(*coin), protocol.Coins()))
 	spec.Batched = !*baseline
 	spec.Seed = *seed
 	spec.Net.LossProb = *loss
@@ -211,25 +214,22 @@ func buildScenario(spec, crash string) scenario.Plan {
 	return plan
 }
 
-// checkKind resolves -protocol against the engine registry, so newly
-// registered engines are accepted (and listed on error) with no CLI
-// changes.
-func checkKind(proto string) protocol.Kind {
-	kind := protocol.Kind(proto)
-	if _, ok := protocol.Lookup(kind); ok {
-		return kind
+// check resolves a flag against its vocabulary — -protocol against the
+// engine registry, so newly registered engines are accepted (and listed
+// on error) with no CLI changes.
+func check[T ~string](flag string, v T, known []T) T {
+	if !slices.Contains(known, v) {
+		fmt.Fprintf(os.Stderr, "wbft: unknown %s %q (%s)\n", flag, v, list(known))
+		os.Exit(2)
 	}
-	fmt.Fprintf(os.Stderr, "wbft: unknown protocol %q (engines: %s)\n", proto, engineList())
-	os.Exit(2)
-	return ""
+	return v
 }
 
-// engineList renders the registry's kinds for flag help and errors.
-func engineList() string {
-	kinds := protocol.Kinds()
-	names := make([]string, len(kinds))
-	for i, k := range kinds {
-		names[i] = string(k)
+// list renders a vocabulary for flag help and errors.
+func list[T ~string](vals []T) string {
+	names := make([]string, len(vals))
+	for i, v := range vals {
+		names[i] = string(v)
 	}
 	return strings.Join(names, " | ")
 }

@@ -19,10 +19,12 @@
 //	                    Topology (single-hop | clustered) x Workload
 //	                    (one-shot | chain), incl. clustered chained SMR
 //	internal/sweep      deterministic parallel grid engine for sweeps
-//	internal/bench      experiment registry: per-table/figure grids
+//	internal/bench      experiment registry: one entry per table, figure
+//	                    and sweep drives the CLI, benchmarks and goldens
 //	cmd/...             CLI tools; examples/... runnable demos
 //
-// The benchmarks in bench_test.go regenerate every table and figure of the
-// paper's evaluation; see DESIGN.md for the experiment index and
+// BenchmarkExperiment in bench_test.go runs every registered experiment at
+// smoke size; cmd/wbft-bench regenerates the tables and figures of the
+// paper's evaluation. See DESIGN.md for the experiment index and
 // EXPERIMENTS.md for paper-vs-measured results.
 package repro

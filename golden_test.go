@@ -2,23 +2,27 @@ package repro
 
 import (
 	"encoding/json"
-	"math"
 	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/bench"
-	"repro/internal/protocol"
-	"repro/internal/run"
-	"repro/internal/scenario"
-	"repro/internal/sweep"
 )
 
-// These tests pin the unified run API to the committed BENCH trajectory
-// files: selected honest-path points of BENCH_chain.json,
-// BENCH_faults.json, and BENCH_byz.json are re-run through run.Run and
-// every recorded number must reproduce bit-identically.
+// These tests pin the experiment registry to the committed BENCH
+// trajectory files. Every row is a pure function of (experiment, seed,
+// epochs) — per-cell seeds are a function of grid coordinates and each
+// cell owns its scheduler/channel/RNGs (the shared structures,
+// crypto.DealCached and the crypto memos, are keyed and race-safe) — so
+// worker count and completion order cannot leak into results. Two legs
+// check it, both through the same Experiment.Rows the CLI runs, with the
+// epoch count left to the registry:
+//
+//   - TestGoldenSweepsParallelDeterminism regenerates every row of every
+//     file on a contended 8-worker pool;
+//   - TestGoldenSerialSample re-runs each file's Sample cells on one
+//     worker, always — -short and -race included.
 
 type goldenFile struct {
 	Experiment string            `json:"experiment"`
@@ -39,274 +43,110 @@ func loadGolden(t *testing.T, path string) goldenFile {
 	return f
 }
 
-// eq asserts exact equality of a recorded float (the JSON files carry
-// float64; equality is exact because both sides round-trip the same way).
-func eq(t *testing.T, what string, got, want float64) {
-	t.Helper()
-	if got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-		t.Errorf("%s: got %v, want %v (golden)", what, got, want)
+// checkGolden runs e's filter-selected cells (all of them for "") on the
+// given worker count and requires the rows to be, in grid order, rows of
+// the committed file: bit-identical in every field but elapsed_ms.
+func checkGolden(t *testing.T, e bench.Experiment, workers int, filter string) {
+	golden := loadGolden(t, e.Golden)
+	rows, err := e.Rows(&bench.Context{Seed: golden.Seed, Workers: workers, Filter: filter})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, want := canonicalPoints(t, marshalPoints(t, rows)), canonicalPoints(t, golden.Points)
+	if filter == "" && len(got) != len(want) {
+		t.Fatalf("got %d rows, golden has %d", len(got), len(want))
+	}
+	next := 0
+	for i, row := range got {
+		from := next
+		for next < len(want) && !reflect.DeepEqual(row, want[next]) {
+			next++
+		}
+		if next == len(want) {
+			t.Fatalf("row %d is not a row of %s at or after its row %d:\n got %v", i, e.Golden, from, row)
+		}
+		next++
 	}
 }
 
-func protoByName(t *testing.T, name string) (protocol.Kind, protocol.CoinKind) {
-	t.Helper()
-	for _, v := range protocol.Variants() {
-		if v.Name == name {
-			return v.Kind, v.Coin
+// goldens runs check once per registry entry that names a committed file.
+func goldens(t *testing.T, check func(*testing.T, bench.Experiment)) {
+	for _, e := range bench.Experiments() {
+		if e.Golden != "" {
+			t.Run(e.Golden, func(t *testing.T) {
+				t.Parallel()
+				check(t, e)
+			})
 		}
-	}
-	t.Fatalf("unknown protocol name %q in golden file", name)
-	return "", ""
-}
-
-// TestGoldenChainBitIdentical re-runs the HB-SC batched rows of
-// BENCH_chain.json (all three pipeline depths) through run.Run.
-func TestGoldenChainBitIdentical(t *testing.T) {
-	f := loadGolden(t, "BENCH_chain.json")
-	matched := 0
-	for _, rawPt := range f.Points {
-		var pt struct {
-			Protocol       string  `json:"protocol"`
-			Transport      string  `json:"transport"`
-			Depth          int     `json:"depth"`
-			Epochs         int     `json:"epochs"`
-			CommittedTxs   int     `json:"committed_txs"`
-			CommittedBytes uint64  `json:"committed_bytes"`
-			VirtualSecs    float64 `json:"virtual_s"`
-			ThroughputBps  float64 `json:"throughput_Bps"`
-			CommitLatencyS float64 `json:"commit_latency_s"`
-			Accesses       uint64  `json:"accesses"`
-			DedupDropped   int     `json:"dedup_dropped"`
-		}
-		if err := json.Unmarshal(rawPt, &pt); err != nil {
-			t.Fatal(err)
-		}
-		if pt.Protocol != "HB-SC" || pt.Transport != "batched" {
-			continue
-		}
-		matched++
-		kind, coin := protoByName(t, pt.Protocol)
-		spec := run.Defaults(kind, coin)
-		spec.Seed = f.Seed
-		spec.Workload = run.Chain(pt.Epochs)
-		spec.Workload.Window = pt.Depth
-		spec.Workload.TxInterval = time.Second
-		res, err := run.Run(spec)
-		if err != nil {
-			t.Fatalf("depth %d: %v", pt.Depth, err)
-		}
-		if res.Chain.EpochsCommitted != pt.Epochs ||
-			res.Chain.CommittedTxs != pt.CommittedTxs ||
-			res.Chain.CommittedBytes != pt.CommittedBytes ||
-			res.Accesses != pt.Accesses ||
-			res.Chain.DedupDropped != pt.DedupDropped {
-			t.Errorf("depth %d: counters diverge from golden: %+v vs %+v", pt.Depth, res.Chain, pt)
-		}
-		eq(t, "virtual_s", res.Duration.Seconds(), pt.VirtualSecs)
-		eq(t, "throughput_Bps", res.Chain.ThroughputBps, pt.ThroughputBps)
-		eq(t, "commit_latency_s", res.Chain.MeanCommitLatency.Seconds(), pt.CommitLatencyS)
-	}
-	if matched != 3 {
-		t.Fatalf("matched %d golden rows, want 3 (depths 1/2/4)", matched)
-	}
-}
-
-// TestGoldenFaultsBitIdentical re-runs the honest-path (fault-free) and
-// crash-recover HB-SC batched rows of BENCH_faults.json, reconstructing
-// each scenario from the recorded DSL.
-func TestGoldenFaultsBitIdentical(t *testing.T) {
-	f := loadGolden(t, "BENCH_faults.json")
-	matched := 0
-	for _, rawPt := range f.Points {
-		var pt struct {
-			Scenario       string  `json:"scenario"`
-			Spec           string  `json:"spec"`
-			Protocol       string  `json:"protocol"`
-			Transport      string  `json:"transport"`
-			Epochs         int     `json:"epochs"`
-			CommittedTxs   int     `json:"committed_txs"`
-			VirtualSecs    float64 `json:"virtual_s"`
-			ThroughputBps  float64 `json:"throughput_Bps"`
-			CommitLatencyS float64 `json:"commit_latency_s"`
-			Accesses       uint64  `json:"accesses"`
-			Collisions     uint64  `json:"collisions"`
-			Error          string  `json:"error"`
-		}
-		if err := json.Unmarshal(rawPt, &pt); err != nil {
-			t.Fatal(err)
-		}
-		if pt.Protocol != "HB-SC" || pt.Transport != "batched" || pt.Error != "" {
-			continue
-		}
-		if pt.Scenario != "fault-free" && pt.Scenario != "crash-recover" {
-			continue
-		}
-		matched++
-		plan, err := scenario.Parse(pt.Spec)
-		if err != nil {
-			t.Fatalf("%s: recorded spec does not parse: %v", pt.Scenario, err)
-		}
-		kind, coin := protoByName(t, pt.Protocol)
-		spec := run.Defaults(kind, coin)
-		spec.Seed = f.Seed
-		spec.Workload = run.Chain(pt.Epochs)
-		spec.Workload.TxInterval = time.Second
-		spec.Workload.GCLag = pt.Epochs
-		spec.Scenario = plan
-		res, err := run.Run(spec)
-		if err != nil {
-			t.Fatalf("%s: %v", pt.Scenario, err)
-		}
-		if res.Chain.CommittedTxs != pt.CommittedTxs || res.Accesses != pt.Accesses ||
-			res.Collisions != pt.Collisions {
-			t.Errorf("%s: counters diverge from golden", pt.Scenario)
-		}
-		eq(t, pt.Scenario+" virtual_s", res.Duration.Seconds(), pt.VirtualSecs)
-		eq(t, pt.Scenario+" throughput_Bps", res.Chain.ThroughputBps, pt.ThroughputBps)
-		eq(t, pt.Scenario+" commit_latency_s", res.Chain.MeanCommitLatency.Seconds(), pt.CommitLatencyS)
-	}
-	if matched != 2 {
-		t.Fatalf("matched %d golden rows, want 2 (fault-free, crash-recover)", matched)
-	}
-}
-
-// TestGoldenByzBitIdentical re-runs the garbage-behavior HB-SC batched
-// row of BENCH_byz.json — same numbers, same honest-safety verdict.
-func TestGoldenByzBitIdentical(t *testing.T) {
-	f := loadGolden(t, "BENCH_byz.json")
-	matched := 0
-	for _, rawPt := range f.Points {
-		var pt struct {
-			Behavior      string  `json:"behavior"`
-			Spec          string  `json:"spec"`
-			Protocol      string  `json:"protocol"`
-			Transport     string  `json:"transport"`
-			Epochs        int     `json:"epochs"`
-			CommittedTxs  int     `json:"committed_txs"`
-			VirtualSecs   float64 `json:"virtual_s"`
-			ThroughputBps float64 `json:"throughput_Bps"`
-			RejectedMsgs  uint64  `json:"rejected_msgs"`
-			HonestSafe    bool    `json:"honest_safe"`
-		}
-		if err := json.Unmarshal(rawPt, &pt); err != nil {
-			t.Fatal(err)
-		}
-		if pt.Behavior != "garbage" || pt.Protocol != "HB-SC" || pt.Transport != "batched" {
-			continue
-		}
-		matched++
-		plan, err := scenario.Parse(pt.Spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kind, coin := protoByName(t, pt.Protocol)
-		spec := run.Defaults(kind, coin)
-		spec.Seed = f.Seed
-		spec.Workload = run.Chain(pt.Epochs)
-		spec.Workload.TxInterval = time.Second
-		spec.Workload.GCLag = pt.Epochs
-		spec.Scenario = plan
-		res, err := run.Run(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Chain.CommittedTxs != pt.CommittedTxs || res.Rejected != pt.RejectedMsgs {
-			t.Errorf("garbage row diverges from golden: txs %d/%d rejected %d/%d",
-				res.Chain.CommittedTxs, pt.CommittedTxs, res.Rejected, pt.RejectedMsgs)
-		}
-		eq(t, "virtual_s", res.Duration.Seconds(), pt.VirtualSecs)
-		eq(t, "throughput_Bps", res.Chain.ThroughputBps, pt.ThroughputBps)
-		forged := protocol.CountForged(res.Chain.Logs, spec.Workload.TxSize, res.Chain.SubmittedTxs)
-		if safe := forged == 0; safe != pt.HonestSafe {
-			t.Errorf("honest-safety verdict flipped: got %v, golden %v", safe, pt.HonestSafe)
-		}
-	}
-	if matched != 1 {
-		t.Fatalf("matched %d golden rows, want 1", matched)
 	}
 }
 
 // TestGoldenSweepsParallelDeterminism is the sweep engine's acceptance
-// gate: every committed BENCH trajectory must reproduce bit-identically
-// at -parallel 1 and -parallel 8. Per-cell seeds are a pure function of
-// grid coordinates and each cell owns its scheduler/channel/RNGs (the
-// one shared structure, crypto.DealCached, is keyed and race-safe), so
-// worker count and completion order cannot leak into results. Only the
-// per-row elapsed_ms wall-clock metadata is exempt — it is the one field
-// documented as volatile.
+// gate: every committed BENCH trajectory must reproduce bit-identically,
+// every row, from concurrently executing cells.
 func TestGoldenSweepsParallelDeterminism(t *testing.T) {
 	if testing.Short() {
-		t.Skip("regenerates all six BENCH trajectories twice")
+		t.Skip("regenerates all six BENCH trajectories")
 	}
 	if raceEnabled {
-		t.Skip("full regenerations are ~10x slower under -race; the smoke sweeps cover the same concurrent paths")
+		t.Skip("full regenerations are ~10x slower under -race; the serial sample and the smoke sweeps cover the same paths")
 	}
-	cases := []struct {
-		file string
-		run  func(seed int64, workers int) (any, error)
-	}{
-		// Epochs per sweep match the regeneration commands in
-		// EXPERIMENTS.md (chain-epochs 10/12/8/4/12/6).
-		{"BENCH_chain.json", func(seed int64, w int) (any, error) {
-			return bench.ChainThroughput(seed, 10, sweep.Options{Workers: w})
-		}},
-		{"BENCH_faults.json", func(seed int64, w int) (any, error) {
-			return bench.FaultSweep(seed, 12, sweep.Options{Workers: w})
-		}},
-		{"BENCH_byz.json", func(seed int64, w int) (any, error) {
-			return bench.ByzSweep(seed, 8, sweep.Options{Workers: w})
-		}},
-		{"BENCH_mhchain.json", func(seed int64, w int) (any, error) {
-			return bench.MHChainSweep(seed, 4, sweep.Options{Workers: w})
-		}},
-		{"BENCH_alea.json", func(seed int64, w int) (any, error) {
-			return bench.AleaSweep(seed, 12, sweep.Options{Workers: w})
-		}},
-		{"BENCH_traffic.json", func(seed int64, w int) (any, error) {
-			return bench.TrafficSweep(seed, 6, sweep.Options{Workers: w})
-		}},
+	goldens(t, func(t *testing.T, e bench.Experiment) { checkGolden(t, e, 8, "") })
+}
+
+// TestGoldenSerialSample re-runs each golden's Sample cells serially. It
+// is also the regeneration check: the epoch count comes from the registry
+// entry, exactly as it does for `wbft-bench -exp NAME -json FILE`.
+func TestGoldenSerialSample(t *testing.T) {
+	goldens(t, func(t *testing.T, e bench.Experiment) { checkGolden(t, e, 1, e.Sample) })
+}
+
+// TestRegistryGoldens: the registry and the repository root name the same
+// trajectory files, one entry each, and every entry records what its file
+// was generated from.
+func TestRegistryGoldens(t *testing.T) {
+	files, err := filepath.Glob("BENCH_*.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, tc := range cases {
-		tc := tc
-		t.Run(tc.file, func(t *testing.T) {
-			t.Parallel()
-			golden := loadGolden(t, tc.file)
-			want := make([]map[string]any, len(golden.Points))
-			for i, raw := range golden.Points {
-				want[i] = canonicalPoint(t, raw)
-			}
-			for _, workers := range []int{1, 8} {
-				rows, err := tc.run(golden.Seed, workers)
-				if err != nil {
-					t.Fatalf("workers=%d: %v", workers, err)
-				}
-				raws := marshalPoints(t, rows)
-				if len(raws) != len(want) {
-					t.Fatalf("workers=%d: got %d rows, golden has %d", workers, len(raws), len(want))
-				}
-				for i, raw := range raws {
-					got := canonicalPoint(t, raw)
-					if !reflect.DeepEqual(got, want[i]) {
-						t.Errorf("workers=%d row %d diverges from golden:\n got  %v\n want %v",
-							workers, i, got, want[i])
-					}
-				}
-			}
-		})
+	owner := map[string]string{}
+	for _, e := range bench.Experiments() {
+		if e.Golden == "" {
+			continue
+		}
+		if prior, dup := owner[e.Golden]; dup {
+			t.Errorf("%s is named by both %s and %s", e.Golden, prior, e.Name)
+		}
+		owner[e.Golden] = e.Name
+		if e.Epochs <= 0 || e.Sample == "" {
+			t.Errorf("%s: entry for %s records epochs %d, sample %q", e.Name, e.Golden, e.Epochs, e.Sample)
+		}
+		if _, err := os.Stat(e.Golden); err != nil {
+			t.Errorf("%s: %v", e.Name, err)
+		} else if f := loadGolden(t, e.Golden); f.Experiment != e.Record {
+			t.Errorf("%s: %s is a %q record, the entry emits %q", e.Name, e.Golden, f.Experiment, e.Record)
+		}
+	}
+	for _, f := range files {
+		if owner[f] == "" {
+			t.Errorf("%s is named by no registry entry", f)
+		}
 	}
 }
 
-// canonicalPoint decodes one trajectory point and strips the documented
+// canonicalPoints decodes trajectory points and strips the documented
 // volatile field (elapsed_ms is wall-clock sweep metadata, not a
 // simulated outcome).
-func canonicalPoint(t *testing.T, raw json.RawMessage) map[string]any {
+func canonicalPoints(t *testing.T, raws []json.RawMessage) []map[string]any {
 	t.Helper()
-	var m map[string]any
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
+	out := make([]map[string]any, len(raws))
+	for i, raw := range raws {
+		if err := json.Unmarshal(raw, &out[i]); err != nil {
+			t.Fatal(err)
+		}
+		delete(out[i], "elapsed_ms")
 	}
-	delete(m, "elapsed_ms")
-	return m
+	return out
 }
 
 // marshalPoints round-trips a sweep's row slice through JSON, yielding

@@ -1,15 +1,31 @@
 package bench
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
+	"repro/internal/run"
+	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
 
+// rowsOf runs a registered experiment and returns its typed rows.
+func rowsOf[R any](t *testing.T, name string, ctx Context) []R {
+	t.Helper()
+	e, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("experiment %q is not registered", name)
+	}
+	rows, err := e.Rows(&ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows.([]R)
+}
+
 func TestBroadcastLatencyAllKinds(t *testing.T) {
-	for _, k := range AllBroadcastKinds() {
-		k := k
+	for _, k := range broadcastKinds {
 		t.Run(string(k), func(t *testing.T) {
 			t.Parallel()
 			lat, err := BroadcastLatency(k, 2, 1, true, 1)
@@ -38,8 +54,7 @@ func TestBroadcastLatencyGrowsWithProposalSize(t *testing.T) {
 }
 
 func TestABAParallelAllVariants(t *testing.T) {
-	for _, v := range AllABAVariants() {
-		v := v
+	for _, v := range abaVariants {
 		t.Run(string(v), func(t *testing.T) {
 			t.Parallel()
 			lat, err := ABAParallelLatency(v, 2, 3)
@@ -54,11 +69,11 @@ func TestABAParallelAllVariants(t *testing.T) {
 }
 
 func TestABASerial(t *testing.T) {
-	lat1, err := ABASerialLatency(ABASC, 1, 4)
+	lat1, err := abaSerialLatency(ABASC, 1, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lat2, err := ABASerialLatency(ABASC, 2, 4)
+	lat2, err := abaSerialLatency(ABASC, 2, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,10 +83,7 @@ func TestABASerial(t *testing.T) {
 }
 
 func TestTable1ShapesHold(t *testing.T) {
-	rows, err := Table1(5, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[Table1Row](t, "table1", Context{Seed: 5})
 	if len(rows) != 5 {
 		t.Fatalf("got %d rows", len(rows))
 	}
@@ -88,7 +100,7 @@ func TestTable1ShapesHold(t *testing.T) {
 }
 
 func TestFig10cSizesMonotone(t *testing.T) {
-	rows := Fig10cSizes()
+	rows := rowsOf[SizeRow](t, "fig10c", Context{})
 	if len(rows) != 11 {
 		t.Fatalf("got %d size rows, want 11 (5 pk + 6 threshold)", len(rows))
 	}
@@ -98,10 +110,7 @@ func TestFig10CryptoOpsFast(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real crypto measurements")
 	}
-	rows, err := Fig10bThresholdCoin(1, sweep.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[CryptoOpRow](t, "fig10b", Context{Reps: 1})
 	// Shape: heavier sets slower to sign (compare lightest vs heaviest).
 	bySet := map[string]time.Duration{}
 	for _, r := range rows {
@@ -118,10 +127,7 @@ func TestFaultSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("24 chain runs")
 	}
-	rows, err := FaultSweep(1, 2, sweep.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[FaultPoint](t, "faults", Context{Seed: 1, ChainEpochs: 2, Workers: 4})
 	if len(rows) != 6*2*2 {
 		t.Fatalf("got %d rows, want 24 (6 scenarios x 2 protocols x 2 transports)", len(rows))
 	}
@@ -140,10 +146,7 @@ func TestByzSweepSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("16 chain runs")
 	}
-	rows, err := ByzSweep(1, 2, sweep.Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	rows := rowsOf[ByzPoint](t, "byz", Context{Seed: 1, ChainEpochs: 2, Workers: 4})
 	if len(rows) != 4*2*2 {
 		t.Fatalf("got %d rows, want 16 (4 behaviors x 2 protocols x 2 transports)", len(rows))
 	}
@@ -165,5 +168,35 @@ func TestByzSweepSmoke(t *testing.T) {
 	}
 	if !sawRejected {
 		t.Error("no configuration rejected any Byzantine message; the defenses were never exercised")
+	}
+}
+
+// TestRecordedSpecsReparse: the scenario DSL a trajectory row records in
+// its spec column parses back to the very plan the cell ran, so a
+// committed row can be replayed from the file alone.
+func TestRecordedSpecsReparse(t *testing.T) {
+	spec := chainBase(&Context{Seed: 1, ChainEpochs: 2})
+	spec.Topology = run.Clustered(4, 4) // the forge axis aims at its last member
+	var plans []scenario.Plan
+	for _, sc := range faultScenarios {
+		plans = append(plans, sc.plan)
+	}
+	for _, b := range byzBehaviors {
+		plans = append(plans, byzPlan(&spec, b))
+	}
+	for _, ax := range []sweep.Axis[run.Spec]{aleaScenarioAxis(), forgeAxis()} {
+		for _, pt := range ax.Points {
+			s := spec
+			pt.Apply(&s)
+			plans = append(plans, s.Scenario)
+		}
+	}
+	for _, p := range plans {
+		back, err := scenario.Parse(p.String())
+		if err != nil {
+			t.Errorf("recorded spec %q does not parse: %v", p, err)
+		} else if !reflect.DeepEqual(back.Events, p.Events) && len(back.Events)+len(p.Events) > 0 {
+			t.Errorf("recorded spec %q parses to a different plan:\n got  %+v\n want %+v", p, back, p)
+		}
 	}
 }

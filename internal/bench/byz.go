@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/byz"
 	"repro/internal/run"
-	"repro/internal/scenario"
 	"repro/internal/sweep"
 )
 
@@ -30,51 +29,33 @@ type ByzPoint struct {
 	wallClock
 }
 
-// behaviorAxis arms f = (N-1)/3 replicas with one active-Byzantine
-// behavior from t=0. The axis reads the Spec's N, so it must come after
-// any axis that changes the group size (here none does — N stays at the
-// base's 4). The behavior list is pinned to the four single-hop attacks
-// rather than byz.Names(): byz.NameForgeCut targets the clustered
-// chain's cut records and has its own MHChainSweep cells — on this
-// single-hop deployment it would add rows that never forge anything.
-func behaviorAxis() sweep.Axis[run.Spec] {
-	ax := sweep.Axis[run.Spec]{Name: "behavior"}
-	for _, behavior := range []string{byz.NameEquivocate, byz.NameFlipVotes, byz.NameGarbage, byz.NameWithhold} {
-		behavior := behavior
-		ax.Points = append(ax.Points, sweep.Point[run.Spec]{
-			Label: behavior,
-			Apply: func(s *run.Spec) {
-				f := (s.N - 1) / 3
-				plan := scenario.Plan{}
-				for i := 0; i < f; i++ {
-					plan = plan.Then(scenario.ByzAt(0, s.N-1-i, behavior))
-				}
-				s.Scenario = plan
-			},
-		})
-	}
-	return ax
-}
+// byzBehaviors is pinned to the four single-hop attacks rather than
+// byz.Names(): byz.NameForgeCut targets the clustered chain's cut records
+// and has its own mhchain cells — on this single-hop deployment it would
+// add rows that never forge anything.
+var byzBehaviors = []string{byz.NameEquivocate, byz.NameFlipVotes, byz.NameGarbage, byz.NameWithhold}
 
-// ByzSweep runs every active-Byzantine behavior against two protocol
+// byzRows runs every active-Byzantine behavior against two protocol
 // families under both transports on the sustained SMR deployment, with
 // f = (N-1)/3 Byzantine nodes from t=0. This is the adversarial
-// counterpart of FaultSweep: the fault sweep's scenarios are all
+// counterpart of the fault sweep: the fault sweep's scenarios are all
 // crash/omission-shaped, so the BFT machinery (echo quorums, share
 // verification, the DECIDED gadget) runs but is never attacked; here it
 // is. A behavior that defeats a configuration is recorded as a row with
 // Error or HonestSafe=false rather than aborting the sweep.
-func ByzSweep(seed int64, epochs int, opts sweep.Options) ([]ByzPoint, error) {
-	if epochs <= 0 {
-		epochs = 8
-	}
-	base := chainBase(seed, epochs)
-	base.Workload.GCLag = epochs // comparable with FaultSweep
+func byzRows(ctx *Context) ([]ByzPoint, error) {
+	base := chainBase(ctx)
+	base.Workload.GCLag = ctx.ChainEpochs // comparable with the fault sweep
 	grid := sweep.Grid[run.Spec]{
 		Base: base,
-		Axes: []sweep.Axis[run.Spec]{behaviorAxis(), protoAxis(), transportAxis()},
+		Axes: []sweep.Axis[run.Spec]{
+			sweep.Over("behavior", byzBehaviors,
+				func(b string) string { return b },
+				func(s *run.Spec, b string) { s.Scenario = byzPlan(s, b) }),
+			protoAxis(), transportAxis(),
+		},
 	}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[run.Spec]) (ByzPoint, error) {
+	results, err := sweep.Run(grid, ctx.sweepOpts(), func(c sweep.Cell[run.Spec]) (ByzPoint, error) {
 		pt := ByzPoint{
 			Behavior:  c.Labels[0],
 			Spec:      c.Config.Scenario.String(),
@@ -98,32 +79,14 @@ func ByzSweep(seed int64, epochs int, opts sweep.Options) ([]ByzPoint, error) {
 	return stampedRows(results), nil
 }
 
-// runByzExp is the registry entry: sweep, table, trajectory.
-func runByzExp(ctx *Context) error {
-	rows, err := ByzSweep(ctx.Seed, ctx.ChainEpochs, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintByz(ctx.Out, rows)
-	return ctx.emit("byzantine-sweep", rows)
-}
-
-// PrintByz renders the Byzantine sweep.
-func PrintByz(w io.Writer, rows []ByzPoint) {
-	fmt.Fprintln(w, "Byzantine — sustained SMR with f actively Byzantine replicas (beyond the paper)")
+// printByz renders the Byzantine sweep.
+func printByz(w io.Writer, title string, rows []ByzPoint) {
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-11s %-9s %-9s %4s %7s %6s %8s %9s %6s\n",
 		"behavior", "protocol", "transport", "byz", "epochs", "txs", "Bps", "rejected", "safe")
 	for _, r := range rows {
-		if r.Error != "" && !r.HonestSafe && r.Epochs == 0 {
-			fmt.Fprintf(w, "%-11s %-9s %-9s %s\n", r.Behavior, r.Protocol, r.Transport, "FAILED: "+r.Error)
-			continue
-		}
-		safe := "OK"
-		if !r.HonestSafe {
-			safe = "FAIL"
-		}
-		fmt.Fprintf(w, "%-11s %-9s %-9s %4d %7d %6d %8.2f %9d %6s\n",
-			r.Behavior, r.Protocol, r.Transport, r.ByzNodes, r.Epochs,
-			r.CommittedTxs, r.ThroughputBps, r.RejectedMsgs, safe)
+		fmt.Fprintf(w, "%-11s %-9s %-9s %s\n", r.Behavior, r.Protocol, r.Transport,
+			outcome(r.Epochs, r.Error, "%4d %7d %6d %8.2f %9d %6s",
+				r.ByzNodes, r.Epochs, r.CommittedTxs, r.ThroughputBps, r.RejectedMsgs, r.verdict()))
 	}
 }

@@ -25,19 +25,16 @@ type ChainPoint struct {
 	wallClock
 }
 
-// ChainThroughput sweeps pipeline depth for two protocol families under
-// both transports on the lossy default channel. Traffic is sized so the
-// mempool can always fill the next proposal: the sweep isolates how much
-// of the epoch cadence pipelining reclaims.
-func ChainThroughput(seed int64, epochs int, opts sweep.Options) ([]ChainPoint, error) {
-	if epochs <= 0 {
-		epochs = 10
-	}
+// chainRows sweeps pipeline depth for two protocol families under both
+// transports on the lossy default channel. Traffic is sized so the mempool
+// can always fill the next proposal: the sweep isolates how much of the
+// epoch cadence pipelining reclaims.
+func chainRows(ctx *Context) ([]ChainPoint, error) {
 	grid := sweep.Grid[run.Spec]{
-		Base: chainBase(seed, epochs),
+		Base: chainBase(ctx),
 		Axes: []sweep.Axis[run.Spec]{protoAxis(), transportAxis(), depthAxis(1, 2, 4)},
 	}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[run.Spec]) (ChainPoint, error) {
+	results, err := sweep.Run(grid, ctx.sweepOpts(), func(c sweep.Cell[run.Spec]) (ChainPoint, error) {
 		res, err := run.Run(c.Config)
 		if err != nil {
 			return ChainPoint{}, fmt.Errorf("bench: chain %s: %w", c.Name(), err)
@@ -59,19 +56,9 @@ func ChainThroughput(seed int64, epochs int, opts sweep.Options) ([]ChainPoint, 
 	return stampedRows(results), nil
 }
 
-// runChainExp is the registry entry: sweep, table, trajectory.
-func runChainExp(ctx *Context) error {
-	rows, err := ChainThroughput(ctx.Seed, ctx.ChainEpochs, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintChain(ctx.Out, rows)
-	return ctx.emit("chain-sustained-throughput", rows)
-}
-
-// PrintChain renders the sustained-throughput sweep.
-func PrintChain(w io.Writer, rows []ChainPoint) {
-	fmt.Fprintln(w, "Chain/SMR — sustained committed bytes/sec vs pipeline depth (beyond the paper)")
+// printChain renders the sustained-throughput sweep.
+func printChain(w io.Writer, title string, rows []ChainPoint) {
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-9s %-9s %5s %7s %6s %10s %10s %12s %9s\n",
 		"protocol", "transport", "depth", "epochs", "txs", "virtual_s", "Bps", "commit_lat", "accesses")
 	for _, r := range rows {

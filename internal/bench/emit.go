@@ -16,7 +16,7 @@ import (
 
 // This file is the package's one row-emission path: every sweep's points
 // go through WriteTrajectory (the BENCH_*.json files), WriteCSV, or the
-// per-experiment Print function — there is no bespoke emit code left in
+// per-experiment print function — there is no bespoke emit code left in
 // the experiment files.
 
 // The three structs below are the shared tail of the sustained-SMR sweep
@@ -56,6 +56,23 @@ func (p *provenance) audit(res *run.Report, txSize int) {
 	if forged > 0 {
 		p.Error = fmt.Sprintf("%d forged transactions committed", forged)
 	}
+}
+
+// verdict renders the honest-safety column.
+func (p provenance) verdict() string {
+	if p.HonestSafe {
+		return "OK"
+	}
+	return "FAIL"
+}
+
+// outcome renders the measured columns of an SMR sweep row — or, for a
+// run the scenario defeated before any epoch committed, what it died of.
+func outcome(epochs int, failure, format string, cols ...any) string {
+	if failure != "" && epochs == 0 {
+		return "FAILED: " + failure
+	}
+	return fmt.Sprintf(format, cols...)
 }
 
 // wallClock is the wall-clock cost of producing a row — sweep metadata,

@@ -28,67 +28,49 @@ type FaultPoint struct {
 	wallClock
 }
 
-// faultScenario names one scripted plan of the sweep. Crash/recovery times
-// are placed against the ~5m45s default epoch cadence: the crash lands
-// around epoch 5 and the recovery around epoch 10.
+// faultScenario names one scripted plan of the sweep.
 type faultScenario struct {
 	name string
 	plan scenario.Plan
 }
 
-func faultScenarios() []faultScenario {
-	return []faultScenario{
-		{"fault-free", scenario.Plan{}},
-		{"crash-f", scenario.Crash(3)},
-		{"crash-recover", scenario.Plan{}.Then(
-			scenario.CrashAt(30*time.Minute, 2),
-			scenario.RecoverAt(60*time.Minute, 2),
-		)},
-		{"delay-adversary", scenario.Delay(0.25, 10*time.Second)},
-		{"jam-burst", scenario.Plan{}.Then(
-			scenario.JamAt(20*time.Minute, 90*time.Second),
-			scenario.LossBurst(40*time.Minute, 5*time.Minute, 0.3),
-		)},
-		{"partition-heal", scenario.Plan{}.Then(
-			scenario.PartitionAt(15*time.Minute, []int{0, 1}, []int{2, 3}),
-			scenario.HealAt(45*time.Minute),
-		)},
-	}
+var faultScenarios = []faultScenario{
+	{"fault-free", scenario.Plan{}},
+	{"crash-f", scenario.Crash(3)},
+	{"crash-recover", crashRecover()},
+	{"delay-adversary", scenario.Delay(0.25, 10*time.Second)},
+	{"jam-burst", scenario.Plan{}.Then(
+		scenario.JamAt(20*time.Minute, 90*time.Second),
+		scenario.LossBurst(40*time.Minute, 5*time.Minute, 0.3),
+	)},
+	{"partition-heal", scenario.Plan{}.Then(
+		scenario.PartitionAt(15*time.Minute, []int{0, 1}, []int{2, 3}),
+		scenario.HealAt(45*time.Minute),
+	)},
 }
 
-// scenarioAxis turns the scripted fault plans into a grid axis.
-func scenarioAxis() sweep.Axis[run.Spec] {
-	ax := sweep.Axis[run.Spec]{Name: "scenario"}
-	for _, sc := range faultScenarios() {
-		sc := sc
-		ax.Points = append(ax.Points, sweep.Point[run.Spec]{
-			Label: sc.name,
-			Apply: func(s *run.Spec) { s.Scenario = sc.plan },
-		})
-	}
-	return ax
-}
-
-// FaultSweep runs every fault scenario against two protocol families under
+// faultRows runs every fault scenario against two protocol families under
 // both transports on the sustained SMR deployment and reports throughput,
 // latency, and contention under each condition. A scenario that defeats a
 // run (deadline or deadlock) is recorded as a row with Error set rather
 // than aborting the sweep — "this configuration does not survive this
 // fault" is itself the measurement.
-func FaultSweep(seed int64, epochs int, opts sweep.Options) ([]FaultPoint, error) {
-	if epochs <= 0 {
-		epochs = 12
-	}
-	base := chainBase(seed, epochs)
+func faultRows(ctx *Context) ([]FaultPoint, error) {
+	base := chainBase(ctx)
 	// Recovery catch-up needs peers to keep the missing epochs alive; give
 	// every run the same (generous) GC window so the scenarios stay
 	// comparable.
-	base.Workload.GCLag = epochs
+	base.Workload.GCLag = ctx.ChainEpochs
 	grid := sweep.Grid[run.Spec]{
 		Base: base,
-		Axes: []sweep.Axis[run.Spec]{scenarioAxis(), protoAxis(), transportAxis()},
+		Axes: []sweep.Axis[run.Spec]{
+			sweep.Over("scenario", faultScenarios,
+				func(sc faultScenario) string { return sc.name },
+				func(s *run.Spec, sc faultScenario) { s.Scenario = sc.plan }),
+			protoAxis(), transportAxis(),
+		},
 	}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[run.Spec]) (FaultPoint, error) {
+	results, err := sweep.Run(grid, ctx.sweepOpts(), func(c sweep.Cell[run.Spec]) (FaultPoint, error) {
 		pt := FaultPoint{
 			Scenario:  c.Labels[0],
 			Spec:      c.Config.Scenario.String(),
@@ -111,28 +93,14 @@ func FaultSweep(seed int64, epochs int, opts sweep.Options) ([]FaultPoint, error
 	return stampedRows(results), nil
 }
 
-// runFaultsExp is the registry entry: sweep, table, trajectory.
-func runFaultsExp(ctx *Context) error {
-	rows, err := FaultSweep(ctx.Seed, ctx.ChainEpochs, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintFaults(ctx.Out, rows)
-	return ctx.emit("fault-scenario-sweep", rows)
-}
-
-// PrintFaults renders the fault sweep.
-func PrintFaults(w io.Writer, rows []FaultPoint) {
-	fmt.Fprintln(w, "Faults — sustained SMR under scripted fault scenarios (beyond the paper)")
+// printFaults renders the fault sweep.
+func printFaults(w io.Writer, title string, rows []FaultPoint) {
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-15s %-9s %-9s %7s %6s %10s %8s %12s %9s\n",
 		"scenario", "protocol", "transport", "epochs", "txs", "virtual_s", "Bps", "commit_lat", "accesses")
 	for _, r := range rows {
-		if r.Error != "" {
-			fmt.Fprintf(w, "%-15s %-9s %-9s %s\n", r.Scenario, r.Protocol, r.Transport, "FAILED: "+r.Error)
-			continue
-		}
-		fmt.Fprintf(w, "%-15s %-9s %-9s %7d %6d %10.0f %8.2f %11.0fs %9d\n",
-			r.Scenario, r.Protocol, r.Transport, r.Epochs, r.CommittedTxs,
-			r.VirtualSecs, r.ThroughputBps, r.CommitLatencyS, r.Accesses)
+		fmt.Fprintf(w, "%-15s %-9s %-9s %s\n", r.Scenario, r.Protocol, r.Transport,
+			outcome(r.Epochs, r.Error, "%7d %6d %10.0f %8.2f %11.0fs %9d",
+				r.Epochs, r.CommittedTxs, r.VirtualSecs, r.ThroughputBps, r.CommitLatencyS, r.Accesses))
 	}
 }

@@ -27,9 +27,7 @@ type CryptoOpRow struct {
 }
 
 // Fig. 10a/10b run on the sweep engine like every other experiment, with
-// one cell per parameter set — but they are registered Serial: the cells
-// measure wall-clock latency, and concurrent cells contending for cores
-// would distort exactly the numbers being reported.
+// one cell per parameter set — but they are registered Serial.
 
 // measureFig10aSet runs the threshold-signature op ladder for one
 // parameter set.
@@ -87,33 +85,11 @@ func measureFig10aSet(fix threshsig.ModulusFixture, reps int, paperEq map[string
 	return rows, nil
 }
 
-// Fig10aThresholdSig measures dealer/sign/verify-share/combine/verify for
-// every embedded parameter set (reps repetitions, mean reported).
-func Fig10aThresholdSig(reps int, opts sweep.Options) ([]CryptoOpRow, error) {
-	if reps <= 0 {
-		reps = 3
-	}
-	paperEq := paperNames()
-	ax := sweep.Axis[threshsig.ModulusFixture]{Name: "set"}
-	for _, fix := range threshsig.Fixtures() {
-		fix := fix
-		ax.Points = append(ax.Points, sweep.Point[threshsig.ModulusFixture]{
-			Label: fix.Name,
-			Apply: func(c *threshsig.ModulusFixture) { *c = fix },
-		})
-	}
-	grid := sweep.Grid[threshsig.ModulusFixture]{Axes: []sweep.Axis[threshsig.ModulusFixture]{ax}}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[threshsig.ModulusFixture]) ([]CryptoOpRow, error) {
-		return measureFig10aSet(c.Config, reps, paperEq)
-	})
-	if err != nil {
-		return nil, err
-	}
-	var rows []CryptoOpRow
-	for _, r := range results {
-		rows = append(rows, r.Value...)
-	}
-	return rows, nil
+// fig10aRows measures dealer/sign/verify-share/combine/verify for every
+// embedded parameter set.
+func fig10aRows(ctx *Context) ([]CryptoOpRow, error) {
+	return cryptoLadder(ctx, "set", threshsig.Fixtures(),
+		func(f threshsig.ModulusFixture) string { return f.Name }, measureFig10aSet)
 }
 
 // measureFig10bGroup runs the coin op ladder for one DH group.
@@ -166,24 +142,25 @@ func measureFig10bGroup(g *group.Group, reps int, paperEq map[string]string) ([]
 	return rows, nil
 }
 
-// Fig10bThresholdCoin measures dealer/sign/verify-share/combine for the
-// DH-based coin across group sizes.
-func Fig10bThresholdCoin(reps int, opts sweep.Options) ([]CryptoOpRow, error) {
+// fig10bRows measures dealer/sign/verify-share/combine for the DH-based
+// coin across group sizes.
+func fig10bRows(ctx *Context) ([]CryptoOpRow, error) {
+	return cryptoLadder(ctx, "group", group.All(),
+		func(g *group.Group) string { return g.Name }, measureFig10bGroup)
+}
+
+// cryptoLadder runs one op ladder per parameter set — a sweep cell each,
+// ctx.Reps repetitions per op, mean reported — and concatenates the rows.
+func cryptoLadder[S any](ctx *Context, axis string, sets []S, name func(S) string,
+	measure func(S, int, map[string]string) ([]CryptoOpRow, error)) ([]CryptoOpRow, error) {
+	reps := ctx.Reps
 	if reps <= 0 {
 		reps = 3
 	}
 	paperEq := paperNames()
-	ax := sweep.Axis[*group.Group]{Name: "group"}
-	for _, g := range group.All() {
-		g := g
-		ax.Points = append(ax.Points, sweep.Point[*group.Group]{
-			Label: g.Name,
-			Apply: func(c **group.Group) { *c = g },
-		})
-	}
-	grid := sweep.Grid[*group.Group]{Axes: []sweep.Axis[*group.Group]{ax}}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[*group.Group]) ([]CryptoOpRow, error) {
-		return measureFig10bGroup(c.Config, reps, paperEq)
+	grid := sweep.Grid[S]{Axes: []sweep.Axis[S]{sweep.Over(axis, sets, name, func(c *S, s S) { *c = s })}}
+	results, err := sweep.Run(grid, ctx.sweepOpts(), func(c sweep.Cell[S]) ([]CryptoOpRow, error) {
+		return measure(c.Config, reps, paperEq)
 	})
 	if err != nil {
 		return nil, err
@@ -218,8 +195,8 @@ type SizeRow struct {
 	Bytes int
 }
 
-// Fig10cSizes reports the signature-size bars.
-func Fig10cSizes() []SizeRow {
+// fig10cRows reports the signature-size bars.
+func fig10cRows(*Context) ([]SizeRow, error) {
 	pk, thr := crypto.SignatureSizes()
 	var rows []SizeRow
 	for _, p := range pk {
@@ -228,7 +205,7 @@ func Fig10cSizes() []SizeRow {
 	for _, t := range thr {
 		rows = append(rows, SizeRow{Name: t.Name, Kind: "threshold", Bytes: t.Size})
 	}
-	return rows
+	return rows, nil
 }
 
 // Fig10dPoint is one (throughput, latency) point of the crypto-impact plot.
@@ -239,30 +216,21 @@ type Fig10dPoint struct {
 	TPM       float64
 }
 
-// Fig10dCryptoImpact runs HoneyBadgerBFT-SC with the light and heavy
-// crypto configurations over a batch-size sweep (Fig. 10d: lighter curves
-// give lower latency and higher throughput).
-func Fig10dCryptoImpact(seed int64, epochs int, batches []int, opts sweep.Options) ([]Fig10dPoint, error) {
-	if len(batches) == 0 {
-		batches = []int{2, 4, 8, 16}
-	}
+// fig10dRows runs HoneyBadgerBFT-SC with the light and heavy crypto
+// configurations over a batch-size sweep (Fig. 10d: lighter curves give
+// lower latency and higher throughput).
+func fig10dRows(ctx *Context) ([]Fig10dPoint, error) {
 	base := run.Defaults(protocol.HoneyBadger, protocol.CoinSig)
-	base.Seed = seed
-	base.Workload = run.OneShot(epochs)
-	cfgAxis := sweep.Axis[run.Spec]{Name: "config", Points: []sweep.Point[run.Spec]{
-		{Label: "light(BN158-eq)", Apply: func(s *run.Spec) { s.Crypto = crypto.LightConfig() }},
-		{Label: "heavy(BN254-eq)", Apply: func(s *run.Spec) { s.Crypto = crypto.HeavyConfig() }},
+	base.Seed = ctx.Seed
+	base.Workload = run.OneShot(ctx.Epochs)
+	grid := sweep.Grid[run.Spec]{Base: base, Axes: []sweep.Axis[run.Spec]{
+		{Name: "config", Points: []sweep.Point[run.Spec]{
+			{Label: "light(BN158-eq)", Apply: func(s *run.Spec) { s.Crypto = crypto.LightConfig() }},
+			{Label: "heavy(BN254-eq)", Apply: func(s *run.Spec) { s.Crypto = crypto.HeavyConfig() }},
+		}},
+		sweep.Over("batch", []int{2, 4, 8, 16}, nil, func(s *run.Spec, b int) { s.Workload.BatchSize = b }),
 	}}
-	batchAxis := sweep.Axis[run.Spec]{Name: "batch"}
-	for _, b := range batches {
-		b := b
-		batchAxis.Points = append(batchAxis.Points, sweep.Point[run.Spec]{
-			Label: fmt.Sprintf("batch=%d", b),
-			Apply: func(s *run.Spec) { s.Workload.BatchSize = b },
-		})
-	}
-	grid := sweep.Grid[run.Spec]{Base: base, Axes: []sweep.Axis[run.Spec]{cfgAxis, batchAxis}}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[run.Spec]) (Fig10dPoint, error) {
+	results, err := sweep.Run(grid, ctx.sweepOpts(), func(c sweep.Cell[run.Spec]) (Fig10dPoint, error) {
 		res, err := run.Run(c.Config)
 		if err != nil {
 			return Fig10dPoint{}, fmt.Errorf("bench: fig10d %s: %w", c.Name(), err)
@@ -278,41 +246,8 @@ func Fig10dCryptoImpact(seed int64, epochs int, batches []int, opts sweep.Option
 	return sweep.Values(results), nil
 }
 
-// Registry entries for the Fig. 10 experiments.
-func runFig10a(ctx *Context) error {
-	rows, err := Fig10aThresholdSig(ctx.Reps, ctx.sweepOpts(true))
-	if err != nil {
-		return err
-	}
-	PrintCryptoOps(ctx.Out, "Fig. 10a — threshold signature operation latency (this machine)", rows)
-	return nil
-}
-
-func runFig10b(ctx *Context) error {
-	rows, err := Fig10bThresholdCoin(ctx.Reps, ctx.sweepOpts(true))
-	if err != nil {
-		return err
-	}
-	PrintCryptoOps(ctx.Out, "Fig. 10b — threshold coin flipping operation latency (this machine)", rows)
-	return nil
-}
-
-func runFig10c(ctx *Context) error {
-	PrintSizes(ctx.Out, Fig10cSizes())
-	return nil
-}
-
-func runFig10d(ctx *Context) error {
-	rows, err := Fig10dCryptoImpact(ctx.Seed, ctx.Epochs, nil, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintFig10d(ctx.Out, rows)
-	return nil
-}
-
-// PrintCryptoOps renders Fig. 10a/10b rows.
-func PrintCryptoOps(w io.Writer, title string, rows []CryptoOpRow) {
+// printCryptoOps renders Fig. 10a/10b rows.
+func printCryptoOps(w io.Writer, title string, rows []CryptoOpRow) {
 	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-9s %-9s %-16s %12s\n", "set", "paper-eq", "op", "latency")
 	for _, r := range rows {
@@ -320,18 +255,18 @@ func PrintCryptoOps(w io.Writer, title string, rows []CryptoOpRow) {
 	}
 }
 
-// PrintSizes renders Fig. 10c rows.
-func PrintSizes(w io.Writer, rows []SizeRow) {
-	fmt.Fprintln(w, "Fig. 10c — signature sizes")
+// printSizes renders Fig. 10c rows.
+func printSizes(w io.Writer, title string, rows []SizeRow) {
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-12s %-11s %6s\n", "scheme", "kind", "bytes")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-12s %-11s %6d\n", r.Name, r.Kind, r.Bytes)
 	}
 }
 
-// PrintFig10d renders the crypto-impact points.
-func PrintFig10d(w io.Writer, rows []Fig10dPoint) {
-	fmt.Fprintln(w, "Fig. 10d — HoneyBadgerBFT-SC latency/throughput vs crypto weight")
+// printFig10d renders the crypto-impact points.
+func printFig10d(w io.Writer, title string, rows []Fig10dPoint) {
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-16s %6s %12s %10s\n", "config", "batch", "latency", "TPM")
 	for _, r := range rows {
 		fmt.Fprintf(w, "%-16s %6d %12s %10.1f\n", r.Config, r.BatchSize, r.Latency.Round(time.Millisecond), r.TPM)

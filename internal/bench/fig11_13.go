@@ -10,451 +10,129 @@ import (
 	"repro/internal/sweep"
 )
 
-// Fig11aPoint is one (variant, parallelism) latency measurement.
-type Fig11aPoint struct {
-	Kind     BroadcastKind
-	Parallel int
-	Latency  time.Duration
-}
-
-// figSeeds is how many seeds each figure point averages over: common-coin
-// round counts are luck-driven, so single-seed points are noisy. On the
-// grid the seeds are their own (innermost) axis, so the engine runs every
-// (point, seed) cell independently and the aggregation below averages
-// results per outer grid point.
-const figSeeds = 5
-
-// figCell is the grid configuration shared by the Fig. 11/12 component
-// sweeps: which rig experiment to run and with what knobs. Each sweep
-// uses the fields its axes set and ignores the rest.
-type figCell struct {
-	Kind     BroadcastKind
-	Variant  ABAVariant
-	Parallel int
-	Packets  int
-	Serial   int
-	Seed     int64
-}
-
-// seedAxis is the innermost averaging axis; the derivation (base +
-// s*1009) is historical and keeps figure trajectories comparable across
-// PRs.
-func seedAxis(base int64) sweep.Axis[figCell] {
-	ax := sweep.Axis[figCell]{Name: "seed"}
-	for s := int64(0); s < figSeeds; s++ {
-		seed := base + s*1009
-		ax.Points = append(ax.Points, sweep.Point[figCell]{
-			Label: fmt.Sprintf("seed=%d", seed),
-			Apply: func(c *figCell) { c.Seed = seed },
-		})
-	}
-	return ax
-}
-
-func countAxis(name string, set func(*figCell, int), vals ...int) sweep.Axis[figCell] {
-	ax := sweep.Axis[figCell]{Name: name}
-	for _, v := range vals {
-		v := v
-		ax.Points = append(ax.Points, sweep.Point[figCell]{
-			Label: fmt.Sprintf("%s=%d", name, v),
-			Apply: func(c *figCell) { set(c, v) },
-		})
-	}
-	return ax
-}
-
-// meanGroup is one outer grid point's seed-averaged latency, identified
-// by its coordinates on the non-seed axes.
-type meanGroup struct {
-	coords []int // per-axis point indices, seed axis dropped
-	lat    time.Duration
-}
-
-// outerCoords strips the innermost (seed) axis from a result's
-// coordinates.
-func outerCoords(r sweep.Result[time.Duration]) []int {
-	return r.Coords[:len(r.Coords)-1]
-}
-
-func sameCoords(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// meanLatencies averages results per outer grid point. Grouping by the
-// cells' axis coordinates (results arrive in grid order, so a group is a
-// consecutive run) keeps the association correct when -filter drops some
-// seeds or points, and lets callers read axis values off the group
-// instead of re-deriving positions arithmetically.
-func meanLatencies(results []sweep.Result[time.Duration]) []meanGroup {
-	var out []meanGroup
-	for i := 0; i < len(results); {
-		outer := outerCoords(results[i])
-		var sum time.Duration
-		n := 0
-		for i < len(results) && sameCoords(outerCoords(results[i]), outer) {
-			sum += results[i].Value
-			n++
-			i++
-		}
-		out = append(out, meanGroup{coords: outer, lat: sum / time.Duration(n)})
-	}
-	return out
-}
-
-// Fig11aBroadcastParallelism sweeps parallelism 1..4 for the five
-// broadcast variants (Fig. 11a: PRBC > CBC > RBC; -small variants flatter).
-func Fig11aBroadcastParallelism(seed int64, opts sweep.Options) ([]Fig11aPoint, error) {
-	kindAx := sweep.Axis[figCell]{Name: "variant"}
-	for _, k := range AllBroadcastKinds() {
-		k := k
-		kindAx.Points = append(kindAx.Points, sweep.Point[figCell]{
-			Label: string(k),
-			Apply: func(c *figCell) { c.Kind = k },
-		})
-	}
-	counts := []int{1, 2, 3, 4}
-	grid := sweep.Grid[figCell]{Axes: []sweep.Axis[figCell]{
-		kindAx,
-		countAxis("parallel", func(c *figCell, v int) { c.Parallel = v }, counts...),
-		seedAxis(seed),
-	}}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[figCell]) (time.Duration, error) {
-		lat, err := BroadcastLatency(c.Config.Kind, c.Config.Parallel, 1, true, c.Config.Seed)
-		if err != nil {
-			return 0, fmt.Errorf("bench: fig11a %s: %w", c.Name(), err)
-		}
-		return lat, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Fig11aPoint
-	for _, m := range meanLatencies(results) {
-		out = append(out, Fig11aPoint{
-			Kind:     AllBroadcastKinds()[m.coords[0]],
-			Parallel: counts[m.coords[1]],
-			Latency:  m.lat,
-		})
-	}
-	return out, nil
-}
-
-// Fig11bPoint is one (variant, proposal size) latency measurement.
-type Fig11bPoint struct {
-	Kind    BroadcastKind
-	Packets int
-	Latency time.Duration
-}
-
-// Fig11bProposalSize sweeps proposal sizes of 1..4 packets at full
-// parallelism for RBC/PRBC/CBC (Fig. 11b: the CBC-RBC gap grows with
-// proposal size).
-func Fig11bProposalSize(seed int64, opts sweep.Options) ([]Fig11bPoint, error) {
-	kinds := []BroadcastKind{BRBC, BPRBC, BCBC}
-	kindAx := sweep.Axis[figCell]{Name: "variant"}
-	for _, k := range kinds {
-		k := k
-		kindAx.Points = append(kindAx.Points, sweep.Point[figCell]{
-			Label: string(k),
-			Apply: func(c *figCell) { c.Kind = k },
-		})
-	}
-	counts := []int{1, 2, 3, 4}
-	grid := sweep.Grid[figCell]{Axes: []sweep.Axis[figCell]{
-		kindAx,
-		countAxis("packets", func(c *figCell, v int) { c.Packets = v }, counts...),
-		seedAxis(seed),
-	}}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[figCell]) (time.Duration, error) {
-		lat, err := BroadcastLatency(c.Config.Kind, 4, c.Config.Packets, true, c.Config.Seed)
-		if err != nil {
-			return 0, fmt.Errorf("bench: fig11b %s: %w", c.Name(), err)
-		}
-		return lat, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Fig11bPoint
-	for _, m := range meanLatencies(results) {
-		out = append(out, Fig11bPoint{Kind: kinds[m.coords[0]], Packets: counts[m.coords[1]], Latency: m.lat})
-	}
-	return out, nil
-}
-
-// Fig12Point is one ABA latency measurement.
-type Fig12Point struct {
-	Variant ABAVariant
-	Count   int // parallel or serial instances
-	Latency time.Duration
-}
-
-func abaAxis(variants []ABAVariant) sweep.Axis[figCell] {
-	ax := sweep.Axis[figCell]{Name: "variant"}
-	for _, v := range variants {
-		v := v
-		ax.Points = append(ax.Points, sweep.Point[figCell]{
-			Label: string(v),
-			Apply: func(c *figCell) { c.Variant = v },
-		})
-	}
-	return ax
-}
-
-// Fig12aParallel sweeps 1..4 parallel instances for the three ABA variants.
-func Fig12aParallel(seed int64, opts sweep.Options) ([]Fig12Point, error) {
-	counts := []int{1, 2, 3, 4}
-	grid := sweep.Grid[figCell]{Axes: []sweep.Axis[figCell]{
-		abaAxis(AllABAVariants()),
-		countAxis("parallel", func(c *figCell, v int) { c.Parallel = v }, counts...),
-		seedAxis(seed),
-	}}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[figCell]) (time.Duration, error) {
-		lat, err := ABAParallelLatency(c.Config.Variant, c.Config.Parallel, c.Config.Seed)
-		if err != nil {
-			return 0, fmt.Errorf("bench: fig12a %s: %w", c.Name(), err)
-		}
-		return lat, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Fig12Point
-	for _, m := range meanLatencies(results) {
-		out = append(out, Fig12Point{Variant: AllABAVariants()[m.coords[0]], Count: counts[m.coords[1]], Latency: m.lat})
-	}
-	return out, nil
-}
-
-// Fig12bSerial sweeps 1..4 serial instances for ABA-LC and ABA-SC.
-func Fig12bSerial(seed int64, opts sweep.Options) ([]Fig12Point, error) {
-	variants := []ABAVariant{ABALC, ABASC}
-	counts := []int{1, 2, 3, 4}
-	grid := sweep.Grid[figCell]{Axes: []sweep.Axis[figCell]{
-		abaAxis(variants),
-		countAxis("serial", func(c *figCell, v int) { c.Serial = v }, counts...),
-		seedAxis(seed),
-	}}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[figCell]) (time.Duration, error) {
-		lat, err := ABASerialLatency(c.Config.Variant, c.Config.Serial, c.Config.Seed)
-		if err != nil {
-			return 0, fmt.Errorf("bench: fig12b %s: %w", c.Name(), err)
-		}
-		return lat, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var out []Fig12Point
-	for _, m := range meanLatencies(results) {
-		out = append(out, Fig12Point{Variant: variants[m.coords[0]], Count: counts[m.coords[1]], Latency: m.lat})
-	}
-	return out, nil
-}
-
-// ProtocolPoint is one protocol's (latency, throughput) measurement for
-// Fig. 13a/13b.
-type ProtocolPoint struct {
-	Name    string
+// LatencyPoint is one seed-averaged point of Fig. 11–13: a variant, its
+// count on the figure's x axis (parallel instances, proposal packets,
+// serial instances; unused by Fig. 13), the mean latency, and for the
+// full-protocol figures the mean throughput.
+type LatencyPoint struct {
+	Variant string
+	Count   int
 	Latency time.Duration
 	TPM     float64
 }
 
-// fig13Configs enumerates the paper's 8 protocol configurations: five
-// ConsensusBatcher-based and three baselines (shared-coin versions only,
-// as the paper does for baselines).
-func fig13Configs() []struct {
+// rigFigure declares one of Fig. 11a/11b/12a/12b: variants x counts 1..4
+// on the x axis x averaging seeds, each cell one rig run.
+type rigFigure struct {
+	variants []Component
+	// axis names the x axis — what the counts count — and labels the
+	// cells for -filter ("RBC/parallel=3/seed=1").
+	axis    string
+	measure func(kind Component, count int, seed int64) (time.Duration, error)
+	// row formats a table row (variant, count, latency); the header line
+	// goes through it too, with header over the count column.
+	row    string
+	header string
+}
+
+// rigCell is the grid configuration of the rigFigure sweeps.
+type rigCell struct {
+	Kind  Component
+	Count int
+	Seed  int64
+}
+
+func (f rigFigure) entry(e Experiment) Experiment {
+	counts := []int{1, 2, 3, 4}
+	return declare(e, func(ctx *Context) ([]LatencyPoint, error) {
+		grid := sweep.Grid[rigCell]{Axes: []sweep.Axis[rigCell]{
+			sweep.Over("variant", f.variants,
+				func(k Component) string { return string(k) },
+				func(c *rigCell, k Component) { c.Kind = k }),
+			sweep.Over(f.axis, counts, nil, func(c *rigCell, n int) { c.Count = n }),
+		}}
+		means, err := seedMeans(e.Name, grid, ctx.Seed, func(c *rigCell, s int64) { c.Seed = s }, ctx.sweepOpts(),
+			func(c rigCell) (sample, error) {
+				lat, err := f.measure(c.Kind, c.Count, c.Seed)
+				return sample{Latency: lat}, err
+			})
+		if err != nil {
+			return nil, err
+		}
+		rows := make([]LatencyPoint, len(means))
+		for i, m := range means {
+			rows[i] = LatencyPoint{Variant: m.Labels[0], Count: counts[m.Coords[1]], Latency: m.Value.Latency}
+		}
+		return rows, nil
+	}, func(w io.Writer, title string, rows []LatencyPoint) {
+		fmt.Fprintln(w, title)
+		fmt.Fprintf(w, f.row, "variant", f.header, "latency")
+		for _, r := range rows {
+			fmt.Fprintf(w, f.row, r.Variant, r.Count, r.Latency.Round(time.Millisecond))
+		}
+	})
+}
+
+// fig13Config is one of the paper's protocol configurations.
+type fig13Config struct {
 	Name    string
 	Kind    protocol.Kind
 	Coin    protocol.CoinKind
 	Batched bool
-} {
-	return []struct {
-		Name    string
-		Kind    protocol.Kind
-		Coin    protocol.CoinKind
-		Batched bool
-	}{
-		{"HoneyBadgerBFT-SC", protocol.HoneyBadger, protocol.CoinSig, true},
-		{"HoneyBadgerBFT-LC", protocol.HoneyBadger, protocol.CoinLocal, true},
-		{"Dumbo-SC", protocol.DumboKind, protocol.CoinSig, true},
-		{"Dumbo-LC", protocol.DumboKind, protocol.CoinLocal, true},
-		{"BEAT", protocol.BEAT, protocol.CoinFlip, true},
-		{"HoneyBadgerBFT-SC-baseline", protocol.HoneyBadger, protocol.CoinSig, false},
-		{"Dumbo-SC-baseline", protocol.DumboKind, protocol.CoinSig, false},
-		{"BEAT-baseline", protocol.BEAT, protocol.CoinFlip, false},
-	}
 }
 
-// fig13Point is one seed's (latency, throughput) sample.
-type fig13Point struct {
-	Latency time.Duration
-	TPM     float64
+// fig13Configs enumerates the paper's 8: five ConsensusBatcher-based and
+// three baselines (shared-coin versions only, as the paper does for
+// baselines).
+var fig13Configs = []fig13Config{
+	{"HoneyBadgerBFT-SC", protocol.HoneyBadger, protocol.CoinSig, true},
+	{"HoneyBadgerBFT-LC", protocol.HoneyBadger, protocol.CoinLocal, true},
+	{"Dumbo-SC", protocol.DumboKind, protocol.CoinSig, true},
+	{"Dumbo-LC", protocol.DumboKind, protocol.CoinLocal, true},
+	{"BEAT", protocol.BEAT, protocol.CoinFlip, true},
+	{"HoneyBadgerBFT-SC-baseline", protocol.HoneyBadger, protocol.CoinSig, false},
+	{"Dumbo-SC-baseline", protocol.DumboKind, protocol.CoinSig, false},
+	{"BEAT-baseline", protocol.BEAT, protocol.CoinFlip, false},
 }
 
-// fig13Sweep runs the 8-configuration x figSeeds grid for one topology.
-func fig13Sweep(seed int64, epochs, batch int, topo run.Topology, deadline time.Duration, opts sweep.Options) ([]ProtocolPoint, error) {
-	configs := fig13Configs()
-	cfgAx := sweep.Axis[run.Spec]{Name: "config"}
-	for _, c := range configs {
-		c := c
-		cfgAx.Points = append(cfgAx.Points, sweep.Point[run.Spec]{
-			Label: c.Name,
-			Apply: func(s *run.Spec) {
-				s.Protocol, s.Coin, s.Batched = c.Kind, c.Coin, c.Batched
-				s.Encrypt = c.Kind != protocol.DumboKind
-			},
-		})
-	}
-	seedAx := sweep.Axis[run.Spec]{Name: "seed"}
-	for s := int64(0); s < figSeeds; s++ {
-		sv := seed + s*1009
-		seedAx.Points = append(seedAx.Points, sweep.Point[run.Spec]{
-			Label: fmt.Sprintf("seed=%d", sv),
-			Apply: func(spec *run.Spec) { spec.Seed = sv },
-		})
-	}
-	base := run.Defaults(protocol.HoneyBadger, protocol.CoinSig)
-	base.Topology = topo
-	base.Workload = run.OneShot(epochs)
-	base.Workload.BatchSize = batch
-	base.Deadline = deadline
-	grid := sweep.Grid[run.Spec]{Base: base, Axes: []sweep.Axis[run.Spec]{cfgAx, seedAx}}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[run.Spec]) (fig13Point, error) {
-		res, err := run.Run(c.Config)
+// fig13 declares one of Fig. 13a/13b: the 8 configurations x averaging
+// seeds on one topology.
+func fig13(e Experiment, topo run.Topology, deadline time.Duration) Experiment {
+	return declare(e, func(ctx *Context) ([]LatencyPoint, error) {
+		base := run.Defaults(protocol.HoneyBadger, protocol.CoinSig)
+		base.Topology = topo
+		base.Workload = run.OneShot(ctx.Epochs)
+		base.Workload.BatchSize = ctx.Batch
+		base.Deadline = deadline
+		grid := sweep.Grid[run.Spec]{Base: base, Axes: []sweep.Axis[run.Spec]{
+			sweep.Over("config", fig13Configs,
+				func(c fig13Config) string { return c.Name },
+				func(s *run.Spec, c fig13Config) {
+					specPoint(c.Name, c.Kind, c.Coin).Apply(s)
+					s.Batched = c.Batched
+				}),
+		}}
+		means, err := seedMeans(e.Name, grid, ctx.Seed, func(s *run.Spec, seed int64) { s.Seed = seed }, ctx.sweepOpts(),
+			func(spec run.Spec) (sample, error) {
+				res, err := run.Run(spec)
+				if err != nil {
+					return sample{}, err
+				}
+				return sample{Latency: res.OneShot.MeanLatency, TPM: res.OneShot.TPM}, nil
+			})
 		if err != nil {
-			return fig13Point{}, fmt.Errorf("bench: fig13 %s: %w", c.Name(), err)
+			return nil, err
 		}
-		return fig13Point{Latency: res.OneShot.MeanLatency, TPM: res.OneShot.TPM}, nil
+		rows := make([]LatencyPoint, len(means))
+		for i, m := range means {
+			rows[i] = LatencyPoint{Variant: m.Labels[0], Latency: m.Value.Latency, TPM: m.Value.TPM}
+		}
+		return rows, nil
+	}, func(w io.Writer, title string, rows []LatencyPoint) {
+		fmt.Fprintln(w, title)
+		fmt.Fprintf(w, "%-28s %12s %10s\n", "protocol", "latency", "TPM")
+		for _, r := range rows {
+			fmt.Fprintf(w, "%-28s %12s %10.1f\n", r.Variant, r.Latency.Round(time.Millisecond), r.TPM)
+		}
 	})
-	if err != nil {
-		return nil, err
-	}
-	var out []ProtocolPoint
-	for i := 0; i < len(results); {
-		cfg := results[i].Coords[0]
-		var latSum time.Duration
-		var tpmSum float64
-		n := 0
-		for i < len(results) && results[i].Coords[0] == cfg {
-			latSum += results[i].Value.Latency
-			tpmSum += results[i].Value.TPM
-			n++
-			i++
-		}
-		out = append(out, ProtocolPoint{
-			Name:    configs[cfg].Name,
-			Latency: latSum / time.Duration(n),
-			TPM:     tpmSum / float64(n),
-		})
-	}
-	return out, nil
-}
-
-// Fig13aSingleHop measures all eight configurations on the 4-node
-// single-hop network.
-func Fig13aSingleHop(seed int64, epochs, batch int, opts sweep.Options) ([]ProtocolPoint, error) {
-	return fig13Sweep(seed, epochs, batch, run.SingleHop(), 4*time.Hour, opts)
-}
-
-// Fig13bMultiHop measures all eight configurations on the 16-node,
-// 4-cluster network.
-func Fig13bMultiHop(seed int64, epochs, batch int, opts sweep.Options) ([]ProtocolPoint, error) {
-	return fig13Sweep(seed, epochs, batch, run.Clustered(4, 4), 8*time.Hour, opts)
-}
-
-// Registry entries for the Fig. 11–13 experiments.
-func runFig11a(ctx *Context) error {
-	rows, err := Fig11aBroadcastParallelism(ctx.Seed, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintFig11a(ctx.Out, rows)
-	return nil
-}
-
-func runFig11b(ctx *Context) error {
-	rows, err := Fig11bProposalSize(ctx.Seed, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintFig11b(ctx.Out, rows)
-	return nil
-}
-
-func runFig12a(ctx *Context) error {
-	rows, err := Fig12aParallel(ctx.Seed, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintFig12(ctx.Out, "Fig. 12a — ABA latency vs parallel instances", rows)
-	return nil
-}
-
-func runFig12b(ctx *Context) error {
-	rows, err := Fig12bSerial(ctx.Seed, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintFig12(ctx.Out, "Fig. 12b — ABA latency vs serial instances", rows)
-	return nil
-}
-
-func runFig13a(ctx *Context) error {
-	rows, err := Fig13aSingleHop(ctx.Seed, ctx.Epochs, ctx.Batch, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintFig13(ctx.Out, "Fig. 13a — single-hop: 8 consensus configurations", rows)
-	return nil
-}
-
-func runFig13b(ctx *Context) error {
-	rows, err := Fig13bMultiHop(ctx.Seed, ctx.Epochs, ctx.Batch, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintFig13(ctx.Out, "Fig. 13b — multi-hop (16 nodes, 4 clusters): 8 configurations", rows)
-	return nil
-}
-
-// PrintFig11a renders the broadcast-parallelism series.
-func PrintFig11a(w io.Writer, rows []Fig11aPoint) {
-	fmt.Fprintln(w, "Fig. 11a — broadcast latency vs parallel instances")
-	fmt.Fprintf(w, "%-10s %9s %12s\n", "variant", "parallel", "latency")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %9d %12s\n", r.Kind, r.Parallel, r.Latency.Round(time.Millisecond))
-	}
-}
-
-// PrintFig11b renders the proposal-size series.
-func PrintFig11b(w io.Writer, rows []Fig11bPoint) {
-	fmt.Fprintln(w, "Fig. 11b — broadcast latency vs proposal size (packets)")
-	fmt.Fprintf(w, "%-10s %8s %12s\n", "variant", "packets", "latency")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-10s %8d %12s\n", r.Kind, r.Packets, r.Latency.Round(time.Millisecond))
-	}
-}
-
-// PrintFig12 renders an ABA series.
-func PrintFig12(w io.Writer, title string, rows []Fig12Point) {
-	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "%-8s %6s %12s\n", "variant", "count", "latency")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-8s %6d %12s\n", r.Variant, r.Count, r.Latency.Round(time.Millisecond))
-	}
-}
-
-// PrintFig13 renders a protocol comparison.
-func PrintFig13(w io.Writer, title string, rows []ProtocolPoint) {
-	fmt.Fprintln(w, title)
-	fmt.Fprintf(w, "%-28s %12s %10s\n", "protocol", "latency", "TPM")
-	for _, r := range rows {
-		fmt.Fprintf(w, "%-28s %12s %10.1f\n", r.Name, r.Latency.Round(time.Millisecond), r.TPM)
-	}
 }

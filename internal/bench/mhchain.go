@@ -68,18 +68,16 @@ func forgeAxis() sweep.Axis[run.Spec] {
 	}}
 }
 
-// MHChainSweep runs the Clustered × Chain cell for two protocol families
+// mhchainRows runs the Clustered × Chain cell for two protocol families
 // under both transports at pipeline depths 1 and 2 (4 clusters of 4, the
 // paper's 16-node deployment), then the forged-cut adversarial cells:
 // both families against a Byzantine relay seat forging cuts from the
 // start, mid-run, and during relay failover. A configuration the
 // deployment defeats is recorded as a row with Error set rather than
 // aborting the sweep.
-func MHChainSweep(seed int64, epochs int, opts sweep.Options) ([]MHChainPoint, error) {
-	if epochs <= 0 {
-		epochs = 4
-	}
-	base := chainBase(seed, epochs)
+func mhchainRows(ctx *Context) ([]MHChainPoint, error) {
+	opts := ctx.sweepOpts()
+	base := chainBase(ctx)
 	base.Topology = run.Clustered(4, 4)
 	exec := func(c sweep.Cell[run.Spec]) (MHChainPoint, error) {
 		pt := MHChainPoint{
@@ -134,19 +132,9 @@ func MHChainSweep(seed int64, epochs int, opts sweep.Options) ([]MHChainPoint, e
 	return stampedRows(results), nil
 }
 
-// runMHChainExp is the registry entry: sweep, table, trajectory.
-func runMHChainExp(ctx *Context) error {
-	rows, err := MHChainSweep(ctx.Seed, ctx.ChainEpochs, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintMHChain(ctx.Out, rows)
-	return ctx.emit("clustered-chain-smr", rows)
-}
-
-// PrintMHChain renders the clustered-chain sweep.
-func PrintMHChain(w io.Writer, rows []MHChainPoint) {
-	fmt.Fprintln(w, "Clustered chain — pipelined SMR per cluster, certified cluster cuts ordered on the global tier")
+// printMHChain renders the clustered-chain sweep.
+func printMHChain(w io.Writer, title string, rows []MHChainPoint) {
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-9s %-9s %5s %7s %6s %5s %8s %7s %10s %8s %12s %-s\n",
 		"protocol", "transport", "depth", "epochs", "txs", "cuts", "rej_cuts", "forged", "virtual_s", "Bps", "commit_lat", "scenario")
 	for _, r := range rows {
@@ -154,12 +142,9 @@ func PrintMHChain(w io.Writer, rows []MHChainPoint) {
 		if scen == "" {
 			scen = "fault-free"
 		}
-		if r.Error != "" {
-			fmt.Fprintf(w, "%-9s %-9s %5d %s\n", r.Protocol, r.Transport, r.Depth, "FAILED: "+r.Error)
-			continue
-		}
-		fmt.Fprintf(w, "%-9s %-9s %5d %7d %6d %5d %8d %7d %10.0f %8.2f %11.0fs %-s\n",
-			r.Protocol, r.Transport, r.Depth, r.Epochs, r.CommittedTxs, r.OrderedCuts,
-			r.RejectedCuts, r.ForgedCommitted, r.VirtualSecs, r.ThroughputBps, r.CommitLatencyS, scen)
+		fmt.Fprintf(w, "%-9s %-9s %5d %s\n", r.Protocol, r.Transport, r.Depth,
+			outcome(r.Epochs, r.Error, "%7d %6d %5d %8d %7d %10.0f %8.2f %11.0fs %-s",
+				r.Epochs, r.CommittedTxs, r.OrderedCuts, r.RejectedCuts, r.ForgedCommitted,
+				r.VirtualSecs, r.ThroughputBps, r.CommitLatencyS, scen))
 	}
 }

@@ -1,13 +1,17 @@
-// Package bench is the experiment harness: for every table and figure in
-// the paper's evaluation (Table I, Fig. 10a–d, Fig. 11a–b, Fig. 12a–b,
-// Fig. 13a–b) — plus the beyond-the-paper SMR sweeps — it declares a
-// sweep.Grid over a base configuration and executes it on the parallel
-// grid engine (internal/sweep). The registry in registry.go catalogs the
-// experiments for cmd/wbft-bench (-list/-exp dispatch); emit.go is the
-// one row-emission path (JSON trajectories, CSV, progress).
-// cmd/wbft-bench prints the results as tables; the root bench_test.go
-// exposes each experiment as a Go benchmark. EXPERIMENTS.md records
-// paper-vs-measured shapes and the engine's determinism contract.
+// Package bench is the experiment harness. registry.go declares every
+// table and figure of the paper's evaluation (Table I, Fig. 10a–d,
+// Fig. 11a–b, Fig. 12a–b, Fig. 13a–b) and every beyond-the-paper SMR
+// sweep exactly once, as an Experiment: name, title, the committed golden
+// file with the epoch count it was generated at, and one row function
+// that runs a sweep.Grid on the parallel grid engine (internal/sweep).
+// Experiment.Run is the one run step — rows, table, JSON/CSV sinks
+// (emit.go) — and every consumer enumerates Experiments():
+// cmd/wbft-bench for -list and -exp, the root package's
+// BenchmarkExperiment/<name> and golden checks, and this package's smoke
+// tests. grid.go holds the axes and the seed-averaged latency grid the
+// entries share; components.go the one adapter between the component
+// experiments and the rig below. EXPERIMENTS.md records paper-vs-measured
+// shapes and the engine's determinism contract.
 package bench
 
 import (

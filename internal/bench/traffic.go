@@ -58,44 +58,29 @@ func trafficPatternAxis() sweep.Axis[run.Spec] {
 	}}
 }
 
-// trafficRateAxis sweeps the aggregate offered rate (tx/s). It goes last
-// so rates are innermost: a row's neighbors trace one saturation curve.
-// Apply only sets Rate, so it composes with the pattern axis's Pattern.
-func trafficRateAxis(rates ...float64) sweep.Axis[run.Spec] {
-	ax := sweep.Axis[run.Spec]{Name: "rate"}
-	for _, r := range rates {
-		r := r
-		ax.Points = append(ax.Points, sweep.Point[run.Spec]{
-			Label: fmt.Sprintf("rate=%g", r),
-			Apply: func(s *run.Spec) { s.Workload.Arrival.Rate = r },
-		})
-	}
-	return ax
-}
-
-// TrafficSweep runs the open-loop saturation matrix: engine x arrival
+// trafficRows runs the open-loop saturation matrix: engine x arrival
 // pattern x offered rate, every cell under a 2 KiB mempool admission cap
 // so overload shows up as counted rejections instead of unbounded pool
-// growth. The rates bracket the measured HB-SC commit capacity
-// (~0.025 tx/s at 64-byte transactions on the LoRa-class channel, from
-// BENCH_chain.json): 0.2x, 0.8x, ~3x, and ~13x capacity, so each curve
-// crosses its knee inside the sweep. Rows record failures (Error /
-// HonestSafe=false) rather than aborting.
-func TrafficSweep(seed int64, epochs int, opts sweep.Options) ([]TrafficPoint, error) {
-	if epochs <= 0 {
-		epochs = 6
-	}
-	base := chainBase(seed, epochs)
-	base.Workload.GCLag = epochs // full logs survive for the provenance audit
+// growth. The aggregate offered rates (tx/s) bracket the measured HB-SC
+// commit capacity (~0.025 tx/s at 64-byte transactions on the LoRa-class
+// channel, from BENCH_chain.json): 0.2x, 0.8x, ~3x, and ~13x capacity, so
+// each curve crosses its knee inside the sweep. The rate axis goes last so
+// rates are innermost — a row's neighbors trace one saturation curve —
+// and sets only Rate, so it composes with the pattern axis's Pattern.
+// Rows record failures (Error / HonestSafe=false) rather than aborting.
+func trafficRows(ctx *Context) ([]TrafficPoint, error) {
+	base := chainBase(ctx)
+	base.Workload.GCLag = ctx.ChainEpochs // full logs survive for the provenance audit
 	base.Workload.Mempool.MaxPendingBytes = 2048
 	grid := sweep.Grid[run.Spec]{
 		Base: base,
 		Axes: []sweep.Axis[run.Spec]{
 			aleaProtoAxis(), trafficPatternAxis(),
-			trafficRateAxis(0.005, 0.02, 0.08, 0.32),
+			sweep.Over("rate", []float64{0.005, 0.02, 0.08, 0.32}, nil,
+				func(s *run.Spec, r float64) { s.Workload.Arrival.Rate = r }),
 		},
 	}
-	results, err := sweep.Run(grid, opts, func(c sweep.Cell[run.Spec]) (TrafficPoint, error) {
+	results, err := sweep.Run(grid, ctx.sweepOpts(), func(c sweep.Cell[run.Spec]) (TrafficPoint, error) {
 		pt := TrafficPoint{
 			Protocol: c.Labels[0],
 			Pattern:  c.Labels[1],
@@ -128,32 +113,14 @@ func TrafficSweep(seed int64, epochs int, opts sweep.Options) ([]TrafficPoint, e
 	return stampedRows(results), nil
 }
 
-// runTrafficExp is the registry entry: sweep, table, trajectory.
-func runTrafficExp(ctx *Context) error {
-	rows, err := TrafficSweep(ctx.Seed, ctx.ChainEpochs, ctx.sweepOpts(false))
-	if err != nil {
-		return err
-	}
-	PrintTraffic(ctx.Out, rows)
-	return ctx.emit("traffic-sweep", rows)
-}
-
-// PrintTraffic renders the saturation curves.
-func PrintTraffic(w io.Writer, rows []TrafficPoint) {
-	fmt.Fprintln(w, "Traffic — open-loop saturation: offered rate vs commit throughput, tail latency, drops")
+// printTraffic renders the saturation curves.
+func printTraffic(w io.Writer, title string, rows []TrafficPoint) {
+	fmt.Fprintln(w, title)
 	fmt.Fprintf(w, "%-9s %-8s %7s %8s %9s %7s %8s %8s %8s %6s %6s\n",
 		"protocol", "pattern", "rate", "offered", "committed", "reject", "Bps", "p50", "p99", "pool", "safe")
 	for _, r := range rows {
-		if r.Error != "" && r.Epochs == 0 {
-			fmt.Fprintf(w, "%-9s %-8s %7g %s\n", r.Protocol, r.Pattern, r.RateTPS, "FAILED: "+r.Error)
-			continue
-		}
-		safe := "OK"
-		if !r.HonestSafe {
-			safe = "FAIL"
-		}
-		fmt.Fprintf(w, "%-9s %-8s %7g %8d %9d %7d %8.2f %7.1fs %7.1fs %6d %6s\n",
-			r.Protocol, r.Pattern, r.RateTPS, r.OfferedTxs, r.CommittedTxs,
-			r.RejectedTxs, r.ThroughputBps, r.P50S, r.P99S, r.PeakPoolBytes, safe)
+		fmt.Fprintf(w, "%-9s %-8s %7g %s\n", r.Protocol, r.Pattern, r.RateTPS,
+			outcome(r.Epochs, r.Error, "%8d %9d %7d %8.2f %7.1fs %7.1fs %6d %6s",
+				r.OfferedTxs, r.CommittedTxs, r.RejectedTxs, r.ThroughputBps, r.P50S, r.P99S, r.PeakPoolBytes, r.verdict()))
 	}
 }

@@ -8,9 +8,17 @@ import (
 	"repro/internal/packet"
 )
 
-// maxFragments is the most INITIAL fragments one value may span: the
-// fragment count travels in the entry's one-byte Flags field.
-const maxFragments = 255
+const (
+	// maxFragments is the most INITIAL fragments one value may span: the
+	// fragment count travels in the entry's one-byte Flags field.
+	maxFragments = 255
+	// DefaultFragSize is the INITIAL fragment payload when a component's
+	// options name none: one radio frame's worth.
+	DefaultFragSize = 160
+	// MaxValueBytes is the largest value one broadcast carries at
+	// DefaultFragSize; propose refuses anything larger.
+	MaxValueBytes = maxFragments * DefaultFragSize
+)
 
 // dissemination is the value-dissemination half every broadcast shares
 // (the paper's INITIAL section, Fig. 4–5): the leader splits its value into
@@ -40,7 +48,7 @@ type valueSlot struct {
 
 func newDissemination(env *Env, kind packet.Kind, small bool, fragSize int) dissemination {
 	if fragSize <= 0 {
-		fragSize = 160
+		fragSize = DefaultFragSize
 	}
 	return dissemination{env: env, kind: kind, small: small, frag: fragSize}
 }

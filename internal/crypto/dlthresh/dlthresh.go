@@ -18,10 +18,10 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
 	"repro/internal/crypto/dleq"
 	"repro/internal/crypto/group"
+	"repro/internal/crypto/memo"
 	"repro/internal/crypto/mont"
 	"repro/internal/crypto/shamir"
 )
@@ -46,14 +46,9 @@ type cache struct {
 	vk  *mont.Table   // comb of VK, built on its first power
 	vks []*mont.Table // combs of the VKs, each built on its first verification
 
-	mu       sync.Mutex
-	bases    map[string]*mont.Table // Base.Tag -> comb of the element
-	verified map[[32]byte]error     // (Base.Tag, share) -> verdict
+	bases    memo.Memo[string, *mont.Table] // Base.Tag -> comb of the element
+	verified memo.Memo[[32]byte, error]     // (Base.Tag, share) -> verdict
 }
-
-// cacheCap bounds each memo map; overflow clears the map (a safety
-// valve — a sweep cell's working set is far smaller).
-const cacheCap = 4096
 
 // PrivateShare is party Index's share of the secret.
 type PrivateShare struct {
@@ -103,12 +98,7 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 
 // NewPublicKey assembles a key from its verification material.
 func NewPublicKey(g *group.Group, vk *big.Int, vks []*big.Int, k int) PublicKey {
-	cc := &cache{
-		vk:       g.Table(vk, mont.TeethLong),
-		vks:      make([]*mont.Table, len(vks)),
-		bases:    make(map[string]*mont.Table),
-		verified: make(map[[32]byte]error),
-	}
+	cc := &cache{vk: g.Table(vk, mont.TeethLong), vks: make([]*mont.Table, len(vks))}
 	for i, v := range vks {
 		cc.vks[i] = g.Table(v, mont.TeethLong)
 	}
@@ -121,27 +111,11 @@ func (pk *PublicKey) ExpVK(e *big.Int) *big.Int { return pk.cc.vk.Exp(e) }
 // table returns the comb of b's element, shared by everyone who touches
 // the use: each party raises it to its share and its proof nonce, every
 // share's verification raises it once more, and a coin's hash-to-group
-// element costs as much as any of those powers — so it is computed
-// outside the lock. Safe under concurrent misses: one table wins.
+// element costs as much as any of those powers.
 func (pk *PublicKey) table(b Base) *mont.Table {
-	cc := pk.cc
-	cc.mu.Lock()
-	t := cc.bases[string(b.Tag)]
-	cc.mu.Unlock()
-	if t != nil {
-		return t
-	}
-	t = pk.Group.Table(b.Element(), mont.TeethShort)
-	cc.mu.Lock()
-	defer cc.mu.Unlock()
-	if prior := cc.bases[string(b.Tag)]; prior != nil {
-		return prior
-	}
-	if len(cc.bases) >= cacheCap {
-		clear(cc.bases)
-	}
-	cc.bases[string(b.Tag)] = t
-	return t
+	return pk.cc.bases.Get(string(b.Tag), func() *mont.Table {
+		return pk.Group.Table(b.Element(), mont.TeethShort)
+	})
 }
 
 // Share produces party priv.Index's share of the use named by b.
@@ -174,22 +148,9 @@ func (pk *PublicKey) VerifyShare(b Base, sh *Share) error {
 		sh.Proof.Z.Sign() < 0 || sh.Proof.Z.Cmp(g.Q) >= 0 {
 		return errors.New("dlthresh: share out of range")
 	}
-	key := shareKey(b.Tag, sh)
-	cc := pk.cc
-	cc.mu.Lock()
-	verdict, hit := cc.verified[key]
-	cc.mu.Unlock()
-	if hit {
-		return verdict
-	}
-	err := dleq.Verify(g, g.GTable(), pk.table(b), cc.vks[sh.Index-1], sh.V, sh.Proof)
-	cc.mu.Lock()
-	if len(cc.verified) >= cacheCap {
-		clear(cc.verified)
-	}
-	cc.verified[key] = err
-	cc.mu.Unlock()
-	return err
+	return pk.cc.verified.Get(shareKey(b.Tag, sh), func() error {
+		return dleq.Verify(g, g.GTable(), pk.table(b), pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
+	})
 }
 
 // shareKey digests a (tag, share) pair for the verdict memo.

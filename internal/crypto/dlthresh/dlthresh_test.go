@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/crypto/dleq"
 	"repro/internal/crypto/group"
+	"repro/internal/crypto/memo"
 	"repro/internal/crypto/mont"
 )
 
@@ -181,17 +182,17 @@ func TestMemosOverflow(t *testing.T) {
 	good := sharesOf(t, key, use, 37)[1]
 	junk := &Share{Index: 1, V: big.NewInt(2), Proof: &dleq.Proof{C: big.NewInt(1), Z: big.NewInt(1)}}
 	one := big.NewInt(1)
-	for i := 0; i < cacheCap+2; i++ {
+	for i := 0; i < memo.Cap+2; i++ {
 		b := Base{Tag: []byte{byte(i), byte(i >> 8)}, Element: func() *big.Int { return one }}
 		if pk.VerifyShare(b, junk) == nil {
 			t.Fatal("junk share accepted")
 		}
 	}
-	if n := len(pk.cc.verified); n > cacheCap {
-		t.Errorf("verdict memo holds %d entries, cap %d", n, cacheCap)
+	if n := pk.cc.verified.Len(); n > memo.Cap {
+		t.Errorf("verdict memo holds %d entries, cap %d", n, memo.Cap)
 	}
-	if n := len(pk.cc.bases); n > cacheCap {
-		t.Errorf("base memo holds %d entries, cap %d", n, cacheCap)
+	if n := pk.cc.bases.Len(); n > memo.Cap {
+		t.Errorf("base memo holds %d entries, cap %d", n, memo.Cap)
 	}
 	if err := pk.VerifyShare(use, good); err != nil {
 		t.Errorf("good share rejected after the memos overflowed: %v", err)
@@ -208,7 +209,7 @@ func BenchmarkVerifyShare(b *testing.B) {
 	sh := sharesOf(b, key, use, 43)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		clear(pk.cc.verified)
+		pk.cc.verified = memo.Memo[[32]byte, error]{}
 		if err := pk.VerifyShare(use, sh); err != nil {
 			b.Fatal(err)
 		}

@@ -22,6 +22,7 @@ import (
 	"math/big"
 	"sync"
 
+	"repro/internal/crypto/memo"
 	"repro/internal/crypto/mont"
 )
 
@@ -37,8 +38,8 @@ type Group struct {
 	G    *big.Int // generator of the order-q subgroup
 
 	mu       sync.Mutex
-	cofactor *big.Int        // (P-1)/Q, computed on first HashToGroup
-	members  map[string]bool // memoized IsElement verdicts for recurring values
+	cofactor *big.Int                // (P-1)/Q, computed on first HashToGroup
+	members  memo.Memo[string, bool] // IsElement verdicts for recurring values
 
 	engineOnce sync.Once
 	mod        *mont.Modulus // exponentiation engine mod P
@@ -169,23 +170,7 @@ func (g *Group) IsElementCached(v *big.Int) bool {
 	if v == nil || v.Sign() <= 0 || v.Cmp(g.P) >= 0 {
 		return false
 	}
-	key := string(v.Bytes())
-	g.mu.Lock()
-	ok, hit := g.members[key]
-	g.mu.Unlock()
-	if hit {
-		return ok
-	}
-	ok = g.Exp(v, g.Q).Cmp(big.NewInt(1)) == 0
-	g.mu.Lock()
-	if g.members == nil {
-		g.members = make(map[string]bool)
-	} else if len(g.members) >= 4096 {
-		clear(g.members)
-	}
-	g.members[key] = ok
-	g.mu.Unlock()
-	return ok
+	return g.members.Get(string(v.Bytes()), func() bool { return g.Exp(v, g.Q).Cmp(big.NewInt(1)) == 0 })
 }
 
 // cofactorVal returns (P-1)/Q, computed once per group.

@@ -11,7 +11,8 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
+
+	"repro/internal/crypto/memo"
 )
 
 // Share is one party's point on the dealing polynomial: (X, f(X)).
@@ -117,12 +118,8 @@ func LagrangeCoeff(subset []Share, i int, q *big.Int) *big.Int {
 // lagCache memoizes LagrangeSet results. Interpolation subsets recur
 // constantly in a simulation (every party combines the same handful of
 // k-subsets for every coin flip and decryption), and the coefficients are
-// a pure function of (subset, q). Keyed by the exact X sequence plus q;
-// guarded because dealt keys are shared across concurrent simulations.
-var (
-	lagMu    sync.Mutex
-	lagCache = map[string][]*big.Int{}
-)
+// a pure function of (subset, q). Keyed by the exact X sequence plus q.
+var lagCache memo.Memo[string, []*big.Int]
 
 // LagrangeSet returns the Lagrange basis coefficients at zero for every
 // share of the subset, mod q, memoized across calls. The returned slice
@@ -133,23 +130,13 @@ func LagrangeSet(subset []Share, q *big.Int) []*big.Int {
 		key = binary.BigEndian.AppendUint32(key, uint32(s.X))
 	}
 	key = append(key, q.Bytes()...)
-	lagMu.Lock()
-	set := lagCache[string(key)]
-	lagMu.Unlock()
-	if set != nil {
+	return lagCache.Get(string(key), func() []*big.Int {
+		set := make([]*big.Int, len(subset))
+		for i := range subset {
+			set[i] = LagrangeCoeff(subset, i, q)
+		}
 		return set
-	}
-	set = make([]*big.Int, len(subset))
-	for i := range subset {
-		set[i] = LagrangeCoeff(subset, i, q)
-	}
-	lagMu.Lock()
-	if len(lagCache) >= 4096 {
-		clear(lagCache)
-	}
-	lagCache[string(key)] = set
-	lagMu.Unlock()
-	return set
+	})
 }
 
 // randInt samples a uniform element of [0, q).

@@ -6,18 +6,14 @@ import (
 	"math/big"
 	"sync"
 
+	"repro/internal/crypto/memo"
 	"repro/internal/crypto/mont"
 )
 
 // pkCache memoizes the deterministic intermediate values of a dealt key.
 // Keys are shared across concurrently running simulations (crypto.DealCached
-// hands the same Suite to every sweep cell), so every map is guarded.
-//
-// None of this changes observable behaviour: everything cached is a pure
-// function of (public key, inputs), so hits return exactly what a fresh
-// computation would. Virtual-time charges are made by the callers through
-// the cost model and are likewise untouched — the simulated STM32 still
-// pays full price per operation; only the host machine skips repeat work.
+// hands the same Suite to every sweep cell), so everything here is guarded;
+// package memo says why none of it changes observable behaviour.
 type pkCache struct {
 	mu sync.Mutex
 	// delta = L!, gcdA/gcdB = Bezout coefficients of (e, 4*delta^2):
@@ -28,13 +24,12 @@ type pkCache struct {
 	// comb of y = x^{2*delta}) shared by Sign, VerifyShare, Combine, and
 	// Verify. One message is touched by every party of the simulation, so
 	// the hit rate is ~(parties-1)/parties.
-	msgs map[[32]byte]*msgCtx
+	msgs memo.Memo[[32]byte, *msgCtx]
 	// verified: share-verification verdicts keyed by (msg, share). Each
-	// share is verified by every other party; the verdict is a pure
-	// function of the share bytes, so replaying it is exact.
-	verified map[[32]byte]error
+	// share is verified by every other party.
+	verified memo.Memo[[32]byte, error]
 	// lag: integer Lagrange coefficients keyed by (subset, index).
-	lag map[string]*big.Int
+	lag memo.Memo[string, *big.Int]
 }
 
 // msgCtx is the per-message exponentiation context.
@@ -90,11 +85,6 @@ func (pk *PublicKey) pow(b base, e *big.Int) *big.Int {
 	return new(big.Int).Exp(b.v, e, pk.N)
 }
 
-// cacheCap bounds each memo map; on overflow the map is cleared (the
-// working set of a sweep cell is tiny compared to this, so eviction is a
-// safety valve, not a tuning knob).
-const cacheCap = 4096
-
 // exp is pow for a base raised once.
 func (pk *PublicKey) exp(v, e *big.Int) *big.Int { return pk.pow(pk.oneShot(v), e) }
 
@@ -112,31 +102,12 @@ func (pk *PublicKey) deltaL() *big.Int {
 }
 
 // ctxFor returns the per-message context, computing and caching it on
-// first use. Safe under concurrent misses: both goroutines compute the
-// same pure values and one result wins.
+// first use.
 func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
 	if pk.cc == nil {
 		return pk.newCtx(msg)
 	}
-	key := sha256.Sum256(msg)
-	pk.cc.mu.Lock()
-	ctx := pk.cc.msgs[key]
-	pk.cc.mu.Unlock()
-	if ctx != nil {
-		return ctx
-	}
-	ctx = pk.newCtx(msg)
-	pk.cc.mu.Lock()
-	if prior := pk.cc.msgs[key]; prior != nil {
-		ctx = prior
-	} else {
-		if len(pk.cc.msgs) >= cacheCap {
-			clear(pk.cc.msgs)
-		}
-		pk.cc.msgs[key] = ctx
-	}
-	pk.cc.mu.Unlock()
-	return ctx
+	return pk.cc.msgs.Get(sha256.Sum256(msg), func() *msgCtx { return pk.newCtx(msg) })
 }
 
 func (pk *PublicKey) newCtx(msg []byte) *msgCtx {
@@ -212,20 +183,7 @@ func (pk *PublicKey) lagrangeFor(subset []*SigShare, i int, d *big.Int) *big.Int
 		key = binary.BigEndian.AppendUint16(key, uint16(sh.Index))
 	}
 	key = binary.BigEndian.AppendUint16(key, uint16(i))
-	pk.cc.mu.Lock()
-	lam := pk.cc.lag[string(key)]
-	pk.cc.mu.Unlock()
-	if lam != nil {
-		return lam
-	}
-	lam = integerLagrange(subset, i, d)
-	pk.cc.mu.Lock()
-	if len(pk.cc.lag) >= cacheCap {
-		clear(pk.cc.lag)
-	}
-	pk.cc.lag[string(key)] = lam
-	pk.cc.mu.Unlock()
-	return lam
+	return pk.cc.lag.Get(string(key), func() *big.Int { return integerLagrange(subset, i, d) })
 }
 
 // ShareVerifier amortizes share verification for one message: the

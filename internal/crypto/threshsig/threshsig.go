@@ -145,11 +145,7 @@ func Deal(name string, p, q *big.Int, k, l int, rand io.Reader) (*Key, error) {
 	if _, err := io.ReadFull(rand, pk.Salt[:]); err != nil {
 		return nil, fmt.Errorf("threshsig: sampling salt: %w", err)
 	}
-	pk.cc = &pkCache{
-		msgs:     make(map[[32]byte]*msgCtx),
-		verified: make(map[[32]byte]error),
-		lag:      make(map[string]*big.Int),
-	}
+	pk.cc = &pkCache{}
 	return &Key{Public: pk, Shares: shares}, nil
 }
 
@@ -243,26 +239,10 @@ func checkShareShape(pk *PublicKey, sh *SigShare) error {
 // is verified by each of the other parties, and the verdict is a pure
 // function of (msg, share), so a replayed verdict is exact.
 func (pk *PublicKey) verifyShareWith(ctx *msgCtx, msgDigest [32]byte, sh *SigShare) error {
-	var key [32]byte
-	if pk.cc != nil {
-		key = shareKey(msgDigest, sh)
-		pk.cc.mu.Lock()
-		verdict, hit := pk.cc.verified[key]
-		pk.cc.mu.Unlock()
-		if hit {
-			return verdict
-		}
+	if pk.cc == nil {
+		return pk.verifyShareFull(ctx, sh)
 	}
-	err := pk.verifyShareFull(ctx, sh)
-	if pk.cc != nil {
-		pk.cc.mu.Lock()
-		if len(pk.cc.verified) >= cacheCap {
-			clear(pk.cc.verified)
-		}
-		pk.cc.verified[key] = err
-		pk.cc.mu.Unlock()
-	}
-	return err
+	return pk.cc.verified.Get(shareKey(msgDigest, sh), func() error { return pk.verifyShareFull(ctx, sh) })
 }
 
 // verifyShareFull recomputes the share's Chaum–Pedersen proof.

@@ -42,6 +42,9 @@ const (
 	CoinFlip  CoinKind = "CP" // BEAT's ABA, threshold coin flipping
 )
 
+// Coins lists the coin kinds, in the paper's order.
+func Coins() []CoinKind { return []CoinKind{CoinLocal, CoinSig, CoinFlip} }
+
 // binaryAgreement abstracts the two ABA components behind one interface.
 type binaryAgreement interface {
 	Input(slot int, v bool)

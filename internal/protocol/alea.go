@@ -1,9 +1,7 @@
 package protocol
 
 import (
-	"crypto/sha256"
 	"encoding/binary"
-	"math/rand"
 
 	"repro/internal/component"
 )
@@ -59,7 +57,7 @@ type AleaOptions struct {
 func NewAlea(env *component.Env, opts AleaOptions) *Alea {
 	a := &Alea{
 		env:      env,
-		order:    aleaOrder(env.Session, env.Epoch, env.N),
+		order:    commonPermutation("alea-pi", env.Session, env.Epoch, env.N),
 		accepted: make([]bool, env.N),
 		onDecide: opts.OnDecide,
 	}
@@ -194,19 +192,6 @@ func (a *Alea) maybeFinish() {
 	if a.onDecide != nil {
 		a.onDecide()
 	}
-}
-
-// aleaOrder derives the common queue priority order π from the epoch
-// identity, like Dumbo's candidate permutation: all nodes compute the
-// same order, rotated across epochs so no sender is permanently favored.
-func aleaOrder(session uint32, epoch uint16, n int) []int {
-	var seedInput [16]byte
-	copy(seedInput[:], "alea-pi")
-	binary.BigEndian.PutUint32(seedInput[8:], session)
-	binary.BigEndian.PutUint16(seedInput[12:], epoch)
-	d := sha256.Sum256(seedInput[:])
-	rng := rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(d[:8]))))
-	return rng.Perm(n)
 }
 
 // Queue-head status codes of the QueueState snapshot.

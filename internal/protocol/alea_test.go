@@ -182,8 +182,8 @@ func TestQueueStateRoundTrip(t *testing.T) {
 // TestAleaOrder pins the common permutation: deterministic for an epoch
 // identity, a valid permutation, and epoch-rotated.
 func TestAleaOrder(t *testing.T) {
-	a := aleaOrder(42, 3, 7)
-	b := aleaOrder(42, 3, 7)
+	a := commonPermutation("alea-pi", 42, 3, 7)
+	b := commonPermutation("alea-pi", 42, 3, 7)
 	seen := make([]bool, 7)
 	for i, v := range a {
 		if v != b[i] {
@@ -196,7 +196,7 @@ func TestAleaOrder(t *testing.T) {
 	}
 	rotated := false
 	for e := uint16(0); e < 8 && !rotated; e++ {
-		c := aleaOrder(42, e, 7)
+		c := commonPermutation("alea-pi", 42, e, 7)
 		for i := range a {
 			if c[i] != a[i] {
 				rotated = true

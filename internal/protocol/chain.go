@@ -454,11 +454,9 @@ func (c *Chain) commit(e int, ep *chainEpoch) {
 	}
 }
 
-// MaxProposalBytes is the largest proposal one broadcast carries: an
-// INITIAL entry names its fragment count in one byte, so 255 fragments,
-// and the engines leave the components' fragment size at its 160 B
-// default. The component refuses anything larger at propose time.
-const MaxProposalBytes = 255 * 160
+// MaxProposalBytes is the largest proposal one broadcast carries: the
+// engines leave the components' fragment size at its default.
+const MaxProposalBytes = component.MaxValueBytes
 
 // ciphertextEnvelope bounds what threshold encryption adds to a proposal:
 // the ciphertext codec's overhead over the largest group a suite can be
@@ -481,8 +479,8 @@ func (cfg ChainConfig) CheckProposalSize(txSize int) error {
 		worst += ciphertextEnvelope()
 	}
 	if worst > MaxProposalBytes {
-		return fmt.Errorf("protocol: MaxBatchBytes %d allows proposals of %d B; one broadcast carries at most %d B (255 fragments of 160 B)",
-			max, worst, MaxProposalBytes)
+		return fmt.Errorf("protocol: MaxBatchBytes %d allows proposals of %d B; one broadcast carries at most %d B (%d fragments of %d B)",
+			max, worst, MaxProposalBytes, MaxProposalBytes/component.DefaultFragSize, component.DefaultFragSize)
 	}
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/rand"
+	"sort"
 
 	"repro/internal/component"
 	"repro/internal/packet"
@@ -137,7 +138,7 @@ func (d *Dumbo) onCBCCommit(int, []byte, []byte) {
 	if d.abaSeq != nil || d.cbcCommit.DeliveredCount() < d.env.Quorum() {
 		return
 	}
-	d.abaSeq = commonPermutation(d.env.Session, d.env.Epoch, d.env.N)
+	d.abaSeq = commonPermutation("dumbo-pi", d.env.Session, d.env.Epoch, d.env.N)
 	d.runNextCandidate()
 }
 
@@ -287,19 +288,20 @@ type errorString string
 
 func (e errorString) Error() string { return string(e) }
 
-// commonPermutation derives π from the epoch identity. All nodes compute
-// the same order. (Dumbo derives π from unpredictable randomness to resist
-// adaptive adversaries; a public hash preserves the protocol structure the
+// commonPermutation derives a common order π over n slots from the epoch
+// identity, under a per-protocol domain: Dumbo's candidate order
+// ("dumbo-pi") and Alea's queue priority ("alea-pi"). All nodes compute the
+// same order, rotated across epochs so no slot is permanently favored.
+// (Dumbo derives π from unpredictable randomness to resist adaptive
+// adversaries; a public hash preserves the protocol structure the
 // evaluation measures and is documented in DESIGN.md.)
-func commonPermutation(session uint32, epoch uint16, n int) []int {
+func commonPermutation(domain string, session uint32, epoch uint16, n int) []int {
 	var seedInput [16]byte
-	copy(seedInput[:], "dumbo-pi")
+	copy(seedInput[:8], domain)
 	binary.BigEndian.PutUint32(seedInput[8:], session)
 	binary.BigEndian.PutUint16(seedInput[12:], epoch)
 	d := sha256.Sum256(seedInput[:])
-	rng := rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(d[:8]))))
-	out := rng.Perm(n)
-	return out
+	return rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(d[:8])))).Perm(n)
 }
 
 func sortedKeys(m map[int][]byte) []int {
@@ -307,10 +309,6 @@ func sortedKeys(m map[int][]byte) []int {
 	for k := range m {
 		out = append(out, k)
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Ints(out)
 	return out
 }

@@ -37,6 +37,9 @@ type Engine struct {
 	// DefaultEncrypt is whether run.Defaults turns on the
 	// threshold-encrypted proposal path for this family.
 	DefaultEncrypt bool
+	// Coin is the coin the family runs when the Spec names none ("": the
+	// Spec must name one).
+	Coin CoinKind
 	// New builds one epoch's consensus instance.
 	New func(env *component.Env, coin CoinKind, batched, encrypt bool, onDecide func()) Instance
 }
@@ -47,11 +50,8 @@ func builtinEngines() []Engine {
 			New: func(env *component.Env, coin CoinKind, batched, encrypt bool, onDecide func()) Instance {
 				return NewACS(env, ACSOptions{Coin: coin, Batched: batched, Encrypt: encrypt, OnDecide: onDecide})
 			}},
-		{Kind: BEAT, DefaultEncrypt: true,
+		{Kind: BEAT, DefaultEncrypt: true, Coin: CoinFlip,
 			New: func(env *component.Env, coin CoinKind, batched, encrypt bool, onDecide func()) Instance {
-				if coin == "" {
-					coin = CoinFlip
-				}
 				return NewACS(env, ACSOptions{Coin: coin, Batched: batched, Encrypt: true, OnDecide: onDecide})
 			}},
 		{Kind: DumboKind, DefaultEncrypt: false,
@@ -140,6 +140,9 @@ func NewInstance(env *component.Env, p Kind, coin CoinKind, batched, encrypt boo
 	e, ok := Lookup(p)
 	if !ok {
 		panic(fmt.Sprintf("protocol: unknown protocol %q", p))
+	}
+	if coin == "" {
+		coin = e.Coin
 	}
 	return e.New(env, coin, batched, encrypt, onDecide)
 }

@@ -68,12 +68,10 @@ func entryDigest(entry protocol.LogEntry) [32]byte {
 	return out
 }
 
-// mhcMember is one cluster node and its chain engine plus the driver-side
-// dissemination state.
+// mhcMember is the driver-side dissemination state of one cluster node;
+// its node, chain engine and scripted-Byzantine mark (which excludes it
+// from relay duty) are the cluster's chain group's, at the same index.
 type mhcMember struct {
-	node  *node.Node
-	chain *protocol.Chain
-	byz   bool // scripted Byzantine at any point (excluded from relay duty)
 	// latest is the newest open local epoch transport (beacon carrier).
 	latest *core.Transport
 	// heardCuts/heardDigest is the highest global frontier beacon received.
@@ -111,14 +109,13 @@ type cutCollect struct {
 }
 
 // mhcCluster is one cluster: its local chain group, the driver-side state
-// of each member, and the cluster's seat in the global chain group.
+// of each member, and the cluster's seat — member idx of the global chain
+// group, Byzantine there when some byz event targets the cluster.
 type mhcCluster struct {
 	idx     int
 	local   *chainGroup
 	members []*mhcMember
-	seat    *node.Node
-	gchain  *protocol.Chain
-	tainted bool // some byz event targets this cluster
+	seats   *chainGroup
 	// nextCut is the lowest local epoch whose cut is not yet submitted.
 	nextCut int
 	// collect is the in-flight share collection for epoch nextCut (nil
@@ -133,6 +130,10 @@ type mhcCluster struct {
 	// c2 appeared in this seat's global log (the global-tier barrier).
 	gotCuts []map[int]bool
 }
+
+func (cl *mhcCluster) seat() *node.Node        { return cl.seats.nodes[cl.idx] }
+func (cl *mhcCluster) gchain() *protocol.Chain { return cl.seats.chains[cl.idx] }
+func (cl *mhcCluster) tainted() bool           { return cl.seats.byz[cl.idx] }
 
 // mhcDriver holds the whole deployment for the lifecycle and callbacks.
 type mhcDriver struct {
@@ -153,9 +154,10 @@ type mhcDriver struct {
 	certs CutCertStats
 }
 
-func (d *mhcDriver) member(flat int) (*mhcCluster, *mhcMember) {
+// member resolves a flat scenario node id to its cluster and index there.
+func (d *mhcDriver) member(flat int) (*mhcCluster, int) {
 	p := d.spec.Topology.PerCluster
-	return d.clusters[flat/p], d.clusters[flat/p].members[flat%p]
+	return d.clusters[flat/p], flat % p
 }
 
 // lifecycle adapts the cluster tier to the scenario engine. A byz event
@@ -167,15 +169,15 @@ func (d *mhcDriver) lifecycle() lifecycle {
 		recovered: d.recovered,
 		armed: func(i int, b byz.Behavior) {
 			cl, _ := d.member(i)
-			cl.seat.SetBehavior(b)
+			cl.seat().SetBehavior(b)
 		},
 	}
 }
 
-func (d *mhcDriver) crashed(i int) {
-	cl, m := d.member(i)
-	m.chain.Crash()
-	m.latest = nil // its transports are gone with the mux epochs
+func (d *mhcDriver) crashed(flat int) {
+	cl, i := d.member(flat)
+	cl.local.chains[i].Crash()
+	cl.members[i].latest = nil // its transports are gone with the mux epochs
 	// Relay failover: cuts the crashed node was designated to submit are
 	// taken over by the next live member in rotation. The in-flight share
 	// collection (if any) dies with the crashed relay's duty — the
@@ -186,15 +188,16 @@ func (d *mhcDriver) crashed(i int) {
 }
 
 // recovered is mid-run chain recovery.
-func (d *mhcDriver) recovered(i int) {
-	cl, m := d.member(i)
-	m.chain.Recover()
+func (d *mhcDriver) recovered(flat int) {
+	cl, i := d.member(flat)
+	m := cl.members[i]
+	cl.local.chains[i].Recover()
 	// A member that comes back with its chain already at the target has no
 	// pipeline epoch left to carry or hear beacons on (Chain.Recover cannot
 	// reopen epochs past MaxEpochs): it re-syncs the frontier directly from
 	// its cluster's uplink seat — the same driver-level link relays hand
 	// cuts up through in the other direction.
-	if m.chain.CommittedEpochs() >= d.target && cl.cutCount > m.heardCuts {
+	if cl.local.chains[i].CommittedEpochs() >= d.target && cl.cutCount > m.heardCuts {
 		m.heardCuts = cl.cutCount
 		m.heardDigest = cl.cutDigest
 	}
@@ -204,7 +207,7 @@ func (d *mhcDriver) recovered(i int) {
 	// recovered membership), and the current global frontier is
 	// re-beaconed down so recovered followers hear it.
 	d.pumpCuts(cl)
-	d.beacon(cl, len(cl.gchain.Log()))
+	d.beacon(cl, len(cl.gchain().Log()))
 }
 
 // pumpCuts advances the cluster's cut pipeline. The designated relay for
@@ -224,8 +227,8 @@ func (d *mhcDriver) pumpCuts(cl *mhcCluster) {
 		p := d.spec.Topology.PerCluster
 		var src *protocol.Chain
 		for k := 0; k < p; k++ {
-			m := cl.members[(e+k)%p]
-			if m.byz || m.node.Down() {
+			i := (e + k) % p
+			if cl.local.byz[i] || cl.local.nodes[i].Down() {
 				continue // untrusted or dead relay; duty passes on
 			}
 			// First trustworthy live member in rotation is the relay; the
@@ -234,8 +237,8 @@ func (d *mhcDriver) pumpCuts(cl *mhcCluster) {
 			// The log, not CommittedEpochs, carries the signal: OnCommit
 			// fires after the entry is appended but before the frontier
 			// counter advances.
-			if len(m.chain.Log()) > e {
-				src = m.chain
+			if len(cl.local.chains[i].Log()) > e {
+				src = cl.local.chains[i]
 			}
 			break
 		}
@@ -266,11 +269,11 @@ func (d *mhcDriver) pumpCuts(cl *mhcCluster) {
 func (d *mhcDriver) collectShares(cl *mhcCluster, col *cutCollect) {
 	p := d.spec.Topology.PerCluster
 	for i := 0; i < p; i++ {
-		m := cl.members[i]
-		if col.requested[i] || m.byz || m.node.Down() {
+		m, nd, log := cl.members[i], cl.local.nodes[i], cl.local.chains[i].Log()
+		if col.requested[i] || cl.local.byz[i] || nd.Down() {
 			continue
 		}
-		if len(m.chain.Log()) <= col.epoch || entryDigest(m.chain.Log()[col.epoch]) != col.digest {
+		if len(log) <= col.epoch || entryDigest(log[col.epoch]) != col.digest {
 			continue // not committed yet; a later pumpCuts tops the collection up
 		}
 		col.requested[i] = true
@@ -279,12 +282,12 @@ func (d *mhcDriver) collectShares(cl *mhcCluster, col *cutCollect) {
 			continue
 		}
 		d.certs.Signs++
-		d.certs.Busy += m.node.Suite.Cost.TSSign
-		m.node.CPU.Exec(m.node.Suite.Cost.TSSign, func() {
-			if m.node.Down() {
+		d.certs.Busy += nd.Suite.Cost.TSSign
+		nd.CPU.Exec(nd.Suite.Cost.TSSign, func() {
+			if nd.Down() {
 				return // crashed mid-signing; recovery re-requests
 			}
-			sh, err := m.node.Suite.TSLow.Sign(m.node.Suite.TSLowShare, col.msg, m.node.Rand)
+			sh, err := nd.Suite.TSLow.Sign(nd.Suite.TSLowShare, col.msg, nd.Rand)
 			if err != nil {
 				return
 			}
@@ -311,13 +314,14 @@ func (d *mhcDriver) receiveShare(cl *mhcCluster, col *cutCollect, sh *threshsig.
 // share, so surplus shares beyond f+1 are never verified (they replace
 // failures instead).
 func (d *mhcDriver) drainShares(cl *mhcCluster, col *cutCollect) {
+	seat := cl.seat()
 	for len(col.spare) > 0 && !col.combining && len(col.shares)+col.verifying < col.needed {
 		sh := col.spare[0]
 		col.spare = col.spare[1:]
 		col.verifying++
 		d.certs.ShareVerifies++
-		d.certs.Busy += cl.seat.Suite.Cost.TSVerifyShare
-		cl.seat.CPU.Exec(cl.seat.Suite.Cost.TSVerifyShare, func() {
+		d.certs.Busy += seat.Suite.Cost.TSVerifyShare
+		seat.CPU.Exec(seat.Suite.Cost.TSVerifyShare, func() {
 			if cl.collect != col {
 				return
 			}
@@ -344,8 +348,9 @@ func (d *mhcDriver) drainShares(cl *mhcCluster, col *cutCollect) {
 func (d *mhcDriver) combineCut(cl *mhcCluster, col *cutCollect) {
 	col.combining = true
 	d.certs.Combines++
-	d.certs.Busy += cl.seat.Suite.Cost.TSCombine
-	cl.seat.CPU.Exec(cl.seat.Suite.Cost.TSCombine, func() {
+	seat := cl.seat()
+	d.certs.Busy += seat.Suite.Cost.TSCombine
+	seat.CPU.Exec(seat.Suite.Cost.TSCombine, func() {
 		if cl.collect != col {
 			return
 		}
@@ -357,9 +362,39 @@ func (d *mhcDriver) combineCut(cl *mhcCluster, col *cutCollect) {
 			return
 		}
 		cl.nextCut = col.epoch + 1
-		cl.gchain.Submit(MakeCutTx(cl.idx, col.epoch, col.digest, cert))
+		cl.gchain().Submit(MakeCutTx(cl.idx, col.epoch, col.digest, cert))
 		d.pumpCuts(cl)
 	})
+}
+
+// cut is a parsed cluster-cut record.
+type cut struct {
+	cluster, epoch int
+	digest         [32]byte
+	cert           []byte
+}
+
+// The accept predicate every seat applies to a committed global record —
+// and the post-run provenance walk applies again — comes in two steps, so
+// a seat can charge the second to its CPU: the record must parse and name
+// a cluster and epoch of this deployment (parseCut, free), and its
+// threshold certificate must verify (certified, a TSVerify).
+func (d *mhcDriver) parseCut(tx []byte) (cut, bool) {
+	c, e, dig, cert, ok := parseCutTx(tx)
+	return cut{c, e, dig, cert}, ok && c < len(d.clusters) && e < d.target
+}
+
+func (d *mhcDriver) certified(c cut) bool {
+	return verifyCutCert(d.keys[c.cluster], d.gsession, c.cluster, c.epoch, c.digest, c.cert)
+}
+
+// foldCut extends a rolling digest of the cut order — what the relays
+// beacon — by one accepted record.
+func foldCut(rolling *[32]byte, tx []byte) {
+	h := sha256.New()
+	h.Write(rolling[:])
+	h.Write(tx)
+	h.Sum(rolling[:0])
 }
 
 // onGlobalCommit processes seat c's newly committed global entry: every
@@ -370,41 +405,37 @@ func (d *mhcDriver) combineCut(cl *mhcCluster, col *cutCollect) {
 // the same serialized CPU, so it always reflects the entry's accepted
 // cuts.
 func (d *mhcDriver) onGlobalCommit(cl *mhcCluster, g int) {
-	entry := cl.gchain.Log()[g]
-	for _, tx := range entry.Txs {
-		tx := tx
-		c2, e, dig, cert, ok := parseCutTx(tx)
-		if !ok || c2 >= len(d.clusters) || e >= d.target {
+	seat := cl.seat()
+	for _, tx := range cl.gchain().Log()[g].Txs {
+		c, ok := d.parseCut(tx)
+		if !ok {
 			// Malformed or out-of-range: rejected with no crypto spent.
 			d.rejectCut(cl, g)
 			continue
 		}
 		d.certs.Verifies++
-		d.certs.Busy += cl.seat.Suite.Cost.TSVerify
-		cl.seat.CPU.Exec(cl.seat.Suite.Cost.TSVerify, func() {
-			if verifyCutCert(d.keys[c2], d.gsession, c2, e, dig, cert) {
-				d.acceptCut(cl, tx, c2, e)
+		d.certs.Busy += seat.Suite.Cost.TSVerify
+		seat.CPU.Exec(seat.Suite.Cost.TSVerify, func() {
+			if d.certified(c) {
+				d.acceptCut(cl, tx, c)
 			} else {
 				d.rejectCut(cl, g)
 			}
 		})
 	}
-	cl.seat.CPU.Exec(0, func() { d.beacon(cl, g) })
+	seat.CPU.Exec(0, func() { d.beacon(cl, g) })
 }
 
 // acceptCut folds a certificate-verified cut into the seat's view of the
 // cross-cluster order: the rolling beacon digest, the cut count, and the
 // global-tier barrier.
-func (d *mhcDriver) acceptCut(cl *mhcCluster, tx []byte, c2, e int) {
-	h := sha256.New()
-	h.Write(cl.cutDigest[:])
-	h.Write(tx)
-	h.Sum(cl.cutDigest[:0])
+func (d *mhcDriver) acceptCut(cl *mhcCluster, tx []byte, c cut) {
+	foldCut(&cl.cutDigest, tx)
 	cl.cutCount++
-	if cl.gotCuts[c2] == nil {
-		cl.gotCuts[c2] = make(map[int]bool)
+	if cl.gotCuts[c.cluster] == nil {
+		cl.gotCuts[c.cluster] = make(map[int]bool)
 	}
-	cl.gotCuts[c2][e] = true
+	cl.gotCuts[c.cluster][c.epoch] = true
 }
 
 // rejectCut discards a committed global transaction that failed cut
@@ -412,7 +443,7 @@ func (d *mhcDriver) acceptCut(cl *mhcCluster, tx []byte, c2, e int) {
 // like every other verification discard.
 func (d *mhcDriver) rejectCut(cl *mhcCluster, g int) {
 	d.certs.RejectedCuts++
-	if tr := cl.seat.Mux().Lookup(uint16(g)); tr != nil {
+	if tr := cl.seat().Mux().Lookup(uint16(g)); tr != nil {
 		tr.NoteRejected()
 	}
 }
@@ -424,9 +455,9 @@ func (d *mhcDriver) beacon(cl *mhcCluster, g int) {
 	p := d.spec.Topology.PerCluster
 	var relay *mhcMember
 	for k := 0; k < p; k++ {
-		m := cl.members[(g+k)%p]
-		if !m.byz && !m.node.Down() && m.latest != nil {
-			relay = m
+		i := (g + k) % p
+		if !cl.local.byz[i] && !cl.local.nodes[i].Down() && cl.members[i].latest != nil {
+			relay = cl.members[i]
 			break
 		}
 	}
@@ -449,11 +480,11 @@ func (d *mhcDriver) beacon(cl *mhcCluster, g int) {
 // pipeline epoch transport.
 func (d *mhcDriver) hookMember(cl *mhcCluster, i int) {
 	m := cl.members[i]
-	m.chain.OnCommit = func(int) {
+	cl.local.chains[i].OnCommit = func(int) {
 		cl.local.observe(i)
 		d.pumpCuts(cl)
 	}
-	m.chain.OnEpochOpen = func(_ int, tr *core.Transport) {
+	cl.local.chains[i].OnEpochOpen = func(_ int, tr *core.Transport) {
 		m.latest = tr
 		tr.Register(packet.KindGlobal, core.HandlerFunc(func(_ uint16, sec packet.Section) {
 			for _, ent := range sec.Entries {
@@ -531,16 +562,13 @@ func runClusteredChain(spec Spec) (*Report, error) {
 	d.seats = newChainGroup(dep.sched, dep.seats, fg, gccfg, 0, tainted, nil)
 	var locals []*chainGroup
 	for c, lg := range dep.locals {
-		base := c * P
-		cl := &mhcCluster{idx: c, seat: dep.seats.nodes[c], gchain: d.seats.chains[c],
-			tainted: tainted[c], gotCuts: make([]map[int]bool, M)}
-		cl.local = newChainGroup(dep.sched, lg, spec.F, ccfg, base, dep.byz, perma)
-		for i, n := range lg.nodes {
-			cl.members = append(cl.members, &mhcMember{node: n, chain: cl.local.chains[i], byz: dep.byz[base+i],
-				cutShares: make(map[int]*threshsig.SigShare)})
+		cl := &mhcCluster{idx: c, seats: d.seats, gotCuts: make([]map[int]bool, M)}
+		cl.local = newChainGroup(dep.sched, lg, spec.F, ccfg, c*P, dep.byz, perma)
+		for i := range lg.nodes {
+			cl.members = append(cl.members, &mhcMember{cutShares: make(map[int]*threshsig.SigShare)})
 			d.hookMember(cl, i)
 		}
-		cl.gchain.OnCommit = func(g int) { d.onGlobalCommit(cl, g) }
+		cl.gchain().OnCommit = func(g int) { d.onGlobalCommit(cl, g) }
 		d.keys = append(d.keys, lg.nodes[0].Suite.TSLow)
 		d.clusters = append(d.clusters, cl)
 		locals = append(locals, cl.local)
@@ -550,11 +578,11 @@ func runClusteredChain(spec Spec) (*Report, error) {
 	untainted := M - len(tainted)
 	globalDone := func() bool {
 		for _, cl := range d.clusters {
-			if cl.tainted {
+			if cl.tainted() {
 				continue
 			}
 			for _, cl2 := range d.clusters {
-				if cl2.tainted {
+				if cl2.tainted() {
 					continue
 				}
 				if len(cl.gotCuts[cl2.idx]) < target {
@@ -566,7 +594,7 @@ func runClusteredChain(spec Spec) (*Report, error) {
 	}
 	heardDone := func() bool {
 		for _, cl := range d.clusters {
-			if cl.tainted {
+			if cl.tainted() {
 				continue
 			}
 			for i, m := range cl.members {
@@ -587,7 +615,7 @@ func runClusteredChain(spec Spec) (*Report, error) {
 		for _, c := range cl.local.chains {
 			c.Start()
 		}
-		cl.gchain.Start()
+		cl.gchain().Start()
 	}
 
 	if err := node.Drive(dep.sched, spec.Deadline, done); err != nil {
@@ -598,8 +626,8 @@ func runClusteredChain(spec Spec) (*Report, error) {
 		for c, cl := range d.clusters {
 			cuts[c] = cl.cutCount
 			gstate[c] = fmt.Sprintf("c%d{gfront=%d open=%d pool=%d/%dB nextCut=%d}",
-				c, cl.gchain.CommittedEpochs(), cl.gchain.OpenEpochs(),
-				cl.gchain.Mempool().Len(), cl.gchain.Mempool().PendingBytes(), cl.nextCut)
+				c, cl.gchain().CommittedEpochs(), cl.gchain().OpenEpochs(),
+				cl.gchain().Mempool().Len(), cl.gchain().Mempool().PendingBytes(), cl.nextCut)
 			front[c] = cl.local.frontiers()
 			for _, m := range cl.members {
 				heard[c] = append(heard[c], m.heardCuts)
@@ -620,7 +648,7 @@ func runClusteredChain(spec Spec) (*Report, error) {
 	// first (every cluster has its own client stream and reference pool).
 	chainReport(rep, locals, target, gen)
 	certs := d.certs
-	rep.Tiers.GlobalEntries = len(refSeat.gchain.Log())
+	rep.Tiers.GlobalEntries = len(refSeat.gchain().Log())
 	rep.Tiers.OrderedCuts = refSeat.cutCount
 	rep.Tiers.CutCerts = &certs
 	rep.Tiers.GlobalLogs = d.seats.logs()
@@ -644,7 +672,7 @@ func (d *mhcDriver) checkSafety() (*mhcCluster, error) {
 	// Global tier: untainted seats must agree on the cross-cluster order.
 	var refSeat *mhcCluster
 	for _, cl := range d.clusters {
-		if !cl.tainted && (refSeat == nil || cl.cutCount > refSeat.cutCount) {
+		if !cl.tainted() && (refSeat == nil || cl.cutCount > refSeat.cutCount) {
 			refSeat = cl
 		}
 	}
@@ -656,11 +684,10 @@ func (d *mhcDriver) checkSafety() (*mhcCluster, error) {
 	}
 
 	// Cut provenance: walk the longest untainted global order once,
-	// applying the same accept predicate the seats applied in-run — parse,
-	// range-check, verify the threshold certificate — and rebuilding the
-	// rolling beacon digests from the accepted cuts. Every accepted cut
-	// claiming an untainted cluster must match that cluster's true
-	// committed entry (a mismatch here would mean a forgery carried a
+	// applying the accept predicate the seats applied in-run and
+	// rebuilding the rolling beacon digests from the accepted cuts. Every
+	// accepted cut claiming an untainted cluster must match that cluster's
+	// true committed entry (a mismatch here would mean a forgery carried a
 	// valid f+1 certificate — a broken threshold guarantee), and the true
 	// cut of every untainted (cluster, epoch) must appear.
 	seen := make([]map[int]bool, M)
@@ -669,30 +696,27 @@ func (d *mhcDriver) checkSafety() (*mhcCluster, error) {
 	}
 	var rolling [32]byte
 	digests := make([][32]byte, 1, refSeat.cutCount+1)
-	for _, entry := range refSeat.gchain.Log() {
+	for _, entry := range refSeat.gchain().Log() {
 		for _, tx := range entry.Txs {
-			c2, e, dig, cert, ok := parseCutTx(tx)
-			if !ok || c2 >= M || e >= d.target || !verifyCutCert(d.keys[c2], d.gsession, c2, e, dig, cert) {
+			c, ok := d.parseCut(tx)
+			if !ok || !d.certified(c) {
 				continue // rejected at every seat; only a tainted seat submits these
 			}
-			h := sha256.New()
-			h.Write(rolling[:])
-			h.Write(tx)
-			h.Sum(rolling[:0])
+			foldCut(&rolling, tx)
 			digests = append(digests, rolling)
-			if d.clusters[c2].tainted {
+			if d.clusters[c.cluster].tainted() {
 				continue
 			}
 			// The cluster's reference member exists: the pre-run check
 			// admitted only clusters with f+1 honest live members.
-			if want := entryDigest(d.clusters[c2].local.ref().Log()[e]); dig != want {
-				return nil, fmt.Errorf("run: global order holds a forged cut with a valid certificate for cluster %d epoch %d", c2, e)
+			if want := entryDigest(d.clusters[c.cluster].local.ref().Log()[c.epoch]); c.digest != want {
+				return nil, fmt.Errorf("run: global order holds a forged cut with a valid certificate for cluster %d epoch %d", c.cluster, c.epoch)
 			}
-			seen[c2][e] = true
+			seen[c.cluster][c.epoch] = true
 		}
 	}
 	for c, cl := range d.clusters {
-		if cl.tainted {
+		if cl.tainted() {
 			continue
 		}
 		for e := 0; e < d.target; e++ {
@@ -705,7 +729,7 @@ func (d *mhcDriver) checkSafety() (*mhcCluster, error) {
 	// Follower dissemination: every honest member of an untainted cluster
 	// must have heard a frontier beacon consistent with the global order.
 	for c, cl := range d.clusters {
-		if cl.tainted {
+		if cl.tainted() {
 			continue
 		}
 		for i, m := range cl.members {

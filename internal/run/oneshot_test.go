@@ -215,6 +215,16 @@ func TestInvalidSpecs(t *testing.T) {
 	if _, err := Run(spec); err == nil {
 		t.Error("unknown protocol accepted")
 	}
+	// An unknown coin — or none, for a family with no coin of its own —
+	// used to panic in protocol.newABA once the deployment was built.
+	for _, coin := range []protocol.CoinKind{"XX", ""} {
+		if _, err := Run(quickSpec(protocol.HoneyBadger, coin, true, 1)); err == nil {
+			t.Errorf("honeybadger with coin %q accepted", coin)
+		}
+	}
+	if _, err := Run(quickSpec(protocol.BEAT, "", true, 1)); err != nil {
+		t.Errorf("beat without a coin (it brings its own) refused: %v", err)
+	}
 	spec = quickSpec(protocol.HoneyBadger, protocol.CoinSig, true, 1)
 	spec.Workload.Kind = "stream"
 	if _, err := Run(spec); err == nil {

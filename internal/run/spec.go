@@ -20,6 +20,7 @@ package run
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -240,8 +241,16 @@ func (s Spec) normalize() Spec {
 
 // validate rejects malformed axes before any virtual time elapses.
 func (s Spec) validate() error {
-	if _, ok := protocol.Lookup(s.Protocol); !ok {
+	engine, ok := protocol.Lookup(s.Protocol)
+	if !ok {
 		return fmt.Errorf("run: unknown protocol %q", s.Protocol)
+	}
+	coin := s.Coin
+	if coin == "" {
+		coin = engine.Coin // the family's own, if it has one
+	}
+	if !slices.Contains(protocol.Coins(), coin) {
+		return fmt.Errorf("run: unknown coin %q (coins: %v)", s.Coin, protocol.Coins())
 	}
 	if s.N != 3*s.F+1 {
 		return fmt.Errorf("run: need N = 3F+1, got N=%d F=%d", s.N, s.F)

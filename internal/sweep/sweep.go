@@ -51,6 +51,21 @@ type Axis[C any] struct {
 	Points []Point[C]
 }
 
+// Over builds an axis from a list of values: one point per value, whose
+// Apply hands the value to set. A point is labelled label(v), or
+// "name=v" when label is nil.
+func Over[C, V any](name string, vals []V, label func(V) string, set func(*C, V)) Axis[C] {
+	ax := Axis[C]{Name: name, Points: make([]Point[C], len(vals))}
+	for i, v := range vals {
+		l := fmt.Sprintf("%s=%v", name, v)
+		if label != nil {
+			l = label(v)
+		}
+		ax.Points[i] = Point[C]{Label: l, Apply: func(c *C) { set(c, v) }}
+	}
+	return ax
+}
+
 // Grid declares a full-factorial sweep over a base configuration.
 type Grid[C any] struct {
 	Base C

@@ -17,23 +17,12 @@ type cfg struct {
 }
 
 func testGrid() Grid[cfg] {
-	axis := func(name string, set func(*cfg, int), vals ...int) Axis[cfg] {
-		ax := Axis[cfg]{Name: name}
-		for _, v := range vals {
-			v := v
-			ax.Points = append(ax.Points, Point[cfg]{
-				Label: fmt.Sprintf("%s=%d", name, v),
-				Apply: func(c *cfg) { set(c, v) },
-			})
-		}
-		return ax
-	}
 	return Grid[cfg]{
 		Base: cfg{Seed: 42},
 		Axes: []Axis[cfg]{
-			axis("a", func(c *cfg, v int) { c.A = v }, 1, 2, 3),
-			axis("b", func(c *cfg, v int) { c.B = v }, 10, 20),
-			axis("c", func(c *cfg, v int) { c.C = v }, 100, 200),
+			Over("a", []int{1, 2, 3}, nil, func(c *cfg, v int) { c.A = v }),
+			Over("b", []int{10, 20}, nil, func(c *cfg, v int) { c.B = v }),
+			Over("c", []int{100, 200}, func(v int) string { return fmt.Sprintf("c=%d", v) }, func(c *cfg, v int) { c.C = v }),
 		},
 	}
 }
