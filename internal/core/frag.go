@@ -10,35 +10,31 @@ import "encoding/binary"
 // one seq space so receivers keep a single reassembly buffer per peer.
 const fragHeaderLen = 8
 
-// fragment splits one logical packet into MTU-sized radio frames.
-func fragment(raw []byte, sender uint16, seq uint32, mtu int) [][]byte {
-	chunk := mtu - fragHeaderLen
+// fragmentCount returns how many radio frames a logical packet of n bytes
+// takes at chunk payload bytes a frame. An empty packet still takes one.
+func fragmentCount(n, chunk int) int {
 	if chunk <= 0 {
 		panic("core: MTU smaller than fragment header")
 	}
-	total := (len(raw) + chunk - 1) / chunk
+	total := (n + chunk - 1) / chunk
 	if total == 0 {
 		total = 1
 	}
 	if total > 255 {
 		panic("core: logical packet needs more than 255 fragments")
 	}
-	out := make([][]byte, 0, total)
-	for i := 0; i < total; i++ {
-		lo := i * chunk
-		hi := lo + chunk
-		if hi > len(raw) {
-			hi = len(raw)
-		}
-		frag := make([]byte, fragHeaderLen, fragHeaderLen+(hi-lo))
-		binary.BigEndian.PutUint16(frag[0:], sender)
-		binary.BigEndian.PutUint32(frag[2:], seq)
-		frag[6] = byte(i)
-		frag[7] = byte(total)
-		frag = append(frag, raw[lo:hi]...)
-		out = append(out, frag)
-	}
-	return out
+	return total
+}
+
+// appendFragment appends radio frame idx of total — header, then the
+// idx-th chunk of raw — to dst.
+func appendFragment(dst, raw []byte, sender uint16, seq uint32, idx, total, chunk int) []byte {
+	lo := idx * chunk
+	hi := min(lo+chunk, len(raw))
+	dst = binary.BigEndian.AppendUint16(dst, sender)
+	dst = binary.BigEndian.AppendUint32(dst, seq)
+	dst = append(dst, byte(idx), byte(total))
+	return append(dst, raw[lo:hi]...)
 }
 
 type partial struct {

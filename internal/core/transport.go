@@ -146,17 +146,14 @@ type Transport struct {
 	startScratch []int
 	keyScratch   []IntentKey
 
-	// flushArmed tracks whether a flush is already queued. The flush event
-	// carries no cancellation handle — doFlush guards itself with the
-	// stopped flag, so after Stop a queued slot fires as a no-op — which
-	// lets the backpressure poll loop re-arm through the scheduler's
-	// allocation-free lane path.
+	// flushArmed tracks whether a flush wait (flushWait) is already queued.
+	// The wait carries no cancellation handle: after Stop it is no longer
+	// blocked and wakes once as a no-op.
 	flushArmed bool
-	// flushFn is t.doFlush captured once: scheduling a method value
-	// allocates a fresh closure per call, and the backpressure poll loop
-	// re-arms it every FlushDelay while the radio queue is saturated.
-	flushFn func()
-	retxEvt *sim.Event
+	retxEvt    *sim.Event
+	// retxFn is t.retransmit bound once: scheduling a method value
+	// allocates a fresh closure per call.
+	retxFn func()
 	// seqSrc allocates fragment sequence numbers. Standalone transports own
 	// a private counter; transports opened through a Mux share the mux's, so
 	// one node's frames across pipelined epochs form a single seq space.
@@ -169,6 +166,14 @@ type Transport struct {
 
 	reasm *reassembler
 	stats Stats
+
+	// Logical packets waiting on the CPU ride recycled records, every
+	// received one is parsed by the one decoder (its frame lives until the
+	// handlers return, see dispatch), and every radio frame is built in
+	// the one buffer, which Broadcast copies.
+	jobFree []*cpuJob
+	dec     packet.Decoder
+	fragBuf []byte
 }
 
 // New creates a transport bound to a station. Frames received on the
@@ -194,7 +199,7 @@ func New(sched *sim.Scheduler, cpu *sim.CPU, station *wireless.Station, auth Aut
 		reasm:    newReassembler(),
 		seqSrc:   new(uint32),
 	}
-	t.flushFn = t.doFlush
+	t.retxFn = t.retransmit
 	return t
 }
 
@@ -234,7 +239,7 @@ func (t *Transport) SetEpoch(e uint16) {
 }
 
 // Stop cancels pending timers; the transport sends nothing further. A
-// queued flush slot is not cancellable (it has no handle); it fires as a
+// queued flush wait is not cancellable (it has no handle); it wakes as a
 // no-op under the stopped guard.
 func (t *Transport) Stop() {
 	t.stopped = true
@@ -342,7 +347,7 @@ func (t *Transport) Flush() {
 		return
 	}
 	t.flushArmed = true
-	t.sched.PostAfterFixed(t.cfg.FlushDelay, t.flushFn)
+	t.sched.WaitFixed(t.cfg.FlushDelay, (*flushWait)(t))
 }
 
 func (t *Transport) ensureRetx() {
@@ -354,41 +359,47 @@ func (t *Transport) ensureRetx() {
 		base *= time.Duration(t.retxBoost)
 	}
 	jitter := time.Duration(float64(base) * (0.75 + 0.5*t.sched.Rand().Float64()))
-	t.retxEvt = t.sched.After(jitter, func() {
-		t.retxEvt = nil
-		if t.stopped || len(t.intents) == 0 {
-			return
-		}
-		if t.quiesced && t.retxBoost < 16 {
-			t.retxBoost *= 2
-		}
-		// Re-send the full current snapshot: NACK-driven repair.
-		for k := range t.intents {
-			t.dirty[k] = true
-		}
-		t.Flush()
-		t.ensureRetx()
-	})
+	t.retxEvt = t.sched.After(jitter, t.retxFn)
 }
 
-func (t *Transport) doFlush() {
-	t.flushArmed = false
+// retransmit is the retransmission timer's callback.
+func (t *Transport) retransmit() {
+	t.retxEvt = nil
 	if t.stopped || len(t.intents) == 0 {
 		return
 	}
-	// Backpressure: if the radio queue is saturated, wait for it to drain;
-	// intents keep accumulating, which *increases* the batch size — the
-	// mechanism by which contention feeds batching.
-	if t.station.QueueLen() >= t.cfg.MaxQueue {
-		// Dense re-polling is deliberate: skipping ticks that "provably"
-		// cannot observe a dequeue is NOT outcome-preserving, because every
-		// event the poll does or does not schedule shifts sequence numbers,
-		// and with all delays on a quantized lattice, same-timestamp ties
-		// (poll vs. transmit-completion) resolve by sequence order. The
-		// handle-free lane post makes the dense polls cost nothing but the
-		// slot itself.
-		t.flushArmed = true
-		t.sched.PostAfterFixed(t.cfg.FlushDelay, t.flushFn)
+	if t.quiesced && t.retxBoost < 16 {
+		t.retxBoost *= 2
+	}
+	// Re-send the full current snapshot: NACK-driven repair.
+	for _, k := range t.order {
+		t.dirty[k] = true
+	}
+	t.Flush()
+	t.ensureRetx()
+}
+
+// flushWait is the transport seen as the sim.Waiter that Flush arms: the
+// aggregation window, then backpressure. While the radio queue is
+// saturated the flush waits for it to drain, one FlushDelay at a time;
+// intents keep accumulating, which *increases* the batch size — the
+// mechanism by which contention feeds batching. Every period sat out
+// keeps its place and its sequence number in the scheduler's order (a
+// sparser wait would shift same-timestamp ties between a flush and a
+// transmit completion, and with them the trajectory) but is no event.
+type flushWait Transport
+
+// Blocked implements sim.Waiter. A stopped transport, or one with nothing
+// to send, is not blocked: it wakes once, to no effect.
+func (w *flushWait) Blocked() bool {
+	return !w.stopped && len(w.intents) > 0 && w.station.QueueLen() >= w.cfg.MaxQueue
+}
+
+// Wake implements sim.Waiter: assemble and send.
+func (w *flushWait) Wake() {
+	t := (*Transport)(w)
+	t.flushArmed = false
+	if t.stopped || len(t.intents) == 0 {
 		return
 	}
 	if t.cfg.Batched {
@@ -476,7 +487,7 @@ func (t *Transport) flushBaseline() {
 // place, so encoding now and signing at the virtual completion time
 // produce the same bytes the deferred encoding did.
 func (t *Transport) sendLogical(sections []packet.Section) {
-	frame := &packet.Frame{
+	frame := packet.Frame{
 		Sender:   uint16(t.station.ID()),
 		Session:  t.cfg.Session,
 		Epoch:    t.epoch,
@@ -488,13 +499,51 @@ func (t *Transport) sendLogical(sections []packet.Section) {
 	}
 	seq := *t.seqSrc
 	*t.seqSrc++
-	t.cpu.Exec(t.auth.SignCost(), func() {
-		raw := body
-		defer func() { packet.PutBuf(raw) }()
-		if t.stopped {
-			return
-		}
-		sig, err := t.auth.Sign(body)
+	t.exec(t.auth.SignCost(), true, body, seq)
+}
+
+// cpuJob is one logical packet waiting on the node's CPU: for its signing
+// time on the way out, for its verification time on the way in. Records
+// are recycled through Transport.jobFree, so neither direction allocates a
+// closure per packet.
+type cpuJob struct {
+	t    *Transport
+	send bool
+	buf  []byte // out: pooled buffer holding the encoded body; in: the packet
+	seq  uint32 // out: fragment sequence number
+	run  func() // j.exec, bound once
+}
+
+// exec charges cost to the CPU, then signs and broadcasts buf (send) or
+// verifies and dispatches it.
+func (t *Transport) exec(cost time.Duration, send bool, buf []byte, seq uint32) {
+	var j *cpuJob
+	if n := len(t.jobFree); n > 0 {
+		j, t.jobFree = t.jobFree[n-1], t.jobFree[:n-1]
+	} else {
+		j = &cpuJob{t: t}
+		j.run = j.exec
+	}
+	j.send, j.buf, j.seq = send, buf, seq
+	t.cpu.Exec(cost, j.run)
+}
+
+func (j *cpuJob) exec() {
+	t, send, buf, seq := j.t, j.send, j.buf, j.seq
+	j.buf = nil
+	t.jobFree = append(t.jobFree, j)
+	if send {
+		t.signAndBroadcast(buf, seq)
+	} else {
+		t.dispatch(buf)
+	}
+}
+
+// signAndBroadcast completes sendLogical at the signing job's completion
+// time: raw is the pooled buffer holding the encoded body.
+func (t *Transport) signAndBroadcast(raw []byte, seq uint32) {
+	if !t.stopped {
+		sig, err := t.auth.Sign(raw)
 		if err != nil {
 			panic(fmt.Sprintf("core: frame signing: %v", err))
 		}
@@ -503,11 +552,16 @@ func (t *Transport) sendLogical(sections []packet.Section) {
 		raw = append(raw, sig...)
 		t.stats.LogicalSent++
 		t.stats.BytesSent += uint64(len(raw))
-		for _, frag := range fragment(raw, uint16(t.station.ID()), seq, t.station.Channel().Config().MaxFrame) {
+		sender := uint16(t.station.ID())
+		chunk := t.station.Channel().Config().MaxFrame - fragHeaderLen
+		total := fragmentCount(len(raw), chunk)
+		for i := 0; i < total; i++ {
+			t.fragBuf = appendFragment(t.fragBuf[:0], raw, sender, seq, i, total, chunk)
 			t.stats.FragmentsSent++
-			t.station.Broadcast(frag)
+			t.station.Broadcast(t.fragBuf)
 		}
-	})
+	}
+	packet.PutBuf(raw)
 }
 
 // ReceiveFrame implements wireless.Receiver: reassemble, verify, dispatch.
@@ -524,35 +578,48 @@ func (t *Transport) ReceiveFrame(from wireless.NodeID, payload []byte) {
 
 // receiveLogical verifies and dispatches one reassembled logical packet.
 // The Mux calls this directly after its shared reassembly step.
+//
+// raw is shared and read-only: it is the channel's private copy of the
+// transmission (or the reassembler's fresh buffer), handed to every
+// receiver alike, and the decoded frame's Nack, Data and Sig alias it.
 func (t *Transport) receiveLogical(raw []byte) {
 	if t.stopped {
 		return
 	}
-	t.cpu.Exec(t.auth.VerifyCost(), func() {
-		if t.stopped {
-			return
-		}
-		t.stats.VerifyOps++
-		frame, bodyLen, err := packet.Decode(raw)
-		if err != nil {
-			t.stats.AuthFailures++
-			return
-		}
-		if err := t.auth.Verify(frame.Sender, raw[:bodyLen], frame.Sig); err != nil {
-			t.stats.AuthFailures++
-			return
-		}
-		if frame.Session != t.cfg.Session || frame.Epoch != t.epoch {
-			t.stats.DroppedEpoch++
-			return
-		}
+	t.exec(t.auth.VerifyCost(), false, raw, 0)
+}
+
+// dispatch completes receiveLogical at the verification job's completion
+// time: decode, verify, hand each section to its kind's handler.
+func (t *Transport) dispatch(raw []byte) {
+	if t.stopped {
+		return
+	}
+	t.stats.VerifyOps++
+	frame, bodyLen, err := t.dec.Decode(raw)
+	if err != nil {
+		t.stats.AuthFailures++
+		return
+	}
+	switch {
+	case t.auth.Verify(frame.Sender, raw[:bodyLen], frame.Sig) != nil:
+		t.stats.AuthFailures++
+	case frame.Session != t.cfg.Session || frame.Epoch != t.epoch:
+		t.stats.DroppedEpoch++
+	default:
 		t.stats.LogicalRecv++
 		for _, sec := range frame.Sections {
 			if h, ok := t.handlers[sec.Kind]; ok {
 				h.HandleSection(frame.Sender, sec)
 			}
 		}
-	})
+	}
+	// The frame was the handlers' only until they returned: its sections
+	// and entries are the decoder's reused storage. A handler may keep an
+	// entry's Data (immutable bytes of raw), never sec.Entries; zeroing the
+	// storage makes one that does read zeros at once instead of a later
+	// frame's votes.
+	t.dec.Release()
 }
 
 // keyLess is the wire ordering of intent keys: sections group by

@@ -45,6 +45,9 @@ func newRig(t *testing.T, n int, batched bool, mutate func(*wireless.Config)) *r
 		for _, k := range []packet.Kind{packet.KindRBC, packet.KindABA} {
 			k := k
 			tr.Register(k, HandlerFunc(func(from uint16, sec packet.Section) {
+				// A section is the transport's only until the handler
+				// returns; keeping one means copying its entries.
+				sec.Entries = append([]packet.Entry(nil), sec.Entries...)
 				r.received[i][k] = append(r.received[i][k], recv{from, sec})
 			}))
 		}
@@ -298,12 +301,15 @@ func TestStopSilencesTransport(t *testing.T) {
 }
 
 func TestFragmentHelperBounds(t *testing.T) {
-	frags := fragment(make([]byte, 1000), 1, 42, 240)
-	if len(frags) != 5 {
-		t.Fatalf("got %d fragments, want 5", len(frags))
+	const chunk = 240 - fragHeaderLen
+	raw := make([]byte, 1000)
+	n := fragmentCount(len(raw), chunk)
+	if n != 5 {
+		t.Fatalf("got %d fragments, want 5", n)
 	}
 	total := 0
-	for _, f := range frags {
+	for i := 0; i < n; i++ {
+		f := appendFragment(nil, raw, 1, 42, i, n, chunk)
 		if len(f) > 240 {
 			t.Errorf("fragment %d bytes exceeds MTU", len(f))
 		}
@@ -312,8 +318,166 @@ func TestFragmentHelperBounds(t *testing.T) {
 	if total != 1000 {
 		t.Errorf("fragments carry %d bytes, want 1000", total)
 	}
-	// Empty payload still produces one fragment.
-	if got := fragment(nil, 1, 0, 240); len(got) != 1 {
-		t.Errorf("empty payload: %d fragments", len(got))
+	// Empty payload still produces one fragment, of the header alone.
+	if got := fragmentCount(0, chunk); got != 1 {
+		t.Errorf("empty payload: %d fragments", got)
+	}
+	if f := appendFragment(nil, nil, 1, 0, 0, 1, chunk); len(f) != fragHeaderLen {
+		t.Errorf("empty payload: fragment of %d bytes, want the %d-byte header", len(f), fragHeaderLen)
+	}
+}
+
+// saturate fills the transport's radio queue to the backpressure threshold
+// with frames of its own.
+func saturate(tr *Transport) {
+	for i := 0; i < tr.cfg.MaxQueue; i++ {
+		tr.station.Broadcast(make([]byte, 200))
+	}
+}
+
+// TestFlushWaitsOutBackpressure: while the radio queue is saturated the
+// flush sits out whole aggregation windows, intents that arrive meanwhile
+// join the same frame, and the flush goes out at the first window boundary
+// that finds room.
+func TestFlushWaitsOutBackpressure(t *testing.T) {
+	r := newRig(t, 2, true, nil)
+	tr := r.transports[0]
+	saturate(tr)
+	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 0}, Data: []byte{1}})
+	r.sched.RunUntil(tr.cfg.FlushDelay)
+	if !tr.flushArmed || tr.Stats().LogicalSent != 0 {
+		t.Fatalf("after one window with a full queue: armed=%v sent=%d, want the flush still waiting", tr.flushArmed, tr.Stats().LogicalSent)
+	}
+	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 1}, Data: []byte{2}})
+	var room time.Duration // when the queue first fell below the threshold
+	for tr.flushArmed {
+		if room == 0 && tr.station.QueueLen() < tr.cfg.MaxQueue {
+			room = r.sched.Now()
+		}
+		if !r.sched.Step() {
+			t.Fatal("queue drained with the flush still armed")
+		}
+	}
+	d := tr.cfg.FlushDelay
+	if room == 0 || room%d == 0 {
+		t.Fatalf("queue found room at %v: want an instant strictly between window boundaries", room)
+	}
+	if woke, want := r.sched.Now(), (room/d+1)*d; woke != want {
+		t.Fatalf("flush woke at %v, want %v: the first boundary after room was found at %v", woke, want, room)
+	}
+	r.sched.Run()
+	if got := tr.Stats().LogicalSent; got != 1 {
+		t.Fatalf("LogicalSent = %d, want 1 frame for both intents", got)
+	}
+	got := r.received[1][packet.KindRBC]
+	if len(got) != 1 || len(got[0].sec.Entries) != 2 {
+		t.Fatalf("receiver saw %d sections, want one with both entries", len(got))
+	}
+}
+
+// TestFlushWaitBlockedIsBackpressureOnly: the wait is blocked by a full
+// radio queue alone. A stopped transport, or one whose intents are gone,
+// wakes at the next boundary (to no effect) however full the queue is.
+func TestFlushWaitBlockedIsBackpressureOnly(t *testing.T) {
+	key := IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 0}
+	for _, tc := range []struct {
+		name    string
+		release func(*Transport)
+	}{
+		{"stopped", func(tr *Transport) { tr.Stop() }},
+		{"no intents", func(tr *Transport) { tr.Remove(key) }},
+	} {
+		r := newRig(t, 2, true, nil)
+		tr := r.transports[0]
+		w := (*flushWait)(tr)
+		tr.Update(Intent{IntentKey: key, Data: []byte{1}})
+		if w.Blocked() {
+			t.Fatalf("%s: blocked with an empty radio queue", tc.name)
+		}
+		saturate(tr)
+		if !w.Blocked() {
+			t.Fatalf("%s: not blocked with a full radio queue and an intent to send", tc.name)
+		}
+		tc.release(tr)
+		if w.Blocked() {
+			t.Fatalf("%s: still blocked", tc.name)
+		}
+		r.sched.RunUntil(tr.cfg.FlushDelay)
+		if tr.flushArmed {
+			t.Fatalf("%s: wait did not wake at the first boundary", tc.name)
+		}
+		r.sched.Run()
+		if tr.Stats().LogicalSent != 0 {
+			t.Fatalf("%s: sent %d logical packets", tc.name, tr.Stats().LogicalSent)
+		}
+	}
+}
+
+// TestHandlerMustNotKeepEntries is the retention guard: a received frame's
+// sections and entries are the decoder's reused storage, zeroed as soon as
+// the handlers return, so a handler that keeps sec.Entries (and not a
+// copy) reads zeros — not its own frame, and not the next one's votes. An
+// entry's Data is bytes of the immutable transmission and may be kept.
+func TestHandlerMustNotKeepEntries(t *testing.T) {
+	r := newRig(t, 2, true, nil)
+	var kept []packet.Entry
+	var data []byte
+	r.transports[1].Register(packet.KindABA, HandlerFunc(func(_ uint16, sec packet.Section) {
+		kept = sec.Entries // wrong: aliases the decoder's storage
+		data = sec.Entries[0].Data
+		if e := sec.Entries[0]; e.Slot != 3 || e.Round != 7 || e.Flags != 1 {
+			t.Errorf("inside the handler the entry reads %+v", e)
+		}
+	}))
+	r.transports[0].Update(Intent{
+		IntentKey: IntentKey{Kind: packet.KindABA, Phase: packet.PhaseBval, Slot: 3, Round: 7},
+		Flags:     1,
+		Data:      []byte{0xAA, 0xBB},
+	})
+	r.sched.Run()
+	if len(kept) != 1 {
+		t.Fatalf("handler saw %d entries, want 1", len(kept))
+	}
+	if e := kept[0]; e.Slot != 0 || e.Round != 0 || e.Flags != 0 || e.Data != nil {
+		t.Errorf("entry kept past the handler reads %+v, want zeros", e)
+	}
+	if len(data) != 2 || data[0] != 0xAA || data[1] != 0xBB {
+		t.Errorf("Data kept past the handler reads %x, want aabb", data)
+	}
+}
+
+// BenchmarkReceiveLogical is one logical packet through the receive path:
+// CPU job, decode, verify, dispatch to a handler that reads every entry.
+// Steady state allocates nothing.
+func BenchmarkReceiveLogical(b *testing.B) {
+	s := sim.New(1)
+	auth := &SizedAuth{Len: 56, CostSign: 5 * time.Millisecond, CostVerify: 10 * time.Millisecond}
+	tr := New(s, sim.NewCPU(s), nil, auth, DefaultConfig(false))
+	sum := 0
+	tr.Register(packet.KindRBC, HandlerFunc(func(_ uint16, sec packet.Section) {
+		for _, e := range sec.Entries {
+			sum += int(e.Slot) + len(e.Data)
+		}
+	}))
+	sig, _ := auth.Sign(nil)
+	raw, err := (&packet.Frame{
+		Sender: 2,
+		Sections: []packet.Section{{
+			Kind: packet.KindRBC, Phase: packet.PhaseEcho, Nack: packet.NewBitSet(4),
+			Entries: []packet.Entry{{Slot: 1, Data: make([]byte, 8)}},
+		}},
+		Sig: sig,
+	}).Encode()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.receiveLogical(raw)
+		s.Step()
+	}
+	if got := tr.Stats().LogicalRecv; got != uint64(b.N) {
+		b.Fatalf("dispatched %d of %d packets", got, b.N)
 	}
 }

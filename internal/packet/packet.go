@@ -14,6 +14,7 @@
 package packet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -157,50 +158,129 @@ func (s *Section) append(buf []byte) ([]byte, error) {
 }
 
 // Decode parses a full frame and returns it along with the body length
-// (the prefix of raw covered by the signature).
+// (the prefix of raw covered by the signature). The frame shares nothing
+// with raw — it is parsed out of a private copy — so raw may be a pooled
+// buffer on its way back to PutBuf. Receive paths that own immutable bytes
+// use a Decoder directly and skip both the copy and the allocations.
 func Decode(raw []byte) (*Frame, int, error) {
-	r := reader{buf: raw}
-	magic, _ := r.u8()
-	ver, err := r.u8()
-	if err != nil {
+	return new(Decoder).Decode(bytes.Clone(raw))
+}
+
+// Decoder parses frames into section and entry storage it reuses from one
+// frame to the next, so steady-state decoding allocates nothing. The zero
+// value is ready to use.
+type Decoder struct {
+	frame    Frame
+	sections []Section
+	entries  []Entry
+}
+
+// headerLen is magic, version, sender, session, epoch, section count.
+const headerLen = 2 + 2 + 4 + 2 + 1
+
+// Decode parses a full frame out of raw and returns it along with the body
+// length. The frame, its Sections and their Entries are the decoder's own
+// storage, valid until the next Decode or Release; every Nack, Data and
+// Sig aliases raw (with no spare capacity, so an append cannot write into
+// it), which the caller must therefore keep unchanged for as long as any
+// of them is in use. Bytes of raw past the signature are ignored.
+func (d *Decoder) Decode(raw []byte) (*Frame, int, error) {
+	// Pass 1: check every length against the input and count the entries,
+	// so that pass 2 fills storage of known size and cannot fail.
+	if len(raw) < 2 {
 		return nil, 0, ErrTruncated
 	}
-	if magic != frameMagic || ver != frameVersion {
+	if raw[0] != frameMagic || raw[1] != frameVersion {
 		return nil, 0, ErrBadMagic
 	}
-	var f Frame
-	if f.Sender, err = r.u16(); err != nil {
+	if len(raw) < headerLen {
 		return nil, 0, ErrTruncated
 	}
-	if f.Session, err = r.u32(); err != nil {
-		return nil, 0, ErrTruncated
-	}
-	if f.Epoch, err = r.u16(); err != nil {
-		return nil, 0, ErrTruncated
-	}
-	nsec, err := r.u8()
-	if err != nil {
-		return nil, 0, ErrTruncated
-	}
-	f.Sections = make([]Section, 0, nsec)
-	for i := 0; i < int(nsec); i++ {
-		sec, err := decodeSection(&r)
-		if err != nil {
-			return nil, 0, err
+	nsec := int(raw[headerLen-1])
+	pos, nent := headerLen, 0
+	for i := 0; i < nsec; i++ {
+		if len(raw)-pos < 2 {
+			return nil, 0, ErrTruncated
 		}
-		f.Sections = append(f.Sections, sec)
+		if raw[pos] == 0 || raw[pos+1] == 0 {
+			return nil, 0, errBadSection
+		}
+		if len(raw)-pos < 3 {
+			return nil, 0, ErrTruncated
+		}
+		pos += 3 + int(raw[pos+2]) // kind, phase, nack length, nack
+		if len(raw)-pos < 1 {
+			return nil, 0, ErrTruncated
+		}
+		n := int(raw[pos])
+		pos++
+		nent += n
+		for ; n > 0; n-- {
+			if len(raw)-pos < 7 {
+				return nil, 0, ErrTruncated
+			}
+			pos += 7 + int(binary.BigEndian.Uint16(raw[pos+5:])) // slot, sub, round, flags, data length, data
+		}
 	}
-	bodyLen := r.pos
-	sigLen, err := r.u16()
-	if err != nil {
+	bodyLen := pos
+	if len(raw)-pos < 2 {
 		return nil, 0, ErrTruncated
 	}
-	sig, err := r.bytes(int(sigLen))
-	if err != nil {
+	end := pos + 2 + int(binary.BigEndian.Uint16(raw[pos:]))
+	if len(raw) < end {
 		return nil, 0, ErrTruncated
 	}
-	f.Sig = sig
-	return &f, bodyLen, nil
+
+	// Pass 2: fill.
+	if cap(d.sections) < nsec {
+		d.sections = make([]Section, nsec)
+	}
+	if cap(d.entries) < nent {
+		d.entries = make([]Entry, nent)
+	}
+	secs, ents := d.sections[:nsec], d.entries[:nent]
+	pos, nent = headerLen, 0
+	for i := range secs {
+		sec := &secs[i]
+		sec.Kind, sec.Phase = Kind(raw[pos]), Phase(raw[pos+1])
+		nack := pos + 3 + int(raw[pos+2])
+		sec.Nack = nil
+		if pos+3 < nack {
+			sec.Nack = BitSet(raw[pos+3 : nack : nack])
+		}
+		n := int(raw[nack])
+		pos = nack + 1
+		sec.Entries = ents[nent : nent+n : nent+n]
+		nent += n
+		for j := range sec.Entries {
+			e := &sec.Entries[j]
+			e.Slot, e.Sub = raw[pos], raw[pos+1]
+			e.Round = binary.BigEndian.Uint16(raw[pos+2:])
+			e.Flags = raw[pos+4]
+			data := pos + 7 + int(binary.BigEndian.Uint16(raw[pos+5:]))
+			e.Data = raw[pos+7 : data : data]
+			pos = data
+		}
+	}
+	d.sections, d.entries = secs, ents
+	d.frame = Frame{
+		Sender:   binary.BigEndian.Uint16(raw[2:]),
+		Session:  binary.BigEndian.Uint32(raw[4:]),
+		Epoch:    binary.BigEndian.Uint16(raw[8:]),
+		Sections: secs,
+		Sig:      raw[bodyLen+2 : end : end],
+	}
+	return &d.frame, bodyLen, nil
+}
+
+// Release zeroes the frame the last Decode returned, sections and entries
+// included. A receive path calls it once its handlers have returned: the
+// storage is about to be reused, and a handler that wrongly kept
+// sec.Entries then reads zeros at once rather than some later frame.
+func (d *Decoder) Release() {
+	clear(d.sections)
+	clear(d.entries)
+	d.frame = Frame{}
 }
 
 // PeekHeader reads the fixed frame header (sender, session, epoch) without
@@ -217,66 +297,10 @@ func PeekHeader(raw []byte) (sender uint16, session uint32, epoch uint16, ok boo
 	return sender, session, epoch, true
 }
 
-func decodeSection(r *reader) (Section, error) {
-	var s Section
-	k, err := r.u8()
-	if err != nil {
-		return s, ErrTruncated
-	}
-	p, err := r.u8()
-	if err != nil {
-		return s, ErrTruncated
-	}
-	s.Kind, s.Phase = Kind(k), Phase(p)
-	if s.Kind == 0 || s.Phase == 0 {
-		return s, errBadSection
-	}
-	nackLen, err := r.u8()
-	if err != nil {
-		return s, ErrTruncated
-	}
-	nack, err := r.bytes(int(nackLen))
-	if err != nil {
-		return s, ErrTruncated
-	}
-	if len(nack) > 0 {
-		s.Nack = BitSet(nack)
-	}
-	nent, err := r.u8()
-	if err != nil {
-		return s, ErrTruncated
-	}
-	s.Entries = make([]Entry, 0, nent)
-	for i := 0; i < int(nent); i++ {
-		var e Entry
-		if e.Slot, err = r.u8(); err != nil {
-			return s, ErrTruncated
-		}
-		if e.Sub, err = r.u8(); err != nil {
-			return s, ErrTruncated
-		}
-		if e.Round, err = r.u16(); err != nil {
-			return s, ErrTruncated
-		}
-		if e.Flags, err = r.u8(); err != nil {
-			return s, ErrTruncated
-		}
-		dlen, err := r.u16()
-		if err != nil {
-			return s, ErrTruncated
-		}
-		if e.Data, err = r.bytes(int(dlen)); err != nil {
-			return s, ErrTruncated
-		}
-		s.Entries = append(s.Entries, e)
-	}
-	return s, nil
-}
-
 // EncodedSize returns the wire size of the frame with a sigLen-byte
 // signature, without allocating.
 func (f *Frame) EncodedSize(sigLen int) int {
-	n := 2 + 2 + 4 + 2 + 1 // magic, ver, sender, session, epoch, nsec
+	n := headerLen
 	for _, s := range f.Sections {
 		n += 3 + len(s.Nack) + 1
 		for _, e := range s.Entries {
@@ -284,48 +308,6 @@ func (f *Frame) EncodedSize(sigLen int) int {
 		}
 	}
 	return n + 2 + sigLen
-}
-
-type reader struct {
-	buf []byte
-	pos int
-}
-
-func (r *reader) u8() (byte, error) {
-	if r.pos+1 > len(r.buf) {
-		return 0, ErrTruncated
-	}
-	v := r.buf[r.pos]
-	r.pos++
-	return v, nil
-}
-
-func (r *reader) u16() (uint16, error) {
-	if r.pos+2 > len(r.buf) {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint16(r.buf[r.pos:])
-	r.pos += 2
-	return v, nil
-}
-
-func (r *reader) u32() (uint32, error) {
-	if r.pos+4 > len(r.buf) {
-		return 0, ErrTruncated
-	}
-	v := binary.BigEndian.Uint32(r.buf[r.pos:])
-	r.pos += 4
-	return v, nil
-}
-
-func (r *reader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.buf) {
-		return nil, ErrTruncated
-	}
-	out := make([]byte, n)
-	copy(out, r.buf[r.pos:r.pos+n])
-	r.pos += n
-	return out, nil
 }
 
 // String renders a compact human-readable form (used by cmd/wbft-packets).

@@ -343,8 +343,9 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 }
 
 // TestLaneOrderingMatchesHeap schedules the same mix of delays through
-// the lane paths (AfterFixed/PostAfterFixed) and through the heap
-// (After/Post) and requires identical firing order: lanes are a data
+// the lane paths (PostAfterFixed, and WaitFixed with a wait that is never
+// blocked — one callback, one period later) and through the heap
+// (PostAfter) and requires identical firing order: lanes are a data
 // structure change, never an ordering change. Same-timestamp ties must
 // resolve by scheduling order (seq) across the lane/heap boundary.
 func TestLaneOrderingMatchesHeap(t *testing.T) {
@@ -370,18 +371,13 @@ func TestLaneOrderingMatchesHeap(t *testing.T) {
 		for i, p := range plan {
 			i := i
 			fn := func() { got = append(got, i) }
-			if p.lane && useLanes {
-				if i%2 == 0 {
-					s.AfterFixed(p.d, fn)
-				} else {
-					s.PostAfterFixed(p.d, fn)
-				}
-			} else {
-				if i%2 == 0 {
-					s.After(p.d, fn)
-				} else {
-					s.PostAfter(p.d, fn)
-				}
+			switch {
+			case !p.lane || !useLanes:
+				s.PostAfter(p.d, fn)
+			case i%2 == 0:
+				s.WaitFixed(p.d, &gateWait{wake: fn})
+			default:
+				s.PostAfterFixed(p.d, fn)
 			}
 		}
 		s.Run()
@@ -423,37 +419,6 @@ func TestLaneRecurringFIFO(t *testing.T) {
 	}
 	if s.Pending() != 0 {
 		t.Fatalf("Pending() = %d after drain", s.Pending())
-	}
-}
-
-// TestLaneCancelAccounting cancels a laned event and checks it neither
-// fires nor lingers in Pending, matching heap-event cancel semantics.
-func TestLaneCancelAccounting(t *testing.T) {
-	s := New(1)
-	fired := false
-	e := s.AfterFixed(time.Millisecond, func() { fired = true })
-	s.AfterFixed(time.Millisecond, func() {})
-	if got := s.Pending(); got != 2 {
-		t.Fatalf("Pending() = %d, want 2", got)
-	}
-	e.Cancel()
-	if got := s.Pending(); got != 1 {
-		t.Fatalf("Pending() after cancel = %d, want 1", got)
-	}
-	if got := s.Cancelled(); got != 1 {
-		t.Fatalf("Cancelled() = %d, want 1", got)
-	}
-	s.Run()
-	if fired {
-		t.Fatal("cancelled laned event fired")
-	}
-	if got := s.Cancelled(); got != 0 {
-		t.Fatalf("Cancelled() after run = %d, want 0", got)
-	}
-	// Cancelling after the pop must not corrupt the accounting.
-	e.Cancel()
-	if got := s.Cancelled(); got != 0 {
-		t.Fatalf("Cancelled() after late cancel = %d, want 0", got)
 	}
 }
 

@@ -51,16 +51,24 @@ type station struct {
 type Channel struct {
 	sched    *sim.Scheduler
 	cfg      Config
-	stations map[NodeID]*station
-	order    []NodeID // deterministic iteration order
+	stations []*station // in attach order, the deterministic iteration order
 	busyTill time.Duration
-	arbEvt   *sim.Event
 	hook     DeliveryHook
 	stats    Stats
+	// armed says a contention round is queued; arbFn is c.arbitrate bound
+	// once (a method value allocates a closure each time it is taken).
+	armed bool
+	arbFn func()
 	// contention-round scratch, reused across arbitrations; never retained
 	// past the arbitrate call that fills it
 	pending []*station
 	winners []*station
+	// tx is the one transmission on the air (the medium carries one at a
+	// time) and txDoneFn its completion, c.txDone bound once.
+	tx       transmission
+	txDoneFn func()
+	// free holds delivery records for reuse.
+	free []*delivery
 }
 
 // NewChannel creates a channel with the given configuration. It panics on
@@ -70,11 +78,9 @@ func NewChannel(s *sim.Scheduler, cfg Config) *Channel {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return &Channel{
-		sched:    s,
-		cfg:      cfg,
-		stations: make(map[NodeID]*station),
-	}
+	c := &Channel{sched: s, cfg: cfg}
+	c.arbFn, c.txDoneFn = c.arbitrate, c.txDone
+	return c
 }
 
 // Config returns the channel configuration.
@@ -89,12 +95,13 @@ func (c *Channel) SetDeliveryHook(h DeliveryHook) { c.hook = h }
 // Attach registers a station. The returned Station is the node's transmit
 // handle. Attaching a duplicate ID panics.
 func (c *Channel) Attach(id NodeID, r Receiver) *Station {
-	if _, dup := c.stations[id]; dup {
-		panic(fmt.Sprintf("wireless: duplicate station %d", id))
+	for _, st := range c.stations {
+		if st.id == id {
+			panic(fmt.Sprintf("wireless: duplicate station %d", id))
+		}
 	}
 	st := &station{id: id, recv: r, cw: c.cfg.CWMin}
-	c.stations[id] = st
-	c.order = append(c.order, id)
+	c.stations = append(c.stations, st)
 	return &Station{ch: c, st: st}
 }
 
@@ -128,8 +135,10 @@ func (s *Station) Reset() {
 }
 
 // Broadcast queues a frame for transmission. The payload is copied, so the
-// caller may reuse the buffer. Frames larger than MaxFrame panic: framing
-// and fragmentation are the transport layer's responsibility.
+// caller may reuse the buffer, and the copy is what every receiver is
+// handed: private to the channel, never pooled, never written again.
+// Frames larger than MaxFrame panic: framing and fragmentation are the
+// transport layer's responsibility.
 func (s *Station) Broadcast(payload []byte) {
 	if len(payload) > s.ch.cfg.MaxFrame {
 		panic(fmt.Sprintf("wireless: frame of %d bytes exceeds MTU %d", len(payload), s.ch.cfg.MaxFrame))
@@ -142,14 +151,11 @@ func (s *Station) Broadcast(payload []byte) {
 
 // kick ensures a contention round is scheduled when the medium next idles.
 func (c *Channel) kick() {
-	if c.arbEvt != nil && !c.arbEvt.Cancelled() {
+	if c.armed {
 		return
 	}
-	at := c.busyTill
-	if now := c.sched.Now(); at < now {
-		at = now
-	}
-	c.arbEvt = c.sched.At(at, c.arbitrate)
+	c.armed = true
+	c.sched.Post(max(c.busyTill, c.sched.Now()), c.arbFn)
 }
 
 // contenders returns stations with pending frames, in deterministic order.
@@ -157,8 +163,7 @@ func (c *Channel) kick() {
 // next contention round.
 func (c *Channel) contenders() []*station {
 	out := c.pending[:0]
-	for _, id := range c.order {
-		st := c.stations[id]
+	for _, st := range c.stations {
 		if len(st.queue) > 0 {
 			out = append(out, st)
 		}
@@ -170,7 +175,7 @@ func (c *Channel) contenders() []*station {
 // arbitrate runs one CSMA contention round: every pending station draws a
 // backoff slot; the unique minimum transmits, ties collide.
 func (c *Channel) arbitrate() {
-	c.arbEvt = nil
+	c.armed = false
 	if c.busyTill > c.sched.Now() {
 		c.kick() // medium became busy again; retry at idle
 		return
@@ -202,27 +207,43 @@ func (c *Channel) arbitrate() {
 	c.beginCollision(winners, start)
 }
 
+// transmission is a successful frame on the air, from beginTx to txDone.
+type transmission struct {
+	st         *station
+	gen        uint64
+	frame      []byte
+	start, end time.Duration
+}
+
 func (c *Channel) beginTx(st *station, start time.Duration) {
+	if c.tx.st != nil {
+		panic("wireless: transmission begun while another is on the air")
+	}
 	frame := st.queue[0]
-	gen := st.gen
 	end := start + c.cfg.Airtime(len(frame))
 	c.busyTill = end
 	st.txUntil = end
-	c.sched.Post(end, func() {
-		// The queue may have been Reset (node crash) while this frame was
-		// on the air; frames queued since then belong to a new generation
-		// and must not be popped by this stale completion.
-		if gen == st.gen && len(st.queue) > 0 {
-			st.queue = st.queue[1:]
-		}
-		st.cw = c.cfg.CWMin
-		st.accesses++
-		c.stats.Accesses++
-		c.stats.BytesOnAir += uint64(len(frame))
-		c.stats.AirTime += end - start
-		c.deliver(st, frame, start, end)
-		c.kick()
-	})
+	c.tx = transmission{st: st, gen: st.gen, frame: frame, start: start, end: end}
+	c.sched.Post(end, c.txDoneFn)
+}
+
+func (c *Channel) txDone() {
+	tx := c.tx
+	c.tx = transmission{}
+	st := tx.st
+	// The queue may have been Reset (node crash) while this frame was on
+	// the air; frames queued since then belong to a new generation and
+	// must not be popped by this stale completion.
+	if tx.gen == st.gen && len(st.queue) > 0 {
+		st.queue = st.queue[1:]
+	}
+	st.cw = c.cfg.CWMin
+	st.accesses++
+	c.stats.Accesses++
+	c.stats.BytesOnAir += uint64(len(tx.frame))
+	c.stats.AirTime += tx.end - tx.start
+	c.deliver(st, tx.frame, tx.start, tx.end)
+	c.kick()
 }
 
 func (c *Channel) beginCollision(winners []*station, start time.Duration) {
@@ -251,8 +272,7 @@ func (c *Channel) beginCollision(winners []*station, start time.Duration) {
 // half-duplex, random loss, and the adversary hook.
 func (c *Channel) deliver(from *station, frame []byte, start, end time.Duration) {
 	rng := c.sched.Rand()
-	for _, id := range c.order {
-		st := c.stations[id]
+	for _, st := range c.stations {
 		if st == from {
 			continue
 		}
@@ -274,9 +294,34 @@ func (c *Channel) deliver(from *station, frame []byte, start, end time.Duration)
 			extra = d
 		}
 		c.stats.Frames++
-		recv, fromID := st.recv, from.id
-		c.sched.Post(end+extra, func() {
-			recv.ReceiveFrame(fromID, frame)
-		})
+		var d *delivery
+		if n := len(c.free); n > 0 {
+			d, c.free = c.free[n-1], c.free[:n-1]
+		} else {
+			d = &delivery{c: c}
+			d.run = d.exec
+		}
+		d.recv, d.from, d.frame = st.recv, from.id, frame
+		c.sched.Post(end+extra, d.run)
 	}
+}
+
+// delivery is one frame on its way to one receiver. Records are recycled
+// through Channel.free, so a delivery allocates no closure. The frame is
+// the channel's private copy of the transmission (see Broadcast), shared
+// by every receiver of it and never written again: receivers must treat it
+// as read-only, and may keep it.
+type delivery struct {
+	c     *Channel
+	recv  Receiver
+	from  NodeID
+	frame []byte
+	run   func() // exec, bound once
+}
+
+func (d *delivery) exec() {
+	recv, from, frame := d.recv, d.from, d.frame
+	d.recv, d.frame = nil, nil
+	d.c.free = append(d.c.free, d)
+	recv.ReceiveFrame(from, frame)
 }

@@ -277,3 +277,64 @@ func TestStationResetFlushesQueue(t *testing.T) {
 		t.Error("no accesses counted")
 	}
 }
+
+// TestDeliveryRecordsRecycled: deliveries ride recycled records, so many
+// frames in flight at once (the hook spreads them out) must each reach
+// their receiver with their own sender and payload, and the pool must stop
+// at the high-water mark of deliveries in flight, not grow with traffic.
+func TestDeliveryRecordsRecycled(t *testing.T) {
+	s, ch, st, sinks := newTestChannel(t, 3, lossless())
+	ch.SetDeliveryHook(func(from, to NodeID, _ []byte) (time.Duration, bool) {
+		return time.Duration(from+to) * 700 * time.Millisecond, false
+	})
+	const frames = 48 // per round, 16 from each station
+	round := func() {
+		for i := 0; i < frames; i++ {
+			st[i%3].Broadcast([]byte{byte(i % 3), byte(i)})
+		}
+		s.Run()
+	}
+	const rounds = 5
+	round()
+	pooled := len(ch.free)
+	for i := 1; i < rounds; i++ {
+		round()
+	}
+	if pooled == 0 || len(ch.free) >= 2*pooled {
+		t.Fatalf("%d delivery records pooled after one round, %d after %d: the pool grows with traffic", pooled, len(ch.free), rounds)
+	}
+	for to, sk := range sinks {
+		if want := rounds * frames * 2 / 3; len(sk.frames) != want {
+			t.Fatalf("node %d got %d frames, want %d", to, len(sk.frames), want)
+		}
+		for _, f := range sk.frames {
+			if len(f.payload) != 2 || NodeID(f.payload[0]) != f.from || int(f.payload[1])%3 != int(f.from) {
+				t.Fatalf("node %d: frame from %d carries %v", to, f.from, f.payload)
+			}
+		}
+	}
+}
+
+type discard struct{}
+
+func (discard) ReceiveFrame(NodeID, []byte) {}
+
+// BenchmarkDeliver is one successful transmission fanned out to three
+// receivers, each delivery an event. Steady state allocates nothing.
+func BenchmarkDeliver(b *testing.B) {
+	s := sim.New(1)
+	ch := NewChannel(s, lossless())
+	for id := 0; id < 4; id++ {
+		ch.Attach(NodeID(id), discard{})
+	}
+	frame := make([]byte, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ch.deliver(ch.stations[0], frame, s.Now(), s.Now())
+		s.Run()
+	}
+	if got := ch.Stats().Frames; got != 3*uint64(b.N) {
+		b.Fatalf("delivered %d frames, want %d", got, 3*b.N)
+	}
+}
