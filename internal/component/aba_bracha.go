@@ -34,21 +34,28 @@ type brachaSlot struct {
 	started bool
 	round   uint16
 	est     uint8 // voteZero or voteOne
-	rounds  map[uint16]*brachaRound
+	// rounds is indexed by round number and grows to the highest round
+	// mentioned; applyView caps what a peer can mention at roundCap.
+	rounds []brachaRound
 }
 
 type brachaRound struct {
 	phases [3]*brachaPhase
 }
 
+// brachaPhase is one voting phase: N embedded vote-RBCs, one per voter.
+// Every table is a span of one backing array. Counts are bytes: node ids
+// and slots travel in one byte, so N fits.
 type brachaPhase struct {
 	myVote    uint8   // voteNone until cast
 	votes     []uint8 // voter -> claimed vote (voteNone if unknown)
 	myEcho    []uint8 // voter -> value I echoed (voteNone if none)
 	myReady   []uint8
-	echoes    []map[int]uint8 // voter -> {echoer -> value}
-	readies   []map[int]uint8
 	delivered []uint8 // voter -> delivered vote (voteNone if not yet)
+	echoes    []uint8 // voter*N + echoer -> value (voteNone if none yet)
+	readies   []uint8
+	echoCnt   []uint8 // voter*3 + value -> echoers that echoed it
+	readyCnt  []uint8
 	nDeliv    int
 	resolved  bool // phase threshold reached and consumed
 }
@@ -63,7 +70,7 @@ type BrachaOptions struct {
 func NewBrachaABA(env *Env, opts BrachaOptions) *BrachaABA {
 	a := &BrachaABA{deciding: deciding{env: env, onDecide: opts.OnDecide, pruned: isVotePhase}}
 	for i := 0; i < opts.Slots; i++ {
-		s := &brachaSlot{rounds: make(map[uint16]*brachaRound)}
+		s := &brachaSlot{}
 		a.slots = append(a.slots, s)
 		a.terms = append(a.terms, &s.termination)
 	}
@@ -87,62 +94,55 @@ func (a *BrachaABA) Input(slot int, v bool) {
 
 func (a *BrachaABA) phase(slot int, round uint16, ph int) *brachaPhase {
 	s := a.slots[slot]
-	rd := s.rounds[round]
-	if rd == nil {
-		rd = &brachaRound{}
-		s.rounds[round] = rd
+	for len(s.rounds) <= int(round) {
+		s.rounds = append(s.rounds, brachaRound{})
 	}
+	rd := &s.rounds[round]
 	if rd.phases[ph] == nil {
+		// Four vectors and two matrices of votes, all "none" to begin
+		// with, then the two count tables.
 		n := a.env.N
-		p := &brachaPhase{
-			myVote:    voteNone,
-			votes:     filled(n, voteNone),
-			myEcho:    filled(n, voteNone),
-			myReady:   filled(n, voteNone),
-			delivered: filled(n, voteNone),
-			echoes:    make([]map[int]uint8, n),
-			readies:   make([]map[int]uint8, n),
+		votes := 4*n + 2*n*n
+		buf := make([]uint8, votes+2*3*n)
+		for i := range buf[:votes] {
+			buf[i] = voteNone
 		}
-		for i := 0; i < n; i++ {
-			p.echoes[i] = make(map[int]uint8)
-			p.readies[i] = make(map[int]uint8)
+		carve := func(size int) []uint8 {
+			span := buf[:size:size]
+			buf = buf[size:]
+			return span
 		}
-		rd.phases[ph] = p
+		rd.phases[ph] = &brachaPhase{
+			myVote: voteNone,
+			votes:  carve(n), myEcho: carve(n), myReady: carve(n), delivered: carve(n),
+			echoes: carve(n * n), readies: carve(n * n),
+			echoCnt: carve(3 * n), readyCnt: carve(3 * n),
+		}
 	}
 	return rd.phases[ph]
 }
 
-func filled(n int, v uint8) []uint8 {
-	s := make([]uint8, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}
-
-// castVote sets this node's vote for (slot, round, phase) and publishes
-// the updated vote-RBC view.
+// castVote sets this node's vote for (slot, round, phase), publishes the
+// updated vote-RBC view and applies it locally.
 func (a *BrachaABA) castVote(slot int, round uint16, ph int, v uint8) {
 	p := a.phase(slot, round, ph)
 	if p.myVote != voteNone {
 		return
 	}
 	p.myVote = v
-	a.publish(slot, round, ph)
-	a.applyView(slot, round, ph, a.env.Me, a.viewData(slot, round, ph))
+	a.applyView(slot, round, ph, a.env.Me, a.publish(slot, round, ph))
 }
 
-// viewData serializes my vote-RBC view: [myVote | echo[N] | ready[N]].
-func (a *BrachaABA) viewData(slot int, round uint16, ph int) []byte {
+// publish puts my vote-RBC view [myVote | echo[N] | ready[N]] on the air
+// and returns it. The bytes are a snapshot nobody writes again (an
+// interceptor that corrupts an intent corrupts a copy), so the caller
+// applies the same ones locally.
+func (a *BrachaABA) publish(slot int, round uint16, ph int) []byte {
 	p := a.phase(slot, round, ph)
-	data := make([]byte, 0, 1+2*a.env.N)
-	data = append(data, p.myVote)
-	data = append(data, p.myEcho...)
-	data = append(data, p.myReady...)
-	return data
-}
-
-func (a *BrachaABA) publish(slot int, round uint16, ph int) {
+	view := make([]byte, 0, 1+2*a.env.N)
+	view = append(view, p.myVote)
+	view = append(view, p.myEcho...)
+	view = append(view, p.myReady...)
 	a.env.T.Update(core.Intent{
 		IntentKey: core.IntentKey{
 			Kind:  packet.KindABA,
@@ -150,13 +150,17 @@ func (a *BrachaABA) publish(slot int, round uint16, ph int) {
 			Slot:  uint8(slot),
 			Round: round,
 		},
-		Data: a.viewData(slot, round, ph),
+		Data: view,
 	})
+	return view
 }
 
 // HandleSection implements core.Handler.
 func (a *BrachaABA) HandleSection(from uint16, sec packet.Section) {
-	w := int(from)
+	w, ok := a.env.peer(from)
+	if !ok {
+		return
+	}
 	switch {
 	case isVotePhase(sec.Phase):
 		ph := int(sec.Phase - packet.PhaseVote1)
@@ -172,7 +176,8 @@ func (a *BrachaABA) HandleSection(from uint16, sec packet.Section) {
 }
 
 // applyView merges a peer's vote-RBC view into local state, advancing the
-// embedded per-vote reliable broadcasts.
+// embedded per-vote reliable broadcasts. A peer's first vote, echo or
+// ready for a voter is the one that counts.
 func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte) {
 	s := a.slots[slot]
 	n := a.env.N
@@ -180,6 +185,7 @@ func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte
 		return
 	}
 	p := a.phase(slot, round, ph)
+	quorum, weak := a.env.Quorum(), a.env.Weak()
 	changed := false
 
 	// w's own vote: treat as the INITIAL of w's vote-RBC.
@@ -193,14 +199,12 @@ func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte
 	// w's echo vector.
 	for u := 0; u < n; u++ {
 		v := data[1+u]
-		if v > voteBot {
+		if v > voteBot || p.echoes[u*n+w] != voteNone {
 			continue
 		}
-		if _, dup := p.echoes[u][w]; dup {
-			continue
-		}
-		p.echoes[u][w] = v
-		if cnt := countByte(p.echoes[u], v); cnt >= a.env.Quorum() && p.myReady[u] == voteNone {
+		p.echoes[u*n+w] = v
+		p.echoCnt[u*3+int(v)]++
+		if int(p.echoCnt[u*3+int(v)]) >= quorum && p.myReady[u] == voteNone {
 			p.myReady[u] = v
 			changed = true
 		}
@@ -208,26 +212,23 @@ func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte
 	// w's ready vector.
 	for u := 0; u < n; u++ {
 		v := data[1+n+u]
-		if v > voteBot {
+		if v > voteBot || p.readies[u*n+w] != voteNone {
 			continue
 		}
-		if _, dup := p.readies[u][w]; dup {
-			continue
-		}
-		p.readies[u][w] = v
-		cnt := countByte(p.readies[u], v)
-		if cnt >= a.env.Weak() && p.myReady[u] == voteNone {
+		p.readies[u*n+w] = v
+		p.readyCnt[u*3+int(v)]++
+		cnt := int(p.readyCnt[u*3+int(v)])
+		if cnt >= weak && p.myReady[u] == voteNone {
 			p.myReady[u] = v
 			changed = true
 		}
-		if cnt >= a.env.Quorum() && p.delivered[u] == voteNone {
+		if cnt >= quorum && p.delivered[u] == voteNone {
 			p.delivered[u] = v
 			p.nDeliv++
 		}
 	}
 	if changed {
-		a.publish(slot, round, ph)
-		a.applyView(slot, round, ph, a.env.Me, a.viewData(slot, round, ph))
+		a.applyView(slot, round, ph, a.env.Me, a.publish(slot, round, ph))
 	}
 	a.checkPhase(slot, round, ph)
 }
@@ -302,14 +303,4 @@ func (a *BrachaABA) finishRound(slot int, round uint16, counts [3]int) {
 		})
 	}
 	a.castVote(slot, s.round, 0, s.est)
-}
-
-func countByte(m map[int]uint8, v uint8) int {
-	n := 0
-	for _, x := range m {
-		if x == v {
-			n++
-		}
-	}
-	return n
 }

@@ -7,7 +7,13 @@ import (
 	"repro/internal/packet"
 )
 
-// CachinABA runs k parallel (or serial) instances of the shared-coin
+// This file is the parent commit's map-based CachinABA, kept verbatim
+// (types renamed ref*) as the oracle of the reference-model tests in
+// aba_ref_test.go: rounds in a map, BVAL and AUX receipts in per-peer maps
+// counted by len and by iteration, coins in a map by coinKey.id. It shares
+// the coin's share collector with the component. Do not modernise it.
+
+// refCachinABA runs k parallel (or serial) instances of the shared-coin
 // binary-agreement protocol the paper calls "Cachin's ABA" (the
 // BVAL/AUX/SHARE round structure of Fig. 1d, packets per Fig. 6b).
 //
@@ -15,97 +21,52 @@ import (
 //   - batched parallel instances share one coin per round (SharedCoin);
 //   - serial execution releases coin shares only for the active instance,
 //     so Byzantine nodes cannot learn future coins early.
-type CachinABA struct {
-	deciding
+type refCachinABA struct {
+	refDeciding
 	coin       collector[[]byte, []byte, bool]
 	sharedCoin bool
 	catchUp    bool
-	slots      []*abaSlot
-	// shared holds the shared coin of each round, by round (SharedCoin
-	// only); a per-slot coin lives in its slot's round record.
-	shared []*coinState
+	slots      []*refAbaSlot
+	coins      map[int]*coinState // by coinKey.id
 }
 
-type coinKey struct {
-	slot  uint8 // sharedSlot when the coin is shared across instances
-	round uint16
-}
-
-// id is the coin's identity in the share collector; coinOfID inverts it.
-func (k coinKey) id() int { return int(k.slot)<<16 | int(k.round) }
-
-func coinOfID(id int) coinKey { return coinKey{slot: uint8(id >> 16), round: uint16(id)} }
-
-// coinState is one coin: the tally of its shares over the coin's name,
-// and who is waiting for its value.
-type coinState struct {
-	tally[[]byte, []byte, bool]
-	released bool
-	waiting  []func(bool)
-}
-
-type abaSlot struct {
-	termination
+type refAbaSlot struct {
+	refTermination
 	started bool
 	round   uint16
 	est     bool
-	// rounds is indexed by round number and grows to the highest round
-	// mentioned (nil: not yet); what a peer can mention is capped at
-	// roundCap.
-	rounds []*abaRound
+	rounds  map[uint16]*refAbaRound
 }
 
-type abaRound struct {
-	bvalSent [2]bool
-	// recv is what each peer has sent: bit v set once its BVAL(v) arrived,
-	// and from bit 2 up its first AUX vote — 0 none yet, else 1 + the value.
-	recv      []uint8
-	nBval     [2]int // peers whose BVAL(v) arrived
+type refAbaRound struct {
+	bvalSent  [2]bool
+	bvalRecv  [2]map[int]bool
 	binValues [2]bool
 	auxSent   bool
 	auxVal    bool
+	auxRecv   map[int]*bool
 	valsReady bool
 	advanced  bool
-	coin      *coinState // the slot's own coin for the round (not SharedCoin)
 	// reservedAt rate-limits reserveRound's pruned-send replay.
 	reservedAt time.Duration
 }
 
-// CachinOptions configures the component.
-type CachinOptions struct {
-	Slots      int
-	Coin       CoinSource
-	SharedCoin bool // one coin per round across all instances (batched mode)
-	// RoundCatchUp replays the round == s.round sends this node skipped
-	// while peers raced ahead (see startRound), and re-serves this node's
-	// pruned sends for rounds a reborn peer is still climbing through
-	// (see reserveRound). Serial-schedule users (Alea's one-at-a-time
-	// agreement loop) need it: a repeated-estimate schedule under a
-	// withholding adversary makes the skew structural and the wedge
-	// permanent, and a full-stop crash-recovery restarts instances at
-	// round 1 with no DECIDED claims to carry them. The parallel engines
-	// predate the option and run with it off — their concurrent instances
-	// keep enough traffic flowing to recover, and enabling it would shift
-	// the frozen BENCH goldens.
-	RoundCatchUp bool
-	OnDecide     func(slot int, value bool)
-}
-
-// NewCachinABA creates the component and registers it on the transport.
-func NewCachinABA(env *Env, opts CachinOptions) *CachinABA {
-	a := &CachinABA{
-		deciding:   deciding{env: env, onDecide: opts.OnDecide},
-		sharedCoin: opts.SharedCoin,
-		catchUp:    opts.RoundCatchUp,
+// newRefCachinABA creates the component and registers it on the transport.
+func newRefCachinABA(env *Env, opts CachinOptions) *refCachinABA {
+	a := &refCachinABA{
+		refDeciding: refDeciding{env: env, onDecide: opts.OnDecide},
+		sharedCoin:  opts.SharedCoin,
+		catchUp:     opts.RoundCatchUp,
+		coins:       make(map[int]*coinState),
 	}
 	a.pruned = func(p packet.Phase) bool {
 		return p == packet.PhaseBval || p == packet.PhaseAux || (p == packet.PhaseShare && !a.sharedCoin)
 	}
 	a.coin = collector[[]byte, []byte, bool]{scheme: opts.Coin.scheme, env: env, combined: a.coinCombined}
 	for i := 0; i < opts.Slots; i++ {
-		s := &abaSlot{}
+		s := &refAbaSlot{rounds: make(map[uint16]*refAbaRound)}
 		a.slots = append(a.slots, s)
-		a.terms = append(a.terms, &s.termination)
+		a.terms = append(a.terms, &s.refTermination)
 	}
 	env.T.Register(packet.KindABA, a)
 	return a
@@ -115,7 +76,7 @@ func NewCachinABA(env *Env, opts CachinOptions) *CachinABA {
 // Sec. V-A (all parallel instances start simultaneously once 2f+1 RBCs
 // finish) is enforced by the protocol layer calling Input for all slots in
 // the same event.
-func (a *CachinABA) Input(slot int, v bool) {
+func (a *refCachinABA) Input(slot int, v bool) {
 	s := a.slots[slot]
 	if s.started {
 		return
@@ -126,20 +87,20 @@ func (a *CachinABA) Input(slot int, v bool) {
 	a.startRound(slot)
 }
 
-// round returns the record of round r of a slot, creating it on first
-// mention. Callers have checked r against roundCap.
-func (a *CachinABA) round(slot int, r uint16) *abaRound {
+func (a *refCachinABA) round(slot int, r uint16) *refAbaRound {
 	s := a.slots[slot]
-	for len(s.rounds) <= int(r) {
-		s.rounds = append(s.rounds, nil)
+	rd := s.rounds[r]
+	if rd == nil {
+		rd = &refAbaRound{
+			bvalRecv: [2]map[int]bool{{}, {}},
+			auxRecv:  make(map[int]*bool),
+		}
+		s.rounds[r] = rd
 	}
-	if s.rounds[r] == nil {
-		s.rounds[r] = &abaRound{recv: make([]uint8, a.env.N)}
-	}
-	return s.rounds[r]
+	return rd
 }
 
-func (a *CachinABA) startRound(slot int) {
+func (a *refCachinABA) startRound(slot int) {
 	s := a.slots[slot]
 	if s.halted {
 		return
@@ -160,7 +121,7 @@ func (a *CachinABA) startRound(slot int) {
 	// short of N-f.
 	rd := a.round(slot, s.round)
 	for _, v := range []bool{false, true} {
-		if !rd.bvalSent[b2i(v)] && rd.nBval[b2i(v)] >= a.env.Weak() {
+		if !rd.bvalSent[b2i(v)] && len(rd.bvalRecv[b2i(v)]) >= a.env.Weak() {
 			a.sendBval(slot, s.round, v)
 		}
 		if rd.binValues[b2i(v)] && !rd.auxSent {
@@ -170,14 +131,7 @@ func (a *CachinABA) startRound(slot int) {
 	a.checkRound(slot, s.round)
 }
 
-func b2i(v bool) int {
-	if v {
-		return 1
-	}
-	return 0
-}
-
-func (a *CachinABA) sendBval(slot int, round uint16, v bool) {
+func (a *refCachinABA) sendBval(slot int, round uint16, v bool) {
 	rd := a.round(slot, round)
 	if rd.bvalSent[b2i(v)] {
 		return
@@ -188,7 +142,7 @@ func (a *CachinABA) sendBval(slot int, round uint16, v bool) {
 }
 
 // publishBval puts the BVALs this node has sent in a round on the air.
-func (a *CachinABA) publishBval(slot int, round uint16, rd *abaRound) {
+func (a *refCachinABA) publishBval(slot int, round uint16, rd *refAbaRound) {
 	var bits uint8
 	if rd.bvalSent[0] {
 		bits |= 1
@@ -202,7 +156,7 @@ func (a *CachinABA) publishBval(slot int, round uint16, rd *abaRound) {
 	})
 }
 
-func (a *CachinABA) sendAux(slot int, round uint16, v bool) {
+func (a *refCachinABA) sendAux(slot int, round uint16, v bool) {
 	rd := a.round(slot, round)
 	if rd.auxSent {
 		return
@@ -214,7 +168,7 @@ func (a *CachinABA) sendAux(slot int, round uint16, v bool) {
 }
 
 // publishAux puts the AUX vote this node cast in a round on the air.
-func (a *CachinABA) publishAux(slot int, round uint16, rd *abaRound) {
+func (a *refCachinABA) publishAux(slot int, round uint16, rd *refAbaRound) {
 	a.env.T.Update(core.Intent{
 		IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux, Slot: uint8(slot), Round: round},
 		Data:      []byte{uint8(b2i(rd.auxVal))},
@@ -222,11 +176,8 @@ func (a *CachinABA) publishAux(slot int, round uint16, rd *abaRound) {
 }
 
 // HandleSection implements core.Handler.
-func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
-	w, ok := a.env.peer(from)
-	if !ok {
-		return
-	}
+func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
+	w := int(from)
 	switch sec.Phase {
 	case packet.PhaseBval:
 		for _, e := range sec.Entries {
@@ -269,7 +220,7 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 // estimates are injected, so the round-by-round safety argument is
 // untouched. Rate-limited per round; survivors cannot advance (and
 // re-prune) while the laggard climbs, because they lack the quorum.
-func (a *CachinABA) reserveRound(slot int, round uint16) {
+func (a *refCachinABA) reserveRound(slot int, round uint16) {
 	if !a.catchUp {
 		return
 	}
@@ -279,10 +230,10 @@ func (a *CachinABA) reserveRound(slot int, round uint16) {
 	if s.halted || !s.started || s.round < 2 || round == 0 || round >= s.round-1 {
 		return
 	}
-	if int(round) >= len(s.rounds) || s.rounds[round] == nil {
+	rd := s.rounds[round]
+	if rd == nil {
 		return
 	}
-	rd := s.rounds[round]
 	now := a.env.Sched.Now()
 	if rd.reservedAt != 0 && now-rd.reservedAt < 2*time.Second {
 		return
@@ -295,24 +246,22 @@ func (a *CachinABA) reserveRound(slot int, round uint16) {
 		a.publishAux(slot, round, rd)
 	}
 	k := a.coinKeyFor(slot, round)
-	if cs := a.coinState(k); cs.own != nil {
+	if cs := a.coins[k.id()]; cs != nil && cs.own != nil {
 		a.env.T.Update(core.Intent{IntentKey: a.shareIntent(k), Data: cs.own})
 	}
 }
 
-func (a *CachinABA) applyBval(slot int, round uint16, w int, v bool) {
+func (a *refCachinABA) applyBval(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
 	if !s.started || s.halted || int(round) > roundCap {
 		return
 	}
 	rd := a.round(slot, round)
-	bit := uint8(1) << b2i(v)
-	if rd.recv[w]&bit != 0 {
+	if rd.bvalRecv[b2i(v)][w] {
 		return
 	}
-	rd.recv[w] |= bit
-	rd.nBval[b2i(v)]++
-	n := rd.nBval[b2i(v)]
+	rd.bvalRecv[b2i(v)][w] = true
+	n := len(rd.bvalRecv[b2i(v)])
 	if n >= a.env.Weak() && !rd.bvalSent[b2i(v)] && round == s.round {
 		a.sendBval(slot, round, v) // BVAL amplification
 	}
@@ -325,22 +274,23 @@ func (a *CachinABA) applyBval(slot int, round uint16, w int, v bool) {
 	}
 }
 
-func (a *CachinABA) applyAux(slot int, round uint16, w int, v bool) {
+func (a *refCachinABA) applyAux(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
 	if !s.started || s.halted || int(round) > roundCap {
 		return
 	}
 	rd := a.round(slot, round)
-	if rd.recv[w]>>2 != 0 {
+	if _, seen := rd.auxRecv[w]; seen {
 		return
 	}
-	rd.recv[w] |= uint8(1+b2i(v)) << 2
+	val := v
+	rd.auxRecv[w] = &val
 	a.checkRound(slot, round)
 }
 
 // checkRound fires when N-f AUX votes carrying bin_values have arrived:
 // release the coin share, and once the coin is known, advance.
-func (a *CachinABA) checkRound(slot int, round uint16) {
+func (a *refCachinABA) checkRound(slot int, round uint16) {
 	s := a.slots[slot]
 	if round != s.round || s.rounds[round].advanced {
 		return
@@ -348,10 +298,10 @@ func (a *CachinABA) checkRound(slot int, round uint16) {
 	rd := s.rounds[round]
 	count := 0
 	vals := [2]bool{}
-	for _, r := range rd.recv {
-		if aux := r >> 2; aux != 0 && rd.binValues[aux-1] {
+	for _, v := range rd.auxRecv {
+		if rd.binValues[b2i(*v)] {
 			count++
-			vals[aux-1] = true
+			vals[b2i(*v)] = true
 		}
 	}
 	if count < a.env.N-a.env.F {
@@ -366,7 +316,7 @@ func (a *CachinABA) checkRound(slot int, round uint16) {
 
 // coinKeyFor returns the coin identity for (slot, round) under the
 // configured sharing mode.
-func (a *CachinABA) coinKeyFor(slot int, round uint16) coinKey {
+func (a *refCachinABA) coinKeyFor(slot int, round uint16) coinKey {
 	if a.sharedCoin {
 		return coinKey{slot: sharedSlot, round: round}
 	}
@@ -374,32 +324,21 @@ func (a *CachinABA) coinKeyFor(slot int, round uint16) coinKey {
 }
 
 // shareIntent is where this node's share of coin k goes on the air.
-func (a *CachinABA) shareIntent(k coinKey) core.IntentKey {
+func (a *refCachinABA) shareIntent(k coinKey) core.IntentKey {
 	return core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Slot: k.slot, Sub: uint8(a.env.Me), Round: k.round}
 }
 
-// coinState returns coin k's state, creating it on first mention: the
-// shared coin is kept with its round, a slot's own in the slot's round
-// record. The caller has checked k's slot and round are in range.
-func (a *CachinABA) coinState(k coinKey) *coinState {
-	var at **coinState
-	if k.slot == sharedSlot {
-		for len(a.shared) <= int(k.round) {
-			a.shared = append(a.shared, nil)
-		}
-		at = &a.shared[k.round]
-	} else {
-		at = &a.round(int(k.slot), k.round).coin
-	}
-	if *at == nil {
-		cs := &coinState{}
+func (a *refCachinABA) coinState(k coinKey) *coinState {
+	cs := a.coins[k.id()]
+	if cs == nil {
+		cs = &coinState{}
 		cs.subject, cs.open = coinName(a.env.Session, a.env.Epoch, k.slot, k.round), true
-		*at = cs
+		a.coins[k.id()] = cs
 	}
-	return *at
+	return cs
 }
 
-func (a *CachinABA) releaseCoinShare(slot int, round uint16) {
+func (a *refCachinABA) releaseCoinShare(slot int, round uint16) {
 	k := a.coinKeyFor(slot, round)
 	cs := a.coinState(k)
 	if cs.released {
@@ -409,26 +348,23 @@ func (a *CachinABA) releaseCoinShare(slot int, round uint16) {
 	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k), true)
 }
 
-func (a *CachinABA) handleCoinShare(slot uint8, round uint16, w int, data []byte) {
+func (a *refCachinABA) handleCoinShare(slot uint8, round uint16, w int, data []byte) {
 	if a.sharedCoin != (slot == sharedSlot) {
 		return // batched mode uses the shared coin and nothing else does
-	}
-	if (!a.sharedCoin && int(slot) >= len(a.slots)) || int(round) > roundCap {
-		return // no such instance, or a round no honest node reaches
 	}
 	k := coinKey{slot: slot, round: round}
 	a.coin.offer(&a.coinState(k).tally, k.id(), w, data)
 }
 
-func (a *CachinABA) coinCombined(id int, v bool) {
-	cs := a.coinState(coinOfID(id))
+func (a *refCachinABA) coinCombined(id int, v bool) {
+	cs := a.coins[id]
 	for _, fn := range cs.waiting {
 		fn(v)
 	}
 	cs.waiting = nil
 }
 
-func (a *CachinABA) withCoin(slot int, round uint16, fn func(bool)) {
+func (a *refCachinABA) withCoin(slot int, round uint16, fn func(bool)) {
 	cs := a.coinState(a.coinKeyFor(slot, round))
 	if cs.done {
 		fn(cs.value)
@@ -438,7 +374,7 @@ func (a *CachinABA) withCoin(slot int, round uint16, fn func(bool)) {
 }
 
 // advance applies the round decision rule and moves to the next round.
-func (a *CachinABA) advance(slot int, round uint16, vals [2]bool, coin bool) {
+func (a *refCachinABA) advance(slot int, round uint16, vals [2]bool, coin bool) {
 	s := a.slots[slot]
 	if round != s.round {
 		return
@@ -466,7 +402,7 @@ func (a *CachinABA) advance(slot int, round uint16, vals [2]bool, coin bool) {
 // pruneRounds drops outbound state older than the previous round: a
 // lagging honest peer can be at most one coin exchange behind, and beyond
 // that the DECIDED gadget carries it over the line.
-func (a *CachinABA) pruneRounds(slot int, current uint16) {
+func (a *refCachinABA) pruneRounds(slot int, current uint16) {
 	if current < 2 {
 		return
 	}

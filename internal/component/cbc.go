@@ -134,7 +134,10 @@ func (c *CBC) acceptValue(slot int, value []byte) {
 
 // HandleSection implements core.Handler.
 func (c *CBC) HandleSection(from uint16, sec packet.Section) {
-	w := int(from)
+	w, ok := c.env.peer(from)
+	if !ok {
+		return
+	}
 	for _, e := range sec.Entries {
 		slot := int(e.Slot)
 		if slot >= len(c.slots) {

@@ -14,7 +14,11 @@ const roundCap = 64
 type termination struct {
 	decided *bool
 	halted  bool
-	claims  map[int]bool // DECIDED claims by peer
+	// claimed is each peer's DECIDED claim — 0 none yet, else 1 + the value
+	// claimed — and claims counts the peers claiming each value. A peer's
+	// first claim is the one that counts.
+	claimed []uint8
+	claims  [2]int
 }
 
 // deciding is the DECIDED termination gadget of binary agreement, embedded
@@ -63,7 +67,8 @@ func (d *deciding) decide(slot int, v bool) {
 	}
 }
 
-// handleDecided takes a peer's DECIDED section.
+// handleDecided takes the DECIDED section of peer w, which the caller has
+// checked is one of the N.
 func (d *deciding) handleDecided(w int, sec packet.Section) {
 	for _, e := range sec.Entries {
 		if int(e.Slot) >= len(d.terms) || len(e.Data) < 1 {
@@ -75,19 +80,15 @@ func (d *deciding) handleDecided(w int, sec packet.Section) {
 
 func (d *deciding) applyDecided(slot, w int, v bool) {
 	t := d.terms[slot]
-	if _, seen := t.claims[w]; seen {
+	if t.claimed == nil {
+		t.claimed = make([]uint8, d.env.N)
+	}
+	if t.claimed[w] != 0 {
 		return
 	}
-	if t.claims == nil {
-		t.claims = make(map[int]bool)
-	}
-	t.claims[w] = v
-	matching := 0
-	for _, cv := range t.claims {
-		if cv == v {
-			matching++
-		}
-	}
+	t.claimed[w] = 1 + uint8(b2i(v))
+	t.claims[b2i(v)]++
+	matching := t.claims[b2i(v)]
 	// f+1 matching claims contain one honest decider: adopt.
 	if matching >= d.env.Weak() && t.decided == nil {
 		d.decide(slot, v)

@@ -14,7 +14,7 @@ import (
 type Decryptor struct {
 	env    *Env
 	shares collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]
-	slots  map[int]*decSlot
+	slots  []*decSlot // by slot; nil until the slot is first mentioned
 
 	onPlain func(slot int, plaintext []byte)
 
@@ -33,7 +33,7 @@ type decSlot struct {
 func NewDecryptor(env *Env, slots int, onPlain func(slot int, plaintext []byte)) *Decryptor {
 	d := &Decryptor{
 		env:     env,
-		slots:   make(map[int]*decSlot),
+		slots:   make([]*decSlot, slots),
 		onPlain: onPlain,
 		done:    packet.NewBitSet(slots),
 	}
@@ -44,12 +44,10 @@ func NewDecryptor(env *Env, slots int, onPlain func(slot int, plaintext []byte))
 
 // slot returns a slot's state, creating it on first mention.
 func (d *Decryptor) slot(slot int) *decSlot {
-	s, ok := d.slots[slot]
-	if !ok {
-		s = &decSlot{}
-		d.slots[slot] = s
+	if d.slots[slot] == nil {
+		d.slots[slot] = &decSlot{}
 	}
-	return s
+	return d.slots[slot]
 }
 
 // shareIntent is where this node's decryption share for slot goes on the air.
@@ -68,7 +66,7 @@ func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) {
 
 // Plaintext returns the recovered plaintext for a slot, or nil.
 func (d *Decryptor) Plaintext(slot int) []byte {
-	if s, ok := d.slots[slot]; ok {
+	if s := d.slots[slot]; s != nil {
 		return s.value
 	}
 	return nil
@@ -79,15 +77,16 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 	if sec.Phase != packet.PhaseDecShare {
 		return
 	}
-	w := int(from)
+	w, ok := d.env.peer(from)
+	if !ok {
+		return
+	}
 	// Prune our share intents only when every peer confirms completion —
 	// and re-announce them when a peer that had confirmed turns up without
 	// the done bit again: it lost its state (crash recovery) and needs the
-	// f+1 shares back on the air. Iterate in slot order: map order must not
-	// leak into scheduling.
-	for slot := 0; slot < len(d.done)*8; slot++ {
-		s, ok := d.slots[slot]
-		if !ok {
+	// f+1 shares back on the air.
+	for slot, s := range d.slots {
+		if s == nil {
 			continue
 		}
 		if !sec.Nack.Get(slot) {
@@ -109,6 +108,9 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 		}
 	}
 	for _, e := range sec.Entries {
+		if int(e.Slot) >= len(d.slots) {
+			continue
+		}
 		// Until our ACS completes the ciphertext is not known: the share parks.
 		d.shares.offer(&d.slot(int(e.Slot)).tally, int(e.Slot), w, e.Data)
 	}
@@ -116,10 +118,8 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 
 // recovered runs once a slot's shares combined into its plaintext.
 func (d *Decryptor) recovered(slot int, plain []byte) {
-	if slot < len(d.done)*8 {
-		d.done.Set(slot)
-		d.env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
-	}
+	d.done.Set(slot)
+	d.env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
 	// The share intent stays live until peersDone confirms everyone
 	// combined (see HandleSection).
 	if d.onPlain != nil {

@@ -49,6 +49,18 @@ func (e *Env) Exec(cost time.Duration, fn func()) { e.CPU.Exec(cost, fn) }
 // how much adversarial traffic the component defenses absorbed.
 func (e *Env) Reject() { e.T.NoteRejected() }
 
+// peer returns a frame's sender as a node index. SizedAuth accepts a frame
+// from any sender id and the components' per-peer tables are indexed by
+// it, so every HandleSection starts here: a sender that is none of the N
+// nodes counts as one rejected contribution and ok is false.
+func (e *Env) peer(from uint16) (w int, ok bool) {
+	if int(from) >= e.N {
+		e.Reject()
+		return 0, false
+	}
+	return int(from), true
+}
+
 // Hash8 is the truncated proposal digest used inside batched vote packets
 // (the paper's "hash part" identifies each of the N proposals).
 type Hash8 [8]byte

@@ -316,7 +316,7 @@ func TestDecryptorShareBeforeCiphertext(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		decs[i].Submit(0, ct)
 	}
-	tn.run(t, 10*time.Minute, func() bool { return decs[0].Plaintext(0) != nil && len(decs[3].slots) == 1 })
+	tn.run(t, 10*time.Minute, func() bool { return decs[0].Plaintext(0) != nil && decs[3].slots[0] != nil })
 	if decs[3].Plaintext(0) != nil {
 		t.Fatal("decrypted without the ciphertext")
 	}
@@ -363,12 +363,12 @@ func rigOf[X, S, V any](c *collector[X, S, V], tl *tally[X, S, V], id int, peers
 			if err != nil {
 				panic(err)
 			}
-			tl.shares = make(map[int]S)
-			for i := 1; i < c.k; i++ {
-				tl.shares[100+i] = sh
+			tl.shares, tl.nShares = make([]heldShare[S], c.env.N), c.k-1
+			for w := 2; w <= c.k; w++ {
+				tl.shares[w] = heldShare[S]{sh, true}
 			}
 		},
-		held: func() int { return len(tl.shares) },
+		held: func() int { return tl.nShares },
 		done: func() bool { return tl.done },
 		own:  func() []byte { return tl.own },
 	}

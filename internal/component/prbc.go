@@ -118,6 +118,10 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 	if sec.Phase != packet.PhaseDone {
 		return
 	}
+	w, ok := p.env.peer(from)
+	if !ok {
+		return
+	}
 	// The sender's compressed NACK says which slots it holds proofs for;
 	// once every peer holds one, our share is no longer needed on the air.
 	for slot := range p.slots {
@@ -125,7 +129,7 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 			continue
 		}
 		s := p.slots[slot]
-		s.peersDone.Set(int(from))
+		s.peersDone.Set(w)
 		if s.peersDone.Count() >= p.env.N-1 {
 			p.env.T.Remove(core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(p.env.Me)})
 		}
@@ -136,7 +140,7 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 			continue
 		}
 		// Until our RBC delivers we do not know the hash: the share parks.
-		p.dones.offer(&p.slots[slot].proof, slot, int(from), e.Data)
+		p.dones.offer(&p.slots[slot].proof, slot, w, e.Data)
 	}
 }
 

@@ -29,8 +29,8 @@ type rbcSlot struct {
 	valueSlot
 
 	// Votes: first vote per peer wins (equivocation containment).
-	echoes  map[int]Hash8
-	readies map[int]Hash8
+	echoes  hashVotes
+	readies hashVotes
 
 	sentEcho  bool
 	sentReady bool
@@ -63,8 +63,8 @@ func NewRBC(env *Env, opts RBCOptions) *RBC {
 	}
 	for i := 0; i < opts.Slots; i++ {
 		r.slots = append(r.slots, &rbcSlot{
-			echoes:         make(map[int]Hash8),
-			readies:        make(map[int]Hash8),
+			echoes:         make(hashVotes, env.N),
+			readies:        make(hashVotes, env.N),
 			peersEchoDone:  packet.NewBitSet(env.N),
 			peersReadyDone: packet.NewBitSet(env.N),
 		})
@@ -124,7 +124,10 @@ func (r *RBC) acceptValue(slot int, value []byte) {
 
 // HandleSection implements core.Handler.
 func (r *RBC) HandleSection(from uint16, sec packet.Section) {
-	w := int(from)
+	w, ok := r.env.peer(from)
+	if !ok {
+		return
+	}
 	switch sec.Phase {
 	case packet.PhaseInitial:
 		for _, e := range sec.Entries {
@@ -167,11 +170,10 @@ func (r *RBC) handleInitial(w int, e packet.Entry) {
 
 func (r *RBC) applyEcho(slot, w int, h Hash8) {
 	s := r.slots[slot]
-	if _, seen := s.echoes[w]; seen {
+	if !s.echoes.cast(w, h) {
 		return
 	}
-	s.echoes[w] = h
-	if n := countVotes(s.echoes, h); n >= r.env.Quorum() {
+	if n := s.echoes.count(h); n >= r.env.Quorum() {
 		if !r.echoDone.Get(slot) {
 			r.echoDone.Set(slot)
 			r.env.T.SetNack(r.kind, packet.PhaseEcho, r.echoDone)
@@ -182,11 +184,10 @@ func (r *RBC) applyEcho(slot, w int, h Hash8) {
 
 func (r *RBC) applyReady(slot, w int, h Hash8) {
 	s := r.slots[slot]
-	if _, seen := s.readies[w]; seen {
+	if !s.readies.cast(w, h) {
 		return
 	}
-	s.readies[w] = h
-	n := countVotes(s.readies, h)
+	n := s.readies.count(h)
 	if n >= r.env.Weak() {
 		r.sendReady(slot, h) // READY amplification
 	}
@@ -216,12 +217,13 @@ func (r *RBC) maybeDeliver(slot int) {
 	if s.delivered {
 		return
 	}
-	// Find a hash with a READY quorum.
+	// Find the hash with a READY quorum: first votes count, so at most one
+	// has.
 	var qh Hash8
 	found := false
-	for _, h := range s.readies {
-		if countVotes(s.readies, h) >= r.env.Quorum() {
-			qh, found = h, true
+	for _, v := range s.readies {
+		if v.voted && s.readies.count(v.hash) >= r.env.Quorum() {
+			qh, found = v.hash, true
 			break
 		}
 	}
@@ -312,10 +314,26 @@ func (r *RBC) trackPeerDone(nack packet.BitSet, w int, phase packet.Phase) {
 	}
 }
 
-func countVotes(votes map[int]Hash8, h Hash8) int {
+// hashVotes is one phase's hash votes on a slot: each peer's first.
+type hashVotes []struct {
+	hash  Hash8
+	voted bool
+}
+
+// cast records peer w's vote and reports whether it was w's first.
+func (vs hashVotes) cast(w int, h Hash8) bool {
+	if vs[w].voted {
+		return false
+	}
+	vs[w].hash, vs[w].voted = h, true
+	return true
+}
+
+// count returns how many peers voted for h.
+func (vs hashVotes) count(h Hash8) int {
 	n := 0
-	for _, v := range votes {
-		if v == h {
+	for _, v := range vs {
+		if v.voted && v.hash == h {
 			n++
 		}
 	}

@@ -39,13 +39,26 @@ type tally[X, S, V any] struct {
 	// failed combination drops — but only a share that counted here is
 	// kept: one made after the threshold was reached is published once and
 	// never re-served (the sweeps' crash-recovery rows are pinned to that).
-	own       []byte
-	parked    map[int][]byte // peers' shares that arrived ahead of the subject
-	shares    map[int]S
+	own []byte
+	// parked holds, by peer, the first copy of a share that arrived ahead
+	// of the subject (nil: none; a copy is non-nil even when empty).
+	parked [][]byte
+	// shares holds the verified shares by peer, nShares of them.
+	shares    []heldShare[S]
+	nShares   int
 	combining bool
 	done      bool
 	value     V
 }
+
+// heldShare is one peer's place in a tally.
+type heldShare[S any] struct {
+	share S
+	held  bool
+}
+
+// holds reports whether node w's verified share is in.
+func (t *tally[X, S, V]) holds(w int) bool { return t.shares != nil && t.shares[w].held }
 
 // collector runs every tally of one component through the one
 // verify → collect → combine machine, and calls combined once a tally's
@@ -62,10 +75,9 @@ type collector[X, S, V any] struct {
 func (c *collector[X, S, V]) begin(t *tally[X, S, V], id int, x X, key core.IntentKey, collect bool) {
 	t.subject, t.open = x, true
 	c.contribute(t, id, key, collect)
-	// Parked shares drain in node order: map order must not leak into
-	// event scheduling.
-	for w := 0; w < c.env.N; w++ {
-		if raw, ok := t.parked[w]; ok {
+	// Parked shares drain in node order.
+	for w, raw := range t.parked {
+		if raw != nil {
 			c.offer(t, id, w, raw)
 		}
 	}
@@ -87,18 +99,19 @@ func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.Inte
 	})
 }
 
-// offer takes node w's encoded share.
+// offer takes the encoded share of node w, which the caller has checked
+// is one of the N.
 func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, raw []byte) {
-	if _, dup := t.shares[w]; dup || t.done {
+	if t.holds(w) || t.done {
 		return
 	}
 	if !t.open {
 		// Nothing to verify against yet: park the peer's first copy.
-		if _, dup := t.parked[w]; !dup {
-			if t.parked == nil {
-				t.parked = make(map[int][]byte)
-			}
-			t.parked[w] = append([]byte(nil), raw...)
+		if t.parked == nil {
+			t.parked = make([][]byte, c.env.N)
+		}
+		if t.parked[w] == nil {
+			t.parked[w] = append([]byte{}, raw...)
 		}
 		return
 	}
@@ -108,7 +121,7 @@ func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, raw []byte) {
 		return
 	}
 	c.env.Exec(c.verifyCost, func() {
-		if _, dup := t.shares[w]; dup || t.done {
+		if t.holds(w) || t.done {
 			return
 		}
 		if err := c.verify(t.subject, share); err != nil {
@@ -121,28 +134,33 @@ func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, raw []byte) {
 
 // add records a verified share (a peer's, or this node's own) unless it
 // comes too late to count, and combines once the threshold is reached.
+// The shares go to combine in node order, so a given set of contributors
+// is always the same argument.
 func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) bool {
-	if _, dup := t.shares[w]; dup || t.combining || t.done {
+	if t.holds(w) || t.combining || t.done {
 		return false
 	}
 	if t.shares == nil {
-		t.shares = make(map[int]S)
+		t.shares = make([]heldShare[S], c.env.N)
 	}
-	t.shares[w] = share
-	if len(t.shares) < c.k {
+	t.shares[w] = heldShare[S]{share, true}
+	t.nShares++
+	if t.nShares < c.k {
 		return true
 	}
 	t.combining = true
-	shares := make([]S, 0, len(t.shares))
-	for _, sh := range t.shares {
-		shares = append(shares, sh)
+	shares := make([]S, 0, t.nShares)
+	for _, h := range t.shares {
+		if h.held {
+			shares = append(shares, h.share)
+		}
 	}
 	c.env.Exec(c.combineCost, func() {
 		value, err := c.combine(t.subject, shares)
 		t.combining = false
 		if err != nil {
 			// A bad share slipped through; drop them all and wait for more.
-			t.shares = nil
+			t.shares, t.nShares = nil, 0
 			return
 		}
 		t.value, t.done = value, true

@@ -1,0 +1,138 @@
+package core
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"repro/internal/packet"
+	"repro/internal/sim"
+	"repro/internal/wireless"
+)
+
+// deaf hears every frame and does nothing with it.
+type deaf struct{}
+
+func (deaf) ReceiveFrame(wireless.NodeID, []byte) {}
+
+// newSendRig is one transport on a lossless channel with one other station
+// in range, and the 32 intents over 4 (kind, phase) pairs that one node of
+// a 4-node group holds mid-epoch.
+func newSendRig(batched bool, retx time.Duration) (*sim.Scheduler, *Transport, []Intent) {
+	s := sim.New(1)
+	wcfg := wireless.DefaultConfig()
+	wcfg.LossProb = 0
+	ch := wireless.NewChannel(s, wcfg)
+	cfg := DefaultConfig(batched)
+	cfg.RetxInterval = retx
+	auth := &SizedAuth{Len: 56, CostSign: 15 * time.Millisecond, CostVerify: 30 * time.Millisecond}
+	tr := New(s, sim.NewCPU(s), nil, auth, cfg)
+	tr.BindStation(ch.Attach(0, tr))
+	ch.Attach(1, deaf{})
+	var intents []Intent
+	for _, kp := range []struct {
+		k packet.Kind
+		p packet.Phase
+	}{{packet.KindRBC, packet.PhaseEcho}, {packet.KindRBC, packet.PhaseReady},
+		{packet.KindABA, packet.PhaseBval}, {packet.KindDec, packet.PhaseDecShare}} {
+		for i := 0; i < 8; i++ {
+			intents = append(intents, Intent{
+				IntentKey: IntentKey{Kind: kp.k, Phase: kp.p, Slot: uint8(i % 4), Sub: uint8(i / 4)},
+				Data:      []byte{byte(i), 1, 2, 3},
+			})
+		}
+	}
+	return s, tr, intents
+}
+
+// TestSendPathAllocatesOnlyTheChannelCopy: in the steady state, Update →
+// flush → sign → fragment → Broadcast allocates exactly one object per
+// radio frame — the copy the channel hands to every receiver — in both
+// transport modes. Everything else on the way (the intent store, the
+// section scratch, the CPU job and its encode buffer, the signature, the
+// radio queue, the delivery records) is reused.
+func TestSendPathAllocatesOnlyTheChannelCopy(t *testing.T) {
+	for _, batched := range []bool{true, false} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			s, tr, intents := newSendRig(batched, 0)
+			refresh := func() {
+				for _, in := range intents {
+					tr.Update(in)
+				}
+				s.Run()
+			}
+			for i := 0; i < 4; i++ {
+				refresh() // grow every buffer to its working size
+			}
+			const runs = 20
+			before := tr.Stats().FragmentsSent
+			allocs := testing.AllocsPerRun(runs, refresh)
+			frames := float64(tr.Stats().FragmentsSent-before) / (runs + 1) // AllocsPerRun warms up once
+			if frames < 1 || allocs != frames {
+				t.Fatalf("%v allocations per refresh for %v radio frames, want one each", allocs, frames)
+			}
+		})
+	}
+}
+
+// TestRetransmitTimerAllocatesNothing: the retransmission timer re-arms the
+// one event the transport owns. Left alone with its state, a transport
+// rebroadcasts it every interval, and what that allocates is again the
+// channel's copy of each radio frame and nothing else.
+func TestRetransmitTimerAllocatesNothing(t *testing.T) {
+	s, tr, intents := newSendRig(true, 4*time.Second)
+	for _, in := range intents {
+		tr.Update(in)
+	}
+	s.RunFor(time.Minute)
+	var frames uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		before := tr.Stats().FragmentsSent
+		s.RunFor(10 * time.Minute)
+		frames = tr.Stats().FragmentsSent - before
+	})
+	if frames < 100 || allocs != float64(frames) {
+		t.Fatalf("%v allocations over %d rebroadcast radio frames, want one each", allocs, frames)
+	}
+}
+
+func benchmarkFlush(b *testing.B, batched bool) {
+	s, tr, intents := newSendRig(batched, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, in := range intents {
+			tr.Update(in)
+		}
+		s.Run()
+	}
+}
+
+// BenchmarkFlushBatched refreshes the 32 standing intents and drains the
+// scheduler: one logical packet assembled, signed, fragmented and aired.
+func BenchmarkFlushBatched(b *testing.B) { benchmarkFlush(b, true) }
+
+// BenchmarkFlushBaseline is the same refresh in baseline mode: 32 logical
+// packets, one per intent.
+func BenchmarkFlushBaseline(b *testing.B) { benchmarkFlush(b, false) }
+
+// BenchmarkReassemble feeds the three radio frames of one logical packet
+// to the reassembler, a new sequence number each time.
+func BenchmarkReassemble(b *testing.B) {
+	const chunk = 240 - fragHeaderLen
+	raw := make([]byte, 3*chunk-10)
+	var frags [3][]byte
+	var r reassembler
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for idx := range frags {
+			frags[idx] = appendFragment(frags[idx][:0], raw, 2, uint32(i), idx, len(frags), chunk)
+		}
+		for idx, frag := range frags {
+			if _, ok, _ := r.feed(2, frag); ok != (idx == len(frags)-1) {
+				b.Fatalf("packet %d complete after fragment %d", i, idx)
+			}
+		}
+	}
+}

@@ -15,17 +15,24 @@ type SizedAuth struct {
 	Len        int
 	CostSign   time.Duration
 	CostVerify time.Duration
+
+	// sig is the placeholder, built on first use. One SizedAuth serves one
+	// simulation, which is single-threaded.
+	sig []byte
 }
 
 var _ Auth = (*SizedAuth)(nil)
 
-// Sign returns a deterministic placeholder signature.
+// Sign returns the deterministic placeholder signature: the same bytes
+// every time, which callers only read.
 func (a *SizedAuth) Sign(body []byte) ([]byte, error) {
-	sig := make([]byte, a.Len)
-	for i := range sig {
-		sig[i] = byte(i) ^ 0x5A
+	if len(a.sig) != a.Len {
+		a.sig = make([]byte, a.Len)
+		for i := range a.sig {
+			a.sig[i] = byte(i) ^ 0x5A
+		}
 	}
-	return sig, nil
+	return a.sig, nil
 }
 
 // Verify accepts any signature of the right length.

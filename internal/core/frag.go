@@ -1,6 +1,10 @@
 package core
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+
+	"repro/internal/wireless"
+)
 
 // Fragment header: sender(2) seq(4) idx(1) total(1). Fragments of a newer
 // logical packet from the same sender supersede any partial older one —
@@ -37,61 +41,72 @@ func appendFragment(dst, raw []byte, sender uint16, seq uint32, idx, total, chun
 	return append(dst, raw[lo:hi]...)
 }
 
+// partial is the multi-fragment logical packet one transmitter has in the
+// making. The record and its chunk table are reused from packet to packet.
 type partial struct {
 	seq    uint32
-	total  uint8
-	chunks map[uint8][]byte
+	total  uint8    // 0: nothing in the making
+	have   int      // fragments present
+	chunks [][]byte // by fragment index, nil until heard; a heard body is non-nil even when empty
 }
 
-// reassembler holds per-sender reassembly buffers. A standalone Transport
-// owns one; a Mux owns a single shared one for all of its epochs.
+// reassembler holds one reassembly buffer per transmitting station, indexed
+// by the station id the channel reports — never by the sender the fragment
+// header claims, which nothing has authenticated yet. A standalone
+// Transport owns one; a Mux owns a single shared one for all of its epochs.
 type reassembler struct {
-	bufs map[uint16]*partial
+	bufs []partial
 }
 
-func newReassembler() *reassembler {
-	return &reassembler{bufs: make(map[uint16]*partial)}
-}
-
-// feed consumes one radio frame and returns the completed logical packet
-// when all of its fragments are present.
-func (r *reassembler) feed(frag []byte) ([]byte, bool) {
+// feed consumes one radio frame heard from station from and returns the
+// completed logical packet when all of its fragments are present. forged
+// reports a fragment whose header names another sender than the station
+// that transmitted it; it is dropped, so a forger can park or supersede
+// partial packets only under its own id.
+func (r *reassembler) feed(from wireless.NodeID, frag []byte) (raw []byte, ok, forged bool) {
 	if len(frag) < fragHeaderLen {
-		return nil, false
+		return nil, false, false
 	}
-	sender := binary.BigEndian.Uint16(frag[0:])
+	if binary.BigEndian.Uint16(frag[0:]) != uint16(from) {
+		return nil, false, true
+	}
 	seq := binary.BigEndian.Uint32(frag[2:])
 	idx, total := frag[6], frag[7]
 	if total == 0 || idx >= total {
-		return nil, false
+		return nil, false, false
 	}
 	body := frag[fragHeaderLen:]
 	if total == 1 {
-		return body, true
+		return body, true, false
 	}
-	p := r.bufs[sender]
-	if p == nil || seq > p.seq {
-		p = &partial{seq: seq, total: total, chunks: make(map[uint8][]byte, total)}
-		r.bufs[sender] = p
+	// from is the channel's word, not the wire's: the table grows to the
+	// largest station id attached and no further.
+	for int(from) >= len(r.bufs) {
+		r.bufs = append(r.bufs, partial{})
 	}
-	if seq < p.seq || total != p.total {
-		return nil, false // stale or inconsistent fragment
+	p := &r.bufs[from]
+	if p.total == 0 || seq > p.seq {
+		clear(p.chunks)
+		p.chunks = append(p.chunks[:0], make([][]byte, total)...)
+		p.seq, p.total, p.have = seq, total, 0
 	}
-	if _, dup := p.chunks[idx]; dup {
-		return nil, false
+	if seq < p.seq || total != p.total || p.chunks[idx] != nil {
+		return nil, false, false // stale, inconsistent or duplicate fragment
 	}
 	p.chunks[idx] = body
-	if len(p.chunks) < int(p.total) {
-		return nil, false
+	p.have++
+	if p.have < int(p.total) {
+		return nil, false, false
 	}
 	n := 0
-	for i := uint8(0); i < p.total; i++ {
-		n += len(p.chunks[i])
+	for _, c := range p.chunks {
+		n += len(c)
 	}
 	out := make([]byte, 0, n)
-	for i := uint8(0); i < p.total; i++ {
-		out = append(out, p.chunks[i]...)
+	for _, c := range p.chunks {
+		out = append(out, c...)
 	}
-	delete(r.bufs, sender)
-	return out, true
+	clear(p.chunks)
+	p.total = 0
+	return out, true, false
 }

@@ -32,8 +32,8 @@ type Mux struct {
 
 	station *wireless.Station
 	epochs  map[uint16]*Transport
-	seq     uint32
-	reasm   *reassembler
+	out     sendState
+	reasm   reassembler
 	icept   Interceptor // propagated onto every per-epoch transport
 
 	// OnUnknownEpoch, if set, is invoked when a frame for an epoch with no
@@ -56,7 +56,6 @@ func NewMux(sched *sim.Scheduler, cpu *sim.CPU, auth Auth, cfg Config) *Mux {
 		auth:   auth,
 		cfg:    cfg,
 		epochs: make(map[uint16]*Transport),
-		reasm:  newReassembler(),
 	}
 }
 
@@ -81,15 +80,14 @@ func (m *Mux) SetInterceptor(ic Interceptor) {
 }
 
 // Open creates (or returns) the transport for an epoch. The transport
-// shares the mux's station, CPU, auth, fragment sequence space, and
-// interceptor.
+// shares the mux's station, CPU, auth, send state (fragment sequence space
+// and packet-building storage), and interceptor.
 func (m *Mux) Open(epoch uint16) *Transport {
 	if t, ok := m.epochs[epoch]; ok {
 		return t
 	}
-	t := New(m.sched, m.cpu, m.station, m.auth, m.cfg)
+	t := newTransport(m.sched, m.cpu, m.station, m.auth, m.cfg, &m.out)
 	t.epoch = epoch
-	t.seqSrc = &m.seq
 	t.icept = m.icept
 	m.epochs[epoch] = t
 	return t
@@ -134,7 +132,9 @@ func (m *Mux) Stop() {
 func (m *Mux) DroppedUnknownEpoch() uint64 { return m.dropped }
 
 // DroppedSession counts reassembled frames discarded for an unparsable
-// header or a session mismatch (foreign or corrupted traffic).
+// header or a session mismatch (foreign or corrupted traffic), and radio
+// frames whose fragment header names another sender than the station that
+// transmitted them.
 func (m *Mux) DroppedSession() uint64 { return m.droppedSess }
 
 // NoteRejected counts one node-level discard of refused inbound state
@@ -174,7 +174,10 @@ var _ wireless.Receiver = (*Mux)(nil)
 // by the frame header's epoch. Authentication happens inside the routed
 // transport, exactly as in the single-epoch path.
 func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
-	raw, ok := m.reasm.feed(payload)
+	raw, ok, forged := m.reasm.feed(from, payload)
+	if forged {
+		m.droppedSess++
+	}
 	if !ok {
 		return
 	}

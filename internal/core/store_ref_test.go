@@ -1,0 +1,293 @@
+package core
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"sort"
+	"testing"
+
+	"repro/internal/packet"
+	"repro/internal/sim"
+	"repro/internal/wireless"
+)
+
+// refStore is the intent store the transport had before it became one
+// sorted slice — a map of intents, the live keys in wire order, a map of
+// dirty keys, a NACK map — kept here verbatim as the oracle the sorted
+// store is checked against. Where the old transport called sendLogical,
+// the oracle hands the sections to send.
+type refStore struct {
+	intents map[IntentKey]Intent
+	order   []IntentKey
+	nacks   map[[2]uint8]packet.BitSet
+	dirty   map[IntentKey]bool
+
+	flushArmed bool
+	send       func([]packet.Section)
+}
+
+// keyLess is the ordering the oracle sorts by: the field-by-field
+// comparison that IntentKey.wireOrder packs into one integer.
+func keyLess(a, b IntentKey) bool {
+	if a.Kind != b.Kind {
+		return a.Kind < b.Kind
+	}
+	if a.Phase != b.Phase {
+		return a.Phase < b.Phase
+	}
+	if a.Slot != b.Slot {
+		return a.Slot < b.Slot
+	}
+	if a.Sub != b.Sub {
+		return a.Sub < b.Sub
+	}
+	return a.Round < b.Round
+}
+
+func newRefStore(send func([]packet.Section)) *refStore {
+	return &refStore{
+		intents: make(map[IntentKey]Intent),
+		nacks:   make(map[[2]uint8]packet.BitSet),
+		dirty:   make(map[IntentKey]bool),
+		send:    send,
+	}
+}
+
+func (t *refStore) apply(in Intent) {
+	if _, ok := t.intents[in.IntentKey]; !ok {
+		i := sort.Search(len(t.order), func(i int) bool { return keyLess(in.IntentKey, t.order[i]) })
+		t.order = append(t.order, IntentKey{})
+		copy(t.order[i+1:], t.order[i:])
+		t.order[i] = in.IntentKey
+	}
+	t.intents[in.IntentKey] = in
+	t.dirty[in.IntentKey] = true
+	t.flushArmed = true
+}
+
+func (t *refStore) Remove(k IntentKey) {
+	if _, ok := t.intents[k]; !ok {
+		return
+	}
+	delete(t.intents, k)
+	delete(t.dirty, k)
+	for i, ok := range t.order {
+		if ok == k {
+			t.order = append(t.order[:i], t.order[i+1:]...)
+			break
+		}
+	}
+}
+
+func (t *refStore) RemoveWhere(pred func(IntentKey) bool) {
+	kept := t.order[:0]
+	for _, k := range t.order {
+		if pred(k) {
+			delete(t.intents, k)
+			delete(t.dirty, k)
+			continue
+		}
+		kept = append(kept, k)
+	}
+	t.order = kept
+}
+
+func (t *refStore) SetNack(kind packet.Kind, phase packet.Phase, bits packet.BitSet) {
+	t.nacks[[2]uint8{uint8(kind), uint8(phase)}] = bits.Clone()
+}
+
+func (t *refStore) retransmit() {
+	if len(t.intents) == 0 {
+		return
+	}
+	for _, k := range t.order {
+		t.dirty[k] = true
+	}
+	t.flushArmed = true
+}
+
+// wake is flushWait.Wake with an idle radio.
+func (t *refStore) wake(batched bool) {
+	if !t.flushArmed {
+		return
+	}
+	t.flushArmed = false
+	if len(t.intents) == 0 {
+		return
+	}
+	if batched {
+		t.flushBatched()
+	} else {
+		t.flushBaseline()
+	}
+}
+
+func (t *refStore) flushBatched() {
+	if len(t.dirty) == 0 {
+		return
+	}
+	var secs []packet.Section
+	var ents []packet.Entry
+	var starts []int
+	for _, k := range t.order {
+		in := t.intents[k]
+		if n := len(secs); n == 0 || secs[n-1].Kind != k.Kind || secs[n-1].Phase != k.Phase {
+			secs = append(secs, packet.Section{
+				Kind:  k.Kind,
+				Phase: k.Phase,
+				Nack:  t.nacks[[2]uint8{uint8(k.Kind), uint8(k.Phase)}],
+			})
+			starts = append(starts, len(ents))
+		}
+		ents = append(ents, packet.Entry{
+			Slot: k.Slot, Sub: k.Sub, Round: k.Round, Flags: in.Flags, Data: in.Data,
+		})
+	}
+	for i := range secs {
+		end := len(ents)
+		if i+1 < len(secs) {
+			end = starts[i+1]
+		}
+		secs[i].Entries = ents[starts[i]:end]
+	}
+	clear(t.dirty)
+	t.send(secs)
+}
+
+func (t *refStore) flushBaseline() {
+	var keys []IntentKey
+	for k := range t.dirty {
+		if _, live := t.intents[k]; live {
+			keys = append(keys, k)
+		}
+	}
+	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+	clear(t.dirty)
+	for _, k := range keys {
+		in := t.intents[k]
+		t.send([]packet.Section{{
+			Kind:  k.Kind,
+			Phase: k.Phase,
+			Nack:  t.nacks[[2]uint8{uint8(k.Kind), uint8(k.Phase)}],
+			Entries: []packet.Entry{{
+				Slot: k.Slot, Sub: k.Sub, Round: k.Round, Flags: in.Flags, Data: in.Data,
+			}},
+		}})
+	}
+}
+
+// airLog keeps a copy of every radio frame it hears.
+type airLog struct{ frames [][]byte }
+
+func (a *airLog) ReceiveFrame(_ wireless.NodeID, payload []byte) {
+	a.frames = append(a.frames, bytes.Clone(payload))
+}
+
+// TestIntentStoreMatchesMapModel runs one seeded random script of Update,
+// Remove, RemoveWhere, SetNack, retransmission and flush through a real
+// transport and through the map-based oracle, in both modes, and wants the
+// same radio frames on the air in the same order — header, fragment
+// boundaries and every byte.
+func TestIntentStoreMatchesMapModel(t *testing.T) {
+	for _, batched := range []bool{true, false} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			s := sim.New(11)
+			wcfg := wireless.DefaultConfig()
+			wcfg.LossProb = 0
+			ch := wireless.NewChannel(s, wcfg)
+			auth := &SizedAuth{Len: 56}
+			cfg := DefaultConfig(batched)
+			cfg.Session, cfg.RetxInterval = 9, 0 // the script fires the timer itself
+			tr := New(s, sim.NewCPU(s), nil, auth, cfg)
+			tr.BindStation(ch.Attach(2, tr))
+			ear := &airLog{}
+			ch.Attach(0, ear)
+
+			// The oracle's logical packets, fragmented as the transport does.
+			var want [][]byte
+			sig, _ := auth.Sign(nil)
+			seq := uint32(0)
+			chunk := wcfg.MaxFrame - fragHeaderLen
+			ref := newRefStore(func(secs []packet.Section) {
+				raw, err := (&packet.Frame{Sender: 2, Session: 9, Sections: secs, Sig: sig}).Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				total := fragmentCount(len(raw), chunk)
+				for i := 0; i < total; i++ {
+					want = append(want, appendFragment(nil, raw, 2, seq, i, total, chunk))
+				}
+				seq++
+			})
+
+			rng := rand.New(rand.NewSource(12))
+			kinds := []packet.Kind{packet.KindRBC, packet.KindABA, packet.KindDec}
+			phases := []packet.Phase{packet.PhaseInitial, packet.PhaseEcho, packet.PhaseBval, packet.PhaseDecided}
+			key := func() IntentKey {
+				return IntentKey{
+					Kind:  kinds[rng.Intn(len(kinds))],
+					Phase: phases[rng.Intn(len(phases))],
+					Slot:  uint8(rng.Intn(3)),
+					Sub:   uint8(rng.Intn(2)),
+					Round: uint16(rng.Intn(3)),
+				}
+			}
+			for step := 0; step < 4000; step++ {
+				switch op := rng.Intn(20); {
+				case op < 10:
+					data := make([]byte, rng.Intn(12))
+					if rng.Intn(25) == 0 {
+						data = make([]byte, 300+rng.Intn(300)) // several fragments
+					}
+					rng.Read(data)
+					in := Intent{IntentKey: key(), Flags: uint8(rng.Intn(4)), Data: data}
+					tr.Update(in)
+					ref.apply(in)
+				case op < 13:
+					k := key()
+					tr.Remove(k)
+					ref.Remove(k)
+				case op < 15:
+					kind, round := kinds[rng.Intn(len(kinds))], uint16(rng.Intn(3))
+					pred := func(k IntentKey) bool { return k.Kind == kind && k.Round <= round }
+					tr.RemoveWhere(pred)
+					ref.RemoveWhere(pred)
+				case op < 16:
+					bits := packet.NewBitSet(4)
+					bits.Set(rng.Intn(4))
+					k := key()
+					tr.SetNack(k.Kind, k.Phase, bits)
+					ref.SetNack(k.Kind, k.Phase, bits)
+				case op < 17:
+					tr.retransmit()
+					ref.retransmit()
+				default:
+					// Let the window close and the radio drain.
+					s.Run()
+					ref.wake(batched)
+				}
+				if got, want := len(tr.live), len(ref.intents); got != want {
+					t.Fatalf("step %d: %d live intents, oracle holds %d", step, got, want)
+				}
+				if got, want := tr.nDirty, len(ref.dirty); got != want {
+					t.Fatalf("step %d: %d dirty intents, oracle holds %d", step, got, want)
+				}
+			}
+			s.Run()
+			ref.wake(batched)
+
+			if len(ear.frames) != len(want) {
+				t.Fatalf("%d radio frames on the air, oracle sent %d", len(ear.frames), len(want))
+			}
+			for i := range want {
+				if !bytes.Equal(ear.frames[i], want[i]) {
+					t.Fatalf("radio frame %d of %d differs:\n got %x\nwant %x", i, len(want), ear.frames[i], want[i])
+				}
+			}
+			if len(want) < 500 {
+				t.Fatalf("script put only %d radio frames on the air", len(want))
+			}
+		})
+	}
+}

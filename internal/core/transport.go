@@ -19,8 +19,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"repro/internal/packet"
@@ -131,55 +132,68 @@ type Transport struct {
 
 	icept Interceptor
 
-	epoch    uint16
-	intents  map[IntentKey]Intent
-	order    []IntentKey // live keys, maintained in wire (sortKeys) order
-	nacks    map[[2]uint8]packet.BitSet
-	dirty    map[IntentKey]bool // baseline: per-key pending sends
-	handlers map[packet.Kind]Handler
-
-	// Flush-time scratch, reused across flushes. Safe because sendLogical
-	// encodes the frame body before returning (the deferred work in the CPU
-	// queue holds only the encoded bytes, never these slices).
-	secScratch   []packet.Section
-	entScratch   []packet.Entry
-	startScratch []int
-	keyScratch   []IntentKey
+	epoch uint16
+	// live is the intent store: every current intent, in wire (wireOrder)
+	// order, so a flush is a walk and an update a binary search. nDirty of
+	// them are dirty: updated, or due for rebroadcast, since last sent.
+	live   []liveIntent
+	nDirty int
+	// nacks is one row per kind, indexed by phase, grown to the highest set.
+	nacks    [packet.KindLimit][]packet.BitSet
+	handlers [packet.KindLimit]Handler
 
 	// flushArmed tracks whether a flush wait (flushWait) is already queued.
 	// The wait carries no cancellation handle: after Stop it is no longer
 	// blocked and wakes once as a no-op.
 	flushArmed bool
-	retxEvt    *sim.Event
-	// retxFn is t.retransmit bound once: scheduling a method value
-	// allocates a fresh closure per call.
-	retxFn func()
-	// seqSrc allocates fragment sequence numbers. Standalone transports own
-	// a private counter; transports opened through a Mux share the mux's, so
-	// one node's frames across pipelined epochs form a single seq space.
-	seqSrc  *uint32
+	// retxEvt is the one retransmission timer, re-armed after each firing
+	// (retxArmed: queued and not yet fired); retxFn is t.retransmit bound
+	// once, because taking a method value allocates a closure each time.
+	retxEvt   sim.Event
+	retxArmed bool
+	retxFn    func()
+	// out is the node's send side: a standalone transport's own, a Mux's
+	// for the transports opened through it.
+	out     *sendState
 	stopped bool
 	// quiesced switches the periodic snapshot rebroadcast to exponential
 	// backoff (retxBoost doubles per firing, capped). See Quiesce.
 	quiesced  bool
 	retxBoost int
 
-	reasm *reassembler
+	reasm reassembler
 	stats Stats
 
-	// Logical packets waiting on the CPU ride recycled records, every
-	// received one is parsed by the one decoder (its frame lives until the
-	// handlers return, see dispatch), and every radio frame is built in
-	// the one buffer, which Broadcast copies.
+	// Every received packet is parsed by the one decoder: its frame lives
+	// until the handlers return, see dispatch.
+	dec packet.Decoder
+}
+
+// sendState is what one node's transports share on the way to the radio:
+// the fragment sequence space (one node's frames across pipelined epochs
+// form a single one, so receivers keep one reassembly buffer per peer) and
+// the storage packets are built in, so a new epoch's transport starts warm.
+type sendState struct {
+	seq uint32
+	// jobFree recycles the records logical packets wait on the CPU in,
+	// either way; an outbound one is encoded into its record's own buffer.
 	jobFree []*cpuJob
-	dec     packet.Decoder
-	fragBuf []byte
+	// Section and entry scratch, reused across flushes: sendLogical encodes
+	// the frame body before returning, so the CPU queue never holds these.
+	secScratch   []packet.Section
+	entScratch   []packet.Entry
+	startScratch []int
+	fragBuf      []byte // every radio frame is built here; Broadcast copies it
 }
 
 // New creates a transport bound to a station. Frames received on the
 // station must be routed to ReceiveFrame (wire the station's receiver to
 // the transport at attach time).
 func New(sched *sim.Scheduler, cpu *sim.CPU, station *wireless.Station, auth Auth, cfg Config) *Transport {
+	return newTransport(sched, cpu, station, auth, cfg, new(sendState))
+}
+
+func newTransport(sched *sim.Scheduler, cpu *sim.CPU, station *wireless.Station, auth Auth, cfg Config, out *sendState) *Transport {
 	if cfg.FlushDelay <= 0 {
 		cfg.FlushDelay = time.Millisecond
 	}
@@ -187,17 +201,12 @@ func New(sched *sim.Scheduler, cpu *sim.CPU, station *wireless.Station, auth Aut
 		cfg.MaxQueue = 3
 	}
 	t := &Transport{
-		sched:    sched,
-		cpu:      cpu,
-		station:  station,
-		auth:     auth,
-		cfg:      cfg,
-		intents:  make(map[IntentKey]Intent),
-		nacks:    make(map[[2]uint8]packet.BitSet),
-		dirty:    make(map[IntentKey]bool),
-		handlers: make(map[packet.Kind]Handler),
-		reasm:    newReassembler(),
-		seqSrc:   new(uint32),
+		sched:   sched,
+		cpu:     cpu,
+		station: station,
+		auth:    auth,
+		cfg:     cfg,
+		out:     out,
 	}
 	t.retxFn = t.retransmit
 	return t
@@ -232,10 +241,9 @@ func (t *Transport) Epoch() uint16 { return t.epoch }
 // In-flight frames from other epochs are dropped on receipt.
 func (t *Transport) SetEpoch(e uint16) {
 	t.epoch = e
-	t.intents = make(map[IntentKey]Intent)
-	t.order = t.order[:0]
-	t.nacks = make(map[[2]uint8]packet.BitSet)
-	t.dirty = make(map[IntentKey]bool)
+	clear(t.live)
+	t.live, t.nDirty = t.live[:0], 0
+	t.nacks = [packet.KindLimit][]packet.BitSet{}
 }
 
 // Stop cancels pending timers; the transport sends nothing further. A
@@ -283,34 +291,44 @@ func (t *Transport) Inject(in Intent) {
 	t.apply(in)
 }
 
+// liveIntent is one entry of the intent store.
+type liveIntent struct {
+	Intent
+	dirty bool
+}
+
+// find returns where k is in the store, or where it would be inserted.
+func (t *Transport) find(k IntentKey) (i int, found bool) {
+	return slices.BinarySearchFunc(t.live, k.wireOrder(), func(e liveIntent, o uint64) int {
+		return cmp.Compare(e.wireOrder(), o)
+	})
+}
+
 func (t *Transport) apply(in Intent) {
-	if _, ok := t.intents[in.IntentKey]; !ok {
-		// Keep order sorted on insert so flushes walk it directly instead
-		// of copying and re-sorting the whole key set every window.
-		i := sort.Search(len(t.order), func(i int) bool { return keyLess(in.IntentKey, t.order[i]) })
-		t.order = append(t.order, IntentKey{})
-		copy(t.order[i+1:], t.order[i:])
-		t.order[i] = in.IntentKey
+	i, found := t.find(in.IntentKey)
+	if !found {
+		t.live = slices.Insert(t.live, i, liveIntent{})
 	}
-	t.intents[in.IntentKey] = in
-	t.dirty[in.IntentKey] = true
+	e := &t.live[i]
+	e.Intent = in
+	if !e.dirty {
+		e.dirty = true
+		t.nDirty++
+	}
 	t.Flush()
 	t.ensureRetx()
 }
 
 // Remove deletes an intent (the component completed that piece of state).
 func (t *Transport) Remove(k IntentKey) {
-	if _, ok := t.intents[k]; !ok {
+	i, found := t.find(k)
+	if !found {
 		return
 	}
-	delete(t.intents, k)
-	delete(t.dirty, k)
-	for i, ok := range t.order {
-		if ok == k {
-			t.order = append(t.order[:i], t.order[i+1:]...)
-			break
-		}
+	if t.live[i].dirty {
+		t.nDirty--
 	}
+	t.live = slices.Delete(t.live, i, i+1)
 }
 
 // RemoveKind drops all intents of a kind (component teardown).
@@ -321,22 +339,34 @@ func (t *Transport) RemoveKind(kind packet.Kind) {
 // RemoveWhere deletes every intent whose key matches the predicate (used
 // by the ABAs to prune state for stale rounds and halted instances).
 func (t *Transport) RemoveWhere(pred func(IntentKey) bool) {
-	kept := t.order[:0]
-	for _, k := range t.order {
-		if pred(k) {
-			delete(t.intents, k)
-			delete(t.dirty, k)
-			continue
+	t.live = slices.DeleteFunc(t.live, func(e liveIntent) bool {
+		if !pred(e.IntentKey) {
+			return false
 		}
-		kept = append(kept, k)
-	}
-	t.order = kept
+		if e.dirty {
+			t.nDirty--
+		}
+		return true
+	})
 }
 
 // SetNack installs the compressed O(N) NACK bitmap attached to every
 // outbound section of (kind, phase).
 func (t *Transport) SetNack(kind packet.Kind, phase packet.Phase, bits packet.BitSet) {
-	t.nacks[[2]uint8{uint8(kind), uint8(phase)}] = bits.Clone()
+	row := t.nacks[kind]
+	for len(row) <= int(phase) {
+		row = append(row, nil)
+	}
+	row[phase] = bits.Clone()
+	t.nacks[kind] = row
+}
+
+// nack returns the bitmap installed for (kind, phase), or nil.
+func (t *Transport) nack(kind packet.Kind, phase packet.Phase) packet.BitSet {
+	if row := t.nacks[kind]; int(phase) < len(row) {
+		return row[phase]
+	}
+	return nil
 }
 
 // Flush schedules frame assembly after the aggregation window. Multiple
@@ -351,7 +381,7 @@ func (t *Transport) Flush() {
 }
 
 func (t *Transport) ensureRetx() {
-	if t.stopped || t.cfg.RetxInterval <= 0 || (t.retxEvt != nil && !t.retxEvt.Cancelled()) {
+	if t.stopped || t.cfg.RetxInterval <= 0 || t.retxArmed {
 		return
 	}
 	base := t.cfg.RetxInterval
@@ -359,22 +389,24 @@ func (t *Transport) ensureRetx() {
 		base *= time.Duration(t.retxBoost)
 	}
 	jitter := time.Duration(float64(base) * (0.75 + 0.5*t.sched.Rand().Float64()))
-	t.retxEvt = t.sched.After(jitter, t.retxFn)
+	t.retxArmed = true
+	t.sched.Arm(&t.retxEvt, jitter, t.retxFn)
 }
 
 // retransmit is the retransmission timer's callback.
 func (t *Transport) retransmit() {
-	t.retxEvt = nil
-	if t.stopped || len(t.intents) == 0 {
+	t.retxArmed = false
+	if t.stopped || len(t.live) == 0 {
 		return
 	}
 	if t.quiesced && t.retxBoost < 16 {
 		t.retxBoost *= 2
 	}
 	// Re-send the full current snapshot: NACK-driven repair.
-	for _, k := range t.order {
-		t.dirty[k] = true
+	for i := range t.live {
+		t.live[i].dirty = true
 	}
+	t.nDirty = len(t.live)
 	t.Flush()
 	t.ensureRetx()
 }
@@ -392,14 +424,14 @@ type flushWait Transport
 // Blocked implements sim.Waiter. A stopped transport, or one with nothing
 // to send, is not blocked: it wakes once, to no effect.
 func (w *flushWait) Blocked() bool {
-	return !w.stopped && len(w.intents) > 0 && w.station.QueueLen() >= w.cfg.MaxQueue
+	return !w.stopped && len(w.live) > 0 && w.station.QueueLen() >= w.cfg.MaxQueue
 }
 
 // Wake implements sim.Waiter: assemble and send.
 func (w *flushWait) Wake() {
 	t := (*Transport)(w)
 	t.flushArmed = false
-	if t.stopped || len(t.intents) == 0 {
+	if t.stopped || len(t.live) == 0 {
 		return
 	}
 	if t.cfg.Batched {
@@ -415,24 +447,21 @@ func (w *flushWait) Wake() {
 // entries are built in reused scratch; entry spans are attached after the
 // walk because the entries slice may reallocate while growing.
 func (t *Transport) flushBatched() {
-	if len(t.dirty) == 0 {
+	if t.nDirty == 0 {
 		return
 	}
-	secs := t.secScratch[:0]
-	ents := t.entScratch[:0]
-	starts := t.startScratch[:0]
-	for _, k := range t.order {
-		in := t.intents[k]
-		if n := len(secs); n == 0 || secs[n-1].Kind != k.Kind || secs[n-1].Phase != k.Phase {
-			secs = append(secs, packet.Section{
-				Kind:  k.Kind,
-				Phase: k.Phase,
-				Nack:  t.nacks[[2]uint8{uint8(k.Kind), uint8(k.Phase)}],
-			})
+	secs := t.out.secScratch[:0]
+	ents := t.out.entScratch[:0]
+	starts := t.out.startScratch[:0]
+	for i := range t.live {
+		e := &t.live[i]
+		e.dirty = false
+		if n := len(secs); n == 0 || secs[n-1].Kind != e.Kind || secs[n-1].Phase != e.Phase {
+			secs = append(secs, packet.Section{Kind: e.Kind, Phase: e.Phase, Nack: t.nack(e.Kind, e.Phase)})
 			starts = append(starts, len(ents))
 		}
 		ents = append(ents, packet.Entry{
-			Slot: k.Slot, Sub: k.Sub, Round: k.Round, Flags: in.Flags, Data: in.Data,
+			Slot: e.Slot, Sub: e.Sub, Round: e.Round, Flags: e.Flags, Data: e.Data,
 		})
 	}
 	for i := range secs {
@@ -442,50 +471,43 @@ func (t *Transport) flushBatched() {
 		}
 		secs[i].Entries = ents[starts[i]:end]
 	}
-	t.secScratch, t.entScratch, t.startScratch = secs, ents, starts
-	clear(t.dirty)
+	t.out.secScratch, t.out.entScratch, t.out.startScratch = secs, ents, starts
+	t.nDirty = 0
 	t.sendLogical(secs)
 }
 
 // flushBaseline emits one logical frame per dirty intent — the unbatched
 // deployment where every instance-phase event competes for the channel
-// separately.
+// separately. The store is in wire order, so its dirty entries are sent
+// in wire order as they are met.
 func (t *Transport) flushBaseline() {
-	keys := t.keyScratch[:0]
-	for k := range t.dirty {
-		if _, live := t.intents[k]; live {
-			keys = append(keys, k)
+	for i := range t.live {
+		e := &t.live[i]
+		if !e.dirty {
+			continue
 		}
-	}
-	sortKeys(keys)
-	t.keyScratch = keys
-	clear(t.dirty)
-	for _, k := range keys {
-		in := t.intents[k]
-		secs := t.secScratch[:0]
-		ents := t.entScratch[:0]
-		ents = append(ents, packet.Entry{
-			Slot: k.Slot, Sub: k.Sub, Round: k.Round, Flags: in.Flags, Data: in.Data,
+		e.dirty = false
+		ents := append(t.out.entScratch[:0], packet.Entry{
+			Slot: e.Slot, Sub: e.Sub, Round: e.Round, Flags: e.Flags, Data: e.Data,
 		})
-		secs = append(secs, packet.Section{
-			Kind:    k.Kind,
-			Phase:   k.Phase,
-			Nack:    t.nacks[[2]uint8{uint8(k.Kind), uint8(k.Phase)}],
-			Entries: ents,
+		secs := append(t.out.secScratch[:0], packet.Section{
+			Kind: e.Kind, Phase: e.Phase, Nack: t.nack(e.Kind, e.Phase), Entries: ents,
 		})
-		t.secScratch, t.entScratch = secs, ents
+		t.out.secScratch, t.out.entScratch = secs, ents
 		t.sendLogical(secs)
 	}
+	t.nDirty = 0
 }
 
 // sendLogical signs and fragments one logical packet. Signing is charged
 // to the node's CPU before the frame reaches the radio. The body is
-// encoded into a pooled buffer before this returns — required so the
-// caller's section/entry scratch can be reused — and the buffer is
-// recycled once the fragments (which copy out of it) are on the air.
-// Intent data and NACK bitmaps are snapshots that are never mutated in
-// place, so encoding now and signing at the virtual completion time
-// produce the same bytes the deferred encoding did.
+// encoded into the CPU job's own buffer before this returns — required so
+// the caller's section/entry scratch can be reused — and the job record,
+// buffer included, is recycled once the fragments (which Broadcast copies
+// out of it) are on the air. Intent data and NACK bitmaps are snapshots
+// that are never mutated in place, so encoding now and signing at the
+// virtual completion time produce the same bytes the deferred encoding
+// did.
 func (t *Transport) sendLogical(sections []packet.Section) {
 	frame := packet.Frame{
 		Sender:   uint16(t.station.ID()),
@@ -493,75 +515,81 @@ func (t *Transport) sendLogical(sections []packet.Section) {
 		Epoch:    t.epoch,
 		Sections: sections,
 	}
-	body, err := frame.AppendBody(packet.GetBuf())
+	j := t.job()
+	body, err := frame.AppendBody(j.enc[:0])
 	if err != nil {
 		panic(fmt.Sprintf("core: frame encoding: %v", err))
 	}
-	seq := *t.seqSrc
-	*t.seqSrc++
-	t.exec(t.auth.SignCost(), true, body, seq)
+	j.send, j.enc, j.seq = true, body, t.out.seq
+	t.out.seq++
+	t.cpu.Exec(t.auth.SignCost(), j.run)
 }
 
 // cpuJob is one logical packet waiting on the node's CPU: for its signing
 // time on the way out, for its verification time on the way in. Records
-// are recycled through Transport.jobFree, so neither direction allocates a
-// closure per packet.
+// are recycled through sendState.jobFree, so neither direction allocates a
+// closure per packet, and an outbound packet is encoded, signed and
+// fragmented in its record's own buffer.
 type cpuJob struct {
 	t    *Transport
 	send bool
-	buf  []byte // out: pooled buffer holding the encoded body; in: the packet
+	enc  []byte // out: the encoded body, then the signed packet; kept for reuse
 	seq  uint32 // out: fragment sequence number
+	raw  []byte // in: the packet
 	run  func() // j.exec, bound once
 }
 
-// exec charges cost to the CPU, then signs and broadcasts buf (send) or
-// verifies and dispatches it.
-func (t *Transport) exec(cost time.Duration, send bool, buf []byte, seq uint32) {
+// job takes a CPU job record off the node's free list, or makes one.
+func (t *Transport) job() *cpuJob {
 	var j *cpuJob
-	if n := len(t.jobFree); n > 0 {
-		j, t.jobFree = t.jobFree[n-1], t.jobFree[:n-1]
+	if n := len(t.out.jobFree); n > 0 {
+		j, t.out.jobFree = t.out.jobFree[n-1], t.out.jobFree[:n-1]
 	} else {
-		j = &cpuJob{t: t}
+		j = new(cpuJob)
 		j.run = j.exec
 	}
-	j.send, j.buf, j.seq = send, buf, seq
-	t.cpu.Exec(cost, j.run)
+	j.t = t
+	return j
 }
 
+// exec runs at the job's completion time on the CPU: sign and broadcast,
+// or verify and dispatch. The record goes back to the free list once
+// nothing reads its buffer any more.
 func (j *cpuJob) exec() {
-	t, send, buf, seq := j.t, j.send, j.buf, j.seq
-	j.buf = nil
-	t.jobFree = append(t.jobFree, j)
-	if send {
-		t.signAndBroadcast(buf, seq)
+	t := j.t
+	if j.send {
+		t.signAndBroadcast(j)
 	} else {
-		t.dispatch(buf)
+		t.dispatch(j.raw)
 	}
+	j.t, j.raw = nil, nil
+	t.out.jobFree = append(t.out.jobFree, j)
 }
 
 // signAndBroadcast completes sendLogical at the signing job's completion
-// time: raw is the pooled buffer holding the encoded body.
-func (t *Transport) signAndBroadcast(raw []byte, seq uint32) {
-	if !t.stopped {
-		sig, err := t.auth.Sign(raw)
-		if err != nil {
-			panic(fmt.Sprintf("core: frame signing: %v", err))
-		}
-		t.stats.SignOps++
-		raw = append(raw, byte(len(sig)>>8), byte(len(sig)))
-		raw = append(raw, sig...)
-		t.stats.LogicalSent++
-		t.stats.BytesSent += uint64(len(raw))
-		sender := uint16(t.station.ID())
-		chunk := t.station.Channel().Config().MaxFrame - fragHeaderLen
-		total := fragmentCount(len(raw), chunk)
-		for i := 0; i < total; i++ {
-			t.fragBuf = appendFragment(t.fragBuf[:0], raw, sender, seq, i, total, chunk)
-			t.stats.FragmentsSent++
-			t.station.Broadcast(t.fragBuf)
-		}
+// time: j.enc holds the encoded body.
+func (t *Transport) signAndBroadcast(j *cpuJob) {
+	if t.stopped {
+		return
 	}
-	packet.PutBuf(raw)
+	sig, err := t.auth.Sign(j.enc)
+	if err != nil {
+		panic(fmt.Sprintf("core: frame signing: %v", err))
+	}
+	t.stats.SignOps++
+	raw := append(j.enc, byte(len(sig)>>8), byte(len(sig)))
+	raw = append(raw, sig...)
+	j.enc = raw
+	t.stats.LogicalSent++
+	t.stats.BytesSent += uint64(len(raw))
+	sender := uint16(t.station.ID())
+	chunk := t.station.Channel().Config().MaxFrame - fragHeaderLen
+	total := fragmentCount(len(raw), chunk)
+	for i := 0; i < total; i++ {
+		t.out.fragBuf = appendFragment(t.out.fragBuf[:0], raw, sender, j.seq, i, total, chunk)
+		t.stats.FragmentsSent++
+		t.station.Broadcast(t.out.fragBuf)
+	}
 }
 
 // ReceiveFrame implements wireless.Receiver: reassemble, verify, dispatch.
@@ -569,7 +597,10 @@ func (t *Transport) ReceiveFrame(from wireless.NodeID, payload []byte) {
 	if t.stopped {
 		return
 	}
-	raw, ok := t.reasm.feed(payload)
+	raw, ok, forged := t.reasm.feed(from, payload)
+	if forged {
+		t.stats.AuthFailures++
+	}
 	if !ok {
 		return
 	}
@@ -586,7 +617,9 @@ func (t *Transport) receiveLogical(raw []byte) {
 	if t.stopped {
 		return
 	}
-	t.exec(t.auth.VerifyCost(), false, raw, 0)
+	j := t.job()
+	j.send, j.raw = false, raw
+	t.cpu.Exec(t.auth.VerifyCost(), j.run)
 }
 
 // dispatch completes receiveLogical at the verification job's completion
@@ -609,8 +642,9 @@ func (t *Transport) dispatch(raw []byte) {
 	default:
 		t.stats.LogicalRecv++
 		for _, sec := range frame.Sections {
-			if h, ok := t.handlers[sec.Kind]; ok {
-				h.HandleSection(frame.Sender, sec)
+			// The kind is a byte off the wire: past the table, no handler.
+			if int(sec.Kind) < len(t.handlers) && t.handlers[sec.Kind] != nil {
+				t.handlers[sec.Kind].HandleSection(frame.Sender, sec)
 			}
 		}
 	}
@@ -622,24 +656,8 @@ func (t *Transport) dispatch(raw []byte) {
 	t.dec.Release()
 }
 
-// keyLess is the wire ordering of intent keys: sections group by
-// (kind, phase), entries order by (slot, sub, round).
-func keyLess(a, b IntentKey) bool {
-	if a.Kind != b.Kind {
-		return a.Kind < b.Kind
-	}
-	if a.Phase != b.Phase {
-		return a.Phase < b.Phase
-	}
-	if a.Slot != b.Slot {
-		return a.Slot < b.Slot
-	}
-	if a.Sub != b.Sub {
-		return a.Sub < b.Sub
-	}
-	return a.Round < b.Round
-}
-
-func sortKeys(keys []IntentKey) {
-	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
+// wireOrder packs a key so that integer order is the wire ordering:
+// sections group by (kind, phase), entries order by (slot, sub, round).
+func (k IntentKey) wireOrder() uint64 {
+	return uint64(k.Kind)<<40 | uint64(k.Phase)<<32 | uint64(k.Slot)<<24 | uint64(k.Sub)<<16 | uint64(k.Round)
 }

@@ -208,11 +208,8 @@ func TestLostFragmentRecoveredByRetransmission(t *testing.T) {
 	if len(r.received[1][packet.KindRBC]) != 0 {
 		t.Fatal("partial packet delivered despite lost fragment")
 	}
-	// Simulate the retransmission timer: mark dirty and flush again.
-	for k := range tr.intents {
-		tr.dirty[k] = true
-	}
-	tr.Flush()
+	// The retransmission timer fires: everything is dirty and flushed again.
+	tr.retransmit()
 	r.sched.Run()
 	if len(r.received[1][packet.KindRBC]) != 1 {
 		t.Fatal("snapshot retransmission did not repair the loss")

@@ -56,6 +56,11 @@ const (
 	PhaseDecided  Phase = 14 // ABA termination claims (f+1 matching => adopt)
 )
 
+// KindLimit is the size of a table indexed by Kind: one past the largest
+// value defined above. A kind read off the wire is checked against it
+// before it indexes anything.
+const KindLimit = int(KindVCBC) + 1
+
 // Entry is one instance-granular contribution inside a section: the
 // sender's state for instance Slot (optionally sub-indexed by Sub, e.g. a
 // fragment number or a voter id) at round Round.
@@ -159,8 +164,8 @@ func (s *Section) append(buf []byte) ([]byte, error) {
 
 // Decode parses a full frame and returns it along with the body length
 // (the prefix of raw covered by the signature). The frame shares nothing
-// with raw — it is parsed out of a private copy — so raw may be a pooled
-// buffer on its way back to PutBuf. Receive paths that own immutable bytes
+// with raw — it is parsed out of a private copy — so the caller may
+// overwrite or reuse raw at once. Receive paths that own immutable bytes
 // use a Decoder directly and skip both the copy and the allocations.
 func Decode(raw []byte) (*Frame, int, error) {
 	return new(Decoder).Decode(bytes.Clone(raw))

@@ -97,11 +97,19 @@ type ACS struct {
 	encrypt bool
 
 	abaStarted bool
-	delivered  map[int]bool
-	decisions  map[int]bool
-	plains     map[int][]byte
+	slots      []acsSlot // by proposer slot
+	nDelivered int
+	nDecided   int
 	outputs    [][]byte
 	onDecide   func()
+}
+
+// acsSlot is what the subset knows about one proposer's slot: whether its
+// RBC delivered, whether its ABA decided and what, and its decrypted
+// proposal once opened (nil for a malformed ciphertext).
+type acsSlot struct {
+	delivered, decided, accepted, opened bool
+	plain                                []byte
 }
 
 // ACSOptions configures an ACS instance.
@@ -115,12 +123,10 @@ type ACSOptions struct {
 // NewACS builds the instance and registers its components.
 func NewACS(env *component.Env, opts ACSOptions) *ACS {
 	a := &ACS{
-		env:       env,
-		encrypt:   opts.Encrypt,
-		delivered: make(map[int]bool),
-		decisions: make(map[int]bool),
-		plains:    make(map[int][]byte),
-		onDecide:  opts.OnDecide,
+		env:      env,
+		encrypt:  opts.Encrypt,
+		slots:    make([]acsSlot, env.N),
+		onDecide: opts.OnDecide,
 	}
 	a.rbc = component.NewRBC(env, component.RBCOptions{
 		Slots:     env.N,
@@ -162,11 +168,14 @@ func (a *ACS) Outputs() [][]byte { return a.outputs }
 // completed set, 0 for the rest — so Byzantine nodes cannot exploit early
 // coin access, and the fastest 2f+1 proposals are favored.
 func (a *ACS) onRBCDeliver(slot int, _ []byte) {
-	a.delivered[slot] = true
-	if !a.abaStarted && len(a.delivered) >= a.env.Quorum() {
+	if s := &a.slots[slot]; !s.delivered {
+		s.delivered = true
+		a.nDelivered++
+	}
+	if !a.abaStarted && a.nDelivered >= a.env.Quorum() {
 		a.abaStarted = true
-		for s := 0; s < a.env.N; s++ {
-			a.aba.Input(s, a.delivered[s])
+		for s := range a.slots {
+			a.aba.Input(s, a.slots[s].delivered)
 		}
 	}
 	a.maybeFinish()
@@ -180,10 +189,15 @@ func (a *ACS) onRBCDeliver(slot int, _ []byte) {
 const abaRepairGrace = 8 * time.Second
 
 func (a *ACS) onABADecide(slot int, v bool) {
-	a.decisions[slot] = v
-	if v && !a.delivered[slot] {
+	s := &a.slots[slot]
+	if !s.decided {
+		s.decided = true
+		a.nDecided++
+	}
+	s.accepted = v
+	if v && !s.delivered {
 		a.env.Sched.PostAfter(abaRepairGrace, func() {
-			if !a.delivered[slot] {
+			if !s.delivered {
 				a.rbc.RequestRepair(slot)
 			}
 		})
@@ -192,7 +206,7 @@ func (a *ACS) onABADecide(slot int, v bool) {
 }
 
 func (a *ACS) onPlain(slot int, plain []byte) {
-	a.plains[slot] = plain
+	a.slots[slot].plain, a.slots[slot].opened = plain, true
 	a.maybeFinish()
 }
 
@@ -200,40 +214,37 @@ func (a *ACS) onPlain(slot int, plain []byte) {
 // accepted slot's RBC has delivered (totality guarantees it will), and —
 // with encryption — every accepted ciphertext has been decrypted.
 func (a *ACS) maybeFinish() {
-	if a.outputs != nil || len(a.decisions) < a.env.N {
+	if a.outputs != nil || a.nDecided < a.env.N {
 		return
 	}
-	for slot := 0; slot < a.env.N; slot++ {
-		v := a.decisions[slot]
-		if !v {
+	for slot := range a.slots {
+		s := &a.slots[slot]
+		if !s.accepted {
 			continue
 		}
-		if !a.delivered[slot] {
+		if !s.delivered {
 			return // RBC totality will deliver it; NACK repair is running
 		}
-		if a.encrypt {
-			if _, ok := a.plains[slot]; !ok {
-				ct, err := component.DecodeCiphertext(a.rbc.Value(slot))
-				if err != nil {
-					// Malformed ciphertext from a Byzantine proposer: the
-					// slot contributes nothing.
-					a.env.Reject()
-					a.plains[slot] = nil
-					continue
-				}
-				a.dec.Submit(slot, ct)
-				return
+		if a.encrypt && !s.opened {
+			ct, err := component.DecodeCiphertext(a.rbc.Value(slot))
+			if err != nil {
+				// Malformed ciphertext from a Byzantine proposer: the
+				// slot contributes nothing.
+				a.env.Reject()
+				s.opened = true
+				continue
 			}
+			a.dec.Submit(slot, ct)
+			return
 		}
 	}
 	outputs := make([][]byte, a.env.N)
-	for slot := 0; slot < a.env.N; slot++ {
-		v := a.decisions[slot]
-		if !v {
+	for slot, s := range a.slots {
+		if !s.accepted {
 			continue
 		}
 		if a.encrypt {
-			outputs[slot] = a.plains[slot]
+			outputs[slot] = s.plain
 		} else {
 			outputs[slot] = a.rbc.Value(slot)
 		}

@@ -68,16 +68,19 @@ func TestDebugHoneyBadgerTrace(t *testing.T) {
 		return
 	}
 	for i, a := range insts {
-		decs := ""
-		for s := 0; s < 4; s++ {
-			if v, ok := a.decisions[s]; ok {
-				decs += fmt.Sprintf("%d:%v ", s, v)
+		decs, plains := "", 0
+		for s, sl := range a.slots {
+			if sl.decided {
+				decs += fmt.Sprintf("%d:%v ", s, sl.accepted)
 			} else {
 				decs += fmt.Sprintf("%d:? ", s)
 			}
+			if sl.opened {
+				plains++
+			}
 		}
 		t.Logf("node %d: rbcDelivered=%d abaStarted=%v decisions=[%s] plains=%d outputs=%v done=%v",
-			i, a.rbc.DeliveredCount(), a.abaStarted, decs, len(a.plains), a.outputs != nil, done[i])
+			i, a.rbc.DeliveredCount(), a.abaStarted, decs, plains, a.outputs != nil, done[i])
 	}
 	t.Fatalf("stuck at %v", sched.Now())
 }

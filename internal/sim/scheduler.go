@@ -12,9 +12,10 @@ import (
 )
 
 // Event is the cancellation handle for a callback scheduled with At or
-// After. Most events are never cancelled; schedule those with Post or
-// PostAfter instead, which skip the handle allocation entirely — the
-// queue slot itself carries the callback.
+// After, which allocate it, or with Arm, which takes one the caller owns.
+// Most events are never cancelled; schedule those with Post or PostAfter
+// instead, which need no handle at all — the queue slot itself carries
+// the callback.
 type Event struct {
 	at        time.Duration
 	fn        func()
@@ -27,9 +28,9 @@ type Event struct {
 }
 
 // Cancel prevents the event from firing. Cancelling an already-fired or
-// already-cancelled event is a no-op.
+// already-cancelled event, or a handle that was never armed, is a no-op.
 func (e *Event) Cancel() {
-	if e == nil || e.cancelled {
+	if e == nil || e.cancelled || e.s == nil {
 		return
 	}
 	e.cancelled = true
@@ -173,6 +174,23 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Event {
 	s.push(item{at: t, seq: s.seq, e: e})
 	s.seq++
 	return e
+}
+
+// Arm schedules fn to run d from now on a handle the caller owns, exactly
+// as After would — same clamping, same place in the firing order, the one
+// next sequence number — minus After's allocation. The handle must not be
+// queued: a zero Event, one that has fired (a timer re-arming itself from
+// its callback), or a cancelled one whose slot is gone. Arm resets it.
+func (s *Scheduler) Arm(e *Event, d time.Duration, fn func()) {
+	if e.s != nil && !e.popped {
+		panic("sim: Arm on an event that is still queued")
+	}
+	if d < 0 {
+		d = 0
+	}
+	*e = Event{at: s.now + d, fn: fn, s: s}
+	s.push(item{at: e.at, seq: s.seq, e: e})
+	s.seq++
 }
 
 // Post schedules fn at absolute virtual time t with no cancellation

@@ -473,3 +473,87 @@ func TestLaneSharedByManyPollers(t *testing.T) {
 		}
 	}
 }
+
+// TestArmFiresLikeAfter: a timer that re-arms one owned handle with Arm
+// takes the same places in the firing order, among same-time ties
+// included, as one that takes a fresh handle from After each time — and
+// leaves Fired and Pending the same.
+func TestArmFiresLikeAfter(t *testing.T) {
+	run := func(arm bool) (log []string, fired uint64) {
+		s := New(7)
+		var owned Event
+		var tick func()
+		ticks := 0
+		schedule := func(d time.Duration) {
+			if arm {
+				s.Arm(&owned, d, tick)
+			} else {
+				s.After(d, tick)
+			}
+		}
+		tick = func() {
+			log = append(log, "tick@"+s.Now().String())
+			if ticks++; ticks < 20 {
+				// Ties with the Post below: the sequence number decides.
+				s.Post(s.Now()+time.Duration(ticks%3)*time.Millisecond, func() { log = append(log, "post@"+s.Now().String()) })
+				schedule(time.Duration(ticks%3) * time.Millisecond)
+			}
+		}
+		schedule(-time.Second) // clamped to now
+		s.Run()
+		if s.Pending() != 0 {
+			t.Fatalf("arm=%v: %d events pending after Run", arm, s.Pending())
+		}
+		return log, s.Fired()
+	}
+	want, wantFired := run(false)
+	got, gotFired := run(true)
+	if gotFired != wantFired || len(got) != len(want) {
+		t.Fatalf("Arm fired %d events (%d logged), After %d (%d)", gotFired, len(got), wantFired, len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("firing %d: Arm %s, After %s", i, got[i], want[i])
+		}
+	}
+}
+
+// TestArmCancelAndReuse: an armed handle cancels like any other, may not be
+// armed again while its slot is still queued, and may once the slot has
+// gone; re-arming allocates nothing.
+func TestArmCancelAndReuse(t *testing.T) {
+	s := New(1)
+	var e Event
+	e.Cancel() // never armed: nothing to cancel
+	fired := 0
+	fn := func() { fired++ }
+	s.Arm(&e, time.Second, fn)
+	if e.Cancelled() || e.At() != time.Second || s.Pending() != 1 {
+		t.Fatalf("armed: cancelled=%v at=%v pending=%d", e.Cancelled(), e.At(), s.Pending())
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Arm on a queued event did not panic")
+			}
+		}()
+		s.Arm(&e, time.Second, fn)
+	}()
+	e.Cancel()
+	s.Run()
+	if fired != 0 || s.Pending() != 0 || s.Cancelled() != 0 {
+		t.Fatalf("after cancel: fired=%d pending=%d cancelled=%d", fired, s.Pending(), s.Cancelled())
+	}
+	s.Arm(&e, time.Second, fn) // the cancelled slot was discarded: free again
+	s.Run()
+	if fired != 1 || e.Cancelled() {
+		t.Fatalf("re-armed after cancel: fired=%d cancelled=%v", fired, e.Cancelled())
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		s.Arm(&e, time.Second, fn)
+		s.Step()
+	})
+	if allocs != 0 || fired != 102 {
+		t.Fatalf("re-arming: %v allocations per cycle, %d firings", allocs, fired)
+	}
+}

@@ -2,6 +2,7 @@ package wireless
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -64,9 +65,13 @@ type Channel struct {
 	pending []*station
 	winners []*station
 	// tx is the one transmission on the air (the medium carries one at a
-	// time) and txDoneFn its completion, c.txDone bound once.
-	tx       transmission
-	txDoneFn func()
+	// time) and txDoneFn its completion, c.txDone bound once. Likewise the
+	// one collision episode: collisionAir is how long its longest frame
+	// keeps the medium busy, collisionDoneFn its completion.
+	tx              transmission
+	txDoneFn        func()
+	collisionAir    time.Duration
+	collisionDoneFn func()
 	// free holds delivery records for reuse.
 	free []*delivery
 }
@@ -79,7 +84,7 @@ func NewChannel(s *sim.Scheduler, cfg Config) *Channel {
 		panic(err)
 	}
 	c := &Channel{sched: s, cfg: cfg}
-	c.arbFn, c.txDoneFn = c.arbitrate, c.txDone
+	c.arbFn, c.txDoneFn, c.collisionDoneFn = c.arbitrate, c.txDone, c.collisionDone
 	return c
 }
 
@@ -234,8 +239,10 @@ func (c *Channel) txDone() {
 	// The queue may have been Reset (node crash) while this frame was on
 	// the air; frames queued since then belong to a new generation and
 	// must not be popped by this stale completion.
+	// The queue slides down rather than re-slicing from the front, which
+	// would walk its capacity away and make Broadcast reallocate it.
 	if tx.gen == st.gen && len(st.queue) > 0 {
-		st.queue = st.queue[1:]
+		st.queue = slices.Delete(st.queue, 0, 1)
 	}
 	st.cw = c.cfg.CWMin
 	st.accesses++
@@ -261,11 +268,17 @@ func (c *Channel) beginCollision(winners []*station, start time.Duration) {
 			st.cw *= 2
 		}
 	}
-	c.sched.Post(end, func() {
-		c.stats.Collisions++
-		c.stats.AirTime += maxAir
-		c.kick()
-	})
+	c.collisionAir = maxAir
+	c.sched.Post(end, c.collisionDoneFn)
+}
+
+// collisionDone ends the collision episode begun by beginCollision. There
+// is one at a time: busyTill keeps the next contention round off the
+// medium until this one is over.
+func (c *Channel) collisionDone() {
+	c.stats.Collisions++
+	c.stats.AirTime += c.collisionAir
+	c.kick()
 }
 
 // deliver fans a successful frame out to every other station, applying

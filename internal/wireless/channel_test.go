@@ -338,3 +338,40 @@ func BenchmarkDeliver(b *testing.B) {
 		b.Fatalf("delivered %d frames, want %d", got, 3*b.N)
 	}
 }
+
+// TestContendedBroadcastAllocatesOnlyTheCopy: three stations that keep
+// their queues full contend, collide and transmit, and in the steady state
+// the only allocation is Broadcast's copy of each frame. A transmit queue
+// keeps its capacity as it drains (txDone slides it down instead of
+// re-slicing it from the front), and a collision's completion is a bound
+// method, not a fresh closure.
+func TestContendedBroadcastAllocatesOnlyTheCopy(t *testing.T) {
+	s := sim.New(3)
+	ch := NewChannel(s, lossless())
+	var st [3]*Station
+	for i := range st {
+		st[i] = ch.Attach(NodeID(i), discard{})
+	}
+	frame := make([]byte, 60)
+	round := func() {
+		for i := 0; i < 12; i++ {
+			st[i%3].Broadcast(frame)
+		}
+		s.Run()
+	}
+	round()
+	round()
+	before := ch.Stats()
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, round)
+	after := ch.Stats()
+	if after.Collisions == before.Collisions {
+		t.Fatal("no collision in the measured rounds: the test does not reach collisionDone")
+	}
+	if got := after.Accesses - before.Accesses; got != 12*(runs+1) {
+		t.Fatalf("%d frames transmitted, want %d", got, 12*(runs+1))
+	}
+	if allocs != 12 {
+		t.Fatalf("%v allocations per round of 12 frames, want 12", allocs)
+	}
+}
