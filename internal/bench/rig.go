@@ -47,16 +47,11 @@ func NewComponentRig(seed int64, batched bool, cfg crypto.Config, net wireless.C
 	ncfg := node.Config{Batched: batched, Seed: seed}
 	for i := 0; i < n; i++ {
 		nd := node.New(sched, ch, wireless.NodeID(i), suites[i], ncfg)
-		rig.Envs = append(rig.Envs, &component.Env{
-			N: n, F: f, Me: i,
-			Suite: suites[i],
-			T:     nd.Transport(),
-			CPU:   nd.CPU,
-			Sched: sched,
-			// The rig keeps its historical RNG derivation so component
-			// benchmark trajectories stay comparable across PRs.
-			Rand: rand.New(rand.NewSource(seed + int64(i)*337)),
-		})
+		env := nd.Env(n, f)
+		// The rig keeps its historical RNG derivation so component
+		// benchmark trajectories stay comparable across PRs.
+		env.Rand = rand.New(rand.NewSource(seed + int64(i)*337))
+		rig.Envs = append(rig.Envs, env)
 	}
 	return rig, nil
 }

@@ -82,7 +82,7 @@ func TestPRBCByzantineShareRejected(t *testing.T) {
 	}
 	tn.run(t, 30*time.Minute, func() bool {
 		for i := 0; i < 3; i++ { // honest nodes
-			if prbcs[i].ProvenCount() < 4 {
+			if prbcs[i].sigDone.Count() < 4 {
 				return false
 			}
 		}
@@ -178,5 +178,28 @@ func TestForgedFrameRejectedByRealAuth(t *testing.T) {
 	}
 	if err := auth.Verify(2, body, sig); err != nil {
 		t.Fatalf("honest verification failed: %v", err)
+	}
+}
+
+// TestDecodeCiphertextChecksTag hands the decoder what an equivocating
+// proposer's mixed fragments reassemble to: a ciphertext whose header — C1,
+// tag, body length — is intact and whose body is not the one the tag binds.
+// No node will make a decryption share of it, so it must be refused at
+// decode, where ACS rejects the slot, and not handed to the Decryptor,
+// where the epoch would wait on a plaintext for ever.
+func TestDecodeCiphertextChecksTag(t *testing.T) {
+	tn := newTestNet(t, 25, 0, true)
+	ct, err := tn.envs[0].Suite.TE.Encrypt([]byte("a proposal worth censoring"), tn.envs[0].Rand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw := EncodeCiphertext(ct)
+	if _, err := DecodeCiphertext(raw); err != nil {
+		t.Fatalf("genuine ciphertext refused: %v", err)
+	}
+	raw[len(raw)-1] ^= 0xA5
+	got, err := DecodeCiphertext(raw)
+	if err == nil {
+		t.Fatalf("ciphertext with a rewritten body decoded: C1 %v, %d B body", got.C1, len(got.Body))
 	}
 }

@@ -102,7 +102,10 @@ func EncodeCiphertext(ct *threshenc.Ciphertext) []byte {
 	return append(buf, ct.Body...)
 }
 
-// DecodeCiphertext parses a threshold ciphertext.
+// DecodeCiphertext parses a threshold ciphertext and checks its binding
+// tag: a ciphertext that parses but fails the tag is one no node will make
+// a decryption share of, so it is refused here with the malformed ones and
+// the caller never waits on its plaintext.
 func DecodeCiphertext(buf []byte) (*threshenc.Ciphertext, error) {
 	c1, rest, err := readBig(buf)
 	if err != nil {
@@ -121,6 +124,9 @@ func DecodeCiphertext(buf []byte) (*threshenc.Ciphertext, error) {
 		return nil, errShortShare
 	}
 	ct.Body = append([]byte(nil), rest[:n]...)
+	if err := threshenc.CheckCiphertext(&ct); err != nil {
+		return nil, err
+	}
 	return &ct, nil
 }
 

@@ -209,7 +209,7 @@ func TestPRBCProofsVerify(t *testing.T) {
 	}
 	tn.run(t, 15*time.Minute, func() bool {
 		for _, p := range prbcs {
-			if p.ProvenCount() < 4 {
+			if p.sigDone.Count() < 4 {
 				return false
 			}
 		}

@@ -51,12 +51,11 @@ var kernelKinds = []struct {
 	{"vcbc", packet.KindVCBC, false},
 }
 
-// newKernel builds one instance per node, wrapped as VCBC so the proof
-// export is available whatever the wire kind.
-func newKernel(tn *testNet, kind packet.Kind, small bool) []*VCBC {
-	out := make([]*VCBC, len(tn.envs))
+// newKernel builds one instance per node.
+func newKernel(tn *testNet, kind packet.Kind, small bool) []*CBC {
+	out := make([]*CBC, len(tn.envs))
 	for i, env := range tn.envs {
-		out[i] = &VCBC{NewCBC(env, CBCOptions{Kind: kind, Slots: 4, Small: small})}
+		out[i] = NewCBC(env, CBCOptions{Kind: kind, Slots: 4, Small: small})
 	}
 	return out
 }
@@ -110,51 +109,12 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 			finish := EncodeFinish(nodes[0].slots[0].certHash, nodes[0].slots[0].cert.value)
 			initial := leaderOut.entries(packet.PhaseInitial, 0)
 
-			t.Run("proof transfers", func(t *testing.T) {
-				// Same seed, same dealt keys: a node of a deployment that
-				// never ran the broadcast.
-				fresh := newKernel(newTestNet(t, seed, 0, true), k.kind, k.small)[2]
-				proof := nodes[0].Proof(1)
-				if proof == nil {
-					t.Fatal("no proof for a delivered slot")
-				}
-				if err := fresh.VerifyProof(1, proof); err != nil {
-					t.Fatalf("proof rejected by a node that never delivered: %v", err)
-				}
-				if fresh.VerifyProof(2, proof) == nil {
-					t.Error("proof accepted for another slot")
-				}
-				p, _ := DecodeVCBCProof(proof)
-				p.Slot = 2
-				if fresh.VerifyProof(2, EncodeVCBCProof(p)) == nil {
-					t.Error("proof re-labelled to another slot verified")
-				}
-				fresh.env.Epoch++
-				if fresh.VerifyProof(1, proof) == nil {
-					t.Error("proof accepted in another epoch")
-				}
-				fresh.env.Epoch--
-				fresh.env.Session++
-				if fresh.VerifyProof(1, proof) == nil {
-					t.Error("proof accepted in another session")
-				}
-				for _, other := range kernelKinds {
-					if other.kind == k.kind {
-						continue
-					}
-					o := newKernel(newTestNet(t, seed, 0, true), other.kind, other.small)[2]
-					if o.VerifyProof(1, proof) == nil {
-						t.Errorf("%s proof accepted by a %s instance", k.name, other.name)
-					}
-				}
-			})
-
 			t.Run("fetch with the value in hand", func(t *testing.T) {
 				// The leader restarts with amnesia and re-proposes the same
 				// value (Alea's log replay). Its peers delivered long ago and
 				// withdrew their ECHO shares, so no certificate can form.
 				peers := []*recorder{record(tn.envs[1]), record(tn.envs[2]), record(tn.envs[3])}
-				restarted := &VCBC{NewCBC(tn.envs[0], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})}
+				restarted := NewCBC(tn.envs[0], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
 				restarted.Propose(0, kernelValue(0, k.small))
 				tn.settle(2 * time.Minute)
 				if restarted.Delivered(0) {
@@ -180,7 +140,7 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 				// value for a slot its peers certified long ago (Dumbo after
 				// Chain.Recover). Fetch vouches for the wrong value; the
 				// certificate must correct it and pull the certified one.
-				restarted := &VCBC{NewCBC(tn.envs[0], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})}
+				restarted := NewCBC(tn.envs[0], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
 				restarted.Propose(0, kernelValue(7, k.small))
 				restarted.Fetch(0)
 				tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return restarted.Delivered(0) })
@@ -191,14 +151,55 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 
 			// The remaining sub-tests drive one node of a fresh deployment
 			// by hand, feeding it sections as its transport would.
-			lone := func() (*testNet, *VCBC) {
+			lone := func() (*testNet, *CBC) {
 				tn := newTestNet(t, seed, 0, true)
 				return tn, newKernel(tn, k.kind, k.small)[3]
 			}
-			feed := func(v *VCBC, from int, phase packet.Phase, es ...packet.Entry) {
+			feed := func(v *CBC, from int, phase packet.Phase, es ...packet.Entry) {
 				v.HandleSection(uint16(from), packet.Section{Kind: k.kind, Phase: phase, Entries: es})
 			}
 			other := packet.Entry{Slot: 0, Flags: 1, Data: []byte("not what the quorum signed")}
+
+			t.Run("certificate binding", func(t *testing.T) {
+				// A FINISH certificate vouches for one (kind, session, epoch,
+				// slot, hash): replayed anywhere else it is one rejected
+				// contribution and certifies nothing.
+				cert := EncodeFinish(nodes[0].slots[1].certHash, nodes[0].slots[1].cert.value)
+				replay := func(tn *testNet, v *CBC, slot int) bool {
+					before := v.env.T.Stats().Rejected
+					feed(v, 0, packet.PhaseFinish, packet.Entry{Slot: uint8(slot), Data: cert})
+					tn.settle(time.Minute)
+					return v.slots[slot].cert.done || v.env.T.Stats().Rejected != before+1
+				}
+				tn, v := lone()
+				if replay(tn, v, 2) {
+					t.Error("certificate accepted for another slot")
+				}
+				v.env.Epoch++
+				if replay(tn, v, 1) {
+					t.Error("certificate accepted in another epoch")
+				}
+				v.env.Epoch--
+				v.env.Session++
+				if replay(tn, v, 1) {
+					t.Error("certificate accepted in another session")
+				}
+				v.env.Session--
+				for _, o := range kernelKinds {
+					if o.kind == k.kind {
+						continue
+					}
+					tn := newTestNet(t, seed, 0, true)
+					if replay(tn, newKernel(tn, o.kind, o.small)[3], 1) {
+						t.Errorf("%s certificate accepted by a %s instance", k.name, o.name)
+					}
+				}
+				feed(v, 0, packet.PhaseFinish, packet.Entry{Slot: 1, Data: cert})
+				tn.settle(time.Minute)
+				if !v.slots[1].cert.done {
+					t.Error("certificate refused by a node of the same deployment that never delivered")
+				}
+			})
 
 			t.Run("equivocating leader", func(t *testing.T) {
 				tn, v := lone()
@@ -276,7 +277,8 @@ func TestFragmentCap(t *testing.T) {
 	tn := newTestNet(t, 33, 0, true)
 	rbcs := make([]*RBC, 4)
 	for i, env := range tn.envs {
-		rbcs[i] = NewRBC(env, RBCOptions{Slots: 4, FragSize: frag})
+		rbcs[i] = NewRBC(env, RBCOptions{Slots: 4})
+		rbcs[i].frag = frag
 	}
 	rbcs[0].Propose(0, bytes.Repeat([]byte("x"), maxFragments*frag))
 	tn.run(t, 2*time.Hour, func() bool {

@@ -35,7 +35,6 @@ type prbcSlot struct {
 // PRBCOptions configures a PRBC component.
 type PRBCOptions struct {
 	Slots     int
-	FragSize  int
 	OnProof   func(slot int, value []byte, proof []byte)
 	OnDeliver func(slot int, value []byte) // underlying RBC delivery hook
 }
@@ -56,9 +55,7 @@ func NewPRBC(env *Env, opts PRBCOptions) *PRBC {
 		p.slots = append(p.slots, &prbcSlot{peersDone: packet.NewBitSet(env.N)})
 	}
 	p.rbc = NewRBC(env, RBCOptions{
-		Kind:      packet.KindRBC,
 		Slots:     opts.Slots,
-		FragSize:  opts.FragSize,
 		OnDeliver: p.onRBCDeliver,
 	})
 	env.T.Register(packet.KindPRBC, p)
@@ -73,17 +70,6 @@ func (p *PRBC) RBC() *RBC { return p.rbc }
 
 // Proof returns the combined proof for a slot, or nil.
 func (p *PRBC) Proof(slot int) []byte { return p.slots[slot].proof.value }
-
-// ProvenCount returns the number of slots with combined proofs.
-func (p *PRBC) ProvenCount() int {
-	n := 0
-	for _, s := range p.slots {
-		if s.proof.done {
-			n++
-		}
-	}
-	return n
-}
 
 // doneMessage is the string the DONE shares sign.
 func (p *PRBC) doneMessage(slot int, h Hash8) []byte {

@@ -43,20 +43,15 @@ type rbcSlot struct {
 
 // RBCOptions configures an RBC component.
 type RBCOptions struct {
-	Kind      packet.Kind // section kind (KindRBC, or a CBC kind is NOT valid here)
-	Slots     int         // number of parallel instances (= N normally)
-	Small     bool        // inline small proposals (RBC-small)
-	FragSize  int         // INITIAL fragment payload size
+	Slots     int  // number of parallel instances (= N normally)
+	Small     bool // inline small proposals (RBC-small)
 	OnDeliver func(slot int, value []byte)
 }
 
 // NewRBC creates the component and registers it on the transport.
 func NewRBC(env *Env, opts RBCOptions) *RBC {
-	if opts.Kind == 0 {
-		opts.Kind = packet.KindRBC
-	}
 	r := &RBC{
-		dissemination: newDissemination(env, opts.Kind, opts.Small, opts.FragSize),
+		dissemination: newDissemination(env, packet.KindRBC, opts.Small, DefaultFragSize),
 		onDeliver:     opts.OnDeliver,
 		echoDone:      packet.NewBitSet(opts.Slots),
 		readyDone:     packet.NewBitSet(opts.Slots),
@@ -69,7 +64,7 @@ func NewRBC(env *Env, opts RBCOptions) *RBC {
 			peersReadyDone: packet.NewBitSet(env.N),
 		})
 	}
-	env.T.Register(opts.Kind, r)
+	env.T.Register(packet.KindRBC, r)
 	return r
 }
 

@@ -89,7 +89,10 @@ func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.Inte
 	c.env.Exec(c.shareCost, func() {
 		share, err := c.share(t.subject)
 		if err != nil {
-			return // nothing to contribute to a malformed ciphertext
+			// No share of this subject can be made, by anyone: its owner
+			// must not wait on the tally. ACS never gets here —
+			// DecodeCiphertext applies the predicate DecryptShare does.
+			return
 		}
 		raw := c.encode(share)
 		c.env.T.Update(core.Intent{IntentKey: key, Data: raw})

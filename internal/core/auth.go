@@ -43,9 +43,6 @@ func (a *SizedAuth) Verify(_ uint16, _, sig []byte) error {
 	return nil
 }
 
-// SigLen implements Auth.
-func (a *SizedAuth) SigLen() int { return a.Len }
-
 // SignCost implements Auth.
 func (a *SizedAuth) SignCost() time.Duration { return a.CostSign }
 

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/packet"
@@ -195,9 +194,4 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		return
 	}
 	t.receiveLogical(raw)
-}
-
-// String renders a short diagnostic summary.
-func (m *Mux) String() string {
-	return fmt.Sprintf("mux{epochs=%v dropped=%d}", m.OpenEpochs(), m.dropped)
 }

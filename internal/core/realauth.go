@@ -32,9 +32,6 @@ func (a *RealAuth) Verify(sender uint16, body, sig []byte) error {
 	return a.Peers[sender].Verify(body, sig)
 }
 
-// SigLen implements Auth.
-func (a *RealAuth) SigLen() int { return a.Signer.Scheme().SignatureLen() }
-
 // SignCost implements Auth.
 func (a *RealAuth) SignCost() time.Duration { return a.CostSign }
 

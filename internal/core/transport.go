@@ -78,7 +78,6 @@ type Interceptor interface {
 type Auth interface {
 	Sign(body []byte) ([]byte, error)
 	Verify(sender uint16, body, sig []byte) error
-	SigLen() int
 	SignCost() time.Duration
 	VerifyCost() time.Duration
 }
@@ -234,9 +233,6 @@ func (t *Transport) NoteRejected() { t.stats.Rejected++ }
 // Stats returns a snapshot of the counters.
 func (t *Transport) Stats() Stats { return t.stats }
 
-// Epoch returns the current epoch.
-func (t *Transport) Epoch() uint16 { return t.epoch }
-
 // SetEpoch advances to a new epoch, discarding all outbound state.
 // In-flight frames from other epochs are dropped on receipt.
 func (t *Transport) SetEpoch(e uint16) {
@@ -329,11 +325,6 @@ func (t *Transport) Remove(k IntentKey) {
 		t.nDirty--
 	}
 	t.live = slices.Delete(t.live, i, i+1)
-}
-
-// RemoveKind drops all intents of a kind (component teardown).
-func (t *Transport) RemoveKind(kind packet.Kind) {
-	t.RemoveWhere(func(k IntentKey) bool { return k.Kind == kind })
 }
 
 // RemoveWhere deletes every intent whose key matches the predicate (used

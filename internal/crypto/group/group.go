@@ -59,9 +59,6 @@ func (g *Group) engine() *mont.Modulus {
 // ElementLen returns the byte length of a serialized group element.
 func (g *Group) ElementLen() int { return (g.P.BitLen() + 7) / 8 }
 
-// ScalarLen returns the byte length of a serialized exponent.
-func (g *Group) ScalarLen() int { return (g.Q.BitLen() + 7) / 8 }
-
 // Exp returns base^e mod P.
 func (g *Group) Exp(base, e *big.Int) *big.Int { return g.engine().Exp(base, e) }
 
@@ -92,11 +89,6 @@ func (g *Group) MulExp(bases, exps []*big.Int) *big.Int {
 func (g *Group) Mul(a, b *big.Int) *big.Int {
 	out := new(big.Int).Mul(a, b)
 	return out.Mod(out, g.P)
-}
-
-// Inv returns the multiplicative inverse of a mod P.
-func (g *Group) Inv(a *big.Int) *big.Int {
-	return new(big.Int).ModInverse(a, g.P)
 }
 
 // HashToGroup maps a message into the order-q subgroup via

@@ -120,8 +120,8 @@ func TestExpIdentities(t *testing.T) {
 	if !g.IsElement(gx) {
 		t.Fatal("g^x not in subgroup")
 	}
-	// (g^x)^-1 * g^x == 1
-	inv := g.Inv(gx)
+	// g^(q-x) * g^x == 1
+	inv := g.ExpG(new(big.Int).Sub(g.Q, x))
 	if g.Mul(inv, gx).Cmp(big.NewInt(1)) != 0 {
 		t.Error("inverse identity failed")
 	}

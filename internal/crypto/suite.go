@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"strings"
 
 	"repro/internal/crypto/group"
 	"repro/internal/crypto/pksig"
@@ -153,13 +152,6 @@ func Deal(n, f int, cfg Config, masterRand io.Reader) ([]*Suite, error) {
 		}
 	}
 	return suites, nil
-}
-
-// Describe returns a one-line human-readable summary of a config.
-func (c Config) Describe() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "pk=%s threshold=%s group=%s", c.PKScheme, c.ThresholdSet, c.GroupSet)
-	return b.String()
 }
 
 // SignatureSizes reports (scheme name, bytes) rows for Fig. 10c: the five

@@ -90,12 +90,6 @@ func TestCostModelMonotone(t *testing.T) {
 	}
 }
 
-func TestConfigDescribe(t *testing.T) {
-	if LightConfig().Describe() == "" {
-		t.Error("empty describe")
-	}
-}
-
 func TestSignatureSizesReport(t *testing.T) {
 	pk, thr := SignatureSizes()
 	if len(pk) != 5 || len(thr) != 6 {

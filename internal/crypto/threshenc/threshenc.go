@@ -83,7 +83,7 @@ func (pk *PublicKey) Encrypt(plaintext []byte, rand io.Reader) (*Ciphertext, err
 
 // DecryptShare produces party i's decryption share for ct.
 func (pk *PublicKey) DecryptShare(priv PrivateShare, ct *Ciphertext, rand io.Reader) (*DecShare, error) {
-	if err := checkCiphertext(ct); err != nil {
+	if err := CheckCiphertext(ct); err != nil {
 		return nil, err
 	}
 	return pk.PublicKey.Share(base(ct), priv, rand)
@@ -95,7 +95,7 @@ func (pk *PublicKey) DecryptShare(priv PrivateShare, ct *Ciphertext, rand io.Rea
 // (tag, share), which is sound because a valid tag collision-resistantly
 // binds (C1, Body).
 func (pk *PublicKey) VerifyShare(ct *Ciphertext, sh *DecShare) error {
-	if err := checkCiphertext(ct); err != nil {
+	if err := CheckCiphertext(ct); err != nil {
 		return err
 	}
 	return pk.PublicKey.VerifyShare(base(ct), sh)
@@ -103,7 +103,7 @@ func (pk *PublicKey) VerifyShare(ct *Ciphertext, sh *DecShare) error {
 
 // Combine recovers the plaintext from k decryption shares.
 func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error) {
-	if err := checkCiphertext(ct); err != nil {
+	if err := CheckCiphertext(ct); err != nil {
 		return nil, err
 	}
 	hr, err := pk.PublicKey.Combine(shares)
@@ -119,7 +119,12 @@ func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error)
 // plaintext: C1, the tag and the body length.
 func CiphertextOverhead(g *group.Group) int { return g.ElementLen() + 32 + 4 }
 
-func checkCiphertext(ct *Ciphertext) error {
+// CheckCiphertext is the public validity predicate of a ciphertext: its
+// binding tag must match (C1, Body). It needs no key, so whoever decodes a
+// ciphertext off the wire can refuse an invalid one before any share of it
+// is asked for: no honest party makes, verifies or combines shares of a
+// ciphertext that fails it.
+func CheckCiphertext(ct *Ciphertext) error {
 	if ct == nil || ct.C1 == nil {
 		return errors.New("threshenc: nil ciphertext")
 	}

@@ -343,13 +343,6 @@ func (pk *PublicKey) Verify(msg []byte, sig *Signature) error {
 // SignatureLen returns the byte length of a combined signature.
 func (pk *PublicKey) SignatureLen() int { return (pk.N.BitLen() + 7) / 8 }
 
-// ShareLen returns the approximate byte length of a serialized share with
-// its proof (value + challenge + response).
-func (pk *PublicKey) ShareLen() int {
-	n := (pk.N.BitLen() + 7) / 8
-	return n + 32 + n + 64 + 2
-}
-
 // integerLagrange computes delta * prod_{j in S, j != i} j / (j - i),
 // which Shoup shows is always an integer.
 func integerLagrange(subset []*SigShare, i int, d *big.Int) *big.Int {

@@ -176,7 +176,7 @@ func TestHigherThreshold(t *testing.T) {
 }
 
 func TestSizesMonotone(t *testing.T) {
-	prevSig, prevShare := 0, 0
+	prevSig := 0
 	for _, fix := range Fixtures() {
 		key, err := Deal(fix.Name, fix.P, fix.Q, 2, 4, rand.New(rand.NewSource(1)))
 		if err != nil {
@@ -186,11 +186,6 @@ func TestSizesMonotone(t *testing.T) {
 			t.Errorf("%s: signature size %d not increasing", fix.Name, s)
 		} else {
 			prevSig = s
-		}
-		if s := key.Public.ShareLen(); s <= prevShare {
-			t.Errorf("%s: share size %d not increasing", fix.Name, s)
-		} else {
-			prevShare = s
 		}
 	}
 }

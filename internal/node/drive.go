@@ -33,12 +33,6 @@ func Drive(sched *sim.Scheduler, deadline time.Duration, done func() bool) error
 	return nil
 }
 
-// IsDeadline reports whether err wraps ErrDeadline.
-func IsDeadline(err error) bool { return errors.Is(err, ErrDeadline) }
-
-// IsDeadlock reports whether err wraps ErrDeadlock.
-func IsDeadlock(err error) bool { return errors.Is(err, ErrDeadlock) }
-
 // SumStats folds every node's cumulative transport counters (crashed and
 // recovered transports included) into one aggregate.
 func SumStats(nodes []*Node) core.Stats {

@@ -10,15 +10,16 @@
 // flushed, transports stopped, in-memory state forfeited) and Recover
 // brings it back with only its "stable storage" — keys, station, and
 // whatever state the protocol layer chose to persist — and the node's
-// trust status: a node assembled (or later armed) with a non-nil
-// byz.Behavior becomes actively Byzantine, its outbound component state
-// rewritten by the behavior before it reaches the air.
+// trust status: a node armed with a byz.Behavior (SetBehavior) becomes
+// actively Byzantine, its outbound component state rewritten by the
+// behavior before it reaches the air.
 package node
 
 import (
 	"math/rand"
 
 	"repro/internal/byz"
+	"repro/internal/component"
 	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/sim"
@@ -40,9 +41,6 @@ type Config struct {
 	// one (a multihop leader's global-tier radio is a second interface on
 	// the same processor).
 	CPU *sim.CPU
-	// Behavior, if non-nil, makes the node Byzantine from the start (the
-	// scenario engine can also arm one mid-run through SetBehavior).
-	Behavior byz.Behavior
 }
 
 // resolve returns the effective transport configuration.
@@ -86,7 +84,6 @@ func New(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *
 	n.tr = core.New(sched, n.CPU, nil, n.auth(), n.tcfg)
 	n.tr.BindStation(n.station)
 	n.recv = n.tr
-	n.SetBehavior(cfg.Behavior)
 	return n
 }
 
@@ -97,7 +94,6 @@ func NewMux(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suit
 	n.mux = core.NewMux(sched, n.CPU, n.auth(), n.tcfg)
 	n.mux.BindStation(n.station)
 	n.recv = n.mux
-	n.SetBehavior(cfg.Behavior)
 	return n
 }
 
@@ -134,11 +130,21 @@ func (n *Node) Transport() *core.Transport { return n.tr }
 // Mux returns the epoch mux (NewMux-constructed nodes).
 func (n *Node) Mux() *core.Mux { return n.mux }
 
-// Station returns the node's radio handle.
-func (n *Node) Station() *wireless.Station { return n.station }
-
-// TransportConfig returns the effective (resolved) transport config.
-func (n *Node) TransportConfig() core.Config { return n.tcfg }
+// Env returns the node's component environment as member ID of a group of
+// size nodes tolerating f faults: the one place a node's parts become what
+// the components run on. T is the single-epoch transport; a mux node's
+// caller sets it, with Epoch, for every epoch it opens.
+func (n *Node) Env(size, f int) *component.Env {
+	return &component.Env{
+		N: size, F: f, Me: int(n.ID),
+		Session: n.tcfg.Session,
+		Suite:   n.Suite,
+		T:       n.tr,
+		CPU:     n.CPU,
+		Sched:   n.sched,
+		Rand:    n.Rand,
+	}
+}
 
 // Down reports whether the node is currently crashed.
 func (n *Node) Down() bool { return n.down }
@@ -173,9 +179,6 @@ func (n *Node) installInterceptor() {
 // Behavior returns the armed Byzantine behavior, or nil for an honest
 // node.
 func (n *Node) Behavior() byz.Behavior { return n.behavior }
-
-// Byzantine reports whether a behavior is armed.
-func (n *Node) Byzantine() bool { return n.behavior != nil }
 
 // ReceiveFrame implements wireless.Receiver: the node is the station's
 // receiver so that crash/recovery can gate inbound delivery and swap the

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"time"
@@ -133,7 +134,7 @@ func TestDriveErrors(t *testing.T) {
 		t.Fatalf("done-at-entry drive failed: %v", err)
 	}
 	err := Drive(sched, time.Hour, func() bool { return false })
-	if !IsDeadlock(err) {
+	if !errors.Is(err, ErrDeadlock) {
 		t.Fatalf("empty queue: got %v, want deadlock", err)
 	}
 	sched2 := sim.New(3)
@@ -141,7 +142,7 @@ func TestDriveErrors(t *testing.T) {
 	tick = func() { sched2.After(time.Minute, tick) }
 	tick()
 	err = Drive(sched2, time.Hour, func() bool { return false })
-	if !IsDeadline(err) {
+	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("busy loop: got %v, want deadline", err)
 	}
 	// A queue of nothing but blocked waits — every transport stuck behind
@@ -153,7 +154,7 @@ func TestDriveErrors(t *testing.T) {
 		sched3.WaitFixed(120*time.Millisecond, stuck{})
 	}
 	err = Drive(sched3, time.Hour, func() bool { return false })
-	if !IsDeadline(err) {
+	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("blocked waits only: got %v, want deadline", err)
 	}
 	if over := sched3.Now() - time.Hour; over <= 0 || over > 120*time.Millisecond {

@@ -53,16 +53,3 @@ func (b BitSet) Clone() BitSet {
 	copy(out, b)
 	return out
 }
-
-// Equal reports whether two bitsets have identical contents.
-func (b BitSet) Equal(o BitSet) bool {
-	if len(b) != len(o) {
-		return false
-	}
-	for i := range b {
-		if b[i] != o[i] {
-			return false
-		}
-	}
-	return true
-}

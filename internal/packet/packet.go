@@ -302,19 +302,6 @@ func PeekHeader(raw []byte) (sender uint16, session uint32, epoch uint16, ok boo
 	return sender, session, epoch, true
 }
 
-// EncodedSize returns the wire size of the frame with a sigLen-byte
-// signature, without allocating.
-func (f *Frame) EncodedSize(sigLen int) int {
-	n := headerLen
-	for _, s := range f.Sections {
-		n += 3 + len(s.Nack) + 1
-		for _, e := range s.Entries {
-			n += 7 + len(e.Data)
-		}
-	}
-	return n + 2 + sigLen
-}
-
 // String renders a compact human-readable form (used by cmd/wbft-packets).
 func (f *Frame) String() string {
 	out := fmt.Sprintf("frame sender=%d session=%d epoch=%d sections=%d sig=%dB",

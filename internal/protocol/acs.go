@@ -49,11 +49,10 @@ func Coins() []CoinKind { return []CoinKind{CoinLocal, CoinSig, CoinFlip} }
 type binaryAgreement interface {
 	Input(slot int, v bool)
 	Decided(slot int) *bool
-	DecidedCount() int
 }
 
-// newABA builds the ABA matching the coin kind. Batched deployments share
-// one coin per round across parallel instances (Sec. V-A). catchUp opts
+// newABA builds the ABA matching the coin kind; shared is one coin per
+// round across the parallel instances (Options.SharedCoin). catchUp opts
 // into the common-coin ABA's round catch-up replay (see
 // component.CachinOptions.RoundCatchUp) — required by serial one-at-a-time
 // schedules like Alea's, a no-op for Bracha's local-coin ABA.
@@ -112,16 +111,8 @@ type acsSlot struct {
 	plain                                []byte
 }
 
-// ACSOptions configures an ACS instance.
-type ACSOptions struct {
-	Coin     CoinKind
-	Batched  bool // shared coin across parallel ABAs (wireless rule)
-	Encrypt  bool // threshold-encrypt proposals (HB/BEAT)
-	OnDecide func()
-}
-
-// NewACS builds the instance and registers its components.
-func NewACS(env *component.Env, opts ACSOptions) *ACS {
+// newACS builds the instance and registers its components.
+func newACS(env *component.Env, opts Options) Instance {
 	a := &ACS{
 		env:      env,
 		encrypt:  opts.Encrypt,
@@ -132,7 +123,7 @@ func NewACS(env *component.Env, opts ACSOptions) *ACS {
 		Slots:     env.N,
 		OnDeliver: a.onRBCDeliver,
 	})
-	a.aba = newABA(env, env.N, opts.Coin, opts.Batched, false, a.onABADecide)
+	a.aba = newABA(env, env.N, opts.Coin, opts.SharedCoin, false, a.onABADecide)
 	if opts.Encrypt {
 		a.dec = component.NewDecryptor(env, env.N, a.onPlain)
 	}

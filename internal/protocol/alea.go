@@ -1,10 +1,6 @@
 package protocol
 
-import (
-	"encoding/binary"
-
-	"repro/internal/component"
-)
+import "repro/internal/component"
 
 // Alea implements the Alea-BFT pipeline: dissemination and agreement are
 // split into two decoupled halves. Every node VCBC-broadcasts its batch
@@ -46,15 +42,8 @@ type Alea struct {
 // livelock bug into a loud failure instead of a silent stall).
 const aleaRounds = 64
 
-// AleaOptions configures an Alea instance.
-type AleaOptions struct {
-	Coin     CoinKind // CoinSig / CoinFlip / CoinLocal
-	Batched  bool
-	OnDecide func()
-}
-
-// NewAlea builds the instance and registers its components.
-func NewAlea(env *component.Env, opts AleaOptions) *Alea {
+// newAlea builds the instance and registers its components.
+func newAlea(env *component.Env, opts Options) Instance {
 	a := &Alea{
 		env:      env,
 		order:    commonPermutation("alea-pi", env.Session, env.Epoch, env.N),
@@ -192,91 +181,4 @@ func (a *Alea) maybeFinish() {
 	if a.onDecide != nil {
 		a.onDecide()
 	}
-}
-
-// Queue-head status codes of the QueueState snapshot.
-const (
-	// QueuePending: nothing delivered for the queue head yet.
-	QueuePending uint8 = iota
-	// QueueDelivered: the head's VCBC completed locally (hash and proof
-	// are populated).
-	QueueDelivered
-	// QueueAccepted: the agreement loop accepted the queue into the epoch
-	// output.
-	QueueAccepted
-)
-
-// QueueState is the snapshot of one priority queue's head: its position
-// (queue id and epoch), progress status, and — once delivered — the value
-// digest and the transferable VCBC proof any peer can verify.
-type QueueState struct {
-	Queue  uint8
-	Epoch  uint16
-	Status uint8
-	Hash   component.Hash8
-	Proof  []byte
-}
-
-// QueueStates snapshots all N queue heads (exported for the demos and
-// the cross-node consistency checks of the conformance/property tests).
-func (a *Alea) QueueStates() []QueueState {
-	out := make([]QueueState, a.env.N)
-	for q := range out {
-		qs := QueueState{Queue: uint8(q), Epoch: a.env.Epoch}
-		if a.vcbc.Delivered(q) {
-			qs.Status = QueueDelivered
-			qs.Hash = component.HashValue(a.vcbc.Value(q))
-			qs.Proof = a.vcbc.Proof(q)
-		}
-		if a.accepted[q] {
-			qs.Status = QueueAccepted
-		}
-		out[q] = qs
-	}
-	return out
-}
-
-// VerifyQueueProof checks a queue-head proof against this instance's
-// epoch identity (charges no virtual CPU; protocol paths wrap it in
-// Exec like the other proof verifications).
-func (a *Alea) VerifyQueueProof(qs QueueState) error {
-	return a.vcbc.VerifyProof(int(qs.Queue), qs.Proof)
-}
-
-var errBadQueueState = errorString("protocol: malformed queue state")
-
-// EncodeQueueState packs a queue-head snapshot. The layout is canonical —
-// fixed header, length-prefixed proof, no trailing bytes — so
-// decode-then-encode is the identity on every accepted input (the
-// fuzz-pinned property).
-func EncodeQueueState(qs QueueState) []byte {
-	buf := make([]byte, 0, 1+2+1+8+2+len(qs.Proof))
-	buf = append(buf, qs.Queue)
-	buf = binary.BigEndian.AppendUint16(buf, qs.Epoch)
-	buf = append(buf, qs.Status)
-	buf = append(buf, qs.Hash[:]...)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(qs.Proof)))
-	return append(buf, qs.Proof...)
-}
-
-// DecodeQueueState parses EncodeQueueState's format, rejecting truncated
-// and over-long encodings.
-func DecodeQueueState(raw []byte) (QueueState, error) {
-	var qs QueueState
-	if len(raw) < 1+2+1+8+2 {
-		return qs, errBadQueueState
-	}
-	qs.Queue = raw[0]
-	qs.Epoch = binary.BigEndian.Uint16(raw[1:3])
-	qs.Status = raw[3]
-	copy(qs.Hash[:], raw[4:12])
-	n := int(binary.BigEndian.Uint16(raw[12:14]))
-	raw = raw[14:]
-	if len(raw) != n {
-		return qs, errBadQueueState
-	}
-	if n > 0 {
-		qs.Proof = append([]byte(nil), raw...)
-	}
-	return qs, nil
 }

@@ -7,39 +7,41 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/component"
 	"repro/internal/crypto"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/wireless"
 )
 
-// aleaNet runs a 4-node Alea network to completion and returns the
-// instances for inspection.
-func aleaNet(t *testing.T, seed int64, coin CoinKind, loss float64) []*Alea {
+// testNodes wires the 4 batched single-transport nodes, f = 1, that the
+// engine tests of this package run one epoch on.
+func testNodes(t *testing.T, seed int64, loss float64) (*sim.Scheduler, []*node.Node) {
 	t.Helper()
-	const n, f = 4, 1
 	net := wireless.DefaultConfig()
 	net.LossProb = loss
 	sched := sim.New(seed)
 	ch := wireless.NewChannel(sched, net)
-	suites, err := crypto.Deal(n, f, crypto.LightConfig(), rand.New(rand.NewSource(seed^0x5eed)))
+	suites, err := crypto.Deal(4, 1, crypto.LightConfig(), rand.New(rand.NewSource(seed^0x5eed)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	ncfg := node.Config{Batched: true, Seed: seed}
-	done := make([]bool, n)
-	insts := make([]*Alea, n)
-	for i := 0; i < n; i++ {
-		nd := node.New(sched, ch, wireless.NodeID(i), suites[i], ncfg)
-		nd.Transport().SetEpoch(0)
-		env := &component.Env{
-			N: n, F: f, Me: i, Epoch: 0,
-			Suite: nd.Suite, T: nd.Transport(), CPU: nd.CPU, Sched: sched, Rand: nd.Rand,
-		}
+	nodes := make([]*node.Node, len(suites))
+	for i := range nodes {
+		nodes[i] = node.New(sched, ch, wireless.NodeID(i), suites[i], node.Config{Batched: true, Seed: seed})
+	}
+	return sched, nodes
+}
+
+// aleaNet runs a 4-node Alea network to completion and returns the
+// instances for inspection.
+func aleaNet(t *testing.T, seed int64, coin CoinKind, loss float64) []*Alea {
+	t.Helper()
+	sched, nodes := testNodes(t, seed, loss)
+	done := make([]bool, len(nodes))
+	insts := make([]*Alea, len(nodes))
+	for i, nd := range nodes {
 		i := i
-		insts[i] = NewAlea(env, AleaOptions{Coin: coin, Batched: true,
-			OnDecide: func() { done[i] = true }})
+		insts[i] = newAlea(nd.Env(4, 1), Options{Coin: coin, OnDecide: func() { done[i] = true }}).(*Alea)
 		insts[i].Start(aleaProposal(i))
 	}
 	allDone := func() bool {
@@ -115,67 +117,6 @@ func TestAleaAgreement(t *testing.T) {
 				}
 			}
 		})
-	}
-}
-
-// TestAleaQueueStates checks the queue snapshots: accepted heads across
-// nodes agree on the value digest, and every delivered head's proof is
-// transferable — it verifies on a different node than the one that
-// produced it.
-func TestAleaQueueStates(t *testing.T) {
-	insts := aleaNet(t, 11, CoinSig, 0)
-	ref := insts[0].QueueStates()
-	for _, a := range insts[1:] {
-		states := a.QueueStates()
-		for q, qs := range states {
-			if qs.Status == QueuePending {
-				continue
-			}
-			if ref[q].Status != QueuePending && qs.Hash != ref[q].Hash {
-				t.Errorf("queue %d: hash disagreement across nodes", q)
-			}
-			// Proof produced on this node, verified against node 0's view.
-			if err := insts[0].VerifyQueueProof(qs); err != nil {
-				t.Errorf("queue %d: transferable proof rejected: %v", q, err)
-			}
-		}
-	}
-	// Tampered proofs must not verify.
-	for _, qs := range ref {
-		if qs.Status == QueuePending {
-			continue
-		}
-		bad := qs
-		bad.Proof = append([]byte(nil), qs.Proof...)
-		bad.Proof[len(bad.Proof)/2] ^= 0x40
-		if insts[1].VerifyQueueProof(bad) == nil {
-			t.Errorf("queue %d: tampered proof verified", qs.Queue)
-		}
-	}
-}
-
-// TestQueueStateRoundTrip pins the canonical codec on handcrafted states.
-func TestQueueStateRoundTrip(t *testing.T) {
-	cases := []QueueState{
-		{},
-		{Queue: 3, Epoch: 9, Status: QueueDelivered, Hash: component.Hash8{1, 2, 3, 4, 5, 6, 7, 8}},
-		{Queue: 255, Epoch: 65535, Status: QueueAccepted, Proof: bytes.Repeat([]byte{0xAB}, 300)},
-	}
-	for i, qs := range cases {
-		raw := EncodeQueueState(qs)
-		got, err := DecodeQueueState(raw)
-		if err != nil {
-			t.Fatalf("case %d: decode: %v", i, err)
-		}
-		if !bytes.Equal(EncodeQueueState(got), raw) {
-			t.Errorf("case %d: decode∘encode is not the identity", i)
-		}
-	}
-	if _, err := DecodeQueueState(EncodeQueueState(cases[1])[:5]); err == nil {
-		t.Error("truncated state decoded")
-	}
-	if _, err := DecodeQueueState(append(EncodeQueueState(cases[1]), 0)); err == nil {
-		t.Error("over-long state decoded")
 	}
 }
 

@@ -4,12 +4,10 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/rand"
 	"time"
 
 	"repro/internal/component"
 	"repro/internal/core"
-	"repro/internal/crypto"
 	"repro/internal/crypto/group"
 	"repro/internal/sim"
 )
@@ -23,7 +21,9 @@ import (
 // HoneyBadgerBFT and Dumbo deploy as — continuous multi-epoch ordering —
 // rather than the one-shot ACS the paper's evaluation times.
 
-// ChainConfig tunes one node's SMR engine.
+// ChainConfig tunes one node's SMR engine. Whether the proposer's cuts are
+// write-ahead logged is a property of the family (Engine.ProposalWAL), not
+// tuning.
 type ChainConfig struct {
 	Protocol Kind
 	Coin     CoinKind
@@ -34,43 +34,11 @@ type ChainConfig struct {
 	Window int
 	// GCLag is how many epochs behind the commit frontier an epoch's
 	// transport is kept alive to serve NACK repairs to lagging peers before
-	// being closed. It must be at least Window.
+	// being closed. It must be at least Window; zero picks Window + 2.
 	GCLag int
 	// MaxEpochs stops the engine from starting epochs >= this (0 = no cap).
 	MaxEpochs int
 	Mempool   MempoolConfig
-	// ProposalWAL makes the proposer's per-epoch cut stable storage: a
-	// recovered node re-proposes the exact batch it first cut for each
-	// still-uncommitted epoch instead of cutting a fresh one. Alea needs
-	// it — VCBC echoes are signature shares over the first value a queue
-	// head carries, so after a full-stop crash (more than f nodes down at
-	// once, no epoch progress possible anywhere) a fresh post-recovery
-	// batch can never certify: survivors are bound to the old hash and the
-	// old broadcast lost its leader's share with the crash. Re-proposing
-	// the recorded batch lets the surviving echo shares complete the
-	// original broadcast — the write-ahead log the Alea-BFT paper requires
-	// of its broadcast component. The replay is signalled to the engine
-	// (see reproposer) so its dissemination layer can pull surviving
-	// broadcast state back. The RBC engines share the value-binding
-	// limitation (HB/BEAT wedge on the same scenario; Dumbo recovers only
-	// on lucky interleavings) but run with the WAL off — they implement no
-	// replay pull, and flipping their proposal path would shift the frozen
-	// BENCH goldens.
-	ProposalWAL bool
-}
-
-// DefaultChainConfig returns a depth-2 pipeline for a protocol variant.
-func DefaultChainConfig(p Kind, coin CoinKind) ChainConfig {
-	return ChainConfig{
-		Protocol:    p,
-		Coin:        coin,
-		Batched:     true,
-		Encrypt:     DefaultEncrypt(p),
-		Window:      2,
-		GCLag:       4,
-		Mempool:     DefaultMempoolConfig(),
-		ProposalWAL: p == AleaKind,
-	}
 }
 
 // LogEntry is one committed epoch: the deduplicated union of the epoch's
@@ -90,22 +58,19 @@ type chainEpoch struct {
 
 // Chain is one node's replicated-log engine.
 type Chain struct {
-	n, f    int
-	me      int
-	session uint32
-	suite   *crypto.Suite
-	sched   *sim.Scheduler
-	cpu     *sim.CPU
-	mux     *core.Mux
-	rand    *rand.Rand
-	cfg     ChainConfig
+	// env is the node's component environment; every epoch runs on a copy
+	// with its own Epoch and transport.
+	env component.Env
+	mux *core.Mux
+	cfg ChainConfig
 
 	mempool *Mempool
 	epochs  map[int]*chainEpoch
-	// proposed is the proposal WAL (ChainConfig.ProposalWAL): epoch -> the
-	// encoded batch this node first cut for it. Crash preserves it, so a
-	// recovered proposer re-broadcasts the value peers may already have
-	// echoed. Entries die with the epoch GC.
+	// wal is the family's Engine.ProposalWAL; when set, proposed is the
+	// proposal WAL: epoch -> the encoded batch this node first cut for it.
+	// Crash preserves it, so a recovered proposer re-broadcasts the value
+	// peers may already have echoed. Entries die with the epoch GC.
+	wal      bool
 	proposed map[int][]byte
 	// nextStart is the lowest epoch not yet started here; nextCommit the
 	// lowest not yet committed. Invariant: nextCommit <= nextStart <
@@ -147,9 +112,10 @@ type Chain struct {
 	OnEpochOpen func(epoch int, tr *core.Transport)
 }
 
-// NewChain builds the engine around an epoch mux. Call Start once the
-// network is assembled.
-func NewChain(sched *sim.Scheduler, cpu *sim.CPU, mux *core.Mux, suite *crypto.Suite, n, f, me int, session uint32, rng *rand.Rand, cfg ChainConfig) *Chain {
+// NewChain builds the engine of the group member env describes around that
+// node's epoch mux; env's Epoch and T are the chain's to fill, epoch by
+// epoch. Call Start once the network is assembled.
+func NewChain(env component.Env, mux *core.Mux, cfg ChainConfig) *Chain {
 	if cfg.Window <= 0 {
 		cfg.Window = 1
 	}
@@ -160,19 +126,16 @@ func NewChain(sched *sim.Scheduler, cpu *sim.CPU, mux *core.Mux, suite *crypto.S
 		cfg.GCLag = cfg.Window
 	}
 	if cfg.Mempool.Shards == 0 {
-		cfg.Mempool.Shard, cfg.Mempool.Shards = me, n
+		cfg.Mempool.Shard, cfg.Mempool.Shards = env.Me, env.N
 	}
+	engine, _ := Lookup(cfg.Protocol)
 	c := &Chain{
-		n: n, f: f, me: me,
-		session:  session,
-		suite:    suite,
-		sched:    sched,
-		cpu:      cpu,
+		env:      env,
 		mux:      mux,
-		rand:     rng,
 		cfg:      cfg,
 		mempool:  NewMempool(cfg.Mempool),
 		epochs:   make(map[int]*chainEpoch),
+		wal:      engine.ProposalWAL,
 		proposed: make(map[int][]byte),
 		submitAt: make(map[txKey]time.Duration),
 		peerMax:  -1,
@@ -218,14 +181,14 @@ func (c *Chain) OpenEpochs() int { return len(c.epochs) }
 // the mux's Rejected counter, the same place Byzantine discards land.
 func (c *Chain) Submit(tx []byte) bool {
 	full := c.mempool.RejectedFull()
-	ok := c.mempool.Add(tx, c.sched.Now())
+	ok := c.mempool.Add(tx, c.env.Sched.Now())
 	if !ok {
 		if c.mempool.RejectedFull() != full {
 			c.mux.NoteRejected()
 		}
 		return false
 	}
-	c.submitAt[txDigest(tx)] = c.sched.Now()
+	c.submitAt[txDigest(tx)] = c.env.Sched.Now()
 	c.advance()
 	return true
 }
@@ -240,15 +203,9 @@ func (c *Chain) TxLatencies() []time.Duration { return c.txLat }
 // or a peer's pipeline signal triggers.
 func (c *Chain) Start() { c.advance() }
 
-// Stop closes every open epoch's transport.
-func (c *Chain) Stop() {
-	c.ageEvt.Cancel()
-	c.mux.Stop()
-}
-
 // Crash models a process failure with stable storage: the committed log,
 // the mempool (pending transactions and committed-digest horizon), the
-// commit frontier, and the proposal WAL (ChainConfig.ProposalWAL) survive;
+// commit frontier, and the proposal WAL (Engine.ProposalWAL) survive;
 // every in-flight epoch's protocol state and per-epoch transport are
 // discarded. The node-level crash (radio off,
 // inbound gated) is the deployment layer's job — see node.Node.Crash.
@@ -308,7 +265,7 @@ func (c *Chain) canStart() bool {
 	if c.cfg.MaxEpochs > 0 && e >= c.cfg.MaxEpochs {
 		return false
 	}
-	return c.mempool.Ready(c.sched.Now()) || e <= c.peerMax
+	return c.mempool.Ready(c.env.Sched.Now()) || e <= c.peerMax
 }
 
 // armAgeTimer schedules the re-evaluation at which the oldest pending
@@ -322,14 +279,14 @@ func (c *Chain) armAgeTimer() {
 	if c.cfg.MaxEpochs > 0 && c.nextStart >= c.cfg.MaxEpochs {
 		return // chain capped; nothing left to start
 	}
-	if c.mempool.Ready(c.sched.Now()) {
+	if c.mempool.Ready(c.env.Sched.Now()) {
 		return // policy already satisfied; advance() consumed what it could
 	}
 	at, ok := c.mempool.AgeDeadline()
 	if !ok {
 		return
 	}
-	c.ageEvt = c.sched.At(at, c.advance)
+	c.ageEvt = c.env.Sched.At(at, c.advance)
 }
 
 // startEpoch opens the epoch's transport on the mux, builds the component
@@ -339,26 +296,19 @@ func (c *Chain) startEpoch(e int) {
 	if c.OnEpochOpen != nil {
 		c.OnEpochOpen(e, tr)
 	}
-	env := &component.Env{
-		N:       c.n,
-		F:       c.f,
-		Me:      c.me,
-		Epoch:   uint16(e),
-		Session: c.session,
-		Suite:   c.suite,
-		T:       tr,
-		CPU:     c.cpu,
-		Sched:   c.sched,
-		Rand:    c.rand,
-	}
-	ep := &chainEpoch{tr: tr, startedAt: c.sched.Now()}
-	ep.inst = NewInstance(env, c.cfg.Protocol, c.cfg.Coin, c.cfg.Batched, c.cfg.Encrypt, func() { c.onDecide(e) })
+	env := c.env
+	env.Epoch, env.T = uint16(e), tr
+	ep := &chainEpoch{tr: tr, startedAt: c.env.Sched.Now()}
+	ep.inst = NewInstance(&env, c.cfg.Protocol, Options{
+		Coin: c.cfg.Coin, SharedCoin: c.cfg.Batched, Encrypt: c.cfg.Encrypt,
+		OnDecide: func() { c.onDecide(e) },
+	})
 	c.epochs[e] = ep
 	prop := c.proposed[e]
 	replayed := prop != nil
 	if prop == nil {
-		prop = EncodeBatch(c.mempool.Cut(e, c.sched.Now()))
-		if c.cfg.ProposalWAL {
+		prop = EncodeBatch(c.mempool.Cut(e, c.env.Sched.Now()))
+		if c.wal {
 			c.proposed[e] = prop
 		}
 	}
@@ -437,7 +387,7 @@ func (c *Chain) commit(e int, ep *chainEpoch) {
 	}
 	c.log = append(c.log, LogEntry{Epoch: e, Txs: txs})
 	c.committedTxs += len(txs)
-	now := c.sched.Now()
+	now := c.env.Sched.Now()
 	for _, k := range keys {
 		if at, ok := c.submitAt[k]; ok {
 			c.txLat = append(c.txLat, now-at)
@@ -536,7 +486,7 @@ func CheckLogs(chains []*Chain) error {
 		}
 		for i, entry := range c.log {
 			if entry.Epoch != i {
-				return fmt.Errorf("protocol: node %d log has gap: entry %d is epoch %d", c.me, i, entry.Epoch)
+				return fmt.Errorf("protocol: node %d log has gap: entry %d is epoch %d", c.env.Me, i, entry.Epoch)
 			}
 		}
 		if ref == nil {
@@ -551,11 +501,11 @@ func CheckLogs(chains []*Chain) error {
 			a, b := ref.log[i], c.log[i]
 			if len(a.Txs) != len(b.Txs) {
 				return fmt.Errorf("protocol: epoch %d: node %d committed %d txs, node %d committed %d",
-					i, ref.me, len(a.Txs), c.me, len(b.Txs))
+					i, ref.env.Me, len(a.Txs), c.env.Me, len(b.Txs))
 			}
 			for j := range a.Txs {
 				if string(a.Txs[j]) != string(b.Txs[j]) {
-					return fmt.Errorf("protocol: epoch %d tx %d differs between nodes %d and %d", i, j, ref.me, c.me)
+					return fmt.Errorf("protocol: epoch %d tx %d differs between nodes %d and %d", i, j, ref.env.Me, c.env.Me)
 				}
 			}
 		}

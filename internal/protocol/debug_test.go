@@ -3,48 +3,20 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
-	"math/rand"
 	"testing"
 	"time"
-
-	"repro/internal/component"
-	"repro/internal/crypto"
-	"repro/internal/node"
-	"repro/internal/sim"
-	"repro/internal/wireless"
 )
 
 // TestDebugHoneyBadgerTrace is a diagnostic harness: it runs HB-SC with
 // direct access to component internals and dumps progress when stuck.
 func TestDebugHoneyBadgerTrace(t *testing.T) {
-	const (
-		n, f       = 4, 1
-		seed int64 = 1
-	)
-	net := wireless.DefaultConfig()
-	net.LossProb = 0
-	sched := sim.New(seed)
-	ch := wireless.NewChannel(sched, net)
-	suites, err := crypto.Deal(n, f, crypto.LightConfig(), rand.New(rand.NewSource(seed^0x5eed)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ncfg := node.Config{Batched: true, Seed: seed}
-	nodes := make([]*node.Node, n)
-	done := make([]bool, n)
-	insts := make([]*ACS, n)
-	for i := 0; i < n; i++ {
-		nodes[i] = node.New(sched, ch, wireless.NodeID(i), suites[i], ncfg)
-	}
+	sched, nodes := testNodes(t, 1, 0)
+	done := make([]bool, len(nodes))
+	insts := make([]*ACS, len(nodes))
 	for i, nd := range nodes {
-		nd.Transport().SetEpoch(0)
-		env := &component.Env{
-			N: n, F: f, Me: i, Epoch: 0,
-			Suite: nd.Suite, T: nd.Transport(), CPU: nd.CPU, Sched: sched, Rand: nd.Rand,
-		}
 		i := i
-		insts[i] = NewACS(env, ACSOptions{Coin: CoinSig, Batched: true, Encrypt: true,
-			OnDecide: func() { done[i] = true }})
+		insts[i] = newACS(nd.Env(4, 1), Options{Coin: CoinSig, SharedCoin: true, Encrypt: true,
+			OnDecide: func() { done[i] = true }}).(*ACS)
 		prop := make([]byte, 64)
 		binary.BigEndian.PutUint32(prop, uint32(i))
 		insts[i].Start(prop)

@@ -3,6 +3,7 @@ package protocol
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"errors"
 	"math/rand"
 	"sort"
 
@@ -44,15 +45,8 @@ type wEntry struct {
 	proof []byte
 }
 
-// DumboOptions configures a Dumbo instance.
-type DumboOptions struct {
-	Coin     CoinKind // CoinSig (Dumbo-SC) or CoinLocal (Dumbo-LC)
-	Batched  bool
-	OnDecide func()
-}
-
-// NewDumbo builds the instance and registers its components.
-func NewDumbo(env *component.Env, opts DumboOptions) *Dumbo {
+// newDumbo builds the instance and registers its components.
+func newDumbo(env *component.Env, opts Options) Instance {
 	d := &Dumbo{
 		env:      env,
 		proofs:   make(map[int][]byte),
@@ -282,11 +276,7 @@ func parseW(raw []byte) ([]wEntry, error) {
 	return out, nil
 }
 
-var errMalformedW = errorString("protocol: malformed proof vector")
-
-type errorString string
-
-func (e errorString) Error() string { return string(e) }
+var errMalformedW = errors.New("protocol: malformed proof vector")
 
 // commonPermutation derives a common order π over n slots from the epoch
 // identity, under a per-protocol domain: Dumbo's candidate order

@@ -24,8 +24,7 @@ func TestMaxProposalBytesIsTheComponentCap(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd := node.New(sched, ch, 0, suites[0], node.Config{Batched: true, Seed: 1})
-	env := &component.Env{N: 4, F: 1, Suite: nd.Suite, T: nd.Transport(), CPU: nd.CPU, Sched: sched, Rand: nd.Rand}
-	rbc := component.NewRBC(env, component.RBCOptions{Slots: 8})
+	rbc := component.NewRBC(nd.Env(4, 1), component.RBCOptions{Slots: 8})
 	rbc.Propose(0, make([]byte, MaxProposalBytes))
 	defer func() {
 		if r := recover(); r == nil {
@@ -36,7 +35,7 @@ func TestMaxProposalBytesIsTheComponentCap(t *testing.T) {
 }
 
 func TestCheckProposalSize(t *testing.T) {
-	cfg := DefaultChainConfig(HoneyBadger, CoinSig)
+	cfg := ChainConfig{Encrypt: true}
 	if err := cfg.CheckProposalSize(64); err != nil {
 		t.Fatalf("default config refused: %v", err)
 	}
@@ -47,7 +46,6 @@ func TestCheckProposalSize(t *testing.T) {
 		t.Fatalf("MaxBatchBytes %d: %v", MaxProposalBytes, err)
 	}
 	// The largest cap whose framed, encrypted worst case still fits.
-	cfg.Encrypt = true
 	fits := (MaxProposalBytes - 2 - ciphertextEnvelope()) * 64 / 66
 	cfg.Mempool.MaxBatchBytes = fits
 	if err := cfg.CheckProposalSize(64); err != nil {

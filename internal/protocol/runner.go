@@ -9,10 +9,10 @@ import (
 )
 
 // This file is the protocol-variant surface shared by every deployment
-// driver: the engine registry, the five named variants of the paper's
-// evaluation, the epoch-instance factory, and the agreement check. The
-// drivers themselves — one-shot, clustered, and chain SMR over both
-// topologies — live in internal/run behind the unified run.Spec API.
+// driver: the engine registry, the epoch-instance factory, and the
+// agreement check. The drivers themselves — one-shot, clustered, and chain
+// SMR over both topologies — live in internal/run behind the unified
+// run.Spec API.
 
 // Kind names a consensus protocol family.
 type Kind string
@@ -26,12 +26,30 @@ const (
 	AleaKind    Kind = "alea"
 )
 
-// Engine is one registry entry: a protocol family and its epoch-instance
-// constructor. Everything downstream — run.Spec validation, the Encrypt
-// default, the bench axes, the wbft CLI vocabulary, and the cross-engine
-// conformance suite — enumerates this registry instead of hardcoding the
-// family list, so adding an engine is one Register (or one slice entry)
-// and zero call-site changes.
+// Options is everything a driver tells an engine about one epoch beyond
+// its environment. One type serves every family, so a driver never names
+// the engine it is building.
+type Options struct {
+	// Coin is the ABA randomness ("": the family's own, Engine.Coin).
+	Coin CoinKind
+	// SharedCoin shares one coin per round across the epoch's parallel
+	// ABAs — the wireless rule of Sec. V-A, on under ConsensusBatcher.
+	// Families whose ABAs run one at a time have nothing to share.
+	SharedCoin bool
+	// Encrypt threshold-encrypts the proposals (the families that
+	// disseminate by RBC: HoneyBadger and BEAT).
+	Encrypt bool
+	// OnDecide, if set, fires when the epoch decides locally.
+	OnDecide func()
+}
+
+// Engine is one registry entry: everything that tells a protocol family
+// from the others. What is downstream — run.Spec validation, the Encrypt
+// default, the drivers of all four matrix cells and the global tier of the
+// clustered ones, the chain's proposal log, the wbft CLI vocabulary, and
+// the cross-engine conformance suite — reads the registry instead of naming
+// families, so adding an engine is one Register (or one slice entry) and
+// zero call-site changes.
 type Engine struct {
 	Kind Kind
 	// DefaultEncrypt is whether run.Defaults turns on the
@@ -40,28 +58,28 @@ type Engine struct {
 	// Coin is the coin the family runs when the Spec names none ("": the
 	// Spec must name one).
 	Coin CoinKind
+	// ProposalWAL makes the chain keep the batch it first cut for every
+	// uncommitted epoch on stable storage, so that a recovered proposer
+	// re-proposes exactly that batch instead of cutting a fresh one (see
+	// Chain.startEpoch). A family needs it when its broadcast binds peers
+	// to the first value they see: Alea's echoes are signature shares over
+	// the queue head's hash, so after a full stop (more than f nodes down
+	// at once) a fresh batch can never certify — survivors are bound to
+	// the old hash and the old broadcast lost its leader's share with the
+	// crash. The RBC families share the value-binding limitation
+	// (TestFullStopRecovery) and the log alone does not lift it: they
+	// answer no replay pull (ROADMAP item 1).
+	ProposalWAL bool
 	// New builds one epoch's consensus instance.
-	New func(env *component.Env, coin CoinKind, batched, encrypt bool, onDecide func()) Instance
+	New func(env *component.Env, opts Options) Instance
 }
 
 func builtinEngines() []Engine {
 	return []Engine{
-		{Kind: HoneyBadger, DefaultEncrypt: true,
-			New: func(env *component.Env, coin CoinKind, batched, encrypt bool, onDecide func()) Instance {
-				return NewACS(env, ACSOptions{Coin: coin, Batched: batched, Encrypt: encrypt, OnDecide: onDecide})
-			}},
-		{Kind: BEAT, DefaultEncrypt: true, Coin: CoinFlip,
-			New: func(env *component.Env, coin CoinKind, batched, encrypt bool, onDecide func()) Instance {
-				return NewACS(env, ACSOptions{Coin: coin, Batched: batched, Encrypt: true, OnDecide: onDecide})
-			}},
-		{Kind: DumboKind, DefaultEncrypt: false,
-			New: func(env *component.Env, coin CoinKind, batched, encrypt bool, onDecide func()) Instance {
-				return NewDumbo(env, DumboOptions{Coin: coin, Batched: batched, OnDecide: onDecide})
-			}},
-		{Kind: AleaKind, DefaultEncrypt: false,
-			New: func(env *component.Env, coin CoinKind, batched, encrypt bool, onDecide func()) Instance {
-				return NewAlea(env, AleaOptions{Coin: coin, Batched: batched, OnDecide: onDecide})
-			}},
+		{Kind: HoneyBadger, DefaultEncrypt: true, New: newACS},
+		{Kind: BEAT, DefaultEncrypt: true, Coin: CoinFlip, New: newACS},
+		{Kind: DumboKind, New: newDumbo},
+		{Kind: AleaKind, ProposalWAL: true, New: newAlea},
 	}
 }
 
@@ -133,38 +151,18 @@ func Register(e Engine) (restore func()) {
 	}
 }
 
-// NewInstance builds one epoch's consensus engine for a protocol variant.
-// The one-shot drivers and the Chain SMR engine construct every epoch
-// through this factory.
-func NewInstance(env *component.Env, p Kind, coin CoinKind, batched, encrypt bool, onDecide func()) Instance {
+// NewInstance builds one epoch's consensus engine for a protocol family.
+// Every driver constructs every instance — each epoch of the one-shot and
+// chain workloads, and the global tier's — through this factory.
+func NewInstance(env *component.Env, p Kind, opts Options) Instance {
 	e, ok := Lookup(p)
 	if !ok {
 		panic(fmt.Sprintf("protocol: unknown protocol %q", p))
 	}
-	if coin == "" {
-		coin = e.Coin
+	if opts.Coin == "" {
+		opts.Coin = e.Coin
 	}
-	return e.New(env, coin, batched, encrypt, onDecide)
-}
-
-// Variant names one of the paper's five protocol configurations.
-type Variant struct {
-	Name string
-	Kind Kind
-	Coin CoinKind
-}
-
-// Variants returns the paper's five protocol variants (Fig. 13 legend).
-// Alea is not among them — it is the beyond-the-paper engine and shows up
-// through the registry-driven sweeps instead.
-func Variants() []Variant {
-	return []Variant{
-		{"HB-LC", HoneyBadger, CoinLocal},
-		{"HB-SC", HoneyBadger, CoinSig},
-		{"BEAT", BEAT, CoinFlip},
-		{"Dumbo-LC", DumboKind, CoinLocal},
-		{"Dumbo-SC", DumboKind, CoinSig},
-	}
+	return e.New(env, opts)
 }
 
 // MakeProposal builds the one-shot drivers' deterministic proposal batch:

@@ -27,13 +27,16 @@ import (
 
 // chainConfig builds the per-node engine config from the Spec's workload.
 func chainConfig(spec Spec) (protocol.ChainConfig, error) {
-	ccfg := protocol.DefaultChainConfig(spec.Protocol, spec.Coin)
-	ccfg.Batched = spec.Batched
-	ccfg.Encrypt = spec.Encrypt
-	ccfg.Window = spec.Workload.Window
-	ccfg.GCLag = spec.Workload.GCLag
-	ccfg.MaxEpochs = spec.Workload.Epochs
-	ccfg.Mempool = spec.Workload.Mempool
+	ccfg := protocol.ChainConfig{
+		Protocol:  spec.Protocol,
+		Coin:      spec.Coin,
+		Batched:   spec.Batched,
+		Encrypt:   spec.Encrypt,
+		Window:    spec.Workload.Window,
+		GCLag:     spec.Workload.GCLag,
+		MaxEpochs: spec.Workload.Epochs,
+		Mempool:   spec.Workload.Mempool,
+	}
 	if max := ccfg.Mempool.WithDefaults().MaxBatchBytes; spec.Workload.TxSize > max {
 		return ccfg, fmt.Errorf("run: TxSize %d exceeds proposal cap MaxBatchBytes %d", spec.Workload.TxSize, max)
 	}
@@ -60,11 +63,10 @@ type chainGroup struct {
 
 // newChainGroup runs a chain on every node of g. Member i is Byzantine if
 // byz holds base+i, and scripted to stay down if gone does.
-func newChainGroup(sched *sim.Scheduler, g *group, f int, ccfg protocol.ChainConfig, base int, byz, gone map[int]bool) *chainGroup {
+func newChainGroup(g *group, f int, ccfg protocol.ChainConfig, base int, byz, gone map[int]bool) *chainGroup {
 	cg := &chainGroup{group: g}
 	for i, n := range g.nodes {
-		cg.chains = append(cg.chains, protocol.NewChain(sched, n.CPU, n.Mux(), n.Suite, len(g.nodes), f, i,
-			n.TransportConfig().Session, n.Rand, ccfg))
+		cg.chains = append(cg.chains, protocol.NewChain(*n.Env(len(g.nodes), f), n.Mux(), ccfg))
 		cg.byz = append(cg.byz, byz[base+i])
 		cg.live = append(cg.live, !byz[base+i] && !gone[base+i])
 	}
@@ -223,7 +225,7 @@ func runChain(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := newChainGroup(d.sched, d.locals[0], spec.F, ccfg, 0, d.byz, perma)
+	g := newChainGroup(d.locals[0], spec.F, ccfg, 0, d.byz, perma)
 	for i, c := range g.chains {
 		c.OnCommit = func(int) { g.observe(i) }
 	}

@@ -48,7 +48,7 @@ func TestChainPipelinedLossy(t *testing.T) {
 // TestChainAllVariantsLossy runs multi-epoch SMR agreement for all five
 // protocol variants on the lossy channel.
 func TestChainAllVariantsLossy(t *testing.T) {
-	for i, v := range protocol.Variants() {
+	for i, v := range paperVariants {
 		v, i := v, i
 		t.Run(v.Name, func(t *testing.T) {
 			t.Parallel()

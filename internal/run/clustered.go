@@ -4,11 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 
-	"repro/internal/component"
 	"repro/internal/core"
 	"repro/internal/packet"
 	"repro/internal/protocol"
-	"repro/internal/sim"
 )
 
 // Clustered × OneShot: the paper's Sec. V-B two-tier deployment. M
@@ -36,38 +34,22 @@ import (
 
 // attachGlobal wires this epoch's cluster leader into the global tier and
 // builds the epoch's global consensus instance.
-func (g *oneShotGroup) attachGlobal(sched *sim.Scheduler, epoch uint16, spec Spec) {
+func (g *oneShotGroup) attachGlobal(epoch uint16, spec Spec) {
 	g.leader = int(epoch) % len(g.nodes)
 	g.resultSent = false
 	leader := g.nodes[g.leader]
 	// The seat persists while leaders rotate: it is only as Byzantine as
 	// the node currently occupying it.
 	g.seat.SetBehavior(leader.Node.Behavior())
-	gtr := g.seat.Transport()
-	gtr.SetEpoch(epoch)
-	env := &component.Env{
-		N:       g.clusters,
-		F:       (g.clusters - 1) / 3,
-		Me:      g.idx,
-		Epoch:   epoch,
-		Session: g.seat.TransportConfig().Session,
-		Suite:   g.seat.Suite,
-		T:       gtr,
-		CPU:     g.seat.CPU,
-		Sched:   sched,
-		Rand:    leader.Rand,
-	}
-	onGlobalDecide := g.publishResult
-	switch spec.Protocol {
-	case protocol.DumboKind:
-		g.global = protocol.NewDumbo(env, protocol.DumboOptions{Coin: spec.Coin, Batched: spec.Batched, OnDecide: onGlobalDecide})
-	default:
-		coin := spec.Coin
-		if spec.Protocol == protocol.BEAT && coin == "" {
-			coin = protocol.CoinFlip
-		}
-		g.global = protocol.NewACS(env, protocol.ACSOptions{Coin: coin, Batched: spec.Batched, Encrypt: false, OnDecide: onGlobalDecide})
-	}
+	g.seat.Transport().SetEpoch(epoch)
+	env := g.seat.Env(g.clusters, (g.clusters-1)/3)
+	env.Epoch = epoch
+	env.Rand = leader.Rand // the seat draws from its occupant's randomness
+	// The global tier runs the family's own engine, on cluster digests:
+	// public values, so nothing to encrypt.
+	g.global = protocol.NewInstance(env, spec.Protocol, protocol.Options{
+		Coin: spec.Coin, SharedCoin: spec.Batched, OnDecide: g.publishResult,
+	})
 }
 
 // listen makes every live member finish its epoch on the leader's global

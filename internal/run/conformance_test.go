@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/byz"
 	"repro/internal/component"
+	"repro/internal/core"
+	"repro/internal/packet"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
 )
@@ -171,15 +173,16 @@ func TestConformanceEngines(t *testing.T) {
 // complete anywhere during the outage) followed by recovery of both. The
 // in-flight epoch must then complete cooperatively from survivor state
 // plus the recovered nodes' re-proposals. Only Alea guarantees this, via
-// the proposal WAL (protocol.ChainConfig.ProposalWAL) — the write-ahead
-// log the Alea-BFT paper requires of its broadcast component — plus the
-// WAL-replay repair pull (Alea.Reproposed) that has survivors re-serve
-// the VCBC certificate or their standing echo shares, and RoundCatchUp's
-// pruned-round send replay. The other engines are excluded:
-// HB and BEAT wedge on this scenario outright, and Dumbo's recovery is
-// interleaving-dependent (some seeds complete, some wedge) — a known
-// family limitation (see DESIGN.md); ProposalWAL is gated off for them
-// to keep the frozen BENCH goldens.
+// the proposal WAL its registry entry asks for (protocol.Engine.ProposalWAL)
+// — the write-ahead log the Alea-BFT paper requires of its broadcast
+// component — plus the WAL-replay repair pull (Alea.Reproposed) that has
+// survivors re-serve the VCBC certificate or their standing echo shares,
+// and RoundCatchUp's pruned-round send replay. The other engines are
+// excluded: HB and BEAT wedge on this scenario outright, and Dumbo's
+// recovery is interleaving-dependent (some seeds complete, some wedge) — a
+// known family limitation (see DESIGN.md). The log alone does not lift it:
+// with ProposalWAL set on every entry all three still fail here, because
+// RBC and PRBC answer no replay pull (ROADMAP item 1).
 func TestFullStopRecovery(t *testing.T) {
 	for _, kind := range []protocol.Kind{protocol.AleaKind} {
 		kind := kind
@@ -229,15 +232,67 @@ func TestConformanceDeterminism(t *testing.T) {
 	}
 }
 
+// seatProbe re-registers an engine under its own kind with a constructor
+// that notes what each instance on the global tier's session (of a Spec
+// with the default transport session) was built with, and taps every
+// instance's outbound intents for decryption shares, per tier. The run
+// reads the registry, so what the probe sees is what the drivers built.
+// One run at a time builds instances of a probed kind, so nothing is
+// locked.
+type seatProbe struct {
+	seatOpts            []protocol.Options
+	decLocal, decGlobal int
+}
+
+// decTap is a pass-through interceptor counting KindDec intents.
+type decTap struct{ count *int }
+
+func (k decTap) Outbound(_ *core.Transport, in core.Intent) []core.Intent {
+	if in.Kind == packet.KindDec {
+		*k.count++
+	}
+	return []core.Intent{in}
+}
+
+func registerSeatProbe(t *testing.T, kind protocol.Kind) *seatProbe {
+	eng, ok := protocol.Lookup(kind)
+	if !ok {
+		t.Fatalf("%s missing from registry", kind)
+	}
+	p := &seatProbe{}
+	build := eng.New
+	eng.New = func(env *component.Env, opts protocol.Options) protocol.Instance {
+		count := &p.decLocal
+		if env.Session == globalSession(0) {
+			count = &p.decGlobal
+			p.seatOpts = append(p.seatOpts, opts)
+		}
+		env.T.SetInterceptor(decTap{count})
+		return build(env, opts)
+	}
+	t.Cleanup(protocol.Register(eng))
+	return p
+}
+
 // TestConformanceClustered runs each engine through the clustered
 // topology cell (the acceptance bar for new engines: every engine must
-// drive every matrix cell, not just the flat one).
+// drive every matrix cell, not just the flat one) and checks that the
+// global tier runs the family's own engine: every seat's instance comes
+// out of the family's registry entry, with the family's coin. (The seats
+// used to be built by a switch in the driver that gave Alea HoneyBadger's
+// ACS and re-derived BEAT's coin default by hand.) The probes stay
+// registered until the parallel cells are done; no other top-level test
+// of the package runs meanwhile.
 func TestConformanceClustered(t *testing.T) {
 	for _, eng := range protocol.Engines() {
-		kind := eng.Kind
+		kind, coin := eng.Kind, eng.Coin
+		probe := registerSeatProbe(t, kind)
 		t.Run(string(kind), func(t *testing.T) {
 			t.Parallel()
 			spec := Defaults(kind, conformanceCoin(kind))
+			if coin != "" {
+				spec.Coin = "" // the family brings its own, on both tiers
+			}
 			spec.Topology = Clustered(4, 4)
 			spec.Workload = OneShot(1)
 			spec.Seed = 7
@@ -248,7 +303,40 @@ func TestConformanceClustered(t *testing.T) {
 			if rep.OneShot.DeliveredTxs == 0 {
 				t.Fatal("clustered cell delivered nothing")
 			}
+			if len(probe.seatOpts) != spec.Topology.Clusters {
+				t.Fatalf("%d of the %d seats run an instance of the %s registry entry",
+					len(probe.seatOpts), spec.Topology.Clusters, kind)
+			}
+			for _, opts := range probe.seatOpts {
+				if opts.Coin != conformanceCoin(kind) || opts.Encrypt {
+					t.Errorf("seat built with coin %q encrypt=%v, want the family's %q and no encryption",
+						opts.Coin, opts.Encrypt, conformanceCoin(kind))
+				}
+			}
 		})
+	}
+}
+
+// TestClusteredChainGlobalTierUnencrypted pins what runClusteredChain
+// promises of the global chain — cut records are public, so its proposals
+// are not ciphertexts — on the family that used to ignore it: BEAT's
+// registry entry hard-wired encryption on. No seat may publish a
+// decryption share; the clusters, which do encrypt, must (the probe sees
+// what it claims to). Not parallel: it replaces a registry entry.
+func TestClusteredChainGlobalTierUnencrypted(t *testing.T) {
+	probe := registerSeatProbe(t, protocol.BEAT)
+	spec := Defaults(protocol.BEAT, "")
+	spec.Topology = Clustered(4, 4)
+	spec.Workload = Chain(2)
+	spec.Workload.TxInterval = 2 * time.Second
+	if _, err := Run(spec); err != nil {
+		t.Fatal(err)
+	}
+	if probe.decLocal == 0 {
+		t.Fatal("the clusters published no decryption share: the probe is blind")
+	}
+	if probe.decGlobal != 0 {
+		t.Errorf("the global tier published %d decryption shares: its proposals are ciphertexts", probe.decGlobal)
 	}
 }
 
@@ -281,9 +369,9 @@ func TestConformanceCatchesBrokenEngines(t *testing.T) {
 	if !ok {
 		t.Fatal("honeybadger missing from registry")
 	}
-	wrap := func(tainted func(me int) bool) func(*component.Env, protocol.CoinKind, bool, bool, func()) protocol.Instance {
-		return func(env *component.Env, coin protocol.CoinKind, batched, encrypt bool, onDecide func()) protocol.Instance {
-			inst := base.New(env, coin, batched, encrypt, onDecide)
+	wrap := func(tainted func(me int) bool) func(*component.Env, protocol.Options) protocol.Instance {
+		return func(env *component.Env, opts protocol.Options) protocol.Instance {
+			inst := base.New(env, opts)
 			if tainted(env.Me) {
 				return &forgingInstance{Instance: inst}
 			}

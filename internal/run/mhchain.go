@@ -558,12 +558,12 @@ func runClusteredChain(spec Spec) (*Report, error) {
 		Shards:           1,
 	}
 
-	d := &mhcDriver{spec: spec, target: target, gsession: dep.seats.nodes[0].TransportConfig().Session}
-	d.seats = newChainGroup(dep.sched, dep.seats, fg, gccfg, 0, tainted, nil)
+	d := &mhcDriver{spec: spec, target: target, gsession: globalSession(spec.Transport.Session)}
+	d.seats = newChainGroup(dep.seats, fg, gccfg, 0, tainted, nil)
 	var locals []*chainGroup
 	for c, lg := range dep.locals {
 		cl := &mhcCluster{idx: c, seats: d.seats, gotCuts: make([]map[int]bool, M)}
-		cl.local = newChainGroup(dep.sched, lg, spec.F, ccfg, c*P, dep.byz, perma)
+		cl.local = newChainGroup(lg, spec.F, ccfg, c*P, dep.byz, perma)
 		for i := range lg.nodes {
 			cl.members = append(cl.members, &mhcMember{cutShares: make(map[int]*threshsig.SigShare)})
 			d.hookMember(cl, i)

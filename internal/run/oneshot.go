@@ -4,10 +4,8 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/component"
 	"repro/internal/node"
 	"repro/internal/protocol"
-	"repro/internal/sim"
 )
 
 // osNode bundles one node's per-epoch state on top of the deployment
@@ -36,11 +34,11 @@ type oneShotGroup struct {
 	nodes []*osNode
 	// seat is the cluster's persistent seat on the global tier, occupied
 	// by the epoch's leader; nil on single-hop.
-	seat          *node.Node
-	idx, clusters int
-	leader        int               // index within the cluster this epoch
-	global        protocol.Instance // the seat's engine this epoch
-	resultSent    bool
+	seat       *node.Node
+	clusters   int
+	leader     int               // index within the cluster this epoch
+	global     protocol.Instance // the seat's engine this epoch
+	resultSent bool
 }
 
 // runOneShot executes the one-shot workload on either topology: every
@@ -60,7 +58,7 @@ func runOneShot(spec Spec) (*Report, error) {
 			og.nodes = append(og.nodes, &osNode{Node: n, idx: i, byz: d.byz[c*spec.N+i]})
 		}
 		if d.seats != nil {
-			og.seat, og.idx, og.clusters = d.seats.nodes[c], c, len(d.locals)
+			og.seat, og.clusters = d.seats.nodes[c], len(d.locals)
 		}
 		flat = append(flat, og.nodes...)
 		groups[c] = og
@@ -73,7 +71,7 @@ func runOneShot(spec Spec) (*Report, error) {
 	for epoch := 0; epoch < spec.Workload.Epochs; epoch++ {
 		start := d.sched.Now()
 		for _, g := range groups {
-			g.startEpoch(d.sched, uint16(epoch), spec)
+			g.startEpoch(uint16(epoch), spec)
 		}
 		err := node.Drive(d.sched, start+spec.Deadline, func() bool {
 			for _, n := range flat {
@@ -137,11 +135,11 @@ func runOneShot(spec Spec) (*Report, error) {
 // feeds the cluster digest to the global tier instead — a completion
 // callback, not a polling loop — and the epoch finishes when the global
 // order comes back down.
-func (g *oneShotGroup) startEpoch(sched *sim.Scheduler, epoch uint16, spec Spec) {
+func (g *oneShotGroup) startEpoch(epoch uint16, spec Spec) {
 	if g.seat != nil {
 		// The global instance must exist before the leader's local
 		// decision callback can feed it the cluster digest.
-		g.attachGlobal(sched, epoch, spec)
+		g.attachGlobal(epoch, spec)
 	}
 	for _, n := range g.nodes {
 		var onDecide func()
@@ -154,7 +152,7 @@ func (g *oneShotGroup) startEpoch(sched *sim.Scheduler, epoch uint16, spec Spec)
 		default:
 			onDecide = func() {} // a follower waits for its leader's RESULT
 		}
-		n.startEpoch(sched, epoch, spec, onDecide)
+		n.startEpoch(epoch, spec, onDecide)
 	}
 	if g.seat != nil {
 		g.listen()
@@ -163,26 +161,17 @@ func (g *oneShotGroup) startEpoch(sched *sim.Scheduler, epoch uint16, spec Spec)
 
 // startEpoch rebuilds the node's components for a fresh epoch and submits
 // its proposal. onDecide fires when the node decides the epoch locally.
-func (n *osNode) startEpoch(sched *sim.Scheduler, epoch uint16, spec Spec, onDecide func()) {
+func (n *osNode) startEpoch(epoch uint16, spec Spec, onDecide func()) {
 	n.finished = false
 	n.inst = nil
 	if n.Down() {
 		return // crashed nodes sit the epoch out
 	}
-	tr := n.Transport()
-	tr.SetEpoch(epoch)
-	env := &component.Env{
-		N:       spec.N,
-		F:       spec.F,
-		Me:      n.idx,
-		Epoch:   epoch,
-		Session: n.TransportConfig().Session,
-		Suite:   n.Suite,
-		T:       tr,
-		CPU:     n.CPU,
-		Sched:   sched,
-		Rand:    n.Rand,
-	}
-	n.inst = protocol.NewInstance(env, spec.Protocol, spec.Coin, spec.Batched, spec.Encrypt, onDecide)
+	n.Transport().SetEpoch(epoch)
+	env := n.Env(spec.N, spec.F)
+	env.Epoch = epoch
+	n.inst = protocol.NewInstance(env, spec.Protocol, protocol.Options{
+		Coin: spec.Coin, SharedCoin: spec.Batched, Encrypt: spec.Encrypt, OnDecide: onDecide,
+	})
 	n.inst.Start(protocol.MakeProposal(n.idx, int(epoch), spec.Workload.BatchSize, spec.Workload.TxSize))
 }

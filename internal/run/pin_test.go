@@ -148,7 +148,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "b150a58a7c88291489a79b970cb414f2b1be7a9f636ba1ecc6b6519012b3adc1"},
+		}, "f73328d21b512a0b10e893bc9d262178c369e1a235a20d062f2f2e5559f62fab"},
 	}
 	for _, tc := range cases {
 		tc := tc

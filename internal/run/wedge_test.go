@@ -1,6 +1,7 @@
 package run_test
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -11,32 +12,36 @@ import (
 	"repro/internal/scenario"
 )
 
-// TestSustainedEquivocationWedge pins ROADMAP item 2 as an in-tree
-// repro: under a sustained equivocation adversary (f Byzantine nodes
-// from t=0), the three BENCH_alea.json cells below wedge — every honest
-// node stalls at the same epoch frontier until the run deadline fires —
-// instead of committing all 12 epochs. Alea-SC survives the same plan
-// (its VCBC certificates pin one payload per slot), so the wedge is
-// likely in RBC's equivocation-repair path shared by the HB and Dumbo
-// engines.
+// TestSustainedEquivocationWedge runs the three byz-equivocate cells of
+// BENCH_alea.json that used to end in a deadline error: f nodes
+// equivocating from t = 0 against a 12-epoch chain, seed 2.
 //
-// The test is skipped: it documents a known open bug, not a regression
-// gate. Whoever fixes item 2 should delete the Skip and flip the
-// expectation — a fixed engine commits all 12 epochs and the run
-// returns nil.
+// The two HB-SC cells are a liveness gate. Their wedge was in the
+// decryption hand-off: the equivocator's per-fragment rewrites left RBC
+// agreeing on a ciphertext whose header parses and whose body no longer
+// matches its binding tag, which no honest node makes a decryption share
+// of, so the epoch waited on a plaintext for ever. The ciphertext is now
+// refused where it is decoded and the slot rejected, and both cells commit
+// 12/12.
+//
+// The Dumbo-SC baseline cell is not a wedge but a deadline miss, and stays
+// an expected one: the medium is 83 % busy from the first minute to the
+// last under the blind retransmission timer — GCLag 12 keeps every epoch
+// open, each re-broadcasting its whole intent set, one packet per intent,
+// and the Byzantine candidate's CBCs never complete, so their intents never
+// prune — and the cell commits 12/12 at ≈ 8 h 45 m against the 8 h
+// deadline. Demand-driven retransmission (ROADMAP item 2) closes it; a
+// longer deadline would only hide it.
 func TestSustainedEquivocationWedge(t *testing.T) {
-	t.Skip("ROADMAP item 2: sustained-equivocation liveness wedge (known open bug; " +
-		"remove this Skip when fixing it and expect the runs to succeed)")
-
 	cases := []struct {
 		name    string
 		kind    protocol.Kind
 		batched bool
+		commits bool
 	}{
-		// The three FAILED byz-equivocate cells of BENCH_alea.json, seed 2.
-		{"HB-SC/batched", protocol.HoneyBadger, true},
-		{"HB-SC/baseline", protocol.HoneyBadger, false},
-		{"Dumbo-SC/baseline", protocol.DumboKind, false},
+		{"HB-SC/batched", protocol.HoneyBadger, true, true},
+		{"HB-SC/baseline", protocol.HoneyBadger, false, true},
+		{"Dumbo-SC/baseline", protocol.DumboKind, false, false},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -53,13 +58,22 @@ func TestSustainedEquivocationWedge(t *testing.T) {
 				plan = plan.Then(scenario.ByzAt(0, spec.N-1-i, byz.NameEquivocate))
 			}
 			spec.Scenario = plan
-			_, err := run.Run(spec)
-			if err == nil {
-				t.Fatal("cell completed: the equivocation wedge is gone — " +
-					"close ROADMAP item 2 and turn this into a liveness gate")
+			rep, err := run.Run(spec)
+			if !tc.commits {
+				if err == nil {
+					t.Fatal("cell committed inside the deadline: record it in ROADMAP item 2 and make it a liveness gate")
+				}
+				if !errors.Is(err, node.ErrDeadline) {
+					t.Fatalf("expected the documented deadline miss, got a different failure: %v", err)
+				}
+				return
 			}
-			if !node.IsDeadline(err) {
-				t.Fatalf("expected the documented deadline wedge, got a different failure: %v", err)
+			if err != nil {
+				t.Fatalf("liveness lost under sustained equivocation: %v", err)
+			}
+			if rep.Chain.EpochsCommitted != 12 || rep.Rejected == 0 {
+				t.Errorf("committed %d epochs with %d rejected contributions, want 12 and the equivocator's slots rejected",
+					rep.Chain.EpochsCommitted, rep.Rejected)
 			}
 		})
 	}

@@ -191,12 +191,6 @@ func Start(sched *sim.Scheduler, plan Plan, seed int64, life Lifecycle) *Engine 
 	return e
 }
 
-// Hook returns the delivery hook for a channel whose station IDs are the
-// scenario's node indices directly (single-hop deployments).
-func (e *Engine) Hook() wireless.DeliveryHook {
-	return e.HookMapped(func(id wireless.NodeID) int { return int(id) })
-}
-
 // HookMapped returns a delivery hook for a channel whose station IDs must
 // first be translated into scenario node indices (multihop clusters attach
 // stations 0..N_i-1 on every cluster channel; the driver maps them to flat

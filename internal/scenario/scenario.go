@@ -236,20 +236,6 @@ func (p Plan) ByzNodes() map[int]bool {
 	return out
 }
 
-// CrashedNodes returns every node a crash event targets, recovered or not.
-func (p Plan) CrashedNodes() []int {
-	seen := map[int]bool{}
-	var out []int
-	for _, e := range p.Events {
-		if e.Kind == KindCrash && !seen[e.Node] {
-			seen[e.Node] = true
-			out = append(out, e.Node)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
 // sorted returns the events in firing order (stable on equal times).
 func (p Plan) sorted() []Event {
 	evs := append([]Event(nil), p.Events...)

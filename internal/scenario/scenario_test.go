@@ -41,6 +41,12 @@ func (r *recorder) SetByzantine(i int, behavior string) {
 	}{i, behavior})
 }
 
+// singleHopHook is the delivery hook of a channel whose station IDs are
+// the scenario's node indices.
+func singleHopHook(e *Engine) wireless.DeliveryHook {
+	return e.HookMapped(func(id wireless.NodeID) int { return int(id) })
+}
+
 func TestEngineFiresLifecycleEvents(t *testing.T) {
 	sched := sim.New(1)
 	rec := &recorder{sched: sched}
@@ -92,7 +98,7 @@ func TestEnginePartitionAndHeal(t *testing.T) {
 		PartitionAt(time.Minute, []int{0, 1}, []int{2, 3}),
 		HealAt(2*time.Minute),
 	), 1, nil)
-	hook := eng.Hook()
+	hook := singleHopHook(eng)
 	drop := func(from, to wireless.NodeID) bool {
 		_, d := hook(from, to, nil)
 		return d
@@ -122,7 +128,7 @@ func TestEngineJamWindowAndDelay(t *testing.T) {
 		JamAt(time.Minute, 30*time.Second),
 		DelayFrom(10*time.Minute, 1.0, 5*time.Second, 0),
 	), 7, nil)
-	hook := eng.Hook()
+	hook := singleHopHook(eng)
 	sched.RunUntil(time.Minute)
 	if _, drop := hook(0, 1, nil); !drop {
 		t.Error("jam window not dropping")
@@ -147,7 +153,7 @@ func TestEngineSeedVariesAdversary(t *testing.T) {
 	sample := func(seed int64) []time.Duration {
 		sched := sim.New(1)
 		eng := Start(sched, Delay(1.0, time.Minute), seed, nil)
-		hook := eng.Hook()
+		hook := singleHopHook(eng)
 		sched.RunUntil(time.Second)
 		var out []time.Duration
 		for i := 0; i < 8; i++ {
@@ -176,7 +182,7 @@ func TestEngineDutyCycleSleepWindows(t *testing.T) {
 	eng := Start(sched, Plan{}.Then(
 		DutyCycleFrom(0, 2*time.Minute, 0.5, time.Minute),
 	), 1, nil)
-	hook := eng.Hook()
+	hook := singleHopHook(eng)
 	// Node 0 has phase offset 0: awake for the first 30s of each minute.
 	sched.RunUntil(10 * time.Second)
 	if _, drop := hook(0, 0, nil); drop {
@@ -212,7 +218,7 @@ func TestEngineMobilityRangeAndWindow(t *testing.T) {
 	eng := Start(sched, Plan{}.Then(
 		MobilityFrom(time.Minute, time.Hour, 20, 1),
 	), 1, nil)
-	hook := eng.Hook()
+	hook := singleHopHook(eng)
 	if _, drop := hook(0, 1, nil); drop {
 		t.Error("dropped before the mobility window")
 	}
@@ -264,9 +270,6 @@ func TestDownForever(t *testing.T) {
 	down := p.DownForever()
 	if !down[3] || down[1] || len(down) != 1 {
 		t.Fatalf("DownForever = %v, want {3}", down)
-	}
-	if got := p.CrashedNodes(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("CrashedNodes = %v", got)
 	}
 }
 

@@ -43,11 +43,5 @@ func (c *CPU) Exec(cost time.Duration, fn func()) {
 // Busy reports whether the CPU has outstanding work at the current time.
 func (c *CPU) Busy() bool { return c.busyUntil > c.sched.Now() || c.queued > 0 }
 
-// BusyUntil returns the virtual time at which all submitted work completes.
-func (c *CPU) BusyUntil() time.Duration { return c.busyUntil }
-
 // BusyTotal returns the cumulative compute time charged so far.
 func (c *CPU) BusyTotal() time.Duration { return c.busyTotal }
-
-// QueueLen returns the number of jobs submitted but not yet completed.
-func (c *CPU) QueueLen() int { return c.queued }

@@ -105,14 +105,6 @@ func (p Pattern) Validate() error {
 	return nil
 }
 
-// String renders the pattern for labels and reports.
-func (p Pattern) String() string {
-	if !p.Enabled() {
-		return "fixed-interval"
-	}
-	return fmt.Sprintf("%s(%g tx/s, %d clients)", p.Kind, p.Rate, p.Clients)
-}
-
 // Gen drives one arrival process on a scheduler. Each arrival invokes the
 // submit callback with its global sequence number (monotonic from 0, the
 // provenance contract protocol.MakeClientTx expects); the first false

@@ -144,9 +144,6 @@ func TestPatternValidate(t *testing.T) {
 	if (Pattern{}).Enabled() || !def.Enabled() {
 		t.Error("Enabled wrong")
 	}
-	if (Pattern{}).String() != "fixed-interval" {
-		t.Error("zero pattern String")
-	}
 }
 
 func TestOnOffApproachesConfiguredAverage(t *testing.T) {

@@ -122,9 +122,6 @@ func (s *Station) ID() NodeID { return s.st.id }
 // QueueLen returns the number of frames waiting to be transmitted.
 func (s *Station) QueueLen() int { return len(s.st.queue) }
 
-// Accesses returns how many channel accesses this station has won.
-func (s *Station) Accesses() uint64 { return s.st.accesses }
-
 // Channel returns the channel the station is attached to.
 func (s *Station) Channel() *Channel { return s.ch }
 

@@ -43,9 +43,6 @@ func NewWaypoint(field, speed float64, seed int64) *Waypoint {
 	return &Waypoint{field: field, speed: speed, seed: seed}
 }
 
-// Field returns the square field's side length in meters.
-func (w *Waypoint) Field() float64 { return w.field }
-
 // node lazily materializes a node's trajectory state.
 func (w *Waypoint) node(i int) *wpNode {
 	for len(w.nodes) <= i {
