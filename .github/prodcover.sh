@@ -64,6 +64,10 @@ wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@10m:15m,3m"
 wbft -protocol alea -coin SC -heavy -epochs 1 -scenario "delay:0.25,10s"
 wbft chain -protocol alea -epochs 4 -gclag 6 -json report.json
 
+# The benchmark's core rigs (benchmark/layers.go) are the one entry point that
+# runs core.New, Transport.BindStation and Transport.ReceiveFrame — a
+# standalone transport, epoch 0 of a mux of its own; every node is built on
+# core.NewMux. They ran, so they are not in the allowlist.
 cd "$root"
 for w in hb_sc_batched hb_lc_baseline alea_overload dumbo_clustered; do
 	for trace in 0 1; do

@@ -9,8 +9,8 @@
 //	internal/sim        deterministic discrete-event scheduler + CPU model
 //	internal/wireless   shared-medium CSMA channel (airtime, loss, clusters)
 //	internal/packet     ConsensusBatcher wire format (sections, NACK bitmaps)
-//	internal/core       the batching transport (the paper's contribution)
-//	                    plus the epoch mux behind the SMR pipeline
+//	internal/core       the batching transport (the paper's contribution):
+//	                    one mux per node, one transport per open epoch
 //	internal/crypto     threshold signatures / coin / encryption, PK schemes
 //	internal/component  RBC, PRBC, CBC, Bracha ABA, Cachin ABA, decryptor
 //	internal/protocol   HoneyBadgerBFT, BEAT, Dumbo epoch engines; the

@@ -48,6 +48,7 @@ func NewComponentRig(seed int64, batched bool, cfg crypto.Config, net wireless.C
 	for i := 0; i < n; i++ {
 		nd := node.New(sched, ch, wireless.NodeID(i), suites[i], ncfg)
 		env := nd.Env(n, f)
+		env.T = nd.Mux().Open(0)
 		// The rig keeps its historical RNG derivation so component
 		// benchmark trajectories stay comparable across PRs.
 		env.Rand = rand.New(rand.NewSource(seed + int64(i)*337))

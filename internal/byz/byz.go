@@ -57,8 +57,8 @@ func (c Ctx) InjectAfter(d time.Duration, in core.Intent) {
 }
 
 // Interceptor binds a Behavior to a node's randomness and clock,
-// implementing core.Interceptor for every transport the node opens (a
-// mux node shares one Interceptor across its pipelined epochs).
+// implementing core.Interceptor for every epoch the node opens (its mux
+// holds the one Interceptor).
 type Interceptor struct {
 	Rand     *rand.Rand
 	Sched    *sim.Scheduler

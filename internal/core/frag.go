@@ -52,8 +52,8 @@ type partial struct {
 
 // reassembler holds one reassembly buffer per transmitting station, indexed
 // by the station id the channel reports — never by the sender the fragment
-// header claims, which nothing has authenticated yet. A standalone
-// Transport owns one; a Mux owns a single shared one for all of its epochs.
+// header claims, which nothing has authenticated yet. A Mux owns the one
+// its node's epochs share.
 type reassembler struct {
 	bufs []partial
 }

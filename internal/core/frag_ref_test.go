@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/packet"
+	"repro/internal/sim"
 	"repro/internal/wireless"
 )
 
@@ -134,42 +135,46 @@ func FuzzReassembler(f *testing.F) {
 // with the highest sequence number there is — which, filed under the
 // header's name, would make every later multi-fragment packet of the
 // victim stale for good — is dropped and counted, and the victim's real
-// two-fragment packet still reassembles. Both receive paths.
+// two-fragment packet still reassembles. There is one receive path; the
+// table enters it through both of its public doors.
 func TestForgedFragmentCannotShadowVictim(t *testing.T) {
 	const victim, forger = 0, 1
 	forgery := appendFragment(nil, []byte("xx"), victim, 0xFFFFFFFF, 0, 2, 1)
 	intent := Intent{
 		IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseInitial, Slot: 0},
-		Data:      make([]byte, 300), // two radio frames
+		Data:      bytes.Repeat([]byte("two radio frames "), 18),
 	}
-
-	t.Run("transport", func(t *testing.T) {
-		r := newRig(t, 2, true, nil)
-		rx := r.transports[1]
-		rx.ReceiveFrame(forger, forgery)
-		if got := rx.Stats().AuthFailures; got != 1 {
-			t.Fatalf("AuthFailures = %d after the forged fragment, want 1", got)
-		}
-		r.transports[victim].Update(intent)
-		r.sched.Run()
-		if r.transports[victim].Stats().FragmentsSent != 2 || len(r.received[1][packet.KindRBC]) != 1 {
-			t.Fatalf("victim sent %d fragments, receiver reassembled %d packets, want 2 and 1",
-				r.transports[victim].Stats().FragmentsSent, len(r.received[1][packet.KindRBC]))
-		}
-	})
-
-	t.Run("mux", func(t *testing.T) {
-		r := newMuxRig(t, 2)
-		got := 0
-		collect(r.muxes[1].Open(3), &got)
-		r.muxes[1].ReceiveFrame(forger, forgery)
-		if d := r.muxes[1].DroppedSession(); d != 1 {
-			t.Fatalf("DroppedSession = %d after the forged fragment, want 1", d)
-		}
-		r.muxes[victim].Open(3).Update(intent)
-		r.sched.Run()
-		if got != 1 {
-			t.Fatalf("receiver reassembled %d entries of the victim's packet, want 1", got)
-		}
-	})
+	for _, tc := range []struct {
+		name string
+		// rig returns the victim's transport, the receiver's, and the door
+		// the receiver's station delivers through.
+		rig func(t *testing.T) (s *sim.Scheduler, tx, rx *Transport, door wireless.Receiver)
+	}{
+		{"transport", func(t *testing.T) (*sim.Scheduler, *Transport, *Transport, wireless.Receiver) {
+			r := newRig(t, 2, true, nil)
+			return r.sched, r.transports[victim], r.transports[1], r.transports[1]
+		}},
+		{"mux", func(t *testing.T) (*sim.Scheduler, *Transport, *Transport, wireless.Receiver) {
+			r := newMuxRig(t, 2)
+			return r.sched, r.muxes[victim].Open(3), r.muxes[1].Open(3), r.muxes[1]
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, tx, rx, door := tc.rig(t)
+			var got [][]byte
+			rx.Register(packet.KindRBC, HandlerFunc(func(_ uint16, sec packet.Section) {
+				got = append(got, sec.Entries[0].Data)
+			}))
+			door.ReceiveFrame(forger, forgery)
+			if d := rx.m.DroppedSession(); d != 1 {
+				t.Fatalf("DroppedSession = %d after the forged fragment, want 1", d)
+			}
+			tx.Update(intent)
+			s.Run()
+			if tx.Stats().FragmentsSent != 2 || len(got) != 1 || !bytes.Equal(got[0], intent.Data) {
+				t.Fatalf("victim sent %d fragments, receiver reassembled %d packets %x, want 2 and the victim's one",
+					tx.Stats().FragmentsSent, len(got), got)
+			}
+		})
+	}
 }

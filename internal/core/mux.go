@@ -2,38 +2,46 @@ package core
 
 import (
 	"sort"
+	"time"
 
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/wireless"
 )
 
-// Mux multiplexes several epochs' transports onto one radio. A single
-// Transport is strictly epoch-scoped — SetEpoch wipes its state and frames
-// for other epochs are dropped — which is fine for one-shot consensus but
-// rules out pipelining. The Mux is the SMR-enabling layer underneath
-// protocol.Chain: it owns the station, a shared fragment sequence space and
-// one reassembly buffer per peer, and routes each reassembled logical
-// packet to the open transport of the frame's epoch.
+// Mux is one node's ConsensusBatcher: everything node-scoped, once — the
+// scheduler, CPU, keys and configuration, the station, the interceptor, the
+// send state (one fragment sequence space, the packet-building storage),
+// one reassembly buffer per peer and the one frame decoder — and the open
+// epochs, each a Transport holding that epoch's intents, NACK rows,
+// handlers, timers and counters. It is the layer underneath both
+// workloads: protocol.Chain keeps a window of epochs open and closes them
+// GCLag behind its commit frontier; a one-shot run opens an epoch at each
+// boundary and closes the one before. A node's sequence space therefore
+// runs on across its epochs and across a crash.
 //
-// Outbound, every per-epoch transport broadcasts through the shared
-// station, so the channel backpressure (Config.MaxQueue) and the batching
-// pressure it creates apply across the whole pipeline. Inbound, frames for
-// epochs that are not (or no longer) open are counted and dropped; the
-// sender's NACK retransmission machinery re-delivers their state once the
-// receiver opens the epoch, and OnUnknownEpoch gives the SMR layer an early
-// signal that a peer is already working on a future epoch.
+// Outbound, every epoch's transport broadcasts through the shared station,
+// so the channel backpressure (Config.MaxQueue) and the batching pressure
+// it creates apply across the whole pipeline. Inbound, ReceiveFrame is the
+// one receive path: frames for epochs that are not (or no longer) open are
+// counted and dropped before any CPU is charged; the sender's NACK
+// retransmission machinery re-delivers their state once the receiver opens
+// the epoch, and OnUnknownEpoch gives the SMR layer an early signal that a
+// peer is already working on a future epoch.
 type Mux struct {
 	sched *sim.Scheduler
 	cpu   *sim.CPU
 	auth  Auth
-	cfg   Config // template for per-epoch transports
+	cfg   Config
 
 	station *wireless.Station
 	epochs  map[uint16]*Transport
 	out     sendState
 	reasm   reassembler
-	icept   Interceptor // propagated onto every per-epoch transport
+	// Every received packet is parsed by the one decoder: its frame lives
+	// until the handlers return, see dispatch.
+	dec   packet.Decoder
+	icept Interceptor
 
 	// OnUnknownEpoch, if set, is invoked when a frame for an epoch with no
 	// open transport arrives. The callback may open the epoch, but the
@@ -45,10 +53,15 @@ type Mux struct {
 	droppedSess uint64
 }
 
-// NewMux creates an epoch demultiplexer. cfg is the template every
-// per-epoch transport is created from (Session, FlushDelay, RetxInterval,
-// MaxQueue, Batched).
+// NewMux creates a node's transport layer with no epoch open. cfg applies
+// to every epoch (Session, FlushDelay, RetxInterval, MaxQueue, Batched).
 func NewMux(sched *sim.Scheduler, cpu *sim.CPU, auth Auth, cfg Config) *Mux {
+	if cfg.FlushDelay <= 0 {
+		cfg.FlushDelay = time.Millisecond
+	}
+	if cfg.MaxQueue <= 0 {
+		cfg.MaxQueue = 3
+	}
 	return &Mux{
 		sched:  sched,
 		cpu:    cpu,
@@ -58,36 +71,24 @@ func NewMux(sched *sim.Scheduler, cpu *sim.CPU, auth Auth, cfg Config) *Mux {
 	}
 }
 
-// BindStation attaches the radio, mirroring Transport's two-phase
-// construction: attach the Mux to the channel as the receiver, then bind
-// the returned station.
-func (m *Mux) BindStation(st *wireless.Station) {
-	m.station = st
-	for _, t := range m.epochs {
-		t.BindStation(st)
-	}
-}
+// BindStation attaches the radio. Construction is two-phase because the
+// station's receiver is the Mux itself (or whatever forwards frames to
+// it): attach the receiver to the channel, then bind the returned station.
+func (m *Mux) BindStation(st *wireless.Station) { m.station = st }
 
-// SetInterceptor installs (or clears) the outbound-intent interceptor on
-// every open epoch's transport and every transport opened afterwards, so a
-// node that turns Byzantine mid-run misbehaves across its whole pipeline.
-func (m *Mux) SetInterceptor(ic Interceptor) {
-	m.icept = ic
-	for _, t := range m.epochs {
-		t.SetInterceptor(ic)
-	}
-}
+// SetInterceptor installs (or, with nil, clears) the outbound-intent
+// interceptor of every epoch, open or opened afterwards, so a node that
+// turns Byzantine mid-run misbehaves across its whole pipeline. Honest
+// nodes run without one.
+func (m *Mux) SetInterceptor(ic Interceptor) { m.icept = ic }
 
-// Open creates (or returns) the transport for an epoch. The transport
-// shares the mux's station, CPU, auth, send state (fragment sequence space
-// and packet-building storage), and interceptor.
+// Open creates (or returns) the transport for an epoch.
 func (m *Mux) Open(epoch uint16) *Transport {
 	if t, ok := m.epochs[epoch]; ok {
 		return t
 	}
-	t := newTransport(m.sched, m.cpu, m.station, m.auth, m.cfg, &m.out)
-	t.epoch = epoch
-	t.icept = m.icept
+	t := &Transport{m: m, epoch: epoch}
+	t.retxFn = t.retransmit
 	m.epochs[epoch] = t
 	return t
 }
@@ -169,9 +170,9 @@ func AddStats(a, b Stats) Stats {
 
 var _ wireless.Receiver = (*Mux)(nil)
 
-// ReceiveFrame implements wireless.Receiver: shared reassembly, then route
-// by the frame header's epoch. Authentication happens inside the routed
-// transport, exactly as in the single-epoch path.
+// ReceiveFrame implements wireless.Receiver, the node's one receive path:
+// reassemble, then route by the frame header's epoch. Authentication
+// happens inside the routed transport, on the node's CPU.
 func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 	raw, ok, forged := m.reasm.feed(from, payload)
 	if forged {

@@ -16,6 +16,10 @@
 // O(N) NACK bitmaps let peers suppress or trigger repairs. Frames larger
 // than the radio MTU are fragmented and reassembled; a newer snapshot from
 // the same sender supersedes any partial older one.
+//
+// A node has one Mux, which owns everything node-scoped, and one Transport
+// per open epoch, which owns that epoch's state (mux.go); components talk
+// to their epoch's Transport.
 package core
 
 import (
@@ -121,16 +125,12 @@ type Stats struct {
 	Rejected uint64
 }
 
-// Transport is one node's ConsensusBatcher (or baseline) instance.
+// Transport is one epoch of a node's ConsensusBatcher (or baseline)
+// instance: the epoch's intent store, NACK rows, handlers, timers and
+// counters. Everything node-scoped — scheduler, CPU, radio, keys, the send
+// and receive state — is its Mux's, once.
 type Transport struct {
-	sched   *sim.Scheduler
-	cpu     *sim.CPU
-	station *wireless.Station
-	auth    Auth
-	cfg     Config
-
-	icept Interceptor
-
+	m     *Mux
 	epoch uint16
 	// live is the intent store: every current intent, in wire (wireOrder)
 	// order, so a flush is a walk and an update a binary search. nDirty of
@@ -151,27 +151,19 @@ type Transport struct {
 	retxEvt   sim.Event
 	retxArmed bool
 	retxFn    func()
-	// out is the node's send side: a standalone transport's own, a Mux's
-	// for the transports opened through it.
-	out     *sendState
-	stopped bool
+	stopped   bool
 	// quiesced switches the periodic snapshot rebroadcast to exponential
 	// backoff (retxBoost doubles per firing, capped). See Quiesce.
 	quiesced  bool
 	retxBoost int
 
-	reasm reassembler
 	stats Stats
-
-	// Every received packet is parsed by the one decoder: its frame lives
-	// until the handlers return, see dispatch.
-	dec packet.Decoder
 }
 
-// sendState is what one node's transports share on the way to the radio:
-// the fragment sequence space (one node's frames across pipelined epochs
-// form a single one, so receivers keep one reassembly buffer per peer) and
-// the storage packets are built in, so a new epoch's transport starts warm.
+// sendState is what one node's epochs share on the way to the radio: the
+// fragment sequence space (one node's frames across its epochs form a
+// single one, so receivers keep one reassembly buffer per peer) and the
+// storage packets are built in, so a new epoch's transport starts warm.
 type sendState struct {
 	seq uint32
 	// jobFree recycles the records logical packets wait on the CPU in,
@@ -185,45 +177,26 @@ type sendState struct {
 	fragBuf      []byte // every radio frame is built here; Broadcast copies it
 }
 
-// New creates a transport bound to a station. Frames received on the
-// station must be routed to ReceiveFrame (wire the station's receiver to
-// the transport at attach time).
+// New creates a standalone transport: the single open epoch, 0, of a mux
+// of its own. Frames received on the station must be routed to
+// ReceiveFrame (wire the station's receiver to the transport at attach
+// time).
 func New(sched *sim.Scheduler, cpu *sim.CPU, station *wireless.Station, auth Auth, cfg Config) *Transport {
-	return newTransport(sched, cpu, station, auth, cfg, new(sendState))
-}
-
-func newTransport(sched *sim.Scheduler, cpu *sim.CPU, station *wireless.Station, auth Auth, cfg Config, out *sendState) *Transport {
-	if cfg.FlushDelay <= 0 {
-		cfg.FlushDelay = time.Millisecond
-	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 3
-	}
-	t := &Transport{
-		sched:   sched,
-		cpu:     cpu,
-		station: station,
-		auth:    auth,
-		cfg:     cfg,
-		out:     out,
-	}
-	t.retxFn = t.retransmit
-	return t
+	m := NewMux(sched, cpu, auth, cfg)
+	m.BindStation(station)
+	return m.Open(0)
 }
 
 // Register installs the handler for a component kind. Re-registration
 // replaces the previous handler (used at epoch changeover).
 func (t *Transport) Register(kind packet.Kind, h Handler) { t.handlers[kind] = h }
 
-// BindStation attaches the radio. Construction is two-phase because the
-// station's receiver is the transport itself: create the transport with a
-// nil station, attach it to the channel, then bind the returned station.
-func (t *Transport) BindStation(st *wireless.Station) { t.station = st }
+// BindStation attaches the node's radio: Mux.BindStation, for a standalone
+// transport that is itself the station's receiver.
+func (t *Transport) BindStation(st *wireless.Station) { t.m.BindStation(st) }
 
-// SetInterceptor installs (or, with nil, clears) the outbound-intent
-// interceptor. Honest nodes run without one; the deployment layer installs
-// one to make a node Byzantine.
-func (t *Transport) SetInterceptor(ic Interceptor) { t.icept = ic }
+// SetInterceptor is Mux.SetInterceptor on the transport's node.
+func (t *Transport) SetInterceptor(ic Interceptor) { t.m.SetInterceptor(ic) }
 
 // NoteRejected counts one component-level discard of invalid inbound
 // state (see Stats.Rejected). Components call it through their Env when a
@@ -232,15 +205,6 @@ func (t *Transport) NoteRejected() { t.stats.Rejected++ }
 
 // Stats returns a snapshot of the counters.
 func (t *Transport) Stats() Stats { return t.stats }
-
-// SetEpoch advances to a new epoch, discarding all outbound state.
-// In-flight frames from other epochs are dropped on receipt.
-func (t *Transport) SetEpoch(e uint16) {
-	t.epoch = e
-	clear(t.live)
-	t.live, t.nDirty = t.live[:0], 0
-	t.nacks = [packet.KindLimit][]packet.BitSet{}
-}
 
 // Stop cancels pending timers; the transport sends nothing further. A
 // queued flush wait is not cancellable (it has no handle); it wakes as a
@@ -268,11 +232,11 @@ func (t *Transport) Quiesce() {
 // installed, the intent first passes through it and whatever comes back —
 // possibly nothing — is applied instead.
 func (t *Transport) Update(in Intent) {
-	if t.icept == nil {
+	if t.m.icept == nil {
 		t.apply(in)
 		return
 	}
-	for _, out := range t.icept.Outbound(t, in) {
+	for _, out := range t.m.icept.Outbound(t, in) {
 		t.apply(out)
 	}
 }
@@ -368,20 +332,20 @@ func (t *Transport) Flush() {
 		return
 	}
 	t.flushArmed = true
-	t.sched.WaitFixed(t.cfg.FlushDelay, (*flushWait)(t))
+	t.m.sched.WaitFixed(t.m.cfg.FlushDelay, (*flushWait)(t))
 }
 
 func (t *Transport) ensureRetx() {
-	if t.stopped || t.cfg.RetxInterval <= 0 || t.retxArmed {
+	if t.stopped || t.m.cfg.RetxInterval <= 0 || t.retxArmed {
 		return
 	}
-	base := t.cfg.RetxInterval
+	base := t.m.cfg.RetxInterval
 	if t.quiesced {
 		base *= time.Duration(t.retxBoost)
 	}
-	jitter := time.Duration(float64(base) * (0.75 + 0.5*t.sched.Rand().Float64()))
+	jitter := time.Duration(float64(base) * (0.75 + 0.5*t.m.sched.Rand().Float64()))
 	t.retxArmed = true
-	t.sched.Arm(&t.retxEvt, jitter, t.retxFn)
+	t.m.sched.Arm(&t.retxEvt, jitter, t.retxFn)
 }
 
 // retransmit is the retransmission timer's callback.
@@ -415,7 +379,7 @@ type flushWait Transport
 // Blocked implements sim.Waiter. A stopped transport, or one with nothing
 // to send, is not blocked: it wakes once, to no effect.
 func (w *flushWait) Blocked() bool {
-	return !w.stopped && len(w.live) > 0 && w.station.QueueLen() >= w.cfg.MaxQueue
+	return !w.stopped && len(w.live) > 0 && w.m.station.QueueLen() >= w.m.cfg.MaxQueue
 }
 
 // Wake implements sim.Waiter: assemble and send.
@@ -425,7 +389,7 @@ func (w *flushWait) Wake() {
 	if t.stopped || len(t.live) == 0 {
 		return
 	}
-	if t.cfg.Batched {
+	if t.m.cfg.Batched {
 		t.flushBatched()
 	} else {
 		t.flushBaseline()
@@ -441,9 +405,10 @@ func (t *Transport) flushBatched() {
 	if t.nDirty == 0 {
 		return
 	}
-	secs := t.out.secScratch[:0]
-	ents := t.out.entScratch[:0]
-	starts := t.out.startScratch[:0]
+	out := &t.m.out
+	secs := out.secScratch[:0]
+	ents := out.entScratch[:0]
+	starts := out.startScratch[:0]
 	for i := range t.live {
 		e := &t.live[i]
 		e.dirty = false
@@ -462,7 +427,7 @@ func (t *Transport) flushBatched() {
 		}
 		secs[i].Entries = ents[starts[i]:end]
 	}
-	t.out.secScratch, t.out.entScratch, t.out.startScratch = secs, ents, starts
+	out.secScratch, out.entScratch, out.startScratch = secs, ents, starts
 	t.nDirty = 0
 	t.sendLogical(secs)
 }
@@ -472,19 +437,20 @@ func (t *Transport) flushBatched() {
 // separately. The store is in wire order, so its dirty entries are sent
 // in wire order as they are met.
 func (t *Transport) flushBaseline() {
+	out := &t.m.out
 	for i := range t.live {
 		e := &t.live[i]
 		if !e.dirty {
 			continue
 		}
 		e.dirty = false
-		ents := append(t.out.entScratch[:0], packet.Entry{
+		ents := append(out.entScratch[:0], packet.Entry{
 			Slot: e.Slot, Sub: e.Sub, Round: e.Round, Flags: e.Flags, Data: e.Data,
 		})
-		secs := append(t.out.secScratch[:0], packet.Section{
+		secs := append(out.secScratch[:0], packet.Section{
 			Kind: e.Kind, Phase: e.Phase, Nack: t.nack(e.Kind, e.Phase), Entries: ents,
 		})
-		t.out.secScratch, t.out.entScratch = secs, ents
+		out.secScratch, out.entScratch = secs, ents
 		t.sendLogical(secs)
 	}
 	t.nDirty = 0
@@ -501,8 +467,8 @@ func (t *Transport) flushBaseline() {
 // did.
 func (t *Transport) sendLogical(sections []packet.Section) {
 	frame := packet.Frame{
-		Sender:   uint16(t.station.ID()),
-		Session:  t.cfg.Session,
+		Sender:   uint16(t.m.station.ID()),
+		Session:  t.m.cfg.Session,
 		Epoch:    t.epoch,
 		Sections: sections,
 	}
@@ -511,9 +477,9 @@ func (t *Transport) sendLogical(sections []packet.Section) {
 	if err != nil {
 		panic(fmt.Sprintf("core: frame encoding: %v", err))
 	}
-	j.send, j.enc, j.seq = true, body, t.out.seq
-	t.out.seq++
-	t.cpu.Exec(t.auth.SignCost(), j.run)
+	j.send, j.enc, j.seq = true, body, t.m.out.seq
+	t.m.out.seq++
+	t.m.cpu.Exec(t.m.auth.SignCost(), j.run)
 }
 
 // cpuJob is one logical packet waiting on the node's CPU: for its signing
@@ -532,9 +498,10 @@ type cpuJob struct {
 
 // job takes a CPU job record off the node's free list, or makes one.
 func (t *Transport) job() *cpuJob {
+	out := &t.m.out
 	var j *cpuJob
-	if n := len(t.out.jobFree); n > 0 {
-		j, t.out.jobFree = t.out.jobFree[n-1], t.out.jobFree[:n-1]
+	if n := len(out.jobFree); n > 0 {
+		j, out.jobFree = out.jobFree[n-1], out.jobFree[:n-1]
 	} else {
 		j = new(cpuJob)
 		j.run = j.exec
@@ -554,7 +521,7 @@ func (j *cpuJob) exec() {
 		t.dispatch(j.raw)
 	}
 	j.t, j.raw = nil, nil
-	t.out.jobFree = append(t.out.jobFree, j)
+	t.m.out.jobFree = append(t.m.out.jobFree, j)
 }
 
 // signAndBroadcast completes sendLogical at the signing job's completion
@@ -563,7 +530,7 @@ func (t *Transport) signAndBroadcast(j *cpuJob) {
 	if t.stopped {
 		return
 	}
-	sig, err := t.auth.Sign(j.enc)
+	sig, err := t.m.auth.Sign(j.enc)
 	if err != nil {
 		panic(fmt.Sprintf("core: frame signing: %v", err))
 	}
@@ -573,33 +540,24 @@ func (t *Transport) signAndBroadcast(j *cpuJob) {
 	j.enc = raw
 	t.stats.LogicalSent++
 	t.stats.BytesSent += uint64(len(raw))
-	sender := uint16(t.station.ID())
-	chunk := t.station.Channel().Config().MaxFrame - fragHeaderLen
+	st := t.m.station
+	chunk := st.Channel().Config().MaxFrame - fragHeaderLen
 	total := fragmentCount(len(raw), chunk)
 	for i := 0; i < total; i++ {
-		t.out.fragBuf = appendFragment(t.out.fragBuf[:0], raw, sender, j.seq, i, total, chunk)
+		t.m.out.fragBuf = appendFragment(t.m.out.fragBuf[:0], raw, uint16(st.ID()), j.seq, i, total, chunk)
 		t.stats.FragmentsSent++
-		t.station.Broadcast(t.out.fragBuf)
+		st.Broadcast(t.m.out.fragBuf)
 	}
 }
 
-// ReceiveFrame implements wireless.Receiver: reassemble, verify, dispatch.
+// ReceiveFrame implements wireless.Receiver for a standalone transport that
+// is itself its station's receiver: Mux.ReceiveFrame.
 func (t *Transport) ReceiveFrame(from wireless.NodeID, payload []byte) {
-	if t.stopped {
-		return
-	}
-	raw, ok, forged := t.reasm.feed(from, payload)
-	if forged {
-		t.stats.AuthFailures++
-	}
-	if !ok {
-		return
-	}
-	t.receiveLogical(raw)
+	t.m.ReceiveFrame(from, payload)
 }
 
-// receiveLogical verifies and dispatches one reassembled logical packet.
-// The Mux calls this directly after its shared reassembly step.
+// receiveLogical verifies and dispatches one reassembled logical packet
+// that Mux.ReceiveFrame routed here by its header's session and epoch.
 //
 // raw is shared and read-only: it is the channel's private copy of the
 // transmission (or the reassembler's fresh buffer), handed to every
@@ -610,7 +568,7 @@ func (t *Transport) receiveLogical(raw []byte) {
 	}
 	j := t.job()
 	j.send, j.raw = false, raw
-	t.cpu.Exec(t.auth.VerifyCost(), j.run)
+	t.m.cpu.Exec(t.m.auth.VerifyCost(), j.run)
 }
 
 // dispatch completes receiveLogical at the verification job's completion
@@ -620,17 +578,15 @@ func (t *Transport) dispatch(raw []byte) {
 		return
 	}
 	t.stats.VerifyOps++
-	frame, bodyLen, err := t.dec.Decode(raw)
+	dec := &t.m.dec
+	frame, bodyLen, err := dec.Decode(raw)
 	if err != nil {
 		t.stats.AuthFailures++
 		return
 	}
-	switch {
-	case t.auth.Verify(frame.Sender, raw[:bodyLen], frame.Sig) != nil:
+	if t.m.auth.Verify(frame.Sender, raw[:bodyLen], frame.Sig) != nil {
 		t.stats.AuthFailures++
-	case frame.Session != t.cfg.Session || frame.Epoch != t.epoch:
-		t.stats.DroppedEpoch++
-	default:
+	} else {
 		t.stats.LogicalRecv++
 		for _, sec := range frame.Sections {
 			// The kind is a byte off the wire: past the table, no handler.
@@ -644,7 +600,7 @@ func (t *Transport) dispatch(raw []byte) {
 	// entry's Data (immutable bytes of raw), never sec.Entries; zeroing the
 	// storage makes one that does read zeros at once instead of a later
 	// frame's votes.
-	t.dec.Release()
+	dec.Release()
 }
 
 // wireOrder packs a key so that integer order is the wire ordering:

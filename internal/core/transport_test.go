@@ -38,8 +38,7 @@ func newRig(t *testing.T, n int, batched bool, mutate func(*wireless.Config)) *r
 		tcfg := DefaultConfig(batched)
 		tcfg.RetxInterval = 0 // tests control retransmission explicitly
 		tr := New(s, cpu, nil, auth, tcfg)
-		st := ch.Attach(wireless.NodeID(i), tr)
-		tr.station = st
+		tr.BindStation(ch.Attach(wireless.NodeID(i), tr))
 		r.transports = append(r.transports, tr)
 		r.received = append(r.received, map[packet.Kind][]recv{})
 		for _, k := range []packet.Kind{packet.KindRBC, packet.KindABA} {
@@ -216,20 +215,23 @@ func TestLostFragmentRecoveredByRetransmission(t *testing.T) {
 	}
 }
 
+// TestEpochFiltering: frames for an epoch the receiver has closed are
+// dropped before any CPU is charged and counted in DroppedEpoch.
 func TestEpochFiltering(t *testing.T) {
 	r := newRig(t, 2, true, nil)
-	r.transports[0].SetEpoch(1)
-	// Receiver still in epoch 0.
+	rx := r.transports[1].m
+	rx.Close(0)
 	r.transports[0].Update(Intent{
 		IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 0},
 		Data:      []byte{1},
 	})
 	r.sched.Run()
 	if len(r.received[1][packet.KindRBC]) != 0 {
-		t.Fatal("frame from future epoch delivered")
+		t.Fatal("frame for a closed epoch delivered")
 	}
-	if r.transports[1].Stats().DroppedEpoch != 1 {
-		t.Errorf("DroppedEpoch = %d, want 1", r.transports[1].Stats().DroppedEpoch)
+	if st := rx.Stats(); st.DroppedEpoch != 1 || st.VerifyOps != 0 || rx.cpu.BusyTotal() != 0 {
+		t.Errorf("DroppedEpoch = %d, VerifyOps = %d, CPU busy %v; want 1, 0 and none",
+			st.DroppedEpoch, st.VerifyOps, rx.cpu.BusyTotal())
 	}
 }
 
@@ -275,11 +277,11 @@ func TestSignAndVerifyCostsCharged(t *testing.T) {
 	tr := r.transports[0]
 	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 0}, Data: []byte{1}})
 	r.sched.Run()
-	if tr.cpu.BusyTotal() < 5*time.Millisecond {
-		t.Errorf("sender CPU charged %v, want >= sign cost", tr.cpu.BusyTotal())
+	if tr.m.cpu.BusyTotal() < 5*time.Millisecond {
+		t.Errorf("sender CPU charged %v, want >= sign cost", tr.m.cpu.BusyTotal())
 	}
-	if r.transports[1].cpu.BusyTotal() < 10*time.Millisecond {
-		t.Errorf("receiver CPU charged %v, want >= verify cost", r.transports[1].cpu.BusyTotal())
+	if r.transports[1].m.cpu.BusyTotal() < 10*time.Millisecond {
+		t.Errorf("receiver CPU charged %v, want >= verify cost", r.transports[1].m.cpu.BusyTotal())
 	}
 	if tr.Stats().SignOps != 1 || r.transports[1].Stats().VerifyOps != 1 {
 		t.Error("sign/verify op counters wrong")
@@ -327,8 +329,8 @@ func TestFragmentHelperBounds(t *testing.T) {
 // saturate fills the transport's radio queue to the backpressure threshold
 // with frames of its own.
 func saturate(tr *Transport) {
-	for i := 0; i < tr.cfg.MaxQueue; i++ {
-		tr.station.Broadcast(make([]byte, 200))
+	for i := 0; i < tr.m.cfg.MaxQueue; i++ {
+		tr.m.station.Broadcast(make([]byte, 200))
 	}
 }
 
@@ -341,21 +343,21 @@ func TestFlushWaitsOutBackpressure(t *testing.T) {
 	tr := r.transports[0]
 	saturate(tr)
 	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 0}, Data: []byte{1}})
-	r.sched.RunUntil(tr.cfg.FlushDelay)
+	r.sched.RunUntil(tr.m.cfg.FlushDelay)
 	if !tr.flushArmed || tr.Stats().LogicalSent != 0 {
 		t.Fatalf("after one window with a full queue: armed=%v sent=%d, want the flush still waiting", tr.flushArmed, tr.Stats().LogicalSent)
 	}
 	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 1}, Data: []byte{2}})
 	var room time.Duration // when the queue first fell below the threshold
 	for tr.flushArmed {
-		if room == 0 && tr.station.QueueLen() < tr.cfg.MaxQueue {
+		if room == 0 && tr.m.station.QueueLen() < tr.m.cfg.MaxQueue {
 			room = r.sched.Now()
 		}
 		if !r.sched.Step() {
 			t.Fatal("queue drained with the flush still armed")
 		}
 	}
-	d := tr.cfg.FlushDelay
+	d := tr.m.cfg.FlushDelay
 	if room == 0 || room%d == 0 {
 		t.Fatalf("queue found room at %v: want an instant strictly between window boundaries", room)
 	}
@@ -399,7 +401,7 @@ func TestFlushWaitBlockedIsBackpressureOnly(t *testing.T) {
 		if w.Blocked() {
 			t.Fatalf("%s: still blocked", tc.name)
 		}
-		r.sched.RunUntil(tr.cfg.FlushDelay)
+		r.sched.RunUntil(tr.m.cfg.FlushDelay)
 		if tr.flushArmed {
 			t.Fatalf("%s: wait did not wake at the first boundary", tc.name)
 		}

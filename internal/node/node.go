@@ -1,18 +1,17 @@
 // Package node is the deployment layer: it assembles one simulated
-// consensus participant — CPU, frame authentication, radio station, and
-// either a single-epoch core.Transport or an epoch-pipelining core.Mux —
-// from a crypto suite and a transport configuration. internal/run's group
-// builder and the bench rigs build their nodes here instead of
-// hand-wiring the same five objects.
+// consensus participant — CPU, frame authentication, radio station and the
+// core.Mux its epochs are opened on — from a crypto suite and a transport
+// configuration. internal/run's group builder and the bench rigs build
+// their nodes here instead of hand-wiring the same five objects.
 //
 // The layer also owns the node fault lifecycle the scenario engine drives:
 // Crash takes the node off the air (inbound gate closed, radio queue
-// flushed, transports stopped, in-memory state forfeited) and Recover
-// brings it back with only its "stable storage" — keys, station, and
-// whatever state the protocol layer chose to persist — and the node's
-// trust status: a node armed with a byz.Behavior (SetBehavior) becomes
-// actively Byzantine, its outbound component state rewritten by the
-// behavior before it reaches the air.
+// flushed, every open epoch closed, in-memory state forfeited) and Recover
+// brings it back with only its "stable storage" — keys, station, fragment
+// sequence number, and whatever state the protocol layer chose to persist —
+// and the node's trust status: a node armed with a byz.Behavior
+// (SetBehavior) becomes actively Byzantine, its outbound component state
+// rewritten by the behavior before it reaches the air.
 package node
 
 import (
@@ -28,7 +27,7 @@ import (
 
 // Config bundles the per-node wiring parameters every driver shares.
 type Config struct {
-	// Transport is the template transport configuration. If all tuning
+	// Transport is the node's transport configuration. If all tuning
 	// fields (FlushDelay, RetxInterval, MaxQueue) are zero it is replaced
 	// by core.DefaultConfig, keeping the Session.
 	Transport core.Config
@@ -55,8 +54,7 @@ func (c Config) resolve() core.Config {
 	return tcfg
 }
 
-// Node is one wired participant. Exactly one of Transport()/Mux() is live,
-// depending on the constructor used.
+// Node is one wired participant.
 type Node struct {
 	ID    wireless.NodeID
 	CPU   *sim.CPU
@@ -66,80 +64,54 @@ type Node struct {
 	Rand *rand.Rand
 
 	sched   *sim.Scheduler
-	tcfg    core.Config
+	session uint32
 	station *wireless.Station
-	recv    wireless.Receiver // the live transport or mux
-	tr      *core.Transport
 	mux     *core.Mux
 	down    bool
-	closed  core.Stats // counters of transports discarded by Crash
 
 	behavior byz.Behavior
-	icept    *byz.Interceptor
 }
 
-// New wires a single-transport node (the one-shot drivers and bench rigs).
+// New wires a node with no epoch open: its caller opens each epoch's
+// transport on Mux() and closes it when the epoch is over.
 func New(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *crypto.Suite, cfg Config) *Node {
-	n := newBare(sched, ch, id, suite, cfg)
-	n.tr = core.New(sched, n.CPU, nil, n.auth(), n.tcfg)
-	n.tr.BindStation(n.station)
-	n.recv = n.tr
-	return n
-}
-
-// NewMux wires an epoch-mux node (the SMR pipeline): per-epoch transports
-// are opened through Mux() as the chain advances.
-func NewMux(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *crypto.Suite, cfg Config) *Node {
-	n := newBare(sched, ch, id, suite, cfg)
-	n.mux = core.NewMux(sched, n.CPU, n.auth(), n.tcfg)
-	n.mux.BindStation(n.station)
-	n.recv = n.mux
-	return n
-}
-
-func newBare(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *crypto.Suite, cfg Config) *Node {
 	cpu := cfg.CPU
 	if cpu == nil {
 		cpu = sim.NewCPU(sched)
 	}
+	tcfg := cfg.resolve()
 	n := &Node{
-		ID:    id,
-		CPU:   cpu,
-		Suite: suite,
-		Rand:  rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
-		sched: sched,
-		tcfg:  cfg.resolve(),
+		ID:      id,
+		CPU:     cpu,
+		Suite:   suite,
+		Rand:    rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
+		sched:   sched,
+		session: tcfg.Session,
 	}
+	// The frame authenticator is sized by the suite's signature scheme and
+	// charges the suite's virtual sign/verify costs.
+	n.mux = core.NewMux(sched, cpu, &core.SizedAuth{
+		Len:        suite.Signer.Scheme().SignatureLen(),
+		CostSign:   suite.Cost.PKSign,
+		CostVerify: suite.Cost.PKVerify,
+	}, tcfg)
 	n.station = ch.Attach(id, n)
+	n.mux.BindStation(n.station)
 	return n
 }
 
-// auth builds the frame authenticator from the suite's signature scheme,
-// charging the suite's virtual sign/verify costs.
-func (n *Node) auth() core.Auth {
-	return &core.SizedAuth{
-		Len:        n.Suite.Signer.Scheme().SignatureLen(),
-		CostSign:   n.Suite.Cost.PKSign,
-		CostVerify: n.Suite.Cost.PKVerify,
-	}
-}
-
-// Transport returns the single-epoch transport (New-constructed nodes).
-func (n *Node) Transport() *core.Transport { return n.tr }
-
-// Mux returns the epoch mux (NewMux-constructed nodes).
+// Mux returns the node's transport layer.
 func (n *Node) Mux() *core.Mux { return n.mux }
 
 // Env returns the node's component environment as member ID of a group of
 // size nodes tolerating f faults: the one place a node's parts become what
-// the components run on. T is the single-epoch transport; a mux node's
-// caller sets it, with Epoch, for every epoch it opens.
+// the components run on. Epoch and T are the caller's to set, for every
+// epoch it opens.
 func (n *Node) Env(size, f int) *component.Env {
 	return &component.Env{
 		N: size, F: f, Me: int(n.ID),
-		Session: n.tcfg.Session,
+		Session: n.session,
 		Suite:   n.Suite,
-		T:       n.tr,
 		CPU:     n.CPU,
 		Sched:   n.sched,
 		Rand:    n.Rand,
@@ -150,30 +122,16 @@ func (n *Node) Env(size, f int) *component.Env {
 func (n *Node) Down() bool { return n.down }
 
 // SetBehavior arms (or, with nil, disarms) an active-Byzantine behavior:
-// an interceptor seeded from the node's private randomness is installed
-// on the live transport — for mux nodes, on every open and future epoch
-// transport — and survives crash/recovery (a restarted adversary is still
-// an adversary).
+// an interceptor seeded from the node's private randomness covers every
+// open and future epoch and survives crash/recovery (a restarted adversary
+// is still an adversary).
 func (n *Node) SetBehavior(b byz.Behavior) {
 	n.behavior = b
 	if b == nil {
-		n.icept = nil
-	} else {
-		n.icept = &byz.Interceptor{Rand: n.Rand, Sched: n.sched, Behavior: b}
+		n.mux.SetInterceptor(nil)
+		return
 	}
-	n.installInterceptor()
-}
-
-func (n *Node) installInterceptor() {
-	var ic core.Interceptor
-	if n.icept != nil {
-		ic = n.icept
-	}
-	if n.mux != nil {
-		n.mux.SetInterceptor(ic)
-	} else if n.tr != nil {
-		n.tr.SetInterceptor(ic)
-	}
+	n.mux.SetInterceptor(&byz.Interceptor{Rand: n.Rand, Sched: n.sched, Behavior: b})
 }
 
 // Behavior returns the armed Byzantine behavior, or nil for an honest
@@ -181,63 +139,34 @@ func (n *Node) installInterceptor() {
 func (n *Node) Behavior() byz.Behavior { return n.behavior }
 
 // ReceiveFrame implements wireless.Receiver: the node is the station's
-// receiver so that crash/recovery can gate inbound delivery and swap the
-// underlying transport without re-attaching to the channel.
+// receiver so that a crash can gate inbound delivery.
 func (n *Node) ReceiveFrame(from wireless.NodeID, payload []byte) {
-	if n.down || n.recv == nil {
+	if n.down {
 		return
 	}
-	n.recv.ReceiveFrame(from, payload)
+	n.mux.ReceiveFrame(from, payload)
 }
 
 // Crash takes the node off the air: inbound frames are discarded, the
-// radio queue is flushed, and the transport (every open epoch, for mux
-// nodes) is stopped. Counters survive; in-memory protocol state does not.
+// radio queue is flushed, and every open epoch is closed. Counters and the
+// fragment sequence number survive; in-memory protocol state does not.
 // Idempotent.
 func (n *Node) Crash() {
 	if n.down {
 		return
 	}
 	n.down = true
-	if n.mux != nil {
-		n.mux.Stop() // closed-epoch counters accumulate inside the mux
-	} else if n.tr != nil {
-		n.closed = core.AddStats(n.closed, n.tr.Stats())
-		n.tr.Stop()
-		n.tr = nil
-		n.recv = nil
-	}
+	n.mux.Stop()
 	n.station.Reset()
 }
 
-// Recover brings a crashed node back with amnesia: a fresh transport on
-// the same station and keys (mux nodes keep their mux — Crash already
-// closed every epoch, so it holds no protocol state). The protocol layer
-// decides what "stable storage" survived and how to rejoin. Idempotent.
-func (n *Node) Recover() {
-	if !n.down {
-		return
-	}
-	n.down = false
-	if n.mux == nil {
-		n.tr = core.New(n.sched, n.CPU, nil, n.auth(), n.tcfg)
-		n.tr.BindStation(n.station)
-		n.recv = n.tr
-		n.installInterceptor()
-	}
-}
+// Recover brings a crashed node back with amnesia: the same station, keys
+// and mux, no epoch open. The protocol layer decides what "stable storage"
+// survived and how to rejoin. Idempotent.
+func (n *Node) Recover() { n.down = false }
 
-// Stats returns the node's cumulative transport counters, including
-// transports discarded by crashes and, for mux nodes, closed epochs.
-func (n *Node) Stats() core.Stats {
-	s := n.closed
-	if n.mux != nil {
-		s = core.AddStats(s, n.mux.Stats())
-	}
-	if n.tr != nil {
-		s = core.AddStats(s, n.tr.Stats())
-	}
-	return s
-}
+// Stats returns the node's cumulative transport counters, closed epochs
+// included.
+func (n *Node) Stats() core.Stats { return n.mux.Stats() }
 
 var _ wireless.Receiver = (*Node)(nil)

@@ -28,25 +28,36 @@ func losslessNet() wireless.Config {
 	return cfg
 }
 
+// wire attaches n batched nodes to one lossless channel. Nothing is
+// retransmitted: the tests count what each send delivers.
+func wire(t *testing.T, seed int64, n int) (*sim.Scheduler, *wireless.Channel, []*Node) {
+	t.Helper()
+	sched := sim.New(seed)
+	ch := wireless.NewChannel(sched, losslessNet())
+	suites := deal(t, n)
+	tcfg := core.DefaultConfig(true)
+	tcfg.RetxInterval = 0
+	nodes := make([]*Node, n)
+	for i := range nodes {
+		nodes[i] = New(sched, ch, wireless.NodeID(i), suites[i], Config{Transport: tcfg, Batched: true, Seed: seed})
+	}
+	return sched, ch, nodes
+}
+
 // TestCrashRecoverTransportLifecycle: a crashed node is deaf and silent;
-// a recovered one sends and receives again through a fresh transport, and
+// a recovered one sends and receives again on the epoch it re-opens, and
 // Stats keeps counting across the crash.
 func TestCrashRecoverTransportLifecycle(t *testing.T) {
-	sched := sim.New(1)
-	ch := wireless.NewChannel(sched, losslessNet())
-	suites := deal(t, 4)
-	cfg := Config{Batched: true, Seed: 1}
-	nodes := make([]*Node, 4)
-	for i := range nodes {
-		nodes[i] = New(sched, ch, wireless.NodeID(i), suites[i], cfg)
-	}
+	sched, _, nodes := wire(t, 1, 4)
 	recv := make([]int, 4)
-	for i, n := range nodes {
-		i := i
-		n.Transport().Register(packet.KindRBC, core.HandlerFunc(func(uint16, packet.Section) { recv[i]++ }))
+	listen := func(i int) {
+		nodes[i].Mux().Open(0).Register(packet.KindRBC, core.HandlerFunc(func(uint16, packet.Section) { recv[i]++ }))
+	}
+	for i := range nodes {
+		listen(i)
 	}
 	send := func(n *Node) {
-		n.Transport().Update(core.Intent{
+		n.Mux().Open(0).Update(core.Intent{
 			IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 0},
 			Data:      []byte("x"),
 		})
@@ -70,8 +81,8 @@ func TestCrashRecoverTransportLifecycle(t *testing.T) {
 	preStats := nodes[3].Stats()
 
 	nodes[3].Recover()
-	// Re-register on the fresh transport (the protocol layer's job).
-	nodes[3].Transport().Register(packet.KindRBC, core.HandlerFunc(func(uint16, packet.Section) { recv[3]++ }))
+	// Re-open the epoch and re-register (the protocol layer's job).
+	listen(3)
 	send(nodes[0])
 	send(nodes[3])
 	sched.RunFor(time.Minute)
@@ -92,39 +103,78 @@ func TestCrashRecoverTransportLifecycle(t *testing.T) {
 	nodes[3].Recover()
 }
 
-// TestMuxNodeCrashKeepsMux: mux nodes keep one mux across crashes; closed
+// TestMuxNodeCrashKeepsMux: a node keeps one mux across crashes; closed
 // epochs fold into the cumulative counters.
 func TestMuxNodeCrashKeepsMux(t *testing.T) {
-	sched := sim.New(2)
-	ch := wireless.NewChannel(sched, losslessNet())
-	suites := deal(t, 4)
-	cfg := Config{Batched: true, Seed: 2}
-	a := NewMux(sched, ch, 0, suites[0], cfg)
-	b := NewMux(sched, ch, 1, suites[1], cfg)
-	for i := 2; i < 4; i++ {
-		NewMux(sched, ch, wireless.NodeID(i), suites[i], cfg)
-	}
+	sched, _, nodes := wire(t, 2, 4)
+	a, b := nodes[0], nodes[1]
 	tr := a.Mux().Open(0)
 	tr.Update(core.Intent{IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho}, Data: []byte("y")})
 	b.Mux().Open(0)
 	sched.RunFor(time.Minute)
 	if a.Stats().LogicalSent == 0 {
-		t.Fatal("mux node never sent")
+		t.Fatal("node never sent")
 	}
 	sent := a.Stats().LogicalSent
+	mux := a.Mux()
 	a.Crash()
 	if got := len(a.Mux().OpenEpochs()); got != 0 {
 		t.Fatalf("crash left %d epochs open", got)
 	}
 	a.Recover()
-	if a.Mux() == nil {
-		t.Fatal("mux lost across recovery")
+	if a.Mux() != mux {
+		t.Fatal("mux replaced across recovery")
 	}
 	tr2 := a.Mux().Open(1)
 	tr2.Update(core.Intent{IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho}, Data: []byte("z")})
 	sched.RunFor(time.Minute)
 	if a.Stats().LogicalSent <= sent {
-		t.Error("recovered mux node not sending")
+		t.Error("recovered node not sending")
+	}
+}
+
+// TestCrashMidPacketKeepsSequenceSpace: a node that crashes with one
+// fragment of a multi-fragment packet on the air leaves every peer holding
+// that partial packet under its sequence number. The recovered node must
+// carry its sequence space on: restarting at 0 would have the peers drop
+// each of its later multi-fragment packets as older than the partial one.
+func TestCrashMidPacketKeepsSequenceSpace(t *testing.T) {
+	sched, ch, nodes := wire(t, 3, 4)
+	sender, peer := nodes[0], nodes[1]
+	delivered := 0
+	peer.Mux().Open(0).Register(packet.KindRBC, core.HandlerFunc(func(uint16, packet.Section) { delivered++ }))
+	big := core.Intent{
+		IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseInitial},
+		Data:      make([]byte, 600), // three radio frames
+	}
+	// Warm the sequence number up.
+	for i := 0; i < 3; i++ {
+		sender.Mux().Open(0).Update(big)
+		sched.RunFor(time.Minute)
+	}
+	if delivered != 3 {
+		t.Fatalf("warm-up delivered %d of 3 packets", delivered)
+	}
+	// Crash once the first fragment of the next packet is on the air.
+	frames := ch.Stats().Frames
+	sender.Mux().Open(0).Update(big)
+	for ch.Stats().Frames == frames {
+		if !sched.Step() {
+			t.Fatal("the fourth packet never reached the air")
+		}
+	}
+	sender.Crash()
+	sched.RunFor(time.Minute)
+	if delivered != 3 {
+		t.Fatal("the packet the crash cut short was delivered")
+	}
+	sender.Recover()
+	for i := 0; i < 3; i++ {
+		sender.Mux().Open(0).Update(big)
+		sched.RunFor(time.Minute)
+	}
+	if delivered != 6 {
+		t.Fatalf("peer delivered %d of the recovered node's 3 multi-fragment packets", delivered-3)
 	}
 }
 

@@ -18,17 +18,17 @@ import (
 // accepts.
 func TestACSRejectsSemivalidCiphertext(t *testing.T) {
 	const bad, silent = 3, 2
-	sched, nodes := testNodes(t, 5, 0)
-	insts := make([]*ACS, len(nodes))
-	for i, nd := range nodes {
-		insts[i] = newACS(nd.Env(4, 1), Options{Coin: CoinSig, SharedCoin: true, Encrypt: true}).(*ACS)
+	sched, envs := testEnvs(t, 5, 0)
+	insts := make([]*ACS, len(envs))
+	for i, env := range envs {
+		insts[i] = newACS(env, Options{Coin: CoinSig, SharedCoin: true, Encrypt: true}).(*ACS)
 	}
 	proposal := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 64) }
 	for i, a := range insts {
 		switch i {
 		case silent:
 		case bad:
-			ct, err := nodes[i].Suite.TE.Encrypt(proposal(i), nodes[i].Rand)
+			ct, err := envs[i].Suite.TE.Encrypt(proposal(i), envs[i].Rand)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,7 +67,7 @@ func TestACSRejectsSemivalidCiphertext(t *testing.T) {
 		if !a.slots[bad].accepted {
 			t.Errorf("node %d: the bad slot was not accepted; the test did not reach the hand-off", i)
 		}
-		if r := nodes[i].Stats().Rejected; r != 1 {
+		if r := envs[i].T.Stats().Rejected; r != 1 {
 			t.Errorf("node %d counted %d rejected contributions, want 1", i, r)
 		}
 	}

@@ -7,15 +7,16 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/component"
 	"repro/internal/crypto"
 	"repro/internal/node"
 	"repro/internal/sim"
 	"repro/internal/wireless"
 )
 
-// testNodes wires the 4 batched single-transport nodes, f = 1, that the
-// engine tests of this package run one epoch on.
-func testNodes(t *testing.T, seed int64, loss float64) (*sim.Scheduler, []*node.Node) {
+// testEnvs wires 4 batched nodes, f = 1, and opens epoch 0 on each: the
+// environments the engine tests of this package run one epoch on.
+func testEnvs(t *testing.T, seed int64, loss float64) (*sim.Scheduler, []*component.Env) {
 	t.Helper()
 	net := wireless.DefaultConfig()
 	net.LossProb = loss
@@ -25,23 +26,25 @@ func testNodes(t *testing.T, seed int64, loss float64) (*sim.Scheduler, []*node.
 	if err != nil {
 		t.Fatal(err)
 	}
-	nodes := make([]*node.Node, len(suites))
-	for i := range nodes {
-		nodes[i] = node.New(sched, ch, wireless.NodeID(i), suites[i], node.Config{Batched: true, Seed: seed})
+	envs := make([]*component.Env, len(suites))
+	for i := range envs {
+		nd := node.New(sched, ch, wireless.NodeID(i), suites[i], node.Config{Batched: true, Seed: seed})
+		envs[i] = nd.Env(4, 1)
+		envs[i].T = nd.Mux().Open(0)
 	}
-	return sched, nodes
+	return sched, envs
 }
 
 // aleaNet runs a 4-node Alea network to completion and returns the
 // instances for inspection.
 func aleaNet(t *testing.T, seed int64, coin CoinKind, loss float64) []*Alea {
 	t.Helper()
-	sched, nodes := testNodes(t, seed, loss)
-	done := make([]bool, len(nodes))
-	insts := make([]*Alea, len(nodes))
-	for i, nd := range nodes {
+	sched, envs := testEnvs(t, seed, loss)
+	done := make([]bool, len(envs))
+	insts := make([]*Alea, len(envs))
+	for i, env := range envs {
 		i := i
-		insts[i] = newAlea(nd.Env(4, 1), Options{Coin: coin, OnDecide: func() { done[i] = true }}).(*Alea)
+		insts[i] = newAlea(env, Options{Coin: coin, OnDecide: func() { done[i] = true }}).(*Alea)
 		insts[i].Start(aleaProposal(i))
 	}
 	allDone := func() bool {

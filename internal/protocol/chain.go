@@ -456,6 +456,11 @@ func DecodeBatch(raw []byte) ([][]byte, error) {
 	}
 	count := int(binary.BigEndian.Uint16(raw))
 	raw = raw[2:]
+	// Every transaction takes at least its length prefix: a count the body
+	// cannot hold is refused before it sizes anything.
+	if count > len(raw)/2 {
+		return nil, errBadBatch
+	}
 	txs := make([][]byte, 0, count)
 	for i := 0; i < count; i++ {
 		if len(raw) < 2 {

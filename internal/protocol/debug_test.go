@@ -10,12 +10,12 @@ import (
 // TestDebugHoneyBadgerTrace is a diagnostic harness: it runs HB-SC with
 // direct access to component internals and dumps progress when stuck.
 func TestDebugHoneyBadgerTrace(t *testing.T) {
-	sched, nodes := testNodes(t, 1, 0)
-	done := make([]bool, len(nodes))
-	insts := make([]*ACS, len(nodes))
-	for i, nd := range nodes {
+	sched, envs := testEnvs(t, 1, 0)
+	done := make([]bool, len(envs))
+	insts := make([]*ACS, len(envs))
+	for i, env := range envs {
 		i := i
-		insts[i] = newACS(nd.Env(4, 1), Options{Coin: CoinSig, SharedCoin: true, Encrypt: true,
+		insts[i] = newACS(env, Options{Coin: CoinSig, SharedCoin: true, Encrypt: true,
 			OnDecide: func() { done[i] = true }}).(*ACS)
 		prop := make([]byte, 64)
 		binary.BigEndian.PutUint32(prop, uint32(i))

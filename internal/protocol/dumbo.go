@@ -189,11 +189,12 @@ func (d *Dumbo) pumpSelected() {
 		return
 	}
 	if !d.verifiedW {
-		w, err := parseW(d.cbcValue.Value(d.selected))
+		w, err := parseW(d.cbcValue.Value(d.selected), d.env.N)
 		if err != nil || len(w) < d.env.Quorum() {
-			// Malformed vector from a Byzantine candidate should have been
-			// filtered by external validity; skip the candidate to keep
-			// liveness in the simulation.
+			// A vector that is malformed, or names fewer than 2f+1 distinct
+			// slots, from a Byzantine candidate should have been filtered by
+			// external validity; skip the candidate to keep liveness in the
+			// simulation.
 			d.env.Reject()
 			d.selected = -1
 			d.abaIdx++
@@ -255,14 +256,22 @@ func (d *Dumbo) maybeFinish() {
 	}
 }
 
-func parseW(raw []byte) ([]wEntry, error) {
+// parseW decodes a proof vector over the given number of slots. Each entry
+// must name a slot of its own: 2f+1 copies of one genuine proof would each
+// verify and fix an output set of a single proposal.
+func parseW(raw []byte, slots int) ([]wEntry, error) {
 	var out []wEntry
+	seen := make([]bool, slots)
 	for len(raw) > 0 {
 		if len(raw) < 1+8+2 {
 			return nil, errMalformedW
 		}
 		var e wEntry
 		e.slot = int(raw[0])
+		if e.slot >= slots || seen[e.slot] {
+			return nil, errMalformedW
+		}
+		seen[e.slot] = true
 		copy(e.hash[:], raw[1:9])
 		n := int(binary.BigEndian.Uint16(raw[9:11]))
 		raw = raw[11:]

@@ -279,9 +279,15 @@ func TestBatchCodecRoundtrip(t *testing.T) {
 			}
 		}
 	}
-	for _, bad := range [][]byte{{}, {0}, {0, 1}, {0, 1, 0, 5, 'x'}, append(EncodeBatch([][]byte{[]byte("t")}), 0)} {
+	for _, bad := range [][]byte{{}, {0}, {0, 1}, {0, 1, 0, 5, 'x'}, {0xFF, 0xFF, 0, 0}, append(EncodeBatch([][]byte{[]byte("t")}), 0)} {
 		if _, err := DecodeBatch(bad); err == nil {
 			t.Errorf("malformed batch %v accepted", bad)
 		}
+	}
+	// A count the body cannot hold must not size the result: four bytes
+	// claiming 65 535 transactions used to reserve 1.5 MB before failing.
+	greedy := []byte{0xFF, 0xFF, 0, 0}
+	if allocs := testing.AllocsPerRun(10, func() { DecodeBatch(greedy) }); allocs != 0 {
+		t.Errorf("refusing an oversized count allocated %v times", allocs)
 	}
 }

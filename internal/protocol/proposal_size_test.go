@@ -1,15 +1,10 @@
 package protocol
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/component"
-	"repro/internal/crypto"
-	"repro/internal/node"
-	"repro/internal/sim"
-	"repro/internal/wireless"
 )
 
 // TestMaxProposalBytesIsTheComponentCap ties the constant run.Spec
@@ -17,14 +12,8 @@ import (
 // proposal of exactly MaxProposalBytes is accepted, one byte more is
 // refused at propose time.
 func TestMaxProposalBytesIsTheComponentCap(t *testing.T) {
-	sched := sim.New(1)
-	ch := wireless.NewChannel(sched, wireless.DefaultConfig())
-	suites, err := crypto.Deal(4, 1, crypto.LightConfig(), rand.New(rand.NewSource(1)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	nd := node.New(sched, ch, 0, suites[0], node.Config{Batched: true, Seed: 1})
-	rbc := component.NewRBC(nd.Env(4, 1), component.RBCOptions{Slots: 8})
+	_, envs := testEnvs(t, 1, 0)
+	rbc := component.NewRBC(envs[0], component.RBCOptions{Slots: 8})
 	rbc.Propose(0, make([]byte, MaxProposalBytes))
 	defer func() {
 		if r := recover(); r == nil {

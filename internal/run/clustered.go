@@ -41,27 +41,27 @@ func (g *oneShotGroup) attachGlobal(epoch uint16, spec Spec) {
 	// The seat persists while leaders rotate: it is only as Byzantine as
 	// the node currently occupying it.
 	g.seat.SetBehavior(leader.Node.Behavior())
-	g.seat.Transport().SetEpoch(epoch)
+	g.seat.Mux().Close(epoch - 1)
 	env := g.seat.Env(g.clusters, (g.clusters-1)/3)
-	env.Epoch = epoch
+	env.Epoch, env.T = epoch, g.seat.Mux().Open(epoch)
 	env.Rand = leader.Rand // the seat draws from its occupant's randomness
 	// The global tier runs the family's own engine, on cluster digests:
 	// public values, so nothing to encrypt.
 	g.global = protocol.NewInstance(env, spec.Protocol, protocol.Options{
-		Coin: spec.Coin, SharedCoin: spec.Batched, OnDecide: g.publishResult,
+		Coin: spec.Coin, SharedCoin: spec.Batched, OnDecide: func() { g.publishResult(epoch) },
 	})
 }
 
-// listen makes every live member finish its epoch on the leader's global
-// RESULT. A node that recovers mid-epoch has a fresh transport with no
-// RESULT handler; it sits the rest of the epoch out and rejoins at the
-// next boundary.
-func (g *oneShotGroup) listen() {
+// listen makes every member that started the epoch finish it on the
+// leader's global RESULT. A node that recovers mid-epoch has no epoch open;
+// it sits the rest of the epoch out and rejoins at the next boundary.
+func (g *oneShotGroup) listen(epoch uint16) {
 	for _, n := range g.nodes {
-		if n.Down() {
+		tr := n.Mux().Lookup(epoch)
+		if tr == nil {
 			continue
 		}
-		n.Transport().Register(packet.KindGlobal, core.HandlerFunc(func(from uint16, sec packet.Section) {
+		tr.Register(packet.KindGlobal, core.HandlerFunc(func(from uint16, sec packet.Section) {
 			if sec.Phase == packet.PhaseFinish && int(from) == g.leader {
 				n.finished = true
 			}
@@ -71,13 +71,14 @@ func (g *oneShotGroup) listen() {
 
 // publishResult broadcasts the global order into the cluster. The leader
 // itself completes at this point.
-func (g *oneShotGroup) publishResult() {
+func (g *oneShotGroup) publishResult(epoch uint16) {
 	if g.resultSent {
 		return
 	}
 	leader := g.nodes[g.leader]
-	if leader.Down() {
-		return // a dead leader cannot disseminate; the epoch stalls
+	tr := leader.Mux().Lookup(epoch)
+	if tr == nil {
+		return // a leader that crashed this epoch cannot disseminate; the epoch stalls
 	}
 	g.resultSent = true
 	var digest []byte
@@ -85,7 +86,7 @@ func (g *oneShotGroup) publishResult() {
 		d := sha256.Sum256(out)
 		digest = append(digest, d[:8]...)
 	}
-	leader.Transport().Update(core.Intent{
+	tr.Update(core.Intent{
 		IntentKey: core.IntentKey{Kind: packet.KindGlobal, Phase: packet.PhaseFinish, Slot: 0},
 		Data:      digest,
 	})

@@ -34,10 +34,9 @@ type deployment struct {
 	seats *group
 }
 
-// newDeployment builds the Spec's groups. The chain workload gets
-// epoch-mux nodes, the one-shot workload single-transport ones. Nothing
-// here touches the scheduler's queue or RNG, so construction order is
-// free; start order is not, and stays with the callers.
+// newDeployment builds the Spec's groups. Nothing here touches the
+// scheduler's queue or RNG, so construction order is free; start order is
+// not, and stays with the callers.
 func newDeployment(spec Spec) (*deployment, error) {
 	clusters := 1
 	if spec.Topology.Kind == TopoClustered {
@@ -94,11 +93,7 @@ func (d *deployment) newGroup(n, f int, dealSeed int64, cfg node.Config, cpus []
 		if cpus != nil {
 			cfg.CPU = cpus[i]
 		}
-		if d.spec.Workload.Kind == LoadChain {
-			g.nodes[i] = node.NewMux(d.sched, g.ch, wireless.NodeID(i), suites[i], cfg)
-		} else {
-			g.nodes[i] = node.New(d.sched, g.ch, wireless.NodeID(i), suites[i], cfg)
-		}
+		g.nodes[i] = node.New(d.sched, g.ch, wireless.NodeID(i), suites[i], cfg)
 	}
 	return g, nil
 }
@@ -164,8 +159,8 @@ func (d *deployment) fold(rep *Report) {
 type lifecycle struct {
 	nodes []*node.Node // in scenario node-id order; filled by deployment.wire
 	// crashed tears down the driver's in-memory state for node i, which
-	// has just gone off the air; recovered restarts it on the node's
-	// fresh transport. Either may be nil.
+	// has just gone off the air; recovered restarts it on the node, which
+	// is back with no epoch open. Either may be nil.
 	crashed, recovered func(i int)
 	// armed, if set, extends a byz event beyond node i itself.
 	armed func(i int, b byz.Behavior)
@@ -197,8 +192,8 @@ func (l lifecycle) RecoverNode(i int) {
 }
 
 // SetByzantine implements scenario.ByzLifecycle. The behavior survives
-// crash and recovery and, on a mux node, covers every epoch of the
-// pipeline, open and future. Names were validated before the run.
+// crash and recovery and covers every epoch of the node, open and future.
+// Names were validated before the run.
 func (l lifecycle) SetByzantine(i int, behavior string) {
 	if i < 0 || i >= len(l.nodes) {
 		return

@@ -17,7 +17,7 @@ import (
 // Clustered × Chain: pipelined multi-epoch SMR over the paper's Sec. V-B
 // two-tier wireless deployment, composed from M+1 chain groups (chain.go).
 //
-// Each cluster is a chain group on its own channel: P mux nodes running
+// Each cluster is a chain group on its own channel: P nodes running
 // protocol.Chain, ordering that cluster's client traffic into a local
 // replicated log. One uplink seat per cluster (a second radio+MCU on the
 // global channel) is a member of one more chain group over the M seats,

@@ -155,7 +155,7 @@ func (g *oneShotGroup) startEpoch(epoch uint16, spec Spec) {
 		n.startEpoch(epoch, spec, onDecide)
 	}
 	if g.seat != nil {
-		g.listen()
+		g.listen(epoch)
 	}
 }
 
@@ -167,9 +167,9 @@ func (n *osNode) startEpoch(epoch uint16, spec Spec, onDecide func()) {
 	if n.Down() {
 		return // crashed nodes sit the epoch out
 	}
-	n.Transport().SetEpoch(epoch)
+	n.Mux().Close(epoch - 1)
 	env := n.Env(spec.N, spec.F)
-	env.Epoch = epoch
+	env.Epoch, env.T = epoch, n.Mux().Open(epoch)
 	n.inst = protocol.NewInstance(env, spec.Protocol, protocol.Options{
 		Coin: spec.Coin, SharedCoin: spec.Batched, Encrypt: spec.Encrypt, OnDecide: onDecide,
 	})

@@ -304,7 +304,7 @@ func TestClusteredOneShot(t *testing.T) {
 
 // TestClusteredOneShotCrashRecovery: a follower crashed mid-epoch is
 // excused from the epoch barrier, sits out the rest of the epoch after
-// recovering mid-epoch (its fresh transport has no RESULT handler yet),
+// recovering mid-epoch (it is back with no epoch open),
 // and rejoins at the next boundary — here even rotating into the leader
 // seat.
 func TestClusteredOneShotCrashRecovery(t *testing.T) {

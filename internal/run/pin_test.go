@@ -84,22 +84,22 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "cde88f148ecf8aa151ebddd68d1c17ff83db059115c664275843f3de55eeefe2"},
+		}, "7de5ad11c4d5b8071ed8ccb89fd6856f30b6dd0be9d1cfd37ecd941b406f2774"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "8d1aa9966195f95dbbc86149edd0eda3b29770365439c6e3e05e95048c44aa0c"},
+		}, "ed418c7c7089886594146445c60669cd424b3c6a054ae09c98b8704cf4a144b7"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@30s:3;recover@6m:3")
 			return spec
-		}, "accad38247741116dc61f5e11dd1e6e4b5d8ca3d36bb9a9aa3609651547bdca5"},
+		}, "43b099defac3892587b95147b0b1ee2ef9ec080f7586ed10a383472ba829b50d"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "ac287109a946af8b1ada8f2c2a22ad86533b3711b51fe9133bf46486fe31644c"},
+		}, "1914c425239f0b854ddc1ba3fec84c926dc254693d6c9bf21bd45e571ff4ea3b"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
 		}, "76f6999e94fd29ca84778889c2fa55ed2623c533bb3ea0ab6077a3a1d3390955"},
@@ -110,7 +110,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@2m:1;byz@0s:11:garbage")
 			return spec
-		}, "719d63452f3153c14a2195182a1b7056fa4c97a9ec026a5be4ec24582ddeec7d"},
+		}, "a20f1c20036f13bc2a4b7ced8b8f1c5363d07df07546ac524bb3fe06065875e6"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
