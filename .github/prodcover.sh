@@ -51,14 +51,14 @@ wbft -protocol beat -coin CP -topology clustered
 wbft -workload chain -depth 2 -epochs 4
 wbft -workload chain -protocol dumbo -depth 4 -epochs 6 -txinterval 2s
 wbft -topology clustered -workload chain -epochs 3 -txinterval 2s
-wbft -workload chain -epochs 14 -scenario "crash@30m:2;recover@60m:2"
-wbft -scenario "partition@5m:0,1/2,3;heal@15m;jam@20m+60s"
+wbft -workload chain -epochs 14 -scenario "crash@6m:2;recover@12m:2"
+wbft -scenario "partition@1m:0,1/2,3;heal@3m;jam@4m+60s"
 wbft -workload chain -epochs 8 -scenario "byz@0s:3:equivocate"
 wbft chain -epochs 6 -arrival poisson -rate 0.08 -mempool-cap 2048
 wbft chain -epochs 6 -arrival onoff -rate 0.08 -clients 500 -mempool-cap 2048
 wbft -topology clustered -workload chain -epochs 4 -arrival poisson -rate 0.05
 wbft chain -epochs 6 -scenario "mobility@0s:20,900"
-wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@10m:15m,3m"
+wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@2m:4m,2m"
 # What the README's list leaves out: the fourth engine, the heavy parameter
 # set, the delay adversary, -gclag, and the Report's JSON writer.
 wbft -protocol alea -coin SC -heavy -epochs 1 -scenario "delay:0.25,10s"

@@ -35,13 +35,13 @@ func main() {
 	spec.Workload.GCLag = spec.Workload.Epochs // peers hold the outage's epochs
 	spec.Seed = 3
 	spec.Scenario = scenario.Byz(byz.NameForgeCut, 15).Then( // cluster 3's seat forges cuts
-		scenario.CrashAt(15*time.Minute, 0),   // cluster 0's epoch-0 relay leader
-		scenario.RecoverAt(45*time.Minute, 0), // back for the tail of the run
+		scenario.CrashAt(3*time.Minute, 0),   // cluster 0's epoch-0 relay leader
+		scenario.RecoverAt(7*time.Minute, 0), // back for the tail of the run
 	)
 
 	fmt.Println("16 nodes in 4 clusters, HoneyBadgerBFT-SC chains on both tiers")
 	fmt.Println("cluster 3's uplink seat forges cut records for clusters it does not control;")
-	fmt.Println("node 0 (a rotating relay leader) crashes at 15m, recovers at 45m")
+	fmt.Println("node 0 (a rotating relay leader) crashes at 3m, recovers at 7m")
 	res, err := run.Run(spec)
 	if err != nil {
 		log.Fatal(err)

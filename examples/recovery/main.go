@@ -25,11 +25,11 @@ func main() {
 	// keep the window as long as the planned outage.
 	spec.Workload.GCLag = spec.Workload.Epochs
 	spec.Scenario = scenario.Plan{}.Then(
-		scenario.CrashAt(30*time.Minute, 2),   // ~epoch 5 at the default cadence
-		scenario.RecoverAt(60*time.Minute, 2), // ~epoch 10
+		scenario.CrashAt(6*time.Minute, 2),    // ~epoch 5 at the default cadence
+		scenario.RecoverAt(12*time.Minute, 2), // ~epoch 10
 	)
 
-	fmt.Println("4-node wireless HoneyBadgerBFT-SC chain; node 2 crashes at 30m, recovers at 60m")
+	fmt.Println("4-node wireless HoneyBadgerBFT-SC chain; node 2 crashes at 6m, recovers at 12m")
 	res, err := run.Run(spec)
 	if err != nil {
 		log.Fatal(err)
@@ -44,7 +44,7 @@ func main() {
 		}
 		role := ""
 		if i == 2 {
-			role = "  <- crashed at 30m, recovered at 60m, caught up"
+			role = "  <- crashed at 6m, recovered at 12m, caught up"
 		}
 		fmt.Printf("  node %d: %2d epochs, %3d txs committed%s\n", i, len(nodeLog), txs, role)
 	}
@@ -52,6 +52,7 @@ func main() {
 		res.Chain.ThroughputBps, res.Accesses, res.Collisions)
 	fmt.Println("\nthe recovered replica rejoined mid-run: frames for epochs it had never")
 	fmt.Println("opened tripped core.Mux.OnUnknownEpoch, the chain re-opened its pipeline")
-	fmt.Println("at the commit frontier, and peers' quiesced epochs answered its NACKs")
-	fmt.Println("with the proposals, votes, and decryption shares it lost.")
+	fmt.Println("at the commit frontier, and the peers — holding every epoch it had not")
+	fmt.Println("moved past — answered the undone bits of its NACK rows with the proposals,")
+	fmt.Println("votes, and decryption shares it lost.")
 }

@@ -40,12 +40,12 @@ var faultScenarios = []faultScenario{
 	{"crash-recover", crashRecover()},
 	{"delay-adversary", scenario.Delay(0.25, 10*time.Second)},
 	{"jam-burst", scenario.Plan{}.Then(
-		scenario.JamAt(20*time.Minute, 90*time.Second),
-		scenario.LossBurst(40*time.Minute, 5*time.Minute, 0.3),
+		scenario.JamAt(5*time.Minute, 90*time.Second),
+		scenario.LossBurst(10*time.Minute, 5*time.Minute, 0.3),
 	)},
 	{"partition-heal", scenario.Plan{}.Then(
-		scenario.PartitionAt(15*time.Minute, []int{0, 1}, []int{2, 3}),
-		scenario.HealAt(45*time.Minute),
+		scenario.PartitionAt(4*time.Minute, []int{0, 1}, []int{2, 3}),
+		scenario.HealAt(12*time.Minute),
 	)},
 }
 

@@ -84,12 +84,13 @@ func byzPlan(s *run.Spec, behavior string) scenario.Plan {
 }
 
 // crashRecover is the crash/recover cycle the fault sweeps share, placed
-// against the ~5m45s default epoch cadence: the crash lands around epoch 5
-// and the recovery around epoch 10.
+// against the ~90 s epoch cadence of batched HoneyBadger: the crash lands
+// around its epoch 5 and the recovery around its epoch 10 (earlier epochs
+// of the slower configurations, and still inside every run).
 func crashRecover() scenario.Plan {
 	return scenario.Plan{}.Then(
-		scenario.CrashAt(30*time.Minute, 2),
-		scenario.RecoverAt(60*time.Minute, 2),
+		scenario.CrashAt(8*time.Minute, 2),
+		scenario.RecoverAt(16*time.Minute, 2),
 	)
 }
 

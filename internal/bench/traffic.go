@@ -61,10 +61,11 @@ func trafficPatternAxis() sweep.Axis[run.Spec] {
 // trafficRows runs the open-loop saturation matrix: engine x arrival
 // pattern x offered rate, every cell under a 2 KiB mempool admission cap
 // so overload shows up as counted rejections instead of unbounded pool
-// growth. The aggregate offered rates (tx/s) bracket the measured HB-SC
-// commit capacity (~0.025 tx/s at 64-byte transactions on the LoRa-class
-// channel, from BENCH_chain.json): 0.2x, 0.8x, ~3x, and ~13x capacity, so
-// each curve crosses its knee inside the sweep. The rate axis goes last so
+// growth. The aggregate offered rates (tx/s) bracket the measured commit
+// capacities (~0.16 tx/s for HB-SC and ~0.06 tx/s for Dumbo-SC at 64-byte
+// transactions on the LoRa-class channel, from BENCH_chain.json): Dumbo's
+// and Alea's curves cross their knee inside the sweep, HB-SC's top rate is
+// twice its capacity. The rate axis goes last so
 // rates are innermost — a row's neighbors trace one saturation curve —
 // and sets only Rate, so it composes with the pattern axis's Pattern.
 // Rows record failures (Error / HonestSafe=false) rather than aborting.

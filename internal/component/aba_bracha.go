@@ -74,6 +74,7 @@ func NewBrachaABA(env *Env, opts BrachaOptions) *BrachaABA {
 		a.slots = append(a.slots, s)
 		a.terms = append(a.terms, &s.termination)
 	}
+	a.start()
 	env.T.Register(packet.KindABA, a)
 	return a
 }

@@ -5,12 +5,14 @@ import (
 	"repro/internal/packet"
 )
 
-// This file is the parent commit's map-based binary-agreement state, kept
-// verbatim (types renamed ref*) as the oracle of the reference-model tests
-// in aba_ref_test.go: the DECIDED gadget with its claims map, and Bracha's
-// ABA with its per-round map, its per-voter echo/ready maps counted by
+// This file is an earlier commit's map-based binary-agreement state, kept
+// (types renamed ref*) as the oracle of the reference-model tests in
+// aba_ref_test.go: the DECIDED gadget with its claims map, and Bracha's ABA
+// with its per-round map, its per-voter echo/ready maps counted by
 // iteration, and a view built once for publish and once for the
-// self-apply. Do not modernise it.
+// self-apply. Do not modernise it. What the gadget puts on the air has
+// changed since, and the oracle with it: its NACK row of halted instances,
+// and the prune to the DECIDED claims once every instance has halted.
 
 // refTermination is one instance's share of the DECIDED gadget, embedded by
 // value in the instance's slot.
@@ -32,6 +34,22 @@ type refDeciding struct {
 	// pruned says which of a halted instance's per-round intents go off
 	// the air: all the owning agreement tells the gadget about itself.
 	pruned func(packet.Phase) bool
+	halted map[int]bool // the instances halted, published as a NACK row
+}
+
+// start installs the DECIDED row.
+func (d *refDeciding) start() {
+	d.halted = make(map[int]bool)
+	d.env.T.SetNack(packet.KindABA, packet.PhaseDecided, d.haltedRow())
+}
+
+// haltedRow renders the halted instances as a NACK row.
+func (d *refDeciding) haltedRow() packet.BitSet {
+	row := packet.NewBitSet(len(d.terms))
+	for slot := range d.halted {
+		row.Set(slot)
+	}
+	return row
 }
 
 // Decided returns the decision for a slot, or nil.
@@ -98,9 +116,16 @@ func (d *refDeciding) applyDecided(slot, w int, v bool) {
 	// N-f claims: every honest node can now terminate from claims alone.
 	if matching >= d.env.N-d.env.F && !t.halted {
 		t.halted = true
+		d.halted[slot] = true
+		d.env.T.SetNack(packet.KindABA, packet.PhaseDecided, d.haltedRow())
 		d.env.T.RemoveWhere(func(k core.IntentKey) bool {
 			return k.Kind == packet.KindABA && int(k.Slot) == slot && d.pruned(k.Phase)
 		})
+		if len(d.halted) == len(d.terms) {
+			d.env.T.RemoveWhere(func(k core.IntentKey) bool {
+				return k.Kind == packet.KindABA && k.Phase != packet.PhaseDecided
+			})
+		}
 	}
 }
 
@@ -154,6 +179,7 @@ func newRefBrachaABA(env *Env, opts BrachaOptions) *refBrachaABA {
 		a.slots = append(a.slots, s)
 		a.terms = append(a.terms, &s.refTermination)
 	}
+	a.start()
 	env.T.Register(packet.KindABA, a)
 	return a
 }

@@ -7,11 +7,13 @@ import (
 	"repro/internal/packet"
 )
 
-// This file is the parent commit's map-based CachinABA, kept verbatim
-// (types renamed ref*) as the oracle of the reference-model tests in
+// This file is an earlier commit's map-based CachinABA, kept (types
+// renamed ref*) as the oracle of the reference-model tests in
 // aba_ref_test.go: rounds in a map, BVAL and AUX receipts in per-peer maps
 // counted by len and by iteration, coins in a map by coinKey.id. It shares
-// the coin's share collector with the component. Do not modernise it.
+// the coin's share collector with the component. Do not modernise it. Its
+// round-entry replay (startRound) has since become unconditional, in the
+// component and here alike.
 
 // refCachinABA runs k parallel (or serial) instances of the shared-coin
 // binary-agreement protocol the paper calls "Cachin's ABA" (the
@@ -68,6 +70,7 @@ func newRefCachinABA(env *Env, opts CachinOptions) *refCachinABA {
 		a.slots = append(a.slots, s)
 		a.terms = append(a.terms, &s.refTermination)
 	}
+	a.start()
 	env.T.Register(packet.KindABA, a)
 	return a
 }
@@ -109,10 +112,7 @@ func (a *refCachinABA) startRound(slot int) {
 		panic("component: cachin ABA exceeded round cap (liveness bug)")
 	}
 	a.sendBval(slot, s.round, s.est)
-	if !a.catchUp {
-		return
-	}
-	// Catch-up (RoundCatchUp): peers racing ahead may have completed this
+	// Catch-up: peers racing ahead may have completed this
 	// round's whole exchange while this node was still in the previous
 	// one. Those early bvals and AUX votes were recorded but their
 	// round == s.round sends were skipped, and nothing else replays them —

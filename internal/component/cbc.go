@@ -31,7 +31,8 @@ type CBC struct {
 
 	onDeliver func(slot int, value []byte, cert []byte)
 
-	finDone packet.BitSet
+	finDone  packet.BitSet // compressed O(N) NACK: slot delivered
+	peersFin peerRows
 }
 
 type cbcSlot struct {
@@ -56,10 +57,10 @@ type CBCOptions struct {
 // NewCBC creates the component and registers it on the transport.
 func NewCBC(env *Env, opts CBCOptions) *CBC {
 	c := &CBC{
-		dissemination: newDissemination(env, opts.Kind, opts.Small, opts.FragSize),
-		echoTag:       "cbc-echo",
-		onDeliver:     opts.OnDeliver,
-		finDone:       packet.NewBitSet(opts.Slots),
+		echoTag:   "cbc-echo",
+		onDeliver: opts.OnDeliver,
+		finDone:   packet.NewBitSet(opts.Slots),
+		peersFin:  newPeerRows(opts.Slots, env.N),
 	}
 	if opts.Kind == packet.KindVCBC {
 		// Each wire kind signs under its own tag. The tag decides every
@@ -73,6 +74,9 @@ func NewCBC(env *Env, opts CBCOptions) *CBC {
 	for i := 0; i < opts.Slots; i++ {
 		c.slots = append(c.slots, &cbcSlot{})
 	}
+	c.dissemination = newDissemination(env, opts.Kind, opts.Small, opts.FragSize, opts.Slots,
+		func(slot int) *valueSlot { return &c.slots[slot].valueSlot })
+	env.T.SetNack(opts.Kind, packet.PhaseFinish, c.finDone)
 	env.T.Register(opts.Kind, c)
 	return c
 }
@@ -122,8 +126,7 @@ func (c *CBC) acceptValue(slot int, value []byte) {
 	if s.assembled {
 		return
 	}
-	s.assembled = true
-	s.value = value
+	c.hold(slot, &s.valueSlot, value)
 	if !s.cert.open { // a node signs once per slot
 		c.echoes.begin(&s.cert, slot, c.shareMessage(slot, HashValue(value)),
 			core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)},
@@ -137,6 +140,24 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 	w, ok := c.env.peer(from)
 	if !ok {
 		return
+	}
+	switch sec.Phase {
+	case packet.PhaseInitial:
+		c.trackHeld(w, sec.Nack)
+	case packet.PhaseFinish:
+		// Once every peer has delivered a slot, its certificate — ours as
+		// its leader, or one we re-served — goes off the air; a leader puts
+		// it back for a peer that turns up without the slot delivered.
+		for slot, s := range c.slots {
+			switch c.peersFin.fold(c.env, slot, w, sec.Nack) {
+			case rowConfirmed:
+				c.env.T.Remove(core.IntentKey{Kind: c.kind, Phase: packet.PhaseFinish, Slot: uint8(slot)})
+			case rowReopened:
+				if c.leader(slot) == c.env.Me && s.cert.done {
+					c.publishFinish(slot)
+				}
+			}
+		}
 	}
 	for _, e := range sec.Entries {
 		slot := int(e.Slot)
@@ -206,7 +227,7 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 		if s.assembled && HashValue(s.value) != h {
 			// A certificate for a different value than we assembled: the
 			// certificate wins (2f+1 nodes vouched for it).
-			s.drop()
+			c.drop(slot, &s.valueSlot)
 		}
 		if !s.assembled {
 			c.requestRepair(slot, &s.valueSlot, false)
@@ -224,7 +245,7 @@ func (c *CBC) deliver(slot int) {
 	if HashValue(s.value) != s.certHash {
 		// Repair supplied a value that does not match the certificate:
 		// drop it and ask again, advertising nothing as held.
-		s.drop()
+		c.drop(slot, &s.valueSlot)
 		c.requestRepair(slot, &s.valueSlot, false)
 		return
 	}

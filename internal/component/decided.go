@@ -30,9 +30,20 @@ type deciding struct {
 	env      *Env
 	terms    []*termination
 	onDecide func(slot int, value bool)
+	// halted is the DECIDED NACK row: the instances that need no more
+	// claims.
+	halted packet.BitSet
 	// pruned says which of a halted instance's per-round intents go off
 	// the air: all the owning agreement tells the gadget about itself.
 	pruned func(packet.Phase) bool
+}
+
+// start sizes the DECIDED row to the instances and installs it: a node
+// reborn into the epoch shows every instance unhalted, so the peers'
+// claims come back on the air for it.
+func (d *deciding) start() {
+	d.halted = packet.NewBitSet(len(d.terms))
+	d.env.T.SetNack(packet.KindABA, packet.PhaseDecided, d.halted)
 }
 
 // Decided returns the decision for a slot, or nil.
@@ -96,8 +107,18 @@ func (d *deciding) applyDecided(slot, w int, v bool) {
 	// N-f claims: every honest node can now terminate from claims alone.
 	if matching >= d.env.N-d.env.F && !t.halted {
 		t.halted = true
+		d.halted.Set(slot)
+		d.env.T.SetNack(packet.KindABA, packet.PhaseDecided, d.halted)
 		d.env.T.RemoveWhere(func(k core.IntentKey) bool {
 			return k.Kind == packet.KindABA && int(k.Slot) == slot && d.pruned(k.Phase)
 		})
+		if d.halted.Count() == len(d.terms) {
+			// What belongs to no one instance — a shared coin's shares —
+			// is needed by none now: only the DECIDED claims stay on the
+			// air, for the laggards.
+			d.env.T.RemoveWhere(func(k core.IntentKey) bool {
+				return k.Kind == packet.KindABA && k.Phase != packet.PhaseDecided
+			})
+		}
 	}
 }

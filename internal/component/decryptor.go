@@ -18,7 +18,8 @@ type Decryptor struct {
 
 	onPlain func(slot int, plaintext []byte)
 
-	done packet.BitSet
+	done      packet.BitSet
+	peersDone peerRows
 }
 
 // decSlot is the plaintext of one accepted ciphertext in the making; it
@@ -26,18 +27,19 @@ type Decryptor struct {
 // ahead of it (a peer whose ACS completed first) park in it.
 type decSlot struct {
 	tally[*threshenc.Ciphertext, *threshenc.DecShare, []byte]
-	peersDone packet.BitSet
 }
 
 // NewDecryptor creates the component and registers it on the transport.
 func NewDecryptor(env *Env, slots int, onPlain func(slot int, plaintext []byte)) *Decryptor {
 	d := &Decryptor{
-		env:     env,
-		slots:   make([]*decSlot, slots),
-		onPlain: onPlain,
-		done:    packet.NewBitSet(slots),
+		env:       env,
+		slots:     make([]*decSlot, slots),
+		onPlain:   onPlain,
+		done:      packet.NewBitSet(slots),
+		peersDone: newPeerRows(slots, env.N),
 	}
 	d.shares = collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{scheme: decScheme(env), env: env, combined: d.recovered}
+	env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
 	env.T.Register(packet.KindDec, d)
 	return d
 }
@@ -86,25 +88,13 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 	// the done bit again: it lost its state (crash recovery) and needs the
 	// f+1 shares back on the air.
 	for slot, s := range d.slots {
-		if s == nil {
-			continue
-		}
-		if !sec.Nack.Get(slot) {
-			if s.peersDone != nil && s.peersDone.Get(w) {
-				wasPruned := s.peersDone.Count() >= d.env.N-1
-				s.peersDone.Clear(w)
-				if wasPruned && s.own != nil {
-					d.env.T.Update(core.Intent{IntentKey: d.shareIntent(slot), Data: s.own})
-				}
-			}
-			continue
-		}
-		if s.peersDone == nil {
-			s.peersDone = packet.NewBitSet(d.env.N)
-		}
-		s.peersDone.Set(w)
-		if s.peersDone.Count() >= d.env.N-1 {
+		switch d.peersDone.fold(d.env, slot, w, sec.Nack) {
+		case rowConfirmed:
 			d.env.T.Remove(d.shareIntent(slot))
+		case rowReopened:
+			if s != nil && s.own != nil {
+				d.env.T.Update(core.Intent{IntentKey: d.shareIntent(slot), Data: s.own})
+			}
 		}
 	}
 	for _, e := range sec.Entries {

@@ -28,11 +28,22 @@ const (
 // re-serve the rest after a randomized suppression delay. What makes a
 // value trustworthy — a READY quorum, a certificate — is the embedding
 // component's business. RBC and CBC embed it by value.
+//
+// The INITIAL NACK row says which slots' values this node holds. A peer
+// whose row shows a slot held no longer needs its fragments, and once
+// every peer's does, whoever has them on the air — the leader, or a peer
+// that re-served them — takes them off: a straggler that shows up later
+// pulls them back through the repair request.
 type dissemination struct {
 	env   *Env
 	kind  packet.Kind
 	small bool
 	frag  int
+
+	held      packet.BitSet // this node's INITIAL row
+	peersHeld peerRows
+	// valueAt is the embedding component's slot state, by slot.
+	valueAt func(slot int) *valueSlot
 }
 
 // valueSlot is one instance's dissemination state, embedded by value in
@@ -46,11 +57,52 @@ type valueSlot struct {
 	repairAt   time.Duration // last repair response, for rate limiting
 }
 
-func newDissemination(env *Env, kind packet.Kind, small bool, fragSize int) dissemination {
+func newDissemination(env *Env, kind packet.Kind, small bool, fragSize, slots int, valueAt func(int) *valueSlot) dissemination {
 	if fragSize <= 0 {
 		fragSize = DefaultFragSize
 	}
-	return dissemination{env: env, kind: kind, small: small, frag: fragSize}
+	d := dissemination{env: env, kind: kind, small: small, frag: fragSize,
+		held: packet.NewBitSet(slots), peersHeld: newPeerRows(slots, env.N), valueAt: valueAt}
+	env.T.SetNack(kind, packet.PhaseInitial, d.held)
+	return d
+}
+
+// hold records that the slot's value is assembled here.
+func (d *dissemination) hold(slot int, s *valueSlot, value []byte) {
+	s.assembled, s.value = true, value
+	d.held.Set(slot)
+	d.env.T.SetNack(d.kind, packet.PhaseInitial, d.held)
+}
+
+// drop forgets an assembled value the quorum evidence contradicts. Any
+// repair request on the air advertised fragments of that value, so the next
+// requestRepair must replace it.
+func (d *dissemination) drop(slot int, s *valueSlot) {
+	s.assembled = false
+	s.value = nil
+	s.frags = nil
+	s.needRepair = false
+	d.held.Clear(slot)
+	d.env.T.SetNack(d.kind, packet.PhaseInitial, d.held)
+}
+
+// trackHeld reads peer w's INITIAL row: once every peer holds a slot's
+// value, this node's INITIAL intents for it — a leader's own, or fragments
+// it re-served — go off the air, and a leader puts its value back on the
+// air for a peer that turns up without it again.
+func (d *dissemination) trackHeld(w int, row packet.BitSet) {
+	for slot := range d.peersHeld {
+		switch d.peersHeld.fold(d.env, slot, w, row) {
+		case rowConfirmed:
+			d.env.T.RemoveWhere(func(k core.IntentKey) bool {
+				return k.Kind == d.kind && k.Phase == packet.PhaseInitial && int(k.Slot) == slot
+			})
+		case rowReopened:
+			if s := d.valueAt(slot); d.leader(slot) == d.env.Me && s.assembled {
+				d.publish(slot, s.value, nil)
+			}
+		}
+	}
 }
 
 // leader returns the slot's proposer: slot i belongs to node i mod N.
@@ -141,16 +193,6 @@ func (d *dissemination) receive(slot int, s *valueSlot, w int, e packet.Entry) (
 		value = append(value, f...)
 	}
 	return value, true
-}
-
-// drop forgets an assembled value the quorum evidence contradicts. Any
-// repair request on the air advertised fragments of that value, so the next
-// requestRepair must replace it.
-func (s *valueSlot) drop() {
-	s.assembled = false
-	s.value = nil
-	s.frags = nil
-	s.needRepair = false
 }
 
 // requestRepair asks peers to re-serve a slot, advertising the fragments

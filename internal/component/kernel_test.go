@@ -247,7 +247,7 @@ func TestDisseminationSizes(t *testing.T) {
 	const frag = 16
 	tn := newTestNet(t, 32, 0, true)
 	out := record(tn.envs[0])
-	d := newDissemination(tn.envs[0], packet.KindRBC, false, frag)
+	d := newDissemination(tn.envs[0], packet.KindRBC, false, frag, 4, nil)
 	for slot, tc := range []struct{ size, fragments int }{
 		{0, 1}, {3 * frag, 3}, {3*frag + 1, 4},
 	} {

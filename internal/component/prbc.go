@@ -21,15 +21,15 @@ type PRBC struct {
 	onProof   func(slot int, value []byte, proof []byte)
 	onDeliver func(slot int, value []byte)
 
-	sigDone packet.BitSet // compressed NACK: slot has a combined proof
-	slots   []*prbcSlot
+	sigDone   packet.BitSet // compressed NACK: slot has a combined proof
+	peersDone peerRows
+	slots     []*prbcSlot
 }
 
 type prbcSlot struct {
 	// proof opens at our RBC delivery, which fixes the message signed;
 	// shares received before that park in it.
-	proof     tally[[]byte, *threshsig.SigShare, []byte]
-	peersDone packet.BitSet // peers whose NACK confirms a combined proof
+	proof tally[[]byte, *threshsig.SigShare, []byte]
 }
 
 // PRBCOptions configures a PRBC component.
@@ -47,17 +47,19 @@ func NewPRBC(env *Env, opts PRBCOptions) *PRBC {
 		onProof:   opts.OnProof,
 		onDeliver: opts.OnDeliver,
 		sigDone:   packet.NewBitSet(opts.Slots),
+		peersDone: newPeerRows(opts.Slots, env.N),
 	}
 	p.dones = collector[[]byte, *threshsig.SigShare, []byte]{
 		scheme: sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare), env: env, combined: p.proven,
 	}
 	for i := 0; i < opts.Slots; i++ {
-		p.slots = append(p.slots, &prbcSlot{peersDone: packet.NewBitSet(env.N)})
+		p.slots = append(p.slots, &prbcSlot{})
 	}
 	p.rbc = NewRBC(env, RBCOptions{
 		Slots:     opts.Slots,
 		OnDeliver: p.onRBCDeliver,
 	})
+	env.T.SetNack(packet.KindPRBC, packet.PhaseDone, p.sigDone)
 	env.T.Register(packet.KindPRBC, p)
 	return p
 }
@@ -109,15 +111,17 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 		return
 	}
 	// The sender's compressed NACK says which slots it holds proofs for;
-	// once every peer holds one, our share is no longer needed on the air.
-	for slot := range p.slots {
-		if !sec.Nack.Get(slot) {
-			continue
-		}
-		s := p.slots[slot]
-		s.peersDone.Set(w)
-		if s.peersDone.Count() >= p.env.N-1 {
-			p.env.T.Remove(core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(p.env.Me)})
+	// once every peer holds one, our share is no longer needed on the air,
+	// until a peer turns up without the proof again.
+	for slot, s := range p.slots {
+		key := core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(p.env.Me)}
+		switch p.peersDone.fold(p.env, slot, w, sec.Nack) {
+		case rowConfirmed:
+			p.env.T.Remove(key)
+		case rowReopened:
+			if s.proof.own != nil {
+				p.env.T.Update(core.Intent{IntentKey: key, Data: s.proof.own})
+			}
 		}
 	}
 	for _, e := range sec.Entries {

@@ -23,6 +23,8 @@ type RBC struct {
 
 	echoDone  packet.BitSet // compressed O(N) NACK: slot reached 2f+1 echoes
 	readyDone packet.BitSet
+	// peersEcho and peersReady are the peers' confirmations of the two rows.
+	peersEcho, peersReady peerRows
 }
 
 type rbcSlot struct {
@@ -36,9 +38,6 @@ type rbcSlot struct {
 	sentReady bool
 	readyHash Hash8
 	delivered bool
-
-	peersEchoDone  packet.BitSet
-	peersReadyDone packet.BitSet
 }
 
 // RBCOptions configures an RBC component.
@@ -51,19 +50,22 @@ type RBCOptions struct {
 // NewRBC creates the component and registers it on the transport.
 func NewRBC(env *Env, opts RBCOptions) *RBC {
 	r := &RBC{
-		dissemination: newDissemination(env, packet.KindRBC, opts.Small, DefaultFragSize),
-		onDeliver:     opts.OnDeliver,
-		echoDone:      packet.NewBitSet(opts.Slots),
-		readyDone:     packet.NewBitSet(opts.Slots),
+		onDeliver:  opts.OnDeliver,
+		echoDone:   packet.NewBitSet(opts.Slots),
+		readyDone:  packet.NewBitSet(opts.Slots),
+		peersEcho:  newPeerRows(opts.Slots, env.N),
+		peersReady: newPeerRows(opts.Slots, env.N),
 	}
 	for i := 0; i < opts.Slots; i++ {
 		r.slots = append(r.slots, &rbcSlot{
-			echoes:         make(hashVotes, env.N),
-			readies:        make(hashVotes, env.N),
-			peersEchoDone:  packet.NewBitSet(env.N),
-			peersReadyDone: packet.NewBitSet(env.N),
+			echoes:  make(hashVotes, env.N),
+			readies: make(hashVotes, env.N),
 		})
 	}
+	r.dissemination = newDissemination(env, packet.KindRBC, opts.Small, DefaultFragSize, opts.Slots,
+		func(slot int) *valueSlot { return &r.slots[slot].valueSlot })
+	env.T.SetNack(r.kind, packet.PhaseEcho, r.echoDone)
+	env.T.SetNack(r.kind, packet.PhaseReady, r.readyDone)
 	env.T.Register(packet.KindRBC, r)
 	return r
 }
@@ -103,8 +105,7 @@ func (r *RBC) acceptValue(slot int, value []byte) {
 	if s.assembled {
 		return
 	}
-	s.assembled = true
-	s.value = value
+	r.hold(slot, &s.valueSlot, value)
 	if !s.sentEcho {
 		s.sentEcho = true
 		h := HashValue(value)
@@ -128,6 +129,7 @@ func (r *RBC) HandleSection(from uint16, sec packet.Section) {
 		for _, e := range sec.Entries {
 			r.handleInitial(w, e)
 		}
+		r.trackHeld(w, sec.Nack)
 	case packet.PhaseEcho:
 		for _, e := range sec.Entries {
 			if int(e.Slot) < len(r.slots) && len(e.Data) >= 8 {
@@ -229,7 +231,7 @@ func (r *RBC) maybeDeliver(slot int) {
 		// The quorum converged on a different proposal than the one we
 		// assembled (equivocating leader). Drop ours and repair.
 		r.env.Reject()
-		s.drop()
+		r.drop(slot, &s.valueSlot)
 	}
 	if !s.assembled {
 		r.requestRepair(slot, &s.valueSlot, false)
@@ -269,43 +271,53 @@ func (r *RBC) handleRepairRequest(slot int, have packet.BitSet) {
 	// requester that lost its state (crash recovery) needs the vote quorum
 	// back on the air, and trackPeerDone may have pruned those intents when
 	// every node of the time had confirmed the slot.
-	if s.sentEcho {
+	r.announceEcho(slot, s)
+	r.announceReady(slot, s)
+	r.reserve(slot, &s.valueSlot, have, r.repairJitter())
+}
+
+// trackPeerDone prunes our vote intents once every peer has signalled (via
+// the compressed NACK bits) that the slot reached its quorum, and puts a
+// pruned vote back on the air for a peer that turns up without the quorum.
+func (r *RBC) trackPeerDone(nack packet.BitSet, w int, phase packet.Phase) {
+	done := r.peersEcho
+	if phase == packet.PhaseReady {
+		done = r.peersReady
+	}
+	for slot, s := range r.slots {
+		switch done.fold(r.env, slot, w, nack) {
+		case rowConfirmed:
+			r.env.T.Remove(core.IntentKey{Kind: r.kind, Phase: phase, Slot: uint8(slot)})
+		case rowReopened:
+			if phase == packet.PhaseEcho {
+				r.announceEcho(slot, s)
+			} else {
+				r.announceReady(slot, s)
+			}
+		}
+	}
+}
+
+// announceEcho (re-)publishes this node's ECHO vote on a slot, if it cast
+// one.
+func (r *RBC) announceEcho(slot int, s *rbcSlot) {
+	if s.sentEcho && s.assembled {
 		h := HashValue(s.value)
 		r.env.T.Update(core.Intent{
 			IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseEcho, Slot: uint8(slot)},
 			Data:      h[:],
 		})
 	}
+}
+
+// announceReady (re-)publishes this node's READY vote on a slot, if it
+// cast one.
+func (r *RBC) announceReady(slot int, s *rbcSlot) {
 	if s.sentReady {
 		r.env.T.Update(core.Intent{
 			IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseReady, Slot: uint8(slot)},
 			Data:      s.readyHash[:],
 		})
-	}
-	r.reserve(slot, &s.valueSlot, have, r.repairJitter())
-}
-
-// trackPeerDone prunes our vote intents once every peer has signalled (via
-// the compressed NACK bits) that the slot reached its quorum.
-func (r *RBC) trackPeerDone(nack packet.BitSet, w int, phase packet.Phase) {
-	if len(nack) == 0 {
-		return
-	}
-	for slot := range r.slots {
-		if !nack.Get(slot) {
-			continue
-		}
-		s := r.slots[slot]
-		var done packet.BitSet
-		if phase == packet.PhaseEcho {
-			done = s.peersEchoDone
-		} else {
-			done = s.peersReadyDone
-		}
-		done.Set(w)
-		if done.Count() >= r.env.N-1 {
-			r.env.T.Remove(core.IntentKey{Kind: r.kind, Phase: phase, Slot: uint8(slot)})
-		}
 	}
 }
 

@@ -16,18 +16,20 @@ import (
 // epochs, each a Transport holding that epoch's intents, NACK rows,
 // handlers, timers and counters. It is the layer underneath both
 // workloads: protocol.Chain keeps a window of epochs open and closes them
-// GCLag behind its commit frontier; a one-shot run opens an epoch at each
-// boundary and closes the one before. A node's sequence space therefore
-// runs on across its epochs and across a crash.
+// behind its commit frontier once its peers are past them (Heard); a
+// one-shot run opens an epoch at each boundary and closes the one before.
+// A node's sequence space therefore runs on across its epochs and across a
+// crash.
 //
 // Outbound, every epoch's transport broadcasts through the shared station,
 // so the channel backpressure (Config.MaxQueue) and the batching pressure
 // it creates apply across the whole pipeline. Inbound, ReceiveFrame is the
 // one receive path: frames for epochs that are not (or no longer) open are
-// counted and dropped before any CPU is charged; the sender's NACK
-// retransmission machinery re-delivers their state once the receiver opens
-// the epoch, and OnUnknownEpoch gives the SMR layer an early signal that a
-// peer is already working on a future epoch.
+// counted and dropped before any CPU is charged; once the receiver opens
+// the epoch, its first frames carry NACK rows with nothing done, which
+// bring the sender's state back on the air, and OnUnknownEpoch gives the
+// SMR layer an early signal that a peer is already working on a future
+// epoch.
 type Mux struct {
 	sched *sim.Scheduler
 	cpu   *sim.CPU
@@ -47,6 +49,9 @@ type Mux struct {
 	// open transport arrives. The callback may open the epoch, but the
 	// triggering frame is still dropped (retransmission repairs it).
 	OnUnknownEpoch func(epoch uint16)
+	// heard is, by transmitting station, one past the highest epoch any of
+	// its frames named (0: none heard).
+	heard []int
 
 	closedStats Stats // accumulated counters of closed transports
 	dropped     uint64
@@ -87,7 +92,7 @@ func (m *Mux) Open(epoch uint16) *Transport {
 	if t, ok := m.epochs[epoch]; ok {
 		return t
 	}
-	t := &Transport{m: m, epoch: epoch}
+	t := &Transport{m: m, epoch: epoch, retxEvt: new(sim.Event)}
 	t.retxFn = t.retransmit
 	m.epochs[epoch] = t
 	return t
@@ -125,6 +130,17 @@ func (m *Mux) Stop() {
 	for _, e := range m.OpenEpochs() {
 		m.Close(e)
 	}
+}
+
+// Heard returns the highest epoch a frame from station named, or -1 if
+// none was heard. The epoch is read from the header before the frame is
+// authenticated: it says what a peer claims to be working on, which is all
+// the SMR layer's epoch GC asks of it.
+func (m *Mux) Heard(station int) int {
+	if station < 0 || station >= len(m.heard) {
+		return -1
+	}
+	return m.heard[station] - 1
 }
 
 // DroppedUnknownEpoch counts reassembled frames discarded because their
@@ -186,6 +202,10 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		m.droppedSess++
 		return
 	}
+	for int(from) >= len(m.heard) {
+		m.heard = append(m.heard, 0)
+	}
+	m.heard[from] = max(m.heard[from], int(epoch)+1)
 	t, open := m.epochs[epoch]
 	if !open {
 		m.dropped++

@@ -1,0 +1,206 @@
+package core
+
+import (
+	"testing"
+	"time"
+
+	"repro/internal/packet"
+	"repro/internal/wireless"
+)
+
+// The retransmission policy (transport.go): age, demand, settled intents,
+// and the NACK rows every frame carries.
+
+const testRetx = 4 * time.Second
+
+// newPolicyRig is newRig with the retransmission timer on at testRetx.
+func newPolicyRig(t *testing.T, n int, mutate func(*wireless.Config)) *rig {
+	r := newRig(t, n, true, mutate)
+	for _, tr := range r.transports {
+		tr.m.cfg.RetxInterval = testRetx
+	}
+	return r
+}
+
+// hear replaces node i's handler for kind with one that records when each
+// section arrived and the slots of its entries.
+func hear(r *rig, i int, kind packet.Kind) *[]heard {
+	var got []heard
+	r.transports[i].Register(kind, HandlerFunc(func(_ uint16, sec packet.Section) {
+		h := heard{at: r.sched.Now()}
+		for _, e := range sec.Entries {
+			h.slots = append(h.slots, e.Slot)
+		}
+		got = append(got, h)
+	}))
+	return &got
+}
+
+type heard struct {
+	at    time.Duration
+	slots []uint8
+}
+
+// carrying returns the arrival times of the sections that carried an entry
+// of slot.
+func carrying(got []heard, slot uint8) []time.Duration {
+	var out []time.Duration
+	for _, h := range got {
+		for _, s := range h.slots {
+			if s == slot {
+				out = append(out, h.at)
+			}
+		}
+	}
+	return out
+}
+
+// TestIdleIntentBacksOffGeometrically: an intent nobody asks for — an
+// idle, decided epoch's DECIDED claim — is re-sent RetxInterval, 2x, 4x,
+// 8x and then 16x the interval after each send (each period stretched by
+// its frame's jitter, 0.75–1.25), never faster and never slower.
+func TestIdleIntentBacksOffGeometrically(t *testing.T) {
+	r := newPolicyRig(t, 2, nil)
+	got := hear(r, 1, packet.KindABA)
+	r.transports[0].Update(Intent{IntentKey: IntentKey{Kind: packet.KindABA, Phase: packet.PhaseDecided}, Data: []byte{1}})
+	r.sched.RunFor(15 * time.Minute)
+	sends := carrying(*got, 0)
+	if len(sends) < 10 {
+		t.Fatalf("%d sends in 15 minutes", len(sends))
+	}
+	// A send reaches the air a flush window and a signature after it was
+	// due; allow a second for that.
+	for k := 1; k < len(sends); k++ {
+		period := testRetx << min(k-1, 4) // capped at 16x
+		lo, hi := period*3/4, period*5/4+time.Second
+		if gap := sends[k] - sends[k-1]; gap < lo || gap > hi {
+			t.Errorf("re-send %d came %v after the one before, want %v–%v", k, gap, lo, hi)
+		}
+	}
+}
+
+// TestFrameLostAtEveryReceiverIsRepaired: the first frame reaches nobody;
+// the first re-send, one jittered interval later, reaches everybody.
+func TestFrameLostAtEveryReceiverIsRepaired(t *testing.T) {
+	lost := map[wireless.NodeID]bool{}
+	r := newPolicyRig(t, 3, nil)
+	r.ch.SetDeliveryHook(func(from, to wireless.NodeID, _ []byte) (time.Duration, bool) {
+		if from == 0 && !lost[to] {
+			lost[to] = true
+			return 0, true
+		}
+		return 0, false
+	})
+	got := []*[]heard{hear(r, 1, packet.KindRBC), hear(r, 2, packet.KindRBC)}
+	r.transports[0].Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 3}, Data: []byte{7}})
+	r.sched.RunFor(time.Minute)
+	for i, g := range got {
+		at := carrying(*g, 3)
+		if len(at) == 0 {
+			t.Fatalf("node %d never got the intent", i+1)
+		}
+		if at[0] < testRetx*3/4 || at[0] > testRetx*5/4+time.Second {
+			t.Errorf("node %d got the intent at %v, want the first re-send", i+1, at[0])
+		}
+	}
+}
+
+// TestUndoneSlotReturnsToBaseRate: two intents have backed off to the
+// slowest period; a peer's row shows one slot done and the other undone.
+// The undone one goes out at once, at age zero; the done one keeps its
+// schedule.
+func TestUndoneSlotReturnsToBaseRate(t *testing.T) {
+	r := newPolicyRig(t, 2, nil)
+	got := hear(r, 1, packet.KindRBC)
+	tr := r.transports[0]
+	for slot := uint8(0); slot < 2; slot++ {
+		tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: slot}, Data: []byte{slot}})
+	}
+	r.sched.RunFor(2*time.Minute + 30*time.Second)
+	for _, e := range tr.live {
+		if e.age != maxAge {
+			t.Fatalf("slot %d at age %d after two idle minutes, want %d", e.Slot, e.age, maxAge)
+		}
+	}
+	asked := r.sched.Now()
+	row := packet.NewBitSet(4)
+	row.Set(0)
+	r.transports[1].SetNack(packet.KindRBC, packet.PhaseEcho, row) // a frame of its own
+	r.sched.RunFor(5 * time.Second)
+	after := func(slot uint8) (n int) {
+		for _, at := range carrying(*got, slot) {
+			if at > asked {
+				n++
+			}
+		}
+		return n
+	}
+	if after(1) != 1 || after(0) != 0 {
+		t.Fatalf("within 5 s of the row: slot 1 sent %d times, slot 0 %d; want once and not at all", after(1), after(0))
+	}
+	if a0, a1 := tr.live[0].age, tr.live[1].age; a0 != maxAge || a1 != 0 {
+		t.Errorf("ages after the request: slot 0 %d, slot 1 %d; want %d and 0", a0, a1, maxAge)
+	}
+}
+
+// TestEntrylessRowLetsLastConfirmerPrune: node 1 has nothing of the phase
+// left on the air, so its done bit travels in an entry-less section — and
+// node 0, which prunes once its peer confirms, hears it and goes quiet.
+func TestEntrylessRowLetsLastConfirmerPrune(t *testing.T) {
+	r := newPolicyRig(t, 2, nil)
+	tr := r.transports[0]
+	key := IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseReady, Slot: 2}
+	var confirmation *packet.Section
+	tr.Register(packet.KindRBC, HandlerFunc(func(_ uint16, sec packet.Section) {
+		if sec.Phase == packet.PhaseReady && sec.Nack.Get(2) {
+			c := sec
+			confirmation = &c
+			tr.Remove(key)
+		}
+	}))
+	tr.Update(Intent{IntentKey: key, Data: []byte{9}})
+	r.sched.RunFor(30 * time.Second)
+	done := packet.NewBitSet(4)
+	done.Set(2)
+	r.transports[1].SetNack(packet.KindRBC, packet.PhaseReady, done)
+	r.sched.RunFor(5 * time.Second)
+	if confirmation == nil {
+		t.Fatal("the confirming row never arrived")
+	}
+	if len(confirmation.Entries) != 0 {
+		t.Errorf("the confirming section carried %d entries, want an entry-less row", len(confirmation.Entries))
+	}
+	sent := tr.Stats().LogicalSent
+	r.sched.RunFor(10 * time.Minute)
+	if len(tr.live) != 0 || tr.Stats().LogicalSent != sent {
+		t.Errorf("after the confirmation: %d intents live, %d more frames sent", len(tr.live), tr.Stats().LogicalSent-sent)
+	}
+}
+
+// TestSettledIntentWaitsToBeAsked: once every peer whose row has arrived
+// shows a slot done, its intent leaves the air — and a peer whose row goes
+// undone again (back from a crash) gets it at once.
+func TestSettledIntentWaitsToBeAsked(t *testing.T) {
+	r := newPolicyRig(t, 3, nil)
+	got := hear(r, 2, packet.KindRBC)
+	tr := r.transports[0]
+	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 1}, Data: []byte{1}})
+	r.sched.RunFor(time.Second)
+	done := packet.NewBitSet(4)
+	done.Set(1)
+	for _, peer := range r.transports[1:] {
+		peer.SetNack(packet.KindRBC, packet.PhaseEcho, done)
+	}
+	r.sched.RunFor(20 * time.Second) // the first re-send falls due and is dropped
+	sent := tr.Stats().LogicalSent
+	r.sched.RunFor(10 * time.Minute)
+	if n := tr.Stats().LogicalSent - sent; n != 0 {
+		t.Fatalf("%d frames sent for an intent every peer has", n)
+	}
+	reborn := r.sched.Now()
+	r.transports[2].SetNack(packet.KindRBC, packet.PhaseEcho, packet.NewBitSet(4))
+	r.sched.RunFor(5 * time.Second)
+	if at := carrying(*got, 1); len(at) == 0 || at[len(at)-1] < reborn {
+		t.Fatal("the reborn peer's undone row did not bring the intent back")
+	}
+}

@@ -14,17 +14,20 @@ import (
 
 // refStore is the intent store the transport had before it became one
 // sorted slice — a map of intents, the live keys in wire order, a map of
-// dirty keys, a NACK map — kept here verbatim as the oracle the sorted
-// store is checked against. Where the old transport called sendLogical,
-// the oracle hands the sections to send.
+// dirty keys, a NACK map — kept here as the oracle the sorted store is
+// checked against, and taught the frame rules that came after it: a frame
+// carries the dirty intents only, every frame carries every NACK row (in
+// the section of its (kind, phase), or in an entry-less one), and a row
+// whose bits change is sent even when nothing else is. Where the transport
+// calls sendLogical, the oracle hands the sections to send.
 type refStore struct {
 	intents map[IntentKey]Intent
 	order   []IntentKey
 	nacks   map[[2]uint8]packet.BitSet
 	dirty   map[IntentKey]bool
 
-	flushArmed bool
-	send       func([]packet.Section)
+	flushArmed, rowsChanged bool
+	send                    func([]packet.Section)
 }
 
 // keyLess is the ordering the oracle sorts by: the field-by-field
@@ -94,17 +97,22 @@ func (t *refStore) RemoveWhere(pred func(IntentKey) bool) {
 }
 
 func (t *refStore) SetNack(kind packet.Kind, phase packet.Phase, bits packet.BitSet) {
-	t.nacks[[2]uint8{uint8(kind), uint8(phase)}] = bits.Clone()
+	key := [2]uint8{uint8(kind), uint8(phase)}
+	old, had := t.nacks[key]
+	t.nacks[key] = bits.Clone()
+	if (had || bits.Count() > 0) && !bytes.Equal(old, bits) {
+		t.rowsChanged, t.flushArmed = true, true
+	}
 }
 
+// retransmit is the timer with a zero period: every intent is due.
 func (t *refStore) retransmit() {
-	if len(t.intents) == 0 {
-		return
-	}
 	for _, k := range t.order {
-		t.dirty[k] = true
+		if !t.dirty[k] {
+			t.dirty[k] = true
+			t.flushArmed = true
+		}
 	}
-	t.flushArmed = true
 }
 
 // wake is flushWait.Wake with an idle radio.
@@ -113,68 +121,59 @@ func (t *refStore) wake(batched bool) {
 		return
 	}
 	t.flushArmed = false
-	if len(t.intents) == 0 {
+	if len(t.dirty) == 0 && !t.rowsChanged {
 		return
 	}
-	if batched {
-		t.flushBatched()
-	} else {
-		t.flushBaseline()
-	}
-}
-
-func (t *refStore) flushBatched() {
-	if len(t.dirty) == 0 {
-		return
-	}
-	var secs []packet.Section
-	var ents []packet.Entry
-	var starts []int
-	for _, k := range t.order {
-		in := t.intents[k]
-		if n := len(secs); n == 0 || secs[n-1].Kind != k.Kind || secs[n-1].Phase != k.Phase {
-			secs = append(secs, packet.Section{
-				Kind:  k.Kind,
-				Phase: k.Phase,
-				Nack:  t.nacks[[2]uint8{uint8(k.Kind), uint8(k.Phase)}],
-			})
-			starts = append(starts, len(ents))
-		}
-		ents = append(ents, packet.Entry{
-			Slot: k.Slot, Sub: k.Sub, Round: k.Round, Flags: in.Flags, Data: in.Data,
-		})
-	}
-	for i := range secs {
-		end := len(ents)
-		if i+1 < len(secs) {
-			end = starts[i+1]
-		}
-		secs[i].Entries = ents[starts[i]:end]
-	}
-	clear(t.dirty)
-	t.send(secs)
-}
-
-func (t *refStore) flushBaseline() {
 	var keys []IntentKey
 	for k := range t.dirty {
-		if _, live := t.intents[k]; live {
-			keys = append(keys, k)
-		}
+		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keyLess(keys[i], keys[j]) })
 	clear(t.dirty)
-	for _, k := range keys {
-		in := t.intents[k]
-		t.send([]packet.Section{{
-			Kind:  k.Kind,
-			Phase: k.Phase,
-			Nack:  t.nacks[[2]uint8{uint8(k.Kind), uint8(k.Phase)}],
-			Entries: []packet.Entry{{
-				Slot: k.Slot, Sub: k.Sub, Round: k.Round, Flags: in.Flags, Data: in.Data,
-			}},
-		}})
+	t.rowsChanged = false
+	if batched {
+		t.send(t.frame(keys))
+		return
 	}
+	for _, k := range keys {
+		t.send(t.frame([]IntentKey{k}))
+	}
+	if len(keys) == 0 {
+		t.send(t.frame(nil))
+	}
+}
+
+// frame lays out one frame of the given intents: a section per (kind,
+// phase) an intent or a NACK row names, in wire order, each with its row.
+func (t *refStore) frame(keys []IntentKey) []packet.Section {
+	pairs := map[[2]uint8]bool{}
+	for p := range t.nacks {
+		pairs[p] = true
+	}
+	for _, k := range keys {
+		pairs[[2]uint8{uint8(k.Kind), uint8(k.Phase)}] = true
+	}
+	var order [][2]uint8
+	for p := range pairs {
+		order = append(order, p)
+	}
+	sort.Slice(order, func(i, j int) bool {
+		return order[i][0] < order[j][0] || order[i][0] == order[j][0] && order[i][1] < order[j][1]
+	})
+	var secs []packet.Section
+	for _, p := range order {
+		sec := packet.Section{Kind: packet.Kind(p[0]), Phase: packet.Phase(p[1]), Nack: t.nacks[p], Entries: []packet.Entry{}}
+		for _, k := range keys {
+			if uint8(k.Kind) == p[0] && uint8(k.Phase) == p[1] {
+				in := t.intents[k]
+				sec.Entries = append(sec.Entries, packet.Entry{
+					Slot: k.Slot, Sub: k.Sub, Round: k.Round, Flags: in.Flags, Data: in.Data,
+				})
+			}
+		}
+		secs = append(secs, sec)
+	}
+	return secs
 }
 
 // airLog keeps a copy of every radio frame it hears.
@@ -186,9 +185,10 @@ func (a *airLog) ReceiveFrame(_ wireless.NodeID, payload []byte) {
 
 // TestIntentStoreMatchesMapModel runs one seeded random script of Update,
 // Remove, RemoveWhere, SetNack, retransmission and flush through a real
-// transport and through the map-based oracle, in both modes, and wants the
-// same radio frames on the air in the same order — header, fragment
-// boundaries and every byte.
+// transport (with a zero retransmission period, so everything live is due
+// whenever the script fires the timer) and through the map-based oracle, in
+// both modes, and wants the same radio frames on the air in the same order
+// — header, fragment boundaries and every byte.
 func TestIntentStoreMatchesMapModel(t *testing.T) {
 	for _, batched := range []bool{true, false} {
 		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {

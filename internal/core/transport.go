@@ -11,11 +11,14 @@
 // signed frame per instance-level update, which is how the wired protocols
 // behave when ported naively.
 //
-// Reliability is NACK-based (Sec. IV-B1): frames are state snapshots, a
-// periodic retransmission timer re-broadcasts current state, and per-phase
-// O(N) NACK bitmaps let peers suppress or trigger repairs. Frames larger
-// than the radio MTU are fragmented and reassembled; a newer snapshot from
-// the same sender supersedes any partial older one.
+// Reliability is NACK-based (Sec. IV-B1) and demand-driven: a frame carries
+// the intents that changed or came due, plus every per-phase O(N) NACK
+// bitmap the epoch has set. An intent nobody asks for is re-sent on a
+// geometrically backed-off schedule; a peer whose bitmap shows a slot
+// undone puts that slot's intents back on the base period, and the
+// components prune what every peer has confirmed. Frames larger than the
+// radio MTU are fragmented and reassembled; a newer frame from the same
+// sender supersedes any partial older one.
 //
 // A node has one Mux, which owns everything node-scoped, and one Transport
 // per open epoch, which owns that epoch's state (mux.go); components talk
@@ -23,8 +26,10 @@
 package core
 
 import (
+	"bytes"
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -91,7 +96,7 @@ type Config struct {
 	Session      uint32
 	Batched      bool          // ConsensusBatcher vs baseline per-instance packets
 	FlushDelay   time.Duration // aggregation window before assembling a frame
-	RetxInterval time.Duration // NACK retransmission period (0 disables)
+	RetxInterval time.Duration // base retransmission period (0 disables)
 	MaxQueue     int           // station backpressure threshold, in frames
 }
 
@@ -134,30 +139,59 @@ type Transport struct {
 	epoch uint16
 	// live is the intent store: every current intent, in wire (wireOrder)
 	// order, so a flush is a walk and an update a binary search. nDirty of
-	// them are dirty: updated, or due for rebroadcast, since last sent.
+	// them are dirty: updated, asked for or due since last sent.
 	live   []liveIntent
 	nDirty int
-	// nacks is one row per kind, indexed by phase, grown to the highest set.
-	nacks    [packet.KindLimit][]packet.BitSet
-	handlers [packet.KindLimit]Handler
+	// rows are the (kind, phase) NACK rows, this node's and the peers', in
+	// wire order; rowsChanged says one of this node's changed since the
+	// last frame went out.
+	rows        []nackRow
+	rowsChanged bool
+	handlers    [packet.KindLimit]Handler
 
 	// flushArmed tracks whether a flush wait (flushWait) is already queued.
 	// The wait carries no cancellation handle: after Stop it is no longer
 	// blocked and wakes once as a no-op.
 	flushArmed bool
-	// retxEvt is the one retransmission timer, re-armed after each firing
-	// (retxArmed: queued and not yet fired); retxFn is t.retransmit bound
-	// once, because taking a method value allocates a closure each time.
-	retxEvt   sim.Event
+	// retxEvt is the one retransmission timer, armed for the earliest due
+	// re-send (retxArmed: queued and not yet fired); retxFn is t.retransmit
+	// bound once, because taking a method value allocates a closure each
+	// time.
+	retxEvt   *sim.Event
 	retxArmed bool
 	retxFn    func()
 	stopped   bool
-	// quiesced switches the periodic snapshot rebroadcast to exponential
-	// backoff (retxBoost doubles per firing, capped). See Quiesce.
-	quiesced  bool
-	retxBoost int
 
 	stats Stats
+}
+
+// The retransmission policy: an intent that went out is re-sent
+// RetxInterval << age after its last send (times one jitter factor drawn
+// per frame), where age counts the re-sends nobody asked for since the last
+// Update, capped at maxAge. A peer's NACK row showing the intent's slot
+// undone is the ask: the intent is due again one base period after its
+// last send at the latest, and the re-send does not age it. An intent of a
+// (kind, phase) that has NACK rows is settled once every peer whose row
+// has reached this node shows its slot done: it is then re-sent only when
+// asked — a peer that was silent until now (a crashed one coming back, one
+// that opens the epoch late) asks with its first frame. The timer takes
+// along every intent due within RetxInterval/retxSlack of the earliest, so
+// one frame carries them.
+const (
+	maxAge    = 4 // 2^4 = 16x RetxInterval at the slowest
+	retxSlack = 4
+	// maxSender bounds the sender ids whose rows are kept: node ids travel
+	// in one byte wherever a component names one.
+	maxSender = 256
+)
+
+// nackRow is one (kind, phase)'s NACK bitmaps: the one this node publishes
+// (nil until a component sets it) and the latest each peer sent.
+type nackRow struct {
+	kind  packet.Kind
+	phase packet.Phase
+	bits  packet.BitSet
+	peers []packet.BitSet // by sender; nil: none heard from it
 }
 
 // sendState is what one node's epochs share on the way to the radio: the
@@ -171,9 +205,11 @@ type sendState struct {
 	jobFree []*cpuJob
 	// Section and entry scratch, reused across flushes: sendLogical encodes
 	// the frame body before returning, so the CPU queue never holds these.
+	// nextRow is the first NACK row the frame being built has not placed.
 	secScratch   []packet.Section
 	entScratch   []packet.Entry
 	startScratch []int
+	nextRow      int
 	fragBuf      []byte // every radio frame is built here; Broadcast copies it
 }
 
@@ -214,21 +250,8 @@ func (t *Transport) Stop() {
 	t.retxEvt.Cancel()
 }
 
-// Quiesce backs the periodic snapshot rebroadcast off exponentially (2x
-// per firing, capped at 16x the base interval) instead of firing at the
-// base rate. An SMR pipeline quiesces an epoch once it decides locally:
-// the epoch's state is final and mostly redundant on the air, but lagging
-// peers may still need it, so it keeps flowing — just ever more slowly.
-// Inbound repair requests still answer at full speed through the normal
-// update/flush path, and Update/Remove keep working.
-func (t *Transport) Quiesce() {
-	if !t.quiesced {
-		t.quiesced = true
-		t.retxBoost = 1
-	}
-}
-
-// Update upserts an intent and schedules a flush. With an interceptor
+// Update upserts an intent and schedules a flush; the intent's
+// retransmission age starts over. With an interceptor
 // installed, the intent first passes through it and whatever comes back —
 // possibly nothing — is applied instead.
 func (t *Transport) Update(in Intent) {
@@ -255,6 +278,13 @@ func (t *Transport) Inject(in Intent) {
 type liveIntent struct {
 	Intent
 	dirty bool
+	// asked says a peer's NACK row showed the slot undone since the intent
+	// was last sent; age is the retransmission policy's k.
+	asked bool
+	age   uint8
+	// sentAt is when the intent last went out, due when it is re-sent
+	// unless something sends it sooner.
+	sentAt, due time.Duration
 }
 
 // find returns where k is in the store, or where it would be inserted.
@@ -270,13 +300,17 @@ func (t *Transport) apply(in Intent) {
 		t.live = slices.Insert(t.live, i, liveIntent{})
 	}
 	e := &t.live[i]
-	e.Intent = in
+	e.Intent, e.age = in, 0
+	t.markDirty(e)
+	t.Flush()
+}
+
+// markDirty queues an intent for the next frame.
+func (t *Transport) markDirty(e *liveIntent) {
 	if !e.dirty {
 		e.dirty = true
 		t.nDirty++
 	}
-	t.Flush()
-	t.ensureRetx()
 }
 
 // Remove deletes an intent (the component completed that piece of state).
@@ -305,23 +339,41 @@ func (t *Transport) RemoveWhere(pred func(IntentKey) bool) {
 	})
 }
 
-// SetNack installs the compressed O(N) NACK bitmap attached to every
-// outbound section of (kind, phase).
+// SetNack installs the compressed O(N) NACK bitmap of (kind, phase): every
+// frame carries it from then on, in the section of (kind, phase) or in an
+// entry-less one, so a node that has no intent of the phase left still
+// tells its peers what it has done. A row whose bits changed goes out in a
+// frame of its own if nothing else is about to be sent; installing a row
+// with no bit set changes nothing a peer could see.
 func (t *Transport) SetNack(kind packet.Kind, phase packet.Phase, bits packet.BitSet) {
-	row := t.nacks[kind]
-	for len(row) <= int(phase) {
-		row = append(row, nil)
+	r := t.row(kind, phase)
+	changed := !bytes.Equal(r.bits, bits) && (len(r.bits) > 0 || bits.Count() > 0)
+	r.bits = bits.Clone()
+	if changed {
+		t.rowsChanged = true
+		t.Flush()
 	}
-	row[phase] = bits.Clone()
-	t.nacks[kind] = row
 }
 
-// nack returns the bitmap installed for (kind, phase), or nil.
-func (t *Transport) nack(kind packet.Kind, phase packet.Phase) packet.BitSet {
-	if row := t.nacks[kind]; int(phase) < len(row) {
-		return row[phase]
+// findRow returns where the (kind, phase) row is, or would be inserted.
+func (t *Transport) findRow(kind packet.Kind, phase packet.Phase) (i int, found bool) {
+	return slices.BinarySearchFunc(t.rows, rowOrder(kind, phase), func(r nackRow, k uint16) int {
+		return cmp.Compare(rowOrder(r.kind, r.phase), k)
+	})
+}
+
+// row returns the (kind, phase) row, making an empty one if there is none.
+func (t *Transport) row(kind packet.Kind, phase packet.Phase) *nackRow {
+	i, found := t.findRow(kind, phase)
+	if !found {
+		t.rows = slices.Insert(t.rows, i, nackRow{kind: kind, phase: phase})
 	}
-	return nil
+	return &t.rows[i]
+}
+
+// rowOrder packs a (kind, phase) so that integer order is wire order.
+func rowOrder(kind packet.Kind, phase packet.Phase) uint16 {
+	return uint16(kind)<<8 | uint16(phase)
 }
 
 // Flush schedules frame assembly after the aggregation window. Multiple
@@ -335,35 +387,127 @@ func (t *Transport) Flush() {
 	t.m.sched.WaitFixed(t.m.cfg.FlushDelay, (*flushWait)(t))
 }
 
-func (t *Transport) ensureRetx() {
-	if t.stopped || t.m.cfg.RetxInterval <= 0 || t.retxArmed {
+// never is a due time no intent reaches.
+const never = time.Duration(math.MaxInt64)
+
+// armRetx makes the retransmission timer fire no later than at.
+func (t *Transport) armRetx(at time.Duration) {
+	if t.stopped || t.m.cfg.RetxInterval <= 0 || at == never {
 		return
 	}
-	base := t.m.cfg.RetxInterval
-	if t.quiesced {
-		base *= time.Duration(t.retxBoost)
+	if t.retxArmed {
+		if t.retxEvt.At() <= at {
+			return
+		}
+		// A queued handle cannot be re-armed; the cancelled one is
+		// discarded where it lies.
+		t.retxEvt.Cancel()
+		t.retxEvt = new(sim.Event)
 	}
-	jitter := time.Duration(float64(base) * (0.75 + 0.5*t.m.sched.Rand().Float64()))
 	t.retxArmed = true
-	t.m.sched.Arm(&t.retxEvt, jitter, t.retxFn)
+	t.m.sched.Arm(t.retxEvt, at-t.m.sched.Now(), t.retxFn)
 }
 
-// retransmit is the retransmission timer's callback.
+// retransmit is the retransmission timer's callback: every intent due by
+// now (or within the slack) goes into the next frame, one age older unless
+// a peer asked for it — or, settled, waits to be asked — and the timer is
+// re-armed for the earliest of the rest.
 func (t *Transport) retransmit() {
 	t.retxArmed = false
-	if t.stopped || len(t.live) == 0 {
+	if t.stopped {
 		return
 	}
-	if t.quiesced && t.retxBoost < 16 {
-		t.retxBoost *= 2
-	}
-	// Re-send the full current snapshot: NACK-driven repair.
+	horizon := t.m.sched.Now() + t.m.cfg.RetxInterval/retxSlack
+	next, marked := never, false
 	for i := range t.live {
-		t.live[i].dirty = true
+		e := &t.live[i]
+		switch {
+		case e.dirty:
+		case e.due <= horizon:
+			if !e.asked && t.settled(e) {
+				e.due = never
+				continue
+			}
+			if !e.asked && e.age < maxAge {
+				e.age++
+			}
+			t.markDirty(e)
+			marked = true
+		case e.due < next:
+			next = e.due
+		}
 	}
-	t.nDirty = len(t.live)
-	t.Flush()
-	t.ensureRetx()
+	if marked {
+		t.Flush()
+	}
+	t.armRetx(next)
+}
+
+// heardFrom keeps peer from's NACK row for (kind, phase) and takes it as a
+// request for this node's intents of every slot the row shows undone.
+func (t *Transport) heardFrom(from uint16, sec *packet.Section) {
+	if len(sec.Nack) == 0 || from >= maxSender {
+		return
+	}
+	r := t.row(sec.Kind, sec.Phase)
+	for int(from) >= len(r.peers) {
+		r.peers = append(r.peers, nil)
+	}
+	r.peers[from] = append(r.peers[from][:0], sec.Nack...)
+	if t.m.cfg.RetxInterval > 0 {
+		t.demand(sec)
+	}
+}
+
+// settled reports whether every peer whose NACK row for e's (kind, phase)
+// has reached this node shows e's slot done, and at least one has.
+func (t *Transport) settled(e *liveIntent) bool {
+	i, found := t.findRow(e.Kind, e.Phase)
+	if !found {
+		return false
+	}
+	heard := false
+	for _, row := range t.rows[i].peers {
+		if row != nil {
+			if !row.Get(int(e.Slot)) {
+				return false
+			}
+			heard = true
+		}
+	}
+	return heard
+}
+
+// demand applies a peer's NACK row as a request for this node's intents of
+// every slot it shows undone: each is due one base period after its last
+// send at the latest, and goes out at once if that has passed.
+func (t *Transport) demand(sec *packet.Section) {
+	now, base := t.m.sched.Now(), t.m.cfg.RetxInterval
+	next, flush := never, false
+	i, _ := t.find(IntentKey{Kind: sec.Kind, Phase: sec.Phase})
+	for ; i < len(t.live); i++ {
+		e := &t.live[i]
+		if e.Kind != sec.Kind || e.Phase != sec.Phase {
+			break
+		}
+		if e.dirty || sec.Nack.Get(int(e.Slot)) {
+			continue
+		}
+		e.asked = true
+		if at := e.sentAt + base; e.due > at {
+			e.age, e.due = 0, at
+			if at <= now {
+				t.markDirty(e)
+				flush = true
+			} else {
+				next = min(next, at)
+			}
+		}
+	}
+	if flush {
+		t.Flush()
+	}
+	t.armRetx(next)
 }
 
 // flushWait is the transport seen as the sim.Waiter that Flush arms: the
@@ -379,14 +523,14 @@ type flushWait Transport
 // Blocked implements sim.Waiter. A stopped transport, or one with nothing
 // to send, is not blocked: it wakes once, to no effect.
 func (w *flushWait) Blocked() bool {
-	return !w.stopped && len(w.live) > 0 && w.m.station.QueueLen() >= w.m.cfg.MaxQueue
+	return !w.stopped && (w.nDirty > 0 || w.rowsChanged) && w.m.station.QueueLen() >= w.m.cfg.MaxQueue
 }
 
 // Wake implements sim.Waiter: assemble and send.
 func (w *flushWait) Wake() {
 	t := (*Transport)(w)
 	t.flushArmed = false
-	if t.stopped || len(t.live) == 0 {
+	if t.stopped || (t.nDirty == 0 && !t.rowsChanged) {
 		return
 	}
 	if t.m.cfg.Batched {
@@ -396,30 +540,121 @@ func (w *flushWait) Wake() {
 	}
 }
 
-// flushBatched emits one logical frame carrying the node's entire current
-// state: every (kind, phase) becomes a section (vertical batching), and all
-// sections ride in the same frame (horizontal batching). Sections and
-// entries are built in reused scratch; entry spans are attached after the
-// walk because the entries slice may reallocate while growing.
+// flushBatched emits one logical frame carrying every dirty intent: each
+// (kind, phase) becomes a section (vertical batching), and all sections
+// ride in the same frame (horizontal batching), with the NACK rows.
 func (t *Transport) flushBatched() {
-	if t.nDirty == 0 {
-		return
-	}
-	out := &t.m.out
-	secs := out.secScratch[:0]
-	ents := out.entScratch[:0]
-	starts := out.startScratch[:0]
+	now, jitter := t.m.sched.Now(), t.jitter()
+	next := never
+	t.beginFrame()
 	for i := range t.live {
-		e := &t.live[i]
-		e.dirty = false
-		if n := len(secs); n == 0 || secs[n-1].Kind != e.Kind || secs[n-1].Phase != e.Phase {
-			secs = append(secs, packet.Section{Kind: e.Kind, Phase: e.Phase, Nack: t.nack(e.Kind, e.Phase)})
-			starts = append(starts, len(ents))
+		if e := &t.live[i]; e.dirty {
+			t.addEntry(e)
+			next = min(next, t.sent(e, now, jitter))
 		}
-		ents = append(ents, packet.Entry{
-			Slot: e.Slot, Sub: e.Sub, Round: e.Round, Flags: e.Flags, Data: e.Data,
-		})
 	}
+	t.sendLogical(t.endFrame())
+	t.nDirty, t.rowsChanged = 0, false
+	t.armRetx(next)
+}
+
+// flushBaseline emits one logical frame per dirty intent — the unbatched
+// deployment where every instance-phase event competes for the channel
+// separately — each with the NACK rows, or one frame of rows alone when
+// only they changed. The store is in wire order, so its dirty entries are
+// sent in wire order as they are met.
+func (t *Transport) flushBaseline() {
+	now, jitter := t.m.sched.Now(), t.jitter()
+	next := never
+	for i := range t.live {
+		if e := &t.live[i]; e.dirty {
+			t.beginFrame()
+			t.addEntry(e)
+			next = min(next, t.sent(e, now, jitter))
+			t.sendLogical(t.endFrame())
+		}
+	}
+	if t.nDirty == 0 {
+		t.beginFrame()
+		t.sendLogical(t.endFrame())
+	}
+	t.nDirty, t.rowsChanged = 0, false
+	t.armRetx(next)
+}
+
+// jitter draws the factor one frame's re-send periods are stretched by, so
+// that nodes which sent together do not re-send together.
+func (t *Transport) jitter() float64 {
+	if t.m.cfg.RetxInterval <= 0 {
+		return 0
+	}
+	return 0.75 + 0.5*t.m.sched.Rand().Float64()
+}
+
+// sent records that e went out at now and returns when it is next due.
+func (t *Transport) sent(e *liveIntent, now time.Duration, jitter float64) time.Duration {
+	e.dirty, e.asked, e.sentAt = false, false, now
+	e.due = now + time.Duration(float64(t.m.cfg.RetxInterval<<e.age)*jitter)
+	return e.due
+}
+
+// beginFrame empties the node's section and entry scratch for a new frame.
+func (t *Transport) beginFrame() {
+	out := &t.m.out
+	out.secScratch, out.entScratch, out.startScratch = out.secScratch[:0], out.entScratch[:0], out.startScratch[:0]
+	out.nextRow = 0
+}
+
+// addEntry appends e to the frame being built, opening its section — after
+// the NACK rows that sort before it, as entry-less sections — when it is the
+// first entry of its (kind, phase). Entries arrive in wire order.
+func (t *Transport) addEntry(e *liveIntent) {
+	out := &t.m.out
+	if n := len(out.secScratch); n == 0 || out.secScratch[n-1].Kind != e.Kind || out.secScratch[n-1].Phase != e.Phase {
+		key := rowOrder(e.Kind, e.Phase)
+		var nack packet.BitSet
+		for ; out.nextRow < len(t.rows); out.nextRow++ {
+			r := &t.rows[out.nextRow]
+			if k := rowOrder(r.kind, r.phase); k > key {
+				break
+			} else if k == key {
+				nack = r.bits
+				out.nextRow++
+				break
+			}
+			t.addRow(r)
+		}
+		t.addSection(e.Kind, e.Phase, nack)
+	}
+	out.entScratch = append(out.entScratch, packet.Entry{
+		Slot: e.Slot, Sub: e.Sub, Round: e.Round, Flags: e.Flags, Data: e.Data,
+	})
+}
+
+// addRow carries one of this node's NACK rows, if it has set it, in an
+// entry-less section of the frame being built.
+func (t *Transport) addRow(r *nackRow) {
+	if r.bits != nil {
+		t.addSection(r.kind, r.phase, r.bits)
+	}
+}
+
+// addSection opens a section of the frame being built.
+func (t *Transport) addSection(kind packet.Kind, phase packet.Phase, nack packet.BitSet) {
+	out := &t.m.out
+	out.secScratch = append(out.secScratch, packet.Section{Kind: kind, Phase: phase, Nack: nack})
+	out.startScratch = append(out.startScratch, len(out.entScratch))
+}
+
+// endFrame appends the NACK rows no section has carried yet and returns
+// the frame's sections. Entry spans are attached only now because the
+// entry scratch may reallocate while growing.
+func (t *Transport) endFrame() []packet.Section {
+	out := &t.m.out
+	for i := out.nextRow; i < len(t.rows); i++ {
+		t.addRow(&t.rows[i])
+	}
+	secs, ents, starts := out.secScratch, out.entScratch, out.startScratch
 	for i := range secs {
 		end := len(ents)
 		if i+1 < len(secs) {
@@ -427,33 +662,7 @@ func (t *Transport) flushBatched() {
 		}
 		secs[i].Entries = ents[starts[i]:end]
 	}
-	out.secScratch, out.entScratch, out.startScratch = secs, ents, starts
-	t.nDirty = 0
-	t.sendLogical(secs)
-}
-
-// flushBaseline emits one logical frame per dirty intent — the unbatched
-// deployment where every instance-phase event competes for the channel
-// separately. The store is in wire order, so its dirty entries are sent
-// in wire order as they are met.
-func (t *Transport) flushBaseline() {
-	out := &t.m.out
-	for i := range t.live {
-		e := &t.live[i]
-		if !e.dirty {
-			continue
-		}
-		e.dirty = false
-		ents := append(out.entScratch[:0], packet.Entry{
-			Slot: e.Slot, Sub: e.Sub, Round: e.Round, Flags: e.Flags, Data: e.Data,
-		})
-		secs := append(out.secScratch[:0], packet.Section{
-			Kind: e.Kind, Phase: e.Phase, Nack: t.nack(e.Kind, e.Phase), Entries: ents,
-		})
-		out.secScratch, out.entScratch = secs, ents
-		t.sendLogical(secs)
-	}
-	t.nDirty = 0
+	return secs
 }
 
 // sendLogical signs and fragments one logical packet. Signing is charged
@@ -588,11 +797,13 @@ func (t *Transport) dispatch(raw []byte) {
 		t.stats.AuthFailures++
 	} else {
 		t.stats.LogicalRecv++
-		for _, sec := range frame.Sections {
+		for i := range frame.Sections {
+			sec := &frame.Sections[i]
 			// The kind is a byte off the wire: past the table, no handler.
 			if int(sec.Kind) < len(t.handlers) && t.handlers[sec.Kind] != nil {
-				t.handlers[sec.Kind].HandleSection(frame.Sender, sec)
+				t.handlers[sec.Kind].HandleSection(frame.Sender, *sec)
 			}
+			t.heardFrom(frame.Sender, sec)
 		}
 	}
 	// The frame was the handlers' only until they returned: its sections

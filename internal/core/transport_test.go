@@ -142,18 +142,31 @@ func TestAdjacentRoundsCoexist(t *testing.T) {
 	if len(got[0].sec.Entries) != 2 {
 		t.Fatalf("got %d entries, want 2 (rounds coexist)", len(got[0].sec.Entries))
 	}
-	// RemoveWhere prunes round 1.
+	// RemoveWhere prunes round 1. The next frame carries what changed, the
+	// AUX vote, and nothing of the BVALs.
 	tr.RemoveWhere(func(k IntentKey) bool { return k.Round < 2 })
 	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux, Slot: 0, Round: 2}, Data: []byte{1}})
 	r.sched.Run()
-	got = r.received[1][packet.KindABA]
-	last := got[len(got)-2:] // bval + aux sections of the final frame
-	for _, rec := range last {
+	got = r.received[1][packet.KindABA][1:]
+	if len(got) != 1 || got[0].sec.Phase != packet.PhaseAux || len(got[0].sec.Entries) != 1 {
+		t.Fatalf("after the AUX update the frame carried %+v, want the AUX vote alone", got)
+	}
+	// A re-send of everything live carries round 2's BVAL and AUX, and no
+	// entry of the pruned round.
+	tr.retransmit()
+	r.sched.Run()
+	got = r.received[1][packet.KindABA][2:]
+	entries := 0
+	for _, rec := range got {
 		for _, e := range rec.sec.Entries {
+			entries++
 			if e.Round < 2 {
 				t.Errorf("pruned round still transmitted: %+v", e)
 			}
 		}
+	}
+	if entries != 2 {
+		t.Errorf("re-send carried %d entries, want round 2's BVAL and AUX", entries)
 	}
 }
 

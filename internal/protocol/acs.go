@@ -53,7 +53,7 @@ type binaryAgreement interface {
 
 // newABA builds the ABA matching the coin kind; shared is one coin per
 // round across the parallel instances (Options.SharedCoin). catchUp opts
-// into the common-coin ABA's round catch-up replay (see
+// into the common-coin ABA's re-serving of pruned rounds (see
 // component.CachinOptions.RoundCatchUp) — required by serial one-at-a-time
 // schedules like Alea's, a no-op for Bracha's local-coin ABA.
 func newABA(env *component.Env, slots int, coin CoinKind, shared, catchUp bool, onDecide func(int, bool)) binaryAgreement {
@@ -104,11 +104,12 @@ type ACS struct {
 }
 
 // acsSlot is what the subset knows about one proposer's slot: whether its
-// RBC delivered, whether its ABA decided and what, and its decrypted
-// proposal once opened (nil for a malformed ciphertext).
+// RBC delivered, whether its ABA decided and what, whether its ciphertext
+// went to the decryptor, and its decrypted proposal once opened (nil for a
+// malformed ciphertext).
 type acsSlot struct {
-	delivered, decided, accepted, opened bool
-	plain                                []byte
+	delivered, decided, accepted, submitted, opened bool
+	plain                                           []byte
 }
 
 // newACS builds the instance and registers its components.
@@ -203,20 +204,24 @@ func (a *ACS) onPlain(slot int, plain []byte) {
 
 // maybeFinish assembles the epoch output once every ABA has decided, every
 // accepted slot's RBC has delivered (totality guarantees it will), and —
-// with encryption — every accepted ciphertext has been decrypted.
+// with encryption — every accepted ciphertext has been decrypted. Every
+// delivered ciphertext goes to the decryptor as soon as the subset is
+// fixed, so the accepted slots' decryption shares travel together.
 func (a *ACS) maybeFinish() {
 	if a.outputs != nil || a.nDecided < a.env.N {
 		return
 	}
+	ready := true
 	for slot := range a.slots {
 		s := &a.slots[slot]
-		if !s.accepted {
-			continue
-		}
-		if !s.delivered {
-			return // RBC totality will deliver it; NACK repair is running
-		}
-		if a.encrypt && !s.opened {
+		switch {
+		case !s.accepted || s.opened:
+		case !s.delivered:
+			ready = false // RBC totality will deliver it; NACK repair is running
+		case !a.encrypt:
+		case s.submitted:
+			ready = false
+		default:
 			ct, err := component.DecodeCiphertext(a.rbc.Value(slot))
 			if err != nil {
 				// Malformed ciphertext from a Byzantine proposer: the
@@ -225,9 +230,13 @@ func (a *ACS) maybeFinish() {
 				s.opened = true
 				continue
 			}
+			s.submitted = true
 			a.dec.Submit(slot, ct)
-			return
+			ready = false
 		}
+	}
+	if !ready {
+		return
 	}
 	outputs := make([][]byte, a.env.N)
 	for slot, s := range a.slots {

@@ -56,9 +56,10 @@ func newAlea(env *component.Env, opts Options) Instance {
 	})
 	// Serial ABA, one slot per agreement round: instances execute one at a
 	// time, so coins are per-instance (the Dumbo serial rule — no
-	// cross-instance sharing to leak future coins). Round catch-up is on:
-	// the serial schedule repeats estimates across consecutive rounds, so
-	// pacing skew between nodes is structural, not transient.
+	// cross-instance sharing to leak future coins). Round catch-up is on: a
+	// full-stop crash restarts the serial instances at round 1 with no
+	// DECIDED claims to carry them, so survivors re-serve the rounds they
+	// pruned.
 	a.aba = newABA(env, aleaRounds, opts.Coin, false, true, a.onABADecide)
 	return a
 }

@@ -33,8 +33,10 @@ type ChainConfig struct {
 	// 1 reproduces strictly sequential epochs.
 	Window int
 	// GCLag is how many epochs behind the commit frontier an epoch's
-	// transport is kept alive to serve NACK repairs to lagging peers before
-	// being closed. It must be at least Window; zero picks Window + 2.
+	// transport is kept alive, at the least, to serve NACK repairs to
+	// lagging peers; past it, the epoch closes once every peer's frontier
+	// is past it too, or gcHold GCLags behind the frontier whatever the
+	// peers show. It must be at least Window; zero picks Window + 2.
 	GCLag int
 	// MaxEpochs stops the engine from starting epochs >= this (0 = no cap).
 	MaxEpochs int
@@ -51,10 +53,14 @@ type LogEntry struct {
 // chainEpoch is one in-flight or committed epoch at one node.
 type chainEpoch struct {
 	inst      Instance
-	tr        *core.Transport
 	startedAt time.Duration
 	decided   bool
 }
+
+// gcHold bounds, in GCLags behind the commit frontier, how long the epoch
+// GC waits on a peer whose frontier is not past an epoch: a dead peer, or
+// one that lies about its epochs, can hold an epoch open only that long.
+const gcHold = 4
 
 // Chain is one node's replicated-log engine.
 type Chain struct {
@@ -77,6 +83,8 @@ type Chain struct {
 	// nextCommit + Window.
 	nextStart  int
 	nextCommit int
+	// nextClose is the lowest epoch the GC has not closed.
+	nextClose int
 	// peerMax is the highest epoch observed in peers' frames for epochs this
 	// node has not opened: the pipeline signal that lets a node with a quiet
 	// mempool join epochs its peers are already driving. The signal arrives
@@ -225,8 +233,8 @@ func (c *Chain) Crash() {
 // gadget carries their ABAs over the line. This is the late-join path
 // core.Mux.OnUnknownEpoch exists for: frames from epochs the peers are
 // already driving pull the recovered node forward as fast as the pipeline
-// window allows. Peers must still hold the frontier epochs (GCLag bounds
-// how far back they serve repairs).
+// window allows. Peers must still hold the frontier epochs: their GC waits
+// for this node's frames to show it past an epoch, for up to gcHold GCLags.
 func (c *Chain) Recover() {
 	c.nextStart = c.nextCommit
 	c.peerMax = -1 // re-learn the peers' frontier from their frames
@@ -298,7 +306,7 @@ func (c *Chain) startEpoch(e int) {
 	}
 	env := c.env
 	env.Epoch, env.T = uint16(e), tr
-	ep := &chainEpoch{tr: tr, startedAt: c.env.Sched.Now()}
+	ep := &chainEpoch{startedAt: c.env.Sched.Now()}
 	ep.inst = NewInstance(&env, c.cfg.Protocol, Options{
 		Coin: c.cfg.Coin, SharedCoin: c.cfg.Batched, Encrypt: c.cfg.Encrypt,
 		OnDecide: func() { c.onDecide(e) },
@@ -336,10 +344,6 @@ func (c *Chain) onDecide(e int) {
 		return
 	}
 	ep.decided = true
-	// The epoch's outbound state is final: back its rebroadcasts off so
-	// they stop contending with the epochs still deciding. Lagging peers
-	// keep receiving (slowing) snapshots until GC closes the epoch.
-	ep.tr.Quiesce()
 	for {
 		cur := c.epochs[c.nextCommit]
 		if cur == nil || !cur.decided {
@@ -347,15 +351,39 @@ func (c *Chain) onDecide(e int) {
 		}
 		c.commit(c.nextCommit, cur)
 		c.nextCommit++
-		// Epoch GC: everything GCLag behind the frontier stops serving
-		// NACK repairs and is discarded.
-		if old := c.nextCommit - 1 - c.cfg.GCLag; old >= 0 {
-			c.mux.Close(uint16(old))
-			delete(c.epochs, old)
-			delete(c.proposed, old)
+	}
+	c.collect()
+	c.advance()
+}
+
+// collect is the epoch GC: an epoch GCLag behind the commit frontier stops
+// serving NACK repairs and is discarded once every peer's frontier is past
+// it — a peer still in it, or one that crashed in it and will resume
+// there, needs this node's state to finish — and gcHold GCLags behind the
+// frontier regardless. Epochs close in order.
+func (c *Chain) collect() {
+	for ; c.nextClose < c.nextCommit-c.cfg.GCLag; c.nextClose++ {
+		e := c.nextClose
+		if e >= c.nextCommit-gcHold*c.cfg.GCLag && !c.peersPast(e) {
+			return
+		}
+		c.mux.Close(uint16(e))
+		delete(c.epochs, e)
+		delete(c.proposed, e)
+	}
+}
+
+// peersPast reports whether every peer's commit frontier is past epoch e,
+// as far as its frames tell: a node works on epochs below its frontier
+// plus Window only, so one heard working on epoch h has committed every
+// epoch up to h - Window.
+func (c *Chain) peersPast(e int) bool {
+	for p := 0; p < c.env.N; p++ {
+		if p != c.env.Me && c.mux.Heard(p)-c.cfg.Window < e {
+			return false
 		}
 	}
-	c.advance()
+	return true
 }
 
 // commit folds one decided epoch into the log: decode each accepted slot's

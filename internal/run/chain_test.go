@@ -160,8 +160,8 @@ func TestChainDedup(t *testing.T) {
 }
 
 // TestChainCrashRecovery is the crash-recovery acceptance run: node 2
-// crashes around epoch 5 and recovers around epoch 10 (the default cadence
-// is ~5m45s per epoch). The recovered node must rejoin mid-run through
+// crashes around epoch 5 and recovers around epoch 10 of the batched run
+// (about 90 s per epoch; the baseline's are some 2.5x longer). The recovered node must rejoin mid-run through
 // core.Mux.OnUnknownEpoch, catch up on the epochs it lost through NACK
 // retransmission and repair, and commit the same gap-free log as everyone
 // else — under both transports.
@@ -176,8 +176,8 @@ func TestChainCrashRecovery(t *testing.T) {
 			// keep the GC window as long as the run.
 			spec.Workload.GCLag = spec.Workload.Epochs
 			spec.Scenario = scenario.Plan{}.Then(
-				scenario.CrashAt(30*time.Minute, 2),   // ~epoch 5
-				scenario.RecoverAt(60*time.Minute, 2), // ~epoch 10
+				scenario.CrashAt(7*time.Minute, 2),
+				scenario.RecoverAt(14*time.Minute, 2),
 			)
 			res, err := Run(spec)
 			if err != nil {
@@ -231,8 +231,8 @@ func TestChainCrashRecoveryAllFamilies(t *testing.T) {
 			spec.Workload.Epochs = 12
 			spec.Workload.GCLag = spec.Workload.Epochs
 			spec.Scenario = scenario.Plan{}.Then(
-				scenario.CrashAt(25*time.Minute, 1),
-				scenario.RecoverAt(55*time.Minute, 1),
+				scenario.CrashAt(6*time.Minute, 1),
+				scenario.RecoverAt(13*time.Minute, 1),
 			)
 			res, err := Run(spec)
 			if err != nil {
@@ -280,9 +280,9 @@ func TestChainScenarioDeterministic(t *testing.T) {
 	spec.Workload.Epochs = 10
 	spec.Workload.GCLag = 10
 	spec.Scenario = scenario.Plan{}.Then(
-		scenario.CrashAt(20*time.Minute, 3),
-		scenario.RecoverAt(45*time.Minute, 3),
-		scenario.LossBurst(15*time.Minute, 5*time.Minute, 0.3),
+		scenario.CrashAt(5*time.Minute, 3),
+		scenario.RecoverAt(10*time.Minute, 3),
+		scenario.LossBurst(4*time.Minute, 3*time.Minute, 0.3),
 	)
 	a, err := Run(spec)
 	if err != nil {

@@ -62,15 +62,16 @@ type conformanceScenario struct {
 // conformanceScenarios is the fault battery: clean, a crash/recover
 // cycle, a quorum-splitting partition that heals, and every registered
 // Byzantine behavior armed on node 3 from t=0. Timings sit inside the
-// ~23-minute 4-epoch window so every event actually fires.
+// fastest cell's 4-epoch window (BEAT batched, about five minutes) so every
+// event actually fires.
 func conformanceScenarios() []conformanceScenario {
 	out := []conformanceScenario{
 		{name: "clean"},
 		{name: "crash-recover", plan: scenario.Plan{}.Then(
-			scenario.CrashAt(8*time.Minute, 2), scenario.RecoverAt(16*time.Minute, 2))},
+			scenario.CrashAt(2*time.Minute, 2), scenario.RecoverAt(4*time.Minute, 2))},
 		{name: "partition-heal", plan: scenario.Plan{}.Then(
-			scenario.PartitionAt(5*time.Minute, []int{0, 1}, []int{2, 3}),
-			scenario.HealAt(15*time.Minute))},
+			scenario.PartitionAt(90*time.Second, []int{0, 1}, []int{2, 3}),
+			scenario.HealAt(4*time.Minute))},
 	}
 	for _, b := range byz.Names() {
 		out = append(out, conformanceScenario{

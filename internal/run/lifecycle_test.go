@@ -46,7 +46,7 @@ func TestChurnReachesEveryDriver(t *testing.T) {
 		plan string
 	}{
 		{"SingleHop x OneShot", oneshot, "churn@0s:2m,1m"},
-		{"Clustered x Chain", quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 4, 3), "churn@0s:10m,4m"},
+		{"Clustered x Chain", quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 4, 3), "churn@0s:3m,1m"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -89,8 +89,8 @@ func TestClusteredChainLeaderCrash(t *testing.T) {
 	spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 6, 3)
 	spec.Workload.GCLag = spec.Workload.Epochs // peers must hold the outage's epochs
 	spec.Scenario = scenario.Plan{}.Then(
-		scenario.CrashAt(20*time.Minute, 0),   // cluster 0, member 0: relay for epoch 4
-		scenario.RecoverAt(80*time.Minute, 0), // back for the tail of the run
+		scenario.CrashAt(5*time.Minute, 0),    // cluster 0, member 0: relay for epoch 4
+		scenario.RecoverAt(11*time.Minute, 0), // back for the tail of the run
 	)
 	res, err := Run(spec)
 	if err != nil {
@@ -156,9 +156,9 @@ func TestClusteredChainForgedCutsRejected(t *testing.T) {
 		armAt  time.Duration // 0 = from the start
 	}{
 		{"acs-start", protocol.HoneyBadger, 3, 6, 0},
-		{"acs-midrun", protocol.HoneyBadger, 3, 7, 8 * time.Minute},
-		{"dumbo-start", protocol.DumboKind, 3, 8, 0},
-		{"dumbo-midrun", protocol.DumboKind, 3, 9, 8 * time.Minute},
+		{"acs-midrun", protocol.HoneyBadger, 3, 7, 2 * time.Minute},
+		{"dumbo-start", protocol.DumboKind, 3, 9, 0},
+		{"dumbo-midrun", protocol.DumboKind, 3, 8, 2 * time.Minute},
 	}
 	for _, tc := range cases {
 		tc := tc
@@ -199,8 +199,8 @@ func TestClusteredChainForgeDuringFailover(t *testing.T) {
 	spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 6, 10)
 	spec.Workload.GCLag = spec.Workload.Epochs
 	spec.Scenario = scenario.Byz(byz.NameForgeCut, 15).Then(
-		scenario.CrashAt(20*time.Minute, 0),   // cluster 0, member 0: relay for epoch 4
-		scenario.RecoverAt(80*time.Minute, 0), // back for the tail of the run
+		scenario.CrashAt(5*time.Minute, 0),    // cluster 0, member 0: relay for epoch 4
+		scenario.RecoverAt(11*time.Minute, 0), // back for the tail of the run
 	)
 	res, err := Run(spec)
 	if err != nil {

@@ -308,11 +308,12 @@ func TestClusteredOneShot(t *testing.T) {
 // and rejoins at the next boundary — here even rotating into the leader
 // seat.
 func TestClusteredOneShotCrashRecovery(t *testing.T) {
+	const back = time.Minute
 	spec := quickClusteredSpec(32)
 	spec.Workload.Epochs = 2
 	spec.Scenario = scenario.Plan{}.Then(
 		scenario.CrashAt(10*time.Second, 1), // cluster 0, follower in epoch 0
-		scenario.RecoverAt(2*time.Minute, 1),
+		scenario.RecoverAt(back, 1),
 	)
 	res, err := Run(spec)
 	if err != nil {
@@ -320,6 +321,11 @@ func TestClusteredOneShotCrashRecovery(t *testing.T) {
 	}
 	if len(res.OneShot.EpochLatencies) != 2 {
 		t.Fatalf("got %d epochs", len(res.OneShot.EpochLatencies))
+	}
+	// Back before epoch 0 ended, or the leader of epoch 1 would be down at
+	// its start — a stall the one-shot deployment does not recover from.
+	if res.OneShot.EpochLatencies[0] <= back {
+		t.Fatalf("epoch 0 ended at %v, before the follower came back at %v", res.OneShot.EpochLatencies[0], back)
 	}
 	if res.OneShot.DeliveredTxs == 0 {
 		t.Error("no delivery across the crash/recovery")

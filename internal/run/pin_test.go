@@ -84,25 +84,25 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "7de5ad11c4d5b8071ed8ccb89fd6856f30b6dd0be9d1cfd37ecd941b406f2774"},
+		}, "aef16ffed76f2767d2b2aaad5e8879ca75bcc85065055bfb3b8dcd871c528847"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "ed418c7c7089886594146445c60669cd424b3c6a054ae09c98b8704cf4a144b7"},
+		}, "5554bac97a0553772a848c5b21f26769a2dcc5f864bfe020b917114429550ca3"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
-			spec.Scenario = scenario.MustParse("crash@30s:3;recover@6m:3")
+			spec.Scenario = scenario.MustParse("crash@30s:3;recover@1m30s:3")
 			return spec
-		}, "43b099defac3892587b95147b0b1ee2ef9ec080f7586ed10a383472ba829b50d"},
+		}, "92827d360325c7c4d65170bc9a57790b2f7920afd277eb686b29931fd00f23a6"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "1914c425239f0b854ddc1ba3fec84c926dc254693d6c9bf21bd45e571ff4ea3b"},
+		}, "e71482793d8e714e3d636b2416308cf9b4100f69b6bb7ebb9f5d69f60a6dbf7a"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "76f6999e94fd29ca84778889c2fa55ed2623c533bb3ea0ab6077a3a1d3390955"},
+		}, "ab50fe34a0fcb90563d7a833415638b6663d5341c87bbaaa7e3a749fd1d8292d"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1 (a follower in epoch 0) crashes and
 			// rejoins as epoch 1's leader; cluster 2's member 3 is
@@ -110,18 +110,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@2m:1;byz@0s:11:garbage")
 			return spec
-		}, "a20f1c20036f13bc2a4b7ced8b8f1c5363d07df07546ac524bb3fe06065875e6"},
+		}, "fb1958cab379049267769a73401a885d489975bebe7cea87cfa4cc6cf63829b3"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("crash@4m:2;recover@9m:2")
 			return spec
-		}, "1ffc6d0c26f82c3dc50a1c0aae54e7b5cf0309e22fbf55a6b45340a1b09198c2"},
+		}, "222b376a04eba39db92359d5d7204a1364fe1492f3cd4b8bef66a526df61e506"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "729765cdfe5051d95cd40cafc0040cf0efa53a81834bd92d4c9c8c0f4d5d1f39"},
+		}, "845a3b63cd3a7e7666d0f3469ebde4721cb8a4fb02d4076de7f48a0812337d68"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -129,18 +129,31 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "75a2929f662c76fdb4e2d3fd6bbde126ccab0244df7d40591febcd94b955e486"},
+		}, "16afde641d596346f29aec9c15d3fa496a32727638856133e787d2e7dadc71ef"},
+		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
+			// The alea_overload benchmark workload's shape, shorter: bursty
+			// overload against a 2 KiB pool, and churn whose 10-minute
+			// outages outlast more than four epochs, at the default GCLag.
+			// The peers hold the epoch a churned node will resume at until
+			// its frames show it past it (protocol.Chain's epoch GC).
+			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), run.Chain(16))
+			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.08, Clients: 1000,
+				OnMean: 2 * time.Minute, OffMean: 8 * time.Minute}
+			spec.Workload.Mempool.MaxPendingBytes = 2048
+			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
+			return spec
+		}, "3217344e0201b26624cf4d252023e24506ba8aebca0d8489c7cfede6925a5323"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "daa3330e184134a2b319ca6774603866f93528b34d0cdd671154c53a071a536f"},
+		}, "1f95a33e174ad15f5450591bf0f1ce7af029030708cb1489a20c51145ccf61c2"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "a0b5f558541aba0089b32fea0e1ecfb2365c5fc60f5743d22cbad39b7f7a6e12"},
+		}, "a5a548d0edbcac8739beaf46399b13a69c904d734010962cdab96502ef68ce7f"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -148,7 +161,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "f73328d21b512a0b10e893bc9d262178c369e1a235a20d062f2f2e5559f62fab"},
+		}, "fd98a9292a230bd541fb37634f90664dd4a88c2e40fb7a4f81345b6d072db7f4"},
 	}
 	for _, tc := range cases {
 		tc := tc

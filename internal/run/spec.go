@@ -98,8 +98,9 @@ type Workload struct {
 	// Window is the chain pipeline depth (1 = sequential epochs).
 	Window int
 	// GCLag is how many epochs behind the commit frontier per-epoch state
-	// is kept to serve NACK repairs (crash recovery needs it to span the
-	// outage). Zero picks the engine default.
+	// is kept, at the least, to serve NACK repairs; an epoch a peer is
+	// still in stays open up to four times as long (protocol.ChainConfig).
+	// Zero picks the engine default.
 	GCLag int
 	// Mempool tunes the chain proposal-cut policy; zero fields default.
 	Mempool protocol.MempoolConfig

@@ -90,7 +90,7 @@ func TestChainArrivalDeterminism(t *testing.T) {
 
 func TestChainBackpressure(t *testing.T) {
 	spec := trafficSpec(3)
-	spec.Workload.Arrival.Rate = 0.32 // far past the ~0.025 tx/s capacity
+	spec.Workload.Arrival.Rate = 0.32 // twice the ~0.16 tx/s capacity
 	spec.Workload.Mempool.MaxPendingBytes = 1024
 	res, err := run.Run(spec)
 	if err != nil {
@@ -126,9 +126,11 @@ func TestChainOnOffArrivals(t *testing.T) {
 
 // TestClusteredChainPoissonArrivals: the one client path serves the
 // clustered topology too — every Poisson arrival fans out as one
-// transaction per cluster, exactly like a fixed-interval tick.
+// transaction per cluster, exactly like a fixed-interval tick. Three
+// epochs, so that every cluster has cut some of its arrivals into a
+// proposal the common subset took.
 func TestClusteredChainPoissonArrivals(t *testing.T) {
-	spec := trafficSpec(2)
+	spec := trafficSpec(3)
 	spec.Topology = run.Clustered(4, 4)
 	res, err := run.Run(spec)
 	if err != nil {

@@ -160,8 +160,8 @@ func DutyCycleFrom(at, dur time.Duration, onFrac float64, period time.Duration) 
 // ChurnFrom runs recurring churn from at (for dur; 0 = rest of the run):
 // every period one uniformly drawn node crashes and rejoins downtime
 // later through the driver's recovery path (the chain drivers catch the
-// rejoiner up over NACK retransmission — keep downtime within the GCLag
-// horizon or the rejoiner is stranded).
+// rejoiner up over NACK retransmission; peers hold the epoch it resumes at
+// for up to four GCLags — a longer downtime strands it).
 func ChurnFrom(at, dur time.Duration, period, downtime time.Duration) Event {
 	return Event{At: at, Kind: KindChurn, Duration: dur, Period: period, Downtime: downtime}
 }
