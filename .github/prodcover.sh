@@ -60,9 +60,10 @@ wbft -topology clustered -workload chain -epochs 4 -arrival poisson -rate 0.05
 wbft chain -epochs 6 -scenario "mobility@0s:20,900"
 wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@2m:4m,2m"
 # What the README's list leaves out: the fourth engine, the heavy parameter
-# set, the delay adversary, -gclag, and the Report's JSON writer.
+# set, the delay adversary, -gclag, the Report's JSON writer, and an Alea
+# node that crashes after proposing and replays its proposal log.
 wbft -protocol alea -coin SC -heavy -epochs 1 -scenario "delay:0.25,10s"
-wbft chain -protocol alea -epochs 4 -gclag 6 -json report.json
+wbft chain -protocol alea -epochs 6 -gclag 6 -scenario "crash@2m:2;recover@4m:2" -json report.json
 
 # The benchmark's core rigs (benchmark/layers.go) are the one entry point that
 # runs core.New, Transport.BindStation and Transport.ReceiveFrame — a

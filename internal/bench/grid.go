@@ -84,9 +84,9 @@ func byzPlan(s *run.Spec, behavior string) scenario.Plan {
 }
 
 // crashRecover is the crash/recover cycle the fault sweeps share, placed
-// against the ~90 s epoch cadence of batched HoneyBadger: the crash lands
-// around its epoch 5 and the recovery around its epoch 10 (earlier epochs
-// of the slower configurations, and still inside every run).
+// against the ~65 s epoch cadence of batched HoneyBadger: the crash lands
+// around its epoch 7, the recovery near its epoch 12 (earlier epochs of
+// the slower configurations); a run ends once the recovered node caught up.
 func crashRecover() scenario.Plan {
 	return scenario.Plan{}.Then(
 		scenario.CrashAt(8*time.Minute, 2),

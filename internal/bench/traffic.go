@@ -62,10 +62,10 @@ func trafficPatternAxis() sweep.Axis[run.Spec] {
 // pattern x offered rate, every cell under a 2 KiB mempool admission cap
 // so overload shows up as counted rejections instead of unbounded pool
 // growth. The aggregate offered rates (tx/s) bracket the measured commit
-// capacities (~0.16 tx/s for HB-SC and ~0.06 tx/s for Dumbo-SC at 64-byte
+// capacities (~0.25 tx/s for HB-SC and ~0.085 tx/s for Dumbo-SC at 64-byte
 // transactions on the LoRa-class channel, from BENCH_chain.json): Dumbo's
 // and Alea's curves cross their knee inside the sweep, HB-SC's top rate is
-// twice its capacity. The rate axis goes last so
+// above its capacity. The rate axis goes last so
 // rates are innermost — a row's neighbors trace one saturation curve —
 // and sets only Rate, so it composes with the pattern axis's Pattern.
 // Rows record failures (Error / HonestSafe=false) rather than aborting.

@@ -112,7 +112,11 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 			t.Run("fetch with the value in hand", func(t *testing.T) {
 				// The leader restarts with amnesia and re-proposes the same
 				// value (Alea's log replay). Its peers delivered long ago and
-				// withdrew their ECHO shares, so no certificate can form.
+				// withdrew their ECHO shares, so no certificate can form. The
+				// minute of settling makes "long ago" hold: frames a peer built
+				// before it delivered may still be queued behind the medium,
+				// carrying its share.
+				tn.settle(time.Minute)
 				peers := []*recorder{record(tn.envs[1]), record(tn.envs[2]), record(tn.envs[3])}
 				restarted := NewCBC(tn.envs[0], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
 				restarted.Propose(0, kernelValue(0, k.small))

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"repro/internal/packet"
@@ -21,15 +22,18 @@ import (
 // A node's sequence space therefore runs on across its epochs and across a
 // crash.
 //
-// Outbound, every epoch's transport broadcasts through the shared station,
-// so the channel backpressure (Config.MaxQueue) and the batching pressure
-// it creates apply across the whole pipeline. Inbound, ReceiveFrame is the
-// one receive path: frames for epochs that are not (or no longer) open are
-// counted and dropped before any CPU is charged; once the receiver opens
-// the epoch, its first frames carry NACK rows with nothing done, which
-// bring the sender's state back on the air, and OnUnknownEpoch gives the
-// SMR layer an early signal that a peer is already working on a future
-// epoch.
+// Outbound, the Mux is its station's wireless.Source: when the station wins
+// the medium it builds the next open epoch's frame — round-robin over the
+// epochs with something to send, so no epoch starves another — from
+// whatever that epoch has dirty at that instant. Contention for the one
+// shared medium is what turns into batching across the whole pipeline.
+//
+// Inbound, ReceiveFrame is the one receive path: frames for epochs that
+// are not (or no longer) open are counted and dropped before any CPU is
+// charged; once the receiver opens the epoch, its first frames carry NACK
+// rows with nothing done, which bring the sender's state back on the air,
+// and OnUnknownEpoch gives the SMR layer an early signal that a peer is
+// already working on a future epoch.
 type Mux struct {
 	sched *sim.Scheduler
 	cpu   *sim.CPU
@@ -37,8 +41,18 @@ type Mux struct {
 	cfg   Config
 
 	station *wireless.Station
-	epochs  map[uint16]*Transport
-	out     sendState
+	// epochs are the open epochs' transports, sorted by epoch.
+	epochs []*Transport
+	// windowOpen says the aggregation window of an idle node is running
+	// (windowFn is m.windowClosed, bound once); ready says the node
+	// contends for the medium. served is the epoch of the last frame
+	// built, where the round-robin resumes.
+	windowOpen, ready bool
+	windowFn          func()
+	served            int
+	out               sendState
+	// jobFree recycles the records received packets wait on the CPU in.
+	jobFree []*verifyJob
 	reasm   reassembler
 	// Every received packet is parsed by the one decoder: its frame lives
 	// until the handlers return, see dispatch.
@@ -59,27 +73,94 @@ type Mux struct {
 }
 
 // NewMux creates a node's transport layer with no epoch open. cfg applies
-// to every epoch (Session, FlushDelay, RetxInterval, MaxQueue, Batched).
+// to every epoch (Session, FlushDelay, RetxInterval, Batched).
 func NewMux(sched *sim.Scheduler, cpu *sim.CPU, auth Auth, cfg Config) *Mux {
 	if cfg.FlushDelay <= 0 {
 		cfg.FlushDelay = time.Millisecond
 	}
-	if cfg.MaxQueue <= 0 {
-		cfg.MaxQueue = 3
-	}
-	return &Mux{
-		sched:  sched,
-		cpu:    cpu,
-		auth:   auth,
-		cfg:    cfg,
-		epochs: make(map[uint16]*Transport),
+	m := &Mux{sched: sched, cpu: cpu, auth: auth, cfg: cfg, served: -1}
+	m.windowFn = m.windowClosed
+	return m
+}
+
+// BindStation attaches the radio and makes the Mux its frame source.
+// Construction is two-phase because the station's receiver is the Mux
+// itself (or whatever forwards frames to it): attach the receiver to the
+// channel, then bind the returned station.
+func (m *Mux) BindStation(st *wireless.Station) {
+	m.station = st
+	if st != nil {
+		st.SetSource(m)
 	}
 }
 
-// BindStation attaches the radio. Construction is two-phase because the
-// station's receiver is the Mux itself (or whatever forwards frames to
-// it): attach the receiver to the channel, then bind the returned station.
-func (m *Mux) BindStation(st *wireless.Station) { m.station = st }
+// flush starts the node contending for the medium: an idle node after the
+// aggregation window, FlushDelay, so that a burst of updates shares its
+// first frame; a node already contending at once.
+func (m *Mux) flush() {
+	switch {
+	case m.ready:
+		m.kick()
+	case !m.windowOpen:
+		m.windowOpen = true
+		m.sched.PostAfter(m.cfg.FlushDelay, m.windowFn)
+	}
+}
+
+// windowClosed ends the aggregation window: the node contends if an epoch
+// still has something to send.
+func (m *Mux) windowClosed() {
+	m.windowOpen = false
+	if m.ready = m.next() != nil; m.ready {
+		m.kick()
+	}
+}
+
+// kick tells the station, once there is one, that the node contends.
+func (m *Mux) kick() {
+	if m.station != nil {
+		m.station.Kick()
+	}
+}
+
+// next returns the open epoch whose frame goes out at the node's next win:
+// the first after the last one served that has something to send, wrapping
+// round, or nil when none has. Round-robin, so that an epoch with something
+// new at every win — a NACK row that changes with every frame heard —
+// cannot starve the others.
+func (m *Mux) next() *Transport {
+	var first *Transport
+	for _, t := range m.epochs {
+		if t.stopped || t.nDirty == 0 && !t.rowsChanged {
+			continue // nothing to send
+		}
+		if int(t.epoch) > m.served {
+			return t
+		}
+		if first == nil {
+			first = t
+		}
+	}
+	return first
+}
+
+var _ wireless.Source = (*Mux)(nil)
+
+// Pending implements wireless.Source: the node contends, and an open epoch
+// has something to send.
+func (m *Mux) Pending() bool { return m.ready && m.next() != nil }
+
+// Build implements wireless.Source: the station has won the medium, and the
+// next epoch in the round-robin builds its frames now, from what it has
+// dirty at this instant. The node goes on contending while another epoch
+// has something to send.
+func (m *Mux) Build() {
+	if t := m.next(); t != nil {
+		m.served = int(t.epoch)
+		t.build()
+	}
+	m.ready = m.next() != nil
+}
 
 // SetInterceptor installs (or, with nil, clears) the outbound-intent
 // interceptor of every epoch, open or opened afterwards, so a node that
@@ -87,27 +168,40 @@ func (m *Mux) BindStation(st *wireless.Station) { m.station = st }
 // nodes run without one.
 func (m *Mux) SetInterceptor(ic Interceptor) { m.icept = ic }
 
+// find returns where epoch's transport is in m.epochs, or would be
+// inserted.
+func (m *Mux) find(epoch uint16) (int, bool) {
+	return slices.BinarySearchFunc(m.epochs, epoch, func(t *Transport, e uint16) int {
+		return cmp.Compare(t.epoch, e)
+	})
+}
+
 // Open creates (or returns) the transport for an epoch.
 func (m *Mux) Open(epoch uint16) *Transport {
-	if t, ok := m.epochs[epoch]; ok {
-		return t
+	i, ok := m.find(epoch)
+	if ok {
+		return m.epochs[i]
 	}
 	t := &Transport{m: m, epoch: epoch, retxEvt: new(sim.Event)}
 	t.retxFn = t.retransmit
-	m.epochs[epoch] = t
+	m.epochs = slices.Insert(m.epochs, i, t)
 	return t
 }
 
 // Lookup returns the open transport for an epoch, or nil.
-func (m *Mux) Lookup(epoch uint16) *Transport { return m.epochs[epoch] }
-
-// Open epochs in ascending order (diagnostics and tests).
-func (m *Mux) OpenEpochs() []uint16 {
-	out := make([]uint16, 0, len(m.epochs))
-	for e := range m.epochs {
-		out = append(out, e)
+func (m *Mux) Lookup(epoch uint16) *Transport {
+	if i, ok := m.find(epoch); ok {
+		return m.epochs[i]
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return nil
+}
+
+// OpenEpochs returns the open epochs in ascending order.
+func (m *Mux) OpenEpochs() []uint16 {
+	out := make([]uint16, len(m.epochs))
+	for i, t := range m.epochs {
+		out[i] = t.epoch
+	}
 	return out
 }
 
@@ -116,13 +210,15 @@ func (m *Mux) OpenEpochs() []uint16 {
 // Close, the epoch's intents, NACK maps, and timers are gone and inbound
 // frames for it are dropped.
 func (m *Mux) Close(epoch uint16) {
-	t, ok := m.epochs[epoch]
+	i, ok := m.find(epoch)
 	if !ok {
 		return
 	}
+	t := m.epochs[i]
 	t.Stop()
 	m.closedStats = AddStats(m.closedStats, t.Stats())
-	delete(m.epochs, epoch)
+	m.epochs = slices.Delete(m.epochs, i, i+1)
+	m.ready = m.ready && m.next() != nil
 }
 
 // Stop closes every open epoch.
@@ -206,8 +302,8 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		m.heard = append(m.heard, 0)
 	}
 	m.heard[from] = max(m.heard[from], int(epoch)+1)
-	t, open := m.epochs[epoch]
-	if !open {
+	t := m.Lookup(epoch)
+	if t == nil {
 		m.dropped++
 		if m.OnUnknownEpoch != nil {
 			m.OnUnknownEpoch(epoch)

@@ -108,7 +108,9 @@ func TestFrameLostAtEveryReceiverIsRepaired(t *testing.T) {
 // TestUndoneSlotReturnsToBaseRate: two intents have backed off to the
 // slowest period; a peer's row shows one slot done and the other undone.
 // The undone one goes out at once, at age zero; the done one keeps its
-// schedule.
+// schedule. The window watched after the request is the shortest base
+// period, testRetx × 0.75: a second re-send at age zero comes no sooner
+// after the first.
 func TestUndoneSlotReturnsToBaseRate(t *testing.T) {
 	r := newPolicyRig(t, 2, nil)
 	got := hear(r, 1, packet.KindRBC)
@@ -126,7 +128,7 @@ func TestUndoneSlotReturnsToBaseRate(t *testing.T) {
 	row := packet.NewBitSet(4)
 	row.Set(0)
 	r.transports[1].SetNack(packet.KindRBC, packet.PhaseEcho, row) // a frame of its own
-	r.sched.RunFor(5 * time.Second)
+	r.sched.RunFor(testRetx * 3 / 4)
 	after := func(slot uint8) (n int) {
 		for _, at := range carrying(*got, slot) {
 			if at > asked {
@@ -136,7 +138,7 @@ func TestUndoneSlotReturnsToBaseRate(t *testing.T) {
 		return n
 	}
 	if after(1) != 1 || after(0) != 0 {
-		t.Fatalf("within 5 s of the row: slot 1 sent %d times, slot 0 %d; want once and not at all", after(1), after(0))
+		t.Fatalf("within %v of the row: slot 1 sent %d times, slot 0 %d; want once and not at all", testRetx*3/4, after(1), after(0))
 	}
 	if a0, a1 := tr.live[0].age, tr.live[1].age; a0 != maxAge || a1 != 0 {
 		t.Errorf("ages after the request: slot 0 %d, slot 1 %d; want %d and 0", a0, a1, maxAge)

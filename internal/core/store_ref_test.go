@@ -20,6 +20,9 @@ import (
 // the section of its (kind, phase), or in an entry-less one), and a row
 // whose bits change is sent even when nothing else is. Where the transport
 // calls sendLogical, the oracle hands the sections to send.
+//
+// flushArmed is the oracle's "the node contends": set by whatever the
+// transport flushes on, cleared at the win.
 type refStore struct {
 	intents map[IntentKey]Intent
 	order   []IntentKey
@@ -115,7 +118,8 @@ func (t *refStore) retransmit() {
 	}
 }
 
-// wake is flushWait.Wake with an idle radio.
+// wake is Mux.Build at the station's win with an idle radio: the node has
+// one epoch, so the round-robin always serves it.
 func (t *refStore) wake(batched bool) {
 	if !t.flushArmed {
 		return

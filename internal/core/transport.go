@@ -11,6 +11,14 @@
 // signed frame per instance-level update, which is how the wired protocols
 // behave when ported naively.
 //
+// Frames are bound at channel access: the node's Mux is its station's
+// wireless.Source, and a frame is assembled, encoded and signed when the
+// station wins the medium, so it carries whatever is pending at that
+// instant. An idle node's first contention waits out a short aggregation
+// window; after that, state that changes while the node contends rides the
+// frame that wins. The signature's CPU time is charged at the win, and the
+// station holds the medium until it is spent.
+//
 // Reliability is NACK-based (Sec. IV-B1) and demand-driven: a frame carries
 // the intents that changed or came due, plus every per-phase O(N) NACK
 // bitmap the epoch has set. An intent nobody asks for is re-sent on a
@@ -95,9 +103,8 @@ type Auth interface {
 type Config struct {
 	Session      uint32
 	Batched      bool          // ConsensusBatcher vs baseline per-instance packets
-	FlushDelay   time.Duration // aggregation window before assembling a frame
+	FlushDelay   time.Duration // aggregation window before an idle node contends
 	RetxInterval time.Duration // base retransmission period (0 disables)
-	MaxQueue     int           // station backpressure threshold, in frames
 }
 
 // DefaultConfig returns transport parameters calibrated for the LoRa-class
@@ -108,14 +115,13 @@ func DefaultConfig(batched bool) Config {
 		Batched:      batched,
 		FlushDelay:   120 * time.Millisecond,
 		RetxInterval: 4 * time.Second,
-		MaxQueue:     3,
 	}
 }
 
 // Stats counts transport-level work.
 type Stats struct {
 	LogicalSent   uint64 // signed logical packets
-	FragmentsSent uint64 // radio frames handed to the station
+	FragmentsSent uint64 // radio frames queued on the station
 	BytesSent     uint64
 	LogicalRecv   uint64
 	AuthFailures  uint64
@@ -138,7 +144,7 @@ type Transport struct {
 	m     *Mux
 	epoch uint16
 	// live is the intent store: every current intent, in wire (wireOrder)
-	// order, so a flush is a walk and an update a binary search. nDirty of
+	// order, so a build is a walk and an update a binary search. nDirty of
 	// them are dirty: updated, asked for or due since last sent.
 	live   []liveIntent
 	nDirty int
@@ -149,10 +155,6 @@ type Transport struct {
 	rowsChanged bool
 	handlers    [packet.KindLimit]Handler
 
-	// flushArmed tracks whether a flush wait (flushWait) is already queued.
-	// The wait carries no cancellation handle: after Stop it is no longer
-	// blocked and wakes once as a no-op.
-	flushArmed bool
 	// retxEvt is the one retransmission timer, armed for the earliest due
 	// re-send (retxArmed: queued and not yet fired); retxFn is t.retransmit
 	// bound once, because taking a method value allocates a closure each
@@ -200,23 +202,21 @@ type nackRow struct {
 // storage packets are built in, so a new epoch's transport starts warm.
 type sendState struct {
 	seq uint32
-	// jobFree recycles the records logical packets wait on the CPU in,
-	// either way; an outbound one is encoded into its record's own buffer.
-	jobFree []*cpuJob
-	// Section and entry scratch, reused across flushes: sendLogical encodes
-	// the frame body before returning, so the CPU queue never holds these.
-	// nextRow is the first NACK row the frame being built has not placed.
+	// Section and entry scratch, reused across builds. nextRow is the
+	// first NACK row the frame being built has not placed.
 	secScratch   []packet.Section
 	entScratch   []packet.Entry
 	startScratch []int
 	nextRow      int
-	fragBuf      []byte // every radio frame is built here; Broadcast copies it
+	enc          []byte // every logical packet is encoded and signed here
+	fragBuf      []byte // every radio frame is cut here; Station.Queue copies it
 }
 
 // New creates a standalone transport: the single open epoch, 0, of a mux
 // of its own. Frames received on the station must be routed to
 // ReceiveFrame (wire the station's receiver to the transport at attach
-// time).
+// time). The station may be nil and bound later (BindStation); state
+// updated before then goes out once it is.
 func New(sched *sim.Scheduler, cpu *sim.CPU, station *wireless.Station, auth Auth, cfg Config) *Transport {
 	m := NewMux(sched, cpu, auth, cfg)
 	m.BindStation(station)
@@ -242,18 +242,16 @@ func (t *Transport) NoteRejected() { t.stats.Rejected++ }
 // Stats returns a snapshot of the counters.
 func (t *Transport) Stats() Stats { return t.stats }
 
-// Stop cancels pending timers; the transport sends nothing further. A
-// queued flush wait is not cancellable (it has no handle); it wakes as a
-// no-op under the stopped guard.
+// Stop cancels pending timers; the transport sends nothing further.
 func (t *Transport) Stop() {
 	t.stopped = true
 	t.retxEvt.Cancel()
 }
 
-// Update upserts an intent and schedules a flush; the intent's
-// retransmission age starts over. With an interceptor
-// installed, the intent first passes through it and whatever comes back —
-// possibly nothing — is applied instead.
+// Update upserts an intent and flushes; the intent's retransmission age
+// starts over. With an interceptor installed, the intent first passes
+// through it and whatever comes back — possibly nothing — is applied
+// instead.
 func (t *Transport) Update(in Intent) {
 	if t.m.icept == nil {
 		t.apply(in)
@@ -376,15 +374,14 @@ func rowOrder(kind packet.Kind, phase packet.Phase) uint16 {
 	return uint16(kind)<<8 | uint16(phase)
 }
 
-// Flush schedules frame assembly after the aggregation window. Multiple
-// calls within the window coalesce — this is where channel-contention
+// Flush says the epoch has something to send: the node contends for the
+// medium (Mux.flush), and whatever is dirty when its station wins goes
+// out. Calls before then coalesce — this is where channel-contention
 // pressure turns into batching opportunity.
 func (t *Transport) Flush() {
-	if t.stopped || t.flushArmed {
-		return
+	if !t.stopped {
+		t.m.flush()
 	}
-	t.flushArmed = true
-	t.m.sched.WaitFixed(t.m.cfg.FlushDelay, (*flushWait)(t))
 }
 
 // never is a due time no intent reaches.
@@ -510,72 +507,31 @@ func (t *Transport) demand(sec *packet.Section) {
 	t.armRetx(next)
 }
 
-// flushWait is the transport seen as the sim.Waiter that Flush arms: the
-// aggregation window, then backpressure. While the radio queue is
-// saturated the flush waits for it to drain, one FlushDelay at a time;
-// intents keep accumulating, which *increases* the batch size — the
-// mechanism by which contention feeds batching. Every period sat out
-// keeps its place and its sequence number in the scheduler's order (a
-// sparser wait would shift same-timestamp ties between a flush and a
-// transmit completion, and with them the trajectory) but is no event.
-type flushWait Transport
-
-// Blocked implements sim.Waiter. A stopped transport, or one with nothing
-// to send, is not blocked: it wakes once, to no effect.
-func (w *flushWait) Blocked() bool {
-	return !w.stopped && (w.nDirty > 0 || w.rowsChanged) && w.m.station.QueueLen() >= w.m.cfg.MaxQueue
-}
-
-// Wake implements sim.Waiter: assemble and send.
-func (w *flushWait) Wake() {
-	t := (*Transport)(w)
-	t.flushArmed = false
-	if t.stopped || (t.nDirty == 0 && !t.rowsChanged) {
-		return
-	}
-	if t.m.cfg.Batched {
-		t.flushBatched()
-	} else {
-		t.flushBaseline()
-	}
-}
-
-// flushBatched emits one logical frame carrying every dirty intent: each
+// build assembles the epoch's frames at its station's win, each with the
+// NACK rows. Batched, one logical frame carries every dirty intent: each
 // (kind, phase) becomes a section (vertical batching), and all sections
-// ride in the same frame (horizontal batching), with the NACK rows.
-func (t *Transport) flushBatched() {
+// ride in the same frame (horizontal batching). Baseline, every dirty
+// intent gets a frame of its own — the unbatched deployment where every
+// instance-phase event competes for the channel separately — or the rows
+// get one frame alone when only they changed; the frames are signed one
+// after another and each goes out at an access of its own. The store is
+// in wire order, so its dirty entries are sent in wire order as they are
+// met.
+func (t *Transport) build() {
 	now, jitter := t.m.sched.Now(), t.jitter()
-	next := never
+	next, perIntent := never, !t.m.cfg.Batched
 	t.beginFrame()
 	for i := range t.live {
 		if e := &t.live[i]; e.dirty {
 			t.addEntry(e)
 			next = min(next, t.sent(e, now, jitter))
+			if perIntent {
+				t.sendLogical(t.endFrame())
+				t.beginFrame()
+			}
 		}
 	}
-	t.sendLogical(t.endFrame())
-	t.nDirty, t.rowsChanged = 0, false
-	t.armRetx(next)
-}
-
-// flushBaseline emits one logical frame per dirty intent — the unbatched
-// deployment where every instance-phase event competes for the channel
-// separately — each with the NACK rows, or one frame of rows alone when
-// only they changed. The store is in wire order, so its dirty entries are
-// sent in wire order as they are met.
-func (t *Transport) flushBaseline() {
-	now, jitter := t.m.sched.Now(), t.jitter()
-	next := never
-	for i := range t.live {
-		if e := &t.live[i]; e.dirty {
-			t.beginFrame()
-			t.addEntry(e)
-			next = min(next, t.sent(e, now, jitter))
-			t.sendLogical(t.endFrame())
-		}
-	}
-	if t.nDirty == 0 {
-		t.beginFrame()
+	if !perIntent || t.nDirty == 0 {
 		t.sendLogical(t.endFrame())
 	}
 	t.nDirty, t.rowsChanged = 0, false
@@ -665,98 +621,62 @@ func (t *Transport) endFrame() []packet.Section {
 	return secs
 }
 
-// sendLogical signs and fragments one logical packet. Signing is charged
-// to the node's CPU before the frame reaches the radio. The body is
-// encoded into the CPU job's own buffer before this returns — required so
-// the caller's section/entry scratch can be reused — and the job record,
-// buffer included, is recycled once the fragments (which Broadcast copies
-// out of it) are on the air. Intent data and NACK bitmaps are snapshots
-// that are never mutated in place, so encoding now and signing at the
-// virtual completion time produce the same bytes the deferred encoding
-// did.
+// sendLogical encodes, signs and fragments one logical packet and queues
+// its radio frames on the station. The signature's cost is charged to the
+// node's CPU now, behind whatever it is already busy with, and no fragment
+// may start before that charge completes: the station holds the medium it
+// won until then. The packet is encoded and signed in the node's one
+// buffer, which Station.Queue copies each fragment out of.
 func (t *Transport) sendLogical(sections []packet.Section) {
+	m := t.m
+	st := m.station
 	frame := packet.Frame{
-		Sender:   uint16(t.m.station.ID()),
-		Session:  t.m.cfg.Session,
+		Sender:   uint16(st.ID()),
+		Session:  m.cfg.Session,
 		Epoch:    t.epoch,
 		Sections: sections,
 	}
-	j := t.job()
-	body, err := frame.AppendBody(j.enc[:0])
+	body, err := frame.AppendBody(m.out.enc[:0])
 	if err != nil {
 		panic(fmt.Sprintf("core: frame encoding: %v", err))
 	}
-	j.send, j.enc, j.seq = true, body, t.m.out.seq
-	t.m.out.seq++
-	t.m.cpu.Exec(t.m.auth.SignCost(), j.run)
-}
-
-// cpuJob is one logical packet waiting on the node's CPU: for its signing
-// time on the way out, for its verification time on the way in. Records
-// are recycled through sendState.jobFree, so neither direction allocates a
-// closure per packet, and an outbound packet is encoded, signed and
-// fragmented in its record's own buffer.
-type cpuJob struct {
-	t    *Transport
-	send bool
-	enc  []byte // out: the encoded body, then the signed packet; kept for reuse
-	seq  uint32 // out: fragment sequence number
-	raw  []byte // in: the packet
-	run  func() // j.exec, bound once
-}
-
-// job takes a CPU job record off the node's free list, or makes one.
-func (t *Transport) job() *cpuJob {
-	out := &t.m.out
-	var j *cpuJob
-	if n := len(out.jobFree); n > 0 {
-		j, out.jobFree = out.jobFree[n-1], out.jobFree[:n-1]
-	} else {
-		j = new(cpuJob)
-		j.run = j.exec
-	}
-	j.t = t
-	return j
-}
-
-// exec runs at the job's completion time on the CPU: sign and broadcast,
-// or verify and dispatch. The record goes back to the free list once
-// nothing reads its buffer any more.
-func (j *cpuJob) exec() {
-	t := j.t
-	if j.send {
-		t.signAndBroadcast(j)
-	} else {
-		t.dispatch(j.raw)
-	}
-	j.t, j.raw = nil, nil
-	t.m.out.jobFree = append(t.m.out.jobFree, j)
-}
-
-// signAndBroadcast completes sendLogical at the signing job's completion
-// time: j.enc holds the encoded body.
-func (t *Transport) signAndBroadcast(j *cpuJob) {
-	if t.stopped {
-		return
-	}
-	sig, err := t.m.auth.Sign(j.enc)
+	sig, err := m.auth.Sign(body)
 	if err != nil {
 		panic(fmt.Sprintf("core: frame signing: %v", err))
 	}
+	signed := m.cpu.Charge(m.auth.SignCost())
 	t.stats.SignOps++
-	raw := append(j.enc, byte(len(sig)>>8), byte(len(sig)))
+	raw := append(body, byte(len(sig)>>8), byte(len(sig)))
 	raw = append(raw, sig...)
-	j.enc = raw
+	m.out.enc = raw
 	t.stats.LogicalSent++
 	t.stats.BytesSent += uint64(len(raw))
-	st := t.m.station
 	chunk := st.Channel().Config().MaxFrame - fragHeaderLen
 	total := fragmentCount(len(raw), chunk)
 	for i := 0; i < total; i++ {
-		t.m.out.fragBuf = appendFragment(t.m.out.fragBuf[:0], raw, uint16(st.ID()), j.seq, i, total, chunk)
+		m.out.fragBuf = appendFragment(m.out.fragBuf[:0], raw, uint16(st.ID()), m.out.seq, i, total, chunk)
 		t.stats.FragmentsSent++
-		st.Broadcast(t.m.out.fragBuf)
+		st.Queue(m.out.fragBuf, signed)
 	}
+	m.out.seq++
+}
+
+// verifyJob is one received logical packet waiting on the node's CPU for
+// its verification time. Records are recycled through Mux.jobFree, so the
+// receive path allocates no closure per packet.
+type verifyJob struct {
+	t   *Transport
+	raw []byte
+	run func() // j.exec, bound once
+}
+
+// exec runs at the job's completion time on the CPU: verify and dispatch,
+// then the record goes back to the free list.
+func (j *verifyJob) exec() {
+	t := j.t
+	t.dispatch(j.raw)
+	j.t, j.raw = nil, nil
+	t.m.jobFree = append(t.m.jobFree, j)
 }
 
 // ReceiveFrame implements wireless.Receiver for a standalone transport that
@@ -775,9 +695,16 @@ func (t *Transport) receiveLogical(raw []byte) {
 	if t.stopped {
 		return
 	}
-	j := t.job()
-	j.send, j.raw = false, raw
-	t.m.cpu.Exec(t.m.auth.VerifyCost(), j.run)
+	m := t.m
+	var j *verifyJob
+	if n := len(m.jobFree); n > 0 {
+		j, m.jobFree = m.jobFree[n-1], m.jobFree[:n-1]
+	} else {
+		j = new(verifyJob)
+		j.run = j.exec
+	}
+	j.t, j.raw = t, raw
+	m.cpu.Exec(m.auth.VerifyCost(), j.run)
 }
 
 // dispatch completes receiveLogical at the verification job's completion

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -339,44 +340,20 @@ func TestFragmentHelperBounds(t *testing.T) {
 	}
 }
 
-// saturate fills the transport's radio queue to the backpressure threshold
-// with frames of its own.
-func saturate(tr *Transport) {
-	for i := 0; i < tr.m.cfg.MaxQueue; i++ {
-		tr.m.station.Broadcast(make([]byte, 200))
-	}
-}
-
-// TestFlushWaitsOutBackpressure: while the radio queue is saturated the
-// flush sits out whole aggregation windows, intents that arrive meanwhile
-// join the same frame, and the flush goes out at the first window boundary
-// that finds room.
-func TestFlushWaitsOutBackpressure(t *testing.T) {
+// TestIntentSetWhileContendingRidesTheWinningFrame: the frame is built when
+// the station wins the medium, not when the aggregation window closes, so
+// an intent set while the node is already contending goes out in it.
+func TestIntentSetWhileContendingRidesTheWinningFrame(t *testing.T) {
 	r := newRig(t, 2, true, nil)
 	tr := r.transports[0]
-	saturate(tr)
 	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 0}, Data: []byte{1}})
-	r.sched.RunUntil(tr.m.cfg.FlushDelay)
-	if !tr.flushArmed || tr.Stats().LogicalSent != 0 {
-		t.Fatalf("after one window with a full queue: armed=%v sent=%d, want the flush still waiting", tr.flushArmed, tr.Stats().LogicalSent)
+	// The window has closed and the node contends; its backoff ends no
+	// sooner than a DIFS later.
+	r.sched.RunUntil(tr.m.cfg.FlushDelay + r.ch.Config().DIFS/2)
+	if !tr.m.Pending() || tr.Stats().LogicalSent != 0 {
+		t.Fatalf("pending=%v sent=%d: want the node contending with nothing sent yet", tr.m.Pending(), tr.Stats().LogicalSent)
 	}
 	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 1}, Data: []byte{2}})
-	var room time.Duration // when the queue first fell below the threshold
-	for tr.flushArmed {
-		if room == 0 && tr.m.station.QueueLen() < tr.m.cfg.MaxQueue {
-			room = r.sched.Now()
-		}
-		if !r.sched.Step() {
-			t.Fatal("queue drained with the flush still armed")
-		}
-	}
-	d := tr.m.cfg.FlushDelay
-	if room == 0 || room%d == 0 {
-		t.Fatalf("queue found room at %v: want an instant strictly between window boundaries", room)
-	}
-	if woke, want := r.sched.Now(), (room/d+1)*d; woke != want {
-		t.Fatalf("flush woke at %v, want %v: the first boundary after room was found at %v", woke, want, room)
-	}
 	r.sched.Run()
 	if got := tr.Stats().LogicalSent; got != 1 {
 		t.Fatalf("LogicalSent = %d, want 1 frame for both intents", got)
@@ -387,10 +364,11 @@ func TestFlushWaitsOutBackpressure(t *testing.T) {
 	}
 }
 
-// TestFlushWaitBlockedIsBackpressureOnly: the wait is blocked by a full
-// radio queue alone. A stopped transport, or one whose intents are gone,
-// wakes at the next boundary (to no effect) however full the queue is.
-func TestFlushWaitBlockedIsBackpressureOnly(t *testing.T) {
+// TestIdleEpochDoesNotContend: an epoch contends only while it is open and
+// has something to send. A stopped transport, or one whose intents are
+// gone, drops out of the contention it had entered, and nothing goes on
+// the air.
+func TestIdleEpochDoesNotContend(t *testing.T) {
 	key := IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 0}
 	for _, tc := range []struct {
 		name    string
@@ -401,27 +379,153 @@ func TestFlushWaitBlockedIsBackpressureOnly(t *testing.T) {
 	} {
 		r := newRig(t, 2, true, nil)
 		tr := r.transports[0]
-		w := (*flushWait)(tr)
 		tr.Update(Intent{IntentKey: key, Data: []byte{1}})
-		if w.Blocked() {
-			t.Fatalf("%s: blocked with an empty radio queue", tc.name)
-		}
-		saturate(tr)
-		if !w.Blocked() {
-			t.Fatalf("%s: not blocked with a full radio queue and an intent to send", tc.name)
+		r.sched.RunUntil(tr.m.cfg.FlushDelay)
+		if !tr.m.Pending() {
+			t.Fatalf("%s: not contending once the window closed", tc.name)
 		}
 		tc.release(tr)
-		if w.Blocked() {
-			t.Fatalf("%s: still blocked", tc.name)
-		}
-		r.sched.RunUntil(tr.m.cfg.FlushDelay)
-		if tr.flushArmed {
-			t.Fatalf("%s: wait did not wake at the first boundary", tc.name)
+		if tr.m.Pending() {
+			t.Fatalf("%s: still contending", tc.name)
 		}
 		r.sched.Run()
-		if tr.Stats().LogicalSent != 0 {
-			t.Fatalf("%s: sent %d logical packets", tc.name, tr.Stats().LogicalSent)
+		if st := r.ch.Stats(); tr.Stats().LogicalSent != 0 || st.Accesses != 0 || st.Collisions != 0 {
+			t.Fatalf("%s: sent %d logical packets over %d accesses and %d collisions", tc.name, tr.Stats().LogicalSent, st.Accesses, st.Collisions)
 		}
+	}
+}
+
+// timedEar records when each radio frame it hears ends, and its length.
+type timedEar struct {
+	sched *sim.Scheduler
+	ends  []time.Duration
+	lens  []int
+}
+
+func (e *timedEar) ReceiveFrame(_ wireless.NodeID, payload []byte) {
+	e.ends = append(e.ends, e.sched.Now())
+	e.lens = append(e.lens, len(payload))
+}
+
+// TestNoFragmentBeforeItsSignature: with the CPU busy when the station
+// wins, a frame's signature completes behind that work, and none of its
+// fragments starts before then. A baseline burst is signed one frame after
+// another, each with its own not-before time: the second frame may not
+// start before the second signature is done, even though the first frame
+// has long left the air.
+func TestNoFragmentBeforeItsSignature(t *testing.T) {
+	const busy, sign = 2 * time.Second, time.Second
+	for _, batched := range []bool{true, false} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			r := newRig(t, 2, batched, nil)
+			ear := &timedEar{sched: r.sched}
+			r.ch.Attach(9, ear)
+			tr := r.transports[0]
+			tr.m.auth = &SizedAuth{Len: 56, CostSign: sign, CostVerify: 10 * time.Millisecond}
+			tr.m.cpu.Exec(busy, func() {})
+			if batched {
+				// One logical packet of three radio frames.
+				tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseInitial}, Data: make([]byte, 600)})
+			} else {
+				// Three logical packets of one radio frame each.
+				for slot := uint8(0); slot < 3; slot++ {
+					tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: slot}, Data: []byte{slot}})
+				}
+			}
+			r.sched.Run()
+			if len(ear.ends) != 3 {
+				t.Fatalf("%d radio frames heard, want 3", len(ear.ends))
+			}
+			for k, end := range ear.ends {
+				signed := busy + sign // the one logical packet's signature
+				if !batched {
+					signed = busy + time.Duration(k+1)*sign
+				}
+				if first := end - r.ch.Config().Airtime(ear.lens[k]); first < signed {
+					t.Errorf("radio frame %d started at %v, before its signature completed at %v", k, first, signed)
+				}
+			}
+			if r.ch.Stats().Held == 0 {
+				t.Error("no hold counted")
+			}
+		})
+	}
+}
+
+// TestHeldIsTheSignatureWait: with the CPU idle at every win, the medium
+// time Stats.Held counts between a win and the first bit is exactly the
+// signing cost of each frame.
+func TestHeldIsTheSignatureWait(t *testing.T) {
+	r := newRig(t, 2, true, nil)
+	tr := r.transports[0]
+	const sign = 50 * time.Millisecond
+	tr.m.auth = &SizedAuth{Len: 56, CostSign: sign}
+	for slot := uint8(0); slot < 5; slot++ {
+		tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: slot}, Data: []byte{slot}})
+		r.sched.Run()
+	}
+	st := r.ch.Stats()
+	if n := tr.Stats().LogicalSent; n != 5 || st.Accesses != 5 || st.Collisions != 0 {
+		t.Fatalf("%d frames over %d accesses and %d collisions, want 5 uncontended", n, st.Accesses, st.Collisions)
+	}
+	if st.Held != 5*sign {
+		t.Errorf("Held = %v, want 5 signatures of %v", st.Held, sign)
+	}
+}
+
+// TestNoEpochStarvesAnother: an open epoch whose NACK row changes with
+// every frame its node sends always has something to send, and the newer
+// epoch's update still goes out — at the next win, not never. Serving the
+// oldest epoch first would starve it.
+func TestNoEpochStarvesAnother(t *testing.T) {
+	r := newMuxRig(t, 2)
+	old, newer := r.muxes[0].Open(1), r.muxes[0].Open(2)
+	r.muxes[1].Open(1)
+	var got int
+	collect(r.muxes[1].Open(2), &got)
+	flips := 0
+	flip := func() {
+		flips++
+		row := packet.NewBitSet(8)
+		row.Set(flips % 8)
+		old.SetNack(packet.KindABA, packet.PhaseAux, row)
+	}
+	r.ch.SetDeliveryHook(func(from, _ wireless.NodeID, _ []byte) (time.Duration, bool) {
+		if from == 0 {
+			flip()
+		}
+		return 0, false
+	})
+	flip()
+	newer.Update(intentFor(0))
+	r.sched.RunFor(30 * time.Second)
+	if got != 1 || flips < 10 {
+		t.Fatalf("newer epoch delivered %d entries while the older one sent %d rows; want 1 and many", got, flips)
+	}
+	if n := newer.Stats().LogicalSent; n != 1 {
+		t.Errorf("newer epoch sent %d frames, want 1", n)
+	}
+}
+
+// TestStationBoundAfterConstruction: a standalone transport made with no
+// station (core.New(…, nil, …)) takes updates, and sends them once a
+// station is bound.
+func TestStationBoundAfterConstruction(t *testing.T) {
+	s := sim.New(1)
+	wcfg := wireless.DefaultConfig()
+	wcfg.LossProb = 0
+	ch := wireless.NewChannel(s, wcfg)
+	cfg := DefaultConfig(true)
+	cfg.RetxInterval = 0
+	tr := New(s, sim.NewCPU(s), nil, &SizedAuth{Len: 56, CostSign: 5 * time.Millisecond}, cfg)
+	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho}, Data: []byte{1}})
+	s.RunFor(time.Second)
+	tr.BindStation(ch.Attach(0, tr))
+	ear := &airLog{}
+	ch.Attach(1, ear)
+	s.Run()
+	if n := tr.Stats().LogicalSent; n != 1 || len(ear.frames) != 1 {
+		t.Fatalf("%d logical packets sent, %d radio frames heard; want 1 and 1", n, len(ear.frames))
 	}
 }
 

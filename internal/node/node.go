@@ -27,9 +27,9 @@ import (
 
 // Config bundles the per-node wiring parameters every driver shares.
 type Config struct {
-	// Transport is the node's transport configuration. If all tuning
-	// fields (FlushDelay, RetxInterval, MaxQueue) are zero it is replaced
-	// by core.DefaultConfig, keeping the Session.
+	// Transport is the node's transport configuration. If both tuning
+	// fields (FlushDelay, RetxInterval) are zero it is replaced by
+	// core.DefaultConfig, keeping the Session.
 	Transport core.Config
 	// Batched selects ConsensusBatcher vs the per-instance baseline.
 	Batched bool
@@ -45,7 +45,7 @@ type Config struct {
 // resolve returns the effective transport configuration.
 func (c Config) resolve() core.Config {
 	tcfg := c.Transport
-	if tcfg.FlushDelay == 0 && tcfg.RetxInterval == 0 && tcfg.MaxQueue == 0 {
+	if tcfg.FlushDelay == 0 && tcfg.RetxInterval == 0 {
 		session := tcfg.Session
 		tcfg = core.DefaultConfig(c.Batched)
 		tcfg.Session = session

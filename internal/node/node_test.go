@@ -195,25 +195,4 @@ func TestDriveErrors(t *testing.T) {
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("busy loop: got %v, want deadline", err)
 	}
-	// A queue of nothing but blocked waits — every transport stuck behind
-	// a radio queue that never drains — is the same failure: the waits sit
-	// their periods out inside Step, which must still come back to the
-	// deadline test.
-	sched3 := sim.New(3)
-	for i := 0; i < 4; i++ {
-		sched3.WaitFixed(120*time.Millisecond, stuck{})
-	}
-	err = Drive(sched3, time.Hour, func() bool { return false })
-	if !errors.Is(err, ErrDeadline) {
-		t.Fatalf("blocked waits only: got %v, want deadline", err)
-	}
-	if over := sched3.Now() - time.Hour; over <= 0 || over > 120*time.Millisecond {
-		t.Fatalf("blocked waits only: drive ended at %v, want within one period past the hour", sched3.Now())
-	}
 }
-
-// stuck is a wait that stays blocked.
-type stuck struct{}
-
-func (stuck) Blocked() bool { return true }
-func (stuck) Wake()         {}

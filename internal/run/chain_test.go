@@ -161,7 +161,7 @@ func TestChainDedup(t *testing.T) {
 
 // TestChainCrashRecovery is the crash-recovery acceptance run: node 2
 // crashes around epoch 5 and recovers around epoch 10 of the batched run
-// (about 90 s per epoch; the baseline's are some 2.5x longer). The recovered node must rejoin mid-run through
+// (about 60 s per epoch; the baseline's are some 3x longer). The recovered node must rejoin mid-run through
 // core.Mux.OnUnknownEpoch, catch up on the epochs it lost through NACK
 // retransmission and repair, and commit the same gap-free log as everyone
 // else — under both transports.
@@ -176,8 +176,8 @@ func TestChainCrashRecovery(t *testing.T) {
 			// keep the GC window as long as the run.
 			spec.Workload.GCLag = spec.Workload.Epochs
 			spec.Scenario = scenario.Plan{}.Then(
-				scenario.CrashAt(7*time.Minute, 2),
-				scenario.RecoverAt(14*time.Minute, 2),
+				scenario.CrashAt(5*time.Minute, 2),
+				scenario.RecoverAt(10*time.Minute, 2),
 			)
 			res, err := Run(spec)
 			if err != nil {
@@ -253,8 +253,8 @@ func TestChainPartitionHeals(t *testing.T) {
 	spec := quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, true, 3)
 	spec.Workload.Epochs = 8
 	spec.Scenario = scenario.Plan{}.Then(
-		scenario.PartitionAt(10*time.Minute, []int{0, 1}, []int{2, 3}),
-		scenario.HealAt(40*time.Minute),
+		scenario.PartitionAt(3*time.Minute, []int{0, 1}, []int{2, 3}),
+		scenario.HealAt(33*time.Minute),
 	)
 	res, err := Run(spec)
 	if err != nil {

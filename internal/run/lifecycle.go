@@ -132,6 +132,7 @@ func (d *deployment) fold(rep *Report) {
 		rep.Collisions += st.Collisions
 		rep.Frames += st.Frames
 		rep.BytesOnAir += st.BytesOnAir
+		rep.Held += st.Held
 		return st.Accesses
 	}
 	var nodes []*node.Node

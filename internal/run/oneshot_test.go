@@ -308,7 +308,7 @@ func TestClusteredOneShot(t *testing.T) {
 // and rejoins at the next boundary — here even rotating into the leader
 // seat.
 func TestClusteredOneShotCrashRecovery(t *testing.T) {
-	const back = time.Minute
+	const back = 30 * time.Second
 	spec := quickClusteredSpec(32)
 	spec.Workload.Epochs = 2
 	spec.Scenario = scenario.Plan{}.Then(

@@ -84,25 +84,25 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "aef16ffed76f2767d2b2aaad5e8879ca75bcc85065055bfb3b8dcd871c528847"},
+		}, "981c5f2a6f631ad3a253c6b69aec1a7844a272eae9575777d145963cbeca030b"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "5554bac97a0553772a848c5b21f26769a2dcc5f864bfe020b917114429550ca3"},
+		}, "e7edd300665e4078ad46818bbdb175906f23366628c6c6287db0f409e88f3088"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@30s:3;recover@1m30s:3")
 			return spec
-		}, "92827d360325c7c4d65170bc9a57790b2f7920afd277eb686b29931fd00f23a6"},
+		}, "23e5aaf4069abd0917042d7c2588585e72aca7b8801db99d9f529aec72fee810"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "e71482793d8e714e3d636b2416308cf9b4100f69b6bb7ebb9f5d69f60a6dbf7a"},
+		}, "40048d4d47969985cae446886fcaf49dad04d0e20a9f71fe9161c07f228e130d"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "ab50fe34a0fcb90563d7a833415638b6663d5341c87bbaaa7e3a749fd1d8292d"},
+		}, "3b8a0103475d2b99425767e549a8381a2f4c15e2027bd8496d4ae3fb5284dd9b"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1 (a follower in epoch 0) crashes and
 			// rejoins as epoch 1's leader; cluster 2's member 3 is
@@ -110,18 +110,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@2m:1;byz@0s:11:garbage")
 			return spec
-		}, "fb1958cab379049267769a73401a885d489975bebe7cea87cfa4cc6cf63829b3"},
+		}, "6a0e73190b69741739e6871c19a118fbc4df83107e665f9f954bb000819dc786"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("crash@4m:2;recover@9m:2")
 			return spec
-		}, "222b376a04eba39db92359d5d7204a1364fe1492f3cd4b8bef66a526df61e506"},
+		}, "f72b8f8541abc1e6dd820ea018774520d154689d8df18f72465b960dd60bde7a"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "845a3b63cd3a7e7666d0f3469ebde4721cb8a4fb02d4076de7f48a0812337d68"},
+		}, "6e7b34e8aa66c139b3f61b944cdac2ee13c2e2c88c21b2b350cafb4098b0c196"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -129,7 +129,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "16afde641d596346f29aec9c15d3fa496a32727638856133e787d2e7dadc71ef"},
+		}, "f0f9de004c059d3d81ca4fa8c8fa6da25c0063bfbf825e75268dabdff489c24d"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -142,18 +142,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "3217344e0201b26624cf4d252023e24506ba8aebca0d8489c7cfede6925a5323"},
+		}, "86c45b80adcfb0b4fafa597e46420208e8b67a52894eed6128cd522bbf5e2218"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "1f95a33e174ad15f5450591bf0f1ce7af029030708cb1489a20c51145ccf61c2"},
+		}, "e8b73b53b50469c328bb7fdfe3fedf815fc46774352f9d965d40c4a834438968"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "a5a548d0edbcac8739beaf46399b13a69c904d734010962cdab96502ef68ce7f"},
+		}, "881475bd5110f1e22ab5d0fb8473c8a3d89f21a5a219b82c9fe146322f38d881"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -161,7 +161,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "fd98a9292a230bd541fb37634f90664dd4a88c2e40fb7a4f81345b6d072db7f4"},
+		}, "3fe7a011ec431aa06138c948d6a9aa3441310a7e5c67eafc8322563626361492"},
 	}
 	for _, tc := range cases {
 		tc := tc

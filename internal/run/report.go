@@ -36,6 +36,10 @@ type Report struct {
 	Collisions uint64 `json:"collisions"`
 	Frames     uint64 `json:"frames"`
 	BytesOnAir uint64 `json:"bytes_on_air"`
+	// Held is the medium time between channel wins and first bits: a
+	// station holds the medium it won while its frame's signature is
+	// still being computed (wireless.Stats.Held).
+	Held time.Duration `json:"held_ns"`
 
 	// Transport and crypto counters, summed across all nodes (and
 	// global-tier seats).

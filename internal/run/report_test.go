@@ -32,7 +32,7 @@ func TestReportJSONSchemaStable(t *testing.T) {
 	for _, key := range []string{
 		"protocol", "coin", "batched", "topology", "workload", "seed",
 		"duration_ns", "accesses", "collisions", "frames", "bytes_on_air",
-		"logical_sent", "sign_ops", "verify_ops", "rejected",
+		"held_ns", "logical_sent", "sign_ops", "verify_ops", "rejected",
 		"chain", "tiers",
 	} {
 		if _, ok := m[key]; !ok {

@@ -3,16 +3,16 @@ package sim
 import "time"
 
 // CPU models a single-core processor (the paper evaluates on an STM32F767).
-// Work submitted with Exec is serialized: each job starts no earlier than
-// the completion of all previously submitted jobs, and completes after its
-// stated cost of virtual compute time. This is how cryptographic operation
-// latencies (threshold signing, share verification, combining) are charged
-// against protocol latency, and how packets queue behind a busy CPU — the
-// effect the paper's DMA alignment module exists to mitigate.
+// Work submitted with Exec or Charge is serialized: each job starts no
+// earlier than the completion of all previously submitted jobs, and
+// completes after its stated cost of virtual compute time. This is how
+// cryptographic operation latencies (threshold signing, share verification,
+// combining) are charged against protocol latency, and how packets queue
+// behind a busy CPU — the effect the paper's DMA alignment module exists to
+// mitigate.
 type CPU struct {
 	sched     *Scheduler
 	busyUntil time.Duration
-	queued    int
 	busyTotal time.Duration
 }
 
@@ -21,27 +21,28 @@ func NewCPU(s *Scheduler) *CPU {
 	return &CPU{sched: s}
 }
 
-// Exec schedules fn to run after cost of serialized compute time. Zero-cost
-// jobs still run asynchronously (on the next scheduler step) to keep event
-// ordering uniform. The completion rides the scheduler's allocation-free
-// queue slot; CPU jobs cannot be cancelled once submitted.
-func (c *CPU) Exec(cost time.Duration, fn func()) {
+// Charge queues cost of serialized compute time behind everything already
+// submitted and returns when it completes. Nothing runs at completion: the
+// caller holds whatever waits on the work until then itself (a transport
+// holds the medium until its frame's signature is done).
+func (c *CPU) Charge(cost time.Duration) time.Duration {
 	if cost < 0 {
 		cost = 0
 	}
-	start := c.sched.Now()
-	if c.busyUntil > start {
-		start = c.busyUntil
-	}
-	done := start + cost
-	c.busyUntil = done
+	c.busyUntil = max(c.busyUntil, c.sched.Now()) + cost
 	c.busyTotal += cost
-	c.queued++
-	c.sched.postCPU(done, fn, c)
+	return c.busyUntil
 }
 
-// Busy reports whether the CPU has outstanding work at the current time.
-func (c *CPU) Busy() bool { return c.busyUntil > c.sched.Now() || c.queued > 0 }
+// Exec schedules fn to run after cost of serialized compute time: Charge,
+// then an event at its completion. Zero-cost jobs still run
+// asynchronously (on the next scheduler step) to keep event ordering
+// uniform. The completion rides the scheduler's allocation-free Post; CPU
+// jobs cannot be cancelled once submitted.
+func (c *CPU) Exec(cost time.Duration, fn func()) { c.sched.Post(c.Charge(cost), fn) }
+
+// Busy reports whether the CPU has work charged beyond the current time.
+func (c *CPU) Busy() bool { return c.busyUntil > c.sched.Now() }
 
 // BusyTotal returns the cumulative compute time charged so far.
 func (c *CPU) BusyTotal() time.Duration { return c.busyTotal }

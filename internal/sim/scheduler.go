@@ -60,29 +60,6 @@ type item struct {
 	seq uint64
 	fn  func() // inline callback; nil when e carries it
 	e   *Event // cancellation handle; nil on the fast path
-	cpu *CPU   // when set, a CPU completion: decrement cpu.queued at fire
-}
-
-// Waiter is a recurring fixed-delay wait (WaitFixed): a party that wants to
-// act once some condition clears and looks at it again every d until then.
-type Waiter interface {
-	// Blocked reports whether the wait goes on for another period. The
-	// scheduler calls it from inside Step each time the wait comes due, so
-	// it must be a pure read of simulation state: no scheduling, no Rand
-	// draw, no side effect.
-	Blocked() bool
-	// Wake runs as an ordinary event the first time the wait comes due and
-	// Blocked does not hold.
-	Wake()
-}
-
-// slot is one lane entry: a handle-free callback (PostAfterFixed) or a
-// wait (WaitFixed). Lane slots cannot be cancelled.
-type slot struct {
-	at  time.Duration
-	seq uint64
-	fn  func() // callback; nil for a wait
-	w   Waiter // wait; nil for a callback
 }
 
 // Scheduler is a single-threaded discrete-event scheduler. It is not safe
@@ -91,9 +68,9 @@ type slot struct {
 // simulations (e.g. parameter sweeps) is achieved by running independent
 // Schedulers in separate goroutines.
 //
-// Firing order is the strict total order (at, seq) — seq is unique — over
-// the heap and every lane together, so it is independent of where a slot
-// is stored.
+// Firing order is the strict total order (at, seq) — seq is unique and
+// handed out at scheduling time, so same-instant ties resolve in
+// scheduling order.
 type Scheduler struct {
 	now        time.Duration
 	seq        uint64
@@ -102,27 +79,7 @@ type Scheduler struct {
 	rng        *rand.Rand
 	stopped    bool
 	fired      uint64
-
-	// lanes are FIFO fast paths for recurring fixed relative delays
-	// (PostAfterFixed, WaitFixed): an interval re-armed millions of times
-	// would otherwise dominate heap traffic. For one fixed d, at = now + d
-	// and seq are both monotone in scheduling order, so append order IS
-	// (at, seq) pop order — O(1) insert and pop, no sifting.
-	lanes []lane
 }
-
-// lane is one fixed-delay FIFO: slots between head and len(items) are
-// queued in firing order. The backing array is reset (not reallocated)
-// whenever the lane empties.
-type lane struct {
-	d     time.Duration
-	items []slot
-	head  int
-}
-
-// maxLanes bounds the per-step lane scan. Delays beyond the cap fall back
-// to the heap, which is always correct.
-const maxLanes = 4
 
 // New returns a Scheduler whose random source is seeded with seed.
 // Identical seeds produce identical simulations.
@@ -136,19 +93,12 @@ func (s *Scheduler) Now() time.Duration { return s.now }
 // Rand returns the scheduler's deterministic random source.
 func (s *Scheduler) Rand() *rand.Rand { return s.rng }
 
-// Fired returns the total number of events executed so far, the periods a
-// blocked wait sat out included (each is the poll event it stands for).
+// Fired returns the total number of events executed so far.
 func (s *Scheduler) Fired() uint64 { return s.fired }
 
 // Pending returns the number of events still eligible to fire. Cancelled
 // events that have not yet been discarded from the queue are excluded.
-func (s *Scheduler) Pending() int {
-	n := len(s.heap) - s.nCancelled
-	for i := range s.lanes {
-		n += len(s.lanes[i].items) - s.lanes[i].head
-	}
-	return n
-}
+func (s *Scheduler) Pending() int { return len(s.heap) - s.nCancelled }
 
 // Cancelled returns the number of cancelled events still occupying queue
 // slots (they are discarded lazily at pop time, or in bulk when they come
@@ -214,198 +164,30 @@ func (s *Scheduler) PostAfter(d time.Duration, fn func()) {
 	s.Post(s.now+d, fn)
 }
 
-// PostAfterFixed is PostAfter for a delay that recurs with the same value
-// many times over a run. Slots go to a per-delay FIFO lane with O(1) insert
-// and pop instead of the heap; firing order is identical to PostAfter (the
-// strict (time, seq) order), because for one fixed delay both the target
-// time and the sequence number are monotone in scheduling order. The first
-// few distinct delays get lanes; later ones silently fall back to the heap.
-//
-// Since the transport's backpressure poll became a WaitFixed, the only
-// callers left are the benchmark's sim rig and this package's tests; it
-// goes with the next change that may edit benchmark/.
-func (s *Scheduler) PostAfterFixed(d time.Duration, fn func()) {
-	if d < 0 {
-		d = 0
-	}
-	l := s.laneFor(d)
-	if l == nil {
-		s.Post(s.now+d, fn)
-		return
-	}
-	l.items = append(l.items, slot{at: s.now + d, seq: s.seq, fn: fn})
-	s.seq++
-}
+// PostAfterFixed is PostAfter. The benchmark rig (benchmark/layers.go) is
+// its only caller; it goes with the next change that may edit benchmark/.
+func (s *Scheduler) PostAfterFixed(d time.Duration, fn func()) { s.PostAfter(d, fn) }
 
-// WaitFixed arms a wait: d from now, and every d after that for as long as
-// w.Blocked() holds when the wait comes due, the wait sits out another
-// period; the first time it does not hold, w.Wake() runs and the wait is
-// over. The order of events, their sequence numbers, Now and Fired are
-// exactly those of a callback that tests Blocked and re-arms itself with
-// PostAfterFixed — every period is a place in the (time, seq) order and
-// takes the next sequence number — but a period sat out costs a re-stamp of
-// the lane slot inside Step instead of an event: see Step.
-func (s *Scheduler) WaitFixed(d time.Duration, w Waiter) {
-	if d < 0 {
-		d = 0
-	}
-	l := s.laneFor(d)
-	if l == nil {
-		// No lane left for this delay: the same wait as a heap event that
-		// re-posts itself. Slower, same order.
-		var poll func()
-		poll = func() {
-			if w.Blocked() {
-				s.Post(s.now+d, poll)
-				return
-			}
-			w.Wake()
-		}
-		s.Post(s.now+d, poll)
-		return
-	}
-	l.items = append(l.items, slot{at: s.now + d, seq: s.seq, w: w})
-	s.seq++
-}
-
-// laneFor returns the lane dedicated to delay d, creating it if the cap
-// allows, or nil when d must use the heap.
-func (s *Scheduler) laneFor(d time.Duration) *lane {
-	for i := range s.lanes {
-		if s.lanes[i].d == d {
-			return &s.lanes[i]
-		}
-	}
-	if len(s.lanes) >= maxLanes {
-		return nil
-	}
-	s.lanes = append(s.lanes, lane{d: d})
-	return &s.lanes[len(s.lanes)-1]
-}
-
-// minLane returns the lane whose head slot fires earliest, or nil when
-// every lane is empty.
-func (s *Scheduler) minLane() *lane {
-	var best *lane
-	for i := range s.lanes {
-		l := &s.lanes[i]
-		if l.head == len(l.items) {
-			continue
-		}
-		if best == nil || earlier(l.items[l.head].at, l.items[l.head].seq, best.items[best.head].at, best.items[best.head].seq) {
-			best = l
-		}
-	}
-	return best
-}
-
-// advance consumes the lane's head slot and reclaims the backing array.
-func (l *lane) advance() {
-	l.head++
-	switch {
-	case l.head == len(l.items):
-		l.items = l.items[:0] // reuse the backing array
-		l.head = 0
-	case l.head > 64 && l.head*2 >= len(l.items):
-		// A lane shared by many pollers never fully drains, so also
-		// reclaim the consumed prefix once it dominates: slide the live
-		// tail to the front (amortized O(1) — each slot moves at most once
-		// per lifetime).
-		n := copy(l.items, l.items[l.head:])
-		clear(l.items[n:])
-		l.items = l.items[:n]
-		l.head = 0
-	}
-}
-
-// postCPU enqueues a CPU completion: fn runs at t, immediately after the
-// owning CPU's queue accounting is decremented. t is never in the past
-// (CPU completion times are >= now by construction).
-func (s *Scheduler) postCPU(t time.Duration, fn func(), c *CPU) {
-	s.push(item{at: t, seq: s.seq, fn: fn, cpu: c})
-	s.seq++
-}
-
-// Step advances the simulation by one event, or by one run of blocked
-// waits. It returns false when the queue is empty or the scheduler has
-// been stopped.
-//
-// When the earliest slot of all is a wait whose Blocked() holds, Step sits
-// the period out in place: the clock moves to the slot's time, Fired counts
-// it, and the slot goes to its lane's tail one delay later under the next
-// sequence number — what firing a self-re-arming poll would have left
-// behind, without the event. Step goes on doing that for as long as the
-// earliest slot is such a wait, then returns true without firing the event
-// that ended the run, so a drive loop tests its deadline and its done()
-// against the clock of the last period sat out, as it did after the last
-// poll. A run ends at the latest when it meets a slot it re-stamped
-// itself — once round the lane — so a queue holding nothing but blocked
-// waits still returns to its caller every lap.
+// Step advances the simulation by one event. It returns false when the
+// queue is empty or the scheduler has been stopped.
 func (s *Scheduler) Step() bool { return s.step(math.MaxInt64) }
 
-// step is Step restricted to slots with timestamps <= limit.
+// step is Step restricted to events with timestamps <= limit.
 func (s *Scheduler) step(limit time.Duration) bool {
-	// Only sitting a period out advances seq inside this loop, so
-	// s.seq != runStart says a run is under way, and a slot stamped
-	// runStart or later is one this run re-stamped.
-	runStart := s.seq
-	for !s.stopped {
-		l := s.minLane()
-		if l == nil || (len(s.heap) > 0 && !earlier(l.items[l.head].at, l.items[l.head].seq, s.heap[0].at, s.heap[0].seq)) {
-			// The earliest slot is the heap's, or nothing is queued.
-			if s.seq != runStart {
-				return true
+	for !s.stopped && len(s.heap) > 0 && s.heap[0].at <= limit {
+		it := s.popMin()
+		fn := it.fn
+		if e := it.e; e != nil {
+			e.popped = true
+			if e.cancelled {
+				s.nCancelled--
+				continue
 			}
-			if len(s.heap) == 0 || s.heap[0].at > limit {
-				return false
-			}
-			it := s.popMin()
-			fn := it.fn
-			if e := it.e; e != nil {
-				e.popped = true
-				if e.cancelled {
-					s.nCancelled--
-					continue
-				}
-				fn = e.fn
-			}
-			s.now = it.at
-			s.fired++
-			if it.cpu != nil {
-				it.cpu.queued--
-			}
-			fn()
-			return true
+			fn = e.fn
 		}
-		sl := l.items[l.head]
-		if sl.at > limit {
-			return s.seq != runStart
-		}
-		if sl.w != nil && sl.w.Blocked() {
-			if sl.seq >= runStart {
-				return true
-			}
-			s.now = sl.at
-			s.fired++
-			sl.at += l.d
-			sl.seq = s.seq
-			s.seq++
-			l.items = append(l.items, sl)
-			l.advance()
-			continue
-		}
-		if s.seq != runStart {
-			return true
-		}
-		l.items[l.head] = slot{} // release the callback for GC
-		l.advance()
-		s.now = sl.at
+		s.now = it.at
 		s.fired++
-		if sl.w != nil {
-			sl.w.Wake()
-		} else {
-			sl.fn()
-		}
+		fn()
 		return true
 	}
 	return false
@@ -418,8 +200,7 @@ func (s *Scheduler) Run() {
 }
 
 // RunUntil executes events with timestamps <= t, then sets the clock to t.
-// Events scheduled exactly at t do fire, and a blocked wait sits out no
-// period later than t.
+// Events scheduled exactly at t do fire.
 func (s *Scheduler) RunUntil(t time.Duration) {
 	for s.step(t) {
 	}
@@ -438,16 +219,13 @@ func (s *Scheduler) Stop() { s.stopped = true }
 // Stopped reports whether Stop has been called.
 func (s *Scheduler) Stopped() bool { return s.stopped }
 
-// earlier orders two (at, seq) stamps — the firing order.
-func earlier(at1 time.Duration, seq1 uint64, at2 time.Duration, seq2 uint64) bool {
-	if at1 != at2 {
-		return at1 < at2
+// less orders heap slots by firing order, (at, seq).
+func less(a, b *item) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return seq1 < seq2
+	return a.seq < b.seq
 }
-
-// less orders heap slots by firing order.
-func less(a, b *item) bool { return earlier(a.at, a.seq, b.at, b.seq) }
 
 // push inserts it into the 4-ary heap, sifting up with hole movement (each
 // level costs one copy, not one swap).

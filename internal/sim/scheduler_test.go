@@ -213,6 +213,34 @@ func TestCPUIdleGapThenWork(t *testing.T) {
 	}
 }
 
+// TestCPUChargeQueuesBehindExec: Charge takes its place in the CPU's FIFO
+// like an Exec job, returns its completion time, and schedules nothing.
+func TestCPUChargeQueuesBehindExec(t *testing.T) {
+	s := New(1)
+	cpu := NewCPU(s)
+	var ran time.Duration
+	cpu.Exec(100*time.Millisecond, func() { ran = s.Now() })
+	if done := cpu.Charge(30 * time.Millisecond); done != 130*time.Millisecond {
+		t.Fatalf("charge behind a 100 ms job completes at %v, want 130ms", done)
+	}
+	if s.Pending() != 1 {
+		t.Fatalf("Pending() = %d, want the Exec completion alone", s.Pending())
+	}
+	var after time.Duration
+	cpu.Exec(0, func() { after = s.Now() })
+	s.Run()
+	if ran != 100*time.Millisecond || after != 130*time.Millisecond {
+		t.Fatalf("jobs completed at %v and %v, want 100ms and 130ms", ran, after)
+	}
+	if cpu.BusyTotal() != 130*time.Millisecond {
+		t.Errorf("BusyTotal = %v, want 130ms", cpu.BusyTotal())
+	}
+	s.RunFor(time.Second)
+	if done := cpu.Charge(10 * time.Millisecond); done != s.Now()+10*time.Millisecond {
+		t.Errorf("charge on an idle CPU completes at %v, want now + 10ms", done)
+	}
+}
+
 func TestEventNilSafety(t *testing.T) {
 	// Cancel and Cancelled must both tolerate a nil event: drivers keep
 	// "current timer" fields that are nil until first armed.
@@ -340,138 +368,6 @@ func BenchmarkSchedulerChurn(b *testing.B) {
 		s.Step()
 	}
 	s.Run()
-}
-
-// TestLaneOrderingMatchesHeap schedules the same mix of delays through
-// the lane paths (PostAfterFixed, and WaitFixed with a wait that is never
-// blocked — one callback, one period later) and through the heap
-// (PostAfter) and requires identical firing order: lanes are a data
-// structure change, never an ordering change. Same-timestamp ties must
-// resolve by scheduling order (seq) across the lane/heap boundary.
-func TestLaneOrderingMatchesHeap(t *testing.T) {
-	type sched struct {
-		d    time.Duration
-		lane bool
-	}
-	// Interleave two recurring delays with heap events, including exact
-	// timestamp collisions (1ms lane vs 1ms heap).
-	plan := []sched{
-		{1 * time.Millisecond, true},
-		{1 * time.Millisecond, false},
-		{2 * time.Millisecond, true},
-		{1 * time.Millisecond, true},
-		{2 * time.Millisecond, false},
-		{0, true},
-		{0, false},
-		{3 * time.Millisecond, true}, // third distinct lane delay
-	}
-	run := func(useLanes bool) []int {
-		s := New(1)
-		var got []int
-		for i, p := range plan {
-			i := i
-			fn := func() { got = append(got, i) }
-			switch {
-			case !p.lane || !useLanes:
-				s.PostAfter(p.d, fn)
-			case i%2 == 0:
-				s.WaitFixed(p.d, &gateWait{wake: fn})
-			default:
-				s.PostAfterFixed(p.d, fn)
-			}
-		}
-		s.Run()
-		return got
-	}
-	want := run(false)
-	got := run(true)
-	if len(got) != len(plan) {
-		t.Fatalf("fired %d of %d events", len(got), len(plan))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("firing order diverged at %d: lanes %v, heap %v", i, got, want)
-		}
-	}
-}
-
-// TestLaneRecurringFIFO re-arms a fixed delay from its own callback many
-// times — the transport's poll pattern — and checks the virtual clock
-// advances exactly one delay per firing.
-func TestLaneRecurringFIFO(t *testing.T) {
-	s := New(1)
-	const d = 5 * time.Millisecond
-	n := 0
-	var tick func()
-	tick = func() {
-		n++
-		if want := time.Duration(n) * d; s.Now() != want {
-			t.Fatalf("firing %d at %v, want %v", n, s.Now(), want)
-		}
-		if n < 1000 {
-			s.PostAfterFixed(d, tick)
-		}
-	}
-	s.PostAfterFixed(d, tick)
-	s.Run()
-	if n != 1000 {
-		t.Fatalf("fired %d times, want 1000", n)
-	}
-	if s.Pending() != 0 {
-		t.Fatalf("Pending() = %d after drain", s.Pending())
-	}
-}
-
-// TestLaneOverflowFallsBack schedules more distinct fixed delays than
-// there are lanes; the excess must still fire, in correct order.
-func TestLaneOverflowFallsBack(t *testing.T) {
-	s := New(1)
-	var got []time.Duration
-	for i := maxLanes + 2; i >= 1; i-- {
-		d := time.Duration(i) * time.Millisecond
-		s.PostAfterFixed(d, func() { got = append(got, s.Now()) })
-	}
-	s.Run()
-	if len(got) != maxLanes+2 {
-		t.Fatalf("fired %d events, want %d", len(got), maxLanes+2)
-	}
-	for i := 1; i < len(got); i++ {
-		if got[i] <= got[i-1] {
-			t.Fatalf("out of order: %v", got)
-		}
-	}
-}
-
-// TestLaneSharedByManyPollers has many independent pollers share one
-// delay, so the lane never fully drains and must reclaim its consumed
-// prefix instead of growing without bound.
-func TestLaneSharedByManyPollers(t *testing.T) {
-	s := New(1)
-	const pollers, rounds = 16, 2000
-	total := 0
-	for p := 0; p < pollers; p++ {
-		n := 0
-		var tick func()
-		tick = func() {
-			total++
-			if n++; n < rounds {
-				s.PostAfterFixed(time.Millisecond, tick)
-			}
-		}
-		s.PostAfterFixed(time.Millisecond, tick)
-	}
-	s.Run()
-	if total != pollers*rounds {
-		t.Fatalf("fired %d, want %d", total, pollers*rounds)
-	}
-	// The compaction threshold (head > 64) plus slack for the live tail
-	// bounds the backing array far below the pollers*rounds slots the lane
-	// consumed over its lifetime.
-	for i := range s.lanes {
-		if cap(s.lanes[i].items) > 1024 {
-			t.Fatalf("lane %d backing array grew to %d slots for %d pollers", i, cap(s.lanes[i].items), pollers)
-		}
-	}
 }
 
 // TestArmFiresLikeAfter: a timer that re-arms one owned handle with Arm

@@ -2,6 +2,7 @@ package wireless
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -33,17 +34,44 @@ type Stats struct {
 	LostHook   uint64        // deliveries dropped by the adversary hook
 	LostBusy   uint64        // deliveries missed due to half-duplex transmit
 	BytesOnAir uint64        // payload bytes successfully transmitted
-	AirTime    time.Duration // cumulative busy time of the medium
+	AirTime    time.Duration // cumulative busy time of the medium, Held included
+	// Held is the medium time between wins and first bits: a winner holds
+	// the medium until its frame's not-before time (Station.Queue).
+	Held time.Duration
+}
+
+// Source supplies a station's frames at channel access, so that a frame
+// carries whatever its sender has pending when it gets the medium rather
+// than when it first asked for it.
+type Source interface {
+	// Pending reports whether the source has a frame to send. The channel
+	// asks in every contention round in which the station has nothing
+	// queued; it must be a pure read of simulation state. A source that
+	// becomes pending while the channel is not already contending says so
+	// with Station.Kick.
+	Pending() bool
+	// Build runs when the station wins the medium, or enters a collision,
+	// with nothing queued: the source assembles its frames at that instant
+	// and hands them over with Station.Queue. A source that was Pending in
+	// the round it won queues at least one frame.
+	Build()
+}
+
+// queued is one frame waiting for the medium: it may not start before
+// notBefore.
+type queued struct {
+	frame     []byte
+	notBefore time.Duration
 }
 
 type station struct {
-	id       NodeID
-	recv     Receiver
-	queue    [][]byte
-	gen      uint64 // incremented by Reset; stale completions skip the pop
-	cw       int
-	txUntil  time.Duration // half-duplex: busy transmitting until
-	accesses uint64
+	id      NodeID
+	recv    Receiver
+	src     Source
+	queue   []queued
+	gen     uint64 // incremented by Reset; stale completions skip the pop
+	cw      int
+	txUntil time.Duration // half-duplex: busy transmitting until
 }
 
 // Channel is a single shared wireless medium. All attached stations hear
@@ -57,20 +85,24 @@ type Channel struct {
 	hook     DeliveryHook
 	stats    Stats
 	// armed says a contention round is queued; arbFn is c.arbitrate bound
-	// once (a method value allocates a closure each time it is taken).
-	armed bool
-	arbFn func()
-	// contention-round scratch, reused across arbitrations; never retained
-	// past the arbitrate call that fills it
+	// once (a method value allocates a closure each time it is taken), and
+	// accessFn c.access, the end of the round's backoff.
+	armed    bool
+	arbFn    func()
+	accessFn func()
+	// contention-round scratch, reused across rounds: pending for one
+	// arbitrate call, winners until the access that ends its backoff
 	pending []*station
 	winners []*station
 	// tx is the one transmission on the air (the medium carries one at a
 	// time) and txDoneFn its completion, c.txDone bound once. Likewise the
 	// one collision episode: collisionAir is how long its longest frame
-	// keeps the medium busy, collisionDoneFn its completion.
+	// keeps the medium busy (hold included) and collisionHeld how much of
+	// that is hold, collisionDoneFn its completion.
 	tx              transmission
 	txDoneFn        func()
 	collisionAir    time.Duration
+	collisionHeld   time.Duration
 	collisionDoneFn func()
 	// free holds delivery records for reuse.
 	free []*delivery
@@ -84,7 +116,7 @@ func NewChannel(s *sim.Scheduler, cfg Config) *Channel {
 		panic(err)
 	}
 	c := &Channel{sched: s, cfg: cfg}
-	c.arbFn, c.txDoneFn, c.collisionDoneFn = c.arbitrate, c.txDone, c.collisionDone
+	c.arbFn, c.accessFn, c.txDoneFn, c.collisionDoneFn = c.arbitrate, c.access, c.txDone, c.collisionDone
 	return c
 }
 
@@ -119,36 +151,61 @@ type Station struct {
 // ID returns the station's node ID.
 func (s *Station) ID() NodeID { return s.st.id }
 
-// QueueLen returns the number of frames waiting to be transmitted.
-func (s *Station) QueueLen() int { return len(s.st.queue) }
-
 // Channel returns the channel the station is attached to.
 func (s *Station) Channel() *Channel { return s.ch }
+
+// SetSource binds the source the station pulls its frames from whenever
+// its queue is empty, and contends at once if the source is pending.
+func (s *Station) SetSource(src Source) {
+	s.st.src = src
+	s.Kick()
+}
+
+// Kick tells the channel the station's source may have become pending.
+// While the medium is busy there is nothing to do: whatever holds it
+// starts a contention round when it ends.
+func (s *Station) Kick() {
+	if s.ch.busyTill <= s.ch.sched.Now() {
+		s.ch.kick()
+	}
+}
 
 // Reset discards every frame queued for transmission and restores the
 // initial contention window. Deployment layers call it when a node
 // crashes: a dead radio neither drains its queue nor keeps contending. A
 // frame already mid-air when Reset is called still completes (the energy
-// is already committed), but nothing queued behind it transmits.
+// is already committed), but nothing queued behind it transmits. A frame
+// is mid-air from the moment its station wins the medium: the hold before
+// its first bit is part of the transmission, so a crash during it does not
+// take the frame back.
 func (s *Station) Reset() {
 	s.st.queue = s.st.queue[:0]
 	s.st.gen++
 	s.st.cw = s.ch.cfg.CWMin
 }
 
-// Broadcast queues a frame for transmission. The payload is copied, so the
-// caller may reuse the buffer, and the copy is what every receiver is
-// handed: private to the channel, never pooled, never written again.
-// Frames larger than MaxFrame panic: framing and fragmentation are the
-// transport layer's responsibility.
+// Broadcast queues a frame to go out at the station's next channel access
+// and has the station contend for it.
 func (s *Station) Broadcast(payload []byte) {
+	s.Queue(payload, 0)
+	s.Kick()
+}
+
+// Queue appends a frame to the station's transmit queue: it goes out in
+// queue order, each frame at a channel access of its own, and its first bit
+// no earlier than notBefore — until then the station holds the medium it
+// won. Sources call it from Build. The payload is copied, so the caller
+// may reuse the buffer, and the copy is what every receiver is handed:
+// private to the channel, never pooled, never written again. Frames larger
+// than MaxFrame panic: framing and fragmentation are the transport layer's
+// responsibility.
+func (s *Station) Queue(payload []byte, notBefore time.Duration) {
 	if len(payload) > s.ch.cfg.MaxFrame {
 		panic(fmt.Sprintf("wireless: frame of %d bytes exceeds MTU %d", len(payload), s.ch.cfg.MaxFrame))
 	}
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	s.st.queue = append(s.st.queue, buf)
-	s.ch.kick()
+	s.st.queue = append(s.st.queue, queued{frame: buf, notBefore: notBefore})
 }
 
 // kick ensures a contention round is scheduled when the medium next idles.
@@ -160,13 +217,13 @@ func (c *Channel) kick() {
 	c.sched.Post(max(c.busyTill, c.sched.Now()), c.arbFn)
 }
 
-// contenders returns stations with pending frames, in deterministic order.
-// The returned slice is scratch owned by the channel, valid only until the
-// next contention round.
+// contenders returns stations with queued frames or a pending source, in
+// deterministic order. The returned slice is scratch owned by the channel,
+// valid only until the next contention round.
 func (c *Channel) contenders() []*station {
 	out := c.pending[:0]
 	for _, st := range c.stations {
-		if len(st.queue) > 0 {
+		if len(st.queue) > 0 || st.src != nil && st.src.Pending() {
 			out = append(out, st)
 		}
 	}
@@ -175,7 +232,8 @@ func (c *Channel) contenders() []*station {
 }
 
 // arbitrate runs one CSMA contention round: every pending station draws a
-// backoff slot; the unique minimum transmits, ties collide.
+// backoff slot; the unique minimum wins, ties collide. The round's backoff
+// reserves the medium until access runs at its end.
 func (c *Channel) arbitrate() {
 	c.armed = false
 	if c.busyTill > c.sched.Now() {
@@ -201,31 +259,55 @@ func (c *Channel) arbitrate() {
 		}
 	}
 	c.winners = winners
-	start := c.sched.Now() + c.cfg.DIFS + time.Duration(minSlot)*c.cfg.SlotTime
-	if len(winners) == 1 {
-		c.beginTx(winners[0], start)
-		return
+	c.busyTill = c.sched.Now() + c.cfg.DIFS + time.Duration(minSlot)*c.cfg.SlotTime
+	c.sched.Post(c.busyTill, c.accessFn)
+}
+
+// access ends a contention round's backoff: the winners own the medium.
+// A winner with nothing queued has its source build its frames now, so
+// they carry what is pending at this instant; one whose source has
+// nothing left drops out, and a round nobody is left in frees the medium.
+func (c *Channel) access() {
+	now := c.sched.Now()
+	winners := c.winners[:0]
+	for _, st := range c.winners {
+		if len(st.queue) == 0 && st.src != nil {
+			st.src.Build()
+		}
+		if len(st.queue) > 0 {
+			winners = append(winners, st)
+		}
 	}
-	c.beginCollision(winners, start)
+	c.winners = winners
+	switch len(winners) {
+	case 0:
+		c.kick()
+	case 1:
+		c.beginTx(winners[0], now)
+	default:
+		c.beginCollision(winners, now)
+	}
 }
 
-// transmission is a successful frame on the air, from beginTx to txDone.
+// transmission is a successful frame on the medium, from beginTx to txDone:
+// held from won, on the air from start.
 type transmission struct {
-	st         *station
-	gen        uint64
-	frame      []byte
-	start, end time.Duration
+	st              *station
+	gen             uint64
+	frame           []byte
+	won, start, end time.Duration
 }
 
-func (c *Channel) beginTx(st *station, start time.Duration) {
+func (c *Channel) beginTx(st *station, won time.Duration) {
 	if c.tx.st != nil {
 		panic("wireless: transmission begun while another is on the air")
 	}
-	frame := st.queue[0]
-	end := start + c.cfg.Airtime(len(frame))
+	q := st.queue[0]
+	start := max(won, q.notBefore)
+	end := start + c.cfg.Airtime(len(q.frame))
 	c.busyTill = end
 	st.txUntil = end
-	c.tx = transmission{st: st, gen: st.gen, frame: frame, start: start, end: end}
+	c.tx = transmission{st: st, gen: st.gen, frame: q.frame, won: won, start: start, end: end}
 	c.sched.Post(end, c.txDoneFn)
 }
 
@@ -242,22 +324,24 @@ func (c *Channel) txDone() {
 		st.queue = slices.Delete(st.queue, 0, 1)
 	}
 	st.cw = c.cfg.CWMin
-	st.accesses++
 	c.stats.Accesses++
 	c.stats.BytesOnAir += uint64(len(tx.frame))
-	c.stats.AirTime += tx.end - tx.start
+	c.stats.AirTime += tx.end - tx.won
+	c.stats.Held += tx.start - tx.won
 	c.deliver(st, tx.frame, tx.start, tx.end)
 	c.kick()
 }
 
-func (c *Channel) beginCollision(winners []*station, start time.Duration) {
-	var maxAir time.Duration
+// beginCollision puts every winner's head frame on the air at once, each
+// from its own first bit; the medium is busy until the last one ends.
+func (c *Channel) beginCollision(winners []*station, won time.Duration) {
+	end, held := won, time.Duration(math.MaxInt64)
 	for _, st := range winners {
-		if a := c.cfg.Airtime(len(st.queue[0])); a > maxAir {
-			maxAir = a
-		}
+		q := st.queue[0]
+		start := max(won, q.notBefore)
+		end = max(end, start+c.cfg.Airtime(len(q.frame)))
+		held = min(held, start-won)
 	}
-	end := start + maxAir
 	c.busyTill = end
 	for _, st := range winners {
 		st.txUntil = end
@@ -265,7 +349,7 @@ func (c *Channel) beginCollision(winners []*station, start time.Duration) {
 			st.cw *= 2
 		}
 	}
-	c.collisionAir = maxAir
+	c.collisionAir, c.collisionHeld = end-won, held
 	c.sched.Post(end, c.collisionDoneFn)
 }
 
@@ -275,6 +359,7 @@ func (c *Channel) beginCollision(winners []*station, start time.Duration) {
 func (c *Channel) collisionDone() {
 	c.stats.Collisions++
 	c.stats.AirTime += c.collisionAir
+	c.stats.Held += c.collisionHeld
 	c.kick()
 }
 

@@ -263,8 +263,8 @@ func TestStationResetFlushesQueue(t *testing.T) {
 	if got := len(sinks[1].frames); got > 1 {
 		t.Errorf("receiver got %d frames after Reset, want <= 1", got)
 	}
-	if st[0].QueueLen() != 0 {
-		t.Errorf("queue not flushed: %d frames", st[0].QueueLen())
+	if n := len(st[0].st.queue); n != 0 {
+		t.Errorf("queue not flushed: %d frames", n)
 	}
 	// The station keeps working after a Reset (recovery).
 	st[0].Broadcast([]byte("back"))
@@ -373,5 +373,83 @@ func TestContendedBroadcastAllocatesOnlyTheCopy(t *testing.T) {
 	}
 	if allocs != 12 {
 		t.Fatalf("%v allocations per round of 12 frames, want 12", allocs)
+	}
+}
+
+// source is a Source that, at each win, queues perBuild one-byte frames,
+// each to go out hold after the win, for as long as it has builds left.
+type source struct {
+	st       *Station
+	sched    *sim.Scheduler
+	builds   int
+	perBuild int
+	hold     time.Duration
+	builtAt  []time.Duration
+}
+
+func (f *source) Pending() bool { return f.builds > 0 }
+
+func (f *source) Build() {
+	if f.builds == 0 {
+		return
+	}
+	f.builds--
+	now := f.sched.Now()
+	f.builtAt = append(f.builtAt, now)
+	for i := 0; i < f.perBuild; i++ {
+		f.st.Queue([]byte{byte(len(f.builtAt))}, now+f.hold)
+	}
+}
+
+// TestSourceBuildsAtTheWinAndHolds: a pending source contends with nothing
+// queued, builds when its backoff ends, and holds the medium from then until
+// its frame's not-before time; Held counts exactly those holds and AirTime
+// counts them with the airtime.
+func TestSourceBuildsAtTheWinAndHolds(t *testing.T) {
+	s, ch, st, sinks := newTestChannel(t, 2, lossless())
+	const hold = 300 * time.Millisecond
+	src := &source{st: st[0], sched: s, builds: 3, perBuild: 1, hold: hold}
+	st[0].SetSource(src)
+	s.Run()
+	if len(src.builtAt) != 3 || len(sinks[1].frames) != 3 {
+		t.Fatalf("%d builds, %d frames heard; want 3 and 3", len(src.builtAt), len(sinks[1].frames))
+	}
+	cfg := ch.Config()
+	air := cfg.Airtime(1)
+	for i, at := range src.builtAt {
+		if i == 0 && at < cfg.DIFS {
+			t.Errorf("first build at %v, before the DIFS of its contention round", at)
+		}
+		if got, want := sinks[1].frames[i].at, at+hold+air; got != want {
+			t.Errorf("frame %d heard at %v, want build %v + hold + airtime = %v", i, got, at, want)
+		}
+	}
+	if got := ch.Stats(); got.Held != 3*hold || got.AirTime != 3*(hold+air) {
+		t.Errorf("Held %v, AirTime %v; want %v and %v", got.Held, got.AirTime, 3*hold, 3*(hold+air))
+	}
+}
+
+// TestCrashDuringHoldKeepsMidAirRule: a station reset while it holds the
+// medium it won still sends the frame it won with — the hold is part of the
+// transmission — and nothing queued behind it.
+func TestCrashDuringHoldKeepsMidAirRule(t *testing.T) {
+	s, ch, st, sinks := newTestChannel(t, 2, lossless())
+	src := &source{st: st[0], sched: s, builds: 1, perBuild: 2, hold: time.Second}
+	st[0].SetSource(src)
+	for len(src.builtAt) == 0 {
+		if !s.Step() {
+			t.Fatal("the source never won the medium")
+		}
+	}
+	st[0].Reset()
+	s.Run()
+	if len(sinks[1].frames) != 1 {
+		t.Fatalf("%d frames heard after a reset during the hold, want the one that had won", len(sinks[1].frames))
+	}
+	if want := src.builtAt[0] + time.Second + ch.Config().Airtime(1); sinks[1].frames[0].at != want {
+		t.Errorf("frame heard at %v, want %v: after its hold", sinks[1].frames[0].at, want)
+	}
+	if n := len(st[0].st.queue); n != 0 || ch.Stats().Accesses != 1 {
+		t.Errorf("%d frames still queued, %d accesses; want 0 and 1", n, ch.Stats().Accesses)
 	}
 }

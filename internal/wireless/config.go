@@ -9,6 +9,9 @@
 //   - CSMA-style contention: stations with pending frames draw a random
 //     backoff slot after a DIFS gap; the minimum draw transmits, ties collide
 //     and retry with a doubled contention window;
+//   - frames bound at channel access: a station's Source builds its frames
+//     when the station wins the medium, and the station holds the medium
+//     from the win until the frame's not-before time (its signature);
 //   - airtime proportional to frame size (preamble + bytes/bitrate), so
 //     batching N messages into one frame pays once for channel access;
 //   - half-duplex radios: a station transmitting during a frame's airtime
