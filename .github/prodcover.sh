@@ -51,7 +51,7 @@ wbft -protocol beat -coin CP -topology clustered
 wbft -workload chain -depth 2 -epochs 4
 wbft -workload chain -protocol dumbo -depth 4 -epochs 6 -txinterval 2s
 wbft -topology clustered -workload chain -epochs 3 -txinterval 2s
-wbft -workload chain -epochs 14 -scenario "crash@6m:2;recover@12m:2"
+wbft -workload chain -epochs 14 -scenario "crash@4m:2;recover@8m:2"
 wbft -scenario "partition@1m:0,1/2,3;heal@3m;jam@4m+60s"
 wbft -workload chain -epochs 8 -scenario "byz@0s:3:equivocate"
 wbft chain -epochs 6 -arrival poisson -rate 0.08 -mempool-cap 2048

@@ -25,11 +25,11 @@ func main() {
 	// keep the window as long as the planned outage.
 	spec.Workload.GCLag = spec.Workload.Epochs
 	spec.Scenario = scenario.Plan{}.Then(
-		scenario.CrashAt(6*time.Minute, 2),    // ~epoch 5 at the default cadence
-		scenario.RecoverAt(12*time.Minute, 2), // ~epoch 10
+		scenario.CrashAt(4*time.Minute, 2),   // ~epoch 5 at the default cadence
+		scenario.RecoverAt(8*time.Minute, 2), // ~epoch 10
 	)
 
-	fmt.Println("4-node wireless HoneyBadgerBFT-SC chain; node 2 crashes at 6m, recovers at 12m")
+	fmt.Println("4-node wireless HoneyBadgerBFT-SC chain; node 2 crashes at 4m, recovers at 8m")
 	res, err := run.Run(spec)
 	if err != nil {
 		log.Fatal(err)
@@ -44,7 +44,7 @@ func main() {
 		}
 		role := ""
 		if i == 2 {
-			role = "  <- crashed at 6m, recovered at 12m, caught up"
+			role = "  <- crashed at 4m, recovered at 8m, caught up"
 		}
 		fmt.Printf("  node %d: %2d epochs, %3d txs committed%s\n", i, len(nodeLog), txs, role)
 	}

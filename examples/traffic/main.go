@@ -42,7 +42,7 @@ func main() {
 	fmt.Println("open-loop Poisson load on HoneyBadgerBFT-SC: 4 nodes, 4 chained epochs,")
 	fmt.Println("1000 simulated clients, 2 KiB mempool admission cap per node")
 
-	// The measured commit capacity on this channel is ~0.25 tx/s, so the
+	// The measured commit capacity on this channel is ~0.5 tx/s, so the
 	// rates step from well under the knee to far past it.
 	rates := []float64{0.02, 0.08, 0.32, 1.28}
 

@@ -40,8 +40,8 @@ var faultScenarios = []faultScenario{
 	{"crash-recover", crashRecover()},
 	{"delay-adversary", scenario.Delay(0.25, 10*time.Second)},
 	{"jam-burst", scenario.Plan{}.Then(
-		scenario.JamAt(5*time.Minute, 90*time.Second),
-		scenario.LossBurst(10*time.Minute, 5*time.Minute, 0.3),
+		scenario.JamAt(3*time.Minute, 90*time.Second),
+		scenario.LossBurst(6*time.Minute, 5*time.Minute, 0.3),
 	)},
 	{"partition-heal", scenario.Plan{}.Then(
 		scenario.PartitionAt(4*time.Minute, []int{0, 1}, []int{2, 3}),

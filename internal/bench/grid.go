@@ -84,13 +84,14 @@ func byzPlan(s *run.Spec, behavior string) scenario.Plan {
 }
 
 // crashRecover is the crash/recover cycle the fault sweeps share, placed
-// against the ~65 s epoch cadence of batched HoneyBadger: the crash lands
-// around its epoch 7, the recovery near its epoch 12 (earlier epochs of
-// the slower configurations); a run ends once the recovered node caught up.
+// against the ~38 s epoch cadence of batched HoneyBadger: the crash lands
+// around its epoch 8, the recovery after its fault-free run would have
+// ended (earlier epochs of the slower configurations); a run ends once the
+// recovered node caught up.
 func crashRecover() scenario.Plan {
 	return scenario.Plan{}.Then(
-		scenario.CrashAt(8*time.Minute, 2),
-		scenario.RecoverAt(16*time.Minute, 2),
+		scenario.CrashAt(5*time.Minute, 2),
+		scenario.RecoverAt(10*time.Minute, 2),
 	)
 }
 

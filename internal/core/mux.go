@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"math"
 	"slices"
 	"time"
 
@@ -28,12 +29,14 @@ import (
 // whatever that epoch has dirty at that instant. Contention for the one
 // shared medium is what turns into batching across the whole pipeline.
 //
-// Inbound, ReceiveFrame is the one receive path: frames for epochs that
-// are not (or no longer) open are counted and dropped before any CPU is
-// charged; once the receiver opens the epoch, its first frames carry NACK
-// rows with nothing done, which bring the sender's state back on the air,
-// and OnUnknownEpoch gives the SMR layer an early signal that a peer is
-// already working on a future epoch.
+// Inbound, ReceiveFrame is the one receive path. It first notes the
+// sender's turn — when this node last heard any radio frame from each
+// station, which paces every epoch's unasked re-sends — and then routes:
+// frames for epochs that are not (or no longer) open are counted and
+// dropped before any CPU is charged; once the receiver opens the epoch,
+// its first frames carry NACK rows with nothing done, which bring the
+// sender's state back on the air, and OnUnknownEpoch gives the SMR layer
+// an early signal that a peer is already working on a future epoch.
 type Mux struct {
 	sched *sim.Scheduler
 	cpu   *sim.CPU
@@ -66,6 +69,14 @@ type Mux struct {
 	// heard is, by transmitting station, one past the highest epoch any of
 	// its frames named (0: none heard).
 	heard []int
+	// lastHeard is, by transmitting station, when a radio frame of its last
+	// reached this node (unheard: none has) — the turns the retransmission
+	// policy paces unasked re-sends by (Transport.retransmit). paced says an
+	// epoch holds a re-send back until the live station heard least
+	// recently, last heard at awaited, is heard again.
+	lastHeard []time.Duration
+	paced     bool
+	awaited   time.Duration
 
 	closedStats Stats // accumulated counters of closed transports
 	dropped     uint64
@@ -286,6 +297,7 @@ var _ wireless.Receiver = (*Mux)(nil)
 // reassemble, then route by the frame header's epoch. Authentication
 // happens inside the routed transport, on the node's CPU.
 func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
+	m.noteTurn(from)
 	raw, ok, forged := m.reasm.feed(from, payload)
 	if forged {
 		m.droppedSess++
@@ -311,4 +323,46 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		return
 	}
 	t.receiveLogical(raw)
+}
+
+// unheard is the lastHeard of a station no frame has come from.
+const unheard = time.Duration(math.MinInt64)
+
+// noteTurn records that a radio frame from station from reached this node
+// now — any frame, before reassembly, authenticated or not. When it is the
+// turn the paced epochs were waiting for, they look again.
+func (m *Mux) noteTurn(from wireless.NodeID) {
+	for int(from) >= len(m.lastHeard) {
+		m.lastHeard = append(m.lastHeard, unheard)
+	}
+	prev := m.lastHeard[from]
+	m.lastHeard[from] = m.sched.Now()
+	if !m.paced || prev > m.awaited {
+		return // nothing waits, or not for this station's turn
+	}
+	m.paced = false
+	for _, t := range m.epochs {
+		if t.paced {
+			t.paced = false
+			t.resend()
+		}
+	}
+}
+
+// liveWindow is how long a station counts as taking turns after its last
+// frame: RetxInterval << maxAge, by when every re-send schedule has come
+// round, so a peer silent for that long is not taking turns.
+func (m *Mux) liveWindow() time.Duration { return m.cfg.RetxInterval << maxAge }
+
+// oldestTurn returns when the live station heard least recently was last
+// heard, or never when no station is live: one whose last frame is less
+// than the live window old.
+func (m *Mux) oldestTurn(now time.Duration) time.Duration {
+	oldest := never
+	for _, at := range m.lastHeard {
+		if at > now-m.liveWindow() && at < oldest {
+			oldest = at
+		}
+	}
+	return oldest
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -156,5 +157,48 @@ func TestMuxCloseGarbageCollects(t *testing.T) {
 	}
 	if s := r.muxes[0].Stats(); s.LogicalSent <= sent-1 {
 		t.Fatalf("sender stats = %+v, want >= %d logical sent", s, sent)
+	}
+}
+
+// TestCrashMidBurstNextPacketDelivered: a node crashes while the second of
+// its packet's three fragments is on the air. That fragment still arrives,
+// the third never goes out, and the receiver is left holding two thirds of
+// a packet. Back up, the node's next packet continues the fragment sequence
+// — it supersedes the partial one rather than completing it — and is
+// delivered whole.
+func TestCrashMidBurstNextPacketDelivered(t *testing.T) {
+	r := newMuxRig(t, 2)
+	tx, rx := r.muxes[0], r.muxes[1]
+	var got [][]byte
+	rx.Open(1).Register(packet.KindRBC, HandlerFunc(func(_ uint16, sec packet.Section) {
+		for _, e := range sec.Entries {
+			got = append(got, e.Data)
+		}
+	}))
+	value := func(b byte) Intent {
+		in := intentFor(0)
+		in.Data = bytes.Repeat([]byte{b}, 500) // three fragments
+		return in
+	}
+	tx.Open(1).Update(value(1))
+	for rx.reasm.bufs == nil || rx.reasm.bufs[0].have == 0 {
+		if !r.sched.Step() {
+			t.Fatal("the first fragment never arrived")
+		}
+	}
+	r.sched.RunFor(r.ch.Config().SlotTime + time.Millisecond) // into the second
+	tx.Stop()
+	tx.station.Reset()
+	r.sched.Run()
+	if p := rx.reasm.bufs[0]; p.have != 2 || p.total != 3 || len(got) != 0 {
+		t.Fatalf("after the crash the receiver holds %d of %d fragments and %d values, want 2 of 3 and none", p.have, p.total, len(got))
+	}
+	tx.Open(1).Update(value(2))
+	r.sched.Run()
+	if len(got) != 1 || got[0][0] != 2 {
+		t.Fatalf("the receiver got %d values after the recovery, want the new one alone", len(got))
+	}
+	if n := rx.Stats().AuthFailures; n != 0 {
+		t.Errorf("%d authentication failures: fragments of two packets were mixed", n)
 	}
 }

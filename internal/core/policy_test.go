@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"repro/internal/packet"
+	"repro/internal/sim"
 	"repro/internal/wireless"
 )
 
@@ -204,5 +205,189 @@ func TestSettledIntentWaitsToBeAsked(t *testing.T) {
 	r.sched.RunFor(5 * time.Second)
 	if at := carrying(*got, 1); len(at) == 0 || at[len(at)-1] < reborn {
 		t.Fatal("the reborn peer's undone row did not bring the intent back")
+	}
+}
+
+// turnLog is a listening station that records who transmitted when.
+type turnLog struct {
+	sched *sim.Scheduler
+	from  []wireless.NodeID
+	at    []time.Duration
+}
+
+func (l *turnLog) ReceiveFrame(from wireless.NodeID, _ []byte) {
+	l.from = append(l.from, from)
+	l.at = append(l.at, l.sched.Now())
+}
+
+// of returns when the frames of station id were heard.
+func (l *turnLog) of(id wireless.NodeID) (out []time.Duration) {
+	for i, f := range l.from {
+		if f == id {
+			out = append(out, l.at[i])
+		}
+	}
+	return out
+}
+
+// listen attaches a turnLog to the rig's channel.
+func listen(r *rig) *turnLog {
+	l := &turnLog{sched: r.sched}
+	r.ch.Attach(99, l)
+	return l
+}
+
+// speaker returns a function that has node i transmit one frame: a change to
+// a NACK row of a phase no test intent here uses, which goes out once and
+// is never re-sent.
+func speaker(r *rig) func(i int) {
+	said := make([]int, len(r.transports))
+	return func(i int) {
+		said[i]++
+		row := packet.NewBitSet(64)
+		row.Set(said[i])
+		r.transports[i].SetNack(packet.KindPRBC, packet.PhaseDone, row)
+	}
+}
+
+// between counts the times in ts that fall in (lo, hi].
+func between(ts []time.Duration, lo, hi time.Duration) (n int) {
+	for _, t := range ts {
+		if t > lo && t <= hi {
+			n++
+		}
+	}
+	return n
+}
+
+// TestUnaskedResendWaitsForEveryLivePeer: a re-send nobody asked for goes
+// out only once every live peer has been heard since the intent last went
+// out. Hearing one of two peers again is not enough; hearing the second
+// sends it.
+func TestUnaskedResendWaitsForEveryLivePeer(t *testing.T) {
+	r := newPolicyRig(t, 3, nil)
+	air, speak := listen(r), speaker(r)
+	r.transports[0].Update(Intent{IntentKey: IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux}, Data: []byte{1}})
+	r.sched.RunFor(time.Second)
+	speak(1)
+	speak(2)
+	r.sched.RunFor(19 * time.Second) // the first re-send passes, the second falls due
+	if n := len(air.of(0)); n != 2 {
+		t.Fatalf("%d frames from node 0 in 20 s, want the first send and one re-send", n)
+	}
+	speak(1)
+	r.sched.RunFor(10 * time.Second)
+	if n := len(air.of(0)); n != 2 {
+		t.Fatalf("node 0 re-sent with node 2 not yet heard again (%d frames)", n)
+	}
+	heard := r.sched.Now()
+	speak(2)
+	r.sched.RunFor(3 * time.Second)
+	if n := between(air.of(0), heard, r.sched.Now()); n != 1 {
+		t.Fatalf("%d re-sends within 3 s of hearing the last live peer, want 1", n)
+	}
+}
+
+// TestAskedResendIsNotPaced: a peer's undone row brings an intent out even
+// though another live peer has not been heard since it last went out —
+// at once when it was already due and waiting for that peer's turn, and
+// one base period after its last send when the ask comes sooner.
+func TestAskedResendIsNotPaced(t *testing.T) {
+	r := newPolicyRig(t, 3, nil)
+	air, speak := listen(r), speaker(r)
+	r.transports[0].Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 1}, Data: []byte{1}})
+	r.sched.RunFor(time.Second)
+	speak(2) // node 2 is live from here on, and silent
+	r.sched.RunFor(19 * time.Second)
+	if n := len(air.of(0)); n != 2 {
+		t.Fatalf("%d frames from node 0 in 20 s, want the first send and one re-send", n)
+	}
+	ask := func() time.Duration {
+		row := packet.NewBitSet(4)
+		row.Set(0) // slot 1 undone
+		row.Set(2 + len(air.of(1)))
+		r.transports[1].SetNack(packet.KindRBC, packet.PhaseEcho, row)
+		return r.sched.Now()
+	}
+	asked := ask()
+	r.sched.RunFor(2 * time.Second)
+	if n := between(air.of(0), asked, r.sched.Now()); n != 1 {
+		t.Fatalf("%d re-sends within 2 s of an ask for a due intent, want 1", n)
+	}
+	asked = ask()
+	r.sched.RunFor(testRetx*5/4 + 2*time.Second)
+	if n := between(air.of(0), asked, r.sched.Now()); n != 1 {
+		t.Fatalf("%d re-sends within a base period of an ask for an intent just sent, want 1", n)
+	}
+}
+
+// TestSilentPeerStopsPacing: a peer heard once and then silent holds the
+// unasked re-sends back until its last frame is RetxInterval << maxAge old,
+// and not a moment longer.
+func TestSilentPeerStopsPacing(t *testing.T) {
+	r := newPolicyRig(t, 2, nil)
+	air, speak := listen(r), speaker(r)
+	r.transports[0].Update(Intent{IntentKey: IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux}, Data: []byte{1}})
+	r.sched.RunFor(time.Second)
+	speak(1)
+	r.sched.RunFor(2 * time.Minute)
+	last := air.of(1)
+	if len(last) != 1 {
+		t.Fatalf("node 1 sent %d frames, want 1", len(last))
+	}
+	lapse := last[0] + testRetx<<maxAge
+	sends := air.of(0)
+	if len(sends) < 3 {
+		t.Fatalf("%d frames from node 0 in two minutes, want the re-sends to resume", len(sends))
+	}
+	// The first re-send came before the lapse (node 1 was heard after the
+	// first send); the second waited for it.
+	if sends[1] > lapse || sends[2] < lapse || sends[2] > lapse+time.Second {
+		t.Errorf("re-sends at %v and %v, want one before and one just after %v", sends[1], sends[2], lapse)
+	}
+}
+
+// buildLog is a listening station that records, for each frame it hears,
+// when it ended and when its sender built it: the sender's one intent went
+// out in every frame of its, so its sentAt is the frame's build time.
+type buildLog struct {
+	r            *rig
+	heard, built [][]time.Duration // by sender
+}
+
+func (l *buildLog) ReceiveFrame(from wireless.NodeID, _ []byte) {
+	l.heard[from] = append(l.heard[from], l.r.sched.Now())
+	l.built[from] = append(l.built[from], l.r.transports[from].live[0].sentAt)
+}
+
+// TestRowlessResendsCycle: four nodes that hold nothing but intents no NACK
+// row covers keep re-sending them — no node waits on another that waits on
+// it — and every re-send is built only once each other node has been heard
+// since the frame before it was built, or has been silent for the live
+// window (a period at the slowest age is up to 1.25 × the window, so that
+// happens here).
+func TestRowlessResendsCycle(t *testing.T) {
+	r := newPolicyRig(t, 4, nil)
+	air := &buildLog{r: r, heard: make([][]time.Duration, 4), built: make([][]time.Duration, 4)}
+	r.ch.Attach(99, air)
+	for i, tr := range r.transports {
+		tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux, Slot: uint8(i)}, Data: []byte{1}})
+	}
+	r.sched.RunFor(15 * time.Minute)
+	for i := range r.transports {
+		built := air.built[i]
+		if len(built) < 10 {
+			t.Fatalf("node %d sent %d frames in 15 minutes", i, len(built))
+		}
+		for k := 1; k < len(built); k++ {
+			for j := range r.transports {
+				if j == i || between(air.heard[j], built[k-1], built[k]) > 0 {
+					continue
+				}
+				if between(air.heard[j], built[k]-testRetx<<maxAge, built[k]) > 0 {
+					t.Fatalf("node %d built a re-send at %v without hearing node %d, live, since %v", i, built[k], j, built[k-1])
+				}
+			}
+		}
 	}
 }

@@ -17,16 +17,19 @@
 // instant. An idle node's first contention waits out a short aggregation
 // window; after that, state that changes while the node contends rides the
 // frame that wins. The signature's CPU time is charged at the win, and the
-// station holds the medium until it is spent.
+// station holds the medium until it is spent. Frames larger than the radio
+// MTU are fragmented, and a logical packet is one channel access: its
+// fragments follow one another in a burst (wireless.Station.Follow).
+// Receivers reassemble them; a newer frame from the same sender supersedes
+// any partial older one.
 //
 // Reliability is NACK-based (Sec. IV-B1) and demand-driven: a frame carries
 // the intents that changed or came due, plus every per-phase O(N) NACK
 // bitmap the epoch has set. An intent nobody asks for is re-sent on a
-// geometrically backed-off schedule; a peer whose bitmap shows a slot
-// undone puts that slot's intents back on the base period, and the
-// components prune what every peer has confirmed. Frames larger than the
-// radio MTU are fragmented and reassembled; a newer frame from the same
-// sender supersedes any partial older one.
+// geometrically backed-off schedule, and only once every live peer has had
+// the medium since it last went out; a peer whose bitmap shows a slot
+// undone puts that slot's intents back on the base period, unpaced, and
+// the components prune what every peer has confirmed.
 //
 // A node has one Mux, which owns everything node-scoped, and one Transport
 // per open epoch, which owns that epoch's state (mux.go); components talk
@@ -158,10 +161,11 @@ type Transport struct {
 	// retxEvt is the one retransmission timer, armed for the earliest due
 	// re-send (retxArmed: queued and not yet fired); retxFn is t.retransmit
 	// bound once, because taking a method value allocates a closure each
-	// time.
+	// time. paced says a due re-send waits for a peer's turn.
 	retxEvt   *sim.Event
 	retxArmed bool
 	retxFn    func()
+	paced     bool
 	stopped   bool
 
 	stats Stats
@@ -176,9 +180,14 @@ type Transport struct {
 // (kind, phase) that has NACK rows is settled once every peer whose row
 // has reached this node shows its slot done: it is then re-sent only when
 // asked — a peer that was silent until now (a crashed one coming back, one
-// that opens the epoch late) asks with its first frame. The timer takes
-// along every intent due within RetxInterval/retxSlack of the earliest, so
-// one frame carries them.
+// that opens the epoch late) asks with its first frame. An unasked re-send
+// also waits its turn: it goes out only once every live station (one heard
+// within Mux.liveWindow) has been heard again since the intent was
+// last sent, so the node whose last transmission is oldest goes first and
+// a re-send never takes the medium from a peer that has not yet answered
+// the last one; a peer silent for the whole window stops pacing. The timer
+// takes along every intent due within RetxInterval/retxSlack of the
+// earliest, so one frame carries them.
 const (
 	maxAge    = 4 // 2^4 = 16x RetxInterval at the slowest
 	retxSlack = 4
@@ -407,26 +416,42 @@ func (t *Transport) armRetx(at time.Duration) {
 
 // retransmit is the retransmission timer's callback: every intent due by
 // now (or within the slack) goes into the next frame, one age older unless
-// a peer asked for it — or, settled, waits to be asked — and the timer is
-// re-armed for the earliest of the rest.
+// a peer asked for it — or, settled, waits to be asked, or, unasked, waits
+// for every live peer's turn — and the timer is re-armed for the earliest
+// of the rest, or for when the peer whose turn is awaited leaves the live
+// window. A frame heard from any station has a waiting epoch look again
+// (Mux.noteTurn).
 func (t *Transport) retransmit() {
 	t.retxArmed = false
+	t.resend()
+}
+
+// resend is retransmit's work, which Mux.noteTurn also runs when the turn a
+// paced re-send waits for comes.
+func (t *Transport) resend() {
 	if t.stopped {
 		return
 	}
-	horizon := t.m.sched.Now() + t.m.cfg.RetxInterval/retxSlack
-	next, marked := never, false
+	now := t.m.sched.Now()
+	horizon, oldest := now+t.m.cfg.RetxInterval/retxSlack, t.m.oldestTurn(now)
+	next, marked, paced := never, false, false
 	for i := range t.live {
 		e := &t.live[i]
 		switch {
 		case e.dirty:
 		case e.due <= horizon:
-			if !e.asked && t.settled(e) {
-				e.due = never
-				continue
-			}
-			if !e.asked && e.age < maxAge {
-				e.age++
+			if !e.asked {
+				if t.settled(e) {
+					e.due = never
+					continue
+				}
+				if oldest <= e.sentAt {
+					paced = true
+					continue
+				}
+				if e.age < maxAge {
+					e.age++
+				}
 			}
 			t.markDirty(e)
 			marked = true
@@ -436,6 +461,10 @@ func (t *Transport) retransmit() {
 	}
 	if marked {
 		t.Flush()
+	}
+	if paced {
+		t.paced, t.m.paced, t.m.awaited = true, true, oldest
+		next = min(next, oldest+t.m.liveWindow())
 	}
 	t.armRetx(next)
 }
@@ -477,7 +506,8 @@ func (t *Transport) settled(e *liveIntent) bool {
 
 // demand applies a peer's NACK row as a request for this node's intents of
 // every slot it shows undone: each is due one base period after its last
-// send at the latest, and goes out at once if that has passed.
+// send at the latest, and goes out at once if that has passed — or if it
+// was already due and waiting for a turn, which an asked re-send does not.
 func (t *Transport) demand(sec *packet.Section) {
 	now, base := t.m.sched.Now(), t.m.cfg.RetxInterval
 	next, flush := never, false
@@ -493,12 +523,12 @@ func (t *Transport) demand(sec *packet.Section) {
 		e.asked = true
 		if at := e.sentAt + base; e.due > at {
 			e.age, e.due = 0, at
-			if at <= now {
-				t.markDirty(e)
-				flush = true
-			} else {
-				next = min(next, at)
-			}
+		}
+		if e.due <= now {
+			t.markDirty(e)
+			flush = true
+		} else {
+			next = min(next, e.due)
 		}
 	}
 	if flush {
@@ -622,11 +652,12 @@ func (t *Transport) endFrame() []packet.Section {
 }
 
 // sendLogical encodes, signs and fragments one logical packet and queues
-// its radio frames on the station. The signature's cost is charged to the
-// node's CPU now, behind whatever it is already busy with, and no fragment
-// may start before that charge completes: the station holds the medium it
-// won until then. The packet is encoded and signed in the node's one
-// buffer, which Station.Queue copies each fragment out of.
+// its radio frames on the station, the first at an access of its own and
+// the rest to follow it in one burst. The signature's cost is charged to
+// the node's CPU now, behind whatever it is already busy with, and no
+// fragment may start before that charge completes: the station holds the
+// medium it won until then. The packet is encoded and signed in the node's
+// one buffer, which the station copies each fragment out of.
 func (t *Transport) sendLogical(sections []packet.Section) {
 	m := t.m
 	st := m.station
@@ -656,7 +687,11 @@ func (t *Transport) sendLogical(sections []packet.Section) {
 	for i := 0; i < total; i++ {
 		m.out.fragBuf = appendFragment(m.out.fragBuf[:0], raw, uint16(st.ID()), m.out.seq, i, total, chunk)
 		t.stats.FragmentsSent++
-		st.Queue(m.out.fragBuf, signed)
+		if i == 0 {
+			st.Queue(m.out.fragBuf, signed)
+		} else {
+			st.Follow(m.out.fragBuf)
+		}
 	}
 	m.out.seq++
 }

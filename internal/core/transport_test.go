@@ -186,6 +186,9 @@ func TestFragmentationRoundTrip(t *testing.T) {
 	if tr.Stats().FragmentsSent < 3 {
 		t.Fatalf("FragmentsSent = %d, want >= 3", tr.Stats().FragmentsSent)
 	}
+	if n := r.ch.Stats().Accesses; n != 1 {
+		t.Errorf("the packet's fragments took %d channel accesses, want 1 burst", n)
+	}
 	got := r.received[1][packet.KindRBC]
 	if len(got) != 1 {
 		t.Fatalf("receiver reassembled %d sections, want 1", len(got))

@@ -134,10 +134,14 @@ func TestChainEpochGC(t *testing.T) {
 }
 
 // TestChainDedup: every client tx is broadcast to all four mempools, so
-// without commit-time dedup the log would repeat most payloads ~4x.
+// without commit-time dedup the log would repeat most payloads ~4x. A
+// transaction reaches more than its own shard's proposal only through the
+// crash fallback, once it has waited ReproposeAge; at this run's pace none
+// waits the 5-minute default, so the fallback fires after 2.
 func TestChainDedup(t *testing.T) {
 	spec := quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, true, 7)
 	spec.Workload.Epochs = 8
+	spec.Workload.Mempool.ReproposeAge = 2 * time.Minute
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)

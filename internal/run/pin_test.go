@@ -84,44 +84,46 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "981c5f2a6f631ad3a253c6b69aec1a7844a272eae9575777d145963cbeca030b"},
+		}, "6ac8eb53e1d877ab8a14746a528ad4b9ed7fc0198253d3cfee7f8256af2fc7b6"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "e7edd300665e4078ad46818bbdb175906f23366628c6c6287db0f409e88f3088"},
+		}, "404b6a3ddcdc7fd3b77e0dd4561755fbdd57ec7be3bdeb77c134ec83b89750ba"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@30s:3;recover@1m30s:3")
 			return spec
-		}, "23e5aaf4069abd0917042d7c2588585e72aca7b8801db99d9f529aec72fee810"},
+		}, "6fa16fc41d203b0ff62706fa2ce4cceb120ea2497e08a5f09c810341fd5b5b04"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "40048d4d47969985cae446886fcaf49dad04d0e20a9f71fe9161c07f228e130d"},
+		}, "d9def9fa4c98debed34c3596fb2380e7f1c3458b2f36838cab5dd2316c3a030f"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "3b8a0103475d2b99425767e549a8381a2f4c15e2027bd8496d4ae3fb5284dd9b"},
+		}, "9e11008f1d55e5c0a06a2dd799a7542e33bb817c3e19a021c98ba14fd259715d"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1 (a follower in epoch 0) crashes and
 			// rejoins as epoch 1's leader; cluster 2's member 3 is
-			// Byzantine but never leads.
+			// Byzantine but never leads. Epoch 0 ends before 2 m, so the
+			// rejoin comes at 1 m: a leader still down when its epoch
+			// starts would never report.
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-			spec.Scenario = scenario.MustParse("crash@10s:1;recover@2m:1;byz@0s:11:garbage")
+			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "6a0e73190b69741739e6871c19a118fbc4df83107e665f9f954bb000819dc786"},
+		}, "4809619c51ff57f97aea5e72690a3ad6fd7bb8524f7745a0162859b8b3acbe72"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("crash@4m:2;recover@9m:2")
 			return spec
-		}, "f72b8f8541abc1e6dd820ea018774520d154689d8df18f72465b960dd60bde7a"},
+		}, "12544b5331579123dbf5e68aaf9e10bf678a502d7b9ba84ff3d999a7dd5cbcf1"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "6e7b34e8aa66c139b3f61b944cdac2ee13c2e2c88c21b2b350cafb4098b0c196"},
+		}, "0595201514140bdadd61a07228a58aba4a05f81f48e6d19fde03ec5c656e9ab1"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -129,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "f0f9de004c059d3d81ca4fa8c8fa6da25c0063bfbf825e75268dabdff489c24d"},
+		}, "bd5fe926c4f485606a926a94764e8f2893b191142c610c76607453356f69d2d6"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -142,18 +144,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "86c45b80adcfb0b4fafa597e46420208e8b67a52894eed6128cd522bbf5e2218"},
+		}, "4095184d8c236906f9bd09c3e699c7d2d1db6bc32c9656aed8e3e1ddb676a2f9"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "e8b73b53b50469c328bb7fdfe3fedf815fc46774352f9d965d40c4a834438968"},
+		}, "b88cb5e1cce3a04e4fd84da07a83108f7b001de07205be98e226dcbe2eff9864"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "881475bd5110f1e22ab5d0fb8473c8a3d89f21a5a219b82c9fe146322f38d881"},
+		}, "5636e80fd11f418e778b9778cd59deafb63fb5a2d0003ba889fc67892ec2c675"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -161,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "3fe7a011ec431aa06138c948d6a9aa3441310a7e5c67eafc8322563626361492"},
+		}, "81a4a72f47c9e858412700fda618d9785e60e1b46aaeb0a011327bfc5baa70cd"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -90,7 +90,7 @@ func TestChainArrivalDeterminism(t *testing.T) {
 
 func TestChainBackpressure(t *testing.T) {
 	spec := trafficSpec(3)
-	spec.Workload.Arrival.Rate = 0.32 // above the ~0.25 tx/s capacity
+	spec.Workload.Arrival.Rate = 0.32 // near the ~0.5 tx/s capacity: bursts fill a 1 KiB cap
 	spec.Workload.Mempool.MaxPendingBytes = 1024
 	res, err := run.Run(spec)
 	if err != nil {

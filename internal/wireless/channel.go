@@ -27,16 +27,20 @@ type DeliveryHook func(from, to NodeID, payload []byte) (extra time.Duration, dr
 // quantity the paper's ConsensusBatcher minimizes: every successful or
 // colliding transmission attempt is one access competition won.
 type Stats struct {
-	Accesses   uint64        // successful transmissions
+	// Accesses counts successful channel accesses: a frame queued with
+	// Station.Queue and the frames that follow it in the same burst
+	// (Station.Follow) count once.
+	Accesses   uint64
 	Collisions uint64        // collision episodes (>=2 stations)
 	Frames     uint64        // frames delivered (per receiver)
 	LostRandom uint64        // deliveries dropped by random loss
 	LostHook   uint64        // deliveries dropped by the adversary hook
 	LostBusy   uint64        // deliveries missed due to half-duplex transmit
 	BytesOnAir uint64        // payload bytes successfully transmitted
-	AirTime    time.Duration // cumulative busy time of the medium, Held included
+	AirTime    time.Duration // cumulative busy time of the medium, Held and burst gaps included
 	// Held is the medium time between wins and first bits: a winner holds
-	// the medium until its frame's not-before time (Station.Queue).
+	// the medium until its frame's not-before time (Station.Queue). The
+	// SlotTime gaps inside a burst are not holds.
 	Held time.Duration
 }
 
@@ -52,16 +56,18 @@ type Source interface {
 	Pending() bool
 	// Build runs when the station wins the medium, or enters a collision,
 	// with nothing queued: the source assembles its frames at that instant
-	// and hands them over with Station.Queue. A source that was Pending in
-	// the round it won queues at least one frame.
+	// and hands them over with Station.Queue and Station.Follow. A source
+	// that was Pending in the round it won queues at least one frame.
 	Build()
 }
 
 // queued is one frame waiting for the medium: it may not start before
-// notBefore.
+// notBefore, and follows says it continues the access of the frame queued
+// before it (Station.Follow).
 type queued struct {
 	frame     []byte
 	notBefore time.Duration
+	follows   bool
 }
 
 type station struct {
@@ -177,7 +183,9 @@ func (s *Station) Kick() {
 // is already committed), but nothing queued behind it transmits. A frame
 // is mid-air from the moment its station wins the medium: the hold before
 // its first bit is part of the transmission, so a crash during it does not
-// take the frame back.
+// take the frame back. A frame that follows another in a burst is won when
+// the one before it ends; a crash while a fragment is on the air ends the
+// burst there.
 func (s *Station) Reset() {
 	s.st.queue = s.st.queue[:0]
 	s.st.gen++
@@ -192,20 +200,35 @@ func (s *Station) Broadcast(payload []byte) {
 }
 
 // Queue appends a frame to the station's transmit queue: it goes out in
-// queue order, each frame at a channel access of its own, and its first bit
-// no earlier than notBefore — until then the station holds the medium it
-// won. Sources call it from Build. The payload is copied, so the caller
-// may reuse the buffer, and the copy is what every receiver is handed:
-// private to the channel, never pooled, never written again. Frames larger
-// than MaxFrame panic: framing and fragmentation are the transport layer's
+// queue order at a channel access of its own, and its first bit no earlier
+// than notBefore — until then the station holds the medium it won. Sources
+// call it from Build. The payload is copied, so the caller may reuse the
+// buffer, and the copy is what every receiver is handed: private to the
+// channel, never pooled, never written again. Frames larger than MaxFrame
+// panic: framing and fragmentation are the transport layer's
 // responsibility.
 func (s *Station) Queue(payload []byte, notBefore time.Duration) {
+	s.enqueue(payload, notBefore, false)
+}
+
+// Follow appends a frame that continues the access of the frame queued
+// before it — the next fragment of one logical packet. Once that frame has
+// gone out without collision, this one starts SlotTime after it ends:
+// shorter than DIFS, so no contender can take the medium in between
+// (802.11's fragment burst), and the gap is medium time (AirTime) but no
+// hold. The payload is copied as by Queue; a frame that follows nothing
+// queued takes an access of its own.
+func (s *Station) Follow(payload []byte) {
+	s.enqueue(payload, 0, true)
+}
+
+func (s *Station) enqueue(payload []byte, notBefore time.Duration, follows bool) {
 	if len(payload) > s.ch.cfg.MaxFrame {
 		panic(fmt.Sprintf("wireless: frame of %d bytes exceeds MTU %d", len(payload), s.ch.cfg.MaxFrame))
 	}
 	buf := make([]byte, len(payload))
 	copy(buf, payload)
-	s.st.queue = append(s.st.queue, queued{frame: buf, notBefore: notBefore})
+	s.st.queue = append(s.st.queue, queued{frame: buf, notBefore: notBefore, follows: follows})
 }
 
 // kick ensures a contention round is scheduled when the medium next idles.
@@ -283,31 +306,41 @@ func (c *Channel) access() {
 	case 0:
 		c.kick()
 	case 1:
-		c.beginTx(winners[0], now)
+		c.beginTx(winners[0], now, false)
 	default:
 		c.beginCollision(winners, now)
 	}
 }
 
 // transmission is a successful frame on the medium, from beginTx to txDone:
-// held from won, on the air from start.
+// the medium is the station's from won — the win, or the end of the frame
+// it follows in a burst (cont) — and the frame on the air from start.
 type transmission struct {
 	st              *station
 	gen             uint64
 	frame           []byte
+	cont            bool
 	won, start, end time.Duration
+	held            time.Duration
 }
 
-func (c *Channel) beginTx(st *station, won time.Duration) {
+// beginTx puts st's head frame on the air: at the access it won at won,
+// after its hold; or, continuing a burst, SlotTime after the frame before
+// it ended at won.
+func (c *Channel) beginTx(st *station, won time.Duration, cont bool) {
 	if c.tx.st != nil {
 		panic("wireless: transmission begun while another is on the air")
 	}
 	q := st.queue[0]
-	start := max(won, q.notBefore)
+	first := won
+	if cont {
+		first += c.cfg.SlotTime
+	}
+	start := max(first, q.notBefore)
 	end := start + c.cfg.Airtime(len(q.frame))
 	c.busyTill = end
 	st.txUntil = end
-	c.tx = transmission{st: st, gen: st.gen, frame: q.frame, won: won, start: start, end: end}
+	c.tx = transmission{st: st, gen: st.gen, frame: q.frame, cont: cont, won: won, start: start, end: end, held: start - first}
 	c.sched.Post(end, c.txDoneFn)
 }
 
@@ -317,23 +350,32 @@ func (c *Channel) txDone() {
 	st := tx.st
 	// The queue may have been Reset (node crash) while this frame was on
 	// the air; frames queued since then belong to a new generation and
-	// must not be popped by this stale completion.
+	// must not be popped by this stale completion. They start with a frame
+	// that follows nothing, so neither do they continue its burst.
 	// The queue slides down rather than re-slicing from the front, which
 	// would walk its capacity away and make Broadcast reallocate it.
 	if tx.gen == st.gen && len(st.queue) > 0 {
 		st.queue = slices.Delete(st.queue, 0, 1)
 	}
 	st.cw = c.cfg.CWMin
-	c.stats.Accesses++
+	if !tx.cont {
+		c.stats.Accesses++
+	}
 	c.stats.BytesOnAir += uint64(len(tx.frame))
 	c.stats.AirTime += tx.end - tx.won
-	c.stats.Held += tx.start - tx.won
+	c.stats.Held += tx.held
 	c.deliver(st, tx.frame, tx.start, tx.end)
+	if len(st.queue) > 0 && st.queue[0].follows {
+		c.beginTx(st, tx.end, true)
+		return
+	}
 	c.kick()
 }
 
 // beginCollision puts every winner's head frame on the air at once, each
-// from its own first bit; the medium is busy until the last one ends.
+// from its own first bit; the medium is busy until the last one ends. The
+// frames that follow a collided one stay queued behind it: its burst goes
+// out after the station's next win.
 func (c *Channel) beginCollision(winners []*station, won time.Duration) {
 	end, held := won, time.Duration(math.MaxInt64)
 	for _, st := range winners {

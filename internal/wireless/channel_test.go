@@ -376,14 +376,18 @@ func TestContendedBroadcastAllocatesOnlyTheCopy(t *testing.T) {
 	}
 }
 
-// source is a Source that, at each win, queues perBuild one-byte frames,
-// each to go out hold after the win, for as long as it has builds left.
+// source is a Source that, at each win, queues perBuild two-byte frames —
+// the build's number, then the frame's index in it — each to go out hold
+// after the win, for as long as it has builds left. A burst source queues
+// each build as one packet: the first frame at an access of its own, the
+// rest to follow it.
 type source struct {
 	st       *Station
 	sched    *sim.Scheduler
 	builds   int
 	perBuild int
 	hold     time.Duration
+	burst    bool
 	builtAt  []time.Duration
 }
 
@@ -397,7 +401,12 @@ func (f *source) Build() {
 	now := f.sched.Now()
 	f.builtAt = append(f.builtAt, now)
 	for i := 0; i < f.perBuild; i++ {
-		f.st.Queue([]byte{byte(len(f.builtAt))}, now+f.hold)
+		frame := []byte{byte(len(f.builtAt)), byte(i)}
+		if f.burst && i > 0 {
+			f.st.Follow(frame)
+		} else {
+			f.st.Queue(frame, now+f.hold)
+		}
 	}
 }
 
@@ -415,7 +424,7 @@ func TestSourceBuildsAtTheWinAndHolds(t *testing.T) {
 		t.Fatalf("%d builds, %d frames heard; want 3 and 3", len(src.builtAt), len(sinks[1].frames))
 	}
 	cfg := ch.Config()
-	air := cfg.Airtime(1)
+	air := cfg.Airtime(2)
 	for i, at := range src.builtAt {
 		if i == 0 && at < cfg.DIFS {
 			t.Errorf("first build at %v, before the DIFS of its contention round", at)
@@ -446,10 +455,176 @@ func TestCrashDuringHoldKeepsMidAirRule(t *testing.T) {
 	if len(sinks[1].frames) != 1 {
 		t.Fatalf("%d frames heard after a reset during the hold, want the one that had won", len(sinks[1].frames))
 	}
-	if want := src.builtAt[0] + time.Second + ch.Config().Airtime(1); sinks[1].frames[0].at != want {
+	if want := src.builtAt[0] + time.Second + ch.Config().Airtime(2); sinks[1].frames[0].at != want {
 		t.Errorf("frame heard at %v, want %v: after its hold", sinks[1].frames[0].at, want)
 	}
 	if n := len(st[0].st.queue); n != 0 || ch.Stats().Accesses != 1 {
 		t.Errorf("%d frames still queued, %d accesses; want 0 and 1", n, ch.Stats().Accesses)
+	}
+}
+
+// heardFrom returns the frames sink heard from station from, in order.
+func heardFrom(sk *sink, from NodeID) (out []int) {
+	for i, f := range sk.frames {
+		if f.from == from {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestPacketIsOneAccess: the three frames of one packet take one contention
+// round. The first goes out after its hold; each of the others SlotTime
+// after the one before it ends, with no hold. Accesses counts the burst
+// once, AirTime counts the gaps, and Held does not.
+func TestPacketIsOneAccess(t *testing.T) {
+	s, ch, st, sinks := newTestChannel(t, 2, lossless())
+	const hold = 200 * time.Millisecond
+	src := &source{st: st[0], sched: s, builds: 1, perBuild: 3, hold: hold, burst: true}
+	st[0].SetSource(src)
+	s.Run()
+	got := sinks[1].frames
+	if len(got) != 3 {
+		t.Fatalf("%d frames heard, want 3", len(got))
+	}
+	cfg := ch.Config()
+	air := cfg.Airtime(2)
+	if want := src.builtAt[0] + hold + air; got[0].at != want {
+		t.Errorf("first frame heard at %v, want build + hold + airtime = %v", got[0].at, want)
+	}
+	for k := 1; k < 3; k++ {
+		if gap := got[k].at - got[k-1].at; gap != cfg.SlotTime+air {
+			t.Errorf("frame %d ended %v after frame %d, want SlotTime + airtime = %v", k, gap, k-1, cfg.SlotTime+air)
+		}
+		if got[k].payload[0] != 1 || int(got[k].payload[1]) != k {
+			t.Errorf("frame %d carries %v, want build 1, index %d", k, got[k].payload, k)
+		}
+	}
+	stats := ch.Stats()
+	if stats.Accesses != 1 || stats.Collisions != 0 {
+		t.Errorf("%d accesses and %d collisions, want 1 and 0", stats.Accesses, stats.Collisions)
+	}
+	if want := hold + 3*air + 2*cfg.SlotTime; stats.AirTime != want {
+		t.Errorf("AirTime %v, want hold + 3 airtimes + 2 gaps = %v", stats.AirTime, want)
+	}
+	if stats.Held != hold {
+		t.Errorf("Held %v, want the one hold %v", stats.Held, hold)
+	}
+}
+
+// TestNoContenderInsideABurst: a station with frames queued contends
+// against a bursting one and never gets the medium between the burst's
+// frames: the gap is SlotTime, shorter than the DIFS a contention round
+// starts with.
+func TestNoContenderInsideABurst(t *testing.T) {
+	s, ch, st, sinks := newTestChannel(t, 3, lossless())
+	src := &source{st: st[0], sched: s, builds: 4, perBuild: 3, burst: true}
+	st[0].SetSource(src)
+	for i := 0; i < 8; i++ {
+		st[1].Broadcast([]byte{0xff, byte(i)})
+	}
+	s.Run()
+	idx := heardFrom(sinks[2], 0)
+	if len(idx) != 12 {
+		t.Fatalf("%d of station 0's frames heard, want 12", len(idx))
+	}
+	for b := 0; b < 4; b++ {
+		first := idx[3*b]
+		for k := 1; k < 3; k++ {
+			if idx[3*b+k] != first+k {
+				t.Fatalf("packet %d: another station's frame was heard between its fragments", b+1)
+			}
+		}
+	}
+	if got := ch.Stats().Accesses; got != 4+8 {
+		t.Errorf("%d accesses, want 4 bursts + 8 single frames", got)
+	}
+}
+
+// TestCollidedBurstRecontends: two packets whose first frames collide —
+// a one-slot contention window makes the first round a tie — stay queued
+// as built, re-contend, and then each goes out as one burst.
+func TestCollidedBurstRecontends(t *testing.T) {
+	cfg := lossless()
+	cfg.CWMin = 1
+	s, ch, st, sinks := newTestChannel(t, 3, cfg)
+	a := &source{st: st[0], sched: s, builds: 1, perBuild: 3, burst: true}
+	b := &source{st: st[1], sched: s, builds: 1, perBuild: 3, burst: true}
+	st[0].SetSource(a)
+	st[1].SetSource(b)
+	s.Run()
+	stats := ch.Stats()
+	if stats.Collisions == 0 {
+		t.Fatal("no collision: the test does not reach a collided burst")
+	}
+	if stats.Accesses != 2 || len(a.builtAt) != 1 || len(b.builtAt) != 1 {
+		t.Fatalf("%d accesses, %d and %d builds; want 2, 1 and 1", stats.Accesses, len(a.builtAt), len(b.builtAt))
+	}
+	for from := NodeID(0); from < 2; from++ {
+		idx := heardFrom(sinks[2], from)
+		if len(idx) != 3 || idx[1] != idx[0]+1 || idx[2] != idx[0]+2 {
+			t.Errorf("station %d's frames heard at positions %v, want three in a row", from, idx)
+		}
+	}
+}
+
+// TestCrashMidBurstKeepsMidAirRule: a station reset while a fragment of its
+// burst is on the air finishes that fragment and sends nothing behind it;
+// back up, its next packet goes out whole and in order.
+func TestCrashMidBurstKeepsMidAirRule(t *testing.T) {
+	s, ch, st, sinks := newTestChannel(t, 2, lossless())
+	src := &source{st: st[0], sched: s, builds: 1, perBuild: 3, burst: true}
+	st[0].SetSource(src)
+	for len(sinks[1].frames) == 0 {
+		if !s.Step() {
+			t.Fatal("the first fragment never arrived")
+		}
+	}
+	s.RunFor(ch.Config().SlotTime + time.Millisecond) // into the second fragment
+	st[0].Reset()
+	s.Run()
+	if got := len(sinks[1].frames); got != 2 {
+		t.Fatalf("%d fragments heard after a reset during the second, want 2", got)
+	}
+	if n := len(st[0].st.queue); n != 0 {
+		t.Errorf("%d frames still queued after the reset", n)
+	}
+	src.builds = 1
+	st[0].Kick()
+	s.Run()
+	got := sinks[1].frames[2:]
+	if len(got) != 3 {
+		t.Fatalf("%d frames of the next packet heard, want 3", len(got))
+	}
+	for k, f := range got {
+		if f.payload[0] != 2 || int(f.payload[1]) != k {
+			t.Errorf("frame %d of the next packet carries %v, want build 2, index %d", k, f.payload, k)
+		}
+	}
+	if n := ch.Stats().Accesses; n != 2 {
+		t.Errorf("%d accesses, want one per packet", n)
+	}
+}
+
+// TestQueuedFramesContendSeparately: frames queued with Queue — the
+// baseline's per-intent packets — each take an access of their own: every
+// one after the first waits out a DIFS and a backoff.
+func TestQueuedFramesContendSeparately(t *testing.T) {
+	s, ch, st, sinks := newTestChannel(t, 2, lossless())
+	src := &source{st: st[0], sched: s, builds: 1, perBuild: 3}
+	st[0].SetSource(src)
+	s.Run()
+	got := sinks[1].frames
+	if len(got) != 3 {
+		t.Fatalf("%d frames heard, want 3", len(got))
+	}
+	cfg := ch.Config()
+	for k := 1; k < 3; k++ {
+		if gap := got[k].at - got[k-1].at - cfg.Airtime(2); gap < cfg.DIFS {
+			t.Errorf("frame %d started %v after frame %d ended, want a DIFS at least", k, gap, k-1)
+		}
+	}
+	if n := ch.Stats().Accesses; n != 3 {
+		t.Errorf("%d accesses, want 3", n)
 	}
 }

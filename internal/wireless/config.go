@@ -12,6 +12,10 @@
 //   - frames bound at channel access: a station's Source builds its frames
 //     when the station wins the medium, and the station holds the medium
 //     from the win until the frame's not-before time (its signature);
+//   - one logical packet, one access: the frames a station queues to follow
+//     one another (Station.Follow) go out back-to-back, SlotTime apart —
+//     shorter than DIFS, so no contender gets in between — once the first
+//     has gone out without collision;
 //   - airtime proportional to frame size (preamble + bytes/bitrate), so
 //     batching N messages into one frame pays once for channel access;
 //   - half-duplex radios: a station transmitting during a frame's airtime
