@@ -19,7 +19,7 @@ type CachinABA struct {
 	deciding
 	coin       collector[[]byte, []byte, bool]
 	sharedCoin bool
-	catchUp    bool
+	regressed  func(peer int) bool // env.T.Regressed: whom reserveRound answers
 	slots      []*abaSlot
 	// shared holds the shared coin of each round, by round (SharedCoin
 	// only); a per-slot coin lives in its slot's round record.
@@ -76,15 +76,7 @@ type CachinOptions struct {
 	Slots      int
 	Coin       CoinSource
 	SharedCoin bool // one coin per round across all instances (batched mode)
-	// RoundCatchUp re-serves this node's pruned sends for rounds a reborn
-	// peer is still climbing through (see reserveRound). Serial-schedule
-	// users (Alea's one-at-a-time agreement loop) need it: a full-stop
-	// crash-recovery restarts instances at round 1 with no DECIDED claims
-	// to carry them. The other engines leave it off: reserveRound answers
-	// any stale-round entry, not only a reborn peer's, and on their
-	// parallel instances that costs a great deal of airtime.
-	RoundCatchUp bool
-	OnDecide     func(slot int, value bool)
+	OnDecide   func(slot int, value bool)
 }
 
 // NewCachinABA creates the component and registers it on the transport.
@@ -92,7 +84,7 @@ func NewCachinABA(env *Env, opts CachinOptions) *CachinABA {
 	a := &CachinABA{
 		deciding:   deciding{env: env, onDecide: opts.OnDecide},
 		sharedCoin: opts.SharedCoin,
-		catchUp:    opts.RoundCatchUp,
+		regressed:  env.T.Regressed,
 	}
 	a.pruned = func(p packet.Phase) bool {
 		return p == packet.PhaseBval || p == packet.PhaseAux || (p == packet.PhaseShare && !a.sharedCoin)
@@ -232,7 +224,7 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 			if e.Data[0]&2 != 0 {
 				a.applyBval(int(e.Slot), e.Round, w, true)
 			}
-			a.reserveRound(int(e.Slot), e.Round)
+			a.reserveRound(int(e.Slot), e.Round, w)
 		}
 	case packet.PhaseAux:
 		for _, e := range sec.Entries {
@@ -240,7 +232,7 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 				continue
 			}
 			a.applyAux(int(e.Slot), e.Round, w, e.Data[0] == 1)
-			a.reserveRound(int(e.Slot), e.Round)
+			a.reserveRound(int(e.Slot), e.Round, w)
 		}
 	case packet.PhaseShare:
 		for _, e := range sec.Entries {
@@ -251,28 +243,28 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 	}
 }
 
-// reserveRound re-installs this node's pruned sends for an old round
-// (RoundCatchUp only). pruneRounds assumes a lagging honest peer is at
-// most one coin exchange behind, but a peer reborn from a full-stop crash
-// restarts the instance at round 1 — and if no honest node ever decided
-// the slot (the quorum was down), the DECIDED gadget cannot carry it
-// either. Traffic for a round this node has fully left is the signal:
-// replay the recorded bval/aux/coin-share sends for exactly that round so
-// the reborn peer can climb the schedule the protocol's own way — no
-// estimates are injected, so the round-by-round safety argument is
-// untouched. Rate-limited per round; survivors cannot advance (and
-// re-prune) while the laggard climbs, because they lack the quorum.
-func (a *CachinABA) reserveRound(slot int, round uint16) {
-	if !a.catchUp {
-		return
-	}
+// reserveRound re-installs this node's pruned sends for an old round that
+// peer w sent an entry of, if the transport has seen w lose state
+// (core.Transport.Regressed: one of its NACK rows lost a bit). pruneRounds
+// assumes a lagging honest peer is at most one coin exchange behind, but a
+// peer reborn from a full-stop crash restarts the instance at round 1 — and
+// if no honest node ever decided the slot (the quorum was down), the
+// DECIDED gadget cannot carry it either. Replaying the recorded
+// bval/aux/coin-share sends for exactly that round lets it climb the
+// schedule the protocol's own way — no estimates are injected, so the
+// round-by-round safety argument is untouched. A live peer that only lags
+// is not answered: its stale entries are ordinary traffic, and answering
+// them costs a great deal of airtime. Rate-limited per round; survivors
+// cannot advance (and re-prune) while the laggard climbs, because they lack
+// the quorum.
+func (a *CachinABA) reserveRound(slot int, round uint16, w int) {
 	s := a.slots[slot]
 	// pruneRounds' cutoff is s.round-1: anything at or past it still has
 	// live intents and needs no replay.
 	if s.halted || !s.started || s.round < 2 || round == 0 || round >= s.round-1 {
 		return
 	}
-	if int(round) >= len(s.rounds) || s.rounds[round] == nil {
+	if int(round) >= len(s.rounds) || s.rounds[round] == nil || !a.regressed(w) {
 		return
 	}
 	rd := s.rounds[round]

@@ -27,7 +27,7 @@ type refCachinABA struct {
 	refDeciding
 	coin       collector[[]byte, []byte, bool]
 	sharedCoin bool
-	catchUp    bool
+	regressed  func(peer int) bool
 	slots      []*refAbaSlot
 	coins      map[int]*coinState // by coinKey.id
 }
@@ -58,7 +58,7 @@ func newRefCachinABA(env *Env, opts CachinOptions) *refCachinABA {
 	a := &refCachinABA{
 		refDeciding: refDeciding{env: env, onDecide: opts.OnDecide},
 		sharedCoin:  opts.SharedCoin,
-		catchUp:     opts.RoundCatchUp,
+		regressed:   env.T.Regressed,
 		coins:       make(map[int]*coinState),
 	}
 	a.pruned = func(p packet.Phase) bool {
@@ -190,7 +190,7 @@ func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
 			if e.Data[0]&2 != 0 {
 				a.applyBval(int(e.Slot), e.Round, w, true)
 			}
-			a.reserveRound(int(e.Slot), e.Round)
+			a.reserveRound(int(e.Slot), e.Round, w)
 		}
 	case packet.PhaseAux:
 		for _, e := range sec.Entries {
@@ -198,7 +198,7 @@ func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
 				continue
 			}
 			a.applyAux(int(e.Slot), e.Round, w, e.Data[0] == 1)
-			a.reserveRound(int(e.Slot), e.Round)
+			a.reserveRound(int(e.Slot), e.Round, w)
 		}
 	case packet.PhaseShare:
 		for _, e := range sec.Entries {
@@ -209,8 +209,8 @@ func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
 	}
 }
 
-// reserveRound re-installs this node's pruned sends for an old round
-// (RoundCatchUp only). pruneRounds assumes a lagging honest peer is at
+// reserveRound re-installs this node's pruned sends for an old round that
+// peer w, which has lost state, sent an entry of. pruneRounds assumes a lagging honest peer is at
 // most one coin exchange behind, but a peer reborn from a full-stop crash
 // restarts the instance at round 1 — and if no honest node ever decided
 // the slot (the quorum was down), the DECIDED gadget cannot carry it
@@ -218,12 +218,10 @@ func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
 // replay the recorded bval/aux/coin-share sends for exactly that round so
 // the reborn peer can climb the schedule the protocol's own way — no
 // estimates are injected, so the round-by-round safety argument is
-// untouched. Rate-limited per round; survivors cannot advance (and
-// re-prune) while the laggard climbs, because they lack the quorum.
-func (a *refCachinABA) reserveRound(slot int, round uint16) {
-	if !a.catchUp {
-		return
-	}
+// untouched. Only a peer the transport has seen lose state is answered.
+// Rate-limited per round; survivors cannot advance (and re-prune) while the
+// laggard climbs, because they lack the quorum.
+func (a *refCachinABA) reserveRound(slot int, round uint16, w int) {
 	s := a.slots[slot]
 	// pruneRounds' cutoff is s.round-1: anything at or past it still has
 	// live intents and needs no replay.
@@ -231,7 +229,7 @@ func (a *refCachinABA) reserveRound(slot int, round uint16) {
 		return
 	}
 	rd := s.rounds[round]
-	if rd == nil {
+	if rd == nil || !a.regressed(w) {
 		return
 	}
 	now := a.env.Sched.Now()

@@ -196,9 +196,10 @@ func TestBrachaABAMatchesMapModel(t *testing.T) {
 
 // TestCachinABAMatchesMapModel streams random BVAL, AUX, coin-share and
 // DECIDED sections into CachinABA and into its map-based oracle, under
-// both coin-sharing modes and with round catch-up on and off. The coin
-// shares are the peers' genuine ones (and some garbage), so the instances
-// climb through several rounds.
+// both coin-sharing modes, with every peer live and with every peer marked
+// as one that lost state (so stale-round entries are answered with a
+// replay of the pruned round). The coin shares are the peers' genuine ones
+// (and some garbage), so the instances climb through several rounds.
 func TestCachinABAMatchesMapModel(t *testing.T) {
 	suites, err := crypto.Deal(4, 1, crypto.LightConfig(), rand.New(rand.NewSource(77)))
 	if err != nil {
@@ -224,12 +225,16 @@ func TestCachinABAMatchesMapModel(t *testing.T) {
 			}
 		}
 	}
-	for _, mode := range []struct{ shared, catchUp bool }{{true, false}, {false, false}, {true, true}, {false, true}} {
-		t.Run(fmt.Sprintf("shared=%v,catchUp=%v", mode.shared, mode.catchUp), func(t *testing.T) {
+	for _, mode := range []struct{ shared, regressed bool }{{true, false}, {false, false}, {true, true}, {false, true}} {
+		t.Run(fmt.Sprintf("shared=%v,regressed=%v", mode.shared, mode.regressed), func(t *testing.T) {
 			const seed = 5
 			dense, ref := newABASide(seed, suites[0]), newABASide(seed, suites[0])
-			a := NewCachinABA(dense.env, CachinOptions{Slots: 3, Coin: SigCoin(dense.env), SharedCoin: mode.shared, RoundCatchUp: mode.catchUp, OnDecide: dense.decided})
-			r := newRefCachinABA(ref.env, CachinOptions{Slots: 3, Coin: SigCoin(ref.env), SharedCoin: mode.shared, RoundCatchUp: mode.catchUp, OnDecide: ref.decided})
+			a := NewCachinABA(dense.env, CachinOptions{Slots: 3, Coin: SigCoin(dense.env), SharedCoin: mode.shared, OnDecide: dense.decided})
+			r := newRefCachinABA(ref.env, CachinOptions{Slots: 3, Coin: SigCoin(ref.env), SharedCoin: mode.shared, OnDecide: ref.decided})
+			if mode.regressed {
+				a.markRegressed(1, 2, 3)
+				r.regressed = a.regressed
+			}
 			rng := rand.New(rand.NewSource(200))
 			maxRound := uint16(0)
 			for step := 0; step < 4000; step++ {

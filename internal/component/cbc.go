@@ -230,7 +230,7 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 			c.drop(slot, &s.valueSlot)
 		}
 		if !s.assembled {
-			c.requestRepair(slot, &s.valueSlot, false)
+			c.requestRepair(slot, &s.valueSlot)
 			return
 		}
 		c.deliver(slot)
@@ -246,7 +246,7 @@ func (c *CBC) deliver(slot int) {
 		// Repair supplied a value that does not match the certificate:
 		// drop it and ask again, advertising nothing as held.
 		c.drop(slot, &s.valueSlot)
-		c.requestRepair(slot, &s.valueSlot, false)
+		c.requestRepair(slot, &s.valueSlot)
 		return
 	}
 	s.delivered = true
@@ -266,8 +266,7 @@ func (c *CBC) deliver(slot int) {
 // from its log lacks only the certificate — a node that holds the value
 // asks for the certificate alone.
 func (c *CBC) Fetch(slot int) {
-	s := &c.slots[slot].valueSlot
-	c.requestRepair(slot, s, s.assembled)
+	c.requestRepair(slot, &c.slots[slot].valueSlot)
 }
 
 func (c *CBC) handleRepairRequest(slot int, have packet.BitSet) {

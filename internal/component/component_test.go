@@ -402,6 +402,61 @@ func TestCachinABAWithCrashFault(t *testing.T) {
 	}
 }
 
+// TestPrunedRoundReplayedOnlyToRegressedPeer: a BVAL for a round this node
+// has pruned, from a peer that is live but lagging, gets no replay. Once
+// that peer's NACK row loses a bit it had shown — it came back from a crash
+// — its transport marks it, and the same entry puts the pruned round's
+// sends back on the air, at most once per 2 s.
+func TestPrunedRoundReplayedOnlyToRegressedPeer(t *testing.T) {
+	tn := newTestNet(t, 45, 0, true)
+	env := tn.envs[0]
+	rec := record(env)
+	a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: SigCoin(env)})
+	a.Input(0, true)     // round 1's BVAL goes on the air …
+	a.slots[0].round = 4 // … and the node has left the round behind.
+	stale := packet.Section{Kind: packet.KindABA, Phase: packet.PhaseBval,
+		Entries: []packet.Entry{{Slot: 0, Round: 1, Data: []byte{2}}}}
+	replays := func() int {
+		n := -1 // the first send
+		for _, in := range rec.seen {
+			if in.Phase == packet.PhaseBval && in.Round == 1 {
+				n++
+			}
+		}
+		return n
+	}
+	showRow := func(bits packet.BitSet) {
+		tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, bits)
+		tn.settle(5 * time.Second)
+	}
+
+	done := packet.NewBitSet(4)
+	done.Set(2)
+	showRow(done)
+	a.HandleSection(1, stale)
+	if n := replays(); n != 0 || env.T.Regressed(1) {
+		t.Fatalf("a live peer's stale entry: %d replays, marked %v; want none", n, env.T.Regressed(1))
+	}
+
+	showRow(packet.NewBitSet(4))
+	if !env.T.Regressed(1) {
+		t.Fatal("the peer's row lost a bit and the transport did not mark it")
+	}
+	a.HandleSection(1, stale)
+	if n := replays(); n != 1 {
+		t.Fatalf("the regressed peer's stale entry: %d replays, want 1", n)
+	}
+	a.HandleSection(1, stale)
+	if n := replays(); n != 1 {
+		t.Fatalf("the same entry again at once: %d replays, want still 1", n)
+	}
+	tn.settle(2 * time.Second)
+	a.HandleSection(1, stale)
+	if n := replays(); n != 2 {
+		t.Errorf("the same entry 2 s later: %d replays, want 2", n)
+	}
+}
+
 func TestDecryptorRoundTrip(t *testing.T) {
 	tn := newTestNet(t, 12, 0, true)
 	plain := []byte("the secret batch of transactions")

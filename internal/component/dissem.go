@@ -196,22 +196,19 @@ func (d *dissemination) receive(slot int, s *valueSlot, w int, e packet.Entry) (
 }
 
 // requestRepair asks peers to re-serve a slot, advertising the fragments
-// already received so responders skip them. With valueHeld the requester
-// vouches that the value it assembled is the one the quorum evidence names
-// and only that evidence is missing: it advertises every fragment, so
-// nobody re-serves a value to a node that has it. A wrong vouch (a
-// recovered leader that proposed afresh) is corrected when the evidence
-// arrives: the embedding component drops the value and asks again. RBC does
-// not vouch: its recovered leader would wait for a READY quorum before the
-// correction, a later and different schedule than the committed
-// trajectories pin.
-func (d *dissemination) requestRepair(slot int, s *valueSlot, valueHeld bool) {
+// already received so responders skip them. A requester that has assembled
+// the value vouches that it is the one the quorum evidence names and only
+// that evidence is missing: it advertises every fragment, so nobody
+// re-serves a value to a node that has it. A wrong vouch (a leader that
+// proposed afresh) is corrected when the evidence arrives: the embedding
+// component drops the value and asks again, advertising what it holds.
+func (d *dissemination) requestRepair(slot int, s *valueSlot) {
 	if s.needRepair {
 		return
 	}
 	s.needRepair = true
 	have := packet.NewBitSet(maxFragments + 1)
-	if valueHeld && !d.small {
+	if s.assembled && !d.small {
 		for i := 0; i < d.fragments(len(s.value)); i++ {
 			have.Set(i)
 		}

@@ -1,0 +1,11 @@
+package component
+
+import "slices"
+
+// markRegressed has the ABA treat peers as ones whose NACK rows showed they
+// lost state, as its transport does once a row of theirs loses a bit
+// (core.Transport.Regressed): their entries for rounds it has pruned are
+// then answered with a replay (reserveRound).
+func (a *CachinABA) markRegressed(peers ...int) {
+	a.regressed = func(w int) bool { return slices.Contains(peers, w) }
+}

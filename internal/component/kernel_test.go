@@ -549,8 +549,8 @@ func TestShareCollector(t *testing.T) {
 }
 
 // TestOwnShareReplay: what a node re-serves to a peer that lost its state
-// is its own share as the tally kept it — under RoundCatchUp for a coin,
-// on a cleared done-bit for the Decryptor — and a share that came too
+// is its own share as the tally kept it — in a pruned round's replay for a
+// coin, on a cleared done-bit for the Decryptor — and a share that came too
 // late to count was not kept.
 func TestOwnShareReplay(t *testing.T) {
 	shareOnAir := func(rec *recorder, phase packet.Phase, round uint16) [][]byte {
@@ -566,7 +566,8 @@ func TestOwnShareReplay(t *testing.T) {
 		tn := newTestNet(t, 43, 0, true)
 		env := tn.envs[0]
 		rec := record(env)
-		a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: SigCoin(env), RoundCatchUp: true})
+		a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: SigCoin(env)})
+		a.markRegressed(1)
 		a.Input(0, true)
 		peer := func(w int, round uint16) []byte {
 			raw, err := SigCoin(tn.envs[w]).share(coinName(env.Session, env.Epoch, 0, round))
@@ -590,8 +591,8 @@ func TestOwnShareReplay(t *testing.T) {
 				t.Fatalf("round %d: share published %d times", round, n)
 			}
 		}
-		a.reserveRound(0, 1)
-		a.reserveRound(0, 2)
+		a.reserveRound(0, 1, 1)
+		a.reserveRound(0, 2, 1)
 		if got := shareOnAir(rec, packet.PhaseShare, 1); len(got) != 2 || !bytes.Equal(got[0], got[1]) {
 			t.Errorf("round 1: the share that counted was re-served %d times", len(got)-1)
 		}

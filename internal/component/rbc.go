@@ -234,26 +234,13 @@ func (r *RBC) maybeDeliver(slot int) {
 		r.drop(slot, &s.valueSlot)
 	}
 	if !s.assembled {
-		r.requestRepair(slot, &s.valueSlot, false)
+		r.requestRepair(slot, &s.valueSlot)
 		return
 	}
 	s.delivered = true
 	r.repairDone(slot, &s.valueSlot)
 	if r.onDeliver != nil {
 		r.onDeliver(slot, s.value)
-	}
-}
-
-// RequestRepair asks peers to re-announce a slot's INITIAL fragments and
-// READY votes. The quorum path calls it automatically; late joiners (SMR
-// crash recovery) call it for slots that external evidence — an ABA
-// DECIDED quorum — says must deliver, because peers may have pruned their
-// vote intents back when every node of the time had confirmed completion.
-// Delivery still requires a full READY quorum on the repaired value, so a
-// forged repair response cannot smuggle in a wrong value.
-func (r *RBC) RequestRepair(slot int) {
-	if slot < len(r.slots) && !r.slots[slot].delivered {
-		r.requestRepair(slot, &r.slots[slot].valueSlot, false)
 	}
 }
 

@@ -202,3 +202,69 @@ func TestCrashMidBurstNextPacketDelivered(t *testing.T) {
 		t.Errorf("%d authentication failures: fragments of two packets were mixed", n)
 	}
 }
+
+// TestRegressedPeer: a peer whose NACK rows only gain bits is never marked
+// regressed; one whose row loses a bit it had shown is — and so is one that
+// comes back from a crash with an all-zero row. Marks belong to the epoch:
+// another epoch's transport, or the same epoch opened afresh, starts clear.
+func TestRegressedPeer(t *testing.T) {
+	r := newMuxRig(t, 4)
+	rx := r.muxes[0].Open(1)
+	other := r.muxes[0].Open(2)
+	row := func(bits ...int) packet.BitSet {
+		b := packet.NewBitSet(4)
+		for _, i := range bits {
+			b.Set(i)
+		}
+		return b
+	}
+	// show has node i's epoch-e transport send its (kind, phase) row.
+	show := func(i int, e uint16, phase packet.Phase, bits ...int) {
+		r.muxes[i].Open(e).SetNack(packet.KindRBC, phase, row(bits...))
+		r.sched.Run()
+	}
+	marked := func(tr *Transport) (out []int) {
+		for w := 1; w < 4; w++ {
+			if tr.Regressed(w) {
+				out = append(out, w)
+			}
+		}
+		return out
+	}
+
+	show(1, 1, packet.PhaseEcho, 0)
+	show(1, 1, packet.PhaseEcho, 0, 1)
+	show(1, 1, packet.PhaseReady, 1)
+	show(1, 1, packet.PhaseEcho, 0, 1, 2, 3)
+	show(2, 1, packet.PhaseEcho, 0, 1)
+	show(3, 1, packet.PhaseReady, 2)
+	if got := marked(rx); got != nil {
+		t.Fatalf("peers %v marked while their rows only gained bits", got)
+	}
+
+	show(2, 1, packet.PhaseEcho, 0, 2) // bit 1 lost, bit 2 gained
+	if got := marked(rx); len(got) != 1 || got[0] != 2 {
+		t.Fatalf("after node 2's row lost a bit: marked %v, want [2]", got)
+	}
+
+	// Node 3 crashes and comes back: its fresh epoch transport's rows are
+	// all zero, and its first frame carries them.
+	r.muxes[3].Close(1)
+	reborn := r.muxes[3].Open(1)
+	reborn.SetNack(packet.KindRBC, packet.PhaseReady, row())
+	reborn.Update(intentFor(0))
+	r.sched.Run()
+	if got := marked(rx); len(got) != 2 || got[1] != 3 {
+		t.Fatalf("after node 3 came back with an all-zero row: marked %v, want [2 3]", got)
+	}
+
+	show(2, 2, packet.PhaseEcho, 0, 1)
+	show(2, 2, packet.PhaseEcho, 0, 1, 2)
+	if got := marked(other); got != nil {
+		t.Errorf("epoch 2 marked %v for what happened in epoch 1", got)
+	}
+	r.muxes[0].Close(1)
+	if got := marked(r.muxes[0].Open(1)); got != nil {
+		t.Errorf("epoch 1 opened afresh marked %v", got)
+	}
+}

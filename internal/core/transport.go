@@ -156,7 +156,10 @@ type Transport struct {
 	// last frame went out.
 	rows        []nackRow
 	rowsChanged bool
-	handlers    [packet.KindLimit]Handler
+	// regressed marks, by sender, the peers one of whose rows lost a bit it
+	// had shown (nil: none has).
+	regressed packet.BitSet
+	handlers  [packet.KindLimit]Handler
 
 	// retxEvt is the one retransmission timer, armed for the earliest due
 	// re-send (retxArmed: queued and not yet fired); retxFn is t.retransmit
@@ -469,8 +472,9 @@ func (t *Transport) resend() {
 	t.armRetx(next)
 }
 
-// heardFrom keeps peer from's NACK row for (kind, phase) and takes it as a
-// request for this node's intents of every slot the row shows undone.
+// heardFrom keeps peer from's NACK row for (kind, phase), marks the peer
+// regressed if the row lost a bit the one before it had set, and takes it
+// as a request for this node's intents of every slot the row shows undone.
 func (t *Transport) heardFrom(from uint16, sec *packet.Section) {
 	if len(sec.Nack) == 0 || from >= maxSender {
 		return
@@ -479,11 +483,37 @@ func (t *Transport) heardFrom(from uint16, sec *packet.Section) {
 	for int(from) >= len(r.peers) {
 		r.peers = append(r.peers, nil)
 	}
+	if lostBit(r.peers[from], sec.Nack) {
+		if t.regressed == nil {
+			t.regressed = packet.NewBitSet(maxSender)
+		}
+		t.regressed.Set(int(from))
+	}
 	r.peers[from] = append(r.peers[from][:0], sec.Nack...)
 	if t.m.cfg.RetxInterval > 0 {
 		t.demand(sec)
 	}
 }
+
+// lostBit reports whether row next lacks a bit that row prev has.
+func lostBit(prev, next packet.BitSet) bool {
+	for i, b := range prev {
+		var n byte
+		if i < len(next) {
+			n = next[i]
+		}
+		if b&^n != 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// Regressed reports whether one of peer's NACK rows for this epoch has lost
+// a bit it had shown: the peer lost state it had reported — it crashed and
+// came back with nothing done, or dropped a value the quorum contradicted.
+// A peer that only lags never shows it.
+func (t *Transport) Regressed(peer int) bool { return t.regressed.Get(peer) }
 
 // settled reports whether every peer whose NACK row for e's (kind, phase)
 // has reached this node shows e's slot done, and at least one has.

@@ -14,7 +14,6 @@ package protocol
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/component"
 )
@@ -52,11 +51,8 @@ type binaryAgreement interface {
 }
 
 // newABA builds the ABA matching the coin kind; shared is one coin per
-// round across the parallel instances (Options.SharedCoin). catchUp opts
-// into the common-coin ABA's re-serving of pruned rounds (see
-// component.CachinOptions.RoundCatchUp) — required by serial one-at-a-time
-// schedules like Alea's, a no-op for Bracha's local-coin ABA.
-func newABA(env *component.Env, slots int, coin CoinKind, shared, catchUp bool, onDecide func(int, bool)) binaryAgreement {
+// round across the parallel instances (Options.SharedCoin).
+func newABA(env *component.Env, slots int, coin CoinKind, shared bool, onDecide func(int, bool)) binaryAgreement {
 	switch coin {
 	case CoinLocal:
 		return component.NewBrachaABA(env, component.BrachaOptions{
@@ -65,19 +61,17 @@ func newABA(env *component.Env, slots int, coin CoinKind, shared, catchUp bool, 
 		})
 	case CoinSig:
 		return component.NewCachinABA(env, component.CachinOptions{
-			Slots:        slots,
-			SharedCoin:   shared,
-			RoundCatchUp: catchUp,
-			Coin:         component.SigCoin(env),
-			OnDecide:     onDecide,
+			Slots:      slots,
+			SharedCoin: shared,
+			Coin:       component.SigCoin(env),
+			OnDecide:   onDecide,
 		})
 	case CoinFlip:
 		return component.NewCachinABA(env, component.CachinOptions{
-			Slots:        slots,
-			SharedCoin:   shared,
-			RoundCatchUp: catchUp,
-			Coin:         component.FlipCoin(env),
-			OnDecide:     onDecide,
+			Slots:      slots,
+			SharedCoin: shared,
+			Coin:       component.FlipCoin(env),
+			OnDecide:   onDecide,
 		})
 	default:
 		panic(fmt.Sprintf("protocol: unknown coin kind %q", coin))
@@ -124,7 +118,7 @@ func newACS(env *component.Env, opts Options) Instance {
 		Slots:     env.N,
 		OnDeliver: a.onRBCDeliver,
 	})
-	a.aba = newABA(env, env.N, opts.Coin, opts.SharedCoin, false, a.onABADecide)
+	a.aba = newABA(env, env.N, opts.Coin, opts.SharedCoin, a.onABADecide)
 	if opts.Encrypt {
 		a.dec = component.NewDecryptor(env, env.N, a.onPlain)
 	}
@@ -173,13 +167,6 @@ func (a *ACS) onRBCDeliver(slot int, _ []byte) {
 	a.maybeFinish()
 }
 
-// abaRepairGrace is how long an accepted slot's RBC may stay undelivered
-// after its ABA decides before the node requests an explicit repair. In
-// steady state totality closes the gap by itself; the explicit request is
-// the late-joiner path (SMR crash recovery), where peers pruned their vote
-// intents long ago and only a repair request brings them back on the air.
-const abaRepairGrace = 8 * time.Second
-
 func (a *ACS) onABADecide(slot int, v bool) {
 	s := &a.slots[slot]
 	if !s.decided {
@@ -187,13 +174,6 @@ func (a *ACS) onABADecide(slot int, v bool) {
 		a.nDecided++
 	}
 	s.accepted = v
-	if v && !s.delivered {
-		a.env.Sched.PostAfter(abaRepairGrace, func() {
-			if !s.delivered {
-				a.rbc.RequestRepair(slot)
-			}
-		})
-	}
 	a.maybeFinish()
 }
 

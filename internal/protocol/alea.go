@@ -56,11 +56,8 @@ func newAlea(env *component.Env, opts Options) Instance {
 	})
 	// Serial ABA, one slot per agreement round: instances execute one at a
 	// time, so coins are per-instance (the Dumbo serial rule — no
-	// cross-instance sharing to leak future coins). Round catch-up is on: a
-	// full-stop crash restarts the serial instances at round 1 with no
-	// DECIDED claims to carry them, so survivors re-serve the rounds they
-	// pruned.
-	a.aba = newABA(env, aleaRounds, opts.Coin, false, true, a.onABADecide)
+	// cross-instance sharing to leak future coins).
+	a.aba = newABA(env, aleaRounds, opts.Coin, false, a.onABADecide)
 	return a
 }
 
@@ -69,16 +66,18 @@ var _ Instance = (*Alea)(nil)
 // Start implements Instance: push this node's batch onto its queue.
 func (a *Alea) Start(proposal []byte) { a.vcbc.Broadcast(a.env.Me, proposal) }
 
-// Reproposed implements the chain's WAL-replay signal: this node crashed
-// after first broadcasting the epoch's batch, so peers are bound to that
-// value — their echo shares, and possibly a completed certificate, refer
-// to broadcast state this node no longer holds (its FINISH intent died
-// with the transport, and peers that delivered removed their echo intents
-// at delivery). Pull that state back through the repair path: survivors
-// re-publish the certificate if one exists, or their standing echo
-// intents complete the quorum again on this node. The proposal WAL
-// guarantees the replayed value hashes identically, so the pulled state
-// binds to the value just re-broadcast.
+// Reproposed implements the chain's WAL-replay signal, the one engine hook
+// of crash recovery: this node crashed after first broadcasting the
+// epoch's batch, so peers are bound to that value — their echo shares, and
+// possibly a completed certificate, refer to broadcast state this node no
+// longer holds (its FINISH intent died with the transport, and peers that
+// delivered removed their echo intents at delivery). Pull that state back
+// through the repair path: survivors re-publish the certificate if one
+// exists, or their standing echo intents complete the quorum again on this
+// node. The proposal WAL, which every chain keeps, guarantees the replayed
+// value hashes identically, so the pulled state binds to the value just
+// re-broadcast. RBC needs no such pull: its survivors re-announce their
+// votes to a peer whose NACK rows show it lost them.
 func (a *Alea) Reproposed() { a.vcbc.Fetch(a.env.Me) }
 
 // Done implements Instance.

@@ -21,9 +21,7 @@ import (
 // HoneyBadgerBFT and Dumbo deploy as — continuous multi-epoch ordering —
 // rather than the one-shot ACS the paper's evaluation times.
 
-// ChainConfig tunes one node's SMR engine. Whether the proposer's cuts are
-// write-ahead logged is a property of the family (Engine.ProposalWAL), not
-// tuning.
+// ChainConfig tunes one node's SMR engine.
 type ChainConfig struct {
 	Protocol Kind
 	Coin     CoinKind
@@ -72,11 +70,12 @@ type Chain struct {
 
 	mempool *Mempool
 	epochs  map[int]*chainEpoch
-	// wal is the family's Engine.ProposalWAL; when set, proposed is the
-	// proposal WAL: epoch -> the encoded batch this node first cut for it.
-	// Crash preserves it, so a recovered proposer re-broadcasts the value
-	// peers may already have echoed. Entries die with the epoch GC.
-	wal      bool
+	// proposed is the proposal WAL: epoch -> the encoded batch this node
+	// first cut for it. Crash preserves it, so a recovered proposer
+	// re-broadcasts the value peers may already have echoed: every family's
+	// broadcast binds its peers to the first value they see (RBC's echoes
+	// and READYs vote for its hash, CBC's echoes sign it). Entries die with
+	// the epoch GC.
 	proposed map[int][]byte
 	// nextStart is the lowest epoch not yet started here; nextCommit the
 	// lowest not yet committed. Invariant: nextCommit <= nextStart <
@@ -136,14 +135,12 @@ func NewChain(env component.Env, mux *core.Mux, cfg ChainConfig) *Chain {
 	if cfg.Mempool.Shards == 0 {
 		cfg.Mempool.Shard, cfg.Mempool.Shards = env.Me, env.N
 	}
-	engine, _ := Lookup(cfg.Protocol)
 	c := &Chain{
 		env:      env,
 		mux:      mux,
 		cfg:      cfg,
 		mempool:  NewMempool(cfg.Mempool),
 		epochs:   make(map[int]*chainEpoch),
-		wal:      engine.ProposalWAL,
 		proposed: make(map[int][]byte),
 		submitAt: make(map[txKey]time.Duration),
 		peerMax:  -1,
@@ -213,10 +210,10 @@ func (c *Chain) Start() { c.advance() }
 
 // Crash models a process failure with stable storage: the committed log,
 // the mempool (pending transactions and committed-digest horizon), the
-// commit frontier, and the proposal WAL (Engine.ProposalWAL) survive;
-// every in-flight epoch's protocol state and per-epoch transport are
-// discarded. The node-level crash (radio off,
-// inbound gated) is the deployment layer's job — see node.Node.Crash.
+// commit frontier, and the proposal WAL survive; every in-flight epoch's
+// protocol state and per-epoch transport are discarded. The node-level
+// crash (radio off, inbound gated) is the deployment layer's job — see
+// node.Node.Crash.
 func (c *Chain) Crash() {
 	c.ageEvt.Cancel()
 	c.ageEvt = nil
@@ -316,9 +313,7 @@ func (c *Chain) startEpoch(e int) {
 	replayed := prop != nil
 	if prop == nil {
 		prop = EncodeBatch(c.mempool.Cut(e, c.env.Sched.Now()))
-		if c.wal {
-			c.proposed[e] = prop
-		}
+		c.proposed[e] = prop
 	}
 	ep.inst.Start(prop)
 	if replayed {

@@ -71,7 +71,7 @@ func newDumbo(env *component.Env, opts Options) Instance {
 	})
 	// Serial ABA: instances execute one at a time in π order, so coins are
 	// per-instance (no cross-instance sharing to leak future coins).
-	d.aba = newABA(env, env.N, opts.Coin, false, false, d.onABADecide)
+	d.aba = newABA(env, env.N, opts.Coin, false, d.onABADecide)
 	return d
 }
 
@@ -237,13 +237,7 @@ func (d *Dumbo) maybeFinish() {
 	rbc := d.prbc.RBC()
 	for _, e := range d.wantSlots {
 		if !rbc.Delivered(e.slot) {
-			// The verified proof is evidence the slot must deliver; ask for
-			// repair explicitly (idempotent). In steady state totality is
-			// already under way, but a recovering node faces peers that
-			// pruned their vote intents long ago and re-announces them only
-			// on request.
-			rbc.RequestRepair(e.slot)
-			return
+			return // the verified proof says it will: PRBC totality and NACK repair deliver it
 		}
 	}
 	outputs := make([][]byte, d.env.N)

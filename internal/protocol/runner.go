@@ -46,10 +46,10 @@ type Options struct {
 // Engine is one registry entry: everything that tells a protocol family
 // from the others. What is downstream — run.Spec validation, the Encrypt
 // default, the drivers of all four matrix cells and the global tier of the
-// clustered ones, the chain's proposal log, the wbft CLI vocabulary, and
-// the cross-engine conformance suite — reads the registry instead of naming
-// families, so adding an engine is one Register (or one slice entry) and
-// zero call-site changes.
+// clustered ones, the wbft CLI vocabulary, and the cross-engine
+// conformance suite — reads the registry instead of naming families, so
+// adding an engine is one Register (or one slice entry) and zero call-site
+// changes.
 type Engine struct {
 	Kind Kind
 	// DefaultEncrypt is whether run.Defaults turns on the
@@ -58,18 +58,6 @@ type Engine struct {
 	// Coin is the coin the family runs when the Spec names none ("": the
 	// Spec must name one).
 	Coin CoinKind
-	// ProposalWAL makes the chain keep the batch it first cut for every
-	// uncommitted epoch on stable storage, so that a recovered proposer
-	// re-proposes exactly that batch instead of cutting a fresh one (see
-	// Chain.startEpoch). A family needs it when its broadcast binds peers
-	// to the first value they see: Alea's echoes are signature shares over
-	// the queue head's hash, so after a full stop (more than f nodes down
-	// at once) a fresh batch can never certify — survivors are bound to
-	// the old hash and the old broadcast lost its leader's share with the
-	// crash. The RBC families share the value-binding limitation
-	// (TestFullStopRecovery) and the log alone does not lift it: they
-	// answer no replay pull (ROADMAP item 1).
-	ProposalWAL bool
 	// New builds one epoch's consensus instance.
 	New func(env *component.Env, opts Options) Instance
 }
@@ -79,7 +67,7 @@ func builtinEngines() []Engine {
 		{Kind: HoneyBadger, DefaultEncrypt: true, New: newACS},
 		{Kind: BEAT, DefaultEncrypt: true, Coin: CoinFlip, New: newACS},
 		{Kind: DumboKind, New: newDumbo},
-		{Kind: AleaKind, ProposalWAL: true, New: newAlea},
+		{Kind: AleaKind, New: newAlea},
 	}
 }
 

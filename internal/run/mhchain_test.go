@@ -155,7 +155,7 @@ func TestClusteredChainForgedCutsRejected(t *testing.T) {
 		seed   int64
 		armAt  time.Duration // 0 = from the start
 	}{
-		{"acs-start", protocol.HoneyBadger, 3, 6, 0},
+		{"acs-start", protocol.HoneyBadger, 3, 7, 0},
 		{"acs-midrun", protocol.HoneyBadger, 3, 9, 2 * time.Minute},
 		{"dumbo-start", protocol.DumboKind, 3, 9, 0},
 		{"dumbo-midrun", protocol.DumboKind, 3, 8, 2 * time.Minute},

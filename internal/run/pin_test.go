@@ -112,7 +112,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "4809619c51ff57f97aea5e72690a3ad6fd7bb8524f7745a0162859b8b3acbe72"},
+		}, "618f2b7706e55dba99421ccff8cf09f9377a7b33cd08061665e8bf36f4179260"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
@@ -131,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "bd5fe926c4f485606a926a94764e8f2893b191142c610c76607453356f69d2d6"},
+		}, "e2ca5d9db9c0c200b0e1481fa566aa970ddd563b5c9ef3e5029c8034eae186df"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -144,7 +144,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "4095184d8c236906f9bd09c3e699c7d2d1db6bc32c9656aed8e3e1ddb676a2f9"},
+		}, "397e2f2fced6d7b707d4a4de2d112acaf5691369bf8658e34d8ce1a1f53ad6b5"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
@@ -155,7 +155,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "5636e80fd11f418e778b9778cd59deafb63fb5a2d0003ba889fc67892ec2c675"},
+		}, "739baaeb98355152f3e86e5ab273b628a2348ada682e99705825622017ee8df9"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -163,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "81a4a72f47c9e858412700fda618d9785e60e1b46aaeb0a011327bfc5baa70cd"},
+		}, "2d0919550be38260de75fa7af11e42fc77946143b0c17a5a48d00dbd3900ef03"},
 	}
 	for _, tc := range cases {
 		tc := tc
