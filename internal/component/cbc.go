@@ -31,8 +31,7 @@ type CBC struct {
 
 	onDeliver func(slot int, value []byte, cert []byte)
 
-	finDone  packet.BitSet // compressed O(N) NACK: slot delivered
-	peersFin peerRows
+	finDone packet.BitSet // compressed O(N) NACK: slot delivered
 }
 
 type cbcSlot struct {
@@ -60,7 +59,6 @@ func NewCBC(env *Env, opts CBCOptions) *CBC {
 		echoTag:   "cbc-echo",
 		onDeliver: opts.OnDeliver,
 		finDone:   packet.NewBitSet(opts.Slots),
-		peersFin:  newPeerRows(opts.Slots, env.N),
 	}
 	if opts.Kind == packet.KindVCBC {
 		// Each wire kind signs under its own tag. The tag decides every
@@ -74,8 +72,7 @@ func NewCBC(env *Env, opts CBCOptions) *CBC {
 	for i := 0; i < opts.Slots; i++ {
 		c.slots = append(c.slots, &cbcSlot{})
 	}
-	c.dissemination = newDissemination(env, opts.Kind, opts.Small, opts.FragSize, opts.Slots,
-		func(slot int) *valueSlot { return &c.slots[slot].valueSlot })
+	c.dissemination = newDissemination(env, opts.Kind, opts.Small, opts.FragSize, opts.Slots)
 	env.T.SetNack(opts.Kind, packet.PhaseFinish, c.finDone)
 	env.T.Register(opts.Kind, c)
 	return c
@@ -140,24 +137,6 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 	w, ok := c.env.peer(from)
 	if !ok {
 		return
-	}
-	switch sec.Phase {
-	case packet.PhaseInitial:
-		c.trackHeld(w, sec.Nack)
-	case packet.PhaseFinish:
-		// Once every peer has delivered a slot, its certificate — ours as
-		// its leader, or one we re-served — goes off the air; a leader puts
-		// it back for a peer that turns up without the slot delivered.
-		for slot, s := range c.slots {
-			switch c.peersFin.fold(c.env, slot, w, sec.Nack) {
-			case rowConfirmed:
-				c.env.T.Remove(core.IntentKey{Kind: c.kind, Phase: packet.PhaseFinish, Slot: uint8(slot)})
-			case rowReopened:
-				if c.leader(slot) == c.env.Me && s.cert.done {
-					c.publishFinish(slot)
-				}
-			}
-		}
 	}
 	for _, e := range sec.Entries {
 		slot := int(e.Slot)

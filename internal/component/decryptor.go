@@ -18,8 +18,7 @@ type Decryptor struct {
 
 	onPlain func(slot int, plaintext []byte)
 
-	done      packet.BitSet
-	peersDone peerRows
+	done packet.BitSet
 }
 
 // decSlot is the plaintext of one accepted ciphertext in the making; it
@@ -32,11 +31,10 @@ type decSlot struct {
 // NewDecryptor creates the component and registers it on the transport.
 func NewDecryptor(env *Env, slots int, onPlain func(slot int, plaintext []byte)) *Decryptor {
 	d := &Decryptor{
-		env:       env,
-		slots:     make([]*decSlot, slots),
-		onPlain:   onPlain,
-		done:      packet.NewBitSet(slots),
-		peersDone: newPeerRows(slots, env.N),
+		env:     env,
+		slots:   make([]*decSlot, slots),
+		onPlain: onPlain,
+		done:    packet.NewBitSet(slots),
 	}
 	d.shares = collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{scheme: decScheme(env), env: env, combined: d.recovered}
 	env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
@@ -83,20 +81,6 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 	if !ok {
 		return
 	}
-	// Prune our share intents only when every peer confirms completion —
-	// and re-announce them when a peer that had confirmed turns up without
-	// the done bit again: it lost its state (crash recovery) and needs the
-	// f+1 shares back on the air.
-	for slot, s := range d.slots {
-		switch d.peersDone.fold(d.env, slot, w, sec.Nack) {
-		case rowConfirmed:
-			d.env.T.Remove(d.shareIntent(slot))
-		case rowReopened:
-			if s != nil && s.own != nil {
-				d.env.T.Update(core.Intent{IntentKey: d.shareIntent(slot), Data: s.own})
-			}
-		}
-	}
 	for _, e := range sec.Entries {
 		if int(e.Slot) >= len(d.slots) {
 			continue
@@ -110,8 +94,9 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 func (d *Decryptor) recovered(slot int, plain []byte) {
 	d.done.Set(slot)
 	d.env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
-	// The share intent stays live until peersDone confirms everyone
-	// combined (see HandleSection).
+	// The share intent stays live: the transport parks it once every
+	// peer's row shows the slot combined, and a peer that turns up
+	// without the done bit again (crash recovery) brings it back.
 	if d.onPlain != nil {
 		d.onPlain(slot, plain)
 	}

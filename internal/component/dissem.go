@@ -29,21 +29,17 @@ const (
 // value trustworthy — a READY quorum, a certificate — is the embedding
 // component's business. RBC and CBC embed it by value.
 //
-// The INITIAL NACK row says which slots' values this node holds. A peer
-// whose row shows a slot held no longer needs its fragments, and once
-// every peer's does, whoever has them on the air — the leader, or a peer
-// that re-served them — takes them off: a straggler that shows up later
-// pulls them back through the repair request.
+// The INITIAL NACK row says which slots' values this node holds. Once
+// every peer's row shows a slot held, the transport parks the fragments of
+// whoever has them on the air — the leader, or a peer that re-served them —
+// and a peer whose row turns up without the slot brings them back.
 type dissemination struct {
 	env   *Env
 	kind  packet.Kind
 	small bool
 	frag  int
 
-	held      packet.BitSet // this node's INITIAL row
-	peersHeld peerRows
-	// valueAt is the embedding component's slot state, by slot.
-	valueAt func(slot int) *valueSlot
+	held packet.BitSet // this node's INITIAL row
 }
 
 // valueSlot is one instance's dissemination state, embedded by value in
@@ -57,12 +53,11 @@ type valueSlot struct {
 	repairAt   time.Duration // last repair response, for rate limiting
 }
 
-func newDissemination(env *Env, kind packet.Kind, small bool, fragSize, slots int, valueAt func(int) *valueSlot) dissemination {
+func newDissemination(env *Env, kind packet.Kind, small bool, fragSize, slots int) dissemination {
 	if fragSize <= 0 {
 		fragSize = DefaultFragSize
 	}
-	d := dissemination{env: env, kind: kind, small: small, frag: fragSize,
-		held: packet.NewBitSet(slots), peersHeld: newPeerRows(slots, env.N), valueAt: valueAt}
+	d := dissemination{env: env, kind: kind, small: small, frag: fragSize, held: packet.NewBitSet(slots)}
 	env.T.SetNack(kind, packet.PhaseInitial, d.held)
 	return d
 }
@@ -84,25 +79,6 @@ func (d *dissemination) drop(slot int, s *valueSlot) {
 	s.needRepair = false
 	d.held.Clear(slot)
 	d.env.T.SetNack(d.kind, packet.PhaseInitial, d.held)
-}
-
-// trackHeld reads peer w's INITIAL row: once every peer holds a slot's
-// value, this node's INITIAL intents for it — a leader's own, or fragments
-// it re-served — go off the air, and a leader puts its value back on the
-// air for a peer that turns up without it again.
-func (d *dissemination) trackHeld(w int, row packet.BitSet) {
-	for slot := range d.peersHeld {
-		switch d.peersHeld.fold(d.env, slot, w, row) {
-		case rowConfirmed:
-			d.env.T.RemoveWhere(func(k core.IntentKey) bool {
-				return k.Kind == d.kind && k.Phase == packet.PhaseInitial && int(k.Slot) == slot
-			})
-		case rowReopened:
-			if s := d.valueAt(slot); d.leader(slot) == d.env.Me && s.assembled {
-				d.publish(slot, s.value, nil)
-			}
-		}
-	}
 }
 
 // leader returns the slot's proposer: slot i belongs to node i mod N.

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crypto"
-	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -60,53 +59,6 @@ func (e *Env) peer(from uint16) (w int, ok bool) {
 		return 0, false
 	}
 	return int(from), true
-}
-
-// peerRows is, by slot, the peers whose NACK row for one (kind, phase)
-// shows the slot done: the confirmations a node collects before it takes
-// its own state for the slot off the air. Every component prunes at N-1 of
-// them — all of its peers.
-type peerRows []packet.BitSet
-
-func newPeerRows(slots, n int) peerRows {
-	p := make(peerRows, slots)
-	for i := range p {
-		p[i] = packet.NewBitSet(n)
-	}
-	return p
-}
-
-// What folding one peer's bit into a slot's confirmations did.
-const (
-	rowSame      = iota
-	rowConfirmed // the slot now has its N-1 confirmations: prune
-	rowReopened  // a confirmation of a pruned slot was withdrawn: re-publish
-)
-
-// fold takes the slot's bit of peer w's row. A bit that goes clear again —
-// a peer back from a crash, or one that dropped a contradicted value — is
-// un-counted, and if that was a slot the node had pruned, the caller puts
-// its own state for the slot back on the air for that peer; it comes off
-// again once the peer confirms. An absent row says nothing.
-func (p peerRows) fold(env *Env, slot, w int, row packet.BitSet) int {
-	peers := p[slot]
-	set := row.Get(slot)
-	if len(row) == 0 || set == peers.Get(w) {
-		return rowSame
-	}
-	full := peers.Count() >= env.N-1
-	if !set {
-		peers.Clear(w)
-		if full {
-			return rowReopened
-		}
-		return rowSame
-	}
-	peers.Set(w)
-	if peers.Count() >= env.N-1 {
-		return rowConfirmed
-	}
-	return rowSame
 }
 
 // Hash8 is the truncated proposal digest used inside batched vote packets

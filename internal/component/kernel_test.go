@@ -251,7 +251,7 @@ func TestDisseminationSizes(t *testing.T) {
 	const frag = 16
 	tn := newTestNet(t, 32, 0, true)
 	out := record(tn.envs[0])
-	d := newDissemination(tn.envs[0], packet.KindRBC, false, frag, 4, nil)
+	d := newDissemination(tn.envs[0], packet.KindRBC, false, frag, 4)
 	for slot, tc := range []struct{ size, fragments int }{
 		{0, 1}, {3 * frag, 3}, {3*frag + 1, 4},
 	} {
@@ -550,8 +550,9 @@ func TestShareCollector(t *testing.T) {
 
 // TestOwnShareReplay: what a node re-serves to a peer that lost its state
 // is its own share as the tally kept it — in a pruned round's replay for a
-// coin, on a cleared done-bit for the Decryptor — and a share that came too
-// late to count was not kept.
+// coin; for the Decryptor, the share intent its transport parked once every
+// peer's row confirmed the slot and brings back when one clears the done
+// bit — and a share that came too late to count was not kept.
 func TestOwnShareReplay(t *testing.T) {
 	shareOnAir := func(rec *recorder, phase packet.Phase, round uint16) [][]byte {
 		var out [][]byte
@@ -609,20 +610,34 @@ func TestOwnShareReplay(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := NewDecryptor(env, 4, nil)
+		// Peer 2 has no decryptor of its own; it listens for node 0's share.
+		var heard [][]byte
+		tn.envs[2].T.Register(packet.KindDec, core.HandlerFunc(func(from uint16, sec packet.Section) {
+			for _, e := range sec.Entries {
+				if from == 0 && e.Slot == 0 {
+					heard = append(heard, bytes.Clone(e.Data))
+				}
+			}
+		}))
 		d.Submit(0, ct)
 		tn.settle(time.Second)
 		done := packet.NewBitSet(4)
 		done.Set(0)
 		for w := 1; w < 4; w++ { // every peer confirms: the share leaves the air
-			d.HandleSection(uint16(w), packet.Section{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Nack: done})
+			tn.envs[w].T.SetNack(packet.KindDec, packet.PhaseDecShare, done)
 		}
-		if n := len(shareOnAir(rec, packet.PhaseDecShare, 0)); n != 1 {
-			t.Fatalf("share published %d times before any replay", n)
+		tn.settle(5 * time.Second)
+		before := len(heard)
+		tn.settle(time.Minute)
+		if before == 0 || len(heard) != before {
+			t.Fatalf("share heard %d times before the confirmations and %d more in the minute after", before, len(heard)-before)
 		}
 		// Peer 2 comes back without the done bit.
-		d.HandleSection(2, packet.Section{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Nack: packet.NewBitSet(4)})
-		if got := shareOnAir(rec, packet.PhaseDecShare, 0); len(got) != 2 || !bytes.Equal(got[0], got[1]) {
-			t.Errorf("share re-served %d times to a peer that lost its state", len(got)-1)
+		tn.envs[2].T.SetNack(packet.KindDec, packet.PhaseDecShare, packet.NewBitSet(4))
+		tn.settle(5 * time.Second)
+		published := shareOnAir(rec, packet.PhaseDecShare, 0)
+		if len(heard) != before+1 || len(published) != 1 || !bytes.Equal(heard[before], published[0]) {
+			t.Errorf("share re-served %d times to a peer that lost its state, published %d times", len(heard)-before, len(published))
 		}
 	})
 }

@@ -21,9 +21,8 @@ type PRBC struct {
 	onProof   func(slot int, value []byte, proof []byte)
 	onDeliver func(slot int, value []byte)
 
-	sigDone   packet.BitSet // compressed NACK: slot has a combined proof
-	peersDone peerRows
-	slots     []*prbcSlot
+	sigDone packet.BitSet // compressed NACK: slot has a combined proof
+	slots   []*prbcSlot
 }
 
 type prbcSlot struct {
@@ -47,7 +46,6 @@ func NewPRBC(env *Env, opts PRBCOptions) *PRBC {
 		onProof:   opts.OnProof,
 		onDeliver: opts.OnDeliver,
 		sigDone:   packet.NewBitSet(opts.Slots),
-		peersDone: newPeerRows(opts.Slots, env.N),
 	}
 	p.dones = collector[[]byte, *threshsig.SigShare, []byte]{
 		scheme: sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare), env: env, combined: p.proven,
@@ -110,20 +108,6 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 	if !ok {
 		return
 	}
-	// The sender's compressed NACK says which slots it holds proofs for;
-	// once every peer holds one, our share is no longer needed on the air,
-	// until a peer turns up without the proof again.
-	for slot, s := range p.slots {
-		key := core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(p.env.Me)}
-		switch p.peersDone.fold(p.env, slot, w, sec.Nack) {
-		case rowConfirmed:
-			p.env.T.Remove(key)
-		case rowReopened:
-			if s.proof.own != nil {
-				p.env.T.Update(core.Intent{IntentKey: key, Data: s.proof.own})
-			}
-		}
-	}
 	for _, e := range sec.Entries {
 		slot := int(e.Slot)
 		if slot >= len(p.slots) {
@@ -138,7 +122,8 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 func (p *PRBC) proven(slot int, proof []byte) {
 	p.sigDone.Set(slot)
 	// Keep our share intent live: a peer that missed share frames
-	// (half-duplex, loss) still needs it; peersDone tracking prunes it.
+	// (half-duplex, loss) still needs it; the transport parks it once
+	// every peer's DONE row shows the proof.
 	p.env.T.SetNack(packet.KindPRBC, packet.PhaseDone, p.sigDone)
 	if p.onProof != nil {
 		p.onProof(slot, p.rbc.Value(slot), proof)

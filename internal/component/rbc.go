@@ -23,8 +23,6 @@ type RBC struct {
 
 	echoDone  packet.BitSet // compressed O(N) NACK: slot reached 2f+1 echoes
 	readyDone packet.BitSet
-	// peersEcho and peersReady are the peers' confirmations of the two rows.
-	peersEcho, peersReady peerRows
 }
 
 type rbcSlot struct {
@@ -50,11 +48,9 @@ type RBCOptions struct {
 // NewRBC creates the component and registers it on the transport.
 func NewRBC(env *Env, opts RBCOptions) *RBC {
 	r := &RBC{
-		onDeliver:  opts.OnDeliver,
-		echoDone:   packet.NewBitSet(opts.Slots),
-		readyDone:  packet.NewBitSet(opts.Slots),
-		peersEcho:  newPeerRows(opts.Slots, env.N),
-		peersReady: newPeerRows(opts.Slots, env.N),
+		onDeliver: opts.OnDeliver,
+		echoDone:  packet.NewBitSet(opts.Slots),
+		readyDone: packet.NewBitSet(opts.Slots),
 	}
 	for i := 0; i < opts.Slots; i++ {
 		r.slots = append(r.slots, &rbcSlot{
@@ -62,8 +58,7 @@ func NewRBC(env *Env, opts RBCOptions) *RBC {
 			readies: make(hashVotes, env.N),
 		})
 	}
-	r.dissemination = newDissemination(env, packet.KindRBC, opts.Small, DefaultFragSize, opts.Slots,
-		func(slot int) *valueSlot { return &r.slots[slot].valueSlot })
+	r.dissemination = newDissemination(env, packet.KindRBC, opts.Small, DefaultFragSize, opts.Slots)
 	env.T.SetNack(r.kind, packet.PhaseEcho, r.echoDone)
 	env.T.SetNack(r.kind, packet.PhaseReady, r.readyDone)
 	env.T.Register(packet.KindRBC, r)
@@ -129,7 +124,6 @@ func (r *RBC) HandleSection(from uint16, sec packet.Section) {
 		for _, e := range sec.Entries {
 			r.handleInitial(w, e)
 		}
-		r.trackHeld(w, sec.Nack)
 	case packet.PhaseEcho:
 		for _, e := range sec.Entries {
 			if int(e.Slot) < len(r.slots) && len(e.Data) >= 8 {
@@ -138,7 +132,6 @@ func (r *RBC) HandleSection(from uint16, sec packet.Section) {
 				r.applyEcho(int(e.Slot), w, h)
 			}
 		}
-		r.trackPeerDone(sec.Nack, w, packet.PhaseEcho)
 	case packet.PhaseReady:
 		for _, e := range sec.Entries {
 			if int(e.Slot) < len(r.slots) && len(e.Data) >= 8 {
@@ -147,7 +140,6 @@ func (r *RBC) HandleSection(from uint16, sec packet.Section) {
 				r.applyReady(int(e.Slot), w, h)
 			}
 		}
-		r.trackPeerDone(sec.Nack, w, packet.PhaseReady)
 	case packet.PhaseRepair:
 		for _, e := range sec.Entries {
 			r.handleRepairRequest(int(e.Slot), e.Data)
@@ -254,35 +246,13 @@ func (r *RBC) handleRepairRequest(slot int, have packet.BitSet) {
 	if !r.repairDue(&s.valueSlot) {
 		return
 	}
-	// Re-announce our ECHO and READY votes alongside the fragments: a
-	// requester that lost its state (crash recovery) needs the vote quorum
-	// back on the air, and trackPeerDone may have pruned those intents when
-	// every node of the time had confirmed the slot.
+	// Re-announce our ECHO and READY votes alongside the fragments, at once:
+	// a requester that lost its state (crash recovery) needs the vote quorum
+	// back on the air, and the transport parked those intents when every
+	// peer of the time had confirmed the slot.
 	r.announceEcho(slot, s)
 	r.announceReady(slot, s)
 	r.reserve(slot, &s.valueSlot, have, r.repairJitter())
-}
-
-// trackPeerDone prunes our vote intents once every peer has signalled (via
-// the compressed NACK bits) that the slot reached its quorum, and puts a
-// pruned vote back on the air for a peer that turns up without the quorum.
-func (r *RBC) trackPeerDone(nack packet.BitSet, w int, phase packet.Phase) {
-	done := r.peersEcho
-	if phase == packet.PhaseReady {
-		done = r.peersReady
-	}
-	for slot, s := range r.slots {
-		switch done.fold(r.env, slot, w, nack) {
-		case rowConfirmed:
-			r.env.T.Remove(core.IntentKey{Kind: r.kind, Phase: phase, Slot: uint8(slot)})
-		case rowReopened:
-			if phase == packet.PhaseEcho {
-				r.announceEcho(slot, s)
-			} else {
-				r.announceReady(slot, s)
-			}
-		}
-	}
 }
 
 // announceEcho (re-)publishes this node's ECHO vote on a slot, if it cast

@@ -148,7 +148,8 @@ func TestUndoneSlotReturnsToBaseRate(t *testing.T) {
 
 // TestEntrylessRowLetsLastConfirmerPrune: node 1 has nothing of the phase
 // left on the air, so its done bit travels in an entry-less section — and
-// node 0, which prunes once its peer confirms, hears it and goes quiet.
+// node 0, whose transport parks the intent once its peer confirms, hears
+// it and goes quiet by itself.
 func TestEntrylessRowLetsLastConfirmerPrune(t *testing.T) {
 	r := newPolicyRig(t, 2, nil)
 	tr := r.transports[0]
@@ -158,7 +159,6 @@ func TestEntrylessRowLetsLastConfirmerPrune(t *testing.T) {
 		if sec.Phase == packet.PhaseReady && sec.Nack.Get(2) {
 			c := sec
 			confirmation = &c
-			tr.Remove(key)
 		}
 	}))
 	tr.Update(Intent{IntentKey: key, Data: []byte{9}})
@@ -175,9 +175,82 @@ func TestEntrylessRowLetsLastConfirmerPrune(t *testing.T) {
 	}
 	sent := tr.Stats().LogicalSent
 	r.sched.RunFor(10 * time.Minute)
-	if len(tr.live) != 0 || tr.Stats().LogicalSent != sent {
-		t.Errorf("after the confirmation: %d intents live, %d more frames sent", len(tr.live), tr.Stats().LogicalSent-sent)
+	if n := tr.Stats().LogicalSent - sent; n != 0 || len(tr.live) != 1 || tr.live[0].due != never {
+		t.Errorf("after the confirmation: %d more frames sent, %d intents live; want none sent and the one parked", n, len(tr.live))
 	}
+}
+
+// TestConfirmedIntentParks: the transport takes an intent off the air when
+// the last peer's row confirms its slot, even one updated but not yet sent;
+// it keeps it, and a row that withdraws the confirmation brings it back at
+// once. A peer that withdraws and re-grants the confirmation with every
+// frame it sends, a frame a second, gets the intent at most once per base
+// period: about one re-send for every two withdrawals.
+func TestConfirmedIntentParks(t *testing.T) {
+	r := newPolicyRig(t, 3, nil)
+	tr, got := r.transports[0], hear(r, 1, packet.KindRBC)
+	key := IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 1}
+	done, undone := packet.NewBitSet(4), packet.NewBitSet(4)
+	done.Set(1)
+	r.transports[1].SetNack(key.Kind, key.Phase, done)
+	r.sched.RunFor(5 * time.Second)
+
+	// Node 0 updates the intent while it takes in node 2's frame, whose row
+	// is the last confirmation: the handler runs before the transport reads
+	// the row.
+	updated := false
+	tr.Register(packet.KindRBC, HandlerFunc(func(from uint16, sec packet.Section) {
+		if from == 2 && sec.Nack.Get(1) && !updated {
+			updated = true
+			tr.Update(Intent{IntentKey: key, Data: []byte{1}})
+		}
+	}))
+	r.transports[2].SetNack(key.Kind, key.Phase, done)
+	r.sched.RunFor(time.Minute)
+	if !updated {
+		t.Fatal("node 2's confirming row never arrived")
+	}
+	if n := len(carrying(*got, 1)); n != 0 || tr.Stats().LogicalSent != 0 {
+		t.Fatalf("the confirmed intent went out %d times in %d frames", n, tr.Stats().LogicalSent)
+	}
+	if len(tr.live) != 1 || tr.nDirty != 0 || tr.live[0].due != never {
+		t.Fatalf("%d intents live, %d dirty: want the one parked", len(tr.live), tr.nDirty)
+	}
+
+	withdrawn := r.sched.Now()
+	r.transports[2].SetNack(key.Kind, key.Phase, undone)
+	r.sched.RunFor(2 * time.Second)
+	if n := between(carrying(*got, 1), withdrawn, r.sched.Now()); n != 1 {
+		t.Fatalf("%d sends within 2 s of the withdrawn confirmation, want 1", n)
+	}
+
+	// For two minutes node 2 flips its row every second: each frame it
+	// sends withdraws or re-grants the confirmation.
+	rows, flips := [2]packet.BitSet{undone, done}, 0
+	var flip func()
+	flip = func() {
+		flips++
+		r.transports[2].SetNack(key.Kind, key.Phase, rows[flips%2])
+		if flips < 120 {
+			r.sched.PostAfter(time.Second, flip)
+		}
+	}
+	flapped := r.sched.Now()
+	flip()
+	r.sched.RunFor(2 * time.Minute)
+	sends := carrying(*got, 1)
+	sends = sends[len(sends)-between(sends, flapped, r.sched.Now()):]
+	if len(sends) < 10 {
+		t.Fatalf("node 0 sent the intent %d times to a peer that withdraws it %d times", len(sends), flips/2)
+	}
+	// Sends are built one base period after the one before; arrivals differ
+	// from builds by a contention round.
+	for k := 1; k < len(sends); k++ {
+		if gap := sends[k] - sends[k-1]; gap < testRetx-time.Second {
+			t.Errorf("re-send %d came %v after the one before, want at least %v", k, gap, testRetx)
+		}
+	}
+	t.Logf("%d withdrawals, %d re-sends in %v", flips/2, len(sends), r.sched.Now()-flapped)
 }
 
 // TestSettledIntentWaitsToBeAsked: once every peer whose row has arrived

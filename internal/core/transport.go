@@ -28,8 +28,10 @@
 // bitmap the epoch has set. An intent nobody asks for is re-sent on a
 // geometrically backed-off schedule, and only once every live peer has had
 // the medium since it last went out; a peer whose bitmap shows a slot
-// undone puts that slot's intents back on the base period, unpaced, and
-// the components prune what every peer has confirmed.
+// undone puts that slot's intents back on the base period, unpaced. The
+// transport is the one place the peers' bitmaps are kept: what every peer
+// has confirmed it parks — keeps, but never sends — until a bitmap shows
+// the slot undone again.
 //
 // A node has one Mux, which owns everything node-scoped, and one Transport
 // per open epoch, which owns that epoch's state (mux.go); components talk
@@ -159,7 +161,9 @@ type Transport struct {
 	// regressed marks, by sender, the peers one of whose rows lost a bit it
 	// had shown (nil: none has).
 	regressed packet.BitSet
-	handlers  [packet.KindLimit]Handler
+	// was is the scratch copy of the row a peer's newer one replaces.
+	was      packet.BitSet
+	handlers [packet.KindLimit]Handler
 
 	// retxEvt is the one retransmission timer, armed for the earliest due
 	// re-send (retxArmed: queued and not yet fired); retxFn is t.retransmit
@@ -183,7 +187,10 @@ type Transport struct {
 // (kind, phase) that has NACK rows is settled once every peer whose row
 // has reached this node shows its slot done: it is then re-sent only when
 // asked — a peer that was silent until now (a crashed one coming back, one
-// that opens the epoch late) asks with its first frame. An unasked re-send
+// that opens the epoch late) asks with its first frame. The row that
+// settles a slot parks its intents at once, even dirty ones, so a peer
+// that withdraws and re-grants a confirmation with every frame gets the
+// intent at most once per base period. An unasked re-send
 // also waits its turn: it goes out only once every live station (one heard
 // within Mux.liveWindow) has been heard again since the intent was
 // last sent, so the node whose last transmission is oldest goes first and
@@ -473,8 +480,10 @@ func (t *Transport) resend() {
 }
 
 // heardFrom keeps peer from's NACK row for (kind, phase), marks the peer
-// regressed if the row lost a bit the one before it had set, and takes it
-// as a request for this node's intents of every slot the row shows undone.
+// regressed if the row lost a bit the one before it had set, parks this
+// node's intents of every slot the row newly shows done that every peer
+// heard now shows done, and takes the row as a request for this node's
+// intents of every slot it shows undone.
 func (t *Transport) heardFrom(from uint16, sec *packet.Section) {
 	if len(sec.Nack) == 0 || from >= maxSender {
 		return
@@ -483,15 +492,47 @@ func (t *Transport) heardFrom(from uint16, sec *packet.Section) {
 	for int(from) >= len(r.peers) {
 		r.peers = append(r.peers, nil)
 	}
-	if lostBit(r.peers[from], sec.Nack) {
+	prev := r.peers[from]
+	if lostBit(prev, sec.Nack) {
 		if t.regressed == nil {
 			t.regressed = packet.NewBitSet(maxSender)
 		}
 		t.regressed.Set(int(from))
 	}
-	r.peers[from] = append(r.peers[from][:0], sec.Nack...)
+	// Rows rarely change between frames: the row is kept aside only when it
+	// gains a bit, in the one scratch row, so park can tell what is new.
+	gained := lostBit(sec.Nack, prev)
+	if gained {
+		t.was = append(t.was[:0], prev...)
+	}
+	r.peers[from] = append(prev[:0], sec.Nack...)
 	if t.m.cfg.RetxInterval > 0 {
+		if gained {
+			t.park(sec, t.was)
+		}
 		t.demand(sec)
+	}
+}
+
+// park takes off the air every intent of a slot that the row in sec shows
+// done, and the one it replaced (was) did not, once the slot is settled:
+// the intent stays in the store, clean and never due, and only a row that
+// shows its slot undone brings it back (demand).
+func (t *Transport) park(sec *packet.Section, was packet.BitSet) {
+	i, _ := t.find(IntentKey{Kind: sec.Kind, Phase: sec.Phase})
+	for ; i < len(t.live); i++ {
+		e := &t.live[i]
+		if e.Kind != sec.Kind || e.Phase != sec.Phase {
+			break
+		}
+		if slot := int(e.Slot); was.Get(slot) || !sec.Nack.Get(slot) || !t.settled(e) {
+			continue
+		}
+		if e.dirty {
+			e.dirty = false
+			t.nDirty--
+		}
+		e.asked, e.due = false, never
 	}
 }
 

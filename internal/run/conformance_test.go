@@ -177,15 +177,15 @@ func TestConformanceEngines(t *testing.T) {
 // complete cooperatively from survivor state plus the recovered nodes'
 // re-proposals. Every engine recovers the same way: the proposal WAL every
 // chain keeps has a recovered proposer re-propose the batch its peers are
-// bound to; a survivor puts what it pruned back on the air for a peer whose
-// NACK rows show it lost state — its votes, values and certificates through
-// the rows' confirmations, its ABA rounds through the pruned-round replay
-// (core.Transport.Regressed gates it) — and Alea's WAL-replay pull
+// bound to; a survivor's transport brings back what it parked for a peer
+// whose NACK rows show the slots undone — its votes, values and
+// certificates — and its ABA rounds come back through the pruned-round
+// replay (core.Transport.Regressed gates it); Alea's WAL-replay pull
 // (Alea.Reproposed) has survivors re-serve the VCBC certificate or their
 // standing echo shares. Dumbo is left out: its serial CBC phase still
 // wedges on interleavings — on a 16-cell probe (crash at 30 s, 1, 2 and
-// 3 m × seeds 1–4) 8 batched and 2 baseline cells wedged, against 8 and 9
-// before the recovery path was one (see DESIGN.md and ROADMAP item 4).
+// 3 m × seeds 1–4) 8 batched and 3 baseline cells wedge (see DESIGN.md
+// and ROADMAP item 4).
 func TestFullStopRecovery(t *testing.T) {
 	for _, kind := range []protocol.Kind{protocol.HoneyBadger, protocol.BEAT, protocol.AleaKind} {
 		kind := kind

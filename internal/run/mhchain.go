@@ -190,17 +190,7 @@ func (d *mhcDriver) crashed(flat int) {
 // recovered is mid-run chain recovery.
 func (d *mhcDriver) recovered(flat int) {
 	cl, i := d.member(flat)
-	m := cl.members[i]
 	cl.local.chains[i].Recover()
-	// A member that comes back with its chain already at the target has no
-	// pipeline epoch left to carry or hear beacons on (Chain.Recover cannot
-	// reopen epochs past MaxEpochs): it re-syncs the frontier directly from
-	// its cluster's uplink seat — the same driver-level link relays hand
-	// cuts up through in the other direction.
-	if cl.local.chains[i].CommittedEpochs() >= d.target && cl.cutCount > m.heardCuts {
-		m.heardCuts = cl.cutCount
-		m.heardDigest = cl.cutDigest
-	}
 	// Both driver-glue directions stalled by a whole-cluster outage must
 	// restart here, because no further local commit may come to retrigger
 	// them: pending cuts go up (relay duty re-evaluated against the
@@ -450,15 +440,25 @@ func (d *mhcDriver) rejectCut(cl *mhcCluster, g int) {
 
 // beacon broadcasts the cluster seat's current global frontier — cut
 // count plus rolling digest — through the rotating relay's newest open
-// local epoch transport. Followers keep the highest count heard.
+// local epoch transport. Followers keep the highest count heard. A live
+// honest member with no open epoch — one that came back with its chain
+// already at the target (Chain.Recover cannot reopen epochs past
+// MaxEpochs) — has nothing to hear a beacon on: it learns the frontier
+// directly from its cluster's uplink seat, the same driver-level link
+// relays hand cuts up through in the other direction.
 func (d *mhcDriver) beacon(cl *mhcCluster, g int) {
 	p := d.spec.Topology.PerCluster
 	var relay *mhcMember
 	for k := 0; k < p; k++ {
 		i := (g + k) % p
-		if !cl.local.byz[i] && !cl.local.nodes[i].Down() && cl.members[i].latest != nil {
-			relay = cl.members[i]
-			break
+		m := cl.members[i]
+		switch {
+		case cl.local.byz[i] || cl.local.nodes[i].Down():
+			// untrusted or dead: neither relays nor is handed the frontier
+		case m.latest == nil:
+			m.hear(cl.cutCount, cl.cutDigest[:])
+		case relay == nil:
+			relay = m
 		}
 	}
 	if relay == nil {
@@ -469,9 +469,15 @@ func (d *mhcDriver) beacon(cl *mhcCluster, g int) {
 	copy(payload[4:], cl.cutDigest[:])
 	relay.latest.Update(core.Intent{IntentKey: beaconKey, Data: payload})
 	// The relay learned the frontier from its own seat.
-	if cl.cutCount > relay.heardCuts {
-		relay.heardCuts = cl.cutCount
-		relay.heardDigest = cl.cutDigest
+	relay.hear(cl.cutCount, cl.cutDigest[:])
+}
+
+// hear keeps a frontier (cut count and rolling digest) if it is beyond the
+// highest the member has heard.
+func (m *mhcMember) hear(count int, digest []byte) {
+	if count > m.heardCuts {
+		m.heardCuts = count
+		copy(m.heardDigest[:], digest)
 	}
 }
 
@@ -491,11 +497,7 @@ func (d *mhcDriver) hookMember(cl *mhcCluster, i int) {
 				if len(ent.Data) != 4+32 {
 					continue
 				}
-				count := int(binary.BigEndian.Uint32(ent.Data))
-				if count > m.heardCuts {
-					m.heardCuts = count
-					copy(m.heardDigest[:], ent.Data[4:])
-				}
+				m.hear(int(binary.BigEndian.Uint32(ent.Data)), ent.Data[4:])
 			}
 		}))
 	}

@@ -84,25 +84,25 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "6ac8eb53e1d877ab8a14746a528ad4b9ed7fc0198253d3cfee7f8256af2fc7b6"},
+		}, "71de85cacea0f796841982038d99f82b6925e7d78504359726e8d9bb6ef76009"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "404b6a3ddcdc7fd3b77e0dd4561755fbdd57ec7be3bdeb77c134ec83b89750ba"},
+		}, "b44504f0e0f357bdb25e395b119d9e8886f03a15fd9c6aba76ac5ddaf743de5e"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@30s:3;recover@1m30s:3")
 			return spec
-		}, "6fa16fc41d203b0ff62706fa2ce4cceb120ea2497e08a5f09c810341fd5b5b04"},
+		}, "1438f5c1b7f5d54f80643c2a4c31234356e9bb17f11a30ce6bd314c4fe1ca143"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "d9def9fa4c98debed34c3596fb2380e7f1c3458b2f36838cab5dd2316c3a030f"},
+		}, "e9fe4fe622d988d25d1066475928ec4ab9cf8e0bb94bb76765f2fe3f74ba1109"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "9e11008f1d55e5c0a06a2dd799a7542e33bb817c3e19a021c98ba14fd259715d"},
+		}, "6bbe259d4e2b5fdad26b3c9feecea109f2bce358add0c27fe275bab203d56918"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1 (a follower in epoch 0) crashes and
 			// rejoins as epoch 1's leader; cluster 2's member 3 is
@@ -112,18 +112,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "618f2b7706e55dba99421ccff8cf09f9377a7b33cd08061665e8bf36f4179260"},
+		}, "7426c321d5396c2a8b1a894e659f0b6c3fe64f240513ae889273cdcb6f1a2e66"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("crash@4m:2;recover@9m:2")
 			return spec
-		}, "12544b5331579123dbf5e68aaf9e10bf678a502d7b9ba84ff3d999a7dd5cbcf1"},
+		}, "80466ec1057316c2347d5e3d5134adf4cb87a54b30239341aeac4679e75ef125"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "0595201514140bdadd61a07228a58aba4a05f81f48e6d19fde03ec5c656e9ab1"},
+		}, "ccf26e1ece69caebca9d10fca3d7d3c444528bcc0d2efeaefced7e087a5856bc"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -131,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "e2ca5d9db9c0c200b0e1481fa566aa970ddd563b5c9ef3e5029c8034eae186df"},
+		}, "28f6c908dbef00c59f44f0f5ff12e84035bb1977ee0f0494f40cae20e3d620ee"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -144,18 +144,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "397e2f2fced6d7b707d4a4de2d112acaf5691369bf8658e34d8ce1a1f53ad6b5"},
+		}, "7a852a5be4e78f6be2268ffcf63c0a73af70b65a304cda3e487d3d877987f0a8"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "b88cb5e1cce3a04e4fd84da07a83108f7b001de07205be98e226dcbe2eff9864"},
+		}, "171d7eecd676f23c5ae70ca5c46d58a55bc70dd793815a5f599c5fa30978d3f2"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "739baaeb98355152f3e86e5ab273b628a2348ada682e99705825622017ee8df9"},
+		}, "aa46f614fc92b79421f38c77a473dd1d9730680ff9ab5dea862ceacf81fe0d87"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -163,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "2d0919550be38260de75fa7af11e42fc77946143b0c17a5a48d00dbd3900ef03"},
+		}, "b6b7cedb1f1701912cf64753f09e1b6156f74f71ee44f54f9e611210cf3a4af2"},
 	}
 	for _, tc := range cases {
 		tc := tc
