@@ -41,7 +41,9 @@ func (Equivocate) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
 // conflictOf derives the deterministic conflicting variant of a payload.
 // XOR keeps the length (so fragmented proposals still assemble — into a
 // different value) while scrambling any structure: a batch or ciphertext
-// that wins the quorum in this form fails decoding at the commit layer.
+// that wins the quorum in this form fails decoding at the commit layer,
+// and so does a proposal assembled from fragments of both variants, which
+// fails its seal or its ciphertext's tag.
 func conflictOf(data []byte) []byte {
 	out := make([]byte, len(data))
 	for i, b := range data {

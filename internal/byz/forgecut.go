@@ -1,6 +1,7 @@
 package byz
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 
 	"repro/internal/core"
@@ -112,14 +113,16 @@ func (f *ForgeCut) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
 // neighboring cluster (cluster id low bit flipped) with a scrambled
 // digest, keeping the stale certificate bytes. The adversary parses the
 // batch framing straight off the wire — a u16 record count, then
-// u16-length-prefixed transactions, protocol.EncodeBatch's layout — and
-// mutates cut-sized records in place, so the forgery preserves length.
-// It returns nil if the payload is not a well-formed batch of cut
+// u16-length-prefixed transactions, protocol.EncodeBatch's layout, then
+// the seal — mutates cut-sized records in place and reseals the batch: it
+// is the proposer, so its forgery is a well-sealed batch of the same
+// length. It returns nil if the payload is not a well-formed batch of cut
 // records.
-func forgeBatch(data []byte) []byte {
-	if len(data) < 2 {
+func forgeBatch(sealed []byte) []byte {
+	if len(sealed) < 2+sealLen {
 		return nil
 	}
+	data := sealed[:len(sealed)-sealLen]
 	count := int(binary.BigEndian.Uint16(data))
 	out := append([]byte(nil), data...)
 	off := 2
@@ -146,5 +149,17 @@ func forgeBatch(data []byte) []byte {
 	if off != len(data) || !forged {
 		return nil
 	}
-	return out
+	return append(out, reseal(out)...)
+}
+
+// sealLen and reseal mirror protocol.SealLen and protocol.SealBatch's
+// digest: this package cannot import protocol, whose tests build nodes,
+// which arm adversaries.
+const sealLen = 16
+
+func reseal(batch []byte) []byte {
+	h := sha256.New()
+	h.Write([]byte("protocol-batch-seal"))
+	h.Write(batch)
+	return h.Sum(nil)[:sealLen]
 }

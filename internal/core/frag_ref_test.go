@@ -155,7 +155,7 @@ func TestForgedFragmentCannotShadowVictim(t *testing.T) {
 			return r.sched, r.transports[victim], r.transports[1], r.transports[1]
 		}},
 		{"mux", func(t *testing.T) (*sim.Scheduler, *Transport, *Transport, wireless.Receiver) {
-			r := newMuxRig(t, 2)
+			r := newMuxRig(t, 2, true)
 			return r.sched, r.muxes[victim].Open(3), r.muxes[1].Open(3), r.muxes[1]
 		}},
 	} {

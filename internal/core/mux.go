@@ -24,10 +24,14 @@ import (
 // crash.
 //
 // Outbound, the Mux is its station's wireless.Source: when the station wins
-// the medium it builds the next open epoch's frame — round-robin over the
-// epochs with something to send, so no epoch starves another — from
-// whatever that epoch has dirty at that instant. Contention for the one
-// shared medium is what turns into batching across the whole pipeline.
+// the medium it builds frames from whatever its epochs have dirty at that
+// instant. Batched, one win serves every open epoch with something to send:
+// each builds its own signed packet, in epoch order, and the packets go out
+// in one burst (wireless.Station.Follow), so a node pays one contention for
+// its whole pipeline. The per-instance baseline serves one epoch per win,
+// round-robin over the epochs with something to send, so that no epoch
+// starves another. Contention for the one shared medium is what turns into
+// batching across the whole pipeline.
 //
 // Inbound, ReceiveFrame is the one receive path. It first notes the
 // sender's turn — when this node last heard any radio frame from each
@@ -48,8 +52,8 @@ type Mux struct {
 	epochs []*Transport
 	// windowOpen says the aggregation window of an idle node is running
 	// (windowFn is m.windowClosed, bound once); ready says the node
-	// contends for the medium. served is the epoch of the last frame
-	// built, where the round-robin resumes.
+	// contends for the medium. served is the epoch of the last frame a
+	// baseline node built, where its round-robin resumes.
 	windowOpen, ready bool
 	windowFn          func()
 	served            int
@@ -122,7 +126,7 @@ func (m *Mux) flush() {
 // still has something to send.
 func (m *Mux) windowClosed() {
 	m.windowOpen = false
-	if m.ready = m.next() != nil; m.ready {
+	if m.ready = m.pending(); m.ready {
 		m.kick()
 	}
 }
@@ -134,16 +138,16 @@ func (m *Mux) kick() {
 	}
 }
 
-// next returns the open epoch whose frame goes out at the node's next win:
-// the first after the last one served that has something to send, wrapping
+// next returns the open epoch a baseline node serves at its next win: the
+// first after the last one served that has something to send, wrapping
 // round, or nil when none has. Round-robin, so that an epoch with something
 // new at every win — a NACK row that changes with every frame heard —
 // cannot starve the others.
 func (m *Mux) next() *Transport {
 	var first *Transport
 	for _, t := range m.epochs {
-		if t.stopped || t.nDirty == 0 && !t.rowsChanged {
-			continue // nothing to send
+		if !t.pending() {
+			continue
 		}
 		if int(t.epoch) > m.served {
 			return t
@@ -159,18 +163,33 @@ var _ wireless.Source = (*Mux)(nil)
 
 // Pending implements wireless.Source: the node contends, and an open epoch
 // has something to send.
-func (m *Mux) Pending() bool { return m.ready && m.next() != nil }
+func (m *Mux) Pending() bool { return m.ready && m.pending() }
 
-// Build implements wireless.Source: the station has won the medium, and the
-// next epoch in the round-robin builds its frames now, from what it has
-// dirty at this instant. The node goes on contending while another epoch
-// has something to send.
+// pending reports whether an open epoch has something to send.
+func (m *Mux) pending() bool { return slices.ContainsFunc(m.epochs, (*Transport).pending) }
+
+// Build implements wireless.Source: the station has won the medium, and
+// epochs build their frames now, from what they have dirty at this instant.
+// Batched, every open epoch with something to send builds its packet, in
+// epoch order: the lowest epoch's goes out at the win and each later one
+// continues the burst once its own signature completes. Baseline, the next
+// epoch in the round-robin builds its per-intent frames, each to go out at
+// an access of its own, and the node goes on contending while another
+// epoch has something to send.
 func (m *Mux) Build() {
-	if t := m.next(); t != nil {
+	if m.cfg.Batched {
+		follows := false
+		for _, t := range m.epochs {
+			if t.pending() {
+				t.build(follows)
+				follows = true
+			}
+		}
+	} else if t := m.next(); t != nil {
 		m.served = int(t.epoch)
-		t.build()
+		t.build(false)
 	}
-	m.ready = m.next() != nil
+	m.ready = m.pending()
 }
 
 // SetInterceptor installs (or, with nil, clears) the outbound-intent
@@ -229,7 +248,7 @@ func (m *Mux) Close(epoch uint16) {
 	t.Stop()
 	m.closedStats = AddStats(m.closedStats, t.Stats())
 	m.epochs = slices.Delete(m.epochs, i, i+1)
-	m.ready = m.ready && m.next() != nil
+	m.ready = m.ready && m.pending()
 }
 
 // Stop closes every open epoch.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
 
@@ -16,17 +17,23 @@ type muxRig struct {
 	muxes []*Mux
 }
 
-func newMuxRig(t *testing.T, n int) *muxRig {
+func newMuxRig(t *testing.T, n int, batched bool) *muxRig {
 	t.Helper()
-	s := sim.New(5)
 	cfg := wireless.DefaultConfig()
 	cfg.LossProb = 0
+	return newMuxRigOn(t, n, batched, cfg)
+}
+
+// newMuxRigOn is newMuxRig on a channel configured by cfg.
+func newMuxRigOn(t *testing.T, n int, batched bool, cfg wireless.Config) *muxRig {
+	t.Helper()
+	s := sim.New(5)
 	ch := wireless.NewChannel(s, cfg)
 	r := &muxRig{sched: s, ch: ch}
 	for i := 0; i < n; i++ {
 		cpu := sim.NewCPU(s)
 		auth := &SizedAuth{Len: 56, CostSign: 5 * time.Millisecond, CostVerify: 10 * time.Millisecond}
-		tcfg := DefaultConfig(true)
+		tcfg := DefaultConfig(batched)
 		tcfg.RetxInterval = 0
 		m := NewMux(s, cpu, auth, tcfg)
 		st := ch.Attach(wireless.NodeID(i), m)
@@ -51,7 +58,7 @@ func collect(tr *Transport, got *int) {
 }
 
 func TestMuxRoutesByEpoch(t *testing.T) {
-	r := newMuxRig(t, 2)
+	r := newMuxRig(t, 2, true)
 	send0 := r.muxes[0].Open(3)
 	send1 := r.muxes[0].Open(4)
 	var got3, got4 int
@@ -71,7 +78,7 @@ func TestMuxRoutesByEpoch(t *testing.T) {
 }
 
 func TestMuxDropsAndSignalsUnknownEpoch(t *testing.T) {
-	r := newMuxRig(t, 2)
+	r := newMuxRig(t, 2, true)
 	sender := r.muxes[0].Open(7)
 
 	var signalled []uint16
@@ -98,7 +105,7 @@ func TestMuxDropsAndSignalsUnknownEpoch(t *testing.T) {
 }
 
 func TestMuxSharedSeqSpaceAcrossEpochs(t *testing.T) {
-	r := newMuxRig(t, 2)
+	r := newMuxRig(t, 2, true)
 	a := r.muxes[0].Open(1)
 	b := r.muxes[0].Open(2)
 	var got1, got2 int
@@ -126,7 +133,7 @@ func TestMuxSharedSeqSpaceAcrossEpochs(t *testing.T) {
 }
 
 func TestMuxCloseGarbageCollects(t *testing.T) {
-	r := newMuxRig(t, 2)
+	r := newMuxRig(t, 2, true)
 	sender := r.muxes[0].Open(1)
 	var got int
 	recvTr := r.muxes[1].Open(1)
@@ -167,7 +174,7 @@ func TestMuxCloseGarbageCollects(t *testing.T) {
 // — it supersedes the partial one rather than completing it — and is
 // delivered whole.
 func TestCrashMidBurstNextPacketDelivered(t *testing.T) {
-	r := newMuxRig(t, 2)
+	r := newMuxRig(t, 2, true)
 	tx, rx := r.muxes[0], r.muxes[1]
 	var got [][]byte
 	rx.Open(1).Register(packet.KindRBC, HandlerFunc(func(_ uint16, sec packet.Section) {
@@ -208,7 +215,7 @@ func TestCrashMidBurstNextPacketDelivered(t *testing.T) {
 // comes back from a crash with an all-zero row. Marks belong to the epoch:
 // another epoch's transport, or the same epoch opened afresh, starts clear.
 func TestRegressedPeer(t *testing.T) {
-	r := newMuxRig(t, 4)
+	r := newMuxRig(t, 4, true)
 	rx := r.muxes[0].Open(1)
 	other := r.muxes[0].Open(2)
 	row := func(bits ...int) packet.BitSet {
@@ -266,5 +273,116 @@ func TestRegressedPeer(t *testing.T) {
 	r.muxes[0].Close(1)
 	if got := marked(r.muxes[0].Open(1)); got != nil {
 		t.Errorf("epoch 1 opened afresh marked %v", got)
+	}
+}
+
+// arrival is one entry a receiving epoch's handler was handed.
+type arrival struct {
+	epoch uint16
+	data  byte
+}
+
+// logArrivals has rx's epochs log every RBC entry they are handed, in
+// order of arrival.
+func logArrivals(rx *Mux, log *[]arrival, epochs ...uint16) {
+	for _, e := range epochs {
+		rx.Open(e).Register(packet.KindRBC, HandlerFunc(func(_ uint16, sec packet.Section) {
+			for _, en := range sec.Entries {
+				*log = append(*log, arrival{e, en.Data[0]})
+			}
+		}))
+	}
+}
+
+// TestOneWinServesEveryEpoch: a batched node with something to send in two
+// epochs contends once. At its win both epochs build a packet of their own,
+// and the packets go out in one burst, lower epoch first — whatever order
+// the updates came in.
+func TestOneWinServesEveryEpoch(t *testing.T) {
+	r := newMuxRig(t, 2, true)
+	var got []arrival
+	logArrivals(r.muxes[1], &got, 1, 2)
+	e1, e2 := r.muxes[0].Open(1), r.muxes[0].Open(2)
+	e2.Update(intentFor(2))
+	e1.Update(intentFor(1))
+	r.sched.Run()
+	if n := r.ch.Stats().Accesses; n != 1 {
+		t.Errorf("%d channel accesses, want 1", n)
+	}
+	if len(got) != 2 || got[0] != (arrival{1, 1}) || got[1] != (arrival{2, 2}) {
+		t.Errorf("received %v, want epoch 1's entry, then epoch 2's", got)
+	}
+	for e, tr := range []*Transport{e1, e2} {
+		if n := tr.Stats().LogicalSent; n != 1 {
+			t.Errorf("epoch %d sent %d packets, want 1", e+1, n)
+		}
+	}
+}
+
+// TestBaselineServesOneEpochPerWin: a baseline node serves one epoch per
+// win. With two epochs dirty it takes two accesses, and the second epoch's
+// frame is built at the second win: it carries the update made after the
+// first frame went out, and is the only frame that epoch sends.
+func TestBaselineServesOneEpochPerWin(t *testing.T) {
+	r := newMuxRig(t, 2, false)
+	var got []arrival
+	logArrivals(r.muxes[1], &got, 1, 2)
+	e1, e2 := r.muxes[0].Open(1), r.muxes[0].Open(2)
+	e1.Update(intentFor(1))
+	e2.Update(intentFor(2))
+	updated := false
+	r.ch.SetDeliveryHook(func(wireless.NodeID, wireless.NodeID, []byte) (time.Duration, bool) {
+		if !updated {
+			updated = true
+			in := intentFor(2)
+			in.Data = []byte{9}
+			e2.Update(in)
+		}
+		return 0, false
+	})
+	r.sched.Run()
+	if n := r.ch.Stats().Accesses; n != 2 {
+		t.Errorf("%d channel accesses, want 2", n)
+	}
+	if len(got) != 2 || got[0] != (arrival{1, 1}) || got[1] != (arrival{2, 9}) {
+		t.Errorf("received %v, want epoch 1's entry, then epoch 2's as updated after the first win", got)
+	}
+	for e, tr := range []*Transport{e1, e2} {
+		if n := tr.Stats().LogicalSent; n != 1 {
+			t.Errorf("epoch %d sent %d packets, want 1", e+1, n)
+		}
+	}
+}
+
+// TestCollidedBurstCarriesEveryEpoch: a batched node's two-epoch burst
+// whose first frame collides — a one-slot contention window makes the
+// first round a tie — stays queued as built, re-contends, and goes out
+// whole after the node's next win: one access, both packets back to back.
+func TestCollidedBurstCarriesEveryEpoch(t *testing.T) {
+	cfg := wireless.DefaultConfig()
+	cfg.LossProb, cfg.CWMin = 0, 1
+	r := newMuxRigOn(t, 3, true, cfg)
+	var got []arrival
+	logArrivals(r.muxes[2], &got, 1, 2)
+	a1, a2 := r.muxes[0].Open(1), r.muxes[0].Open(2)
+	a1.Update(intentFor(1))
+	a2.Update(intentFor(2))
+	r.muxes[1].Open(1).Update(intentFor(7))
+	r.sched.Run()
+	st := r.ch.Stats()
+	if st.Collisions == 0 {
+		t.Fatal("no collision: the test does not reach a collided burst")
+	}
+	if st.Accesses != 2 {
+		t.Errorf("%d channel accesses, want node 0's burst and node 1's packet", st.Accesses)
+	}
+	for e, tr := range []*Transport{a1, a2} {
+		if n := tr.Stats().LogicalSent; n != 1 {
+			t.Errorf("node 0's epoch %d built %d packets, want 1", e+1, n)
+		}
+	}
+	first := slices.Index(got, arrival{1, 1})
+	if len(got) != 3 || first < 0 || first+1 >= len(got) || got[first+1] != (arrival{2, 2}) {
+		t.Errorf("received %v, want node 0's two epochs back to back and node 1's entry", got)
 	}
 }

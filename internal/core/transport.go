@@ -20,6 +20,8 @@
 // station holds the medium until it is spent. Frames larger than the radio
 // MTU are fragmented, and a logical packet is one channel access: its
 // fragments follow one another in a burst (wireless.Station.Follow).
+// Batched, so do the packets of every epoch the node builds at one win,
+// each with its own signature, header and fragment sequence.
 // Receivers reassemble them; a newer frame from the same sender supersedes
 // any partial older one.
 //
@@ -260,6 +262,10 @@ func (t *Transport) NoteRejected() { t.stats.Rejected++ }
 
 // Stats returns a snapshot of the counters.
 func (t *Transport) Stats() Stats { return t.stats }
+
+// pending reports whether the epoch has something to send at its node's
+// next win.
+func (t *Transport) pending() bool { return !t.stopped && (t.nDirty > 0 || t.rowsChanged) }
 
 // Stop cancels pending timers; the transport sends nothing further.
 func (t *Transport) Stop() {
@@ -617,8 +623,9 @@ func (t *Transport) demand(sec *packet.Section) {
 // get one frame alone when only they changed; the frames are signed one
 // after another and each goes out at an access of its own. The store is
 // in wire order, so its dirty entries are sent in wire order as they are
-// met.
-func (t *Transport) build() {
+// met. follows says an earlier epoch's packet was built at the same win
+// (batched only): this epoch's packet continues that burst.
+func (t *Transport) build(follows bool) {
 	now, jitter := t.m.sched.Now(), t.jitter()
 	next, perIntent := never, !t.m.cfg.Batched
 	t.beginFrame()
@@ -627,13 +634,13 @@ func (t *Transport) build() {
 			t.addEntry(e)
 			next = min(next, t.sent(e, now, jitter))
 			if perIntent {
-				t.sendLogical(t.endFrame())
+				t.sendLogical(t.endFrame(), false)
 				t.beginFrame()
 			}
 		}
 	}
 	if !perIntent || t.nDirty == 0 {
-		t.sendLogical(t.endFrame())
+		t.sendLogical(t.endFrame(), follows)
 	}
 	t.nDirty, t.rowsChanged = 0, false
 	t.armRetx(next)
@@ -723,13 +730,14 @@ func (t *Transport) endFrame() []packet.Section {
 }
 
 // sendLogical encodes, signs and fragments one logical packet and queues
-// its radio frames on the station, the first at an access of its own and
-// the rest to follow it in one burst. The signature's cost is charged to
-// the node's CPU now, behind whatever it is already busy with, and no
-// fragment may start before that charge completes: the station holds the
-// medium it won until then. The packet is encoded and signed in the node's
-// one buffer, which the station copies each fragment out of.
-func (t *Transport) sendLogical(sections []packet.Section) {
+// its radio frames on the station, the first at an access of its own — or,
+// when it follows, behind the packet an earlier epoch queued at the same
+// win — and the rest to follow it in one burst. The signature's cost is
+// charged to the node's CPU now, behind whatever it is already busy with,
+// and no fragment may start before that charge completes: the station
+// holds the medium until then. The packet is encoded and signed in the
+// node's one buffer, which the station copies each fragment out of.
+func (t *Transport) sendLogical(sections []packet.Section, follows bool) {
 	m := t.m
 	st := m.station
 	frame := packet.Frame{
@@ -758,10 +766,10 @@ func (t *Transport) sendLogical(sections []packet.Section) {
 	for i := 0; i < total; i++ {
 		m.out.fragBuf = appendFragment(m.out.fragBuf[:0], raw, uint16(st.ID()), m.out.seq, i, total, chunk)
 		t.stats.FragmentsSent++
-		if i == 0 {
+		if i == 0 && !follows {
 			st.Queue(m.out.fragBuf, signed)
 		} else {
-			st.Follow(m.out.fragBuf)
+			st.Follow(m.out.fragBuf, signed)
 		}
 	}
 	m.out.seq++

@@ -412,24 +412,42 @@ func (e *timedEar) ReceiveFrame(_ wireless.NodeID, payload []byte) {
 
 // TestNoFragmentBeforeItsSignature: with the CPU busy when the station
 // wins, a frame's signature completes behind that work, and none of its
-// fragments starts before then. A baseline burst is signed one frame after
-// another, each with its own not-before time: the second frame may not
-// start before the second signature is done, even though the first frame
+// fragments starts before then. The packets built at one win are signed
+// one after another, each with its own not-before time — a baseline
+// node's per-intent packets, each at an access of its own, and a batched
+// node's packets for several epochs, in one burst: the second packet may
+// not start before the second signature is done, even though the first
 // has long left the air.
 func TestNoFragmentBeforeItsSignature(t *testing.T) {
 	const busy, sign = 2 * time.Second, time.Second
-	for _, batched := range []bool{true, false} {
-		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
-			r := newRig(t, 2, batched, nil)
+	for _, tc := range []struct {
+		name     string
+		batched  bool
+		epochs   int
+		packets  int // logical packets among the three radio frames
+		accesses uint64
+	}{
+		{"batched=true", true, 1, 1, 1},
+		{"batched=true,epochs=3", true, 3, 3, 1},
+		{"batched=false", false, 1, 3, 3},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(t, 2, tc.batched, nil)
 			ear := &timedEar{sched: r.sched}
 			r.ch.Attach(9, ear)
 			tr := r.transports[0]
 			tr.m.auth = &SizedAuth{Len: 56, CostSign: sign, CostVerify: 10 * time.Millisecond}
 			tr.m.cpu.Exec(busy, func() {})
-			if batched {
+			switch {
+			case tc.epochs > 1:
+				// One logical packet of one radio frame in each epoch.
+				for e := 0; e < tc.epochs; e++ {
+					tr.m.Open(uint16(e)).Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho}, Data: []byte{1}})
+				}
+			case tc.batched:
 				// One logical packet of three radio frames.
 				tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseInitial}, Data: make([]byte, 600)})
-			} else {
+			default:
 				// Three logical packets of one radio frame each.
 				for slot := uint8(0); slot < 3; slot++ {
 					tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: slot}, Data: []byte{slot}})
@@ -441,14 +459,18 @@ func TestNoFragmentBeforeItsSignature(t *testing.T) {
 			}
 			for k, end := range ear.ends {
 				signed := busy + sign // the one logical packet's signature
-				if !batched {
+				if tc.packets > 1 {
 					signed = busy + time.Duration(k+1)*sign
 				}
 				if first := end - r.ch.Config().Airtime(ear.lens[k]); first < signed {
 					t.Errorf("radio frame %d started at %v, before its signature completed at %v", k, first, signed)
 				}
 			}
-			if r.ch.Stats().Held == 0 {
+			st := r.ch.Stats()
+			if st.Accesses != tc.accesses {
+				t.Errorf("%d channel accesses, want %d", st.Accesses, tc.accesses)
+			}
+			if st.Held == 0 {
 				t.Error("no hold counted")
 			}
 		})
@@ -478,35 +500,41 @@ func TestHeldIsTheSignatureWait(t *testing.T) {
 
 // TestNoEpochStarvesAnother: an open epoch whose NACK row changes with
 // every frame its node sends always has something to send, and the newer
-// epoch's update still goes out — at the next win, not never. Serving the
-// oldest epoch first would starve it.
+// epoch's update still goes out, once, in either mode. A batched node's
+// win serves every open epoch with something to send, so the older one's
+// rows never take the medium from it; a baseline node serves one epoch per
+// win, round-robin, so the older one cannot take every win.
 func TestNoEpochStarvesAnother(t *testing.T) {
-	r := newMuxRig(t, 2)
-	old, newer := r.muxes[0].Open(1), r.muxes[0].Open(2)
-	r.muxes[1].Open(1)
-	var got int
-	collect(r.muxes[1].Open(2), &got)
-	flips := 0
-	flip := func() {
-		flips++
-		row := packet.NewBitSet(8)
-		row.Set(flips % 8)
-		old.SetNack(packet.KindABA, packet.PhaseAux, row)
-	}
-	r.ch.SetDeliveryHook(func(from, _ wireless.NodeID, _ []byte) (time.Duration, bool) {
-		if from == 0 {
+	for _, batched := range []bool{true, false} {
+		t.Run(fmt.Sprintf("batched=%v", batched), func(t *testing.T) {
+			r := newMuxRig(t, 2, batched)
+			old, newer := r.muxes[0].Open(1), r.muxes[0].Open(2)
+			r.muxes[1].Open(1)
+			var got int
+			collect(r.muxes[1].Open(2), &got)
+			flips := 0
+			flip := func() {
+				flips++
+				row := packet.NewBitSet(8)
+				row.Set(flips % 8)
+				old.SetNack(packet.KindABA, packet.PhaseAux, row)
+			}
+			r.ch.SetDeliveryHook(func(from, _ wireless.NodeID, _ []byte) (time.Duration, bool) {
+				if from == 0 {
+					flip()
+				}
+				return 0, false
+			})
 			flip()
-		}
-		return 0, false
-	})
-	flip()
-	newer.Update(intentFor(0))
-	r.sched.RunFor(30 * time.Second)
-	if got != 1 || flips < 10 {
-		t.Fatalf("newer epoch delivered %d entries while the older one sent %d rows; want 1 and many", got, flips)
-	}
-	if n := newer.Stats().LogicalSent; n != 1 {
-		t.Errorf("newer epoch sent %d frames, want 1", n)
+			newer.Update(intentFor(0))
+			r.sched.RunFor(30 * time.Second)
+			if got != 1 || flips < 10 {
+				t.Fatalf("newer epoch delivered %d entries while the older one sent %d rows; want 1 and many", got, flips)
+			}
+			if n := newer.Stats().LogicalSent; n != 1 {
+				t.Errorf("newer epoch sent %d frames, want 1", n)
+			}
+		})
 	}
 }
 

@@ -291,3 +291,49 @@ func TestBatchCodecRoundtrip(t *testing.T) {
 		t.Errorf("refusing an oversized count allocated %v times", allocs)
 	}
 }
+
+// TestSealRefusesAMixedBatch: a plaintext proposal reassembled from the
+// original and an equivocating proposer's XOR variant of its last fragment
+// still parses as a batch when that fragment holds only transaction bytes,
+// but it fails its seal. So does a batch whose seal is scrambled or cut.
+func TestSealRefusesAMixedBatch(t *testing.T) {
+	txs := [][]byte{MakeClientTx(1, 64), MakeClientTx(2, 64), MakeClientTx(3, 64)}
+	sealed := SealBatch(EncodeBatch(txs))
+	if len(sealed) != len(EncodeBatch(txs))+SealLen {
+		t.Fatalf("sealed batch is %d B, want %d", len(sealed), len(EncodeBatch(txs))+SealLen)
+	}
+	got, err := OpenBatch(sealed)
+	if err != nil || len(got) != len(txs) || string(got[2]) != string(txs[2]) {
+		t.Fatalf("OpenBatch(SealBatch(b)) = %d txs, %v", len(got), err)
+	}
+	body := len(sealed) - SealLen
+	mixed := append([]byte(nil), sealed...)
+	for i := body - 40; i < body; i++ {
+		mixed[i] ^= 0xA5 // the last transaction's tail, as the variant carries it
+	}
+	if _, err := DecodeBatch(mixed[:body]); err != nil {
+		t.Fatalf("the mix no longer parses, so it tests nothing: %v", err)
+	}
+	if _, err := OpenBatch(mixed); err == nil {
+		t.Error("a mixed batch passed its seal")
+	}
+	// The empty batch goes unsealed; its variant, or any mix of the two
+	// bytes, does not open.
+	if empty := SealBatch(EncodeBatch(nil)); len(empty) != 2 {
+		t.Errorf("the empty batch sealed to %d B, want its 2", len(empty))
+	} else if got, err := OpenBatch(empty); err != nil || len(got) != 0 {
+		t.Errorf("OpenBatch(empty) = %d txs, %v", len(got), err)
+	}
+	for _, bad := range [][]byte{{0xA5, 0xA5}, {0, 0xA5}, {0xA5, 0}} {
+		if _, err := OpenBatch(bad); err == nil {
+			t.Errorf("OpenBatch accepted the empty batch's variant %x", bad)
+		}
+	}
+	scrambled := append([]byte(nil), sealed...)
+	scrambled[len(scrambled)-1] ^= 0xA5
+	for _, bad := range [][]byte{scrambled, sealed[:body], sealed[:SealLen-1], EncodeBatch(txs)} {
+		if _, err := OpenBatch(bad); err == nil {
+			t.Errorf("OpenBatch accepted a %d B batch with no valid seal", len(bad))
+		}
+	}
+}

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -73,6 +74,34 @@ func TestChainHonestSafetyUnderMidRunByzantine(t *testing.T) {
 				if len(log) != spec.Workload.Epochs {
 					t.Fatalf("honest node %d committed %d epochs, want %d", i, len(log), spec.Workload.Epochs)
 				}
+			}
+			if forged := protocol.CountForged(res.Chain.Logs, spec.Workload.TxSize, res.Chain.SubmittedTxs); forged != 0 {
+				t.Fatalf("honest nodes committed %d forged transactions", forged)
+			}
+		})
+	}
+}
+
+// TestEquivocatorForgesNothingInTheClear: an equivocating Dumbo proposer
+// whose conflicting fragments are planted before its first win makes every
+// honest node assemble the same mix of its two variants, and a plaintext
+// mix of transaction bytes parses as a batch. The batch seal is what keeps
+// it out of the log: over many seeds of the byz sweep's Dumbo-SC batched
+// equivocate cell, no honest node may commit a forged transaction.
+func TestEquivocatorForgesNothingInTheClear(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			t.Parallel()
+			spec := Defaults(protocol.DumboKind, protocol.CoinSig)
+			spec.Seed = seed
+			spec.Workload = Chain(8)
+			spec.Workload.TxInterval = time.Second
+			spec.Workload.GCLag = spec.Workload.Epochs
+			spec.Scenario = scenario.Byz(byz.NameEquivocate, spec.N-1)
+			res, err := Run(spec)
+			if err != nil {
+				t.Fatalf("honest safety/liveness violated: %v", err)
 			}
 			if forged := protocol.CountForged(res.Chain.Logs, spec.Workload.TxSize, res.Chain.SubmittedTxs); forged != 0 {
 				t.Fatalf("honest nodes committed %d forged transactions", forged)

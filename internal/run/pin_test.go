@@ -118,12 +118,12 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("crash@4m:2;recover@9m:2")
 			return spec
-		}, "80466ec1057316c2347d5e3d5134adf4cb87a54b30239341aeac4679e75ef125"},
+		}, "b3f5f650d187faf05dbe6d82a1c8716524230938263217e428cd7ffafe2106b3"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "ccf26e1ece69caebca9d10fca3d7d3c444528bcc0d2efeaefced7e087a5856bc"},
+		}, "d02c39ba1039d60912df1a67996b9cdec05344064ef8c05ffc19ba499c5d9728"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -131,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "28f6c908dbef00c59f44f0f5ff12e84035bb1977ee0f0494f40cae20e3d620ee"},
+		}, "e7c9c24a4fdabf083e8ff96a2b19d97c06121062cc47c92236bdf36a93ff4b80"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -144,18 +144,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "7a852a5be4e78f6be2268ffcf63c0a73af70b65a304cda3e487d3d877987f0a8"},
+		}, "e42378874e6cd260bba6fc83b221d13d7710b8171553f7bac122e0bf4da34727"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "171d7eecd676f23c5ae70ca5c46d58a55bc70dd793815a5f599c5fa30978d3f2"},
+		}, "fde084c78deff6ab77a478a36844c1625203c573fd7c7cae35612f1ddaf38583"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "aa46f614fc92b79421f38c77a473dd1d9730680ff9ab5dea862ceacf81fe0d87"},
+		}, "62c7dff2d15d76b1e7f6163c2c08cd7350849518652f80d009514827b3d5bd70"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -163,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "b6b7cedb1f1701912cf64753f09e1b6156f74f71ee44f54f9e611210cf3a4af2"},
+		}, "a7945ef626ecc7ac89c3def5109653f278498c02ee3d974ec7024fe6b32368ee"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -109,8 +109,12 @@ func TestChainBackpressure(t *testing.T) {
 	}
 }
 
+// TestChainOnOffArrivals: bursty on-off clients feed the chain, and an
+// arrival commits. The first arrival can come after the pipeline has cut
+// the proposals of the first two epochs, which then commit empty, so the
+// run is four epochs long: an arrival has later proposals to ride in.
 func TestChainOnOffArrivals(t *testing.T) {
-	spec := trafficSpec(2)
+	spec := trafficSpec(4)
 	spec.Workload.Arrival = traffic.Pattern{
 		Kind: traffic.OnOff, Rate: 0.05, Clients: 50,
 		OnMean: time.Minute, OffMean: 4 * time.Minute,
@@ -119,7 +123,7 @@ func TestChainOnOffArrivals(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Chain.EpochsCommitted != 2 || res.Chain.CommittedTxs == 0 {
+	if res.Chain.EpochsCommitted != 4 || res.Chain.CommittedTxs == 0 {
 		t.Fatalf("chain = %+v", res.Chain)
 	}
 }

@@ -39,8 +39,9 @@ type Stats struct {
 	BytesOnAir uint64        // payload bytes successfully transmitted
 	AirTime    time.Duration // cumulative busy time of the medium, Held and burst gaps included
 	// Held is the medium time between wins and first bits: a winner holds
-	// the medium until its frame's not-before time (Station.Queue). The
-	// SlotTime gaps inside a burst are not holds.
+	// the medium until its frame's not-before time (Station.Queue), and a
+	// burst until its next frame's (Station.Follow). The SlotTime gaps
+	// inside a burst are not holds.
 	Held time.Duration
 }
 
@@ -184,8 +185,10 @@ func (s *Station) Kick() {
 // is mid-air from the moment its station wins the medium: the hold before
 // its first bit is part of the transmission, so a crash during it does not
 // take the frame back. A frame that follows another in a burst is won when
-// the one before it ends; a crash while a fragment is on the air ends the
-// burst there.
+// the one before it ends, whether it is the next fragment of the same
+// packet or the first of another packet the burst carries, so the hold
+// before its not-before is part of it too; a crash while a frame of the
+// burst is on the air or held for ends the burst after that frame.
 func (s *Station) Reset() {
 	s.st.queue = s.st.queue[:0]
 	s.st.gen++
@@ -212,14 +215,17 @@ func (s *Station) Queue(payload []byte, notBefore time.Duration) {
 }
 
 // Follow appends a frame that continues the access of the frame queued
-// before it — the next fragment of one logical packet. Once that frame has
-// gone out without collision, this one starts SlotTime after it ends:
-// shorter than DIFS, so no contender can take the medium in between
-// (802.11's fragment burst), and the gap is medium time (AirTime) but no
-// hold. The payload is copied as by Queue; a frame that follows nothing
+// before it — the next fragment of one logical packet, or the first of
+// another packet sent at the same win. Once that frame has gone out
+// without collision, this one starts SlotTime after it ends — shorter than
+// DIFS, so no contender can take the medium in between (802.11's fragment
+// burst) — or at notBefore if that is later, the station holding the
+// medium until then. The SlotTime gap is medium time (AirTime) but no
+// hold; a wait past it for notBefore is held (Stats.Held); neither is an
+// access. The payload is copied as by Queue; a frame that follows nothing
 // queued takes an access of its own.
-func (s *Station) Follow(payload []byte) {
-	s.enqueue(payload, 0, true)
+func (s *Station) Follow(payload []byte, notBefore time.Duration) {
+	s.enqueue(payload, notBefore, true)
 }
 
 func (s *Station) enqueue(payload []byte, notBefore time.Duration, follows bool) {

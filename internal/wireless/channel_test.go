@@ -403,7 +403,7 @@ func (f *source) Build() {
 	for i := 0; i < f.perBuild; i++ {
 		frame := []byte{byte(len(f.builtAt)), byte(i)}
 		if f.burst && i > 0 {
-			f.st.Follow(frame)
+			f.st.Follow(frame, 0)
 		} else {
 			f.st.Queue(frame, now+f.hold)
 		}
@@ -509,6 +509,42 @@ func TestPacketIsOneAccess(t *testing.T) {
 	}
 	if stats.Held != hold {
 		t.Errorf("Held %v, want the one hold %v", stats.Held, hold)
+	}
+}
+
+// TestFollowerWaitsForItsNotBefore: a frame that follows another but may
+// not start until well after that one ends — the first of a second packet
+// whose signature completes late — starts at its not-before, not SlotTime
+// after the frame before it. The medium stays the burst's: the wait is
+// held, and the burst is still one access.
+func TestFollowerWaitsForItsNotBefore(t *testing.T) {
+	s, ch, st, sinks := newTestChannel(t, 2, lossless())
+	cfg := ch.Config()
+	air := cfg.Airtime(2)
+	const late = 2 * time.Second
+	st[0].Queue([]byte{1, 0}, 0)
+	st[0].Follow([]byte{2, 0}, late)
+	st[0].Kick()
+	s.Run()
+	got := sinks[1].frames
+	if len(got) != 2 {
+		t.Fatalf("%d frames heard, want 2", len(got))
+	}
+	if got[0].at >= late {
+		t.Fatalf("first frame ended at %v, not before the follower's not-before %v: the test shows nothing", got[0].at, late)
+	}
+	if want := late + air; got[1].at != want {
+		t.Errorf("follower heard at %v, want not-before + airtime = %v", got[1].at, want)
+	}
+	stats := ch.Stats()
+	if stats.Accesses != 1 {
+		t.Errorf("%d accesses, want the burst's one", stats.Accesses)
+	}
+	if want := late - (got[0].at + cfg.SlotTime); stats.Held != want {
+		t.Errorf("Held %v, want the follower's wait past the SlotTime gap, %v", stats.Held, want)
+	}
+	if want := got[1].at - (got[0].at - air); stats.AirTime != want {
+		t.Errorf("AirTime %v, want the whole burst from its win, %v", stats.AirTime, want)
 	}
 }
 

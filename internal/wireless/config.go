@@ -12,10 +12,12 @@
 //   - frames bound at channel access: a station's Source builds its frames
 //     when the station wins the medium, and the station holds the medium
 //     from the win until the frame's not-before time (its signature);
-//   - one logical packet, one access: the frames a station queues to follow
-//     one another (Station.Follow) go out back-to-back, SlotTime apart —
-//     shorter than DIFS, so no contender gets in between — once the first
-//     has gone out without collision;
+//   - one burst, one access: the frames a station queues to follow one
+//     another (Station.Follow) — a logical packet's fragments, and the
+//     packets a batched node sends for several epochs at one win — go out
+//     back-to-back once the first has gone out without collision: SlotTime
+//     apart, shorter than DIFS, so no contender gets in between, or at a
+//     follower's not-before if that is later, the medium held meanwhile;
 //   - airtime proportional to frame size (preamble + bytes/bitrate), so
 //     batching N messages into one frame pays once for channel access;
 //   - half-duplex radios: a station transmitting during a frame's airtime
