@@ -236,7 +236,7 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 		}
 	case packet.PhaseShare:
 		for _, e := range sec.Entries {
-			a.handleCoinShare(e.Slot, e.Round, w, e.Data)
+			a.handleCoinShare(e.Slot, e.Round, w, e.Flags, e.Data)
 		}
 	case packet.PhaseDecided:
 		a.handleDecided(w, sec)
@@ -249,9 +249,10 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 // assumes a lagging honest peer is at most one coin exchange behind, but a
 // peer reborn from a full-stop crash restarts the instance at round 1 — and
 // if no honest node ever decided the slot (the quorum was down), the
-// DECIDED gadget cannot carry it either. Replaying the recorded
-// bval/aux/coin-share sends for exactly that round lets it climb the
-// schedule the protocol's own way — no estimates are injected, so the
+// DECIDED gadget cannot carry it either. Replaying the recorded bval and
+// aux sends for exactly that round, and the coin's certificate (or, before
+// the coin exists, this node's share of it), lets it climb the schedule
+// the protocol's own way — no estimates are injected, so the
 // round-by-round safety argument is untouched. A live peer that only lags
 // is not answered: its stale entries are ordinary traffic, and answering
 // them costs a great deal of airtime. Rate-limited per round; survivors
@@ -280,8 +281,8 @@ func (a *CachinABA) reserveRound(slot int, round uint16, w int) {
 		a.publishAux(slot, round, rd)
 	}
 	k := a.coinKeyFor(slot, round)
-	if cs := a.coinState(k); cs.own != nil {
-		a.env.T.Update(core.Intent{IntentKey: a.shareIntent(k), Data: cs.own})
+	if flags, data := a.coinState(k).served(); data != nil {
+		a.env.T.Update(core.Intent{IntentKey: a.shareIntent(k), Flags: flags, Data: data})
 	}
 }
 
@@ -394,7 +395,7 @@ func (a *CachinABA) releaseCoinShare(slot int, round uint16) {
 	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k), true)
 }
 
-func (a *CachinABA) handleCoinShare(slot uint8, round uint16, w int, data []byte) {
+func (a *CachinABA) handleCoinShare(slot uint8, round uint16, w int, flags uint8, data []byte) {
 	if a.sharedCoin != (slot == sharedSlot) {
 		return // batched mode uses the shared coin and nothing else does
 	}
@@ -402,7 +403,7 @@ func (a *CachinABA) handleCoinShare(slot uint8, round uint16, w int, data []byte
 		return // no such instance, or a round no honest node reaches
 	}
 	k := coinKey{slot: slot, round: round}
-	a.coin.offer(&a.coinState(k).tally, k.id(), w, data)
+	a.coin.offer(&a.coinState(k).tally, k.id(), w, flags, data)
 }
 
 func (a *CachinABA) coinCombined(id int, v bool) {

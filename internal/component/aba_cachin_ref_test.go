@@ -202,7 +202,7 @@ func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
 		}
 	case packet.PhaseShare:
 		for _, e := range sec.Entries {
-			a.handleCoinShare(e.Slot, e.Round, w, e.Data)
+			a.handleCoinShare(e.Slot, e.Round, w, e.Flags, e.Data)
 		}
 	case packet.PhaseDecided:
 		a.handleDecided(w, sec)
@@ -244,8 +244,10 @@ func (a *refCachinABA) reserveRound(slot int, round uint16, w int) {
 		a.publishAux(slot, round, rd)
 	}
 	k := a.coinKeyFor(slot, round)
-	if cs := a.coins[k.id()]; cs != nil && cs.own != nil {
-		a.env.T.Update(core.Intent{IntentKey: a.shareIntent(k), Data: cs.own})
+	if cs := a.coins[k.id()]; cs != nil {
+		if flags, data := cs.served(); data != nil {
+			a.env.T.Update(core.Intent{IntentKey: a.shareIntent(k), Flags: flags, Data: data})
+		}
 	}
 }
 
@@ -346,12 +348,12 @@ func (a *refCachinABA) releaseCoinShare(slot int, round uint16) {
 	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k), true)
 }
 
-func (a *refCachinABA) handleCoinShare(slot uint8, round uint16, w int, data []byte) {
+func (a *refCachinABA) handleCoinShare(slot uint8, round uint16, w int, flags uint8, data []byte) {
 	if a.sharedCoin != (slot == sharedSlot) {
 		return // batched mode uses the shared coin and nothing else does
 	}
 	k := coinKey{slot: slot, round: round}
-	a.coin.offer(&a.coinState(k).tally, k.id(), w, data)
+	a.coin.offer(&a.coinState(k).tally, k.id(), w, flags, data)
 }
 
 func (a *refCachinABA) coinCombined(id int, v bool) {

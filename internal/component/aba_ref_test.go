@@ -199,7 +199,8 @@ func TestBrachaABAMatchesMapModel(t *testing.T) {
 // both coin-sharing modes, with every peer live and with every peer marked
 // as one that lost state (so stale-round entries are answered with a
 // replay of the pruned round). The coin shares are the peers' genuine ones
-// (and some garbage), so the instances climb through several rounds.
+// (and some garbage, and now and then a coin's certificate in a share's
+// place), so the instances climb through several rounds.
 func TestCachinABAMatchesMapModel(t *testing.T) {
 	suites, err := crypto.Deal(4, 1, crypto.LightConfig(), rand.New(rand.NewSource(77)))
 	if err != nil {
@@ -212,9 +213,10 @@ func TestCachinABAMatchesMapModel(t *testing.T) {
 		round uint16
 	}
 	shares := map[coinID][]byte{}
+	var coin CoinSource
 	for w := 1; w < 4; w++ {
 		peer := &Env{N: 4, F: 1, Me: w, Session: 42, Suite: suites[w], Rand: rand.New(rand.NewSource(int64(w)))}
-		coin := SigCoin(peer)
+		coin = SigCoin(peer)
 		for _, slot := range []uint8{0, 1, 2, sharedSlot} {
 			for round := uint16(1); round <= 6; round++ {
 				sh, err := coin.share(coinName(42, 0, slot, round))
@@ -223,6 +225,17 @@ func TestCachinABAMatchesMapModel(t *testing.T) {
 				}
 				shares[coinID{w, slot, round}] = sh
 			}
+		}
+	}
+	// And every such coin's certificate, filed under sender 0.
+	for _, slot := range []uint8{0, 1, 2, sharedSlot} {
+		for round := uint16(1); round <= 6; round++ {
+			pair := [][]byte{shares[coinID{1, slot, round}], shares[coinID{2, slot, round}]}
+			_, cert, err := coin.combine(coinName(42, 0, slot, round), pair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares[coinID{0, slot, round}] = cert
 		}
 	}
 	for _, mode := range []struct{ shared, regressed bool }{{true, false}, {false, false}, {true, true}, {false, true}} {
@@ -270,8 +283,11 @@ func TestCachinABAMatchesMapModel(t *testing.T) {
 						}
 						e.Sub = uint8(from)
 						e.Data = shares[coinID{int(from), e.Slot, e.Round}] // nil past round 6: undecodable
-						if rng.Intn(10) == 0 {
+						switch rng.Intn(10) {
+						case 0:
 							e.Data = []byte("not a coin share")
+						case 1:
+							e.Flags, e.Data = certFlag, shares[coinID{0, e.Slot, e.Round}]
 						}
 					}
 					if rng.Intn(40) == 0 {

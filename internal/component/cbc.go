@@ -153,7 +153,7 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 			// Only the slot's leader combines shares, and only over the
 			// value it proposed.
 			if c.leader(slot) == c.env.Me && s.assembled {
-				c.echoes.offer(&s.cert, slot, w, e.Data)
+				c.echoes.offer(&s.cert, slot, w, e.Flags, e.Data)
 			}
 		case packet.PhaseFinish:
 			c.handleFinish(slot, e.Data)
@@ -197,7 +197,7 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 		if s.delivered {
 			return
 		}
-		if err := env.Suite.TSHigh.Verify(msg, &threshsig.Signature{S: bigFromBytes(cert)}); err != nil {
+		if _, err := c.echoes.check(msg, cert); err != nil {
 			env.Reject()
 			return
 		}

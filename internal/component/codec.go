@@ -18,6 +18,8 @@ import (
 
 var errShortShare = errors.New("component: truncated share encoding")
 
+var errNonCanonical = errors.New("component: certificate not in canonical form")
+
 func appendBig(buf []byte, v *big.Int) []byte {
 	b := v.Bytes()
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(b)))

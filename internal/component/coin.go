@@ -34,10 +34,11 @@ func FlipCoin(env *Env) CoinSource {
 // coinOf turns a scheme over coin names into a coin: the same scheme with
 // decoding deferred into verification and combination — a coin share is
 // charged its verification before anything looks inside it — and the
-// combined value reduced to a bit.
+// combined value reduced to a bit. The scheme's certificate, if it has
+// one, certifies the coin.
 func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
 	c := scheme[[]byte, []byte, bool]{
-		k: s.k, shareCost: s.shareCost, verifyCost: s.verifyCost, combineCost: s.combineCost,
+		k: s.k, shareCost: s.shareCost, verifyCost: s.verifyCost, combineCost: s.combineCost, certCost: s.certCost,
 		share: func(name []byte) ([]byte, error) {
 			sh, err := s.share(name)
 			if err != nil {
@@ -54,21 +55,27 @@ func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
 			}
 			return s.verify(name, sh)
 		},
-		combine: func(name []byte, raws [][]byte) (bool, error) {
+		combine: func(name []byte, raws [][]byte) (bool, []byte, error) {
 			shares := make([]S, 0, len(raws))
 			for _, raw := range raws {
 				sh, err := s.decode(raw)
 				if err != nil {
-					return false, err
+					return false, nil, err
 				}
 				shares = append(shares, sh)
 			}
-			v, err := s.combine(name, shares)
+			v, cert, err := s.combine(name, shares)
 			if err != nil {
-				return false, err
+				return false, nil, err
 			}
-			return bit(v), nil
+			return bit(v), cert, nil
 		},
+	}
+	if s.check != nil {
+		c.check = func(name, cert []byte) (bool, error) {
+			v, err := s.check(name, cert)
+			return err == nil && bit(v), err
+		}
 	}
 	return CoinSource{c}
 }

@@ -22,7 +22,7 @@ type testNet struct {
 	envs  []*Env
 }
 
-func newTestNet(t *testing.T, seed int64, loss float64, batched bool) *testNet {
+func newTestNet(t testing.TB, seed int64, loss float64, batched bool) *testNet {
 	t.Helper()
 	const n, f = 4, 1
 	sched := sim.New(seed)

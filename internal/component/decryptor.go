@@ -86,7 +86,7 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 			continue
 		}
 		// Until our ACS completes the ciphertext is not known: the share parks.
-		d.shares.offer(&d.slot(int(e.Slot)).tally, int(e.Slot), w, e.Data)
+		d.shares.offer(&d.slot(int(e.Slot)).tally, int(e.Slot), w, e.Flags, e.Data)
 	}
 }
 

@@ -339,24 +339,33 @@ func TestDecryptorShareBeforeCiphertext(t *testing.T) {
 type collectorRig struct {
 	k           int
 	verifyCost  time.Duration
-	decodeFirst bool // an undecodable share is refused before anything is charged
+	certCost    time.Duration // 0: the scheme has no certificates
+	decodeFirst bool          // an undecodable share is refused before anything is charged
 	offer       func(w int, raw []byte)
+	offerCert   func(raw []byte)   // a certificate entry, from node 1
 	peer        func(w int) []byte // node w's genuine encoded share of the subject
-	poison      func()             // leave k-1 verified copies of node 1's share under other senders
-	held        func() int         // shares gathered
-	done        func() bool
-	own         func() []byte
-	combined    *int               // times the user's callback ran
-	check       func(t *testing.T) // the combined value is the right one
+	cert        func() []byte      // the subject's genuine certificate (nil: none)
+	foreign     func() []byte      // a genuine certificate of another subject
+	// sharePhase is where the certificate replaces this node's share on
+	// the air once the value exists (0: the user withdraws the share then).
+	sharePhase packet.Phase
+	poison     func()     // leave k-1 verified copies of node 1's share under other senders
+	held       func() int // shares gathered
+	done       func() bool
+	own        func() []byte
+	combined   *int               // times the user's callback ran
+	check      func(t *testing.T) // the combined value is the right one
 }
 
 func rigOf[X, S, V any](c *collector[X, S, V], tl *tally[X, S, V], id int, peers []scheme[X, S, V]) collectorRig {
 	runs := new(int)
 	then := c.combined
 	c.combined = func(id int, v V) { *runs++; then(id, v) }
-	return collectorRig{
+	r := collectorRig{
 		k: c.k, verifyCost: c.verifyCost, decodeFirst: true, combined: runs,
-		offer: func(w int, raw []byte) { c.offer(tl, id, w, raw) },
+		offer:     func(w int, raw []byte) { c.offer(tl, id, w, 0, raw) },
+		offerCert: func(raw []byte) { c.offer(tl, id, 1, certFlag, raw) },
+		cert:      func() []byte { return certOf(peers, c.k, tl.subject) },
 		peer: func(w int) []byte {
 			sh, err := peers[w].share(tl.subject)
 			if err != nil {
@@ -378,6 +387,28 @@ func rigOf[X, S, V any](c *collector[X, S, V], tl *tally[X, S, V], id int, peers
 		done: func() bool { return tl.done },
 		own:  func() []byte { return tl.own },
 	}
+	if c.check != nil {
+		r.certCost = c.certCost
+	}
+	return r
+}
+
+// certOf combines peers 1…k's shares of x into the certificate of the
+// value (nil for a scheme without one).
+func certOf[X, S, V any](peers []scheme[X, S, V], k int, x X) []byte {
+	shares := make([]S, 0, k)
+	for w := 1; w <= k; w++ {
+		sh, err := peers[w].share(x)
+		if err != nil {
+			panic(err)
+		}
+		shares = append(shares, sh)
+	}
+	_, cert, err := peers[1].combine(x, shares)
+	if err != nil {
+		panic(err)
+	}
+	return cert
 }
 
 func peerSchemes[X, S, V any](tn *testNet, of func(*Env) scheme[X, S, V]) []scheme[X, S, V] {
@@ -397,9 +428,11 @@ var collectorUsers = []struct {
 	{"cbc-certificate", func(t *testing.T, tn *testNet) collectorRig {
 		c := NewCBC(tn.envs[0], CBCOptions{Kind: packet.KindCBCValue, Slots: 4})
 		c.Propose(0, []byte("certified value"))
-		r := rigOf(&c.echoes, &c.slots[0].cert, 0, peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
+		peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
 			return sigScheme(env, env.Suite.TSHigh, env.Suite.TSHighShare)
-		}))
+		})
+		r := rigOf(&c.echoes, &c.slots[0].cert, 0, peers)
+		r.foreign = func() []byte { return certOf(peers, r.k, c.shareMessage(1, HashValue([]byte("certified value")))) }
 		r.check = func(t *testing.T) {
 			if !c.Delivered(0) {
 				t.Error("certificate combined, slot not delivered")
@@ -415,9 +448,12 @@ var collectorUsers = []struct {
 		p := NewPRBC(tn.envs[0], PRBCOptions{Slots: 4})
 		value := []byte("proven value")
 		p.onRBCDeliver(1, value)
-		r := rigOf(&p.dones, &p.slots[1].proof, 1, peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
+		peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
 			return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
-		}))
+		})
+		r := rigOf(&p.dones, &p.slots[1].proof, 1, peers)
+		r.foreign = func() []byte { return certOf(peers, r.k, p.doneMessage(2, HashValue(value))) }
+		r.sharePhase = packet.PhaseDone
 		r.check = func(t *testing.T) {
 			if err := p.VerifyProof(1, HashValue(value), p.Proof(1)); err != nil {
 				t.Errorf("combined proof does not verify: %v", err)
@@ -453,14 +489,17 @@ func coinRig(t *testing.T, tn *testNet, source func(*Env) CoinSource) collectorR
 	var got []bool
 	a.withCoin(1, 1, func(v bool) { got = append(got, v) })
 	a.releaseCoinShare(1, 1)
-	r := rigOf(&a.coin, &cs.tally, k.id(), peerSchemes(tn, func(env *Env) scheme[[]byte, []byte, bool] {
+	peers := peerSchemes(tn, func(env *Env) scheme[[]byte, []byte, bool] {
 		return source(env).scheme
-	}))
+	})
+	r := rigOf(&a.coin, &cs.tally, k.id(), peers)
+	r.foreign = func() []byte { return certOf(peers, r.k, a.coinState(coinKey{slot: 1, round: 2}).subject) }
+	r.sharePhase = packet.PhaseShare
 	r.decodeFirst = false // a coin share is charged before it is looked into
 	r.check = func(t *testing.T) {
 		// Any two other shares give the same bit.
 		s := source(tn.envs[3]).scheme
-		want, err := s.combine(cs.subject, [][]byte{r.peer(2), r.peer(3)})
+		want, _, err := s.combine(cs.subject, [][]byte{r.peer(2), r.peer(3)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -548,18 +587,160 @@ func TestShareCollector(t *testing.T) {
 	}
 }
 
+// TestCertificates: a peer's certificate settles a tally of a scheme that
+// has them with one check and no combine, and from then on stands in for
+// this node's share on the air; a genuine certificate of another subject
+// is rejected, and so is every certificate entry offered to a scheme that
+// has none.
+func TestCertificates(t *testing.T) {
+	for _, u := range collectorUsers {
+		t.Run(u.name, func(t *testing.T) {
+			tn := newTestNet(t, 41, 0, true)
+			env := tn.envs[0]
+			rec := record(env)
+			r := u.rig(t, tn)
+			tn.settle(time.Second)
+			offered := func(raw []byte) (time.Duration, uint64) {
+				busy, rej := env.CPU.BusyTotal(), env.T.Stats().Rejected
+				r.offerCert(raw)
+				cost := env.CPU.BusyTotal() - busy
+				tn.settle(time.Second)
+				return cost, env.T.Stats().Rejected - rej
+			}
+			if r.certCost == 0 {
+				if cost, rej := offered(r.peer(1)); cost != 0 || rej != 1 || r.done() {
+					t.Errorf("certificate entry to a scheme without them: charged %v, %d rejections, done %v", cost, rej, r.done())
+				}
+				return
+			}
+			if cost, rej := offered(r.foreign()); cost != r.certCost || rej != 1 || r.done() {
+				t.Errorf("another subject's certificate: charged %v (want %v), %d rejections, done %v", cost, r.certCost, rej, r.done())
+			}
+			cert := r.cert()
+			if cost, rej := offered(cert); cost != r.certCost || rej != 0 || !r.done() || r.held() != 1 || *r.combined != 1 {
+				t.Fatalf("genuine certificate: charged %v (want %v), %d rejections, done %v, %d shares held, %d callbacks",
+					cost, r.certCost, rej, r.done(), r.held(), *r.combined)
+			}
+			r.check(t)
+			if r.sharePhase != 0 {
+				var last core.Intent
+				for _, in := range rec.seen {
+					if in.Phase == r.sharePhase {
+						last = in
+					}
+				}
+				if last.Flags != certFlag || !bytes.Equal(last.Data, cert) {
+					t.Errorf("this node's entry after the certificate: flags %d, %x", last.Flags, last.Data)
+				}
+			}
+			if cost, rej := offered(cert); cost != 0 || rej != 0 || *r.combined != 1 {
+				t.Errorf("certificate after the value: charged %v, %d rejections, %d callbacks", cost, rej, *r.combined)
+			}
+		})
+	}
+}
+
+// TestCertificateOvertakesCombine: a combination under way when a
+// certificate settles the tally is dropped at its end, so the user's
+// callback runs once.
+func TestCertificateOvertakesCombine(t *testing.T) {
+	for _, u := range collectorUsers {
+		t.Run(u.name, func(t *testing.T) {
+			tn := newTestNet(t, 42, 0, true)
+			env := tn.envs[0]
+			r := u.rig(t, tn)
+			if r.certCost == 0 {
+				t.Skip("no certificates")
+			}
+			tn.settle(time.Second)
+			for w := 1; r.held() < r.k-1; w++ {
+				r.offer(w, r.peer(w))
+				tn.settle(time.Second)
+			}
+			// The last share's verification is queued first, so its
+			// combination starts while the certificate is being checked.
+			busy := env.CPU.BusyTotal()
+			r.offer(3, r.peer(3))
+			r.offerCert(r.cert())
+			tn.settle(time.Second)
+			if r.held() != r.k || !r.done() || *r.combined != 1 {
+				t.Fatalf("%d shares held, done %v, %d callbacks", r.held(), r.done(), *r.combined)
+			}
+			if spent := env.CPU.BusyTotal() - busy; spent < r.verifyCost+r.certCost+env.Suite.Cost.TSCombine {
+				t.Errorf("charged %v: the combination did not run", spent)
+			}
+			r.check(t)
+		})
+	}
+}
+
+// TestCertificateBeforeSubject: a PRBC proof that comes before this node's
+// RBC delivery parks with the DONE shares; at delivery it is checked first,
+// settles the slot, and the parked shares are never verified. The share
+// this node releases then goes out as the proof.
+func TestCertificateBeforeSubject(t *testing.T) {
+	tn := newTestNet(t, 45, 0, true)
+	env := tn.envs[0]
+	rec := record(env)
+	var proofs int
+	p := NewPRBC(env, PRBCOptions{Slots: 4, OnProof: func(int, []byte, []byte) { proofs++ }})
+	value := []byte("proven ahead of delivery")
+	peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
+		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+	})
+	msg := p.doneMessage(1, HashValue(value))
+	cert := certOf(peers, env.Suite.TSLow.K, msg)
+	sh, err := peers[2].share(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	busy := env.CPU.BusyTotal()
+	p.HandleSection(2, packet.Section{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Entries: []packet.Entry{{Slot: 1, Sub: 2, Data: EncodeSigShare(sh)}}})
+	p.HandleSection(3, packet.Section{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Entries: []packet.Entry{{Slot: 1, Sub: 3, Flags: certFlag, Data: cert}}})
+	if env.CPU.BusyTotal() != busy || p.slots[1].proof.done {
+		t.Fatal("something was checked before the subject")
+	}
+	p.onRBCDeliver(1, value)
+	cost := env.Suite.Cost
+	if charged := env.CPU.BusyTotal() - busy; charged != cost.TSVerify+cost.TSSign {
+		t.Errorf("delivery charged %v, want the proof's check and this node's share (%v)", charged, cost.TSVerify+cost.TSSign)
+	}
+	tn.settle(time.Second)
+	if proofs != 1 || p.slots[1].proof.nShares != 0 || !bytes.Equal(p.Proof(1), cert) {
+		t.Fatalf("%d proofs, %d shares held, proof %x", proofs, p.slots[1].proof.nShares, p.Proof(1))
+	}
+	var mine []core.Intent
+	for _, in := range rec.seen {
+		if in.Phase == packet.PhaseDone {
+			mine = append(mine, in)
+		}
+	}
+	if len(mine) != 1 || mine[0].Flags != certFlag || !bytes.Equal(mine[0].Data, cert) {
+		t.Errorf("this node published %+v; want the proof once", mine)
+	}
+}
+
 // TestOwnShareReplay: what a node re-serves to a peer that lost its state
-// is its own share as the tally kept it — in a pruned round's replay for a
-// coin; for the Decryptor, the share intent its transport parked once every
-// peer's row confirmed the slot and brings back when one clears the done
-// bit — and a share that came too late to count was not kept.
+// is its own share as the tally kept it, or the value's certificate once
+// there is one — in a pruned round's replay for a coin; for the Decryptor,
+// the share intent its transport parked once every peer's row confirmed
+// the slot and brings back when one clears the done bit. A coin share
+// released after the coin exists is never made: the certificate goes out
+// in its place.
 func TestOwnShareReplay(t *testing.T) {
-	shareOnAir := func(rec *recorder, phase packet.Phase, round uint16) [][]byte {
-		var out [][]byte
+	onAir := func(rec *recorder, phase packet.Phase, round uint16) []core.Intent {
+		var out []core.Intent
 		for _, in := range rec.seen {
 			if in.Phase == phase && in.Round == round {
-				out = append(out, in.Data)
+				out = append(out, in)
 			}
+		}
+		return out
+	}
+	shareOnAir := func(rec *recorder, phase packet.Phase, round uint16) [][]byte {
+		var out [][]byte
+		for _, in := range onAir(rec, phase, round) {
+			out = append(out, in.Data)
 		}
 		return out
 	}
@@ -578,27 +759,38 @@ func TestOwnShareReplay(t *testing.T) {
 			return raw
 		}
 		// Round 1: our share counts. Round 2: two peers' shares combine
-		// before ours exists.
+		// before ours is released.
 		a.releaseCoinShare(0, 1)
-		a.handleCoinShare(0, 2, 1, peer(1, 2))
-		a.handleCoinShare(0, 2, 2, peer(2, 2))
+		a.handleCoinShare(0, 2, 1, 0, peer(1, 2))
+		a.handleCoinShare(0, 2, 2, 0, peer(2, 2))
 		tn.settle(time.Second)
+		busy := env.CPU.BusyTotal()
 		a.releaseCoinShare(0, 2)
+		if env.CPU.BusyTotal() != busy {
+			t.Errorf("round 2: a share was made after the coin existed")
+		}
 		tn.settle(time.Second)
 		a.round(0, 2)        // the node has been through rounds 1 and 2 …
 		a.slots[0].round = 4 // … and left them behind.
 		for _, round := range []uint16{1, 2} {
-			if n := len(shareOnAir(rec, packet.PhaseShare, round)); n != 1 {
-				t.Fatalf("round %d: share published %d times", round, n)
+			if n := len(onAir(rec, packet.PhaseShare, round)); n != 1 {
+				t.Fatalf("round %d: published %d times", round, n)
 			}
 		}
 		a.reserveRound(0, 1, 1)
 		a.reserveRound(0, 2, 1)
-		if got := shareOnAir(rec, packet.PhaseShare, 1); len(got) != 2 || !bytes.Equal(got[0], got[1]) {
+		if got := onAir(rec, packet.PhaseShare, 1); len(got) != 2 || !bytes.Equal(got[0].Data, got[1].Data) || got[1].Flags != 0 {
 			t.Errorf("round 1: the share that counted was re-served %d times", len(got)-1)
 		}
-		if got := shareOnAir(rec, packet.PhaseShare, 2); len(got) != 1 {
-			t.Errorf("round 2: the share that came after the coin was re-served")
+		cert := a.coinState(coinKey{slot: 0, round: 2}).cert
+		got := onAir(rec, packet.PhaseShare, 2)
+		if cert == nil || len(got) != 2 {
+			t.Fatalf("round 2: certificate %x, published %d times", cert, len(got))
+		}
+		for i, in := range got {
+			if in.Flags != certFlag || !bytes.Equal(in.Data, cert) {
+				t.Errorf("round 2, publication %d: flags %d, data %x; want the certificate", i, in.Flags, in.Data)
+			}
 		}
 	})
 	t.Run("decryptor", func(t *testing.T) {

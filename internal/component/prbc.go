@@ -12,7 +12,9 @@ import (
 // plus a DONE phase in which nodes that delivered slot j broadcast
 // threshold-signature shares over (epoch, slot, hash); any f+1 shares
 // combine into a proof that at least one honest node holds the proposal
-// (Fig. 1a's blue phase, packet structure Fig. 4c).
+// (Fig. 1a's blue phase, packet structure Fig. 4c). The proof is
+// transferable: a node that holds it sends it in its share's place, and a
+// peer's proof settles the slot as f+1 shares would.
 type PRBC struct {
 	env   *Env
 	rbc   *RBC
@@ -84,11 +86,8 @@ func (p *PRBC) doneMessage(slot int, h Hash8) []byte {
 // VerifyProof checks a combined PRBC proof (used by Dumbo when examining
 // other nodes' proof vectors).
 func (p *PRBC) VerifyProof(slot int, h Hash8, proof []byte) error {
-	sig, err := DecodeSigShareless(proof)
-	if err != nil {
-		return err
-	}
-	return p.env.Suite.TSLow.Verify(p.doneMessage(slot, h), sig)
+	_, err := p.dones.check(p.doneMessage(slot, h), proof)
+	return err
 }
 
 func (p *PRBC) onRBCDeliver(slot int, value []byte) {
@@ -114,26 +113,19 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 			continue
 		}
 		// Until our RBC delivers we do not know the hash: the share parks.
-		p.dones.offer(&p.slots[slot].proof, slot, w, e.Data)
+		p.dones.offer(&p.slots[slot].proof, slot, w, e.Flags, e.Data)
 	}
 }
 
-// proven runs once a slot's DONE shares combined into a proof.
+// proven runs once a slot has its proof: DONE shares combined here, or a
+// peer's proof checked.
 func (p *PRBC) proven(slot int, proof []byte) {
 	p.sigDone.Set(slot)
-	// Keep our share intent live: a peer that missed share frames
-	// (half-duplex, loss) still needs it; the transport parks it once
-	// every peer's DONE row shows the proof.
+	// Keep our share intent live, the proof in the share's place: a peer
+	// that missed share frames (half-duplex, loss) still needs it; the
+	// transport parks it once every peer's DONE row shows the proof.
 	p.env.T.SetNack(packet.KindPRBC, packet.PhaseDone, p.sigDone)
 	if p.onProof != nil {
 		p.onProof(slot, p.rbc.Value(slot), proof)
 	}
-}
-
-// DecodeSigShareless parses a combined signature from its raw bytes.
-func DecodeSigShareless(raw []byte) (*threshsig.Signature, error) {
-	if len(raw) == 0 {
-		return nil, errShortShare
-	}
-	return &threshsig.Signature{S: bigFromBytes(raw)}, nil
 }

@@ -1,6 +1,7 @@
 package component
 
 import (
+	"bytes"
 	"time"
 
 	"repro/internal/core"
@@ -14,16 +15,28 @@ import (
 // ciphertext opened) is made and encoded, how a peer's is decoded and
 // verified, how k verified ones combine into a V, and what each step
 // costs in virtual time.
+//
+// A scheme whose combined value anyone can check on its own — a threshold
+// signature — also has a certificate: combine returns it beside the value,
+// and check takes one from a peer for certCost and gives back the value it
+// proves. A scheme whose value can be checked only through its shares
+// (threshold coin flipping, decryption) has check nil and combines to a
+// nil certificate.
 type scheme[X, S, V any] struct {
-	k                                  int
-	shareCost, verifyCost, combineCost time.Duration
+	k                                            int
+	shareCost, verifyCost, combineCost, certCost time.Duration
 
 	share   func(x X) (S, error)
 	encode  func(sh S) []byte
 	decode  func(raw []byte) (S, error)
 	verify  func(x X, sh S) error
-	combine func(x X, shares []S) (V, error)
+	combine func(x X, shares []S) (value V, cert []byte, err error)
+	check   func(x X, cert []byte) (V, error)
 }
+
+// certFlag marks an entry of a share phase that carries the certificate
+// of the combined value instead of its sender's share.
+const certFlag uint8 = 1
 
 // tally is one threshold value in the making: the verified shares
 // gathered so far, and the value once it exists — combined here, or
@@ -40,9 +53,20 @@ type tally[X, S, V any] struct {
 	// kept: one made after the threshold was reached is published once and
 	// never re-served (the sweeps' crash-recovery rows are pinned to that).
 	own []byte
+	// cert is the value's certificate once the value exists, if the scheme
+	// has one: it takes the place of this node's share on the air, under
+	// key (published: this node has released its share there).
+	cert      []byte
+	key       core.IntentKey
+	published bool
 	// parked holds, by peer, the first copy of a share that arrived ahead
-	// of the subject (nil: none; a copy is non-nil even when empty).
-	parked [][]byte
+	// of the subject (nil: none; a copy is non-nil even when empty), and
+	// parkedCert the first certificate that did.
+	parked     [][]byte
+	parkedCert []byte
+	// checking says a certificate is being checked (one at a time); the
+	// shares parked ahead of the subject wait for its verdict.
+	checking bool
 	// shares holds the verified shares by peer, nShares of them.
 	shares    []heldShare[S]
 	nShares   int
@@ -60,9 +84,24 @@ type heldShare[S any] struct {
 // holds reports whether node w's verified share is in.
 func (t *tally[X, S, V]) holds(w int) bool { return t.shares != nil && t.shares[w].held }
 
+// certIntent is t's certificate in the place of this node's share.
+func (t *tally[X, S, V]) certIntent() core.Intent {
+	return core.Intent{IntentKey: t.key, Flags: certFlag, Data: t.cert}
+}
+
+// served is what this node re-serves of t to a peer that lost its state:
+// the certificate once there is one, else its own share if that counted
+// (nil data: nothing).
+func (t *tally[X, S, V]) served() (flags uint8, data []byte) {
+	if t.cert != nil {
+		return certFlag, t.cert
+	}
+	return 0, t.own
+}
+
 // collector runs every tally of one component through the one
 // verify → collect → combine machine, and calls combined once a tally's
-// value was combined here.
+// value exists: combined here, or taken from a peer's certificate.
 type collector[X, S, V any] struct {
 	scheme[X, S, V]
 	env      *Env
@@ -70,23 +109,44 @@ type collector[X, S, V any] struct {
 }
 
 // begin fixes what t's shares are shares of, publishes this node's own
-// share under key — counting it here too if collect — and takes up the
-// shares that were waiting for the subject.
+// share under key — counting it here too if collect — and takes up what
+// was waiting for the subject: a parked certificate first, whose check
+// may settle the tally, and the parked shares unless one is under way.
 func (c *collector[X, S, V]) begin(t *tally[X, S, V], id int, x X, key core.IntentKey, collect bool) {
 	t.subject, t.open = x, true
+	if raw := t.parkedCert; raw != nil {
+		t.parkedCert = nil
+		c.checkCert(t, id, raw)
+	}
 	c.contribute(t, id, key, collect)
-	// Parked shares drain in node order.
+	if !t.checking {
+		c.drain(t, id)
+	}
+}
+
+// drain offers the parked shares, in node order.
+func (c *collector[X, S, V]) drain(t *tally[X, S, V], id int) {
 	for w, raw := range t.parked {
 		if raw != nil {
-			c.offer(t, id, w, raw)
+			c.offer(t, id, w, 0, raw)
 		}
 	}
 	t.parked = nil
 }
 
-// contribute makes this node's share of t's subject and publishes it.
+// contribute makes this node's share of t's subject and publishes it under
+// key — or, once the value exists and has a certificate, publishes that.
 func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.IntentKey, collect bool) {
+	t.key, t.published = key, true
+	if t.cert != nil {
+		c.env.T.Update(t.certIntent())
+		return
+	}
 	c.env.Exec(c.shareCost, func() {
+		if t.cert != nil { // a peer's certificate came while the share was made
+			c.env.T.Update(t.certIntent())
+			return
+		}
 		share, err := c.share(t.subject)
 		if err != nil {
 			// No share of this subject can be made, by anyone: its owner
@@ -102,9 +162,13 @@ func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.Inte
 	})
 }
 
-// offer takes the encoded share of node w, which the caller has checked
-// is one of the N.
-func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, raw []byte) {
+// offer takes an entry of node w, which the caller has checked is one of
+// the N: its encoded share, or with certFlag set a certificate.
+func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, flags uint8, raw []byte) {
+	if flags&certFlag != 0 {
+		c.offerCert(t, id, raw)
+		return
+	}
 	if t.holds(w) || t.done {
 		return
 	}
@@ -135,6 +199,54 @@ func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, raw []byte) {
 	})
 }
 
+// offerCert takes a peer's certificate of t's value. A scheme without
+// certificates has no such entry; one that comes before the subject
+// parks; one is checked at a time, and none once the value exists.
+func (c *collector[X, S, V]) offerCert(t *tally[X, S, V], id int, raw []byte) {
+	switch {
+	case c.check == nil:
+		c.env.Reject()
+	case t.done || t.checking: // settled, or one is being checked
+	case !t.open:
+		if t.parkedCert == nil {
+			t.parkedCert = bytes.Clone(raw)
+		}
+	default:
+		c.checkCert(t, id, bytes.Clone(raw))
+	}
+}
+
+// checkCert checks a certificate of t's subject: a valid one settles the
+// tally; an invalid one lets the shares parked behind it through.
+func (c *collector[X, S, V]) checkCert(t *tally[X, S, V], id int, raw []byte) {
+	t.checking = true
+	c.env.Exec(c.certCost, func() {
+		t.checking = false
+		if t.done {
+			return
+		}
+		value, err := c.check(t.subject, raw)
+		if err != nil {
+			c.env.Reject()
+			c.drain(t, id)
+			return
+		}
+		c.settle(t, id, value, raw)
+	})
+}
+
+// settle records t's value, drops the shares still parked, runs the user's
+// callback, and puts the value's certificate, if it has one, in the place
+// of this node's share: the same intent, on the same send schedule, unless
+// the component removed it.
+func (c *collector[X, S, V]) settle(t *tally[X, S, V], id int, value V, cert []byte) {
+	t.value, t.cert, t.done, t.parked = value, cert, true, nil
+	c.combined(id, value)
+	if cert != nil && t.published {
+		c.env.T.Revise(t.certIntent())
+	}
+}
+
 // add records a verified share (a peer's, or this node's own) unless it
 // comes too late to count, and combines once the threshold is reached.
 // The shares go to combine in node order, so a given set of contributors
@@ -159,15 +271,17 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) bool {
 		}
 	}
 	c.env.Exec(c.combineCost, func() {
-		value, err := c.combine(t.subject, shares)
 		t.combining = false
+		if t.done {
+			return // a certificate settled the tally meanwhile
+		}
+		value, cert, err := c.combine(t.subject, shares)
 		if err != nil {
 			// A bad share slipped through; drop them all and wait for more.
 			t.shares, t.nShares = nil, 0
 			return
 		}
-		t.value, t.done = value, true
-		c.combined(id, value)
+		c.settle(t, id, value, cert)
 	})
 	return true
 }
@@ -181,22 +295,43 @@ func must[S any](sh S, err error) (S, error) {
 }
 
 // sigScheme is threshold signing under one of the suite's keys: shares of
-// a message combine into the signature's bytes.
+// a message combine into the signature's bytes, which are their own
+// certificate.
 func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) scheme[[]byte, *threshsig.SigShare, []byte] {
 	cost := env.Suite.Cost
 	return scheme[[]byte, *threshsig.SigShare, []byte]{
-		k: key.K, shareCost: cost.TSSign, verifyCost: cost.TSVerifyShare, combineCost: cost.TSCombine,
+		k: key.K, shareCost: cost.TSSign, verifyCost: cost.TSVerifyShare, combineCost: cost.TSCombine, certCost: cost.TSVerify,
 		share:  func(msg []byte) (*threshsig.SigShare, error) { return must(key.Sign(priv, msg, env.Rand)) },
 		encode: EncodeSigShare,
 		decode: DecodeSigShare,
 		verify: key.VerifyShare,
-		combine: func(msg []byte, shares []*threshsig.SigShare) ([]byte, error) {
+		combine: func(msg []byte, shares []*threshsig.SigShare) ([]byte, []byte, error) {
 			sig, err := key.Combine(msg, shares)
 			if err != nil {
+				return nil, nil, err
+			}
+			raw := sig.Bytes()
+			return raw, raw, nil
+		},
+		check: func(msg, raw []byte) ([]byte, error) {
+			sig := &threshsig.Signature{S: bigFromBytes(raw)}
+			// A signature has one encoding: the bytes it combines to.
+			if !bytes.Equal(sig.Bytes(), raw) {
+				return nil, errNonCanonical
+			}
+			if err := key.Verify(msg, sig); err != nil {
 				return nil, err
 			}
-			return sig.Bytes(), nil
+			return raw, nil
 		},
+	}
+}
+
+// uncertified makes a combination that yields no certificate.
+func uncertified[X, S, V any](combine func(x X, shares []S) (V, error)) func(x X, shares []S) (V, []byte, error) {
+	return func(x X, shares []S) (V, []byte, error) {
+		v, err := combine(x, shares)
+		return v, nil, err
 	}
 }
 
@@ -212,7 +347,7 @@ func flipScheme(env *Env) scheme[[]byte, *threshcoin.CoinShare, [32]byte] {
 		encode:  EncodeDLShare,
 		decode:  DecodeDLShare,
 		verify:  key.VerifyShare,
-		combine: key.Combine,
+		combine: uncertified(key.Combine),
 	}
 }
 
@@ -228,6 +363,6 @@ func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []by
 		encode:  EncodeDLShare,
 		decode:  DecodeDLShare,
 		verify:  key.VerifyShare,
-		combine: key.Combine,
+		combine: uncertified(key.Combine),
 	}
 }

@@ -287,6 +287,31 @@ func (t *Transport) Update(in Intent) {
 	}
 }
 
+// Revise replaces the flags and data of a live intent and leaves its send
+// schedule alone: it is no more dirty, due or young than it was, so the
+// new data goes out whenever the old would have. A key that is not in the
+// store — never published, or removed by its component — stays out. With
+// an interceptor installed, the intent passes through it as in Update, and
+// whatever comes back is revised in the same way.
+func (t *Transport) Revise(in Intent) {
+	if _, found := t.find(in.IntentKey); !found {
+		return
+	}
+	if t.m.icept == nil {
+		t.revise(in)
+		return
+	}
+	for _, out := range t.m.icept.Outbound(t, in) {
+		t.revise(out)
+	}
+}
+
+func (t *Transport) revise(in Intent) {
+	if i, found := t.find(in.IntentKey); found {
+		t.live[i].Intent = in
+	}
+}
+
 // Inject upserts an intent bypassing the interceptor. Interceptors use it
 // to plant delayed conflicting state (equivocation) without re-entering
 // themselves.

@@ -272,6 +272,73 @@ func TestRemoveStopsTransmission(t *testing.T) {
 	}
 }
 
+// interceptFunc adapts a function to Interceptor.
+type interceptFunc func(in Intent) []Intent
+
+func (f interceptFunc) Outbound(_ *Transport, in Intent) []Intent { return f(in) }
+
+// TestReviseKeepsSchedule: Revise swaps a live intent's flags and data and
+// nothing else — whether it is dirty, when it last went out, when it is
+// next due and how old it is stay as they were — goes through the
+// interceptor, and does not bring back an intent its component removed.
+func TestReviseKeepsSchedule(t *testing.T) {
+	r := newPolicyRig(t, 2, nil)
+	tr := r.transports[0]
+	var intercepted []Intent
+	tr.SetInterceptor(interceptFunc(func(in Intent) []Intent {
+		intercepted = append(intercepted, in)
+		return []Intent{in}
+	}))
+	key := IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Slot: 1, Round: 2}
+	tr.Update(Intent{IntentKey: key, Data: []byte("share")})
+	// Sent, then re-sent once unasked: clean, one age older, due later.
+	r.sched.RunFor(8 * time.Second)
+	if i, found := tr.find(key); !found || tr.live[i].age != 1 || tr.live[i].dirty {
+		t.Fatalf("set-up: found %v, %+v", found, tr.live[i])
+	}
+	revised := func(data string) {
+		t.Helper()
+		i, _ := tr.find(key)
+		before, dirty := tr.live[i], tr.nDirty
+		tr.Revise(Intent{IntentKey: key, Flags: 1, Data: []byte(data)})
+		after := tr.live[i]
+		if after.Flags != 1 || string(after.Data) != data {
+			t.Errorf("revised to flags %d, %q", after.Flags, after.Data)
+		}
+		if after.dirty != before.dirty || after.asked != before.asked || after.age != before.age ||
+			after.sentAt != before.sentAt || after.due != before.due || tr.nDirty != dirty {
+			t.Errorf("revising moved the schedule: %+v (%d dirty), was %+v (%d dirty)", after, tr.nDirty, before, dirty)
+		}
+		if last := intercepted[len(intercepted)-1]; string(last.Data) != data {
+			t.Errorf("the interceptor last saw %q", last.Data)
+		}
+	}
+	revised("cert")
+	sent := tr.Stats().LogicalSent
+	r.sched.RunFor(time.Second)
+	if tr.Stats().LogicalSent != sent {
+		t.Error("revising a clean intent sent a frame")
+	}
+	// A dirty intent stays dirty, and its frame carries the new data.
+	other := IntentKey{Kind: packet.KindABA, Phase: packet.PhaseBval, Slot: 1}
+	tr.Update(Intent{IntentKey: other, Data: []byte{1}})
+	i, _ := tr.find(key)
+	tr.markDirty(&tr.live[i])
+	revised("certificate")
+	r.sched.RunFor(time.Second)
+	last := r.received[1][packet.KindABA]
+	if got := last[len(last)-1].sec; got.Phase != packet.PhaseShare || string(got.Entries[0].Data) != "certificate" || got.Entries[0].Flags != 1 {
+		t.Errorf("frame after revising a dirty intent carried %+v", got)
+	}
+	// A removed intent stays removed, and the interceptor is not asked.
+	tr.Remove(key)
+	seen, live := len(intercepted), len(tr.live)
+	tr.Revise(Intent{IntentKey: key, Flags: 1, Data: []byte("late")})
+	if _, found := tr.find(key); found || len(tr.live) != live || len(intercepted) != seen {
+		t.Error("revising a removed intent brought it back")
+	}
+}
+
 func TestNackBitsAttached(t *testing.T) {
 	r := newRig(t, 2, true, nil)
 	tr := r.transports[0]

@@ -43,11 +43,11 @@ const (
 	PhaseInitial  Phase = 1  // 1-to-N proposal dissemination
 	PhaseEcho     Phase = 2  // RBC ECHO votes / CBC signature shares
 	PhaseReady    Phase = 3  // RBC READY votes
-	PhaseDone     Phase = 4  // PRBC threshold-signature shares
+	PhaseDone     Phase = 4  // PRBC threshold-signature shares, or the combined proof
 	PhaseFinish   Phase = 5  // CBC combined-signature broadcast
 	PhaseBval     Phase = 6  // Cachin ABA BVAL
 	PhaseAux      Phase = 7  // Cachin ABA AUX
-	PhaseShare    Phase = 8  // Cachin ABA coin share
+	PhaseShare    Phase = 8  // Cachin ABA coin share, or the SC coin's certificate
 	PhaseVote1    Phase = 9  // Bracha ABA phase-1 vote (RBC-small)
 	PhaseVote2    Phase = 10 // Bracha ABA phase-2 vote
 	PhaseVote3    Phase = 11 // Bracha ABA phase-3 vote

@@ -308,11 +308,19 @@ func TestClusteredOneShot(t *testing.T) {
 // and rejoins at the next boundary — here even rotating into the leader
 // seat.
 func TestClusteredOneShotCrashRecovery(t *testing.T) {
-	const back = 30 * time.Second
 	spec := quickClusteredSpec(32)
 	spec.Workload.Epochs = 2
+	// The crash and the return fall at a third and two thirds of epoch 0
+	// as a crash-free run of the same spec times it, so the follower is
+	// back well before the epoch ends however fast the epoch is.
+	free, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch0 := free.OneShot.EpochLatencies[0]
+	back := epoch0 * 2 / 3
 	spec.Scenario = scenario.Plan{}.Then(
-		scenario.CrashAt(10*time.Second, 1), // cluster 0, follower in epoch 0
+		scenario.CrashAt(epoch0/3, 1), // cluster 0, follower in epoch 0
 		scenario.RecoverAt(back, 1),
 	)
 	res, err := Run(spec)

@@ -84,13 +84,13 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "71de85cacea0f796841982038d99f82b6925e7d78504359726e8d9bb6ef76009"},
+		}, "0e8df46683058b9a4a9d3ad2b14a52c8b22f80b4cb29f48b3a0d0c24b982bdd9"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "b44504f0e0f357bdb25e395b119d9e8886f03a15fd9c6aba76ac5ddaf743de5e"},
+		}, "5b3a8ad2ab3c09cc320ce5b745782167247fa905b7b09454a7ed443011d3c4a2"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
@@ -99,7 +99,7 @@ func TestMatrixPinned(t *testing.T) {
 		}, "1438f5c1b7f5d54f80643c2a4c31234356e9bb17f11a30ce6bd314c4fe1ca143"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "e9fe4fe622d988d25d1066475928ec4ab9cf8e0bb94bb76765f2fe3f74ba1109"},
+		}, "a3bd183c1e621944f797890df9e233851f32b50402e05e5e6ba981f6997b0bd2"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
 		}, "6bbe259d4e2b5fdad26b3c9feecea109f2bce358add0c27fe275bab203d56918"},
@@ -112,18 +112,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "7426c321d5396c2a8b1a894e659f0b6c3fe64f240513ae889273cdcb6f1a2e66"},
+		}, "2d4dc85487907703c4fddb54a31c4e8890e07beec06acf1ec560e41df03f0711"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("crash@4m:2;recover@9m:2")
 			return spec
-		}, "b3f5f650d187faf05dbe6d82a1c8716524230938263217e428cd7ffafe2106b3"},
+		}, "fec3458ff3b1fb0865d34bc79f207e20321dfa537e145892c21ef5e788911191"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "d02c39ba1039d60912df1a67996b9cdec05344064ef8c05ffc19ba499c5d9728"},
+		}, "c4d075acd326683bdbde3ceec0a17722c2b0a528f0ebacb2e4b60b2fae8dcf71"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -131,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "e7c9c24a4fdabf083e8ff96a2b19d97c06121062cc47c92236bdf36a93ff4b80"},
+		}, "8c0b559c9d9a363c7bf5e617ce4ca38f4124f0f370a0f602ab6b96266997dada"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -144,18 +144,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "e42378874e6cd260bba6fc83b221d13d7710b8171553f7bac122e0bf4da34727"},
+		}, "c28839d2ade009ddd2e57d8f144011d66d14d078dfb1ffa4590662c475941f04"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "fde084c78deff6ab77a478a36844c1625203c573fd7c7cae35612f1ddaf38583"},
+		}, "357d7000640f2bf6b7e545d2d58ae0e3fd5f260f1d90a69912ef98f5de58fb1b"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "62c7dff2d15d76b1e7f6163c2c08cd7350849518652f80d009514827b3d5bd70"},
+		}, "a227d6b709ca1a979b81d4a1861888632ce18ad8718e735cd717083e0196e189"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
