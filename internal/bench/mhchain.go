@@ -50,7 +50,7 @@ type MHChainPoint struct {
 // proposals to claim a cluster it does not control. The three points
 // cover the acceptance matrix: armed from the start, armed mid-run, and
 // forging while an untainted cluster's designated relay is crashed (the
-// failover re-collection path).
+// next certificate holder relays).
 func forgeAxis() sweep.Axis[run.Spec] {
 	victim := func(s *run.Spec) int { return s.Topology.Clusters*s.Topology.PerCluster - 1 }
 	return sweep.Axis[run.Spec]{Name: "forge", Points: []sweep.Point[run.Spec]{

@@ -461,6 +461,27 @@ var collectorUsers = []struct {
 		}
 		return r
 	}},
+	{"cut-cert", func(t *testing.T, tn *testNet) collectorRig {
+		var got [][]byte
+		c := NewCutCert(tn.envs[0], func(cert []byte) { got = append(got, cert) })
+		c.Begin([]byte("cut of cluster 1, epoch 3"))
+		peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
+			return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+		})
+		r := rigOf(&c.sigs, &c.cert, 0, peers)
+		r.foreign = func() []byte { return certOf(peers, r.k, []byte("cut of cluster 1, epoch 4")) }
+		r.sharePhase = packet.PhaseDone
+		r.check = func(t *testing.T) {
+			sig := &threshsig.Signature{S: bigFromBytes(c.Cert())}
+			if err := tn.envs[0].Suite.TSLow.Verify(c.cert.subject, sig); err != nil {
+				t.Errorf("combined cut certificate does not verify: %v", err)
+			}
+			if len(got) != 1 || !bytes.Equal(got[0], c.Cert()) {
+				t.Errorf("certificate callback saw %x, tally holds %x", got, c.Cert())
+			}
+		}
+		return r
+	}},
 	{"sig-coin", func(t *testing.T, tn *testNet) collectorRig { return coinRig(t, tn, SigCoin) }},
 	{"flip-coin", func(t *testing.T, tn *testNet) collectorRig { return coinRig(t, tn, FlipCoin) }},
 	{"decryptor", func(t *testing.T, tn *testNet) collectorRig {

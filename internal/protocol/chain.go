@@ -113,11 +113,12 @@ type Chain struct {
 	ageEvt *sim.Event
 	// OnCommit, if set, fires after each epoch commits (driver barrier).
 	OnCommit func(epoch int)
-	// OnEpochOpen, if set, fires when the engine opens an epoch's transport,
-	// before the epoch's instance starts. Drivers use it to piggyback
-	// cross-cutting state on the pipeline — the clustered chain deployment
-	// registers its global-order dissemination handler here.
-	OnEpochOpen func(epoch int, tr *core.Transport)
+	// OnEpochOpen, if set, fires when the engine opens an epoch, with the
+	// epoch's component environment, before the epoch's instance starts.
+	// Drivers use it to piggyback cross-cutting state on the pipeline — the
+	// clustered chain deployment collects its cut certificates and hears
+	// its global-order beacons here.
+	OnEpochOpen func(epoch int, env *component.Env)
 }
 
 // NewChain builds the engine of the group member env describes around that
@@ -298,12 +299,11 @@ func (c *Chain) armAgeTimer() {
 // startEpoch opens the epoch's transport on the mux, builds the component
 // environment and the protocol instance, and submits the cut proposal.
 func (c *Chain) startEpoch(e int) {
-	tr := c.mux.Open(uint16(e))
-	if c.OnEpochOpen != nil {
-		c.OnEpochOpen(e, tr)
-	}
 	env := c.env
-	env.Epoch, env.T = uint16(e), tr
+	env.Epoch, env.T = uint16(e), c.mux.Open(uint16(e))
+	if c.OnEpochOpen != nil {
+		c.OnEpochOpen(e, &env)
+	}
 	ep := &chainEpoch{startedAt: c.env.Sched.Now()}
 	ep.inst = NewInstance(&env, c.cfg.Protocol, Options{
 		Coin: c.cfg.Coin, SharedCoin: c.cfg.Batched, Encrypt: c.cfg.Encrypt,

@@ -2,9 +2,7 @@ package run
 
 import (
 	"encoding/binary"
-	"fmt"
 	"math/big"
-	"time"
 
 	"repro/internal/crypto/threshsig"
 )
@@ -13,7 +11,8 @@ import (
 // with every cluster-cut record to the global tier (the VCBC-style
 // "proof travels with the value" discipline). A cut is signed by f+1 of
 // its cluster's members under the cluster's low-threshold signature key
-// (crypto.Suite.TSLow, dealt per cluster through crypto.DealCached), so
+// (crypto.Suite.TSLow, dealt per cluster through crypto.DealCached; the
+// members collect the shares on their own channel, component.CutCert), so
 // a Byzantine relay seat — which holds at most f cluster shares worth of
 // influence — cannot fabricate a certificate for a cluster it does not
 // control. Every relay seat verifies the certificate of every cut it
@@ -68,16 +67,12 @@ func parseCutTx(tx []byte) (cluster, epoch int, digest [32]byte, cert []byte, ok
 	return cluster, epoch, digest, tx[cutHeaderSize:], true
 }
 
-// combineCutCert assembles f+1 verified shares into the fixed-width
-// certificate encoding (SignatureLen bytes, left-padded).
-func combineCutCert(key *threshsig.PublicKey, msg []byte, shares []*threshsig.SigShare) ([]byte, error) {
-	sig, err := key.Combine(msg, shares)
-	if err != nil {
-		return nil, fmt.Errorf("run: combining cut certificate: %w", err)
-	}
+// padCert widens a combined signature's minimal big-endian bytes to the
+// fixed-width certificate encoding (SignatureLen bytes, left-padded).
+func padCert(key *threshsig.PublicKey, sig []byte) []byte {
 	cert := make([]byte, key.SignatureLen())
-	sig.S.FillBytes(cert)
-	return cert, nil
+	copy(cert[len(cert)-len(sig):], sig)
+	return cert
 }
 
 // verifyCutCert checks a cut's certificate against the claimed cluster's
@@ -91,22 +86,17 @@ func verifyCutCert(key *threshsig.PublicKey, session uint32, cluster, epoch int,
 	return key.Verify(cutMsg(session, cluster, epoch, digest), sig) == nil
 }
 
-// CutCertStats counts the certificate work of one Clustered × Chain run,
-// summed across the whole deployment: share signing at the cluster
-// members, share verification and combining at the submitting relay
-// seat, and certificate verification at every committing seat. Busy is
-// the total virtual compute time those operations charged against the
-// member and seat CPUs through the crypto cost model — pinned by test to
-// equal the op counts weighted by crypto.CostModel rates.
+// CutCertStats counts the seats' side of one Clustered × Chain run's cut
+// certificates, summed over all seats. The members' signing, share
+// checks and combining run in the share collector on the cluster
+// channel and are charged there, like every other threshold share.
 type CutCertStats struct {
-	Signs         int `json:"signs"`
-	ShareVerifies int `json:"share_verifies"`
-	Combines      int `json:"combines"`
-	Verifies      int `json:"verifies"`
+	// Verifies counts certificate checks (one TSVerify each on the seat's
+	// CPU) of committed cut records.
+	Verifies int `json:"verifies"`
 	// RejectedCuts counts committed global-order transactions discarded
 	// by certificate verification (forged, unsigned, malformed, or
 	// out-of-range cuts), summed over all seats. Each discard is also
 	// counted into the seat transport's Stats.Rejected.
-	RejectedCuts int           `json:"rejected_cuts"`
-	Busy         time.Duration `json:"busy_ns"`
+	RejectedCuts int `json:"rejected_cuts"`
 }

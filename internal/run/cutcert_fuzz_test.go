@@ -58,7 +58,7 @@ func FuzzCutCertDecode(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cert, err := combineCutCert(key, msg, []*threshsig.SigShare{sh0, sh1})
+	cert, err := certifyCut(key, msg, []*threshsig.SigShare{sh0, sh1})
 	if err != nil {
 		f.Fatal(err)
 	}

@@ -35,11 +35,21 @@ func signCut(t *testing.T, suites []*crypto.Suite, session uint32, cluster, epoc
 		}
 		shares = append(shares, sh)
 	}
-	cert, err := combineCutCert(key, msg, shares)
+	cert, err := certifyCut(key, msg, shares)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return cert
+}
+
+// certifyCut combines f+1 shares into a cut certificate the way the
+// members' share collector does, and pads it the way the relay does.
+func certifyCut(key *threshsig.PublicKey, msg []byte, shares []*threshsig.SigShare) ([]byte, error) {
+	sig, err := key.Combine(msg, shares)
+	if err != nil {
+		return nil, err
+	}
+	return padCert(key, sig.Bytes()), nil
 }
 
 // zeroReader stands in for the node RNG (the Chaum–Pedersen proof nonce);
@@ -95,7 +105,7 @@ func TestCutCertBadShare(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cert, err := combineCutCert(key, msg, []*threshsig.SigShare{bad, second}); err == nil {
+	if cert, err := certifyCut(key, msg, []*threshsig.SigShare{bad, second}); err == nil {
 		if verifyCutCert(key, 1, 0, 0, digest, cert) {
 			t.Fatal("certificate combined from a tampered share verified")
 		}

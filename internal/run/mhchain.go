@@ -7,6 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/byz"
+	"repro/internal/component"
 	"repro/internal/core"
 	"repro/internal/crypto/threshsig"
 	"repro/internal/node"
@@ -22,17 +23,20 @@ import (
 // replicated log. One uplink seat per cluster (a second radio+MCU on the
 // global channel) is a member of one more chain group over the M seats,
 // whose "client transactions" are cluster cuts — (cluster, epoch, digest)
-// records of committed local log entries. Relay duty rotates: the leader
-// for local epoch e is member e mod P; when it commits e it hands the cut
-// to its seat, and the global chain pipelines the cuts of all clusters
-// into the cross-cluster total order. If the designated leader is down,
-// relay duty fails over to the next live member in rotation (the cut
-// content is identical at every honest member, so any of them can relay
-// it). Committed global entries flow back down: the relay for global
-// epoch g broadcasts a frontier beacon — (ordered-cut count, rolling
-// digest of the global order) — on its newest open local epoch transport,
-// so followers continuously learn how far the cross-cluster order has
-// advanced.
+// records of committed local log entries. Every member that commits
+// local epoch e signs a share of its cut on e's own transport, and the
+// members collect f+1 of them into the cut's certificate on the cluster
+// channel, as PRBC collects its DONE proof (component.CutCert). Relay
+// duty rotates: starting at member e mod P, the first live honest member
+// in rotation that holds the certificate hands the certified cut to its
+// seat, and the global chain pipelines the cuts of all clusters into the
+// cross-cluster total order. If the designated leader is down, the next
+// member that already holds the certificate relays (the cut content is
+// identical at every honest member). Committed global entries flow back
+// down: the relay for global epoch g broadcasts a frontier beacon —
+// (ordered-cut count, rolling digest of the global order) — on its newest
+// open local epoch transport, so followers continuously learn how far the
+// cross-cluster order has advanced.
 //
 // The scenario engine is wired through both tiers. Crash/recovery acts on
 // cluster nodes with full mid-run chain recovery; partitions act within
@@ -77,35 +81,10 @@ type mhcMember struct {
 	// heardCuts/heardDigest is the highest global frontier beacon received.
 	heardCuts   int
 	heardDigest [32]byte
-	// cutShares caches this member's signed cut shares by local epoch —
-	// the member's "stable storage" (node.Crash keeps keys and logs too),
-	// so a failover re-collection gets already-signed shares for free.
-	cutShares map[int]*threshsig.SigShare
-}
-
-// cutCollect is one in-flight share collection: the cluster seat
-// gathering f+1 member shares over one cut before it can combine the
-// certificate and submit the cut to the global chain. Failover discards
-// the collection (CrashNode) and the next pumpCuts restarts it under the
-// new relay, re-requesting shares from the surviving members.
-type cutCollect struct {
-	epoch  int
-	digest [32]byte
-	msg    []byte // cutMsg the shares sign
-	needed int    // f+1, the cluster key's threshold
-	// ver amortizes the per-message fixed verification work (hash-to-group
-	// of msg and its 4Delta power) across the whole collection. Virtual
-	// time still charges TSVerifyShare per share — only host time is saved.
-	ver *threshsig.ShareVerifier
-	// requested marks members already asked, so topping up a collection
-	// (members committing the epoch late) never double-requests.
-	requested map[int]bool
-	// spare holds delivered-but-unverified shares; at most needed verifies
-	// are in flight at once, and spares replace shares that fail.
-	spare     []*threshsig.SigShare
-	shares    []*threshsig.SigShare // verified
-	verifying int
-	combining bool
+	// cuts holds the member's cut-certificate tally of every local epoch
+	// it opened. A certificate outlives its epoch's transport, like the
+	// committed log it certifies.
+	cuts map[int]*component.CutCert
 }
 
 // mhcCluster is one cluster: its local chain group, the driver-side state
@@ -118,10 +97,6 @@ type mhcCluster struct {
 	seats   *chainGroup
 	// nextCut is the lowest local epoch whose cut is not yet submitted.
 	nextCut int
-	// collect is the in-flight share collection for epoch nextCut (nil
-	// when no eligible relay has committed the epoch yet, or the certified
-	// cut is already submitted).
-	collect *cutCollect
 	// cuts tracks the global order as this cluster's seat commits it:
 	// total cut count and the rolling digest the relays beacon.
 	cutCount  int
@@ -138,6 +113,7 @@ func (cl *mhcCluster) tainted() bool           { return cl.seats.byz[cl.idx] }
 // mhcDriver holds the whole deployment for the lifecycle and callbacks.
 type mhcDriver struct {
 	spec     Spec
+	dep      *deployment
 	target   int
 	clusters []*mhcCluster
 	// seats is the global chain group; its byz members are the seats of
@@ -150,7 +126,7 @@ type mhcDriver struct {
 	// what members sign cut shares under and every seat verifies
 	// certificates against.
 	keys []*threshsig.PublicKey
-	// certs tallies the deployment's certificate work and rejections.
+	// certs counts the seats' certificate checks and rejections.
 	certs CutCertStats
 }
 
@@ -178,13 +154,6 @@ func (d *mhcDriver) crashed(flat int) {
 	cl, i := d.member(flat)
 	cl.local.chains[i].Crash()
 	cl.members[i].latest = nil // its transports are gone with the mux epochs
-	// Relay failover: cuts the crashed node was designated to submit are
-	// taken over by the next live member in rotation. The in-flight share
-	// collection (if any) dies with the crashed relay's duty — the
-	// taking-over relay re-collects, and members' cached shares make the
-	// re-collection cheap (no re-signing for shares already produced).
-	cl.collect = nil
-	d.pumpCuts(cl)
 }
 
 // recovered is mid-run chain recovery.
@@ -200,161 +169,30 @@ func (d *mhcDriver) recovered(flat int) {
 	d.beacon(cl, len(cl.gchain().Log()))
 }
 
-// pumpCuts advances the cluster's cut pipeline. The designated relay for
-// local epoch e is member e mod P; when it has committed e — or, if it is
-// down or scripted Byzantine, when the next live honest member in
-// rotation has — the seat opens a share collection for the cut. The cut
-// is submitted to the global chain only once f+1 member shares have been
-// verified and combined into the cut certificate (combineCut), so cuts
-// still enter the global order strictly in local-epoch order, one
-// collection in flight per cluster.
+// pumpCuts submits every cut its cluster has certified, in local-epoch
+// order. The relay for local epoch e is the first live honest member in
+// rotation from e mod P that holds the cut's certificate — the designated
+// leader, or, while it is down or still collecting, the next member that
+// already holds it. The relay pads the certificate to the cluster key's
+// fixed width and hands the cut to its seat.
 func (d *mhcDriver) pumpCuts(cl *mhcCluster) {
-	if cl.nextCut >= d.target {
-		return
-	}
-	if cl.collect == nil {
-		e := cl.nextCut
-		p := d.spec.Topology.PerCluster
-		var src *protocol.Chain
-		for k := 0; k < p; k++ {
-			i := (e + k) % p
-			if cl.local.byz[i] || cl.local.nodes[i].Down() {
-				continue // untrusted or dead relay; duty passes on
-			}
-			// First trustworthy live member in rotation is the relay; the
-			// cut waits until it has committed the epoch (it will: honest
-			// live chains reach the target, recovering mid-run if needed).
-			// The log, not CommittedEpochs, carries the signal: OnCommit
-			// fires after the entry is appended but before the frontier
-			// counter advances.
-			if len(cl.local.chains[i].Log()) > e {
-				src = cl.local.chains[i]
-			}
-			break
-		}
-		if src == nil {
-			return
-		}
-		digest := entryDigest(src.Log()[e])
-		msg := cutMsg(d.gsession, cl.idx, e, digest)
-		cl.collect = &cutCollect{
-			epoch:     e,
-			digest:    digest,
-			msg:       msg,
-			needed:    d.keys[cl.idx].K,
-			requested: make(map[int]bool),
-			ver:       d.keys[cl.idx].Verifier(msg),
-		}
-	}
-	// New collection or top-up: members that committed the epoch since the
-	// last pass are asked for their shares now.
-	d.collectShares(cl, cl.collect)
-}
-
-// collectShares requests a cut share from every eligible member not yet
-// asked: honest, live, and holding the committed entry the cut digests.
-// Cached shares (failover re-collection) are delivered immediately;
-// otherwise the member's CPU is charged a TSSign and the share arrives
-// when the signing completes.
-func (d *mhcDriver) collectShares(cl *mhcCluster, col *cutCollect) {
 	p := d.spec.Topology.PerCluster
-	for i := 0; i < p; i++ {
-		m, nd, log := cl.members[i], cl.local.nodes[i], cl.local.chains[i].Log()
-		if col.requested[i] || cl.local.byz[i] || nd.Down() {
-			continue
-		}
-		if len(log) <= col.epoch || entryDigest(log[col.epoch]) != col.digest {
-			continue // not committed yet; a later pumpCuts tops the collection up
-		}
-		col.requested[i] = true
-		if sh, ok := m.cutShares[col.epoch]; ok {
-			d.receiveShare(cl, col, sh)
-			continue
-		}
-		d.certs.Signs++
-		d.certs.Busy += nd.Suite.Cost.TSSign
-		nd.CPU.Exec(nd.Suite.Cost.TSSign, func() {
-			if nd.Down() {
-				return // crashed mid-signing; recovery re-requests
+	for ; cl.nextCut < d.target; cl.nextCut++ {
+		e := cl.nextCut
+		relay := -1
+		for k := 0; k < p && relay < 0; k++ {
+			i := (e + k) % p
+			if cc := cl.members[i].cuts[e]; !cl.local.byz[i] && !cl.local.nodes[i].Down() && cc != nil && cc.Cert() != nil {
+				relay = i
 			}
-			sh, err := nd.Suite.TSLow.Sign(nd.Suite.TSLowShare, col.msg, nd.Rand)
-			if err != nil {
-				return
-			}
-			m.cutShares[col.epoch] = sh
-			d.receiveShare(cl, col, sh)
-		})
+		}
+		if relay < 0 {
+			return // no live honest member holds the certificate yet
+		}
+		digest := entryDigest(cl.local.chains[relay].Log()[e])
+		cert := padCert(d.keys[cl.idx], cl.members[relay].cuts[e].Cert())
+		cl.gchain().Submit(MakeCutTx(cl.idx, e, digest, cert))
 	}
-	d.drainShares(cl, col)
-}
-
-// receiveShare hands one member share to the seat. Shares for a
-// collection that failover has discarded are dropped (they stay in the
-// member's cache for the re-collection).
-func (d *mhcDriver) receiveShare(cl *mhcCluster, col *cutCollect, sh *threshsig.SigShare) {
-	if cl.collect != col {
-		return
-	}
-	col.spare = append(col.spare, sh)
-	d.drainShares(cl, col)
-}
-
-// drainShares keeps exactly as many share verifications in flight as the
-// certificate still needs — the seat pays TSVerifyShare per checked
-// share, so surplus shares beyond f+1 are never verified (they replace
-// failures instead).
-func (d *mhcDriver) drainShares(cl *mhcCluster, col *cutCollect) {
-	seat := cl.seat()
-	for len(col.spare) > 0 && !col.combining && len(col.shares)+col.verifying < col.needed {
-		sh := col.spare[0]
-		col.spare = col.spare[1:]
-		col.verifying++
-		d.certs.ShareVerifies++
-		d.certs.Busy += seat.Suite.Cost.TSVerifyShare
-		seat.CPU.Exec(seat.Suite.Cost.TSVerifyShare, func() {
-			if cl.collect != col {
-				return
-			}
-			col.verifying--
-			if col.ver.Verify(sh) != nil {
-				// Only a corrupted share fails; honest members never
-				// produce one. A spare (if any) takes the slot.
-				d.drainShares(cl, col)
-				return
-			}
-			col.shares = append(col.shares, sh)
-			if len(col.shares) >= col.needed {
-				d.combineCut(cl, col)
-				return
-			}
-			d.drainShares(cl, col)
-		})
-	}
-}
-
-// combineCut charges the seat a TSCombine, assembles the f+1 verified
-// shares into the cut certificate, and submits the certified cut to the
-// global chain, advancing the cluster's cut pipeline.
-func (d *mhcDriver) combineCut(cl *mhcCluster, col *cutCollect) {
-	col.combining = true
-	d.certs.Combines++
-	seat := cl.seat()
-	d.certs.Busy += seat.Suite.Cost.TSCombine
-	seat.CPU.Exec(seat.Suite.Cost.TSCombine, func() {
-		if cl.collect != col {
-			return
-		}
-		cert, err := combineCutCert(d.keys[cl.idx], col.msg, col.shares)
-		cl.collect = nil
-		if err != nil {
-			// Unreachable with verified shares; restart the collection.
-			d.pumpCuts(cl)
-			return
-		}
-		cl.nextCut = col.epoch + 1
-		cl.gchain().Submit(MakeCutTx(cl.idx, col.epoch, col.digest, cert))
-		d.pumpCuts(cl)
-	})
 }
 
 // cut is a parsed cluster-cut record.
@@ -387,16 +225,16 @@ func foldCut(rolling *[32]byte, tx []byte) {
 	h.Sum(rolling[:0])
 }
 
-// onGlobalCommit processes seat c's newly committed global entry: every
+// onGlobalCommit processes a seat's newly committed global entry: every
 // transaction's cut certificate is verified (TSVerify on the seat's CPU)
 // before the cut is counted into the cross-cluster order — forged,
 // unsigned, or malformed records are rejected and never reach the cut
 // tally or the frontier beacons. The beacon for this entry is queued on
 // the same serialized CPU, so it always reflects the entry's accepted
 // cuts.
-func (d *mhcDriver) onGlobalCommit(cl *mhcCluster, g int) {
-	seat := cl.seat()
-	for _, tx := range cl.gchain().Log()[g].Txs {
+func (d *mhcDriver) onGlobalCommit(cl *mhcCluster, entry protocol.LogEntry) {
+	seat, g := cl.seat(), entry.Epoch
+	for _, tx := range entry.Txs {
 		c, ok := d.parseCut(tx)
 		if !ok {
 			// Malformed or out-of-range: rejected with no crypto spent.
@@ -404,7 +242,6 @@ func (d *mhcDriver) onGlobalCommit(cl *mhcCluster, g int) {
 			continue
 		}
 		d.certs.Verifies++
-		d.certs.Busy += seat.Suite.Cost.TSVerify
 		seat.CPU.Exec(seat.Suite.Cost.TSVerify, func() {
 			if d.certified(c) {
 				d.acceptCut(cl, tx, c)
@@ -481,30 +318,53 @@ func (m *mhcMember) hear(count int, digest []byte) {
 	}
 }
 
-// hookMember wires one member's chain into the driver: cut relay on local
-// commits, the pipeline-depth gauge, and beacon send/receive on every
-// pipeline epoch transport.
+// hookMember wires one member's chain into the driver: the pipeline-depth
+// gauge and the cut's tally on local commits, and on every pipeline epoch
+// transport the cut-certificate tally and beacon reception.
 func (d *mhcDriver) hookMember(cl *mhcCluster, i int) {
 	m := cl.members[i]
-	cl.local.chains[i].OnCommit = func(int) {
+	chain := cl.local.chains[i]
+	chain.OnCommit = func(e int) {
 		cl.local.observe(i)
-		d.pumpCuts(cl)
+		m.cuts[e].Begin(cutMsg(d.gsession, cl.idx, e, entryDigest(chain.Log()[e])))
 	}
-	cl.local.chains[i].OnEpochOpen = func(_ int, tr *core.Transport) {
-		m.latest = tr
-		tr.Register(packet.KindGlobal, core.HandlerFunc(func(_ uint16, sec packet.Section) {
+	chain.OnEpochOpen = func(e int, env *component.Env) {
+		m.latest = env.T
+		m.cuts[e] = component.NewCutCert(env, func([]byte) { d.pumpCuts(cl) })
+		env.T.Register(packet.KindGlobal, m.globalHandler(m.cuts[e]))
+	}
+}
+
+// globalHandler dispatches a member's KindGlobal sections by phase: frontier
+// beacons (PhaseFinish) and the epoch's cut shares or certificate
+// (PhaseDone).
+func (m *mhcMember) globalHandler(cc *component.CutCert) core.Handler {
+	return core.HandlerFunc(func(from uint16, sec packet.Section) {
+		switch sec.Phase {
+		case packet.PhaseFinish:
 			for _, ent := range sec.Entries {
-				if len(ent.Data) != 4+32 {
-					continue
+				if len(ent.Data) == 4+32 {
+					m.hear(int(binary.BigEndian.Uint32(ent.Data)), ent.Data[4:])
 				}
-				m.hear(int(binary.BigEndian.Uint32(ent.Data)), ent.Data[4:])
 			}
-		}))
-	}
+		case packet.PhaseDone:
+			cc.HandleSection(from, sec)
+		}
+	})
 }
 
 // runClusteredChain executes the Clustered × Chain cell.
 func runClusteredChain(spec Spec) (*Report, error) {
+	d, err := newMHCDriver(spec)
+	if err != nil {
+		return nil, err
+	}
+	return d.run()
+}
+
+// newMHCDriver builds the Clustered × Chain deployment and wires its
+// driver; nothing runs until run.
+func newMHCDriver(spec Spec) (*mhcDriver, error) {
 	M, P := spec.Topology.Clusters, spec.Topology.PerCluster
 	fg := (M - 1) / 3
 	dep, err := newDeployment(spec)
@@ -560,24 +420,34 @@ func runClusteredChain(spec Spec) (*Report, error) {
 		Shards:           1,
 	}
 
-	d := &mhcDriver{spec: spec, target: target, gsession: globalSession(spec.Transport.Session)}
+	d := &mhcDriver{spec: spec, dep: dep, target: target, gsession: globalSession(spec.Transport.Session)}
 	d.seats = newChainGroup(dep.seats, fg, gccfg, 0, tainted, nil)
-	var locals []*chainGroup
 	for c, lg := range dep.locals {
 		cl := &mhcCluster{idx: c, seats: d.seats, gotCuts: make([]map[int]bool, M)}
 		cl.local = newChainGroup(lg, spec.F, ccfg, c*P, dep.byz, perma)
 		for i := range lg.nodes {
-			cl.members = append(cl.members, &mhcMember{cutShares: make(map[int]*threshsig.SigShare)})
+			cl.members = append(cl.members, &mhcMember{cuts: make(map[int]*component.CutCert)})
 			d.hookMember(cl, i)
 		}
-		cl.gchain().OnCommit = func(g int) { d.onGlobalCommit(cl, g) }
+		cl.gchain().OnCommit = func(g int) { d.onGlobalCommit(cl, cl.gchain().Log()[g]) }
 		d.keys = append(d.keys, lg.nodes[0].Suite.TSLow)
 		d.clusters = append(d.clusters, cl)
-		locals = append(locals, cl.local)
 	}
 	dep.wire(d.lifecycle())
+	return d, nil
+}
 
-	untainted := M - len(tainted)
+// run drives the deployment to the target, checks it and reports.
+func (d *mhcDriver) run() (*Report, error) {
+	spec, dep, target, M := d.spec, d.dep, d.target, len(d.clusters)
+	var locals []*chainGroup
+	untainted := 0
+	for _, cl := range d.clusters {
+		locals = append(locals, cl.local)
+		if !cl.tainted() {
+			untainted++
+		}
+	}
 	globalDone := func() bool {
 		for _, cl := range d.clusters {
 			if cl.tainted() {

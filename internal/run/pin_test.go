@@ -150,12 +150,12 @@ func TestMatrixPinned(t *testing.T) {
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "357d7000640f2bf6b7e545d2d58ae0e3fd5f260f1d90a69912ef98f5de58fb1b"},
+		}, "6b21e891e0f867f6971d5581c20875752ba03954a1ef94ceed37ca761caefacf"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "a227d6b709ca1a979b81d4a1861888632ce18ad8718e735cd717083e0196e189"},
+		}, "a6662f435575f32ff4310f7082e246a9b8aecbe2cf30469b9c046ec71e2da6e3"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -163,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "a7945ef626ecc7ac89c3def5109653f278498c02ee3d974ec7024fe6b32368ee"},
+		}, "10acb90e5b6f80d09b08d9a7f2c641ba73c93590f3004d25576573b5c67a8d8f"},
 	}
 	for _, tc := range cases {
 		tc := tc
