@@ -21,8 +21,7 @@ func bigFromBytes(b []byte) *big.Int { return new(big.Int).SetBytes(b) }
 // carries a 2f+1-sized node-ID list).
 //
 // This is the only certified-broadcast machine: Dumbo's two CBCs and
-// Alea's VCBC queues (see VCBC) are instances of it that differ in wire
-// kind alone.
+// Alea's VCBC queues are instances of it that differ in wire kind alone.
 type CBC struct {
 	dissemination
 	echoes  collector[[]byte, *threshsig.SigShare, []byte]
@@ -46,7 +45,7 @@ type cbcSlot struct {
 
 // CBCOptions configures a CBC component.
 type CBCOptions struct {
-	Kind      packet.Kind // KindCBCValue, KindCBCCommit, or (through NewVCBC) KindVCBC
+	Kind      packet.Kind // KindCBCValue, KindCBCCommit, or KindVCBC
 	Slots     int
 	Small     bool
 	FragSize  int
@@ -112,10 +111,15 @@ func (c *CBC) shareMessage(slot int, h Hash8) []byte {
 	return append(msg, h[:]...)
 }
 
-// Propose starts instance slot with this node as leader.
+// Propose starts instance slot with this node as leader. A logged value
+// (dissemination.propose) pulls its certificate back: peers that delivered
+// it removed their echo intents, and the FINISH died with our transport.
 func (c *CBC) Propose(slot int, value []byte) {
-	c.propose(slot, value)
+	value, replay := c.propose(slot, value)
 	c.acceptValue(slot, value)
+	if replay {
+		c.Fetch(slot)
+	}
 }
 
 func (c *CBC) acceptValue(slot int, value []byte) {
@@ -239,11 +243,9 @@ func (c *CBC) deliver(slot int) {
 }
 
 // Fetch requests a slot's value and certificate from peers. CBC has no
-// totality guarantee of its own, so the agreement layer pulls: Dumbo and
-// Alea call this when a binary agreement accepts a candidate whose
-// broadcast this node missed, and Alea when a queue head it re-proposed
-// from its log lacks only the certificate — a node that holds the value
-// asks for the certificate alone.
+// totality of its own: Dumbo and Alea pull a candidate their agreement
+// accepted but this node missed, and Propose the certificate of a logged
+// value it re-proposes (a node holding the value asks for that alone).
 func (c *CBC) Fetch(slot int) {
 	c.requestRepair(slot, &c.slots[slot].valueSlot)
 }

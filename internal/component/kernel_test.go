@@ -3,6 +3,7 @@ package component
 import (
 	"bytes"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -851,6 +852,97 @@ func TestOwnShareReplay(t *testing.T) {
 		published := shareOnAir(rec, packet.PhaseDecShare, 0)
 		if len(heard) != before+1 || len(published) != 1 || !bytes.Equal(heard[before], published[0]) {
 			t.Errorf("share re-served %d times to a peer that lost its state, published %d times", len(heard)-before, len(published))
+		}
+	})
+}
+
+// TestLedValueLog pins the write-ahead log of led values (Env.Led). A
+// broadcast whose log already holds a value for its kind publishes that
+// value's INITIAL fragments in place of the argument, and a CBC asks for
+// the certificate back (a PhaseRepair intent on its own slot); a fresh log
+// records the argument before the first send; a nil log records nothing.
+// Node 0 replays on slot 0, node 1 proposes into a fresh log on slot 1,
+// node 2 into none on slot 2.
+func TestLedValueLog(t *testing.T) {
+	logged, arg := bytes.Repeat([]byte("L"), 400), bytes.Repeat([]byte("A"), 400)
+	initial := func(rec *recorder, slot int) []byte {
+		var v []byte
+		for _, e := range rec.entries(packet.PhaseInitial, slot) {
+			v = append(v, e.Data...)
+		}
+		return v
+	}
+	for _, tc := range []struct {
+		name    string
+		kind    packet.Kind
+		propose func(env *Env) func(slot int, value []byte)
+	}{
+		{"rbc", packet.KindRBC, func(env *Env) func(int, []byte) { return NewRBC(env, RBCOptions{Slots: 4}).Propose }},
+		{"cbc", packet.KindCBCValue, func(env *Env) func(int, []byte) {
+			return NewCBC(env, CBCOptions{Kind: packet.KindCBCValue, Slots: 4}).Propose
+		}},
+		{"vcbc", packet.KindVCBC, func(env *Env) func(int, []byte) {
+			return NewCBC(env, CBCOptions{Kind: packet.KindVCBC, Slots: 4}).Propose
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tn := newTestNet(t, 45, 0, true)
+			logs := []Led{{tc.kind: logged}, {}, nil}
+			for i, log := range logs {
+				env := tn.envs[i]
+				env.Led = log
+				rec := record(env)
+				tc.propose(env)(i, arg)
+				want, repair := arg, false
+				if i == 0 {
+					want, repair = logged, tc.kind != packet.KindRBC
+				}
+				if got := initial(rec, i); !bytes.Equal(got, want) {
+					t.Errorf("node %d: INITIAL carries %q…, want %q…", i, got[:1], want[:1])
+				}
+				if got := len(rec.entries(packet.PhaseRepair, i)) > 0; got != repair {
+					t.Errorf("node %d: repair intent %v, want %v", i, got, repair)
+				}
+				if log != nil && !bytes.Equal(log[tc.kind], want) {
+					t.Errorf("node %d: log holds %q…, want %q…", i, log[tc.kind][:1], want[:1])
+				}
+			}
+			if tn.envs[2].Led != nil {
+				t.Error("a nil log was filled")
+			}
+		})
+	}
+	// The encrypted proposal path logs the ciphertext: a replay re-sends it
+	// with no encryption charged and no randomness drawn.
+	t.Run("encrypted", func(t *testing.T) {
+		tn := newTestNet(t, 46, 0, true)
+		plain := []byte("the batch")
+		ct, err := tn.envs[3].Suite.TE.Encrypt(plain, tn.envs[3].Rand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sealed := EncodeCiphertext(ct)
+		for i, log := range []Led{{packet.KindRBC: sealed}, {}} {
+			env := tn.envs[i]
+			env.Led, env.Rand = log, rand.New(rand.NewSource(7))
+			rec := record(env)
+			NewRBC(env, RBCOptions{Slots: 4}).ProposeEncrypted(i, plain)
+			busy, draw := env.CPU.BusyTotal(), env.Rand.Int63()
+			fresh := rand.New(rand.NewSource(7)).Int63()
+			if i == 0 {
+				if busy != 0 || draw != fresh || !bytes.Equal(initial(rec, 0), sealed) {
+					t.Errorf("replay: charged %v, drew randomness %v, re-sent the logged ciphertext %v",
+						busy, draw != fresh, bytes.Equal(initial(rec, 0), sealed))
+				}
+				continue
+			}
+			if busy != env.Suite.Cost.TEEncrypt {
+				t.Errorf("fresh: charged %v, want TEEncrypt %v", busy, env.Suite.Cost.TEEncrypt)
+			}
+			tn.run(t, time.Minute, func() bool { return len(log) > 0 })
+			if got, err := DecodeCiphertext(log[packet.KindRBC]); err != nil || !bytes.Equal(initial(rec, 1), log[packet.KindRBC]) {
+				t.Errorf("fresh: logged %v (%v), INITIAL carries the logged value %v", got, err, bytes.Equal(initial(rec, 1), log[packet.KindRBC]))
+			}
 		}
 	})
 }

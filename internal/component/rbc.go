@@ -90,8 +90,26 @@ func (r *RBC) DeliveredCount() int {
 
 // Propose starts instance slot with this node as leader.
 func (r *RBC) Propose(slot int, value []byte) {
-	r.propose(slot, value)
+	value, _ = r.propose(slot, value)
 	r.acceptValue(slot, value)
+}
+
+// ProposeEncrypted proposes plain threshold-encrypted on the node's CPU,
+// HoneyBadgerBFT's and BEAT's proposal path. A logged ciphertext goes out
+// again as it is, with no encryption charged or randomness drawn: peers
+// echoed that one, and a fresh encryption would be another value.
+func (r *RBC) ProposeEncrypted(slot int, plain []byte) {
+	if _, ok := r.env.Led[r.kind]; ok {
+		r.Propose(slot, nil)
+		return
+	}
+	r.env.Exec(r.env.Suite.Cost.TEEncrypt, func() {
+		ct, err := r.env.Suite.TE.Encrypt(plain, r.env.Rand)
+		if err != nil {
+			panic("component: encrypting proposal: " + err.Error())
+		}
+		r.Propose(slot, EncodeCiphertext(ct))
+	})
 }
 
 // acceptValue handles a fully assembled proposal (own or received).

@@ -129,18 +129,11 @@ var _ Instance = (*ACS)(nil)
 
 // Start implements Instance.
 func (a *ACS) Start(proposal []byte) {
-	if !a.encrypt {
-		a.rbc.Propose(a.env.Me, proposal)
+	if a.encrypt {
+		a.rbc.ProposeEncrypted(a.env.Me, proposal)
 		return
 	}
-	env := a.env
-	env.Exec(env.Suite.Cost.TEEncrypt, func() {
-		ct, err := env.Suite.TE.Encrypt(proposal, env.Rand)
-		if err != nil {
-			panic(fmt.Sprintf("protocol: encrypting proposal: %v", err))
-		}
-		a.rbc.Propose(env.Me, component.EncodeCiphertext(ct))
-	})
+	a.rbc.Propose(a.env.Me, proposal)
 }
 
 // Done implements Instance.

@@ -1,6 +1,9 @@
 package protocol
 
-import "repro/internal/component"
+import (
+	"repro/internal/component"
+	"repro/internal/packet"
+)
 
 // Alea implements the Alea-BFT pipeline: dissemination and agreement are
 // split into two decoupled halves. Every node VCBC-broadcasts its batch
@@ -21,7 +24,7 @@ import "repro/internal/component"
 // the other engines, so the bench numbers are head-to-head comparable.
 type Alea struct {
 	env  *component.Env
-	vcbc *component.VCBC
+	vcbc *component.CBC // VCBC: consistent broadcast on KindVCBC, queue i led by node i
 	aba  binaryAgreement
 
 	order     []int // π: common cyclic queue priority order
@@ -50,7 +53,8 @@ func newAlea(env *component.Env, opts Options) Instance {
 		accepted: make([]bool, env.N),
 		onDecide: opts.OnDecide,
 	}
-	a.vcbc = component.NewVCBC(env, component.VCBCOptions{
+	a.vcbc = component.NewCBC(env, component.CBCOptions{
+		Kind:      packet.KindVCBC,
 		Slots:     env.N,
 		OnDeliver: a.onVCBCDeliver,
 	})
@@ -64,21 +68,7 @@ func newAlea(env *component.Env, opts Options) Instance {
 var _ Instance = (*Alea)(nil)
 
 // Start implements Instance: push this node's batch onto its queue.
-func (a *Alea) Start(proposal []byte) { a.vcbc.Broadcast(a.env.Me, proposal) }
-
-// Reproposed implements the chain's WAL-replay signal, the one engine hook
-// of crash recovery: this node crashed after first broadcasting the
-// epoch's batch, so peers are bound to that value — their echo shares, and
-// possibly a completed certificate, refer to broadcast state this node no
-// longer holds (its FINISH intent died with the transport, and peers that
-// delivered removed their echo intents at delivery). Pull that state back
-// through the repair path: survivors re-publish the certificate if one
-// exists, or their standing echo intents complete the quorum again on this
-// node. The proposal WAL, which every chain keeps, guarantees the replayed
-// value hashes identically, so the pulled state binds to the value just
-// re-broadcast. RBC needs no such pull: its survivors re-announce their
-// votes to a peer whose NACK rows show it lost them.
-func (a *Alea) Reproposed() { a.vcbc.Fetch(a.env.Me) }
+func (a *Alea) Start(proposal []byte) { a.vcbc.Propose(a.env.Me, proposal) }
 
 // Done implements Instance.
 func (a *Alea) Done() bool { return a.outputs != nil }

@@ -71,13 +71,9 @@ type Chain struct {
 
 	mempool *Mempool
 	epochs  map[int]*chainEpoch
-	// proposed is the proposal WAL: epoch -> the encoded batch this node
-	// first cut for it. Crash preserves it, so a recovered proposer
-	// re-broadcasts the value peers may already have echoed: every family's
-	// broadcast binds its peers to the first value they see (RBC's echoes
-	// and READYs vote for its hash, CBC's echoes sign it). Entries die with
-	// the epoch GC.
-	proposed map[int][]byte
+	// led is each epoch's write-ahead log of the values this node leads
+	// (component.Led). Crash preserves it; entries die with the epoch GC.
+	led map[int]component.Led
 	// nextStart is the lowest epoch not yet started here; nextCommit the
 	// lowest not yet committed. Invariant: nextCommit <= nextStart <
 	// nextCommit + Window.
@@ -143,7 +139,7 @@ func NewChain(env component.Env, mux *core.Mux, cfg ChainConfig) *Chain {
 		cfg:      cfg,
 		mempool:  NewMempool(cfg.Mempool),
 		epochs:   make(map[int]*chainEpoch),
-		proposed: make(map[int][]byte),
+		led:      make(map[int]component.Led),
 		submitAt: make(map[txKey]time.Duration),
 		peerMax:  -1,
 	}
@@ -212,10 +208,11 @@ func (c *Chain) Start() { c.advance() }
 
 // Crash models a process failure with stable storage: the committed log,
 // the mempool (pending transactions and committed-digest horizon), the
-// commit frontier, and the proposal WAL survive; every in-flight epoch's
-// protocol state and per-epoch transport are discarded. The node-level
-// crash (radio off, inbound gated) is the deployment layer's job — see
-// node.Node.Crash.
+// commit frontier, and the log of every value this node led in an open
+// epoch (its batch or ciphertext, Dumbo's W vector and commit set)
+// survive; every in-flight epoch's protocol state and per-epoch transport
+// are discarded. The node-level crash (radio off, inbound gated) is the
+// deployment layer's job — see node.Node.Crash.
 func (c *Chain) Crash() {
 	c.ageEvt.Cancel()
 	c.ageEvt = nil
@@ -297,10 +294,14 @@ func (c *Chain) armAgeTimer() {
 }
 
 // startEpoch opens the epoch's transport on the mux, builds the component
-// environment and the protocol instance, and submits the cut proposal.
+// environment and the protocol instance, and submits a cut proposal, or
+// none if the epoch's log holds values to re-propose.
 func (c *Chain) startEpoch(e int) {
+	if c.led[e] == nil {
+		c.led[e] = component.Led{}
+	}
 	env := c.env
-	env.Epoch, env.T = uint16(e), c.mux.Open(uint16(e))
+	env.Epoch, env.T, env.Led = uint16(e), c.mux.Open(uint16(e)), c.led[e]
 	if c.OnEpochOpen != nil {
 		c.OnEpochOpen(e, &env)
 	}
@@ -310,30 +311,15 @@ func (c *Chain) startEpoch(e int) {
 		OnDecide: func() { c.onDecide(e) },
 	})
 	c.epochs[e] = ep
-	prop := c.proposed[e]
-	replayed := prop != nil
-	if prop == nil {
+	var prop []byte
+	if len(env.Led) == 0 {
 		prop = EncodeBatch(c.mempool.Cut(e, c.env.Sched.Now()))
 		if !c.cfg.Encrypt {
 			prop = SealBatch(prop)
 		}
-		c.proposed[e] = prop
 	}
 	ep.inst.Start(prop)
-	if replayed {
-		if r, ok := ep.inst.(reproposer); ok {
-			r.Reproposed()
-		}
-	}
 }
-
-// reproposer is implemented by engines whose dissemination layer needs to
-// know that a Start carried a WAL replay rather than a fresh cut: the
-// node crashed after first proposing this epoch, so peers may hold
-// broadcast state (echo shares, even a full certificate) that died with
-// the node's transport and must be pulled back rather than waiting for a
-// fresh round of echoes that value-bound peers will never send.
-type reproposer interface{ Reproposed() }
 
 // onDecide records the epoch's local decision and commits every contiguous
 // decided epoch at the frontier, in order — the log never has gaps.
@@ -368,7 +354,7 @@ func (c *Chain) collect() {
 		}
 		c.mux.Close(uint16(e))
 		delete(c.epochs, e)
-		delete(c.proposed, e)
+		delete(c.led, e)
 	}
 }
 

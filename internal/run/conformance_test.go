@@ -170,41 +170,55 @@ func TestConformanceEngines(t *testing.T) {
 	}
 }
 
-// TestFullStopRecovery pins the beyond-fault-budget recovery path: two
-// simultaneous crashes in the 4-node chain (more than f, so no epoch can
-// complete anywhere during the outage), at 1 m and at 2 m, followed by
-// recovery of both at twice that time. The in-flight epochs must then
-// complete cooperatively from survivor state plus the recovered nodes'
-// re-proposals. Every engine recovers the same way: the proposal WAL every
-// chain keeps has a recovered proposer re-propose the batch its peers are
-// bound to; a survivor's transport brings back what it parked for a peer
-// whose NACK rows show the slots undone — its votes, values and
+// TestFullStopRecovery pins the beyond-fault-budget recovery path on the
+// full-stop probe grid: nodes 1 and 2 of the 4-node chain crash together
+// (more than f, so no epoch can complete anywhere during the outage) at
+// 30 s, 1, 2 or 3 m and recover at twice that, for every engine × both
+// transports × seeds 1–4, plus the seed-7 cells at 1 m and 2 m under their
+// earlier names — 144 cells. The in-flight epochs must then complete
+// cooperatively from survivor state plus the recovered nodes'
+// re-proposals. Every engine recovers the same way: the write-ahead log of
+// led values (component.Led) has a recovered node re-propose every value
+// its peers may have echoed or signed — its batch, and Dumbo's W vector
+// and commit set — and a re-proposed CBC value pulls its certificate back
+// (CBC.Fetch); a survivor's transport brings back what it parked for a
+// peer whose NACK rows show the slots undone — its votes, values and
 // certificates — and its ABA rounds come back through the pruned-round
-// replay (core.Transport.Regressed gates it); Alea's WAL-replay pull
-// (Alea.Reproposed) has survivors re-serve the VCBC certificate or their
-// standing echo shares. Dumbo is left out: its serial CBC phase still
-// wedges on interleavings — on a 16-cell probe (crash at 30 s, 1, 2 and
-// 3 m × seeds 1–4) 8 batched and 3 baseline cells wedge (see DESIGN.md
-// and ROADMAP item 4).
+// replay (core.Transport.Regressed gates it).
 func TestFullStopRecovery(t *testing.T) {
-	for _, kind := range []protocol.Kind{protocol.HoneyBadger, protocol.BEAT, protocol.AleaKind} {
+	type cell struct {
+		seed int64
+		at   time.Duration
+	}
+	var cells []cell
+	for _, seed := range []int64{1, 2, 3, 4} {
+		for _, at := range []time.Duration{30 * time.Second, time.Minute, 2 * time.Minute, 3 * time.Minute} {
+			cells = append(cells, cell{seed, at})
+		}
+	}
+	cells = append(cells, cell{7, time.Minute}, cell{7, 2 * time.Minute})
+	for _, kind := range protocol.Kinds() {
 		kind := kind
 		t.Run(string(kind), func(t *testing.T) {
 			for _, batched := range []bool{true, false} {
-				for _, at := range []time.Duration{time.Minute, 2 * time.Minute} {
-					batched, at := batched, at
-					transport := map[bool]string{true: "batched", false: "baseline"}[batched]
-					t.Run(fmt.Sprintf("%s/crash@%v", transport, at), func(t *testing.T) {
+				for _, c := range cells {
+					batched, c := batched, c
+					name := fmt.Sprintf("%s/seed%d/crash@%v", map[bool]string{true: "batched", false: "baseline"}[batched], c.seed, c.at)
+					if c.seed == 7 {
+						name = strings.Replace(name, "/seed7", "", 1)
+					}
+					t.Run(name, func(t *testing.T) {
 						t.Parallel()
 						spec := conformanceSpec(kind, batched)
+						spec.Seed = c.seed
 						spec.Workload = Chain(5)
 						spec.Workload.TxInterval = time.Second
 						spec.Workload.GCLag = spec.Workload.Epochs
 						spec.Scenario = scenario.Plan{}.Then(
-							scenario.CrashAt(at, 1),
-							scenario.CrashAt(at, 2),
-							scenario.RecoverAt(2*at, 1),
-							scenario.RecoverAt(2*at, 2),
+							scenario.CrashAt(c.at, 1),
+							scenario.CrashAt(c.at, 2),
+							scenario.RecoverAt(2*c.at, 1),
+							scenario.RecoverAt(2*c.at, 2),
 						)
 						rep, err := Run(spec)
 						if err != nil {
@@ -214,6 +228,29 @@ func TestFullStopRecovery(t *testing.T) {
 					})
 				}
 			}
+		})
+	}
+}
+
+// TestChurnRecovery pins the churn wedge: under an 80 % duty cycle one
+// node at a time crashes every 2 min from 1 m on and rejoins 1 min later,
+// and a HoneyBadger proposer reborn inside an epoch it led must re-send the
+// ciphertext its peers echoed, not a fresh encryption of its batch (seed 1
+// stopped at frontier [6 6 6 5] when it did).
+func TestChurnRecovery(t *testing.T) {
+	for seed := int64(1); seed <= 5; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			spec := Defaults(protocol.HoneyBadger, protocol.CoinSig)
+			spec.Workload = Chain(6)
+			spec.Seed = seed
+			spec.Scenario = scenario.MustParse("dutycycle@0s:0.8,60s;churn@1m:2m,1m")
+			rep, err := Run(spec)
+			if err != nil {
+				t.Fatalf("churn wedged: %v", err)
+			}
+			checkConformance(t, spec, rep, true)
 		})
 	}
 }
