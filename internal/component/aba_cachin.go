@@ -392,7 +392,7 @@ func (a *CachinABA) releaseCoinShare(slot int, round uint16) {
 		return
 	}
 	cs.released = true
-	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k), true)
+	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k))
 }
 
 func (a *CachinABA) handleCoinShare(slot uint8, round uint16, w int, flags uint8, data []byte) {

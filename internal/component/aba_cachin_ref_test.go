@@ -345,7 +345,7 @@ func (a *refCachinABA) releaseCoinShare(slot int, round uint16) {
 		return
 	}
 	cs.released = true
-	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k), true)
+	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k))
 }
 
 func (a *refCachinABA) handleCoinShare(slot uint8, round uint16, w int, flags uint8, data []byte) {

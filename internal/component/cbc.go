@@ -12,10 +12,18 @@ import (
 func bigFromBytes(b []byte) *big.Int { return new(big.Int).SetBytes(b) }
 
 // CBC runs N parallel consistent-broadcast instances (Fig. 1b): the leader
-// disseminates its proposal (INITIAL), every node returns a 2f+1-threshold
-// signature share over it (ECHO, the paper's N-to-1 round), and the leader
-// combines and broadcasts the quorum certificate (FINISH). Delivery of
-// (value, certificate) proves 2f+1 nodes received the value.
+// disseminates its proposal (INITIAL), every node broadcasts a
+// 2f+1-threshold signature share over it (ECHO, the paper's N-to-1 round),
+// and the quorum certificate they combine into goes out as the FINISH.
+// On the shared channel every node overhears the shares, so every node
+// that holds the value combines them — not only the leader — and delivers
+// without waiting for anyone's FINISH. Delivery of (value, certificate)
+// proves 2f+1 nodes received the value.
+//
+// Every node that holds a slot's certificate can serve it: a combiner
+// publishes its FINISH, and a node that delivered from a peer's FINISH
+// keeps that FINISH held, sent only once a peer's FINISH row shows the
+// slot undone — a peer that restarted, or one that lost the frames.
 //
 // The -small variant (Fig. 5b) inlines tiny proposals (Dumbo's CBC-commit
 // carries a 2f+1-sized node-ID list).
@@ -37,7 +45,7 @@ type cbcSlot struct {
 	valueSlot
 
 	// cert is the quorum certificate over the value this node signed;
-	// shares are gathered by the leader only.
+	// shares that arrive ahead of the value park in it.
 	cert      tally[[]byte, *threshsig.SigShare, []byte]
 	certHash  Hash8
 	delivered bool
@@ -112,14 +120,11 @@ func (c *CBC) shareMessage(slot int, h Hash8) []byte {
 }
 
 // Propose starts instance slot with this node as leader. A logged value
-// (dissemination.propose) pulls its certificate back: peers that delivered
-// it removed their echo intents, and the FINISH died with our transport.
+// (dissemination.propose) gets its certificate back through the FINISH
+// row: a peer that holds the certificate serves it to a row that shows the
+// slot undone.
 func (c *CBC) Propose(slot int, value []byte) {
-	value, replay := c.propose(slot, value)
-	c.acceptValue(slot, value)
-	if replay {
-		c.Fetch(slot)
-	}
+	c.acceptValue(slot, c.propose(slot, value))
 }
 
 func (c *CBC) acceptValue(slot int, value []byte) {
@@ -130,8 +135,7 @@ func (c *CBC) acceptValue(slot int, value []byte) {
 	c.hold(slot, &s.valueSlot, value)
 	if !s.cert.open { // a node signs once per slot
 		c.echoes.begin(&s.cert, slot, c.shareMessage(slot, HashValue(value)),
-			core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)},
-			c.leader(slot) == c.env.Me)
+			core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)})
 	}
 	c.deliver(slot)
 }
@@ -154,11 +158,9 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 				c.acceptValue(slot, value)
 			}
 		case packet.PhaseEcho:
-			// Only the slot's leader combines shares, and only over the
-			// value it proposed.
-			if c.leader(slot) == c.env.Me && s.assembled {
-				c.echoes.offer(&s.cert, slot, w, e.Flags, e.Data)
-			}
+			// Every node combines the shares it overhears, over the value
+			// it holds; until it holds one they park.
+			c.echoes.offer(&s.cert, slot, w, e.Flags, e.Data)
 		case packet.PhaseFinish:
 			c.handleFinish(slot, e.Data)
 		case packet.PhaseRepair:
@@ -167,7 +169,7 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 	}
 }
 
-// certified runs at the leader once the ECHO shares combined.
+// certified runs once the ECHO shares combined here.
 func (c *CBC) certified(slot int, _ []byte) {
 	s := c.slots[slot]
 	s.certHash = HashValue(s.value)
@@ -177,12 +179,16 @@ func (c *CBC) certified(slot int, _ []byte) {
 
 // publishFinish puts a slot's certificate on the air. Anyone holding it
 // can: it verifies under the threshold key regardless of the sender.
-func (c *CBC) publishFinish(slot int) {
+func (c *CBC) publishFinish(slot int) { c.env.T.Update(c.finish(slot)) }
+
+// finish is the slot's FINISH intent: its certificate and the hash it
+// certifies.
+func (c *CBC) finish(slot int) core.Intent {
 	s := c.slots[slot]
-	c.env.T.Update(core.Intent{
+	return core.Intent{
 		IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseFinish, Slot: uint8(slot)},
 		Data:      EncodeFinish(s.certHash, s.cert.value),
-	})
+	}
 }
 
 func (c *CBC) handleFinish(slot int, raw []byte) {
@@ -207,6 +213,9 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 		}
 		s.cert.value, s.cert.done = cert, true
 		s.certHash = h
+		// Keep the certificate servable, off the air until a peer's
+		// FINISH row asks for it.
+		env.T.Hold(c.finish(slot))
 		if s.assembled && HashValue(s.value) != h {
 			// A certificate for a different value than we assembled: the
 			// certificate wins (2f+1 nodes vouched for it).
@@ -244,8 +253,8 @@ func (c *CBC) deliver(slot int) {
 
 // Fetch requests a slot's value and certificate from peers. CBC has no
 // totality of its own: Dumbo and Alea pull a candidate their agreement
-// accepted but this node missed, and Propose the certificate of a logged
-// value it re-proposes (a node holding the value asks for that alone).
+// accepted but this node missed (a node holding the value asks for the
+// certificate alone).
 func (c *CBC) Fetch(slot int) {
 	c.requestRepair(slot, &c.slots[slot].valueSlot)
 }

@@ -91,10 +91,10 @@ func FuzzCertEntry(f *testing.F) {
 		key := core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone}
 		coin.offer(&openCoin, 0, 1, certFlag, raw)
 		coin.offer(&parkedCoin, 1, 1, certFlag, raw)
-		coin.begin(&parkedCoin, 1, coinName, key, false)
+		coin.begin(&parkedCoin, 1, coinName, key)
 		done.offer(&openProof, 0, 1, certFlag, raw)
 		done.offer(&parkedProof, 1, 1, certFlag, raw)
-		done.begin(&parkedProof, 1, proofMsg, key, false)
+		done.begin(&parkedProof, 1, proofMsg, key)
 		tn.settle(time.Second)
 		for _, c := range []struct {
 			name    string

@@ -20,6 +20,22 @@ type testNet struct {
 	sched *sim.Scheduler
 	ch    *wireless.Channel
 	envs  []*Env
+	// What a node keeps across a crash (crash, recover): its station, and
+	// the receiver forwarding the station's frames to its transport.
+	stations []*wireless.Station
+	inbound  []*relay
+	auths    []core.Auth
+	tcfg     core.Config
+}
+
+// relay forwards a station's frames to the node's current transport (nil:
+// the node is down).
+type relay struct{ to wireless.Receiver }
+
+func (r *relay) ReceiveFrame(from wireless.NodeID, payload []byte) {
+	if r.to != nil {
+		r.to.ReceiveFrame(from, payload)
+	}
 }
 
 func newTestNet(t testing.TB, seed int64, loss float64, batched bool) *testNet {
@@ -33,7 +49,7 @@ func newTestNet(t testing.TB, seed int64, loss float64, batched bool) *testNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := &testNet{sched: sched, ch: ch}
+	net := &testNet{sched: sched, ch: ch, tcfg: core.DefaultConfig(batched)}
 	for i := 0; i < n; i++ {
 		cpu := sim.NewCPU(sched)
 		auth := &core.SizedAuth{
@@ -41,10 +57,11 @@ func newTestNet(t testing.TB, seed int64, loss float64, batched bool) *testNet {
 			CostSign:   suites[i].Cost.PKSign,
 			CostVerify: suites[i].Cost.PKVerify,
 		}
-		tcfg := core.DefaultConfig(batched)
-		tr := core.New(sched, cpu, nil, auth, tcfg)
-		st := ch.Attach(wireless.NodeID(i), tr)
+		tr := core.New(sched, cpu, nil, auth, net.tcfg)
+		in := &relay{to: tr}
+		st := ch.Attach(wireless.NodeID(i), in)
 		tr.BindStation(st)
+		net.stations, net.inbound, net.auths = append(net.stations, st), append(net.inbound, in), append(net.auths, auth)
 		net.envs = append(net.envs, &Env{
 			N: n, F: f, Me: i,
 			Session: 42,
@@ -56,6 +73,27 @@ func newTestNet(t testing.TB, seed int64, loss float64, batched bool) *testNet {
 		})
 	}
 	return net
+}
+
+// crash takes node i off the air with all its in-memory state, as
+// node.Crash does: its transport stops, its radio queue empties, and
+// frames for it are dropped.
+func (tn *testNet) crash(i int) {
+	tn.envs[i].T.Stop()
+	tn.stations[i].Reset()
+	tn.inbound[i].to = nil
+}
+
+// recover brings node i back with amnesia on a fresh transport over the
+// same station, CPU and keys, and returns its new Env. The crashed node's
+// components keep the old Env and its stopped transport.
+func (tn *testNet) recover(i int) *Env {
+	env := *tn.envs[i]
+	env.T = core.New(tn.sched, env.CPU, nil, tn.auths[i], tn.tcfg)
+	tn.inbound[i].to = env.T
+	env.T.BindStation(tn.stations[i])
+	tn.envs[i] = &env
+	return &env
 }
 
 // run drives the simulation until done() or the virtual deadline.

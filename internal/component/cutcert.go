@@ -36,7 +36,7 @@ func NewCutCert(env *Env, onCert func(cert []byte)) *CutCert {
 // that asks peers for theirs, and releases this member's share.
 func (c *CutCert) Begin(msg []byte) {
 	c.env.T.SetNack(packet.KindGlobal, packet.PhaseDone, c.done)
-	c.sigs.begin(&c.cert, 0, msg, core.IntentKey{Kind: packet.KindGlobal, Phase: packet.PhaseDone, Sub: uint8(c.env.Me)}, true)
+	c.sigs.begin(&c.cert, 0, msg, core.IntentKey{Kind: packet.KindGlobal, Phase: packet.PhaseDone, Sub: uint8(c.env.Me)})
 }
 
 // Cert returns the combined certificate, or nil.

@@ -60,7 +60,7 @@ func (d *Decryptor) shareIntent(slot int) core.IntentKey {
 // ahead of the ciphertext.
 func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) {
 	if s := d.slot(slot); !s.open {
-		d.shares.begin(&s.tally, slot, ct, d.shareIntent(slot), true)
+		d.shares.begin(&s.tally, slot, ct, d.shareIntent(slot))
 	}
 }
 

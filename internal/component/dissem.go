@@ -99,12 +99,12 @@ func (d *dissemination) fragments(size int) int {
 // fragment-count byte is refused here, loudly: on the wire the count would
 // wrap, every receiver would drop the fragments, and the instance would
 // stall with nothing to show for it.
-func (d *dissemination) propose(slot int, value []byte) (sent []byte, replay bool) {
+func (d *dissemination) propose(slot int, value []byte) []byte {
 	if d.leader(slot) != d.env.Me {
 		panic(fmt.Sprintf("component: node %d proposing kind-%d slot %d led by %d", d.env.Me, d.kind, slot, d.leader(slot)))
 	}
 	if logged, ok := d.env.Led[d.kind]; ok {
-		value, replay = logged, true
+		value = logged
 	} else if d.env.Led != nil {
 		d.env.Led[d.kind] = value
 	}
@@ -113,7 +113,7 @@ func (d *dissemination) propose(slot int, value []byte) (sent []byte, replay boo
 			len(value), maxFragments*d.frag, maxFragments, d.frag))
 	}
 	d.publish(slot, value, nil)
-	return value, replay
+	return value
 }
 
 // publish sets the INITIAL intents for value, skipping the fragments have

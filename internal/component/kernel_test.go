@@ -112,23 +112,24 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 
 			t.Run("fetch with the value in hand", func(t *testing.T) {
 				// The leader restarts with amnesia and re-proposes the same
-				// value (Alea's log replay). Its peers delivered long ago and
-				// withdrew their ECHO shares, so no certificate can form. The
-				// minute of settling makes "long ago" hold: frames a peer built
-				// before it delivered may still be queued behind the medium,
-				// carrying its share.
+				// value (the led-value log's replay). Its peers delivered long
+				// ago and withdrew their ECHO shares, so no certificate can
+				// form anew: it comes back through the restarted node's FINISH
+				// row, from every peer that holds it, with no Fetch and no
+				// repair request. The minute of settling makes "long ago"
+				// hold: frames a peer built before it delivered may still be
+				// queued behind the medium, carrying its share.
 				tn.settle(time.Minute)
 				peers := []*recorder{record(tn.envs[1]), record(tn.envs[2]), record(tn.envs[3])}
+				own := record(tn.envs[0])
 				restarted := NewCBC(tn.envs[0], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
 				restarted.Propose(0, kernelValue(0, k.small))
-				tn.settle(2 * time.Minute)
-				if restarted.Delivered(0) {
-					t.Fatal("delivered without a certificate")
-				}
-				restarted.Fetch(0)
 				tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return restarted.Delivered(0) })
 				if !bytes.Equal(restarted.Value(0), kernelValue(0, k.small)) {
-					t.Errorf("fetched %q", restarted.Value(0))
+					t.Errorf("delivered %q", restarted.Value(0))
+				}
+				if n := len(own.entries(packet.PhaseRepair, 0)); n != 0 {
+					t.Errorf("the restarted leader put up %d repair intents", n)
 				}
 				if k.small {
 					return // an inline value rides every re-serve
@@ -137,6 +138,23 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 					if n := len(p.entries(packet.PhaseInitial, 0)); n != 0 {
 						t.Errorf("peer %d re-served %d fragments to a node holding the value", i+1, n)
 					}
+				}
+			})
+
+			t.Run("fetch without the value", func(t *testing.T) {
+				// A node that lost slot 2's value and certificate alike pulls
+				// both with Fetch, as Dumbo and Alea do for a candidate their
+				// agreement accepted.
+				tn.settle(time.Minute)
+				restarted := NewCBC(tn.envs[1], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
+				own := record(tn.envs[1])
+				restarted.Fetch(2)
+				if len(own.entries(packet.PhaseRepair, 2)) == 0 {
+					t.Fatal("Fetch put up no repair intent")
+				}
+				tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return restarted.Delivered(2) })
+				if !bytes.Equal(restarted.Value(2), kernelValue(2, k.small)) {
+					t.Errorf("fetched %q", restarted.Value(2))
 				}
 			})
 
@@ -242,6 +260,83 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 					t.Errorf("delivered %q after the genuine repair", v.Value(0))
 				}
 			})
+		})
+	}
+}
+
+// dropPhase is an interceptor that keeps one phase's intents off the air.
+type dropPhase packet.Phase
+
+func (d dropPhase) Outbound(_ *core.Transport, in core.Intent) []core.Intent {
+	if in.Phase == packet.Phase(d) {
+		return nil
+	}
+	return []core.Intent{in}
+}
+
+// TestEveryNodeCertifies: on the shared channel every node overhears the
+// ECHO shares and combines them itself. With no FINISH ever on the air,
+// every node still delivers the slot, with its certificate.
+func TestEveryNodeCertifies(t *testing.T) {
+	for _, k := range kernelKinds {
+		t.Run(k.name, func(t *testing.T) {
+			tn := newTestNet(t, 47, 0, true)
+			for _, env := range tn.envs {
+				env.T.SetInterceptor(dropPhase(packet.PhaseFinish))
+			}
+			nodes := newKernel(tn, k.kind, k.small)
+			nodes[1].Propose(1, kernelValue(1, k.small))
+			tn.run(t, 10*time.Minute, func() bool {
+				for _, v := range nodes {
+					if !v.Delivered(1) {
+						return false
+					}
+				}
+				return true
+			})
+			for i, v := range nodes {
+				if s := v.slots[1]; !bytes.Equal(v.Value(1), kernelValue(1, k.small)) || s.cert.cert == nil {
+					t.Errorf("node %d: delivered %q…, combined %v", i, v.Value(1)[:1], s.cert.cert != nil)
+				}
+			}
+		})
+	}
+}
+
+// TestHeldFinishOutlivesItsCombiners: nodes 2 and 3 hear no ECHO, so they
+// deliver slot 0 from the FINISH of nodes 0 and 1, the only combiners.
+// Both combiners then crash, and node 0, the leader, comes back with
+// amnesia and replays its logged value, asking nothing. Only the survivors
+// hold the certificate now, and they serve it to its FINISH row.
+func TestHeldFinishOutlivesItsCombiners(t *testing.T) {
+	for _, k := range kernelKinds {
+		t.Run(k.name, func(t *testing.T) {
+			tn := newTestNet(t, 48, 0, true)
+			nodes := newKernel(tn, k.kind, k.small)
+			for _, i := range []int{2, 3} {
+				v := nodes[i]
+				tn.envs[i].T.Register(k.kind, core.HandlerFunc(func(from uint16, sec packet.Section) {
+					if sec.Phase != packet.PhaseEcho {
+						v.HandleSection(from, sec)
+					}
+				}))
+			}
+			log := Led{}
+			tn.envs[0].Led = log
+			nodes[0].Propose(0, kernelValue(0, k.small))
+			tn.run(t, 10*time.Minute, func() bool { return nodes[2].Delivered(0) && nodes[3].Delivered(0) })
+			if nodes[0].slots[0].cert.cert == nil && nodes[1].slots[0].cert.cert == nil {
+				t.Fatal("neither node 0 nor node 1 combined the shares")
+			}
+			tn.crash(0)
+			tn.crash(1)
+			tn.settle(time.Minute)
+			leader := NewCBC(tn.recover(0), CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
+			leader.Propose(0, kernelValue(7, k.small))
+			tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return leader.Delivered(0) })
+			if !bytes.Equal(leader.Value(0), kernelValue(0, k.small)) {
+				t.Errorf("the reborn leader delivered %q…, want its logged value", leader.Value(0)[:1])
+			}
 		})
 	}
 }
@@ -858,11 +953,10 @@ func TestOwnShareReplay(t *testing.T) {
 
 // TestLedValueLog pins the write-ahead log of led values (Env.Led). A
 // broadcast whose log already holds a value for its kind publishes that
-// value's INITIAL fragments in place of the argument, and a CBC asks for
-// the certificate back (a PhaseRepair intent on its own slot); a fresh log
-// records the argument before the first send; a nil log records nothing.
-// Node 0 replays on slot 0, node 1 proposes into a fresh log on slot 1,
-// node 2 into none on slot 2.
+// value's INITIAL fragments in place of the argument, and delivers it with
+// no repair request of its own; a fresh log records the argument before
+// the first send; a nil log records nothing. Node 0 replays on slot 0,
+// node 1 proposes into a fresh log on slot 1, node 2 into none on slot 2.
 func TestLedValueLog(t *testing.T) {
 	logged, arg := bytes.Repeat([]byte("L"), 400), bytes.Repeat([]byte("A"), 400)
 	initial := func(rec *recorder, slot int) []byte {
@@ -872,39 +966,63 @@ func TestLedValueLog(t *testing.T) {
 		}
 		return v
 	}
+	type broadcast interface {
+		Propose(slot int, value []byte)
+		Value(slot int) []byte
+	}
 	for _, tc := range []struct {
-		name    string
-		kind    packet.Kind
-		propose func(env *Env) func(slot int, value []byte)
+		name string
+		kind packet.Kind
+		make func(env *Env) broadcast
 	}{
-		{"rbc", packet.KindRBC, func(env *Env) func(int, []byte) { return NewRBC(env, RBCOptions{Slots: 4}).Propose }},
-		{"cbc", packet.KindCBCValue, func(env *Env) func(int, []byte) {
-			return NewCBC(env, CBCOptions{Kind: packet.KindCBCValue, Slots: 4}).Propose
+		{"rbc", packet.KindRBC, func(env *Env) broadcast { return NewRBC(env, RBCOptions{Slots: 4}) }},
+		{"cbc", packet.KindCBCValue, func(env *Env) broadcast {
+			return NewCBC(env, CBCOptions{Kind: packet.KindCBCValue, Slots: 4})
 		}},
-		{"vcbc", packet.KindVCBC, func(env *Env) func(int, []byte) {
-			return NewCBC(env, CBCOptions{Kind: packet.KindVCBC, Slots: 4}).Propose
+		{"vcbc", packet.KindVCBC, func(env *Env) broadcast {
+			return NewCBC(env, CBCOptions{Kind: packet.KindVCBC, Slots: 4})
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			tn := newTestNet(t, 45, 0, true)
 			logs := []Led{{tc.kind: logged}, {}, nil}
+			nodes := make([]broadcast, len(tn.envs))
+			recs := make([]*recorder, len(logs))
+			for i, env := range tn.envs {
+				nodes[i] = tc.make(env)
+			}
 			for i, log := range logs {
 				env := tn.envs[i]
 				env.Led = log
-				rec := record(env)
-				tc.propose(env)(i, arg)
-				want, repair := arg, false
+				recs[i] = record(env)
+				nodes[i].Propose(i, arg)
+			}
+			want := func(i int) []byte {
 				if i == 0 {
-					want, repair = logged, tc.kind != packet.KindRBC
+					return logged
 				}
-				if got := initial(rec, i); !bytes.Equal(got, want) {
-					t.Errorf("node %d: INITIAL carries %q…, want %q…", i, got[:1], want[:1])
+				return arg
+			}
+			tn.run(t, 10*time.Minute, func() bool {
+				for i := range logs {
+					if nodes[i].Value(i) == nil {
+						return false
+					}
 				}
-				if got := len(rec.entries(packet.PhaseRepair, i)) > 0; got != repair {
-					t.Errorf("node %d: repair intent %v, want %v", i, got, repair)
+				return true
+			})
+			for i, log := range logs {
+				if got := initial(recs[i], i); !bytes.Equal(got, want(i)) {
+					t.Errorf("node %d: INITIAL carries %q…, want %q…", i, got[:1], want(i)[:1])
 				}
-				if log != nil && !bytes.Equal(log[tc.kind], want) {
-					t.Errorf("node %d: log holds %q…, want %q…", i, log[tc.kind][:1], want[:1])
+				if got := nodes[i].Value(i); !bytes.Equal(got, want(i)) {
+					t.Errorf("node %d: delivered %q…, want %q…", i, got[:1], want(i)[:1])
+				}
+				if n := len(recs[i].entries(packet.PhaseRepair, i)); n > 0 {
+					t.Errorf("node %d: %d repair intents on its own slot", i, n)
+				}
+				if log != nil && !bytes.Equal(log[tc.kind], want(i)) {
+					t.Errorf("node %d: log holds %q…, want %q…", i, log[tc.kind][:1], want(i)[:1])
 				}
 			}
 			if tn.envs[2].Led != nil {

@@ -92,7 +92,7 @@ func (p *PRBC) VerifyProof(slot int, h Hash8, proof []byte) error {
 
 func (p *PRBC) onRBCDeliver(slot int, value []byte) {
 	p.dones.begin(&p.slots[slot].proof, slot, p.doneMessage(slot, HashValue(value)),
-		core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(p.env.Me)}, true)
+		core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(p.env.Me)})
 	if p.onDeliver != nil {
 		p.onDeliver(slot, value)
 	}

@@ -90,8 +90,7 @@ func (r *RBC) DeliveredCount() int {
 
 // Propose starts instance slot with this node as leader.
 func (r *RBC) Propose(slot int, value []byte) {
-	value, _ = r.propose(slot, value)
-	r.acceptValue(slot, value)
+	r.acceptValue(slot, r.propose(slot, value))
 }
 
 // ProposeEncrypted proposes plain threshold-encrypted on the node's CPU,

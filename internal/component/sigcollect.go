@@ -109,16 +109,16 @@ type collector[X, S, V any] struct {
 }
 
 // begin fixes what t's shares are shares of, publishes this node's own
-// share under key — counting it here too if collect — and takes up what
-// was waiting for the subject: a parked certificate first, whose check
-// may settle the tally, and the parked shares unless one is under way.
-func (c *collector[X, S, V]) begin(t *tally[X, S, V], id int, x X, key core.IntentKey, collect bool) {
+// share under key, counting it here too, and takes up what was waiting
+// for the subject: a parked certificate first, whose check may settle the
+// tally, and the parked shares unless one is under way.
+func (c *collector[X, S, V]) begin(t *tally[X, S, V], id int, x X, key core.IntentKey) {
 	t.subject, t.open = x, true
 	if raw := t.parkedCert; raw != nil {
 		t.parkedCert = nil
 		c.checkCert(t, id, raw)
 	}
-	c.contribute(t, id, key, collect)
+	c.contribute(t, id, key)
 	if !t.checking {
 		c.drain(t, id)
 	}
@@ -134,9 +134,10 @@ func (c *collector[X, S, V]) drain(t *tally[X, S, V], id int) {
 	t.parked = nil
 }
 
-// contribute makes this node's share of t's subject and publishes it under
-// key — or, once the value exists and has a certificate, publishes that.
-func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.IntentKey, collect bool) {
+// contribute makes this node's share of t's subject, publishes it under
+// key and counts it — or, once the value exists and has a certificate,
+// publishes that.
+func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.IntentKey) {
 	t.key, t.published = key, true
 	if t.cert != nil {
 		c.env.T.Update(t.certIntent())
@@ -156,7 +157,7 @@ func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.Inte
 		}
 		raw := c.encode(share)
 		c.env.T.Update(core.Intent{IntentKey: key, Data: raw})
-		if collect && c.add(t, id, c.env.Me, share) {
+		if c.add(t, id, c.env.Me, share) {
 			t.own = raw
 		}
 	})

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -278,6 +280,51 @@ func TestSettledIntentWaitsToBeAsked(t *testing.T) {
 	r.sched.RunFor(5 * time.Second)
 	if at := carrying(*got, 1); len(at) == 0 || at[len(at)-1] < reborn {
 		t.Fatal("the reborn peer's undone row did not bring the intent back")
+	}
+}
+
+// TestHeldIntentWaitsToBeAsked: a held intent starts off the air. It is
+// not sent while no row asks for it, nor for a row that shows its slot
+// done; the first row that shows the slot undone brings it out at once. A
+// Hold on a key already in the store changes nothing.
+func TestHeldIntentWaitsToBeAsked(t *testing.T) {
+	r := newPolicyRig(t, 3, nil)
+	tr := r.transports[0]
+	got := []*[]heard{hear(r, 1, packet.KindCBCValue), hear(r, 2, packet.KindCBCValue)}
+	held := IntentKey{Kind: packet.KindCBCValue, Phase: packet.PhaseFinish, Slot: 1}
+	tr.Hold(Intent{IntentKey: held, Data: []byte{1}})
+	r.sched.RunFor(time.Minute)
+	if n := tr.Stats().LogicalSent; n != 0 || tr.nDirty != 0 || len(tr.live) != 1 || tr.live[0].due != never {
+		t.Fatalf("after a minute unasked: %d frames sent, %d dirty, %d live", n, tr.nDirty, len(tr.live))
+	}
+
+	tr.Hold(Intent{IntentKey: held, Data: []byte{2}})
+	live := IntentKey{Kind: packet.KindCBCValue, Phase: packet.PhaseFinish, Slot: 2}
+	tr.Update(Intent{IntentKey: live, Data: []byte{3}})
+	before := slices.Clone(tr.live)
+	tr.Hold(Intent{IntentKey: live, Data: []byte{4}})
+	if !reflect.DeepEqual(tr.live, before) || tr.live[0].Data[0] != 1 {
+		t.Fatalf("Hold on live keys changed the store: %+v, want %+v", tr.live, before)
+	}
+	r.sched.RunFor(time.Minute)
+
+	done := packet.NewBitSet(4)
+	done.Set(1)
+	r.transports[1].SetNack(held.Kind, held.Phase, done)
+	r.sched.RunFor(time.Minute)
+	for i, g := range got {
+		if n := len(carrying(*g, 1)); n != 0 {
+			t.Fatalf("node %d got the held intent %d times before any row showed it undone", i+1, n)
+		}
+	}
+
+	asked := r.sched.Now()
+	undone := packet.NewBitSet(4)
+	undone.Set(2)
+	r.transports[2].SetNack(held.Kind, held.Phase, undone)
+	r.sched.RunFor(5 * time.Second)
+	if at := carrying(*got[1], 1); len(at) != 1 || at[0] < asked {
+		t.Fatalf("node 2 got the held intent at %v after its undone row at %v, want once", at, asked)
 	}
 }
 

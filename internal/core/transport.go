@@ -312,6 +312,29 @@ func (t *Transport) revise(in Intent) {
 	}
 }
 
+// Hold upserts an intent kept off the air: it starts clean and never due,
+// like one park has settled, and goes out only once a peer's NACK row shows
+// its slot undone (demand). A key already in the store is left as it is.
+// With an interceptor installed, the intent passes through it as in Update.
+func (t *Transport) Hold(in Intent) {
+	if _, found := t.find(in.IntentKey); found {
+		return
+	}
+	if t.m.icept == nil {
+		t.hold(in)
+		return
+	}
+	for _, out := range t.m.icept.Outbound(t, in) {
+		t.hold(out)
+	}
+}
+
+func (t *Transport) hold(in Intent) {
+	if i, found := t.find(in.IntentKey); !found {
+		t.live = slices.Insert(t.live, i, liveIntent{Intent: in, due: never})
+	}
+}
+
 // Inject upserts an intent bypassing the interceptor. Interceptors use it
 // to plant delayed conflicting state (equivocation) without re-entering
 // themselves.

@@ -1,6 +1,7 @@
 // Package memo is the one bounded memo behind the crypto packages' host-
 // time caches: per-message exponentiation contexts, comb tables, Lagrange
-// coefficients, subgroup-membership and share-verification verdicts.
+// coefficients, subgroup-membership and share-verification verdicts, and
+// combined threshold signatures.
 //
 // None of it changes observable behaviour: everything cached is a pure
 // function of its key, so a hit returns exactly what a fresh computation
@@ -47,6 +48,15 @@ func (c *Memo[K, V]) Get(key K, compute func() V) V {
 	}
 	c.m[key] = v
 	return v
+}
+
+// Peek returns the value cached under key, if there is one, and computes
+// nothing.
+func (c *Memo[K, V]) Peek(key K) (V, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	v, hit := c.m[key]
+	return v, hit
 }
 
 // Len returns the number of cached entries.

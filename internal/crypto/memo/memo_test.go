@@ -51,3 +51,14 @@ func TestOverflowClears(t *testing.T) {
 		t.Errorf("evicted key still cached: %d", got)
 	}
 }
+
+func TestPeekComputesNothing(t *testing.T) {
+	var m Memo[int, int]
+	if _, hit := m.Peek(7); hit || m.Len() != 0 {
+		t.Fatal("Peek on an empty memo hit or stored")
+	}
+	m.Get(7, func() int { return 49 })
+	if v, hit := m.Peek(7); !hit || v != 49 {
+		t.Errorf("Peek = %d, %v; want 49, true", v, hit)
+	}
+}

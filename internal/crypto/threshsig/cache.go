@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
+	"slices"
 	"sync"
 
 	"repro/internal/crypto/memo"
@@ -30,6 +31,11 @@ type pkCache struct {
 	verified memo.Memo[[32]byte, error]
 	// lag: integer Lagrange coefficients keyed by (subset, index).
 	lag memo.Memo[string, *big.Int]
+	// sigs: combined signatures keyed by message digest, stored once a
+	// combination has verified. A message has one signature (sigma^e = H(msg)
+	// has one root mod N), so any k valid shares combine to it; Combine
+	// returns it only for shares whose valid verdicts are all in verified.
+	sigs memo.Memo[[32]byte, *big.Int]
 }
 
 // msgCtx is the per-message exponentiation context.
@@ -148,26 +154,46 @@ func (pk *PublicKey) combineExponents() (a, b *big.Int, ok bool) {
 
 // shareKey digests a (message, share) pair for the verdict memo. The key
 // covers every byte the verifier reads, so two shares collide only if
-// they would verify identically anyway.
+// they would verify identically anyway. Every party looks up every share,
+// so the digest's input is laid out in a stack buffer, not allocated:
+// the message digest, the index, then X, C and Z, each length-prefixed.
 func shareKey(msgDigest [32]byte, sh *SigShare) [32]byte {
-	h := sha256.New()
-	h.Write(msgDigest[:])
-	var ib [4]byte
-	binary.BigEndian.PutUint32(ib[:], uint32(sh.Index))
-	h.Write(ib[:])
-	writeLenPrefixed(h, sh.X.Bytes())
-	writeLenPrefixed(h, sh.C.Bytes())
-	writeLenPrefixed(h, sh.Z.Bytes())
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	var stack [1024]byte
+	buf := append(stack[:0], msgDigest[:]...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(sh.Index))
+	for _, v := range [...]*big.Int{sh.X, sh.C, sh.Z} {
+		n := (v.BitLen() + 7) / 8
+		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+		buf = slices.Grow(buf, n)[:len(buf)+n]
+		v.FillBytes(buf[len(buf)-n:])
+	}
+	return sha256.Sum256(buf)
 }
 
-func writeLenPrefixed(h interface{ Write([]byte) (int, error) }, b []byte) {
-	var lb [4]byte
-	binary.BigEndian.PutUint32(lb[:], uint32(len(b)))
-	h.Write(lb[:])
-	h.Write(b)
+// combined returns the cached signature on the message with the given
+// digest when every share in use already has a cached valid verdict for it:
+// then the combination would verify and so yield that very signature. Any
+// other input — an unverified or invalid share, a message never combined —
+// misses, and Combine runs in full.
+func (pk *PublicKey) combined(msgDigest [32]byte, use []*SigShare) (*Signature, bool) {
+	if pk.cc == nil {
+		return nil, false
+	}
+	s, hit := pk.cc.sigs.Peek(msgDigest)
+	if !hit {
+		return nil, false
+	}
+	for _, sh := range use {
+		// The verdict key reads magnitudes only: a share must pass the
+		// shape check a verifier applies before its key is looked up.
+		if checkShareShape(pk, sh) != nil {
+			return nil, false
+		}
+		if err, hit := pk.cc.verified.Peek(shareKey(msgDigest, sh)); !hit || err != nil {
+			return nil, false
+		}
+	}
+	return &Signature{S: new(big.Int).Set(s)}, true
 }
 
 // lagrangeFor returns the cached integer Lagrange coefficient for index i

@@ -289,6 +289,10 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 		}
 		seen[sh.Index] = true
 	}
+	digest := sha256.Sum256(msg)
+	if sig, hit := pk.combined(digest, use); hit {
+		return sig, nil
+	}
 	x := pk.ctxFor(msg).x
 	d := pk.deltaL()
 
@@ -323,6 +327,9 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 	sig := &Signature{S: sigma}
 	if err := pk.Verify(msg, sig); err != nil {
 		return nil, fmt.Errorf("threshsig: combination failed (bad share among inputs): %w", err)
+	}
+	if pk.cc != nil {
+		pk.cc.sigs.Get(digest, func() *big.Int { return new(big.Int).Set(sigma) })
 	}
 	return sig, nil
 }

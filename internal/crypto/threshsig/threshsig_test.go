@@ -1,6 +1,8 @@
 package threshsig
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -198,5 +200,78 @@ func TestDealValidation(t *testing.T) {
 	}
 	if _, err := Deal(fix.Name, fix.P, fix.Q, 5, 4, rng); err == nil {
 		t.Error("k>l accepted")
+	}
+}
+
+// TestCombineMemo pins the host-time combine memo to what a fresh
+// combination computes: a cached signature comes back only for shares all
+// verified valid, bit-identical to combining another valid subset afresh;
+// a subset holding a bad share still fails while the signature is cached;
+// and a failed combination stores nothing.
+func TestCombineMemo(t *testing.T) {
+	key := testKey(t, 2, 4)
+	pk := &key.Public
+	uncached := *pk
+	uncached.cc = nil
+	msg := []byte("cbc echo quorum")
+	digest := sha256.Sum256(msg)
+	rng := rand.New(rand.NewSource(8))
+	all := make([]*SigShare, 4)
+	for i := range all {
+		sh, err := pk.Sign(key.Shares[i], msg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all[i] = sh
+	}
+	first := []*SigShare{all[0], all[1]}
+	if _, hit := pk.combined(digest, first); hit {
+		t.Fatal("memo hit before any combination")
+	}
+	sig, err := pk.Combine(msg, first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	other := []*SigShare{all[2], all[3]}
+	if _, hit := pk.combined(digest, other); hit {
+		t.Error("memo hit for shares never verified")
+	}
+	for _, sh := range other {
+		if err := pk.VerifyShare(msg, sh); err != nil {
+			t.Fatal(err)
+		}
+	}
+	memo, hit := pk.combined(digest, other)
+	if !hit {
+		t.Fatal("no memo hit for verified shares of a combined message")
+	}
+	fresh, err := uncached.Combine(msg, other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := pk.Combine(msg, other); err != nil || !bytes.Equal(got.Bytes(), fresh.Bytes()) ||
+		!bytes.Equal(memo.Bytes(), sig.Bytes()) {
+		t.Errorf("memoized combination %x (%v) differs from a fresh one %x", got.Bytes(), err, fresh.Bytes())
+	}
+
+	bad := &SigShare{Index: 4, X: new(big.Int).Add(all[3].X, big.NewInt(1)), C: all[3].C, Z: all[3].Z}
+	if err := pk.VerifyShare(msg, bad); err == nil {
+		t.Fatal("tampered share verified")
+	}
+	if _, err := pk.Combine(msg, []*SigShare{all[2], bad}); err == nil {
+		t.Error("a subset holding a bad share combined while the signature was cached")
+	}
+
+	msg2 := []byte("never combined")
+	good, err := pk.Sign(key.Shares[0], msg2, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	garbage := &SigShare{Index: 2, X: big.NewInt(12345), C: big.NewInt(1), Z: big.NewInt(2)}
+	if _, err := pk.Combine(msg2, []*SigShare{good, garbage}); err == nil {
+		t.Fatal("combination with a garbage share succeeded")
+	}
+	if _, hit := pk.cc.sigs.Peek(sha256.Sum256(msg2)); hit {
+		t.Error("a failed combination was stored")
 	}
 }

@@ -90,7 +90,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "5b3a8ad2ab3c09cc320ce5b745782167247fa905b7b09454a7ed443011d3c4a2"},
+		}, "4c5592b57af50803cd67c95e953d86e52ef12985f39e3d028643cf52a46fab39"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
@@ -112,7 +112,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "2d4dc85487907703c4fddb54a31c4e8890e07beec06acf1ec560e41df03f0711"},
+		}, "9a55f3b21ecddf2bc0fa0702d9e81a941db9058607cbb832fedcfa949102d789"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
@@ -131,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "8c0b559c9d9a363c7bf5e617ce4ca38f4124f0f370a0f602ab6b96266997dada"},
+		}, "33e70f3001cb7fbe25d2552b64b75f73362fa772f71eca111cbf9df39e728bf2"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -144,13 +144,13 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "c28839d2ade009ddd2e57d8f144011d66d14d078dfb1ffa4590662c475941f04"},
+		}, "453c6b1908a6587826459eb18e0dfc5c5793b889881429ba88b266d7890b537f"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "6b21e891e0f867f6971d5581c20875752ba03954a1ef94ceed37ca761caefacf"},
+		}, "29196cbb7e81f30274b9b95a2c4d75bc23f6e315466444e552d8b9d795c32913"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
