@@ -23,7 +23,9 @@ func bigFromBytes(b []byte) *big.Int { return new(big.Int).SetBytes(b) }
 // Every node that holds a slot's certificate can serve it: a combiner
 // publishes its FINISH, and a node that delivered from a peer's FINISH
 // keeps that FINISH held, sent only once a peer's FINISH row shows the
-// slot undone — a peer that restarted, or one that lost the frames.
+// slot undone — a peer that restarted, one that lost the frames, or one
+// whose agreement accepted a slot it never saw. That row is CBC's
+// totality; handleFinish then asks for a value it lacks by repair.
 //
 // The -small variant (Fig. 5b) inlines tiny proposals (Dumbo's CBC-commit
 // carries a 2f+1-sized node-ID list).
@@ -251,14 +253,7 @@ func (c *CBC) deliver(slot int) {
 	}
 }
 
-// Fetch requests a slot's value and certificate from peers. CBC has no
-// totality of its own: Dumbo and Alea pull a candidate their agreement
-// accepted but this node missed (a node holding the value asks for the
-// certificate alone).
-func (c *CBC) Fetch(slot int) {
-	c.requestRepair(slot, &c.slots[slot].valueSlot)
-}
-
+// handleRepairRequest re-serves the value to a peer that has its certificate.
 func (c *CBC) handleRepairRequest(slot int, have packet.BitSet) {
 	s := c.slots[slot]
 	if !c.repairDue(&s.valueSlot) {

@@ -1,0 +1,179 @@
+package component
+
+import (
+	"bytes"
+	"encoding/binary"
+	"testing"
+	"time"
+
+	"repro/internal/crypto/threshsig"
+	"repro/internal/packet"
+)
+
+// cbcFuzzSeed is the deployment every FuzzCBCSection input runs in, and
+// the one the seed corpus was recorded in, so recorded shares and
+// certificates verify.
+const cbcFuzzSeed = 31
+
+// cbcPhases are the phases a CBC section can carry.
+var cbcPhases = []packet.Phase{packet.PhaseInitial, packet.PhaseEcho, packet.PhaseFinish, packet.PhaseRepair}
+
+// cbcRecord is one entry of a FuzzCBCSection input. On the wire of the
+// input it is op, from, slot, sub, flags, a big-endian uint16 length and
+// that many bytes of data; op's low two bits pick the phase from
+// cbcPhases, and its top bit lets a second of virtual time pass first, so
+// the charged verifications of earlier entries land in between.
+type cbcRecord struct {
+	op, from byte
+	e        packet.Entry
+}
+
+func (r cbcRecord) append(b []byte) []byte {
+	b = append(b, r.op, r.from, r.e.Slot, r.e.Sub, r.e.Flags)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(r.e.Data)))
+	return append(b, r.e.Data...)
+}
+
+func parseCBCRecords(raw []byte) []cbcRecord {
+	var out []cbcRecord
+	for len(raw) >= 7 {
+		r := cbcRecord{op: raw[0], from: raw[1], e: packet.Entry{Slot: raw[2], Sub: raw[3], Flags: raw[4]}}
+		n := int(binary.BigEndian.Uint16(raw[5:7]))
+		raw = raw[7:]
+		if n > len(raw) {
+			n = len(raw)
+		}
+		r.e.Data, raw = raw[:n], raw[n:]
+		out = append(out, r)
+	}
+	return out
+}
+
+// cbcSeeds records an honest run of one wire kind and returns inputs built
+// from its traffic: a value and its ECHO shares, a certificate before its
+// value, a certificate after a value it does not match, a repair request,
+// and a forged repair value ahead of the genuine one.
+func cbcSeeds(f *testing.F, ki int) [][]byte {
+	k := kernelKinds[ki]
+	tn := newTestNet(f, cbcFuzzSeed, 0, true)
+	recs := make([]*recorder, 3)
+	for i := range recs {
+		recs[i] = record(tn.envs[i])
+	}
+	nodes := newKernel(tn, k.kind, k.small)
+	for i, v := range nodes {
+		v.Propose(i, kernelValue(i, k.small))
+	}
+	tn.run(f, 30*time.Minute, func() bool {
+		for _, v := range nodes {
+			if v.DeliveredCount() < 4 {
+				return false
+			}
+		}
+		return true
+	})
+	op := func(p packet.Phase) byte {
+		for i, q := range cbcPhases {
+			if q == p {
+				return byte(i)
+			}
+		}
+		panic("not a CBC phase")
+	}
+	from := func(w int, p packet.Phase, slot int) []cbcRecord {
+		var out []cbcRecord
+		for _, e := range recs[w].entries(p, slot) {
+			out = append(out, cbcRecord{op: op(p), from: byte(w), e: e})
+		}
+		return out
+	}
+	input := func(rs ...[]cbcRecord) []byte {
+		b := []byte{byte(ki)}
+		for _, r := range rs {
+			for _, x := range r {
+				b = x.append(b)
+			}
+		}
+		return b
+	}
+	// later makes a run of records wait a second, for the verification
+	// of what came before; by has peer w send them.
+	later := func(rs []cbcRecord) []cbcRecord {
+		rs = append([]cbcRecord(nil), rs...)
+		rs[0].op |= 0x80
+		return rs
+	}
+	by := func(w byte, rs []cbcRecord) []cbcRecord {
+		rs = append([]cbcRecord(nil), rs...)
+		for i := range rs {
+			rs[i].from = w
+		}
+		return rs
+	}
+	finish := EncodeFinish(nodes[0].slots[0].certHash, nodes[0].slots[0].cert.value)
+	finish0 := []cbcRecord{{op: op(packet.PhaseFinish) | 0x80, from: 1, e: packet.Entry{Slot: 0, Data: finish}}}
+	other := []cbcRecord{{op: op(packet.PhaseInitial), from: 0, e: packet.Entry{Slot: 0, Flags: 1, Data: []byte("not what the quorum signed")}}}
+	repair := []cbcRecord{{op: op(packet.PhaseRepair), from: 2, e: packet.Entry{Slot: 0, Data: packet.NewBitSet(8)}}}
+	return [][]byte{
+		input(from(0, packet.PhaseInitial, 0), from(0, packet.PhaseEcho, 0), from(1, packet.PhaseEcho, 0), from(2, packet.PhaseEcho, 0)),
+		input(from(1, packet.PhaseEcho, 1), from(2, packet.PhaseEcho, 1), from(1, packet.PhaseInitial, 1)),
+		input(finish0, from(0, packet.PhaseInitial, 0)),
+		input(other, finish0, later(from(0, packet.PhaseInitial, 0))),
+		input(from(0, packet.PhaseInitial, 0), repair, finish0),
+		input(finish0, later(by(2, other)), later(by(2, from(0, packet.PhaseInitial, 0)))),
+	}
+}
+
+// FuzzCBCSection feeds arbitrary entries of every CBC phase, on each of
+// the kernel's three wire kinds, to one node whose peers run nothing.
+// Nothing may panic, and a slot delivers only with a certificate that
+// verifies under the threshold key over the delivered value's hash.
+func FuzzCBCSection(f *testing.F) {
+	f.Add([]byte{})
+	for ki := range kernelKinds {
+		for _, in := range cbcSeeds(f, ki) {
+			f.Add(in)
+		}
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		k := kernelKinds[int(raw[0])%len(kernelKinds)]
+		tn := newTestNet(t, cbcFuzzSeed, 0, true)
+		env := tn.envs[3]
+		v := NewCBC(env, CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
+		type delivery struct{ value, cert []byte }
+		got := map[int]delivery{}
+		v.onDeliver = func(slot int, value, cert []byte) {
+			if _, again := got[slot]; again {
+				t.Fatalf("slot %d delivered twice", slot)
+			}
+			got[slot] = delivery{value, cert}
+		}
+		for _, r := range parseCBCRecords(raw[1:]) {
+			if r.op&0x80 != 0 {
+				tn.settle(time.Second)
+			}
+			phase := cbcPhases[int(r.op)%len(cbcPhases)]
+			v.HandleSection(uint16(r.from%4), packet.Section{Kind: k.kind, Phase: phase, Entries: []packet.Entry{r.e}})
+		}
+		tn.settle(time.Minute)
+		for slot := range v.slots {
+			d, ok := got[slot]
+			if ok != v.Delivered(slot) {
+				t.Fatalf("slot %d: Delivered %v, callback %v", slot, v.Delivered(slot), ok)
+			}
+			if !ok {
+				continue
+			}
+			if !bytes.Equal(v.Value(slot), d.value) {
+				t.Fatalf("slot %d: Value %q, delivered %q", slot, v.Value(slot), d.value)
+			}
+			msg := v.shareMessage(slot, HashValue(d.value))
+			if err := env.Suite.TSHigh.Verify(msg, &threshsig.Signature{S: bigFromBytes(d.cert)}); err != nil {
+				t.Fatalf("slot %d delivered %q with a certificate that does not verify over it: %v", slot, d.value, err)
+			}
+		}
+	})
+}

@@ -97,7 +97,7 @@ func (tn *testNet) recover(i int) *Env {
 }
 
 // run drives the simulation until done() or the virtual deadline.
-func (tn *testNet) run(t *testing.T, deadline time.Duration, done func() bool) {
+func (tn *testNet) run(t testing.TB, deadline time.Duration, done func() bool) {
 	t.Helper()
 	for tn.sched.Now() < deadline {
 		if done() {

@@ -179,28 +179,18 @@ func (d *dissemination) receive(slot int, s *valueSlot, w int, e packet.Entry) (
 	return value, true
 }
 
-// requestRepair asks peers to re-serve a slot, advertising the fragments
-// already received so responders skip them. A requester that has assembled
-// the value vouches that it is the one the quorum evidence names and only
-// that evidence is missing: it advertises every fragment, so nobody
-// re-serves a value to a node that has it. A wrong vouch (a leader that
-// proposed afresh) is corrected when the evidence arrives: the embedding
-// component drops the value and asks again, advertising what it holds.
+// requestRepair asks peers to re-serve the value of a slot the quorum
+// evidence says must complete here, advertising the fragments already
+// received so responders skip them.
 func (d *dissemination) requestRepair(slot int, s *valueSlot) {
 	if s.needRepair {
 		return
 	}
 	s.needRepair = true
 	have := packet.NewBitSet(maxFragments + 1)
-	if s.assembled && !d.small {
-		for i := 0; i < d.fragments(len(s.value)); i++ {
+	for i, f := range s.frags {
+		if f != nil {
 			have.Set(i)
-		}
-	} else {
-		for i, f := range s.frags {
-			if f != nil {
-				have.Set(i)
-			}
 		}
 	}
 	d.env.T.Update(core.Intent{

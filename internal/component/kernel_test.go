@@ -40,6 +40,15 @@ func record(env *Env) *recorder {
 	return r
 }
 
+// watch is a pass-through core.Interceptor that shows every outbound
+// intent to a function.
+type watch func(core.Intent)
+
+func (w watch) Outbound(_ *core.Transport, in core.Intent) []core.Intent {
+	w(in)
+	return []core.Intent{in}
+}
+
 // kernelKinds are the three wire kinds the one certified-broadcast machine
 // serves; every kernel property below must hold for each.
 var kernelKinds = []struct {
@@ -110,15 +119,15 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 			finish := EncodeFinish(nodes[0].slots[0].certHash, nodes[0].slots[0].cert.value)
 			initial := leaderOut.entries(packet.PhaseInitial, 0)
 
-			t.Run("fetch with the value in hand", func(t *testing.T) {
+			t.Run("replay recovers certificate", func(t *testing.T) {
 				// The leader restarts with amnesia and re-proposes the same
 				// value (the led-value log's replay). Its peers delivered long
 				// ago and withdrew their ECHO shares, so no certificate can
 				// form anew: it comes back through the restarted node's FINISH
-				// row, from every peer that holds it, with no Fetch and no
-				// repair request. The minute of settling makes "long ago"
-				// hold: frames a peer built before it delivered may still be
-				// queued behind the medium, carrying its share.
+				// row, from every peer that holds it, with no repair request.
+				// The minute of settling makes "long ago" hold: frames a peer
+				// built before it delivered may still be queued behind the
+				// medium, carrying its share.
 				tn.settle(time.Minute)
 				peers := []*recorder{record(tn.envs[1]), record(tn.envs[2]), record(tn.envs[3])}
 				own := record(tn.envs[0])
@@ -141,34 +150,42 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 				}
 			})
 
-			t.Run("fetch without the value", func(t *testing.T) {
-				// A node that lost slot 2's value and certificate alike pulls
-				// both with Fetch, as Dumbo and Alea do for a candidate their
-				// agreement accepted.
+			t.Run("missed slot via FINISH row", func(t *testing.T) {
+				// A node that lost slot 2's value and certificate alike gets
+				// both back with no call from outside, as a Dumbo or Alea node
+				// does for a candidate its agreement accepted: its FINISH row
+				// shows the slot undone, a holder serves the certificate, and
+				// only then does the node ask for the value by repair.
 				tn.settle(time.Minute)
 				restarted := NewCBC(tn.envs[1], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
-				own := record(tn.envs[1])
-				restarted.Fetch(2)
-				if len(own.entries(packet.PhaseRepair, 2)) == 0 {
-					t.Fatal("Fetch put up no repair intent")
-				}
+				repairs, early := 0, 0
+				tn.envs[1].T.SetInterceptor(watch(func(in core.Intent) {
+					if in.Phase == packet.PhaseRepair && in.Slot == 2 {
+						repairs++
+						if !restarted.slots[2].cert.done {
+							early++
+						}
+					}
+				}))
 				tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return restarted.Delivered(2) })
 				if !bytes.Equal(restarted.Value(2), kernelValue(2, k.small)) {
-					t.Errorf("fetched %q", restarted.Value(2))
+					t.Errorf("delivered %q", restarted.Value(2))
+				}
+				if early != 0 {
+					t.Errorf("%d of %d repair intents went up before the certificate was in", early, repairs)
 				}
 			})
 
-			t.Run("fetch after a fresh re-propose", func(t *testing.T) {
+			t.Run("fresh re-propose corrected", func(t *testing.T) {
 				// The leader restarts without a log and proposes a different
 				// value for a slot its peers certified long ago (Dumbo after
-				// Chain.Recover). Fetch vouches for the wrong value; the
-				// certificate must correct it and pull the certified one.
+				// Chain.Recover). The certificate its FINISH row brings back
+				// must correct it and pull the certified value.
 				restarted := NewCBC(tn.envs[0], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
 				restarted.Propose(0, kernelValue(7, k.small))
-				restarted.Fetch(0)
 				tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return restarted.Delivered(0) })
 				if !bytes.Equal(restarted.Value(0), kernelValue(0, k.small)) {
-					t.Errorf("fetched %q, want the certified value", restarted.Value(0))
+					t.Errorf("delivered %q, want the certified value", restarted.Value(0))
 				}
 			})
 

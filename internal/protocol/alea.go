@@ -12,7 +12,7 @@ import (
 // the queue heads: round r targets the next queue in the common priority
 // order π that has not been accepted yet, each node inputs 1 iff that
 // queue's VCBC has delivered locally, and a 1-decision accepts the queue
-// (fetching its value by certificate if this node missed the broadcast).
+// (a head this node missed comes back by the VCBC's FINISH row).
 // A 0-decided queue is not discarded — the cyclic order retries it on the
 // next pass, which is Alea's reproposal. The epoch decides once 2f+1
 // queues are accepted.
@@ -123,11 +123,6 @@ func (a *Alea) pump() {
 			if *dec && !a.accepted[q] {
 				a.accepted[q] = true
 				a.acceptedN++
-				if !a.vcbc.Delivered(q) {
-					// VCBC has no totality: pull the accepted head by its
-					// certificate.
-					a.vcbc.Fetch(q)
-				}
 			}
 			continue
 		}
@@ -149,15 +144,14 @@ func (a *Alea) onABADecide(int, bool) {
 }
 
 // maybeFinish assembles the epoch output once 2f+1 queues are accepted
-// and every accepted head has (by broadcast or certificate fetch)
-// delivered locally.
+// and every accepted head has delivered locally (one this node missed
+// comes back by its FINISH row).
 func (a *Alea) maybeFinish() {
 	if a.outputs != nil || a.acceptedN < a.env.Quorum() {
 		return
 	}
 	for q := 0; q < a.env.N; q++ {
 		if a.accepted[q] && !a.vcbc.Delivered(q) {
-			a.vcbc.Fetch(q) // idempotent re-request
 			return
 		}
 	}

@@ -164,11 +164,6 @@ func (d *Dumbo) onABADecide(slot int, v bool) {
 		// fixed π or run the earlier candidates itself.
 		d.abaRunning = false
 		d.selected = slot
-		if !d.cbcValue.Delivered(slot) {
-			// CBC has no totality: fetch the accepted vector explicitly.
-			d.cbcValue.Fetch(slot)
-			return
-		}
 		d.pumpSelected()
 		return
 	}

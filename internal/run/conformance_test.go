@@ -180,10 +180,11 @@ func TestConformanceEngines(t *testing.T) {
 // re-proposals. Every engine recovers the same way: the write-ahead log of
 // led values (component.Led) has a recovered node re-propose every value
 // its peers may have echoed or signed — its batch, and Dumbo's W vector
-// and commit set — and a re-proposed CBC value pulls its certificate back
-// (CBC.Fetch); a survivor's transport brings back what it parked for a
+// and commit set; a survivor's transport brings back what it parked for a
 // peer whose NACK rows show the slots undone — its votes, values and
-// certificates — and its ABA rounds come back through the pruned-round
+// certificates, so a CBC slot the node re-proposed, or one its agreement
+// accepted without it, comes back by its FINISH row with no request from
+// any engine — and its ABA rounds come back through the pruned-round
 // replay (core.Transport.Regressed gates it).
 func TestFullStopRecovery(t *testing.T) {
 	type cell struct {
