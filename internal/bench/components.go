@@ -171,8 +171,10 @@ func BroadcastLatency(kind Component, parallel, proposalPackets int, batched boo
 	return h.runParallel(parallel, 4*time.Hour)
 }
 
-// mixed gives the ABA instances alternating inputs (slot parity), which
-// exercises coin rounds.
+// mixed gives the ABA instances alternating inputs by slot parity. Every
+// node gets the same input for a slot, so each instance is unanimous: a
+// Cachin instance decides in round 1 (input 1) or round 2 (input 0) on
+// its fixed coins and draws no threshold coin.
 func mixed(s int) bool { return s%2 == 0 }
 
 // ABAParallelLatency measures the time for `parallel` simultaneous ABA

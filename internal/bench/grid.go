@@ -84,14 +84,14 @@ func byzPlan(s *run.Spec, behavior string) scenario.Plan {
 }
 
 // crashRecover is the crash/recover cycle the fault sweeps share, placed
-// against the ~38 s epoch cadence of batched HoneyBadger: the crash lands
+// against the ~22 s epoch cadence of batched HoneyBadger: the crash lands
 // around its epoch 8, the recovery after its fault-free run would have
 // ended (earlier epochs of the slower configurations); a run ends once the
 // recovered node caught up.
 func crashRecover() scenario.Plan {
 	return scenario.Plan{}.Then(
-		scenario.CrashAt(5*time.Minute, 2),
-		scenario.RecoverAt(10*time.Minute, 2),
+		scenario.CrashAt(3*time.Minute, 2),
+		scenario.RecoverAt(6*time.Minute, 2),
 	)
 }
 

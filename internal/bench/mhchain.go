@@ -58,11 +58,11 @@ func forgeAxis() sweep.Axis[run.Spec] {
 			s.Scenario = scenario.Byz(byz.NameForgeCut, victim(s))
 		}},
 		{Label: "forge-midrun", Apply: func(s *run.Spec) {
-			s.Scenario = scenario.Plan{}.Then(scenario.ByzAt(2*time.Minute, victim(s), byz.NameForgeCut))
+			s.Scenario = scenario.Plan{}.Then(scenario.ByzAt(1*time.Minute, victim(s), byz.NameForgeCut))
 		}},
 		{Label: "forge-failover", Apply: func(s *run.Spec) {
 			s.Scenario = scenario.Byz(byz.NameForgeCut, victim(s)).
-				Then(scenario.CrashAt(2*time.Minute, 0), scenario.RecoverAt(4*time.Minute, 0))
+				Then(scenario.CrashAt(1*time.Minute, 0), scenario.RecoverAt(2*time.Minute, 0))
 			s.Workload.GCLag = s.Workload.Epochs // recovery must out-span the outage
 		}},
 	}}

@@ -15,6 +15,9 @@ import (
 //   - batched parallel instances share one coin per round (SharedCoin);
 //   - serial execution releases coin shares only for the active instance,
 //     so Byzantine nodes cannot learn future coins early.
+//
+// Only every third round draws the threshold coin; the others use a fixed
+// one (fixedCoin).
 type CachinABA struct {
 	deciding
 	coin       collector[[]byte, []byte, bool]
@@ -250,10 +253,10 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 // peer reborn from a full-stop crash restarts the instance at round 1 — and
 // if no honest node ever decided the slot (the quorum was down), the
 // DECIDED gadget cannot carry it either. Replaying the recorded bval and
-// aux sends for exactly that round, and the coin's certificate (or, before
-// the coin exists, this node's share of it), lets it climb the schedule
-// the protocol's own way — no estimates are injected, so the
-// round-by-round safety argument is untouched. A live peer that only lags
+// aux sends for exactly that round, and in a threshold-coin round the
+// coin's certificate (or, before the coin exists, this node's share of
+// it), lets it climb the schedule the protocol's own way — no estimates
+// are injected, so the round-by-round safety argument is untouched. A live peer that only lags
 // is not answered: its stale entries are ordinary traffic, and answering
 // them costs a great deal of airtime. Rate-limited per round; survivors
 // cannot advance (and re-prune) while the laggard climbs, because they lack
@@ -279,6 +282,9 @@ func (a *CachinABA) reserveRound(slot int, round uint16, w int) {
 	}
 	if rd.auxSent {
 		a.publishAux(slot, round, rd)
+	}
+	if _, fixed := fixedCoin(round); fixed {
+		return
 	}
 	k := a.coinKeyFor(slot, round)
 	if flags, data := a.coinState(k).served(); data != nil {
@@ -325,7 +331,8 @@ func (a *CachinABA) applyAux(slot int, round uint16, w int, v bool) {
 }
 
 // checkRound fires when N-f AUX votes carrying bin_values have arrived:
-// release the coin share, and once the coin is known, advance.
+// in a fixed-coin round, advance at once; else release the coin share,
+// and once the coin is known, advance.
 func (a *CachinABA) checkRound(slot int, round uint16) {
 	s := a.slots[slot]
 	if round != s.round || s.rounds[round].advanced {
@@ -344,10 +351,30 @@ func (a *CachinABA) checkRound(slot int, round uint16) {
 		return
 	}
 	rd.valsReady = true
+	if coin, fixed := fixedCoin(round); fixed {
+		a.advance(slot, round, vals, coin)
+		return
+	}
 	a.releaseCoinShare(slot, round)
 	a.withCoin(slot, round, func(coin bool) {
 		a.advance(slot, round, vals, coin)
 	})
+}
+
+// fixedCoin is the coin schedule: a round ≡ 1 (mod 3) has coin 1, a round
+// ≡ 2 coin 0, and only a round ≡ 0 draws the threshold coin (fixed false).
+// A fixed coin is common, which is all safety asks of it — a node that
+// decides v in round r leaves every honest estimate at v. Termination
+// rests on the threshold rounds, which an adversary cannot predict; when
+// the honest inputs agree, round 1 or 2 decides without one.
+func fixedCoin(round uint16) (coin, fixed bool) {
+	switch round % 3 {
+	case 1:
+		return true, true
+	case 2:
+		return false, true
+	}
+	return false, false
 }
 
 // coinKeyFor returns the coin identity for (slot, round) under the
@@ -401,6 +428,10 @@ func (a *CachinABA) handleCoinShare(slot uint8, round uint16, w int, flags uint8
 	}
 	if (!a.sharedCoin && int(slot) >= len(a.slots)) || int(round) > roundCap {
 		return // no such instance, or a round no honest node reaches
+	}
+	if _, fixed := fixedCoin(round); fixed {
+		a.env.Reject() // no honest node draws a fixed round's coin: drop it unread
+		return
 	}
 	k := coinKey{slot: slot, round: round}
 	a.coin.offer(&a.coinState(k).tally, k.id(), w, flags, data)

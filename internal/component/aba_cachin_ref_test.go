@@ -13,7 +13,8 @@ import (
 // counted by len and by iteration, coins in a map by coinKey.id. It shares
 // the coin's share collector with the component. Do not modernise it. Its
 // round-entry replay (startRound) has since become unconditional, in the
-// component and here alike.
+// component and here alike, and so has the coin schedule (fixedCoin):
+// rounds 1 and 2 of every three use a fixed coin.
 
 // refCachinABA runs k parallel (or serial) instances of the shared-coin
 // binary-agreement protocol the paper calls "Cachin's ABA" (the
@@ -243,6 +244,9 @@ func (a *refCachinABA) reserveRound(slot int, round uint16, w int) {
 	if rd.auxSent {
 		a.publishAux(slot, round, rd)
 	}
+	if _, fixed := fixedCoin(round); fixed {
+		return
+	}
 	k := a.coinKeyFor(slot, round)
 	if cs := a.coins[k.id()]; cs != nil {
 		if flags, data := cs.served(); data != nil {
@@ -289,7 +293,8 @@ func (a *refCachinABA) applyAux(slot int, round uint16, w int, v bool) {
 }
 
 // checkRound fires when N-f AUX votes carrying bin_values have arrived:
-// release the coin share, and once the coin is known, advance.
+// in a fixed-coin round, advance at once; else release the coin share,
+// and once the coin is known, advance.
 func (a *refCachinABA) checkRound(slot int, round uint16) {
 	s := a.slots[slot]
 	if round != s.round || s.rounds[round].advanced {
@@ -308,6 +313,10 @@ func (a *refCachinABA) checkRound(slot int, round uint16) {
 		return
 	}
 	rd.valsReady = true
+	if coin, fixed := fixedCoin(round); fixed {
+		a.advance(slot, round, vals, coin)
+		return
+	}
 	a.releaseCoinShare(slot, round)
 	a.withCoin(slot, round, func(coin bool) {
 		a.advance(slot, round, vals, coin)
@@ -351,6 +360,10 @@ func (a *refCachinABA) releaseCoinShare(slot int, round uint16) {
 func (a *refCachinABA) handleCoinShare(slot uint8, round uint16, w int, flags uint8, data []byte) {
 	if a.sharedCoin != (slot == sharedSlot) {
 		return // batched mode uses the shared coin and nothing else does
+	}
+	if _, fixed := fixedCoin(round); fixed {
+		a.env.Reject()
+		return
 	}
 	k := coinKey{slot: slot, round: round}
 	a.coin.offer(&a.coinState(k).tally, k.id(), w, flags, data)

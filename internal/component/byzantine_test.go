@@ -97,7 +97,10 @@ func TestPRBCByzantineShareRejected(t *testing.T) {
 }
 
 // TestCachinABAByzantineCoinShares injects garbage coin shares; agreement
-// and termination must be unaffected (DLEQ/proof verification drops them).
+// and termination must be unaffected. The shares of rounds 1 and 2, whose
+// coins are fixed, are dropped unread; round 3's is verified and dropped:
+// every honest node rejects more entries than the fixed-round ones it
+// heard.
 func TestCachinABAByzantineCoinShares(t *testing.T) {
 	tn := newTestNet(t, 23, 0, true)
 	abas := make([]*CachinABA, 4)
@@ -108,6 +111,19 @@ func TestCachinABAByzantineCoinShares(t *testing.T) {
 			SharedCoin: true,
 			Coin:       SigCoin(env),
 		})
+	}
+	// Count the fixed-round share entries each node hears on the way in.
+	fixedHeard := make([]uint64, 4)
+	for i, env := range tn.envs {
+		i, a := i, abas[i]
+		env.T.Register(packet.KindABA, core.HandlerFunc(func(from uint16, sec packet.Section) {
+			for _, e := range sec.Entries {
+				if _, fixed := fixedCoin(e.Round); fixed && sec.Phase == packet.PhaseShare {
+					fixedHeard[i]++
+				}
+			}
+			a.HandleSection(from, sec)
+		}))
 	}
 	// Node 3 spams forged coin shares for rounds 1..3.
 	for r := uint16(1); r <= 3; r++ {
@@ -138,6 +154,11 @@ func TestCachinABAByzantineCoinShares(t *testing.T) {
 	}
 	if v := abas[0].Decided(1); v == nil || !*v {
 		t.Error("unanimous-1 instance decided 0 (validity)")
+	}
+	for i := 0; i < 3; i++ {
+		if rejected := tn.envs[i].T.Stats().Rejected; rejected <= fixedHeard[i] {
+			t.Errorf("node %d rejected %d entries and heard %d fixed-round shares: the round-3 forgery was never verified", i, rejected, fixedHeard[i])
+		}
 	}
 }
 

@@ -892,38 +892,39 @@ func TestOwnShareReplay(t *testing.T) {
 			}
 			return raw
 		}
-		// Round 1: our share counts. Round 2: two peers' shares combine
+		// Rounds 3 and 6 are the first two that draw the threshold coin.
+		// Round 3: our share counts. Round 6: two peers' shares combine
 		// before ours is released.
-		a.releaseCoinShare(0, 1)
-		a.handleCoinShare(0, 2, 1, 0, peer(1, 2))
-		a.handleCoinShare(0, 2, 2, 0, peer(2, 2))
+		a.releaseCoinShare(0, 3)
+		a.handleCoinShare(0, 6, 1, 0, peer(1, 6))
+		a.handleCoinShare(0, 6, 2, 0, peer(2, 6))
 		tn.settle(time.Second)
 		busy := env.CPU.BusyTotal()
-		a.releaseCoinShare(0, 2)
+		a.releaseCoinShare(0, 6)
 		if env.CPU.BusyTotal() != busy {
-			t.Errorf("round 2: a share was made after the coin existed")
+			t.Errorf("round 6: a share was made after the coin existed")
 		}
 		tn.settle(time.Second)
-		a.round(0, 2)        // the node has been through rounds 1 and 2 …
-		a.slots[0].round = 4 // … and left them behind.
-		for _, round := range []uint16{1, 2} {
+		a.round(0, 6)        // the node has been through rounds 3 and 6 …
+		a.slots[0].round = 8 // … and left them behind.
+		for _, round := range []uint16{3, 6} {
 			if n := len(onAir(rec, packet.PhaseShare, round)); n != 1 {
 				t.Fatalf("round %d: published %d times", round, n)
 			}
 		}
-		a.reserveRound(0, 1, 1)
-		a.reserveRound(0, 2, 1)
-		if got := onAir(rec, packet.PhaseShare, 1); len(got) != 2 || !bytes.Equal(got[0].Data, got[1].Data) || got[1].Flags != 0 {
-			t.Errorf("round 1: the share that counted was re-served %d times", len(got)-1)
+		a.reserveRound(0, 3, 1)
+		a.reserveRound(0, 6, 1)
+		if got := onAir(rec, packet.PhaseShare, 3); len(got) != 2 || !bytes.Equal(got[0].Data, got[1].Data) || got[1].Flags != 0 {
+			t.Errorf("round 3: the share that counted was re-served %d times", len(got)-1)
 		}
-		cert := a.coinState(coinKey{slot: 0, round: 2}).cert
-		got := onAir(rec, packet.PhaseShare, 2)
+		cert := a.coinState(coinKey{slot: 0, round: 6}).cert
+		got := onAir(rec, packet.PhaseShare, 6)
 		if cert == nil || len(got) != 2 {
-			t.Fatalf("round 2: certificate %x, published %d times", cert, len(got))
+			t.Fatalf("round 6: certificate %x, published %d times", cert, len(got))
 		}
 		for i, in := range got {
 			if in.Flags != certFlag || !bytes.Equal(in.Data, cert) {
-				t.Errorf("round 2, publication %d: flags %d, data %x; want the certificate", i, in.Flags, in.Data)
+				t.Errorf("round 6, publication %d: flags %d, data %x; want the certificate", i, in.Flags, in.Data)
 			}
 		}
 	})

@@ -59,7 +59,11 @@ type chainEpoch struct {
 // gcHold bounds, in GCLags behind the commit frontier, how long the epoch
 // GC waits on a peer whose frontier is not past an epoch: a dead peer, or
 // one that lies about its epochs, can hold an epoch open only that long.
-const gcHold = 4
+// An outage is recoverable only while the peers commit fewer epochs than
+// that during it, so the bound is a count of epochs sized against time: at
+// the default GCLag (4) it holds 32 epochs, enough for a ten-minute outage
+// at an epoch every ~20 s (Alea-SC under churn commits one every ~29 s).
+const gcHold = 8
 
 // Chain is one node's replicated-log engine.
 type Chain struct {

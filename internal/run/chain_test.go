@@ -136,12 +136,13 @@ func TestChainEpochGC(t *testing.T) {
 // TestChainDedup: every client tx is broadcast to all four mempools, so
 // without commit-time dedup the log would repeat most payloads ~4x. A
 // transaction reaches more than its own shard's proposal only through the
-// crash fallback, once it has waited ReproposeAge; at this run's pace none
-// waits the 5-minute default, so the fallback fires after 2.
+// crash fallback, once it has waited ReproposeAge; at this run's pace (8
+// epochs in about 3 minutes) none waits the 5-minute default, so the
+// fallback fires after 45 s.
 func TestChainDedup(t *testing.T) {
 	spec := quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, true, 7)
 	spec.Workload.Epochs = 8
-	spec.Workload.Mempool.ReproposeAge = 2 * time.Minute
+	spec.Workload.Mempool.ReproposeAge = 45 * time.Second
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -252,13 +253,14 @@ func TestChainCrashRecoveryAllFamilies(t *testing.T) {
 
 // TestChainPartitionHeals: a partition that splits the quorum stalls the
 // asynchronous protocol (safety holds, liveness waits); healing it lets
-// the run complete.
+// the run complete. The fault-free run takes under 3 minutes, so the
+// partition starts at the first.
 func TestChainPartitionHeals(t *testing.T) {
 	spec := quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, true, 3)
 	spec.Workload.Epochs = 8
 	spec.Scenario = scenario.Plan{}.Then(
-		scenario.PartitionAt(3*time.Minute, []int{0, 1}, []int{2, 3}),
-		scenario.HealAt(33*time.Minute),
+		scenario.PartitionAt(1*time.Minute, []int{0, 1}, []int{2, 3}),
+		scenario.HealAt(31*time.Minute),
 	)
 	res, err := Run(spec)
 	if err != nil {

@@ -14,6 +14,7 @@ import (
 	"repro/internal/packet"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
+	"repro/internal/traffic"
 )
 
 // This file is the cross-engine conformance suite: one table-driven
@@ -250,6 +251,34 @@ func TestChurnRecovery(t *testing.T) {
 			rep, err := Run(spec)
 			if err != nil {
 				t.Fatalf("churn wedged: %v", err)
+			}
+			checkConformance(t, spec, rep, true)
+		})
+	}
+}
+
+// TestTenMinuteOutageRecovers pins the epoch GC's hold against the
+// engines' pace. Alea-SC under bursty overload (the alea_overload shape)
+// loses one node from 10 m to 20 m, and the survivors commit about 20
+// epochs meanwhile: more than the 16 that a hold of 4 GCLags kept, which
+// wedged every seed here once Cachin's ABA stopped drawing a coin in
+// rounds 1 and 2. The node must catch up from the epochs the survivors
+// still hold.
+func TestTenMinuteOutageRecovers(t *testing.T) {
+	for seed := int64(1); seed <= 3; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			spec := Defaults(protocol.AleaKind, protocol.CoinSig)
+			spec.Workload = Chain(60)
+			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Clients: 1000, Rate: 0.08,
+				OnMean: 2 * time.Minute, OffMean: 8 * time.Minute}
+			spec.Workload.Mempool.MaxPendingBytes = 2048
+			spec.Seed = seed
+			spec.Scenario = scenario.MustParse("churn@0s+11m:10m,10m")
+			rep, err := Run(spec)
+			if err != nil {
+				t.Fatalf("outage wedged: %v", err)
 			}
 			checkConformance(t, spec, rep, true)
 		})

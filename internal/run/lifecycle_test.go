@@ -45,8 +45,8 @@ func TestChurnReachesEveryDriver(t *testing.T) {
 		spec Spec
 		plan string
 	}{
-		{"SingleHop x OneShot", oneshot, "churn@0s:1m,30s"},
-		{"Clustered x Chain", quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 4, 3), "churn@0s:3m,1m"},
+		{"SingleHop x OneShot", oneshot, "churn@0s:20s,10s"},
+		{"Clustered x Chain", quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 4, 3), "churn@0s:1m,30s"},
 	}
 	for _, tc := range cases {
 		tc := tc

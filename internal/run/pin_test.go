@@ -84,7 +84,7 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "0e8df46683058b9a4a9d3ad2b14a52c8b22f80b4cb29f48b3a0d0c24b982bdd9"},
+		}, "c20df96908d6c0fbccf6389a1060fc5f912556943eb0a2570ae424d277e4c067"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
@@ -96,13 +96,13 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@30s:3;recover@1m30s:3")
 			return spec
-		}, "1438f5c1b7f5d54f80643c2a4c31234356e9bb17f11a30ce6bd314c4fe1ca143"},
+		}, "c93548c13d9c276852e4a0942aba0598fd6a3e10a6ed24879e5c06d3cc06f2d6"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "a3bd183c1e621944f797890df9e233851f32b50402e05e5e6ba981f6997b0bd2"},
+		}, "131a3822f5e373387e276f940b25f38c83db8e34895704a215611e9ac3dedefd"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "6bbe259d4e2b5fdad26b3c9feecea109f2bce358add0c27fe275bab203d56918"},
+		}, "0f42b8e734678e9a3afd0263eacb84042ebef977fef2dbd60fff4db839d643bd"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1 (a follower in epoch 0) crashes and
 			// rejoins as epoch 1's leader; cluster 2's member 3 is
@@ -112,18 +112,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "9a55f3b21ecddf2bc0fa0702d9e81a941db9058607cbb832fedcfa949102d789"},
+		}, "29aeac291345dd0ea3d0f1507c2ea57917aeb7f96063fb79249aa94f5ffdec22"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("crash@4m:2;recover@9m:2")
 			return spec
-		}, "fec3458ff3b1fb0865d34bc79f207e20321dfa537e145892c21ef5e788911191"},
+		}, "dc103293ccd41251e78559ffa4c7063619a8f8719fd82fe7c317a06c645ed53f"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "c4d075acd326683bdbde3ceec0a17722c2b0a528f0ebacb2e4b60b2fae8dcf71"},
+		}, "7de7de6011e09083b8bab65c5758fd2e4ede88557516c894cbd6a8429f99543d"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -131,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "33e70f3001cb7fbe25d2552b64b75f73362fa772f71eca111cbf9df39e728bf2"},
+		}, "5fbf0df6187b94223a25b1fad3b6a66ebd1ddfaac9dd6a357572efe23f930435"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -144,18 +144,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "453c6b1908a6587826459eb18e0dfc5c5793b889881429ba88b266d7890b537f"},
+		}, "bed330617b70cb11816f7489c1f2f4d60b6aec4ed77ba1dd9ae51b64c59f44f6"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "29196cbb7e81f30274b9b95a2c4d75bc23f6e315466444e552d8b9d795c32913"},
+		}, "b0fd7f76e8f1f335f31bbd8d8bda239e5dc4886477a4b278b12446b3ee14404f"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "a6662f435575f32ff4310f7082e246a9b8aecbe2cf30469b9c046ec71e2da6e3"},
+		}, "98caefe5841618ce351072d41ea8d032f27ad35676a1de0f27558d63c4de92df"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -163,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "10acb90e5b6f80d09b08d9a7f2c641ba73c93590f3004d25576573b5c67a8d8f"},
+		}, "35f21330b3c2dd8be5e05b21a2b0e8afdde9714cbf8f5f5c1afcca2b36cde6d1"},
 	}
 	for _, tc := range cases {
 		tc := tc
