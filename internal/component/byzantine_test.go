@@ -162,46 +162,6 @@ func TestCachinABAByzantineCoinShares(t *testing.T) {
 	}
 }
 
-// TestForgedFrameRejectedByRealAuth shows real signature verification
-// drops frames whose signature does not match the claimed sender.
-func TestForgedFrameRejectedByRealAuth(t *testing.T) {
-	tn := newTestNet(t, 24, 0, true)
-	// Swap in real authentication on the receiving side and a mismatched
-	// signer on the sending side.
-	var peers []struct{}
-	_ = peers
-	rbc1 := NewRBC(tn.envs[1], RBCOptions{Slots: 4})
-	_ = rbc1
-	// Build a frame signed by node 2's key but claiming sender 0.
-	auth := &core.RealAuth{
-		Signer: tn.envs[2].Suite.Signer,
-		Peers:  tn.envs[2].Suite.Verify,
-	}
-	frame := &packet.Frame{
-		Sender:  0, // lie
-		Session: 0,
-		Epoch:   0,
-		Sections: []packet.Section{{
-			Kind: packet.KindRBC, Phase: packet.PhaseInitial,
-			Entries: []packet.Entry{{Slot: 0, Flags: 1, Data: []byte("forged")}},
-		}},
-	}
-	body, err := frame.AppendBody(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sig, err := auth.Sign(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := auth.Verify(0, body, sig); err == nil {
-		t.Fatal("forged frame (signed by node 2, claiming node 0) verified")
-	}
-	if err := auth.Verify(2, body, sig); err != nil {
-		t.Fatalf("honest verification failed: %v", err)
-	}
-}
-
 // TestDecodeCiphertextChecksTag hands the decoder what an equivocating
 // proposer's mixed fragments reassemble to: a ciphertext whose header — C1,
 // tag, body length — is intact and whose body is not the one the tag binds.

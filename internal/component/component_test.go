@@ -24,7 +24,7 @@ type testNet struct {
 	// the receiver forwarding the station's frames to its transport.
 	stations []*wireless.Station
 	inbound  []*relay
-	auths    []core.Auth
+	auths    []*core.SizedAuth
 	tcfg     core.Config
 }
 
@@ -53,7 +53,7 @@ func newTestNet(t testing.TB, seed int64, loss float64, batched bool) *testNet {
 	for i := 0; i < n; i++ {
 		cpu := sim.NewCPU(sched)
 		auth := &core.SizedAuth{
-			Len:        suites[i].Signer.Scheme().SignatureLen(),
+			Len:        suites[i].SigLen,
 			CostSign:   suites[i].Cost.PKSign,
 			CostVerify: suites[i].Cost.PKVerify,
 		}

@@ -57,10 +57,11 @@ func (e *Env) Exec(cost time.Duration, fn func()) { e.CPU.Exec(cost, fn) }
 // how much adversarial traffic the component defenses absorbed.
 func (e *Env) Reject() { e.T.NoteRejected() }
 
-// peer returns a frame's sender as a node index. SizedAuth accepts a frame
-// from any sender id and the components' per-peer tables are indexed by
-// it, so every HandleSection starts here: a sender that is none of the N
-// nodes counts as one rejected contribution and ok is false.
+// peer returns a frame's sender as a node index. The frame verified as the
+// station that transmitted it, but any station on the channel can
+// transmit, and the components' per-peer tables are indexed by the
+// sender, so every HandleSection starts here: a sender that is none of
+// the N nodes counts as one rejected contribution and ok is false.
 func (e *Env) peer(from uint16) (w int, ok bool) {
 	if int(from) >= e.N {
 		e.Reject()

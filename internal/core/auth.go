@@ -1,16 +1,14 @@
 package core
 
-import (
-	"errors"
-	"time"
-)
+import "time"
 
-// SizedAuth is an Auth that produces placeholder signatures of the right
-// length and always verifies, while still charging the configured virtual
-// compute cost. Honest-only parameter sweeps use it to keep wall-clock time
-// reasonable: the simulated latency (what the experiments measure) is
-// unchanged because both the bytes on air and the virtual CPU charges match
-// the real scheme. Byzantine-fault tests use node.RealAuth instead.
+// SizedAuth is the ideal per-frame signature. A signature is Len
+// placeholder bytes, and a frame verifies only as the station that
+// transmitted it: its header's sender must be that station. That is what
+// a real signature gives on a channel that delivers a transmitter's bytes
+// unaltered or not at all, where no node re-sends another's signed frame
+// verbatim. The bytes on air and the virtual CPU charges match the real
+// scheme's, so the simulated latency is the same.
 type SizedAuth struct {
 	Len        int
 	CostSign   time.Duration
@@ -21,30 +19,20 @@ type SizedAuth struct {
 	sig []byte
 }
 
-var _ Auth = (*SizedAuth)(nil)
-
 // Sign returns the deterministic placeholder signature: the same bytes
 // every time, which callers only read.
-func (a *SizedAuth) Sign(body []byte) ([]byte, error) {
+func (a *SizedAuth) Sign() []byte {
 	if len(a.sig) != a.Len {
 		a.sig = make([]byte, a.Len)
 		for i := range a.sig {
 			a.sig[i] = byte(i) ^ 0x5A
 		}
 	}
-	return a.sig, nil
+	return a.sig
 }
 
-// Verify accepts any signature of the right length.
-func (a *SizedAuth) Verify(_ uint16, _, sig []byte) error {
-	if len(sig) != a.Len {
-		return errors.New("core: placeholder signature length mismatch")
-	}
-	return nil
+// Verify reports whether a frame that station transmitted, whose header
+// claims sender, carries a valid signature.
+func (a *SizedAuth) Verify(station, sender uint16, sig []byte) bool {
+	return sender == station && len(sig) == a.Len
 }
-
-// SignCost implements Auth.
-func (a *SizedAuth) SignCost() time.Duration { return a.CostSign }
-
-// VerifyCost implements Auth.
-func (a *SizedAuth) VerifyCost() time.Duration { return a.CostVerify }

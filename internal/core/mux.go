@@ -44,7 +44,7 @@ import (
 type Mux struct {
 	sched *sim.Scheduler
 	cpu   *sim.CPU
-	auth  Auth
+	auth  *SizedAuth
 	cfg   Config
 
 	station *wireless.Station
@@ -89,7 +89,7 @@ type Mux struct {
 
 // NewMux creates a node's transport layer with no epoch open. cfg applies
 // to every epoch (Session, FlushDelay, RetxInterval, Batched).
-func NewMux(sched *sim.Scheduler, cpu *sim.CPU, auth Auth, cfg Config) *Mux {
+func NewMux(sched *sim.Scheduler, cpu *sim.CPU, auth *SizedAuth, cfg Config) *Mux {
 	if cfg.FlushDelay <= 0 {
 		cfg.FlushDelay = time.Millisecond
 	}
@@ -341,7 +341,7 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		}
 		return
 	}
-	t.receiveLogical(raw)
+	t.receiveLogical(uint16(from), raw)
 }
 
 // unheard is the lastHeard of a station no frame has come from.

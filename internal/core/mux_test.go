@@ -386,3 +386,62 @@ func TestCollidedBurstCarriesEveryEpoch(t *testing.T) {
 		t.Errorf("received %v, want node 0's two epochs back to back and node 1's entry", got)
 	}
 }
+
+// TestFrameBoundToTransmitter: a frame verifies only as the station that
+// transmitted it. Station 1 transmits a well-formed, correctly signed
+// frame whose header claims sender 2: it reaches no handler, files no NACK
+// row under node 2, and counts one AuthFailure (the fragment header names
+// the true transmitter, so reassembly does not drop it). The same frame
+// transmitted by station 2 itself is accepted, row and all.
+func TestFrameBoundToTransmitter(t *testing.T) {
+	const epoch, claimed = 3, 2
+	r := newMuxRig(t, 3, true)
+	rx := r.muxes[0].Open(epoch)
+	var froms []uint16
+	rx.Register(packet.KindRBC, HandlerFunc(func(from uint16, _ packet.Section) {
+		froms = append(froms, from)
+	}))
+	nack := packet.NewBitSet(4)
+	nack.Set(1)
+	sig := r.muxes[claimed].auth.Sign()
+	raw, err := (&packet.Frame{
+		Sender: claimed, Session: r.muxes[0].cfg.Session, Epoch: epoch,
+		Sections: []packet.Section{{
+			Kind: packet.KindRBC, Phase: packet.PhaseEcho, Nack: nack,
+			Entries: []packet.Entry{{Slot: 1, Data: []byte("forged")}},
+		}},
+		Sig: sig,
+	}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	transmit := func(station uint16) {
+		r.muxes[station].station.Broadcast(appendFragment(nil, raw, station, 0, 0, 1, len(raw)))
+		r.sched.Run()
+	}
+	claimedRow := func() packet.BitSet {
+		if i, ok := rx.findRow(packet.KindRBC, packet.PhaseEcho); ok && len(rx.rows[i].peers) > claimed {
+			return rx.rows[i].peers[claimed]
+		}
+		return nil
+	}
+
+	transmit(1)
+	if len(froms) != 0 {
+		t.Fatalf("forged frame reached the handler as from %v", froms)
+	}
+	if row := claimedRow(); row != nil {
+		t.Fatalf("forged frame filed NACK row %x under node %d", row, claimed)
+	}
+	if a, d := rx.Stats().AuthFailures, r.muxes[0].DroppedSession(); a != 1 || d != 0 {
+		t.Fatalf("AuthFailures = %d, DroppedSession = %d; want 1 and 0", a, d)
+	}
+
+	transmit(claimed)
+	if !slices.Equal(froms, []uint16{claimed}) || !claimedRow().Get(1) {
+		t.Fatalf("the claimed sender's own frame: handler saw %v, row %x; want [%d] and bit 1", froms, claimedRow(), claimed)
+	}
+	if a := rx.Stats().AuthFailures; a != 1 {
+		t.Fatalf("AuthFailures = %d after the honest frame, want still 1", a)
+	}
+}

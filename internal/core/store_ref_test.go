@@ -210,7 +210,7 @@ func TestIntentStoreMatchesMapModel(t *testing.T) {
 
 			// The oracle's logical packets, fragmented as the transport does.
 			var want [][]byte
-			sig, _ := auth.Sign(nil)
+			sig := auth.Sign()
 			seq := uint32(0)
 			chunk := wcfg.MaxFrame - fragHeaderLen
 			ref := newRefStore(func(secs []packet.Section) {

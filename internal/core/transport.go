@@ -96,16 +96,6 @@ type Interceptor interface {
 	Outbound(t *Transport, in Intent) []Intent
 }
 
-// Auth signs and verifies logical frames. RealAuth (package node) uses the
-// crypto suite; SizedAuth produces correctly sized placeholder signatures
-// for large honest-only sweeps, while still charging virtual compute cost.
-type Auth interface {
-	Sign(body []byte) ([]byte, error)
-	Verify(sender uint16, body, sig []byte) error
-	SignCost() time.Duration
-	VerifyCost() time.Duration
-}
-
 // Config tunes a transport.
 type Config struct {
 	Session      uint32
@@ -238,7 +228,7 @@ type sendState struct {
 // ReceiveFrame (wire the station's receiver to the transport at attach
 // time). The station may be nil and bound later (BindStation); state
 // updated before then goes out once it is.
-func New(sched *sim.Scheduler, cpu *sim.CPU, station *wireless.Station, auth Auth, cfg Config) *Transport {
+func New(sched *sim.Scheduler, cpu *sim.CPU, station *wireless.Station, auth *SizedAuth, cfg Config) *Transport {
 	m := NewMux(sched, cpu, auth, cfg)
 	m.BindStation(station)
 	return m.Open(0)
@@ -798,11 +788,8 @@ func (t *Transport) sendLogical(sections []packet.Section, follows bool) {
 	if err != nil {
 		panic(fmt.Sprintf("core: frame encoding: %v", err))
 	}
-	sig, err := m.auth.Sign(body)
-	if err != nil {
-		panic(fmt.Sprintf("core: frame signing: %v", err))
-	}
-	signed := m.cpu.Charge(m.auth.SignCost())
+	sig := m.auth.Sign()
+	signed := m.cpu.Charge(m.auth.CostSign)
 	t.stats.SignOps++
 	raw := append(body, byte(len(sig)>>8), byte(len(sig)))
 	raw = append(raw, sig...)
@@ -827,16 +814,17 @@ func (t *Transport) sendLogical(sections []packet.Section, follows bool) {
 // its verification time. Records are recycled through Mux.jobFree, so the
 // receive path allocates no closure per packet.
 type verifyJob struct {
-	t   *Transport
-	raw []byte
-	run func() // j.exec, bound once
+	t    *Transport
+	from uint16 // the station that transmitted the packet
+	raw  []byte
+	run  func() // j.exec, bound once
 }
 
 // exec runs at the job's completion time on the CPU: verify and dispatch,
 // then the record goes back to the free list.
 func (j *verifyJob) exec() {
 	t := j.t
-	t.dispatch(j.raw)
+	t.dispatch(j.from, j.raw)
 	j.t, j.raw = nil, nil
 	t.m.jobFree = append(t.m.jobFree, j)
 }
@@ -848,12 +836,13 @@ func (t *Transport) ReceiveFrame(from wireless.NodeID, payload []byte) {
 }
 
 // receiveLogical verifies and dispatches one reassembled logical packet
-// that Mux.ReceiveFrame routed here by its header's session and epoch.
+// that station from transmitted and Mux.ReceiveFrame routed here by its
+// header's session and epoch.
 //
 // raw is shared and read-only: it is the channel's private copy of the
 // transmission (or the reassembler's fresh buffer), handed to every
 // receiver alike, and the decoded frame's Nack, Data and Sig alias it.
-func (t *Transport) receiveLogical(raw []byte) {
+func (t *Transport) receiveLogical(from uint16, raw []byte) {
 	if t.stopped {
 		return
 	}
@@ -865,24 +854,24 @@ func (t *Transport) receiveLogical(raw []byte) {
 		j = new(verifyJob)
 		j.run = j.exec
 	}
-	j.t, j.raw = t, raw
-	m.cpu.Exec(m.auth.VerifyCost(), j.run)
+	j.t, j.from, j.raw = t, from, raw
+	m.cpu.Exec(m.auth.CostVerify, j.run)
 }
 
 // dispatch completes receiveLogical at the verification job's completion
 // time: decode, verify, hand each section to its kind's handler.
-func (t *Transport) dispatch(raw []byte) {
+func (t *Transport) dispatch(from uint16, raw []byte) {
 	if t.stopped {
 		return
 	}
 	t.stats.VerifyOps++
 	dec := &t.m.dec
-	frame, bodyLen, err := dec.Decode(raw)
+	frame, _, err := dec.Decode(raw)
 	if err != nil {
 		t.stats.AuthFailures++
 		return
 	}
-	if t.m.auth.Verify(frame.Sender, raw[:bodyLen], frame.Sig) != nil {
+	if !t.m.auth.Verify(from, frame.Sender, frame.Sig) {
 		t.stats.AuthFailures++
 	} else {
 		t.stats.LogicalRecv++

@@ -673,7 +673,7 @@ func BenchmarkReceiveLogical(b *testing.B) {
 			sum += int(e.Slot) + len(e.Data)
 		}
 	}))
-	sig, _ := auth.Sign(nil)
+	sig := auth.Sign()
 	raw, err := (&packet.Frame{
 		Sender: 2,
 		Sections: []packet.Section{{
@@ -688,7 +688,7 @@ func BenchmarkReceiveLogical(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.receiveLogical(raw)
+		tr.receiveLogical(2, raw)
 		s.Step()
 	}
 	if got := tr.Stats().LogicalRecv; got != uint64(b.N) {

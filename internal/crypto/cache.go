@@ -37,11 +37,9 @@ var (
 // goroutines — receives the same suite slice.
 //
 // Sharing is sound because suites are immutable after dealing: the
-// simulation drivers only read key material (SizedAuth charges virtual
-// sign/verify costs without touching the signer, and every threshold
+// simulation drivers only read key material, and every threshold
 // operation draws randomness from a caller-supplied RNG, never from the
-// suite). Callers that need private, mutable suites — or a Signer whose
-// embedded reader they will consume, as RealAuth does — should call Deal
+// suite. Callers that need private, mutable suites should call Deal
 // directly.
 //
 // Beyond enabling parallel sweeps, the cache also speeds sequential ones:

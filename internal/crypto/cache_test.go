@@ -63,9 +63,6 @@ func TestDealCachedConcurrent(t *testing.T) {
 // TestDealCachedMatchesHistoricalDerivation verifies the cache reproduces
 // what a fresh Deal over the same seeded reader produces: the threshold
 // key material (which every golden number depends on) is bit-identical.
-// Per-frame signer keys are exempt — crypto/ecdsa's keygen consumes a
-// nondeterministic number of reader bytes (see subReader), and no
-// simulated outcome depends on them.
 func TestDealCachedMatchesHistoricalDerivation(t *testing.T) {
 	cached, err := DealCached(4, 1, LightConfig(), 99^0x5eed)
 	if err != nil {

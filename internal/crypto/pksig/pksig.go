@@ -1,5 +1,5 @@
-// Package pksig wraps the standard library's public-key signature schemes
-// behind one interface with fixed-width signatures.
+// Package pksig names the public-key signature schemes a frame can be
+// signed under and their fixed signature widths.
 //
 // Every frame a node transmits is signed (the paper: "each message requires
 // a public-key digital signature"), so signature size directly consumes
@@ -7,19 +7,12 @@
 // paper's Fig. 10c quantifies across five micro-ecc curves. The stdlib has
 // no secp160r1/secp192r1, so the reproduction offers five stdlib schemes
 // (Ed25519 and ECDSA over P-224/P-256/P-384/P-521) spanning the same
-// size/cost ladder; the mapping is documented in DESIGN.md.
+// size/cost ladder; the mapping is documented in DESIGN.md. Frames carry
+// the ideal signature of the scheme's width (core.SizedAuth), so no key is
+// generated and nothing is signed here.
 package pksig
 
-import (
-	"crypto/ecdsa"
-	"crypto/ed25519"
-	"crypto/elliptic"
-	"crypto/sha256"
-	"errors"
-	"fmt"
-	"io"
-	"math/big"
-)
+import "crypto/ed25519"
 
 // Scheme identifies a signature scheme.
 type Scheme string
@@ -53,119 +46,5 @@ func (s Scheme) SignatureLen() int {
 		return 2 * 66
 	default:
 		return 0
-	}
-}
-
-func (s Scheme) curve() elliptic.Curve {
-	switch s {
-	case SchemeECDSAP224:
-		return elliptic.P224()
-	case SchemeECDSAP256:
-		return elliptic.P256()
-	case SchemeECDSAP384:
-		return elliptic.P384()
-	case SchemeECDSAP521:
-		return elliptic.P521()
-	default:
-		return nil
-	}
-}
-
-// PrivateKey signs messages under one scheme.
-type PrivateKey struct {
-	scheme Scheme
-	ec     *ecdsa.PrivateKey
-	ed     ed25519.PrivateKey
-	rand   io.Reader
-}
-
-// PublicKey verifies signatures.
-type PublicKey struct {
-	scheme Scheme
-	ec     *ecdsa.PublicKey
-	ed     ed25519.PublicKey
-}
-
-// Generate creates a key pair for the scheme using rand (pass a seeded
-// reader for deterministic simulations).
-func Generate(s Scheme, rand io.Reader) (*PrivateKey, error) {
-	switch s {
-	case SchemeEd25519:
-		_, priv, err := ed25519.GenerateKey(rand)
-		if err != nil {
-			return nil, fmt.Errorf("pksig: generating %s: %w", s, err)
-		}
-		return &PrivateKey{scheme: s, ed: priv, rand: rand}, nil
-	case SchemeECDSAP224, SchemeECDSAP256, SchemeECDSAP384, SchemeECDSAP521:
-		priv, err := ecdsa.GenerateKey(s.curve(), rand)
-		if err != nil {
-			return nil, fmt.Errorf("pksig: generating %s: %w", s, err)
-		}
-		return &PrivateKey{scheme: s, ec: priv, rand: rand}, nil
-	default:
-		return nil, fmt.Errorf("pksig: unknown scheme %q", s)
-	}
-}
-
-// Scheme returns the key's scheme.
-func (k *PrivateKey) Scheme() Scheme { return k.scheme }
-
-// Public returns the verification key.
-func (k *PrivateKey) Public() PublicKey {
-	if k.ed != nil {
-		return PublicKey{scheme: k.scheme, ed: k.ed.Public().(ed25519.PublicKey)}
-	}
-	return PublicKey{scheme: k.scheme, ec: &k.ec.PublicKey}
-}
-
-// Sign returns a fixed-width signature over msg.
-func (k *PrivateKey) Sign(msg []byte) ([]byte, error) {
-	switch {
-	case k.ed != nil:
-		return ed25519.Sign(k.ed, msg), nil
-	case k.ec != nil:
-		digest := sha256.Sum256(msg)
-		r, s, err := ecdsa.Sign(k.rand, k.ec, digest[:])
-		if err != nil {
-			return nil, fmt.Errorf("pksig: signing: %w", err)
-		}
-		half := k.scheme.SignatureLen() / 2
-		out := make([]byte, 2*half)
-		r.FillBytes(out[:half])
-		s.FillBytes(out[half:])
-		return out, nil
-	default:
-		return nil, errors.New("pksig: zero key")
-	}
-}
-
-// ErrBadSignature is returned by Verify on any verification failure.
-var ErrBadSignature = errors.New("pksig: signature verification failed")
-
-// Scheme returns the key's scheme.
-func (p PublicKey) Scheme() Scheme { return p.scheme }
-
-// Verify checks sig over msg.
-func (p PublicKey) Verify(msg, sig []byte) error {
-	switch {
-	case p.ed != nil:
-		if !ed25519.Verify(p.ed, msg, sig) {
-			return ErrBadSignature
-		}
-		return nil
-	case p.ec != nil:
-		if len(sig) != p.scheme.SignatureLen() {
-			return ErrBadSignature
-		}
-		digest := sha256.Sum256(msg)
-		half := len(sig) / 2
-		r := new(big.Int).SetBytes(sig[:half])
-		s := new(big.Int).SetBytes(sig[half:])
-		if !ecdsa.Verify(p.ec, digest[:], r, s) {
-			return ErrBadSignature
-		}
-		return nil
-	default:
-		return errors.New("pksig: zero key")
 	}
 }

@@ -1,61 +1,6 @@
 package pksig
 
-import (
-	"math/rand"
-	"testing"
-)
-
-func TestSignVerifyAllSchemes(t *testing.T) {
-	for _, s := range AllSchemes() {
-		s := s
-		t.Run(string(s), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(1))
-			key, err := Generate(s, rng)
-			if err != nil {
-				t.Fatal(err)
-			}
-			msg := []byte("frame payload")
-			sig, err := key.Sign(msg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(sig) != s.SignatureLen() {
-				t.Errorf("signature %d bytes, want %d", len(sig), s.SignatureLen())
-			}
-			pub := key.Public()
-			if err := pub.Verify(msg, sig); err != nil {
-				t.Errorf("honest signature rejected: %v", err)
-			}
-			if err := pub.Verify([]byte("tampered"), sig); err == nil {
-				t.Error("wrong message accepted")
-			}
-			sig[0] ^= 0xFF
-			if err := pub.Verify(msg, sig); err == nil {
-				t.Error("tampered signature accepted")
-			}
-		})
-	}
-}
-
-func TestCrossKeyRejection(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	k1, err := Generate(SchemeECDSAP256, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := Generate(SchemeECDSAP256, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	msg := []byte("m")
-	sig, err := k1.Sign(msg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := k2.Public().Verify(msg, sig); err == nil {
-		t.Error("signature verified under wrong key")
-	}
-}
+import "testing"
 
 func TestSignatureSizeLadder(t *testing.T) {
 	sizes := map[Scheme]int{
@@ -73,21 +18,7 @@ func TestSignatureSizeLadder(t *testing.T) {
 }
 
 func TestUnknownScheme(t *testing.T) {
-	if _, err := Generate("rot13", rand.New(rand.NewSource(1))); err == nil {
-		t.Error("unknown scheme accepted")
-	}
 	if Scheme("rot13").SignatureLen() != 0 {
 		t.Error("unknown scheme has nonzero signature size")
-	}
-}
-
-func TestWrongLengthSignatureRejected(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	key, err := Generate(SchemeECDSAP256, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := key.Public().Verify([]byte("m"), []byte{1, 2, 3}); err == nil {
-		t.Error("truncated signature accepted")
 	}
 }

@@ -20,9 +20,8 @@ type Suite struct {
 	Index int
 	N, F  int
 
-	// Per-frame authentication.
-	Signer *pksig.PrivateKey
-	Verify []pksig.PublicKey // by node (0-based: node i -> Verify[i])
+	// SigLen is the per-frame signature's length in bytes (Config.PKScheme).
+	SigLen int
 
 	// Threshold signatures: Low has threshold f+1 (PRBC DONE proofs and
 	// the shared-coin; one honest contribution suffices), High has
@@ -63,12 +62,11 @@ func HeavyConfig() Config {
 }
 
 // subReader derives an independent deterministic reader from the master
-// randomness source by consuming exactly 8 bytes. Isolation matters:
-// crypto/ecdsa's key generation consumes a *nondeterministic* number of
-// bytes from its reader (randutil.MaybeReadByte flips a process-global
-// coin), so feeding every scheme from one shared stream would make the
-// threshold keys — and the common coins derived from them — differ between
-// runs with identical seeds.
+// randomness source by consuming exactly 8 bytes. Each threshold scheme
+// is dealt from its own sub-stream: a dealer draws a value-dependent
+// number of bytes (rejection sampling), so on one shared stream a change
+// to one scheme's dealing would shift the keys of every scheme dealt after
+// it — and the common coins derived from them.
 func subReader(master io.Reader) (io.Reader, error) {
 	var seed [8]byte
 	if _, err := io.ReadFull(master, seed[:]); err != nil {
@@ -91,21 +89,6 @@ func Deal(n, f int, cfg Config, masterRand io.Reader) ([]*Suite, error) {
 	grp, err := group.ByName(cfg.GroupSet)
 	if err != nil {
 		return nil, err
-	}
-
-	signers := make([]*pksig.PrivateKey, n)
-	verify := make([]pksig.PublicKey, n)
-	for i := 0; i < n; i++ {
-		sub, err := subReader(masterRand)
-		if err != nil {
-			return nil, err
-		}
-		k, err := pksig.Generate(cfg.PKScheme, sub)
-		if err != nil {
-			return nil, err
-		}
-		signers[i] = k
-		verify[i] = k.Public()
 	}
 
 	subs := make([]io.Reader, 4)
@@ -138,8 +121,7 @@ func Deal(n, f int, cfg Config, masterRand io.Reader) ([]*Suite, error) {
 			Index:       i + 1,
 			N:           n,
 			F:           f,
-			Signer:      signers[i],
-			Verify:      verify,
+			SigLen:      cfg.PKScheme.SignatureLen(),
 			TSLow:       &tsLow.Public,
 			TSLowShare:  tsLow.Shares[i],
 			TSHigh:      &tsHigh.Public,

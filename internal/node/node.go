@@ -91,7 +91,7 @@ func New(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *
 	// The frame authenticator is sized by the suite's signature scheme and
 	// charges the suite's virtual sign/verify costs.
 	n.mux = core.NewMux(sched, cpu, &core.SizedAuth{
-		Len:        suite.Signer.Scheme().SignatureLen(),
+		Len:        suite.SigLen,
 		CostSign:   suite.Cost.PKSign,
 		CostVerify: suite.Cost.PKVerify,
 	}, tcfg)

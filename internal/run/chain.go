@@ -20,9 +20,9 @@ import (
 // log and mempool digests are stable storage) and catches up through
 // core.Mux.OnUnknownEpoch and the state its NACK rows ask its peers for.
 // Peers serve repairs only for epochs their GC hasn't closed; the GC waits
-// for a crashed node's epoch for up to four GCLags (protocol.Chain), so an
-// outage longer than that leaves the node unable to catch up (a deadline
-// error). byz events arm active-Byzantine behaviors (up to F nodes); the
+// for a crashed node's epoch for up to gcHold GCLags (protocol.Chain), so
+// an outage longer than that leaves the node unable to catch up (a
+// deadline error). byz events arm active-Byzantine behaviors (up to F nodes); the
 // completion barrier and log checks then cover honest nodes only.
 
 // chainConfig builds the per-node engine config from the Spec's workload.

@@ -90,7 +90,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "4c5592b57af50803cd67c95e953d86e52ef12985f39e3d028643cf52a46fab39"},
+		}, "1894cb95ff3b160408e651782cda34464784abaf7f67bb64445b8753d42149f7"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
@@ -99,10 +99,10 @@ func TestMatrixPinned(t *testing.T) {
 		}, "c93548c13d9c276852e4a0942aba0598fd6a3e10a6ed24879e5c06d3cc06f2d6"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "131a3822f5e373387e276f940b25f38c83db8e34895704a215611e9ac3dedefd"},
+		}, "e184cd337dae17f4263aba659df586dd150cfbc253b611a9fbd4c9076498dcc5"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "0f42b8e734678e9a3afd0263eacb84042ebef977fef2dbd60fff4db839d643bd"},
+		}, "bf397670ed6d295df5db938dbc58f81c88dd5c4c0ebb2a2ea4159bfb757bc889"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1 (a follower in epoch 0) crashes and
 			// rejoins as epoch 1's leader; cluster 2's member 3 is
@@ -112,7 +112,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "29aeac291345dd0ea3d0f1507c2ea57917aeb7f96063fb79249aa94f5ffdec22"},
+		}, "502735d23d6a57e347dd9a96ab3d603b432ec12065e3a914b6992719dc61124d"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
@@ -144,18 +144,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "bed330617b70cb11816f7489c1f2f4d60b6aec4ed77ba1dd9ae51b64c59f44f6"},
+		}, "73676d648d87eb4f457eb4768dea2ab523a61eedee5d6e85c2cc107040d9b4db"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "b0fd7f76e8f1f335f31bbd8d8bda239e5dc4886477a4b278b12446b3ee14404f"},
+		}, "a87f6595ed6981559212c9ab7e794786cc5d2b7c0f58ae3ae568d81eef857127"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "98caefe5841618ce351072d41ea8d032f27ad35676a1de0f27558d63c4de92df"},
+		}, "0eb9b15c4a3ca3d21bd9b008ae30d9fa78bd369da60242d4cf674f92f91aa9a6"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -163,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "35f21330b3c2dd8be5e05b21a2b0e8afdde9714cbf8f5f5c1afcca2b36cde6d1"},
+		}, "e95157cdc7c866fbd8d693f52a06c4c4ddb773097799392ef66c587b0ec6126a"},
 	}
 	for _, tc := range cases {
 		tc := tc
