@@ -84,11 +84,16 @@ func (w Withhold) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
 }
 
 // Garbage replaces the payload of crypto- and value-bearing intents with
-// random bytes: malformed proposals, undecodable threshold-signature and
-// decryption shares, broken certificates. The defense is verification at
-// every trust boundary: share/proof/certificate checks discard the
-// garbage (counted in Stats.Rejected), and proposals that deliver as
-// garbage are rejected by the commit layer's decoders.
+// random bytes: malformed proposals, threshold-signature and decryption
+// shares that fail, broken certificates. A share keeps its first three
+// bytes — the index that names its maker, which a receiver holds to the
+// sender's id, and its value's length — so that it is taken as the
+// sender's: a bare signature share then joins a combination and fails it,
+// which turns its tally to proofs, and a full share is verified. The
+// defense is verification at every trust boundary: share, combination,
+// proof and certificate checks discard the garbage (counted in
+// Stats.Rejected), and proposals that deliver as garbage are rejected by
+// the commit layer's decoders.
 type Garbage struct{}
 
 // Name implements Behavior.
@@ -111,6 +116,10 @@ func (Garbage) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
 	}
 	buf := make([]byte, n)
 	ctx.Rand.Read(buf)
+	switch in.Phase {
+	case packet.PhaseEcho, packet.PhaseDone, packet.PhaseShare, packet.PhaseDecShare:
+		copy(buf, in.Data[:min(3, len(in.Data))])
+	}
 	out.Data = buf
 	return []core.Intent{out}
 }

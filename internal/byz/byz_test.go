@@ -81,6 +81,9 @@ func TestFlipVotesInverts(t *testing.T) {
 	}
 }
 
+// TestGarbageScramblesCryptoPhases: a share's payload is scrambled but for
+// its first three bytes, the index that names its sender and the length
+// of its value; a phase that carries no crypto is left alone.
 func TestGarbageScramblesCryptoPhases(t *testing.T) {
 	g := Garbage{}
 	ctx := testCtx(1)
@@ -94,6 +97,9 @@ func TestGarbageScramblesCryptoPhases(t *testing.T) {
 	}
 	if len(out[0].Data) != len(share.Data) {
 		t.Errorf("Garbage changed share length %d -> %d", len(share.Data), len(out[0].Data))
+	}
+	if !bytes.Equal(out[0].Data[:3], share.Data[:3]) {
+		t.Errorf("Garbage changed a share's index and length prefix: %x -> %x", share.Data[:3], out[0].Data[:3])
 	}
 	vote := core.Intent{IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux}, Data: []byte{1}}
 	if out := g.Rewrite(ctx, vote); !bytes.Equal(out[0].Data, vote.Data) {

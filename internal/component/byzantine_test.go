@@ -72,8 +72,8 @@ func TestPRBCByzantineShareRejected(t *testing.T) {
 		prbcs[i].Propose(i, []byte(fmt.Sprintf("p-%d", i)))
 	}
 	// Node 3 additionally injects garbage DONE shares for every slot under
-	// its own sub id — they must be discarded by share verification, and
-	// proofs must still form from the honest shares.
+	// its own sub id — they must be discarded (their index names no node),
+	// and proofs must still form from the honest shares.
 	for s := 0; s < 4; s++ {
 		tn.envs[3].T.Update(core.Intent{
 			IntentKey: core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(s), Sub: 3},
@@ -98,9 +98,9 @@ func TestPRBCByzantineShareRejected(t *testing.T) {
 
 // TestCachinABAByzantineCoinShares injects garbage coin shares; agreement
 // and termination must be unaffected. The shares of rounds 1 and 2, whose
-// coins are fixed, are dropped unread; round 3's is verified and dropped:
-// every honest node rejects more entries than the fixed-round ones it
-// heard.
+// coins are fixed, are dropped unread; round 3's is rejected too, its
+// first byte naming another node than its sender: every honest node
+// rejects more entries than the fixed-round ones it heard.
 func TestCachinABAByzantineCoinShares(t *testing.T) {
 	tn := newTestNet(t, 23, 0, true)
 	abas := make([]*CachinABA, 4)
@@ -157,7 +157,7 @@ func TestCachinABAByzantineCoinShares(t *testing.T) {
 	}
 	for i := 0; i < 3; i++ {
 		if rejected := tn.envs[i].T.Stats().Rejected; rejected <= fixedHeard[i] {
-			t.Errorf("node %d rejected %d entries and heard %d fixed-round shares: the round-3 forgery was never verified", i, rejected, fixedHeard[i])
+			t.Errorf("node %d rejected %d entries and heard %d fixed-round shares: the round-3 forgery was never rejected", i, rejected, fixedHeard[i])
 		}
 	}
 }

@@ -3,6 +3,7 @@ package component
 import (
 	"bytes"
 	"encoding/binary"
+	"math/big"
 	"testing"
 	"time"
 
@@ -52,7 +53,9 @@ func parseCBCRecords(raw []byte) []cbcRecord {
 // cbcSeeds records an honest run of one wire kind and returns inputs built
 // from its traffic: a value and its ECHO shares, a certificate before its
 // value, a certificate after a value it does not match, a repair request,
-// and a forged repair value ahead of the genuine one.
+// a forged repair value ahead of the genuine one, and, around the bare
+// ECHO shares an honest run sends, full ones: genuine, forged, and after
+// a corrupted bare share has failed a combination.
 func cbcSeeds(f *testing.F, ki int) [][]byte {
 	k := kernelKinds[ki]
 	tn := newTestNet(f, cbcFuzzSeed, 0, true)
@@ -110,6 +113,25 @@ func cbcSeeds(f *testing.F, ki int) [][]byte {
 		}
 		return rs
 	}
+	// full has peer w send its share of a slot in full, the way it goes
+	// once the tally turns to proofs; forged has it send its bare share
+	// flagged full, with a made-up proof behind it.
+	full := func(w byte, slot int) []cbcRecord {
+		sh := nodes[w].slots[slot].cert.mine.share
+		return []cbcRecord{{op: op(packet.PhaseEcho), from: w, e: packet.Entry{Slot: byte(slot), Sub: w, Flags: proofFlag, Data: EncodeSigShare(sh)}}}
+	}
+	forged := func(w byte, slot int) []cbcRecord {
+		sh := *nodes[w].slots[slot].cert.mine.share
+		sh.C, sh.Z = big.NewInt(7), big.NewInt(9)
+		return []cbcRecord{{op: op(packet.PhaseEcho), from: w, e: packet.Entry{Slot: byte(slot), Sub: w, Flags: proofFlag, Data: EncodeSigShare(&sh)}}}
+	}
+	// corrupt has peer w send a bare share of a slot whose X is off.
+	corrupt := func(w byte, slot int) []cbcRecord {
+		rs := from(int(w), packet.PhaseEcho, slot)[:1]
+		rs[0].e.Data = append([]byte(nil), rs[0].e.Data...)
+		rs[0].e.Data[len(rs[0].e.Data)-1] ^= 1
+		return rs
+	}
 	finish := EncodeFinish(nodes[0].slots[0].certHash, nodes[0].slots[0].cert.value)
 	finish0 := []cbcRecord{{op: op(packet.PhaseFinish) | 0x80, from: 1, e: packet.Entry{Slot: 0, Data: finish}}}
 	other := []cbcRecord{{op: op(packet.PhaseInitial), from: 0, e: packet.Entry{Slot: 0, Flags: 1, Data: []byte("not what the quorum signed")}}}
@@ -121,13 +143,18 @@ func cbcSeeds(f *testing.F, ki int) [][]byte {
 		input(other, finish0, later(from(0, packet.PhaseInitial, 0))),
 		input(from(0, packet.PhaseInitial, 0), repair, finish0),
 		input(finish0, later(by(2, other)), later(by(2, from(0, packet.PhaseInitial, 0)))),
+		input(from(0, packet.PhaseInitial, 0), full(0, 0), full(1, 0), full(2, 0)),
+		input(from(0, packet.PhaseInitial, 0), forged(1, 0), from(0, packet.PhaseEcho, 0), from(2, packet.PhaseEcho, 0), later(full(1, 0))),
+		input(from(0, packet.PhaseInitial, 0), corrupt(1, 0), from(0, packet.PhaseEcho, 0), later(from(2, packet.PhaseEcho, 0)), later(full(0, 0)), full(1, 0), full(2, 0)),
 	}
 }
 
 // FuzzCBCSection feeds arbitrary entries of every CBC phase, on each of
 // the kernel's three wire kinds, to one node whose peers run nothing.
-// Nothing may panic, and a slot delivers only with a certificate that
-// verifies under the threshold key over the delivered value's hash.
+// Nothing may panic, a slot delivers only with a certificate that
+// verifies under the threshold key over the delivered value's hash, and
+// no slot's tally holds a certificate that does not verify over the hash
+// it certifies, delivered or not.
 func FuzzCBCSection(f *testing.F) {
 	f.Add([]byte{})
 	for ki := range kernelKinds {
@@ -159,7 +186,13 @@ func FuzzCBCSection(f *testing.F) {
 			v.HandleSection(uint16(r.from%4), packet.Section{Kind: k.kind, Phase: phase, Entries: []packet.Entry{r.e}})
 		}
 		tn.settle(time.Minute)
-		for slot := range v.slots {
+		for slot, s := range v.slots {
+			if s.cert.done {
+				msg := v.shareMessage(slot, s.certHash)
+				if err := env.Suite.TSHigh.Verify(msg, &threshsig.Signature{S: bigFromBytes(s.cert.value)}); err != nil {
+					t.Fatalf("slot %d settled on a certificate that does not verify: %v", slot, err)
+				}
+			}
 			d, ok := got[slot]
 			if ok != v.Delivered(slot) {
 				t.Fatalf("slot %d: Delivered %v, callback %v", slot, v.Delivered(slot), ok)

@@ -15,10 +15,14 @@ import (
 // Share payloads on the wire are a 1-byte index followed by three
 // length-prefixed big integers: a threshold-signature share and a
 // discrete-log threshold share (coin or decryption) both fit this shape.
+// A bare threshold-signature share stops after the first, its value: the
+// index and X without the proof (C, Z) that follows them in a full one.
 
 var errShortShare = errors.New("component: truncated share encoding")
 
 var errNonCanonical = errors.New("component: certificate not in canonical form")
+
+var errBareShare = errors.New("component: bare share value out of range")
 
 func appendBig(buf []byte, v *big.Int) []byte {
 	b := v.Bytes()
@@ -75,6 +79,22 @@ func DecodeSigShare(buf []byte) (*threshsig.SigShare, error) {
 		return nil, err
 	}
 	return &threshsig.SigShare{Index: idx, X: ints[0], C: ints[1], Z: ints[2]}, nil
+}
+
+// EncodeBareSigShare serializes a threshold-signature share without its
+// proof: the prefix of EncodeSigShare's bytes that holds the index and X.
+func EncodeBareSigShare(sh *threshsig.SigShare) []byte {
+	return encodeShare(sh.Index, sh.X)
+}
+
+// DecodeBareSigShare parses a bare threshold-signature share; C and Z are
+// nil.
+func DecodeBareSigShare(buf []byte) (*threshsig.SigShare, error) {
+	idx, ints, err := decodeShare(buf, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &threshsig.SigShare{Index: idx, X: ints[0]}, nil
 }
 
 // EncodeDLShare serializes a discrete-log threshold share: a coin share

@@ -2,6 +2,7 @@ package component
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/big"
 	"testing"
 	"time"
@@ -14,11 +15,12 @@ import (
 )
 
 // FuzzShareCodec feeds arbitrary bytes to the one threshold-share wire
-// codec through both share types that ride it. Neither decoder may panic,
-// and whatever decodes re-encodes to a canonical form: decoding that form
-// gives the same share, and encoding that share gives the same bytes
-// (leading zeros and trailing bytes of the input are not preserved, the
-// value is).
+// codec through both share types that ride it, and through the bare form
+// of a threshold-signature share. No decoder may panic, and whatever
+// decodes re-encodes to a canonical form: decoding that form gives the
+// same share, and encoding that share gives the same bytes (leading zeros
+// and trailing bytes of the input are not preserved, the value is). A
+// full share's bytes also decode bare, to its index and X.
 func FuzzShareCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
@@ -26,8 +28,23 @@ func FuzzShareCodec(f *testing.F) {
 	f.Add([]byte{2, 0, 2, 0, 7, 0, 0, 0, 3, 1, 2, 3, 0xFF}) // leading zero, empty int, trailing byte
 	f.Add([]byte{3, 0xFF, 0xFF, 1})                         // length past the end
 	f.Add(EncodeDLShare(&dlthresh.Share{Index: 4, V: big.NewInt(1 << 40), Proof: &dleq.Proof{C: big.NewInt(5), Z: new(big.Int)}}))
+	f.Add(EncodeBareSigShare(&threshsig.SigShare{Index: 3, X: big.NewInt(1 << 50)}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
+		bare, bareErr := DecodeBareSigShare(raw)
+		if bareErr == nil {
+			canon := EncodeBareSigShare(bare)
+			again, err := DecodeBareSigShare(canon)
+			if err != nil || again.Index != bare.Index || again.X.Cmp(bare.X) != 0 || again.C != nil || again.Z != nil {
+				t.Fatalf("bare share changed across encode/decode: %+v vs %+v (%v)", bare, again, err)
+			}
+			if len(canon) > len(raw) {
+				t.Fatalf("canonical bare form (%d B) longer than its source (%d B)", len(canon), len(raw))
+			}
+		}
 		sig, sigErr := DecodeSigShare(raw)
+		if sigErr == nil && (bareErr != nil || bare.Index != sig.Index || bare.X.Cmp(sig.X) != 0) {
+			t.Fatalf("full share %+v decodes bare to %+v (%v)", sig, bare, bareErr)
+		}
 		dl, dlErr := DecodeDLShare(raw)
 		if (sigErr == nil) != (dlErr == nil) {
 			t.Fatalf("one shape, two verdicts: sig %v, dl %v", sigErr, dlErr)
@@ -106,6 +123,125 @@ func FuzzCertEntry(f *testing.F) {
 		} {
 			if c.settled != bytes.Equal(raw, c.want) {
 				t.Fatalf("%s: settled %v on %x", c.name, c.settled, raw)
+			}
+		}
+	})
+}
+
+// shareRecord is one entry of a FuzzShareEntry input: on the wire of the
+// input, flags, sender and a big-endian uint16 length, then that many
+// bytes of data.
+type shareRecord struct {
+	flags, from byte
+	data        []byte
+}
+
+func (r shareRecord) append(b []byte) []byte {
+	b = append(b, r.flags, r.from)
+	b = binary.BigEndian.AppendUint16(b, uint16(len(r.data)))
+	return append(b, r.data...)
+}
+
+func parseShareRecords(raw []byte) []shareRecord {
+	var out []shareRecord
+	for len(raw) >= 4 {
+		r := shareRecord{flags: raw[0], from: raw[1]}
+		n := min(int(binary.BigEndian.Uint16(raw[2:4])), len(raw)-4)
+		r.data, raw = raw[4:4+n], raw[4+n:]
+		out = append(out, r)
+	}
+	return out
+}
+
+// offerRecords hands the records to a tally on node 0, from peers 1–3,
+// letting the charged work of each finish before the next.
+func offerRecords[X, S, V any](tn *testNet, c *collector[X, S, V], t *tally[X, S, V], recs []shareRecord) {
+	for _, r := range recs {
+		c.offer(t, 0, 1+int(r.from)%3, r.flags, r.data)
+		tn.settle(time.Second)
+	}
+}
+
+// FuzzShareEntry offers arbitrary share entries — bare, full or a
+// certificate, as each one's flags say — to the two tallies whose shares
+// go bare and whose value has one fixed encoding: an SC coin and a PRBC
+// DONE proof, each with node 0's own share in. Nothing may panic, and a
+// tally settles only on the one signature of its subject, which verifies.
+func FuzzShareEntry(f *testing.F) {
+	tn := newTestNet(f, 47, 0, true)
+	env := tn.envs[0]
+	coinName := coinName(env.Session, env.Epoch, sharedSlot, 3)
+	proofMsg := []byte("prbc-done proof subject")
+	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, []byte, bool] { return SigCoin(env).scheme })
+	dones := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
+		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+	})
+	coinCert := certOf(coins, env.Suite.TSLow.K, coinName)
+	proofCert := certOf(dones, env.Suite.TSLow.K, proofMsg)
+	input := func(rs ...shareRecord) []byte {
+		var b []byte
+		for _, r := range rs {
+			b = r.append(b)
+		}
+		return b
+	}
+	for w := byte(1); w <= 2; w++ {
+		sh, err := dones[w].share(proofMsg)
+		if err != nil {
+			f.Fatal(err)
+		}
+		bare, full := dones[w].bare(sh), dones[w].encode(sh)
+		corrupt := append([]byte(nil), bare...)
+		corrupt[len(corrupt)-1] ^= 1
+		forged := *sh
+		forged.C, forged.Z = big.NewInt(7), big.NewInt(9)
+		f.Add(input(shareRecord{0, w - 1, bare}))
+		f.Add(input(shareRecord{proofFlag, w - 1, full}))
+		f.Add(input(shareRecord{0, w - 1, corrupt}, shareRecord{proofFlag, w - 1, full}))
+		f.Add(input(shareRecord{proofFlag, w - 1, dones[w].encode(&forged)}, shareRecord{0, w - 1, bare}))
+		f.Add(input(shareRecord{0, w, bare}))
+	}
+	for w := byte(1); w <= 2; w++ {
+		sh, err := coins[w].share(coinName)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(input(shareRecord{0, w - 1, coins[w].bare(sh)}))
+		f.Add(input(shareRecord{proofFlag, w - 1, sh}))
+	}
+	f.Add(input(shareRecord{certFlag, 0, proofCert}))
+	f.Add(input(shareRecord{certFlag, 0, coinCert}))
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		recs := parseShareRecords(raw)
+		key := core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone}
+		coin := collector[[]byte, []byte, bool]{scheme: coins[0], env: env, combined: func(int, bool) {}}
+		var coinTally tally[[]byte, []byte, bool]
+		coin.begin(&coinTally, 0, coinName, key)
+		tn.settle(time.Second)
+		offerRecords(tn, &coin, &coinTally, recs)
+		done := collector[[]byte, *threshsig.SigShare, []byte]{scheme: dones[0], env: env, combined: func(int, []byte) {}}
+		var proofTally tally[[]byte, *threshsig.SigShare, []byte]
+		done.begin(&proofTally, 0, proofMsg, key)
+		tn.settle(time.Second)
+		offerRecords(tn, &done, &proofTally, recs)
+		for _, c := range []struct {
+			name    string
+			settled bool
+			cert    []byte
+			subject []byte
+			want    []byte
+		}{
+			{"coin", coinTally.done, coinTally.cert, coinName, coinCert},
+			{"proof", proofTally.done, proofTally.cert, proofMsg, proofCert},
+		} {
+			if !c.settled {
+				continue
+			}
+			if !bytes.Equal(c.cert, c.want) {
+				t.Fatalf("%s settled on %x", c.name, c.cert)
+			}
+			if err := env.Suite.TSLow.Verify(c.subject, &threshsig.Signature{S: bigFromBytes(c.cert)}); err != nil {
+				t.Fatalf("%s settled on a signature that does not verify: %v", c.name, err)
 			}
 		}
 	})

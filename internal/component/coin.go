@@ -32,10 +32,10 @@ func FlipCoin(env *Env) CoinSource {
 }
 
 // coinOf turns a scheme over coin names into a coin: the same scheme with
-// decoding deferred into verification and combination — a coin share is
-// charged its verification before anything looks inside it — and the
-// combined value reduced to a bit. The scheme's certificate, if it has
-// one, certifies the coin.
+// decoding deferred into verification and combination — a full coin share
+// is charged its verification before anything looks inside it; a bare one
+// is taken on sight, as under any scheme — and the combined value reduced
+// to a bit. The scheme's certificate, if it has one, certifies the coin.
 func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
 	c := scheme[[]byte, []byte, bool]{
 		k: s.k, shareCost: s.shareCost, verifyCost: s.verifyCost, combineCost: s.combineCost, certCost: s.certCost,
@@ -56,9 +56,15 @@ func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
 			return s.verify(name, sh)
 		},
 		combine: func(name []byte, raws [][]byte) (bool, []byte, error) {
+			// A share held here is bare or full. A bare decoding reads
+			// the part both begin with, which is all combining reads.
+			decode := s.decode
+			if s.decodeBare != nil {
+				decode = s.decodeBare
+			}
 			shares := make([]S, 0, len(raws))
 			for _, raw := range raws {
-				sh, err := s.decode(raw)
+				sh, err := decode(raw)
 				if err != nil {
 					return false, nil, err
 				}
@@ -70,6 +76,21 @@ func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
 			}
 			return bit(v), cert, nil
 		},
+	}
+	if s.bare != nil {
+		c.bare = func(raw []byte) []byte {
+			sh, err := s.decode(raw) // this node's own share, as made
+			if err != nil {
+				panic("component: own coin share does not decode: " + err.Error())
+			}
+			return s.bare(sh)
+		}
+		c.decodeBare = func(raw []byte) ([]byte, error) {
+			if _, err := s.decodeBare(raw); err != nil {
+				return nil, err
+			}
+			return append([]byte(nil), raw...), nil
+		}
 	}
 	if s.check != nil {
 		c.check = func(name, cert []byte) (bool, error) {

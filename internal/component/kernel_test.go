@@ -452,11 +452,14 @@ func TestDecryptorShareBeforeCiphertext(t *testing.T) {
 type collectorRig struct {
 	k           int
 	verifyCost  time.Duration
+	combineCost time.Duration // what a combination of the shares as first sent is charged
 	certCost    time.Duration // 0: the scheme has no certificates
-	decodeFirst bool          // an undecodable share is refused before anything is charged
-	offer       func(w int, raw []byte)
+	decodeFirst bool          // an undecodable full share is refused before anything is charged
+	bare        bool          // shares go on the air bare first
+	offer       func(w int, flags uint8, raw []byte)
 	offerCert   func(raw []byte)   // a certificate entry, from node 1
-	peer        func(w int) []byte // node w's genuine encoded share of the subject
+	peer        func(w int) []byte // node w's genuine full encoded share of the subject
+	peerBare    func(w int) []byte // the same share bare (nil: the scheme has no bare form)
 	cert        func() []byte      // the subject's genuine certificate (nil: none)
 	foreign     func() []byte      // a genuine certificate of another subject
 	// sharePhase is where the certificate replaces this node's share on
@@ -465,27 +468,39 @@ type collectorRig struct {
 	poison     func()     // leave k-1 verified copies of node 1's share under other senders
 	held       func() int // shares gathered
 	done       func() bool
+	proofs     func() bool // the tally counts only full shares
 	own        func() []byte
 	combined   *int               // times the user's callback ran
 	check      func(t *testing.T) // the combined value is the right one
+}
+
+// send offers node w's genuine share as it first goes on the air: bare
+// under a scheme that has a bare form, else full and flagless.
+func (r collectorRig) send(w int) {
+	if r.bare {
+		r.offer(w, 0, r.peerBare(w))
+		return
+	}
+	r.offer(w, 0, r.peer(w))
 }
 
 func rigOf[X, S, V any](c *collector[X, S, V], tl *tally[X, S, V], id int, peers []scheme[X, S, V]) collectorRig {
 	runs := new(int)
 	then := c.combined
 	c.combined = func(id int, v V) { *runs++; then(id, v) }
+	share := func(w int) S {
+		sh, err := peers[w].share(tl.subject)
+		if err != nil {
+			panic(err)
+		}
+		return sh
+	}
 	r := collectorRig{
-		k: c.k, verifyCost: c.verifyCost, decodeFirst: true, combined: runs,
-		offer:     func(w int, raw []byte) { c.offer(tl, id, w, 0, raw) },
+		k: c.k, verifyCost: c.verifyCost, combineCost: c.combineCost, decodeFirst: true, bare: c.bare != nil, combined: runs,
+		offer:     func(w int, flags uint8, raw []byte) { c.offer(tl, id, w, flags, raw) },
 		offerCert: func(raw []byte) { c.offer(tl, id, 1, certFlag, raw) },
 		cert:      func() []byte { return certOf(peers, c.k, tl.subject) },
-		peer: func(w int) []byte {
-			sh, err := peers[w].share(tl.subject)
-			if err != nil {
-				panic(err)
-			}
-			return peers[w].encode(sh)
-		},
+		peer:      func(w int) []byte { return peers[w].encode(share(w)) },
 		poison: func() {
 			sh, err := peers[1].share(tl.subject)
 			if err != nil {
@@ -496,12 +511,17 @@ func rigOf[X, S, V any](c *collector[X, S, V], tl *tally[X, S, V], id int, peers
 				tl.shares[w] = heldShare[S]{sh, true}
 			}
 		},
-		held: func() int { return tl.nShares },
-		done: func() bool { return tl.done },
-		own:  func() []byte { return tl.own },
+		held:   func() int { return tl.nShares },
+		done:   func() bool { return tl.done },
+		proofs: func() bool { return tl.proofs },
+		own:    func() []byte { return tl.own },
 	}
 	if c.check != nil {
 		r.certCost = c.certCost
+	}
+	if r.bare {
+		r.peerBare = func(w int) []byte { return peers[w].bare(share(w)) }
+		r.combineCost += c.certCost
 	}
 	return r
 }
@@ -648,14 +668,25 @@ func coinRig(t *testing.T, tn *testNet, source func(*Env) CoinSource) collectorR
 	return r
 }
 
-// TestShareCollector runs the one verify → collect → combine machine
-// through each of its users, on node 0 with the peers' shares handed in
-// directly.
+// TestShareCollector runs the one collect → combine machine through each
+// of its users, on node 0 with the peers' shares handed in directly.
+//
+// Under a scheme that sends its shares bare — the four signature users — a
+// corrupted bare share is held unverified and free; the k-th share's
+// combination is charged the combine and the check of the value, fails,
+// costs one rejection, drops the peers' shares but keeps this node's own
+// counted, and turns the tally to proofs, where the own share goes on the
+// air again in full, a bare share counts for nothing, an invalid full
+// share is charged its verification and rejected, and honest full shares
+// complete the tally. Under a scheme without a bare form — the CP coin,
+// the Decryptor — every share is verified, and a combination that fails
+// drops every share.
 func TestShareCollector(t *testing.T) {
 	for _, u := range collectorUsers {
 		t.Run(u.name, func(t *testing.T) {
 			tn := newTestNet(t, 41, 0, true)
 			env := tn.envs[0]
+			rec := record(env)
 			r := u.rig(t, tn)
 			tn.settle(time.Second) // this node's own share is made and counted
 			if r.held() != 1 || r.own() == nil {
@@ -664,49 +695,87 @@ func TestShareCollector(t *testing.T) {
 			// offered hands in a share and reports the CPU time charged for
 			// taking it (Exec books a job when it is posted) and, once the
 			// job has run, the rejections it caused.
-			offered := func(w int, raw []byte) (time.Duration, uint64) {
+			offered := func(w int, flags uint8, raw []byte) (time.Duration, uint64) {
 				busy, rej := env.CPU.BusyTotal(), env.T.Stats().Rejected
-				r.offer(w, raw)
+				r.offer(w, flags, raw)
 				cost := env.CPU.BusyTotal() - busy
 				tn.settle(time.Second)
 				return cost, env.T.Stats().Rejected - rej
 			}
 			good := r.peer(1)
+			var full uint8 // the flags a full share goes with
+			if r.bare {
+				full = proofFlag
+				bare := r.peerBare(1)
+				if cost, rej := offered(1, 0, bare[:len(bare)-1]); cost != 0 || rej != 1 || r.held() != 1 {
+					t.Errorf("undecodable bare share: charged %v, %d rejections, %d held", cost, rej, r.held())
+				}
+				corrupt := append([]byte(nil), bare...)
+				corrupt[len(corrupt)-1] ^= 1
+				var cost time.Duration
+				var rej uint64
+				for w := 1; w < r.k; w++ {
+					raw := r.peerBare(w)
+					if w == 1 {
+						raw = corrupt
+					}
+					cost, rej = offered(w, 0, raw)
+					if w < r.k-1 && (cost != 0 || rej != 0 || r.held() != w+1) {
+						t.Errorf("bare share %d: charged %v, %d rejections, %d held", w, cost, rej, r.held())
+					}
+				}
+				if cost != r.combineCost || rej != 1 {
+					t.Errorf("k-th bare share: charged %v (want %v), %d rejections", cost, r.combineCost, rej)
+				}
+				if r.done() || r.held() != 1 || !r.proofs() || *r.combined != 0 {
+					t.Fatalf("after a failed combination: done %v, %d held, proofs %v, %d callbacks",
+						r.done(), r.held(), r.proofs(), *r.combined)
+				}
+				if last := rec.seen[len(rec.seen)-1]; last.Flags != proofFlag || !bytes.Equal(last.Data, r.own()) || len(last.Data) <= len(bare) {
+					t.Errorf("own share after the failed combination: flags %d, %d B, kept %v", last.Flags, len(last.Data), bytes.Equal(last.Data, r.own()))
+				}
+				if cost, rej := offered(2, 0, r.peerBare(2)); cost != 0 || rej != 0 || r.held() != 1 {
+					t.Errorf("bare share under proofs: charged %v, %d rejections, %d held", cost, rej, r.held())
+				}
+			}
 
 			wantCost := r.verifyCost
 			if r.decodeFirst {
 				wantCost = 0
 			}
-			if cost, rej := offered(1, good[:len(good)/2]); cost != wantCost || rej != 1 || r.held() != 1 {
+			if cost, rej := offered(1, full, good[:len(good)/2]); cost != wantCost || rej != 1 || r.held() != 1 {
 				t.Errorf("undecodable share: charged %v (want %v), %d rejections, %d held", cost, wantCost, rej, r.held())
 			}
 			bad := append([]byte(nil), good...)
 			bad[len(bad)-1] ^= 1
-			if cost, rej := offered(1, bad); cost != r.verifyCost || rej != 1 || r.held() != 1 {
+			if cost, rej := offered(1, full, bad); cost != r.verifyCost || rej != 1 || r.held() != 1 {
 				t.Errorf("invalid share: charged %v (want %v), %d rejections, %d held", cost, r.verifyCost, rej, r.held())
 			}
 
-			// A combination that fails — k copies of one share — drops
-			// every share, keeps the node's own beside them, and leaves
-			// the tally collecting.
-			r.poison()
-			own := r.own()
-			offered(1, good)
-			if r.done() || r.held() != 0 || *r.combined != 0 || !bytes.Equal(r.own(), own) {
-				t.Fatalf("after a failed combination: done %v, %d held, %d callbacks, own share kept %v",
-					r.done(), r.held(), *r.combined, bytes.Equal(r.own(), own))
+			if !r.bare {
+				// A combination that fails — k copies of one share — drops
+				// every share, keeps the node's own beside them, and leaves
+				// the tally collecting.
+				r.poison()
+				own := r.own()
+				offered(1, 0, good)
+				if r.done() || r.held() != 0 || *r.combined != 0 || !bytes.Equal(r.own(), own) {
+					t.Fatalf("after a failed combination: done %v, %d held, %d callbacks, own share kept %v",
+						r.done(), r.held(), *r.combined, bytes.Equal(r.own(), own))
+				}
 			}
 
-			// It recovers from fresh shares; a sender's second copy costs
-			// nothing and counts for nothing.
-			if cost, _ := offered(1, good); cost != r.verifyCost || r.held() != 1 {
+			// It recovers from honest full shares; a sender's second copy
+			// costs nothing and counts for nothing.
+			held := r.held()
+			if cost, _ := offered(1, full, good); cost != r.verifyCost || r.held() != held+1 {
 				t.Errorf("first share after the reset: charged %v, %d held", cost, r.held())
 			}
-			if cost, rej := offered(1, good); cost != 0 || rej != 0 || r.held() != 1 {
+			if cost, rej := offered(1, full, good); cost != 0 || rej != 0 || r.held() != held+1 {
 				t.Errorf("duplicate share: charged %v, %d rejections, %d held", cost, rej, r.held())
 			}
 			for w := 2; !r.done() && w < 4; w++ {
-				offered(w, r.peer(w))
+				offered(w, full, r.peer(w))
 			}
 			if !r.done() || *r.combined != 1 {
 				t.Fatalf("did not recover: done %v, %d callbacks", r.done(), *r.combined)
@@ -714,7 +783,7 @@ func TestShareCollector(t *testing.T) {
 			r.check(t)
 
 			// Once the value is set a share is not even verified.
-			if cost, rej := offered(3, r.peer(3)); cost != 0 || rej != 0 || *r.combined != 1 {
+			if cost, rej := offered(3, full, r.peer(3)); cost != 0 || rej != 0 || *r.combined != 1 {
 				t.Errorf("share after the value: charged %v, %d rejections, %d callbacks", cost, rej, *r.combined)
 			}
 		})
@@ -788,19 +857,24 @@ func TestCertificateOvertakesCombine(t *testing.T) {
 			}
 			tn.settle(time.Second)
 			for w := 1; r.held() < r.k-1; w++ {
-				r.offer(w, r.peer(w))
+				r.send(w)
 				tn.settle(time.Second)
 			}
-			// The last share's verification is queued first, so its
-			// combination starts while the certificate is being checked.
+			// The last share (its verification, if it is full) is queued
+			// first, so its combination starts while the certificate is
+			// being checked.
 			busy := env.CPU.BusyTotal()
-			r.offer(3, r.peer(3))
+			r.send(3)
 			r.offerCert(r.cert())
 			tn.settle(time.Second)
 			if r.held() != r.k || !r.done() || *r.combined != 1 {
 				t.Fatalf("%d shares held, done %v, %d callbacks", r.held(), r.done(), *r.combined)
 			}
-			if spent := env.CPU.BusyTotal() - busy; spent < r.verifyCost+r.certCost+env.Suite.Cost.TSCombine {
+			want := r.certCost + r.combineCost
+			if !r.bare {
+				want += r.verifyCost
+			}
+			if spent := env.CPU.BusyTotal() - busy; spent < want {
 				t.Errorf("charged %v: the combination did not run", spent)
 			}
 			r.check(t)

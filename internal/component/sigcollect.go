@@ -22,37 +22,62 @@ import (
 // proves. A scheme whose value can be checked only through its shares
 // (threshold coin flipping, decryption) has check nil and combines to a
 // nil certificate.
+//
+// A scheme with certificates sends its shares bare, without the proof
+// that lets one be verified on its own: combining k of them and checking
+// the value once costs less than verifying each, and a failed combination
+// brings the proofs back (collector.toProofs). bare encodes a share so,
+// and decodeBare parses one, checking what can be checked without the
+// proof. A scheme without certificates has neither: its shares always
+// carry their proofs, because nothing else can vouch for its value.
 type scheme[X, S, V any] struct {
 	k                                            int
 	shareCost, verifyCost, combineCost, certCost time.Duration
 
-	share   func(x X) (S, error)
-	encode  func(sh S) []byte
-	decode  func(raw []byte) (S, error)
-	verify  func(x X, sh S) error
-	combine func(x X, shares []S) (value V, cert []byte, err error)
-	check   func(x X, cert []byte) (V, error)
+	share      func(x X) (S, error)
+	encode     func(sh S) []byte
+	decode     func(raw []byte) (S, error)
+	bare       func(sh S) []byte
+	decodeBare func(raw []byte) (S, error)
+	verify     func(x X, sh S) error
+	combine    func(x X, shares []S) (value V, cert []byte, err error)
+	check      func(x X, cert []byte) (V, error)
 }
 
-// certFlag marks an entry of a share phase that carries the certificate
-// of the combined value instead of its sender's share.
-const certFlag uint8 = 1
+// The flags of an entry of a share phase. certFlag marks one that carries
+// the certificate of the combined value instead of its sender's share;
+// proofFlag marks a full share of a scheme that sends its shares bare. A
+// share entry without flags is bare, or, under a scheme without a bare
+// form, full.
+const (
+	certFlag  uint8 = 1
+	proofFlag uint8 = 2
+)
 
-// tally is one threshold value in the making: the verified shares
-// gathered so far, and the value once it exists — combined here, or
-// accepted from a peer that combined it. CBC's quorum certificate, PRBC's
-// DONE proof, CachinABA's coin and the Decryptor's plaintext are each one
-// of these, embedded by value in the slot.
+// tally is one threshold value in the making: the shares gathered so far
+// (verified, unless they came bare), and the value once it exists —
+// combined here, or accepted from a peer that combined it. CBC's quorum
+// certificate, PRBC's DONE proof, CachinABA's coin and the Decryptor's
+// plaintext are each one of these, embedded by value in the slot.
 type tally[X, S, V any] struct {
 	subject X    // what the shares are shares of
 	open    bool // subject is known: shares can be verified
 
-	// own is this node's encoded share, for a peer that lost its state and
-	// asks for it back. It is kept beside the gathered shares, which a
-	// failed combination drops — but only a share that counted here is
-	// kept: one made after the threshold was reached is published once and
-	// never re-served (the sweeps' crash-recovery rows are pinned to that).
-	own []byte
+	// own is this node's encoded share as it went on the air, for a peer
+	// that lost its state and asks for it back. It is kept beside the
+	// gathered shares, which a failed combination drops — but only a share
+	// that counted here is kept: one made after the threshold was reached
+	// is published once and never re-served (the sweeps' crash-recovery
+	// rows are pinned to that). mine is the share itself once made,
+	// counted or not, which goes on the air again with its proof when the
+	// tally turns to proofs.
+	own  []byte
+	mine heldShare[S]
+	// proofs says only full shares count, each verified on its own: a
+	// combination of bare shares failed here, or a peer's full share came
+	// (a peer's combination failed). Set at most once, under a scheme that
+	// sends its shares bare.
+	proofs bool
 	// cert is the value's certificate once the value exists, if the scheme
 	// has one: it takes the place of this node's share on the air, under
 	// key (published: this node has released its share there).
@@ -60,14 +85,15 @@ type tally[X, S, V any] struct {
 	key       core.IntentKey
 	published bool
 	// parked holds, by peer, the first copy of a share that arrived ahead
-	// of the subject (nil: none; a copy is non-nil even when empty), and
-	// parkedCert the first certificate that did.
+	// of the subject (nil: none; a copy is non-nil even when empty) — all
+	// bare or all full, as proofs says — and parkedCert the first
+	// certificate that did.
 	parked     [][]byte
 	parkedCert []byte
 	// checking says a certificate is being checked (one at a time); the
 	// shares parked ahead of the subject wait for its verdict.
 	checking bool
-	// shares holds the verified shares by peer, nShares of them.
+	// shares holds the gathered shares by peer, nShares of them.
 	shares    []heldShare[S]
 	nShares   int
 	combining bool
@@ -81,7 +107,7 @@ type heldShare[S any] struct {
 	held  bool
 }
 
-// holds reports whether node w's verified share is in.
+// holds reports whether node w's share is in.
 func (t *tally[X, S, V]) holds(w int) bool { return t.shares != nil && t.shares[w].held }
 
 // certIntent is t's certificate in the place of this node's share.
@@ -96,11 +122,20 @@ func (t *tally[X, S, V]) served() (flags uint8, data []byte) {
 	if t.cert != nil {
 		return certFlag, t.cert
 	}
-	return 0, t.own
+	return t.shareFlags(), t.own
+}
+
+// shareFlags are the flags this node's share of t goes on the air with.
+func (t *tally[X, S, V]) shareFlags() uint8 {
+	if t.proofs {
+		return proofFlag
+	}
+	return 0
 }
 
 // collector runs every tally of one component through the one
-// verify → collect → combine machine, and calls combined once a tally's
+// collect → combine machine — each share verified as it comes, or, bare,
+// through the combination it joins — and calls combined once a tally's
 // value exists: combined here, or taken from a peer's certificate.
 type collector[X, S, V any] struct {
 	scheme[X, S, V]
@@ -128,7 +163,7 @@ func (c *collector[X, S, V]) begin(t *tally[X, S, V], id int, x X, key core.Inte
 func (c *collector[X, S, V]) drain(t *tally[X, S, V], id int) {
 	for w, raw := range t.parked {
 		if raw != nil {
-			c.offer(t, id, w, 0, raw)
+			c.offer(t, id, w, t.shareFlags(), raw)
 		}
 	}
 	t.parked = nil
@@ -155,32 +190,72 @@ func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.Inte
 			// DecodeCiphertext applies the predicate DecryptShare does.
 			return
 		}
-		raw := c.encode(share)
-		c.env.T.Update(core.Intent{IntentKey: key, Data: raw})
+		t.mine = heldShare[S]{share, true}
+		raw := c.onAir(t, share)
+		c.env.T.Update(core.Intent{IntentKey: key, Flags: t.shareFlags(), Data: raw})
 		if c.add(t, id, c.env.Me, share) {
 			t.own = raw
 		}
 	})
 }
 
+// onAir encodes this node's share of t as it goes on the air: bare, unless
+// the tally has turned to proofs or the scheme has no bare form.
+func (c *collector[X, S, V]) onAir(t *tally[X, S, V], share S) []byte {
+	if c.bare == nil || t.proofs {
+		return c.encode(share)
+	}
+	return c.bare(share)
+}
+
 // offer takes an entry of node w, which the caller has checked is one of
-// the N: its encoded share, or with certFlag set a certificate.
+// the N: its encoded share, bare or (proofFlag) full, or with certFlag set
+// a certificate.
+//
+// A share's first byte is its index, which is its maker's id + 1: one that
+// names another node than its sender is a replay or garbage, and is
+// rejected before anything is spent on it. A bare share is taken on sight,
+// unverified and free: the combination it goes into is what is checked
+// (add). A full share is verified, at its cost, and under a scheme that
+// sends its shares bare it turns the tally to proofs: its sender's
+// combination failed.
 func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, flags uint8, raw []byte) {
 	if flags&certFlag != 0 {
 		c.offerCert(t, id, raw)
 		return
 	}
-	if t.holds(w) || t.done {
+	if len(raw) == 0 || int(raw[0]) != w+1 {
+		c.env.Reject()
+		return
+	}
+	if t.done {
+		return
+	}
+	bare := c.bare != nil && flags&proofFlag == 0
+	if c.bare != nil && !bare {
+		c.toProofs(t)
+	}
+	if t.holds(w) || bare && t.proofs {
 		return
 	}
 	if !t.open {
-		// Nothing to verify against yet: park the peer's first copy.
+		// Nothing to combine or verify against yet: park the peer's first
+		// copy.
 		if t.parked == nil {
 			t.parked = make([][]byte, c.env.N)
 		}
 		if t.parked[w] == nil {
 			t.parked[w] = append([]byte{}, raw...)
 		}
+		return
+	}
+	if bare {
+		share, err := c.decodeBare(raw)
+		if err != nil {
+			c.env.Reject()
+			return
+		}
+		c.add(t, id, w, share)
 		return
 	}
 	share, err := c.decode(raw)
@@ -248,10 +323,12 @@ func (c *collector[X, S, V]) settle(t *tally[X, S, V], id int, value V, cert []b
 	}
 }
 
-// add records a verified share (a peer's, or this node's own) unless it
-// comes too late to count, and combines once the threshold is reached.
-// The shares go to combine in node order, so a given set of contributors
-// is always the same argument.
+// add records a share (a peer's, verified or bare, or this node's own)
+// unless it comes too late to count, and combines once the threshold is
+// reached. The shares go to combine in node order, so a given set of
+// contributors is always the same argument. A combination of bare shares
+// is charged the check of the value too: the scheme's combine verifies
+// what it combines, and a value exists only once that check has passed.
 func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) bool {
 	if t.holds(w) || t.combining || t.done {
 		return false
@@ -271,20 +348,71 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) bool {
 			shares = append(shares, h.share)
 		}
 	}
-	c.env.Exec(c.combineCost, func() {
+	cost := c.combineCost
+	if c.bare != nil && !t.proofs {
+		cost += c.certCost
+	}
+	c.env.Exec(cost, func() {
 		t.combining = false
 		if t.done {
 			return // a certificate settled the tally meanwhile
 		}
 		value, cert, err := c.combine(t.subject, shares)
 		if err != nil {
-			// A bad share slipped through; drop them all and wait for more.
-			t.shares, t.nShares = nil, 0
+			// A bad share was among them: drop the peers' shares, keep
+			// this node's own, and wait for more — with their proofs, if
+			// they came bare.
+			c.env.Reject()
+			c.keepOwn(t)
+			if c.bare != nil {
+				c.toProofs(t)
+			}
 			return
 		}
 		c.settle(t, id, value, cert)
 	})
 	return true
+}
+
+// keepOwn drops every peer's share of t; this node's own stays counted.
+func (c *collector[X, S, V]) keepOwn(t *tally[X, S, V]) {
+	if t.shares == nil {
+		return
+	}
+	own := t.shares[c.env.Me]
+	clear(t.shares)
+	t.shares[c.env.Me], t.nShares = own, 0
+	if own.held {
+		t.nShares = 1
+	}
+}
+
+// toProofs turns t to proofs: from now on only full shares count, each
+// verified. The bare shares held or parked go; this node's own share, if
+// made, counts — even one made too late to count before — and goes on the
+// air again with its proof, so that its peers turn too and every honest
+// share comes back verifiable. A Byzantine node can thus bring a tally
+// back to verifying every share, at the price of one failed combination,
+// and never to a weaker check. The share is published afresh only where
+// the component has not withdrawn it.
+func (c *collector[X, S, V]) toProofs(t *tally[X, S, V]) {
+	if t.proofs {
+		return
+	}
+	t.proofs, t.parked = true, nil
+	c.keepOwn(t)
+	if !t.mine.held {
+		return
+	}
+	if !t.holds(c.env.Me) {
+		if t.shares == nil {
+			t.shares = make([]heldShare[S], c.env.N)
+		}
+		t.shares[c.env.Me] = t.mine
+		t.nShares++
+	}
+	t.own = c.encode(t.mine.share)
+	c.env.T.Refresh(core.Intent{IntentKey: t.key, Flags: proofFlag, Data: t.own})
 }
 
 // must wraps share-making that fails only when the node's randomness does.
@@ -297,7 +425,9 @@ func must[S any](sh S, err error) (S, error) {
 
 // sigScheme is threshold signing under one of the suite's keys: shares of
 // a message combine into the signature's bytes, which are their own
-// certificate.
+// certificate. A share goes bare as its index and X; the proof (C, Z) is
+// Shoup's, an artefact of the RSA construction that a pairing-based
+// share does without.
 func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) scheme[[]byte, *threshsig.SigShare, []byte] {
 	cost := env.Suite.Cost
 	return scheme[[]byte, *threshsig.SigShare, []byte]{
@@ -305,7 +435,20 @@ func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) 
 		share:  func(msg []byte) (*threshsig.SigShare, error) { return must(key.Sign(priv, msg, env.Rand)) },
 		encode: EncodeSigShare,
 		decode: DecodeSigShare,
+		bare:   EncodeBareSigShare,
+		decodeBare: func(raw []byte) (*threshsig.SigShare, error) {
+			sh, err := DecodeBareSigShare(raw)
+			if err != nil {
+				return nil, err
+			}
+			if sh.X.Sign() <= 0 || sh.X.Cmp(key.N) >= 0 {
+				return nil, errBareShare
+			}
+			return sh, nil
+		},
 		verify: key.VerifyShare,
+		// Combine verifies the signature it makes (threshsig.Combine):
+		// a bad share, bare or not, fails here.
 		combine: func(msg []byte, shares []*threshsig.SigShare) ([]byte, []byte, error) {
 			sig, err := key.Combine(msg, shares)
 			if err != nil {

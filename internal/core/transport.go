@@ -302,6 +302,15 @@ func (t *Transport) revise(in Intent) {
 	}
 }
 
+// Refresh is Update for a live intent only: the new flags and data go out
+// afresh, as after Update, and a key that is not in the store — never
+// published, or removed by its component — stays out, as in Revise.
+func (t *Transport) Refresh(in Intent) {
+	if _, found := t.find(in.IntentKey); found {
+		t.Update(in)
+	}
+}
+
 // Hold upserts an intent kept off the air: it starts clean and never due,
 // like one park has settled, and goes out only once a peer's NACK row shows
 // its slot undone (demand). A key already in the store is left as it is.

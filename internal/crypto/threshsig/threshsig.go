@@ -273,10 +273,11 @@ func (pk *PublicKey) verifyShareFull(ctx *msgCtx, sh *SigShare) error {
 	return nil
 }
 
-// Combine assembles k verified shares into a standard RSA signature on msg.
-// The caller is responsible for having verified the shares (VerifyShare);
-// Combine re-checks the result and reports an error if the combination does
-// not verify, which catches any unverified bad share.
+// Combine assembles k shares into a standard RSA signature on msg. The
+// shares need not have been verified (VerifyShare), nor carry their proofs:
+// Combine reads each share's index and X, checks the result with Verify and
+// reports an error if the combination does not verify, which catches any
+// bad share among them.
 func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error) {
 	if len(shares) < pk.K {
 		return nil, fmt.Errorf("threshsig: need %d shares, have %d", pk.K, len(shares))

@@ -360,11 +360,18 @@ func TestClusteredChainCutSharesOnAir(t *testing.T) {
 }
 
 // TestClusteredChainGarbageCutShares arms the garbage adversary on a
-// cluster member. The honest members reject its cut shares on the cluster
-// channel — they show up in Stats.Rejected — and still certify every cut
-// of their cluster.
+// cluster member. Its cut shares keep their index and length, so the
+// honest members take them as its: one is refused as it is decoded (its
+// value out of range), or it fails the combination it joins, which turns
+// that member's tally to proofs and puts the member's own share back on
+// the cluster channel in full. The fallback must show, as full cut shares
+// heard from honest members, and every cut of the cluster must still be
+// certified.
 func TestClusteredChainGarbageCutShares(t *testing.T) {
 	const c, bad = 3, 15 // flat node 15 = cluster 3, member 3
+	// fullShare is the entry flag of a share sent with its proof
+	// (component's proofFlag).
+	const fullShare = 2
 	spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 3, 4)
 	spec.Scenario = scenario.Byz(byz.NameGarbage, bad)
 	d, err := newMHCDriver(spec.normalize())
@@ -374,7 +381,9 @@ func TestClusteredChainGarbageCutShares(t *testing.T) {
 	cl := d.clusters[c]
 	// Rejections a cut tally makes on the spot: a garbage share is refused
 	// as it is decoded, when it is offered or, parked, when the tally opens.
-	var rejected uint64
+	// And the full shares honest members send once their tally turned to
+	// proofs.
+	var rejected, full uint64
 	for i, ch := range cl.local.chains {
 		if cl.local.byz[i] {
 			continue
@@ -387,8 +396,17 @@ func TestClusteredChainGarbageCutShares(t *testing.T) {
 			env.T.Register(packet.KindGlobal, core.HandlerFunc(func(from uint16, sec packet.Section) {
 				before := env.T.Stats().Rejected
 				h.HandleSection(from, sec)
-				if sec.Phase == packet.PhaseDone {
-					rejected += env.T.Stats().Rejected - before
+				if sec.Phase != packet.PhaseDone {
+					return
+				}
+				rejected += env.T.Stats().Rejected - before
+				if cl.local.byz[from] {
+					return
+				}
+				for _, e := range sec.Entries {
+					if e.Flags&fullShare != 0 {
+						full++
+					}
 				}
 			}))
 		}
@@ -402,8 +420,8 @@ func TestClusteredChainGarbageCutShares(t *testing.T) {
 	if _, err := d.run(); err != nil {
 		t.Fatal(err)
 	}
-	if rejected == 0 {
-		t.Error("no garbage cut share was rejected")
+	if full == 0 {
+		t.Errorf("no honest member turned a cut tally to proofs (%d garbage cut shares refused on the spot)", rejected)
 	}
 	for i, m := range cl.members {
 		if cl.local.byz[i] {

@@ -90,7 +90,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "1894cb95ff3b160408e651782cda34464784abaf7f67bb64445b8753d42149f7"},
+		}, "5f6a37f8da3be4e51fbf01b8bfe781a80510a7005370d63b26a0498b1c80a175"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
@@ -112,7 +112,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "502735d23d6a57e347dd9a96ab3d603b432ec12065e3a914b6992719dc61124d"},
+		}, "7e20fa1cde74e5d2afe0a6b277e320c11f263ba07b3222357acff472d1b9c1b5"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
@@ -131,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "5fbf0df6187b94223a25b1fad3b6a66ebd1ddfaac9dd6a357572efe23f930435"},
+		}, "7e4310bb9a21a2e58de4ef11cda24dfa50ec57741b2c5520b1e20f0d7e68a6ad"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -144,18 +144,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "73676d648d87eb4f457eb4768dea2ab523a61eedee5d6e85c2cc107040d9b4db"},
+		}, "c767e15f8870a76447039a480dc3cd78f0b095cf27aa304b64769728f631d4e2"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "a87f6595ed6981559212c9ab7e794786cc5d2b7c0f58ae3ae568d81eef857127"},
+		}, "4f30f87fe5e89fae372ede546cfcf55e7c82b237371eb68aaa9c7fc6f8a30303"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "0eb9b15c4a3ca3d21bd9b008ae30d9fa78bd369da60242d4cf674f92f91aa9a6"},
+		}, "6b8dd2142d912f8f21273011838c8b89233d54c9580829a1fd463332e51bebc3"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -163,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "e95157cdc7c866fbd8d693f52a06c4c4ddb773097799392ef66c587b0ec6126a"},
+		}, "bf8ed3c9942887e25a1d73d5253e90db806e4dfd855abfd56dc2ba338186edf9"},
 	}
 	for _, tc := range cases {
 		tc := tc
