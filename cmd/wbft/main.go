@@ -67,7 +67,9 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/packet"
 	"repro/internal/protocol"
 	"repro/internal/run"
 	"repro/internal/scenario"
@@ -278,4 +280,21 @@ func printReport(res *run.Report) {
 			fmt.Printf("global order    %d cluster cuts in %d global entries\n", tr.OrderedCuts, tr.GlobalEntries)
 		}
 	}
+	if eb := res.EntryBytes; eb != nil {
+		for k := range eb {
+			for p, c := range eb[k] {
+				if c != [3]uint64{} {
+					fmt.Printf("entry bytes     %-10s %-8s first %d  asked %d  timer %d\n",
+						kindNames[k], phaseNames[p], c[core.SendFirst], c[core.SendAsked], c[core.SendTimer])
+				}
+			}
+		}
+	}
 }
+
+// kindNames and phaseNames name the entry-byte ledger's rows.
+var (
+	kindNames  = [packet.KindLimit]string{"?", "RBC", "PRBC", "CBC-value", "CBC-commit", "ABA", "DEC", "GLOBAL", "VCBC"}
+	phaseNames = [packet.PhaseLimit]string{"?", "INITIAL", "ECHO", "READY", "DONE", "FINISH", "BVAL", "AUX",
+		"SHARE", "VOTE1", "VOTE2", "VOTE3", "DECSHARE", "REPAIR", "DECIDED"}
+)

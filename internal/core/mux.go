@@ -83,6 +83,7 @@ type Mux struct {
 	awaited   time.Duration
 
 	closedStats Stats // accumulated counters of closed transports
+	entries     EntryBytes
 	dropped     uint64
 	droppedSess uint64
 }
@@ -292,11 +293,12 @@ func (m *Mux) Stats() Stats {
 		s = AddStats(s, t.Stats())
 	}
 	s.DroppedEpoch += m.dropped
-	return s
+	return AddStats(s, Stats{Entries: &m.entries})
 }
 
 // AddStats sums two transport counter snapshots field-by-field. Deployment
-// layers use it to fold discarded transports into run-level aggregates.
+// layers use it to fold discarded transports into run-level aggregates. The
+// sum's ledger is a fresh copy: it aliases neither argument's.
 func AddStats(a, b Stats) Stats {
 	a.LogicalSent += b.LogicalSent
 	a.FragmentsSent += b.FragmentsSent
@@ -307,6 +309,20 @@ func AddStats(a, b Stats) Stats {
 	a.SignOps += b.SignOps
 	a.VerifyOps += b.VerifyOps
 	a.Rejected += b.Rejected
+	if b.Entries != nil {
+		sum := new(EntryBytes)
+		if a.Entries != nil {
+			*sum = *a.Entries
+		}
+		for k := range sum {
+			for p := range sum[k] {
+				for c := range sum[k][p] {
+					sum[k][p][c] += b.Entries[k][p][c]
+				}
+			}
+		}
+		a.Entries = sum
+	}
 	return a
 }
 

@@ -131,7 +131,23 @@ type Stats struct {
 	// quorum. Under an active-Byzantine scenario this is the measure of how
 	// much adversarial traffic the defenses absorbed.
 	Rejected uint64
+	// Entries is the entry-byte ledger, kept once per node by its Mux (nil
+	// in an epoch's own counters).
+	Entries *EntryBytes
 }
+
+// EntryBytes is the entry-byte ledger: the bytes entries added to logical
+// packets, by kind, phase and send class.
+type EntryBytes [packet.KindLimit][packet.PhaseLimit][sendClasses]uint64
+
+// The ledger's send classes: an intent's first send, a re-send a peer's
+// NACK row asked for since the last one, and every other re-send.
+const (
+	SendFirst = iota
+	SendAsked
+	SendTimer
+	sendClasses
+)
 
 // Transport is one epoch of a node's ConsensusBatcher (or baseline)
 // instance: the epoch's intent store, NACK rows, handlers, timers and
@@ -740,6 +756,15 @@ func (t *Transport) addEntry(e *liveIntent) {
 	out.entScratch = append(out.entScratch, packet.Entry{
 		Slot: e.Slot, Sub: e.Sub, Round: e.Round, Flags: e.Flags, Data: e.Data,
 	})
+	if int(e.Kind) < packet.KindLimit && int(e.Phase) < packet.PhaseLimit {
+		class := SendTimer
+		if e.sentAt == 0 {
+			class = SendFirst
+		} else if e.asked {
+			class = SendAsked
+		}
+		t.m.entries[e.Kind][e.Phase][class] += uint64(packet.EntryOverhead + len(e.Data))
+	}
 }
 
 // addRow carries one of this node's NACK rows, if it has set it, in an

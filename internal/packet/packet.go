@@ -61,6 +61,14 @@ const (
 // before it indexes anything.
 const KindLimit = int(KindVCBC) + 1
 
+// PhaseLimit is the size of a table indexed by Phase, as KindLimit is by
+// Kind.
+const PhaseLimit = int(PhaseDecided) + 1
+
+// EntryOverhead is the bytes an entry takes on the wire besides its Data:
+// slot, sub, round, flags and the data length.
+const EntryOverhead = 7
+
 // Entry is one instance-granular contribution inside a section: the
 // sender's state for instance Slot (optionally sub-indexed by Sub, e.g. a
 // fragment number or a voter id) at round Round.

@@ -151,6 +151,7 @@ func (d *deployment) fold(rep *Report) {
 	rep.SignOps = ts.SignOps
 	rep.VerifyOps = ts.VerifyOps
 	rep.Rejected = ts.Rejected
+	rep.EntryBytes = ts.Entries
 }
 
 // lifecycle adapts a deployment to the scenario engine. The bounds check,

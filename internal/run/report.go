@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/protocol"
 )
 
@@ -50,6 +51,11 @@ type Report struct {
 	// across all nodes — the volume of Byzantine traffic the defenses
 	// absorbed (zero in honest runs).
 	Rejected uint64 `json:"rejected"`
+	// EntryBytes is the entry-byte ledger summed across all nodes: the
+	// bytes entries added to logical packets by kind, phase and send class
+	// (first send, asked by a peer's NACK row, or timer). Omitted from
+	// JSON, like Chain.Logs.
+	EntryBytes *core.EntryBytes `json:"-"`
 
 	// OneShot is present for one-shot workloads.
 	OneShot *OneShotReport `json:"oneshot,omitempty"`
