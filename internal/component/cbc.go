@@ -166,7 +166,7 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 		case packet.PhaseFinish:
 			c.handleFinish(slot, e.Data)
 		case packet.PhaseRepair:
-			c.handleRepairRequest(slot, e.Data)
+			c.answerRepair(slot, &s.valueSlot, e.Data)
 		}
 	}
 }
@@ -175,13 +175,11 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 func (c *CBC) certified(slot int, _ []byte) {
 	s := c.slots[slot]
 	s.certHash = HashValue(s.value)
-	c.publishFinish(slot)
+	// Anyone holding the certificate can publish it: it verifies under
+	// the threshold key regardless of the sender.
+	c.env.T.Update(c.finish(slot))
 	c.deliver(slot)
 }
-
-// publishFinish puts a slot's certificate on the air. Anyone holding it
-// can: it verifies under the threshold key regardless of the sender.
-func (c *CBC) publishFinish(slot int) { c.env.T.Update(c.finish(slot)) }
 
 // finish is the slot's FINISH intent: its certificate and the hash it
 // certifies.
@@ -251,17 +249,4 @@ func (c *CBC) deliver(slot int) {
 	if c.onDeliver != nil {
 		c.onDeliver(slot, s.value, s.cert.value)
 	}
-}
-
-// handleRepairRequest re-serves the value to a peer that has its certificate.
-func (c *CBC) handleRepairRequest(slot int, have packet.BitSet) {
-	s := c.slots[slot]
-	if !c.repairDue(&s.valueSlot) {
-		return
-	}
-	delay := c.repairJitter()
-	if s.cert.done {
-		c.publishFinish(slot)
-	}
-	c.reserve(slot, &s.valueSlot, have, delay)
 }

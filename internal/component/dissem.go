@@ -25,9 +25,11 @@ const (
 // INITIAL fragments, or inlines it in the -small variants; receivers
 // reassemble; a node that learns a slot must complete without holding its
 // value advertises the fragments it has in a PhaseRepair intent; holders
-// re-serve the rest after a randomized suppression delay. What makes a
-// value trustworthy — a READY quorum, a certificate — is the embedding
-// component's business. RBC and CBC embed it by value.
+// re-serve the rest after a randomized suppression delay, and nothing else
+// (answerRepair). What makes a value trustworthy — a READY quorum, a
+// certificate — is the embedding component's business, and so is bringing
+// it back: its votes and certificates return by their own NACK rows. RBC
+// and CBC embed it by value.
 //
 // The INITIAL NACK row says which slots' values this node holds. Once
 // every peer's row shows a slot held, the transport parks the fragments of
@@ -206,31 +208,18 @@ func (d *dissemination) repairDone(slot int, s *valueSlot) {
 	}
 }
 
-// repairDue reports whether this node should answer a repair request for
-// the slot now: it must hold the value, and answers at most once per 2 s.
-func (d *dissemination) repairDue(s *valueSlot) bool {
-	if !s.assembled {
-		return false
-	}
+// answerRepair is the whole answer to a peer's repair request for the
+// slot: if this node holds the value, and has not answered for the slot in
+// the last 2 s, it re-publishes the fragments the requester's have bitset
+// lacks after a randomized suppression delay. Votes and certificates are
+// not part of it: they come back by the requester's NACK rows.
+func (d *dissemination) answerRepair(slot int, s *valueSlot, have packet.BitSet) {
 	now := d.env.Sched.Now()
-	if s.repairAt != 0 && now-s.repairAt < 2*time.Second {
-		return false
+	if !s.assembled || (s.repairAt != 0 && now-s.repairAt < 2*time.Second) {
+		return
 	}
 	s.repairAt = now
-	return true
-}
-
-// repairJitter draws the randomized suppression delay of one re-serve. It
-// is a separate step because a Byzantine node's interceptor draws from the
-// same generator inside T.Update: where the draw falls among the caller's
-// re-announcements is part of the trajectory.
-func (d *dissemination) repairJitter() time.Duration {
-	return time.Duration(float64(300*time.Millisecond) * (0.5 + d.env.Rand.Float64()))
-}
-
-// reserve re-publishes, after delay, the fragments of the slot's value the
-// requester's have bitset lacks.
-func (d *dissemination) reserve(slot int, s *valueSlot, have packet.BitSet, delay time.Duration) {
+	delay := time.Duration(float64(300*time.Millisecond) * (0.5 + d.env.Rand.Float64()))
 	value := s.value
 	d.env.Sched.PostAfter(delay, func() { d.publish(slot, value, have) })
 }

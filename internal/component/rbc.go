@@ -11,10 +11,12 @@ import (
 // (N-to-N hash votes). The -small variant (Fig. 5a) carries tiny proposals
 // inline in the vote packet, merging INITIAL into the other phases.
 //
-// Reliability is NACK-based: a node holding 2f+1 READYs for a value it
-// never received requests the INITIAL fragments it is missing via a
-// PhaseRepair intent; peers holding the value re-broadcast the missing
-// fragments after a randomized suppression delay.
+// Reliability is NACK-based: the ECHO and READY rows say which slots this
+// node has seen through each phase, and a peer whose rows show a slot
+// undone gets the votes back, parked ones included. A node holding 2f+1
+// READYs for a value it never received requests the INITIAL fragments it
+// is missing via a PhaseRepair intent; peers holding the value re-serve
+// those fragments, and only those, after a randomized suppression delay.
 type RBC struct {
 	dissemination
 	slots []*rbcSlot
@@ -34,7 +36,6 @@ type rbcSlot struct {
 
 	sentEcho  bool
 	sentReady bool
-	readyHash Hash8
 	delivered bool
 }
 
@@ -159,7 +160,9 @@ func (r *RBC) HandleSection(from uint16, sec packet.Section) {
 		}
 	case packet.PhaseRepair:
 		for _, e := range sec.Entries {
-			r.handleRepairRequest(int(e.Slot), e.Data)
+			if slot := int(e.Slot); slot < len(r.slots) {
+				r.answerRepair(slot, &r.slots[slot].valueSlot, e.Data)
+			}
 		}
 	}
 }
@@ -210,7 +213,6 @@ func (r *RBC) sendReady(slot int, h Hash8) {
 		return
 	}
 	s.sentReady = true
-	s.readyHash = h
 	r.env.T.Update(core.Intent{
 		IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseReady, Slot: uint8(slot)},
 		Data:      h[:],
@@ -250,48 +252,6 @@ func (r *RBC) maybeDeliver(slot int) {
 	r.repairDone(slot, &s.valueSlot)
 	if r.onDeliver != nil {
 		r.onDeliver(slot, s.value)
-	}
-}
-
-// handleRepairRequest re-broadcasts INITIAL fragments for peers that are
-// stuck, after a randomized suppression delay.
-func (r *RBC) handleRepairRequest(slot int, have packet.BitSet) {
-	if slot >= len(r.slots) {
-		return
-	}
-	s := r.slots[slot]
-	if !r.repairDue(&s.valueSlot) {
-		return
-	}
-	// Re-announce our ECHO and READY votes alongside the fragments, at once:
-	// a requester that lost its state (crash recovery) needs the vote quorum
-	// back on the air, and the transport parked those intents when every
-	// peer of the time had confirmed the slot.
-	r.announceEcho(slot, s)
-	r.announceReady(slot, s)
-	r.reserve(slot, &s.valueSlot, have, r.repairJitter())
-}
-
-// announceEcho (re-)publishes this node's ECHO vote on a slot, if it cast
-// one.
-func (r *RBC) announceEcho(slot int, s *rbcSlot) {
-	if s.sentEcho && s.assembled {
-		h := HashValue(s.value)
-		r.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseEcho, Slot: uint8(slot)},
-			Data:      h[:],
-		})
-	}
-}
-
-// announceReady (re-)publishes this node's READY vote on a slot, if it
-// cast one.
-func (r *RBC) announceReady(slot int, s *rbcSlot) {
-	if s.sentReady {
-		r.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: r.kind, Phase: packet.PhaseReady, Slot: uint8(slot)},
-			Data:      s.readyHash[:],
-		})
 	}
 }
 

@@ -297,8 +297,9 @@ func (m *Mux) Stats() Stats {
 }
 
 // AddStats sums two transport counter snapshots field-by-field. Deployment
-// layers use it to fold discarded transports into run-level aggregates. The
-// sum's ledger is a fresh copy: it aliases neither argument's.
+// layers use it to fold discarded transports into run-level aggregates.
+// Where b carries a ledger the sum's is a fresh copy, so a Mux never hands
+// out its own.
 func AddStats(a, b Stats) Stats {
 	a.LogicalSent += b.LogicalSent
 	a.FragmentsSent += b.FragmentsSent

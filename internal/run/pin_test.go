@@ -84,7 +84,7 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "c20df96908d6c0fbccf6389a1060fc5f912556943eb0a2570ae424d277e4c067"},
+		}, "2e6c66e974ad5d07d4077ec4f6596a0d5a5bac5090d536c61f16ec88553c8959"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
@@ -96,13 +96,13 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@30s:3;recover@1m30s:3")
 			return spec
-		}, "c93548c13d9c276852e4a0942aba0598fd6a3e10a6ed24879e5c06d3cc06f2d6"},
+		}, "4a0f77ef11eb36e3f6b2f7752cc46a96dfc094b607f2b144f860808e28b50703"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "e184cd337dae17f4263aba659df586dd150cfbc253b611a9fbd4c9076498dcc5"},
+		}, "d10fbe10c85fb7290856fa1038e34f0fa42701cdab2523385c1e7582d98ec7c2"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "bf397670ed6d295df5db938dbc58f81c88dd5c4c0ebb2a2ea4159bfb757bc889"},
+		}, "c1291b02aec99486d2b167cb8b3c542d5039cd891ab85ea9081db67f8ac6ed86"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1 (a follower in epoch 0) crashes and
 			// rejoins as epoch 1's leader; cluster 2's member 3 is
@@ -112,7 +112,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "7e20fa1cde74e5d2afe0a6b277e320c11f263ba07b3222357acff472d1b9c1b5"},
+		}, "e03fac652515ff41f36c73b3ad35298c7b5e1f09bf1287e24e8585f2b9bd95e3"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
@@ -123,7 +123,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "7de7de6011e09083b8bab65c5758fd2e4ede88557516c894cbd6a8429f99543d"},
+		}, "ecf55c2a663429333ab7874e1887fac446ed15958ebfea0da12feec4d46cb5db"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -131,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "7e4310bb9a21a2e58de4ef11cda24dfa50ec57741b2c5520b1e20f0d7e68a6ad"},
+		}, "33ccbe52cf0dbef74e48b0186de9fb6e764ea4f3bf96c41a10f06dd82c3a07dd"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -144,18 +144,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "c767e15f8870a76447039a480dc3cd78f0b095cf27aa304b64769728f631d4e2"},
+		}, "3714c6772abf4409ec73edf066f900ccd3aa6dffb1749c6bae3911a7333ed825"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "4f30f87fe5e89fae372ede546cfcf55e7c82b237371eb68aaa9c7fc6f8a30303"},
+		}, "9b41e642dccf75afd67c55f12c00387d686b0e8968c4c8168291bee648a9d673"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "6b8dd2142d912f8f21273011838c8b89233d54c9580829a1fd463332e51bebc3"},
+		}, "1fbc20ce22edb750f6b5e1749429078c9aa3dea4967d4e96be5f2d2f4334186f"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -163,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "bf8ed3c9942887e25a1d73d5253e90db806e4dfd855abfd56dc2ba338186edf9"},
+		}, "5c247b11b9d19feb19fadfaf4bf5be15b67ef2cddcd98fd83ad6cea618ee8039"},
 	}
 	for _, tc := range cases {
 		tc := tc
