@@ -756,15 +756,13 @@ func (t *Transport) addEntry(e *liveIntent) {
 	out.entScratch = append(out.entScratch, packet.Entry{
 		Slot: e.Slot, Sub: e.Sub, Round: e.Round, Flags: e.Flags, Data: e.Data,
 	})
-	if int(e.Kind) < packet.KindLimit && int(e.Phase) < packet.PhaseLimit {
-		class := SendTimer
-		if e.sentAt == 0 {
-			class = SendFirst
-		} else if e.asked {
-			class = SendAsked
-		}
-		t.m.entries[e.Kind][e.Phase][class] += uint64(packet.EntryOverhead + len(e.Data))
+	class := SendTimer
+	if e.sentAt == 0 {
+		class = SendFirst
+	} else if e.asked {
+		class = SendAsked
 	}
+	t.m.entries[e.Kind][e.Phase][class] += uint64(packet.EntryOverhead + len(e.Data))
 }
 
 // addRow carries one of this node's NACK rows, if it has set it, in an
