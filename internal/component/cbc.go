@@ -27,17 +27,25 @@ func bigFromBytes(b []byte) *big.Int { return new(big.Int).SetBytes(b) }
 // whose agreement accepted a slot it never saw. That row is CBC's
 // totality; handleFinish then asks for a value it lacks by repair.
 //
+// An honest node echoes only a value its validity predicate accepts
+// (external validity, as Dumbo2's MVBA checks it): a certificate then
+// means at least f+1 honest nodes found the value valid. A value the
+// predicate cannot judge yet waits, unechoed, until the engine calls
+// Recheck; a FINISH that verifies still delivers it.
+//
 // The -small variant (Fig. 5b) inlines tiny proposals (Dumbo's CBC-commit
 // carries a 2f+1-sized node-ID list).
 //
 // This is the only certified-broadcast machine: Dumbo's two CBCs and
-// Alea's VCBC queues are instances of it that differ in wire kind alone.
+// Alea's VCBC queues are instances of it that differ in wire kind and,
+// for Dumbo's CBC-value, the validity predicate.
 type CBC struct {
 	dissemination
 	echoes  collector[[]byte, *threshsig.SigShare, []byte]
 	echoTag string
 	slots   []*cbcSlot
 
+	valid     func(slot int, value []byte) Verdict
 	onDeliver func(slot int, value []byte, cert []byte)
 
 	finDone packet.BitSet // compressed O(N) NACK: slot delivered
@@ -51,7 +59,19 @@ type cbcSlot struct {
 	cert      tally[[]byte, *threshsig.SigShare, []byte]
 	certHash  Hash8
 	delivered bool
+	// pending says the predicate could not judge the assembled value yet:
+	// this node has not echoed it, and Recheck asks again.
+	pending bool
 }
+
+// Verdict is a validity predicate's answer about a value.
+type Verdict uint8
+
+const (
+	Accept Verdict = iota // valid: echo it
+	Wait                  // cannot tell yet: ask again at Recheck
+	Refuse                // invalid: never echo it
+)
 
 // CBCOptions configures a CBC component.
 type CBCOptions struct {
@@ -60,12 +80,14 @@ type CBCOptions struct {
 	Small     bool
 	FragSize  int
 	OnDeliver func(slot int, value []byte, cert []byte)
+	Valid     func(slot int, value []byte) Verdict // what this node echoes; nil: every value
 }
 
 // NewCBC creates the component and registers it on the transport.
 func NewCBC(env *Env, opts CBCOptions) *CBC {
 	c := &CBC{
 		echoTag:   "cbc-echo",
+		valid:     opts.Valid,
 		onDeliver: opts.OnDeliver,
 		finDone:   packet.NewBitSet(opts.Slots),
 	}
@@ -135,11 +157,43 @@ func (c *CBC) acceptValue(slot int, value []byte) {
 		return
 	}
 	c.hold(slot, &s.valueSlot, value)
-	if !s.cert.open { // a node signs once per slot
-		c.echoes.begin(&s.cert, slot, c.shareMessage(slot, HashValue(value)),
-			core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)})
-	}
+	c.echo(slot)
 	c.deliver(slot)
+}
+
+// echo opens the slot's ECHO tally, which publishes this node's share,
+// once the validity predicate accepts the assembled value. Until then the
+// peers' shares park in the tally. A refused value is counted in
+// Stats.Rejected and never echoed.
+func (c *CBC) echo(slot int) {
+	s := c.slots[slot]
+	// A node signs once per slot, and only a value it holds: a FINISH over
+	// another hash may have dropped the one it was judging.
+	if s.cert.open || s.delivered || !s.assembled {
+		return
+	}
+	verdict := Accept
+	if c.valid != nil {
+		verdict = c.valid(slot, s.value)
+	}
+	s.pending = verdict == Wait
+	switch verdict {
+	case Accept:
+		c.echoes.begin(&s.cert, slot, c.shareMessage(slot, HashValue(s.value)),
+			core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)})
+	case Refuse:
+		c.env.Reject()
+	}
+}
+
+// Recheck asks the validity predicate again about every value it left
+// pending: the engine calls it when what the predicate reads has changed.
+func (c *CBC) Recheck() {
+	for slot, s := range c.slots {
+		if s.pending {
+			c.echo(slot)
+		}
+	}
 }
 
 // HandleSection implements core.Handler.

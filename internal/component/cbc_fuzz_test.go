@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/crypto/threshsig"
 	"repro/internal/packet"
 )
@@ -136,7 +137,12 @@ func cbcSeeds(f *testing.F, ki int) [][]byte {
 	finish0 := []cbcRecord{{op: op(packet.PhaseFinish) | 0x80, from: 1, e: packet.Entry{Slot: 0, Data: finish}}}
 	other := []cbcRecord{{op: op(packet.PhaseInitial), from: 0, e: packet.Entry{Slot: 0, Flags: 1, Data: []byte("not what the quorum signed")}}}
 	repair := []cbcRecord{{op: op(packet.PhaseRepair), from: 2, e: packet.Entry{Slot: 0, Data: packet.NewBitSet(8)}}}
-	return [][]byte{
+	// Every input once as it is and once checked by fuzzValid. The
+	// recorded values of slots 0 and 1 meet all three verdicts: in the
+	// fragmented kinds slot 0's is refused and slot 1's waits, in the
+	// small kind slot 0's is accepted and slot 1's refused.
+	checked := func(in []byte) []byte { return append([]byte{in[0] + byte(len(kernelKinds))}, in[1:]...) }
+	inputs := [][]byte{
 		input(from(0, packet.PhaseInitial, 0), from(0, packet.PhaseEcho, 0), from(1, packet.PhaseEcho, 0), from(2, packet.PhaseEcho, 0)),
 		input(from(1, packet.PhaseEcho, 1), from(2, packet.PhaseEcho, 1), from(1, packet.PhaseInitial, 1)),
 		input(finish0, from(0, packet.PhaseInitial, 0)),
@@ -146,15 +152,38 @@ func cbcSeeds(f *testing.F, ki int) [][]byte {
 		input(from(0, packet.PhaseInitial, 0), full(0, 0), full(1, 0), full(2, 0)),
 		input(from(0, packet.PhaseInitial, 0), forged(1, 0), from(0, packet.PhaseEcho, 0), from(2, packet.PhaseEcho, 0), later(full(1, 0))),
 		input(from(0, packet.PhaseInitial, 0), corrupt(1, 0), from(0, packet.PhaseEcho, 0), later(from(2, packet.PhaseEcho, 0)), later(full(0, 0)), full(1, 0), full(2, 0)),
+		input(from(1, packet.PhaseInitial, 1), from(0, packet.PhaseEcho, 1), later(from(2, packet.PhaseEcho, 1))),
 	}
+	for _, in := range inputs[:len(inputs):len(inputs)] {
+		inputs = append(inputs, checked(in))
+	}
+	return inputs
+}
+
+// fuzzValid is the validity predicate of a checked FuzzCBCSection input:
+// a value whose first byte is odd is refused, one whose first byte is
+// 2 mod 4 waits until lifted, and every other value is accepted.
+func fuzzValid(value []byte, lifted bool) Verdict {
+	switch {
+	case len(value) == 0:
+		return Accept
+	case value[0]%2 == 1:
+		return Refuse
+	case value[0]%4 == 2 && !lifted:
+		return Wait
+	}
+	return Accept
 }
 
 // FuzzCBCSection feeds arbitrary entries of every CBC phase, on each of
-// the kernel's three wire kinds, to one node whose peers run nothing.
-// Nothing may panic, a slot delivers only with a certificate that
-// verifies under the threshold key over the delivered value's hash, and
-// no slot's tally holds a certificate that does not verify over the hash
-// it certifies, delivered or not.
+// the kernel's three wire kinds, to one node whose peers run nothing; the
+// input's first byte picks the kind and whether the node checks values
+// with fuzzValid, whose waiting values it lifts and rechecks at every
+// passing of time. Nothing may panic, a slot delivers only with a
+// certificate that verifies under the threshold key over the delivered
+// value's hash, no slot's tally holds a certificate that does not verify
+// over the hash it certifies, delivered or not, and the node publishes
+// no ECHO share of a value its predicate refused.
 func FuzzCBCSection(f *testing.F) {
 	f.Add([]byte{})
 	for ki := range kernelKinds {
@@ -169,7 +198,32 @@ func FuzzCBCSection(f *testing.F) {
 		k := kernelKinds[int(raw[0])%len(kernelKinds)]
 		tn := newTestNet(t, cbcFuzzSeed, 0, true)
 		env := tn.envs[3]
-		v := NewCBC(env, CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
+		opts := CBCOptions{Kind: k.kind, Slots: 4, Small: k.small}
+		lifted := false
+		refused := map[Hash8]bool{}
+		if int(raw[0])/len(kernelKinds)%2 == 1 {
+			opts.Valid = func(_ int, value []byte) Verdict {
+				verdict := fuzzValid(value, lifted)
+				if verdict == Refuse {
+					refused[HashValue(value)] = true
+				}
+				return verdict
+			}
+		}
+		v := NewCBC(env, opts)
+		env.T.SetInterceptor(watch(func(in core.Intent) {
+			if in.Phase != packet.PhaseEcho || in.Flags&certFlag != 0 {
+				return
+			}
+			subject := v.slots[in.Slot].cert.subject
+			if refused[Hash8(subject[len(subject)-len(Hash8{}):])] {
+				t.Fatalf("slot %d: published an ECHO share of a refused value", in.Slot)
+			}
+		}))
+		lift := func() {
+			lifted = true
+			v.Recheck()
+		}
 		type delivery struct{ value, cert []byte }
 		got := map[int]delivery{}
 		v.onDeliver = func(slot int, value, cert []byte) {
@@ -180,11 +234,13 @@ func FuzzCBCSection(f *testing.F) {
 		}
 		for _, r := range parseCBCRecords(raw[1:]) {
 			if r.op&0x80 != 0 {
+				lift()
 				tn.settle(time.Second)
 			}
 			phase := cbcPhases[int(r.op)%len(cbcPhases)]
 			v.HandleSection(uint16(r.from%4), packet.Section{Kind: k.kind, Phase: phase, Entries: []packet.Entry{r.e}})
 		}
+		lift()
 		tn.settle(time.Minute)
 		for slot, s := range v.slots {
 			if s.cert.done {

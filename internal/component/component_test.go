@@ -45,7 +45,7 @@ func newTestNet(t testing.TB, seed int64, loss float64, batched bool) *testNet {
 	cfg := wireless.DefaultConfig()
 	cfg.LossProb = loss
 	ch := wireless.NewChannel(sched, cfg)
-	suites, err := crypto.Deal(n, f, crypto.LightConfig(), rand.New(rand.NewSource(seed)))
+	suites, err := crypto.DealCached(n, f, crypto.LightConfig(), seed)
 	if err != nil {
 		t.Fatal(err)
 	}

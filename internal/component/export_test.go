@@ -9,3 +9,9 @@ import "slices"
 func (a *CachinABA) markRegressed(peers ...int) {
 	a.regressed = func(w int) bool { return slices.Contains(peers, w) }
 }
+
+// VerifyProof checks a combined PRBC proof of the slot's value with hash h.
+func (p *PRBC) VerifyProof(slot int, h Hash8, proof []byte) error {
+	_, err := p.dones.check(p.doneMessage(slot, h), proof)
+	return err
+}

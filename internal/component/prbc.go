@@ -83,13 +83,6 @@ func (p *PRBC) doneMessage(slot int, h Hash8) []byte {
 	return append(msg, h[:]...)
 }
 
-// VerifyProof checks a combined PRBC proof (used by Dumbo when examining
-// other nodes' proof vectors).
-func (p *PRBC) VerifyProof(slot int, h Hash8, proof []byte) error {
-	_, err := p.dones.check(p.doneMessage(slot, h), proof)
-	return err
-}
-
 func (p *PRBC) onRBCDeliver(slot int, value []byte) {
 	p.dones.begin(&p.slots[slot].proof, slot, p.doneMessage(slot, HashValue(value)),
 		core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(p.env.Me)})

@@ -3,9 +3,7 @@ package protocol
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
 	"math/rand"
-	"sort"
 
 	"repro/internal/component"
 	"repro/internal/packet"
@@ -13,10 +11,15 @@ import (
 
 // Dumbo implements Dumbo2 (Fig. 7b): N parallel PRBC instances produce
 // provable deliveries; two sets of N parallel CBC instances (CBC-value
-// carrying 2f+1-proof vectors, CBC-commit carrying small index sets)
-// synchronize the completed-PRBC views; a common string π orders the
-// candidates; serial ABA instances then run until one accepts, and the
-// accepted candidate's proof vector defines the output set.
+// carrying vectors of 2f+1 (slot, hash) pairs, CBC-commit carrying small
+// index sets) synchronize the completed-PRBC views; a common string π
+// orders the candidates; serial ABA instances then run until one accepts,
+// and the accepted candidate's vector defines the output set.
+//
+// A node echoes a vector only once it holds a PRBC proof for every pair
+// (validW), so a certified vector is one at least f+1 honest nodes found
+// valid. The paper's port sends the proofs themselves and checks them only
+// after agreement; checking at the echo is Dumbo2's external validity.
 type Dumbo struct {
 	env *component.Env
 
@@ -25,31 +28,32 @@ type Dumbo struct {
 	cbcCommit *component.CBC
 	aba       binaryAgreement
 
-	proofs        map[int][]byte // slot -> PRBC proof
-	valueSent     bool
-	commitSent    bool
-	abaSeq        []int // π: candidate order
-	abaIdx        int   // next candidate to run
-	abaRunning    bool
-	selected      int // accepted candidate (-1 until decided)
-	wantSlots     []wEntry
-	verifiedW     bool
-	pendingVerify int
-	outputs       [][]byte
-	onDecide      func()
+	proofs     map[int]component.Hash8 // slot -> hash its PRBC proof vouches for
+	valueSent  bool
+	commitSent bool
+	abaSeq     []int // π: candidate order
+	abaIdx     int   // next candidate to run
+	abaRunning bool
+	selected   int // accepted candidate (-1 until decided)
+	outputs    [][]byte
+	onDecide   func()
 }
 
+// wEntry is one pair of a vector: a slot, and the hash of the value its
+// PRBC proof vouches for.
 type wEntry struct {
-	slot  int
-	hash  component.Hash8
-	proof []byte
+	slot int
+	hash component.Hash8
 }
+
+// wEntrySize is a pair's size on the wire: the slot byte and the hash.
+const wEntrySize = 1 + len(component.Hash8{})
 
 // newDumbo builds the instance and registers its components.
 func newDumbo(env *component.Env, opts Options) Instance {
 	d := &Dumbo{
 		env:      env,
-		proofs:   make(map[int][]byte),
+		proofs:   make(map[int]component.Hash8),
 		selected: -1,
 		onDecide: opts.OnDecide,
 	}
@@ -62,6 +66,7 @@ func newDumbo(env *component.Env, opts Options) Instance {
 		Kind:      packet.KindCBCValue,
 		Slots:     env.N,
 		OnDeliver: d.onCBCValue,
+		Valid:     d.validW,
 	})
 	d.cbcCommit = component.NewCBC(env, component.CBCOptions{
 		Kind:      packet.KindCBCCommit,
@@ -86,32 +91,48 @@ func (d *Dumbo) Done() bool { return d.outputs != nil }
 // Outputs implements Instance.
 func (d *Dumbo) Outputs() [][]byte { return d.outputs }
 
-// onProof fires when a PRBC slot has a combined delivery proof. At 2f+1
-// proofs this node CBC-broadcasts its proof vector W_i.
-func (d *Dumbo) onProof(slot int, _ []byte, proof []byte) {
-	d.proofs[slot] = proof
+// onProof fires when a PRBC slot has a combined delivery proof: a vector
+// waiting on it may now be valid. At 2f+1 proofs this node CBC-broadcasts
+// its vector W_i.
+func (d *Dumbo) onProof(slot int, value []byte, _ []byte) {
+	d.proofs[slot] = component.HashValue(value)
+	d.cbcValue.Recheck()
 	if d.valueSent || len(d.proofs) < d.env.Quorum() {
 		return
 	}
 	d.valueSent = true
 	var w []byte
-	count := 0
-	for _, s := range sortedKeys(d.proofs) {
-		if count == d.env.Quorum() {
-			break
+	for s := 0; len(w) < d.env.Quorum()*wEntrySize; s++ {
+		if h, held := d.proofs[s]; held {
+			w = append(append(w, byte(s)), h[:]...)
 		}
-		h := component.HashValue(d.prbc.RBC().Value(s))
-		w = append(w, byte(s))
-		w = append(w, h[:]...)
-		w = binary.BigEndian.AppendUint16(w, uint16(len(d.proofs[s])))
-		w = append(w, d.proofs[s]...)
-		count++
 	}
 	d.cbcValue.Propose(d.env.Me, w)
 }
 
-// onCBCValue fires when candidate j's proof vector is consistently
-// delivered. At 2f+1 deliveries this node CBC-broadcasts its commit set.
+// validW is CBC-value's validity predicate. A vector is valid when it
+// names 2f+1 distinct slots below N and this node holds a PRBC proof for
+// each over the hash it names; it waits on a proof not held here yet, and
+// is refused when malformed or when a held proof vouches for another hash.
+func (d *Dumbo) validW(_ int, raw []byte) component.Verdict {
+	w := parseW(raw, d.env.N)
+	if len(w) != d.env.Quorum() {
+		return component.Refuse
+	}
+	verdict := component.Accept
+	for _, e := range w {
+		h, held := d.proofs[e.slot]
+		if !held {
+			verdict = component.Wait
+		} else if h != e.hash {
+			return component.Refuse
+		}
+	}
+	return verdict
+}
+
+// onCBCValue fires when candidate j's vector is consistently delivered.
+// At 2f+1 deliveries this node CBC-broadcasts its commit set.
 func (d *Dumbo) onCBCValue(int, []byte, []byte) {
 	if n := d.cbcValue.DeliveredCount(); !d.commitSent && n >= d.env.Quorum() {
 		d.commitSent = true
@@ -123,7 +144,7 @@ func (d *Dumbo) onCBCValue(int, []byte, []byte) {
 		}
 		d.cbcCommit.Propose(d.env.Me, set)
 	}
-	d.pumpSelected()
+	d.maybeFinish()
 }
 
 // onCBCCommit fires when a commit set is delivered. At 2f+1 commits the
@@ -164,7 +185,7 @@ func (d *Dumbo) onABADecide(slot int, v bool) {
 		// fixed π or run the earlier candidates itself.
 		d.abaRunning = false
 		d.selected = slot
-		d.pumpSelected()
+		d.maybeFinish()
 		return
 	}
 	// 0-decisions advance the serial schedule strictly in π order.
@@ -176,67 +197,25 @@ func (d *Dumbo) onABADecide(slot int, v bool) {
 	d.runNextCandidate()
 }
 
-// pumpSelected advances output assembly once the accepted candidate's
-// vector is available: verify the PRBC proofs inside it, then wait for the
-// referenced PRBC values (totality + NACK repair deliver them).
-func (d *Dumbo) pumpSelected() {
+// maybeFinish outputs the accepted candidate's set once its vector is
+// delivered here and so is every PRBC value it names. The vector is
+// certified, so f+1 honest nodes validated it: it is well formed, and
+// each value it names has a proof, which PRBC totality and NACK repair
+// turn into a delivery here.
+func (d *Dumbo) maybeFinish() {
 	if d.outputs != nil || d.selected < 0 || !d.cbcValue.Delivered(d.selected) {
 		return
 	}
-	if !d.verifiedW {
-		w, err := parseW(d.cbcValue.Value(d.selected), d.env.N)
-		if err != nil || len(w) < d.env.Quorum() {
-			// A vector that is malformed, or names fewer than 2f+1 distinct
-			// slots, from a Byzantine candidate should have been filtered by
-			// external validity; skip the candidate to keep liveness in the
-			// simulation.
-			d.env.Reject()
-			d.selected = -1
-			d.abaIdx++
-			d.runNextCandidate()
-			return
-		}
-		d.wantSlots = w
-		d.verifiedW = true
-		d.pendingVerify = len(w)
-		env := d.env
-		for _, e := range w {
-			e := e
-			env.Exec(env.Suite.Cost.TSVerify, func() {
-				if err := d.prbc.VerifyProof(e.slot, e.hash, e.proof); err != nil {
-					// Invalid proof: reject the candidate entirely.
-					env.Reject()
-					d.wantSlots = nil
-				}
-				d.pendingVerify--
-				d.maybeFinish()
-			})
-		}
-		return
-	}
-	d.maybeFinish()
-}
-
-func (d *Dumbo) maybeFinish() {
-	if d.outputs != nil || !d.verifiedW || d.pendingVerify > 0 {
-		return
-	}
-	if d.wantSlots == nil {
-		// Candidate rejected after proof verification: move on.
-		d.selected = -1
-		d.verifiedW = false
-		d.abaIdx++
-		d.runNextCandidate()
-		return
+	w := parseW(d.cbcValue.Value(d.selected), d.env.N)
+	if w == nil {
+		return // only if more than f nodes signed an invalid vector
 	}
 	rbc := d.prbc.RBC()
-	for _, e := range d.wantSlots {
-		if !rbc.Delivered(e.slot) {
-			return // the verified proof says it will: PRBC totality and NACK repair deliver it
-		}
-	}
 	outputs := make([][]byte, d.env.N)
-	for _, e := range d.wantSlots {
+	for _, e := range w {
+		if !rbc.Delivered(e.slot) {
+			return
+		}
 		outputs[e.slot] = rbc.Value(e.slot)
 	}
 	d.outputs = outputs
@@ -245,36 +224,26 @@ func (d *Dumbo) maybeFinish() {
 	}
 }
 
-// parseW decodes a proof vector over the given number of slots. Each entry
-// must name a slot of its own: 2f+1 copies of one genuine proof would each
-// verify and fix an output set of a single proposal.
-func parseW(raw []byte, slots int) ([]wEntry, error) {
+// parseW decodes a vector over the given number of slots, or returns nil
+// if it is malformed. Each pair must name a slot of its own: 2f+1 copies
+// of one genuine pair would fix an output set of a single proposal.
+func parseW(raw []byte, slots int) []wEntry {
+	if len(raw)%wEntrySize != 0 {
+		return nil
+	}
 	var out []wEntry
 	seen := make([]bool, slots)
-	for len(raw) > 0 {
-		if len(raw) < 1+8+2 {
-			return nil, errMalformedW
-		}
-		var e wEntry
-		e.slot = int(raw[0])
+	for ; len(raw) > 0; raw = raw[wEntrySize:] {
+		e := wEntry{slot: int(raw[0])}
 		if e.slot >= slots || seen[e.slot] {
-			return nil, errMalformedW
+			return nil
 		}
 		seen[e.slot] = true
-		copy(e.hash[:], raw[1:9])
-		n := int(binary.BigEndian.Uint16(raw[9:11]))
-		raw = raw[11:]
-		if len(raw) < n {
-			return nil, errMalformedW
-		}
-		e.proof = append([]byte(nil), raw[:n]...)
-		raw = raw[n:]
+		copy(e.hash[:], raw[1:wEntrySize])
 		out = append(out, e)
 	}
-	return out, nil
+	return out
 }
-
-var errMalformedW = errors.New("protocol: malformed proof vector")
 
 // commonPermutation derives a common order π over n slots from the epoch
 // identity, under a per-protocol domain: Dumbo's candidate order
@@ -290,13 +259,4 @@ func commonPermutation(domain string, session uint32, epoch uint16, n int) []int
 	binary.BigEndian.PutUint16(seedInput[12:], epoch)
 	d := sha256.Sum256(seedInput[:])
 	return rand.New(rand.NewSource(int64(binary.BigEndian.Uint64(d[:8])))).Perm(n)
-}
-
-func sortedKeys(m map[int][]byte) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }

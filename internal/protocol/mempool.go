@@ -46,8 +46,8 @@ type MempoolConfig struct {
 	// pool past it is rejected (and counted, see RejectedFull) instead of
 	// queueing unboundedly — the backpressure open-loop traffic needs to
 	// degrade gracefully under overload. Zero disables the cap, which is
-	// the default: legacy fixed-interval workloads keep their unbounded
-	// pool and their frozen BENCH goldens.
+	// the default: the right size depends on the offered load, so a run
+	// that wants backpressure names its cap.
 	MaxPendingBytes int
 }
 

@@ -90,7 +90,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "5f6a37f8da3be4e51fbf01b8bfe781a80510a7005370d63b26a0498b1c80a175"},
+		}, "2df272a16bee0bbf831c50dc3290a5665ad19ca38ef1672c41d4fbd13d3a2943"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
 			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
@@ -112,7 +112,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "e03fac652515ff41f36c73b3ad35298c7b5e1f09bf1287e24e8585f2b9bd95e3"},
+		}, "528b7338cacad05250687aa13efa8d6ec2b1be38993e381ffe767271a276a4f4"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
@@ -150,7 +150,7 @@ func TestMatrixPinned(t *testing.T) {
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "9b41e642dccf75afd67c55f12c00387d686b0e8968c4c8168291bee648a9d673"},
+		}, "b2c41d13495c8881d4325a3e0b3100fe9985971e8f781fe362da626cba282d7c"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
