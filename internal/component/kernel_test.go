@@ -891,7 +891,7 @@ func TestCertificateBeforeSubject(t *testing.T) {
 	env := tn.envs[0]
 	rec := record(env)
 	var proofs int
-	p := NewPRBC(env, PRBCOptions{Slots: 4, OnProof: func(int, []byte, []byte) { proofs++ }})
+	p := NewPRBC(env, PRBCOptions{Slots: 4, OnProof: func(int, []byte) { proofs++ }})
 	value := []byte("proven ahead of delivery")
 	peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
 		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)

@@ -20,7 +20,7 @@ type PRBC struct {
 	rbc   *RBC
 	dones collector[[]byte, *threshsig.SigShare, []byte]
 
-	onProof   func(slot int, value []byte, proof []byte)
+	onProof   func(slot int, value []byte)
 	onDeliver func(slot int, value []byte)
 
 	sigDone packet.BitSet // compressed NACK: slot has a combined proof
@@ -36,7 +36,7 @@ type prbcSlot struct {
 // PRBCOptions configures a PRBC component.
 type PRBCOptions struct {
 	Slots     int
-	OnProof   func(slot int, value []byte, proof []byte)
+	OnProof   func(slot int, value []byte) // the slot has its proof (Proof)
 	OnDeliver func(slot int, value []byte) // underlying RBC delivery hook
 }
 
@@ -112,13 +112,13 @@ func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
 
 // proven runs once a slot has its proof: DONE shares combined here, or a
 // peer's proof checked.
-func (p *PRBC) proven(slot int, proof []byte) {
+func (p *PRBC) proven(slot int, _ []byte) {
 	p.sigDone.Set(slot)
 	// Keep our share intent live, the proof in the share's place: a peer
 	// that missed share frames (half-duplex, loss) still needs it; the
 	// transport parks it once every peer's DONE row shows the proof.
 	p.env.T.SetNack(packet.KindPRBC, packet.PhaseDone, p.sigDone)
 	if p.onProof != nil {
-		p.onProof(slot, p.rbc.Value(slot), proof)
+		p.onProof(slot, p.rbc.Value(slot))
 	}
 }

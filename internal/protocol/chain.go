@@ -40,6 +40,14 @@ type ChainConfig struct {
 	// MaxEpochs stops the engine from starting epochs >= this (0 = no cap).
 	MaxEpochs int
 	Mempool   MempoolConfig
+	// HoldEmpty makes an epoch joined on a peer's frame, with nothing
+	// ready to cut, wait for a proposal instead of putting up an empty
+	// batch: the epoch receives and votes, and this node's proposal goes
+	// out once the pool is Ready (lowest held epoch first) or once the
+	// pool's MaxTxAge has passed since the join. For a pool whose empty
+	// batch carries nothing the others lack and only displaces a fuller
+	// one in the fastest-2f+1 race: the clustered deployment's seats.
+	HoldEmpty bool
 }
 
 // LogEntry is one committed epoch: the deduplicated union of the epoch's
@@ -54,6 +62,9 @@ type chainEpoch struct {
 	inst      Instance
 	startedAt time.Duration
 	decided   bool
+	// hold, while set, is the timer that proposes a held epoch's cut if
+	// the pool has not released it first (ChainConfig.HoldEmpty).
+	hold *sim.Event
 }
 
 // gcHold bounds, in GCLags behind the commit frontier, how long the epoch
@@ -221,7 +232,8 @@ func (c *Chain) Crash() {
 	c.ageEvt.Cancel()
 	c.ageEvt = nil
 	c.mux.Stop()
-	for e := range c.epochs {
+	for e, ep := range c.epochs {
+		ep.hold.Cancel()
 		delete(c.epochs, e)
 	}
 }
@@ -256,8 +268,14 @@ func (c *Chain) onPeerEpoch(epoch uint16) {
 	c.advance()
 }
 
-// advance starts every epoch the pipeline window and cut policy allow.
+// advance proposes into held epochs, lowest first, while the pool is
+// Ready, then starts every epoch the pipeline window and cut policy allow.
 func (c *Chain) advance() {
+	for e := c.nextCommit; e < c.nextStart && c.mempool.Ready(c.env.Sched.Now()); e++ {
+		if ep := c.epochs[e]; ep != nil && ep.hold != nil {
+			c.propose(e, ep)
+		}
+	}
 	for c.canStart() {
 		c.startEpoch(c.nextStart)
 		c.nextStart++
@@ -299,7 +317,9 @@ func (c *Chain) armAgeTimer() {
 
 // startEpoch opens the epoch's transport on the mux, builds the component
 // environment and the protocol instance, and submits a cut proposal, or
-// none if the epoch's log holds values to re-propose.
+// none if the epoch's log holds values to re-propose. Under HoldEmpty an
+// epoch with nothing ready to cut is held instead: its instance receives
+// and votes, and propose starts it later.
 func (c *Chain) startEpoch(e int) {
 	if c.led[e] == nil {
 		c.led[e] = component.Led{}
@@ -315,12 +335,25 @@ func (c *Chain) startEpoch(e int) {
 		OnDecide: func() { c.onDecide(e) },
 	})
 	c.epochs[e] = ep
-	var prop []byte
-	if len(env.Led) == 0 {
-		prop = EncodeBatch(c.mempool.Cut(e, c.env.Sched.Now()))
-		if !c.cfg.Encrypt {
-			prop = SealBatch(prop)
-		}
+	now := c.env.Sched.Now()
+	switch {
+	case len(env.Led) > 0:
+		ep.inst.Start(nil)
+	case c.cfg.HoldEmpty && !c.mempool.Ready(now):
+		ep.hold = c.env.Sched.At(now+c.mempool.cfg.MaxTxAge, func() { c.propose(e, ep) })
+	default:
+		c.propose(e, ep)
+	}
+}
+
+// propose starts epoch e's instance with a cut of the pool, ending its
+// hold if it was held.
+func (c *Chain) propose(e int, ep *chainEpoch) {
+	ep.hold.Cancel()
+	ep.hold = nil
+	prop := EncodeBatch(c.mempool.Cut(e, c.env.Sched.Now()))
+	if !c.cfg.Encrypt {
+		prop = SealBatch(prop)
 	}
 	ep.inst.Start(prop)
 }
@@ -333,6 +366,8 @@ func (c *Chain) onDecide(e int) {
 		return
 	}
 	ep.decided = true
+	ep.hold.Cancel() // decided without this node's proposal
+	ep.hold = nil
 	for {
 		cur := c.epochs[c.nextCommit]
 		if cur == nil || !cur.decided {

@@ -94,7 +94,7 @@ func (d *Dumbo) Outputs() [][]byte { return d.outputs }
 // onProof fires when a PRBC slot has a combined delivery proof: a vector
 // waiting on it may now be valid. At 2f+1 proofs this node CBC-broadcasts
 // its vector W_i.
-func (d *Dumbo) onProof(slot int, value []byte, _ []byte) {
+func (d *Dumbo) onProof(slot int, value []byte) {
 	d.proofs[slot] = component.HashValue(value)
 	d.cbcValue.Recheck()
 	if d.valueSent || len(d.proofs) < d.env.Quorum() {

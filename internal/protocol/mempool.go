@@ -26,7 +26,8 @@ type MempoolConfig struct {
 	MaxBatchBytes int
 	// MaxTxAge makes the pool ready once its oldest pending transaction has
 	// waited this long, so light traffic still commits promptly: the age
-	// half of the cut policy.
+	// half of the cut policy. It also bounds how long a HoldEmpty chain
+	// holds an epoch's proposal (ChainConfig.HoldEmpty).
 	MaxTxAge time.Duration
 	// DedupHorizon is how many epochs committed digests are remembered for.
 	// It must exceed the pipeline window: a transaction committed in epoch

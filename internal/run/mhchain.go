@@ -409,12 +409,18 @@ func newMHCDriver(spec Spec) (*mhcDriver, error) {
 	// are public), no sharding (each seat proposes exactly its own
 	// cluster's cuts), no epoch bound (it runs until every cluster's cuts
 	// are ordered), and a cut policy that proposes as soon as one cut is
-	// pending — cut cadence, not batch fill, sets the global tempo. The
-	// cluster keys' signature length sets the certified-cut wire size the
-	// batch policy must know.
+	// pending — cut cadence, not batch fill, sets the global tempo. A seat
+	// that joins a global epoch on a peer's frame with no cut pending holds
+	// its proposal (HoldEmpty) until its cluster's next cut, or a cut lost
+	// in an earlier epoch, comes back to its pool, or the pool's MaxTxAge
+	// passes: its empty batch would carry nothing and, being the smallest,
+	// win a fastest-2f+1 place from a certified cut. The cluster keys'
+	// signature length sets the certified-cut wire size the batch policy
+	// must know.
 	gccfg := ccfg
 	gccfg.Encrypt = false
 	gccfg.MaxEpochs = 0
+	gccfg.HoldEmpty = true
 	gccfg.Mempool = protocol.MempoolConfig{
 		TargetBatchBytes: cutHeaderSize + dep.locals[0].nodes[0].Suite.TSLow.SignatureLen(),
 		Shards:           1,

@@ -1,6 +1,7 @@
 package run
 
 import (
+	"bytes"
 	"encoding/binary"
 	"testing"
 	"time"
@@ -364,73 +365,169 @@ func TestClusteredChainCutSharesOnAir(t *testing.T) {
 // honest members take them as its: one is refused as it is decoded (its
 // value out of range), or it fails the combination it joins, which turns
 // that member's tally to proofs and puts the member's own share back on
-// the cluster channel in full. The fallback must show, as full cut shares
-// heard from honest members, and every cut of the cluster must still be
-// certified.
+// the cluster channel in full. Which shares a member combines first is a
+// race on the channel, so one honest member, the witness, is made to
+// combine the garbage: the honest peers' bare shares and certificates of
+// a cut are held back from it until it has put its own share up in full,
+// or until the adversary's share can no longer join a combination there
+// (it came undecodable, or a certificate came in its place). At every
+// seed, an epoch whose decodable garbage share reached the witness in that
+// time must turn the witness to proofs, and every cut of the cluster must
+// still be certified at every honest member.
 func TestClusteredChainGarbageCutShares(t *testing.T) {
-	const c, bad = 3, 15 // flat node 15 = cluster 3, member 3
+	const c, bad, witness = 3, 3, 0 // cluster 3: members 3 (flat node 15) and 0
 	// fullShare is the entry flag of a share sent with its proof
 	// (component's proofFlag).
 	const fullShare = 2
-	spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 3, 4)
-	spec.Scenario = scenario.Byz(byz.NameGarbage, bad)
-	d, err := newMHCDriver(spec.normalize())
-	if err != nil {
-		t.Fatal(err)
-	}
-	cl := d.clusters[c]
-	// Rejections a cut tally makes on the spot: a garbage share is refused
-	// as it is decoded, when it is offered or, parked, when the tally opens.
-	// And the full shares honest members send once their tally turned to
-	// proofs.
-	var rejected, full uint64
-	for i, ch := range cl.local.chains {
-		if cl.local.byz[i] {
-			continue
+	fired := 0
+	for seed := int64(1); seed <= 6; seed++ {
+		spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 3, seed)
+		spec.Scenario = scenario.Byz(byz.NameGarbage, c*4+bad)
+		d, err := newMHCDriver(spec.normalize())
+		if err != nil {
+			t.Fatal(err)
 		}
-		m, mux := cl.members[i], cl.local.nodes[i].Mux()
-		onCommit, onOpen := ch.OnCommit, ch.OnEpochOpen
+		cl := d.clusters[c]
+		key := d.keys[c]
+		// combinable is what the witness's collector would combine: a bare
+		// share whose value lies in the key's range.
+		combinable := func(raw []byte) bool {
+			sh, err := component.DecodeBareSigShare(raw)
+			return err == nil && sh.X.Sign() > 0 && sh.X.Cmp(key.N) < 0
+		}
+		// witnessEpoch is the witness's hold on one epoch's cut: what it
+		// held back, from whom, and what it saw.
+		type witnessEpoch struct {
+			h                        core.Handler
+			holding, reached, turned bool
+			held                     []packet.Section
+			from                     []uint16
+		}
+		release := func(st *witnessEpoch) {
+			if !st.holding {
+				return
+			}
+			st.holding = false
+			for i, sec := range st.held {
+				st.h.HandleSection(st.from[i], sec)
+			}
+			st.held, st.from = nil, nil
+		}
+		epochs := make(map[*core.Transport]*witnessEpoch)
+		var byEpoch []*witnessEpoch
+		cl.local.nodes[witness].Mux().SetInterceptor(interceptFunc(func(tr *core.Transport, in core.Intent) {
+			if st := epochs[tr]; st != nil && in.Kind == packet.KindGlobal && in.Phase == packet.PhaseDone && in.Flags&fullShare != 0 {
+				st.turned = true
+				release(st)
+			}
+		}))
+		ch, m := cl.local.chains[witness], cl.members[witness]
+		onOpen := ch.OnEpochOpen
 		ch.OnEpochOpen = func(ep int, env *component.Env) {
 			onOpen(ep, env)
-			h := m.globalHandler(m.cuts[ep])
+			st := &witnessEpoch{h: m.globalHandler(m.cuts[ep]), holding: true}
+			epochs[env.T] = st
+			byEpoch = append(byEpoch, st)
+			// A cut whose adversary share never reaches the witness must not
+			// keep the witness from its certificate for good.
+			env.Sched.At(env.Sched.Now()+2*time.Minute, func() { release(st) })
 			env.T.Register(packet.KindGlobal, core.HandlerFunc(func(from uint16, sec packet.Section) {
-				before := env.T.Stats().Rejected
-				h.HandleSection(from, sec)
-				if sec.Phase != packet.PhaseDone {
+				if sec.Phase != packet.PhaseDone || !st.holding {
+					st.h.HandleSection(from, sec)
 					return
 				}
-				rejected += env.T.Stats().Rejected - before
-				if cl.local.byz[from] {
+				if int(from) == bad {
+					last := false
+					for _, e := range sec.Entries {
+						switch {
+						case e.Flags == 0 && combinable(e.Data):
+							st.reached = true
+						case e.Flags&fullShare == 0:
+							last = true // undecodable, or a certificate: no share of it will combine
+						}
+					}
+					st.h.HandleSection(from, sec)
+					if last {
+						release(st)
+					}
 					return
 				}
+				pass, hold := sec, sec
+				pass.Entries, hold.Entries = nil, nil
 				for _, e := range sec.Entries {
 					if e.Flags&fullShare != 0 {
-						full++
+						pass.Entries = append(pass.Entries, e)
+					} else {
+						e.Data = bytes.Clone(e.Data)
+						hold.Entries = append(hold.Entries, e)
 					}
+				}
+				if len(hold.Entries) > 0 {
+					st.held, st.from = append(st.held, hold), append(st.from, from)
+				}
+				if len(pass.Entries) > 0 {
+					st.h.HandleSection(from, pass)
 				}
 			}))
 		}
-		ch.OnCommit = func(ep int) {
-			tr := mux.Lookup(uint16(ep))
-			before := tr.Stats().Rejected
-			onCommit(ep)
-			rejected += tr.Stats().Rejected - before
+		if _, err := d.run(); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-	}
-	if _, err := d.run(); err != nil {
-		t.Fatal(err)
-	}
-	if full == 0 {
-		t.Errorf("no honest member turned a cut tally to proofs (%d garbage cut shares refused on the spot)", rejected)
-	}
-	for i, m := range cl.members {
-		if cl.local.byz[i] {
-			continue
-		}
-		for ep := 0; ep < spec.Workload.Epochs; ep++ {
-			if m.cuts[ep].Cert() == nil {
-				t.Errorf("honest member %d holds no certificate for its cluster's cut of epoch %d", i, ep)
+		for ep, st := range byEpoch {
+			if st.reached {
+				fired++
+				if !st.turned {
+					t.Errorf("seed %d: epoch %d's garbage cut share reached the witness, which never turned its tally to proofs", seed, ep)
+				}
 			}
+		}
+		for i, m := range cl.members {
+			if cl.local.byz[i] {
+				continue
+			}
+			for ep := 0; ep < spec.Workload.Epochs; ep++ {
+				if m.cuts[ep].Cert() == nil {
+					t.Errorf("seed %d: honest member %d holds no certificate for its cluster's cut of epoch %d", seed, i, ep)
+				}
+			}
+		}
+	}
+	if fired == 0 {
+		t.Error("no garbage cut share reached the witness at any seed")
+	}
+}
+
+// interceptFunc observes a node's outbound intents and passes them on
+// unchanged.
+type interceptFunc func(t *core.Transport, in core.Intent)
+
+func (f interceptFunc) Outbound(t *core.Transport, in core.Intent) []core.Intent {
+	f(t, in)
+	return []core.Intent{in}
+}
+
+// TestClusteredChainNoEmptyGlobalEntry: a seat that joins a global epoch
+// with no cut of its cluster pending holds its proposal, so on a
+// fault-free run no global entry commits empty — the fastest 2f+1 are the
+// seats with a cut to order. Without the hold every seed of 1–6 commits
+// empty entries: seats that joined on a peer's frame put up empty batches,
+// which, being the smallest, win the race against certified cuts.
+func TestClusteredChainNoEmptyGlobalEntry(t *testing.T) {
+	for seed := int64(1); seed <= 6; seed++ {
+		rep, err := Run(quickMHChainSpec(protocol.DumboKind, protocol.CoinSig, 4, seed))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		// The seats' logs agree (Run checks it); seat 0's stands for all.
+		var empty []int
+		for _, entry := range rep.Tiers.GlobalLogs[0] {
+			if len(entry.Txs) == 0 {
+				empty = append(empty, entry.Epoch)
+			}
+		}
+		if len(empty) > 0 {
+			t.Errorf("seed %d: global epochs %v committed empty (%d entries for %d cuts)",
+				seed, empty, rep.Tiers.GlobalEntries, rep.Tiers.OrderedCuts)
 		}
 	}
 }

@@ -150,12 +150,12 @@ func TestMatrixPinned(t *testing.T) {
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "b2c41d13495c8881d4325a3e0b3100fe9985971e8f781fe362da626cba282d7c"},
+		}, "8a9224f9f36afe4a0639a2af54c414a4edab19b6cae47189d0b7288100b59aa5"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "1fbc20ce22edb750f6b5e1749429078c9aa3dea4967d4e96be5f2d2f4334186f"},
+		}, "1fededdc31426b045812c152b11a7b8584c0a6126040c5ef35e47a2ec55fb211"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// across several relay turns, back through mid-run catch-up.
@@ -163,7 +163,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
 			return spec
-		}, "5c247b11b9d19feb19fadfaf4bf5be15b67ef2cddcd98fd83ad6cea618ee8039"},
+		}, "8e68630feb4c5ee58627828b24c978ccd5adbb84b00099d14f5c3d654bcdb8ed"},
 	}
 	for _, tc := range cases {
 		tc := tc
