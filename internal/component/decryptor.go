@@ -37,7 +37,6 @@ func NewDecryptor(env *Env, slots int, onPlain func(slot int, plaintext []byte))
 		done:    packet.NewBitSet(slots),
 	}
 	d.shares = collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{scheme: decScheme(env), env: env, combined: d.recovered}
-	env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
 	env.T.Register(packet.KindDec, d)
 	return d
 }
@@ -57,8 +56,12 @@ func (d *Decryptor) shareIntent(slot int) core.IntentKey {
 
 // Submit provides the ciphertext accepted for a slot, releases this
 // node's decryption share, and verifies the peers' shares that arrived
-// ahead of the ciphertext.
+// ahead of the ciphertext. The first Submit installs the NACK row (later
+// ones find it unchanged): until the subset is fixed this node has no
+// ciphertext to use a share on, so its frames ask no peer for one, and a
+// peer's transport counts it in no slot's settling.
 func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) {
+	d.env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
 	if s := d.slot(slot); !s.open {
 		d.shares.begin(&s.tally, slot, ct, d.shareIntent(slot))
 	}

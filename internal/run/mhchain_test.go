@@ -296,7 +296,12 @@ func TestClusteredChainCertCostPinned(t *testing.T) {
 
 // cutTimeline runs spec's Clustered × Chain deployment and reports when
 // the f+1'th member of cluster c committed local epoch e, and when the cut
-// (c, e) first entered a seat's global order.
+// (c, e) first entered a seat's global order. Cluster c's members hold
+// their shares of that cut back, off the air, until a millisecond after
+// the f+1'th commit: without the hold, a member that commits seconds
+// before the f+1'th (one that ends the common subset first) has its share
+// on the channel long before then, and the f+1'th combines the cut as it
+// commits.
 func cutTimeline(t *testing.T, spec Spec, c, e int) (committed, ordered time.Duration) {
 	t.Helper()
 	d, err := newMHCDriver(spec.normalize())
@@ -304,13 +309,42 @@ func cutTimeline(t *testing.T, spec Spec, c, e int) (committed, ordered time.Dur
 		t.Fatal(err)
 	}
 	now := d.dep.sched.Now
+	type heldShare struct {
+		tr *core.Transport
+		in core.Intent
+	}
+	var held []heldShare
+	holding, epochE := true, map[*core.Transport]bool{}
+	release := func() {
+		holding = false
+		for _, h := range held {
+			h.tr.Inject(h.in)
+		}
+	}
 	var commits []time.Duration
-	for _, ch := range d.clusters[c].local.chains {
+	cl := d.clusters[c]
+	for i, ch := range cl.local.chains {
+		cl.local.nodes[i].Mux().SetInterceptor(interceptFunc(func(tr *core.Transport, in core.Intent) []core.Intent {
+			if holding && epochE[tr] && in.Kind == packet.KindGlobal && in.Phase == packet.PhaseDone {
+				held = append(held, heldShare{tr, in})
+				return nil
+			}
+			return []core.Intent{in}
+		}))
+		onOpen := ch.OnEpochOpen
+		ch.OnEpochOpen = func(ep int, env *component.Env) {
+			if ep == e {
+				epochE[env.T] = true
+			}
+			onOpen(ep, env)
+		}
 		on := ch.OnCommit
 		ch.OnCommit = func(ep int) {
 			on(ep)
 			if ep == e {
-				commits = append(commits, now())
+				if commits = append(commits, now()); len(commits) == d.spec.F+1 {
+					d.dep.sched.At(now()+time.Millisecond, release)
+				}
 			}
 		}
 	}
@@ -335,8 +369,9 @@ func cutTimeline(t *testing.T, spec Spec, c, e int) (committed, ordered time.Dur
 // channel. Cluster 1's members are cut off from one another just after
 // f+1 of them commit local epoch 1 — timed from a crash-free run of the
 // same spec — and stay so for ten minutes, far longer than the global
-// tier takes to order a cut. No share can reach a peer, so the cut must
-// not reach the global order before the partition heals.
+// tier takes to order a cut. Every member holds its share of the cut
+// until the partition begins (cutTimeline), so no share can reach a peer,
+// and the cut must not reach the global order before the partition heals.
 func TestClusteredChainCutSharesOnAir(t *testing.T) {
 	const c, e = 1, 1
 	spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 3, 1)
@@ -415,11 +450,12 @@ func TestClusteredChainGarbageCutShares(t *testing.T) {
 		}
 		epochs := make(map[*core.Transport]*witnessEpoch)
 		var byEpoch []*witnessEpoch
-		cl.local.nodes[witness].Mux().SetInterceptor(interceptFunc(func(tr *core.Transport, in core.Intent) {
+		cl.local.nodes[witness].Mux().SetInterceptor(interceptFunc(func(tr *core.Transport, in core.Intent) []core.Intent {
 			if st := epochs[tr]; st != nil && in.Kind == packet.KindGlobal && in.Phase == packet.PhaseDone && in.Flags&fullShare != 0 {
 				st.turned = true
 				release(st)
 			}
+			return []core.Intent{in}
 		}))
 		ch, m := cl.local.chains[witness], cl.members[witness]
 		onOpen := ch.OnEpochOpen
@@ -497,14 +533,10 @@ func TestClusteredChainGarbageCutShares(t *testing.T) {
 	}
 }
 
-// interceptFunc observes a node's outbound intents and passes them on
-// unchanged.
-type interceptFunc func(t *core.Transport, in core.Intent)
+// interceptFunc is a node's outbound-intent interceptor as a function.
+type interceptFunc func(t *core.Transport, in core.Intent) []core.Intent
 
-func (f interceptFunc) Outbound(t *core.Transport, in core.Intent) []core.Intent {
-	f(t, in)
-	return []core.Intent{in}
-}
+func (f interceptFunc) Outbound(t *core.Transport, in core.Intent) []core.Intent { return f(t, in) }
 
 // TestClusteredChainNoEmptyGlobalEntry: a seat that joins a global epoch
 // with no cut of its cluster pending holds its proposal, so on a

@@ -84,7 +84,7 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "2e6c66e974ad5d07d4077ec4f6596a0d5a5bac5090d536c61f16ec88553c8959"},
+		}, "fce0b1fef449f3da01217a8fe0336e3af78753ea4c9043da7cc116eb39e8a8a6"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
@@ -92,17 +92,18 @@ func TestMatrixPinned(t *testing.T) {
 			return spec
 		}, "2df272a16bee0bbf831c50dc3290a5665ad19ca38ef1672c41d4fbd13d3a2943"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
-			// Node 3 dies in epoch 0 and rejoins at an epoch boundary.
+			// Node 3 dies in epoch 0 (19 s long) and rejoins at an epoch
+			// boundary.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
-			spec.Scenario = scenario.MustParse("crash@30s:3;recover@1m30s:3")
+			spec.Scenario = scenario.MustParse("crash@10s:3;recover@30s:3")
 			return spec
-		}, "4a0f77ef11eb36e3f6b2f7752cc46a96dfc094b607f2b144f860808e28b50703"},
+		}, "a20759c1e2315e5819c61997753e1d8c43be8129541350b31bdbde0a94fe9a0b"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "d10fbe10c85fb7290856fa1038e34f0fa42701cdab2523385c1e7582d98ec7c2"},
+		}, "e487931d43d8512d613162ae7b4a5f693f9304f4594a4e3908f2f9bbba170d75"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "c1291b02aec99486d2b167cb8b3c542d5039cd891ab85ea9081db67f8ac6ed86"},
+		}, "c74b00e71968511880e823b1510a79f4b42933688127062277546b6a5a7842c4"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1 (a follower in epoch 0) crashes and
 			// rejoins as epoch 1's leader; cluster 2's member 3 is
@@ -116,14 +117,14 @@ func TestMatrixPinned(t *testing.T) {
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
-			spec.Scenario = scenario.MustParse("crash@4m:2;recover@9m:2")
+			spec.Scenario = scenario.MustParse("crash@30s:2;recover@1m:2")
 			return spec
-		}, "dc103293ccd41251e78559ffa4c7063619a8f8719fd82fe7c317a06c645ed53f"},
+		}, "181f8578ba2587ca1368865df5607c8d07a9208d13859f1660efe37bfe944f13"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "ecf55c2a663429333ab7874e1887fac446ed15958ebfea0da12feec4d46cb5db"},
+		}, "ea6ae574f1d2204827f277a034d76cfa377b31fa3f71ecbe63edd0e81bcd6ed2"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -155,23 +156,31 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "1fededdc31426b045812c152b11a7b8584c0a6126040c5ef35e47a2ec55fb211"},
+		}, "30f45ab8ac30a23bd0e0d240cd08356facb588b8669dddbc75a84c8c8a14b2d6"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
-			// across several relay turns, back through mid-run catch-up.
+			// for a minute, about two relay turns, back through mid-run
+			// catch-up; the run lasts 3 m.
 			spec := base(protocol.BEAT, "", run.Clustered(4, 4), fast(4))
 			spec.Workload.GCLag = 4
-			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@5m:0;recover@20m:0")
+			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@30s:0;recover@1m30s:0")
 			return spec
-		}, "8e68630feb4c5ee58627828b24c978ccd5adbb84b00099d14f5c3d654bcdb8ed"},
+		}, "5f712bb7d873415e384baf2c6883e4f9b0112fd10068ba6ad780b02a64b1a382"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.cell+"/"+tc.name, func(t *testing.T) {
 			t.Parallel()
-			rep, err := run.Run(tc.spec())
+			spec := tc.spec()
+			rep, err := run.Run(spec)
 			if err != nil {
 				t.Fatal(err)
+			}
+			// An event scripted for after the run's end pins nothing.
+			for _, ev := range spec.Scenario.Events {
+				if ev.At >= rep.Duration {
+					t.Errorf("%v fires after the run ended at %v", ev, rep.Duration)
+				}
 			}
 			if got := reportDigest(t, rep); got != tc.want {
 				t.Errorf("%s trajectory moved:\n got  %s\n want %s", tc.name, got, tc.want)

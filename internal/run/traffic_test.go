@@ -88,9 +88,14 @@ func TestChainArrivalDeterminism(t *testing.T) {
 	}
 }
 
+// TestChainBackpressure offers more than the chain commits against a
+// 1 KiB pool cap. The run commits about 0.3 tx/s; seed-1 probes of this
+// spec reject nothing at admission at 0.32 and 0.36 tx/s and first reject
+// at 0.4 tx/s, so 0.64 tx/s is 1.6x the lowest rate that overloads.
 func TestChainBackpressure(t *testing.T) {
+	const rate = 0.64
 	spec := trafficSpec(3)
-	spec.Workload.Arrival.Rate = 0.32 // near the ~0.5 tx/s capacity: bursts fill a 1 KiB cap
+	spec.Workload.Arrival.Rate = rate
 	spec.Workload.Mempool.MaxPendingBytes = 1024
 	res, err := run.Run(spec)
 	if err != nil {
@@ -98,7 +103,8 @@ func TestChainBackpressure(t *testing.T) {
 	}
 	c := res.Chain
 	if c.AdmissionRejected == 0 {
-		t.Fatal("overload with a 1 KiB cap produced no admission rejections")
+		t.Fatalf("no admission rejection: %v tx/s no longer overloads a 1 KiB pool (peak %dB, %d offered, %d committed in %v); raise the rate",
+			rate, c.PeakMempoolBytes, c.SubmittedTxs, c.CommittedTxs, res.Duration)
 	}
 	if c.PeakMempoolBytes > 1024 {
 		t.Fatalf("peak pool %dB exceeds the 1024B cap", c.PeakMempoolBytes)
