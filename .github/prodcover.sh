@@ -58,7 +58,7 @@ wbft chain -epochs 6 -arrival poisson -rate 0.08 -mempool-cap 2048
 wbft chain -epochs 6 -arrival onoff -rate 0.08 -clients 500 -mempool-cap 2048
 wbft -topology clustered -workload chain -epochs 4 -arrival poisson -rate 0.05
 wbft chain -epochs 6 -scenario "mobility@0s:20,900"
-wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@1m:3m,2m"
+wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@30s:1m,30s"
 # What the README's list leaves out: the fourth engine, the heavy parameter
 # set, the delay adversary, -gclag, the Report's JSON writer, an Alea
 # node that crashes after proposing and re-proposes its logged value, and
