@@ -19,10 +19,12 @@
 //
 //	wbft chain [flags]   alias for -workload chain
 //
-// The chain workload runs the pipelined SMR deployment: continuous client
-// traffic ordered into a replicated log across many epochs. Combined with
-// -topology clustered it runs local chains per cluster and orders cluster
-// cuts on the global tier.
+// Both workloads run the SMR deployment: a replicated log across many
+// epochs, and under -topology clustered local chains per cluster whose
+// certified cuts are ordered on the global tier. The chain workload feeds
+// it continuous client traffic through a pipeline -depth deep; the oneshot
+// workload is a depth-1 chain of fixed -batch proposals, each epoch timed
+// on its own (the paper's evaluation runs).
 //
 // -arrival swaps the fixed -txinterval client process for a seed-derived
 // one (internal/traffic; under -topology clustered every arrival is one
@@ -90,8 +92,8 @@ func main() {
 		coin     = fs.String("coin", "SC", list(protocol.Coins())+": local | threshold sig | coin flipping")
 		baseline = fs.Bool("baseline", false, "disable ConsensusBatcher (per-instance packets)")
 		topology = fs.String("topology", "single", "single (one channel) | clustered (two-tier, per-cluster channels)")
-		workload = fs.String("workload", "oneshot", "oneshot (independent epochs) | chain (pipelined SMR log)")
-		epochs   = fs.Int("epochs", 0, "epochs: one-shot runs this many, chain commits this many (0 = workload default)")
+		workload = fs.String("workload", "oneshot", "oneshot (fixed batches, a depth-1 chain timed per epoch) | chain (pipelined SMR log of client traffic)")
+		epochs   = fs.Int("epochs", 0, "epochs every correct node commits (0 = workload default)")
 		seed     = fs.Int64("seed", 1, "simulation seed")
 		loss     = fs.Float64("loss", 0.02, "per-receiver frame loss probability")
 		heavy    = fs.Bool("heavy", false, "heavy crypto parameter set (BN254-equivalent)")

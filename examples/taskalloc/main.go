@@ -3,6 +3,9 @@
 // search and rescue). This example runs a 4-robot swarm that repeatedly
 // agrees on a task assignment despite one crashed robot and a lossy
 // channel, then derives the allocation from the agreed transaction set.
+// Each round is one epoch of a depth-1 chain (run.OneShot): every robot
+// holds its proposals for all rounds from the start, and a round is
+// agreed once every live robot has committed it.
 //
 //	go run ./examples/taskalloc
 package main
@@ -27,7 +30,7 @@ func main() {
 	spec.Seed = 7
 	spec.Net.LossProb = 0.05          // noisy field conditions
 	spec.Scenario = scenario.Crash(3) // robot 3 is down from the start
-	spec.Deadline = 4 * time.Hour     // generous virtual-time bound
+	spec.Deadline = 4 * time.Hour     // generous virtual-time bound on the whole run
 
 	fmt.Println("4-robot swarm, BEAT consensus, robot 3 crashed, 5% frame loss")
 	res, err := run.Run(spec)

@@ -36,10 +36,6 @@ type Config struct {
 	// Seed is the run seed; the node's private RNG is derived from it and
 	// the node index.
 	Seed int64
-	// CPU, if non-nil, shares an existing compute core instead of creating
-	// one (a multihop leader's global-tier radio is a second interface on
-	// the same processor).
-	CPU *sim.CPU
 }
 
 // resolve returns the effective transport configuration.
@@ -68,17 +64,12 @@ type Node struct {
 	station *wireless.Station
 	mux     *core.Mux
 	down    bool
-
-	behavior byz.Behavior
 }
 
 // New wires a node with no epoch open: its caller opens each epoch's
 // transport on Mux() and closes it when the epoch is over.
 func New(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *crypto.Suite, cfg Config) *Node {
-	cpu := cfg.CPU
-	if cpu == nil {
-		cpu = sim.NewCPU(sched)
-	}
+	cpu := sim.NewCPU(sched)
 	tcfg := cfg.resolve()
 	n := &Node{
 		ID:      id,
@@ -121,22 +112,13 @@ func (n *Node) Env(size, f int) *component.Env {
 // Down reports whether the node is currently crashed.
 func (n *Node) Down() bool { return n.down }
 
-// SetBehavior arms (or, with nil, disarms) an active-Byzantine behavior:
-// an interceptor seeded from the node's private randomness covers every
-// open and future epoch and survives crash/recovery (a restarted adversary
-// is still an adversary).
+// SetBehavior arms an active-Byzantine behavior: an interceptor seeded
+// from the node's private randomness covers every open and future epoch
+// and survives crash/recovery (a restarted adversary is still an
+// adversary).
 func (n *Node) SetBehavior(b byz.Behavior) {
-	n.behavior = b
-	if b == nil {
-		n.mux.SetInterceptor(nil)
-		return
-	}
 	n.mux.SetInterceptor(&byz.Interceptor{Rand: n.Rand, Sched: n.sched, Behavior: b})
 }
-
-// Behavior returns the armed Byzantine behavior, or nil for an honest
-// node.
-func (n *Node) Behavior() byz.Behavior { return n.behavior }
 
 // ReceiveFrame implements wireless.Receiver: the node is the station's
 // receiver so that a crash can gate inbound delivery.

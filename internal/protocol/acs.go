@@ -24,10 +24,8 @@ import (
 type Instance interface {
 	// Start submits this node's proposal for the epoch.
 	Start(proposal []byte)
-	// Done reports whether the epoch has decided locally.
-	Done() bool
 	// Outputs returns the accepted proposals (by slot; nil entries for
-	// rejected slots) once Done.
+	// rejected slots) once the epoch has decided locally, nil before.
 	Outputs() [][]byte
 }
 
@@ -135,9 +133,6 @@ func (a *ACS) Start(proposal []byte) {
 	}
 	a.rbc.Propose(a.env.Me, proposal)
 }
-
-// Done implements Instance.
-func (a *ACS) Done() bool { return a.outputs != nil }
 
 // Outputs implements Instance.
 func (a *ACS) Outputs() [][]byte { return a.outputs }

@@ -41,7 +41,7 @@ func TestACSRejectsSemivalidCiphertext(t *testing.T) {
 	}
 	allDone := func() bool {
 		for _, a := range insts {
-			if !a.Done() {
+			if a.Outputs() == nil {
 				return false
 			}
 		}
@@ -50,7 +50,7 @@ func TestACSRejectsSemivalidCiphertext(t *testing.T) {
 	for sched.Now() < time.Hour && !allDone() && sched.Step() {
 	}
 	for i, a := range insts {
-		if !a.Done() {
+		if a.Outputs() == nil {
 			t.Fatalf("node %d still waits at %v: bad slot accepted=%v opened=%v",
 				i, sched.Now(), a.slots[bad].accepted, a.slots[bad].opened)
 		}

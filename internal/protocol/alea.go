@@ -70,9 +70,6 @@ var _ Instance = (*Alea)(nil)
 // Start implements Instance: push this node's batch onto its queue.
 func (a *Alea) Start(proposal []byte) { a.vcbc.Propose(a.env.Me, proposal) }
 
-// Done implements Instance.
-func (a *Alea) Done() bool { return a.outputs != nil }
-
 // Outputs implements Instance.
 func (a *Alea) Outputs() [][]byte { return a.outputs }
 

@@ -85,9 +85,6 @@ var _ Instance = (*Dumbo)(nil)
 // Start implements Instance.
 func (d *Dumbo) Start(proposal []byte) { d.prbc.Propose(d.env.Me, proposal) }
 
-// Done implements Instance.
-func (d *Dumbo) Done() bool { return d.outputs != nil }
-
 // Outputs implements Instance.
 func (d *Dumbo) Outputs() [][]byte { return d.outputs }
 

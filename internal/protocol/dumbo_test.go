@@ -87,7 +87,7 @@ func TestDumboRejectsRepeatedSlotVector(t *testing.T) {
 			forged := false
 			allDone := func() bool {
 				for _, d := range insts {
-					if !d.Done() {
+					if d.Outputs() == nil {
 						return false
 					}
 				}
@@ -104,7 +104,7 @@ func TestDumboRejectsRepeatedSlotVector(t *testing.T) {
 			}
 			var honest []Instance
 			for i, d := range insts {
-				if !d.Done() {
+				if d.Outputs() == nil {
 					t.Fatalf("node %d undecided at %v", i, sched.Now())
 				}
 				if i == first {

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -9,10 +8,9 @@ import (
 )
 
 // This file is the protocol-variant surface shared by every deployment
-// driver: the engine registry, the epoch-instance factory, and the
-// agreement check. The drivers themselves — one-shot, clustered, and chain
-// SMR over both topologies — live in internal/run behind the unified
-// run.Spec API.
+// driver: the engine registry and the epoch-instance factory. The drivers
+// themselves — chain SMR on either topology, of which a one-shot run is a
+// depth-1 case — live in internal/run behind the unified run.Spec API.
 
 // Kind names a consensus protocol family.
 type Kind string
@@ -140,8 +138,8 @@ func Register(e Engine) (restore func()) {
 }
 
 // NewInstance builds one epoch's consensus engine for a protocol family.
-// Every driver constructs every instance — each epoch of the one-shot and
-// chain workloads, and the global tier's — through this factory.
+// Every driver constructs every instance — each epoch of every chain, the
+// global tier's included — through this factory.
 func NewInstance(env *component.Env, p Kind, opts Options) Instance {
 	e, ok := Lookup(p)
 	if !ok {
@@ -151,46 +149,4 @@ func NewInstance(env *component.Env, p Kind, opts Options) Instance {
 		opts.Coin = e.Coin
 	}
 	return e.New(env, opts)
-}
-
-// MakeProposal builds the one-shot drivers' deterministic proposal batch:
-// batchSize transactions of txSize bytes, tagged with the proposer and
-// epoch.
-func MakeProposal(node, epoch, batchSize, txSize int) []byte {
-	prop := make([]byte, batchSize*txSize)
-	for t := 0; t < batchSize; t++ {
-		tx := prop[t*txSize : (t+1)*txSize]
-		binary.BigEndian.PutUint32(tx, uint32(node))
-		binary.BigEndian.PutUint32(tx[4:], uint32(epoch))
-		binary.BigEndian.PutUint32(tx[8:], uint32(t))
-		for i := 12; i < len(tx); i++ {
-			tx[i] = byte(i * (node + 1))
-		}
-	}
-	return prop
-}
-
-// AgreementCheck verifies that all honest nodes produced identical outputs
-// in their final epoch (exported for the drivers and property tests).
-func AgreementCheck(nodes []Instance) error {
-	var ref [][]byte
-	for _, inst := range nodes {
-		if inst == nil || !inst.Done() {
-			continue
-		}
-		if ref == nil {
-			ref = inst.Outputs()
-			continue
-		}
-		out := inst.Outputs()
-		if len(out) != len(ref) {
-			return fmt.Errorf("protocol: output length mismatch: %d vs %d", len(out), len(ref))
-		}
-		for i := range ref {
-			if string(ref[i]) != string(out[i]) {
-				return fmt.Errorf("protocol: output disagreement at slot %d", i)
-			}
-		}
-	}
-	return nil
 }

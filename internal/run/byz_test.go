@@ -13,8 +13,8 @@ import (
 // TestHonestSafetyUnderByzantineBehaviors runs every active-Byzantine
 // behavior against both protocol families with f Byzantine nodes. The
 // driver itself enforces the honest-safety bar: Run fails if the honest
-// nodes' outputs disagree (AgreementCheck), so a nil error plus progress
-// is the assertion.
+// nodes' logs disagree or have a gap (protocol.CheckLogs), so a nil error
+// plus progress is the assertion.
 func TestHonestSafetyUnderByzantineBehaviors(t *testing.T) {
 	for _, behavior := range byz.Names() {
 		for _, p := range []struct {
@@ -111,14 +111,14 @@ func TestEquivocatorForgesNothingInTheClear(t *testing.T) {
 }
 
 // TestClusteredByzantineFollower checks the clustered one-shot cell: a
-// Byzantine cluster member (never the epoch leader) must not break the
-// deployment's agreement or completion.
+// Byzantine cluster member, which taints its cluster's seat, must not
+// break the deployment's agreement or completion.
 func TestClusteredByzantineFollower(t *testing.T) {
 	spec := Defaults(protocol.HoneyBadger, protocol.CoinSig)
 	spec.Topology = Clustered(4, 4)
 	spec.Workload = OneShot(1)
 	spec.Seed = 3
-	// Flat node 7 = cluster 1, member 3; epoch 0's leaders are member 0.
+	// Flat node 7 = cluster 1, member 3.
 	spec.Scenario = scenario.Byz(byz.NameGarbage, 7)
 	res, err := Run(spec)
 	if err != nil {

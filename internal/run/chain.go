@@ -2,6 +2,8 @@ package run
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"time"
 
 	"repro/internal/node"
@@ -13,7 +15,8 @@ import (
 // SingleHop × Chain: a sustained multi-epoch SMR simulation — N Chain
 // engines on one lossy wireless channel, fed continuous client traffic,
 // running until every correct node has committed the target number of
-// epochs.
+// epochs. SingleHop × OneShot is the same run at depth 1, fed fixed
+// batches instead (oneshot.go).
 //
 // The Scenario supports the full vocabulary including mid-run recovery: a
 // recovered node restarts its chain engine at the commit frontier (its
@@ -37,10 +40,14 @@ func chainConfig(spec Spec) (protocol.ChainConfig, error) {
 		MaxEpochs: spec.Workload.Epochs,
 		Mempool:   spec.Workload.Mempool,
 	}
-	if max := ccfg.Mempool.WithDefaults().MaxBatchBytes; spec.Workload.TxSize > max {
-		return ccfg, fmt.Errorf("run: TxSize %d exceeds proposal cap MaxBatchBytes %d", spec.Workload.TxSize, max)
+	txSize := spec.Workload.TxSize
+	if spec.Workload.Kind == LoadOneShot {
+		txSize = slices.Min(oneShotBatch(spec))
 	}
-	return ccfg, ccfg.CheckProposalSize(spec.Workload.TxSize)
+	if max := ccfg.Mempool.WithDefaults().MaxBatchBytes; txSize > max {
+		return ccfg, fmt.Errorf("run: TxSize %d exceeds proposal cap MaxBatchBytes %d", txSize, max)
+	}
+	return ccfg, ccfg.CheckProposalSize(txSize)
 }
 
 // chainGroup is a consensus group running the SMR pipeline: one
@@ -91,6 +98,18 @@ func (g *chainGroup) done(target int) bool {
 	return true
 }
 
+// committed returns the lowest commit frontier of a live member
+// (math.MaxInt for a group with none).
+func (g *chainGroup) committed() int {
+	low := math.MaxInt
+	for i, c := range g.chains {
+		if g.live[i] {
+			low = min(low, c.CommittedEpochs())
+		}
+	}
+	return low
+}
+
 // submit broadcasts one client transaction to the mempool of every member
 // on the air. A node that is down misses the submissions of its outage
 // (clients cannot reach it), which commit-time dedup makes harmless.
@@ -111,7 +130,10 @@ func (g *chainGroup) check() error {
 			honest[i] = c
 		}
 	}
-	return protocol.CheckLogs(honest)
+	if err := protocol.CheckLogs(honest); err != nil {
+		return fmt.Errorf("safety violation: %w", err)
+	}
+	return nil
 }
 
 // ref returns the first live member's chain — the node the commit
@@ -229,29 +251,45 @@ func runChain(spec Spec) (*Report, error) {
 	for i, c := range g.chains {
 		c.OnCommit = func(int) { g.observe(i) }
 	}
-	// Unlike the one-shot workload, recovery here is mid-run: the chain
-	// engine resumes at its commit frontier and catches up on the live
-	// pipeline.
+	// Recovery is mid-run: the chain engine resumes at its commit frontier
+	// and catches up on the live pipeline.
 	d.wire(lifecycle{
 		crashed:   func(i int) { g.chains[i].Crash() },
 		recovered: func(i int) { g.chains[i].Recover() },
 	})
 	locals := []*chainGroup{g}
-	gen := startClients(d.sched, spec, locals)
+	clock := newEpochClock(spec)
+	var gen *traffic.Gen
+	if clock != nil {
+		seedOneShot(spec, locals)
+	} else {
+		gen = startClients(d.sched, spec, locals)
+	}
 	for _, c := range g.chains {
 		c.Start()
 	}
 
 	target := spec.Workload.Epochs
-	if err := node.Drive(d.sched, spec.Deadline, func() bool { return g.done(target) }); err != nil {
+	done := func() bool { return g.done(target) }
+	if clock != nil {
+		done = func() bool {
+			clock.tick(d.sched.Now(), g.committed())
+			return g.done(target)
+		}
+	}
+	if err := node.Drive(d.sched, spec.Deadline, done); err != nil {
 		return nil, fmt.Errorf("run: chain run (%s %s batched=%v depth=%d) at frontier %v: %w",
 			spec.Protocol, spec.Coin, spec.Batched, spec.Workload.Window, g.frontiers(), err)
 	}
 	if err := g.check(); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("run: %w", err)
 	}
 	rep := spec.report()
 	d.fold(rep)
+	if clock != nil {
+		clock.report(rep, locals)
+		return rep, nil
+	}
 	cr := chainReport(rep, locals, target, gen)
 	// The client-visible per-transaction measurements are the single-hop
 	// cell's: one group, one client stream, one reference mempool.

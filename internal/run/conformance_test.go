@@ -311,13 +311,14 @@ func TestConformanceDeterminism(t *testing.T) {
 }
 
 // seatProbe re-registers an engine under its own kind with a constructor
-// that notes what each instance on the global tier's session (of a Spec
-// with the default transport session) was built with, and taps every
+// that notes which seat built each instance on the global tier's session
+// (of a Spec with the default transport session) and with what, and taps every
 // instance's outbound intents for decryption shares, per tier. The run
 // reads the registry, so what the probe sees is what the drivers built.
 // One run at a time builds instances of a probed kind, so nothing is
 // locked.
 type seatProbe struct {
+	seats               map[int]bool
 	seatOpts            []protocol.Options
 	decLocal, decGlobal int
 }
@@ -337,12 +338,13 @@ func registerSeatProbe(t *testing.T, kind protocol.Kind) *seatProbe {
 	if !ok {
 		t.Fatalf("%s missing from registry", kind)
 	}
-	p := &seatProbe{}
+	p := &seatProbe{seats: make(map[int]bool)}
 	build := eng.New
 	eng.New = func(env *component.Env, opts protocol.Options) protocol.Instance {
 		count := &p.decLocal
 		if env.Session == globalSession(0) {
 			count = &p.decGlobal
+			p.seats[env.Me] = true
 			p.seatOpts = append(p.seatOpts, opts)
 		}
 		env.T.SetInterceptor(decTap{count})
@@ -355,8 +357,9 @@ func registerSeatProbe(t *testing.T, kind protocol.Kind) *seatProbe {
 // TestConformanceClustered runs each engine through the clustered
 // topology cell (the acceptance bar for new engines: every engine must
 // drive every matrix cell, not just the flat one) and checks that the
-// global tier runs the family's own engine: every seat's instance comes
-// out of the family's registry entry, with the family's coin. (The seats
+// global tier runs the family's own engine: every seat's instances, one
+// per global epoch, come out of the family's registry entry, with the
+// family's coin. (The seats
 // used to be built by a switch in the driver that gave Alea HoneyBadger's
 // ACS and re-derived BEAT's coin default by hand.) The probes stay
 // registered until the parallel cells are done; no other top-level test
@@ -381,9 +384,9 @@ func TestConformanceClustered(t *testing.T) {
 			if rep.OneShot.DeliveredTxs == 0 {
 				t.Fatal("clustered cell delivered nothing")
 			}
-			if len(probe.seatOpts) != spec.Topology.Clusters {
+			if len(probe.seats) != spec.Topology.Clusters {
 				t.Fatalf("%d of the %d seats run an instance of the %s registry entry",
-					len(probe.seatOpts), spec.Topology.Clusters, kind)
+					len(probe.seats), spec.Topology.Clusters, kind)
 			}
 			for _, opts := range probe.seatOpts {
 				if opts.Coin != conformanceCoin(kind) || opts.Encrypt {
@@ -465,8 +468,8 @@ func TestConformanceCatchesBrokenEngines(t *testing.T) {
 	if _, err := Run(spec); err == nil {
 		t.Error("agreement-violating engine passed the driver")
 	}
-	// The one-shot epoch skeleton checks agreement per cluster under the
-	// clustered topology too (here member 0 of every cluster forges).
+	// The clustered driver checks every cluster's logs too (here member 0
+	// of every cluster forges).
 	clustered := Defaults("broken-agreement", protocol.CoinSig)
 	clustered.Topology = Clustered(4, 4)
 	clustered.Workload = OneShot(1)

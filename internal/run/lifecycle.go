@@ -52,7 +52,7 @@ func newDeployment(spec Spec) (*deployment, error) {
 		if spec.Topology.Kind == TopoClustered {
 			dealSeed = spec.Seed + int64(c)*101
 		}
-		g, err := d.newGroup(spec.N, spec.F, dealSeed, cfg, nil)
+		g, err := d.newGroup(spec.N, spec.F, dealSeed, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -65,34 +65,21 @@ func newDeployment(spec Spec) (*deployment, error) {
 	// dealing, node seeds and transport session.
 	cfg.Seed = spec.Seed ^ 0x61
 	cfg.Transport.Session = globalSession(spec.Transport.Session)
-	var cpus []*sim.CPU
-	if spec.Workload.Kind == LoadOneShot {
-		// A one-shot seat is the cluster leader's second radio: compute
-		// shares the member's single core. For simplicity each seat stays
-		// on one member's core (the epoch-0 leader's) while leaders
-		// rotate. A chain seat is a second radio+MCU of its own.
-		for _, g := range d.locals {
-			cpus = append(cpus, g.nodes[0].CPU)
-		}
-	}
+	// A seat is a second radio+MCU of its own.
 	var err error
-	d.seats, err = d.newGroup(clusters, (clusters-1)/3, spec.Seed^0x61, cfg, cpus)
+	d.seats, err = d.newGroup(clusters, (clusters-1)/3, spec.Seed^0x61, cfg)
 	return d, err
 }
 
 // newGroup deals n suites tolerating f faults from dealSeed and wires one
-// node per suite onto a fresh channel. cpus, if non-nil, gives node i an
-// existing compute core to share.
-func (d *deployment) newGroup(n, f int, dealSeed int64, cfg node.Config, cpus []*sim.CPU) (*group, error) {
+// node per suite onto a fresh channel.
+func (d *deployment) newGroup(n, f int, dealSeed int64, cfg node.Config) (*group, error) {
 	suites, err := crypto.DealCached(n, f, d.spec.Crypto, dealSeed)
 	if err != nil {
 		return nil, err
 	}
 	g := &group{ch: wireless.NewChannel(d.sched, d.spec.Net), nodes: make([]*node.Node, n)}
 	for i := range g.nodes {
-		if cpus != nil {
-			cfg.CPU = cpus[i]
-		}
 		g.nodes[i] = node.New(d.sched, g.ch, wireless.NodeID(i), suites[i], cfg)
 	}
 	return g, nil

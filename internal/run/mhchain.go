@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/byz"
 	"repro/internal/component"
@@ -13,10 +14,13 @@ import (
 	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/protocol"
+	"repro/internal/traffic"
 )
 
 // Clustered × Chain: pipelined multi-epoch SMR over the paper's Sec. V-B
 // two-tier wireless deployment, composed from M+1 chain groups (chain.go).
+// Clustered × OneShot (Fig. 13b) is the same run at depth 1, its clusters
+// fed fixed batches instead of client traffic (oneshot.go).
 //
 // Each cluster is a chain group on its own channel: P nodes running
 // protocol.Chain, ordering that cluster's client traffic into a local
@@ -128,6 +132,8 @@ type mhcDriver struct {
 	keys []*threshsig.PublicKey
 	// certs counts the seats' certificate checks and rejections.
 	certs CutCertStats
+	// clock times a one-shot run's epochs; nil for the chain workload.
+	clock *epochClock
 }
 
 // member resolves a flat scenario node id to its cluster and index there.
@@ -263,6 +269,9 @@ func (d *mhcDriver) acceptCut(cl *mhcCluster, tx []byte, c cut) {
 		cl.gotCuts[c.cluster] = make(map[int]bool)
 	}
 	cl.gotCuts[c.cluster][c.epoch] = true
+	if d.clock != nil && !cl.tainted() {
+		d.clock.order(cl.cutCount, c.epoch, !d.clusters[c.cluster].tainted())
+	}
 }
 
 // rejectCut discards a committed global transaction that failed cut
@@ -426,7 +435,7 @@ func newMHCDriver(spec Spec) (*mhcDriver, error) {
 		Shards:           1,
 	}
 
-	d := &mhcDriver{spec: spec, dep: dep, target: target, gsession: globalSession(spec.Transport.Session)}
+	d := &mhcDriver{spec: spec, dep: dep, target: target, gsession: globalSession(spec.Transport.Session), clock: newEpochClock(spec)}
 	d.seats = newChainGroup(dep.seats, fg, gccfg, 0, tainted, nil)
 	for c, lg := range dep.locals {
 		cl := &mhcCluster{idx: c, seats: d.seats, gotCuts: make([]map[int]bool, M)}
@@ -470,25 +479,24 @@ func (d *mhcDriver) run() (*Report, error) {
 		}
 		return true
 	}
-	heardDone := func() bool {
-		for _, cl := range d.clusters {
-			if cl.tainted() {
-				continue
-			}
-			for i, m := range cl.members {
-				if cl.local.live[i] && m.heardCuts < untainted*target {
-					return false
-				}
-			}
+	done := func() bool { return localsDone(locals, target) && globalDone() && d.minHeard() >= untainted*target }
+	if d.clock != nil {
+		barrier := done
+		done = func() bool {
+			d.clock.tick(dep.sched.Now(), d.clock.heard(d.minHeard()))
+			return barrier()
 		}
-		return true
 	}
-	done := func() bool { return localsDone(locals, target) && globalDone() && heardDone() }
 
-	// Scheduler ties break by post order: the first client arrival is
-	// armed before any chain starts, and the chains start cluster by
-	// cluster, each followed by its seat.
-	gen := startClients(dep.sched, spec, locals)
+	// Scheduler ties break by post order: the first client arrival (or
+	// every one-shot proposal) is in before any chain starts, and the
+	// chains start cluster by cluster, each followed by its seat.
+	var gen *traffic.Gen
+	if d.clock != nil {
+		seedOneShot(spec, locals)
+	} else {
+		gen = startClients(dep.sched, spec, locals)
+	}
 	for _, cl := range d.clusters {
 		for _, c := range cl.local.chains {
 			c.Start()
@@ -521,16 +529,38 @@ func (d *mhcDriver) run() (*Report, error) {
 
 	rep := spec.report()
 	dep.fold(rep)
-	// The Chain section keeps to the counters that sum across clusters: a
-	// per-transaction latency sample needs a cross-cluster definition
-	// first (every cluster has its own client stream and reference pool).
-	chainReport(rep, locals, target, gen)
+	if d.clock != nil {
+		d.clock.report(rep, locals)
+	} else {
+		// The Chain section keeps to the counters that sum across
+		// clusters: a per-transaction latency sample needs a cross-cluster
+		// definition first (every cluster has its own client stream and
+		// reference pool).
+		chainReport(rep, locals, target, gen)
+	}
 	certs := d.certs
 	rep.Tiers.GlobalEntries = len(refSeat.gchain().Log())
 	rep.Tiers.OrderedCuts = refSeat.cutCount
 	rep.Tiers.CutCerts = &certs
 	rep.Tiers.GlobalLogs = d.seats.logs()
 	return rep, nil
+}
+
+// minHeard returns the lowest frontier a live honest member of an
+// untainted cluster has heard (math.MaxInt if there is none).
+func (d *mhcDriver) minHeard() int {
+	low := math.MaxInt
+	for _, cl := range d.clusters {
+		if cl.tainted() {
+			continue
+		}
+		for i, m := range cl.members {
+			if cl.local.live[i] {
+				low = min(low, m.heardCuts)
+			}
+		}
+	}
+	return low
 }
 
 // checkSafety runs the post-run safety checks — local agreement per

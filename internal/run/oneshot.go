@@ -1,177 +1,153 @@
 package run
 
 import (
-	"fmt"
 	"time"
 
-	"repro/internal/node"
 	"repro/internal/protocol"
 )
 
-// osNode bundles one node's per-epoch state on top of the deployment
-// layer for the one-shot workload.
-type osNode struct {
-	*node.Node
-	idx int
-	// byz marks a node the scenario ever scripts Byzantine: it keeps
-	// running (and misbehaving) but is excluded from completion barriers
-	// and from the honest-safety checks.
-	byz bool
-	// inst is the epoch's engine; nil for a node that was down at the
-	// epoch start or crashed during it (its in-memory epoch state is
-	// gone). Recovery re-admits a node at the next epoch boundary —
-	// one-shot epochs have no mid-epoch join protocol, unlike the chain
-	// workload — so inst stays nil until then and the barrier skips it.
-	inst protocol.Instance
-	// finished marks the epoch complete at this node: its own decision on
-	// single-hop, the global order heard from its leader under clustered.
-	finished bool
+// The one-shot workload — the paper's evaluation runs, Fig. 13a on one
+// channel and Fig. 13b on the Sec. V-B two-tier deployment — is a depth-1
+// chain capped at Epochs epochs (chain.go, mhchain.go). What this file adds
+// is a proposal source and the bookkeeping that times each epoch:
+//
+//   - At t = 0 every member's unsharded pool receives its own Epochs
+//     batches, in epoch order, submitted to that member alone. A pool cuts
+//     exactly one batch at a time, so epoch e proposes batch e; a batch the
+//     common subset leaves out goes back to the pool, as in any chain, and
+//     the next epoch proposes it again.
+//   - t(e), the instant epoch e counts as done, is on single-hop the first
+//     instant the group's own barrier holds for e: every live honest
+//     member has committed it. Under the clustered topology it is the first
+//     instant every live honest member of every untainted cluster has
+//     heard, by frontier beacon, a global order that holds 2f_g+1 untainted
+//     clusters' certified cuts of local epoch e: the fastest 2f_g+1 clusters
+//     complete an epoch, as in the paper's two-tier design. An epoch the run
+//     ends before every member hears is timed at the run's end.
+
+// oneShotBatch returns the payload sizes of one batch's BatchSize client
+// transactions. Framed by EncodeBatch and sealed — or, when the engine
+// encrypts, bound by the ciphertext instead — they take BatchSize × TxSize
+// bytes, so a proposal's size on the air does not depend on the framing;
+// no payload is shorter than MakeClientTx's 8-byte sequence number.
+func oneShotBatch(s Spec) []int {
+	b := s.Workload.BatchSize
+	room := b*s.Workload.TxSize - 2 - 2*b // EncodeBatch: a count, a length per tx
+	if !s.Encrypt {
+		room -= protocol.SealLen
+	}
+	sizes := make([]int, b)
+	for t := range sizes {
+		sizes[t] = room / b
+		if t < room%b {
+			sizes[t]++
+		}
+		sizes[t] = max(sizes[t], 8)
+	}
+	return sizes
 }
 
-// oneShotGroup is one consensus group of the one-shot workload and, under
-// the clustered topology, its uplink to the global tier (clustered.go).
-type oneShotGroup struct {
-	nodes []*osNode
-	// seat is the cluster's persistent seat on the global tier, occupied
-	// by the epoch's leader; nil on single-hop.
-	seat       *node.Node
-	clusters   int
-	leader     int               // index within the cluster this epoch
-	global     protocol.Instance // the seat's engine this epoch
-	resultSent bool
+// seedOneShot submits every member's proposals for the whole run to that
+// member's pool. Sequence numbers are deployment-global, so no two
+// members' batches share a transaction.
+func seedOneShot(spec Spec, locals []*chainGroup) {
+	sizes := oneShotBatch(spec)
+	seq := 0
+	for _, g := range locals {
+		for _, c := range g.chains {
+			for range spec.Workload.Epochs {
+				for _, size := range sizes {
+					c.Submit(protocol.MakeClientTx(seq, size))
+					seq++
+				}
+			}
+		}
+	}
 }
 
-// runOneShot executes the one-shot workload on either topology: every
-// group runs Epochs independent consensus epochs in lockstep, and under
-// the clustered topology each group's rotating leader additionally orders
-// the clusters' outputs on the global tier (clustered.go).
-func runOneShot(spec Spec) (*Report, error) {
-	d, err := newDeployment(spec)
-	if err != nil {
-		return nil, err
-	}
-	groups := make([]*oneShotGroup, len(d.locals))
-	var flat []*osNode // scenario node-id space
-	for c, g := range d.locals {
-		og := &oneShotGroup{}
-		for i, n := range g.nodes {
-			og.nodes = append(og.nodes, &osNode{Node: n, idx: i, byz: d.byz[c*spec.N+i]})
-		}
-		if d.seats != nil {
-			og.seat, og.clusters = d.seats.nodes[c], len(d.locals)
-		}
-		flat = append(flat, og.nodes...)
-		groups[c] = og
-	}
-	d.wire(lifecycle{crashed: func(i int) { flat[i].inst = nil }})
+// epochClock records t(e) for a one-shot run. Under the clustered topology
+// it also follows the cross-cluster cut order, to know how long a prefix
+// of it holds 2f_g+1 untainted clusters' cuts of each local epoch.
+type epochClock struct {
+	epochs int
+	at     []time.Duration
+	// quorum is 2f_g+1; ordered is the length of the cut order the
+	// furthest untainted seat has accepted; cuts[e] counts the untainted
+	// clusters' cuts of local epoch e in it, and quorumAt[e] is the order
+	// length at which that count reached quorum (0 until it does).
+	quorum, ordered int
+	cuts, quorumAt  []int
+}
 
-	rep := spec.report()
+func newEpochClock(spec Spec) *epochClock {
+	if spec.Workload.Kind != LoadOneShot {
+		return nil
+	}
+	e := spec.Workload.Epochs
+	return &epochClock{
+		epochs:   e,
+		quorum:   2*((spec.Topology.Clusters-1)/3) + 1,
+		cuts:     make([]int, e),
+		quorumAt: make([]int, e),
+	}
+}
+
+// tick times, at now, every epoch below reached that has no time yet.
+func (c *epochClock) tick(now time.Duration, reached int) {
+	for len(c.at) < min(reached, c.epochs) {
+		c.at = append(c.at, now)
+	}
+}
+
+// order notes that an untainted seat accepted the cut at position pos of
+// the cross-cluster order, of local epoch e; counted marks a cut of an
+// untainted cluster. Untainted seats accept the same order, so only a
+// position no seat has accepted before is new.
+func (c *epochClock) order(pos, e int, counted bool) {
+	if pos <= c.ordered {
+		return
+	}
+	c.ordered = pos
+	if counted {
+		c.cuts[e]++
+		if c.cuts[e] == c.quorum {
+			c.quorumAt[e] = pos
+		}
+	}
+}
+
+// heard returns how many leading local epochs a member that has heard an
+// order of length n knows complete.
+func (c *epochClock) heard(n int) int {
+	e := len(c.at)
+	for e < c.epochs && c.quorumAt[e] > 0 && c.quorumAt[e] <= n {
+		e++
+	}
+	return e
+}
+
+// report fills the Report's OneShot section: EpochLatencies[e] is
+// t(e) − t(e−1), DeliveredTxs the transactions every group committed, and
+// TPM their count per minute of Σ EpochLatencies.
+func (c *epochClock) report(rep *Report, locals []*chainGroup) {
 	os := &OneShotReport{}
+	var prev time.Duration
+	for e := 0; e < c.epochs; e++ {
+		t := rep.Duration
+		if e < len(c.at) {
+			t = c.at[e]
+		}
+		os.EpochLatencies = append(os.EpochLatencies, t-prev)
+		prev = t
+	}
+	for _, g := range locals {
+		if ref := g.ref(); ref != nil {
+			os.DeliveredTxs += ref.CommittedTxs()
+		}
+	}
+	os.MeanLatency = prev / time.Duration(c.epochs)
+	if prev > 0 {
+		os.TPM = float64(os.DeliveredTxs) / prev.Minutes()
+	}
 	rep.OneShot = os
-	for epoch := 0; epoch < spec.Workload.Epochs; epoch++ {
-		start := d.sched.Now()
-		for _, g := range groups {
-			g.startEpoch(uint16(epoch), spec)
-		}
-		err := node.Drive(d.sched, start+spec.Deadline, func() bool {
-			for _, n := range flat {
-				// Only honest nodes participating in this epoch are
-				// waited on.
-				if !n.finished && n.inst != nil && !n.byz {
-					return false
-				}
-			}
-			return true
-		})
-		if err != nil {
-			return nil, fmt.Errorf("run: %s epoch %d (%s %s batched=%v): %w",
-				spec.Topology.Kind, epoch, spec.Protocol, spec.Coin, spec.Batched, err)
-		}
-		os.EpochLatencies = append(os.EpochLatencies, d.sched.Now()-start)
-		var seats []protocol.Instance
-		for c, g := range groups {
-			// Agreement is an honest-node property: a Byzantine node's own
-			// engine is not bound by what it told its peers — nor is the
-			// seat it occupies as its cluster's leader.
-			insts := make([]protocol.Instance, 0, len(g.nodes))
-			for _, n := range g.nodes {
-				if !n.Down() && !n.byz && n.inst != nil {
-					insts = append(insts, n.inst)
-				}
-			}
-			if err := protocol.AgreementCheck(insts); err != nil {
-				return nil, fmt.Errorf("run: epoch %d group %d safety violation: %w", epoch, c, err)
-			}
-			// The outputs agree, so the first honest node's count is the
-			// group's.
-			if len(insts) > 0 {
-				for _, prop := range insts[0].Outputs() {
-					os.DeliveredTxs += len(prop) / spec.Workload.TxSize
-				}
-			}
-			if leader := g.nodes[g.leader]; g.seat != nil && !leader.Down() && !leader.byz {
-				seats = append(seats, g.global)
-			}
-		}
-		if err := protocol.AgreementCheck(seats); err != nil {
-			return nil, fmt.Errorf("run: epoch %d global tier safety violation: %w", epoch, err)
-		}
-	}
-
-	d.fold(rep)
-	var sum time.Duration
-	for _, l := range os.EpochLatencies {
-		sum += l
-	}
-	os.MeanLatency = sum / time.Duration(len(os.EpochLatencies))
-	if rep.Duration > 0 {
-		os.TPM = float64(os.DeliveredTxs) / rep.Duration.Minutes()
-	}
-	return rep, nil
-}
-
-// startEpoch starts every member's epoch. On single-hop a node's own
-// decision finishes its epoch; under clustered the leader's decision
-// feeds the cluster digest to the global tier instead — a completion
-// callback, not a polling loop — and the epoch finishes when the global
-// order comes back down.
-func (g *oneShotGroup) startEpoch(epoch uint16, spec Spec) {
-	if g.seat != nil {
-		// The global instance must exist before the leader's local
-		// decision callback can feed it the cluster digest.
-		g.attachGlobal(epoch, spec)
-	}
-	for _, n := range g.nodes {
-		var onDecide func()
-		switch {
-		case g.seat == nil:
-			onDecide = func() { n.finished = true }
-		case n.idx == g.leader:
-			inst := g.global
-			onDecide = func() { inst.Start(clusterDigest(n, epoch)) }
-		default:
-			onDecide = func() {} // a follower waits for its leader's RESULT
-		}
-		n.startEpoch(epoch, spec, onDecide)
-	}
-	if g.seat != nil {
-		g.listen(epoch)
-	}
-}
-
-// startEpoch rebuilds the node's components for a fresh epoch and submits
-// its proposal. onDecide fires when the node decides the epoch locally.
-func (n *osNode) startEpoch(epoch uint16, spec Spec, onDecide func()) {
-	n.finished = false
-	n.inst = nil
-	if n.Down() {
-		return // crashed nodes sit the epoch out
-	}
-	n.Mux().Close(epoch - 1)
-	env := n.Env(spec.N, spec.F)
-	env.Epoch, env.T = epoch, n.Mux().Open(epoch)
-	n.inst = protocol.NewInstance(env, spec.Protocol, protocol.Options{
-		Coin: spec.Coin, SharedCoin: spec.Batched, Encrypt: spec.Encrypt, OnDecide: onDecide,
-	})
-	n.inst.Start(protocol.MakeProposal(n.idx, int(epoch), spec.Workload.BatchSize, spec.Workload.TxSize))
 }

@@ -124,17 +124,25 @@ func TestWithAdversarialDelays(t *testing.T) {
 	}
 }
 
-// TestCrashRecoverAtEpochBoundary: in the one-shot driver a node crashed
-// mid-run rejoins at the next epoch boundary and participates again.
+// TestCrashRecoverAtEpochBoundary: a node crashed mid-epoch rejoins
+// mid-epoch. It resumes the epoch it crashed in, at its commit frontier,
+// and the group's barrier counts it: epoch 0 is over only once the
+// returning node has committed it too.
 func TestCrashRecoverAtEpochBoundary(t *testing.T) {
 	spec := quickSpec(protocol.HoneyBadger, protocol.CoinSig, true, 14)
 	spec.Workload.Epochs = 4
 	spec.Deadline = 120 * time.Minute
-	// Crash node 3 during epoch 0 and recover it a while later: it sits
-	// out the rest of the epoch in progress and rejoins at the boundary.
+	// The crash and the return fall at a third and two thirds of epoch 0
+	// as a crash-free run of the same spec times it.
+	free, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	epoch0 := free.OneShot.EpochLatencies[0]
+	back := epoch0 * 2 / 3
 	spec.Scenario = scenario.Plan{}.Then(
-		scenario.CrashAt(30*time.Second, 3),
-		scenario.RecoverAt(10*time.Minute, 3),
+		scenario.CrashAt(epoch0/3, 3),
+		scenario.RecoverAt(back, 3),
 	)
 	res, err := Run(spec)
 	if err != nil {
@@ -143,13 +151,16 @@ func TestCrashRecoverAtEpochBoundary(t *testing.T) {
 	if len(res.OneShot.EpochLatencies) != 4 {
 		t.Fatalf("got %d epochs", len(res.OneShot.EpochLatencies))
 	}
+	if res.OneShot.EpochLatencies[0] <= back {
+		t.Fatalf("epoch 0 ended at %v, before node 3 came back at %v to finish it", res.OneShot.EpochLatencies[0], back)
+	}
 	if res.OneShot.DeliveredTxs == 0 {
 		t.Error("no delivery across crash/recovery")
 	}
 }
 
 // TestRunScenarioDeterministic: scripted faults must preserve determinism
-// in the one-shot driver, and full Reports must match field-for-field.
+// in a one-shot run, and full Reports must match field-for-field.
 func TestRunScenarioDeterministic(t *testing.T) {
 	spec := quickSpec(protocol.HoneyBadger, protocol.CoinSig, true, 15)
 	spec.Workload.Epochs = 2
@@ -302,11 +313,10 @@ func TestClusteredOneShot(t *testing.T) {
 		res.Tiers.LocalAccesses, res.Tiers.GlobalAccesses, res.Tiers.GlobalLogicalSent)
 }
 
-// TestClusteredOneShotCrashRecovery: a follower crashed mid-epoch is
-// excused from the epoch barrier, sits out the rest of the epoch after
-// recovering mid-epoch (it is back with no epoch open),
-// and rejoins at the next boundary — here even rotating into the leader
-// seat.
+// TestClusteredOneShotCrashRecovery: a member crashed mid-epoch rejoins
+// mid-epoch through the chain's recovery, and the epoch is over only once
+// it, too, has heard the global order — here it is the designated relay
+// of epoch 1's cut as well.
 func TestClusteredOneShotCrashRecovery(t *testing.T) {
 	spec := quickClusteredSpec(32)
 	spec.Workload.Epochs = 2
@@ -320,7 +330,7 @@ func TestClusteredOneShotCrashRecovery(t *testing.T) {
 	epoch0 := free.OneShot.EpochLatencies[0]
 	back := epoch0 * 2 / 3
 	spec.Scenario = scenario.Plan{}.Then(
-		scenario.CrashAt(epoch0/3, 1), // cluster 0, follower in epoch 0
+		scenario.CrashAt(epoch0/3, 1), // cluster 0, member 1
 		scenario.RecoverAt(back, 1),
 	)
 	res, err := Run(spec)
@@ -330,13 +340,51 @@ func TestClusteredOneShotCrashRecovery(t *testing.T) {
 	if len(res.OneShot.EpochLatencies) != 2 {
 		t.Fatalf("got %d epochs", len(res.OneShot.EpochLatencies))
 	}
-	// Back before epoch 0 ended, or the leader of epoch 1 would be down at
-	// its start — a stall the one-shot deployment does not recover from.
 	if res.OneShot.EpochLatencies[0] <= back {
-		t.Fatalf("epoch 0 ended at %v, before the follower came back at %v", res.OneShot.EpochLatencies[0], back)
+		t.Fatalf("epoch 0 ended at %v, before member 1 came back at %v", res.OneShot.EpochLatencies[0], back)
 	}
 	if res.OneShot.DeliveredTxs == 0 {
 		t.Error("no delivery across the crash/recovery")
+	}
+}
+
+// TestClusteredOneShotLeaderCrash: Fig. 13b's HB-SC cell survives a
+// crashed cluster leader. Member 0 of cluster 0 would relay the cluster's
+// epoch-0 cut and its frontier beacons; it crashes mid-epoch for good, and
+// relay duty passes to the next member that holds the cut's certificate.
+func TestClusteredOneShotLeaderCrash(t *testing.T) {
+	spec := Defaults(protocol.HoneyBadger, protocol.CoinSig)
+	spec.Topology = Clustered(4, 4)
+	spec.Workload = OneShot(1)
+	spec.Deadline = time.Hour
+	spec.Scenario = scenario.MustParse("crash@10s:0")
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatalf("clustered one-shot with a crashed leader: %v", err)
+	}
+	if res.OneShot.EpochLatencies[0] <= 10*time.Second || res.OneShot.DeliveredTxs == 0 {
+		t.Fatalf("epoch 0 took %v and delivered %d txs: the crash did not fall inside it",
+			res.OneShot.EpochLatencies[0], res.OneShot.DeliveredTxs)
+	}
+}
+
+// TestClusteredOneShotMissedResultSeed pins the seed of Fig. 13b's HB-SC
+// cell (its fourth seed of eight) at which a member that missed the global
+// order used to wait about a minute for it to be sent again. The order now
+// comes down as frontier beacons, which any relay repeats and a member's
+// NACK row asks for.
+func TestClusteredOneShotMissedResultSeed(t *testing.T) {
+	spec := Defaults(protocol.HoneyBadger, protocol.CoinSig)
+	spec.Topology = Clustered(4, 4)
+	spec.Workload = OneShot(1)
+	spec.Deadline = 8 * time.Hour
+	spec.Seed = 3028
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lat := res.OneShot.EpochLatencies[0]; lat >= 40*time.Second {
+		t.Errorf("epoch 0 took %v, want under 40 s", lat)
 	}
 }
 

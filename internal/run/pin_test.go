@@ -84,36 +84,35 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "fce0b1fef449f3da01217a8fe0336e3af78753ea4c9043da7cc116eb39e8a8a6"},
+		}, "540a71646ee4a7295d7a6b27ab074e49e2f0b153dd851ddff8de959bbf9d9646"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
 			spec.Scenario = scenario.MustParse("crash@0s:3")
 			return spec
-		}, "2df272a16bee0bbf831c50dc3290a5665ad19ca38ef1672c41d4fbd13d3a2943"},
+		}, "aee711a91c891b5a52a812861b43b2cb0deab476312235aab32bf67a74f7e8be"},
 		{"SingleHop×OneShot", "BEAT-crash-recover", func() run.Spec {
-			// Node 3 dies in epoch 0 (19 s long) and rejoins at an epoch
-			// boundary.
+			// Node 3 dies in epoch 0 and rejoins 20 s later, inside the
+			// same epoch, resuming it at its commit frontier.
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@10s:3;recover@30s:3")
 			return spec
-		}, "a20759c1e2315e5819c61997753e1d8c43be8129541350b31bdbde0a94fe9a0b"},
+		}, "d516e6d5e5190ac7ca3aa1e293e251d421d42e0f869a20325797aab67b01672d"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "e487931d43d8512d613162ae7b4a5f693f9304f4594a4e3908f2f9bbba170d75"},
+		}, "011ebc96f9a5ff9144b3d6ebd8a3616bfe8c7b602c143fd9a1caa48674460cfe"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "c74b00e71968511880e823b1510a79f4b42933688127062277546b6a5a7842c4"},
+		}, "8f73184595e03de021bd1cf01d88013f143f3bc135bc890501ac05bd898f5e5f"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
-			// Cluster 0's member 1 (a follower in epoch 0) crashes and
-			// rejoins as epoch 1's leader; cluster 2's member 3 is
-			// Byzantine but never leads. Epoch 0 ends before 2 m, so the
-			// rejoin comes at 1 m: a leader still down when its epoch
-			// starts would never report.
+			// Cluster 0's member 1, the designated relay of local epoch
+			// 1's cut, crashes in epoch 0 and rejoins at 1 m, inside it;
+			// cluster 2's member 3 is Byzantine, which taints cluster 2's
+			// seat.
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "528b7338cacad05250687aa13efa8d6ec2b1be38993e381ffe767271a276a4f4"},
+		}, "78b9da07987bb9d4fd183fe3bced58527422c32447595f138c7c33258bd44048"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4

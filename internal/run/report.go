@@ -65,13 +65,16 @@ type Report struct {
 	Tiers *TierReport `json:"tiers,omitempty"`
 }
 
-// OneShotReport carries the one-shot workload's measurements.
+// OneShotReport carries the one-shot workload's measurements, taken from
+// commit (single-hop) or beacon (clustered) instants: EpochLatencies[e] is
+// t(e) − t(e−1), where t(e) is when epoch e counts as done (oneshot.go).
 type OneShotReport struct {
 	EpochLatencies []time.Duration `json:"epoch_latencies_ns"`
 	MeanLatency    time.Duration   `json:"mean_latency_ns"`
-	// TPM is transactions per minute of virtual time.
-	TPM          float64 `json:"tpm"`
-	DeliveredTxs int     `json:"delivered_txs"`
+	// TPM is DeliveredTxs per minute of the summed EpochLatencies.
+	TPM float64 `json:"tpm"`
+	// DeliveredTxs counts the transactions every group committed.
+	DeliveredTxs int `json:"delivered_txs"`
 }
 
 // ChainReport carries the sustained-SMR measurements. Under the clustered

@@ -14,10 +14,14 @@ import (
 //	Clustered × OneShot — the Sec. V-B two-tier deployment (Fig. 13b)
 //	SingleHop × Chain   — pipelined SMR on one channel
 //	Clustered × Chain   — pipelined SMR per cluster, with rotating
-//	                      leaders ordering cluster cuts on the global tier
+//	                      relays ordering certified cluster cuts on the
+//	                      global tier
 //
-// Zero-valued tuning fields are normalized to the workload defaults
-// first; malformed axes fail before any virtual time elapses.
+// The topology picks the driver, runChain or runClusteredChain; a
+// one-shot run is a depth-1 chain of Epochs epochs on it, fed fixed
+// proposals instead of client traffic (oneshot.go). Zero-valued tuning
+// fields are normalized to the workload defaults first; malformed axes
+// fail before any virtual time elapses.
 func Run(spec Spec) (*Report, error) {
 	spec = spec.normalize()
 	if err := spec.validate(); err != nil {
@@ -26,14 +30,10 @@ func Run(spec Spec) (*Report, error) {
 	if err := validateByz(spec.Scenario, spec.Nodes()); err != nil {
 		return nil, err
 	}
-	switch {
-	case spec.Workload.Kind == LoadOneShot:
-		return runOneShot(spec)
-	case spec.Topology.Kind == TopoSingleHop:
+	if spec.Topology.Kind == TopoSingleHop {
 		return runChain(spec)
-	default:
-		return runClusteredChain(spec)
 	}
+	return runClusteredChain(spec)
 }
 
 // validateByz rejects plans naming unknown Byzantine behaviors or

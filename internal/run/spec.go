@@ -8,10 +8,12 @@
 // groups — n nodes with dealt suites on one channel — wired to the
 // scenario engine at a flat id base. Single-hop is the one-group case; the
 // paper's Sec. V-B clustered topology is M local groups plus one more over
-// the global-tier seats. The chain workload runs a chain group per group
-// (chain.go) fed by one client process (internal/traffic); Clustered ×
-// Chain composes M+1 of them, the seats' clients being the clusters' cut
-// relays (mhchain.go).
+// the global-tier seats. Every group runs a chain (chain.go); the
+// clustered driver composes M+1 of them, the seats' clients being the
+// clusters' cut relays (mhchain.go). The workload picks what feeds the
+// local chains: one client process (internal/traffic) for the chain
+// workload, fixed batches for the one-shot workload, which is a depth-1
+// chain (oneshot.go).
 //
 // Every run is a deterministic function of its Spec: the same Spec
 // reproduces the same Report bit-for-bit, which the golden BENCH tests
@@ -72,16 +74,20 @@ const (
 )
 
 // Workload is the other axis: what the consensus group is asked to order.
-// The zero value is the one-shot workload with all defaults.
+// Both workloads run on the chain drivers; the one-shot workload is a
+// depth-1 chain of fixed proposals. The zero value is the one-shot
+// workload with all defaults.
 type Workload struct {
 	Kind WorkloadKind
-	// Epochs is the run length: one-shot runs exactly this many epochs;
-	// chain runs until every correct node commits this many (the target
-	// commit frontier).
+	// Epochs is the run length: every correct node commits this many
+	// epochs (the target commit frontier); a one-shot chain starts no
+	// epoch beyond it.
 	Epochs int
 	// BatchSize is the one-shot proposal size in transactions.
 	BatchSize int
-	// TxSize is the payload size in bytes (both workloads).
+	// TxSize is the transaction size in bytes on the air: a chain
+	// workload's payload size, a one-shot batch's share per transaction
+	// (see OneShot).
 	TxSize int
 	// TxInterval is the gap of the chain workload's default client
 	// process: one arrival 100 ms in, then one every TxInterval
@@ -95,7 +101,8 @@ type Workload struct {
 	// ones do. Chain workload only; the zero value keeps the fixed
 	// process.
 	Arrival traffic.Pattern
-	// Window is the chain pipeline depth (1 = sequential epochs).
+	// Window is the chain pipeline depth (1 = sequential epochs); one-shot
+	// runs at 1.
 	Window int
 	// GCLag is how many epochs behind the commit frontier per-epoch state
 	// is kept, at the least, to serve NACK repairs; an epoch a peer is
@@ -103,11 +110,20 @@ type Workload struct {
 	// Zero picks the engine default.
 	GCLag int
 	// Mempool tunes the chain proposal-cut policy; zero fields default.
+	// One-shot sets its own (see OneShot).
 	Mempool protocol.MempoolConfig
 }
 
-// OneShot is the paper's evaluation workload: epochs independent epochs
-// of fixed deterministic proposals.
+// OneShot is the paper's evaluation workload: epochs consensus epochs of
+// fixed deterministic proposals, each timed on its own. It runs as a
+// depth-1 chain capped at epochs: at t = 0 every member's unsharded pool
+// gets its own epochs × BatchSize client transactions, and the pool cuts
+// one batch per epoch (TargetBatchBytes = MaxBatchBytes = one batch), so
+// epoch e proposes batch e, and a batch the common subset leaves out is
+// proposed again in the next epoch. The payloads are sized so that a
+// batch, framed and sealed (or, with Encrypt, framed for the ciphertext),
+// is BatchSize × TxSize bytes on the air. Recovery is the chain's: a node
+// back mid-epoch resumes the epoch it crashed in.
 func OneShot(epochs int) Workload {
 	return Workload{Kind: LoadOneShot, Epochs: epochs, BatchSize: 4, TxSize: 64}
 }
@@ -155,9 +171,8 @@ type Spec struct {
 	// (cluster*PerCluster + in-cluster index under the clustered
 	// topology).
 	Scenario scenario.Plan
-	// Deadline bounds the run in virtual time: per epoch for one-shot
-	// workloads, whole-run for chain workloads. Zero picks the workload
-	// default (60 min per epoch, 8 h per chain run).
+	// Deadline bounds the whole run in virtual time. Zero picks the
+	// workload default: Epochs × 60 min for one-shot, 8 h for a chain.
 	Deadline time.Duration
 }
 
@@ -210,11 +225,17 @@ func (s Spec) normalize() Spec {
 			s.Workload.TxSize = 64
 		}
 		if s.Workload.TxSize < 12 {
-			// MakeProposal writes a 12-byte header per transaction.
 			s.Workload.TxSize = 12
 		}
+		// A depth-1 chain whose unsharded pool cuts one batch at a time.
+		batch := 0
+		for _, size := range oneShotBatch(s) {
+			batch += size
+		}
+		s.Workload.Window = 1
+		s.Workload.Mempool = protocol.MempoolConfig{TargetBatchBytes: batch, MaxBatchBytes: batch, Shards: 1}
 		if s.Deadline <= 0 {
-			s.Deadline = 60 * time.Minute
+			s.Deadline = time.Duration(s.Workload.Epochs) * time.Hour
 		}
 	case LoadChain:
 		if s.Workload.Epochs <= 0 {
