@@ -20,7 +20,7 @@ import (
 // one (fixedCoin).
 type CachinABA struct {
 	deciding
-	coin       collector[[]byte, []byte, bool]
+	coin       collector[[]byte, coinShare, bool]
 	sharedCoin bool
 	regressed  func(peer int) bool // env.T.Regressed: whom reserveRound answers
 	slots      []*abaSlot
@@ -42,7 +42,7 @@ func coinOfID(id int) coinKey { return coinKey{slot: uint8(id >> 16), round: uin
 // coinState is one coin: the tally of its shares over the coin's name,
 // and who is waiting for its value.
 type coinState struct {
-	tally[[]byte, []byte, bool]
+	tally[[]byte, coinShare, bool]
 	released bool
 	waiting  []func(bool)
 }
@@ -92,7 +92,7 @@ func NewCachinABA(env *Env, opts CachinOptions) *CachinABA {
 	a.pruned = func(p packet.Phase) bool {
 		return p == packet.PhaseBval || p == packet.PhaseAux || (p == packet.PhaseShare && !a.sharedCoin)
 	}
-	a.coin = collector[[]byte, []byte, bool]{scheme: opts.Coin.scheme, env: env, combined: a.coinCombined}
+	a.coin = collector[[]byte, coinShare, bool]{scheme: opts.Coin.scheme, env: env, combined: a.coinCombined}
 	for i := 0; i < opts.Slots; i++ {
 		s := &abaSlot{}
 		a.slots = append(a.slots, s)

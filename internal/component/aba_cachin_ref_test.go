@@ -26,7 +26,7 @@ import (
 //     so Byzantine nodes cannot learn future coins early.
 type refCachinABA struct {
 	refDeciding
-	coin       collector[[]byte, []byte, bool]
+	coin       collector[[]byte, coinShare, bool]
 	sharedCoin bool
 	regressed  func(peer int) bool
 	slots      []*refAbaSlot
@@ -65,7 +65,7 @@ func newRefCachinABA(env *Env, opts CachinOptions) *refCachinABA {
 	a.pruned = func(p packet.Phase) bool {
 		return p == packet.PhaseBval || p == packet.PhaseAux || (p == packet.PhaseShare && !a.sharedCoin)
 	}
-	a.coin = collector[[]byte, []byte, bool]{scheme: opts.Coin.scheme, env: env, combined: a.coinCombined}
+	a.coin = collector[[]byte, coinShare, bool]{scheme: opts.Coin.scheme, env: env, combined: a.coinCombined}
 	for i := 0; i < opts.Slots; i++ {
 		s := &refAbaSlot{rounds: make(map[uint16]*refAbaRound)}
 		a.slots = append(a.slots, s)

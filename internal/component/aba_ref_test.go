@@ -223,14 +223,14 @@ func TestCachinABAMatchesMapModel(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				shares[coinID{w, slot, round}] = sh
+				shares[coinID{w, slot, round}] = coin.encode(sh)
 			}
 		}
 	}
 	// And every such coin's certificate, filed under sender 0.
 	for _, slot := range []uint8{0, 1, 2, sharedSlot} {
 		for round := uint16(1); round <= 6; round++ {
-			pair := [][]byte{shares[coinID{1, slot, round}], shares[coinID{2, slot, round}]}
+			pair := []coinShare{{raw: shares[coinID{1, slot, round}]}, {raw: shares[coinID{2, slot, round}]}}
 			_, cert, err := coin.combine(coinName(42, 0, slot, round), pair)
 			if err != nil {
 				t.Fatal(err)

@@ -67,8 +67,11 @@ func decodeShare(buf []byte, n int) (int, []*big.Int, error) {
 	return idx, ints, nil
 }
 
-// EncodeSigShare serializes a threshold-signature share.
+// EncodeSigShare serializes a threshold-signature share with its proof,
+// making the proof first if the share was made bare
+// (threshsig.SigShare.Prove).
 func EncodeSigShare(sh *threshsig.SigShare) []byte {
+	sh.Prove()
 	return encodeShare(sh.Index, sh.X, sh.C, sh.Z)
 }
 

@@ -86,7 +86,7 @@ func FuzzCertEntry(f *testing.F) {
 	env := tn.envs[0]
 	coinName := coinName(env.Session, env.Epoch, sharedSlot, 1)
 	proofMsg := []byte("prbc-done proof subject")
-	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, []byte, bool] { return SigCoin(env).scheme })
+	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, coinShare, bool] { return SigCoin(env).scheme })
 	dones := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
 		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
 	})
@@ -99,9 +99,9 @@ func FuzzCertEntry(f *testing.F) {
 	f.Add(coinCert[:len(coinCert)-1])
 	f.Add(certOf(coins, env.Suite.TSLow.K, coinName[:len(coinName)-1]))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		coin := collector[[]byte, []byte, bool]{scheme: coins[0], env: env, combined: func(int, bool) {}}
+		coin := collector[[]byte, coinShare, bool]{scheme: coins[0], env: env, combined: func(int, bool) {}}
 		done := collector[[]byte, *threshsig.SigShare, []byte]{scheme: dones[0], env: env, combined: func(int, []byte) {}}
-		var openCoin, parkedCoin tally[[]byte, []byte, bool]
+		var openCoin, parkedCoin tally[[]byte, coinShare, bool]
 		var openProof, parkedProof tally[[]byte, *threshsig.SigShare, []byte]
 		openCoin.subject, openCoin.open = coinName, true
 		openProof.subject, openProof.open = proofMsg, true
@@ -172,7 +172,7 @@ func FuzzShareEntry(f *testing.F) {
 	env := tn.envs[0]
 	coinName := coinName(env.Session, env.Epoch, sharedSlot, 3)
 	proofMsg := []byte("prbc-done proof subject")
-	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, []byte, bool] { return SigCoin(env).scheme })
+	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, coinShare, bool] { return SigCoin(env).scheme })
 	dones := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
 		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
 	})
@@ -207,15 +207,15 @@ func FuzzShareEntry(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(input(shareRecord{0, w - 1, coins[w].bare(sh)}))
-		f.Add(input(shareRecord{proofFlag, w - 1, sh}))
+		f.Add(input(shareRecord{proofFlag, w - 1, coins[w].encode(sh)}))
 	}
 	f.Add(input(shareRecord{certFlag, 0, proofCert}))
 	f.Add(input(shareRecord{certFlag, 0, coinCert}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		recs := parseShareRecords(raw)
 		key := core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone}
-		coin := collector[[]byte, []byte, bool]{scheme: coins[0], env: env, combined: func(int, bool) {}}
-		var coinTally tally[[]byte, []byte, bool]
+		coin := collector[[]byte, coinShare, bool]{scheme: coins[0], env: env, combined: func(int, bool) {}}
+		var coinTally tally[[]byte, coinShare, bool]
 		coin.begin(&coinTally, 0, coinName, key)
 		tn.settle(time.Second)
 		offerRecords(tn, &coin, &coinTally, recs)

@@ -14,7 +14,17 @@ import (
 // and threshold coin flipping (ABA-CP, BEAT). Bracha's ABA (ABA-LC) needs
 // none — its coin is local randomness.
 type CoinSource struct {
-	scheme[[]byte, []byte, bool]
+	scheme[[]byte, coinShare, bool]
+}
+
+// coinShare is a coin share as the coin's collector holds it: a peer's
+// encoded, bare or full, as it came on the air; this node's own in the
+// form it first goes on the air in — bare, under a scheme that has one —
+// with full to encode it in full, which makes its proof, should it have to
+// go so.
+type coinShare struct {
+	raw  []byte
+	full func() []byte // nil: raw is the only form there is
 }
 
 // SigCoin derives the coin from a threshold signature on the coin name
@@ -35,36 +45,48 @@ func FlipCoin(env *Env) CoinSource {
 // decoding deferred into verification and combination — a full coin share
 // is charged its verification before anything looks inside it; a bare one
 // is taken on sight, as under any scheme — and the combined value reduced
-// to a bit. The scheme's certificate, if it has one, certifies the coin.
+// to a bit. This node's share is encoded as it goes on the air, so a
+// share made bare is proved only if its tally turns to proofs, as under
+// the scheme itself. The scheme's certificate, if it has one, certifies
+// the coin.
 func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
-	c := scheme[[]byte, []byte, bool]{
+	held := func(raw []byte) coinShare { return coinShare{raw: append([]byte(nil), raw...)} }
+	c := scheme[[]byte, coinShare, bool]{
 		k: s.k, shareCost: s.shareCost, verifyCost: s.verifyCost, combineCost: s.combineCost, certCost: s.certCost,
-		share: func(name []byte) ([]byte, error) {
+		share: func(name []byte) (coinShare, error) {
 			sh, err := s.share(name)
 			if err != nil {
-				return nil, err
+				return coinShare{}, err
 			}
-			return s.encode(sh), nil
+			if s.bare == nil {
+				return coinShare{raw: s.encode(sh)}, nil
+			}
+			return coinShare{raw: s.bare(sh), full: func() []byte { return s.encode(sh) }}, nil
 		},
-		encode: func(raw []byte) []byte { return raw },
-		decode: func(raw []byte) ([]byte, error) { return append([]byte(nil), raw...), nil },
-		verify: func(name, raw []byte) error {
-			sh, err := s.decode(raw)
+		encode: func(sh coinShare) []byte {
+			if sh.full != nil {
+				return sh.full()
+			}
+			return sh.raw
+		},
+		decode: func(raw []byte) (coinShare, error) { return held(raw), nil },
+		verify: func(name []byte, sh coinShare) error {
+			full, err := s.decode(sh.raw)
 			if err != nil {
 				return err
 			}
-			return s.verify(name, sh)
+			return s.verify(name, full)
 		},
-		combine: func(name []byte, raws [][]byte) (bool, []byte, error) {
+		combine: func(name []byte, got []coinShare) (bool, []byte, error) {
 			// A share held here is bare or full. A bare decoding reads
 			// the part both begin with, which is all combining reads.
 			decode := s.decode
 			if s.decodeBare != nil {
 				decode = s.decodeBare
 			}
-			shares := make([]S, 0, len(raws))
-			for _, raw := range raws {
-				sh, err := decode(raw)
+			shares := make([]S, 0, len(got))
+			for _, h := range got {
+				sh, err := decode(h.raw)
 				if err != nil {
 					return false, nil, err
 				}
@@ -78,18 +100,12 @@ func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
 		},
 	}
 	if s.bare != nil {
-		c.bare = func(raw []byte) []byte {
-			sh, err := s.decode(raw) // this node's own share, as made
-			if err != nil {
-				panic("component: own coin share does not decode: " + err.Error())
-			}
-			return s.bare(sh)
-		}
-		c.decodeBare = func(raw []byte) ([]byte, error) {
+		c.bare = func(sh coinShare) []byte { return sh.raw } // this node's own share, bare as made
+		c.decodeBare = func(raw []byte) (coinShare, error) {
 			if _, err := s.decodeBare(raw); err != nil {
-				return nil, err
+				return coinShare{}, err
 			}
-			return append([]byte(nil), raw...), nil
+			return held(raw), nil
 		}
 	}
 	if s.check != nil {

@@ -463,14 +463,15 @@ func TestCachinCoinSchedule(t *testing.T) {
 			}
 			share := func(w int, round uint16) []byte {
 				peer := &Env{N: 4, F: 1, Me: w, Session: env.Session, Suite: suites[w], Rand: rand.New(rand.NewSource(int64(w)))}
-				sh, err := c.coin(peer).share(coinName(env.Session, env.Epoch, 0, round))
+				src := c.coin(peer)
+				sh, err := src.share(coinName(env.Session, env.Epoch, 0, round))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return sh
+				return src.encode(sh)
 			}
 			// What round 3's coin will be, combined off to the side.
-			coin3, _, err := c.coin(env).combine(coinName(env.Session, env.Epoch, 0, 3), [][]byte{share(1, 3), share(2, 3)})
+			coin3, _, err := c.coin(env).combine(coinName(env.Session, env.Epoch, 0, 3), []coinShare{{raw: share(1, 3)}, {raw: share(2, 3)}})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -643,7 +643,7 @@ func coinRig(t *testing.T, tn *testNet, source func(*Env) CoinSource) collectorR
 	var got []bool
 	a.withCoin(1, 1, func(v bool) { got = append(got, v) })
 	a.releaseCoinShare(1, 1)
-	peers := peerSchemes(tn, func(env *Env) scheme[[]byte, []byte, bool] {
+	peers := peerSchemes(tn, func(env *Env) scheme[[]byte, coinShare, bool] {
 		return source(env).scheme
 	})
 	r := rigOf(&a.coin, &cs.tally, k.id(), peers)
@@ -653,7 +653,7 @@ func coinRig(t *testing.T, tn *testNet, source func(*Env) CoinSource) collectorR
 	r.check = func(t *testing.T) {
 		// Any two other shares give the same bit.
 		s := source(tn.envs[3]).scheme
-		want, _, err := s.combine(cs.subject, [][]byte{r.peer(2), r.peer(3)})
+		want, _, err := s.combine(cs.subject, []coinShare{{raw: r.peer(2)}, {raw: r.peer(3)}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -960,11 +960,12 @@ func TestOwnShareReplay(t *testing.T) {
 		a.markRegressed(1)
 		a.Input(0, true)
 		peer := func(w int, round uint16) []byte {
-			raw, err := SigCoin(tn.envs[w]).share(coinName(env.Session, env.Epoch, 0, round))
+			src := SigCoin(tn.envs[w])
+			sh, err := src.share(coinName(env.Session, env.Epoch, 0, round))
 			if err != nil {
 				t.Fatal(err)
 			}
-			return raw
+			return src.encode(sh)
 		}
 		// Rounds 3 and 6 are the first two that draw the threshold coin.
 		// Round 3: our share counts. Round 6: two peers' shares combine

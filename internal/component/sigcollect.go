@@ -70,7 +70,9 @@ type tally[X, S, V any] struct {
 	// is published once and never re-served (the sweeps' crash-recovery
 	// rows are pinned to that). mine is the share itself once made,
 	// counted or not, which goes on the air again with its proof when the
-	// tally turns to proofs.
+	// tally turns to proofs. Under a scheme that sends its shares bare,
+	// mine is made without its proof, which its full encoding makes — so
+	// a share whose tally never turns to proofs never pays for one.
 	own  []byte
 	mine heldShare[S]
 	// proofs says only full shares count, each verified on its own: a
@@ -391,7 +393,9 @@ func (c *collector[X, S, V]) keepOwn(t *tally[X, S, V]) {
 // verified. The bare shares held or parked go; this node's own share, if
 // made, counts — even one made too late to count before — and goes on the
 // air again with its proof, so that its peers turn too and every honest
-// share comes back verifiable. A Byzantine node can thus bring a tally
+// share comes back verifiable. That proof is made here, by the share's
+// full encoding, from the nonce drawn when the share was: its cost was
+// charged then, with the share's, and nothing more is charged now. A Byzantine node can thus bring a tally
 // back to verifying every share, at the price of one failed combination,
 // and never to a weaker check. The share is published afresh only where
 // the component has not withdrawn it.
@@ -427,12 +431,16 @@ func must[S any](sh S, err error) (S, error) {
 // a message combine into the signature's bytes, which are their own
 // certificate. A share goes bare as its index and X; the proof (C, Z) is
 // Shoup's, an artefact of the RSA construction that a pairing-based
-// share does without.
+// share does without. This node's share is made bare (threshsig.SignBare)
+// and proved only by encode, the first time it goes on the air in full;
+// shareCost still charges the whole of threshsig.Sign at share time, and
+// the proof's nonce is drawn there, so neither the clock nor the node's
+// randomness can tell whether the proof was ever made.
 func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) scheme[[]byte, *threshsig.SigShare, []byte] {
 	cost := env.Suite.Cost
 	return scheme[[]byte, *threshsig.SigShare, []byte]{
 		k: key.K, shareCost: cost.TSSign, verifyCost: cost.TSVerifyShare, combineCost: cost.TSCombine, certCost: cost.TSVerify,
-		share:  func(msg []byte) (*threshsig.SigShare, error) { return must(key.Sign(priv, msg, env.Rand)) },
+		share:  func(msg []byte) (*threshsig.SigShare, error) { return must(key.SignBare(priv, msg, env.Rand)) },
 		encode: EncodeSigShare,
 		decode: DecodeSigShare,
 		bare:   EncodeBareSigShare,

@@ -1,6 +1,8 @@
 package threshsig
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -188,6 +190,31 @@ func BenchmarkVerifyShare(b *testing.B) {
 		if err := ref.VerifyShare(msg, sh); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSignBare measures the bare shares of one fresh message by 1, 2
+// and 4 of its signers, on the fast path with the memo: what a run pays
+// per signed message when no tally turns to proofs. The message's base y
+// is raised once per share, so the count of signers is what decides
+// between a comb for y and a plain power.
+func BenchmarkSignBare(b *testing.B) {
+	key := testKey(b, 2, 4)
+	msg := []byte("bench message 00000000")
+	var next uint64 // never a message twice: the memo would hold its base
+	for _, signers := range []int{1, 2, 4} {
+		b.Run(fmt.Sprintf("signers=%d", signers), func(b *testing.B) {
+			rng := rand.New(rand.NewSource(41))
+			for i := 0; i < b.N; i++ {
+				next++
+				binary.BigEndian.PutUint64(msg[len(msg)-8:], next)
+				for _, priv := range key.Shares[:signers] {
+					if _, err := key.Public.SignBare(priv, msg, rng); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
 	}
 }
 

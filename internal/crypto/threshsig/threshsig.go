@@ -12,7 +12,12 @@
 //
 // Share validity proofs are Chaum–Pedersen style proofs in the RSA group
 // (unknown order, so responses are integers a few hundred bits longer than
-// the modulus), letting honest combiners discard Byzantine shares.
+// the modulus), letting honest combiners discard Byzantine shares. Making
+// the proof is two of a share's three exponentiations, and a combination
+// that verifies needs none of it, so a share can be made bare (SignBare)
+// and proved later, only if it must be (SigShare.Prove): its nonce is drawn
+// when the share is made, so the late proof is the one Sign makes, and
+// the caller's randomness is read exactly as by Sign.
 package threshsig
 
 import (
@@ -60,11 +65,25 @@ type PrivateShare struct {
 	S     *big.Int
 }
 
-// SigShare is a signature share with its validity proof.
+// SigShare is a signature share with its validity proof. A share made by
+// SignBare has no proof yet (C and Z nil) but carries what makes it, which
+// Prove spends.
 type SigShare struct {
 	Index int
 	X     *big.Int // x^{2*delta*s_i} mod N
 	C, Z  *big.Int // Chaum–Pedersen proof (Fiat–Shamir)
+
+	pending *pendingProof
+}
+
+// pendingProof is what proves a share made bare: the signer's key share
+// and the proof's nonce, drawn when the share was made, and the message's
+// context from the key's memo.
+type pendingProof struct {
+	pk  *PublicKey
+	ctx *msgCtx
+	s   *big.Int // s_i
+	w   *big.Int
 }
 
 // Signature is a combined threshold signature.
@@ -184,29 +203,53 @@ func hashToModulus(n *big.Int, salt [16]byte, msg []byte) *big.Int {
 
 // Sign produces party i's signature share on msg, with a validity proof.
 func (pk *PublicKey) Sign(share PrivateShare, msg []byte, rand io.Reader) (*SigShare, error) {
-	ctx := pk.ctxFor(msg)
-	// x_i = x^{2*delta*s_i} = y^{s_i}
-	xi := pk.pow(ctx.y, share.S)
-
-	// Proof of log equality: log_{x4d}(xi^2) == log_v(v_i), exponent s_i.
-	// x4d = x^{4*delta}.
-	x4d := ctx.x4d
-	xi2 := pk.exp(xi, two)
-	vi := pk.VKs[share.Index-1]
-
-	// Random w of |N| + 2*256 bits.
-	wBits := pk.N.BitLen() + 512
-	w, err := randBits(rand, wBits)
+	sh, err := pk.SignBare(share, msg, rand)
 	if err != nil {
 		return nil, err
 	}
-	t1 := pk.pow(ctx.y, new(big.Int).Lsh(w, 1)) // x4d^w
-	t2 := pk.pow(pk.vBase(), w)
-	c := proofChallenge(pk, x4d, xi2, vi, t1, t2)
+	sh.Prove()
+	return sh, nil
+}
+
+// SignBare produces party i's signature share on msg without its validity
+// proof: X alone, one exponentiation of Sign's three. The proof's nonce is
+// drawn from rand now, as Sign draws it, so rand is left where Sign would
+// leave it and the share's Prove makes the proof Sign would have made.
+func (pk *PublicKey) SignBare(share PrivateShare, msg []byte, rand io.Reader) (*SigShare, error) {
+	ctx := pk.ctxFor(msg)
+	// x_i = x^{2*delta*s_i} = y^{s_i}
+	xi := pk.pow(ctx.y, share.S)
+	// Random w of |N| + 2*256 bits.
+	w, err := randBits(rand, pk.N.BitLen()+512)
+	if err != nil {
+		return nil, err
+	}
+	return &SigShare{Index: share.Index, X: xi, pending: &pendingProof{pk: pk, ctx: ctx, s: share.S, w: w}}, nil
+}
+
+// Prove gives a share made by SignBare its validity proof, at most once: a
+// share that already has one, or was not made by SignBare, is left as it
+// is.
+func (sh *SigShare) Prove() {
+	p := sh.pending
+	if p == nil {
+		return
+	}
+	sh.pending = nil
+	if sh.C != nil || sh.Z != nil {
+		return
+	}
+	// Proof of log equality: log_{x4d}(xi^2) == log_v(v_i), exponent s_i.
+	// x4d = x^{4*delta}.
+	pk := p.pk
+	xi2 := pk.exp(sh.X, two)
+	vi := pk.VKs[sh.Index-1]
+	t1 := pk.pow(p.ctx.y, new(big.Int).Lsh(p.w, 1)) // x4d^w
+	t2 := pk.pow(pk.vBase(), p.w)
+	c := proofChallenge(pk, p.ctx.x4d, xi2, vi, t1, t2)
 	// z = w + c*s_i over the integers.
-	z := new(big.Int).Mul(c, share.S)
-	z.Add(z, w)
-	return &SigShare{Index: share.Index, X: xi, C: c, Z: z}, nil
+	z := new(big.Int).Mul(c, p.s)
+	sh.C, sh.Z = c, z.Add(z, p.w)
 }
 
 // VerifyShare checks a signature share against msg.
