@@ -297,8 +297,10 @@ func (a *BrachaABA) finishRound(slot int, round uint16, counts [3]int) {
 	}
 	s.round = round + 1
 	if s.round >= 2 {
+		// Rounds before the previous one park, as CachinABA's do
+		// (pruneRounds).
 		cutoff := s.round - 1
-		a.env.T.RemoveWhere(func(k core.IntentKey) bool {
+		a.env.T.ParkWhere(func(k core.IntentKey) bool {
 			return k.Kind == packet.KindABA && int(k.Slot) == slot &&
 				isVotePhase(k.Phase) && k.Round != 0 && k.Round < cutoff
 		})

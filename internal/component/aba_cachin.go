@@ -1,8 +1,6 @@
 package component
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/packet"
 )
@@ -22,7 +20,6 @@ type CachinABA struct {
 	deciding
 	coin       collector[[]byte, coinShare, bool]
 	sharedCoin bool
-	regressed  func(peer int) bool // env.T.Regressed: whom reserveRound answers
 	slots      []*abaSlot
 	// shared holds the shared coin of each round, by round (SharedCoin
 	// only); a per-slot coin lives in its slot's round record.
@@ -70,8 +67,6 @@ type abaRound struct {
 	valsReady bool
 	advanced  bool
 	coin      *coinState // the slot's own coin for the round (not SharedCoin)
-	// reservedAt rate-limits reserveRound's pruned-send replay.
-	reservedAt time.Duration
 }
 
 // CachinOptions configures the component.
@@ -87,7 +82,6 @@ func NewCachinABA(env *Env, opts CachinOptions) *CachinABA {
 	a := &CachinABA{
 		deciding:   deciding{env: env, onDecide: opts.OnDecide},
 		sharedCoin: opts.SharedCoin,
-		regressed:  env.T.Regressed,
 	}
 	a.pruned = func(p packet.Phase) bool {
 		return p == packet.PhaseBval || p == packet.PhaseAux || (p == packet.PhaseShare && !a.sharedCoin)
@@ -227,7 +221,6 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 			if e.Data[0]&2 != 0 {
 				a.applyBval(int(e.Slot), e.Round, w, true)
 			}
-			a.reserveRound(int(e.Slot), e.Round, w)
 		}
 	case packet.PhaseAux:
 		for _, e := range sec.Entries {
@@ -235,7 +228,6 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 				continue
 			}
 			a.applyAux(int(e.Slot), e.Round, w, e.Data[0] == 1)
-			a.reserveRound(int(e.Slot), e.Round, w)
 		}
 	case packet.PhaseShare:
 		for _, e := range sec.Entries {
@@ -243,52 +235,6 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 		}
 	case packet.PhaseDecided:
 		a.handleDecided(w, sec)
-	}
-}
-
-// reserveRound re-installs this node's pruned sends for an old round that
-// peer w sent an entry of, if the transport has seen w lose state
-// (core.Transport.Regressed: one of its NACK rows lost a bit). pruneRounds
-// assumes a lagging honest peer is at most one coin exchange behind, but a
-// peer reborn from a full-stop crash restarts the instance at round 1 — and
-// if no honest node ever decided the slot (the quorum was down), the
-// DECIDED gadget cannot carry it either. Replaying the recorded bval and
-// aux sends for exactly that round, and in a threshold-coin round the
-// coin's certificate (or, before the coin exists, this node's share of
-// it), lets it climb the schedule the protocol's own way — no estimates
-// are injected, so the round-by-round safety argument is untouched. A live peer that only lags
-// is not answered: its stale entries are ordinary traffic, and answering
-// them costs a great deal of airtime. Rate-limited per round; survivors
-// cannot advance (and re-prune) while the laggard climbs, because they lack
-// the quorum.
-func (a *CachinABA) reserveRound(slot int, round uint16, w int) {
-	s := a.slots[slot]
-	// pruneRounds' cutoff is s.round-1: anything at or past it still has
-	// live intents and needs no replay.
-	if s.halted || !s.started || s.round < 2 || round == 0 || round >= s.round-1 {
-		return
-	}
-	if int(round) >= len(s.rounds) || s.rounds[round] == nil || !a.regressed(w) {
-		return
-	}
-	rd := s.rounds[round]
-	now := a.env.Sched.Now()
-	if rd.reservedAt != 0 && now-rd.reservedAt < 2*time.Second {
-		return
-	}
-	rd.reservedAt = now
-	if rd.bvalSent[0] || rd.bvalSent[1] {
-		a.publishBval(slot, round, rd)
-	}
-	if rd.auxSent {
-		a.publishAux(slot, round, rd)
-	}
-	if _, fixed := fixedCoin(round); fixed {
-		return
-	}
-	k := a.coinKeyFor(slot, round)
-	if flags, data := a.coinState(k).served(); data != nil {
-		a.env.T.Update(core.Intent{IntentKey: a.shareIntent(k), Flags: flags, Data: data})
 	}
 }
 
@@ -480,15 +426,22 @@ func (a *CachinABA) advance(slot int, round uint16, vals [2]bool, coin bool) {
 	a.startRound(slot)
 }
 
-// pruneRounds drops outbound state older than the previous round: a
+// pruneRounds parks outbound state older than the previous round: a
 // lagging honest peer can be at most one coin exchange behind, and beyond
-// that the DECIDED gadget carries it over the line.
+// that the DECIDED gadget carries it over the line. A peer that lost its
+// state — reborn from a full-stop crash, it restarts the instance at round
+// 1, and if no honest node decided the slot the gadget cannot carry it —
+// asks for a parked round by sending its own entries of it, and this
+// node's transport answers with this node's votes of the round and the round's
+// coin share, or the certificate that took the share's place (settle): the
+// peer climbs the schedule the protocol's own way, with no estimate
+// injected.
 func (a *CachinABA) pruneRounds(slot int, current uint16) {
 	if current < 2 {
 		return
 	}
 	cutoff := current - 1
-	a.env.T.RemoveWhere(func(k core.IntentKey) bool {
+	a.env.T.ParkWhere(func(k core.IntentKey) bool {
 		if k.Kind != packet.KindABA || k.Round >= cutoff || k.Round == 0 {
 			return false
 		}

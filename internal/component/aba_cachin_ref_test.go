@@ -1,8 +1,6 @@
 package component
 
 import (
-	"time"
-
 	"repro/internal/core"
 	"repro/internal/packet"
 )
@@ -14,7 +12,9 @@ import (
 // the coin's share collector with the component. Do not modernise it. Its
 // round-entry replay (startRound) has since become unconditional, in the
 // component and here alike, and so has the coin schedule (fixedCoin):
-// rounds 1 and 2 of every three use a fixed coin.
+// rounds 1 and 2 of every three use a fixed coin; and both park the rounds
+// they prune (core.Transport.ParkWhere), which the transport serves to a
+// peer that lost its state, in place of the replay they once kept.
 
 // refCachinABA runs k parallel (or serial) instances of the shared-coin
 // binary-agreement protocol the paper calls "Cachin's ABA" (the
@@ -28,7 +28,6 @@ type refCachinABA struct {
 	refDeciding
 	coin       collector[[]byte, coinShare, bool]
 	sharedCoin bool
-	regressed  func(peer int) bool
 	slots      []*refAbaSlot
 	coins      map[int]*coinState // by coinKey.id
 }
@@ -50,8 +49,6 @@ type refAbaRound struct {
 	auxRecv   map[int]*bool
 	valsReady bool
 	advanced  bool
-	// reservedAt rate-limits reserveRound's pruned-send replay.
-	reservedAt time.Duration
 }
 
 // newRefCachinABA creates the component and registers it on the transport.
@@ -59,7 +56,6 @@ func newRefCachinABA(env *Env, opts CachinOptions) *refCachinABA {
 	a := &refCachinABA{
 		refDeciding: refDeciding{env: env, onDecide: opts.OnDecide},
 		sharedCoin:  opts.SharedCoin,
-		regressed:   env.T.Regressed,
 		coins:       make(map[int]*coinState),
 	}
 	a.pruned = func(p packet.Phase) bool {
@@ -191,7 +187,6 @@ func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
 			if e.Data[0]&2 != 0 {
 				a.applyBval(int(e.Slot), e.Round, w, true)
 			}
-			a.reserveRound(int(e.Slot), e.Round, w)
 		}
 	case packet.PhaseAux:
 		for _, e := range sec.Entries {
@@ -199,7 +194,6 @@ func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
 				continue
 			}
 			a.applyAux(int(e.Slot), e.Round, w, e.Data[0] == 1)
-			a.reserveRound(int(e.Slot), e.Round, w)
 		}
 	case packet.PhaseShare:
 		for _, e := range sec.Entries {
@@ -207,51 +201,6 @@ func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
 		}
 	case packet.PhaseDecided:
 		a.handleDecided(w, sec)
-	}
-}
-
-// reserveRound re-installs this node's pruned sends for an old round that
-// peer w, which has lost state, sent an entry of. pruneRounds assumes a lagging honest peer is at
-// most one coin exchange behind, but a peer reborn from a full-stop crash
-// restarts the instance at round 1 — and if no honest node ever decided
-// the slot (the quorum was down), the DECIDED gadget cannot carry it
-// either. Traffic for a round this node has fully left is the signal:
-// replay the recorded bval/aux/coin-share sends for exactly that round so
-// the reborn peer can climb the schedule the protocol's own way — no
-// estimates are injected, so the round-by-round safety argument is
-// untouched. Only a peer the transport has seen lose state is answered.
-// Rate-limited per round; survivors cannot advance (and re-prune) while the
-// laggard climbs, because they lack the quorum.
-func (a *refCachinABA) reserveRound(slot int, round uint16, w int) {
-	s := a.slots[slot]
-	// pruneRounds' cutoff is s.round-1: anything at or past it still has
-	// live intents and needs no replay.
-	if s.halted || !s.started || s.round < 2 || round == 0 || round >= s.round-1 {
-		return
-	}
-	rd := s.rounds[round]
-	if rd == nil || !a.regressed(w) {
-		return
-	}
-	now := a.env.Sched.Now()
-	if rd.reservedAt != 0 && now-rd.reservedAt < 2*time.Second {
-		return
-	}
-	rd.reservedAt = now
-	if rd.bvalSent[0] || rd.bvalSent[1] {
-		a.publishBval(slot, round, rd)
-	}
-	if rd.auxSent {
-		a.publishAux(slot, round, rd)
-	}
-	if _, fixed := fixedCoin(round); fixed {
-		return
-	}
-	k := a.coinKeyFor(slot, round)
-	if cs := a.coins[k.id()]; cs != nil {
-		if flags, data := cs.served(); data != nil {
-			a.env.T.Update(core.Intent{IntentKey: a.shareIntent(k), Flags: flags, Data: data})
-		}
 	}
 }
 
@@ -412,7 +361,7 @@ func (a *refCachinABA) advance(slot int, round uint16, vals [2]bool, coin bool) 
 	a.startRound(slot)
 }
 
-// pruneRounds drops outbound state older than the previous round: a
+// pruneRounds parks outbound state older than the previous round: a
 // lagging honest peer can be at most one coin exchange behind, and beyond
 // that the DECIDED gadget carries it over the line.
 func (a *refCachinABA) pruneRounds(slot int, current uint16) {
@@ -420,7 +369,7 @@ func (a *refCachinABA) pruneRounds(slot int, current uint16) {
 		return
 	}
 	cutoff := current - 1
-	a.env.T.RemoveWhere(func(k core.IntentKey) bool {
+	a.env.T.ParkWhere(func(k core.IntentKey) bool {
 		if k.Kind != packet.KindABA || k.Round >= cutoff || k.Round == 0 {
 			return false
 		}

@@ -1,6 +1,7 @@
 package component
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -23,6 +24,7 @@ type abaSide struct {
 	sched *sim.Scheduler
 	env   *Env
 	log   []string
+	seq   uint32 // the fragment sequence number of the last packet delivered
 }
 
 func newABASide(seed int64, suite *crypto.Suite) *abaSide {
@@ -46,6 +48,32 @@ func newABASide(seed int64, suite *crypto.Suite) *abaSide {
 func (s *abaSide) Outbound(_ *core.Transport, in core.Intent) []core.Intent {
 	s.log = append(s.log, fmt.Sprintf("publish %+v flags=%d %x", in.IntentKey, in.Flags, in.Data))
 	return []core.Intent{in}
+}
+
+// deliver hands sec to the side's transport as the next packet of peer
+// from, as the radio would: the transport dispatches it to the component,
+// keeps its row, and, if from has lost state, takes its entries as
+// requests for what the side has parked.
+func (s *abaSide) deliver(from uint16, sec packet.Section) {
+	raw, err := (&packet.Frame{Sender: from, Sections: []packet.Section{sec}, Sig: make([]byte, 56)}).Encode()
+	if err != nil {
+		panic(err)
+	}
+	s.seq++
+	frag := binary.BigEndian.AppendUint16(nil, from)
+	frag = binary.BigEndian.AppendUint32(frag, s.seq)
+	s.env.T.ReceiveFrame(wireless.NodeID(from), append(append(frag, 0, 1), raw...))
+}
+
+// regress shows peers 1 to 3 losing a bit their rows had shown, so the
+// side's transport marks each as a peer that lost its state.
+func (s *abaSide) regress() {
+	for w := uint16(1); w < 4; w++ {
+		for _, bits := range []packet.BitSet{{1}, {0}} {
+			s.deliver(w, packet.Section{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Nack: bits})
+		}
+	}
+	s.sched.RunFor(time.Second)
 }
 
 func (s *abaSide) decided(slot int, v bool) {
@@ -196,9 +224,10 @@ func TestBrachaABAMatchesMapModel(t *testing.T) {
 
 // TestCachinABAMatchesMapModel streams random BVAL, AUX, coin-share and
 // DECIDED sections into CachinABA and into its map-based oracle, under
-// both coin-sharing modes, with every peer live and with every peer marked
-// as one that lost state (so stale-round entries are answered with a
-// replay of the pruned round). The coin shares are the peers' genuine ones
+// both coin-sharing modes, with every peer live and with every peer one
+// that lost state: then the sections come through the transport, whose
+// rows mark the peers so, and their entries for the rounds both have
+// parked bring the parked intents back on the air. The coin shares are the peers' genuine ones
 // (and some garbage, and now and then a coin's certificate in a share's
 // place), so the instances climb through several rounds.
 func TestCachinABAMatchesMapModel(t *testing.T) {
@@ -245,8 +274,8 @@ func TestCachinABAMatchesMapModel(t *testing.T) {
 			a := NewCachinABA(dense.env, CachinOptions{Slots: 3, Coin: SigCoin(dense.env), SharedCoin: mode.shared, OnDecide: dense.decided})
 			r := newRefCachinABA(ref.env, CachinOptions{Slots: 3, Coin: SigCoin(ref.env), SharedCoin: mode.shared, OnDecide: ref.decided})
 			if mode.regressed {
-				a.markRegressed(1, 2, 3)
-				r.regressed = a.regressed
+				dense.regress()
+				ref.regress()
 			}
 			rng := rand.New(rand.NewSource(200))
 			maxRound := uint16(0)
@@ -304,8 +333,13 @@ func TestCachinABAMatchesMapModel(t *testing.T) {
 					}
 					continue
 				}
-				a.HandleSection(from, sec)
-				r.HandleSection(from, sec)
+				if mode.regressed {
+					dense.deliver(from, sec)
+					ref.deliver(from, sec)
+				} else {
+					a.HandleSection(from, sec)
+					r.HandleSection(from, sec)
+				}
 				// Shares are verified and coins combined on the CPU.
 				dense.sched.RunFor(time.Second)
 				ref.sched.RunFor(time.Second)

@@ -20,16 +20,17 @@ type testNet struct {
 	sched *sim.Scheduler
 	ch    *wireless.Channel
 	envs  []*Env
-	// What a node keeps across a crash (crash, recover): its station, and
-	// the receiver forwarding the station's frames to its transport.
+	// What a node keeps across a crash (crash, recover), as node.Node
+	// does: its station, its mux — so its fragment sequence numbers run
+	// on — and the receiver forwarding the station's frames to the mux.
 	stations []*wireless.Station
+	muxes    []*core.Mux
 	inbound  []*relay
-	auths    []*core.SizedAuth
 	tcfg     core.Config
 }
 
-// relay forwards a station's frames to the node's current transport (nil:
-// the node is down).
+// relay forwards a station's frames to the node's mux (nil: the node is
+// down).
 type relay struct{ to wireless.Receiver }
 
 func (r *relay) ReceiveFrame(from wireless.NodeID, payload []byte) {
@@ -57,11 +58,12 @@ func newTestNet(t testing.TB, seed int64, loss float64, batched bool) *testNet {
 			CostSign:   suites[i].Cost.PKSign,
 			CostVerify: suites[i].Cost.PKVerify,
 		}
-		tr := core.New(sched, cpu, nil, auth, net.tcfg)
-		in := &relay{to: tr}
+		m := core.NewMux(sched, cpu, auth, net.tcfg)
+		in := &relay{to: m}
 		st := ch.Attach(wireless.NodeID(i), in)
-		tr.BindStation(st)
-		net.stations, net.inbound, net.auths = append(net.stations, st), append(net.inbound, in), append(net.auths, auth)
+		m.BindStation(st)
+		tr := m.Open(0)
+		net.stations, net.muxes, net.inbound = append(net.stations, st), append(net.muxes, m), append(net.inbound, in)
 		net.envs = append(net.envs, &Env{
 			N: n, F: f, Me: i,
 			Session: 42,
@@ -76,22 +78,21 @@ func newTestNet(t testing.TB, seed int64, loss float64, batched bool) *testNet {
 }
 
 // crash takes node i off the air with all its in-memory state, as
-// node.Crash does: its transport stops, its radio queue empties, and
-// frames for it are dropped.
+// node.Crash does: its epoch closes, its radio queue empties, and frames
+// for it are dropped.
 func (tn *testNet) crash(i int) {
-	tn.envs[i].T.Stop()
+	tn.muxes[i].Close(0)
 	tn.stations[i].Reset()
 	tn.inbound[i].to = nil
 }
 
-// recover brings node i back with amnesia on a fresh transport over the
-// same station, CPU and keys, and returns its new Env. The crashed node's
-// components keep the old Env and its stopped transport.
+// recover brings node i back with amnesia on a fresh transport of its mux,
+// over the same station, CPU and keys, and returns its new Env. The
+// crashed node's components keep the old Env and its stopped transport.
 func (tn *testNet) recover(i int) *Env {
 	env := *tn.envs[i]
-	env.T = core.New(tn.sched, env.CPU, nil, tn.auths[i], tn.tcfg)
-	tn.inbound[i].to = env.T
-	env.T.BindStation(tn.stations[i])
+	env.T = tn.muxes[i].Open(0)
+	tn.inbound[i].to = tn.muxes[i]
 	tn.envs[i] = &env
 	return &env
 }
@@ -631,61 +632,6 @@ func TestCachinABAWithCrashFault(t *testing.T) {
 		if v := abas[i].Decided(0); v == nil || !*v {
 			t.Errorf("honest node %d decided %v with crashed peer", i, v)
 		}
-	}
-}
-
-// TestPrunedRoundReplayedOnlyToRegressedPeer: a BVAL for a round this node
-// has pruned, from a peer that is live but lagging, gets no replay. Once
-// that peer's NACK row loses a bit it had shown — it came back from a crash
-// — its transport marks it, and the same entry puts the pruned round's
-// sends back on the air, at most once per 2 s.
-func TestPrunedRoundReplayedOnlyToRegressedPeer(t *testing.T) {
-	tn := newTestNet(t, 45, 0, true)
-	env := tn.envs[0]
-	rec := record(env)
-	a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: SigCoin(env)})
-	a.Input(0, true)     // round 1's BVAL goes on the air …
-	a.slots[0].round = 4 // … and the node has left the round behind.
-	stale := packet.Section{Kind: packet.KindABA, Phase: packet.PhaseBval,
-		Entries: []packet.Entry{{Slot: 0, Round: 1, Data: []byte{2}}}}
-	replays := func() int {
-		n := -1 // the first send
-		for _, in := range rec.seen {
-			if in.Phase == packet.PhaseBval && in.Round == 1 {
-				n++
-			}
-		}
-		return n
-	}
-	showRow := func(bits packet.BitSet) {
-		tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, bits)
-		tn.settle(5 * time.Second)
-	}
-
-	done := packet.NewBitSet(4)
-	done.Set(2)
-	showRow(done)
-	a.HandleSection(1, stale)
-	if n := replays(); n != 0 || env.T.Regressed(1) {
-		t.Fatalf("a live peer's stale entry: %d replays, marked %v; want none", n, env.T.Regressed(1))
-	}
-
-	showRow(packet.NewBitSet(4))
-	if !env.T.Regressed(1) {
-		t.Fatal("the peer's row lost a bit and the transport did not mark it")
-	}
-	a.HandleSection(1, stale)
-	if n := replays(); n != 1 {
-		t.Fatalf("the regressed peer's stale entry: %d replays, want 1", n)
-	}
-	a.HandleSection(1, stale)
-	if n := replays(); n != 1 {
-		t.Fatalf("the same entry again at once: %d replays, want still 1", n)
-	}
-	tn.settle(2 * time.Second)
-	a.HandleSection(1, stale)
-	if n := replays(); n != 2 {
-		t.Errorf("the same entry 2 s later: %d replays, want 2", n)
 	}
 }
 

@@ -468,8 +468,8 @@ type collectorRig struct {
 	poison     func()     // leave k-1 verified copies of node 1's share under other senders
 	held       func() int // shares gathered
 	done       func() bool
-	proofs     func() bool // the tally counts only full shares
-	own        func() []byte
+	proofs     func() bool        // the tally counts only full shares
+	own        func() []byte      // this node's share in full (nil: not made)
 	combined   *int               // times the user's callback ran
 	check      func(t *testing.T) // the combined value is the right one
 }
@@ -514,7 +514,12 @@ func rigOf[X, S, V any](c *collector[X, S, V], tl *tally[X, S, V], id int, peers
 		held:   func() int { return tl.nShares },
 		done:   func() bool { return tl.done },
 		proofs: func() bool { return tl.proofs },
-		own:    func() []byte { return tl.own },
+		own: func() []byte {
+			if !tl.mine.held {
+				return nil
+			}
+			return c.encode(tl.mine.share)
+		},
 	}
 	if c.check != nil {
 		r.certCost = c.certCost
@@ -929,12 +934,15 @@ func TestCertificateBeforeSubject(t *testing.T) {
 }
 
 // TestOwnShareReplay: what a node re-serves to a peer that lost its state
-// is its own share as the tally kept it, or the value's certificate once
-// there is one — in a pruned round's replay for a coin; for the Decryptor,
-// the share intent its transport parked once every peer's row confirmed
-// the slot and brings back when one clears the done bit. A coin share
-// released after the coin exists is never made: the certificate goes out
-// in its place.
+// is the share intent its transport parked, which holds the value's
+// certificate once there is one. For a coin, the ABA parks a round it has
+// left behind (pruneRounds), and a peer whose row lost a bit asks for the
+// round's share by sending its own (core.Transport's request): under the
+// SC coin the certificate that took the share's place goes out (the
+// collector's settle revised the intent), under the CP coin, which has no
+// certificate, the node's share. For the Decryptor, the transport parks the
+// share once every peer's row confirmed the slot and brings it back when
+// one clears the done bit.
 func TestOwnShareReplay(t *testing.T) {
 	onAir := func(rec *recorder, phase packet.Phase, round uint16) []core.Intent {
 		var out []core.Intent
@@ -953,53 +961,66 @@ func TestOwnShareReplay(t *testing.T) {
 		return out
 	}
 	t.Run("coin", func(t *testing.T) {
-		tn := newTestNet(t, 43, 0, true)
-		env := tn.envs[0]
-		rec := record(env)
-		a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: SigCoin(env)})
-		a.markRegressed(1)
-		a.Input(0, true)
-		peer := func(w int, round uint16) []byte {
-			src := SigCoin(tn.envs[w])
-			sh, err := src.share(coinName(env.Session, env.Epoch, 0, round))
-			if err != nil {
-				t.Fatal(err)
+		for _, c := range []struct {
+			name string
+			coin func(*Env) CoinSource
+		}{{"SC", SigCoin}, {"CP", FlipCoin}} {
+			tn := newTestNet(t, 43, 0, true)
+			env := tn.envs[0]
+			rec := record(env)
+			a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: c.coin(env)})
+			a.Input(0, true)
+			peer := func(w int) core.Intent {
+				src := c.coin(tn.envs[w])
+				sh, err := src.share(coinName(env.Session, env.Epoch, 0, 3))
+				if err != nil {
+					t.Fatal(err)
+				}
+				return core.Intent{IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Sub: uint8(w), Round: 3}, Data: src.encode(sh)}
 			}
-			return src.encode(sh)
-		}
-		// Rounds 3 and 6 are the first two that draw the threshold coin.
-		// Round 3: our share counts. Round 6: two peers' shares combine
-		// before ours is released.
-		a.releaseCoinShare(0, 3)
-		a.handleCoinShare(0, 6, 1, 0, peer(1, 6))
-		a.handleCoinShare(0, 6, 2, 0, peer(2, 6))
-		tn.settle(time.Second)
-		busy := env.CPU.BusyTotal()
-		a.releaseCoinShare(0, 6)
-		if env.CPU.BusyTotal() != busy {
-			t.Errorf("round 6: a share was made after the coin existed")
-		}
-		tn.settle(time.Second)
-		a.round(0, 6)        // the node has been through rounds 3 and 6 …
-		a.slots[0].round = 8 // … and left them behind.
-		for _, round := range []uint16{3, 6} {
-			if n := len(onAir(rec, packet.PhaseShare, round)); n != 1 {
-				t.Fatalf("round %d: published %d times", round, n)
+			// Peer 2 has no agreement of its own; it listens for node 0's
+			// round-3 share entries.
+			var heard []packet.Entry
+			tn.envs[2].T.Register(packet.KindABA, core.HandlerFunc(func(from uint16, sec packet.Section) {
+				for _, e := range sec.Entries {
+					if from == 0 && sec.Phase == packet.PhaseShare && e.Round == 3 {
+						heard = append(heard, packet.Entry{Flags: e.Flags, Data: bytes.Clone(e.Data)})
+					}
+				}
+			}))
+			// Round 3 is the first to draw the threshold coin: node 0's
+			// share and peer 1's make it; then the node leaves the round
+			// behind.
+			a.releaseCoinShare(0, 3)
+			a.handleCoinShare(0, 3, 1, 0, peer(1).Data)
+			tn.settle(time.Second)
+			cs := a.coinState(coinKey{slot: 0, round: 3})
+			if !cs.done {
+				t.Fatalf("%s: round 3's coin was not made", c.name)
 			}
-		}
-		a.reserveRound(0, 3, 1)
-		a.reserveRound(0, 6, 1)
-		if got := onAir(rec, packet.PhaseShare, 3); len(got) != 2 || !bytes.Equal(got[0].Data, got[1].Data) || got[1].Flags != 0 {
-			t.Errorf("round 3: the share that counted was re-served %d times", len(got)-1)
-		}
-		cert := a.coinState(coinKey{slot: 0, round: 6}).cert
-		got := onAir(rec, packet.PhaseShare, 6)
-		if cert == nil || len(got) != 2 {
-			t.Fatalf("round 6: certificate %x, published %d times", cert, len(got))
-		}
-		for i, in := range got {
-			if in.Flags != certFlag || !bytes.Equal(in.Data, cert) {
-				t.Errorf("round 6, publication %d: flags %d, data %x; want the certificate", i, in.Flags, in.Data)
+			a.pruneRounds(0, 5)
+			tn.settle(time.Minute)
+			before := len(heard)
+			// Peer 1 comes back without the bit its row had shown, and
+			// sends its round-3 share.
+			done := packet.NewBitSet(4)
+			done.Set(2)
+			tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, done)
+			tn.settle(5 * time.Second)
+			tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, packet.NewBitSet(4))
+			tn.settle(5 * time.Second)
+			if len(heard) != before {
+				t.Fatalf("%s: the parked share went out %d times unasked", c.name, len(heard)-before)
+			}
+			tn.envs[1].T.Update(peer(1))
+			tn.settle(2 * time.Second)
+			got := onAir(rec, packet.PhaseShare, 3)
+			want := got[len(got)-1]
+			if len(heard) != before+1 || heard[before].Flags != want.Flags || !bytes.Equal(heard[before].Data, want.Data) {
+				t.Fatalf("%s: %d answers to the reborn peer's share, want one of the parked intent", c.name, len(heard)-before)
+			}
+			if cert := cs.cert; (cert != nil) != (c.name == "SC") || cert != nil && (want.Flags != certFlag || !bytes.Equal(want.Data, cert)) {
+				t.Errorf("%s: certificate %x; the parked intent went out with flags %d", c.name, cert, want.Flags)
 			}
 		}
 	})

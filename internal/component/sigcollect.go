@@ -63,17 +63,11 @@ type tally[X, S, V any] struct {
 	subject X    // what the shares are shares of
 	open    bool // subject is known: shares can be verified
 
-	// own is this node's encoded share as it went on the air, for a peer
-	// that lost its state and asks for it back. It is kept beside the
-	// gathered shares, which a failed combination drops — but only a share
-	// that counted here is kept: one made after the threshold was reached
-	// is published once and never re-served (the sweeps' crash-recovery
-	// rows are pinned to that). mine is the share itself once made,
-	// counted or not, which goes on the air again with its proof when the
-	// tally turns to proofs. Under a scheme that sends its shares bare,
-	// mine is made without its proof, which its full encoding makes — so
-	// a share whose tally never turns to proofs never pays for one.
-	own  []byte
+	// mine is this node's share once made, counted or not, which goes on
+	// the air again with its proof when the tally turns to proofs. Under a
+	// scheme that sends its shares bare, mine is made without its proof,
+	// which its full encoding makes — so a share whose tally never turns
+	// to proofs never pays for one.
 	mine heldShare[S]
 	// proofs says only full shares count, each verified on its own: a
 	// combination of bare shares failed here, or a peer's full share came
@@ -115,16 +109,6 @@ func (t *tally[X, S, V]) holds(w int) bool { return t.shares != nil && t.shares[
 // certIntent is t's certificate in the place of this node's share.
 func (t *tally[X, S, V]) certIntent() core.Intent {
 	return core.Intent{IntentKey: t.key, Flags: certFlag, Data: t.cert}
-}
-
-// served is what this node re-serves of t to a peer that lost its state:
-// the certificate once there is one, else its own share if that counted
-// (nil data: nothing).
-func (t *tally[X, S, V]) served() (flags uint8, data []byte) {
-	if t.cert != nil {
-		return certFlag, t.cert
-	}
-	return t.shareFlags(), t.own
 }
 
 // shareFlags are the flags this node's share of t goes on the air with.
@@ -193,11 +177,8 @@ func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.Inte
 			return
 		}
 		t.mine = heldShare[S]{share, true}
-		raw := c.onAir(t, share)
-		c.env.T.Update(core.Intent{IntentKey: key, Flags: t.shareFlags(), Data: raw})
-		if c.add(t, id, c.env.Me, share) {
-			t.own = raw
-		}
+		c.env.T.Update(core.Intent{IntentKey: key, Flags: t.shareFlags(), Data: c.onAir(t, share)})
+		c.add(t, id, c.env.Me, share)
 	})
 }
 
@@ -331,9 +312,9 @@ func (c *collector[X, S, V]) settle(t *tally[X, S, V], id int, value V, cert []b
 // contributors is always the same argument. A combination of bare shares
 // is charged the check of the value too: the scheme's combine verifies
 // what it combines, and a value exists only once that check has passed.
-func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) bool {
+func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 	if t.holds(w) || t.combining || t.done {
-		return false
+		return
 	}
 	if t.shares == nil {
 		t.shares = make([]heldShare[S], c.env.N)
@@ -341,7 +322,7 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) bool {
 	t.shares[w] = heldShare[S]{share, true}
 	t.nShares++
 	if t.nShares < c.k {
-		return true
+		return
 	}
 	t.combining = true
 	shares := make([]S, 0, t.nShares)
@@ -373,7 +354,6 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) bool {
 		}
 		c.settle(t, id, value, cert)
 	})
-	return true
 }
 
 // keepOwn drops every peer's share of t; this node's own stays counted.
@@ -415,8 +395,7 @@ func (c *collector[X, S, V]) toProofs(t *tally[X, S, V]) {
 		t.shares[c.env.Me] = t.mine
 		t.nShares++
 	}
-	t.own = c.encode(t.mine.share)
-	c.env.T.Refresh(core.Intent{IntentKey: t.key, Flags: proofFlag, Data: t.own})
+	c.env.T.Refresh(core.Intent{IntentKey: t.key, Flags: proofFlag, Data: c.encode(t.mine.share)})
 }
 
 // must wraps share-making that fails only when the node's randomness does.

@@ -131,7 +131,7 @@ func BenchmarkReassemble(b *testing.B) {
 			frags[idx] = appendFragment(frags[idx][:0], raw, 2, uint32(i), idx, len(frags), chunk)
 		}
 		for idx, frag := range frags {
-			if _, ok, _ := r.feed(2, frag); ok != (idx == len(frags)-1) {
+			if _, _, ok, _ := r.feed(2, frag); ok != (idx == len(frags)-1) {
 				b.Fatalf("packet %d complete after fragment %d", i, idx)
 			}
 		}

@@ -59,25 +59,26 @@ type reassembler struct {
 }
 
 // feed consumes one radio frame heard from station from and returns the
-// completed logical packet when all of its fragments are present. forged
+// completed logical packet, and its sequence number, when all of its
+// fragments are present. forged
 // reports a fragment whose header names another sender than the station
 // that transmitted it; it is dropped, so a forger can park or supersede
 // partial packets only under its own id.
-func (r *reassembler) feed(from wireless.NodeID, frag []byte) (raw []byte, ok, forged bool) {
+func (r *reassembler) feed(from wireless.NodeID, frag []byte) (raw []byte, seq uint32, ok, forged bool) {
 	if len(frag) < fragHeaderLen {
-		return nil, false, false
+		return nil, 0, false, false
 	}
 	if binary.BigEndian.Uint16(frag[0:]) != uint16(from) {
-		return nil, false, true
+		return nil, 0, false, true
 	}
-	seq := binary.BigEndian.Uint32(frag[2:])
+	seq = binary.BigEndian.Uint32(frag[2:])
 	idx, total := frag[6], frag[7]
 	if total == 0 || idx >= total {
-		return nil, false, false
+		return nil, 0, false, false
 	}
 	body := frag[fragHeaderLen:]
 	if total == 1 {
-		return body, true, false
+		return body, seq, true, false
 	}
 	// from is the channel's word, not the wire's: the table grows to the
 	// largest station id attached and no further.
@@ -91,12 +92,12 @@ func (r *reassembler) feed(from wireless.NodeID, frag []byte) (raw []byte, ok, f
 		p.seq, p.total, p.have = seq, total, 0
 	}
 	if seq < p.seq || total != p.total || p.chunks[idx] != nil {
-		return nil, false, false // stale, inconsistent or duplicate fragment
+		return nil, 0, false, false // stale, inconsistent or duplicate fragment
 	}
 	p.chunks[idx] = body
 	p.have++
 	if p.have < int(p.total) {
-		return nil, false, false
+		return nil, 0, false, false
 	}
 	n := 0
 	for _, c := range p.chunks {
@@ -108,5 +109,5 @@ func (r *reassembler) feed(from wireless.NodeID, frag []byte) (raw []byte, ok, f
 	}
 	clear(p.chunks)
 	p.total = 0
-	return out, true, false
+	return out, seq, true, false
 }

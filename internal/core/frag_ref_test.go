@@ -112,7 +112,7 @@ func FuzzReassembler(f *testing.F) {
 		ref := &refReassembler{bufs: make(map[uint16]*refPartial)}
 		froms, frags := fuzzFragments(data)
 		for i, frag := range frags {
-			got, ok, forged := r.feed(froms[i], frag)
+			got, _, ok, forged := r.feed(froms[i], frag)
 			if len(frag) >= fragHeaderLen && binary.BigEndian.Uint16(frag) != uint16(froms[i]) {
 				if ok || !forged {
 					t.Fatalf("fragment %d (%x from station %d): ok=%v forged=%v, want it dropped as forged", i, frag, froms[i], ok, forged)

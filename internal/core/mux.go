@@ -17,11 +17,10 @@ import (
 // one reassembly buffer per peer and the one frame decoder — and the open
 // epochs, each a Transport holding that epoch's intents, NACK rows,
 // handlers, timers and counters. It is the layer underneath both
-// workloads: protocol.Chain keeps a window of epochs open and closes them
-// behind its commit frontier once its peers are past them (Heard); a
-// one-shot run opens an epoch at each boundary and closes the one before.
-// A node's sequence space therefore runs on across its epochs and across a
-// crash.
+// workloads, which both run on protocol.Chain: it keeps a window of epochs
+// open and closes them behind its commit frontier once its peers are past
+// them (Heard). A node's sequence space runs on across its epochs and
+// across a crash, so a receiver can tell a late packet from a newer one.
 //
 // Outbound, the Mux is its station's wireless.Source: when the station wins
 // the medium it builds frames from whatever its epochs have dirty at that
@@ -71,8 +70,11 @@ type Mux struct {
 	// triggering frame is still dropped (retransmission repairs it).
 	OnUnknownEpoch func(epoch uint16)
 	// heard is, by transmitting station, one past the highest epoch any of
-	// its frames named (0: none heard).
-	heard []int
+	// its frames named (0: none heard), and newest one past the highest
+	// fragment seq of a logical packet completed from it: a packet below
+	// it is stale, older than one already heard (Transport.dispatch).
+	heard  []int
+	newest []uint32
 	// lastHeard is, by transmitting station, when a radio frame of its last
 	// reached this node (unheard: none has) — the turns the retransmission
 	// policy paces unasked re-sends by (Transport.retransmit). paced says an
@@ -334,7 +336,7 @@ var _ wireless.Receiver = (*Mux)(nil)
 // happens inside the routed transport, on the node's CPU.
 func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 	m.noteTurn(from)
-	raw, ok, forged := m.reasm.feed(from, payload)
+	raw, seq, ok, forged := m.reasm.feed(from, payload)
 	if forged {
 		m.droppedSess++
 	}
@@ -347,9 +349,11 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		return
 	}
 	for int(from) >= len(m.heard) {
-		m.heard = append(m.heard, 0)
+		m.heard, m.newest = append(m.heard, 0), append(m.newest, 0)
 	}
 	m.heard[from] = max(m.heard[from], int(epoch)+1)
+	stale := seq < m.newest[from]
+	m.newest[from] = max(m.newest[from], seq+1)
 	t := m.Lookup(epoch)
 	if t == nil {
 		m.dropped++
@@ -358,7 +362,7 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		}
 		return
 	}
-	t.receiveLogical(uint16(from), raw)
+	t.receiveLogical(uint16(from), raw, stale)
 }
 
 // unheard is the lastHeard of a station no frame has come from.

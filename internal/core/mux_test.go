@@ -232,7 +232,7 @@ func TestRegressedPeer(t *testing.T) {
 	}
 	marked := func(tr *Transport) (out []int) {
 		for w := 1; w < 4; w++ {
-			if tr.Regressed(w) {
+			if tr.regressed.Get(w) {
 				out = append(out, w)
 			}
 		}

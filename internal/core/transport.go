@@ -33,7 +33,10 @@
 // undone puts that slot's intents back on the base period, unpaced. The
 // transport is the one place the peers' bitmaps are kept: what every peer
 // has confirmed it parks — keeps, but never sends — until a bitmap shows
-// the slot undone again.
+// the slot undone again. A component parks what it has left behind
+// (ParkWhere) the same way, and a peer whose bitmap lost a bit it had
+// shown — it lost its state — asks for such an intent by sending its own
+// entry of the same key.
 //
 // A node has one Mux, which owns everything node-scoped, and one Transport
 // per open epoch, which owns that epoch's state (mux.go); components talk
@@ -167,7 +170,8 @@ type Transport struct {
 	rows        []nackRow
 	rowsChanged bool
 	// regressed marks, by sender, the peers one of whose rows lost a bit it
-	// had shown (nil: none has).
+	// had shown (nil: none has): their entries ask for what this node has
+	// parked (request).
 	regressed packet.BitSet
 	// was is the scratch copy of the row a peer's newer one replaces.
 	was      packet.BitSet
@@ -412,7 +416,7 @@ func (t *Transport) Remove(k IntentKey) {
 }
 
 // RemoveWhere deletes every intent whose key matches the predicate (used
-// by the ABAs to prune state for stale rounds and halted instances).
+// by the DECIDED gadget to drop the state of halted instances).
 func (t *Transport) RemoveWhere(pred func(IntentKey) bool) {
 	t.live = slices.DeleteFunc(t.live, func(e liveIntent) bool {
 		if !pred(e.IntentKey) {
@@ -423,6 +427,29 @@ func (t *Transport) RemoveWhere(pred func(IntentKey) bool) {
 		}
 		return true
 	})
+}
+
+// ParkWhere takes every intent whose key matches the predicate off the air
+// (used by the ABAs to prune the rounds they have left behind): each stays
+// in the store, clean and never due, as park leaves a settled one, and goes
+// out again only when a peer asks for it — by a NACK row that shows its
+// slot undone, or, a peer that lost state, by an entry of the same key
+// (request).
+func (t *Transport) ParkWhere(pred func(IntentKey) bool) {
+	for i := range t.live {
+		if e := &t.live[i]; pred(e.IntentKey) {
+			t.parkIntent(e)
+		}
+	}
+}
+
+// parkIntent takes e off the air until a peer asks for it.
+func (t *Transport) parkIntent(e *liveIntent) {
+	if e.dirty {
+		e.dirty = false
+		t.nDirty--
+	}
+	e.asked, e.due = false, never
 }
 
 // SetNack installs the compressed O(N) NACK bitmap of (kind, phase): every
@@ -548,15 +575,27 @@ func (t *Transport) resend() {
 	t.armRetx(next)
 }
 
-// heardFrom keeps peer from's NACK row for (kind, phase), marks the peer
-// regressed if the row lost a bit the one before it had set, parks this
-// node's intents of every slot the row newly shows done that every peer
-// heard now shows done, and takes the row as a request for this node's
-// intents of every slot it shows undone.
-func (t *Transport) heardFrom(from uint16, sec *packet.Section) {
+// heardFrom keeps peer from's NACK row for (kind, phase), unless the packet
+// is stale, parks this node's intents of every slot the row newly shows
+// done that every peer heard now shows done, and takes the row as a
+// request for this node's intents of every slot it shows undone.
+func (t *Transport) heardFrom(from uint16, sec *packet.Section, stale bool) {
 	if len(sec.Nack) == 0 || from >= maxSender {
 		return
 	}
+	if !stale && t.keepRow(from, sec) && t.m.cfg.RetxInterval > 0 {
+		t.park(sec, t.was)
+	}
+	if t.m.cfg.RetxInterval > 0 {
+		t.demand(sec)
+	}
+}
+
+// keepRow replaces peer from's kept row for (kind, phase) with the one in
+// sec and marks the peer regressed if the new row lost a bit the kept one
+// had set. It reports whether the row gained a bit, keeping the one it
+// replaced in t.was.
+func (t *Transport) keepRow(from uint16, sec *packet.Section) (gained bool) {
 	r := t.row(sec.Kind, sec.Phase)
 	for int(from) >= len(r.peers) {
 		r.peers = append(r.peers, nil)
@@ -570,17 +609,12 @@ func (t *Transport) heardFrom(from uint16, sec *packet.Section) {
 	}
 	// Rows rarely change between frames: the row is kept aside only when it
 	// gains a bit, in the one scratch row, so park can tell what is new.
-	gained := lostBit(sec.Nack, prev)
+	gained = lostBit(sec.Nack, prev)
 	if gained {
 		t.was = append(t.was[:0], prev...)
 	}
 	r.peers[from] = append(prev[:0], sec.Nack...)
-	if t.m.cfg.RetxInterval > 0 {
-		if gained {
-			t.park(sec, t.was)
-		}
-		t.demand(sec)
-	}
+	return gained
 }
 
 // park takes off the air every intent of a slot that the row in sec shows
@@ -594,14 +628,9 @@ func (t *Transport) park(sec *packet.Section, was packet.BitSet) {
 		if e.Kind != sec.Kind || e.Phase != sec.Phase {
 			break
 		}
-		if slot := int(e.Slot); was.Get(slot) || !sec.Nack.Get(slot) || !t.settled(e) {
-			continue
+		if slot := int(e.Slot); !was.Get(slot) && sec.Nack.Get(slot) && t.settled(e) {
+			t.parkIntent(e)
 		}
-		if e.dirty {
-			e.dirty = false
-			t.nDirty--
-		}
-		e.asked, e.due = false, never
 	}
 }
 
@@ -618,12 +647,6 @@ func lostBit(prev, next packet.BitSet) bool {
 	}
 	return false
 }
-
-// Regressed reports whether one of peer's NACK rows for this epoch has lost
-// a bit it had shown: the peer lost state it had reported — it crashed and
-// came back with nothing done, or dropped a value the quorum contradicted.
-// A peer that only lags never shows it.
-func (t *Transport) Regressed(peer int) bool { return t.regressed.Get(peer) }
 
 // settled reports whether every peer whose NACK row for e's (kind, phase)
 // has reached this node shows e's slot done, and at least one has.
@@ -645,32 +668,71 @@ func (t *Transport) settled(e *liveIntent) bool {
 }
 
 // demand applies a peer's NACK row as a request for this node's intents of
-// every slot it shows undone: each is due one base period after its last
-// send at the latest, and goes out at once if that has passed — or if it
-// was already due and waiting for a turn, which an asked re-send does not.
+// every slot it shows undone (ask).
 func (t *Transport) demand(sec *packet.Section) {
-	now, base := t.m.sched.Now(), t.m.cfg.RetxInterval
-	next, flush := never, false
+	now, next, flush := t.m.sched.Now(), never, false
 	i, _ := t.find(IntentKey{Kind: sec.Kind, Phase: sec.Phase})
 	for ; i < len(t.live); i++ {
 		e := &t.live[i]
 		if e.Kind != sec.Kind || e.Phase != sec.Phase {
 			break
 		}
-		if e.dirty || sec.Nack.Get(int(e.Slot)) {
-			continue
-		}
-		e.asked = true
-		if at := e.sentAt + base; e.due > at {
-			e.age, e.due = 0, at
-		}
-		if e.due <= now {
-			t.markDirty(e)
-			flush = true
-		} else {
-			next = min(next, e.due)
+		if !e.dirty && !sec.Nack.Get(int(e.Slot)) {
+			flush = t.ask(e, now, &next) || flush
 		}
 	}
+	t.answer(flush, next)
+}
+
+// request applies the entries of a peer that lost state (regressed) as
+// requests for what this node has parked (ask), in a phase for which this
+// node keeps no NACK row — where it keeps one, the peer's row of the phase
+// is the request (demand). Each entry asks for this node's parked intents
+// of its kind, phase, slot and round, whichever node the key's Sub names:
+// the entry is the peer's own contribution, the parked intent this node's.
+// So a peer reborn into rounds its peers have pruned gets their votes, coin
+// shares and certificates of each round back as it reaches the round, at
+// most once per base period each.
+func (t *Transport) request(sec *packet.Section) {
+	if i, found := t.findRow(sec.Kind, sec.Phase); found && t.rows[i].bits != nil {
+		return
+	}
+	now, next, flush := t.m.sched.Now(), never, false
+	for _, en := range sec.Entries {
+		i, _ := t.find(IntentKey{Kind: sec.Kind, Phase: sec.Phase, Slot: en.Slot})
+		for ; i < len(t.live); i++ {
+			e := &t.live[i]
+			if e.Kind != sec.Kind || e.Phase != sec.Phase || e.Slot != en.Slot {
+				break
+			}
+			if e.Round == en.Round && !e.dirty && e.due == never {
+				flush = t.ask(e, now, &next) || flush
+			}
+		}
+	}
+	t.answer(flush, next)
+}
+
+// ask applies a peer's request for e: e is due one base period after its
+// last send at the latest, and goes out at once if that has passed — or if
+// it was already due and waiting for a turn, which an asked re-send does
+// not. ask reports whether e goes into the next frame, and otherwise lowers
+// next to when it is due.
+func (t *Transport) ask(e *liveIntent, now time.Duration, next *time.Duration) bool {
+	e.asked = true
+	if at := e.sentAt + t.m.cfg.RetxInterval; e.due > at {
+		e.age, e.due = 0, at
+	}
+	if e.due <= now {
+		t.markDirty(e)
+		return true
+	}
+	*next = min(*next, e.due)
+	return false
+}
+
+// answer sends what requests queued and arms the timer for the rest.
+func (t *Transport) answer(flush bool, next time.Duration) {
 	if flush {
 		t.Flush()
 	}
@@ -846,17 +908,18 @@ func (t *Transport) sendLogical(sections []packet.Section, follows bool) {
 // its verification time. Records are recycled through Mux.jobFree, so the
 // receive path allocates no closure per packet.
 type verifyJob struct {
-	t    *Transport
-	from uint16 // the station that transmitted the packet
-	raw  []byte
-	run  func() // j.exec, bound once
+	t     *Transport
+	from  uint16 // the station that transmitted the packet
+	raw   []byte
+	stale bool   // a newer packet from the station came first
+	run   func() // j.exec, bound once
 }
 
 // exec runs at the job's completion time on the CPU: verify and dispatch,
 // then the record goes back to the free list.
 func (j *verifyJob) exec() {
 	t := j.t
-	t.dispatch(j.from, j.raw)
+	t.dispatch(j.from, j.raw, j.stale)
 	j.t, j.raw = nil, nil
 	t.m.jobFree = append(t.m.jobFree, j)
 }
@@ -869,12 +932,13 @@ func (t *Transport) ReceiveFrame(from wireless.NodeID, payload []byte) {
 
 // receiveLogical verifies and dispatches one reassembled logical packet
 // that station from transmitted and Mux.ReceiveFrame routed here by its
-// header's session and epoch.
+// header's session and epoch; stale says a newer one from the station was
+// completed before it.
 //
 // raw is shared and read-only: it is the channel's private copy of the
 // transmission (or the reassembler's fresh buffer), handed to every
 // receiver alike, and the decoded frame's Nack, Data and Sig alias it.
-func (t *Transport) receiveLogical(from uint16, raw []byte) {
+func (t *Transport) receiveLogical(from uint16, raw []byte, stale bool) {
 	if t.stopped {
 		return
 	}
@@ -886,13 +950,18 @@ func (t *Transport) receiveLogical(from uint16, raw []byte) {
 		j = new(verifyJob)
 		j.run = j.exec
 	}
-	j.t, j.from, j.raw = t, from, raw
+	j.t, j.from, j.raw, j.stale = t, from, raw, stale
 	m.cpu.Exec(m.auth.CostVerify, j.run)
 }
 
 // dispatch completes receiveLogical at the verification job's completion
-// time: decode, verify, hand each section to its kind's handler.
-func (t *Transport) dispatch(from uint16, raw []byte) {
+// time: decode, verify, hand each section to its kind's handler, take in
+// its NACK row, and, from a peer that lost state, take its entries as
+// requests. A stale packet — the delay adversary reorders a node's frames
+// — still delivers its entries and its rows still ask, but the rows are
+// not kept, so a late frame can neither undo a peer's newer confirmations
+// nor make it look as if it had lost state.
+func (t *Transport) dispatch(from uint16, raw []byte, stale bool) {
 	if t.stopped {
 		return
 	}
@@ -913,7 +982,10 @@ func (t *Transport) dispatch(from uint16, raw []byte) {
 			if int(sec.Kind) < len(t.handlers) && t.handlers[sec.Kind] != nil {
 				t.handlers[sec.Kind].HandleSection(frame.Sender, *sec)
 			}
-			t.heardFrom(frame.Sender, sec)
+			t.heardFrom(frame.Sender, sec, stale)
+			if t.regressed.Get(int(frame.Sender)) && t.m.cfg.RetxInterval > 0 {
+				t.request(sec)
+			}
 		}
 	}
 	// The frame was the handlers' only until they returned: its sections

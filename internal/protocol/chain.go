@@ -600,7 +600,8 @@ func batchSeal(batch []byte) [SealLen]byte {
 
 // CheckLogs verifies SMR safety across nodes: every node's log must be
 // gap-free from epoch 0 and identical to the others' over the shared
-// prefix. Exported for the property tests and the ChainRun driver.
+// prefix. Exported for the property tests and the chain drivers
+// (internal/run).
 func CheckLogs(chains []*Chain) error {
 	var ref *Chain
 	for _, c := range chains {

@@ -185,8 +185,9 @@ func TestConformanceEngines(t *testing.T) {
 // peer whose NACK rows show the slots undone — its votes, values and
 // certificates, so a CBC slot the node re-proposed, or one its agreement
 // accepted without it, comes back by its FINISH row with no request from
-// any engine — and its ABA rounds come back through the pruned-round
-// replay (core.Transport.Regressed gates it).
+// any engine — and the ABA rounds a survivor has parked come back for a
+// recovered node whose NACK row lost a bit, each asked for by the node's
+// own entries of the round (core.Transport's request).
 func TestFullStopRecovery(t *testing.T) {
 	type cell struct {
 		seed int64
@@ -213,24 +214,83 @@ func TestFullStopRecovery(t *testing.T) {
 						t.Parallel()
 						spec := conformanceSpec(kind, batched)
 						spec.Seed = c.seed
-						spec.Workload = Chain(5)
-						spec.Workload.TxInterval = time.Second
-						spec.Workload.GCLag = spec.Workload.Epochs
-						spec.Scenario = scenario.Plan{}.Then(
-							scenario.CrashAt(c.at, 1),
-							scenario.CrashAt(c.at, 2),
-							scenario.RecoverAt(2*c.at, 1),
-							scenario.RecoverAt(2*c.at, 2),
-						)
-						rep, err := Run(spec)
-						if err != nil {
-							t.Fatalf("full-stop recovery wedged: %v", err)
-						}
-						checkConformance(t, spec, rep, true)
+						fullStop(t, spec, c.at)
 					})
 				}
 			}
 		})
+	}
+}
+
+// fullStop runs one cell of the full-stop grid: spec's 5-epoch chain with
+// nodes 1 and 2 down together from at to twice at.
+func fullStop(t *testing.T, spec Spec, at time.Duration) {
+	spec.Workload = Chain(5)
+	spec.Workload.TxInterval = time.Second
+	spec.Workload.GCLag = spec.Workload.Epochs
+	spec.Scenario = scenario.Plan{}.Then(
+		scenario.CrashAt(at, 1),
+		scenario.CrashAt(at, 2),
+		scenario.RecoverAt(2*at, 1),
+		scenario.RecoverAt(2*at, 2),
+	)
+	rep, err := Run(spec)
+	if err != nil {
+		t.Fatalf("full-stop recovery wedged: %v", err)
+	}
+	checkConformance(t, spec, rep, true)
+}
+
+// TestFullStopRecoveryLocalCoin runs the full-stop grid's seeds 1–4 and
+// crash times on HoneyBadger with the local coin, over both transports —
+// 32 cells. TestFullStopRecovery's engines draw threshold coins
+// (conformanceCoin); these pin BrachaABA's pruned rounds, which park as
+// CachinABA's do and come back the same way for a recovered node.
+func TestFullStopRecoveryLocalCoin(t *testing.T) {
+	for _, batched := range []bool{true, false} {
+		for _, seed := range []int64{1, 2, 3, 4} {
+			for _, at := range []time.Duration{30 * time.Second, time.Minute, 2 * time.Minute, 3 * time.Minute} {
+				batched, seed, at := batched, seed, at
+				name := fmt.Sprintf("%s/seed%d/crash@%v", map[bool]string{true: "batched", false: "baseline"}[batched], seed, at)
+				t.Run(name, func(t *testing.T) {
+					t.Parallel()
+					spec := Defaults(protocol.HoneyBadger, protocol.CoinLocal)
+					spec.Seed, spec.Batched = seed, batched
+					fullStop(t, spec, at)
+				})
+			}
+		}
+	}
+}
+
+// TestDelayAdversaryAsksForNoParkedRound runs HB-SC and Dumbo-SC on both
+// transports under the delay adversary alone (scenario.Delay(0.25, 10 s),
+// 12 epochs, seed 1). The adversary delivers many packets after newer ones
+// from the same sender; none may make its sender look like a peer that
+// lost state, so no node answers an entry with an ABA round it parked. The
+// ABA's round phases have no NACK row, so an asked re-send in them is only
+// ever such an answer: none may carry an asked byte.
+func TestDelayAdversaryAsksForNoParkedRound(t *testing.T) {
+	for _, kind := range []protocol.Kind{protocol.HoneyBadger, protocol.DumboKind} {
+		for _, batched := range []bool{true, false} {
+			kind, batched := kind, batched
+			t.Run(fmt.Sprintf("%s/batched=%v", kind, batched), func(t *testing.T) {
+				t.Parallel()
+				spec := Defaults(kind, protocol.CoinSig)
+				spec.Workload = Chain(12)
+				spec.Batched = batched
+				spec.Scenario = scenario.Delay(0.25, 10*time.Second)
+				rep, err := Run(spec)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, ph := range []packet.Phase{packet.PhaseBval, packet.PhaseAux, packet.PhaseShare} {
+					if b := rep.EntryBytes[packet.KindABA][ph][core.SendAsked]; b != 0 {
+						t.Errorf("ABA phase %d: %d B re-sent as asked, want none", ph, b)
+					}
+				}
+			})
+		}
 	}
 }
 

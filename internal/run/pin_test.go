@@ -164,7 +164,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@30s:0;recover@1m30s:0")
 			return spec
-		}, "5f712bb7d873415e384baf2c6883e4f9b0112fd10068ba6ad780b02a64b1a382"},
+		}, "09e53d51c53cdf8f6c8029544f6356a19dfc4e058eb93f86098f0025dacb7af7"},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -79,8 +79,8 @@ type OneShotReport struct {
 
 // ChainReport carries the sustained-SMR measurements. Under the clustered
 // topology the commit counters aggregate one reference honest node per
-// cluster (the logs are identical within a cluster; ChainRun-style safety
-// checks run before the Report is built).
+// cluster (the logs are identical within a cluster; the driver checks them
+// with protocol.CheckLogs before the Report is built).
 type ChainReport struct {
 	EpochsCommitted int    `json:"epochs_committed"`
 	CommittedTxs    int    `json:"committed_txs"`

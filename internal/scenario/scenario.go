@@ -7,11 +7,10 @@
 // scenario is as reproducible as the rest of the simulation.
 //
 // The same Plan runs against every cell of the run.Spec experiment
-// matrix (internal/run); what differs is the lifecycle the driver
-// exposes. The one-shot drivers rejoin a recovered node at the next
-// epoch boundary; the chain drivers rejoin it mid-run through
-// core.Mux.OnUnknownEpoch and NACK retransmission catch-up; the
-// clustered drivers map flat node ids onto cluster channels and carry
+// matrix (internal/run). Every workload runs on the chain drivers (a
+// one-shot run is a depth-1 chain), which rejoin a recovered node mid-run
+// through core.Mux.OnUnknownEpoch and NACK retransmission catch-up; the
+// clustered driver maps flat node ids onto cluster channels and carries
 // byz behaviors onto the global tier.
 package scenario
 
@@ -91,10 +90,9 @@ func CrashAt(at time.Duration, nd int) Event {
 	return Event{At: at, Kind: KindCrash, Node: nd}
 }
 
-// RecoverAt schedules the recovery of a crashed node. How it rejoins is
-// driver-specific: the one-shot drivers re-admit it at the next epoch
-// boundary; the SMR driver restarts its chain engine at the commit
-// frontier and lets it catch up over NACK retransmission.
+// RecoverAt schedules the recovery of a crashed node. The chain drivers,
+// which run every workload, restart its chain engine at the commit
+// frontier and let it catch up over NACK retransmission.
 func RecoverAt(at time.Duration, nd int) Event {
 	return Event{At: at, Kind: KindRecover, Node: nd}
 }
