@@ -64,14 +64,16 @@ wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@30s:1m,30s"
 # node that crashes after proposing and re-proposes its logged value, and
 # a full stop (two of four nodes down at once) whose reborn nodes climb an
 # agreement the survivors left undecided through a threshold-coin round,
-# which the survivors re-serve (CachinABA.reserveRound; rounds 1 and 2 have
-# fixed coins and nothing to re-serve). The delay adversary splits the
-# agreement's inputs so that it reaches that round; which seeds do depends
-# on the dealt keys and on the bytes on the air (seeds 2 and 5 of 1–12
-# here, since threshold-signature shares go bare).
+# whose parked share a survivor serves when a reborn node sends its own
+# (Transport.ParkWhere parks the round, Transport.request answers the
+# entry; rounds 1 and 2 have fixed coins and nothing to serve). The delay
+# adversary splits the agreement's inputs so that it reaches that round;
+# which seeds do depends on the dealt keys and on the bytes on the air
+# (seed 10 of 1–12 here, since a packet is stale only against a newer one
+# of its epoch).
 wbft -protocol alea -coin SC -heavy -epochs 1 -scenario "delay:0.25,10s"
 wbft chain -protocol alea -epochs 6 -gclag 6 -scenario "crash@2m:2;recover@4m:2" -json report.json
-wbft chain -protocol alea -baseline -epochs 5 -txinterval 1s -gclag 5 -seed 2 -scenario "delay:0.25,10s;crash@1m:1;crash@1m:2;recover@2m:1;recover@2m:2"
+wbft chain -protocol alea -baseline -epochs 5 -txinterval 1s -gclag 5 -seed 10 -scenario "delay:0.25,10s;crash@1m:1;crash@1m:2;recover@2m:1;recover@2m:2"
 
 # The benchmark's core rigs (benchmark/layers.go) are the one entry point that
 # runs core.New, Transport.BindStation and Transport.ReceiveFrame — a

@@ -940,9 +940,11 @@ func TestCertificateBeforeSubject(t *testing.T) {
 // round's share by sending its own (core.Transport's request): under the
 // SC coin the certificate that took the share's place goes out (the
 // collector's settle revised the intent), under the CP coin, which has no
-// certificate, the node's share. For the Decryptor, the transport parks the
-// share once every peer's row confirmed the slot and brings it back when
-// one clears the done bit.
+// certificate, the node's share. A coin share released after the coin
+// exists is never made: the certificate goes out in its place, and is
+// what the parked intent serves. For the Decryptor, the transport parks
+// the share once every peer's row confirmed the slot and brings it back
+// when one clears the done bit.
 func TestOwnShareReplay(t *testing.T) {
 	onAir := func(rec *recorder, phase packet.Phase, round uint16) []core.Intent {
 		var out []core.Intent
@@ -970,57 +972,87 @@ func TestOwnShareReplay(t *testing.T) {
 			rec := record(env)
 			a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: c.coin(env)})
 			a.Input(0, true)
-			peer := func(w int) core.Intent {
+			peer := func(w int, round uint16) core.Intent {
 				src := c.coin(tn.envs[w])
-				sh, err := src.share(coinName(env.Session, env.Epoch, 0, 3))
+				sh, err := src.share(coinName(env.Session, env.Epoch, 0, round))
 				if err != nil {
 					t.Fatal(err)
 				}
-				return core.Intent{IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Sub: uint8(w), Round: 3}, Data: src.encode(sh)}
+				return core.Intent{IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Sub: uint8(w), Round: round}, Data: src.encode(sh)}
 			}
 			// Peer 2 has no agreement of its own; it listens for node 0's
-			// round-3 share entries.
-			var heard []packet.Entry
+			// share entries by round.
+			heard := map[uint16][]packet.Entry{}
 			tn.envs[2].T.Register(packet.KindABA, core.HandlerFunc(func(from uint16, sec packet.Section) {
 				for _, e := range sec.Entries {
-					if from == 0 && sec.Phase == packet.PhaseShare && e.Round == 3 {
-						heard = append(heard, packet.Entry{Flags: e.Flags, Data: bytes.Clone(e.Data)})
+					if from == 0 && sec.Phase == packet.PhaseShare {
+						heard[e.Round] = append(heard[e.Round], packet.Entry{Flags: e.Flags, Data: bytes.Clone(e.Data)})
 					}
 				}
 			}))
-			// Round 3 is the first to draw the threshold coin: node 0's
-			// share and peer 1's make it; then the node leaves the round
-			// behind.
+			// Rounds 3 and 6 are the first two that draw the threshold
+			// coin. Round 3: node 0's share and peer 1's make the coin.
 			a.releaseCoinShare(0, 3)
-			a.handleCoinShare(0, 3, 1, 0, peer(1).Data)
+			a.handleCoinShare(0, 3, 1, 0, peer(1, 3).Data)
 			tn.settle(time.Second)
 			cs := a.coinState(coinKey{slot: 0, round: 3})
 			if !cs.done {
 				t.Fatalf("%s: round 3's coin was not made", c.name)
 			}
-			a.pruneRounds(0, 5)
+			rounds := []uint16{3}
+			if c.name == "SC" {
+				// Round 6: two peers' shares combine before node 0's is
+				// released. That share is never made — no CPU is charged —
+				// and the certificate goes out in its place.
+				rounds = append(rounds, 6)
+				a.handleCoinShare(0, 6, 1, 0, peer(1, 6).Data)
+				a.handleCoinShare(0, 6, 2, 0, peer(2, 6).Data)
+				tn.settle(time.Second)
+				busy := env.CPU.BusyTotal()
+				a.releaseCoinShare(0, 6)
+				if env.CPU.BusyTotal() != busy {
+					t.Errorf("round 6: a share was made after the coin existed")
+				}
+				tn.settle(time.Second)
+				cert := a.coinState(coinKey{slot: 0, round: 6}).cert
+				got := onAir(rec, packet.PhaseShare, 6)
+				if cert == nil || len(got) != 1 || got[0].Flags != certFlag || !bytes.Equal(got[0].Data, cert) {
+					t.Fatalf("round 6: certificate %x, published %+v; want the certificate once", cert, got)
+				}
+			}
+			// The node leaves the rounds behind.
+			a.pruneRounds(0, 8)
 			tn.settle(time.Minute)
-			before := len(heard)
+			before := map[uint16]int{}
+			for _, r := range rounds {
+				before[r] = len(heard[r])
+			}
 			// Peer 1 comes back without the bit its row had shown, and
-			// sends its round-3 share.
+			// sends its shares of the rounds.
 			done := packet.NewBitSet(4)
 			done.Set(2)
 			tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, done)
 			tn.settle(5 * time.Second)
 			tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, packet.NewBitSet(4))
 			tn.settle(5 * time.Second)
-			if len(heard) != before {
-				t.Fatalf("%s: the parked share went out %d times unasked", c.name, len(heard)-before)
+			for _, r := range rounds {
+				if n := len(heard[r]) - before[r]; n != 0 {
+					t.Fatalf("%s: round %d's parked share went out %d times unasked", c.name, r, n)
+				}
 			}
-			tn.envs[1].T.Update(peer(1))
+			for _, r := range rounds {
+				tn.envs[1].T.Update(peer(1, r))
+			}
 			tn.settle(2 * time.Second)
-			got := onAir(rec, packet.PhaseShare, 3)
-			want := got[len(got)-1]
-			if len(heard) != before+1 || heard[before].Flags != want.Flags || !bytes.Equal(heard[before].Data, want.Data) {
-				t.Fatalf("%s: %d answers to the reborn peer's share, want one of the parked intent", c.name, len(heard)-before)
-			}
-			if cert := cs.cert; (cert != nil) != (c.name == "SC") || cert != nil && (want.Flags != certFlag || !bytes.Equal(want.Data, cert)) {
-				t.Errorf("%s: certificate %x; the parked intent went out with flags %d", c.name, cert, want.Flags)
+			for _, r := range rounds {
+				got := onAir(rec, packet.PhaseShare, r)
+				want := got[len(got)-1]
+				if h := heard[r]; len(h) != before[r]+1 || h[before[r]].Flags != want.Flags || !bytes.Equal(h[before[r]].Data, want.Data) {
+					t.Fatalf("%s: %d answers to the reborn peer's round-%d share, want one of the parked intent", c.name, len(h)-before[r], r)
+				}
+				if cert := a.coinState(coinKey{slot: 0, round: r}).cert; (cert != nil) != (c.name == "SC") || cert != nil && (want.Flags != certFlag || !bytes.Equal(want.Data, cert)) {
+					t.Errorf("%s: round %d's certificate %x; the parked intent went out with flags %d", c.name, r, cert, want.Flags)
+				}
 			}
 		}
 	})

@@ -70,11 +70,8 @@ type Mux struct {
 	// triggering frame is still dropped (retransmission repairs it).
 	OnUnknownEpoch func(epoch uint16)
 	// heard is, by transmitting station, one past the highest epoch any of
-	// its frames named (0: none heard), and newest one past the highest
-	// fragment seq of a logical packet completed from it: a packet below
-	// it is stale, older than one already heard (Transport.dispatch).
-	heard  []int
-	newest []uint32
+	// its frames named (0: none heard).
+	heard []int
 	// lastHeard is, by transmitting station, when a radio frame of its last
 	// reached this node (unheard: none has) — the turns the retransmission
 	// policy paces unasked re-sends by (Transport.retransmit). paced says an
@@ -349,11 +346,9 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		return
 	}
 	for int(from) >= len(m.heard) {
-		m.heard, m.newest = append(m.heard, 0), append(m.newest, 0)
+		m.heard = append(m.heard, 0)
 	}
 	m.heard[from] = max(m.heard[from], int(epoch)+1)
-	stale := seq < m.newest[from]
-	m.newest[from] = max(m.newest[from], seq+1)
 	t := m.Lookup(epoch)
 	if t == nil {
 		m.dropped++
@@ -362,7 +357,7 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		}
 		return
 	}
-	t.receiveLogical(uint16(from), raw, stale)
+	t.receiveLogical(uint16(from), raw, seq)
 }
 
 // unheard is the lastHeard of a station no frame has come from.

@@ -84,6 +84,37 @@ func TestStaleRowMarksNoRegression(t *testing.T) {
 	}
 }
 
+// TestStaleIsPerEpoch: a station's packets are stale only against its
+// newer ones of the same epoch. A held-back epoch-1 packet that comes
+// after the station's epoch-2 packet is still the newest of epoch 1 heard
+// from it, and its row replaces the one kept.
+func TestStaleIsPerEpoch(t *testing.T) {
+	r := newMuxRig(t, 2, true)
+	rx1 := r.muxes[0].Open(1)
+	r.muxes[0].Open(2)
+	tx1, tx2 := r.muxes[1].Open(1), r.muxes[1].Open(2)
+	hold := false
+	r.ch.SetDeliveryHook(func(from, to wireless.NodeID, _ []byte) (time.Duration, bool) {
+		if from == 1 && hold {
+			return 10 * time.Second, false
+		}
+		return 0, false
+	})
+	tx1.SetNack(packet.KindRBC, packet.PhaseEcho, rowOf(4, 0))
+	tx1.Update(intentFor(0))
+	r.sched.RunFor(time.Second)
+	hold = true
+	tx1.SetNack(packet.KindRBC, packet.PhaseEcho, rowOf(4, 0, 1))
+	tx1.Update(intentFor(1))
+	r.sched.RunFor(time.Second)
+	hold = false
+	tx2.Update(intentFor(2))
+	r.sched.RunFor(15 * time.Second)
+	if kept := rx1.rows[0].peers[1]; !kept.Get(1) {
+		t.Errorf("epoch 1 kept %v from node 1; the held-back row, its newest of the epoch, was dropped as stale", kept)
+	}
+}
+
 // TestDelayAdversaryMarksNoRegression runs four nodes over two epochs for
 // ten minutes under the delay adversary of scenario.Delay(0.25, 10 s), with
 // no crash: every node's rows only gain bits, a few every second, and each

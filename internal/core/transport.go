@@ -173,6 +173,11 @@ type Transport struct {
 	// had shown (nil: none has): their entries ask for what this node has
 	// parked (request).
 	regressed packet.BitSet
+	// newest is, by transmitting station, one past the highest fragment
+	// seq of a logical packet of this epoch completed from it: a packet
+	// below it is stale, older than one of the epoch already heard
+	// (dispatch).
+	newest []uint32
 	// was is the scratch copy of the row a peer's newer one replaces.
 	was      packet.BitSet
 	handlers [packet.KindLimit]Handler
@@ -911,7 +916,7 @@ type verifyJob struct {
 	t     *Transport
 	from  uint16 // the station that transmitted the packet
 	raw   []byte
-	stale bool   // a newer packet from the station came first
+	stale bool   // a newer packet of the epoch from the station came first
 	run   func() // j.exec, bound once
 }
 
@@ -932,16 +937,22 @@ func (t *Transport) ReceiveFrame(from wireless.NodeID, payload []byte) {
 
 // receiveLogical verifies and dispatches one reassembled logical packet
 // that station from transmitted and Mux.ReceiveFrame routed here by its
-// header's session and epoch; stale says a newer one from the station was
-// completed before it.
+// header's session and epoch; seq is the packet's fragment sequence
+// number, by which a packet completed after a newer one of the epoch from
+// the same station is stale.
 //
 // raw is shared and read-only: it is the channel's private copy of the
 // transmission (or the reassembler's fresh buffer), handed to every
 // receiver alike, and the decoded frame's Nack, Data and Sig alias it.
-func (t *Transport) receiveLogical(from uint16, raw []byte, stale bool) {
+func (t *Transport) receiveLogical(from uint16, raw []byte, seq uint32) {
 	if t.stopped {
 		return
 	}
+	for int(from) >= len(t.newest) {
+		t.newest = append(t.newest, 0)
+	}
+	stale := seq < t.newest[from]
+	t.newest[from] = max(t.newest[from], seq+1)
 	m := t.m
 	var j *verifyJob
 	if n := len(m.jobFree); n > 0 {

@@ -688,7 +688,7 @@ func BenchmarkReceiveLogical(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.receiveLogical(2, raw, false)
+		tr.receiveLogical(2, raw, uint32(i))
 		s.Step()
 	}
 	if got := tr.Stats().LogicalRecv; got != uint64(b.N) {
