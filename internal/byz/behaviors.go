@@ -8,8 +8,9 @@ import (
 )
 
 // Equivocate sends conflicting state to different peers: every
-// value-bearing intent (proposal fragments, hash votes, certificates)
-// goes out normally, and a conflicting variant is injected shortly after.
+// value-bearing intent (proposal fragments, the fragments it serves as
+// repairs, hash votes, certificates) goes out normally, and a conflicting
+// variant is injected shortly after.
 // Because frames are state snapshots, peers that latched the first
 // variant keep it while peers that hear only the later retransmissions
 // see the other — the strongest equivocation a broadcast medium admits.
@@ -24,7 +25,7 @@ func (Equivocate) Name() string { return NameEquivocate }
 // Rewrite implements Behavior.
 func (Equivocate) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
 	switch in.Phase {
-	case packet.PhaseInitial, packet.PhaseEcho, packet.PhaseReady, packet.PhaseFinish:
+	case packet.PhaseInitial, packet.PhaseRepair, packet.PhaseEcho, packet.PhaseReady, packet.PhaseFinish:
 	default:
 		return []core.Intent{in}
 	}
@@ -52,10 +53,12 @@ func conflictOf(data []byte) []byte {
 	return out
 }
 
-// Withhold silently drops outbound state: threshold shares and repair
-// traffic always, everything else with probability Frac. The node keeps
-// receiving and processing normally — it free-rides on the protocol
-// while starving peers of its contributions. The defense is threshold
+// Withhold silently drops outbound state: threshold shares and the
+// fragments it would serve as repairs always, everything else with
+// probability Frac. The node keeps receiving and processing normally — it
+// free-rides on the protocol while starving peers of its contributions.
+// Its NACK rows, the REPAIR row that asks for a value included, bypass
+// the interceptor and cannot be withheld. The defense is threshold
 // sizing: quorums of 2f+1 are satisfiable by the 2f+1 honest nodes
 // alone, and NACK retransmission recovers what the drops delay.
 type Withhold struct {
@@ -71,7 +74,7 @@ func (Withhold) Name() string { return NameWithhold }
 func (w Withhold) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
 	switch in.Phase {
 	case packet.PhaseDone, packet.PhaseShare, packet.PhaseDecShare, packet.PhaseRepair:
-		return nil // shares, proofs, and repair traffic: always withheld
+		return nil // shares, proofs, and served repairs: always withheld
 	}
 	frac := w.Frac
 	if frac == 0 {
@@ -102,7 +105,7 @@ func (Garbage) Name() string { return NameGarbage }
 // Rewrite implements Behavior.
 func (Garbage) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
 	switch in.Phase {
-	case packet.PhaseInitial, packet.PhaseEcho, packet.PhaseReady,
+	case packet.PhaseInitial, packet.PhaseRepair, packet.PhaseEcho, packet.PhaseReady,
 		packet.PhaseDone, packet.PhaseShare, packet.PhaseDecShare, packet.PhaseFinish:
 	default:
 		return []core.Intent{in}

@@ -2,6 +2,7 @@ package byz
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -101,6 +102,16 @@ func TestGarbageScramblesCryptoPhases(t *testing.T) {
 	if !bytes.Equal(out[0].Data[:3], share.Data[:3]) {
 		t.Errorf("Garbage changed a share's index and length prefix: %x -> %x", share.Data[:3], out[0].Data[:3])
 	}
+	// A fragment it serves as a repair is a proposal fragment: scrambled
+	// whole, its length kept so that it still assembles.
+	repair := core.Intent{
+		IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseRepair, Sub: 1},
+		Flags:     3,
+		Data:      bytes.Repeat([]byte{7}, 160),
+	}
+	if out := g.Rewrite(ctx, repair); len(out) != 1 || len(out[0].Data) != 160 || bytes.Equal(out[0].Data[:3], repair.Data[:3]) {
+		t.Error("Garbage left a served repair fragment intact")
+	}
 	vote := core.Intent{IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux}, Data: []byte{1}}
 	if out := g.Rewrite(ctx, vote); !bytes.Equal(out[0].Data, vote.Data) {
 		t.Error("Garbage touched a non-target phase")
@@ -110,8 +121,15 @@ func TestGarbageScramblesCryptoPhases(t *testing.T) {
 // TestEquivocatePutsBothVariantsOnTheAir drives a real transport pair:
 // the Byzantine sender's first snapshot carries the true value, and after
 // the scripted delay the conflicting variant replaces it — a peer that
-// keeps listening sees both.
+// keeps listening sees both. So it goes for a proposal's fragment and for
+// one the sender serves as a repair.
 func TestEquivocatePutsBothVariantsOnTheAir(t *testing.T) {
+	for _, phase := range []packet.Phase{packet.PhaseInitial, packet.PhaseRepair} {
+		t.Run(fmt.Sprintf("phase=%d", phase), func(t *testing.T) { equivocateOnTheAir(t, phase) })
+	}
+}
+
+func equivocateOnTheAir(t *testing.T, phase packet.Phase) {
 	sched := sim.New(1)
 	cfg := wireless.DefaultConfig()
 	cfg.LossProb = 0
@@ -138,7 +156,7 @@ func TestEquivocatePutsBothVariantsOnTheAir(t *testing.T) {
 	}))
 	value := []byte("proposal-A")
 	sender.Update(core.Intent{
-		IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseInitial, Slot: 0},
+		IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: phase, Slot: 0},
 		Data:      value,
 	})
 	sched.RunUntil(30 * time.Second)

@@ -25,7 +25,8 @@ func bigFromBytes(b []byte) *big.Int { return new(big.Int).SetBytes(b) }
 // keeps that FINISH held, sent only once a peer's FINISH row shows the
 // slot undone — a peer that restarted, one that lost the frames, or one
 // whose agreement accepted a slot it never saw. That row is CBC's
-// totality; handleFinish then asks for a value it lacks by repair.
+// totality; handleFinish then asks for a value it lacks by its REPAIR row,
+// and every node that holds the value serves its fragments.
 //
 // An honest node echoes only a value its validity predicate accepts
 // (external validity, as Dumbo2's MVBA checks it): a certificate then
@@ -209,8 +210,8 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 		}
 		s := c.slots[slot]
 		switch sec.Phase {
-		case packet.PhaseInitial:
-			if value, whole := c.receive(slot, &s.valueSlot, w, e); whole {
+		case packet.PhaseInitial, packet.PhaseRepair:
+			if value, whole := c.receive(slot, &s.valueSlot, w, sec.Phase, e); whole {
 				c.acceptValue(slot, value)
 			}
 		case packet.PhaseEcho:
@@ -219,8 +220,6 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 			c.echoes.offer(&s.cert, slot, w, e.Flags, e.Data)
 		case packet.PhaseFinish:
 			c.handleFinish(slot, e.Data)
-		case packet.PhaseRepair:
-			c.answerRepair(slot, &s.valueSlot, e.Data)
 		}
 	}
 }
@@ -276,7 +275,7 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 			c.drop(slot, &s.valueSlot)
 		}
 		if !s.assembled {
-			c.requestRepair(slot, &s.valueSlot)
+			c.want(slot)
 			return
 		}
 		c.deliver(slot)
@@ -290,16 +289,15 @@ func (c *CBC) deliver(slot int) {
 	}
 	if HashValue(s.value) != s.certHash {
 		// Repair supplied a value that does not match the certificate:
-		// drop it and ask again, advertising nothing as held.
+		// drop it and ask again.
 		c.drop(slot, &s.valueSlot)
-		c.requestRepair(slot, &s.valueSlot)
+		c.want(slot)
 		return
 	}
 	s.delivered = true
 	c.finDone.Set(slot)
 	c.env.T.SetNack(c.kind, packet.PhaseFinish, c.finDone)
 	c.env.T.Remove(core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)})
-	c.repairDone(slot, &s.valueSlot)
 	if c.onDeliver != nil {
 		c.onDeliver(slot, s.value, s.cert.value)
 	}

@@ -53,8 +53,9 @@ func parseCBCRecords(raw []byte) []cbcRecord {
 
 // cbcSeeds records an honest run of one wire kind and returns inputs built
 // from its traffic: a value and its ECHO shares, a certificate before its
-// value, a certificate after a value it does not match, a repair request,
-// a forged repair value ahead of the genuine one, and, around the bare
+// value, a certificate after a value it does not match, served fragments
+// of a slot the node does not want, a forged served value ahead of the
+// genuine one, and, around the bare
 // ECHO shares an honest run sends, full ones: genuine, forged, and after
 // a corrupted bare share has failed a combination.
 func cbcSeeds(f *testing.F, ki int) [][]byte {
@@ -136,7 +137,14 @@ func cbcSeeds(f *testing.F, ki int) [][]byte {
 	finish := EncodeFinish(nodes[0].slots[0].certHash, nodes[0].slots[0].cert.value)
 	finish0 := []cbcRecord{{op: op(packet.PhaseFinish) | 0x80, from: 1, e: packet.Entry{Slot: 0, Data: finish}}}
 	other := []cbcRecord{{op: op(packet.PhaseInitial), from: 0, e: packet.Entry{Slot: 0, Flags: 1, Data: []byte("not what the quorum signed")}}}
-	repair := []cbcRecord{{op: op(packet.PhaseRepair), from: 2, e: packet.Entry{Slot: 0, Data: packet.NewBitSet(8)}}}
+	// served has peer w send records as the fragments it serves.
+	served := func(w byte, rs []cbcRecord) []cbcRecord {
+		rs = by(w, rs)
+		for i := range rs {
+			rs[i].op = op(packet.PhaseRepair)
+		}
+		return rs
+	}
 	// Every input once as it is and once checked by fuzzValid. The
 	// recorded values of slots 0 and 1 meet all three verdicts: in the
 	// fragmented kinds slot 0's is refused and slot 1's waits, in the
@@ -147,8 +155,8 @@ func cbcSeeds(f *testing.F, ki int) [][]byte {
 		input(from(1, packet.PhaseEcho, 1), from(2, packet.PhaseEcho, 1), from(1, packet.PhaseInitial, 1)),
 		input(finish0, from(0, packet.PhaseInitial, 0)),
 		input(other, finish0, later(from(0, packet.PhaseInitial, 0))),
-		input(from(0, packet.PhaseInitial, 0), repair, finish0),
-		input(finish0, later(by(2, other)), later(by(2, from(0, packet.PhaseInitial, 0)))),
+		input(from(0, packet.PhaseInitial, 0), served(2, from(1, packet.PhaseInitial, 1)), finish0),
+		input(finish0, later(served(2, other)), later(served(2, from(0, packet.PhaseInitial, 0)))),
 		input(from(0, packet.PhaseInitial, 0), full(0, 0), full(1, 0), full(2, 0)),
 		input(from(0, packet.PhaseInitial, 0), forged(1, 0), from(0, packet.PhaseEcho, 0), from(2, packet.PhaseEcho, 0), later(full(1, 0))),
 		input(from(0, packet.PhaseInitial, 0), corrupt(1, 0), from(0, packet.PhaseEcho, 0), later(from(2, packet.PhaseEcho, 0)), later(full(0, 0)), full(1, 0), full(2, 0)),
@@ -182,8 +190,10 @@ func fuzzValid(value []byte, lifted bool) Verdict {
 // passing of time. Nothing may panic, a slot delivers only with a
 // certificate that verifies under the threshold key over the delivered
 // value's hash, no slot's tally holds a certificate that does not verify
-// over the hash it certifies, delivered or not, and the node publishes
-// no ECHO share of a value its predicate refused.
+// over the hash it certifies, delivered or not, the node publishes no ECHO
+// share of a value its predicate refused, a REPAIR entry for a slot the
+// node's REPAIR row does not want changes nothing, and the node keeps for
+// serving only fragments of the value it holds.
 func FuzzCBCSection(f *testing.F) {
 	f.Add([]byte{})
 	for ki := range kernelKinds {
@@ -212,6 +222,9 @@ func FuzzCBCSection(f *testing.F) {
 		}
 		v := NewCBC(env, opts)
 		env.T.SetInterceptor(watch(func(in core.Intent) {
+			if in.Phase == packet.PhaseRepair && !isFragmentOf(in, [][]byte{v.slots[in.Slot].value}, k.small, v.frag) {
+				t.Fatalf("slot %d: holds REPAIR %d/%d %q, not a fragment of the value held", in.Slot, in.Sub, in.Flags, in.Data)
+			}
 			if in.Phase != packet.PhaseEcho || in.Flags&certFlag != 0 {
 				return
 			}
@@ -238,7 +251,13 @@ func FuzzCBCSection(f *testing.F) {
 				tn.settle(time.Second)
 			}
 			phase := cbcPhases[int(r.op)%len(cbcPhases)]
-			v.HandleSection(uint16(r.from%4), packet.Section{Kind: k.kind, Phase: phase, Entries: []packet.Entry{r.e}})
+			var s *valueSlot
+			if int(r.e.Slot) < len(v.slots) {
+				s = &v.slots[r.e.Slot].valueSlot
+			}
+			unwanted(t, &v.dissemination, s, phase, r.e, func() {
+				v.HandleSection(uint16(r.from%4), packet.Section{Kind: k.kind, Phase: phase, Entries: []packet.Entry{r.e}})
+			})
 		}
 		lift()
 		tn.settle(time.Minute)

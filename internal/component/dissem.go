@@ -2,7 +2,6 @@ package component
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/packet"
@@ -23,25 +22,33 @@ const (
 // dissemination is the value-dissemination half every broadcast shares
 // (the paper's INITIAL section, Fig. 4–5): the leader splits its value into
 // INITIAL fragments, or inlines it in the -small variants; receivers
-// reassemble; a node that learns a slot must complete without holding its
-// value advertises the fragments it has in a PhaseRepair intent; holders
-// re-serve the rest after a randomized suppression delay, and nothing else
-// (answerRepair). What makes a value trustworthy — a READY quorum, a
+// reassemble. What makes a value trustworthy — a READY quorum, a
 // certificate — is the embedding component's business, and so is bringing
 // it back: its votes and certificates return by their own NACK rows. RBC
 // and CBC embed it by value.
 //
-// The INITIAL NACK row says which slots' values this node holds. Once
-// every peer's row shows a slot held, the transport parks the fragments of
-// whoever has them on the air — the leader, or a peer that re-served them —
-// and a peer whose row turns up without the slot brings them back.
+// Two NACK rows bring values back. The INITIAL row says which slots'
+// values this node holds: once every peer's row shows a slot held, the
+// transport parks the leader's fragments, and a peer whose row turns up
+// without the slot brings them back. The REPAIR row asks every holder, not
+// only the leader: a node that learns a slot must complete without holding
+// its value clears the slot in it (want), and every node that holds the
+// value keeps its fragments parked as REPAIR intents (hold), which the
+// row brings back through the transport's demand — at most once per base
+// period each, and parked again once every row shows the slot done.
 type dissemination struct {
 	env   *Env
 	kind  packet.Kind
 	small bool
 	frag  int
+	slots int
 
 	held packet.BitSet // this node's INITIAL row
+	// repair is this node's REPAIR row: every slot set but those whose
+	// value the quorum evidence says must complete here and it lacks. It is
+	// nil until the first such slot, so an epoch that loses nothing carries
+	// none.
+	repair packet.BitSet
 }
 
 // valueSlot is one instance's dissemination state, embedded by value in
@@ -50,38 +57,62 @@ type valueSlot struct {
 	value     []byte
 	frags     [][]byte // sized by the first fragment's count; nil entry: not yet received
 	assembled bool
-
-	needRepair bool
-	repairAt   time.Duration // last repair response, for rate limiting
 }
 
 func newDissemination(env *Env, kind packet.Kind, small bool, fragSize, slots int) dissemination {
 	if fragSize <= 0 {
 		fragSize = DefaultFragSize
 	}
-	d := dissemination{env: env, kind: kind, small: small, frag: fragSize, held: packet.NewBitSet(slots)}
+	d := dissemination{env: env, kind: kind, small: small, frag: fragSize, slots: slots, held: packet.NewBitSet(slots)}
 	env.T.SetNack(kind, packet.PhaseInitial, d.held)
 	return d
 }
 
-// hold records that the slot's value is assembled here.
+// hold records that the slot's value is assembled here, withdraws this
+// node's want of it, and keeps the value servable: its fragments wait off
+// the air as REPAIR intents until a peer's REPAIR row asks for the slot.
 func (d *dissemination) hold(slot int, s *valueSlot, value []byte) {
 	s.assembled, s.value = true, value
 	d.held.Set(slot)
 	d.env.T.SetNack(d.kind, packet.PhaseInitial, d.held)
+	if d.wanted(slot) {
+		d.repair.Set(slot)
+		d.env.T.SetNack(d.kind, packet.PhaseRepair, d.repair)
+	}
+	d.intents(slot, packet.PhaseRepair, value, d.env.T.Hold)
 }
 
-// drop forgets an assembled value the quorum evidence contradicts. Any
-// repair request on the air advertised fragments of that value, so the next
-// requestRepair must replace it.
+// drop forgets an assembled value the quorum evidence contradicts, and
+// the REPAIR intents that would serve it.
 func (d *dissemination) drop(slot int, s *valueSlot) {
 	s.assembled = false
 	s.value = nil
 	s.frags = nil
-	s.needRepair = false
 	d.held.Clear(slot)
 	d.env.T.SetNack(d.kind, packet.PhaseInitial, d.held)
+	d.env.T.RemoveWhere(func(k core.IntentKey) bool {
+		return k.Kind == d.kind && k.Phase == packet.PhaseRepair && int(k.Slot) == slot
+	})
 }
+
+// want asks for the value of a slot the quorum evidence says must complete
+// here and this node lacks: it clears the slot in the REPAIR row,
+// installing the row with every other slot set at the first such slot.
+func (d *dissemination) want(slot int) {
+	if d.repair == nil {
+		d.repair = packet.NewBitSet(d.slots)
+		for i := 0; i < d.slots; i++ {
+			d.repair.Set(i)
+		}
+	}
+	if d.repair.Get(slot) {
+		d.repair.Clear(slot)
+		d.env.T.SetNack(d.kind, packet.PhaseRepair, d.repair)
+	}
+}
+
+// wanted reports whether this node's REPAIR row asks for the slot.
+func (d *dissemination) wanted(slot int) bool { return d.repair != nil && !d.repair.Get(slot) }
 
 // leader returns the slot's proposer: slot i belongs to node i mod N.
 func (d *dissemination) leader(slot int) int { return slot % d.env.N }
@@ -114,44 +145,34 @@ func (d *dissemination) propose(slot int, value []byte) []byte {
 		panic(fmt.Sprintf("component: %d B value exceeds the %d B one broadcast can carry (%d fragments of %d B)",
 			len(value), maxFragments*d.frag, maxFragments, d.frag))
 	}
-	d.publish(slot, value, nil)
+	d.intents(slot, packet.PhaseInitial, value, d.env.T.Update)
 	return value
 }
 
-// publish sets the INITIAL intents for value, skipping the fragments have
-// marks as already held (nil: none held).
-func (d *dissemination) publish(slot int, value []byte, have packet.BitSet) {
+// intents hands put the slot's intents of phase that carry value: its
+// fragments, or the value inline in a -small variant. Their Data aliases
+// value, which no one writes once proposed or assembled.
+func (d *dissemination) intents(slot int, phase packet.Phase, value []byte, put func(core.Intent)) {
+	key := core.IntentKey{Kind: d.kind, Phase: phase, Slot: uint8(slot)}
 	if d.small {
-		d.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: d.kind, Phase: packet.PhaseInitial, Slot: uint8(slot)},
-			Data:      append([]byte(nil), value...),
-		})
+		put(core.Intent{IntentKey: key, Data: value})
 		return
 	}
 	total := d.fragments(len(value))
 	for i := 0; i < total; i++ {
-		if have.Get(i) {
-			continue
-		}
-		lo, hi := i*d.frag, (i+1)*d.frag
-		if hi > len(value) {
-			hi = len(value)
-		}
-		d.env.T.Update(core.Intent{
-			IntentKey: core.IntentKey{Kind: d.kind, Phase: packet.PhaseInitial, Slot: uint8(slot), Sub: uint8(i)},
-			Flags:     uint8(total),
-			Data:      append([]byte(nil), value[lo:hi]...),
-		})
+		lo, hi := i*d.frag, min((i+1)*d.frag, len(value))
+		key.Sub = uint8(i)
+		put(core.Intent{IntentKey: key, Flags: uint8(total), Data: value[lo:hi:hi]})
 	}
 }
 
-// receive folds one INITIAL entry from node w into the slot and returns
-// the value once it is whole. INITIAL is normally accepted only from the
-// leader; after a repair request any peer may supply it, because the
-// embedding component re-checks the hash against its quorum evidence
-// before delivering, so a forged repair cannot be delivered.
-func (d *dissemination) receive(slot int, s *valueSlot, w int, e packet.Entry) ([]byte, bool) {
-	if s.assembled || (w != d.leader(slot) && !s.needRepair) {
+// receive folds one INITIAL or REPAIR entry from node w into the slot and
+// returns the value once it is whole. INITIAL is accepted from the leader
+// only; REPAIR from any peer, and only for a slot this node's REPAIR row
+// wants: the embedding component re-checks the hash against its quorum
+// evidence before delivering, so a forged repair cannot be delivered.
+func (d *dissemination) receive(slot int, s *valueSlot, w int, phase packet.Phase, e packet.Entry) ([]byte, bool) {
+	if s.assembled || phase == packet.PhaseRepair && !d.wanted(slot) || phase != packet.PhaseRepair && w != d.leader(slot) {
 		return nil, false
 	}
 	if d.small {
@@ -179,47 +200,4 @@ func (d *dissemination) receive(slot int, s *valueSlot, w int, e packet.Entry) (
 		value = append(value, f...)
 	}
 	return value, true
-}
-
-// requestRepair asks peers to re-serve the value of a slot the quorum
-// evidence says must complete here, advertising the fragments already
-// received so responders skip them.
-func (d *dissemination) requestRepair(slot int, s *valueSlot) {
-	if s.needRepair {
-		return
-	}
-	s.needRepair = true
-	have := packet.NewBitSet(maxFragments + 1)
-	for i, f := range s.frags {
-		if f != nil {
-			have.Set(i)
-		}
-	}
-	d.env.T.Update(core.Intent{
-		IntentKey: core.IntentKey{Kind: d.kind, Phase: packet.PhaseRepair, Slot: uint8(slot)},
-		Data:      have,
-	})
-}
-
-// repairDone withdraws the slot's repair request, if one is out.
-func (d *dissemination) repairDone(slot int, s *valueSlot) {
-	if s.needRepair {
-		d.env.T.Remove(core.IntentKey{Kind: d.kind, Phase: packet.PhaseRepair, Slot: uint8(slot)})
-	}
-}
-
-// answerRepair is the whole answer to a peer's repair request for the
-// slot: if this node holds the value, and has not answered for the slot in
-// the last 2 s, it re-publishes the fragments the requester's have bitset
-// lacks after a randomized suppression delay. Votes and certificates are
-// not part of it: they come back by the requester's NACK rows.
-func (d *dissemination) answerRepair(slot int, s *valueSlot, have packet.BitSet) {
-	now := d.env.Sched.Now()
-	if !s.assembled || (s.repairAt != 0 && now-s.repairAt < 2*time.Second) {
-		return
-	}
-	s.repairAt = now
-	delay := time.Duration(float64(300*time.Millisecond) * (0.5 + d.env.Rand.Float64()))
-	value := s.value
-	d.env.Sched.PostAfter(delay, func() { d.publish(slot, value, have) })
 }

@@ -124,29 +124,20 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 				// value (the led-value log's replay). Its peers delivered long
 				// ago and withdrew their ECHO shares, so no certificate can
 				// form anew: it comes back through the restarted node's FINISH
-				// row, from every peer that holds it, with no repair request.
-				// The minute of settling makes "long ago" hold: frames a peer
-				// built before it delivered may still be queued behind the
-				// medium, carrying its share.
+				// row, from every peer that holds it, and the node, holding
+				// the value, never installs a REPAIR row that would ask them
+				// for it. The minute of settling makes "long ago" hold: frames
+				// a peer built before it delivered may still be queued behind
+				// the medium, carrying its share.
 				tn.settle(time.Minute)
-				peers := []*recorder{record(tn.envs[1]), record(tn.envs[2]), record(tn.envs[3])}
-				own := record(tn.envs[0])
 				restarted := NewCBC(tn.envs[0], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
 				restarted.Propose(0, kernelValue(0, k.small))
 				tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return restarted.Delivered(0) })
 				if !bytes.Equal(restarted.Value(0), kernelValue(0, k.small)) {
 					t.Errorf("delivered %q", restarted.Value(0))
 				}
-				if n := len(own.entries(packet.PhaseRepair, 0)); n != 0 {
-					t.Errorf("the restarted leader put up %d repair intents", n)
-				}
-				if k.small {
-					return // an inline value rides every re-serve
-				}
-				for i, p := range peers {
-					if n := len(p.entries(packet.PhaseInitial, 0)); n != 0 {
-						t.Errorf("peer %d re-served %d fragments to a node holding the value", i+1, n)
-					}
+				if restarted.repair != nil {
+					t.Errorf("the restarted leader installed a REPAIR row %08b", restarted.repair)
 				}
 			})
 
@@ -155,24 +146,19 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 				// both back with no call from outside, as a Dumbo or Alea node
 				// does for a candidate its agreement accepted: its FINISH row
 				// shows the slot undone, a holder serves the certificate, and
-				// only then does the node ask for the value by repair.
+				// only then may the node ask for the value by its REPAIR row.
 				tn.settle(time.Minute)
 				restarted := NewCBC(tn.envs[1], CBCOptions{Kind: k.kind, Slots: 4, Small: k.small})
-				repairs, early := 0, 0
-				tn.envs[1].T.SetInterceptor(watch(func(in core.Intent) {
-					if in.Phase == packet.PhaseRepair && in.Slot == 2 {
-						repairs++
-						if !restarted.slots[2].cert.done {
-							early++
-						}
-					}
-				}))
-				tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return restarted.Delivered(2) })
+				early := false
+				tn.run(t, tn.sched.Now()+10*time.Minute, func() bool {
+					early = early || restarted.wanted(2) && !restarted.slots[2].cert.done
+					return restarted.Delivered(2)
+				})
 				if !bytes.Equal(restarted.Value(2), kernelValue(2, k.small)) {
 					t.Errorf("delivered %q", restarted.Value(2))
 				}
-				if early != 0 {
-					t.Errorf("%d of %d repair intents went up before the certificate was in", early, repairs)
+				if early {
+					t.Error("the REPAIR row asked for slot 2 before the certificate was in")
 				}
 			})
 
@@ -250,13 +236,33 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 				feed(v, 1, packet.PhaseFinish, packet.Entry{Slot: 0, Data: finish})
 				tn.settle(time.Minute)
 				s := v.slots[0]
-				if s.delivered || s.assembled || !s.needRepair {
-					t.Fatalf("after a certificate for another value: delivered=%v assembled=%v needRepair=%v",
-						s.delivered, s.assembled, s.needRepair)
+				if s.delivered || s.assembled || !v.wanted(0) {
+					t.Fatalf("after a certificate for another value: delivered=%v assembled=%v wanted=%v",
+						s.delivered, s.assembled, v.wanted(0))
 				}
-				feed(v, 2, packet.PhaseInitial, initial...) // any peer may repair
+				feed(v, 2, packet.PhaseInitial, initial...) // INITIAL only from the leader
+				if s.assembled {
+					t.Fatal("a peer's INITIAL fragments assembled")
+				}
+				feed(v, 2, packet.PhaseRepair, initial...) // any peer may serve
 				if !bytes.Equal(v.Value(0), kernelValue(0, k.small)) {
 					t.Errorf("delivered %q, want the certified value", v.Value(0))
+				}
+			})
+
+			t.Run("unwanted repair", func(t *testing.T) {
+				// A served fragment of a slot the REPAIR row does not ask
+				// for is dropped unread, from any peer, the leader included.
+				tn, v := lone()
+				feed(v, 0, packet.PhaseRepair, initial...)
+				feed(v, 2, packet.PhaseRepair, initial...)
+				tn.settle(time.Minute)
+				if s := v.slots[0]; s.assembled || s.frags != nil {
+					t.Fatalf("unwanted REPAIR entries kept: assembled=%v frags=%d", s.assembled, len(s.frags))
+				}
+				feed(v, 0, packet.PhaseInitial, initial...)
+				if !v.slots[0].assembled {
+					t.Fatal("the leader's INITIAL fragments did not assemble")
 				}
 			})
 
@@ -264,15 +270,15 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 				tn, v := lone()
 				feed(v, 1, packet.PhaseFinish, packet.Entry{Slot: 0, Data: finish})
 				tn.settle(time.Minute)
-				if !v.slots[0].needRepair {
-					t.Fatal("certificate without a value did not request repair")
+				if !v.wanted(0) {
+					t.Fatal("certificate without a value did not ask for it")
 				}
-				feed(v, 2, packet.PhaseInitial, other)
+				feed(v, 2, packet.PhaseRepair, other)
 				tn.settle(time.Minute)
-				if v.Delivered(0) || v.slots[0].assembled {
+				if v.Delivered(0) || v.slots[0].assembled || !v.wanted(0) {
 					t.Fatal("forged repair value kept")
 				}
-				feed(v, 2, packet.PhaseInitial, initial...)
+				feed(v, 2, packet.PhaseRepair, initial...)
 				if !bytes.Equal(v.Value(0), kernelValue(0, k.small)) {
 					t.Errorf("delivered %q after the genuine repair", v.Value(0))
 				}
@@ -359,7 +365,7 @@ func TestHeldFinishOutlivesItsCombiners(t *testing.T) {
 }
 
 // TestDisseminationSizes round-trips values around the fragment boundaries
-// through publish and receive.
+// through intents and receive.
 func TestDisseminationSizes(t *testing.T) {
 	const frag = 16
 	tn := newTestNet(t, 32, 0, true)
@@ -369,14 +375,14 @@ func TestDisseminationSizes(t *testing.T) {
 		{0, 1}, {3 * frag, 3}, {3*frag + 1, 4},
 	} {
 		value := bytes.Repeat([]byte{0xAB}, tc.size)
-		d.publish(slot, value, nil)
+		d.intents(slot, packet.PhaseInitial, value, d.env.T.Update)
 		es := out.entries(packet.PhaseInitial, slot)
 		if len(es) != tc.fragments {
 			t.Errorf("%d B: %d fragments, want %d", tc.size, len(es), tc.fragments)
 		}
 		var s valueSlot
 		for i, e := range es {
-			got, whole := d.receive(slot, &s, d.leader(slot), e)
+			got, whole := d.receive(slot, &s, d.leader(slot), packet.PhaseInitial, e)
 			if whole != (i == len(es)-1) {
 				t.Fatalf("%d B: whole=%v after fragment %d of %d", tc.size, whole, i+1, len(es))
 			}
@@ -1100,7 +1106,7 @@ func TestOwnShareReplay(t *testing.T) {
 // TestLedValueLog pins the write-ahead log of led values (Env.Led). A
 // broadcast whose log already holds a value for its kind publishes that
 // value's INITIAL fragments in place of the argument, and delivers it with
-// no repair request of its own; a fresh log records the argument before
+// its REPAIR row never asking for its own slot; a fresh log records the argument before
 // the first send; a nil log records nothing. Node 0 replays on slot 0,
 // node 1 proposes into a fresh log on slot 1, node 2 into none on slot 2.
 func TestLedValueLog(t *testing.T) {
@@ -1115,6 +1121,7 @@ func TestLedValueLog(t *testing.T) {
 	type broadcast interface {
 		Propose(slot int, value []byte)
 		Value(slot int) []byte
+		wanted(slot int) bool
 	}
 	for _, tc := range []struct {
 		name string
@@ -1149,7 +1156,11 @@ func TestLedValueLog(t *testing.T) {
 				}
 				return arg
 			}
+			asked := make([]bool, len(logs))
 			tn.run(t, 10*time.Minute, func() bool {
+				for i := range logs {
+					asked[i] = asked[i] || nodes[i].wanted(i)
+				}
 				for i := range logs {
 					if nodes[i].Value(i) == nil {
 						return false
@@ -1164,8 +1175,8 @@ func TestLedValueLog(t *testing.T) {
 				if got := nodes[i].Value(i); !bytes.Equal(got, want(i)) {
 					t.Errorf("node %d: delivered %q…, want %q…", i, got[:1], want(i)[:1])
 				}
-				if n := len(recs[i].entries(packet.PhaseRepair, i)); n > 0 {
-					t.Errorf("node %d: %d repair intents on its own slot", i, n)
+				if asked[i] {
+					t.Errorf("node %d: its REPAIR row asked for its own slot", i)
 				}
 				if log != nil && !bytes.Equal(log[tc.kind], want(i)) {
 					t.Errorf("node %d: log holds %q…, want %q…", i, log[tc.kind][:1], want(i)[:1])

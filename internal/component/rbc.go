@@ -14,9 +14,8 @@ import (
 // Reliability is NACK-based: the ECHO and READY rows say which slots this
 // node has seen through each phase, and a peer whose rows show a slot
 // undone gets the votes back, parked ones included. A node holding 2f+1
-// READYs for a value it never received requests the INITIAL fragments it
-// is missing via a PhaseRepair intent; peers holding the value re-serve
-// those fragments, and only those, after a randomized suppression delay.
+// READYs for a value it never received asks for it by its REPAIR row, and
+// every peer holding the value serves its fragments, and only those.
 type RBC struct {
 	dissemination
 	slots []*rbcSlot
@@ -138,9 +137,9 @@ func (r *RBC) HandleSection(from uint16, sec packet.Section) {
 		return
 	}
 	switch sec.Phase {
-	case packet.PhaseInitial:
+	case packet.PhaseInitial, packet.PhaseRepair:
 		for _, e := range sec.Entries {
-			r.handleInitial(w, e)
+			r.handleValue(w, sec.Phase, e)
 		}
 	case packet.PhaseEcho:
 		for _, e := range sec.Entries {
@@ -158,21 +157,15 @@ func (r *RBC) HandleSection(from uint16, sec packet.Section) {
 				r.applyReady(int(e.Slot), w, h)
 			}
 		}
-	case packet.PhaseRepair:
-		for _, e := range sec.Entries {
-			if slot := int(e.Slot); slot < len(r.slots) {
-				r.answerRepair(slot, &r.slots[slot].valueSlot, e.Data)
-			}
-		}
 	}
 }
 
-func (r *RBC) handleInitial(w int, e packet.Entry) {
+func (r *RBC) handleValue(w int, phase packet.Phase, e packet.Entry) {
 	slot := int(e.Slot)
 	if slot >= len(r.slots) {
 		return
 	}
-	if value, whole := r.receive(slot, &r.slots[slot].valueSlot, w, e); whole {
+	if value, whole := r.receive(slot, &r.slots[slot].valueSlot, w, phase, e); whole {
 		r.acceptValue(slot, value)
 	}
 }
@@ -245,11 +238,10 @@ func (r *RBC) maybeDeliver(slot int) {
 		r.drop(slot, &s.valueSlot)
 	}
 	if !s.assembled {
-		r.requestRepair(slot, &s.valueSlot)
+		r.want(slot)
 		return
 	}
 	s.delivered = true
-	r.repairDone(slot, &s.valueSlot)
 	if r.onDeliver != nil {
 		r.onDeliver(slot, s.value)
 	}

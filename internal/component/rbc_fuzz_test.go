@@ -2,6 +2,7 @@ package component
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -19,9 +20,10 @@ var rbcPhases = []packet.Phase{packet.PhaseInitial, packet.PhaseEcho, packet.Pha
 // rbcSeeds records an honest run, the -small variant if small, and returns
 // inputs in FuzzCBCSection's record format (cbcRecord) built from its
 // traffic: a value and its votes, a READY quorum before the value (which
-// asks for it by repair) and the value from a peer after, an equivocated
-// value the READY quorum then contradicts, and repair requests after a
-// delivery.
+// asks for it by the REPAIR row) and the value served by a peer after, an
+// equivocated value the READY quorum then contradicts, and served
+// fragments of a slot the node does not want, after a delivery and before
+// any vote.
 func rbcSeeds(f *testing.F, small bool) [][]byte {
 	tn := newTestNet(f, rbcFuzzSeed, 0, true)
 	recs := make([]*recorder, 3)
@@ -81,16 +83,23 @@ func rbcSeeds(f *testing.F, small bool) [][]byte {
 	votes := func(p packet.Phase, slot int) []cbcRecord {
 		return append(append(from(0, p, slot), from(1, p, slot)...), from(2, p, slot)...)
 	}
-	repair := []cbcRecord{{op: op(packet.PhaseRepair), from: 2, e: packet.Entry{Slot: 0, Data: packet.NewBitSet(maxFragments + 1)}}}
+	// served has peer w serve slot's fragments as REPAIR entries.
+	served := func(w byte, slot int) []cbcRecord {
+		rs := by(w, from(slot%3, packet.PhaseInitial, slot))
+		for i := range rs {
+			rs[i].op = op(packet.PhaseRepair)
+		}
+		return rs
+	}
 	other := []cbcRecord{{op: op(packet.PhaseInitial), from: 0, e: packet.Entry{Slot: 0, Flags: 1, Data: []byte("not what the quorum readied")}}}
-	later := append([]cbcRecord(nil), by(2, from(0, packet.PhaseInitial, 0))...)
+	later := served(2, 0)
 	later[0].op |= 0x80
 	return [][]byte{
 		input(from(0, packet.PhaseInitial, 0), votes(packet.PhaseEcho, 0), votes(packet.PhaseReady, 0)),
-		input(votes(packet.PhaseReady, 1), by(2, from(1, packet.PhaseInitial, 1))),
+		input(votes(packet.PhaseReady, 1), served(2, 1)),
 		input(other, votes(packet.PhaseReady, 0), later),
-		input(from(0, packet.PhaseInitial, 0), votes(packet.PhaseEcho, 0), votes(packet.PhaseReady, 0), repair, repair),
-		input(from(0, packet.PhaseInitial, 0), repair, from(1, packet.PhaseReady, 0), from(2, packet.PhaseReady, 0)),
+		input(from(0, packet.PhaseInitial, 0), votes(packet.PhaseEcho, 0), votes(packet.PhaseReady, 0), served(2, 0), served(1, 2)),
+		input(served(2, 0), from(0, packet.PhaseInitial, 0), from(1, packet.PhaseReady, 0), from(2, packet.PhaseReady, 0)),
 	}
 }
 
@@ -99,9 +108,10 @@ func rbcSeeds(f *testing.F, small bool) [][]byte {
 // peers run nothing. Entries come from the peers alone: a node never
 // hears its own frames. Nothing may panic; a slot delivers only a value
 // whose hash has READY votes — each sender's first — from 2f+1 distinct
-// nodes, this one's own included; and a repair entry never makes the node
-// publish anything: the answer it schedules puts up INITIAL fragments of a
-// value the node held, and nothing else.
+// nodes, this one's own included; a REPAIR entry for a slot the node's
+// REPAIR row does not want changes nothing; and the node, which leads no
+// slot here, publishes no INITIAL fragment, and keeps for serving only
+// fragments of the value it holds.
 func FuzzRBCSection(f *testing.F) {
 	f.Add([]byte{})
 	for _, small := range []bool{false, true} {
@@ -128,19 +138,15 @@ func FuzzRBCSection(f *testing.F) {
 				readies[slot][w] = Hash8(data[:8])
 			}
 		}
-		// held[slot] is every value the slot held after some entry;
-		// inRecord is the phase of the entry being handled (0 between).
-		held := make([][][]byte, len(v.slots))
-		var inRecord packet.Phase
 		env.T.SetInterceptor(watch(func(in core.Intent) {
-			switch {
-			case inRecord == packet.PhaseRepair:
-				t.Fatalf("a repair entry made the node publish phase %d slot %d", in.Phase, in.Slot)
-			case in.Phase == packet.PhaseReady:
+			switch in.Phase {
+			case packet.PhaseReady:
 				vote(int(in.Slot), env.Me, in.Data)
-			case in.Phase == packet.PhaseInitial:
-				if inRecord != 0 || !isFragmentOf(in, held[in.Slot], small, v.frag) {
-					t.Fatalf("slot %d: published INITIAL %d/%d %q, not a fragment of a value held", in.Slot, in.Sub, in.Flags, in.Data)
+			case packet.PhaseInitial:
+				t.Fatalf("slot %d: published INITIAL %d/%d", in.Slot, in.Sub, in.Flags)
+			case packet.PhaseRepair:
+				if !isFragmentOf(in, [][]byte{v.slots[in.Slot].value}, small, v.frag) {
+					t.Fatalf("slot %d: holds REPAIR %d/%d %q, not a fragment of the value held", in.Slot, in.Sub, in.Flags, in.Data)
 				}
 			}
 		}))
@@ -169,14 +175,13 @@ func FuzzRBCSection(f *testing.F) {
 			if phase == packet.PhaseReady && int(r.e.Slot) < len(v.slots) {
 				vote(int(r.e.Slot), w, r.e.Data)
 			}
-			inRecord = phase
-			v.HandleSection(uint16(w), packet.Section{Kind: packet.KindRBC, Phase: phase, Entries: []packet.Entry{r.e}})
-			inRecord = 0
-			for slot, s := range v.slots {
-				if n := len(held[slot]); s.assembled && (n == 0 || !bytes.Equal(held[slot][n-1], s.value)) {
-					held[slot] = append(held[slot], s.value)
-				}
+			var s *valueSlot
+			if int(r.e.Slot) < len(v.slots) {
+				s = &v.slots[r.e.Slot].valueSlot
 			}
+			unwanted(t, &v.dissemination, s, phase, r.e, func() {
+				v.HandleSection(uint16(w), packet.Section{Kind: packet.KindRBC, Phase: phase, Entries: []packet.Entry{r.e}})
+			})
 		}
 		tn.settle(time.Minute)
 		for slot := range v.slots {
@@ -188,8 +193,25 @@ func FuzzRBCSection(f *testing.F) {
 	})
 }
 
-// isFragmentOf reports whether the INITIAL intent in carries one of the
-// values, whole (small) or as fragment in.Sub of in.Flags of frag bytes.
+// unwanted runs handle, which hands the node entry e of phase for the slot
+// whose value state is s (nil: no such slot), and fails the test if e is a
+// REPAIR entry for a slot the node's REPAIR row does not want and handle
+// changed s.
+func unwanted(t *testing.T, d *dissemination, s *valueSlot, phase packet.Phase, e packet.Entry, handle func()) {
+	if phase != packet.PhaseRepair || s == nil || d.wanted(int(e.Slot)) {
+		handle()
+		return
+	}
+	state := func() string { return fmt.Sprintf("assembled=%v frags=%q", s.assembled, s.frags) }
+	before := state()
+	handle()
+	if after := state(); after != before {
+		t.Fatalf("slot %d: a REPAIR entry it does not want changed its value state from %s to %s", e.Slot, before, after)
+	}
+}
+
+// isFragmentOf reports whether the intent in carries one of the values,
+// whole (small) or as fragment in.Sub of in.Flags of frag bytes.
 func isFragmentOf(in core.Intent, values [][]byte, small bool, frag int) bool {
 	for _, value := range values {
 		if small {

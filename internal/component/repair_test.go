@@ -30,12 +30,14 @@ var repairKinds = []struct {
 	{"vcbc", packet.KindVCBC, func(env *Env) broadcast { return NewCBC(env, CBCOptions{Kind: packet.KindVCBC, Slots: 4}) }},
 }
 
-// TestRepairAnswerIsFragmentsOnly: a node that delivered slot 1 is asked
-// for it by a PhaseRepair entry. All it puts up in answer are the slot's
-// INITIAL fragments the request lacks — every one for an empty have-set,
-// the missing one for a have-set that holds the others — and no ECHO,
-// READY or FINISH: those return by the requester's NACK rows.
-func TestRepairAnswerIsFragmentsOnly(t *testing.T) {
+// TestRepairRowServesFragments: node 0 delivered slot 1, which node 1 led.
+// It puts nothing on the air for a peer's frame with no REPAIR row, nor for
+// one whose REPAIR row has every slot set. A REPAIR row that clears slot 1
+// gets back every fragment of the value as REPAIR entries, and no ECHO,
+// READY or FINISH: those return by their own rows. The row asks again with
+// each frame, and an ask within a base period of the answer is answered a
+// base period after it.
+func TestRepairRowServesFragments(t *testing.T) {
 	for _, k := range repairKinds {
 		t.Run(k.name, func(t *testing.T) {
 			tn := newTestNet(t, 51, 0, true)
@@ -54,37 +56,91 @@ func TestRepairAnswerIsFragmentsOnly(t *testing.T) {
 				return true
 			})
 			tn.settle(time.Minute)
-			ask := func(have packet.BitSet) []packet.Entry {
-				rec := record(tn.envs[0])
-				nodes[0].HandleSection(2, packet.Section{Kind: k.kind, Phase: packet.PhaseRepair,
-					Entries: []packet.Entry{{Slot: 1, Data: have}}})
-				tn.settle(time.Second)
-				tn.envs[0].T.SetInterceptor(nil)
-				for _, in := range rec.seen {
-					if in.Phase != packet.PhaseInitial || in.Slot != 1 {
-						t.Errorf("the repair answer put up phase %d slot %d", in.Phase, in.Slot)
+			// Node 2 hears node 0's sections, and sends a frame whenever
+			// the test asks.
+			type section struct {
+				at time.Duration
+				packet.Section
+			}
+			var heard []section
+			tn.envs[2].T.Register(k.kind, core.HandlerFunc(func(from uint16, sec packet.Section) {
+				if from == 0 {
+					sec.Entries = append([]packet.Entry(nil), sec.Entries...)
+					heard = append(heard, section{tn.sched.Now(), sec})
+				}
+			}))
+			asks := byte(0)
+			ask := func() {
+				asks++
+				tn.envs[2].T.Update(core.Intent{IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux}, Data: []byte{asks}})
+			}
+			row := func(clear ...int) packet.BitSet {
+				b := packet.NewBitSet(4)
+				for i := 0; i < 4; i++ {
+					b.Set(i)
+				}
+				for _, i := range clear {
+					b.Clear(i)
+				}
+				return b
+			}
+			silent := func(when string) {
+				t.Helper()
+				heard = nil
+				ask()
+				tn.settle(time.Minute)
+				if len(heard) != 0 {
+					t.Errorf("%s: node 0 put %d sections on the air", when, len(heard))
+				}
+			}
+			// answers returns the REPAIR entries of each frame heard since
+			// the last call, and when each was heard.
+			answers := func() (out [][]packet.Entry, at []time.Duration) {
+				for _, sec := range heard {
+					switch {
+					case len(sec.Entries) == 0:
+					case sec.Phase == packet.PhaseRepair:
+						out, at = append(out, sec.Entries), append(at, sec.at)
+					default:
+						t.Errorf("node 0 answered the REPAIR row with phase %d entries", sec.Phase)
 					}
 				}
-				return rec.entries(packet.PhaseInitial, 1)
+				heard = nil
+				return out, at
 			}
-			got := ask(packet.NewBitSet(maxFragments + 1))
+
+			silent("no REPAIR row")
+			base := tn.tcfg.RetxInterval
+			tn.envs[2].T.SetNack(k.kind, packet.PhaseRepair, row(1))
+			tn.settle(base / 2)
+			served, at := answers()
+			if len(served) != 1 {
+				t.Fatalf("the REPAIR row got %d answers in %v, want 1", len(served), base/2)
+			}
 			var whole []byte
-			for i, e := range got {
-				if int(e.Sub) != i || e.Flags != 3 {
-					t.Errorf("fragment %d: sub %d of %d", i, e.Sub, e.Flags)
+			for i, e := range served[0] {
+				if e.Slot != 1 || int(e.Sub) != i || e.Flags != 3 {
+					t.Errorf("fragment %d: slot %d sub %d of %d", i, e.Slot, e.Sub, e.Flags)
 				}
 				whole = append(whole, e.Data...)
 			}
-			if len(got) != 3 || !bytes.Equal(whole, want) || !bytes.Equal(nodes[0].Value(1), want) {
-				t.Errorf("an empty have-set got %d fragments back, %d B, want 3 and the %d B value", len(got), len(whole), len(want))
+			if len(served[0]) != 3 || !bytes.Equal(whole, want) {
+				t.Errorf("the REPAIR row got %d fragments back, %d B, want 3 and the %d B value", len(served[0]), len(whole), len(want))
 			}
-			tn.settle(2 * time.Second) // past the rate limit
-			have := packet.NewBitSet(maxFragments + 1)
-			have.Set(0)
-			have.Set(2)
-			if got := ask(have); len(got) != 1 || got[0].Sub != 1 {
-				t.Errorf("a have-set lacking fragment 1 got %d fragments back, want fragment 1 alone", len(got))
+			ask()
+			tn.settle(base / 2)
+			if again, _ := answers(); len(again) != 0 {
+				t.Fatalf("an ask %v after the answer was answered at once", base/2)
 			}
+			// Frames are heard when their last fragment lands, up to a
+			// frame's airtime after they were built: a second of slack.
+			tn.settle(base)
+			if again, when := answers(); len(again) != 1 || when[0]-at[0] < base-time.Second {
+				t.Fatalf("the second ask: %d answers at %v, the first at %v, want one a base period after the first", len(again), when, at)
+			}
+			tn.envs[2].T.SetNack(k.kind, packet.PhaseRepair, row())
+			tn.settle(10 * time.Second)
+			silent("a REPAIR row with every slot set")
 		})
 	}
 }
@@ -93,9 +149,9 @@ func TestRepairAnswerIsFragmentsOnly(t *testing.T) {
 // TestHeldFinishOutlivesItsCombiners: once slot 1 has delivered everywhere
 // and the channel is quiet, every node has parked its ECHO and READY for
 // the slot, and the leader its fragments. Node 3 then comes back with no
-// state and its repair requests kept off the air: the rows of its first
-// frame show slot 1 undone, and what they bring back on demand — the
-// fragments and the votes — is all it gets, and all it needs to deliver.
+// state: the rows of its first frame show slot 1 undone, and what they
+// bring back on demand — the fragments and the votes — is all it gets, and
+// all it needs to deliver.
 func TestRBCVotesReturnByRow(t *testing.T) {
 	tn := newTestNet(t, 52, 0, true)
 	var nodes []*RBC
@@ -121,7 +177,6 @@ func TestRBCVotesReturnByRow(t *testing.T) {
 	tn.crash(3)
 	tn.settle(10 * time.Second)
 	env := tn.recover(3)
-	env.T.SetInterceptor(dropPhase(packet.PhaseRepair))
 	reborn := NewRBC(env, RBCOptions{Slots: 4})
 	reborn.Propose(3, kernelValue(3, false)) // its first frame carries the rows
 	tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return reborn.Delivered(1) })

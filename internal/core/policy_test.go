@@ -328,6 +328,43 @@ func TestHeldIntentWaitsToBeAsked(t *testing.T) {
 	}
 }
 
+// TestInjectKeepsHeldIntentHeld: state an interceptor plants (Inject) on
+// a held intent replaces its data and leaves it off the air, so that an
+// equivocator's conflicting variant of what it serves goes only to a peer
+// that asks; on an intent on the air, it goes out at once.
+func TestInjectKeepsHeldIntentHeld(t *testing.T) {
+	r := newPolicyRig(t, 3, nil)
+	tr := r.transports[0]
+	var got [][]byte // the data of node 0's entries node 1 heard, in order
+	r.transports[1].Register(packet.KindRBC, HandlerFunc(func(from uint16, sec packet.Section) {
+		for _, e := range sec.Entries {
+			if from == 0 {
+				got = append(got, append([]byte(nil), e.Data...))
+			}
+		}
+	}))
+	held := IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseRepair, Slot: 1}
+	tr.Hold(Intent{IntentKey: held, Data: []byte("true")})
+	tr.Inject(Intent{IntentKey: held, Data: []byte("conflict")})
+	r.sched.RunFor(time.Minute)
+	if len(got) != 0 || tr.nDirty != 0 {
+		t.Fatalf("an injected variant of a held intent went on the air unasked: %q", got)
+	}
+	r.transports[1].SetNack(held.Kind, held.Phase, rowOf(4, 0, 2, 3))
+	r.sched.RunFor(5 * time.Second)
+	if len(got) != 1 || string(got[0]) != "conflict" {
+		t.Fatalf("the asking peer got %q, want the injected variant once", got)
+	}
+	live := IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseInitial, Slot: 1}
+	tr.Update(Intent{IntentKey: live, Data: []byte("true")})
+	r.sched.RunFor(5 * time.Second)
+	tr.Inject(Intent{IntentKey: live, Data: []byte("conflict")})
+	r.sched.RunFor(5 * time.Second)
+	if n := len(got); n != 3 || string(got[1]) != "true" || string(got[2]) != "conflict" {
+		t.Fatalf("a live intent and its injected variant: heard %q, want each once", got[1:])
+	}
+}
+
 // turnLog is a listening station that records who transmitted when.
 type turnLog struct {
 	sched *sim.Scheduler

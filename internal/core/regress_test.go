@@ -185,7 +185,8 @@ func TestDelayAdversaryMarksNoRegression(t *testing.T) {
 // lost a bit it had shown, its entry is a request: the parked intent
 // goes out again, whatever node the entry's Sub names, and a request
 // that comes less than one base period after the intent last went out is
-// answered only then.
+// answered only then. An answer goes out once: the intent is parked again,
+// so ten minutes after one request it has been sent exactly once more.
 func TestParkedIntentAnswersRegressedPeer(t *testing.T) {
 	const base = 4 * time.Second
 	r := newMuxRig(t, 3, true)
@@ -205,11 +206,13 @@ func TestParkedIntentAnswersRegressedPeer(t *testing.T) {
 			}
 		}
 	}))
+	// ask has the peer send its own round-1 share once.
 	ask := func(data byte) {
 		in := share(1, 1)
 		in.Data = []byte{data}
 		peer.Update(in)
 		r.sched.RunFor(time.Second)
+		peer.ParkWhere(func(k IntentKey) bool { return k == in.IntentKey })
 	}
 
 	srv.Update(share(0, 1))
@@ -236,13 +239,54 @@ func TestParkedIntentAnswersRegressedPeer(t *testing.T) {
 	if len(served) != 2 {
 		t.Fatalf("the regressed peer's entry: the parked share went out %d times more, want once", len(served)-1)
 	}
-	srv.ParkWhere(func(k IntentKey) bool { return k.Round < 2 })
 	ask(3)
 	if len(served) != 2 {
 		t.Fatalf("a second request %v after the answer was answered at once", served[1]-served[0])
 	}
-	r.sched.RunFor(base)
+	r.sched.RunFor(10 * time.Minute)
 	if len(served) != 3 || served[2]-served[1] < base {
-		t.Errorf("the second request: %d answers, the last %v after the first; want one, a base period later", len(served)-2, served[len(served)-1]-served[1])
+		t.Errorf("the second request: %d answers in ten minutes, the last %v after the first; want one, a base period later", len(served)-2, served[len(served)-1]-served[1])
+	}
+}
+
+// TestServedEntryIsNoRequest: in a phase that has a NACK row — here only a
+// peer's, as a value holder keeps none of the REPAIR phase it serves — an
+// entry of a peer that lost state is what a row asked for, not a request.
+// Node 0 holds slot 1's REPAIR fragment; node 1, marked regressed, sends a
+// REPAIR row that asks for slot 0 alone, and serves a slot-1 fragment of
+// its own. Node 0's fragment stays off the air; the slot-0 one the row
+// asks for goes out.
+func TestServedEntryIsNoRequest(t *testing.T) {
+	const base = 4 * time.Second
+	r := newMuxRig(t, 3, true)
+	for _, m := range r.muxes {
+		m.cfg.RetxInterval = base
+	}
+	srv, peer := r.muxes[0].Open(1), r.muxes[1].Open(1)
+	r.muxes[2].Open(1)
+	fragment := func(slot uint8) Intent {
+		return Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseRepair, Slot: slot}, Flags: 1, Data: []byte{slot}}
+	}
+	served := map[uint8]int{} // node 0's REPAIR entries node 2 heard, by slot
+	r.muxes[2].Lookup(1).Register(packet.KindRBC, HandlerFunc(func(from uint16, sec packet.Section) {
+		for _, e := range sec.Entries {
+			if from == 0 && sec.Phase == packet.PhaseRepair {
+				served[e.Slot]++
+			}
+		}
+	}))
+	srv.Hold(fragment(0))
+	srv.Hold(fragment(1))
+	peer.SetNack(packet.KindRBC, packet.PhaseRepair, rowOf(4, 0, 1, 2, 3))
+	r.sched.RunFor(time.Second)
+	peer.SetNack(packet.KindRBC, packet.PhaseRepair, rowOf(4, 1, 2, 3))
+	r.sched.RunFor(time.Second)
+	if !srv.regressed.Get(1) {
+		t.Fatal("the peer's row lost a bit and the transport did not mark it")
+	}
+	peer.Update(fragment(1))
+	r.sched.RunFor(time.Minute)
+	if served[1] != 0 || served[0] == 0 {
+		t.Errorf("node 0 served slot 1 %d times and slot 0 %d times; want slot 0 alone", served[1], served[0])
 	}
 }

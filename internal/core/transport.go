@@ -33,10 +33,13 @@
 // undone puts that slot's intents back on the base period, unpaced. The
 // transport is the one place the peers' bitmaps are kept: what every peer
 // has confirmed it parks — keeps, but never sends — until a bitmap shows
-// the slot undone again. A component parks what it has left behind
-// (ParkWhere) the same way, and a peer whose bitmap lost a bit it had
-// shown — it lost its state — asks for such an intent by sending its own
-// entry of the same key.
+// the slot undone again. A component keeps what any holder may serve off
+// the air from the start (Hold) and parks what it has left behind
+// (ParkWhere) the same way: a bitmap asks for such an intent, and in a
+// phase with no bitmap a peer whose bitmap lost a bit it had shown — it
+// lost its state — asks for it by sending its own entry of the same key.
+// Either way the answer goes out at most once per base period, and an
+// answer to an entry parks the intent again.
 //
 // A node has one Mux, which owns everything node-scoped, and one Transport
 // per open epoch, which owns that epoch's state (mux.go); components talk
@@ -361,9 +364,14 @@ func (t *Transport) hold(in Intent) {
 
 // Inject upserts an intent bypassing the interceptor. Interceptors use it
 // to plant delayed conflicting state (equivocation) without re-entering
-// themselves.
+// themselves. An intent kept off the air — held, or parked — takes the new
+// data and stays off until a peer asks for it.
 func (t *Transport) Inject(in Intent) {
 	if t.stopped {
+		return
+	}
+	if i, found := t.find(in.IntentKey); found && !t.live[i].dirty && t.live[i].due == never {
+		t.live[i].Intent = in
 		return
 	}
 	t.apply(in)
@@ -690,16 +698,17 @@ func (t *Transport) demand(sec *packet.Section) {
 }
 
 // request applies the entries of a peer that lost state (regressed) as
-// requests for what this node has parked (ask), in a phase for which this
-// node keeps no NACK row — where it keeps one, the peer's row of the phase
-// is the request (demand). Each entry asks for this node's parked intents
-// of its kind, phase, slot and round, whichever node the key's Sub names:
-// the entry is the peer's own contribution, the parked intent this node's.
-// So a peer reborn into rounds its peers have pruned gets their votes, coin
-// shares and certificates of each round back as it reaches the round, at
-// most once per base period each.
+// requests for what this node has parked (ask), in a phase that has no
+// NACK row here, this node's or a peer's — where one exists, a row is the
+// request (demand), and an entry is only what a row asked for, such as the
+// REPAIR fragments a peer serves. Each entry asks for this node's parked
+// intents of its kind, phase, slot and round, whichever node the key's Sub
+// names: the entry is the peer's own contribution, the parked intent this
+// node's. So a peer reborn into rounds its peers have pruned gets their
+// votes, coin shares and certificates of each round back as it reaches the
+// round, once each, at most once per base period.
 func (t *Transport) request(sec *packet.Section) {
-	if i, found := t.findRow(sec.Kind, sec.Phase); found && t.rows[i].bits != nil {
+	if !t.rowless(sec.Kind, sec.Phase) {
 		return
 	}
 	now, next, flush := t.m.sched.Now(), never, false
@@ -716,6 +725,13 @@ func (t *Transport) request(sec *packet.Section) {
 		}
 	}
 	t.answer(flush, next)
+}
+
+// rowless reports whether (kind, phase) has no NACK row here, this node's
+// or a peer's.
+func (t *Transport) rowless(kind packet.Kind, phase packet.Phase) bool {
+	_, found := t.findRow(kind, phase)
+	return !found
 }
 
 // ask applies a peer's request for e: e is due one base period after its
@@ -785,10 +801,17 @@ func (t *Transport) jitter() float64 {
 	return 0.75 + 0.5*t.m.sched.Rand().Float64()
 }
 
-// sent records that e went out at now and returns when it is next due.
+// sent records that e went out at now and returns when it is next due. An
+// intent asked for in a row-less phase was parked, and only request asks
+// for those: it goes back to waiting to be asked.
 func (t *Transport) sent(e *liveIntent, now time.Duration, jitter float64) time.Duration {
+	requested := e.asked && t.rowless(e.Kind, e.Phase)
 	e.dirty, e.asked, e.sentAt = false, false, now
-	e.due = now + time.Duration(float64(t.m.cfg.RetxInterval<<e.age)*jitter)
+	if requested {
+		e.due = never
+	} else {
+		e.due = now + time.Duration(float64(t.m.cfg.RetxInterval<<e.age)*jitter)
+	}
 	return e.due
 }
 

@@ -52,7 +52,7 @@ const (
 	PhaseVote2    Phase = 10 // Bracha ABA phase-2 vote
 	PhaseVote3    Phase = 11 // Bracha ABA phase-3 vote
 	PhaseDecShare Phase = 12 // threshold decryption share
-	PhaseRepair   Phase = 13 // NACK-triggered retransmission requests
+	PhaseRepair   Phase = 13 // a value's fragments as any holder serves them; its NACK row asks for the values a node lacks
 	PhaseDecided  Phase = 14 // ABA termination claims (f+1 matching => adopt)
 )
 

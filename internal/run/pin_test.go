@@ -84,7 +84,7 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "540a71646ee4a7295d7a6b27ab074e49e2f0b153dd851ddff8de959bbf9d9646"},
+		}, "9a4843f36f4f72d47834e30a031a9405834bde04117f8a844f82d2c625a988fb"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
@@ -97,13 +97,13 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@10s:3;recover@30s:3")
 			return spec
-		}, "d516e6d5e5190ac7ca3aa1e293e251d421d42e0f869a20325797aab67b01672d"},
+		}, "7b18838f756d678eef70ca87173ceb1423c9cf008da3a2bc2fb30ac2af1f42d7"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "011ebc96f9a5ff9144b3d6ebd8a3616bfe8c7b602c143fd9a1caa48674460cfe"},
+		}, "48a1ae3ab2a7c2251f39fa3dbf895c024418bc703b31ad1541959afaec47feb5"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "8f73184595e03de021bd1cf01d88013f143f3bc135bc890501ac05bd898f5e5f"},
+		}, "149932140bbe4bc53fa0aca40fdfe5f64c21807a23db4e801b69879d5fd445e9"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1, the designated relay of local epoch
 			// 1's cut, crashes in epoch 0 and rejoins at 1 m, inside it;
@@ -112,18 +112,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "78b9da07987bb9d4fd183fe3bced58527422c32447595f138c7c33258bd44048"},
+		}, "e8c853b817711ab8644d062c42ea41b7dc7922dbef08b0fb566e54f130a1e0c4"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("crash@30s:2;recover@1m:2")
 			return spec
-		}, "181f8578ba2587ca1368865df5607c8d07a9208d13859f1660efe37bfe944f13"},
+		}, "42bcd5e525911ac511f5b57a1c1f58a462e241a1dfe04235cc487b00d8acb02d"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "ea6ae574f1d2204827f277a034d76cfa377b31fa3f71ecbe63edd0e81bcd6ed2"},
+		}, "3510754250daeaf91489290737afa9121df27508096c52e9109dd9cdde629c09"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -131,7 +131,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "33ccbe52cf0dbef74e48b0186de9fb6e764ea4f3bf96c41a10f06dd82c3a07dd"},
+		}, "c9b1fc1b08a480b63e5d40921dcd7af62dcf38313279dd33a5fc2f0a9a19ee70"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -144,18 +144,18 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "3714c6772abf4409ec73edf066f900ccd3aa6dffb1749c6bae3911a7333ed825"},
+		}, "528c18ad8a7ab0858ee98cc15b524d1375f5fbcd0f3f9eeb2e3d02a65b7f702b"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
 			spec.Scenario = scenario.MustParse("crash@3m:1")
 			return spec
-		}, "8a9224f9f36afe4a0639a2af54c414a4edab19b6cae47189d0b7288100b59aa5"},
+		}, "cbe8fb289b1a5c56a0059d8cfea1e2e3b4f18a123b3a32b44c3a8e389a15818f"},
 		{"Clustered×Chain", "HB-SC-byz-member", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "30f45ab8ac30a23bd0e0d240cd08356facb588b8669dddbc75a84c8c8a14b2d6"},
+		}, "1fc80dbe9e24df7c1ff9bf9290b353353d74125989951880e46571e1e1c4ea3b"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// for a minute, about two relay turns, back through mid-run
@@ -164,7 +164,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@30s:0;recover@1m30s:0")
 			return spec
-		}, "09e53d51c53cdf8f6c8029544f6356a19dfc4e058eb93f86098f0025dacb7af7"},
+		}, "38182b3694a821e344b2daa4cdcb54e77bbafc113b57763fd2a38befe4aa289b"},
 	}
 	for _, tc := range cases {
 		tc := tc
