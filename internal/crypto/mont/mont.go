@@ -13,7 +13,9 @@
 //     (teeth = 8) instead of the ≈ 335 of a windowed square-and-multiply;
 //     MulExp raises a product of powers on one shared squaring chain
 //     (Straus), about 0.6× the cost of the powers taken separately. Every
-//     hot call site has a recurring base or a product of two powers.
+//     hot call site has a recurring base or a product of powers. Exp and
+//     MulExp window their exponents 4 bits at a time, or 2 bits below
+//     86 bits, where the smaller window table is the cheaper one to build.
 //   - Cheaper multiplications. For the two widths the light parameter
 //     sets lean on — 4 words (the 256-bit CRT halves of TS-512) and 8
 //     words (the SG-512 group, the halves of TS-1024) — an unrolled CIOS
@@ -40,8 +42,20 @@ import (
 // maxWords is the widest kernel (8 words = 512 bits).
 const maxWords = 8
 
-// winSize is the entry count of one base's 4-bit window table.
+// winSize is the entry count of one base's widest window table (4 bits).
 const winSize = 16
+
+// windowBits returns the window width for exponents of up to bits bits.
+// A 4-bit table costs 12 multiplications more to build than a 2-bit one
+// and saves 9/64 of a multiplication per exponent bit, so it pays from 86
+// bits on; shorter exponents — the public exponent, the Lagrange and
+// Bezout exponents of a threshold-signature combination — take 2 bits.
+func windowBits(bits int) uint {
+	if bits < 86 {
+		return 2
+	}
+	return 4
+}
 
 // Modulus holds the precomputed Montgomery constants for one modulus. It
 // is immutable after construction and safe for concurrent use.
@@ -95,8 +109,10 @@ func (mod *Modulus) Exp(x, e *big.Int) *big.Int {
 	}
 	var win [winSize * maxWords]uint64
 	var z [maxWords]uint64
-	mod.window(win[:winSize*mod.w], x)
-	mod.powProduct(z[:mod.w], win[:winSize*mod.w], [][]big.Word{e.Bits()})
+	width := windowBits(e.BitLen())
+	span := mod.w << width
+	mod.window(win[:span], x)
+	mod.powProduct(z[:mod.w], win[:span], width, [][]big.Word{e.Bits()})
 	return mod.fromMont(z[:mod.w])
 }
 
@@ -121,40 +137,49 @@ func (mod *Modulus) MulExp(bases, exps []*big.Int) *big.Int {
 		}
 		return z
 	}
-	// Two bases — every DLEQ commitment, an N=4 combine — fit the stack.
+	bits := 0
+	for _, e := range exps {
+		bits = max(bits, e.BitLen())
+	}
+	width := windowBits(bits)
+	span := mod.w << width
+	// Two bases with 4-bit windows — every DLEQ commitment, an N=4
+	// combine — or eight with 2-bit ones fit the stack.
 	var stack [2 * winSize * maxWords]uint64
 	win := stack[:]
-	if need := len(bases) * winSize * mod.w; need > len(win) {
+	if need := len(bases) * span; need > len(win) {
 		win = make([]uint64, need)
 	}
-	words := make([][]big.Word, len(bases))
+	var wstack [8][]big.Word
+	words := wstack[:0]
 	for i, b := range bases {
-		mod.window(win[i*winSize*mod.w:(i+1)*winSize*mod.w], b)
-		words[i] = exps[i].Bits()
+		mod.window(win[i*span:(i+1)*span], b)
+		words = append(words, exps[i].Bits())
 	}
 	var z [maxWords]uint64
-	mod.powProduct(z[:mod.w], win, words)
+	mod.powProduct(z[:mod.w], win, width, words)
 	return mod.fromMont(z[:mod.w])
 }
 
-// window fills win with the 4-bit window table of x in Montgomery form:
-// win[j] = x^j·R for j < 16.
+// window fills win with the window table of x in Montgomery form: win[j]
+// = x^j·R for j below the table's len(win)/w entries.
 func (mod *Modulus) window(win []uint64, x *big.Int) {
 	w := mod.w
 	copy(win[:w], mod.one[:w])
 	mod.toMont(win[w:2*w], x)
-	for j := 2; j < winSize; j++ {
+	for j := 2; j < len(win)/w; j++ {
 		mod.mul(win[j*w:(j+1)*w], win[(j-1)*w:j*w], win[w:2*w])
 	}
 }
 
 // powProduct sets z to the product over i of x_i^{exps[i]} in Montgomery
-// form, where win holds the window tables of the x_i back to back.
-// Left-to-right 4-bit windows over all exponents at once: one run of four
-// squarings per nibble position serves every base. Leading zero nibbles
-// are skipped, so tiny exponents (2, 65537) cost only their true length.
-func (mod *Modulus) powProduct(z, win []uint64, exps [][]big.Word) {
-	w := mod.w
+// form, where win holds the window tables of the x_i, of width bits each,
+// back to back. Left-to-right windows over all exponents at once: one run
+// of width squarings per window position serves every base. Leading zero
+// windows are skipped, so tiny exponents (2, 65537) cost only their true
+// length.
+func (mod *Modulus) powProduct(z, win []uint64, width uint, exps [][]big.Word) {
+	w, size := mod.w, 1<<width
 	top := 0
 	for _, e := range exps {
 		top = max(top, len(e))
@@ -162,22 +187,21 @@ func (mod *Modulus) powProduct(z, win []uint64, exps [][]big.Word) {
 	copy(z, mod.one[:w])
 	started := false
 	for i := top - 1; i >= 0; i-- {
-		for sh := 60; sh >= 0; sh -= 4 {
+		for sh := 64 - int(width); sh >= 0; sh -= int(width) {
 			if started {
-				mod.mul(z, z, z)
-				mod.mul(z, z, z)
-				mod.mul(z, z, z)
-				mod.mul(z, z, z)
+				for range width {
+					mod.mul(z, z, z)
+				}
 			}
 			for b, e := range exps {
 				if i >= len(e) {
 					continue
 				}
-				nib := int(uint64(e[i])>>uint(sh)) & 0xf
+				nib := int(uint64(e[i])>>uint(sh)) & (size - 1)
 				if nib == 0 {
 					continue
 				}
-				entry := win[(b*winSize+nib)*w : (b*winSize+nib+1)*w]
+				entry := win[(b*size+nib)*w : (b*size+nib+1)*w]
 				if started {
 					mod.mul(z, z, entry)
 				} else {

@@ -20,6 +20,15 @@ import (
 // comb table in a fifth of the multiplications again, and an inverse
 // power through a comb is a Fermat-negated exponent, not a ModInverse.
 //
+// Combine does not go through exp: its k+1 short powers, of either sign,
+// are one product in each half (root) — the numerator and the denominator
+// each on one squaring chain, one ModInverse, the check sigma^e = H(msg)
+// there — and one Garner step. What still reaches exp's short-inverse
+// branch is share verification's challenge power (verifyShareFull:
+// (x_i^2)^-c, and v_i^-c at the widths with no comb) at TS-768 and up,
+// whose halves are long enough that a 256-bit c and an inversion cost less
+// than a Fermat-negated exponent.
+//
 // This mirrors what a real signer does with its own key (RSA-CRT), except
 // here the simulation plays every party and the dealer, so verification
 // gets the same speedup — a simulator-level optimization, not a protocol
@@ -50,7 +59,8 @@ type base struct {
 }
 
 // invBits is the exponent length one half-width ModInverse is worth
-// (3 µs against 16 µs for a 256-bit power at 4 words).
+// (3 µs against 16 µs for a 256-bit power at 4 words). Only
+// verifyShareFull's challenge, at TS-768 and up, is short enough by it.
 const invBits = 48
 
 func newCRTPrime(n *big.Int) crtPrime {
@@ -87,14 +97,49 @@ func (a *accel) exp(b base, e *big.Int) *big.Int {
 	if e.Sign() < 0 && (b.xp.Sign() == 0 || b.xq.Sign() == 0) {
 		return nil
 	}
-	yp := a.p.exp(b.xp, b.tp, e)
-	yq := a.q.exp(b.xq, b.tq, e)
-	// Garner: y = yq + q * (qInvP * (yp - yq) mod p), in [0, p*q).
+	return a.garner(a.p.exp(b.xp, b.tp, e), a.q.exp(b.xq, b.tq, e))
+}
+
+// root is PublicKey.root in the CRT halves: each half's product is checked
+// against x there, and only one that passes both is recombined.
+func (a *accel) root(bases []base, f *fold, e *big.Int) *big.Int {
+	var stack [8]*big.Int
+	xs := stack[:0]
+	for _, b := range bases {
+		xs = append(xs, b.xp)
+	}
+	yp := a.p.root(xs, f, e)
+	if yp == nil {
+		return nil
+	}
+	for i, b := range bases {
+		xs[i] = b.xq
+	}
+	yq := a.q.root(xs, f, e)
+	if yq == nil {
+		return nil
+	}
+	return a.garner(yp, yq)
+}
+
+// garner returns the y in [0, p*q) with y = yp mod p and y = yq mod q:
+// y = yq + q * (qInvP * (yp - yq) mod p). yp is overwritten.
+func (a *accel) garner(yp, yq *big.Int) *big.Int {
 	h := yp.Sub(yp, yq)
 	h.Mul(h, a.qInvP)
 	h.Mod(h, a.p.n)
 	h.Mul(h, a.q.n)
 	return h.Add(h, yq)
+}
+
+// root returns the fold's product over xs, the last of which is x, mod
+// the prime when its e-th power is x there, and nil otherwise.
+func (cp *crtPrime) root(xs []*big.Int, f *fold, e *big.Int) *big.Int {
+	y := f.raise(cp.mod, cp.n, xs)
+	if cp.mod.Exp(y, e).Cmp(xs[len(xs)-1]) != 0 {
+		return nil
+	}
+	return y
 }
 
 // exp computes x^e mod the prime for x in [0, prime), through x's comb t
@@ -103,11 +148,13 @@ func (a *accel) exp(b base, e *big.Int) *big.Int {
 // reduction would be wrong: 0^e = 0 for e > 0 but 0^0 = 1), which also
 // turns a negative exponent — x must then be a unit — into its
 // non-negative residue: x^-e = x^{(prime-1) - e}. That residue is as long
-// as the prime. A comb does not care; without one, a shorter exponent
-// (the few-bit Lagrange and Bezout exponents of Combine; a 256-bit
-// challenge under the wider parameter sets) is raised as written and
-// inverted instead, a half-width ModInverse costing about as much as
-// invBits bits of exponent.
+// as the prime. A comb does not care; without one, an exponent invBits
+// shorter than the prime is raised as written and inverted instead, a
+// half-width ModInverse costing about as much as invBits bits of exponent:
+// the 256-bit challenge of verifyShareFull at TS-768 and up, whose halves
+// are 384 bits or more (at TS-512 it is as long as a half, and is
+// reduced). Combine's short exponents of either sign do not come here
+// (root).
 func (cp *crtPrime) exp(x *big.Int, t *mont.Table, e *big.Int) *big.Int {
 	if x.Sign() == 0 {
 		if e.Sign() == 0 {

@@ -29,8 +29,8 @@ type pkCache struct {
 	// verified: share-verification verdicts keyed by (msg, share). Each
 	// share is verified by every other party.
 	verified memo.Memo[[32]byte, error]
-	// lag: integer Lagrange coefficients keyed by (subset, index).
-	lag memo.Memo[string, *big.Int]
+	// folds: Combine's exponents keyed by subset.
+	folds memo.Memo[string, *fold]
 	// sigs: combined signatures keyed by message digest, stored once a
 	// combination has verified. A message has one signature (sigma^e = H(msg)
 	// has one root mod N), so any k valid shares combine to it; Combine
@@ -41,6 +41,7 @@ type pkCache struct {
 // msgCtx is the per-message exponentiation context.
 type msgCtx struct {
 	x   *big.Int // H(msg) in Z_N
+	xb  base     // x prepared for one power: Combine's last base
 	x4d *big.Int // x^{4*delta} — the share-proof base
 	// y = x^{2*delta}, the one base every big power of the message is
 	// taken from: a share is x_i = y^{s_i}, and the proof commitments are
@@ -119,7 +120,7 @@ func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
 func (pk *PublicKey) newCtx(msg []byte) *msgCtx {
 	x := hashToModulus(pk.N, pk.Salt, msg)
 	y := pk.exp(x, new(big.Int).Lsh(pk.deltaL(), 1))
-	return &msgCtx{x: x, x4d: pk.exp(y, two), y: pk.fixed(y, mont.TeethShort)}
+	return &msgCtx{x: x, xb: pk.oneShot(x), x4d: pk.exp(y, two), y: pk.fixed(y, mont.TeethShort)}
 }
 
 // combineExponents returns the cached Bezout pair (a, b) with
@@ -196,20 +197,19 @@ func (pk *PublicKey) combined(msgDigest [32]byte, use []*SigShare) (*Signature, 
 	return &Signature{S: new(big.Int).Set(s)}, true
 }
 
-// lagrangeFor returns the cached integer Lagrange coefficient for index i
-// over the given subset (delta-scaled, per Shoup). The subset is keyed by
-// its exact index sequence, so distinct share orderings cache separately
-// — correctness never depends on canonicalization.
-func (pk *PublicKey) lagrangeFor(subset []*SigShare, i int, d *big.Int) *big.Int {
+// foldFor returns the fold of the given subset (see newFold), cached when
+// the key carries a cache. The subset is keyed by its exact index
+// sequence, so distinct share orderings cache separately — correctness
+// never depends on canonicalization.
+func (pk *PublicKey) foldFor(subset []*SigShare) *fold {
 	if pk.cc == nil {
-		return integerLagrange(subset, i, d)
+		return pk.newFold(subset)
 	}
-	key := make([]byte, 0, 2*len(subset)+2)
+	key := make([]byte, 0, 2*len(subset))
 	for _, sh := range subset {
 		key = binary.BigEndian.AppendUint16(key, uint16(sh.Index))
 	}
-	key = binary.BigEndian.AppendUint16(key, uint16(i))
-	return pk.cc.lag.Get(string(key), func() *big.Int { return integerLagrange(subset, i, d) })
+	return pk.cc.folds.Get(string(key), func() *fold { return pk.newFold(subset) })
 }
 
 // ShareVerifier amortizes share verification for one message: the

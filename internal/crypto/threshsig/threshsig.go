@@ -257,22 +257,30 @@ func (pk *PublicKey) VerifyShare(msg []byte, sh *SigShare) error {
 	return pk.Verifier(msg).Verify(sh)
 }
 
+var (
+	errBadIndex   = errors.New("threshsig: bad share index")
+	errShareRange = errors.New("threshsig: share value out of range")
+	errNoProof    = errors.New("threshsig: missing share proof")
+	errNegProof   = errors.New("threshsig: negative share proof")
+)
+
 // checkShareShape performs the cheap structural checks shared by
-// VerifyShare and ShareVerifier.
+// VerifyShare, ShareVerifier and the signature memo (combined), which
+// runs them on every share Combine is given.
 func checkShareShape(pk *PublicKey, sh *SigShare) error {
 	if sh == nil || sh.Index < 1 || sh.Index > pk.L {
-		return errors.New("threshsig: bad share index")
+		return errBadIndex
 	}
 	if sh.X == nil || sh.X.Sign() <= 0 || sh.X.Cmp(pk.N) >= 0 {
-		return errors.New("threshsig: share value out of range")
+		return errShareRange
 	}
 	if sh.C == nil || sh.Z == nil {
-		return errors.New("threshsig: missing share proof")
+		return errNoProof
 	}
 	// An honest proof is a hash and a sum of non-negative terms. (The
 	// verdict memo keys on magnitudes, so a sign must not reach it.)
 	if sh.C.Sign() < 0 || sh.Z.Sign() < 0 {
-		return errors.New("threshsig: negative share proof")
+		return errNegProof
 	}
 	return nil
 }
@@ -318,9 +326,17 @@ func (pk *PublicKey) verifyShareFull(ctx *msgCtx, sh *SigShare) error {
 
 // Combine assembles k shares into a standard RSA signature on msg. The
 // shares need not have been verified (VerifyShare), nor carry their proofs:
-// Combine reads each share's index and X, checks the result with Verify and
-// reports an error if the combination does not verify, which catches any
-// bad share among them.
+// Combine reads each share's index and X, checks the result as Verify does
+// and reports an error if the combination does not verify, which catches
+// any bad share among them.
+//
+// With w = prod x_i^{2*lambda_i}, where lambda_i are integer Lagrange
+// coefficients scaled by delta, w^e = x^{4*delta^2}; since gcd(e,
+// 4*delta^2) = 1 (e prime > l), extended Euclid gives a, b with a*e +
+// b*4*delta^2 = 1, and sigma = x^a * w^b satisfies sigma^e = x. Combine
+// raises that as one product of k+1 powers, sigma = x^a * prod
+// x_i^{2*lambda_i*b} (foldFor), and checks sigma^e = x before it is
+// recombined (root).
 func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error) {
 	if len(shares) < pk.K {
 		return nil, fmt.Errorf("threshsig: need %d shares, have %d", pk.K, len(shares))
@@ -337,46 +353,39 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 	if sig, hit := pk.combined(digest, use); hit {
 		return sig, nil
 	}
-	x := pk.ctxFor(msg).x
-	d := pk.deltaL()
-
-	// w = prod x_i^{2 * lambda_i} where lambda_i are integer Lagrange
-	// coefficients scaled by delta: lambda_i = delta * prod_{j!=i} j'/(j'-i').
-	w := big.NewInt(1)
+	var stack [8]base
+	bases := stack[:0]
 	for _, sh := range use {
-		lam := pk.lagrangeFor(use, sh.Index, d)
-		// 2 * lambda may be negative: an inverse power, for which the
+		// An exponent may be negative: an inverse power, for which the
 		// share must be a unit mod N. Every share is held to that — an
 		// honest x_i is a power of H(msg) — so a degenerate one is named
-		// here and not by the final verification.
+		// here and not by the final check.
 		xi := pk.oneShot(sh.X)
 		if !pk.isUnit(xi) {
 			return nil, errors.New("threshsig: non-invertible share")
 		}
-		t := pk.pow(xi, new(big.Int).Lsh(lam, 1))
-		w.Mul(w, t)
-		w.Mod(w, pk.N)
+		bases = append(bases, xi)
 	}
-	// w^e = x^{4*delta^2}; since gcd(e, 4*delta^2) = 1 (e prime > l),
-	// extended Euclid gives a, b with a*e + b*4*delta^2 = 1 and
-	// sigma = w^b * x^a satisfies sigma^e = x.
-	a, b, ok := pk.combineExponents()
-	if !ok {
+	f := pk.foldFor(use)
+	if f == nil {
 		return nil, errors.New("threshsig: exponent not coprime to 4*delta^2")
 	}
-	sigma := pk.mulPow(pk.oneShot(x), a, pk.oneShot(w), b)
-	if sigma == nil {
+	x := pk.ctxFor(msg).xb
+	if f.negA && !pk.isUnit(x) {
 		return nil, errors.New("threshsig: non-invertible message hash")
 	}
-	sig := &Signature{S: sigma}
-	if err := pk.Verify(msg, sig); err != nil {
-		return nil, fmt.Errorf("threshsig: combination failed (bad share among inputs): %w", err)
+	bases = append(bases, x)
+	sigma := pk.root(bases, f)
+	if sigma == nil {
+		return nil, fmt.Errorf("threshsig: combination failed (bad share among inputs): %w", errVerify)
 	}
 	if pk.cc != nil {
 		pk.cc.sigs.Get(digest, func() *big.Int { return new(big.Int).Set(sigma) })
 	}
-	return sig, nil
+	return &Signature{S: sigma}, nil
 }
+
+var errVerify = errors.New("threshsig: verification failed")
 
 // Verify checks a combined signature with a single RSA verification.
 func (pk *PublicKey) Verify(msg []byte, sig *Signature) error {
@@ -386,7 +395,7 @@ func (pk *PublicKey) Verify(msg []byte, sig *Signature) error {
 	x := pk.ctxFor(msg).x
 	got := pk.exp(sig.S, pk.E)
 	if got.Cmp(x) != 0 {
-		return errors.New("threshsig: verification failed")
+		return errVerify
 	}
 	return nil
 }
@@ -408,6 +417,101 @@ func integerLagrange(subset []*SigShare, i int, d *big.Int) *big.Int {
 	}
 	out := new(big.Int).Quo(num, den)
 	return out
+}
+
+// fold is the exponents of one subset's combination, sigma = x^a * prod
+// x_i^{2*lambda_i*b}, over Combine's bases — the subset's shares in order,
+// then x — split by sign into a numerator and a denominator.
+type fold struct {
+	num, den powers
+	negA     bool // a < 0: x is in the denominator
+}
+
+// powers is one side of a fold: bases by position, with the magnitudes of
+// their exponents.
+type powers struct {
+	at  []int
+	exp []*big.Int
+}
+
+// newFold returns subset's fold, or nil when e and 4*delta^2 are not
+// coprime.
+func (pk *PublicKey) newFold(subset []*SigShare) *fold {
+	a, b, ok := pk.combineExponents()
+	if !ok {
+		return nil
+	}
+	f := &fold{negA: a.Sign() < 0}
+	d := pk.deltaL()
+	for i, sh := range subset {
+		lam := integerLagrange(subset, sh.Index, d)
+		f.add(i, lam.Mul(lam.Lsh(lam, 1), b))
+	}
+	f.add(len(subset), new(big.Int).Set(a))
+	return f
+}
+
+// add puts base i's exponent e on the side its sign picks; e is taken.
+func (f *fold) add(i int, e *big.Int) {
+	side := &f.num
+	if e.Sign() < 0 {
+		side = &f.den
+		e.Neg(e)
+	}
+	side.at = append(side.at, i)
+	side.exp = append(side.exp, e)
+}
+
+// raise returns the fold's product over xs mod n: each side on one
+// squaring chain of mod, or by big.Int.Exp when mod is nil, and the
+// denominator inverted once. Every base of the denominator must be a unit
+// mod n.
+func (f *fold) raise(mod *mont.Modulus, n *big.Int, xs []*big.Int) *big.Int {
+	num := f.num.raise(mod, n, xs)
+	if len(f.den.at) == 0 {
+		return num
+	}
+	den := f.den.raise(mod, n, xs)
+	num.Mul(num, den.ModInverse(den, n))
+	return num.Mod(num, n)
+}
+
+// raise returns the side's product over xs mod n.
+func (p *powers) raise(mod *mont.Modulus, n *big.Int, xs []*big.Int) *big.Int {
+	var stack [8]*big.Int
+	bs := stack[:0]
+	for _, at := range p.at {
+		bs = append(bs, xs[at])
+	}
+	if mod != nil {
+		return mod.MulExp(bs, p.exp)
+	}
+	z := big.NewInt(1)
+	for i, b := range bs {
+		z.Mul(z, new(big.Int).Exp(b, p.exp[i], n))
+		z.Mod(z, n)
+	}
+	return z
+}
+
+// root returns the fold's product over bases — the subset's shares, then
+// x — when its e-th power is x, and nil otherwise. A key that knows its
+// primes does both in each CRT half (accel.root); by the CRT, sigma^e = x
+// mod N exactly when it holds mod p and mod q, so this is Verify's check.
+func (pk *PublicKey) root(bases []base, f *fold) *big.Int {
+	if pk.acc != nil {
+		return pk.acc.root(bases, f, pk.E)
+	}
+	var stack [8]*big.Int
+	xs := stack[:0]
+	for _, b := range bases {
+		xs = append(xs, b.v)
+	}
+	s := f.raise(nil, pk.N, xs)
+	if new(big.Int).Exp(s, pk.E, pk.N).Cmp(xs[len(xs)-1]) != 0 {
+		return nil
+	}
+	return s
 }
 
 // mulPow computes x^a * w^b mod N. A negative exponent is an inverse
