@@ -60,7 +60,7 @@ wbft -topology clustered -workload chain -epochs 4 -arrival poisson -rate 0.05
 wbft chain -epochs 6 -scenario "mobility@0s:20,900"
 wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@30s:1m,30s"
 # What the README's list leaves out: the fourth engine, the heavy parameter
-# set, the delay adversary, -gclag, the Report's JSON writer, an Alea
+# set, the delay adversary, the Report's JSON writer, an Alea
 # node that crashes after proposing and re-proposes its logged value, and
 # a full stop (two of four nodes down at once) whose reborn nodes climb an
 # agreement the survivors left undecided through a threshold-coin round,
@@ -72,8 +72,8 @@ wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@30s:1m,30s"
 # (seed 10 of 1–12 here, since a packet is stale only against a newer one
 # of its epoch).
 wbft -protocol alea -coin SC -heavy -epochs 1 -scenario "delay:0.25,10s"
-wbft chain -protocol alea -epochs 6 -gclag 6 -scenario "crash@2m:2;recover@4m:2" -json report.json
-wbft chain -protocol alea -baseline -epochs 5 -txinterval 1s -gclag 5 -seed 10 -scenario "delay:0.25,10s;crash@1m:1;crash@1m:2;recover@2m:1;recover@2m:2"
+wbft chain -protocol alea -epochs 6 -scenario "crash@2m:2;recover@4m:2" -json report.json
+wbft chain -protocol alea -baseline -epochs 5 -txinterval 1s -seed 10 -scenario "delay:0.25,10s;crash@1m:1;crash@1m:2;recover@2m:1;recover@2m:2"
 
 # The benchmark's core rigs (benchmark/layers.go) are the one entry point that
 # runs core.New, Transport.BindStation and Transport.ReceiveFrame — a

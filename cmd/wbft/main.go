@@ -108,7 +108,6 @@ func main() {
 		txsize     = fs.Int("txsize", 64, "bytes per transaction")
 		depth      = fs.Int("depth", 2, "chain: pipeline depth (concurrent epochs)")
 		txinterval = fs.Duration("txinterval", 4*time.Second, "chain: gap of the fixed client arrival process")
-		gclag      = fs.Int("gclag", 0, "chain: epochs kept behind the frontier for repairs (0 = engine default)")
 
 		arrival    = fs.String("arrival", "", "chain: client arrival process, poisson | onoff ('' = one arrival every -txinterval)")
 		rate       = fs.Float64("rate", 0.02, "chain: aggregate offered rate in tx/s (with -arrival)")
@@ -153,7 +152,6 @@ func main() {
 		spec.Workload.Window = *depth
 		spec.Workload.TxSize = *txsize
 		spec.Workload.TxInterval = *txinterval
-		spec.Workload.GCLag = *gclag
 		spec.Workload.Mempool.MaxPendingBytes = *mempoolCap
 		if *arrival != "" {
 			spec.Workload.Arrival = traffic.Pattern{

@@ -32,7 +32,6 @@ func main() {
 func runBehavior(behavior string) {
 	spec := run.Defaults(protocol.HoneyBadger, protocol.CoinSig)
 	spec.Workload = run.Chain(4)
-	spec.Workload.GCLag = spec.Workload.Epochs
 	spec.Seed = 7
 	spec.Scenario = scenario.Byz(behavior, 3)
 

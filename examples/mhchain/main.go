@@ -33,7 +33,6 @@ func main() {
 	spec.Topology = run.Clustered(4, 4)
 	spec.Workload = run.Chain(5)
 	spec.Workload.TxInterval = 2 * time.Second
-	spec.Workload.GCLag = spec.Workload.Epochs // peers hold the outage's epochs
 	spec.Seed = 3
 	spec.Scenario = scenario.Byz(byz.NameForgeCut, 15).Then( // cluster 3's seat forges cuts
 		scenario.CrashAt(3*time.Minute, 0),   // cluster 0's epoch-0 relay leader

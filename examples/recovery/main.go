@@ -21,9 +21,6 @@ func main() {
 	spec := run.Defaults(protocol.HoneyBadger, protocol.CoinSig)
 	spec.Workload = run.Chain(14)
 	spec.Seed = 42
-	// Peers serve catch-up repairs only for epochs their GC hasn't closed:
-	// keep the window as long as the planned outage.
-	spec.Workload.GCLag = spec.Workload.Epochs
 	spec.Scenario = scenario.Plan{}.Then(
 		scenario.CrashAt(4*time.Minute, 2),   // ~epoch 5 at the default cadence
 		scenario.RecoverAt(8*time.Minute, 2), // ~epoch 10

@@ -21,7 +21,6 @@ import (
 func runRate(rate float64) *run.Report {
 	spec := run.Defaults(protocol.HoneyBadger, protocol.CoinSig)
 	spec.Workload = run.Chain(4)
-	spec.Workload.GCLag = 4
 	spec.Workload.Arrival = traffic.Pattern{
 		Kind:    traffic.Poisson,
 		Rate:    rate,

@@ -45,7 +45,6 @@ func aleaScenarioAxis() sweep.Axis[run.Spec] {
 // HonestSafe=false) rather than aborting.
 func aleaRows(ctx *Context) ([]AleaPoint, error) {
 	base := chainBase(ctx)
-	base.Workload.GCLag = ctx.ChainEpochs // full logs survive for the provenance audit
 	grid := sweep.Grid[run.Spec]{
 		Base: base,
 		Axes: []sweep.Axis[run.Spec]{

@@ -45,7 +45,6 @@ var byzBehaviors = []string{byz.NameEquivocate, byz.NameFlipVotes, byz.NameGarba
 // Error or HonestSafe=false rather than aborting the sweep.
 func byzRows(ctx *Context) ([]ByzPoint, error) {
 	base := chainBase(ctx)
-	base.Workload.GCLag = ctx.ChainEpochs // comparable with the fault sweep
 	grid := sweep.Grid[run.Spec]{
 		Base: base,
 		Axes: []sweep.Axis[run.Spec]{

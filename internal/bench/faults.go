@@ -57,10 +57,6 @@ var faultScenarios = []faultScenario{
 // fault" is itself the measurement.
 func faultRows(ctx *Context) ([]FaultPoint, error) {
 	base := chainBase(ctx)
-	// Recovery catch-up needs peers to keep the missing epochs alive; give
-	// every run the same (generous) GC window so the scenarios stay
-	// comparable.
-	base.Workload.GCLag = ctx.ChainEpochs
 	grid := sweep.Grid[run.Spec]{
 		Base: base,
 		Axes: []sweep.Axis[run.Spec]{

@@ -63,7 +63,6 @@ func forgeAxis() sweep.Axis[run.Spec] {
 		{Label: "forge-failover", Apply: func(s *run.Spec) {
 			s.Scenario = scenario.Byz(byz.NameForgeCut, victim(s)).
 				Then(scenario.CrashAt(1*time.Minute, 0), scenario.RecoverAt(2*time.Minute, 0))
-			s.Workload.GCLag = s.Workload.Epochs // recovery must out-span the outage
 		}},
 	}}
 }

@@ -71,7 +71,6 @@ func trafficPatternAxis() sweep.Axis[run.Spec] {
 // Rows record failures (Error / HonestSafe=false) rather than aborting.
 func trafficRows(ctx *Context) ([]TrafficPoint, error) {
 	base := chainBase(ctx)
-	base.Workload.GCLag = ctx.ChainEpochs // full logs survive for the provenance audit
 	base.Workload.Mempool.MaxPendingBytes = 2048
 	grid := sweep.Grid[run.Spec]{
 		Base: base,

@@ -29,14 +29,13 @@ type ChainConfig struct {
 	Batched  bool
 	Encrypt  bool
 	// Window is the pipeline depth: how many epochs may run concurrently.
-	// 1 reproduces strictly sequential epochs.
+	// 1 reproduces strictly sequential epochs. It also sets the epoch GC's
+	// lag (Chain.collect): an epoch's transport is kept alive Window + 2
+	// epochs behind the commit frontier, at the least, to serve NACK
+	// repairs to lagging peers; past that, the epoch closes once every
+	// peer's frontier is past it too, or gcHold lags behind the frontier
+	// whatever the peers show. At most MaxWindow.
 	Window int
-	// GCLag is how many epochs behind the commit frontier an epoch's
-	// transport is kept alive, at the least, to serve NACK repairs to
-	// lagging peers; past it, the epoch closes once every peer's frontier
-	// is past it too, or gcHold GCLags behind the frontier whatever the
-	// peers show. It must be at least Window; zero picks Window + 2.
-	GCLag int
 	// MaxEpochs stops the engine from starting epochs >= this (0 = no cap).
 	MaxEpochs int
 	Mempool   MempoolConfig
@@ -44,7 +43,7 @@ type ChainConfig struct {
 	// ready to cut, wait for a proposal instead of putting up an empty
 	// batch: the epoch receives and votes, and this node's proposal goes
 	// out once the pool is Ready (lowest held epoch first) or once the
-	// pool's MaxTxAge has passed since the join. For a pool whose empty
+	// pool's maxTxAge has passed since the join. For a pool whose empty
 	// batch carries nothing the others lack and only displaces a fuller
 	// one in the fastest-2f+1 race: the clustered deployment's seats.
 	HoldEmpty bool
@@ -67,14 +66,22 @@ type chainEpoch struct {
 	hold *sim.Event
 }
 
-// gcHold bounds, in GCLags behind the commit frontier, how long the epoch
-// GC waits on a peer whose frontier is not past an epoch: a dead peer, or
-// one that lies about its epochs, can hold an epoch open only that long.
-// An outage is recoverable only while the peers commit fewer epochs than
-// that during it, so the bound is a count of epochs sized against time: at
-// the default GCLag (4) it holds 32 epochs, enough for a ten-minute outage
-// at an epoch every ~20 s (Alea-SC under churn commits one every ~29 s).
+// gcHold bounds, in GC lags (Window + 2 epochs) behind the commit
+// frontier, how long the epoch GC waits on a peer whose frontier is not
+// past an epoch: a dead peer, or one that lies about its epochs, can hold
+// an epoch open only that long. An outage is recoverable only while the
+// peers commit fewer epochs than that during it, so the bound is a count
+// of epochs sized against time: at depth 2 it holds 32 epochs, enough for
+// a ten-minute outage at an epoch every ~20 s (Alea-SC under churn commits
+// one every ~29 s).
 const gcHold = 8
+
+// MaxWindow is the deepest pipeline the commit step's dedup covers: a
+// transaction committed in epoch e can still sit in a proposal cut for an
+// epoch up to e + Window - 1, and the commits of epochs e+1 through
+// e + dedupHorizon still check its digest (commit runs Mempool.GC after
+// its dedup).
+const MaxWindow = dedupHorizon + 1
 
 // Chain is one node's replicated-log engine.
 type Chain struct {
@@ -138,12 +145,6 @@ type Chain struct {
 func NewChain(env component.Env, mux *core.Mux, cfg ChainConfig) *Chain {
 	if cfg.Window <= 0 {
 		cfg.Window = 1
-	}
-	if cfg.GCLag <= 0 {
-		cfg.GCLag = cfg.Window + 2
-	}
-	if cfg.GCLag < cfg.Window {
-		cfg.GCLag = cfg.Window
 	}
 	if cfg.Mempool.Shards == 0 {
 		cfg.Mempool.Shard, cfg.Mempool.Shards = env.Me, env.N
@@ -246,7 +247,7 @@ func (c *Chain) Crash() {
 // core.Mux.OnUnknownEpoch exists for: frames from epochs the peers are
 // already driving pull the recovered node forward as fast as the pipeline
 // window allows. Peers must still hold the frontier epochs: their GC waits
-// for this node's frames to show it past an epoch, for up to gcHold GCLags.
+// for this node's frames to show it past an epoch, for up to gcHold lags.
 func (c *Chain) Recover() {
 	c.nextStart = c.nextCommit
 	c.peerMax = -1 // re-learn the peers' frontier from their frames
@@ -340,7 +341,7 @@ func (c *Chain) startEpoch(e int) {
 	case len(env.Led) > 0:
 		ep.inst.Start(nil)
 	case c.cfg.HoldEmpty && !c.mempool.Ready(now):
-		ep.hold = c.env.Sched.At(now+c.mempool.cfg.MaxTxAge, func() { c.propose(e, ep) })
+		ep.hold = c.env.Sched.At(now+maxTxAge, func() { c.propose(e, ep) })
 	default:
 		c.propose(e, ep)
 	}
@@ -380,15 +381,16 @@ func (c *Chain) onDecide(e int) {
 	c.advance()
 }
 
-// collect is the epoch GC: an epoch GCLag behind the commit frontier stops
-// serving NACK repairs and is discarded once every peer's frontier is past
-// it — a peer still in it, or one that crashed in it and will resume
-// there, needs this node's state to finish — and gcHold GCLags behind the
-// frontier regardless. Epochs close in order.
+// collect is the epoch GC: an epoch a lag of Window + 2 behind the commit
+// frontier stops serving NACK repairs and is discarded once every peer's
+// frontier is past it — a peer still in it, or one that crashed in it and
+// will resume there, needs this node's state to finish — and gcHold lags
+// behind the frontier regardless. Epochs close in order.
 func (c *Chain) collect() {
-	for ; c.nextClose < c.nextCommit-c.cfg.GCLag; c.nextClose++ {
+	lag := c.cfg.Window + 2
+	for ; c.nextClose < c.nextCommit-lag; c.nextClose++ {
 		e := c.nextClose
-		if e >= c.nextCommit-gcHold*c.cfg.GCLag && !c.peersPast(e) {
+		if e >= c.nextCommit-gcHold*lag && !c.peersPast(e) {
 			return
 		}
 		c.mux.Close(uint16(e))

@@ -11,16 +11,20 @@ import (
 	"repro/internal/wireless"
 )
 
-// gcNet is four chains, one epoch at a time and GCLag 1, so an epoch may
-// close one commit after its own and must close gcHold commits after it;
-// a client hands every node that is up a transaction every two seconds.
+// gcNet is four chains, one epoch at a time, so the GC lag is 3: an epoch
+// may close gcLag commits after its own and must close gcHold lags after
+// it; a client hands every node that is up a transaction every two seconds.
 type gcNet struct {
 	sched  *sim.Scheduler
 	nodes  []*node.Node
 	chains []*Chain
 }
 
-const gcLag = 1
+// gcWindow is gcNet's pipeline depth and gcLag the GC lag it sets.
+const (
+	gcWindow = 1
+	gcLag    = gcWindow + 2
+)
 
 func newGCNet(t *testing.T, seed int64) *gcNet {
 	t.Helper()
@@ -32,7 +36,7 @@ func newGCNet(t *testing.T, seed int64) *gcNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ChainConfig{Protocol: HoneyBadger, Coin: CoinSig, Batched: true, Window: 1, GCLag: gcLag}
+	cfg := ChainConfig{Protocol: HoneyBadger, Coin: CoinSig, Batched: true, Window: gcWindow}
 	for i := range suites {
 		nd := node.New(g.sched, ch, wireless.NodeID(i), suites[i], node.Config{Batched: true, Seed: seed})
 		g.nodes = append(g.nodes, nd)
@@ -70,10 +74,11 @@ func (g *gcNet) until(t *testing.T, what string, done func() bool) {
 func (g *gcNet) open(i, e int) bool { return g.nodes[i].Mux().Lookup(uint16(e)) != nil }
 
 // TestGCWaitsForPeersFrontiers: node 3 crashes; the epoch it was working on
-// stays open at the survivors while they commit past it — past GCLag — and
-// serves node 3's catch-up when it comes back. Once node 3's frames show it
-// past the epoch, the next commit closes it. Crashed for good instead, node
-// 3 holds the epoch open only gcHold GCLags behind the frontier.
+// stays open at the survivors while they commit past it — past the GC lag —
+// and serves node 3's catch-up when it comes back. Once node 3's frames
+// show it past the epoch, the next commit closes it. Crashed for good
+// instead, node 3 holds the epoch open only gcHold lags behind the
+// frontier.
 func TestGCWaitsForPeersFrontiers(t *testing.T) {
 	for _, recovers := range []bool{true, false} {
 		name := map[bool]string{true: "peer-recovers", false: "peer-stays-down"}[recovers]
@@ -86,7 +91,7 @@ func TestGCWaitsForPeersFrontiers(t *testing.T) {
 			g.nodes[3].Crash()
 			g.chains[3].Crash()
 			needed := g.chains[3].CommittedEpochs()
-			// The survivors commit past the needed epoch by more than GCLag.
+			// The survivors commit past the needed epoch by more than the lag.
 			g.until(t, "survivors move on", func() bool { return g.chains[0].CommittedEpochs() > needed+gcLag+1 })
 			for i := 0; i < 3; i++ {
 				if !g.open(i, needed) {

@@ -31,7 +31,7 @@ type holdNet struct {
 	drop func(i, e int) bool
 }
 
-func newHoldNet(t *testing.T, seed int64, window int, maxAge time.Duration) *holdNet {
+func newHoldNet(t *testing.T, seed int64, window int) *holdNet {
 	t.Helper()
 	net := wireless.DefaultConfig()
 	net.LossProb = 0
@@ -42,7 +42,7 @@ func newHoldNet(t *testing.T, seed int64, window int, maxAge time.Duration) *hol
 		t.Fatal(err)
 	}
 	cfg := ChainConfig{Protocol: HoneyBadger, Coin: CoinSig, Batched: true, Window: window, HoldEmpty: true,
-		Mempool: MempoolConfig{TargetBatchBytes: 64, MaxBatchBytes: 64, MaxTxAge: maxAge, Shards: 1}}
+		Mempool: MempoolConfig{TargetBatchBytes: 64, MaxBatchBytes: 64, Shards: 1}}
 	for i := range suites {
 		nd := node.New(g.sched, ch, wireless.NodeID(i), suites[i], node.Config{Batched: true, Seed: seed})
 		c := NewChain(*nd.Env(4, 1), nd.Mux(), cfg)
@@ -104,15 +104,15 @@ func (g *holdNet) hasTx(e int, tx []byte) bool {
 // TestChainHoldsEmptyProposal: a chain under HoldEmpty that joins an epoch
 // on a peer's frame, with nothing in its pool, proposes nothing until a
 // transaction is submitted to it, a cut it lost in an earlier epoch is
-// requeued at that epoch's commit, or its pool's MaxTxAge has passed since
+// requeued at that epoch's commit, or its pool's maxTxAge has passed since
 // it joined; the epoch's instance votes meanwhile. A crashed chain's hold
 // never proposes.
 func TestChainHoldsEmptyProposal(t *testing.T) {
-	const age = 20 * time.Second
+	const age = maxTxAge
 	tx := func(seq int) []byte { return MakeClientTx(seq, 64) }
 
 	t.Run("submit-and-age", func(t *testing.T) {
-		g := newHoldNet(t, 1, 1, age)
+		g := newHoldNet(t, 1, 1)
 		g.chains[0].Submit(tx(0))
 		g.until(t, "every node opens epoch 0", func() bool {
 			return len(g.opened[1]) > 0 && len(g.opened[2]) > 0 && len(g.opened[3]) > 0
@@ -139,7 +139,7 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 		})
 		for i := 2; i < 4; i++ {
 			if want := g.opened[i][0] + age; g.proposed[i][0] != want {
-				t.Errorf("node %d proposed at %v, want its join %v plus MaxTxAge", i, g.proposed[i][0], g.opened[i][0])
+				t.Errorf("node %d proposed at %v, want its join %v plus maxTxAge", i, g.proposed[i][0], g.opened[i][0])
 			}
 		}
 		if !g.hasTx(0, tx(0)) || !g.hasTx(0, tx(1)) || len(g.chains[0].Log()[0].Txs) != 2 {
@@ -156,7 +156,7 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 		// it loses epoch 0 and returns to node 3's pool at the commit.
 		// Epoch 1 holds at nodes 2 and 3, and cannot decide without node 3
 		// or node 2's proposal: the hold's own deadline is an hour off.
-		g := newHoldNet(t, 1, 2, time.Hour)
+		g := newHoldNet(t, 1, 2)
 		g.drop = func(i, e int) bool { return i == 3 && e == 0 }
 		for i, c := range g.chains {
 			c.Submit(tx(10 * i))
@@ -191,7 +191,7 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 	})
 
 	t.Run("crash", func(t *testing.T) {
-		g := newHoldNet(t, 1, 1, age)
+		g := newHoldNet(t, 1, 1)
 		g.chains[0].Submit(tx(0))
 		g.until(t, "node 2 opens epoch 0", func() bool { return len(g.opened[2]) > 0 })
 		g.nodes[2].Crash()
@@ -205,7 +205,7 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 		}
 		for _, i := range []int{1, 3} {
 			if want := g.opened[i][0] + age; g.proposed[i][0] != want {
-				t.Errorf("node %d proposed at %v, want its join %v plus MaxTxAge", i, g.proposed[i][0], g.opened[i][0])
+				t.Errorf("node %d proposed at %v, want its join %v plus maxTxAge", i, g.proposed[i][0], g.opened[i][0])
 			}
 		}
 	})

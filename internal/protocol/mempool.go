@@ -17,31 +17,38 @@ func txDigest(tx []byte) txKey {
 	return k
 }
 
-// MempoolConfig tunes the proposal-cut policy and the dedup horizon.
+// The cut policy's ages and the dedup horizon, for the paper's 64-byte
+// transactions on the LoRa-class channel.
+const (
+	// maxTxAge makes the pool ready once its oldest pending transaction has
+	// waited this long, so light traffic still commits promptly: the age
+	// half of the cut policy. It also bounds how long a HoldEmpty chain
+	// holds an epoch's proposal (ChainConfig.HoldEmpty).
+	maxTxAge = 20 * time.Second
+	// dedupHorizon is how many epochs committed digests are remembered
+	// for. It bounds the pipeline window (MaxWindow): a transaction
+	// committed in epoch e can reappear in the in-flight proposals of
+	// epochs up to e + Window - 1.
+	dedupHorizon = 16
+	// reproposeAge is the crash fallback of sharding: a transaction
+	// unproposed for that long becomes fair game for every node
+	// (commit-time dedup absorbs the resulting overlap).
+	reproposeAge = 5 * time.Minute
+)
+
+// MempoolConfig tunes the proposal-cut policy.
 type MempoolConfig struct {
 	// TargetBatchBytes makes the pool "ready" as soon as this many payload
 	// bytes are pending: the size half of the cut policy.
 	TargetBatchBytes int
 	// MaxBatchBytes caps one proposal; Cut never exceeds it.
 	MaxBatchBytes int
-	// MaxTxAge makes the pool ready once its oldest pending transaction has
-	// waited this long, so light traffic still commits promptly: the age
-	// half of the cut policy. It also bounds how long a HoldEmpty chain
-	// holds an epoch's proposal (ChainConfig.HoldEmpty).
-	MaxTxAge time.Duration
-	// DedupHorizon is how many epochs committed digests are remembered for.
-	// It must exceed the pipeline window: a transaction committed in epoch
-	// e can reappear in the in-flight proposals of epochs up to e+window.
-	DedupHorizon int
 	// Shard/Shards partition proposals across nodes: with Shards = N, this
 	// node's cuts prefer transactions whose digest maps to Shard, so the N
 	// broadcast mempools contribute mostly disjoint batches and the epoch's
 	// union carries ~N distinct batches instead of N copies of one.
-	// Shards <= 1 disables sharding. ReproposeAge is the crash fallback:
-	// a transaction unproposed for that long becomes fair game for every
-	// node (commit-time dedup absorbs the resulting overlap).
+	// Shards <= 1 disables sharding.
 	Shard, Shards int
-	ReproposeAge  time.Duration
 	// MaxPendingBytes is the admission-control cap on the pool's total
 	// payload bytes, pending plus in-flight: an Add that would push the
 	// pool past it is rejected (and counted, see RejectedFull) instead of
@@ -52,15 +59,12 @@ type MempoolConfig struct {
 	MaxPendingBytes int
 }
 
-// DefaultMempoolConfig sizes the policy for the paper's 64-byte
+// DefaultMempoolConfig sizes the batch caps for the paper's 64-byte
 // transactions on the LoRa-class channel.
 func DefaultMempoolConfig() MempoolConfig {
 	return MempoolConfig{
 		TargetBatchBytes: 256,
 		MaxBatchBytes:    512,
-		MaxTxAge:         20 * time.Second,
-		DedupHorizon:     16,
-		ReproposeAge:     5 * time.Minute,
 	}
 }
 
@@ -110,15 +114,6 @@ func (cfg MempoolConfig) WithDefaults() MempoolConfig {
 	}
 	if cfg.MaxBatchBytes <= 0 {
 		cfg.MaxBatchBytes = def.MaxBatchBytes
-	}
-	if cfg.MaxTxAge <= 0 {
-		cfg.MaxTxAge = def.MaxTxAge
-	}
-	if cfg.DedupHorizon <= 0 {
-		cfg.DedupHorizon = def.DedupHorizon
-	}
-	if cfg.ReproposeAge <= 0 {
-		cfg.ReproposeAge = def.ReproposeAge
 	}
 	return cfg
 }
@@ -182,13 +177,13 @@ func (m *Mempool) proposable(e *mtx, now time.Duration) bool {
 	if e.inflight >= 0 {
 		return false
 	}
-	return m.assigned(e.key) || now-e.enq >= m.cfg.ReproposeAge
+	return m.assigned(e.key) || now-e.enq >= reproposeAge
 }
 
 // Ready reports whether the cut policy would produce a proposal now:
 // either TargetBatchBytes of assigned payload is pending, or the oldest
-// assigned transaction has exceeded MaxTxAge, or an unassigned one has
-// exceeded ReproposeAge.
+// assigned transaction has exceeded maxTxAge, or an unassigned one has
+// exceeded reproposeAge.
 func (m *Mempool) Ready(now time.Duration) bool {
 	if m.pendingMine >= m.cfg.TargetBatchBytes {
 		return true
@@ -217,12 +212,12 @@ func (m *Mempool) AgeDeadline() (at time.Duration, ok bool) {
 		if (mine && sawMine) || (!mine && sawOther) {
 			continue
 		}
-		d := e.enq + m.cfg.MaxTxAge
+		d := e.enq + maxTxAge
 		if mine {
 			sawMine = true
 		} else {
 			sawOther = true
-			d = e.enq + m.cfg.ReproposeAge
+			d = e.enq + reproposeAge
 		}
 		if !ok || d < at {
 			at, ok = d, true
@@ -318,7 +313,7 @@ func (m *Mempool) Requeue(epoch int) {
 // proportional to traffic within the window rather than the chain's life.
 func (m *Mempool) GC(commitEpoch int) {
 	for k, e := range m.committed {
-		if e+m.cfg.DedupHorizon <= commitEpoch {
+		if e+dedupHorizon <= commitEpoch {
 			delete(m.committed, k)
 		}
 	}

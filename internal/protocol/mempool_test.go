@@ -8,7 +8,7 @@ import (
 // --- Mempool unit tests -------------------------------------------------
 
 func TestMempoolDedupAndPolicy(t *testing.T) {
-	cfg := MempoolConfig{TargetBatchBytes: 100, MaxBatchBytes: 120, MaxTxAge: 10 * time.Second, DedupHorizon: 2}
+	cfg := MempoolConfig{TargetBatchBytes: 100, MaxBatchBytes: 120}
 	m := NewMempool(cfg)
 	tx := func(b byte) []byte { tx := make([]byte, 40); tx[0] = b; return tx }
 
@@ -21,8 +21,8 @@ func TestMempoolDedupAndPolicy(t *testing.T) {
 	if m.Ready(2 * time.Second) {
 		t.Error("ready below size target and age limit")
 	}
-	if !m.Ready(10 * time.Second) {
-		t.Error("not ready past MaxTxAge")
+	if !m.Ready(maxTxAge) {
+		t.Error("not ready past maxTxAge")
 	}
 	m.Add(tx(3), 2*time.Second)
 	if !m.Ready(3 * time.Second) {
@@ -58,7 +58,6 @@ func TestMempoolDedupAndPolicy(t *testing.T) {
 func TestMempoolSharding(t *testing.T) {
 	cfg := MempoolConfig{
 		TargetBatchBytes: 40, MaxBatchBytes: 400,
-		MaxTxAge: 10 * time.Second, ReproposeAge: time.Minute,
 		Shard: 0, Shards: 2,
 	}
 	m := NewMempool(cfg)
@@ -91,25 +90,24 @@ func TestMempoolSharding(t *testing.T) {
 	cut := m.Cut(0, 5*time.Second)
 	for _, tx := range cut {
 		if int(txDigest(tx)[0])%2 != 0 {
-			t.Fatalf("cut took unassigned tx %v before ReproposeAge", tx)
+			t.Fatalf("cut took unassigned tx %v before reproposeAge", tx)
 		}
 	}
 	if len(cut) != 4 {
 		t.Fatalf("cut %d assigned txs, want 4", len(cut))
 	}
-	// Past ReproposeAge the crash fallback opens the rest to everyone.
-	if got := m.Cut(1, 2*time.Minute); len(got) != 4 {
+	// Past reproposeAge the crash fallback opens the rest to everyone.
+	if got := m.Cut(1, reproposeAge); len(got) != 4 {
 		t.Fatalf("fallback cut %d txs, want 4 unassigned", len(got))
 	}
 }
 
 func TestMempoolReproposeAgeFallback(t *testing.T) {
 	// A transaction assigned to another shard is untouchable until
-	// ReproposeAge, then becomes proposable by everyone — the crash
+	// reproposeAge, then becomes proposable by everyone — the crash
 	// fallback that keeps a dead shard's traffic from queueing forever.
 	cfg := MempoolConfig{
 		TargetBatchBytes: 40, MaxBatchBytes: 400,
-		MaxTxAge: 10 * time.Second, ReproposeAge: time.Minute,
 		Shard: 0, Shards: 2,
 	}
 	m := NewMempool(cfg)
@@ -124,20 +122,20 @@ func TestMempoolReproposeAgeFallback(t *testing.T) {
 	if !m.Add(other, 0) {
 		t.Fatal("fresh add rejected")
 	}
-	if m.Ready(30 * time.Second) {
-		t.Error("ready on unassigned traffic before ReproposeAge")
+	if m.Ready(reproposeAge - time.Second) {
+		t.Error("ready on unassigned traffic before reproposeAge")
 	}
-	if got := m.Cut(0, 30*time.Second); len(got) != 0 {
-		t.Fatalf("cut took %d unassigned txs before ReproposeAge", len(got))
+	if got := m.Cut(0, reproposeAge-time.Second); len(got) != 0 {
+		t.Fatalf("cut took %d unassigned txs before reproposeAge", len(got))
 	}
-	// The age deadline for the unassigned class is enq + ReproposeAge.
-	if at, ok := m.AgeDeadline(); !ok || at != time.Minute {
-		t.Fatalf("AgeDeadline = %v/%v, want 1m0s/true", at, ok)
+	// The age deadline for the unassigned class is enq + reproposeAge.
+	if at, ok := m.AgeDeadline(); !ok || at != reproposeAge {
+		t.Fatalf("AgeDeadline = %v/%v, want %v/true", at, ok, reproposeAge)
 	}
-	if !m.Ready(time.Minute) {
-		t.Error("not ready at ReproposeAge")
+	if !m.Ready(reproposeAge) {
+		t.Error("not ready at reproposeAge")
 	}
-	if got := m.Cut(1, time.Minute); len(got) != 1 {
+	if got := m.Cut(1, reproposeAge); len(got) != 1 {
 		t.Fatalf("fallback cut %d txs, want 1", len(got))
 	}
 }
@@ -146,10 +144,9 @@ func TestMempoolShardOverlapCommitDedup(t *testing.T) {
 	// Two shards repropose the same aged transaction; when one copy
 	// commits, the other shard's pool must drop its pooled (even
 	// in-flight) copy and refuse re-admission — the dedup that makes the
-	// ReproposeAge overlap harmless.
+	// reproposeAge overlap harmless.
 	cfg := MempoolConfig{
 		TargetBatchBytes: 40, MaxBatchBytes: 400,
-		MaxTxAge: 10 * time.Second, ReproposeAge: time.Minute,
 		Shard: 1, Shards: 2,
 	}
 	m := NewMempool(cfg)
@@ -163,7 +160,7 @@ func TestMempoolShardOverlapCommitDedup(t *testing.T) {
 	}
 	m.Add(other, 0)
 	// Our shard reproposes it after the fallback age...
-	if got := m.Cut(5, 2*time.Minute); len(got) != 1 {
+	if got := m.Cut(5, reproposeAge); len(got) != 1 {
 		t.Fatalf("fallback cut %d txs, want 1", len(got))
 	}
 	// ...but shard 0's copy commits first, in epoch 4.
@@ -176,15 +173,14 @@ func TestMempoolShardOverlapCommitDedup(t *testing.T) {
 	if m.PendingBytes() != 0 {
 		t.Fatalf("requeue resurrected a committed tx: %dB pending", m.PendingBytes())
 	}
-	if m.Add(other, 3*time.Minute) {
+	if m.Add(other, reproposeAge+time.Minute) {
 		t.Error("committed duplicate re-admitted")
 	}
 }
 
 func TestMempoolAdmissionCap(t *testing.T) {
 	cfg := MempoolConfig{
-		TargetBatchBytes: 40, MaxBatchBytes: 80,
-		MaxTxAge: 10 * time.Second, MaxPendingBytes: 100,
+		TargetBatchBytes: 40, MaxBatchBytes: 80, MaxPendingBytes: 100,
 	}
 	m := NewMempool(cfg)
 	tx := func(b byte) []byte { tx := make([]byte, 40); tx[0] = b; return tx }
@@ -229,7 +225,7 @@ func TestMempoolAdmissionCap(t *testing.T) {
 		t.Fatalf("PeakPoolBytes = %d, want 80", m.PeakPoolBytes())
 	}
 	// The cap is opt-in: a zero-cap pool admits the same sequence freely.
-	free := NewMempool(MempoolConfig{TargetBatchBytes: 40, MaxBatchBytes: 80, MaxTxAge: 10 * time.Second})
+	free := NewMempool(MempoolConfig{TargetBatchBytes: 40, MaxBatchBytes: 80})
 	for i := byte(0); i < 10; i++ {
 		if !free.Add(tx(i), 0) {
 			t.Fatal("unbounded pool refused an admission")
@@ -241,17 +237,17 @@ func TestMempoolAdmissionCap(t *testing.T) {
 }
 
 func TestMempoolGCHorizon(t *testing.T) {
-	m := NewMempool(MempoolConfig{DedupHorizon: 3})
+	m := NewMempool(MempoolConfig{})
 	tx := []byte("gc-me")
 	m.MarkCommitted([]txKey{txDigest(tx)}, 0)
-	m.GC(2)
+	m.GC(dedupHorizon - 1)
 	if !m.WasCommitted(txDigest(tx)) {
 		t.Fatal("digest dropped inside horizon")
 	}
 	if m.Add(tx, 0) {
 		t.Error("duplicate accepted inside horizon")
 	}
-	m.GC(3)
+	m.GC(dedupHorizon)
 	if m.WasCommitted(txDigest(tx)) {
 		t.Fatal("digest survived past horizon")
 	}

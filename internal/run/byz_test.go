@@ -60,7 +60,6 @@ func TestChainHonestSafetyUnderMidRunByzantine(t *testing.T) {
 			t.Parallel()
 			spec := Defaults(protocol.HoneyBadger, protocol.CoinSig)
 			spec.Workload = Chain(5)
-			spec.Workload.GCLag = spec.Workload.Epochs
 			spec.Seed = 5
 			spec.Scenario = scenario.Plan{}.Then(scenario.ByzAt(10*time.Minute, 3, behavior))
 			res, err := Run(spec)
@@ -97,7 +96,6 @@ func TestEquivocatorForgesNothingInTheClear(t *testing.T) {
 			spec.Seed = seed
 			spec.Workload = Chain(8)
 			spec.Workload.TxInterval = time.Second
-			spec.Workload.GCLag = spec.Workload.Epochs
 			spec.Scenario = scenario.Byz(byz.NameEquivocate, spec.N-1)
 			res, err := Run(spec)
 			if err != nil {

@@ -23,10 +23,11 @@ import (
 // log and mempool digests are stable storage) and catches up through
 // core.Mux.OnUnknownEpoch and the state its NACK rows ask its peers for.
 // Peers serve repairs only for epochs their GC hasn't closed; the GC waits
-// for a crashed node's epoch for up to gcHold GCLags (protocol.Chain), so
-// an outage longer than that leaves the node unable to catch up (a
-// deadline error). byz events arm active-Byzantine behaviors (up to F nodes); the
-// completion barrier and log checks then cover honest nodes only.
+// for a crashed node's epoch for up to 8 × (Window + 2) epochs
+// (protocol.Chain), so an outage the peers commit more epochs during leaves
+// the node unable to catch up (a deadline error). byz events arm
+// active-Byzantine behaviors (up to f nodes); the completion barrier and
+// log checks then cover honest nodes only.
 
 // chainConfig builds the per-node engine config from the Spec's workload.
 func chainConfig(spec Spec) (protocol.ChainConfig, error) {
@@ -36,7 +37,6 @@ func chainConfig(spec Spec) (protocol.ChainConfig, error) {
 		Batched:   spec.Batched,
 		Encrypt:   spec.Encrypt,
 		Window:    spec.Workload.Window,
-		GCLag:     spec.Workload.GCLag,
 		MaxEpochs: spec.Workload.Epochs,
 		Mempool:   spec.Workload.Mempool,
 	}
@@ -46,6 +46,9 @@ func chainConfig(spec Spec) (protocol.ChainConfig, error) {
 	}
 	if max := ccfg.Mempool.WithDefaults().MaxBatchBytes; txSize > max {
 		return ccfg, fmt.Errorf("run: TxSize %d exceeds proposal cap MaxBatchBytes %d", txSize, max)
+	}
+	if ccfg.Window > protocol.MaxWindow {
+		return ccfg, fmt.Errorf("run: Window %d exceeds %d, the deepest pipeline the commit dedup covers", ccfg.Window, protocol.MaxWindow)
 	}
 	return ccfg, ccfg.CheckProposalSize(txSize)
 }
@@ -247,7 +250,7 @@ func runChain(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := newChainGroup(d.locals[0], spec.F, ccfg, 0, d.byz, perma)
+	g := newChainGroup(d.locals[0], spec.f(), ccfg, 0, d.byz, perma)
 	for i, c := range g.chains {
 		c.OnCommit = func(int) { g.observe(i) }
 	}

@@ -122,27 +122,27 @@ func TestChainEpochGC(t *testing.T) {
 	spec := quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, true, 6)
 	spec.Workload.Epochs = 12
 	spec.Workload.Window = 2
-	spec.Workload.GCLag = 3
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Chain.MaxOpenEpochs > spec.Workload.GCLag+spec.Workload.Window+1 {
+	lag := spec.Workload.Window + 2
+	if res.Chain.MaxOpenEpochs > lag+spec.Workload.Window+1 {
 		t.Errorf("max open epochs %d exceeds GC bound %d",
-			res.Chain.MaxOpenEpochs, spec.Workload.GCLag+spec.Workload.Window+1)
+			res.Chain.MaxOpenEpochs, lag+spec.Workload.Window+1)
 	}
 }
 
 // TestChainDedup: every client tx is broadcast to all four mempools, so
 // without commit-time dedup the log would repeat most payloads ~4x. A
 // transaction reaches more than its own shard's proposal only through the
-// crash fallback, once it has waited ReproposeAge; at this run's pace (8
-// epochs in about 3 minutes) none waits the 5-minute default, so the
-// fallback fires after 45 s.
+// crash fallback, once it has waited five minutes; node 3 is down the
+// whole run, so its shard's transactions wait that long and then go into
+// the three survivors' cuts alike.
 func TestChainDedup(t *testing.T) {
 	spec := quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, true, 7)
-	spec.Workload.Epochs = 8
-	spec.Workload.Mempool.ReproposeAge = 45 * time.Second
+	spec.Workload.Epochs = 20
+	spec.Scenario = scenario.Plan{}.Then(scenario.CrashAt(0, 3))
 	res, err := Run(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -177,9 +177,6 @@ func TestChainCrashRecovery(t *testing.T) {
 			t.Parallel()
 			spec := quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, batched, 1)
 			spec.Workload.Epochs = 14
-			// Peers must still hold the recovered node's missing epochs:
-			// keep the GC window as long as the run.
-			spec.Workload.GCLag = spec.Workload.Epochs
 			spec.Scenario = scenario.Plan{}.Then(
 				scenario.CrashAt(5*time.Minute, 2),
 				scenario.RecoverAt(10*time.Minute, 2),
@@ -234,7 +231,6 @@ func TestChainCrashRecoveryAllFamilies(t *testing.T) {
 			t.Parallel()
 			spec := quickChainSpec(tc.kind, tc.coin, true, 2)
 			spec.Workload.Epochs = 12
-			spec.Workload.GCLag = spec.Workload.Epochs
 			spec.Scenario = scenario.Plan{}.Then(
 				scenario.CrashAt(6*time.Minute, 1),
 				scenario.RecoverAt(13*time.Minute, 1),
@@ -284,7 +280,6 @@ func TestChainPartitionHeals(t *testing.T) {
 func TestChainScenarioDeterministic(t *testing.T) {
 	spec := quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, true, 9)
 	spec.Workload.Epochs = 10
-	spec.Workload.GCLag = 10
 	spec.Scenario = scenario.Plan{}.Then(
 		scenario.CrashAt(5*time.Minute, 3),
 		scenario.RecoverAt(10*time.Minute, 3),
@@ -316,6 +311,28 @@ func TestChainRejectsUncarriableBatchCap(t *testing.T) {
 		if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "MaxBatchBytes") {
 			t.Errorf("%s x %s: MaxBatchBytes %d: err = %v", spec.Topology.Kind, spec.Workload.Kind,
 				protocol.MaxProposalBytes, err)
+		}
+	}
+}
+
+// TestChainRejectsUndedupableWindow: a pipeline deeper than the commit
+// dedup's horizon could commit a transaction twice — once in epoch e and
+// again from a proposal cut for an epoch more than the horizon later,
+// after the pool forgot its digest — so Run refuses it on both chain
+// cells. The deepest window the horizon covers runs.
+func TestChainRejectsUndedupableWindow(t *testing.T) {
+	for _, spec := range []Spec{
+		quickChainSpec(protocol.HoneyBadger, protocol.CoinSig, true, 1),
+		quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 2, 1),
+	} {
+		spec.Workload.Epochs = 2
+		spec.Workload.Window = protocol.MaxWindow + 1
+		if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), "Window") {
+			t.Errorf("%s x %s: Window %d: err = %v", spec.Topology.Kind, spec.Workload.Kind, spec.Workload.Window, err)
+		}
+		spec.Workload.Window = protocol.MaxWindow
+		if _, err := Run(spec); err != nil {
+			t.Errorf("%s x %s: Window %d: %v", spec.Topology.Kind, spec.Workload.Kind, spec.Workload.Window, err)
 		}
 	}
 }

@@ -37,12 +37,11 @@ func conformanceCoin(kind protocol.Kind) protocol.CoinKind {
 }
 
 // conformanceSpec is the shared cell: 4-node single-hop chain, 4 epochs
-// at 1 s client cadence, GC parked so full logs survive for auditing.
+// at 1 s client cadence.
 func conformanceSpec(kind protocol.Kind, batched bool) Spec {
 	spec := Defaults(kind, conformanceCoin(kind))
 	spec.Workload = Chain(4)
 	spec.Workload.TxInterval = time.Second
-	spec.Workload.GCLag = spec.Workload.Epochs
 	spec.Seed = 7
 	spec.Batched = batched
 	return spec
@@ -227,7 +226,6 @@ func TestFullStopRecovery(t *testing.T) {
 func fullStop(t *testing.T, spec Spec, at time.Duration) {
 	spec.Workload = Chain(5)
 	spec.Workload.TxInterval = time.Second
-	spec.Workload.GCLag = spec.Workload.Epochs
 	spec.Scenario = scenario.Plan{}.Then(
 		scenario.CrashAt(at, 1),
 		scenario.CrashAt(at, 2),
@@ -320,7 +318,7 @@ func TestChurnRecovery(t *testing.T) {
 // TestTenMinuteOutageRecovers pins the epoch GC's hold against the
 // engines' pace. Alea-SC under bursty overload (the alea_overload shape)
 // loses one node from 10 m to 20 m, and the survivors commit about 20
-// epochs meanwhile: more than the 16 that a hold of 4 GCLags kept, which
+// epochs meanwhile: more than the 16 that a hold of 4 lags kept, which
 // wedged every seed here once Cachin's ABA stopped drawing a coin in
 // rounds 1 and 2. The node must catch up from the epochs the survivors
 // still hold.

@@ -43,7 +43,7 @@ func newDeployment(spec Spec) (*deployment, error) {
 		clusters = spec.Topology.Clusters
 	}
 	d := &deployment{spec: spec, sched: sim.New(spec.Seed), byz: spec.Scenario.ByzNodes()}
-	if err := byzPerGroup(d.byz, clusters, spec.N, spec.F); err != nil {
+	if err := byzPerGroup(d.byz, clusters, spec.N, spec.f()); err != nil {
 		return nil, err
 	}
 	cfg := node.Config{Transport: spec.Transport, Batched: spec.Batched, Seed: spec.Seed}
@@ -52,7 +52,7 @@ func newDeployment(spec Spec) (*deployment, error) {
 		if spec.Topology.Kind == TopoClustered {
 			dealSeed = spec.Seed + int64(c)*101
 		}
-		g, err := d.newGroup(spec.N, spec.F, dealSeed, cfg)
+		g, err := d.newGroup(spec.N, spec.f(), dealSeed, cfg)
 		if err != nil {
 			return nil, err
 		}

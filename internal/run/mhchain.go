@@ -404,8 +404,8 @@ func newMHCDriver(spec Spec) (*mhcDriver, error) {
 				live++
 			}
 		}
-		if live <= spec.F {
-			return nil, fmt.Errorf("run: cluster %d has %d honest live members; cut certificates need f+1 = %d signers", c, live, spec.F+1)
+		if live <= spec.f() {
+			return nil, fmt.Errorf("run: cluster %d has %d honest live members; cut certificates need f+1 = %d signers", c, live, spec.f()+1)
 		}
 	}
 	target := spec.Workload.Epochs
@@ -439,7 +439,7 @@ func newMHCDriver(spec Spec) (*mhcDriver, error) {
 	d.seats = newChainGroup(dep.seats, fg, gccfg, 0, tainted, nil)
 	for c, lg := range dep.locals {
 		cl := &mhcCluster{idx: c, seats: d.seats, gotCuts: make([]map[int]bool, M)}
-		cl.local = newChainGroup(lg, spec.F, ccfg, c*P, dep.byz, perma)
+		cl.local = newChainGroup(lg, spec.f(), ccfg, c*P, dep.byz, perma)
 		for i := range lg.nodes {
 			cl.members = append(cl.members, &mhcMember{cuts: make(map[int]*component.CutCert)})
 			d.hookMember(cl, i)

@@ -92,7 +92,6 @@ func TestClusteredChainDumbo(t *testing.T) {
 // full log, and every cross-cluster check must still pass.
 func TestClusteredChainLeaderCrash(t *testing.T) {
 	spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 6, 3)
-	spec.Workload.GCLag = spec.Workload.Epochs // peers must hold the outage's epochs
 	spec.Scenario = scenario.Plan{}.Then(
 		scenario.CrashAt(5*time.Minute, 0),    // cluster 0, member 0: relay for epoch 4
 		scenario.RecoverAt(11*time.Minute, 0), // back for the tail of the run
@@ -118,7 +117,6 @@ func TestClusteredChainLeaderCrash(t *testing.T) {
 // leaves it short of the global order and the run at its deadline.
 func TestClusteredChainRecoveredAtTarget(t *testing.T) {
 	spec := quickMHChainSpec(protocol.DumboKind, protocol.CoinSig, 6, 7)
-	spec.Workload.GCLag = spec.Workload.Epochs
 	spec.Scenario = scenario.Plan{}.Then(
 		scenario.CrashAt(7*time.Minute, 0),
 		scenario.RecoverAt(13*time.Minute, 0),
@@ -139,7 +137,6 @@ func TestClusteredChainRecoveredAtTarget(t *testing.T) {
 // (Run fails otherwise).
 func TestClusteredChainByzantineMember(t *testing.T) {
 	spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 3, 4)
-	spec.Workload.GCLag = spec.Workload.Epochs
 	// Flat node 15 = cluster 3, member 3: a follower in early epochs.
 	spec.Scenario = scenario.Byz(byz.NameGarbage, 15)
 	res, err := Run(spec)
@@ -231,7 +228,6 @@ func TestClusteredChainForgedCutsRejected(t *testing.T) {
 // cuts survive (Run fails otherwise).
 func TestClusteredChainForgeDuringFailover(t *testing.T) {
 	spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 6, 10)
-	spec.Workload.GCLag = spec.Workload.Epochs
 	spec.Scenario = scenario.Byz(byz.NameForgeCut, 15).Then(
 		scenario.CrashAt(5*time.Minute, 0),    // cluster 0, member 0: relay for epoch 4
 		scenario.RecoverAt(11*time.Minute, 0), // back for the tail of the run
@@ -342,7 +338,7 @@ func cutTimeline(t *testing.T, spec Spec, c, e int) (committed, ordered time.Dur
 		ch.OnCommit = func(ep int) {
 			on(ep)
 			if ep == e {
-				if commits = append(commits, now()); len(commits) == d.spec.F+1 {
+				if commits = append(commits, now()); len(commits) == d.spec.f()+1 {
 					d.dep.sched.At(now()+time.Millisecond, release)
 				}
 			}
@@ -362,7 +358,7 @@ func cutTimeline(t *testing.T, spec Spec, c, e int) (committed, ordered time.Dur
 	if _, err := d.run(); err != nil {
 		t.Fatal(err)
 	}
-	return commits[d.spec.F], ordered
+	return commits[d.spec.f()], ordered
 }
 
 // TestClusteredChainCutSharesOnAir: a cut's shares travel on its cluster's

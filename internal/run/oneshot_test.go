@@ -213,9 +213,11 @@ func TestSeedsVaryOutcome(t *testing.T) {
 
 func TestInvalidSpecs(t *testing.T) {
 	spec := quickSpec(protocol.HoneyBadger, protocol.CoinSig, true, 1)
-	spec.N = 5
-	if _, err := Run(spec); err == nil {
-		t.Error("N != 3F+1 accepted")
+	for _, n := range []int{1, 5} {
+		spec.N = n
+		if _, err := Run(spec); err == nil {
+			t.Errorf("N = %d accepted: not 3f+1 >= 4", n)
+		}
 	}
 	spec = quickSpec(protocol.HoneyBadger, protocol.CoinSig, true, 1)
 	spec.Topology = Clustered(5, 4)
@@ -412,7 +414,7 @@ func TestClusteredOneShotScenarioDelay(t *testing.T) {
 // silently drift back apart inside call sites.
 func TestDefaultsMatchLegacyShape(t *testing.T) {
 	spec := Defaults(protocol.HoneyBadger, protocol.CoinSig)
-	if spec.N != 4 || spec.F != 1 || !spec.Batched || !spec.Encrypt || spec.Seed != 1 {
+	if spec.N != 4 || !spec.Batched || !spec.Encrypt || spec.Seed != 1 {
 		t.Errorf("single-hop defaults drifted: %+v", spec)
 	}
 	if spec.Workload.Epochs != 3 || spec.Workload.BatchSize != 4 || spec.Workload.TxSize != 64 {
@@ -425,7 +427,7 @@ func TestDefaultsMatchLegacyShape(t *testing.T) {
 	if c.Window != 2 || c.TxSize != 64 || c.TxInterval != 4*time.Second {
 		t.Errorf("chain workload defaults drifted: %+v", c)
 	}
-	n := Spec{Protocol: protocol.HoneyBadger, N: 4, F: 1, Workload: Chain(0)}.normalize()
+	n := Spec{Protocol: protocol.HoneyBadger, N: 4, Workload: Chain(0)}.normalize()
 	if n.Deadline != 8*time.Hour || n.Workload.Epochs != 1 || n.Workload.Window != 2 {
 		t.Errorf("chain normalization drifted: %+v", n)
 	}

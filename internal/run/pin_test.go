@@ -115,7 +115,6 @@ func TestMatrixPinned(t *testing.T) {
 		}, "e8c853b817711ab8644d062c42ea41b7dc7922dbef08b0fb566e54f130a1e0c4"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
-			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("crash@30s:2;recover@1m:2")
 			return spec
 		}, "42bcd5e525911ac511f5b57a1c1f58a462e241a1dfe04235cc487b00d8acb02d"},
@@ -135,7 +134,7 @@ func TestMatrixPinned(t *testing.T) {
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
-			// outages outlast more than four epochs, at the default GCLag.
+			// outages outlast more than four epochs, the GC lag at depth 2.
 			// The peers hold the epoch a churned node will resume at until
 			// its frames show it past it (protocol.Chain's epoch GC).
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), run.Chain(16))
@@ -161,7 +160,6 @@ func TestMatrixPinned(t *testing.T) {
 			// for a minute, about two relay turns, back through mid-run
 			// catch-up; the run lasts 3 m.
 			spec := base(protocol.BEAT, "", run.Clustered(4, 4), fast(4))
-			spec.Workload.GCLag = 4
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@30s:0;recover@1m30s:0")
 			return spec
 		}, "38182b3694a821e344b2daa4cdcb54e77bbafc113b57763fd2a38befe4aa289b"},

@@ -49,7 +49,7 @@ type Topology struct {
 	// Clusters is M, the number of single-hop clusters (and global-tier
 	// seats); it must be 3f_g+1. Clustered only.
 	Clusters int
-	// PerCluster is the cluster size N_i (must be 3F+1). Zero adopts
+	// PerCluster is the cluster size N_i (must be 3f+1). Zero adopts
 	// Spec.N; a non-zero value overrides it.
 	PerCluster int
 }
@@ -101,14 +101,12 @@ type Workload struct {
 	// ones do. Chain workload only; the zero value keeps the fixed
 	// process.
 	Arrival traffic.Pattern
-	// Window is the chain pipeline depth (1 = sequential epochs); one-shot
-	// runs at 1.
+	// Window is the chain pipeline depth (1 = sequential epochs, at most
+	// protocol.MaxWindow); one-shot runs at 1. Per-epoch state is kept
+	// Window + 2 epochs behind the commit frontier, at the least, to serve
+	// NACK repairs; an epoch a peer is still in stays open up to eight
+	// times as long (protocol.ChainConfig).
 	Window int
-	// GCLag is how many epochs behind the commit frontier per-epoch state
-	// is kept, at the least, to serve NACK repairs; an epoch a peer is
-	// still in stays open up to four times as long (protocol.ChainConfig).
-	// Zero picks the engine default.
-	GCLag int
 	// Mempool tunes the chain proposal-cut policy; zero fields default.
 	// One-shot sets its own (see OneShot).
 	Mempool protocol.MempoolConfig
@@ -153,9 +151,10 @@ type Spec struct {
 	// Encrypt runs the threshold-encrypted proposal path (the censorship
 	// defense); Defaults enables it for every family but Dumbo.
 	Encrypt bool
-	// N and F size one consensus group: the whole network under
-	// single-hop, each cluster under the clustered topology (N = 3F+1).
-	N, F int
+	// N sizes one consensus group: the whole network under single-hop,
+	// each cluster under the clustered topology. It must be 3f+1, and the
+	// group tolerates f = (N-1)/3 faults (Spec.f).
+	N int
 
 	Topology Topology
 	Workload Workload
@@ -188,7 +187,6 @@ func Defaults(p protocol.Kind, coin protocol.CoinKind) Spec {
 		Batched:  true,
 		Encrypt:  protocol.DefaultEncrypt(p),
 		N:        4,
-		F:        1,
 		Topology: SingleHop(),
 		Workload: OneShot(3),
 		Seed:     1,
@@ -208,7 +206,6 @@ func (s Spec) normalize() Spec {
 			s.Topology.PerCluster = s.N
 		}
 		s.N = s.Topology.PerCluster
-		s.F = (s.N - 1) / 3
 	}
 	if s.Workload.Kind == "" {
 		s.Workload.Kind = LoadOneShot
@@ -274,17 +271,14 @@ func (s Spec) validate() error {
 	if !slices.Contains(protocol.Coins(), coin) {
 		return fmt.Errorf("run: unknown coin %q (coins: %v)", s.Coin, protocol.Coins())
 	}
-	if s.N != 3*s.F+1 {
-		return fmt.Errorf("run: need N = 3F+1, got N=%d F=%d", s.N, s.F)
+	if s.N < 4 || s.N%3 != 1 {
+		return fmt.Errorf("run: group size must be 3f+1 >= 4, got N=%d", s.N)
 	}
 	switch s.Topology.Kind {
 	case TopoSingleHop:
 	case TopoClustered:
 		if s.Topology.Clusters < 4 || (s.Topology.Clusters-1)%3 != 0 {
 			return fmt.Errorf("run: clusters must be 3f+1 >= 4, got %d", s.Topology.Clusters)
-		}
-		if s.Topology.PerCluster != 3*s.F+1 {
-			return fmt.Errorf("run: cluster size %d != 3F+1", s.Topology.PerCluster)
 		}
 	default:
 		return fmt.Errorf("run: unknown topology %q", s.Topology.Kind)
@@ -302,6 +296,9 @@ func (s Spec) validate() error {
 	}
 	return nil
 }
+
+// f is the number of faults one consensus group of N = 3f+1 tolerates.
+func (s Spec) f() int { return (s.N - 1) / 3 }
 
 // Nodes returns the deployment's flat node count (the scenario id space).
 func (s Spec) Nodes() int {

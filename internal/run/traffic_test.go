@@ -14,7 +14,6 @@ import (
 func trafficSpec(epochs int) run.Spec {
 	spec := run.Defaults(protocol.HoneyBadger, protocol.CoinSig)
 	spec.Workload = run.Chain(epochs)
-	spec.Workload.GCLag = epochs
 	spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 	return spec
 }

@@ -24,7 +24,7 @@ import (
 //
 // The Dumbo-SC baseline cell was never a wedge but a deadline miss: under
 // the blind retransmission timer the medium was 83 % busy from the first
-// minute to the last — GCLag 12 kept every epoch open, each re-broadcasting
+// minute to the last — a 12-epoch GC lag kept every epoch open, each re-broadcasting
 // its whole intent set, one packet per intent — and the cell committed
 // 12/12 at ≈ 8 h 45 m against the 8 h deadline. With demand-driven
 // retransmission an epoch every peer has finished goes quiet, and the cell
@@ -48,9 +48,8 @@ func TestSustainedEquivocationWedge(t *testing.T) {
 			spec.Seed = 2
 			spec.Workload = run.Chain(12)
 			spec.Workload.TxInterval = time.Second
-			spec.Workload.GCLag = 12
 			plan := scenario.Plan{}
-			for i := 0; i < spec.F; i++ {
+			for i := 0; i < (spec.N-1)/3; i++ {
 				plan = plan.Then(scenario.ByzAt(0, spec.N-1-i, byz.NameEquivocate))
 			}
 			spec.Scenario = plan
