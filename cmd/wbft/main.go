@@ -102,7 +102,7 @@ func main() {
 		jsonPath = fs.String("json", "", "also write the run.Report JSON to this file")
 
 		clusters   = fs.Int("clusters", 4, "clustered: number of clusters M (3f+1)")
-		perCluster = fs.Int("percluster", 4, "clustered: nodes per cluster (3F+1)")
+		perCluster = fs.Int("percluster", 4, "clustered: nodes per cluster (3f+1)")
 
 		batch      = fs.Int("batch", 4, "oneshot: transactions per proposal")
 		txsize     = fs.Int("txsize", 64, "bytes per transaction")

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -81,6 +82,36 @@ func TestStaleRowMarksNoRegression(t *testing.T) {
 	r.sched.RunFor(5 * time.Second)
 	if !rx.regressed.Get(1) {
 		t.Error("a peer reborn with an empty row is not marked regressed")
+	}
+}
+
+// TestRepairRowMarksNoRegression: a REPAIR row clears a slot's bit each
+// time its node comes to want that slot's value, so a live peer that got
+// one value and then wants another sends a row that lost a bit it had
+// shown; that marks nobody regressed. An ECHO row that loses a bit still
+// does.
+func TestRepairRowMarksNoRegression(t *testing.T) {
+	r := newMuxRig(t, 2, true)
+	rx, tx := r.muxes[0].Open(1), r.muxes[1].Open(1)
+	send := func(phase packet.Phase, row packet.BitSet, slot uint8) {
+		tx.SetNack(packet.KindRBC, phase, row)
+		tx.Update(intentFor(slot))
+		r.sched.RunFor(5 * time.Second)
+	}
+	// Node 1 wants slot 1's value, gets it, then wants slot 2's.
+	for i, row := range []packet.BitSet{rowOf(4, 0, 2, 3), rowOf(4, 0, 1, 2, 3), rowOf(4, 0, 1, 3)} {
+		send(packet.PhaseRepair, row, uint8(i))
+		if kept := rx.row(packet.KindRBC, packet.PhaseRepair).peers; len(kept) < 2 || !slices.Equal(kept[1], row) {
+			t.Fatalf("REPAIR row %d was not heard: kept %v, sent %v", i, kept, row)
+		}
+	}
+	if rx.regressed.Get(1) {
+		t.Error("a REPAIR row that came to want a second value marked its sender regressed")
+	}
+	send(packet.PhaseEcho, rowOf(4, 0, 1), 3)
+	send(packet.PhaseEcho, rowOf(4, 0), 3)
+	if !rx.regressed.Get(1) {
+		t.Error("an ECHO row that lost a bit did not mark its sender regressed")
 	}
 }
 
@@ -252,8 +283,8 @@ func TestParkedIntentAnswersRegressedPeer(t *testing.T) {
 // TestServedEntryIsNoRequest: in a phase that has a NACK row — here only a
 // peer's, as a value holder keeps none of the REPAIR phase it serves — an
 // entry of a peer that lost state is what a row asked for, not a request.
-// Node 0 holds slot 1's REPAIR fragment; node 1, marked regressed, sends a
-// REPAIR row that asks for slot 0 alone, and serves a slot-1 fragment of
+// Node 0 holds slot 1's REPAIR fragment; node 1, marked regressed by an
+// ECHO row that lost its bits, sends a REPAIR row that asks for slot 0 alone, and serves a slot-1 fragment of
 // its own. Node 0's fragment stays off the air; the slot-0 one the row
 // asks for goes out.
 func TestServedEntryIsNoRequest(t *testing.T) {
@@ -277,12 +308,14 @@ func TestServedEntryIsNoRequest(t *testing.T) {
 	}))
 	srv.Hold(fragment(0))
 	srv.Hold(fragment(1))
+	peer.SetNack(packet.KindRBC, packet.PhaseEcho, rowOf(4, 0, 1, 2, 3))
 	peer.SetNack(packet.KindRBC, packet.PhaseRepair, rowOf(4, 0, 1, 2, 3))
 	r.sched.RunFor(time.Second)
+	peer.SetNack(packet.KindRBC, packet.PhaseEcho, rowOf(4))
 	peer.SetNack(packet.KindRBC, packet.PhaseRepair, rowOf(4, 1, 2, 3))
 	r.sched.RunFor(time.Second)
 	if !srv.regressed.Get(1) {
-		t.Fatal("the peer's row lost a bit and the transport did not mark it")
+		t.Fatal("the peer's ECHO row lost its bits and the transport did not mark it")
 	}
 	peer.Update(fragment(1))
 	r.sched.RunFor(time.Minute)

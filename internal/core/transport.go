@@ -37,7 +37,9 @@
 // the air from the start (Hold) and parks what it has left behind
 // (ParkWhere) the same way: a bitmap asks for such an intent, and in a
 // phase with no bitmap a peer whose bitmap lost a bit it had shown — it
-// lost its state — asks for it by sending its own entry of the same key.
+// lost its state; a REPAIR bitmap loses one whenever its node wants a
+// value, and does not count — asks for it by sending its own entry of the
+// same key.
 // Either way the answer goes out at most once per base period, and an
 // answer to an entry parks the intent again.
 //
@@ -173,8 +175,8 @@ type Transport struct {
 	rows        []nackRow
 	rowsChanged bool
 	// regressed marks, by sender, the peers one of whose rows lost a bit it
-	// had shown (nil: none has): their entries ask for what this node has
-	// parked (request).
+	// had shown (nil: none has), a REPAIR row aside: their entries ask for
+	// what this node has parked (request).
 	regressed packet.BitSet
 	// newest is, by transmitting station, one past the highest fragment
 	// seq of a logical packet of this epoch completed from it: a packet
@@ -606,15 +608,17 @@ func (t *Transport) heardFrom(from uint16, sec *packet.Section, stale bool) {
 
 // keepRow replaces peer from's kept row for (kind, phase) with the one in
 // sec and marks the peer regressed if the new row lost a bit the kept one
-// had set. It reports whether the row gained a bit, keeping the one it
-// replaced in t.was.
+// had set — unless it is a REPAIR row, which clears a slot's bit whenever
+// its node comes to want that slot's value, a live node's ask and no sign
+// of lost state. It reports whether the row gained a bit, keeping the one
+// it replaced in t.was.
 func (t *Transport) keepRow(from uint16, sec *packet.Section) (gained bool) {
 	r := t.row(sec.Kind, sec.Phase)
 	for int(from) >= len(r.peers) {
 		r.peers = append(r.peers, nil)
 	}
 	prev := r.peers[from]
-	if lostBit(prev, sec.Nack) {
+	if sec.Phase != packet.PhaseRepair && lostBit(prev, sec.Nack) {
 		if t.regressed == nil {
 			t.regressed = packet.NewBitSet(maxSender)
 		}

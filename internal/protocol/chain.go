@@ -34,7 +34,8 @@ type ChainConfig struct {
 	// epochs behind the commit frontier, at the least, to serve NACK
 	// repairs to lagging peers; past that, the epoch closes once every
 	// peer's frontier is past it too, or gcHold lags behind the frontier
-	// whatever the peers show. At most MaxWindow.
+	// whatever the peers show. Past MaxWindow the commit dedup no longer
+	// covers the pipeline.
 	Window int
 	// MaxEpochs stops the engine from starting epochs >= this (0 = no cap).
 	MaxEpochs int

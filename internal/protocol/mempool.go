@@ -59,15 +59,6 @@ type MempoolConfig struct {
 	MaxPendingBytes int
 }
 
-// DefaultMempoolConfig sizes the batch caps for the paper's 64-byte
-// transactions on the LoRa-class channel.
-func DefaultMempoolConfig() MempoolConfig {
-	return MempoolConfig{
-		TargetBatchBytes: 256,
-		MaxBatchBytes:    512,
-	}
-}
-
 type mtx struct {
 	data []byte
 	key  txKey
@@ -106,14 +97,15 @@ type Mempool struct {
 	rejectedFull       int
 }
 
-// WithDefaults fills zero-valued fields from DefaultMempoolConfig.
+// WithDefaults fills the zero batch caps with the defaults sized for the
+// paper's 64-byte transactions on the LoRa-class channel: a 256-byte
+// target and a 512-byte cap.
 func (cfg MempoolConfig) WithDefaults() MempoolConfig {
-	def := DefaultMempoolConfig()
 	if cfg.TargetBatchBytes <= 0 {
-		cfg.TargetBatchBytes = def.TargetBatchBytes
+		cfg.TargetBatchBytes = 256
 	}
 	if cfg.MaxBatchBytes <= 0 {
-		cfg.MaxBatchBytes = def.MaxBatchBytes
+		cfg.MaxBatchBytes = 512
 	}
 	return cfg
 }

@@ -152,8 +152,8 @@ type Spec struct {
 	// defense); Defaults enables it for every family but Dumbo.
 	Encrypt bool
 	// N sizes one consensus group: the whole network under single-hop,
-	// each cluster under the clustered topology. It must be 3f+1, and the
-	// group tolerates f = (N-1)/3 faults (Spec.f).
+	// each cluster under the clustered topology. It must be 3f+1 >= 4, and
+	// the group tolerates f = (N-1)/3 faults (Spec.f).
 	N int
 
 	Topology Topology

@@ -159,8 +159,8 @@ func DutyCycleFrom(at, dur time.Duration, onFrac float64, period time.Duration) 
 // every period one uniformly drawn node crashes and rejoins downtime
 // later through the driver's recovery path (the chain drivers catch the
 // rejoiner up over NACK retransmission; peers hold the epoch it resumes at
-// for up to gcHold GCLags, protocol.Chain's bound — a longer downtime
-// strands it).
+// for up to 8 × (Window + 2) epochs, protocol.Chain's bound — a downtime
+// the peers commit more epochs during strands it).
 func ChurnFrom(at, dur time.Duration, period, downtime time.Duration) Event {
 	return Event{At: at, Kind: KindChurn, Duration: dur, Period: period, Downtime: downtime}
 }
