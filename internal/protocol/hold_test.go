@@ -108,7 +108,6 @@ func (g *holdNet) hasTx(e int, tx []byte) bool {
 // it joined; the epoch's instance votes meanwhile. A crashed chain's hold
 // never proposes.
 func TestChainHoldsEmptyProposal(t *testing.T) {
-	const age = maxTxAge
 	tx := func(seq int) []byte { return MakeClientTx(seq, 64) }
 
 	t.Run("submit-and-age", func(t *testing.T) {
@@ -117,7 +116,7 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 		g.until(t, "every node opens epoch 0", func() bool {
 			return len(g.opened[1]) > 0 && len(g.opened[2]) > 0 && len(g.opened[3]) > 0
 		})
-		mid := g.opened[1][0] + age/2
+		mid := g.opened[1][0] + maxTxAge/2
 		g.sched.At(mid, func() {}) // a stop: the channel is quiet by then
 		g.until(t, "half the hold", func() bool { return g.sched.Now() >= mid })
 		for i := 1; i < 4; i++ {
@@ -138,7 +137,7 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 			return true
 		})
 		for i := 2; i < 4; i++ {
-			if want := g.opened[i][0] + age; g.proposed[i][0] != want {
+			if want := g.opened[i][0] + maxTxAge; g.proposed[i][0] != want {
 				t.Errorf("node %d proposed at %v, want its join %v plus maxTxAge", i, g.proposed[i][0], g.opened[i][0])
 			}
 		}
@@ -155,7 +154,8 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 		// and node 3 one for epoch 0; node 3's is withheld from the air, so
 		// it loses epoch 0 and returns to node 3's pool at the commit.
 		// Epoch 1 holds at nodes 2 and 3, and cannot decide without node 3
-		// or node 2's proposal: the hold's own deadline is an hour off.
+		// or node 2's proposal; node 3's requeued cut decides it before
+		// node 2's hold runs out at maxTxAge.
 		g := newHoldNet(t, 1, 2)
 		g.drop = func(i, e int) bool { return i == 3 && e == 0 }
 		for i, c := range g.chains {
@@ -196,7 +196,7 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 		g.until(t, "node 2 opens epoch 0", func() bool { return len(g.opened[2]) > 0 })
 		g.nodes[2].Crash()
 		g.chains[2].Crash()
-		deadline := g.opened[2][0] + age
+		deadline := g.opened[2][0] + maxTxAge
 		g.until(t, "epoch 0 commits at the others", func() bool {
 			return g.sched.Now() > deadline && g.chains[0].CommittedEpochs() >= 1 && g.chains[1].CommittedEpochs() >= 1 && g.chains[3].CommittedEpochs() >= 1
 		})
@@ -204,7 +204,7 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 			t.Errorf("crashed node 2 proposed at %v", at)
 		}
 		for _, i := range []int{1, 3} {
-			if want := g.opened[i][0] + age; g.proposed[i][0] != want {
+			if want := g.opened[i][0] + maxTxAge; g.proposed[i][0] != want {
 				t.Errorf("node %d proposed at %v, want its join %v plus maxTxAge", i, g.proposed[i][0], g.opened[i][0])
 			}
 		}
