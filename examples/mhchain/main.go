@@ -8,7 +8,7 @@
 // seats pipelines the certified cuts into one cross-cluster total order,
 // beaconed back down so every follower tracks the global frontier.
 // The run is adversarial on both axes: cluster 3's member 15 turns its
-// relay seat Byzantine ("forgecut" — cut records rewritten to claim a
+// relay seat Byzantine ("forgecut" — the cut records it submits claim a
 // cluster it does not control), and midway through the relay leader of
 // cluster 0 crashes, and the next member holding each cut's certificate
 // relays the cuts the crashed leader held. Every forged cut is rejected by

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"repro/internal/byz"
+	"repro/internal/node"
 	"repro/internal/run"
 	"repro/internal/sweep"
 )
@@ -60,7 +61,7 @@ func byzRows(ctx *Context) ([]ByzPoint, error) {
 			Spec:      c.Config.Scenario.String(),
 			Protocol:  c.Labels[1],
 			Transport: c.Labels[2],
-			ByzNodes:  (c.Config.N - 1) / 3,
+			ByzNodes:  node.Faults(c.Config.N),
 		}
 		res, err := run.Run(c.Config)
 		if err != nil {

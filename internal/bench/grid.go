@@ -5,6 +5,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/node"
 	"repro/internal/protocol"
 	"repro/internal/run"
 	"repro/internal/scenario"
@@ -77,7 +78,7 @@ func chainBase(ctx *Context) run.Spec {
 // point using it must come after any axis that changes the group size.
 func byzPlan(s *run.Spec, behavior string) scenario.Plan {
 	plan := scenario.Plan{}
-	for i := 0; i < (s.N-1)/3; i++ {
+	for i := 0; i < node.Faults(s.N); i++ {
 		plan = plan.Then(scenario.ByzAt(0, s.N-1-i, behavior))
 	}
 	return plan

@@ -46,11 +46,10 @@ type MHChainPoint struct {
 
 // forgeAxis scripts the forged-cut attack (byz.NameForgeCut) on the last
 // cluster's last member, which also taints that cluster's relay seat —
-// the Byzantine seat then rewrites the cut records in its own global
-// proposals to claim a cluster it does not control. The three points
-// cover the acceptance matrix: armed from the start, armed mid-run, and
-// forging while an untainted cluster's designated relay is crashed (the
-// next certificate holder relays).
+// the Byzantine seat then submits cut records that claim a cluster it
+// does not control. The three points cover the acceptance matrix: armed
+// from the start, armed mid-run, and forging while an untainted cluster's
+// designated relay is crashed (the next certificate holder relays).
 func forgeAxis() sweep.Axis[run.Spec] {
 	victim := func(s *run.Spec) int { return s.Topology.Clusters*s.Topology.PerCluster - 1 }
 	return sweep.Axis[run.Spec]{Name: "forge", Points: []sweep.Point[run.Spec]{

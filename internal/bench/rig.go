@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/component"
+	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -36,18 +37,18 @@ type ComponentRig struct {
 
 // NewComponentRig builds the rig. Batched selects the transport mode.
 func NewComponentRig(seed int64, batched bool, cfg crypto.Config, net wireless.Config) (*ComponentRig, error) {
-	const n, f = 4, 1
+	const n = 4
 	sched := sim.New(seed)
 	ch := wireless.NewChannel(sched, net)
-	suites, err := crypto.DealCached(n, f, cfg, seed^0xbe)
+	suites, err := crypto.DealCached(n, node.Faults(n), cfg, seed^0xbe)
 	if err != nil {
 		return nil, err
 	}
 	rig := &ComponentRig{Sched: sched, Ch: ch}
-	ncfg := node.Config{Batched: batched, Seed: seed}
+	ncfg := node.Config{Transport: core.DefaultConfig(batched), Seed: seed}
 	for i := 0; i < n; i++ {
 		nd := node.New(sched, ch, wireless.NodeID(i), suites[i], ncfg)
-		env := nd.Env(n, f)
+		env := nd.Env(n)
 		env.T = nd.Mux().Open(0)
 		// The rig keeps its historical RNG derivation so component
 		// benchmark trajectories stay comparable across PRs.
@@ -57,21 +58,13 @@ func NewComponentRig(seed int64, batched bool, cfg crypto.Config, net wireless.C
 	return rig, nil
 }
 
-// RunUntil drives the simulation until done() or the virtual deadline,
-// returning the completion time.
+// RunUntil drives the simulation until done() or the virtual deadline
+// (node.Drive), returning the completion time.
 func (r *ComponentRig) RunUntil(deadline time.Duration, done func() bool) (time.Duration, error) {
-	for r.Sched.Now() < deadline {
-		if done() {
-			return r.Sched.Now(), nil
-		}
-		if !r.Sched.Step() {
-			break
-		}
+	if err := node.Drive(r.Sched, deadline, done); err != nil {
+		return 0, fmt.Errorf("bench: experiment did not converge: %w", err)
 	}
-	if done() {
-		return r.Sched.Now(), nil
-	}
-	return 0, fmt.Errorf("bench: experiment did not converge by %v", deadline)
+	return r.Sched.Now(), nil
 }
 
 // LogicalPerNode returns the mean signed logical packets sent per node.

@@ -17,7 +17,9 @@
 //
 // The five built-in behaviors form the scenario DSL vocabulary
 // (`byz@<t>:<node>:<behavior>`): "equivocate", "withhold", "garbage",
-// "flipvotes", and "forgecut".
+// "flipvotes", and "forgecut". The last is honest on the wire: it is the
+// rule by which the clustered driver forges the cut records an armed
+// uplink seat submits (ForgeCut.Forge).
 package byz
 
 import (
@@ -94,7 +96,7 @@ func New(name string) (Behavior, error) {
 	case NameFlipVotes:
 		return FlipVotes{}, nil
 	case NameForgeCut:
-		return &ForgeCut{}, nil
+		return ForgeCut{}, nil
 	default:
 		return nil, fmt.Errorf("byz: unknown behavior %q (have %v)", name, Names())
 	}

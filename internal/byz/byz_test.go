@@ -9,7 +9,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/packet"
-	"repro/internal/protocol"
 	"repro/internal/sim"
 	"repro/internal/wireless"
 )
@@ -171,24 +170,5 @@ func equivocateOnTheAir(t *testing.T, phase packet.Phase) {
 	if !sawTrue || !sawConflict {
 		t.Fatalf("receiver saw true=%v conflict=%v across %d deliveries; equivocation needs both",
 			sawTrue, sawConflict, len(got))
-	}
-}
-
-// TestForgeCutReseals: the forged-cut adversary is its batch's proposer,
-// so its forgery carries a valid seal and reaches the cut certificates,
-// which are the defense it tests.
-func TestForgeCutReseals(t *testing.T) {
-	cut := make([]byte, forgedCutMin+8)
-	honest := protocol.SealBatch(protocol.EncodeBatch([][]byte{cut, []byte("short")}))
-	forged := forgeBatch(honest)
-	if forged == nil || len(forged) != len(honest) {
-		t.Fatalf("forgeBatch = %d B from a %d B batch of one cut record", len(forged), len(honest))
-	}
-	txs, err := protocol.OpenBatch(forged)
-	if err != nil {
-		t.Fatalf("the forgery fails its seal: %v", err)
-	}
-	if bytes.Equal(txs[0], cut) || !bytes.Equal(txs[1], []byte("short")) {
-		t.Error("the forgery did not rewrite exactly the cut record")
 	}
 }

@@ -90,9 +90,6 @@ type Mux struct {
 // NewMux creates a node's transport layer with no epoch open. cfg applies
 // to every epoch (Session, FlushDelay, RetxInterval, Batched).
 func NewMux(sched *sim.Scheduler, cpu *sim.CPU, auth *SizedAuth, cfg Config) *Mux {
-	if cfg.FlushDelay <= 0 {
-		cfg.FlushDelay = time.Millisecond
-	}
 	m := &Mux{sched: sched, cpu: cpu, auth: auth, cfg: cfg, served: -1}
 	m.windowFn = m.windowClosed
 	return m

@@ -27,28 +27,16 @@ import (
 
 // Config bundles the per-node wiring parameters every driver shares.
 type Config struct {
-	// Transport is the node's transport configuration. If both tuning
-	// fields (FlushDelay, RetxInterval) are zero it is replaced by
-	// core.DefaultConfig, keeping the Session.
+	// Transport is the node's transport configuration: the drivers pass
+	// core.DefaultConfig with the group's session.
 	Transport core.Config
-	// Batched selects ConsensusBatcher vs the per-instance baseline.
-	Batched bool
 	// Seed is the run seed; the node's private RNG is derived from it and
 	// the node index.
 	Seed int64
 }
 
-// resolve returns the effective transport configuration.
-func (c Config) resolve() core.Config {
-	tcfg := c.Transport
-	if tcfg.FlushDelay == 0 && tcfg.RetxInterval == 0 {
-		session := tcfg.Session
-		tcfg = core.DefaultConfig(c.Batched)
-		tcfg.Session = session
-	}
-	tcfg.Batched = c.Batched
-	return tcfg
-}
+// Faults is f, the number of faults a group of n = 3f+1 nodes tolerates.
+func Faults(n int) int { return (n - 1) / 3 }
 
 // Node is one wired participant.
 type Node struct {
@@ -70,14 +58,13 @@ type Node struct {
 // transport on Mux() and closes it when the epoch is over.
 func New(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *crypto.Suite, cfg Config) *Node {
 	cpu := sim.NewCPU(sched)
-	tcfg := cfg.resolve()
 	n := &Node{
 		ID:      id,
 		CPU:     cpu,
 		Suite:   suite,
 		Rand:    rand.New(rand.NewSource(cfg.Seed + int64(id)*7919)),
 		sched:   sched,
-		session: tcfg.Session,
+		session: cfg.Transport.Session,
 	}
 	// The frame authenticator is sized by the suite's signature scheme and
 	// charges the suite's virtual sign/verify costs.
@@ -85,7 +72,7 @@ func New(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *
 		Len:        suite.SigLen,
 		CostSign:   suite.Cost.PKSign,
 		CostVerify: suite.Cost.PKVerify,
-	}, tcfg)
+	}, cfg.Transport)
 	n.station = ch.Attach(id, n)
 	n.mux.BindStation(n.station)
 	return n
@@ -95,12 +82,12 @@ func New(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *
 func (n *Node) Mux() *core.Mux { return n.mux }
 
 // Env returns the node's component environment as member ID of a group of
-// size nodes tolerating f faults: the one place a node's parts become what
-// the components run on. Epoch and T are the caller's to set, for every
-// epoch it opens.
-func (n *Node) Env(size, f int) *component.Env {
+// size nodes, tolerating Faults(size): the one place a node's parts become
+// what the components run on. Epoch and T are the caller's to set, for
+// every epoch it opens.
+func (n *Node) Env(size int) *component.Env {
 	return &component.Env{
-		N: size, F: f, Me: int(n.ID),
+		N: size, F: Faults(size), Me: int(n.ID),
 		Session: n.session,
 		Suite:   n.Suite,
 		CPU:     n.CPU,

@@ -15,7 +15,7 @@ import (
 
 func deal(t *testing.T, n int) []*crypto.Suite {
 	t.Helper()
-	suites, err := crypto.Deal(n, (n-1)/3, crypto.LightConfig(), rand.New(rand.NewSource(1)))
+	suites, err := crypto.Deal(n, Faults(n), crypto.LightConfig(), rand.New(rand.NewSource(1)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +39,7 @@ func wire(t *testing.T, seed int64, n int) (*sim.Scheduler, *wireless.Channel, [
 	tcfg.RetxInterval = 0
 	nodes := make([]*Node, n)
 	for i := range nodes {
-		nodes[i] = New(sched, ch, wireless.NodeID(i), suites[i], Config{Transport: tcfg, Batched: true, Seed: seed})
+		nodes[i] = New(sched, ch, wireless.NodeID(i), suites[i], Config{Transport: tcfg, Seed: seed})
 	}
 	return sched, ch, nodes
 }

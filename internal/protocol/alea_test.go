@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/component"
+	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -28,8 +29,8 @@ func testEnvs(t *testing.T, seed int64, loss float64) (*sim.Scheduler, []*compon
 	}
 	envs := make([]*component.Env, len(suites))
 	for i := range envs {
-		nd := node.New(sched, ch, wireless.NodeID(i), suites[i], node.Config{Batched: true, Seed: seed})
-		envs[i] = nd.Env(4, 1)
+		nd := node.New(sched, ch, wireless.NodeID(i), suites[i], node.Config{Transport: core.DefaultConfig(true), Seed: seed})
+		envs[i] = nd.Env(4)
 		envs[i].T = nd.Mux().Open(0)
 	}
 	return sched, envs

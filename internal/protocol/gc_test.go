@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/node"
 	"repro/internal/sim"
@@ -38,9 +39,9 @@ func newGCNet(t *testing.T, seed int64) *gcNet {
 	}
 	cfg := ChainConfig{Protocol: HoneyBadger, Coin: CoinSig, Batched: true, Window: gcWindow}
 	for i := range suites {
-		nd := node.New(g.sched, ch, wireless.NodeID(i), suites[i], node.Config{Batched: true, Seed: seed})
+		nd := node.New(g.sched, ch, wireless.NodeID(i), suites[i], node.Config{Transport: core.DefaultConfig(true), Seed: seed})
 		g.nodes = append(g.nodes, nd)
-		g.chains = append(g.chains, NewChain(*nd.Env(4, 1), nd.Mux(), cfg))
+		g.chains = append(g.chains, NewChain(*nd.Env(4), nd.Mux(), cfg))
 	}
 	seq := 0
 	var client func()

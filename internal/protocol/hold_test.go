@@ -44,8 +44,8 @@ func newHoldNet(t *testing.T, seed int64, window int) *holdNet {
 	cfg := ChainConfig{Protocol: HoneyBadger, Coin: CoinSig, Batched: true, Window: window, HoldEmpty: true,
 		Mempool: MempoolConfig{TargetBatchBytes: 64, MaxBatchBytes: 64, Shards: 1}}
 	for i := range suites {
-		nd := node.New(g.sched, ch, wireless.NodeID(i), suites[i], node.Config{Batched: true, Seed: seed})
-		c := NewChain(*nd.Env(4, 1), nd.Mux(), cfg)
+		nd := node.New(g.sched, ch, wireless.NodeID(i), suites[i], node.Config{Transport: core.DefaultConfig(true), Seed: seed})
+		c := NewChain(*nd.Env(4), nd.Mux(), cfg)
 		g.nodes, g.chains = append(g.nodes, nd), append(g.chains, c)
 		g.opened = append(g.opened, make(map[int]time.Duration))
 		g.proposed = append(g.proposed, make(map[int]time.Duration))

@@ -73,10 +73,10 @@ type chainGroup struct {
 
 // newChainGroup runs a chain on every node of g. Member i is Byzantine if
 // byz holds base+i, and scripted to stay down if gone does.
-func newChainGroup(g *group, f int, ccfg protocol.ChainConfig, base int, byz, gone map[int]bool) *chainGroup {
+func newChainGroup(g *group, ccfg protocol.ChainConfig, base int, byz, gone map[int]bool) *chainGroup {
 	cg := &chainGroup{group: g}
 	for i, n := range g.nodes {
-		cg.chains = append(cg.chains, protocol.NewChain(*n.Env(len(g.nodes), f), n.Mux(), ccfg))
+		cg.chains = append(cg.chains, protocol.NewChain(*n.Env(len(g.nodes)), n.Mux(), ccfg))
 		cg.byz = append(cg.byz, byz[base+i])
 		cg.live = append(cg.live, !byz[base+i] && !gone[base+i])
 	}
@@ -250,7 +250,7 @@ func runChain(spec Spec) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	g := newChainGroup(d.locals[0], spec.f(), ccfg, 0, d.byz, perma)
+	g := newChainGroup(d.locals[0], ccfg, 0, d.byz, perma)
 	for i, c := range g.chains {
 		c.OnCommit = func(int) { g.observe(i) }
 	}

@@ -47,17 +47,10 @@ func conformanceSpec(kind protocol.Kind, batched bool) Spec {
 	return spec
 }
 
-// conformanceScenario is one battery entry. rewritesProposals marks the
-// adversary that forges its own proposal payload in place (ForgeCut): a
-// Byzantine proposer fabricating its own batch is permitted by consensus
-// validity, and the repo's defense against the fabrication reaching the
-// log is the threshold-encrypted proposal path — so the forged-entry
-// audit applies only to engines that run with encryption on. Agreement
-// and total order must hold for every engine regardless.
+// conformanceScenario is one battery entry.
 type conformanceScenario struct {
-	name              string
-	plan              scenario.Plan
-	rewritesProposals bool
+	name string
+	plan scenario.Plan
 }
 
 // conformanceScenarios is the fault battery: clean, a crash/recover
@@ -75,11 +68,7 @@ func conformanceScenarios() []conformanceScenario {
 			scenario.HealAt(4*time.Minute))},
 	}
 	for _, b := range byz.Names() {
-		out = append(out, conformanceScenario{
-			name:              "byz-" + b,
-			plan:              scenario.Byz(b, 3),
-			rewritesProposals: b == byz.NameForgeCut,
-		})
+		out = append(out, conformanceScenario{name: "byz-" + b, plan: scenario.Byz(b, 3)})
 	}
 	return out
 }
@@ -90,13 +79,13 @@ func conformanceScenarios() []conformanceScenario {
 // agreement / total-order prefix consistency (any two honest logs are
 // prefixes of one common sequence), and gap-freedom (epochs commit in
 // order without holes).
-func checkConformance(t *testing.T, spec Spec, rep *Report, auditForgery bool) {
+func checkConformance(t *testing.T, spec Spec, rep *Report) {
 	t.Helper()
 	if rep.Chain == nil {
 		t.Fatal("conformance cell produced no chain report")
 	}
 	logs := rep.Chain.Logs
-	if forged := protocol.CountForged(logs, spec.Workload.TxSize, rep.Chain.SubmittedTxs); auditForgery && forged != 0 {
+	if forged := protocol.CountForged(logs, spec.Workload.TxSize, rep.Chain.SubmittedTxs); forged != 0 {
 		t.Errorf("validity violated: %d forged transactions committed", forged)
 	}
 	var ref []protocol.LogEntry
@@ -163,7 +152,7 @@ func TestConformanceEngines(t *testing.T) {
 					if err != nil {
 						t.Fatalf("driver rejected the run: %v", err)
 					}
-					checkConformance(t, spec, rep, !sc.rewritesProposals || spec.Encrypt)
+					checkConformance(t, spec, rep)
 				})
 			}
 		}
@@ -236,7 +225,7 @@ func fullStop(t *testing.T, spec Spec, at time.Duration) {
 	if err != nil {
 		t.Fatalf("full-stop recovery wedged: %v", err)
 	}
-	checkConformance(t, spec, rep, true)
+	checkConformance(t, spec, rep)
 }
 
 // TestFullStopRecoveryLocalCoin runs the full-stop grid's seeds 1–4 and
@@ -310,7 +299,7 @@ func TestChurnRecovery(t *testing.T) {
 			if err != nil {
 				t.Fatalf("churn wedged: %v", err)
 			}
-			checkConformance(t, spec, rep, true)
+			checkConformance(t, spec, rep)
 		})
 	}
 }
@@ -338,7 +327,7 @@ func TestTenMinuteOutageRecovers(t *testing.T) {
 			if err != nil {
 				t.Fatalf("outage wedged: %v", err)
 			}
-			checkConformance(t, spec, rep, true)
+			checkConformance(t, spec, rep)
 		})
 	}
 }
@@ -400,7 +389,7 @@ func registerSeatProbe(t *testing.T, kind protocol.Kind) *seatProbe {
 	build := eng.New
 	eng.New = func(env *component.Env, opts protocol.Options) protocol.Instance {
 		count := &p.decLocal
-		if env.Session == globalSession(0) {
+		if env.Session == globalSession {
 			count = &p.decGlobal
 			p.seats[env.Me] = true
 			p.seatOpts = append(p.seatOpts, opts)

@@ -2,6 +2,7 @@ package run
 
 import (
 	"repro/internal/byz"
+	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/node"
 	"repro/internal/scenario"
@@ -43,16 +44,16 @@ func newDeployment(spec Spec) (*deployment, error) {
 		clusters = spec.Topology.Clusters
 	}
 	d := &deployment{spec: spec, sched: sim.New(spec.Seed), byz: spec.Scenario.ByzNodes()}
-	if err := byzPerGroup(d.byz, clusters, spec.N, spec.f()); err != nil {
+	if err := byzPerGroup(d.byz, clusters, spec.N); err != nil {
 		return nil, err
 	}
-	cfg := node.Config{Transport: spec.Transport, Batched: spec.Batched, Seed: spec.Seed}
+	cfg := node.Config{Transport: core.DefaultConfig(spec.Batched), Seed: spec.Seed}
 	for c := 0; c < clusters; c++ {
 		dealSeed := spec.Seed ^ 0x5eed
 		if spec.Topology.Kind == TopoClustered {
 			dealSeed = spec.Seed + int64(c)*101
 		}
-		g, err := d.newGroup(spec.N, spec.f(), dealSeed, cfg)
+		g, err := d.newGroup(spec.N, dealSeed, cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -64,17 +65,17 @@ func newDeployment(spec Spec) (*deployment, error) {
 	// The global tier is domain-separated from the local one: its own
 	// dealing, node seeds and transport session.
 	cfg.Seed = spec.Seed ^ 0x61
-	cfg.Transport.Session = globalSession(spec.Transport.Session)
+	cfg.Transport.Session = globalSession
 	// A seat is a second radio+MCU of its own.
 	var err error
-	d.seats, err = d.newGroup(clusters, (clusters-1)/3, spec.Seed^0x61, cfg)
+	d.seats, err = d.newGroup(clusters, spec.Seed^0x61, cfg)
 	return d, err
 }
 
-// newGroup deals n suites tolerating f faults from dealSeed and wires one
-// node per suite onto a fresh channel.
-func (d *deployment) newGroup(n, f int, dealSeed int64, cfg node.Config) (*group, error) {
-	suites, err := crypto.DealCached(n, f, d.spec.Crypto, dealSeed)
+// newGroup deals n suites tolerating node.Faults(n) from dealSeed and
+// wires one node per suite onto a fresh channel.
+func (d *deployment) newGroup(n int, dealSeed int64, cfg node.Config) (*group, error) {
+	suites, err := crypto.DealCached(n, node.Faults(n), d.spec.Crypto, dealSeed)
 	if err != nil {
 		return nil, err
 	}

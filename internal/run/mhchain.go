@@ -55,11 +55,12 @@ import (
 // cluster: every cut carries a threshold certificate combined from f+1
 // member shares over (session, cluster, epoch, digest) (cutcert.go), and
 // every seat verifies the certificate before counting a committed cut
-// into the cross-cluster order — a Byzantine seat (byz "forgecut") can
-// place forged records in the raw global log, but they are rejected at
-// every honest seat (core.Stats.Rejected), never enter the cut order or
-// the frontier beacons, and the post-run provenance check proves no
-// forgery carried a valid certificate.
+// into the cross-cluster order — a Byzantine seat (byz "forgecut", which
+// pumpCuts applies to the cuts the seat submits) can place forged records
+// in the raw global log, but they are rejected at every honest seat
+// (core.Stats.Rejected), never enter the cut order or the frontier
+// beacons, and the post-run provenance check proves no forgery carried a
+// valid certificate.
 
 // beaconKey is the frontier beacon's intent slot on the local channels.
 var beaconKey = core.IntentKey{Kind: packet.KindGlobal, Phase: packet.PhaseFinish, Slot: 0}
@@ -108,6 +109,9 @@ type mhcCluster struct {
 	// gotCuts[c2] is the set of local epochs for which a cut of cluster
 	// c2 appeared in this seat's global log (the global-tier barrier).
 	gotCuts []map[int]bool
+	// forge is the cut-forgery rule of a seat armed with byz.ForgeCut,
+	// applied to every cut it submits; nil while the seat forges nothing.
+	forge func(cluster int, digest [32]byte) (int, [32]byte)
 }
 
 func (cl *mhcCluster) seat() *node.Node        { return cl.seats.nodes[cl.idx] }
@@ -123,9 +127,6 @@ type mhcDriver struct {
 	// seats is the global chain group; its byz members are the seats of
 	// tainted clusters.
 	seats *chainGroup
-	// gsession is the global-tier transport session, bound into every
-	// cut-certificate message (cross-deployment replay separation).
-	gsession uint32
 	// keys[c] is cluster c's low-threshold public key (threshold f+1):
 	// what members sign cut shares under and every seat verifies
 	// certificates against.
@@ -144,7 +145,8 @@ func (d *mhcDriver) member(flat int) (*mhcCluster, int) {
 
 // lifecycle adapts the cluster tier to the scenario engine. A byz event
 // arms the member's cluster seat too: the cluster's uplink is only as
-// trustworthy as its members.
+// trustworthy as its members. A seat armed with byz.ForgeCut forges the
+// cuts it submits from then on.
 func (d *mhcDriver) lifecycle() lifecycle {
 	return lifecycle{
 		crashed:   d.crashed,
@@ -152,6 +154,10 @@ func (d *mhcDriver) lifecycle() lifecycle {
 		armed: func(i int, b byz.Behavior) {
 			cl, _ := d.member(i)
 			cl.seat().SetBehavior(b)
+			cl.forge = nil
+			if fc, ok := b.(byz.ForgeCut); ok {
+				cl.forge = fc.Forge
+			}
 		},
 	}
 }
@@ -180,7 +186,8 @@ func (d *mhcDriver) recovered(flat int) {
 // rotation from e mod P that holds the cut's certificate — the designated
 // leader, or, while it is down or still collecting, the next member that
 // already holds it. The relay pads the certificate to the cluster key's
-// fixed width and hands the cut to its seat.
+// fixed width and hands the cut to its seat, which forges its claim if
+// it is armed to.
 func (d *mhcDriver) pumpCuts(cl *mhcCluster) {
 	p := d.spec.Topology.PerCluster
 	for ; cl.nextCut < d.target; cl.nextCut++ {
@@ -195,9 +202,12 @@ func (d *mhcDriver) pumpCuts(cl *mhcCluster) {
 		if relay < 0 {
 			return // no live honest member holds the certificate yet
 		}
-		digest := entryDigest(cl.local.chains[relay].Log()[e])
+		c, digest := cl.idx, entryDigest(cl.local.chains[relay].Log()[e])
+		if cl.forge != nil {
+			c, digest = cl.forge(c, digest)
+		}
 		cert := padCert(d.keys[cl.idx], cl.members[relay].cuts[e].Cert())
-		cl.gchain().Submit(MakeCutTx(cl.idx, e, digest, cert))
+		cl.gchain().Submit(MakeCutTx(c, e, digest, cert))
 	}
 }
 
@@ -219,7 +229,7 @@ func (d *mhcDriver) parseCut(tx []byte) (cut, bool) {
 }
 
 func (d *mhcDriver) certified(c cut) bool {
-	return verifyCutCert(d.keys[c.cluster], d.gsession, c.cluster, c.epoch, c.digest, c.cert)
+	return verifyCutCert(d.keys[c.cluster], globalSession, c.cluster, c.epoch, c.digest, c.cert)
 }
 
 // foldCut extends a rolling digest of the cut order — what the relays
@@ -335,7 +345,7 @@ func (d *mhcDriver) hookMember(cl *mhcCluster, i int) {
 	chain := cl.local.chains[i]
 	chain.OnCommit = func(e int) {
 		cl.local.observe(i)
-		m.cuts[e].Begin(cutMsg(d.gsession, cl.idx, e, entryDigest(chain.Log()[e])))
+		m.cuts[e].Begin(cutMsg(globalSession, cl.idx, e, entryDigest(chain.Log()[e])))
 	}
 	chain.OnEpochOpen = func(e int, env *component.Env) {
 		m.latest = env.T
@@ -375,7 +385,6 @@ func runClusteredChain(spec Spec) (*Report, error) {
 // driver; nothing runs until run.
 func newMHCDriver(spec Spec) (*mhcDriver, error) {
 	M, P := spec.Topology.Clusters, spec.Topology.PerCluster
-	fg := (M - 1) / 3
 	dep, err := newDeployment(spec)
 	if err != nil {
 		return nil, err
@@ -389,7 +398,7 @@ func newMHCDriver(spec Spec) (*mhcDriver, error) {
 	for flat := range dep.byz {
 		tainted[flat/P] = true
 	}
-	if len(tainted) > fg {
+	if fg := node.Faults(M); len(tainted) > fg {
 		return nil, fmt.Errorf("run: byz events taint %d clusters' uplink seats, global tier tolerates f=%d", len(tainted), fg)
 	}
 	// Every cluster needs f+1 honest members not scripted to stay dead:
@@ -404,8 +413,8 @@ func newMHCDriver(spec Spec) (*mhcDriver, error) {
 				live++
 			}
 		}
-		if live <= spec.f() {
-			return nil, fmt.Errorf("run: cluster %d has %d honest live members; cut certificates need f+1 = %d signers", c, live, spec.f()+1)
+		if f := node.Faults(P); live <= f {
+			return nil, fmt.Errorf("run: cluster %d has %d honest live members; cut certificates need f+1 = %d signers", c, live, f+1)
 		}
 	}
 	target := spec.Workload.Epochs
@@ -435,11 +444,11 @@ func newMHCDriver(spec Spec) (*mhcDriver, error) {
 		Shards:           1,
 	}
 
-	d := &mhcDriver{spec: spec, dep: dep, target: target, gsession: globalSession(spec.Transport.Session), clock: newEpochClock(spec)}
-	d.seats = newChainGroup(dep.seats, fg, gccfg, 0, tainted, nil)
+	d := &mhcDriver{spec: spec, dep: dep, target: target, clock: newEpochClock(spec)}
+	d.seats = newChainGroup(dep.seats, gccfg, 0, tainted, nil)
 	for c, lg := range dep.locals {
 		cl := &mhcCluster{idx: c, seats: d.seats, gotCuts: make([]map[int]bool, M)}
-		cl.local = newChainGroup(lg, spec.f(), ccfg, c*P, dep.byz, perma)
+		cl.local = newChainGroup(lg, ccfg, c*P, dep.byz, perma)
 		for i := range lg.nodes {
 			cl.members = append(cl.members, &mhcMember{cuts: make(map[int]*component.CutCert)})
 			d.hookMember(cl, i)

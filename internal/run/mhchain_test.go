@@ -10,6 +10,7 @@ import (
 	"repro/internal/component"
 	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/node"
 	"repro/internal/packet"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
@@ -338,7 +339,7 @@ func cutTimeline(t *testing.T, spec Spec, c, e int) (committed, ordered time.Dur
 		ch.OnCommit = func(ep int) {
 			on(ep)
 			if ep == e {
-				if commits = append(commits, now()); len(commits) == d.spec.f()+1 {
+				if commits = append(commits, now()); len(commits) == node.Faults(d.spec.N)+1 {
 					d.dep.sched.At(now()+time.Millisecond, release)
 				}
 			}
@@ -358,7 +359,7 @@ func cutTimeline(t *testing.T, spec Spec, c, e int) (committed, ordered time.Dur
 	if _, err := d.run(); err != nil {
 		t.Fatal(err)
 	}
-	return commits[d.spec.f()], ordered
+	return commits[node.Faults(d.spec.N)], ordered
 }
 
 // TestClusteredChainCutSharesOnAir: a cut's shares travel on its cluster's
@@ -569,7 +570,7 @@ func TestClusteredChainBeaconDispatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	nd := dep.locals[0].nodes[0]
-	env := nd.Env(4, 1)
+	env := nd.Env(4)
 	env.T = nd.Mux().Open(0)
 	m := &mhcMember{}
 	h := m.globalHandler(component.NewCutCert(env, func([]byte) {}))

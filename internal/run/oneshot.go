@@ -3,6 +3,7 @@ package run
 import (
 	"time"
 
+	"repro/internal/node"
 	"repro/internal/protocol"
 )
 
@@ -86,7 +87,7 @@ func newEpochClock(spec Spec) *epochClock {
 	e := spec.Workload.Epochs
 	return &epochClock{
 		epochs:   e,
-		quorum:   2*((spec.Topology.Clusters-1)/3) + 1,
+		quorum:   2*node.Faults(spec.Topology.Clusters) + 1,
 		cuts:     make([]int, e),
 		quorumAt: make([]int, e),
 	}

@@ -162,7 +162,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.Clustered(4, 4), fast(4))
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@30s:0;recover@1m30s:0")
 			return spec
-		}, "38182b3694a821e344b2daa4cdcb54e77bbafc113b57763fd2a38befe4aa289b"},
+		}, "8aece639e47fc5daaf14d9092a7ba26e2329fe03cb8a3933cc21b7209ceebfb9"},
 	}
 	for _, tc := range cases {
 		tc := tc

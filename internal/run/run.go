@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/byz"
+	"repro/internal/node"
 	"repro/internal/scenario"
 )
 
@@ -59,7 +60,8 @@ func validateByz(plan scenario.Plan, n int) error {
 // byzPerGroup enforces the per-group Byzantine bound: at most f scripted
 // Byzantine nodes in each consensus group of size per (the whole network
 // when groups == 1).
-func byzPerGroup(byzN map[int]bool, groups, per, f int) error {
+func byzPerGroup(byzN map[int]bool, groups, per int) error {
+	f := node.Faults(per)
 	count := make([]int, groups)
 	for nd := range byzN {
 		count[nd/per]++
@@ -75,6 +77,6 @@ func byzPerGroup(byzN map[int]bool, groups, per, f int) error {
 	return nil
 }
 
-// globalSession derives the global tier's session id from the local one,
-// domain-separating the two tiers' coins and signed transcripts.
-func globalSession(local uint32) uint32 { return local ^ 0x006C0BA1 }
+// globalSession is the global tier's session id; the local tier's is 0.
+// It domain-separates the two tiers' coins and signed transcripts.
+const globalSession uint32 = 0x006C0BA1

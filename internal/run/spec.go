@@ -25,7 +25,6 @@ import (
 	"slices"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/crypto"
 	"repro/internal/protocol"
 	"repro/internal/scenario"
@@ -153,16 +152,15 @@ type Spec struct {
 	Encrypt bool
 	// N sizes one consensus group: the whole network under single-hop,
 	// each cluster under the clustered topology. It must be 3f+1 >= 4, and
-	// the group tolerates f = (N-1)/3 faults (Spec.f).
+	// the group tolerates f = (N-1)/3 faults (node.Faults).
 	N int
 
 	Topology Topology
 	Workload Workload
 
-	Seed      int64
-	Net       wireless.Config
-	Crypto    crypto.Config
-	Transport core.Config // Session/FlushDelay/RetxInterval; zero = defaults
+	Seed   int64
+	Net    wireless.Config
+	Crypto crypto.Config
 	// Scenario scripts faults into the run: crashes, recoveries,
 	// partitions, loss/jam bursts, the asynchronous delay adversary, and
 	// active-Byzantine behavior activation. The zero value is the
@@ -296,9 +294,6 @@ func (s Spec) validate() error {
 	}
 	return nil
 }
-
-// f is the number of faults one consensus group of N = 3f+1 tolerates.
-func (s Spec) f() int { return (s.N - 1) / 3 }
 
 // Nodes returns the deployment's flat node count (the scenario id space).
 func (s Spec) Nodes() int {
