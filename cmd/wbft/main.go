@@ -10,6 +10,7 @@
 //	     [-topology single|clustered] [-workload oneshot|chain]
 //	     [-epochs N] [-seed N] [-loss P] [-heavy] [-json FILE]
 //	     [-crash 3] [-scenario SPEC]
+//	     [-n N]                                  (single-hop topology, N = 3f+1)
 //	     [-clusters M] [-percluster N]           (clustered topology)
 //	     [-batch N] [-txsize N]                  (oneshot workload)
 //	     [-depth N] [-txsize N] [-txinterval D]  (chain workload)
@@ -101,6 +102,7 @@ func main() {
 		scen     = fs.String("scenario", "", "scripted fault DSL: "+list(scenario.Kinds())+" events (e.g. crash@30m:3;byz@0s:2:garbage)")
 		jsonPath = fs.String("json", "", "also write the run.Report JSON to this file")
 
+		n          = fs.Int("n", 4, "single: group size N (3f+1)")
 		clusters   = fs.Int("clusters", 4, "clustered: number of clusters M (3f+1)")
 		perCluster = fs.Int("percluster", 4, "clustered: nodes per cluster (3f+1)")
 
@@ -132,7 +134,12 @@ func main() {
 	switch *topology {
 	case "single":
 		spec.Topology = run.SingleHop()
+		spec.N = *n
 	case "clustered":
+		if *n != spec.N {
+			fmt.Fprintln(os.Stderr, "wbft: -n sizes the single-hop group; a cluster's size is -percluster")
+			os.Exit(2)
+		}
 		spec.Topology = run.Clustered(*clusters, *perCluster)
 	default:
 		fmt.Fprintf(os.Stderr, "wbft: unknown topology %q\n", *topology)

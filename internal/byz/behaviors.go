@@ -91,8 +91,9 @@ func (w Withhold) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
 // shares that fail, broken certificates. A share keeps its first three
 // bytes — the index that names its maker, which a receiver holds to the
 // sender's id, and its value's length — so that it is taken as the
-// sender's: a bare signature share then joins a combination and fails it,
-// which turns its tally to proofs, and a full share is verified. The
+// sender's: a bare share, signature or decryption, then joins a
+// combination and fails it, which turns its tally to proofs, and a full
+// share is verified. The
 // defense is verification at every trust boundary: share, combination,
 // proof and certificate checks discard the garbage (counted in
 // Stats.Rejected), and proposals that deliver as garbage are rejected by

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/crypto/threshenc"
 	"repro/internal/crypto/threshsig"
 	"repro/internal/packet"
 )
@@ -131,59 +132,74 @@ func TestShareIndexBoundToSender(t *testing.T) {
 	}
 }
 
-// fallbackRig is one signature user of the share collector run by all
-// four nodes, seen through its tallies: how many it has and, for node i
-// and tally k, whether the value exists, whether the tally turned to
-// proofs, what the shares sign and the certificate (a signature user's
-// value; the coin's certificate).
+// fallbackRig is one user of the share collector run by all four nodes,
+// seen through its tallies: how many it has and, for node i and tally k,
+// whether the tally settled, whether it turned to proofs, and its value
+// (a signature user's certificate, the coin's certificate, a plaintext);
+// verify checks a tally's value, and refused names the tally whose subject
+// has no value (-1: none).
 type fallbackRig struct {
 	tallies int
-	state   func(i, k int) (done, proofs bool, subject, cert []byte)
+	state   func(i, k int) (done, proofs bool, value []byte)
+	verify  func(k int, value []byte) error
+	refused int
 }
 
-// fallbackUsers are the four users whose shares go bare: each is started
-// on every node, and ours is the key its certificates verify under, the
-// intent key its shares go on the air under, and which tally an intent is
-// a share of.
+// sigRig is a signature user's fallbackRig: subject(i, k) is what node i's
+// tally k signs, and a value must verify under key as a signature of it.
+func sigRig[S, V any](key *threshsig.PublicKey, tallies int, tally func(i, k int) (t *tally[[]byte, S, V], cert []byte)) fallbackRig {
+	return fallbackRig{
+		tallies: tallies,
+		state: func(i, k int) (bool, bool, []byte) {
+			t, cert := tally(i, k)
+			return t.done, t.proofs, cert
+		},
+		verify: func(k int, value []byte) error {
+			t, _ := tally(0, k)
+			return key.Verify(t.subject, &threshsig.Signature{S: bigFromBytes(value)})
+		},
+		refused: -1,
+	}
+}
+
+// fallbackUsers are the users whose shares go bare: each is started on
+// every node, and the intent key its shares go on the air under names
+// which tally an intent is a share of.
 var fallbackUsers = []struct {
 	name  string
 	kind  packet.Kind
 	phase packet.Phase
-	key   func(env *Env) *threshsig.PublicKey
 	tally func(in core.Intent) int
-	start func(tn *testNet) fallbackRig
+	start func(t *testing.T, tn *testNet) fallbackRig
 }{
 	{"cbc-certificate", packet.KindCBCValue, packet.PhaseEcho,
-		func(env *Env) *threshsig.PublicKey { return env.Suite.TSHigh },
 		func(in core.Intent) int { return int(in.Slot) },
-		func(tn *testNet) fallbackRig {
+		func(t *testing.T, tn *testNet) fallbackRig {
 			nodes := newKernel(tn, packet.KindCBCValue, true)
 			for i, c := range nodes {
 				c.Propose(i, kernelValue(i, true))
 			}
-			return fallbackRig{4, func(i, k int) (bool, bool, []byte, []byte) {
+			return sigRig(tn.envs[0].Suite.TSHigh, 4, func(i, k int) (*tally[[]byte, *threshsig.SigShare, []byte], []byte) {
 				t := &nodes[i].slots[k].cert
-				return t.done, t.proofs, t.subject, t.value
-			}}
+				return t, t.value
+			})
 		}},
 	{"prbc-done-proof", packet.KindPRBC, packet.PhaseDone,
-		func(env *Env) *threshsig.PublicKey { return env.Suite.TSLow },
 		func(in core.Intent) int { return int(in.Slot) },
-		func(tn *testNet) fallbackRig {
+		func(t *testing.T, tn *testNet) fallbackRig {
 			var nodes []*PRBC
 			for i, env := range tn.envs {
 				nodes = append(nodes, NewPRBC(env, PRBCOptions{Slots: 4}))
 				nodes[i].Propose(i, []byte(fmt.Sprintf("p-%d", i)))
 			}
-			return fallbackRig{4, func(i, k int) (bool, bool, []byte, []byte) {
+			return sigRig(tn.envs[0].Suite.TSLow, 4, func(i, k int) (*tally[[]byte, *threshsig.SigShare, []byte], []byte) {
 				t := &nodes[i].slots[k].proof
-				return t.done, t.proofs, t.subject, t.value
-			}}
+				return t, t.value
+			})
 		}},
 	{"cut-cert", packet.KindGlobal, packet.PhaseDone,
-		func(env *Env) *threshsig.PublicKey { return env.Suite.TSLow },
 		func(core.Intent) int { return 0 },
-		func(tn *testNet) fallbackRig {
+		func(t *testing.T, tn *testNet) fallbackRig {
 			var certs []*CutCert
 			for _, env := range tn.envs {
 				c := NewCutCert(env, func([]byte) {})
@@ -191,15 +207,14 @@ var fallbackUsers = []struct {
 				c.Begin([]byte("cut of cluster 1, epoch 3"))
 				certs = append(certs, c)
 			}
-			return fallbackRig{1, func(i, _ int) (bool, bool, []byte, []byte) {
+			return sigRig(tn.envs[0].Suite.TSLow, 1, func(i, _ int) (*tally[[]byte, *threshsig.SigShare, []byte], []byte) {
 				t := &certs[i].cert
-				return t.done, t.proofs, t.subject, t.value
-			}}
+				return t, t.value
+			})
 		}},
 	{"sig-coin", packet.KindABA, packet.PhaseShare,
-		func(env *Env) *threshsig.PublicKey { return env.Suite.TSLow },
 		func(in core.Intent) int { return int(in.Round)/3 - 1 },
-		func(tn *testNet) fallbackRig {
+		func(t *testing.T, tn *testNet) fallbackRig {
 			// The coins of rounds 3 and 6, the first two that are drawn.
 			var abas []*CachinABA
 			for _, env := range tn.envs {
@@ -210,26 +225,70 @@ var fallbackUsers = []struct {
 				}
 				abas = append(abas, a)
 			}
-			return fallbackRig{2, func(i, k int) (bool, bool, []byte, []byte) {
+			return sigRig(tn.envs[0].Suite.TSLow, 2, func(i, k int) (*tally[[]byte, coinShare, bool], []byte) {
 				t := &abas[i].coinState(coinKey{slot: sharedSlot, round: uint16(3 * (k + 1))}).tally
-				return t.done, t.proofs, t.subject, t.cert
-			}}
+				return t, t.cert
+			})
+		}},
+	// Nodes 0–2 each propose an honest ciphertext; node 3's is made under
+	// another key, so its commitment no shares meet.
+	{"decryption", packet.KindDec, packet.PhaseDecShare,
+		func(in core.Intent) int { return int(in.Slot) },
+		func(t *testing.T, tn *testNet) fallbackRig {
+			cts, plains := make([]*threshenc.Ciphertext, 4), make([][]byte, 4)
+			for slot, env := range tn.envs {
+				plain := []byte(fmt.Sprintf("batch of node %d", slot))
+				if slot == 3 {
+					cts[slot] = foreignCiphertext(t, tn, plain, env.Rand)
+					continue
+				}
+				ct, err := env.Suite.TE.Encrypt(plain, env.Rand)
+				if err != nil {
+					t.Fatal(err)
+				}
+				cts[slot], plains[slot] = ct, plain
+			}
+			var decs []*Decryptor
+			for _, env := range tn.envs {
+				d := NewDecryptor(env, 4, nil)
+				for slot, ct := range cts {
+					d.Submit(slot, ct)
+				}
+				decs = append(decs, d)
+			}
+			return fallbackRig{
+				tallies: 4,
+				state: func(i, k int) (bool, bool, []byte) {
+					s := decs[i].slot(k)
+					return s.done, s.proofs, s.value
+				},
+				verify: func(k int, value []byte) error {
+					if !bytes.Equal(value, plains[k]) {
+						return fmt.Errorf("plaintext %q, want %q", value, plains[k])
+					}
+					return nil
+				},
+				refused: 3,
+			}
 		}},
 }
 
-// TestBareShareFallback runs each signature user on all four nodes with
-// node 3 Byzantine in how its shares of tally 0 go on the air, over seeds
-// 1–20:
-//   - garbage bare: its own index and a corrupted X. Taken unverified, it
-//     fails the combinations it joins; the tally turns to proofs there and
-//     completes from the honest full shares.
+// TestBareShareFallback runs each user whose shares go bare on all four
+// nodes with node 3 Byzantine in how its shares of tally 0 go on the air,
+// over seeds 1–20:
+//   - garbage bare: its own index and a corrupted value. Taken
+//     unverified, it fails the combinations it joins; the tally turns to
+//     proofs there and completes from the honest full shares.
 //   - forged full: a bare share with a made-up proof behind it, flagged
 //     full. It is verified and rejected, and it turns tally 0 to proofs
 //     wherever it comes before the value, and no other tally.
 //
-// Every honest node must get every tally's value, and the certificates
-// must agree and verify; over the seeds, each attack must have turned some
-// tally 0 to proofs.
+// Every honest node must get every tally's value, and the values must
+// agree and check; over the seeds, each attack must have turned some
+// tally 0 to proofs. Under decryption node 3 is also a Byzantine
+// proposer: its ciphertext, tally 3, is made under another key. Every
+// honest node must turn it to proofs, refuse it (a nil plaintext) and
+// count a rejection, and still settle every other tally.
 func TestBareShareFallback(t *testing.T) {
 	attacks := []struct {
 		name    string
@@ -258,11 +317,11 @@ func TestBareShareFallback(t *testing.T) {
 						}
 						return a.rewrite(in)
 					}))
-					r := u.start(tn)
+					r := u.start(t, tn)
 					tn.run(t, 30*time.Minute, func() bool {
 						for i := 0; i < 3; i++ {
 							for k := 0; k < r.tallies; k++ {
-								if done, _, _, _ := r.state(i, k); !done {
+								if done, _, _ := r.state(i, k); !done {
 									return false
 								}
 							}
@@ -270,20 +329,29 @@ func TestBareShareFallback(t *testing.T) {
 						return true
 					})
 					for k := 0; k < r.tallies; k++ {
-						_, _, subject, want := r.state(0, k)
-						if err := u.key(tn.envs[0]).Verify(subject, &threshsig.Signature{S: bigFromBytes(want)}); err != nil {
-							t.Errorf("%s, seed %d, tally %d: certificate does not verify: %v", a.name, seed, k, err)
+						_, _, want := r.state(0, k)
+						if err := r.verify(k, want); err != nil {
+							t.Errorf("%s, seed %d, tally %d: %v", a.name, seed, k, err)
 						}
 						for i := 0; i < 3; i++ {
-							_, proofs, _, cert := r.state(i, k)
-							if !bytes.Equal(cert, want) {
-								t.Errorf("%s, seed %d, tally %d: nodes 0 and %d hold different certificates", a.name, seed, k, i)
-							}
-							if proofs && k != 0 {
+							_, proofs, value := r.state(i, k)
+							switch {
+							case !bytes.Equal(value, want):
+								t.Errorf("%s, seed %d, tally %d: nodes 0 and %d hold different values", a.name, seed, k, i)
+							case k == r.refused && !proofs:
+								t.Errorf("%s, seed %d: node %d refused tally %d without turning it to proofs", a.name, seed, i, k)
+							case k == r.refused:
+							case proofs && k != 0:
 								t.Errorf("%s, seed %d: node %d turned tally %d to proofs", a.name, seed, i, k)
-							}
-							if proofs && k == 0 {
+							case proofs:
 								turned++
+							}
+						}
+					}
+					if r.refused >= 0 {
+						for i, env := range tn.envs[:3] {
+							if env.T.Stats().Rejected == 0 {
+								t.Errorf("%s, seed %d: node %d refused tally %d and counted no rejection", a.name, seed, i, r.refused)
 							}
 						}
 					}

@@ -15,8 +15,9 @@ import (
 // Share payloads on the wire are a 1-byte index followed by three
 // length-prefixed big integers: a threshold-signature share and a
 // discrete-log threshold share (coin or decryption) both fit this shape.
-// A bare threshold-signature share stops after the first, its value: the
-// index and X without the proof (C, Z) that follows them in a full one.
+// A bare share stops after the first, its value: the index and X (a
+// signature share) or V (a decryption share) without the proof (C, Z)
+// that follows them in a full one.
 
 var errShortShare = errors.New("component: truncated share encoding")
 
@@ -100,9 +101,11 @@ func DecodeBareSigShare(buf []byte) (*threshsig.SigShare, error) {
 	return &threshsig.SigShare{Index: idx, X: ints[0]}, nil
 }
 
-// EncodeDLShare serializes a discrete-log threshold share: a coin share
-// or a decryption share.
+// EncodeDLShare serializes a discrete-log threshold share, a coin share
+// or a decryption share, with its proof, making the proof first if the
+// share was made bare (dlthresh.Share.Prove).
 func EncodeDLShare(sh *dlthresh.Share) []byte {
+	sh.Prove()
 	return encodeShare(sh.Index, sh.V, sh.Proof.C, sh.Proof.Z)
 }
 
@@ -115,13 +118,31 @@ func DecodeDLShare(buf []byte) (*dlthresh.Share, error) {
 	return &dlthresh.Share{Index: idx, V: ints[0], Proof: &dleq.Proof{C: ints[1], Z: ints[2]}}, nil
 }
 
+// EncodeBareDLShare serializes a discrete-log threshold share without its
+// proof: the prefix of EncodeDLShare's bytes that holds the index and V.
+func EncodeBareDLShare(sh *dlthresh.Share) []byte {
+	return encodeShare(sh.Index, sh.V)
+}
+
+// DecodeBareDLShare parses a bare discrete-log threshold share; its Proof
+// is nil.
+func DecodeBareDLShare(buf []byte) (*dlthresh.Share, error) {
+	idx, ints, err := decodeShare(buf, 1)
+	if err != nil {
+		return nil, err
+	}
+	return &dlthresh.Share{Index: idx, V: ints[0]}, nil
+}
+
 // CiphertextOverhead returns the bytes EncodeCiphertext adds to a
 // plaintext encrypted over g: threshenc's own, plus C1's length prefix.
 func CiphertextOverhead(g *group.Group) int { return 2 + threshenc.CiphertextOverhead(g) }
 
-// EncodeCiphertext serializes a threshold ciphertext for RBC dissemination.
+// EncodeCiphertext serializes a threshold ciphertext for RBC dissemination:
+// C1, the key commitment, the tag, and the body behind its length.
 func EncodeCiphertext(ct *threshenc.Ciphertext) []byte {
 	buf := appendBig(nil, ct.C1)
+	buf = append(buf, ct.Commit[:]...)
 	buf = append(buf, ct.Tag[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ct.Body)))
 	return append(buf, ct.Body...)
@@ -130,19 +151,21 @@ func EncodeCiphertext(ct *threshenc.Ciphertext) []byte {
 // DecodeCiphertext parses a threshold ciphertext and checks its binding
 // tag: a ciphertext that parses but fails the tag is one no node will make
 // a decryption share of, so it is refused here with the malformed ones and
-// the caller never waits on its plaintext.
+// the caller never waits on its plaintext. One whose tag holds but whose
+// commitment is not the key's is refused later, by its combination.
 func DecodeCiphertext(buf []byte) (*threshenc.Ciphertext, error) {
 	c1, rest, err := readBig(buf)
 	if err != nil {
 		return nil, err
 	}
-	if len(rest) < 32+4 {
+	if len(rest) < 32+32+4 {
 		return nil, errShortShare
 	}
 	var ct threshenc.Ciphertext
 	ct.C1 = c1
-	copy(ct.Tag[:], rest[:32])
-	rest = rest[32:]
+	copy(ct.Commit[:], rest[:32])
+	copy(ct.Tag[:], rest[32:64])
+	rest = rest[64:]
 	n := int(binary.BigEndian.Uint32(rest))
 	rest = rest[4:]
 	if len(rest) < n {

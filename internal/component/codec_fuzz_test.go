@@ -15,12 +15,12 @@ import (
 )
 
 // FuzzShareCodec feeds arbitrary bytes to the one threshold-share wire
-// codec through both share types that ride it, and through the bare form
-// of a threshold-signature share. No decoder may panic, and whatever
-// decodes re-encodes to a canonical form: decoding that form gives the
-// same share, and encoding that share gives the same bytes (leading zeros
-// and trailing bytes of the input are not preserved, the value is). A
-// full share's bytes also decode bare, to its index and X.
+// codec through both share types that ride it, full and bare. No decoder
+// may panic, and whatever decodes re-encodes to a canonical form: decoding
+// that form gives the same share, and encoding that share gives the same
+// bytes (leading zeros and trailing bytes of the input are not preserved,
+// the value is). A full share's bytes also decode bare, to its index and
+// X, and the two bare forms are one.
 func FuzzShareCodec(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1})
@@ -40,6 +40,14 @@ func FuzzShareCodec(f *testing.F) {
 			if len(canon) > len(raw) {
 				t.Fatalf("canonical bare form (%d B) longer than its source (%d B)", len(canon), len(raw))
 			}
+		}
+		bareDL, bareDLErr := DecodeBareDLShare(raw)
+		if (bareErr == nil) != (bareDLErr == nil) {
+			t.Fatalf("one bare shape, two verdicts: sig %v, dl %v", bareErr, bareDLErr)
+		}
+		if bareErr == nil && (bareDL.Index != bare.Index || bareDL.V.Cmp(bare.X) != 0 || bareDL.Proof != nil ||
+			!bytes.Equal(EncodeBareDLShare(bareDL), EncodeBareSigShare(bare))) {
+			t.Fatalf("the two bare share types differ on one input: %+v vs %+v", bare, bareDL)
 		}
 		sig, sigErr := DecodeSigShare(raw)
 		if sigErr == nil && (bareErr != nil || bare.Index != sig.Index || bare.X.Cmp(sig.X) != 0) {

@@ -8,9 +8,14 @@ import (
 
 // Decryptor runs the threshold-decryption exchange HoneyBadgerBFT and BEAT
 // perform after ACS fixes the accepted proposal set: every node broadcasts
-// one decryption share per accepted ciphertext; f+1 verified shares
-// recover each plaintext. Shares ride the same batched packets as
-// everything else (vertical batching across the accepted slots).
+// one decryption share per accepted ciphertext, bare; f+1 shares whose
+// combination meets the ciphertext's key commitment recover its plaintext.
+// A combination that fails turns the slot to proved shares, each verified
+// (decScheme); f+1 verified shares that still fail refuse the ciphertext —
+// a Byzantine proposer's, made under another key — and the slot recovers
+// nil, as a malformed ciphertext does at ACS. Shares ride the same batched
+// packets as everything else (vertical batching across the accepted
+// slots).
 type Decryptor struct {
 	env    *Env
 	shares collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]
@@ -67,7 +72,8 @@ func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) {
 	}
 }
 
-// Plaintext returns the recovered plaintext for a slot, or nil.
+// Plaintext returns the recovered plaintext for a slot, or nil: not yet
+// recovered, or refused.
 func (d *Decryptor) Plaintext(slot int) []byte {
 	if s := d.slots[slot]; s != nil {
 		return s.value
@@ -93,7 +99,8 @@ func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
 	}
 }
 
-// recovered runs once a slot's shares combined into its plaintext.
+// recovered runs once a slot's shares combined into its plaintext, or, nil,
+// refused its ciphertext.
 func (d *Decryptor) recovered(slot int, plain []byte) {
 	d.done.Set(slot)
 	d.env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)

@@ -2,9 +2,13 @@ package component
 
 import (
 	"bytes"
+	"io"
+	"math/big"
+	"math/rand"
 	"testing"
 	"time"
 
+	"repro/internal/crypto"
 	"repro/internal/crypto/threshenc"
 	"repro/internal/packet"
 )
@@ -13,21 +17,47 @@ import (
 // and the one the seed corpus was recorded in, so recorded shares verify.
 const decFuzzSeed = 37
 
+// decRefused is the slot whose ciphertext a Byzantine proposer made under
+// another key: its tag holds, and no shares meet its key commitment.
+const decRefused = 3
+
 // decFuzzCiphertexts are the deployment's four accepted proposals, one
-// per slot, and their plaintexts: the same at every call for a testNet of
-// decFuzzSeed.
+// per slot, and their plaintexts (nil for decRefused's): the same at every
+// call for a testNet of decFuzzSeed.
 func decFuzzCiphertexts(tb testing.TB, tn *testNet) ([]*threshenc.Ciphertext, [][]byte) {
 	tb.Helper()
 	cts, plains := make([]*threshenc.Ciphertext, 4), make([][]byte, 4)
 	for slot := range cts {
-		plains[slot] = []byte{'p', 'l', 'a', 'i', 'n', byte('0' + slot)}
-		ct, err := tn.envs[slot].Suite.TE.Encrypt(plains[slot], tn.envs[slot].Rand)
+		plain := []byte{'p', 'l', 'a', 'i', 'n', byte('0' + slot)}
+		if slot == decRefused {
+			cts[slot] = foreignCiphertext(tb, tn, plain, tn.envs[slot].Rand)
+			continue
+		}
+		plains[slot] = plain
+		ct, err := tn.envs[slot].Suite.TE.Encrypt(plain, tn.envs[slot].Rand)
 		if err != nil {
 			tb.Fatal(err)
 		}
 		cts[slot] = ct
 	}
 	return cts, plains
+}
+
+// foreignCiphertext encrypts plain under the threshold key of a deployment
+// dealt apart from tn's, as a Byzantine proposer may: the ciphertext's tag
+// holds, so every node makes shares of it and they verify, but its key
+// commitment is not tn's key's, so no k shares meet it.
+func foreignCiphertext(tb testing.TB, tn *testNet, plain []byte, rng io.Reader) *threshenc.Ciphertext {
+	tb.Helper()
+	other, err := crypto.DealCached(len(tn.envs), tn.envs[0].F, crypto.LightConfig(), -1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	ct, err := other[0].TE.Encrypt(plain, rng)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ct
 }
 
 // A FuzzDecryptorSection input is a sequence of cbcRecords: op's top bit
@@ -40,11 +70,13 @@ const (
 	decOther  = 0x01
 )
 
-// decSeeds records an honest run, every node submitting every slot, and
-// returns inputs built from its shares: shares ahead of the ciphertext and
-// after it, a corrupted share before the genuine ones, a share claimed by
-// another sender, one offered for another slot, a certificate-flagged
-// entry, and a share under another phase.
+// decSeeds records a run of every node submitting every slot — decRefused
+// turns to proved shares everywhere and is refused — and returns inputs
+// built from its shares: bare shares ahead of the ciphertext and after it,
+// a garbage bare share before the genuine ones, a share claimed by another
+// sender, one offered for another slot, a certificate-flagged entry, a
+// share under another phase, a garbage bare share followed by full ones, a
+// forged full share, and the refused slot's bare and full shares.
 func decSeeds(f *testing.F) [][]byte {
 	tn := newTestNet(f, decFuzzSeed, 0, true)
 	cts, _ := decFuzzCiphertexts(f, tn)
@@ -64,15 +96,25 @@ func decSeeds(f *testing.F) [][]byte {
 	tn.run(f, 30*time.Minute, func() bool {
 		for _, d := range decs {
 			for slot := range cts {
-				if d.Plaintext(slot) == nil {
+				if !d.done.Get(slot) {
 					return false
 				}
 			}
 		}
 		return true
 	})
+	// share is node w's first share of slot on the air, bare; full is its
+	// share in full, as it goes on the air once the slot turns to proofs.
 	share := func(w, slot int, op byte) cbcRecord {
 		return cbcRecord{op: op, from: byte(w), e: recs[w].entries(packet.PhaseDecShare, slot)[0]}
+	}
+	full := func(w, slot int, op byte) cbcRecord {
+		sh, err := tn.envs[w].Suite.TE.DecryptShare(tn.envs[w].Suite.TEShare, cts[slot], rand.New(rand.NewSource(int64(w))))
+		if err != nil {
+			f.Fatal(err)
+		}
+		e := packet.Entry{Slot: uint8(slot), Sub: uint8(w), Flags: proofFlag, Data: EncodeDLShare(sh)}
+		return cbcRecord{op: op, from: byte(w), e: e}
 	}
 	input := func(rs ...cbcRecord) []byte {
 		var b []byte
@@ -81,34 +123,45 @@ func decSeeds(f *testing.F) [][]byte {
 		}
 		return b
 	}
-	corrupt := share(0, 0, 0)
-	corrupt.e.Data = bytes.Clone(corrupt.e.Data)
-	corrupt.e.Data[len(corrupt.e.Data)-1] ^= 1
+	garbage := func(r cbcRecord) cbcRecord {
+		r.e.Data = bytes.Clone(r.e.Data)
+		r.e.Data[len(r.e.Data)-1] ^= 1
+		return r
+	}
 	claimed := share(1, 0, decLater|decSubmit)
 	claimed.from = 2
 	elsewhere := share(0, 1, decLater|decSubmit)
 	elsewhere.e.Slot = 2
 	cert := share(1, 0, decLater|decSubmit)
 	cert.e.Flags = certFlag
+	forged := share(0, 2, decSubmit)
+	forged.e.Data = appendBig(appendBig(bytes.Clone(forged.e.Data), big.NewInt(7)), big.NewInt(9))
+	forged.e.Flags = proofFlag
 	return [][]byte{
 		input(share(0, 0, 0), share(1, 0, 0), share(2, 0, decLater|decSubmit)),
 		input(share(0, 1, decSubmit), share(1, 1, decLater)),
-		input(share(0, 2, decLater), share(1, 3, decLater), share(2, 2, decLater|decSubmit), share(2, 3, decLater|decSubmit)),
-		input(corrupt, share(1, 0, decLater|decSubmit), share(0, 0, decLater), share(2, 0, decLater)),
+		input(share(0, 2, decLater), share(1, 0, decLater), share(2, 2, decLater|decSubmit), share(2, 0, decLater|decSubmit)),
+		input(garbage(share(0, 0, 0)), share(1, 0, decLater|decSubmit), share(0, 0, decLater), share(2, 0, decLater)),
 		input(claimed, elsewhere, cert, share(2, 0, decLater)),
 		input(share(0, 0, decOther|decSubmit), share(1, 0, decLater|decOther)),
+		input(garbage(share(0, 1, decSubmit)), full(0, 1, decLater), full(2, 1, decLater)),
+		input(forged, share(1, 2, decLater), full(1, 2, decLater)),
+		input(share(0, decRefused, decSubmit), share(1, decRefused, decLater), full(0, decRefused, decLater), full(2, decRefused, decLater)),
 	}
 }
 
 // FuzzDecryptorSection feeds arbitrary DEC entries to one node whose
 // peers run nothing but listen, and has it submit the ciphertexts the
 // input names in between; the node keeps other state on the air from the
-// start, as it would while its common subset runs. Nothing may panic, a
-// slot's plaintext comes only from k shares that verify — a submitted
-// slot, the plaintext encrypted, and shares from k-1 distinct peers in
-// the input that verify under their sender's index, beside the node's own
-// — and no frame of the node's carries a DEC NACK row before its first
-// Submit.
+// start, as it would while its common subset runs. Nothing may panic, and
+// no frame of the node's carries a DEC NACK row before its first Submit.
+// A slot's plaintext comes only from k good shares: a submitted slot,
+// the plaintext encrypted, and shares from k-1 distinct peers in the input
+// under their sender's index, beside the node's own — each bare with its
+// sender's genuine value, or full with a proof that verifies. A slot is
+// refused only if its ciphertext is decRefused's, submitted, and k-1
+// peers' full shares of it verify: garbage bare shares and forged full
+// ones never refuse an honest ciphertext.
 func FuzzDecryptorSection(f *testing.F) {
 	f.Add([]byte{})
 	for _, in := range decSeeds(f) {
@@ -119,14 +172,27 @@ func FuzzDecryptorSection(f *testing.F) {
 		cts, plains := decFuzzCiphertexts(t, tn)
 		env := tn.envs[3]
 		key := env.Suite.TE
+		// genuine[slot][w] is node w's share value of slot's ciphertext.
+		var genuine [4][4]*big.Int
+		for slot, ct := range cts {
+			for w, peer := range tn.envs {
+				sh, err := key.DecryptShareBare(peer.Suite.TEShare, ct, rand.New(rand.NewSource(0)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				genuine[slot][w] = sh.V
+			}
+		}
 		d := NewDecryptor(env, 4, nil)
 		heard := hearDec(tn.envs[0], nil)
 		busy(tn, env)
 		submitted := [4]bool{}
 		asking := false // the node has submitted a ciphertext
-		// valid[slot] marks the peers that sent a share of slot's
-		// ciphertext that verifies under the index of the sender.
-		var valid [4][4]bool
+		// good[slot] marks the peers that sent a share of slot's
+		// ciphertext under the index of the sender, bare with its genuine
+		// value or full with a proof that verifies; proved marks the
+		// latter.
+		var good, proved [4][4]bool
 		check := func() {
 			if !asking && heard.rows[3] > 0 {
 				t.Fatal("a DEC row went on the air before the first Submit")
@@ -144,34 +210,47 @@ func FuzzDecryptorSection(f *testing.F) {
 			}
 			from := uint16(r.from % 4)
 			phase := packet.PhaseDecShare
-			if r.op&decOther != 0 {
+			switch {
+			case r.op&decOther != 0:
 				phase = packet.PhaseEcho
-			} else if int(r.e.Slot) < 4 && from != 3 && r.e.Flags&certFlag == 0 {
+			case int(r.e.Slot) >= 4 || from == 3 || r.e.Flags&certFlag != 0:
+			case r.e.Flags&proofFlag != 0:
 				if sh, err := DecodeDLShare(r.e.Data); err == nil && sh.Index == int(from)+1 && key.VerifyShare(cts[slot], sh) == nil {
-					valid[slot][from] = true
+					good[slot][from], proved[slot][from] = true, true
+				}
+			default:
+				if sh, err := DecodeBareDLShare(r.e.Data); err == nil && sh.Index == int(from)+1 && sh.V.Cmp(genuine[slot][from]) == 0 {
+					good[slot][from] = true
 				}
 			}
 			d.HandleSection(from, packet.Section{Kind: packet.KindDec, Phase: phase, Entries: []packet.Entry{r.e}})
 		}
 		tn.settle(time.Minute)
 		check()
-		for slot, p := range d.slots {
-			if p == nil || p.value == nil {
-				continue
-			}
-			peers := 0
-			for _, ok := range valid[slot] {
+		count := func(peers [4]bool) int {
+			n := 0
+			for _, ok := range peers {
 				if ok {
-					peers++
+					n++
 				}
+			}
+			return n
+		}
+		for slot, p := range d.slots {
+			if p == nil || !p.done {
+				continue
 			}
 			switch {
 			case !submitted[slot]:
-				t.Fatalf("slot %d decrypted without its ciphertext", slot)
-			case !bytes.Equal(p.value, plains[slot]):
+				t.Fatalf("slot %d settled without its ciphertext", slot)
+			case p.value == nil && slot != decRefused:
+				t.Fatalf("slot %d's honest ciphertext refused", slot)
+			case p.value == nil && count(proved[slot]) < key.K-1:
+				t.Fatalf("slot %d refused with %d peers' verified shares, want %d", slot, count(proved[slot]), key.K-1)
+			case p.value != nil && !bytes.Equal(p.value, plains[slot]):
 				t.Fatalf("slot %d decrypted %q, want %q", slot, p.value, plains[slot])
-			case peers < key.K-1:
-				t.Fatalf("slot %d decrypted with %d peers' valid shares, want %d", slot, peers, key.K-1)
+			case p.value != nil && count(good[slot]) < key.K-1:
+				t.Fatalf("slot %d decrypted with %d peers' good shares, want %d", slot, count(good[slot]), key.K-1)
 			}
 		}
 	})

@@ -682,16 +682,16 @@ func coinRig(t *testing.T, tn *testNet, source func(*Env) CoinSource) collectorR
 // TestShareCollector runs the one collect → combine machine through each
 // of its users, on node 0 with the peers' shares handed in directly.
 //
-// Under a scheme that sends its shares bare — the four signature users — a
-// corrupted bare share is held unverified and free; the k-th share's
+// Under a scheme that sends its shares bare — the four signature users and
+// the Decryptor — a corrupted bare share is held unverified and free; the k-th share's
 // combination is charged the combine and the check of the value, fails,
 // costs one rejection, drops the peers' shares but keeps this node's own
 // counted, and turns the tally to proofs, where the own share goes on the
 // air again in full, a bare share counts for nothing, an invalid full
 // share is charged its verification and rejected, and honest full shares
-// complete the tally. Under a scheme without a bare form — the CP coin,
-// the Decryptor — every share is verified, and a combination that fails
-// drops every share.
+// complete the tally. Under a scheme without a bare form — the CP coin —
+// every share is verified, and a combination that fails drops every
+// share.
 func TestShareCollector(t *testing.T) {
 	for _, u := range collectorUsers {
 		t.Run(u.name, func(t *testing.T) {

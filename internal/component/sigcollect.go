@@ -19,17 +19,19 @@ import (
 // A scheme whose combined value anyone can check on its own — a threshold
 // signature — also has a certificate: combine returns it beside the value,
 // and check takes one from a peer for certCost and gives back the value it
-// proves. A scheme whose value can be checked only through its shares
-// (threshold coin flipping, decryption) has check nil and combines to a
-// nil certificate.
+// proves. A scheme whose value can be checked only by its combiner
+// (decryption, against the ciphertext's key commitment) or only through
+// its shares (threshold coin flipping) has check nil and combines to a nil
+// certificate.
 //
-// A scheme with certificates sends its shares bare, without the proof
-// that lets one be verified on its own: combining k of them and checking
-// the value once costs less than verifying each, and a failed combination
-// brings the proofs back (collector.toProofs). bare encodes a share so,
-// and decodeBare parses one, checking what can be checked without the
-// proof. A scheme without certificates has neither: its shares always
-// carry their proofs, because nothing else can vouch for its value.
+// A scheme whose combination checks itself — signing and decryption —
+// sends its shares bare, without the proof that lets one be verified on
+// its own: combining k of them and checking the value once costs less
+// than verifying each, and a failed combination brings the proofs back
+// (collector.toProofs). bare encodes a share so, and decodeBare parses
+// one, checking what can be checked without the proof. Coin flipping has
+// neither: its shares always carry their proofs, because nothing else can
+// vouch for its value.
 type scheme[X, S, V any] struct {
 	k                                            int
 	shareCost, verifyCost, combineCost, certCost time.Duration
@@ -173,7 +175,7 @@ func (c *collector[X, S, V]) contribute(t *tally[X, S, V], id int, key core.Inte
 		if err != nil {
 			// No share of this subject can be made, by anyone: its owner
 			// must not wait on the tally. ACS never gets here —
-			// DecodeCiphertext applies the predicate DecryptShare does.
+			// DecodeCiphertext applies the predicate DecryptShareBare does.
 			return
 		}
 		t.mine = heldShare[S]{share, true}
@@ -201,7 +203,9 @@ func (c *collector[X, S, V]) onAir(t *tally[X, S, V], share S) []byte {
 // unverified and free: the combination it goes into is what is checked
 // (add). A full share is verified, at its cost, and under a scheme that
 // sends its shares bare it turns the tally to proofs: its sender's
-// combination failed.
+// combination failed. It does so after the value exists too, unless the
+// value has a certificate to answer with: the sender now counts only full
+// shares, and this node's must go on the air again in full for it.
 func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, flags uint8, raw []byte) {
 	if flags&certFlag != 0 {
 		c.offerCert(t, id, raw)
@@ -211,14 +215,21 @@ func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, flags uint8, ra
 		c.env.Reject()
 		return
 	}
-	if t.done {
-		return
-	}
 	bare := c.bare != nil && flags&proofFlag == 0
-	if c.bare != nil && !bare {
+	if c.bare != nil && !bare && (!t.done || t.cert == nil) {
 		c.toProofs(t)
 	}
-	if t.holds(w) || bare && t.proofs {
+	if t.done || t.holds(w) {
+		return
+	}
+	if bare && t.proofs {
+		// Its sender has not turned: this node's full share, which would
+		// turn it, has not reached it — and a peer that holds the value
+		// asks for no re-send of it. Under a scheme without certificates,
+		// which such a peer would answer with, it goes on the air again.
+		if c.check == nil && t.mine.held {
+			c.sendFull(t)
+		}
 		return
 	}
 	if !t.open {
@@ -331,8 +342,10 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 			shares = append(shares, h.share)
 		}
 	}
+	// The shares may have come bare unless the tally has turned to proofs.
+	bare := c.bare != nil && !t.proofs
 	cost := c.combineCost
-	if c.bare != nil && !t.proofs {
+	if bare {
 		cost += c.certCost
 	}
 	c.env.Exec(cost, func() {
@@ -341,7 +354,18 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 			return // a certificate settled the tally meanwhile
 		}
 		value, cert, err := c.combine(t.subject, shares)
-		if err != nil {
+		switch {
+		case err == nil:
+			c.settle(t, id, value, cert)
+		case c.bare != nil && !bare:
+			// Verified shares fail a combination that checks itself for
+			// every node alike: the subject has no value (a ciphertext
+			// whose key commitment is not the key's). The tally settles
+			// on the zero V, and its owner goes on without one.
+			c.env.Reject()
+			var none V
+			c.settle(t, id, none, nil)
+		default:
 			// A bad share was among them: drop the peers' shares, keep
 			// this node's own, and wait for more — with their proofs, if
 			// they came bare.
@@ -350,9 +374,7 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 			if c.bare != nil {
 				c.toProofs(t)
 			}
-			return
 		}
-		c.settle(t, id, value, cert)
 	})
 }
 
@@ -395,6 +417,11 @@ func (c *collector[X, S, V]) toProofs(t *tally[X, S, V]) {
 		t.shares[c.env.Me] = t.mine
 		t.nShares++
 	}
+	c.sendFull(t)
+}
+
+// sendFull puts this node's share of t on the air again, in full.
+func (c *collector[X, S, V]) sendFull(t *tally[X, S, V]) {
 	c.env.T.Refresh(core.Intent{IntentKey: t.key, Flags: proofFlag, Data: c.encode(t.mine.share)})
 }
 
@@ -483,16 +510,36 @@ func flipScheme(env *Env) scheme[[]byte, *threshcoin.CoinShare, [32]byte] {
 }
 
 // decScheme is the suite's threshold decryption: shares of a ciphertext
-// combine into its plaintext.
+// combine into its plaintext, and threshenc.Combine checks the key they
+// interpolate to against the ciphertext's commitment, so a combination
+// checks itself and its shares go bare: index and V, the proof (C, Z)
+// following only in a full share. This node's share is made bare
+// (threshenc.DecryptShareBare) and proved only by encode, as sigScheme's
+// is; shareCost charges the whole of DecryptShare at share time, where
+// the proof's nonce is drawn. The check is a hash, inside combineCost, so
+// certCost is zero. A ciphertext whose commitment is not the key's fails
+// every combination, verified or not, and its tally settles with a nil
+// plaintext once k verified shares have failed (collector.add).
 func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte] {
 	cost, key := env.Suite.Cost, env.Suite.TE
 	return scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{
 		k: key.K, shareCost: cost.TEDecShare, verifyCost: cost.TEVerifyShare, combineCost: cost.TECombine,
 		share: func(ct *threshenc.Ciphertext) (*threshenc.DecShare, error) {
-			return key.DecryptShare(env.Suite.TEShare, ct, env.Rand)
+			return key.DecryptShareBare(env.Suite.TEShare, ct, env.Rand)
 		},
-		encode:  EncodeDLShare,
-		decode:  DecodeDLShare,
+		encode: EncodeDLShare,
+		decode: DecodeDLShare,
+		bare:   EncodeBareDLShare,
+		decodeBare: func(raw []byte) (*threshenc.DecShare, error) {
+			sh, err := DecodeBareDLShare(raw)
+			if err != nil {
+				return nil, err
+			}
+			if sh.V.Sign() <= 0 || sh.V.Cmp(key.Group.P) >= 0 {
+				return nil, errBareShare
+			}
+			return sh, nil
+		},
 		verify:  key.VerifyShare,
 		combine: uncertified(key.Combine),
 	}

@@ -2,10 +2,11 @@
 // logarithm equality over a Schnorr group (Fiat–Shamir transform).
 //
 // A proof convinces a verifier that log_{g1}(a) == log_{g2}(b) without
-// revealing the exponent. The threshold coin and threshold encryption
-// schemes attach such proofs to their shares so Byzantine nodes cannot
-// inject garbage shares: a bad share fails verification and is discarded,
-// which the fault-injection tests exercise.
+// revealing the exponent. The threshold coin attaches such proofs to its
+// shares, and threshold encryption to a decryption share that must be
+// checked on its own, so Byzantine nodes cannot inject garbage shares: a
+// bad share fails verification and is discarded, which the
+// fault-injection tests exercise.
 package dleq
 
 import (
@@ -24,21 +25,23 @@ type Proof struct {
 	Z *big.Int
 }
 
-// Prove returns a proof that a = g1^x and b = g2^x share the exponent x.
-// The bases come as tables: both are raised to the same fresh nonce here
-// and to other exponents by the caller and by every verifier.
-func Prove(g *group.Group, g1, g2 *mont.Table, a, b, x *big.Int, rand io.Reader) (*Proof, error) {
-	w, err := shamir.RandInt(rand, g.Q)
-	if err != nil {
-		return nil, err
-	}
+// Nonce draws a proof's nonce from rand.
+func Nonce(g *group.Group, rand io.Reader) (*big.Int, error) { return shamir.RandInt(rand, g.Q) }
+
+// Prove returns a proof that a = g1^x and b = g2^x share the exponent x,
+// under the nonce w (Nonce). A prover that may never need the proof draws
+// the nonce when it makes the claim, so its randomness is read alike
+// whether or not the proof is made. The bases come as tables: both are
+// raised to the nonce here and to other exponents by the caller and by
+// every verifier.
+func Prove(g *group.Group, g1, g2 *mont.Table, a, b, x, w *big.Int) *Proof {
 	t1 := g1.Exp(w)
 	t2 := g2.Exp(w)
 	c := challenge(g, g1.Base(), g2.Base(), a, b, t1, t2)
 	z := new(big.Int).Mul(c, x)
 	z.Add(z, w)
 	z.Mod(z, g.Q)
-	return &Proof{C: c, Z: z}, nil
+	return &Proof{C: c, Z: z}
 }
 
 // Verify checks a proof against the claimed pairs (g1, a) and (g2, b).

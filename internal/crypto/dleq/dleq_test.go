@@ -15,6 +15,16 @@ func testGroup() *group.Group { return group.Default() }
 
 func tab(g *group.Group, v *big.Int) *mont.Table { return g.Table(v, mont.TeethShort) }
 
+// prove draws a nonce from rand and proves under it.
+func prove(t testing.TB, g *group.Group, g1, g2 *mont.Table, a, b, x *big.Int, rand io.Reader) *Proof {
+	t.Helper()
+	w, err := Nonce(g, rand)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Prove(g, g1, g2, a, b, x, w)
+}
+
 // refProve and refVerify are the scheme written directly over big.Int,
 // the reference the table-driven implementation must match bit for bit.
 func refProve(g *group.Group, g1, g2, a, b, x *big.Int, rand io.Reader) *Proof {
@@ -48,10 +58,7 @@ func TestMatchesReference(t *testing.T) {
 		g2 := g.HashToGroup("ref", []byte(g.Name))
 		x, _ := shamir.RandInt(rng, g.Q)
 		a, b := g.ExpG(x), g.Exp(g2, x)
-		p, err := Prove(g, g.GTable(), tab(g, g2), a, b, x, rand.New(rand.NewSource(10)))
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := prove(t, g, g.GTable(), tab(g, g2), a, b, x, rand.New(rand.NewSource(10)))
 		ref := refProve(g, g.G, g2, a, b, x, rand.New(rand.NewSource(10)))
 		if p.C.Cmp(ref.C) != 0 || p.Z.Cmp(ref.Z) != 0 {
 			t.Fatalf("%s: proof differs from reference", g.Name)
@@ -90,10 +97,7 @@ func TestProveVerify(t *testing.T) {
 	g2 := g.HashToGroup("base2", []byte("msg"))
 	a := g.Exp(g1, x)
 	b := g.Exp(g2, x)
-	p, err := Prove(g, tab(g, g1), tab(g, g2), a, b, x, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := prove(t, g, tab(g, g1), tab(g, g2), a, b, x, rng)
 	if err := Verify(g, tab(g, g1), tab(g, g2), tab(g, a), b, p); err != nil {
 		t.Errorf("honest proof rejected: %v", err)
 	}
@@ -108,10 +112,7 @@ func TestVerifyRejectsWrongExponent(t *testing.T) {
 	g2 := g.HashToGroup("base2", []byte("m"))
 	a := g.Exp(g1, x)
 	b := g.Exp(g2, y) // different exponent!
-	p, err := Prove(g, tab(g, g1), tab(g, g2), a, b, x, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := prove(t, g, tab(g, g1), tab(g, g2), a, b, x, rng)
 	if err := Verify(g, tab(g, g1), tab(g, g2), tab(g, a), b, p); err == nil {
 		t.Error("proof over unequal logs accepted")
 	}
@@ -123,10 +124,7 @@ func TestVerifyRejectsTamperedProof(t *testing.T) {
 	x := big.NewInt(777)
 	g2 := g.HashToGroup("b", []byte("m"))
 	a, b := g.ExpG(x), g.Exp(g2, x)
-	p, err := Prove(g, tab(g, g.G), tab(g, g2), a, b, x, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := prove(t, g, tab(g, g.G), tab(g, g2), a, b, x, rng)
 	tampered := &Proof{C: new(big.Int).Add(p.C, big.NewInt(1)), Z: p.Z}
 	if err := Verify(g, tab(g, g.G), tab(g, g2), tab(g, a), b, tampered); err == nil {
 		t.Error("tampered challenge accepted")
@@ -143,10 +141,7 @@ func TestVerifyRejectsNonElements(t *testing.T) {
 	x := big.NewInt(5)
 	g2 := g.HashToGroup("b", []byte("m"))
 	a, b := g.ExpG(x), g.Exp(g2, x)
-	p, err := Prove(g, tab(g, g.G), tab(g, g2), a, b, x, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := prove(t, g, tab(g, g.G), tab(g, g2), a, b, x, rng)
 	if err := Verify(g, tab(g, g.G), tab(g, g2), tab(g, big.NewInt(0)), b, p); err == nil {
 		t.Error("zero element accepted")
 	}
@@ -162,10 +157,7 @@ func TestProofBindsToBases(t *testing.T) {
 	g2 := g.HashToGroup("b", []byte("m"))
 	g3 := g.HashToGroup("b", []byte("other"))
 	a, b := g.ExpG(x), g.Exp(g2, x)
-	p, err := Prove(g, tab(g, g.G), tab(g, g2), a, b, x, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := prove(t, g, tab(g, g.G), tab(g, g2), a, b, x, rng)
 	// Same (a, b) against a different second base must fail.
 	if err := Verify(g, tab(g, g.G), tab(g, g3), tab(g, a), b, p); err == nil {
 		t.Error("proof transplanted to different base accepted")

@@ -9,6 +9,13 @@
 // The trusted Deal is the one set-up assumption of the deployment; a
 // dealerless key generation replaces it here, through NewPublicKey, and
 // nowhere else.
+//
+// Making a share's proof is two of its three exponentiations, and a use
+// whose combined element can be checked on its own (a ciphertext's key
+// commitment) needs none of it, so a share can be made bare (ShareBare)
+// and proved later, only if it must be (Share.Prove): its nonce is drawn
+// when the share is made, so the late proof is the one Share makes, and
+// the caller's randomness is read exactly as by Share.
 package dlthresh
 
 import (
@@ -57,10 +64,23 @@ type PrivateShare struct {
 }
 
 // Share is one party's contribution to a use: V = base^{s_i}, with proof.
+// A share made by ShareBare has no proof yet (Proof nil) but carries what
+// makes it, which Prove spends.
 type Share struct {
 	Index int
 	V     *big.Int
 	Proof *dleq.Proof
+
+	pending *pendingProof
+}
+
+// pendingProof is what proves a share made bare: the key, the comb of the
+// use's base, the maker's key share and the proof's nonce, drawn when the
+// share was made.
+type pendingProof struct {
+	pk   *PublicKey
+	base *mont.Table
+	s, w *big.Int
 }
 
 // Base names the element the shares of one use are powers of. Tag keys
@@ -118,15 +138,44 @@ func (pk *PublicKey) table(b Base) *mont.Table {
 	})
 }
 
-// Share produces party priv.Index's share of the use named by b.
+// Share produces party priv.Index's share of the use named by b, with its
+// proof.
 func (pk *PublicKey) Share(b Base, priv PrivateShare, rand io.Reader) (*Share, error) {
-	t := pk.table(b)
-	v := t.Exp(priv.S)
-	proof, err := dleq.Prove(pk.Group, pk.Group.GTable(), t, pk.VKs[priv.Index-1], v, priv.S, rand)
+	sh, err := pk.ShareBare(b, priv, rand)
 	if err != nil {
-		return nil, fmt.Errorf("dlthresh: proving share: %w", err)
+		return nil, err
 	}
-	return &Share{Index: priv.Index, V: v, Proof: proof}, nil
+	sh.Prove()
+	return sh, nil
+}
+
+// ShareBare produces party priv.Index's share of the use named by b
+// without its proof: V alone, one exponentiation of Share's three. The
+// proof's nonce is drawn from rand now, as Share draws it, so rand is left
+// where Share would leave it and the share's Prove makes the proof Share
+// would have made.
+func (pk *PublicKey) ShareBare(b Base, priv PrivateShare, rand io.Reader) (*Share, error) {
+	t := pk.table(b)
+	w, err := dleq.Nonce(pk.Group, rand)
+	if err != nil {
+		return nil, fmt.Errorf("dlthresh: drawing the proof's nonce: %w", err)
+	}
+	return &Share{Index: priv.Index, V: t.Exp(priv.S), pending: &pendingProof{pk: pk, base: t, s: priv.S, w: w}}, nil
+}
+
+// Prove gives a share made by ShareBare its proof, at most once: a share
+// that already has one, or was not made by ShareBare, is left as it is.
+func (sh *Share) Prove() {
+	p := sh.pending
+	if p == nil {
+		return
+	}
+	sh.pending = nil
+	if sh.Proof != nil {
+		return
+	}
+	g := p.pk.Group
+	sh.Proof = dleq.Prove(g, g.GTable(), p.base, p.pk.VKs[sh.Index-1], sh.V, p.s, p.w)
 }
 
 // VerifyShare checks a share of the use named by b. Verdicts are memoized

@@ -14,11 +14,13 @@ import (
 // TestKnownAnswers pins the dealer's, the encryptor's and the prover's
 // randomness order and every byte threshold encryption puts on the air,
 // per group: the vectors were recorded before the share path moved onto
-// the discrete-log kernel and must never change with a refactor.
+// the discrete-log kernel and must never change with a refactor. The
+// ciphertext's were recorded again, once, when it gained its key
+// commitment; the shares' did not move.
 func TestKnownAnswers(t *testing.T) {
 	want := map[string][3]string{ // verification keys, ciphertext wire bytes, the four shares' wire bytes
-		"SG-512": {"4cfc1974e6d9ca15459ab93a80527e8965ba91b1afa24bfe77fd2a586824f753", "4e7744f82d315a0afb83dbd2c66ddc9bda278a404f6327d723832e900de2252c", "7a602deeb0b29f950ac778c35f989abb60254c068adeb62d8e46023d42448b02"},
-		"SG-768": {"82b012f50b71447d00256bfca78b52605e4a62e419eb61f67bbf21697f208c1b", "98b8fac8d9616578cacfa01abb65e9b6f485be4b408b95ec26cb94f181ade4cf", "c3349afc2cf2baa9f018943f307c4b7fadbeb5bbfbffb22ded8f382fdbbeee35"},
+		"SG-512": {"4cfc1974e6d9ca15459ab93a80527e8965ba91b1afa24bfe77fd2a586824f753", "531bdc53ee3c9ea4d7e0a90210ab13b3687ff30bac33943961a5b7b534052e61", "7a602deeb0b29f950ac778c35f989abb60254c068adeb62d8e46023d42448b02"},
+		"SG-768": {"82b012f50b71447d00256bfca78b52605e4a62e419eb61f67bbf21697f208c1b", "2be79309fe692d3c01b1ed3154f10b50e724a9a35cd856bac1990dbd6fe74ff6", "c3349afc2cf2baa9f018943f307c4b7fadbeb5bbfbffb22ded8f382fdbbeee35"},
 	}
 	plain := []byte("kat/plaintext: tx1;tx2;tx3")
 	for _, g := range group.All()[:2] {

@@ -4,20 +4,33 @@
 // HoneyBadgerBFT and BEAT threshold-encrypt each node's proposal so that
 // the adversary cannot censor specific transactions before the set of
 // accepted proposals is fixed; nodes exchange decryption shares after ACS
-// completes. Decryption shares carry DLEQ proofs so Byzantine shares are
-// rejected. The paper implements the same primitive over MIRACL curves;
+// completes. The paper implements the same primitive over MIRACL curves;
 // see DESIGN.md for the substitution rationale.
+//
+// A ciphertext commits to its key: beside C1 it carries a digest of the
+// KEM secret C1^z under its own domain, and its binding tag covers C1,
+// that commitment and the body. Combine checks the element k shares
+// interpolate to against the commitment, so a combination is checked
+// once, on its own, and its shares need no proofs to count: a bare share
+// (DecryptShareBare) is C1^{z_i} alone, and a combination with a bad one
+// among them fails the check instead of decrypting to garbage. Each share
+// can still be proved later (DecShare.Prove) and verified on its own
+// (VerifyShare, a DLEQ proof against the party's verification key), which
+// is what k shares that fail the check are sorted by. A ciphertext whose
+// commitment is not its key's — a Byzantine encryptor's — fails the check
+// from any k shares, verified or not, and so has no plaintext.
 //
 // The key sharing, the decryption shares and their verification are the
 // discrete-log threshold kernel's (dlthresh), with a ciphertext's C1 as
-// the base; this package adds the ElGamal KEM, the AES body and the
-// binding tag.
+// the base; this package adds the ElGamal KEM, the AES body, the key
+// commitment and the binding tag.
 package threshenc
 
 import (
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -37,13 +50,20 @@ type PrivateShare = dlthresh.PrivateShare
 
 // Ciphertext is a hybrid ElGamal ciphertext.
 type Ciphertext struct {
-	C1   *big.Int // g^r
-	Body []byte   // AES-CTR(seed, plaintext)
-	Tag  [32]byte // binding digest over (C1, Body)
+	C1     *big.Int // g^r
+	Commit [32]byte // key commitment: a digest of the KEM secret C1^z = VK^r
+	Body   []byte   // AES-CTR(seed, plaintext)
+	Tag    [32]byte // binding digest over (C1, Commit, Body)
 }
 
-// DecShare is one party's decryption share C1^{z_i}, with proof.
+// DecShare is one party's decryption share C1^{z_i}, with proof, or bare
+// (DecryptShareBare) until its Prove.
 type DecShare = dlthresh.Share
+
+// ErrCommitment is Combine's verdict on shares that do not interpolate to
+// the key the ciphertext commits to: a bad share is among them, or, if
+// every one verifies, the ciphertext was made under another key.
+var ErrCommitment = errors.New("threshenc: combined key does not meet the ciphertext's commitment")
 
 // Key is the dealer output.
 type Key struct {
@@ -73,10 +93,10 @@ func (pk *PublicKey) Encrypt(plaintext []byte, rand io.Reader) (*Ciphertext, err
 		return nil, fmt.Errorf("threshenc: sampling nonce: %w", err)
 	}
 	c1 := pk.Group.ExpG(r)
-	seed := kdf(pk.ExpVK(r))
+	hr := pk.ExpVK(r)
 	body := make([]byte, len(plaintext))
-	xorStream(seed, plaintext, body)
-	ct := &Ciphertext{C1: c1, Body: body}
+	xorStream(kdf(hr), plaintext, body)
+	ct := &Ciphertext{C1: c1, Commit: commitment(hr), Body: body}
 	ct.Tag = bindTag(ct)
 	return ct, nil
 }
@@ -89,11 +109,21 @@ func (pk *PublicKey) DecryptShare(priv PrivateShare, ct *Ciphertext, rand io.Rea
 	return pk.PublicKey.Share(base(ct), priv, rand)
 }
 
+// DecryptShareBare produces party i's decryption share for ct without its
+// proof, which the share's Prove makes later if it must: rand is read as
+// by DecryptShare, and the proved share is the one DecryptShare makes.
+func (pk *PublicKey) DecryptShareBare(priv PrivateShare, ct *Ciphertext, rand io.Reader) (*DecShare, error) {
+	if err := CheckCiphertext(ct); err != nil {
+		return nil, err
+	}
+	return pk.PublicKey.ShareBare(base(ct), priv, rand)
+}
+
 // VerifyShare checks a decryption share against ct. The ciphertext's
 // binding tag is always rechecked exactly (it is a cheap hash); the DLEQ
 // proof verdict — the expensive part — is the kernel's, memoized per
 // (tag, share), which is sound because a valid tag collision-resistantly
-// binds (C1, Body).
+// binds (C1, Commit, Body).
 func (pk *PublicKey) VerifyShare(ct *Ciphertext, sh *DecShare) error {
 	if err := CheckCiphertext(ct); err != nil {
 		return err
@@ -101,7 +131,9 @@ func (pk *PublicKey) VerifyShare(ct *Ciphertext, sh *DecShare) error {
 	return pk.PublicKey.VerifyShare(base(ct), sh)
 }
 
-// Combine recovers the plaintext from k decryption shares.
+// Combine recovers the plaintext from k decryption shares, bare or
+// proved, and checks the key they interpolate to against the ciphertext's
+// commitment (ErrCommitment).
 func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error) {
 	if err := CheckCiphertext(ct); err != nil {
 		return nil, err
@@ -110,20 +142,24 @@ func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
+	if commitment(hr) != ct.Commit {
+		return nil, ErrCommitment
+	}
 	out := make([]byte, len(ct.Body))
 	xorStream(kdf(hr), ct.Body, out)
 	return out, nil
 }
 
 // CiphertextOverhead returns the bytes a ciphertext over g adds to a
-// plaintext: C1, the tag and the body length.
-func CiphertextOverhead(g *group.Group) int { return g.ElementLen() + 32 + 4 }
+// plaintext: C1, the key commitment, the tag and the body length.
+func CiphertextOverhead(g *group.Group) int { return g.ElementLen() + 32 + 32 + 4 }
 
 // CheckCiphertext is the public validity predicate of a ciphertext: its
-// binding tag must match (C1, Body). It needs no key, so whoever decodes a
-// ciphertext off the wire can refuse an invalid one before any share of it
-// is asked for: no honest party makes, verifies or combines shares of a
-// ciphertext that fails it.
+// binding tag must match (C1, Commit, Body). It needs no key, so whoever
+// decodes a ciphertext off the wire can refuse an invalid one before any
+// share of it is asked for: no honest party makes, verifies or combines
+// shares of a ciphertext that fails it. Whether the commitment is the
+// key's, no one can tell before k shares are combined (Combine).
 func CheckCiphertext(ct *Ciphertext) error {
 	if ct == nil || ct.C1 == nil {
 		return errors.New("threshenc: nil ciphertext")
@@ -134,9 +170,16 @@ func CheckCiphertext(ct *Ciphertext) error {
 	return nil
 }
 
-func bindTag(ct *Ciphertext) [32]byte { return digest("threshenc-tag", ct.C1.Bytes(), ct.Body) }
+// bindTag digests (C1, Commit, Body), C1 behind its length so that no
+// other C1 and body can shift bytes between them under the same tag.
+func bindTag(ct *Ciphertext) [32]byte {
+	c1 := ct.C1.Bytes()
+	return digest("threshenc-tag", binary.BigEndian.AppendUint16(nil, uint16(len(c1))), c1, ct.Commit[:], ct.Body)
+}
 
 func kdf(el *big.Int) [32]byte { return digest("threshenc-kdf", el.Bytes()) }
+
+func commitment(el *big.Int) [32]byte { return digest("threshenc-commit", el.Bytes()) }
 
 func digest(domain string, parts ...[]byte) [32]byte {
 	h := sha256.New()

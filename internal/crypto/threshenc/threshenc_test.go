@@ -133,20 +133,18 @@ func TestShareVerificationRejectsByzantine(t *testing.T) {
 	if err := key.Public.VerifyShare(ct, &DecShare{Index: sh.Index, V: sh.V}); err == nil {
 		t.Error("share without a proof accepted")
 	}
-	// A bad share slipped into Combine yields wrong plaintext; since the
-	// protocol verifies shares first, we assert shares ARE distinguishable.
 	if err := key.Public.VerifyShare(ct, sh); err != nil {
 		t.Errorf("honest share rejected: %v", err)
 	}
 	// A tampered ciphertext fails every share, the memoized honest one
 	// included: the tag is rechecked before the memo is consulted.
-	tampered := &Ciphertext{C1: ct.C1, Body: append([]byte(nil), ct.Body...), Tag: ct.Tag}
+	tampered := &Ciphertext{C1: ct.C1, Commit: ct.Commit, Body: append([]byte(nil), ct.Body...), Tag: ct.Tag}
 	tampered.Body[0] ^= 0xFF
 	if err := key.Public.VerifyShare(tampered, sh); err == nil {
 		t.Error("share accepted against a tampered ciphertext")
 	}
 	// So does one whose C1 was swapped under the old tag.
-	swapped := &Ciphertext{C1: new(big.Int).Add(ct.C1, big.NewInt(1)), Body: ct.Body, Tag: ct.Tag}
+	swapped := &Ciphertext{C1: new(big.Int).Add(ct.C1, big.NewInt(1)), Commit: ct.Commit, Body: ct.Body, Tag: ct.Tag}
 	if err := key.Public.VerifyShare(swapped, sh); err == nil {
 		t.Error("share accepted against a ciphertext whose C1 the tag does not bind")
 	}
@@ -192,5 +190,120 @@ func TestEmptyPlaintext(t *testing.T) {
 	}
 	if len(got) != 0 {
 		t.Errorf("empty plaintext round-trip produced %d bytes", len(got))
+	}
+}
+
+// TestCommitmentBoundByTag: the tag binds the key commitment, so a
+// ciphertext whose commitment was rewritten fails CheckCiphertext, and no
+// share of it is made or combined.
+func TestCommitmentBoundByTag(t *testing.T) {
+	key := testKey(t, 2, 4)
+	rng := rand.New(rand.NewSource(8))
+	ct, err := key.Public.Encrypt([]byte("committed"), rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckCiphertext(ct); err != nil {
+		t.Fatalf("genuine ciphertext refused: %v", err)
+	}
+	shares := bareShares(t, key, ct, rng)
+	ct.Commit[0] ^= 1
+	if err := CheckCiphertext(ct); err == nil {
+		t.Error("tampered commitment passed CheckCiphertext")
+	}
+	if _, err := key.Public.DecryptShareBare(key.Shares[0], ct, rng); err == nil {
+		t.Error("DecryptShareBare made a share of a ciphertext with a tampered commitment")
+	}
+	if _, err := key.Public.Combine(ct, shares); err == nil {
+		t.Error("Combine opened a ciphertext with a tampered commitment")
+	}
+}
+
+// TestCombineChecksCommitment: Combine checks the key its shares
+// interpolate to against the commitment. Bare shares of an honest
+// ciphertext open it from any two parties; one bad bare share among them,
+// or verified shares of a ciphertext made under another key (its tag
+// holds, its commitment is not this key's), fail with ErrCommitment.
+func TestCombineChecksCommitment(t *testing.T) {
+	key := testKey(t, 2, 4)
+	rng := rand.New(rand.NewSource(9))
+	plain := []byte("bare shares, checked once")
+	ct, err := key.Public.Encrypt(plain, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shares := bareShares(t, key, ct, rng)
+	for i := range shares {
+		for j := i + 1; j < len(shares); j++ {
+			got, err := key.Public.Combine(ct, []*DecShare{shares[i], shares[j]})
+			if err != nil || !bytes.Equal(got, plain) {
+				t.Errorf("parties %d and %d: got %q, %v", i+1, j+1, got, err)
+			}
+		}
+	}
+	bad := &DecShare{Index: shares[1].Index, V: key.Public.Group.Mul(shares[1].V, key.Public.Group.G)}
+	if _, err := key.Public.Combine(ct, []*DecShare{shares[0], bad}); err != ErrCommitment {
+		t.Errorf("a bad bare share combined with %v, want ErrCommitment", err)
+	}
+
+	other, err := Deal(key.Public.Group, 2, 4, rand.New(rand.NewSource(22)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	foreign, err := other.Public.Encrypt(plain, rng)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := CheckCiphertext(foreign); err != nil {
+		t.Fatalf("a ciphertext under another key fails its tag: %v", err)
+	}
+	var verified []*DecShare
+	for _, priv := range key.Shares[:2] {
+		sh, err := key.Public.DecryptShare(priv, foreign, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := key.Public.VerifyShare(foreign, sh); err != nil {
+			t.Fatalf("share %d of a foreign ciphertext rejected: %v", priv.Index, err)
+		}
+		verified = append(verified, sh)
+	}
+	if got, err := key.Public.Combine(foreign, verified); err != ErrCommitment {
+		t.Errorf("verified shares opened a ciphertext under another key to %q, %v; want ErrCommitment", got, err)
+	}
+}
+
+func bareShares(t testing.TB, key *Key, ct *Ciphertext, rng *rand.Rand) []*DecShare {
+	t.Helper()
+	out := make([]*DecShare, len(key.Shares))
+	for i, priv := range key.Shares {
+		sh, err := key.Public.DecryptShareBare(priv, ct, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = sh
+	}
+	return out
+}
+
+// BenchmarkDecryptBare measures what opening a ciphertext from bare shares
+// costs a receiver at (2, 4): two bare shares combined, and the key they
+// interpolate to checked against the commitment. Beside it stands the
+// DLEQ verification each share cost before it could count
+// (dlthresh.BenchmarkVerifyShare).
+func BenchmarkDecryptBare(b *testing.B) {
+	key := testKey(b, 2, 4)
+	rng := rand.New(rand.NewSource(10))
+	ct, err := key.Public.Encrypt(make([]byte, 256), rng)
+	if err != nil {
+		b.Fatal(err)
+	}
+	shares := bareShares(b, key, ct, rng)[:2]
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := key.Public.Combine(ct, shares); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

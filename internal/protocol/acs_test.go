@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/component"
+	"repro/internal/crypto/threshenc"
 )
 
 // TestACSRejectsSemivalidCiphertext runs one encrypted epoch in which an
@@ -13,11 +14,58 @@ import (
 // what an equivocating proposer's mixed fragments reassemble to. No node
 // can make a decryption share of it, so the epoch must not wait for its
 // plaintext: every node finishes with that slot empty, having counted one
-// rejected contribution. Node 2 proposes nothing, so the three slots that
-// deliver — the bad one among them — are exactly the 2f+1 every ABA
-// accepts.
+// rejected contribution.
 func TestACSRejectsSemivalidCiphertext(t *testing.T) {
-	const bad, silent = 3, 2
+	rejected := runBadCiphertextEpoch(t, func(env *component.Env, plain []byte) []byte {
+		ct, err := env.Suite.TE.Encrypt(plain, env.Rand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := component.EncodeCiphertext(ct)
+		raw[len(raw)-1] ^= 0xA5
+		return raw
+	})
+	for i, r := range rejected {
+		if r != 1 {
+			t.Errorf("node %d counted %d rejected contributions, want 1", i, r)
+		}
+	}
+}
+
+// TestACSRefusesUncommittedCiphertext runs one encrypted epoch in which
+// an accepted slot holds a Byzantine proposer's ciphertext made under
+// another key: its tag holds, every node makes a decryption share of it,
+// and no shares meet its key commitment. Every node's bare combination
+// fails, the slot turns to proved shares, and k verified shares fail too:
+// every node must refuse the ciphertext, count the rejection, and finish
+// the epoch with that slot empty.
+func TestACSRefusesUncommittedCiphertext(t *testing.T) {
+	rejected := runBadCiphertextEpoch(t, func(env *component.Env, plain []byte) []byte {
+		other, err := threshenc.Deal(env.Suite.TE.Group, env.Suite.TE.K, env.N, env.Rand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ct, err := other.Public.Encrypt(plain, env.Rand)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return component.EncodeCiphertext(ct)
+	})
+	for i, r := range rejected {
+		if r == 0 {
+			t.Errorf("node %d refused the ciphertext and counted no rejection", i)
+		}
+	}
+}
+
+// runBadCiphertextEpoch runs one encrypted epoch on four nodes in which
+// node 3 proposes what bad makes of its proposal and node 2 proposes
+// nothing, so the three slots that deliver — the bad one among them — are
+// exactly the 2f+1 every ABA accepts. Every node must finish with the bad
+// slot and the silent one empty and the others' proposals in place; it
+// returns the rejections each node counted.
+func runBadCiphertextEpoch(t *testing.T, bad func(env *component.Env, plain []byte) []byte) []uint64 {
+	const badSlot, silent = 3, 2
 	sched, envs := testEnvs(t, 5, 0)
 	insts := make([]*ACS, len(envs))
 	for i, env := range envs {
@@ -27,14 +75,8 @@ func TestACSRejectsSemivalidCiphertext(t *testing.T) {
 	for i, a := range insts {
 		switch i {
 		case silent:
-		case bad:
-			ct, err := envs[i].Suite.TE.Encrypt(proposal(i), envs[i].Rand)
-			if err != nil {
-				t.Fatal(err)
-			}
-			raw := component.EncodeCiphertext(ct)
-			raw[len(raw)-1] ^= 0xA5
-			a.rbc.Propose(i, raw)
+		case badSlot:
+			a.rbc.Propose(i, bad(envs[i], proposal(i)))
 		default:
 			a.Start(proposal(i))
 		}
@@ -49,26 +91,26 @@ func TestACSRejectsSemivalidCiphertext(t *testing.T) {
 	}
 	for sched.Now() < time.Hour && !allDone() && sched.Step() {
 	}
+	rejected := make([]uint64, len(insts))
 	for i, a := range insts {
 		if a.Outputs() == nil {
 			t.Fatalf("node %d still waits at %v: bad slot accepted=%v opened=%v",
-				i, sched.Now(), a.slots[bad].accepted, a.slots[bad].opened)
+				i, sched.Now(), a.slots[badSlot].accepted, a.slots[badSlot].opened)
 		}
 		out := a.Outputs()
 		for slot := range out {
 			want := proposal(slot)
-			if slot == bad || slot == silent {
+			if slot == badSlot || slot == silent {
 				want = nil
 			}
 			if !bytes.Equal(out[slot], want) {
 				t.Errorf("node %d slot %d: output %q, want %q", i, slot, out[slot], want)
 			}
 		}
-		if !a.slots[bad].accepted {
+		if !a.slots[badSlot].accepted {
 			t.Errorf("node %d: the bad slot was not accepted; the test did not reach the hand-off", i)
 		}
-		if r := envs[i].T.Stats().Rejected; r != 1 {
-			t.Errorf("node %d counted %d rejected contributions, want 1", i, r)
-		}
+		rejected[i] = envs[i].T.Stats().Rejected
 	}
+	return rejected
 }

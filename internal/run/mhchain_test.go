@@ -405,7 +405,10 @@ func TestClusteredChainCutSharesOnAir(t *testing.T) {
 // (it came undecodable, or a certificate came in its place). At every
 // seed, an epoch whose decodable garbage share reached the witness in that
 // time must turn the witness to proofs, and every cut of the cluster must
-// still be certified at every honest member.
+// still be certified at every honest member. The run stops once the
+// untainted clusters are through, which does not wait on this cluster's
+// last certificate: the deployment is driven on until it is made, for at
+// most ten virtual minutes.
 func TestClusteredChainGarbageCutShares(t *testing.T) {
 	const c, bad, witness = 3, 3, 0 // cluster 3: members 3 (flat node 15) and 0
 	// fullShare is the entry flag of a share sent with its proof
@@ -506,6 +509,17 @@ func TestClusteredChainGarbageCutShares(t *testing.T) {
 		if _, err := d.run(); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
+		certified := func() bool {
+			for i, m := range cl.members {
+				for ep := 0; ep < spec.Workload.Epochs; ep++ {
+					if !cl.local.byz[i] && m.cuts[ep].Cert() == nil {
+						return false
+					}
+				}
+			}
+			return true
+		}
+		node.Drive(d.dep.sched, d.dep.sched.Now()+10*time.Minute, certified)
 		for ep, st := range byEpoch {
 			if st.reached {
 				fired++

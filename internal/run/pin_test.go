@@ -84,7 +84,7 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "9a4843f36f4f72d47834e30a031a9405834bde04117f8a844f82d2c625a988fb"},
+		}, "3cb4f3d71c66590ccebf0e603f402cb528d6be3a3a6f019e6735254472b2cd84"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
@@ -97,13 +97,13 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@10s:3;recover@30s:3")
 			return spec
-		}, "7b18838f756d678eef70ca87173ceb1423c9cf008da3a2bc2fb30ac2af1f42d7"},
+		}, "6ad02062b9b9f90d3e197886bb7daee2fd2776aad755a66e106e750dea724afd"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "48a1ae3ab2a7c2251f39fa3dbf895c024418bc703b31ad1541959afaec47feb5"},
+		}, "8301a55d086f1073be7d47d636bc05dae04d089b0e4f6347d94b53ef0210798a"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "149932140bbe4bc53fa0aca40fdfe5f64c21807a23db4e801b69879d5fd445e9"},
+		}, "d8c720f18ce7bf635798acd40124f674c11ad9f4f44fe460e15903b83a144f72"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1, the designated relay of local epoch
 			// 1's cut, crashes in epoch 0 and rejoins at 1 m, inside it;
@@ -117,12 +117,12 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Scenario = scenario.MustParse("crash@30s:2;recover@1m:2")
 			return spec
-		}, "42bcd5e525911ac511f5b57a1c1f58a462e241a1dfe04235cc487b00d8acb02d"},
+		}, "a3fc686d806010ec467f4f6a87334bda58c13a546e5c8aa196463bacb14825c7"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "3510754250daeaf91489290737afa9121df27508096c52e9109dd9cdde629c09"},
+		}, "ac73c106374eb9a162a3e174f27ad860a281f4967a03cce632481cc9dab87b98"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -154,7 +154,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "1fc80dbe9e24df7c1ff9bf9290b353353d74125989951880e46571e1e1c4ea3b"},
+		}, "9873acd182f973daeaeba86f7a613ab7db93635dfd5379b82480fc4960a6576e"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// for a minute, about two relay turns, back through mid-run
@@ -162,7 +162,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.Clustered(4, 4), fast(4))
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@30s:0;recover@1m30s:0")
 			return spec
-		}, "8aece639e47fc5daaf14d9092a7ba26e2329fe03cb8a3933cc21b7209ceebfb9"},
+		}, "c0e2c57e5d149c5fd46c87876f4d67cc13034daf992481241c99ea3f9f4d4633"},
 	}
 	for _, tc := range cases {
 		tc := tc
