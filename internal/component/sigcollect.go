@@ -95,8 +95,11 @@ type tally[X, S, V any] struct {
 	shares    []heldShare[S]
 	nShares   int
 	combining bool
-	done      bool
-	value     V
+	// combiningBare says the combination under way may hold bare shares:
+	// the tally had not turned to proofs when it began.
+	combiningBare bool
+	done          bool
+	value         V
 }
 
 // heldShare is one peer's place in a tally.
@@ -203,9 +206,10 @@ func (c *collector[X, S, V]) onAir(t *tally[X, S, V], share S) []byte {
 // unverified and free: the combination it goes into is what is checked
 // (add). A full share is verified, at its cost, and under a scheme that
 // sends its shares bare it turns the tally to proofs: its sender's
-// combination failed. It does so after the value exists too, unless the
-// value has a certificate to answer with: the sender now counts only full
-// shares, and this node's must go on the air again in full for it.
+// combination failed. Under a scheme without certificates it does so
+// after the value exists too: the sender now counts only full shares, and
+// with no certificate to answer it with, this node's share must go on the
+// air again in full.
 func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, flags uint8, raw []byte) {
 	if flags&certFlag != 0 {
 		c.offerCert(t, id, raw)
@@ -216,7 +220,7 @@ func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, flags uint8, ra
 		return
 	}
 	bare := c.bare != nil && flags&proofFlag == 0
-	if c.bare != nil && !bare && (!t.done || t.cert == nil) {
+	if c.bare != nil && !bare && (!t.done || c.check == nil) {
 		c.toProofs(t)
 	}
 	if t.done || t.holds(w) {
@@ -224,7 +228,7 @@ func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, flags uint8, ra
 	}
 	if bare && t.proofs {
 		// Its sender has not turned: this node's full share, which would
-		// turn it, has not reached it — and a peer that holds the value
+		// turn it, has not reached it, and a peer that holds the value
 		// asks for no re-send of it. Under a scheme without certificates,
 		// which such a peer would answer with, it goes on the air again.
 		if c.check == nil && t.mine.held {
@@ -342,10 +346,9 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 			shares = append(shares, h.share)
 		}
 	}
-	// The shares may have come bare unless the tally has turned to proofs.
-	bare := c.bare != nil && !t.proofs
+	t.combiningBare = c.bare != nil && !t.proofs
 	cost := c.combineCost
-	if bare {
+	if t.combiningBare {
 		cost += c.certCost
 	}
 	c.env.Exec(cost, func() {
@@ -357,7 +360,7 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 		switch {
 		case err == nil:
 			c.settle(t, id, value, cert)
-		case c.bare != nil && !bare:
+		case c.bare != nil && !t.combiningBare:
 			// Verified shares fail a combination that checks itself for
 			// every node alike: the subject has no value (a ciphertext
 			// whose key commitment is not the key's). The tally settles
