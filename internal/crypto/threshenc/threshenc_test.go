@@ -2,6 +2,7 @@ package threshenc
 
 import (
 	"bytes"
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -242,7 +243,7 @@ func TestCombineChecksCommitment(t *testing.T) {
 		}
 	}
 	bad := &DecShare{Index: shares[1].Index, V: key.Public.Group.Mul(shares[1].V, key.Public.Group.G)}
-	if _, err := key.Public.Combine(ct, []*DecShare{shares[0], bad}); err != ErrCommitment {
+	if _, err := key.Public.Combine(ct, []*DecShare{shares[0], bad}); !errors.Is(err, ErrCommitment) {
 		t.Errorf("a bad bare share combined with %v, want ErrCommitment", err)
 	}
 
@@ -268,7 +269,7 @@ func TestCombineChecksCommitment(t *testing.T) {
 		}
 		verified = append(verified, sh)
 	}
-	if got, err := key.Public.Combine(foreign, verified); err != ErrCommitment {
+	if got, err := key.Public.Combine(foreign, verified); !errors.Is(err, ErrCommitment) {
 		t.Errorf("verified shares opened a ciphertext under another key to %q, %v; want ErrCommitment", got, err)
 	}
 }
