@@ -239,7 +239,7 @@ var fallbackUsers = []struct {
 			for slot, env := range tn.envs {
 				plain := []byte(fmt.Sprintf("batch of node %d", slot))
 				if slot == 3 {
-					cts[slot] = foreignCiphertext(t, tn, plain, env.Rand)
+					cts[slot], _ = foreignCiphertext(t, tn, plain, int64(slot))
 					continue
 				}
 				ct, err := env.Suite.TE.Encrypt(plain, env.Rand)
@@ -287,8 +287,8 @@ var fallbackUsers = []struct {
 // agree and check; over the seeds, each attack must have turned some
 // tally 0 to proofs. Under decryption node 3 is also a Byzantine
 // proposer: its ciphertext, tally 3, is made under another key. Every
-// honest node must turn it to proofs, refuse it (a nil plaintext) and
-// count a rejection, and still settle every other tally.
+// honest node must refuse it (a nil plaintext) and count a rejection,
+// and still settle every other tally.
 func TestBareShareFallback(t *testing.T) {
 	attacks := []struct {
 		name    string
@@ -338,8 +338,6 @@ func TestBareShareFallback(t *testing.T) {
 							switch {
 							case !bytes.Equal(value, want):
 								t.Errorf("%s, seed %d, tally %d: nodes 0 and %d hold different values", a.name, seed, k, i)
-							case k == r.refused && !proofs:
-								t.Errorf("%s, seed %d: node %d refused tally %d without turning it to proofs", a.name, seed, i, k)
 							case k == r.refused:
 							case proofs && k != 0:
 								t.Errorf("%s, seed %d: node %d turned tally %d to proofs", a.name, seed, i, k)
@@ -364,6 +362,115 @@ func TestBareShareFallback(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSteeredShareRefusedAlike: node 3 is a Byzantine proposer whose
+// ciphertext, slot 3, commits to a key of its choosing, and its bare share
+// of slot 3 is steered so that it and node j's share interpolate to that
+// key (j cycles over the honest nodes with the seed). Were two bare shares
+// enough, node j would open slot 3 and the other honest nodes refuse it.
+// Every honest node must open slots 0–2, refuse slot 3 with a rejection
+// counted, and so hold the same output for every slot.
+func TestSteeredShareRefusedAlike(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		j := int(seed % 3)
+		tn := newTestNet(t, seed, 0, true)
+		cts, plains := make([]*threshenc.Ciphertext, 4), make([][]byte, 4)
+		for slot, env := range tn.envs[:3] {
+			plains[slot] = []byte(fmt.Sprintf("batch of node %d", slot))
+			ct, err := env.Suite.TE.Encrypt(plains[slot], env.Rand)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cts[slot] = ct
+		}
+		var x *big.Int
+		cts[3], x = foreignCiphertext(t, tn, []byte("steered batch"), seed)
+		steered := steeredShare(t, tn, cts[3], x, j, 3)
+		tn.envs[3].T.SetInterceptor(rewrite(func(in core.Intent) core.Intent {
+			if in.Kind == packet.KindDec && in.Phase == packet.PhaseDecShare && in.Slot == 3 && in.Flags == 0 {
+				in.Data = steered
+			}
+			return in
+		}))
+		var decs []*Decryptor
+		for _, env := range tn.envs {
+			d := NewDecryptor(env, 4, nil)
+			for slot, ct := range cts {
+				d.Submit(slot, ct)
+			}
+			decs = append(decs, d)
+		}
+		tn.run(t, 30*time.Minute, func() bool {
+			for _, d := range decs[:3] {
+				for slot := range cts {
+					if !d.done.Get(slot) {
+						return false
+					}
+				}
+			}
+			return true
+		})
+		for i, d := range decs[:3] {
+			for slot, plain := range plains {
+				if got := d.Plaintext(slot); !bytes.Equal(got, plain) {
+					t.Errorf("seed %d, steered toward node %d: node %d holds %q for slot %d, want %q", seed, j, i, got, slot, plain)
+				}
+			}
+			if tn.envs[i].T.Stats().Rejected == 0 {
+				t.Errorf("seed %d: node %d refused slot 3 and counted no rejection", seed, i)
+			}
+		}
+	}
+}
+
+// TestBareWaitFallsBack: a decryption tally that holds k bare shares waits
+// bareWait for the 2k−1 a bare combination takes — its other peers may
+// have crashed after they combined, keeping no share to re-send
+// (TestChurnRecovery) — and then turns to proofs, puts this node's share
+// on the air in full, and completes from k verified shares. A bare share
+// that comes meanwhile has the full share re-sent, at most once per base
+// period.
+func TestBareWaitFallsBack(t *testing.T) {
+	tn := newTestNet(t, 43, 0, true)
+	rec := record(tn.envs[0])
+	var r collectorRig
+	for _, u := range collectorUsers {
+		if u.name == "decryptor" {
+			r = u.rig(t, tn)
+		}
+	}
+	tn.sched.RunFor(time.Second) // this node's own share is made and counted
+	r.offer(1, 0, r.peerBare(1))
+	tn.sched.RunFor(bareWait - time.Millisecond)
+	if r.held() != 2 || r.proofs() {
+		t.Fatalf("before bareWait: %d held, proofs %v; want 2 bare shares waiting", r.held(), r.proofs())
+	}
+	tn.sched.RunFor(time.Millisecond)
+	if r.held() != 1 || !r.proofs() {
+		t.Fatalf("at bareWait: %d held, proofs %v; want the own share alone, in proofs", r.held(), r.proofs())
+	}
+	sent := len(rec.seen)
+	if last := rec.seen[sent-1]; last.Flags != proofFlag || !bytes.Equal(last.Data, r.own()) {
+		t.Errorf("own share after the wait: flags %d, kept %v; want it in full", last.Flags, bytes.Equal(last.Data, r.own()))
+	}
+	for i := 0; i < 3; i++ {
+		r.offer(2, 0, r.peerBare(2))
+	}
+	if got := len(rec.seen) - sent; got != 1 {
+		t.Errorf("three bare shares within a base period re-sent the full share %d times, want once", got)
+	}
+	tn.sched.RunFor(resendEvery)
+	r.offer(2, 0, r.peerBare(2))
+	if got := len(rec.seen) - sent; got != 2 {
+		t.Errorf("a bare share a base period later: %d re-sends in all, want 2", got)
+	}
+	r.offer(1, proofFlag, r.peer(1))
+	tn.sched.RunFor(time.Second)
+	if !r.done() || *r.combined != 1 {
+		t.Fatalf("did not complete from verified shares: done %v, %d callbacks", r.done(), *r.combined)
+	}
+	r.check(t)
 }
 
 // rewrite is a core.Interceptor that passes every outbound intent through

@@ -51,8 +51,31 @@ func FlipCoin(env *Env) CoinSource {
 // the coin.
 func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
 	held := func(raw []byte) coinShare { return coinShare{raw: append([]byte(nil), raw...)} }
+	bitOf := func(combine func([]byte, []S) (V, []byte, error)) func([]byte, []coinShare) (bool, []byte, error) {
+		return func(name []byte, got []coinShare) (bool, []byte, error) {
+			// A share held here is bare or full. A bare decoding reads
+			// the part both begin with, which is all combining reads.
+			decode := s.decode
+			if s.decodeBare != nil {
+				decode = s.decodeBare
+			}
+			shares := make([]S, 0, len(got))
+			for _, h := range got {
+				sh, err := decode(h.raw)
+				if err != nil {
+					return false, nil, err
+				}
+				shares = append(shares, sh)
+			}
+			v, cert, err := combine(name, shares)
+			if err != nil {
+				return false, nil, err
+			}
+			return bit(v), cert, nil
+		}
+	}
 	c := scheme[[]byte, coinShare, bool]{
-		k: s.k, shareCost: s.shareCost, verifyCost: s.verifyCost, combineCost: s.combineCost, certCost: s.certCost,
+		k: s.k, kBare: s.kBare, shareCost: s.shareCost, verifyCost: s.verifyCost, combineCost: s.combineCost, certCost: s.certCost,
 		share: func(name []byte) (coinShare, error) {
 			sh, err := s.share(name)
 			if err != nil {
@@ -77,29 +100,10 @@ func coinOf[S, V any](s scheme[[]byte, S, V], bit func(V) bool) CoinSource {
 			}
 			return s.verify(name, full)
 		},
-		combine: func(name []byte, got []coinShare) (bool, []byte, error) {
-			// A share held here is bare or full. A bare decoding reads
-			// the part both begin with, which is all combining reads.
-			decode := s.decode
-			if s.decodeBare != nil {
-				decode = s.decodeBare
-			}
-			shares := make([]S, 0, len(got))
-			for _, h := range got {
-				sh, err := decode(h.raw)
-				if err != nil {
-					return false, nil, err
-				}
-				shares = append(shares, sh)
-			}
-			v, cert, err := s.combine(name, shares)
-			if err != nil {
-				return false, nil, err
-			}
-			return bit(v), cert, nil
-		},
+		combine: bitOf(s.combine),
 	}
 	if s.bare != nil {
+		c.combineBare = bitOf(s.combineBare)
 		c.bare = func(sh coinShare) []byte { return sh.raw } // this node's own share, bare as made
 		c.decodeBare = func(raw []byte) (coinShare, error) {
 			if _, err := s.decodeBare(raw); err != nil {

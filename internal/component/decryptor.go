@@ -8,14 +8,17 @@ import (
 
 // Decryptor runs the threshold-decryption exchange HoneyBadgerBFT and BEAT
 // perform after ACS fixes the accepted proposal set: every node broadcasts
-// one decryption share per accepted ciphertext, bare; f+1 shares whose
-// combination meets the ciphertext's key commitment recover its plaintext.
-// A combination that fails turns the slot to proved shares, each verified
-// (decScheme); f+1 verified shares that still fail refuse the ciphertext —
-// a Byzantine proposer's, made under another key — and the slot recovers
-// nil, as a malformed ciphertext does at ACS. Shares ride the same batched
-// packets as everything else (vertical batching across the accepted
-// slots).
+// one decryption share per accepted ciphertext, bare; 2f+1 bare shares
+// that agree give the ciphertext's key, and its plaintext if the key meets
+// the ciphertext's commitment. Bare shares that disagree, or f+1 of them
+// that wait too long for the rest (a peer that crashed after it combined
+// sends its share no more), turn the slot to proved shares, each
+// verified, of which f+1 give the key (decScheme). Either way the key is
+// the one every honest node gets: a ciphertext whose commitment it does
+// not meet — a Byzantine proposer's, made under another key — is refused
+// everywhere, and the slot recovers nil, as a malformed ciphertext does
+// at ACS. Shares ride the same batched packets as everything else
+// (vertical batching across the accepted slots).
 type Decryptor struct {
 	env    *Env
 	shares collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]

@@ -2,13 +2,13 @@ package component
 
 import (
 	"bytes"
-	"io"
 	"math/big"
 	"math/rand"
 	"testing"
 	"time"
 
 	"repro/internal/crypto"
+	"repro/internal/crypto/shamir"
 	"repro/internal/crypto/threshenc"
 	"repro/internal/packet"
 )
@@ -30,7 +30,7 @@ func decFuzzCiphertexts(tb testing.TB, tn *testNet) ([]*threshenc.Ciphertext, []
 	for slot := range cts {
 		plain := []byte{'p', 'l', 'a', 'i', 'n', byte('0' + slot)}
 		if slot == decRefused {
-			cts[slot] = foreignCiphertext(tb, tn, plain, tn.envs[slot].Rand)
+			cts[slot], _ = foreignCiphertext(tb, tn, plain, decFuzzSeed)
 			continue
 		}
 		plains[slot] = plain
@@ -44,20 +44,52 @@ func decFuzzCiphertexts(tb testing.TB, tn *testNet) ([]*threshenc.Ciphertext, []
 }
 
 // foreignCiphertext encrypts plain under the threshold key of a deployment
-// dealt apart from tn's, as a Byzantine proposer may: the ciphertext's tag
+// dealt apart from tn's, as a Byzantine proposer may, with randomness from
+// seed, and returns the key it commits to beside it: the ciphertext's tag
 // holds, so every node makes shares of it and they verify, but its key
-// commitment is not tn's key's, so no k shares meet it.
-func foreignCiphertext(tb testing.TB, tn *testNet, plain []byte, rng io.Reader) *threshenc.Ciphertext {
+// commitment is not tn's key's, so no honest shares meet it.
+func foreignCiphertext(tb testing.TB, tn *testNet, plain []byte, seed int64) (*threshenc.Ciphertext, *big.Int) {
 	tb.Helper()
 	other, err := crypto.DealCached(len(tn.envs), tn.envs[0].F, crypto.LightConfig(), -1)
 	if err != nil {
 		tb.Fatal(err)
 	}
-	ct, err := other[0].TE.Encrypt(plain, rng)
+	key := other[0].TE
+	ct, err := key.Encrypt(plain, rand.New(rand.NewSource(seed)))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return ct
+	// Encrypt's first draw is the KEM nonce r; the key is VK^r.
+	r, err := shamir.RandInt(rand.New(rand.NewSource(seed)), key.Group.Q)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return ct, key.ExpVK(r)
+}
+
+// steeredShare is the bare share of ct that Byzantine node b sends, ct
+// committing to the key x, so that it and honest node j's share
+// interpolate to x: two bare shares meeting the commitment would open ct
+// at node j and nowhere else. It checks the construction against
+// threshenc.Combine, which takes two shares unchecked.
+func steeredShare(tb testing.TB, tn *testNet, ct *threshenc.Ciphertext, x *big.Int, j, b int) []byte {
+	tb.Helper()
+	key := tn.envs[0].Suite.TE
+	if key.K != 2 {
+		tb.Fatalf("steering is built for k = 2, not %d", key.K)
+	}
+	g := key.Group
+	own, err := key.DecryptShareBare(tn.envs[j].Suite.TEShare, ct, rand.New(rand.NewSource(0)))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lag := shamir.LagrangeSet([]shamir.Share{{X: j + 1}, {X: b + 1}}, g.Q)
+	v := g.Exp(g.Mul(x, g.Exp(own.V, new(big.Int).Sub(g.Q, lag[0]))), new(big.Int).ModInverse(lag[1], g.Q))
+	sh := &threshenc.DecShare{Index: b + 1, V: v}
+	if _, err := key.Combine(ct, []*threshenc.DecShare{own, sh}); err != nil {
+		tb.Fatalf("steered share does not meet the commitment with node %d's: %v", j, err)
+	}
+	return EncodeBareDLShare(sh)
 }
 
 // A FuzzDecryptorSection input is a sequence of cbcRecords: op's top bit
@@ -71,12 +103,14 @@ const (
 )
 
 // decSeeds records a run of every node submitting every slot — decRefused
-// turns to proved shares everywhere and is refused — and returns inputs
-// built from its shares: bare shares ahead of the ciphertext and after it,
-// a garbage bare share before the genuine ones, a share claimed by another
-// sender, one offered for another slot, a certificate-flagged entry, a
-// share under another phase, a garbage bare share followed by full ones, a
-// forged full share, and the refused slot's bare and full shares.
+// is refused everywhere — and returns inputs built from its shares: bare
+// shares ahead of the ciphertext and after it, a garbage bare share
+// before the genuine ones, a share claimed by another sender, one offered
+// for another slot, a certificate-flagged entry, a share under another
+// phase, a garbage bare share followed by full ones, a forged full share,
+// the refused slot's bare and full shares, and a share of the refused
+// slot steered to meet its commitment with the fuzzed node's own, alone
+// and among genuine ones.
 func decSeeds(f *testing.F) [][]byte {
 	tn := newTestNet(f, decFuzzSeed, 0, true)
 	cts, _ := decFuzzCiphertexts(f, tn)
@@ -137,6 +171,9 @@ func decSeeds(f *testing.F) [][]byte {
 	forged := share(0, 2, decSubmit)
 	forged.e.Data = appendBig(appendBig(bytes.Clone(forged.e.Data), big.NewInt(7)), big.NewInt(9))
 	forged.e.Flags = proofFlag
+	refusedCt, x := foreignCiphertext(f, tn, []byte{'p', 'l', 'a', 'i', 'n', byte('0' + decRefused)}, decFuzzSeed)
+	steered := share(0, decRefused, decSubmit)
+	steered.e.Data = steeredShare(f, tn, refusedCt, x, 3, 0)
 	return [][]byte{
 		input(share(0, 0, 0), share(1, 0, 0), share(2, 0, decLater|decSubmit)),
 		input(share(0, 1, decSubmit), share(1, 1, decLater)),
@@ -147,6 +184,8 @@ func decSeeds(f *testing.F) [][]byte {
 		input(garbage(share(0, 1, decSubmit)), full(0, 1, decLater), full(2, 1, decLater)),
 		input(forged, share(1, 2, decLater), full(1, 2, decLater)),
 		input(share(0, decRefused, decSubmit), share(1, decRefused, decLater), full(0, decRefused, decLater), full(2, decRefused, decLater)),
+		input(steered),
+		input(steered, share(1, decRefused, decLater), full(1, decRefused, decLater), full(2, decRefused, decLater)),
 	}
 }
 
@@ -155,13 +194,14 @@ func decSeeds(f *testing.F) [][]byte {
 // input names in between; the node keeps other state on the air from the
 // start, as it would while its common subset runs. Nothing may panic, and
 // no frame of the node's carries a DEC NACK row before its first Submit.
-// A slot's plaintext comes only from k good shares: a submitted slot,
-// the plaintext encrypted, and shares from k-1 distinct peers in the input
-// under their sender's index, beside the node's own — each bare with its
-// sender's genuine value, or full with a proof that verifies. A slot is
-// refused only if its ciphertext is decRefused's, submitted, and k-1
-// peers' full shares of it verify: garbage bare shares and forged full
-// ones never refuse an honest ciphertext.
+// A slot settles only on what honest shares fix: submitted, and with k-1
+// distinct peers' full shares in the input that verify, or 2k-2 peers'
+// good shares — under their sender's index, bare with its sender's
+// genuine value or full and verified — beside the node's own. A settled
+// slot holds the plaintext encrypted, or, only if its ciphertext is
+// decRefused's, none: garbage bare shares and forged full ones never
+// refuse an honest ciphertext, and a share steered to meet decRefused's
+// commitment never opens it.
 func FuzzDecryptorSection(f *testing.F) {
 	f.Add([]byte{})
 	for _, in := range decSeeds(f) {
@@ -245,12 +285,10 @@ func FuzzDecryptorSection(f *testing.F) {
 				t.Fatalf("slot %d settled without its ciphertext", slot)
 			case p.value == nil && slot != decRefused:
 				t.Fatalf("slot %d's honest ciphertext refused", slot)
-			case p.value == nil && count(proved[slot]) < key.K-1:
-				t.Fatalf("slot %d refused with %d peers' verified shares, want %d", slot, count(proved[slot]), key.K-1)
 			case p.value != nil && !bytes.Equal(p.value, plains[slot]):
 				t.Fatalf("slot %d decrypted %q, want %q", slot, p.value, plains[slot])
-			case p.value != nil && count(good[slot]) < key.K-1:
-				t.Fatalf("slot %d decrypted with %d peers' good shares, want %d", slot, count(good[slot]), key.K-1)
+			case count(proved[slot]) < key.K-1 && count(good[slot]) < key.BareQuorum()-1:
+				t.Fatalf("slot %d settled with %d peers' verified shares and %d good ones", slot, count(proved[slot]), count(good[slot]))
 			}
 		}
 	})

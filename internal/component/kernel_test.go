@@ -456,7 +456,7 @@ func TestDecryptorShareBeforeCiphertext(t *testing.T) {
 // collector with the type parameters erased, so a single table can drive
 // CBC's certificate, PRBC's DONE proof, both coins and the Decryptor.
 type collectorRig struct {
-	k           int
+	k, kBare    int // shares a combination takes: verified, bare
 	verifyCost  time.Duration
 	combineCost time.Duration // what a combination of the shares as first sent is charged
 	certCost    time.Duration // 0: the scheme has no certificates
@@ -502,7 +502,7 @@ func rigOf[X, S, V any](c *collector[X, S, V], tl *tally[X, S, V], id int, peers
 		return sh
 	}
 	r := collectorRig{
-		k: c.k, verifyCost: c.verifyCost, combineCost: c.combineCost, decodeFirst: true, bare: c.bare != nil, combined: runs,
+		k: c.k, kBare: c.kBare, verifyCost: c.verifyCost, combineCost: c.combineCost, decodeFirst: true, bare: c.bare != nil, combined: runs,
 		offer:     func(w int, flags uint8, raw []byte) { c.offer(tl, id, w, flags, raw) },
 		offerCert: func(raw []byte) { c.offer(tl, id, 1, certFlag, raw) },
 		cert:      func() []byte { return certOf(peers, c.k, tl.subject) },
@@ -683,8 +683,9 @@ func coinRig(t *testing.T, tn *testNet, source func(*Env) CoinSource) collectorR
 // of its users, on node 0 with the peers' shares handed in directly.
 //
 // Under a scheme that sends its shares bare — the four signature users and
-// the Decryptor — a corrupted bare share is held unverified and free; the k-th share's
-// combination is charged the combine and the check of the value, fails,
+// the Decryptor — a corrupted bare share is held unverified and free; the
+// combination of the last bare share it takes (the k-th, the Decryptor's
+// (2k−1)-th) is charged the combine and the check of the value, fails,
 // costs one rejection, drops the peers' shares but keeps this node's own
 // counted, and turns the tally to proofs, where the own share goes on the
 // air again in full, a bare share counts for nothing, an invalid full
@@ -705,12 +706,14 @@ func TestShareCollector(t *testing.T) {
 			}
 			// offered hands in a share and reports the CPU time charged for
 			// taking it (Exec books a job when it is posted) and, once the
-			// job has run, the rejections it caused.
+			// job has run, the rejections it caused. A second of virtual
+			// time passes, and no more: the Decryptor's wait for more bare
+			// shares (bareWait) stays pending.
 			offered := func(w int, flags uint8, raw []byte) (time.Duration, uint64) {
 				busy, rej := env.CPU.BusyTotal(), env.T.Stats().Rejected
 				r.offer(w, flags, raw)
 				cost := env.CPU.BusyTotal() - busy
-				tn.settle(time.Second)
+				tn.sched.RunFor(time.Second)
 				return cost, env.T.Stats().Rejected - rej
 			}
 			good := r.peer(1)
@@ -725,18 +728,18 @@ func TestShareCollector(t *testing.T) {
 				corrupt[len(corrupt)-1] ^= 1
 				var cost time.Duration
 				var rej uint64
-				for w := 1; w < r.k; w++ {
+				for w := 1; w < r.kBare; w++ {
 					raw := r.peerBare(w)
 					if w == 1 {
 						raw = corrupt
 					}
 					cost, rej = offered(w, 0, raw)
-					if w < r.k-1 && (cost != 0 || rej != 0 || r.held() != w+1) {
+					if w < r.kBare-1 && (cost != 0 || rej != 0 || r.held() != w+1) {
 						t.Errorf("bare share %d: charged %v, %d rejections, %d held", w, cost, rej, r.held())
 					}
 				}
 				if cost != r.combineCost || rej != 1 {
-					t.Errorf("k-th bare share: charged %v (want %v), %d rejections", cost, r.combineCost, rej)
+					t.Errorf("last bare share: charged %v (want %v), %d rejections", cost, r.combineCost, rej)
 				}
 				if r.done() || r.held() != 1 || !r.proofs() || *r.combined != 0 {
 					t.Fatalf("after a failed combination: done %v, %d held, proofs %v, %d callbacks",

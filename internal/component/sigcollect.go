@@ -2,6 +2,7 @@ package component
 
 import (
 	"bytes"
+	"errors"
 	"time"
 
 	"repro/internal/core"
@@ -24,27 +25,52 @@ import (
 // its shares (threshold coin flipping) has check nil and combines to a nil
 // certificate.
 //
-// A scheme whose combination checks itself — signing and decryption —
+// A scheme whose combination can be checked — signing and decryption —
 // sends its shares bare, without the proof that lets one be verified on
-// its own: combining k of them and checking the value once costs less
-// than verifying each, and a failed combination brings the proofs back
+// its own: combining them and checking the value once costs less than
+// verifying each, and a failed combination brings the proofs back
 // (collector.toProofs). bare encodes a share so, and decodeBare parses
-// one, checking what can be checked without the proof. Coin flipping has
-// neither: its shares always carry their proofs, because nothing else can
-// vouch for its value.
+// one, checking what can be checked without the proof; combineBare
+// combines kBare bare shares, at certCost on top of combineCost. A
+// signature is checked against the public key, so k bare shares do. A
+// decryption is checked only against the encryptor's key commitment,
+// which one Byzantine share can steer k shares to meet: it takes 2k−1
+// bare shares that must agree (threshenc.CombineBare), so that honest
+// ones fix the value, and a tally that holds k of them turns to proofs if
+// the rest do not come within bareWait. Coin flipping has neither: its shares always carry
+// their proofs, because nothing else can vouch for its value.
+//
+// A combination that fails with errNoValue, from shares every honest node
+// would combine alike, says the subject has none: a ciphertext whose
+// commitment is not its key's. Only decryption gives it.
 type scheme[X, S, V any] struct {
-	k                                            int
+	k, kBare                                     int
 	shareCost, verifyCost, combineCost, certCost time.Duration
 
-	share      func(x X) (S, error)
-	encode     func(sh S) []byte
-	decode     func(raw []byte) (S, error)
-	bare       func(sh S) []byte
-	decodeBare func(raw []byte) (S, error)
-	verify     func(x X, sh S) error
-	combine    func(x X, shares []S) (value V, cert []byte, err error)
-	check      func(x X, cert []byte) (V, error)
+	share       func(x X) (S, error)
+	encode      func(sh S) []byte
+	decode      func(raw []byte) (S, error)
+	bare        func(sh S) []byte
+	decodeBare  func(raw []byte) (S, error)
+	verify      func(x X, sh S) error
+	combine     func(x X, shares []S) (value V, cert []byte, err error)
+	combineBare func(x X, shares []S) (value V, cert []byte, err error)
+	check       func(x X, cert []byte) (V, error)
 }
+
+// resendEvery is the transport's base re-send period.
+var resendEvery = core.DefaultConfig(true).RetxInterval
+
+// bareWait is how long a tally that holds k bare shares, enough for a
+// verified combination, waits for the kBare a bare one takes before it
+// turns to proofs: the last honest shares may never come (a peer that
+// crashed after it combined keeps no share to re-send), and k verified
+// ones do. Two base re-send periods: a share lost once is re-sent within
+// them.
+var bareWait = 2 * resendEvery
+
+// errNoValue is a combination's verdict that its subject has no value.
+var errNoValue = errors.New("component: the subject has no value")
 
 // The flags of an entry of a share phase. certFlag marks one that carries
 // the certificate of the combined value instead of its sender's share;
@@ -76,6 +102,10 @@ type tally[X, S, V any] struct {
 	// (a peer's combination failed). Set at most once, under a scheme that
 	// sends its shares bare.
 	proofs bool
+	// nextFull is when a bare share that comes after the tally turned to
+	// proofs may next have this node's full share re-sent: once per base
+	// period, however often peers repeat themselves.
+	nextFull time.Duration
 	// cert is the value's certificate once the value exists, if the scheme
 	// has one: it takes the place of this node's share on the air, under
 	// key (published: this node has released its share there).
@@ -95,8 +125,8 @@ type tally[X, S, V any] struct {
 	shares    []heldShare[S]
 	nShares   int
 	combining bool
-	// combiningBare says the combination under way may hold bare shares:
-	// the tally had not turned to proofs when it began.
+	// combiningBare says the combination under way is of bare shares, by
+	// combineBare: the tally had not turned to proofs when it began.
 	combiningBare bool
 	done          bool
 	value         V
@@ -230,8 +260,13 @@ func (c *collector[X, S, V]) offer(t *tally[X, S, V], id, w int, flags uint8, ra
 		// Its sender has not turned: this node's full share, which would
 		// turn it, has not reached it, and a peer that holds the value
 		// asks for no re-send of it. Under a scheme without certificates,
-		// which such a peer would answer with, it goes on the air again.
-		if c.check == nil && t.mine.held {
+		// which such a peer would answer with, it goes on the air again —
+		// at most once per base period, as often as a NACK row would ask
+		// for it. Once is not enough: a peer's row that gains the slot
+		// parks the re-sent share here before it has gone out, and a peer
+		// that has combined sends only its bare share back.
+		if now := c.env.Sched.Now(); c.check == nil && t.mine.held && now >= t.nextFull {
+			t.nextFull = now + resendEvery
 			c.sendFull(t)
 		}
 		return
@@ -323,10 +358,13 @@ func (c *collector[X, S, V]) settle(t *tally[X, S, V], id int, value V, cert []b
 
 // add records a share (a peer's, verified or bare, or this node's own)
 // unless it comes too late to count, and combines once the threshold is
-// reached. The shares go to combine in node order, so a given set of
-// contributors is always the same argument. A combination of bare shares
-// is charged the check of the value too: the scheme's combine verifies
-// what it combines, and a value exists only once that check has passed.
+// reached: k verified shares, or kBare bare ones — a tally that holds k
+// bare shares of kBare > k turns to proofs once it has waited bareWait
+// for the rest. The shares go to
+// combine in node order, so a given set of contributors is always the
+// same argument. A combination of bare shares is charged the check of the
+// value too: the scheme's combineBare checks what it combines, and a
+// value exists only once that check has passed.
 func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 	if t.holds(w) || t.combining || t.done {
 		return
@@ -336,19 +374,29 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 	}
 	t.shares[w] = heldShare[S]{share, true}
 	t.nShares++
-	if t.nShares < c.k {
+	bare, need := c.bare != nil && !t.proofs, c.k
+	if bare {
+		need = c.kBare
+	}
+	if t.nShares < need {
+		if bare && t.nShares == c.k {
+			c.env.Sched.After(bareWait, func() {
+				if !t.done && !t.combining {
+					c.toProofs(t)
+				}
+			})
+		}
 		return
 	}
-	t.combining = true
+	t.combining, t.combiningBare = true, bare
 	shares := make([]S, 0, t.nShares)
 	for _, h := range t.shares {
 		if h.held {
 			shares = append(shares, h.share)
 		}
 	}
-	t.combiningBare = c.bare != nil && !t.proofs
 	cost := c.combineCost
-	if t.combiningBare {
+	if bare {
 		cost += c.certCost
 	}
 	c.env.Exec(cost, func() {
@@ -356,15 +404,18 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 		if t.done {
 			return // a certificate settled the tally meanwhile
 		}
-		value, cert, err := c.combine(t.subject, shares)
+		combine := c.combine
+		if t.combiningBare {
+			combine = c.combineBare
+		}
+		value, cert, err := combine(t.subject, shares)
 		switch {
 		case err == nil:
 			c.settle(t, id, value, cert)
-		case c.bare != nil && !t.combiningBare:
-			// Verified shares fail a combination that checks itself for
-			// every node alike: the subject has no value (a ciphertext
-			// whose key commitment is not the key's). The tally settles
-			// on the zero V, and its owner goes on without one.
+		case errors.Is(err, errNoValue):
+			// Shares every honest node combines alike give no value: the
+			// subject has none. The tally settles on the zero V, and its
+			// owner goes on without one.
 			c.env.Reject()
 			var none V
 			c.settle(t, id, none, nil)
@@ -447,8 +498,18 @@ func must[S any](sh S, err error) (S, error) {
 // randomness can tell whether the proof was ever made.
 func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) scheme[[]byte, *threshsig.SigShare, []byte] {
 	cost := env.Suite.Cost
+	// Combine verifies the signature it makes (threshsig.Combine): a bad
+	// share, bare or not, fails here.
+	combine := func(msg []byte, shares []*threshsig.SigShare) ([]byte, []byte, error) {
+		sig, err := key.Combine(msg, shares)
+		if err != nil {
+			return nil, nil, err
+		}
+		raw := sig.Bytes()
+		return raw, raw, nil
+	}
 	return scheme[[]byte, *threshsig.SigShare, []byte]{
-		k: key.K, shareCost: cost.TSSign, verifyCost: cost.TSVerifyShare, combineCost: cost.TSCombine, certCost: cost.TSVerify,
+		k: key.K, kBare: key.K, shareCost: cost.TSSign, verifyCost: cost.TSVerifyShare, combineCost: cost.TSCombine, certCost: cost.TSVerify,
 		share:  func(msg []byte) (*threshsig.SigShare, error) { return must(key.SignBare(priv, msg, env.Rand)) },
 		encode: EncodeSigShare,
 		decode: DecodeSigShare,
@@ -463,17 +524,9 @@ func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) 
 			}
 			return sh, nil
 		},
-		verify: key.VerifyShare,
-		// Combine verifies the signature it makes (threshsig.Combine):
-		// a bad share, bare or not, fails here.
-		combine: func(msg []byte, shares []*threshsig.SigShare) ([]byte, []byte, error) {
-			sig, err := key.Combine(msg, shares)
-			if err != nil {
-				return nil, nil, err
-			}
-			raw := sig.Bytes()
-			return raw, raw, nil
-		},
+		verify:      key.VerifyShare,
+		combine:     combine,
+		combineBare: combine,
 		check: func(msg, raw []byte) ([]byte, error) {
 			sig := &threshsig.Signature{S: bigFromBytes(raw)}
 			// A signature has one encoding: the bytes it combines to.
@@ -513,20 +566,26 @@ func flipScheme(env *Env) scheme[[]byte, *threshcoin.CoinShare, [32]byte] {
 }
 
 // decScheme is the suite's threshold decryption: shares of a ciphertext
-// combine into its plaintext, and threshenc.Combine checks the key they
-// interpolate to against the ciphertext's commitment, so a combination
-// checks itself and its shares go bare: index and V, the proof (C, Z)
-// following only in a full share. This node's share is made bare
-// (threshenc.DecryptShareBare) and proved only by encode, as sigScheme's
-// is; shareCost charges the whole of DecryptShare at share time, where
-// the proof's nonce is drawn. The check is a hash, inside combineCost, so
-// certCost is zero. A ciphertext whose commitment is not the key's fails
-// every combination, verified or not, and its tally settles with a nil
-// plaintext once k verified shares have failed (collector.add).
+// combine into its plaintext, and the key they give is checked against
+// the ciphertext's commitment. Its shares go bare, index and V, the proof
+// (C, Z) following only in a full share; 2k−1 bare shares that agree
+// (threshenc.CombineBare), or k verified ones, give the ciphertext's true
+// key, so every honest node that combines reaches the same verdict. This
+// node's share is made bare (threshenc.DecryptShareBare) and proved only
+// by encode, as sigScheme's is; shareCost charges the whole of
+// DecryptShare at share time, where the proof's nonce is drawn. A bare
+// combination's check is charged nothing beyond combineCost (certCost 0):
+// its agreement check is a few small powers and its commitment check a
+// hash, and its membership power is the Schnorr-group stand-in's — in the
+// paper's prime-order curve groups, membership is the on-curve check a
+// decoder makes anyway. A ciphertext whose commitment is not its key's
+// has no plaintext (errNoValue): its tally settles with a nil one
+// (collector.add).
 func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte] {
 	cost, key := env.Suite.Cost, env.Suite.TE
 	return scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{
-		k: key.K, shareCost: cost.TEDecShare, verifyCost: cost.TEVerifyShare, combineCost: cost.TECombine,
+		k: key.K, kBare: key.BareQuorum(), shareCost: cost.TEDecShare, verifyCost: cost.TEVerifyShare,
+		combineCost: cost.TECombine,
 		share: func(ct *threshenc.Ciphertext) (*threshenc.DecShare, error) {
 			return key.DecryptShareBare(env.Suite.TEShare, ct, env.Rand)
 		},
@@ -543,7 +602,21 @@ func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []by
 			}
 			return sh, nil
 		},
-		verify:  key.VerifyShare,
-		combine: uncertified(key.Combine),
+		verify:      key.VerifyShare,
+		combine:     opening(key.Combine),
+		combineBare: opening(key.CombineBare),
+	}
+}
+
+// opening makes a decryption that yields no certificate, and reads
+// threshenc.ErrCommitment as errNoValue: the shares agree on the key, and
+// the ciphertext commits to another.
+func opening(combine func(*threshenc.Ciphertext, []*threshenc.DecShare) ([]byte, error)) func(*threshenc.Ciphertext, []*threshenc.DecShare) ([]byte, []byte, error) {
+	return func(ct *threshenc.Ciphertext, shares []*threshenc.DecShare) ([]byte, []byte, error) {
+		plain, err := combine(ct, shares)
+		if errors.Is(err, threshenc.ErrCommitment) {
+			err = errNoValue
+		}
+		return plain, nil, err
 	}
 }

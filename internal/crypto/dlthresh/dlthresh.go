@@ -10,12 +10,13 @@
 // dealerless key generation replaces it here, through NewPublicKey, and
 // nowhere else.
 //
-// Making a share's proof is two of its three exponentiations, and a use
-// whose combined element can be checked on its own (a ciphertext's key
-// commitment) needs none of it, so a share can be made bare (ShareBare)
-// and proved later, only if it must be (Share.Prove): its nonce is drawn
-// when the share is made, so the late proof is the one Share makes, and
-// the caller's randomness is read exactly as by Share.
+// Making a share's proof is two of its three exponentiations, and shares
+// can count without one: 2K−1 bare shares that lie on one polynomial
+// (CombineBare) hold K honest ones, which fix the element. So a share can
+// be made bare (ShareBare) and proved later, only if it must be
+// (Share.Prove): its nonce is drawn when the share is made, so the late
+// proof is the one Share makes, and the caller's randomness is read
+// exactly as by Share.
 package dlthresh
 
 import (
@@ -220,6 +221,90 @@ func shareKey(tag []byte, sh *Share) [32]byte {
 	var out [32]byte
 	h.Sum(out[:0])
 	return out
+}
+
+// ErrInconsistent is CombineBare's verdict on shares that are not all
+// powers of one base on one sharing polynomial: one of them is wrong.
+var ErrInconsistent = errors.New("dlthresh: bare shares do not lie on one polynomial")
+
+// BareQuorum is how many shares CombineBare takes: 2K−1. A (K, L) sharing
+// tolerates K−1 corrupt parties, so at least K of them are honest.
+func (pk *PublicKey) BareQuorum() int { return 2*pk.K - 1 }
+
+// CombineBare interpolates unverified shares of one use: the first
+// BareQuorum of them, from distinct parties, each lying on the polynomial
+// of degree K−1 in the exponent that the first K interpolate, and giving a
+// group element (ErrInconsistent otherwise). At least K of them are
+// honest, and K points fix that polynomial, so the element's component in
+// the group is base^s; it has no other, so it is base^s, the element any K
+// verified shares give. A wrong share is caught here, never combined into
+// a wrong element, for one membership power and a few small powers on top
+// of Combine — less than verifying each share's proof.
+func (pk *PublicKey) CombineBare(shares []*Share) (*big.Int, error) {
+	n := pk.BareQuorum()
+	if len(shares) < n {
+		return nil, fmt.Errorf("dlthresh: need %d bare shares, have %d", n, len(shares))
+	}
+	shares = shares[:n]
+	seen := make(map[int]bool, n)
+	for _, sh := range shares {
+		if sh.Index < 1 || sh.Index > pk.L || seen[sh.Index] {
+			return nil, fmt.Errorf("dlthresh: bad or duplicate share index %d", sh.Index)
+		}
+		seen[sh.Index] = true
+	}
+	for _, sh := range shares[pk.K:] {
+		if !pk.onPolynomial(shares[:pk.K], sh) {
+			return nil, ErrInconsistent
+		}
+	}
+	v, err := pk.Combine(shares)
+	if err != nil {
+		return nil, err
+	}
+	// Every party that combines shares of this use agrees on v, unless a
+	// wrong share got past the check above: the memoized verdict serves
+	// the parties after the first.
+	if !pk.Group.IsElementCached(v) {
+		return nil, ErrInconsistent
+	}
+	return v, nil
+}
+
+// onPolynomial reports whether sh lies on the polynomial of degree K−1 in
+// the exponent through the K shares of fit. At sh's index x the Lagrange
+// basis is N_i/D_i, N_i = Π_{m≠i} (x − x_m) and D_i = Π_{m≠i} (x_i − x_m);
+// times L = lcm |D_i| its coefficients are small integers, so the check
+// V^L = Π V_i^{L·N_i/D_i}, negative powers moved across, is a product of
+// small powers and not an interpolation. The relation holds in the group's
+// component of every element, which is all the caller needs: it checks
+// the combined element's membership itself.
+func (pk *PublicKey) onPolynomial(fit []*Share, sh *Share) bool {
+	num, den := make([]*big.Int, len(fit)), make([]*big.Int, len(fit))
+	l := big.NewInt(1)
+	for i, a := range fit {
+		num[i], den[i] = big.NewInt(1), big.NewInt(1)
+		for m, b := range fit {
+			if m != i {
+				num[i].Mul(num[i], big.NewInt(int64(sh.Index-b.Index)))
+				den[i].Mul(den[i], big.NewInt(int64(a.Index-b.Index)))
+			}
+		}
+		d := new(big.Int).Abs(den[i])
+		l.Mul(l, d.Quo(d, new(big.Int).GCD(nil, nil, l, d)))
+	}
+	lhs, lexp := []*big.Int{sh.V}, []*big.Int{l}
+	var rhs, rexp []*big.Int
+	for i, a := range fit {
+		c := new(big.Int).Mul(l, num[i])
+		c.Quo(c, den[i])
+		if c.Sign() < 0 {
+			lhs, lexp = append(lhs, a.V), append(lexp, c.Neg(c))
+		} else {
+			rhs, rexp = append(rhs, a.V), append(rexp, c)
+		}
+	}
+	return pk.Group.MulExp(lhs, lexp).Cmp(pk.Group.MulExp(rhs, rexp)) == 0
 }
 
 // Combine interpolates the first K shares in the exponent: base^s, the

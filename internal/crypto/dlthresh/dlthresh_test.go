@@ -1,6 +1,7 @@
 package dlthresh
 
 import (
+	"errors"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/crypto/group"
 	"repro/internal/crypto/memo"
 	"repro/internal/crypto/mont"
+	"repro/internal/crypto/shamir"
 )
 
 func testKey(t testing.TB, k, l int) *Key {
@@ -170,6 +172,65 @@ func TestCombine(t *testing.T) {
 	}
 	if _, err := pk.Combine([]*Share{all[0], all[1], all[0]}); err == nil {
 		t.Error("duplicate shares accepted")
+	}
+}
+
+// TestCombineBare: 2K−1 bare shares from distinct parties interpolate to
+// base^s; one share off the polynomial among them fails with
+// ErrInconsistent wherever it stands, and so does a share built to steer
+// the first K to another element; one outside the group gives base^s or
+// fails.
+func TestCombineBare(t *testing.T) {
+	key := testKey(t, 3, 7)
+	pk := &key.Public
+	g := pk.Group
+	use := testBase(g, "bare use")
+	all := sharesOf(t, key, use, 37)
+	want, err := pk.Combine(all[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := pk.BareQuorum(); n != 5 {
+		t.Fatalf("BareQuorum = %d, want 5", n)
+	}
+	got, err := pk.CombineBare([]*Share{all[6], all[1], all[4], all[0], all[3]})
+	if err != nil || got.Cmp(want) != 0 {
+		t.Fatalf("honest bare shares: %v, equal %v", err, err == nil && got.Cmp(want) == 0)
+	}
+	if _, err := pk.CombineBare(all[:4]); err == nil {
+		t.Error("too few bare shares accepted")
+	}
+	if _, err := pk.CombineBare([]*Share{all[0], all[1], all[2], all[3], all[0]}); err == nil {
+		t.Error("duplicate bare shares accepted")
+	}
+	minusOne := new(big.Int).Sub(g.P, big.NewInt(1)) // order 2: outside the order-q subgroup
+	for pos := 0; pos < 5; pos++ {
+		set := append([]*Share{}, all[:5]...)
+		set[pos] = &Share{Index: set[pos].Index, V: g.Mul(set[pos].V, g.G)}
+		if _, err := pk.CombineBare(set); !errors.Is(err, ErrInconsistent) {
+			t.Errorf("share %d off the polynomial: %v, want ErrInconsistent", pos, err)
+		}
+		// A share outside the group may pass where its stray component
+		// cancels (an even Lagrange coefficient of −1), but never to
+		// another element.
+		set[pos] = &Share{Index: all[pos].Index, V: g.Mul(all[pos].V, minusOne)}
+		if got, err := pk.CombineBare(set); err != nil && !errors.Is(err, ErrInconsistent) || err == nil && got.Cmp(want) != 0 {
+			t.Errorf("share %d outside the group: %v, want ErrInconsistent or base^s", pos, err)
+		}
+	}
+	// Steering: with shares 1 and 2 honest, party 3 picks V so that the
+	// first K interpolate to a target of its choice. Combine takes it;
+	// CombineBare, holding two more honest shares, does not.
+	target := g.ExpG(big.NewInt(12345))
+	pts := []shamir.Share{{X: 1}, {X: 2}, {X: 3}}
+	lag := shamir.LagrangeSet(pts, g.Q)
+	rest := g.Mul(g.Exp(all[0].V, new(big.Int).Sub(g.Q, lag[0])), g.Exp(all[1].V, new(big.Int).Sub(g.Q, lag[1])))
+	forged := &Share{Index: 3, V: g.Exp(g.Mul(target, rest), new(big.Int).ModInverse(lag[2], g.Q))}
+	if v, err := pk.Combine([]*Share{all[0], all[1], forged}); err != nil || v.Cmp(target) != 0 {
+		t.Fatalf("steering construction: %v", err)
+	}
+	if _, err := pk.CombineBare([]*Share{all[0], all[1], forged, all[3], all[4]}); !errors.Is(err, ErrInconsistent) {
+		t.Errorf("steered bare shares: %v, want ErrInconsistent", err)
 	}
 }
 

@@ -9,16 +9,19 @@
 //
 // A ciphertext commits to its key: beside C1 it carries a digest of the
 // KEM secret C1^z under its own domain, and its binding tag covers C1,
-// that commitment and the body. Combine checks the element k shares
-// interpolate to against the commitment, so a combination is checked
-// once, on its own, and its shares need no proofs to count: a bare share
-// (DecryptShareBare) is C1^{z_i} alone, and a combination with a bad one
-// among them fails the check instead of decrypting to garbage. Each share
-// can still be proved later (DecShare.Prove) and verified on its own
-// (VerifyShare, a DLEQ proof against the party's verification key), which
-// is what k shares that fail the check are sorted by. A ciphertext whose
-// commitment is not its key's — a Byzantine encryptor's — fails the check
-// from any k shares, verified or not, and so has no plaintext.
+// that commitment and the body. The commitment is the encryptor's word,
+// so a key that meets it is the ciphertext's key only if it is C1^z: a
+// Byzantine encryptor can commit to any element, and one Byzantine share
+// can steer k shares that include it to that element. Shares therefore
+// count either verified, each by its DLEQ proof against the party's
+// verification key (DecryptShare, VerifyShare, Combine), or bare and
+// unverified (DecryptShareBare, CombineBare), C1^{z_i} alone, but then
+// 2k−1 of them, all on one polynomial: at least k are honest, so they
+// agree only on C1^z. Either way the key is C1^z, and whether it meets the
+// commitment (ErrCommitment) is the same verdict at every honest party: a
+// ciphertext whose commitment is not its key's has no plaintext. A bare
+// share can be proved later (DecShare.Prove), for when bare shares
+// disagree and must be sorted by their proofs.
 //
 // The key sharing, the decryption shares and their verification are the
 // discrete-log threshold kernel's (dlthresh), with a ciphertext's C1 as
@@ -60,9 +63,9 @@ type Ciphertext struct {
 // (DecryptShareBare) until its Prove.
 type DecShare = dlthresh.Share
 
-// ErrCommitment is Combine's verdict on shares that do not interpolate to
-// the key the ciphertext commits to: a bad share is among them, or, if
-// every one verifies, the ciphertext was made under another key.
+// ErrCommitment is the verdict of Combine on k verified shares, or of
+// CombineBare, that the key they give is not the one the ciphertext
+// commits to: the ciphertext was made under another key.
 var ErrCommitment = errors.New("threshenc: combined key does not meet the ciphertext's commitment")
 
 // Key is the dealer output.
@@ -131,9 +134,9 @@ func (pk *PublicKey) VerifyShare(ct *Ciphertext, sh *DecShare) error {
 	return pk.PublicKey.VerifyShare(base(ct), sh)
 }
 
-// Combine recovers the plaintext from k decryption shares, bare or
-// proved, and checks the key they interpolate to against the ciphertext's
-// commitment (ErrCommitment).
+// Combine recovers the plaintext from k verified decryption shares and
+// checks the key they interpolate to against the ciphertext's commitment
+// (ErrCommitment).
 func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error) {
 	if err := CheckCiphertext(ct); err != nil {
 		return nil, err
@@ -142,6 +145,28 @@ func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
+	return open(ct, hr)
+}
+
+// CombineBare recovers the plaintext from BareQuorum unverified shares,
+// 2k−1 of them: they must agree on one key (dlthresh.ErrInconsistent
+// otherwise), and at least k of them are honest, so the key they agree on
+// is the one k verified shares give, and its check against the commitment
+// (ErrCommitment) is every honest party's verdict on the ciphertext.
+func (pk *PublicKey) CombineBare(ct *Ciphertext, shares []*DecShare) ([]byte, error) {
+	if err := CheckCiphertext(ct); err != nil {
+		return nil, err
+	}
+	hr, err := pk.PublicKey.CombineBare(shares)
+	if err != nil {
+		return nil, err
+	}
+	return open(ct, hr)
+}
+
+// open decrypts ct's body under the KEM secret hr, once hr meets the
+// commitment.
+func open(ct *Ciphertext, hr *big.Int) ([]byte, error) {
 	if commitment(hr) != ct.Commit {
 		return nil, ErrCommitment
 	}

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/crypto/dlthresh"
 	"repro/internal/crypto/group"
+	"repro/internal/crypto/shamir"
 )
 
 func testKey(t testing.TB, k, l int) *Key {
@@ -220,11 +222,12 @@ func TestCommitmentBoundByTag(t *testing.T) {
 	}
 }
 
-// TestCombineChecksCommitment: Combine checks the key its shares
-// interpolate to against the commitment. Bare shares of an honest
-// ciphertext open it from any two parties; one bad bare share among them,
-// or verified shares of a ciphertext made under another key (its tag
-// holds, its commitment is not this key's), fail with ErrCommitment.
+// TestCombineChecksCommitment: Combine and CombineBare check the key
+// their shares give against the commitment. Three bare shares of an honest
+// ciphertext open it from any three parties; a bad bare share among them
+// fails as inconsistent; verified shares, or bare ones, of a ciphertext
+// made under another key (its tag holds, its commitment is not this
+// key's) fail with ErrCommitment.
 func TestCombineChecksCommitment(t *testing.T) {
 	key := testKey(t, 2, 4)
 	rng := rand.New(rand.NewSource(9))
@@ -234,17 +237,16 @@ func TestCombineChecksCommitment(t *testing.T) {
 		t.Fatal(err)
 	}
 	shares := bareShares(t, key, ct, rng)
-	for i := range shares {
-		for j := i + 1; j < len(shares); j++ {
-			got, err := key.Public.Combine(ct, []*DecShare{shares[i], shares[j]})
-			if err != nil || !bytes.Equal(got, plain) {
-				t.Errorf("parties %d and %d: got %q, %v", i+1, j+1, got, err)
-			}
+	for skip := range shares {
+		set := append(append([]*DecShare{}, shares[:skip]...), shares[skip+1:]...)
+		got, err := key.Public.CombineBare(ct, set)
+		if err != nil || !bytes.Equal(got, plain) {
+			t.Errorf("all parties but %d: got %q, %v", skip+1, got, err)
 		}
 	}
 	bad := &DecShare{Index: shares[1].Index, V: key.Public.Group.Mul(shares[1].V, key.Public.Group.G)}
-	if _, err := key.Public.Combine(ct, []*DecShare{shares[0], bad}); !errors.Is(err, ErrCommitment) {
-		t.Errorf("a bad bare share combined with %v, want ErrCommitment", err)
+	if _, err := key.Public.CombineBare(ct, []*DecShare{shares[0], bad, shares[2]}); !errors.Is(err, dlthresh.ErrInconsistent) {
+		t.Errorf("a bad bare share combined with %v, want ErrInconsistent", err)
 	}
 
 	other, err := Deal(key.Public.Group, 2, 4, rand.New(rand.NewSource(22)))
@@ -272,6 +274,43 @@ func TestCombineChecksCommitment(t *testing.T) {
 	if got, err := key.Public.Combine(foreign, verified); !errors.Is(err, ErrCommitment) {
 		t.Errorf("verified shares opened a ciphertext under another key to %q, %v; want ErrCommitment", got, err)
 	}
+	if got, err := key.Public.CombineBare(foreign, bareShares(t, key, foreign, rng)[1:]); !errors.Is(err, ErrCommitment) {
+		t.Errorf("bare shares opened a ciphertext under another key to %q, %v; want ErrCommitment", got, err)
+	}
+}
+
+// TestCombineBareResistsSteering: a Byzantine encryptor commits to a key
+// X of its choice and, as party 2, answers party 1's bare share with one
+// that makes the pair interpolate to X. Two bare shares would open the
+// ciphertext at party 1 alone; CombineBare, holding a third, honest share,
+// refuses the set as inconsistent, and any three honest shares give every
+// party the same verdict, ErrCommitment.
+func TestCombineBareResistsSteering(t *testing.T) {
+	key := testKey(t, 2, 4)
+	pk := &key.Public
+	g := pk.Group
+	rng := rand.New(rand.NewSource(11))
+	x := g.ExpG(big.NewInt(777))
+	ct := &Ciphertext{C1: g.ExpG(big.NewInt(4242)), Commit: commitment(x), Body: make([]byte, 16)}
+	xorStream(kdf(x), []byte("steered plaintext"[:16]), ct.Body)
+	ct.Tag = bindTag(ct)
+	honest := bareShares(t, key, ct, rng)
+
+	lag := shamir.LagrangeSet([]shamir.Share{{X: 1}, {X: 2}}, g.Q)
+	rest := g.Mul(x, g.Exp(honest[0].V, new(big.Int).Sub(g.Q, lag[0])))
+	steered := &DecShare{Index: 2, V: g.Exp(rest, new(big.Int).ModInverse(lag[1], g.Q))}
+	if got, err := pk.Combine(ct, []*DecShare{honest[0], steered}); err != nil || !bytes.Equal(got, []byte("steered plaintext"[:16])) {
+		t.Fatalf("steering construction: %q, %v", got, err)
+	}
+	if _, err := pk.CombineBare(ct, []*DecShare{honest[0], steered, honest[2]}); !errors.Is(err, dlthresh.ErrInconsistent) {
+		t.Errorf("steered share among bare ones: %v, want ErrInconsistent", err)
+	}
+	for skip := range honest {
+		set := append(append([]*DecShare{}, honest[:skip]...), honest[skip+1:]...)
+		if got, err := pk.CombineBare(ct, set); !errors.Is(err, ErrCommitment) {
+			t.Errorf("honest bare shares without party %d: %q, %v; want ErrCommitment", skip+1, got, err)
+		}
+	}
 }
 
 func bareShares(t testing.TB, key *Key, ct *Ciphertext, rng *rand.Rand) []*DecShare {
@@ -288,22 +327,28 @@ func bareShares(t testing.TB, key *Key, ct *Ciphertext, rng *rand.Rand) []*DecSh
 }
 
 // BenchmarkDecryptBare measures what opening a ciphertext from bare shares
-// costs a receiver at (2, 4): two bare shares combined, and the key they
-// interpolate to checked against the commitment. Beside it stands the
-// DLEQ verification each share cost before it could count
-// (dlthresh.BenchmarkVerifyShare).
+// costs a receiver at (2, 4): three bare shares checked to agree
+// (dlthresh.CombineBare), combined, and the key they interpolate to
+// checked against the commitment. Each iteration opens a ciphertext of its
+// own, so the group's membership memo never serves it: the cost is one
+// node's, not the share of it a simulation pays when every node combines
+// the same key. Beside it stands the DLEQ verification each share cost
+// before it could count (dlthresh.BenchmarkVerifyShare).
 func BenchmarkDecryptBare(b *testing.B) {
 	key := testKey(b, 2, 4)
 	rng := rand.New(rand.NewSource(10))
-	ct, err := key.Public.Encrypt(make([]byte, 256), rng)
-	if err != nil {
-		b.Fatal(err)
+	cts, sets := make([]*Ciphertext, b.N), make([][]*DecShare, b.N)
+	for i := range cts {
+		ct, err := key.Public.Encrypt(make([]byte, 256), rng)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cts[i], sets[i] = ct, bareShares(b, key, ct, rng)[:3]
 	}
-	shares := bareShares(b, key, ct, rng)[:2]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := key.Public.Combine(ct, shares); err != nil {
+		if _, err := key.Public.CombineBare(cts[i], sets[i]); err != nil {
 			b.Fatal(err)
 		}
 	}

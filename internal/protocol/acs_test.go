@@ -35,10 +35,10 @@ func TestACSRejectsSemivalidCiphertext(t *testing.T) {
 // TestACSRefusesUncommittedCiphertext runs one encrypted epoch in which
 // an accepted slot holds a Byzantine proposer's ciphertext made under
 // another key: its tag holds, every node makes a decryption share of it,
-// and no shares meet its key commitment. Every node's bare combination
-// fails, the slot turns to proved shares, and k verified shares fail too:
-// every node must refuse the ciphertext, count the rejection, and finish
-// the epoch with that slot empty.
+// and no honest shares meet its key commitment. The 2f+1 bare shares a
+// node combines agree on a key that fails the commitment: every node must
+// refuse the ciphertext, count the rejection, and finish the epoch with
+// that slot empty.
 func TestACSRefusesUncommittedCiphertext(t *testing.T) {
 	rejected := runBadCiphertextEpoch(t, func(env *component.Env, plain []byte) []byte {
 		other, err := threshenc.Deal(env.Suite.TE.Group, env.Suite.TE.K, env.N, env.Rand)

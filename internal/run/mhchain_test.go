@@ -406,9 +406,10 @@ func TestClusteredChainCutSharesOnAir(t *testing.T) {
 // seed, an epoch whose decodable garbage share reached the witness in that
 // time must turn the witness to proofs, and every cut of the cluster must
 // still be certified at every honest member. The run stops once the
-// untainted clusters are through, which does not wait on this cluster's
-// last certificate: the deployment is driven on until it is made, for at
-// most ten virtual minutes.
+// untainted clusters are through, which does not wait on this cluster:
+// the witness may still be holding a cut's shares back then, so it lets
+// them through, and the cut gets one base retransmission period more to
+// be certified.
 func TestClusteredChainGarbageCutShares(t *testing.T) {
 	const c, bad, witness = 3, 3, 0 // cluster 3: members 3 (flat node 15) and 0
 	// fullShare is the entry flag of a share sent with its proof
@@ -519,7 +520,10 @@ func TestClusteredChainGarbageCutShares(t *testing.T) {
 			}
 			return true
 		}
-		node.Drive(d.dep.sched, d.dep.sched.Now()+10*time.Minute, certified)
+		for _, st := range byEpoch {
+			release(st)
+		}
+		node.Drive(d.dep.sched, d.dep.sched.Now()+core.DefaultConfig(true).RetxInterval, certified)
 		for ep, st := range byEpoch {
 			if st.reached {
 				fired++

@@ -84,7 +84,7 @@ func TestMatrixPinned(t *testing.T) {
 	}{
 		{"SingleHop×OneShot", "HB-SC-batched", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), run.OneShot(2))
-		}, "3cb4f3d71c66590ccebf0e603f402cb528d6be3a3a6f019e6735254472b2cd84"},
+		}, "c2f86cdefebc4b98c356ef5068b47ed09c435d9c253ed0efe10698bd68c3c35f"},
 		{"SingleHop×OneShot", "Dumbo-LC-baseline-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinLocal, run.SingleHop(), run.OneShot(2))
 			spec.Batched = false
@@ -97,13 +97,13 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@10s:3;recover@30s:3")
 			return spec
-		}, "6ad02062b9b9f90d3e197886bb7daee2fd2776aad755a66e106e750dea724afd"},
+		}, "a8c2b6c2f7b961175823f50c8e014f030dceaeb28e190ce6dd2fa8663f6eecec"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
-		}, "8301a55d086f1073be7d47d636bc05dae04d089b0e4f6347d94b53ef0210798a"},
+		}, "8de870e643c97c2c7db583c474a00cb11491f47404466212f8bdd7a7b7d3d8b3"},
 		{"Clustered×OneShot", "BEAT", func() run.Spec {
 			return base(protocol.BEAT, "", run.Clustered(4, 4), run.OneShot(1))
-		}, "d8c720f18ce7bf635798acd40124f674c11ad9f4f44fe460e15903b83a144f72"},
+		}, "2c9deba0221a7188f6cff5542ca56fa3ccede185ad58265b8194228ae3735838"},
 		{"Clustered×OneShot", "Dumbo-SC-follower-crash-recover-byz", func() run.Spec {
 			// Cluster 0's member 1, the designated relay of local epoch
 			// 1's cut, crashes in epoch 0 and rejoins at 1 m, inside it;
@@ -117,12 +117,12 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Scenario = scenario.MustParse("crash@30s:2;recover@1m:2")
 			return spec
-		}, "a3fc686d806010ec467f4f6a87334bda58c13a546e5c8aa196463bacb14825c7"},
+		}, "fbe499961c436cfd3627438fe36aa6fe955255cd1ac48cfe7fcd963b046e94fb"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
 			return spec
-		}, "ac73c106374eb9a162a3e174f27ad860a281f4967a03cce632481cc9dab87b98"},
+		}, "f33ca80323e5bd609746d90ad04355a93b2fb3e64caae985d4af2143d46010db"},
 		{"SingleHop×Chain", "Alea-onoff-capped-byz", func() run.Spec {
 			spec := base(protocol.AleaKind, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.OnOff, Rate: 0.3, Clients: 20,
@@ -154,7 +154,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "9873acd182f973daeaeba86f7a613ab7db93635dfd5379b82480fc4960a6576e"},
+		}, "c90cd50c8f9f7aa5d072df01d9692140583229fddd03a03323b96f14d903fe4c"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// for a minute, about two relay turns, back through mid-run
@@ -162,7 +162,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.Clustered(4, 4), fast(4))
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@30s:0;recover@1m30s:0")
 			return spec
-		}, "c0e2c57e5d149c5fd46c87876f4d67cc13034daf992481241c99ea3f9f4d4633"},
+		}, "614d5d06fd552e7506a2a25913f47e027f541ab068cd02c38512604b934d3915"},
 	}
 	for _, tc := range cases {
 		tc := tc
