@@ -55,32 +55,28 @@ func conflictOf(data []byte) []byte {
 
 // Withhold silently drops outbound state: threshold shares and the
 // fragments it would serve as repairs always, everything else with
-// probability Frac. The node keeps receiving and processing normally — it
+// probability withholdFrac. The node keeps receiving and processing normally — it
 // free-rides on the protocol while starving peers of its contributions.
 // Its NACK rows, the REPAIR row that asks for a value included, bypass
 // the interceptor and cannot be withheld. The defense is threshold
 // sizing: quorums of 2f+1 are satisfiable by the 2f+1 honest nodes
 // alone, and NACK retransmission recovers what the drops delay.
-type Withhold struct {
-	// Frac is the drop probability for phases not always dropped;
-	// 0 means the default 0.5.
-	Frac float64
-}
+type Withhold struct{}
+
+// withholdFrac is Withhold's drop probability for the phases it does not
+// always drop.
+const withholdFrac = 0.5
 
 // Name implements Behavior.
 func (Withhold) Name() string { return NameWithhold }
 
 // Rewrite implements Behavior.
-func (w Withhold) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
+func (Withhold) Rewrite(ctx Ctx, in core.Intent) []core.Intent {
 	switch in.Phase {
 	case packet.PhaseDone, packet.PhaseShare, packet.PhaseDecShare, packet.PhaseRepair:
 		return nil // shares, proofs, and served repairs: always withheld
 	}
-	frac := w.Frac
-	if frac == 0 {
-		frac = 0.5
-	}
-	if ctx.Rand.Float64() < frac {
+	if ctx.Rand.Float64() < withholdFrac {
 		return nil
 	}
 	return []core.Intent{in}

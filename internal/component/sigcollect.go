@@ -40,9 +40,10 @@ import (
 // the rest do not come within bareWait. Coin flipping has neither: its shares always carry
 // their proofs, because nothing else can vouch for its value.
 //
-// A combination that fails with errNoValue, from shares every honest node
-// would combine alike, says the subject has none: a ciphertext whose
-// commitment is not its key's. Only decryption gives it.
+// A combination may succeed with the zero V, from shares every honest node
+// would combine alike: the subject has no value. Only decryption gives it,
+// for a ciphertext whose commitment is not its key's, and counts the
+// rejection itself.
 type scheme[X, S, V any] struct {
 	k, kBare                                     int
 	shareCost, verifyCost, combineCost, certCost time.Duration
@@ -68,9 +69,6 @@ var resendEvery = core.DefaultConfig(true).RetxInterval
 // ones do. Two base re-send periods: a share lost once is re-sent within
 // them.
 var bareWait = 2 * resendEvery
-
-// errNoValue is a combination's verdict that its subject has no value.
-var errNoValue = errors.New("component: the subject has no value")
 
 // The flags of an entry of a share phase. certFlag marks one that carries
 // the certificate of the combined value instead of its sender's share;
@@ -412,13 +410,6 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 		switch {
 		case err == nil:
 			c.settle(t, id, value, cert)
-		case errors.Is(err, errNoValue):
-			// Shares every honest node combines alike give no value: the
-			// subject has none. The tally settles on the zero V, and its
-			// owner goes on without one.
-			c.env.Reject()
-			var none V
-			c.settle(t, id, none, nil)
 		default:
 			// A bad share was among them: drop the peers' shares, keep
 			// this node's own, and wait for more — with their proofs, if
@@ -579,8 +570,8 @@ func flipScheme(env *Env) scheme[[]byte, *threshcoin.CoinShare, [32]byte] {
 // hash, and its membership power is the Schnorr-group stand-in's — in the
 // paper's prime-order curve groups, membership is the on-curve check a
 // decoder makes anyway. A ciphertext whose commitment is not its key's
-// has no plaintext (errNoValue): its tally settles with a nil one
-// (collector.add).
+// has no plaintext: it combines to a nil one (opening), and its tally
+// settles with that.
 func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte] {
 	cost, key := env.Suite.Cost, env.Suite.TE
 	return scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{
@@ -603,19 +594,21 @@ func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []by
 			return sh, nil
 		},
 		verify:      key.VerifyShare,
-		combine:     opening(key.Combine),
-		combineBare: opening(key.CombineBare),
+		combine:     opening(env, key.Combine),
+		combineBare: opening(env, key.CombineBare),
 	}
 }
 
 // opening makes a decryption that yields no certificate, and reads
-// threshenc.ErrCommitment as errNoValue: the shares agree on the key, and
-// the ciphertext commits to another.
-func opening(combine func(*threshenc.Ciphertext, []*threshenc.DecShare) ([]byte, error)) func(*threshenc.Ciphertext, []*threshenc.DecShare) ([]byte, []byte, error) {
+// threshenc.ErrCommitment as the ciphertext's lack of a plaintext: the
+// shares agree on the key, and the ciphertext commits to another. That
+// combination succeeds with a nil plaintext, and one rejection counted.
+func opening(env *Env, combine func(*threshenc.Ciphertext, []*threshenc.DecShare) ([]byte, error)) func(*threshenc.Ciphertext, []*threshenc.DecShare) ([]byte, []byte, error) {
 	return func(ct *threshenc.Ciphertext, shares []*threshenc.DecShare) ([]byte, []byte, error) {
 		plain, err := combine(ct, shares)
 		if errors.Is(err, threshenc.ErrCommitment) {
-			err = errNoValue
+			env.Reject()
+			return nil, nil, nil
 		}
 		return plain, nil, err
 	}

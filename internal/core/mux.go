@@ -88,7 +88,7 @@ type Mux struct {
 }
 
 // NewMux creates a node's transport layer with no epoch open. cfg applies
-// to every epoch (Session, FlushDelay, RetxInterval, Batched).
+// to every epoch (Session, RetxInterval, Batched).
 func NewMux(sched *sim.Scheduler, cpu *sim.CPU, auth *SizedAuth, cfg Config) *Mux {
 	m := &Mux{sched: sched, cpu: cpu, auth: auth, cfg: cfg, served: -1}
 	m.windowFn = m.windowClosed
@@ -107,7 +107,7 @@ func (m *Mux) BindStation(st *wireless.Station) {
 }
 
 // flush starts the node contending for the medium: an idle node after the
-// aggregation window, FlushDelay, so that a burst of updates shares its
+// aggregation window, flushDelay, so that a burst of updates shares its
 // first frame; a node already contending at once.
 func (m *Mux) flush() {
 	switch {
@@ -115,7 +115,7 @@ func (m *Mux) flush() {
 		m.kick()
 	case !m.windowOpen:
 		m.windowOpen = true
-		m.sched.PostAfter(m.cfg.FlushDelay, m.windowFn)
+		m.sched.PostAfter(flushDelay, m.windowFn)
 	}
 }
 

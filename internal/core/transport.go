@@ -108,17 +108,18 @@ type Interceptor interface {
 type Config struct {
 	Session      uint32
 	Batched      bool          // ConsensusBatcher vs baseline per-instance packets
-	FlushDelay   time.Duration // aggregation window before an idle node contends
 	RetxInterval time.Duration // base retransmission period (0 disables)
 }
 
+// flushDelay is the aggregation window before an idle node contends,
+// short against a LoRa-class airtime.
+const flushDelay = 120 * time.Millisecond
+
 // DefaultConfig returns transport parameters calibrated for the LoRa-class
-// channel: a short aggregation window and a retransmission period a few
-// airtimes long.
+// channel: a retransmission period a few airtimes long.
 func DefaultConfig(batched bool) Config {
 	return Config{
 		Batched:      batched,
-		FlushDelay:   120 * time.Millisecond,
 		RetxInterval: 4 * time.Second,
 	}
 }
@@ -282,6 +283,11 @@ func (t *Transport) NoteRejected() { t.stats.Rejected++ }
 
 // Stats returns a snapshot of the counters.
 func (t *Transport) Stats() Stats { return t.stats }
+
+// Batched reports whether the epoch runs on ConsensusBatcher rather than
+// the per-instance baseline: the mode an engine's wireless rules follow,
+// such as one shared coin per round across parallel ABAs (Sec. V-A).
+func (t *Transport) Batched() bool { return t.m.cfg.Batched }
 
 // pending reports whether the epoch has something to send at its node's
 // next win.

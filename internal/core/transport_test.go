@@ -419,7 +419,7 @@ func TestIntentSetWhileContendingRidesTheWinningFrame(t *testing.T) {
 	tr.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 0}, Data: []byte{1}})
 	// The window has closed and the node contends; its backoff ends no
 	// sooner than a DIFS later.
-	r.sched.RunUntil(tr.m.cfg.FlushDelay + r.ch.Config().DIFS/2)
+	r.sched.RunUntil(flushDelay + r.ch.Config().DIFS/2)
 	if !tr.m.Pending() || tr.Stats().LogicalSent != 0 {
 		t.Fatalf("pending=%v sent=%d: want the node contending with nothing sent yet", tr.m.Pending(), tr.Stats().LogicalSent)
 	}
@@ -450,7 +450,7 @@ func TestIdleEpochDoesNotContend(t *testing.T) {
 		r := newRig(t, 2, true, nil)
 		tr := r.transports[0]
 		tr.Update(Intent{IntentKey: key, Data: []byte{1}})
-		r.sched.RunUntil(tr.m.cfg.FlushDelay)
+		r.sched.RunUntil(flushDelay)
 		if !tr.m.Pending() {
 			t.Fatalf("%s: not contending once the window closed", tc.name)
 		}

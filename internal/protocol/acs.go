@@ -49,7 +49,7 @@ type binaryAgreement interface {
 }
 
 // newABA builds the ABA matching the coin kind; shared is one coin per
-// round across the parallel instances (Options.SharedCoin).
+// round across the parallel instances.
 func newABA(env *component.Env, slots int, coin CoinKind, shared bool, onDecide func(int, bool)) binaryAgreement {
 	switch coin {
 	case CoinLocal:
@@ -116,7 +116,9 @@ func newACS(env *component.Env, opts Options) Instance {
 		Slots:     env.N,
 		OnDeliver: a.onRBCDeliver,
 	})
-	a.aba = newABA(env, env.N, opts.Coin, opts.SharedCoin, a.onABADecide)
+	// The parallel ABAs share one coin per round where the epoch's
+	// transport batches them: the wireless rule of Sec. V-A.
+	a.aba = newABA(env, env.N, opts.Coin, env.T.Batched(), a.onABADecide)
 	if opts.Encrypt {
 		a.dec = component.NewDecryptor(env, env.N, a.onPlain)
 	}

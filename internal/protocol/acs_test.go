@@ -69,7 +69,7 @@ func runBadCiphertextEpoch(t *testing.T, bad func(env *component.Env, plain []by
 	sched, envs := testEnvs(t, 5, 0)
 	insts := make([]*ACS, len(envs))
 	for i, env := range envs {
-		insts[i] = newACS(env, Options{Coin: CoinSig, SharedCoin: true, Encrypt: true}).(*ACS)
+		insts[i] = newACS(env, Options{Coin: CoinSig, Encrypt: true}).(*ACS)
 	}
 	proposal := func(i int) []byte { return bytes.Repeat([]byte{byte('a' + i)}, 64) }
 	for i, a := range insts {

@@ -26,7 +26,6 @@ import (
 type ChainConfig struct {
 	Protocol Kind
 	Coin     CoinKind
-	Batched  bool
 	Encrypt  bool
 	// Window is the pipeline depth: how many epochs may run concurrently.
 	// 1 reproduces strictly sequential epochs. It also sets the epoch GC's
@@ -333,7 +332,7 @@ func (c *Chain) startEpoch(e int) {
 	}
 	ep := &chainEpoch{startedAt: c.env.Sched.Now()}
 	ep.inst = NewInstance(&env, c.cfg.Protocol, Options{
-		Coin: c.cfg.Coin, SharedCoin: c.cfg.Batched, Encrypt: c.cfg.Encrypt,
+		Coin: c.cfg.Coin, Encrypt: c.cfg.Encrypt,
 		OnDecide: func() { c.onDecide(e) },
 	})
 	c.epochs[e] = ep

@@ -15,7 +15,7 @@ func TestDebugHoneyBadgerTrace(t *testing.T) {
 	insts := make([]*ACS, len(envs))
 	for i, env := range envs {
 		i := i
-		insts[i] = newACS(env, Options{Coin: CoinSig, SharedCoin: true, Encrypt: true,
+		insts[i] = newACS(env, Options{Coin: CoinSig, Encrypt: true,
 			OnDecide: func() { done[i] = true }}).(*ACS)
 		prop := make([]byte, 64)
 		binary.BigEndian.PutUint32(prop, uint32(i))

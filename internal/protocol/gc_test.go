@@ -37,7 +37,7 @@ func newGCNet(t *testing.T, seed int64) *gcNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ChainConfig{Protocol: HoneyBadger, Coin: CoinSig, Batched: true, Window: gcWindow}
+	cfg := ChainConfig{Protocol: HoneyBadger, Coin: CoinSig, Window: gcWindow}
 	for i := range suites {
 		nd := node.New(g.sched, ch, wireless.NodeID(i), suites[i], node.Config{Transport: core.DefaultConfig(true), Seed: seed})
 		g.nodes = append(g.nodes, nd)

@@ -41,7 +41,7 @@ func newHoldNet(t *testing.T, seed int64, window int) *holdNet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := ChainConfig{Protocol: HoneyBadger, Coin: CoinSig, Batched: true, Window: window, HoldEmpty: true,
+	cfg := ChainConfig{Protocol: HoneyBadger, Coin: CoinSig, Window: window, HoldEmpty: true,
 		Mempool: MempoolConfig{TargetBatchBytes: 64, MaxBatchBytes: 64, Shards: 1}}
 	for i := range suites {
 		nd := node.New(g.sched, ch, wireless.NodeID(i), suites[i], node.Config{Transport: core.DefaultConfig(true), Seed: seed})

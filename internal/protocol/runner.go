@@ -30,10 +30,6 @@ const (
 type Options struct {
 	// Coin is the ABA randomness ("": the family's own, Engine.Coin).
 	Coin CoinKind
-	// SharedCoin shares one coin per round across the epoch's parallel
-	// ABAs — the wireless rule of Sec. V-A, on under ConsensusBatcher.
-	// Families whose ABAs run one at a time have nothing to share.
-	SharedCoin bool
 	// Encrypt threshold-encrypts the proposals (the families that
 	// disseminate by RBC: HoneyBadger and BEAT).
 	Encrypt bool

@@ -34,7 +34,6 @@ func chainConfig(spec Spec) (protocol.ChainConfig, error) {
 	ccfg := protocol.ChainConfig{
 		Protocol:  spec.Protocol,
 		Coin:      spec.Coin,
-		Batched:   spec.Batched,
 		Encrypt:   spec.Encrypt,
 		Window:    spec.Workload.Window,
 		MaxEpochs: spec.Workload.Epochs,

@@ -181,7 +181,7 @@ func (l lifecycle) RecoverNode(i int) {
 	}
 }
 
-// SetByzantine implements scenario.ByzLifecycle. The behavior survives
+// SetByzantine implements scenario.Lifecycle. The behavior survives
 // crash and recovery and covers every epoch of the node, open and future.
 // Names were validated before the run.
 func (l lifecycle) SetByzantine(i int, behavior string) {

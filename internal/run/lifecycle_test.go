@@ -17,9 +17,10 @@ type countingLife struct {
 	crashes, rejoins int
 }
 
-func (c *countingLife) NodeCount() int  { return c.n }
-func (c *countingLife) CrashNode(int)   { c.crashes++ }
-func (c *countingLife) RecoverNode(int) { c.rejoins++ }
+func (c *countingLife) NodeCount() int           { return c.n }
+func (c *countingLife) CrashNode(int)            { c.crashes++ }
+func (c *countingLife) RecoverNode(int)          { c.rejoins++ }
+func (c *countingLife) SetByzantine(int, string) {}
 
 // churnInjected replays plan on a bare scheduler for the duration of a run
 // and returns how many crashes and rejoins the engine issued. The engine's

@@ -373,8 +373,11 @@ func TestClusteredOneShotLeaderCrash(t *testing.T) {
 // TestClusteredOneShotMissedResultSeed pins the seed of Fig. 13b's HB-SC
 // cell (its fourth seed of eight) at which a member that missed the global
 // order used to wait about a minute for it to be sent again. The order now
-// comes down as frontier beacons, which any relay repeats and a member's
-// NACK row asks for.
+// comes down as frontier beacons, which the relay re-sends on its unasked
+// schedule. No member's NACK row asks for a beacon: it has no row
+// (mhchain.go:beaconKey), so a member that misses one waits for that
+// re-send or the next beacon, and the bound holds at this seed by the
+// trajectory, not by a repair.
 func TestClusteredOneShotMissedResultSeed(t *testing.T) {
 	spec := Defaults(protocol.HoneyBadger, protocol.CoinSig)
 	spec.Topology = Clustered(4, 4)

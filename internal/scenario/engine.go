@@ -9,21 +9,17 @@ import (
 	"repro/internal/wireless"
 )
 
-// Lifecycle is the driver-side interface the engine drives crash and
-// recovery events through. Implementations must be idempotent: crashing a
-// dead node or recovering a live one is a no-op. NodeCount sizes the
-// deployment for churn events, which draw their victims uniformly.
+// Lifecycle is the driver-side interface the engine drives crash,
+// recovery and byz events through. Implementations must be idempotent:
+// crashing a dead node or recovering a live one is a no-op. NodeCount
+// sizes the deployment for churn events, which draw their victims
+// uniformly. SetByzantine arms the named active-Byzantine behavior on a
+// node; drivers validate behavior names before the run, so
+// implementations may treat them as trusted.
 type Lifecycle interface {
 	NodeCount() int
 	CrashNode(i int)
 	RecoverNode(i int)
-}
-
-// ByzLifecycle is the optional extension a Lifecycle implements to
-// support byz events: arm the named active-Byzantine behavior on a node.
-// Drivers validate behavior names before the run, so implementations may
-// treat them as trusted.
-type ByzLifecycle interface {
 	SetByzantine(i int, behavior string)
 }
 
@@ -67,9 +63,9 @@ type Engine struct {
 }
 
 // Start schedules a plan's events on the scheduler and returns the engine.
-// life may be nil when the plan contains no crash/recover events (or when
-// the caller only wants the delivery-level effects). Install the returned
-// engine's Hook on every channel the scenario should affect.
+// life may be nil when the plan contains no crash, recover or byz events
+// (or when the caller only wants the delivery-level effects). Install the
+// returned engine's Hook on every channel the scenario should affect.
 func Start(sched *sim.Scheduler, plan Plan, seed int64, life Lifecycle) *Engine {
 	e := &Engine{
 		sched: sched,
@@ -96,8 +92,8 @@ func Start(sched *sim.Scheduler, plan Plan, seed int64, life Lifecycle) *Engine 
 			})
 		case KindByz:
 			sched.Post(ev.At, func() {
-				if bl, ok := e.life.(ByzLifecycle); ok {
-					bl.SetByzantine(ev.Node, ev.Behavior)
+				if e.life != nil {
+					e.life.SetByzantine(ev.Node, ev.Behavior)
 				}
 			})
 		case KindPartition:
@@ -112,58 +108,20 @@ func Start(sched *sim.Scheduler, plan Plan, seed int64, life Lifecycle) *Engine 
 		case KindHeal:
 			sched.Post(ev.At, func() { e.group = nil })
 		case KindLoss, KindJam:
-			sched.Post(ev.At, func() {
-				e.lossProb = ev.Prob
-				e.lossGen++
-				gen := e.lossGen
-				if ev.Duration > 0 {
-					sched.Post(ev.At+ev.Duration, func() {
-						if e.lossGen == gen {
-							e.lossProb = 0
-						}
-					})
-				}
-			})
+			e.window(ev, &e.lossGen, func() { e.lossProb = ev.Prob }, func() { e.lossProb = 0 })
 		case KindDelay:
-			sched.Post(ev.At, func() {
-				e.delayProb, e.delayMax = ev.Prob, ev.Max
-				e.delayGen++
-				gen := e.delayGen
-				if ev.Duration > 0 {
-					sched.Post(ev.At+ev.Duration, func() {
-						if e.delayGen == gen {
-							e.delayProb, e.delayMax = 0, 0
-						}
-					})
-				}
-			})
+			e.window(ev, &e.delayGen,
+				func() { e.delayProb, e.delayMax = ev.Prob, ev.Max },
+				func() { e.delayProb, e.delayMax = 0, 0 })
 		case KindMobility:
-			sched.Post(ev.At, func() {
+			e.window(ev, &e.mobGen, func() {
 				e.mob = wireless.NewWaypoint(mobilityField, ev.Speed, e.rng.Int63())
 				e.mobRange = ev.Range
-				e.mobGen++
-				gen := e.mobGen
-				if ev.Duration > 0 {
-					sched.Post(ev.At+ev.Duration, func() {
-						if e.mobGen == gen {
-							e.mob, e.mobRange = nil, 0
-						}
-					})
-				}
-			})
+			}, func() { e.mob, e.mobRange = nil, 0 })
 		case KindDutyCycle:
-			sched.Post(ev.At, func() {
-				e.dutyFrac, e.dutyPeriod, e.dutyStart = ev.Prob, ev.Period, sched.Now()
-				e.dutyGen++
-				gen := e.dutyGen
-				if ev.Duration > 0 {
-					sched.Post(ev.At+ev.Duration, func() {
-						if e.dutyGen == gen {
-							e.dutyFrac, e.dutyPeriod = 0, 0
-						}
-					})
-				}
-			})
+			e.window(ev, &e.dutyGen,
+				func() { e.dutyFrac, e.dutyPeriod, e.dutyStart = ev.Prob, ev.Period, sched.Now() },
+				func() { e.dutyFrac, e.dutyPeriod = 0, 0 })
 		case KindChurn:
 			until := time.Duration(0) // 0 = whole run
 			if ev.Duration > 0 {
@@ -189,6 +147,24 @@ func Start(sched *sim.Scheduler, plan Plan, seed int64, life Lifecycle) *Engine 
 		}
 	}
 	return e
+}
+
+// window applies a timed effect: set at ev.At and, for a bounded event,
+// clear ev.Duration later — unless a later event of the same effect has
+// set it again meanwhile, which gen (the effect's count of sets) tells.
+func (e *Engine) window(ev Event, gen *int, set, clear func()) {
+	e.sched.Post(ev.At, func() {
+		set()
+		*gen++
+		mine := *gen
+		if ev.Duration > 0 {
+			e.sched.Post(ev.At+ev.Duration, func() {
+				if *gen == mine {
+					clear()
+				}
+			})
+		}
+	})
 }
 
 // HookMapped returns a delivery hook for a channel whose station IDs must

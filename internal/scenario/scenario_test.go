@@ -69,12 +69,6 @@ func TestEngineFiresByzEvents(t *testing.T) {
 	if len(rec.byzed) != 1 || rec.byzed[0].node != 3 || rec.byzed[0].behavior != "equivocate" {
 		t.Fatalf("byzed = %+v", rec.byzed)
 	}
-	// A lifecycle without the ByzLifecycle extension must be skipped, not
-	// crash the engine.
-	sched2 := sim.New(1)
-	plain := struct{ Lifecycle }{}
-	Start(sched2, Plan{}.Then(ByzAt(time.Minute, 1, "garbage")), 1, plain)
-	sched2.Run()
 }
 
 func TestByzNodes(t *testing.T) {
@@ -232,6 +226,51 @@ func TestEngineMobilityRangeAndWindow(t *testing.T) {
 	sched.RunUntil(time.Minute + 2*time.Hour)
 	if _, drop := hook(0, 1, nil); drop {
 		t.Error("mobility persisted past its window")
+	}
+}
+
+// TestEngineOverlappingWindowsOutlastTheFirst: for every timed effect, a
+// second window that opens before the first one ends stays in force when
+// the first one expires, and ends on its own schedule.
+func TestEngineOverlappingWindowsOutlastTheFirst(t *testing.T) {
+	dropped := func(hook wireless.DeliveryHook) bool {
+		_, drop := hook(0, 1, nil)
+		return drop
+	}
+	for _, tc := range []struct {
+		name   string
+		window func(at, dur time.Duration) Event
+		active func(hook wireless.DeliveryHook) bool
+	}{
+		{"loss", func(at, dur time.Duration) Event { return LossBurst(at, dur, 1) }, dropped},
+		{"jam", JamAt, dropped},
+		{"delay", func(at, dur time.Duration) Event { return DelayFrom(at, 1, time.Hour, dur) },
+			func(hook wireless.DeliveryHook) bool {
+				extra, drop := hook(0, 1, nil)
+				return !drop && extra > 0
+			}},
+		// A 1 m radio range on the 1 km field leaves the pair out of range.
+		{"mobility", func(at, dur time.Duration) Event { return MobilityFrom(at, dur, 20, 1) }, dropped},
+		// Node 0 is awake for the first 1 % of each hour after a window opens.
+		{"dutycycle", func(at, dur time.Duration) Event { return DutyCycleFrom(at, dur, 0.01, time.Hour) }, dropped},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sched := sim.New(1)
+			eng := Start(sched, Plan{}.Then(
+				tc.window(0, 10*time.Minute),
+				tc.window(5*time.Minute, 10*time.Minute),
+			), 1, nil)
+			hook := singleHopHook(eng)
+			for _, step := range []struct {
+				at     time.Duration
+				active bool
+			}{{2 * time.Minute, true}, {12 * time.Minute, true}, {16 * time.Minute, false}} {
+				sched.RunUntil(step.at)
+				if got := tc.active(hook); got != step.active {
+					t.Errorf("at %v: active = %v, want %v", step.at, got, step.active)
+				}
+			}
+		})
 	}
 }
 
