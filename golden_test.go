@@ -6,8 +6,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
 	"repro/internal/bench"
+	"repro/internal/scenario"
 )
 
 // These tests pin the experiment registry to the committed BENCH
@@ -99,6 +101,33 @@ func TestGoldenSweepsParallelDeterminism(t *testing.T) {
 // entry, exactly as it does for `wbft-bench -exp NAME -json FILE`.
 func TestGoldenSerialSample(t *testing.T) {
 	goldens(t, func(t *testing.T, e bench.Experiment) { checkGolden(t, e, 1, e.Sample) })
+}
+
+// TestGoldenFaultEventsInsideRuns: every scripted event of every row of
+// the fault sweep starts before that row's run ends. An event scripted
+// past the end of a fast engine's run leaves its row a copy of the
+// fault-free one, measuring nothing.
+func TestGoldenFaultEventsInsideRuns(t *testing.T) {
+	for _, raw := range loadGolden(t, "BENCH_faults.json").Points {
+		var row struct {
+			Scenario, Spec, Protocol, Transport string
+			VirtualS                            float64 `json:"virtual_s"`
+		}
+		if err := json.Unmarshal(raw, &row); err != nil {
+			t.Fatal(err)
+		}
+		plan, err := scenario.Parse(row.Spec)
+		if err != nil {
+			t.Fatalf("%s %s/%s: %v", row.Scenario, row.Protocol, row.Transport, err)
+		}
+		end := time.Duration(row.VirtualS * float64(time.Second))
+		for _, ev := range plan.Events {
+			if ev.At >= end {
+				t.Errorf("%s %s/%s: %s starts after the run ends at %v",
+					row.Scenario, row.Protocol, row.Transport, ev, end)
+			}
+		}
+	}
 }
 
 // TestRegistryGoldens: the registry and the repository root name the same

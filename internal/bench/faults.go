@@ -34,18 +34,21 @@ type faultScenario struct {
 	plan scenario.Plan
 }
 
+// faultScenarios start every event inside the fastest run, batched
+// HoneyBadger's, which commits its 12 fault-free epochs in about 4 min; a
+// golden test holds every row of the committed sweep to that.
 var faultScenarios = []faultScenario{
 	{"fault-free", scenario.Plan{}},
 	{"crash-f", scenario.Crash(3)},
 	{"crash-recover", crashRecover()},
 	{"delay-adversary", scenario.Delay(0.25, 10*time.Second)},
 	{"jam-burst", scenario.Plan{}.Then(
-		scenario.JamAt(3*time.Minute, 90*time.Second),
-		scenario.LossBurst(6*time.Minute, 5*time.Minute, 0.3),
+		scenario.JamAt(time.Minute, 90*time.Second),
+		scenario.LossBurst(3*time.Minute, 5*time.Minute, 0.3),
 	)},
 	{"partition-heal", scenario.Plan{}.Then(
-		scenario.PartitionAt(4*time.Minute, []int{0, 1}, []int{2, 3}),
-		scenario.HealAt(12*time.Minute),
+		scenario.PartitionAt(2*time.Minute, []int{0, 1}, []int{2, 3}),
+		scenario.HealAt(10*time.Minute),
 	)},
 }
 
