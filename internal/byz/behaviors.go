@@ -55,8 +55,9 @@ func conflictOf(data []byte) []byte {
 
 // Withhold silently drops outbound state: threshold shares and the
 // fragments it would serve as repairs always, everything else with
-// probability withholdFrac. The node keeps receiving and processing normally — it
-// free-rides on the protocol while starving peers of its contributions.
+// probability withholdFrac. The node keeps receiving and processing
+// normally — it free-rides on the protocol while starving peers of its
+// contributions.
 // Its NACK rows, the REPAIR row that asks for a value included, bypass
 // the interceptor and cannot be withheld. The defense is threshold
 // sizing: quorums of 2f+1 are satisfiable by the 2f+1 honest nodes
