@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"sync"
 
 	"repro/internal/crypto/dleq"
 	"repro/internal/crypto/group"
@@ -43,19 +44,23 @@ type PublicKey struct {
 	L     int        // total parties
 
 	// cc holds the comb tables of the key's fixed bases and of each live
-	// use's base, and memoized share verdicts: every party verifies every
-	// other party's share of each use. All are pure functions of public
-	// inputs, so hits are exact. Guarded: dealt keys are shared across
-	// concurrent simulations.
+	// use's base, memoized share verdicts — every party verifies every
+	// other party's share of each use — and memoized interpolations: every
+	// party combines every use, and parties that hold the same first K
+	// shares interpolate the same element. All are pure functions of
+	// public inputs, so hits are exact. Guarded: dealt keys are shared
+	// across concurrent simulations.
 	cc *cache
 }
 
 type cache struct {
-	vk  *mont.Table   // comb of VK, built on its first power
-	vks []*mont.Table // combs of the VKs, each built on its first verification
+	vk       *mont.Table   // comb of VK, built on its first power
+	vkMember func() bool   // VK's membership verdict, checked on its first power
+	vks      []*mont.Table // combs of the VKs, each built on its first verification
 
 	bases    memo.Memo[string, *mont.Table] // Base.Tag -> comb of the element
 	verified memo.Memo[[32]byte, error]     // (Base.Tag, share) -> verdict
+	combined memo.Memo[[32]byte, *big.Int]  // first K shares' (index, V) -> Combine's element
 }
 
 // PrivateShare is party Index's share of the secret.
@@ -119,15 +124,29 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 
 // NewPublicKey assembles a key from its verification material.
 func NewPublicKey(g *group.Group, vk *big.Int, vks []*big.Int, k int) PublicKey {
-	cc := &cache{vk: g.Table(vk, mont.TeethLong), vks: make([]*mont.Table, len(vks))}
+	cc := &cache{
+		vk:       g.Table(vk, mont.TeethLong),
+		vkMember: sync.OnceValue(func() bool { return g.IsElementCached(vk) }),
+		vks:      make([]*mont.Table, len(vks)),
+	}
 	for i, v := range vks {
 		cc.vks[i] = g.Table(v, mont.TeethLong)
 	}
 	return PublicKey{Group: g, VK: vk, VKs: vks, K: k, L: len(vks), cc: cc}
 }
 
-// ExpVK returns VK^e through the key's comb.
-func (pk *PublicKey) ExpVK(e *big.Int) *big.Int { return pk.cc.vk.Exp(e) }
+// ExpVK returns VK^e through the key's comb. A power of a member of the
+// group is a member, so once VK has passed the membership check the power
+// is recorded as one (group.RecordElement): an encryption's KEM secret
+// VK^r is the element its decryption shares combine to, and the check of
+// that element (CombineBare) then takes no membership power.
+func (pk *PublicKey) ExpVK(e *big.Int) *big.Int {
+	v := pk.cc.vk.Exp(e)
+	if pk.cc.vkMember() {
+		pk.Group.RecordElement(v)
+	}
+	return v
+}
 
 // table returns the comb of b's element, shared by everyone who touches
 // the use: each party raises it to its share and its proof nonce, every
@@ -193,34 +212,49 @@ func (pk *PublicKey) VerifyShare(b Base, sh *Share) error {
 		return errors.New("dlthresh: missing share material")
 	}
 	g := pk.Group
-	if sh.V.Sign() <= 0 || sh.V.Cmp(g.P) >= 0 ||
+	if !pk.inRange(sh.V) ||
 		sh.Proof.C.Sign() < 0 || sh.Proof.C.Cmp(g.Q) >= 0 ||
 		sh.Proof.Z.Sign() < 0 || sh.Proof.Z.Cmp(g.Q) >= 0 {
-		return errors.New("dlthresh: share out of range")
+		return errRange
 	}
 	return pk.cc.verified.Get(shareKey(b.Tag, sh), func() error {
 		return dleq.Verify(g, g.GTable(), pk.table(b), pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
 	})
 }
 
-// shareKey digests a (tag, share) pair for the verdict memo.
+// inRange reports whether v is a value a share can have: in (0, P). The
+// memo keys read magnitudes, so a value outside — a negated copy of a good
+// share's, say — must be refused before a key is made of it.
+func (pk *PublicKey) inRange(v *big.Int) bool {
+	return v != nil && v.Sign() > 0 && v.Cmp(pk.Group.P) < 0
+}
+
+// shareKey digests a (tag, share) pair for the verdict memo. Every party
+// looks up every share, so the digest's input is laid out in a stack
+// buffer, not allocated.
 func shareKey(tag []byte, sh *Share) [32]byte {
-	h := sha256.New()
-	var lb [4]byte
-	binary.BigEndian.PutUint32(lb[:], uint32(len(tag)))
-	h.Write(lb[:])
-	h.Write(tag)
-	binary.BigEndian.PutUint32(lb[:], uint32(sh.Index))
-	h.Write(lb[:])
-	for _, v := range []*big.Int{sh.V, sh.Proof.C, sh.Proof.Z} {
-		b := v.Bytes()
-		binary.BigEndian.PutUint32(lb[:], uint32(len(b)))
-		h.Write(lb[:])
-		h.Write(b)
+	var stack [512]byte
+	buf := binary.BigEndian.AppendUint32(stack[:0], uint32(len(tag)))
+	buf = append(buf, tag...)
+	buf = binary.BigEndian.AppendUint32(buf, uint32(sh.Index))
+	for _, v := range [...]*big.Int{sh.V, sh.Proof.C, sh.Proof.Z} {
+		buf = memo.AppendMagnitude(buf, v)
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	return sha256.Sum256(buf)
+}
+
+// combineKey digests the (index, V) pairs of the shares Combine
+// interpolates, in their order, for the interpolation memo: the whole of
+// what the interpolation reads. It is laid out in a stack buffer, as
+// shareKey's is.
+func combineKey(shares []*Share) [32]byte {
+	var stack [1024]byte
+	buf := stack[:0]
+	for _, sh := range shares {
+		buf = binary.BigEndian.AppendUint64(buf, uint64(sh.Index))
+		buf = memo.AppendMagnitude(buf, sh.V)
+	}
+	return sha256.Sum256(buf)
 }
 
 // ErrInconsistent is CombineBare's verdict on shares that are not all
@@ -246,12 +280,13 @@ func (pk *PublicKey) CombineBare(shares []*Share) (*big.Int, error) {
 		return nil, fmt.Errorf("dlthresh: need %d bare shares, have %d", n, len(shares))
 	}
 	shares = shares[:n]
-	seen := make(map[int]bool, n)
-	for _, sh := range shares {
-		if sh.Index < 1 || sh.Index > pk.L || seen[sh.Index] {
+	for i, sh := range shares {
+		if sh.Index < 1 || sh.Index > pk.L || duplicate(shares[:i], sh.Index) {
 			return nil, fmt.Errorf("dlthresh: bad or duplicate share index %d", sh.Index)
 		}
-		seen[sh.Index] = true
+		if !pk.inRange(sh.V) {
+			return nil, errRange
+		}
 	}
 	for _, sh := range shares[pk.K:] {
 		if !pk.onPolynomial(shares[:pk.K], sh) {
@@ -264,7 +299,8 @@ func (pk *PublicKey) CombineBare(shares []*Share) (*big.Int, error) {
 	}
 	// Every party that combines shares of this use agrees on v, unless a
 	// wrong share got past the check above: the memoized verdict serves
-	// the parties after the first.
+	// the parties after the first, and all of them when v is an
+	// encryption's KEM secret (ExpVK).
 	if !pk.Group.IsElementCached(v) {
 		return nil, ErrInconsistent
 	}
@@ -307,22 +343,45 @@ func (pk *PublicKey) onPolynomial(fit []*Share, sh *Share) bool {
 	return pk.Group.MulExp(lhs, lexp).Cmp(pk.Group.MulExp(rhs, rexp)) == 0
 }
 
+var errRange = errors.New("dlthresh: share out of range")
+
+// duplicate reports whether a share of the given index is among shares.
+func duplicate(shares []*Share, index int) bool {
+	for _, sh := range shares {
+		if sh.Index == index {
+			return true
+		}
+	}
+	return false
+}
+
 // Combine interpolates the first K shares in the exponent: base^s, the
-// same element from any K valid shares of one use.
+// same element from any K valid shares of one use. The interpolation
+// reads each share's index and V and nothing else, so it is memoized by
+// exactly those (combineKey), once every V has passed the range check;
+// the caller gets its own copy of the element.
 func (pk *PublicKey) Combine(shares []*Share) (*big.Int, error) {
 	if len(shares) < pk.K {
 		return nil, fmt.Errorf("dlthresh: need %d shares, have %d", pk.K, len(shares))
 	}
-	pts := make([]shamir.Share, pk.K)
-	vs := make([]*big.Int, pk.K)
-	seen := make(map[int]bool, pk.K)
-	for i, sh := range shares[:pk.K] {
-		if seen[sh.Index] {
+	shares = shares[:pk.K]
+	for i, sh := range shares {
+		if duplicate(shares[:i], sh.Index) {
 			return nil, fmt.Errorf("dlthresh: duplicate share %d", sh.Index)
 		}
-		seen[sh.Index] = true
-		pts[i] = shamir.Share{X: sh.Index}
-		vs[i] = sh.V
+		if !pk.inRange(sh.V) {
+			return nil, errRange
+		}
 	}
-	return pk.Group.MulExp(vs, shamir.LagrangeSet(pts, pk.Group.Q)), nil
+	v := pk.cc.combined.Get(combineKey(shares), func() *big.Int {
+		var ptStack [8]shamir.Share
+		var vStack [8]*big.Int
+		pts, vs := ptStack[:0], vStack[:0]
+		for _, sh := range shares {
+			pts = append(pts, shamir.Share{X: sh.Index})
+			vs = append(vs, sh.V)
+		}
+		return pk.Group.MulExp(vs, shamir.LagrangeSet(pts, pk.Group.Q))
+	})
+	return new(big.Int).Set(v), nil
 }

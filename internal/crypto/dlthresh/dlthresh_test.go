@@ -2,8 +2,11 @@ package dlthresh
 
 import (
 	"errors"
+	"fmt"
 	"math/big"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/crypto/dleq"
@@ -234,6 +237,167 @@ func TestCombineBare(t *testing.T) {
 	}
 }
 
+// subsets calls f with every n-element subset of set, in set's order.
+func subsets(set []*Share, n int, f func([]*Share)) {
+	pick := make([]*Share, 0, n)
+	var walk func(from int)
+	walk = func(from int) {
+		if len(pick) == n {
+			f(slices.Clone(pick))
+			return
+		}
+		for i := from; i <= len(set)-(n-len(pick)); i++ {
+			pick = append(pick, set[i])
+			walk(i + 1)
+			pick = pick[:len(pick)-1]
+		}
+	}
+	walk(0)
+}
+
+// outcome is what a combination answers: the element, or the error's text.
+func outcome(v *big.Int, err error) string {
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	return "element: " + v.Text(16)
+}
+
+// TestCombineMemoExact: a key whose interpolation memo has seen every
+// subset before answers CombineBare and Combine as a key built fresh with
+// NewPublicKey does, over every 2K−1 subset of the parties in node order,
+// as the collector hands them over: all honest; a wrong share in the tail,
+// which is ErrInconsistent although its first K shares are a memo hit; a
+// wrong share among the first K; and the first two shares' values swapped
+// between their indices. CombineBare refuses all but the first; Combine
+// interpolates the last two to other elements.
+func TestCombineMemoExact(t *testing.T) {
+	for _, kl := range [][2]int{{2, 4}, {5, 13}} {
+		k, l := kl[0], kl[1]
+		key := testKey(t, k, l)
+		pk := &key.Public
+		g := pk.Group
+		all := sharesOf(t, key, testBase(g, fmt.Sprintf("exact use %d of %d", k, l)), int64(k))
+		wrong := func(sh *Share) *Share { return &Share{Index: sh.Index, V: g.Mul(sh.V, g.G)} }
+		n, bad := 0, 0
+		subsets(all, pk.BareQuorum(), func(honest []*Share) {
+			tail, head, swapped := slices.Clone(honest), slices.Clone(honest), slices.Clone(honest)
+			tail[len(tail)-1] = wrong(tail[len(tail)-1])
+			at := n % k
+			head[at] = wrong(head[at])
+			swapped[0] = &Share{Index: honest[1].Index, V: honest[0].V}
+			swapped[1] = &Share{Index: honest[0].Index, V: honest[1].V}
+			n++
+			for _, c := range []struct {
+				name string
+				set  []*Share
+			}{{"honest", honest}, {"wrong in the tail", tail}, {"wrong among the first K", head}, {"two values swapped", swapped}} {
+				if c.name == "wrong in the tail" {
+					if _, hit := pk.cc.combined.Peek(combineKey(c.set[:k])); !hit {
+						t.Fatalf("(%d,%d): the tail case's first K shares are no memo hit", k, l)
+					}
+				}
+				fresh := NewPublicKey(g, pk.VK, pk.VKs, pk.K)
+				got, want := outcome(pk.CombineBare(c.set)), outcome(fresh.CombineBare(c.set))
+				if got != want {
+					t.Fatalf("(%d,%d) %s %v: CombineBare %s, fresh key %s", k, l, c.name, indices(c.set), got, want)
+				}
+				if c.name != "honest" && !strings.Contains(got, ErrInconsistent.Error()) {
+					bad++
+				}
+				got, want = outcome(pk.Combine(c.set)), outcome(fresh.Combine(c.set))
+				if got != want {
+					t.Fatalf("(%d,%d) %s %v: Combine %s, fresh key %s", k, l, c.name, indices(c.set), got, want)
+				}
+			}
+		})
+		if bad != 0 {
+			t.Errorf("(%d,%d): %d sets with a wrong share not ErrInconsistent", k, l, bad)
+		}
+		if hits := pk.cc.combined.Len(); hits >= 3*n {
+			t.Errorf("(%d,%d): %d memo entries for %d subsets: the memo served nothing", k, l, hits, n)
+		}
+	}
+}
+
+func indices(set []*Share) []int {
+	out := make([]int, len(set))
+	for i, sh := range set {
+		out[i] = sh.Index
+	}
+	return out
+}
+
+// TestCombineMemoRefusesOutOfRange: the interpolation memo's key reads
+// magnitudes, so a V outside (0, P) — a good share's negated, or plus P,
+// or zero — is refused before a key is made of it: it never gets the good
+// share's memoized element, and never reaches the memo.
+func TestCombineMemoRefusesOutOfRange(t *testing.T) {
+	key := testKey(t, 2, 4)
+	pk := &key.Public
+	g := pk.Group
+	good := sharesOf(t, key, testBase(g, "range use"), 38)[:pk.BareQuorum()]
+	want, err := pk.CombineBare(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neg := &Share{Index: good[0].Index, V: new(big.Int).Neg(good[0].V)}
+	if combineKey([]*Share{neg, good[1]}) != combineKey(good[:2]) {
+		t.Fatal("a negated share has its own memo key: the test no longer tests the memo")
+	}
+	entries := pk.cc.combined.Len()
+	for _, v := range []*big.Int{neg.V, new(big.Int).Add(good[0].V, g.P), new(big.Int), new(big.Int).Set(g.P)} {
+		set := append([]*Share{{Index: good[0].Index, V: v}}, good[1:]...)
+		if got, err := pk.CombineBare(set); err == nil {
+			t.Errorf("V = %v: CombineBare gave an element (the good one: %v)", v, got.Cmp(want) == 0)
+		}
+		if got, err := pk.Combine(set); err == nil {
+			t.Errorf("V = %v: Combine gave an element (the good one: %v)", v, got.Cmp(want) == 0)
+		}
+	}
+	if n := pk.cc.combined.Len(); n != entries {
+		t.Errorf("memo holds %d entries after values outside (0, P), want %d", n, entries)
+	}
+	got, err := pk.Combine(good)
+	if err != nil || got.Cmp(want) != 0 {
+		t.Fatalf("the good shares after the refusals: %v", err)
+	}
+	got.SetInt64(1)
+	if again, _ := pk.Combine(good); again.Cmp(want) != 0 {
+		t.Error("a caller's change to its element reached the memo")
+	}
+}
+
+// TestExpVKRecordsOnlyMembers: ExpVK records its power as a member only
+// for a VK that is one. A hand-built key whose VK is outside the subgroup
+// records nothing, so the verdict memo still gives every power of it its
+// true verdict.
+func TestExpVKRecordsOnlyMembers(t *testing.T) {
+	key := testKey(t, 2, 4)
+	g := key.Public.Group
+	minusOne := new(big.Int).Sub(g.P, big.NewInt(1))
+	pk := NewPublicKey(g, g.Mul(key.Public.VK, minusOne), key.Public.VKs, key.Public.K)
+	rng := rand.New(rand.NewSource(39))
+	members := 0
+	for i := 0; i < 8; i++ {
+		r := new(big.Int).Rand(rng, g.Q)
+		v := pk.ExpVK(r)
+		truth := g.IsElement(v)
+		if got := g.IsElementCached(v); got != truth {
+			t.Errorf("VK outside the subgroup, exponent %v: IsElementCached %v, IsElement %v", r, got, truth)
+		}
+		if truth {
+			members++
+		}
+		if v := key.Public.ExpVK(r); !g.IsElementCached(v) {
+			t.Error("a power of a dealt VK is not a member")
+		}
+	}
+	if members == 0 || members == 8 {
+		t.Errorf("%d of 8 powers are members: the test wants both kinds", members)
+	}
+}
+
 // TestMemosOverflow: a memo that fills up is cleared and goes on giving
 // the verdicts a cold one gives.
 func TestMemosOverflow(t *testing.T) {
@@ -274,5 +438,29 @@ func BenchmarkVerifyShare(b *testing.B) {
 		if err := pk.VerifyShare(use, sh); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkCombineBareRepeat measures CombineBare at (K, L) = (2, 4) on
+// shares whose first K the interpolation memo holds (hit) and on a memo
+// emptied before each call (miss): the difference is the interpolation's
+// MulExp. The membership verdict is memoized in both.
+func BenchmarkCombineBareRepeat(b *testing.B) {
+	key := testKey(b, 2, 4)
+	pk := &key.Public
+	shares := sharesOf(b, key, testBase(pk.Group, "repeat use"), 44)[:pk.BareQuorum()]
+	for _, hit := range []bool{true, false} {
+		name := map[bool]string{true: "hit", false: "miss"}[hit]
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if !hit {
+					pk.cc.combined = memo.Memo[[32]byte, *big.Int]{}
+				}
+				if _, err := pk.CombineBare(shares); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -1,7 +1,10 @@
 // Package memo is the one bounded memo behind the crypto packages' host-
 // time caches: per-message exponentiation contexts, comb tables, Lagrange
-// coefficients, subgroup-membership and share-verification verdicts, and
-// combined threshold signatures.
+// coefficients, subgroup-membership verdicts (among them the powers of a
+// verified member, recorded without a check), share-verification
+// verdicts, discrete-log interpolations by their shares' indices and
+// values, and threshold-signature combinations, signature or error, by
+// their message and shares' indices and values.
 //
 // None of it changes observable behaviour: everything cached is a pure
 // function of its key, so a hit returns exactly what a fresh computation
@@ -10,7 +13,12 @@
 // price per operation; only the host machine skips repeat work.
 package memo
 
-import "sync"
+import (
+	"encoding/binary"
+	"math/big"
+	"slices"
+	"sync"
+)
 
 // Cap bounds every memo: a full one is cleared before its next store. A
 // sweep cell's working set is far smaller, so eviction is a safety valve,
@@ -64,4 +72,16 @@ func (c *Memo[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.m)
+}
+
+// AppendMagnitude appends |v|'s big-endian bytes behind their length, as
+// the crypto packages lay a number out in a memo key. The key reads the
+// magnitude only, so its caller refuses a value whose sign or range would
+// let it alias another before the key is made.
+func AppendMagnitude(buf []byte, v *big.Int) []byte {
+	n := (v.BitLen() + 7) / 8
+	buf = binary.BigEndian.AppendUint32(buf, uint32(n))
+	buf = slices.Grow(buf, n)[:len(buf)+n]
+	v.FillBytes(buf[len(buf)-n:])
+	return buf
 }

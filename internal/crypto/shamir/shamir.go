@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
 	"repro/internal/crypto/memo"
 )
@@ -125,11 +126,16 @@ var lagCache memo.Memo[string, []*big.Int]
 // share of the subset, mod q, memoized across calls. The returned slice
 // and its elements are shared and must not be mutated.
 func LagrangeSet(subset []Share, q *big.Int) []*big.Int {
-	key := make([]byte, 0, 4*len(subset)+len(q.Bytes()))
+	// The key is laid out in a stack buffer: its string is the one
+	// allocation of a hit.
+	var stack [256]byte
+	key := stack[:0]
 	for _, s := range subset {
 		key = binary.BigEndian.AppendUint32(key, uint32(s.X))
 	}
-	key = append(key, q.Bytes()...)
+	n := (q.BitLen() + 7) / 8
+	key = slices.Grow(key, n)[:len(key)+n]
+	q.FillBytes(key[len(key)-n:])
 	return lagCache.Get(string(key), func() []*big.Int {
 		set := make([]*big.Int, len(subset))
 		for i := range subset {

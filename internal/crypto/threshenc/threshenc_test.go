@@ -330,10 +330,12 @@ func bareShares(t testing.TB, key *Key, ct *Ciphertext, rng *rand.Rand) []*DecSh
 // costs a receiver at (2, 4): three bare shares checked to agree
 // (dlthresh.CombineBare), combined, and the key they interpolate to
 // checked against the commitment. Each iteration opens a ciphertext of its
-// own, so the group's membership memo never serves it: the cost is one
-// node's, not the share of it a simulation pays when every node combines
-// the same key. Beside it stands the DLEQ verification each share cost
-// before it could count (dlthresh.BenchmarkVerifyShare).
+// own, so the interpolation memo never serves it: the cost is one node's,
+// not the share of it a simulation pays when nodes combine the same
+// shares. The key's membership verdict is the one its encryption recorded
+// (dlthresh.PublicKey.ExpVK), as in a simulation. Beside it stands the
+// DLEQ verification each share cost before it could count
+// (dlthresh.BenchmarkVerifyShare).
 func BenchmarkDecryptBare(b *testing.B) {
 	key := testKey(b, 2, 4)
 	rng := rand.New(rand.NewSource(10))

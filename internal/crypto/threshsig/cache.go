@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
-	"slices"
 	"sync"
 
 	"repro/internal/crypto/memo"
@@ -31,11 +30,19 @@ type pkCache struct {
 	verified memo.Memo[[32]byte, error]
 	// folds: Combine's exponents keyed by subset.
 	folds memo.Memo[string, *fold]
-	// sigs: combined signatures keyed by message digest, stored once a
-	// combination has verified. A message has one signature (sigma^e = H(msg)
-	// has one root mod N), so any k valid shares combine to it; Combine
-	// returns it only for shares whose valid verdicts are all in verified.
-	sigs memo.Memo[[32]byte, *big.Int]
+	// combos: Combine's answers, the signature or the error, keyed by the
+	// message digest and the first k shares' (index, X) in their order —
+	// the whole of what a combination reads. Every party combines every
+	// message's shares, and the collector hands them over in node order,
+	// so parties that hold the same first k shares, bare or verified, ask
+	// the same question.
+	combos memo.Memo[[32]byte, combination]
+}
+
+// combination is one of Combine's answers: a signature, or the error.
+type combination struct {
+	s   *big.Int
+	err error
 }
 
 // msgCtx is the per-message exponentiation context.
@@ -163,38 +170,23 @@ func shareKey(msgDigest [32]byte, sh *SigShare) [32]byte {
 	buf := append(stack[:0], msgDigest[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(sh.Index))
 	for _, v := range [...]*big.Int{sh.X, sh.C, sh.Z} {
-		n := (v.BitLen() + 7) / 8
-		buf = binary.BigEndian.AppendUint32(buf, uint32(n))
-		buf = slices.Grow(buf, n)[:len(buf)+n]
-		v.FillBytes(buf[len(buf)-n:])
+		buf = memo.AppendMagnitude(buf, v)
 	}
 	return sha256.Sum256(buf)
 }
 
-// combined returns the cached signature on the message with the given
-// digest when every share in use already has a cached valid verdict for it:
-// then the combination would verify and so yield that very signature. Any
-// other input — an unverified or invalid share, a message never combined —
-// misses, and Combine runs in full.
-func (pk *PublicKey) combined(msgDigest [32]byte, use []*SigShare) (*Signature, bool) {
-	if pk.cc == nil {
-		return nil, false
-	}
-	s, hit := pk.cc.sigs.Peek(msgDigest)
-	if !hit {
-		return nil, false
-	}
+// comboKey digests a message digest and the (index, X) pairs of the
+// shares a combination uses, in their order, for the answer memo; like
+// shareKey's, its input is laid out in a stack buffer. The caller has
+// checked every X is in (0, N): the key reads magnitudes.
+func comboKey(msgDigest [32]byte, use []*SigShare) [32]byte {
+	var stack [2048]byte
+	buf := append(stack[:0], msgDigest[:]...)
 	for _, sh := range use {
-		// The verdict key reads magnitudes only: a share must pass the
-		// shape check a verifier applies before its key is looked up.
-		if checkShareShape(pk, sh) != nil {
-			return nil, false
-		}
-		if err, hit := pk.cc.verified.Peek(shareKey(msgDigest, sh)); !hit || err != nil {
-			return nil, false
-		}
+		buf = binary.BigEndian.AppendUint64(buf, uint64(sh.Index))
+		buf = memo.AppendMagnitude(buf, sh.X)
 	}
-	return &Signature{S: new(big.Int).Set(s)}, true
+	return sha256.Sum256(buf)
 }
 
 // foldFor returns the fold of the given subset (see newFold), cached when

@@ -265,8 +265,7 @@ var (
 )
 
 // checkShareShape performs the cheap structural checks shared by
-// VerifyShare, ShareVerifier and the signature memo (combined), which
-// runs them on every share Combine is given.
+// VerifyShare and ShareVerifier.
 func checkShareShape(pk *PublicKey, sh *SigShare) error {
 	if sh == nil || sh.Index < 1 || sh.Index > pk.L {
 		return errBadIndex
@@ -337,22 +336,53 @@ func (pk *PublicKey) verifyShareFull(ctx *msgCtx, sh *SigShare) error {
 // raises that as one product of k+1 powers, sigma = x^a * prod
 // x_i^{2*lambda_i*b} (foldFor), and checks sigma^e = x before it is
 // recombined (root).
+//
+// The answer, signature or error, is a function of msg and the first k
+// shares' indices and X alone, and a dealt key memoizes it by exactly
+// those (comboKey) when every X is in (0, N); each caller gets its own
+// copy of the signature.
 func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error) {
 	if len(shares) < pk.K {
 		return nil, fmt.Errorf("threshsig: need %d shares, have %d", pk.K, len(shares))
 	}
 	use := shares[:pk.K]
-	seen := make(map[int]bool, pk.K)
-	for _, sh := range use {
-		if seen[sh.Index] {
-			return nil, fmt.Errorf("threshsig: duplicate share %d", sh.Index)
+	for i, sh := range use {
+		for _, prev := range use[:i] {
+			if prev.Index == sh.Index {
+				return nil, fmt.Errorf("threshsig: duplicate share %d", sh.Index)
+			}
 		}
-		seen[sh.Index] = true
 	}
-	digest := sha256.Sum256(msg)
-	if sig, hit := pk.combined(digest, use); hit {
-		return sig, nil
+	if pk.cc == nil || !sharesInRange(pk, use) {
+		return pk.combine(msg, use)
 	}
+	c := pk.cc.combos.Get(comboKey(sha256.Sum256(msg), use), func() combination {
+		sig, err := pk.combine(msg, use)
+		if err != nil {
+			return combination{err: err}
+		}
+		return combination{s: sig.S}
+	})
+	if c.err != nil {
+		return nil, c.err
+	}
+	return &Signature{S: new(big.Int).Set(c.s)}, nil
+}
+
+// sharesInRange reports whether every share's X is in (0, N), where the
+// answer memo's key, which reads magnitudes, tells X from every other
+// value; a share outside is combined without the memo.
+func sharesInRange(pk *PublicKey, use []*SigShare) bool {
+	for _, sh := range use {
+		if sh.X == nil || sh.X.Sign() <= 0 || sh.X.Cmp(pk.N) >= 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// combine is Combine past its argument checks, with no answer memo.
+func (pk *PublicKey) combine(msg []byte, use []*SigShare) (*Signature, error) {
 	var stack [8]base
 	bases := stack[:0]
 	for _, sh := range use {
@@ -378,9 +408,6 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 	sigma := pk.root(bases, f)
 	if sigma == nil {
 		return nil, fmt.Errorf("threshsig: combination failed (bad share among inputs): %w", errVerify)
-	}
-	if pk.cc != nil {
-		pk.cc.sigs.Get(digest, func() *big.Int { return new(big.Int).Set(sigma) })
 	}
 	return &Signature{S: sigma}, nil
 }

@@ -1,7 +1,6 @@
 package threshsig
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"math/big"
 	"math/rand"
@@ -203,75 +202,57 @@ func TestDealValidation(t *testing.T) {
 	}
 }
 
-// TestCombineMemo pins the host-time combine memo to what a fresh
-// combination computes: a cached signature comes back only for shares all
-// verified valid, bit-identical to combining another valid subset afresh;
-// a subset holding a bad share still fails while the signature is cached;
-// and a failed combination stores nothing.
+// TestCombineMemo pins the host-time answer memo to what a fresh
+// combination computes: a repeated question — the message and the first k
+// shares' indices and X, bare or proved — is answered from the memo with
+// the plain key's signature bytes or error text; a share whose X has a
+// good share's magnitude (negated) or its residue (plus N) is combined
+// without the memo, so it gets the plain key's answer and leaves
+// the memo as it was; and a caller that changes the signature it got
+// changes no later answer.
 func TestCombineMemo(t *testing.T) {
 	key := testKey(t, 2, 4)
-	pk := &key.Public
-	uncached := *pk
-	uncached.cc = nil
+	pk, plain := &key.Public, slowKey(key.Public)
 	msg := []byte("cbc echo quorum")
-	digest := sha256.Sum256(msg)
-	rng := rand.New(rand.NewSource(8))
-	all := make([]*SigShare, 4)
-	for i := range all {
-		sh, err := pk.Sign(key.Shares[i], msg, rng)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all[i] = sh
+	all := bareShares(t, key, msg, 8)
+	bad := &SigShare{Index: 4, X: new(big.Int).Add(all[3].X, one)}
+	sets := [][]*SigShare{
+		{all[0], all[1]},
+		{all[1], all[0]},
+		{all[2], all[3], all[0]}, // a spare share is not read
+		{all[2], bad},
 	}
-	first := []*SigShare{all[0], all[1]}
-	if _, hit := pk.combined(digest, first); hit {
-		t.Fatal("memo hit before any combination")
-	}
-	sig, err := pk.Combine(msg, first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	other := []*SigShare{all[2], all[3]}
-	if _, hit := pk.combined(digest, other); hit {
-		t.Error("memo hit for shares never verified")
-	}
-	for _, sh := range other {
-		if err := pk.VerifyShare(msg, sh); err != nil {
-			t.Fatal(err)
+	for pass := 0; pass < 2; pass++ {
+		for i, set := range sets {
+			if got, want := combineOutcome(pk, msg, set), combineOutcome(plain, msg, set); got != want {
+				t.Errorf("pass %d, set %d: dealt key %s, plain key %s", pass, i, got, want)
+			}
 		}
 	}
-	memo, hit := pk.combined(digest, other)
-	if !hit {
-		t.Fatal("no memo hit for verified shares of a combined message")
+	if n := pk.cc.combos.Len(); n != len(sets) {
+		t.Fatalf("memo holds %d answers for %d questions", n, len(sets))
 	}
-	fresh, err := uncached.Combine(msg, other)
+	neg := &SigShare{Index: all[1].Index, X: new(big.Int).Neg(all[1].X)}
+	if comboKey(sha256.Sum256(msg), []*SigShare{all[0], neg}) != comboKey(sha256.Sum256(msg), sets[0]) {
+		t.Fatal("a negated share has its own memo key: the test no longer tests the memo")
+	}
+	wrapped := &SigShare{Index: all[1].Index, X: new(big.Int).Add(all[1].X, pk.N)}
+	for _, sh := range []*SigShare{neg, wrapped} {
+		set := []*SigShare{all[0], sh}
+		if got, want := combineOutcome(pk, msg, set), combineOutcome(plain, msg, set); got != want {
+			t.Errorf("X %v outside (0, N): dealt key %s, plain key %s", sh.X.Sign(), got, want)
+		}
+	}
+	if n := pk.cc.combos.Len(); n != len(sets) {
+		t.Errorf("memo holds %d answers after shares outside (0, N), want %d", n, len(sets))
+	}
+	sig, err := pk.Combine(msg, sets[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, err := pk.Combine(msg, other); err != nil || !bytes.Equal(got.Bytes(), fresh.Bytes()) ||
-		!bytes.Equal(memo.Bytes(), sig.Bytes()) {
-		t.Errorf("memoized combination %x (%v) differs from a fresh one %x", got.Bytes(), err, fresh.Bytes())
-	}
-
-	bad := &SigShare{Index: 4, X: new(big.Int).Add(all[3].X, big.NewInt(1)), C: all[3].C, Z: all[3].Z}
-	if err := pk.VerifyShare(msg, bad); err == nil {
-		t.Fatal("tampered share verified")
-	}
-	if _, err := pk.Combine(msg, []*SigShare{all[2], bad}); err == nil {
-		t.Error("a subset holding a bad share combined while the signature was cached")
-	}
-
-	msg2 := []byte("never combined")
-	good, err := pk.Sign(key.Shares[0], msg2, rng)
-	if err != nil {
-		t.Fatal(err)
-	}
-	garbage := &SigShare{Index: 2, X: big.NewInt(12345), C: big.NewInt(1), Z: big.NewInt(2)}
-	if _, err := pk.Combine(msg2, []*SigShare{good, garbage}); err == nil {
-		t.Fatal("combination with a garbage share succeeded")
-	}
-	if _, hit := pk.cc.sigs.Peek(sha256.Sum256(msg2)); hit {
-		t.Error("a failed combination was stored")
+	want := new(big.Int).Set(sig.S)
+	sig.S.SetInt64(1)
+	if again, err := pk.Combine(msg, sets[0]); err != nil || again.S.Cmp(want) != 0 {
+		t.Errorf("a caller's change to its signature reached the memo: %v", err)
 	}
 }

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/crypto/dleq"
 	"repro/internal/crypto/threshenc"
+	"repro/internal/crypto/threshsig"
 	"repro/internal/protocol"
 	"repro/internal/run"
 )
@@ -36,11 +37,12 @@ func mustDigest(t *testing.T, spec run.Spec) string {
 // memoCap is cacheCap of threshsig, threshenc and threshcoin.
 const memoCap = 4096
 
-// fillMemos leaves the per-message memo of both threshold-signature keys
-// and the per-ciphertext and verdict memos of the encryption key two
-// entries short of their cap, on a suite nothing has touched yet: a run
-// that follows overflows each of them within its first epoch, the maps
-// are cleared under it, and it goes on with whatever it re-derives.
+// fillMemos leaves the per-message and combination memos of both
+// threshold-signature keys and the per-ciphertext, verdict and
+// interpolation memos of the encryption key two entries short of their
+// cap, on a suite nothing has touched yet: a run that follows overflows
+// each of them within its first epoch, the maps are cleared under it, and
+// it goes on with whatever it re-derives.
 func fillMemos(t *testing.T, spec run.Spec) {
 	t.Helper()
 	suites, err := run.DealtSuites(spec)
@@ -63,6 +65,24 @@ func fillMemos(t *testing.T, spec run.Spec) {
 		}
 		if s.TE.VerifyShare(ct, junk) == nil {
 			t.Fatal("junk decryption share accepted")
+		}
+		// Shares of distinct values, in range, that combine to nothing
+		// any run asks for: one memoized answer per key each.
+		sigs := make([]*threshsig.SigShare, max(s.TSLow.K, s.TSHigh.K))
+		decs := make([]*threshenc.DecShare, s.TE.K)
+		for j := range sigs {
+			sigs[j] = &threshsig.SigShare{Index: j + 1, X: big.NewInt(int64(len(sigs)*i + j + 2))}
+		}
+		for j := range decs {
+			decs[j] = &threshenc.DecShare{Index: j + 1, V: big.NewInt(int64(len(decs)*i + j + 2))}
+		}
+		for _, key := range []*threshsig.PublicKey{s.TSLow, s.TSHigh} {
+			if _, err := key.Combine(msg, sigs); err == nil {
+				t.Fatal("filler signature shares combined")
+			}
+		}
+		if _, err := s.TE.Combine(ct, decs); err == nil {
+			t.Fatal("filler decryption shares opened a ciphertext")
 		}
 	}
 }
