@@ -28,47 +28,69 @@ type CryptoOpRow struct {
 
 // Fig. 10a/10b run on the sweep engine like every other experiment, with
 // one cell per parameter set — but they are registered Serial.
+//
+// Every rep of an op works on its own message or coin name (repNames), and
+// the shares it reads are made before its timed call: a rep on a message
+// an earlier rep touched would find its answer in the key's memos (a
+// combination's, an interpolation's) and time a lookup. What a rep does
+// find is what a run's parties find: the message's context or the coin's
+// base comb, built by the sign rep, and what a key builds once — the comb
+// of a verification key, the exponents of a share set — built by the
+// untimed rep 0 (measure).
+
+// repNames returns reps+1 distinct messages, one per rep.
+func repNames(prefix string, reps int) [][]byte {
+	out := make([][]byte, reps+1)
+	for i := range out {
+		out[i] = []byte(fmt.Sprintf("%s/%d", prefix, i))
+	}
+	return out
+}
 
 // measureFig10aSet runs the threshold-signature op ladder for one
 // parameter set.
 func measureFig10aSet(fix threshsig.ModulusFixture, reps int, paperEq map[string]string) ([]CryptoOpRow, error) {
 	rng := rand.New(rand.NewSource(7))
 	var key *threshsig.Key
-	dealT := measure(reps, func() {
+	dealT := measure(reps, func(int) {
 		var err error
 		key, err = threshsig.Deal(fix.Name, fix.P, fix.Q, 2, 4, rng)
 		if err != nil {
 			panic(err)
 		}
 	})
-	msg := []byte("fig10a")
-	var share *threshsig.SigShare
-	signT := measure(reps, func() {
-		var err error
-		share, err = key.Public.Sign(key.Shares[0], msg, rng)
+	pk := &key.Public
+	msgs := repNames("fig10a", reps)
+	shares := make([][]*threshsig.SigShare, len(msgs))
+	signT := measure(reps, func(i int) {
+		sh, err := pk.Sign(key.Shares[0], msgs[i], rng)
 		if err != nil {
 			panic(err)
 		}
+		shares[i] = []*threshsig.SigShare{sh}
 	})
-	verifyShareT := measure(reps, func() {
-		if err := key.Public.VerifyShare(msg, share); err != nil {
+	verifyShareT := measure(reps, func(i int) {
+		if err := pk.VerifyShare(msgs[i], shares[i][0]); err != nil {
 			panic(err)
 		}
 	})
-	share2, err := key.Public.Sign(key.Shares[1], msg, rng)
-	if err != nil {
-		return nil, err
+	for i, msg := range msgs { // Combine reads no proof
+		sh, err := pk.SignBare(key.Shares[1], msg, rng)
+		if err != nil {
+			return nil, err
+		}
+		shares[i] = append(shares[i], sh)
 	}
-	var sig *threshsig.Signature
-	combineT := measure(reps, func() {
+	sigs := make([]*threshsig.Signature, len(msgs))
+	combineT := measure(reps, func(i int) {
 		var err error
-		sig, err = key.Public.Combine(msg, []*threshsig.SigShare{share, share2})
+		sigs[i], err = pk.Combine(msgs[i], shares[i])
 		if err != nil {
 			panic(err)
 		}
 	})
-	verifyT := measure(reps, func() {
-		if err := key.Public.Verify(msg, sig); err != nil {
+	verifyT := measure(reps, func(i int) {
+		if err := pk.Verify(msgs[i], sigs[i]); err != nil {
 			panic(err)
 		}
 	})
@@ -100,33 +122,37 @@ func measureFig10bGroup(g *group.Group, reps int, paperEq map[string]string) ([]
 	}
 	rng := rand.New(rand.NewSource(7))
 	var key *threshcoin.Key
-	dealT := measure(reps, func() {
+	dealT := measure(reps, func(int) {
 		var err error
 		key, err = threshcoin.Deal(g, 2, 4, rng)
 		if err != nil {
 			panic(err)
 		}
 	})
-	name := []byte("fig10b")
-	var share *threshcoin.CoinShare
-	signT := measure(reps, func() {
-		var err error
-		share, err = key.Public.Share(key.Shares[0], name, rng)
+	pk := &key.Public
+	names := repNames("fig10b", reps)
+	shares := make([][]*threshcoin.CoinShare, len(names))
+	signT := measure(reps, func(i int) {
+		sh, err := pk.Share(key.Shares[0], names[i], rng)
 		if err != nil {
 			panic(err)
 		}
+		shares[i] = []*threshcoin.CoinShare{sh}
 	})
-	verifyT := measure(reps, func() {
-		if err := key.Public.VerifyShare(name, share); err != nil {
+	verifyT := measure(reps, func(i int) {
+		if err := pk.VerifyShare(names[i], shares[i][0]); err != nil {
 			panic(err)
 		}
 	})
-	share2, err := key.Public.Share(key.Shares[1], name, rng)
-	if err != nil {
-		return nil, err
+	for i, name := range names {
+		sh, err := pk.Share(key.Shares[1], name, rng)
+		if err != nil {
+			return nil, err
+		}
+		shares[i] = append(shares[i], sh)
 	}
-	combineT := measure(reps, func() {
-		if _, err := key.Public.Combine(name, []*threshcoin.CoinShare{share, share2}); err != nil {
+	combineT := measure(reps, func(i int) {
+		if _, err := pk.Combine(names[i], shares[i]); err != nil {
 			panic(err)
 		}
 	})
@@ -180,10 +206,13 @@ func paperNames() map[string]string {
 	return out
 }
 
-func measure(reps int, fn func()) time.Duration {
+// measure calls fn(0) untimed, then returns fn's mean time over reps
+// calls, fn(1) to fn(reps).
+func measure(reps int, fn func(i int)) time.Duration {
+	fn(0)
 	start := time.Now()
-	for i := 0; i < reps; i++ {
-		fn()
+	for i := 1; i <= reps; i++ {
+		fn(i)
 	}
 	return time.Since(start) / time.Duration(reps)
 }

@@ -44,12 +44,10 @@ type PublicKey struct {
 	L     int        // total parties
 
 	// cc holds the comb tables of the key's fixed bases and of each live
-	// use's base, memoized share verdicts — every party verifies every
-	// other party's share of each use — and memoized interpolations: every
-	// party combines every use, and parties that hold the same first K
-	// shares interpolate the same element. All are pure functions of
-	// public inputs, so hits are exact. Guarded: dealt keys are shared
-	// across concurrent simulations.
+	// use's base, and memoized interpolations: every party combines every
+	// use, and parties that hold the same first K shares interpolate the
+	// same element. All are pure functions of public inputs, so hits are
+	// exact. Guarded: dealt keys are shared across concurrent simulations.
 	cc *cache
 }
 
@@ -59,7 +57,6 @@ type cache struct {
 	vks      []*mont.Table // combs of the VKs, each built on its first verification
 
 	bases    memo.Memo[string, *mont.Table] // Base.Tag -> comb of the element
-	verified memo.Memo[[32]byte, error]     // (Base.Tag, share) -> verdict
 	combined memo.Memo[[32]byte, *big.Int]  // first K shares' (index, V) -> Combine's element
 }
 
@@ -198,12 +195,10 @@ func (sh *Share) Prove() {
 	sh.Proof = dleq.Prove(g, g.GTable(), p.base, p.pk.VKs[sh.Index-1], sh.V, p.s, p.w)
 }
 
-// VerifyShare checks a share of the use named by b. Verdicts are memoized
-// per (tag, share), which is sound because the tag binds the element and
-// the rest of the key covers every byte the proof check reads: the memo
-// key hashes magnitudes, so a share whose value is outside (0, P) or
-// whose proof scalars are outside [0, Q) — a negated copy of a good
-// share, say — is refused before the memo is consulted.
+// VerifyShare checks a share of the use named by b. A share whose value
+// is outside (0, P) or whose proof scalars are outside [0, Q) — a negated
+// copy of a good share, or one with Z + Q for Z — is a second encoding of
+// a share, and is refused before its proof is checked.
 func (pk *PublicKey) VerifyShare(b Base, sh *Share) error {
 	if sh == nil || sh.Index < 1 || sh.Index > pk.L {
 		return errors.New("dlthresh: bad share index")
@@ -217,36 +212,21 @@ func (pk *PublicKey) VerifyShare(b Base, sh *Share) error {
 		sh.Proof.Z.Sign() < 0 || sh.Proof.Z.Cmp(g.Q) >= 0 {
 		return errRange
 	}
-	return pk.cc.verified.Get(shareKey(b.Tag, sh), func() error {
-		return dleq.Verify(g, g.GTable(), pk.table(b), pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
-	})
+	return dleq.Verify(g, g.GTable(), pk.table(b), pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
 }
 
 // inRange reports whether v is a value a share can have: in (0, P). The
-// memo keys read magnitudes, so a value outside — a negated copy of a good
-// share's, say — must be refused before a key is made of it.
+// interpolation memo's key reads magnitudes, so a value outside — a
+// negated copy of a good share's, say — must be refused before a key is
+// made of it.
 func (pk *PublicKey) inRange(v *big.Int) bool {
 	return v != nil && v.Sign() > 0 && v.Cmp(pk.Group.P) < 0
 }
 
-// shareKey digests a (tag, share) pair for the verdict memo. Every party
-// looks up every share, so the digest's input is laid out in a stack
-// buffer, not allocated.
-func shareKey(tag []byte, sh *Share) [32]byte {
-	var stack [512]byte
-	buf := binary.BigEndian.AppendUint32(stack[:0], uint32(len(tag)))
-	buf = append(buf, tag...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(sh.Index))
-	for _, v := range [...]*big.Int{sh.V, sh.Proof.C, sh.Proof.Z} {
-		buf = memo.AppendMagnitude(buf, v)
-	}
-	return sha256.Sum256(buf)
-}
-
 // combineKey digests the (index, V) pairs of the shares Combine
 // interpolates, in their order, for the interpolation memo: the whole of
-// what the interpolation reads. It is laid out in a stack buffer, as
-// shareKey's is.
+// what the interpolation reads. Every party combines every use, so the
+// digest's input is laid out in a stack buffer, not allocated.
 func combineKey(shares []*Share) [32]byte {
 	var stack [1024]byte
 	buf := stack[:0]

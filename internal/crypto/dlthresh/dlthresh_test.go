@@ -59,8 +59,8 @@ func sharesOf(t testing.TB, key *Key, b Base, seed int64) []*Share {
 
 // TestVerifyShareMatrix runs every rejection class the fault-injection
 // (byz) tests feed the protocol through VerifyShare: the verdict is the
-// expected one, it is the memo-free reference's, and it is the same when
-// replayed from the memo.
+// expected one, it is the memo-free reference's, and it is the same again
+// once the use's comb is built.
 func TestVerifyShareMatrix(t *testing.T) {
 	key := testKey(t, 2, 4)
 	pk := &key.Public
@@ -100,7 +100,7 @@ func TestVerifyShareMatrix(t *testing.T) {
 		{"response + Q", &Share{Index: sh.Index, V: sh.V, Proof: &dleq.Proof{C: sh.Proof.C, Z: plus(sh.Proof.Z, g.Q)}}, false},
 	}
 	for _, c := range matrix {
-		for _, pass := range []string{"first", "memoized"} {
+		for _, pass := range []string{"first", "again"} {
 			if got := pk.VerifyShare(use, c.sh) == nil; got != c.ok {
 				t.Errorf("%s (%s): accepted = %v, want %v", c.name, pass, got, c.ok)
 			}
@@ -115,10 +115,10 @@ func TestVerifyShareMatrix(t *testing.T) {
 	}
 }
 
-// TestSignCannotReplayVerdict: the memo key hashes magnitudes, so a share
-// with a negated field has the key of the share it was made from. It must
-// be refused whether or not the good share's verdict is already memoized,
-// and must not poison the good share's verdict either.
+// TestSignCannotReplayVerdict: a share with a negated field is a second
+// encoding of the share it was made from, not a share. It must be refused
+// whether or not the good share was verified first, and must not change
+// the good share's verdict either.
 func TestSignCannotReplayVerdict(t *testing.T) {
 	key := testKey(t, 2, 4)
 	pk := &key.Public
@@ -130,11 +130,6 @@ func TestSignCannotReplayVerdict(t *testing.T) {
 		{Index: good.Index, V: good.V, Proof: &dleq.Proof{C: neg(good.Proof.C), Z: good.Proof.Z}},
 		{Index: good.Index, V: good.V, Proof: &dleq.Proof{C: good.Proof.C, Z: neg(good.Proof.Z)}},
 	}
-	for i, sh := range bad {
-		if shareKey(use.Tag, sh) != shareKey(use.Tag, good) {
-			t.Fatalf("negated share %d has its own memo key: the test no longer tests the memo", i)
-		}
-	}
 	check := func(when string) {
 		for i, sh := range bad {
 			if pk.VerifyShare(use, sh) == nil {
@@ -142,11 +137,11 @@ func TestSignCannotReplayVerdict(t *testing.T) {
 			}
 		}
 	}
-	check("cold memo")
+	check("before the good share")
 	if err := pk.VerifyShare(use, good); err != nil {
 		t.Fatalf("good share rejected after its negations were: %v", err)
 	}
-	check("good verdict memoized")
+	check("after the good share")
 }
 
 func TestCombine(t *testing.T) {
@@ -370,8 +365,8 @@ func TestCombineMemoRefusesOutOfRange(t *testing.T) {
 
 // TestExpVKRecordsOnlyMembers: ExpVK records its power as a member only
 // for a VK that is one. A hand-built key whose VK is outside the subgroup
-// records nothing, so the verdict memo still gives every power of it its
-// true verdict.
+// records nothing, so the group's verdict memo still gives every power of
+// it its true verdict.
 func TestExpVKRecordsOnlyMembers(t *testing.T) {
 	key := testKey(t, 2, 4)
 	g := key.Public.Group
@@ -398,8 +393,8 @@ func TestExpVKRecordsOnlyMembers(t *testing.T) {
 	}
 }
 
-// TestMemosOverflow: a memo that fills up is cleared and goes on giving
-// the verdicts a cold one gives.
+// TestMemosOverflow: the base memo, filled up, is cleared and goes on
+// giving the verdicts a cold one gives.
 func TestMemosOverflow(t *testing.T) {
 	key := testKey(t, 2, 4)
 	pk := &key.Public
@@ -413,20 +408,17 @@ func TestMemosOverflow(t *testing.T) {
 			t.Fatal("junk share accepted")
 		}
 	}
-	if n := pk.cc.verified.Len(); n > memo.Cap {
-		t.Errorf("verdict memo holds %d entries, cap %d", n, memo.Cap)
-	}
 	if n := pk.cc.bases.Len(); n > memo.Cap {
 		t.Errorf("base memo holds %d entries, cap %d", n, memo.Cap)
 	}
 	if err := pk.VerifyShare(use, good); err != nil {
-		t.Errorf("good share rejected after the memos overflowed: %v", err)
+		t.Errorf("good share rejected after the base memo overflowed: %v", err)
 	}
 }
 
-// BenchmarkVerifyShare measures one share verification with a cold
-// verdict memo (the base's and the verification key's combs stay built,
-// as they are for all but a use's first verifier).
+// BenchmarkVerifyShare measures one share verification (the base's and
+// the verification key's combs stay built, as they are for all but a
+// use's first verifier).
 func BenchmarkVerifyShare(b *testing.B) {
 	key := testKey(b, 2, 4)
 	pk := &key.Public
@@ -434,7 +426,6 @@ func BenchmarkVerifyShare(b *testing.B) {
 	sh := sharesOf(b, key, use, 43)[0]
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pk.cc.verified = memo.Memo[[32]byte, error]{}
 		if err := pk.VerifyShare(use, sh); err != nil {
 			b.Fatal(err)
 		}

@@ -1,10 +1,10 @@
 // Package memo is the one bounded memo behind the crypto packages' host-
 // time caches: per-message exponentiation contexts, comb tables, Lagrange
-// coefficients, subgroup-membership verdicts (among them the powers of a
-// verified member, recorded without a check), share-verification
-// verdicts, discrete-log interpolations by their shares' indices and
-// values, and threshold-signature combinations, signature or error, by
-// their message and shares' indices and values.
+// coefficients, the exponents of a threshold signature's share set,
+// subgroup-membership verdicts (among them the powers of a verified
+// member, recorded without a check), discrete-log interpolations by their
+// shares' indices and values, and threshold-signature combinations,
+// signature or error, by their message and shares' indices and values.
 //
 // None of it changes observable behaviour: everything cached is a pure
 // function of its key, so a hit returns exactly what a fresh computation

@@ -92,17 +92,17 @@ func TestDegenerateShareNamed(t *testing.T) {
 }
 
 // TestVerifyShareMatrix: for every share in the adversarial matrix the
-// accelerated, memoized VerifyShare accepts exactly the three honest
-// shares and the negated one (Shoup's proof and Combine both read x_i
-// squared) — on first sight and again from its verdict memo — and agrees
-// with the slow reference path, which runs last so that nothing it does
-// can be what the fast path replays.
+// accelerated VerifyShare accepts exactly the three honest shares and the
+// negated one (Shoup's proof and Combine both read x_i squared) — on first
+// sight and again with the message's context memoized — and agrees with
+// the slow reference path, which runs last so that nothing it does can be
+// what the fast path reads.
 func TestVerifyShareMatrix(t *testing.T) {
 	key := testKey(t, 2, 4)
 	msg := []byte("matrix equivalence")
 	shares := badShareMatrix(t, key, msg)
 	honest := map[int]bool{0: true, 1: true, 9: true, 16: true}
-	for _, pass := range []string{"first", "memoized"} {
+	for _, pass := range []string{"first", "again"} {
 		for i, sh := range shares {
 			if got := key.Public.VerifyShare(msg, sh) == nil; got != honest[i] {
 				t.Errorf("share %d (%s): accepted = %v, want %v", i, pass, got, honest[i])
@@ -117,19 +117,26 @@ func TestVerifyShareMatrix(t *testing.T) {
 	}
 }
 
-// TestVerifierMatchesVerifyShare pins ShareVerifier against the uncached
-// path on the same matrix, including a second message (contexts must not
-// leak across messages).
+// TestVerifierMatchesVerifyShare pins VerifyShare's memoized per-message
+// context against the uncached reference on the adversarial matrix of two
+// messages, checked interleaved and crosswise: contexts must not leak
+// across messages, so no share made for one message passes on the other.
 func TestVerifierMatchesVerifyShare(t *testing.T) {
 	key := testKey(t, 2, 4)
-	for _, msg := range [][]byte{[]byte("ctx-a"), []byte("ctx-b")} {
-		shares := badShareMatrix(t, key, msg)
-		v := key.Public.Verifier(msg)
-		ref := slowKey(key.Public)
-		for i, sh := range shares {
-			got, want := v.Verify(sh), ref.VerifyShare(msg, sh)
-			if (got == nil) != (want == nil) {
-				t.Errorf("msg %q share %d: verifier %v, reference %v", msg, i, got, want)
+	msgs := [][]byte{[]byte("ctx-a"), []byte("ctx-b")}
+	matrix := [][]*SigShare{badShareMatrix(t, key, msgs[0]), badShareMatrix(t, key, msgs[1])}
+	ref := slowKey(key.Public)
+	for i := range matrix[0] {
+		for m, msg := range msgs {
+			for s, shares := range matrix {
+				got := key.Public.VerifyShare(msg, shares[i])
+				want := ref.VerifyShare(msg, shares[i])
+				if (got == nil) != (want == nil) {
+					t.Errorf("msg %q, share %d made for %q: fast %v, reference %v", msg, i, msgs[s], got, want)
+				}
+				if m != s && got == nil {
+					t.Errorf("msg %q accepted share %d made for %q", msg, i, msgs[s])
+				}
 			}
 		}
 	}
@@ -218,9 +225,10 @@ func BenchmarkSignBare(b *testing.B) {
 	}
 }
 
-// BenchmarkVerifyShareAccel is BenchmarkVerifyShare with the CRT
-// accelerator but no verdict memo: the real per-verification cost on the
-// fast path.
+// BenchmarkVerifyShareAccel is BenchmarkVerifyShare on the dealt key,
+// with its CRT accelerator and its memos: the per-verification cost on
+// the fast path, the message's context built once, as every verifier of
+// a message after its first finds it.
 func BenchmarkVerifyShareAccel(b *testing.B) {
 	key := testKey(b, 2, 4)
 	msg := []byte("bench message")
@@ -228,11 +236,9 @@ func BenchmarkVerifyShareAccel(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	pk := key.Public // copy; keep acc, drop the memo so every iteration verifies
-	pk.cc = nil
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := pk.VerifyShare(msg, sh); err != nil {
+		if err := key.Public.VerifyShare(msg, sh); err != nil {
 			b.Fatal(err)
 		}
 	}

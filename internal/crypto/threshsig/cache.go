@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
-	"sync"
 
 	"repro/internal/crypto/memo"
 	"repro/internal/crypto/mont"
@@ -12,22 +11,14 @@ import (
 
 // pkCache memoizes the deterministic intermediate values of a dealt key.
 // Keys are shared across concurrently running simulations (crypto.DealCached
-// hands the same Suite to every sweep cell), so everything here is guarded;
+// hands the same Suite to every sweep cell), and each memo is guarded;
 // package memo says why none of it changes observable behaviour.
 type pkCache struct {
-	mu sync.Mutex
-	// delta = L!, gcdA/gcdB = Bezout coefficients of (e, 4*delta^2):
-	// fixed per key, computed on first use.
-	delta      *big.Int
-	gcdA, gcdB *big.Int
 	// msgs: per-message context (x = H(msg), x4d = x^{4*delta} and the
 	// comb of y = x^{2*delta}) shared by Sign, VerifyShare, Combine, and
 	// Verify. One message is touched by every party of the simulation, so
 	// the hit rate is ~(parties-1)/parties.
 	msgs memo.Memo[[32]byte, *msgCtx]
-	// verified: share-verification verdicts keyed by (msg, share). Each
-	// share is verified by every other party.
-	verified memo.Memo[[32]byte, error]
 	// folds: Combine's exponents keyed by subset.
 	folds memo.Memo[string, *fold]
 	// combos: Combine's answers, the signature or the error, keyed by the
@@ -102,19 +93,6 @@ func (pk *PublicKey) pow(b base, e *big.Int) *big.Int {
 // exp is pow for a base raised once.
 func (pk *PublicKey) exp(v, e *big.Int) *big.Int { return pk.pow(pk.oneShot(v), e) }
 
-// deltaL returns L! (cached when the key carries a cache).
-func (pk *PublicKey) deltaL() *big.Int {
-	if pk.cc == nil {
-		return delta(pk.L)
-	}
-	pk.cc.mu.Lock()
-	defer pk.cc.mu.Unlock()
-	if pk.cc.delta == nil {
-		pk.cc.delta = delta(pk.L)
-	}
-	return pk.cc.delta
-}
-
 // ctxFor returns the per-message context, computing and caching it on
 // first use.
 func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
@@ -126,59 +104,15 @@ func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
 
 func (pk *PublicKey) newCtx(msg []byte) *msgCtx {
 	x := hashToModulus(pk.N, pk.Salt, msg)
-	y := pk.exp(x, new(big.Int).Lsh(pk.deltaL(), 1))
+	y := pk.exp(x, new(big.Int).Lsh(pk.delta, 1))
 	return &msgCtx{x: x, xb: pk.oneShot(x), x4d: pk.exp(y, two), y: pk.fixed(y, mont.TeethShort)}
 }
 
-// combineExponents returns the cached Bezout pair (a, b) with
-// a*e + b*4*delta^2 = 1, or ok=false if e and 4*delta^2 are not coprime.
-func (pk *PublicKey) combineExponents() (a, b *big.Int, ok bool) {
-	if pk.cc != nil {
-		pk.cc.mu.Lock()
-		a, b = pk.cc.gcdA, pk.cc.gcdB
-		pk.cc.mu.Unlock()
-		if a != nil {
-			return a, b, true
-		}
-	}
-	d := pk.deltaL()
-	fourD2 := new(big.Int).Mul(d, d)
-	fourD2.Lsh(fourD2, 2)
-	x, y := new(big.Int), new(big.Int)
-	if new(big.Int).GCD(x, y, pk.E, fourD2).Cmp(one) != 0 {
-		return nil, nil, false
-	}
-	if pk.cc != nil {
-		pk.cc.mu.Lock()
-		if pk.cc.gcdA == nil {
-			pk.cc.gcdA, pk.cc.gcdB = x, y
-		} else {
-			x, y = pk.cc.gcdA, pk.cc.gcdB
-		}
-		pk.cc.mu.Unlock()
-	}
-	return x, y, true
-}
-
-// shareKey digests a (message, share) pair for the verdict memo. The key
-// covers every byte the verifier reads, so two shares collide only if
-// they would verify identically anyway. Every party looks up every share,
-// so the digest's input is laid out in a stack buffer, not allocated:
-// the message digest, the index, then X, C and Z, each length-prefixed.
-func shareKey(msgDigest [32]byte, sh *SigShare) [32]byte {
-	var stack [1024]byte
-	buf := append(stack[:0], msgDigest[:]...)
-	buf = binary.BigEndian.AppendUint32(buf, uint32(sh.Index))
-	for _, v := range [...]*big.Int{sh.X, sh.C, sh.Z} {
-		buf = memo.AppendMagnitude(buf, v)
-	}
-	return sha256.Sum256(buf)
-}
-
 // comboKey digests a message digest and the (index, X) pairs of the
-// shares a combination uses, in their order, for the answer memo; like
-// shareKey's, its input is laid out in a stack buffer. The caller has
-// checked every X is in (0, N): the key reads magnitudes.
+// shares a combination uses, in their order, for the answer memo. Every
+// party combines every message's shares, so the digest's input is laid
+// out in a stack buffer, not allocated. The caller has checked every X is
+// in (0, N): the key reads magnitudes.
 func comboKey(msgDigest [32]byte, use []*SigShare) [32]byte {
 	var stack [2048]byte
 	buf := append(stack[:0], msgDigest[:]...)
@@ -202,30 +136,4 @@ func (pk *PublicKey) foldFor(subset []*SigShare) *fold {
 		key = binary.BigEndian.AppendUint16(key, uint16(sh.Index))
 	}
 	return pk.cc.folds.Get(string(key), func() *fold { return pk.newFold(subset) })
-}
-
-// ShareVerifier amortizes share verification for one message: the
-// per-message context (H(msg) and the proof base x^{4*delta}) is computed
-// once, and verdicts are shared with every other verifier of the same
-// shares through the key's dedup memo. Use it when verifying several
-// shares of the same message — cut-certificate collection, the DONE and
-// FINISH phases, coin assembly.
-type ShareVerifier struct {
-	pk     *PublicKey
-	ctx    *msgCtx
-	digest [32]byte
-}
-
-// Verifier returns a ShareVerifier for msg.
-func (pk *PublicKey) Verifier(msg []byte) *ShareVerifier {
-	return &ShareVerifier{pk: pk, ctx: pk.ctxFor(msg), digest: sha256.Sum256(msg)}
-}
-
-// Verify checks one share. Equivalent to PublicKey.VerifyShare — same
-// verdicts on the same inputs, bit for bit.
-func (v *ShareVerifier) Verify(sh *SigShare) error {
-	if err := checkShareShape(v.pk, sh); err != nil {
-		return err
-	}
-	return v.pk.verifyShareWith(v.ctx, v.digest, sh)
 }

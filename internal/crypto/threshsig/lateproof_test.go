@@ -19,8 +19,7 @@ import (
 //   - encodes in full (component.EncodeSigShare, which proves it)
 //     byte-for-byte as Sign's share from the same reader state;
 //   - is proved once: asking again allocates nothing and keeps the proof;
-//   - passes VerifyShare cold, on a key whose memo has no verdict for it,
-//     and again through the verdict memo, which then holds the pass.
+//   - passes VerifyShare.
 func TestLateProofMatchesSign(t *testing.T) {
 	for _, set := range []string{"TS-512", "TS-1024"} {
 		fix, err := threshsig.FixtureByName(set)
@@ -61,16 +60,8 @@ func TestLateProofMatchesSign(t *testing.T) {
 				if allocs := testing.AllocsPerRun(10, late.Prove); allocs != 0 || late.C != c || late.Z != z {
 					t.Fatalf("%s: a second Prove allocated %v times or changed the proof", what, allocs)
 				}
-				if _, hit := pk.MemoizedVerdict(msg, late); hit {
-					t.Fatalf("%s: verdict remembered before any verification", what)
-				}
-				for _, pass := range []string{"cold", "memo"} {
-					if err := pk.VerifyShare(msg, late); err != nil {
-						t.Fatalf("%s: %s VerifyShare: %v", what, pass, err)
-					}
-					if err, hit := pk.MemoizedVerdict(msg, late); !hit || err != nil {
-						t.Fatalf("%s: after the %s pass the memo holds %v (hit %v)", what, pass, err, hit)
-					}
+				if err := pk.VerifyShare(msg, late); err != nil {
+					t.Fatalf("%s: VerifyShare: %v", what, err)
 				}
 			}
 		}

@@ -51,10 +51,14 @@ type PublicKey struct {
 	// common coin derived from it — would repeat across runs.
 	Salt [16]byte
 
+	// delta = L!, and gcdA, gcdB with gcdA*E + gcdB*4*delta^2 = 1: fixed
+	// per key, set by Deal.
+	delta, gcdA, gcdB *big.Int
+
 	// acc and cc are attached by Deal: the CRT exponentiation accelerator
 	// (the dealer knows the fixture primes) and the memo cache for
-	// deterministic intermediate values. Both are bit-exact fast paths;
-	// keys built by hand without Deal simply run the slow path.
+	// deterministic intermediate values. Both are bit-exact fast paths; a
+	// key without them runs the slow path.
 	acc *accel
 	cc  *pkCache
 }
@@ -124,6 +128,14 @@ func Deal(name string, p, q *big.Int, k, l int, rand io.Reader) (*Key, error) {
 	d := new(big.Int).ModInverse(e, m)
 	if d == nil {
 		return nil, errors.New("threshsig: no modular inverse for e")
+	}
+	// Combine's exponents: e is coprime to 4*delta^2 when it is a prime
+	// greater than l.
+	pk.delta, pk.gcdA, pk.gcdB = delta(l), new(big.Int), new(big.Int)
+	fourD2 := new(big.Int).Mul(pk.delta, pk.delta)
+	fourD2.Lsh(fourD2, 2)
+	if new(big.Int).GCD(pk.gcdA, pk.gcdB, e, fourD2).Cmp(one) != 0 {
+		return nil, fmt.Errorf("threshsig: e=%v not coprime to 4*(%d!)^2", e, l)
 	}
 
 	// Polynomial over Z_m with f(0) = d.
@@ -254,7 +266,10 @@ func (sh *SigShare) Prove() {
 
 // VerifyShare checks a signature share against msg.
 func (pk *PublicKey) VerifyShare(msg []byte, sh *SigShare) error {
-	return pk.Verifier(msg).Verify(sh)
+	if err := checkShareShape(pk, sh); err != nil {
+		return err
+	}
+	return pk.verifyShareFull(pk.ctxFor(msg), sh)
 }
 
 var (
@@ -264,8 +279,7 @@ var (
 	errNegProof   = errors.New("threshsig: negative share proof")
 )
 
-// checkShareShape performs the cheap structural checks shared by
-// VerifyShare and ShareVerifier.
+// checkShareShape performs VerifyShare's cheap structural checks.
 func checkShareShape(pk *PublicKey, sh *SigShare) error {
 	if sh == nil || sh.Index < 1 || sh.Index > pk.L {
 		return errBadIndex
@@ -276,23 +290,12 @@ func checkShareShape(pk *PublicKey, sh *SigShare) error {
 	if sh.C == nil || sh.Z == nil {
 		return errNoProof
 	}
-	// An honest proof is a hash and a sum of non-negative terms. (The
-	// verdict memo keys on magnitudes, so a sign must not reach it.)
+	// An honest proof is a hash and a sum of non-negative terms, so a
+	// negative C or Z is a second encoding of a share, never a share.
 	if sh.C.Sign() < 0 || sh.Z.Sign() < 0 {
 		return errNegProof
 	}
 	return nil
-}
-
-// verifyShareWith checks a structurally sound share against the message
-// context, consulting the dedup memo first: in a simulation every share
-// is verified by each of the other parties, and the verdict is a pure
-// function of (msg, share), so a replayed verdict is exact.
-func (pk *PublicKey) verifyShareWith(ctx *msgCtx, msgDigest [32]byte, sh *SigShare) error {
-	if pk.cc == nil {
-		return pk.verifyShareFull(ctx, sh)
-	}
-	return pk.cc.verified.Get(shareKey(msgDigest, sh), func() error { return pk.verifyShareFull(ctx, sh) })
 }
 
 // verifyShareFull recomputes the share's Chaum–Pedersen proof.
@@ -397,9 +400,6 @@ func (pk *PublicKey) combine(msg []byte, use []*SigShare) (*Signature, error) {
 		bases = append(bases, xi)
 	}
 	f := pk.foldFor(use)
-	if f == nil {
-		return nil, errors.New("threshsig: exponent not coprime to 4*delta^2")
-	}
 	x := pk.ctxFor(msg).xb
 	if f.negA && !pk.isUnit(x) {
 		return nil, errors.New("threshsig: non-invertible message hash")
@@ -461,20 +461,14 @@ type powers struct {
 	exp []*big.Int
 }
 
-// newFold returns subset's fold, or nil when e and 4*delta^2 are not
-// coprime.
+// newFold returns subset's fold.
 func (pk *PublicKey) newFold(subset []*SigShare) *fold {
-	a, b, ok := pk.combineExponents()
-	if !ok {
-		return nil
-	}
-	f := &fold{negA: a.Sign() < 0}
-	d := pk.deltaL()
+	f := &fold{negA: pk.gcdA.Sign() < 0}
 	for i, sh := range subset {
-		lam := integerLagrange(subset, sh.Index, d)
-		f.add(i, lam.Mul(lam.Lsh(lam, 1), b))
+		lam := integerLagrange(subset, sh.Index, pk.delta)
+		f.add(i, lam.Mul(lam.Lsh(lam, 1), pk.gcdB))
 	}
-	f.add(len(subset), new(big.Int).Set(a))
+	f.add(len(subset), new(big.Int).Set(pk.gcdA))
 	return f
 }
 

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"math/big"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -199,6 +200,11 @@ func TestDealValidation(t *testing.T) {
 	}
 	if _, err := Deal(fix.Name, fix.P, fix.Q, 5, 4, rng); err == nil {
 		t.Error("k>l accepted")
+	}
+	// e = 65537 divides 4*(l!)^2 from l = 65537 on: Combine could not
+	// invert the exponent (the check costs about half a second here).
+	if _, err := Deal(fix.Name, fix.P, fix.Q, 1, 65537, rng); err == nil || !strings.Contains(err.Error(), "not coprime") {
+		t.Errorf("l=65537: Deal = %v, want a not-coprime error", err)
 	}
 }
 

@@ -147,6 +147,13 @@ func TestChainDedup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkDedup(t, res)
+}
+
+// checkDedup fails t unless the commit dedup dropped something and node
+// 0's log commits no transaction twice.
+func checkDedup(t *testing.T, res *Report) {
+	t.Helper()
 	if res.Chain.DedupDropped == 0 {
 		t.Error("commit dedup never triggered despite broadcast clients")
 	}
@@ -161,6 +168,36 @@ func TestChainDedup(t *testing.T) {
 	}
 	if res.Chain.CommittedTxs > res.Chain.SubmittedTxs {
 		t.Errorf("committed %d txs > submitted %d", res.Chain.CommittedTxs, res.Chain.SubmittedTxs)
+	}
+}
+
+// TestChainDedupAtMaxWindow: at the deepest pipeline the commit dedup
+// covers, Window = protocol.MaxWindow, no transaction commits twice —
+// HB-SC, Dumbo-SC and Alea-SC, batched, 60 epochs, at two seeds, with
+// every node live and with node 3 crashed from the start.
+func TestChainDedupAtMaxWindow(t *testing.T) {
+	for _, p := range []protocol.Kind{protocol.HoneyBadger, protocol.DumboKind, protocol.AleaKind} {
+		for seed := int64(1); seed <= 2; seed++ {
+			for _, crash := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/seed=%d/crash=%v", p, seed, crash), func(t *testing.T) {
+					t.Parallel()
+					spec := quickChainSpec(p, protocol.CoinSig, true, seed)
+					spec.Workload = Chain(60)
+					spec.Workload.Window = protocol.MaxWindow
+					spec.Workload.TxInterval = 2 * time.Second
+					if crash {
+						spec.Scenario = scenario.Plan{}.Then(scenario.CrashAt(0, 3))
+					}
+					res, err := Run(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					checkDedup(t, res)
+					t.Logf("%d epochs committed, %d transactions dropped by the dedup",
+						res.Chain.EpochsCommitted, res.Chain.DedupDropped)
+				})
+			}
+		}
 	}
 }
 

@@ -38,11 +38,11 @@ func mustDigest(t *testing.T, spec run.Spec) string {
 const memoCap = 4096
 
 // fillMemos leaves the per-message and combination memos of both
-// threshold-signature keys and the per-ciphertext, verdict and
-// interpolation memos of the encryption key two entries short of their
-// cap, on a suite nothing has touched yet: a run that follows overflows
-// each of them within its first epoch, the maps are cleared under it, and
-// it goes on with whatever it re-derives.
+// threshold-signature keys (a combination builds its message's context)
+// and the per-ciphertext and interpolation memos of the encryption key
+// two entries short of their cap, on a suite nothing has touched yet: a
+// run that follows overflows each of them within its first epoch, the
+// maps are cleared under it, and it goes on with whatever it re-derives.
 func fillMemos(t *testing.T, spec run.Spec) {
 	t.Helper()
 	suites, err := run.DealtSuites(spec)
@@ -51,14 +51,12 @@ func fillMemos(t *testing.T, spec run.Spec) {
 	}
 	s := suites[0]
 	rng := rand.New(rand.NewSource(99))
-	// A share that fails group membership: rejected (and the verdict
-	// memoized) right after the ciphertext's context is created.
+	// A share that fails group membership: rejected right after the
+	// ciphertext's context is created.
 	junk := &threshenc.DecShare{Index: 1, V: big.NewInt(2),
 		Proof: &dleq.Proof{C: big.NewInt(1), Z: big.NewInt(1)}}
 	for i := 0; i < memoCap-2; i++ {
 		msg := []byte(fmt.Sprintf("filler/%d", i))
-		s.TSLow.Verifier(msg)
-		s.TSHigh.Verifier(msg)
 		ct, err := s.TE.Encrypt(msg, rng)
 		if err != nil {
 			t.Fatal(err)
