@@ -12,8 +12,10 @@
 # functions at 0 % with `go tool covdata func`. Exits non-zero when one of
 # them is not named in .github/prodcover.allow (name, then a one-line reason:
 # test observer, test fake or driver, reference, error path), or when the
-# allowlist names a function that ran or no longer exists. Everything is
-# built into a temporary directory; nothing is fetched. ≈ 45 s on two cores.
+# allowlist names a function that ran or no longer exists, and when an entry
+# point fails: a failing run is named, the rest still run, and the census is
+# still printed, so one failure hides no other. Everything is built into a
+# temporary directory; nothing is fetched. ≈ 45 s on two cores.
 set -euo pipefail
 root="$(cd "${1:-$(dirname "${BASH_SOURCE[0]}")/..}" && pwd)"
 allow="$root/.github/prodcover.allow"
@@ -32,7 +34,14 @@ done
 go build -C benchmark -cover -coverpkg=repro/... -o "$tmp/bin/benchmark" .
 
 cd "$tmp/out" # -json and -csv files land here
-step() { echo "prodcover: $*" >&2; "$@" >/dev/null; }
+failed="" # the entry points that exited non-zero, one a line
+step() {
+	echo "prodcover: $*" >&2
+	"$@" >/dev/null || {
+		echo "prodcover: exit $?: $*" >&2
+		failed+="  $*"$'\n'
+	}
+}
 wbft() { step "$tmp/bin/wbft" "$@"; }
 
 step "$tmp/bin/wbft-bench" -list
@@ -95,6 +104,11 @@ sed 's/^/  /' "$tmp/zero"
 
 grep -v '^\s*\(#\|$\)' "$allow" | awk '{ print $1 }' | sort >"$tmp/allowed"
 fail=0
+if [ -n "$failed" ]; then
+	echo "prodcover: entry points that exited non-zero (the census counts what they ran before they stopped):" >&2
+	printf '%s' "$failed" >&2
+	fail=1
+fi
 if new=$(comm -23 "$tmp/zero" "$tmp/allowed") && [ -n "$new" ]; then
 	echo "prodcover: never executed and not in .github/prodcover.allow — delete it, run it, or allow it with a reason:" >&2
 	echo "$new" | sed 's/^/  /' >&2

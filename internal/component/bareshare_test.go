@@ -193,7 +193,7 @@ var fallbackUsers = []struct {
 				nodes[i].Propose(i, []byte(fmt.Sprintf("p-%d", i)))
 			}
 			return sigRig(tn.envs[0].Suite.TSLow, 4, func(i, k int) (*tally[[]byte, *threshsig.SigShare, []byte], []byte) {
-				t := &nodes[i].slots[k].proof
+				t := &nodes[i].dones.tallies[k]
 				return t, t.value
 			})
 		}},
@@ -208,7 +208,7 @@ var fallbackUsers = []struct {
 				certs = append(certs, c)
 			}
 			return sigRig(tn.envs[0].Suite.TSLow, 1, func(i, _ int) (*tally[[]byte, *threshsig.SigShare, []byte], []byte) {
-				t := &certs[i].cert
+				t := &certs[i].tallies[0]
 				return t, t.value
 			})
 		}},
@@ -259,7 +259,7 @@ var fallbackUsers = []struct {
 			return fallbackRig{
 				tallies: 4,
 				state: func(i, k int) (bool, bool, []byte) {
-					s := decs[i].slot(k)
+					s := &decs[i].tallies[k]
 					return s.done, s.proofs, s.value
 				},
 				verify: func(k int, value []byte) error {

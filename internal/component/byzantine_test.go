@@ -82,7 +82,7 @@ func TestPRBCByzantineShareRejected(t *testing.T) {
 	}
 	tn.run(t, 30*time.Minute, func() bool {
 		for i := 0; i < 3; i++ { // honest nodes
-			if prbcs[i].sigDone.Count() < 4 {
+			if prbcs[i].dones.done.Count() < 4 {
 				return false
 			}
 		}

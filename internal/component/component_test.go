@@ -248,7 +248,7 @@ func TestPRBCProofsVerify(t *testing.T) {
 	}
 	tn.run(t, 15*time.Minute, func() bool {
 		for _, p := range prbcs {
-			if p.sigDone.Count() < 4 {
+			if p.dones.done.Count() < 4 {
 				return false
 			}
 		}

@@ -1,7 +1,6 @@
 package component
 
 import (
-	"repro/internal/core"
 	"repro/internal/crypto/threshenc"
 	"repro/internal/packet"
 )
@@ -18,99 +17,26 @@ import (
 // not meet — a Byzantine proposer's, made under another key — is refused
 // everywhere, and the slot recovers nil, as a malformed ciphertext does
 // at ACS. Shares ride the same batched packets as everything else
-// (vertical batching across the accepted slots).
+// (vertical batching across the accepted slots): KindDec/PhaseDecShare
+// entries, one slot per accepted ciphertext.
 type Decryptor struct {
-	env    *Env
-	shares collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]
-	slots  []*decSlot // by slot; nil until the slot is first mentioned
-
-	onPlain func(slot int, plaintext []byte)
-
-	done packet.BitSet
-}
-
-// decSlot is the plaintext of one accepted ciphertext in the making; it
-// opens when the ciphertext is submitted, and peers' shares that arrive
-// ahead of it (a peer whose ACS completed first) park in it.
-type decSlot struct {
-	tally[*threshenc.Ciphertext, *threshenc.DecShare, []byte]
+	shareSlots[*threshenc.Ciphertext, *threshenc.DecShare, []byte]
 }
 
 // NewDecryptor creates the component and registers it on the transport.
 func NewDecryptor(env *Env, slots int, onPlain func(slot int, plaintext []byte)) *Decryptor {
-	d := &Decryptor{
-		env:     env,
-		slots:   make([]*decSlot, slots),
-		onPlain: onPlain,
-		done:    packet.NewBitSet(slots),
-	}
-	d.shares = collector[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{scheme: decScheme(env), env: env, combined: d.recovered}
+	d := &Decryptor{}
+	d.init(env, decScheme(env), packet.KindDec, packet.PhaseDecShare, slots, onPlain)
 	env.T.Register(packet.KindDec, d)
 	return d
 }
 
-// slot returns a slot's state, creating it on first mention.
-func (d *Decryptor) slot(slot int) *decSlot {
-	if d.slots[slot] == nil {
-		d.slots[slot] = &decSlot{}
-	}
-	return d.slots[slot]
-}
-
-// shareIntent is where this node's decryption share for slot goes on the air.
-func (d *Decryptor) shareIntent(slot int) core.IntentKey {
-	return core.IntentKey{Kind: packet.KindDec, Phase: packet.PhaseDecShare, Slot: uint8(slot), Sub: uint8(d.env.Me)}
-}
-
 // Submit provides the ciphertext accepted for a slot, releases this
-// node's decryption share, and verifies the peers' shares that arrived
-// ahead of the ciphertext. The first Submit installs the NACK row (later
-// ones find it unchanged): until the subset is fixed this node has no
-// ciphertext to use a share on, so its frames ask no peer for one, and a
-// peer's transport counts it in no slot's settling.
-func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) {
-	d.env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
-	if s := d.slot(slot); !s.open {
-		d.shares.begin(&s.tally, slot, ct, d.shareIntent(slot))
-	}
-}
+// node's decryption share, and takes up the peers' shares that arrived
+// ahead of the ciphertext (a peer whose ACS completed first). The first
+// Submit installs the NACK row.
+func (d *Decryptor) Submit(slot int, ct *threshenc.Ciphertext) { d.begin(slot, ct) }
 
 // Plaintext returns the recovered plaintext for a slot, or nil: not yet
 // recovered, or refused.
-func (d *Decryptor) Plaintext(slot int) []byte {
-	if s := d.slots[slot]; s != nil {
-		return s.value
-	}
-	return nil
-}
-
-// HandleSection implements core.Handler.
-func (d *Decryptor) HandleSection(from uint16, sec packet.Section) {
-	if sec.Phase != packet.PhaseDecShare {
-		return
-	}
-	w, ok := d.env.peer(from)
-	if !ok {
-		return
-	}
-	for _, e := range sec.Entries {
-		if int(e.Slot) >= len(d.slots) {
-			continue
-		}
-		// Until our ACS completes the ciphertext is not known: the share parks.
-		d.shares.offer(&d.slot(int(e.Slot)).tally, int(e.Slot), w, e.Flags, e.Data)
-	}
-}
-
-// recovered runs once a slot's shares combined into its plaintext, or, nil,
-// refused its ciphertext.
-func (d *Decryptor) recovered(slot int, plain []byte) {
-	d.done.Set(slot)
-	d.env.T.SetNack(packet.KindDec, packet.PhaseDecShare, d.done)
-	// The share intent stays live: the transport parks it once every
-	// peer's row shows the slot combined, and a peer that turns up
-	// without the done bit again (crash recovery) brings it back.
-	if d.onPlain != nil {
-		d.onPlain(slot, plain)
-	}
-}
+func (d *Decryptor) Plaintext(slot int) []byte { return d.value(slot) }

@@ -276,8 +276,9 @@ func FuzzDecryptorSection(f *testing.F) {
 			}
 			return n
 		}
-		for slot, p := range d.slots {
-			if p == nil || !p.done {
+		for slot := range d.tallies {
+			p := &d.tallies[slot]
+			if !p.done {
 				continue
 			}
 			switch {

@@ -89,11 +89,9 @@ func TestDecryptorRowFollowsSubset(t *testing.T) {
 	})
 	tn.settle(30 * time.Second) // the three rows that show slot 0 combined reach every peer
 	parked := 0
-	if s := late.slots[0]; s != nil {
-		for _, sh := range s.parked {
-			if sh != nil {
-				parked++
-			}
+	for _, sh := range late.tallies[0].parked {
+		if sh != nil {
+			parked++
 		}
 	}
 	if parked != 3 {
@@ -124,4 +122,85 @@ func TestDecryptorRowFollowsSubset(t *testing.T) {
 	if !bytes.Equal(late.Plaintext(0), plain) {
 		t.Errorf("node 3 decrypted %q, want %q", late.Plaintext(0), plain)
 	}
+}
+
+// TestShareRowPoints pins where the other two users of the per-slot share
+// tally put their NACK row on the air (TestDecryptorRowFollowsSubset pins
+// the Decryptor's, at its first Submit). PRBC's DONE row goes up when the
+// component is made: node 1's first frame carries it, before any RBC has
+// delivered. The cut certificate's row goes up at Begin: node 1 keeps
+// other state on the air for ten minutes while its peers combine the
+// certificate, and none of those frames carries a cut row; after Begin,
+// its frames do.
+func TestShareRowPoints(t *testing.T) {
+	t.Run("prbc-done", func(t *testing.T) {
+		tn := newTestNet(t, 12, 0, true)
+		nodes := make([]*PRBC, 4)
+		delivered := time.Duration(-1) // the first RBC delivery at any node
+		for i, env := range tn.envs {
+			nodes[i] = NewPRBC(env, PRBCOptions{Slots: 4, OnDeliver: func(int, []byte) {
+				if delivered < 0 {
+					delivered = tn.sched.Now()
+				}
+			}})
+		}
+		// When node 0 first heard node 1, and whether that frame had the row.
+		first, row := time.Duration(-1), false
+		tap := func(h core.Handler) core.Handler {
+			return core.HandlerFunc(func(from uint16, sec packet.Section) {
+				if from == 1 && (first < 0 || first == tn.sched.Now()) {
+					first = tn.sched.Now()
+					row = row || sec.Kind == packet.KindPRBC && sec.Phase == packet.PhaseDone && len(sec.Nack) > 0
+				}
+				h.HandleSection(from, sec)
+			})
+		}
+		tn.envs[0].T.Register(packet.KindRBC, tap(nodes[0].RBC()))
+		tn.envs[0].T.Register(packet.KindPRBC, tap(&nodes[0].dones))
+		nodes[1].Propose(1, []byte("proposal of node 1"))
+		tn.run(t, 10*time.Minute, func() bool { return nodes[0].Proof(1) != nil && nodes[1].Proof(1) != nil })
+		if first < 0 || first >= delivered {
+			t.Fatalf("node 0 first heard node 1 at %v, the first RBC delivered at %v", first, delivered)
+		}
+		if !row {
+			t.Errorf("node 1's first frame, at %v, carried no DONE row", first)
+		}
+	})
+	t.Run("cut-cert", func(t *testing.T) {
+		tn := newTestNet(t, 12, 0, true)
+		certs := make([]*CutCert, 4)
+		for i, env := range tn.envs {
+			certs[i] = NewCutCert(env, func([]byte) {})
+			env.T.Register(packet.KindGlobal, certs[i])
+		}
+		frames, rows := 0, 0 // node 1's frames node 0 heard, and the cut rows among them
+		tn.envs[0].T.Register(packet.KindRBC, core.HandlerFunc(func(from uint16, _ packet.Section) {
+			if from == 1 {
+				frames++
+			}
+		}))
+		tn.envs[0].T.Register(packet.KindGlobal, core.HandlerFunc(func(from uint16, sec packet.Section) {
+			if from == 1 && sec.Phase == packet.PhaseDone && len(sec.Nack) > 0 {
+				rows++
+			}
+			certs[0].HandleSection(from, sec)
+		}))
+		busy(tn, tn.envs[1])
+		msg := []byte("cut of cluster 1, epoch 3")
+		for _, i := range []int{0, 2, 3} {
+			certs[i].Begin(msg)
+		}
+		tn.run(t, 10*time.Minute, func() bool {
+			return certs[0].Cert() != nil && certs[2].Cert() != nil && certs[3].Cert() != nil
+		})
+		tn.settle(10 * time.Minute)
+		if frames < 10 {
+			t.Fatalf("node 0 heard %d frames of node 1's: the check below sees nothing", frames)
+		}
+		if rows != 0 {
+			t.Errorf("node 1 put its cut row on the air %d times before Begin", rows)
+		}
+		certs[1].Begin(msg)
+		tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return certs[1].Cert() != nil && rows > 0 })
+	})
 }

@@ -441,7 +441,7 @@ func TestDecryptorShareBeforeCiphertext(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		decs[i].Submit(0, ct)
 	}
-	tn.run(t, 10*time.Minute, func() bool { return decs[0].Plaintext(0) != nil && decs[3].slots[0] != nil })
+	tn.run(t, 10*time.Minute, func() bool { return decs[0].Plaintext(0) != nil && decs[3].tallies[0].parked != nil })
 	if decs[3].Plaintext(0) != nil {
 		t.Fatal("decrypted without the ciphertext")
 	}
@@ -595,7 +595,7 @@ var collectorUsers = []struct {
 		peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
 			return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
 		})
-		r := rigOf(&p.dones, &p.slots[1].proof, 1, peers)
+		r := rigOf(&p.dones.collector, &p.dones.tallies[1], 1, peers)
 		r.foreign = func() []byte { return certOf(peers, r.k, p.doneMessage(2, HashValue(value))) }
 		r.sharePhase = packet.PhaseDone
 		r.check = func(t *testing.T) {
@@ -612,12 +612,12 @@ var collectorUsers = []struct {
 		peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
 			return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
 		})
-		r := rigOf(&c.sigs, &c.cert, 0, peers)
+		r := rigOf(&c.collector, &c.tallies[0], 0, peers)
 		r.foreign = func() []byte { return certOf(peers, r.k, []byte("cut of cluster 1, epoch 4")) }
 		r.sharePhase = packet.PhaseDone
 		r.check = func(t *testing.T) {
 			sig := &threshsig.Signature{S: bigFromBytes(c.Cert())}
-			if err := tn.envs[0].Suite.TSLow.Verify(c.cert.subject, sig); err != nil {
+			if err := tn.envs[0].Suite.TSLow.Verify(c.tallies[0].subject, sig); err != nil {
 				t.Errorf("combined cut certificate does not verify: %v", err)
 			}
 			if len(got) != 1 || !bytes.Equal(got[0], c.Cert()) {
@@ -637,7 +637,7 @@ var collectorUsers = []struct {
 		var got []byte
 		d := NewDecryptor(tn.envs[0], 4, func(_ int, p []byte) { got = p })
 		d.Submit(2, ct)
-		r := rigOf(&d.shares, &d.slot(2).tally, 2, peerSchemes(tn, decScheme))
+		r := rigOf(&d.collector, &d.tallies[2], 2, peerSchemes(tn, decScheme))
 		r.check = func(t *testing.T) {
 			if !bytes.Equal(got, plain) || !bytes.Equal(d.Plaintext(2), plain) {
 				t.Errorf("recovered %q / %q, want %q", got, d.Plaintext(2), plain)
@@ -917,9 +917,9 @@ func TestCertificateBeforeSubject(t *testing.T) {
 		t.Fatal(err)
 	}
 	busy := env.CPU.BusyTotal()
-	p.HandleSection(2, packet.Section{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Entries: []packet.Entry{{Slot: 1, Sub: 2, Data: EncodeSigShare(sh)}}})
-	p.HandleSection(3, packet.Section{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Entries: []packet.Entry{{Slot: 1, Sub: 3, Flags: certFlag, Data: cert}}})
-	if env.CPU.BusyTotal() != busy || p.slots[1].proof.done {
+	p.dones.HandleSection(2, packet.Section{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Entries: []packet.Entry{{Slot: 1, Sub: 2, Data: EncodeSigShare(sh)}}})
+	p.dones.HandleSection(3, packet.Section{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Entries: []packet.Entry{{Slot: 1, Sub: 3, Flags: certFlag, Data: cert}}})
+	if env.CPU.BusyTotal() != busy || p.dones.tallies[1].done {
 		t.Fatal("something was checked before the subject")
 	}
 	p.onRBCDeliver(1, value)
@@ -928,8 +928,8 @@ func TestCertificateBeforeSubject(t *testing.T) {
 		t.Errorf("delivery charged %v, want the proof's check and this node's share (%v)", charged, cost.TSVerify+cost.TSSign)
 	}
 	tn.settle(time.Second)
-	if proofs != 1 || p.slots[1].proof.nShares != 0 || !bytes.Equal(p.Proof(1), cert) {
-		t.Fatalf("%d proofs, %d shares held, proof %x", proofs, p.slots[1].proof.nShares, p.Proof(1))
+	if proofs != 1 || p.dones.tallies[1].nShares != 0 || !bytes.Equal(p.Proof(1), cert) {
+		t.Fatalf("%d proofs, %d shares held, proof %x", proofs, p.dones.tallies[1].nShares, p.Proof(1))
 	}
 	var mine []core.Intent
 	for _, in := range rec.seen {

@@ -3,7 +3,6 @@ package component
 import (
 	"encoding/binary"
 
-	"repro/internal/core"
 	"repro/internal/crypto/threshsig"
 	"repro/internal/packet"
 )
@@ -16,22 +15,17 @@ import (
 // transferable: a node that holds it sends it in its share's place, and a
 // peer's proof settles the slot as f+1 shares would.
 type PRBC struct {
-	env   *Env
-	rbc   *RBC
-	dones collector[[]byte, *threshsig.SigShare, []byte]
-
-	onProof   func(slot int, value []byte)
+	env *Env
+	rbc *RBC
+	// dones opens a slot's proof at our RBC delivery, which fixes the
+	// message signed; shares received before that park in it.
+	dones     sigSlots
 	onDeliver func(slot int, value []byte)
-
-	sigDone packet.BitSet // compressed NACK: slot has a combined proof
-	slots   []*prbcSlot
 }
 
-type prbcSlot struct {
-	// proof opens at our RBC delivery, which fixes the message signed;
-	// shares received before that park in it.
-	proof tally[[]byte, *threshsig.SigShare, []byte]
-}
+// sigSlots are threshold signatures in the making, one per slot, each over
+// its own message: PRBC's DONE proofs and the cut certificate.
+type sigSlots = shareSlots[[]byte, *threshsig.SigShare, []byte]
 
 // PRBCOptions configures a PRBC component.
 type PRBCOptions struct {
@@ -41,26 +35,22 @@ type PRBCOptions struct {
 }
 
 // NewPRBC creates the component and registers both its RBC part (KindRBC)
-// and its DONE part (KindPRBC) on the transport.
+// and its DONE part (KindPRBC) on the transport. Unlike the Decryptor's,
+// the DONE row goes up at once.
 func NewPRBC(env *Env, opts PRBCOptions) *PRBC {
-	p := &PRBC{
-		env:       env,
-		onProof:   opts.OnProof,
-		onDeliver: opts.OnDeliver,
-		sigDone:   packet.NewBitSet(opts.Slots),
-	}
-	p.dones = collector[[]byte, *threshsig.SigShare, []byte]{
-		scheme: sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare), env: env, combined: p.proven,
-	}
-	for i := 0; i < opts.Slots; i++ {
-		p.slots = append(p.slots, &prbcSlot{})
-	}
+	p := &PRBC{env: env, onDeliver: opts.OnDeliver}
+	low := sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+	p.dones.init(env, low, packet.KindPRBC, packet.PhaseDone, opts.Slots, func(slot int, _ []byte) {
+		if opts.OnProof != nil {
+			opts.OnProof(slot, p.rbc.Value(slot))
+		}
+	})
 	p.rbc = NewRBC(env, RBCOptions{
 		Slots:     opts.Slots,
 		OnDeliver: p.onRBCDeliver,
 	})
-	env.T.SetNack(packet.KindPRBC, packet.PhaseDone, p.sigDone)
-	env.T.Register(packet.KindPRBC, p)
+	p.dones.setRow()
+	env.T.Register(packet.KindPRBC, &p.dones)
 	return p
 }
 
@@ -71,7 +61,7 @@ func (p *PRBC) Propose(slot int, value []byte) { p.rbc.Propose(slot, value) }
 func (p *PRBC) RBC() *RBC { return p.rbc }
 
 // Proof returns the combined proof for a slot, or nil.
-func (p *PRBC) Proof(slot int) []byte { return p.slots[slot].proof.value }
+func (p *PRBC) Proof(slot int) []byte { return p.dones.value(slot) }
 
 // doneMessage is the string the DONE shares sign.
 func (p *PRBC) doneMessage(slot int, h Hash8) []byte {
@@ -84,41 +74,33 @@ func (p *PRBC) doneMessage(slot int, h Hash8) []byte {
 }
 
 func (p *PRBC) onRBCDeliver(slot int, value []byte) {
-	p.dones.begin(&p.slots[slot].proof, slot, p.doneMessage(slot, HashValue(value)),
-		core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Slot: uint8(slot), Sub: uint8(p.env.Me)})
+	p.dones.begin(slot, p.doneMessage(slot, HashValue(value)))
 	if p.onDeliver != nil {
 		p.onDeliver(slot, value)
 	}
 }
 
-// HandleSection implements core.Handler for KindPRBC.
-func (p *PRBC) HandleSection(from uint16, sec packet.Section) {
-	if sec.Phase != packet.PhaseDone {
-		return
-	}
-	w, ok := p.env.peer(from)
-	if !ok {
-		return
-	}
-	for _, e := range sec.Entries {
-		slot := int(e.Slot)
-		if slot >= len(p.slots) {
-			continue
-		}
-		// Until our RBC delivers we do not know the hash: the share parks.
-		p.dones.offer(&p.slots[slot].proof, slot, w, e.Flags, e.Data)
-	}
+// CutCert is one cluster cut's certificate in the making (the clustered
+// deployment of Sec. V-B): f+1 shares of the cluster's low-threshold key
+// over one message, collected on the cluster's own channel exactly as
+// PRBC collects a DONE proof, and transferable once combined. It is one
+// slot of KindGlobal/PhaseDone proofs, whose tally and row open at Begin,
+// when this member commits the epoch the cut digests; shares that come
+// earlier park.
+type CutCert struct{ sigSlots }
+
+// NewCutCert makes the tally on env's epoch transport; onCert runs once,
+// with the certificate, when it is combined here or taken from a peer.
+func NewCutCert(env *Env, onCert func(cert []byte)) *CutCert {
+	c := &CutCert{}
+	low := sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+	c.init(env, low, packet.KindGlobal, packet.PhaseDone, 1, func(_ int, cert []byte) { onCert(cert) })
+	return c
 }
 
-// proven runs once a slot has its proof: DONE shares combined here, or a
-// peer's proof checked.
-func (p *PRBC) proven(slot int, _ []byte) {
-	p.sigDone.Set(slot)
-	// Keep our share intent live, the proof in the share's place: a peer
-	// that missed share frames (half-duplex, loss) still needs it; the
-	// transport parks it once every peer's DONE row shows the proof.
-	p.env.T.SetNack(packet.KindPRBC, packet.PhaseDone, p.sigDone)
-	if p.onProof != nil {
-		p.onProof(slot, p.rbc.Value(slot))
-	}
-}
+// Begin fixes the message the cut's shares sign, installs the NACK row
+// that asks peers for theirs, and releases this member's share.
+func (c *CutCert) Begin(msg []byte) { c.begin(0, msg) }
+
+// Cert returns the combined certificate, or nil.
+func (c *CutCert) Cert() []byte { return c.value(0) }

@@ -103,10 +103,10 @@ func prbcSeeds(f *testing.F) [][]byte {
 	// share with a made-up proof behind it; corrupt its bare share with
 	// X off.
 	full := func(w, slot int) []cbcRecord {
-		return entry(w, slot, proofFlag, EncodeSigShare(nodes[w].slots[slot].proof.mine.share))
+		return entry(w, slot, proofFlag, EncodeSigShare(nodes[w].dones.tallies[slot].mine.share))
 	}
 	forged := func(w, slot int) []cbcRecord {
-		sh := *nodes[w].slots[slot].proof.mine.share
+		sh := *nodes[w].dones.tallies[slot].mine.share
 		sh.C, sh.Z = big.NewInt(7), big.NewInt(9)
 		return entry(w, slot, proofFlag, EncodeSigShare(&sh))
 	}
@@ -164,7 +164,7 @@ func prbcFuzzRun(t *testing.T, raw []byte, eager bool) []core.Intent {
 	env.T.SetInterceptor(watch(func(in core.Intent) {
 		in.Data = bytes.Clone(in.Data)
 		sent = append(sent, in)
-		if in.Kind == packet.KindPRBC && in.Flags&proofFlag != 0 && !p.slots[in.Slot].proof.proofs {
+		if in.Kind == packet.KindPRBC && in.Flags&proofFlag != 0 && !p.dones.tallies[in.Slot].proofs {
 			t.Fatalf("slot %d: this node's share went on the air in full before its tally turned to proofs", in.Slot)
 		}
 	}))
@@ -192,11 +192,11 @@ func prbcFuzzRun(t *testing.T, raw []byte, eager bool) []core.Intent {
 			}
 		}
 		sec.Kind = packet.KindPRBC
-		p.HandleSection(from, sec)
+		p.dones.HandleSection(from, sec)
 	}
 	tn.settle(time.Minute)
-	for slot, s := range p.slots {
-		tl := &s.proof
+	for slot := range p.dones.tallies {
+		tl := &p.dones.tallies[slot]
 		if !eager && tl.mine.held && !tl.proofs && tl.mine.share.C != nil {
 			t.Fatalf("slot %d: this node's share was proved, and its tally never turned to proofs", slot)
 		}

@@ -83,8 +83,9 @@ const (
 // tally is one threshold value in the making: the shares gathered so far
 // (verified, unless they came bare), and the value once it exists —
 // combined here, or accepted from a peer that combined it. CBC's quorum
-// certificate, PRBC's DONE proof, CachinABA's coin and the Decryptor's
-// plaintext are each one of these, embedded by value in the slot.
+// certificate and CachinABA's coin are each one of these, embedded by
+// value in their slot; PRBC's DONE proof, the Decryptor's plaintext and
+// the cut certificate are a slot of a shareSlots.
 type tally[X, S, V any] struct {
 	subject X    // what the shares are shares of
 	open    bool // subject is known: shares can be verified

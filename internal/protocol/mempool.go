@@ -147,14 +147,21 @@ func (m *Mempool) Add(tx []byte, now time.Duration) bool {
 	if m.pooled > m.peakPooled {
 		m.peakPooled = m.pooled
 	}
-	m.pending += len(tx)
-	if m.assigned(key) {
-		m.pendingMine += len(tx)
-		m.nMine++
-	} else {
-		m.nOther++
-	}
+	m.pend(e, 1)
 	return true
+}
+
+// pend moves e into (d = 1) or out of (d = -1) the pending classes: the
+// bytes not in flight, and the assigned bytes and per-class counts among
+// them.
+func (m *Mempool) pend(e *mtx, d int) {
+	m.pending += d * len(e.data)
+	if m.assigned(e.key) {
+		m.pendingMine += d * len(e.data)
+		m.nMine += d
+	} else {
+		m.nOther += d
+	}
 }
 
 // assigned reports whether this shard prefers the transaction.
@@ -235,13 +242,7 @@ func (m *Mempool) Cut(epoch int, now time.Duration) [][]byte {
 			break
 		}
 		e.inflight = epoch
-		m.pending -= len(e.data)
-		if m.assigned(e.key) {
-			m.pendingMine -= len(e.data)
-			m.nMine--
-		} else {
-			m.nOther--
-		}
+		m.pend(e, -1)
 		bytes += len(e.data)
 		out = append(out, e.data)
 		if bytes >= m.cfg.MaxBatchBytes {
@@ -265,13 +266,7 @@ func (m *Mempool) MarkCommitted(keys []txKey, epoch int) {
 			delete(m.index, e.key)
 			m.pooled -= len(e.data)
 			if e.inflight < 0 {
-				m.pending -= len(e.data)
-				if m.assigned(e.key) {
-					m.pendingMine -= len(e.data)
-					m.nMine--
-				} else {
-					m.nOther--
-				}
+				m.pend(e, -1)
 			}
 			continue
 		}
@@ -290,13 +285,7 @@ func (m *Mempool) Requeue(epoch int) {
 	for _, e := range m.txs {
 		if e.inflight == epoch {
 			e.inflight = -1
-			m.pending += len(e.data)
-			if m.assigned(e.key) {
-				m.pendingMine += len(e.data)
-				m.nMine++
-			} else {
-				m.nOther++
-			}
+			m.pend(e, 1)
 		}
 	}
 }

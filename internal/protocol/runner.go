@@ -46,8 +46,9 @@ type Options struct {
 // changes.
 type Engine struct {
 	Kind Kind
-	// DefaultEncrypt is whether run.Defaults turns on the
-	// threshold-encrypted proposal path for this family.
+	// DefaultEncrypt is whether the family has the threshold-encrypted
+	// proposal path: run.Defaults turns it on, and run refuses Encrypt for
+	// a family without it.
 	DefaultEncrypt bool
 	// Coin is the coin the family runs when the Spec names none ("": the
 	// Spec must name one).

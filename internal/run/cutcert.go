@@ -12,7 +12,8 @@ import (
 // "proof travels with the value" discipline). A cut is signed by f+1 of
 // its cluster's members under the cluster's low-threshold signature key
 // (crypto.Suite.TSLow, dealt per cluster through crypto.DealCached; the
-// members collect the shares on their own channel, component.CutCert), so
+// members collect the shares on their own channel in component.CutCert,
+// a one-slot instance of the tally behind PRBC's DONE proofs), so
 // a Byzantine relay seat — which holds at most f cluster shares worth of
 // influence — cannot fabricate a certificate for a cluster it does not
 // control. Every relay seat verifies the certificate of every cut it

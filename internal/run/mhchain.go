@@ -30,7 +30,8 @@ import (
 // records of committed local log entries. Every member that commits
 // local epoch e signs a share of its cut on e's own transport, and the
 // members collect f+1 of them into the cut's certificate on the cluster
-// channel, as PRBC collects its DONE proof (component.CutCert). Relay
+// channel, as PRBC collects its DONE proof (component.CutCert: one slot
+// of the share tally behind PRBC's DONE proofs, on KindGlobal). Relay
 // duty rotates: starting at member e mod P, the first live honest member
 // in rotation that holds the certificate hands the certified cut to its
 // seat, and the global chain pipelines the cuts of all clusters into the

@@ -148,7 +148,8 @@ type Spec struct {
 	// Batched selects ConsensusBatcher vs the per-instance baseline.
 	Batched bool
 	// Encrypt runs the threshold-encrypted proposal path (the censorship
-	// defense); Defaults enables it for every family but Dumbo.
+	// defense). Only HoneyBadger and BEAT have one (Engine.DefaultEncrypt):
+	// Defaults enables it for them, and Run refuses it for any other family.
 	Encrypt bool
 	// N sizes one consensus group: the whole network under single-hop,
 	// each cluster under the clustered topology. It must be 3f+1 >= 4, and
@@ -268,6 +269,9 @@ func (s Spec) validate() error {
 	}
 	if !slices.Contains(protocol.Coins(), coin) {
 		return fmt.Errorf("run: unknown coin %q (coins: %v)", s.Coin, protocol.Coins())
+	}
+	if s.Encrypt && !engine.DefaultEncrypt {
+		return fmt.Errorf("run: %s has no threshold-encrypted proposal path; Encrypt must be off", s.Protocol)
 	}
 	if s.N < 4 || s.N%3 != 1 {
 		return fmt.Errorf("run: group size must be 3f+1 >= 4, got N=%d", s.N)

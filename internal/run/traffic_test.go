@@ -197,6 +197,25 @@ func TestArrivalValidation(t *testing.T) {
 	}
 }
 
+// TestEncryptRefusedWithoutPath: a family that never encrypts its
+// proposals (Dumbo, Alea) must refuse Encrypt, not run in the clear under
+// a Spec that says otherwise.
+func TestEncryptRefusedWithoutPath(t *testing.T) {
+	for _, kind := range []protocol.Kind{protocol.DumboKind, protocol.AleaKind} {
+		spec := run.Defaults(kind, protocol.CoinSig)
+		spec.Encrypt = true
+		spec.Workload = run.Chain(3)
+		if _, err := run.Run(spec); err == nil {
+			t.Errorf("%s ran with Encrypt", kind)
+		}
+	}
+	spec := run.Defaults(protocol.HoneyBadger, protocol.CoinSig)
+	spec.Workload = run.Chain(1)
+	if _, err := run.Run(spec); err != nil {
+		t.Errorf("HoneyBadger with Encrypt refused: %v", err)
+	}
+}
+
 // TestChainWirelessScenarios drives the chain workload through the three
 // wireless-native scenario kinds. Mild parameters: the point is that the
 // run completes with safety intact, not to find each kind's breaking
