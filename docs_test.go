@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -159,5 +160,107 @@ func TestDocsFreshnessAnchors(t *testing.T) {
 				t.Errorf("%s: anchor %s: %s declares no function, method or type %s", doc, m[0], file, name)
 			}
 		}
+	}
+}
+
+// TestDocsFreshnessCI fails when a CI step's test selection misses: an
+// alternative of a `go test -run '…'` pattern in the workflow that is a
+// prefix of no Test function declared in that command's packages, a
+// `-fuzz '^X$'` target its package does not declare, or a declared Fuzz
+// target the fuzz smoke does not run. go test passes a pattern that
+// matches nothing, so a renamed test would otherwise drop out of its
+// named step in silence.
+func TestDocsFreshnessCI(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join(".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	decls := map[string][]string{} // package dir -> top-level test-file funcs
+	declared := func(dir string) []string {
+		if names, ok := decls[dir]; ok {
+			return names
+		}
+		files, err := filepath.Glob(filepath.Join(dir, "*_test.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, f := range files {
+			af, err := parser.ParseFile(fset, f, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, d := range af.Decls {
+				if fd, ok := d.(*ast.FuncDecl); ok && fd.Recv == nil {
+					names = append(names, fd.Name.Name)
+				}
+			}
+		}
+		decls[dir] = names
+		return names
+	}
+	fuzzed := map[string]bool{} // "dir.FuzzX" the fuzz smoke runs
+	for _, line := range strings.Split(string(raw), "\n") {
+		args := strings.Fields(line)
+		at := slices.Index(args, "test")
+		if strings.HasPrefix(strings.TrimSpace(line), "#") || at < 1 || args[at-1] != "go" {
+			continue
+		}
+		var run, fuzz string
+		var pkgs []string
+		for i := at + 1; i < len(args) && args[i] != "&&"; i++ {
+			switch a := args[i]; a {
+			case "-run", "-fuzz", "-bench", "-benchtime", "-fuzztime", "-fuzzminimizetime":
+				if i++; i < len(args) {
+					v := strings.Trim(args[i], `'"`)
+					if a == "-run" {
+						run = v
+					} else if a == "-fuzz" {
+						fuzz = v
+					}
+				}
+			default:
+				if !strings.HasPrefix(a, "-") {
+					pkgs = append(pkgs, filepath.Clean(a))
+				}
+			}
+		}
+		if run != "" && run != "^$" {
+			var names []string
+			for _, p := range pkgs {
+				names = append(names, declared(p)...)
+			}
+			for _, alt := range strings.Split(run, "|") {
+				if !slices.ContainsFunc(names, func(n string) bool { return strings.HasPrefix(n, "Test") && strings.HasPrefix(n, alt) }) {
+					t.Errorf("ci.yml: -run alternative %q is a prefix of no Test declared in %v", alt, pkgs)
+				}
+			}
+		}
+		if fuzz != "" {
+			name := strings.TrimSuffix(strings.TrimPrefix(fuzz, "^"), "$")
+			if len(pkgs) != 1 || !slices.Contains(declared(pkgs[0]), name) {
+				t.Errorf("ci.yml: -fuzz %q names no target declared in %v", fuzz, pkgs)
+				continue
+			}
+			fuzzed[pkgs[0]+"."+name] = true
+		}
+	}
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if path != "." && (strings.HasPrefix(d.Name(), ".") || path == "benchmark") {
+			return filepath.SkipDir // hidden, or its own module
+		}
+		for _, name := range declared(path) {
+			if strings.HasPrefix(name, "Fuzz") && !fuzzed[path+"."+name] {
+				t.Errorf("%s declares %s, which ci.yml's fuzz smoke does not run", path, name)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -182,7 +182,7 @@ func (a *BrachaABA) HandleSection(from uint16, sec packet.Section) {
 func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte) {
 	s := a.slots[slot]
 	n := a.env.N
-	if !s.started || s.halted || int(round) > roundCap || len(data) < 1+2*n {
+	if !s.started || a.halted.Get(slot) || int(round) > roundCap || len(data) < 1+2*n {
 		return
 	}
 	p := a.phase(slot, round, ph)
@@ -237,7 +237,7 @@ func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte
 // checkPhase fires when N-f votes of a phase have been vote-RBC-delivered.
 func (a *BrachaABA) checkPhase(slot int, round uint16, ph int) {
 	s := a.slots[slot]
-	if s.halted || round != s.round {
+	if a.halted.Get(slot) || round != s.round {
 		return
 	}
 	p := a.phase(slot, round, ph)
@@ -289,7 +289,7 @@ func (a *BrachaABA) finishRound(slot int, round uint16, counts [3]int) {
 		// Local coin: private randomness, the paper's ABA-LC.
 		s.est = uint8(a.env.Rand.Intn(2))
 	}
-	if s.halted {
+	if a.halted.Get(slot) {
 		return
 	}
 	if int(round)+1 > roundCap {

@@ -127,7 +127,7 @@ func (a *CachinABA) round(slot int, r uint16) *abaRound {
 
 func (a *CachinABA) startRound(slot int) {
 	s := a.slots[slot]
-	if s.halted {
+	if a.halted.Get(slot) {
 		return
 	}
 	if int(s.round) > roundCap {
@@ -240,7 +240,7 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 
 func (a *CachinABA) applyBval(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
-	if !s.started || s.halted || int(round) > roundCap {
+	if !s.started || a.halted.Get(slot) || int(round) > roundCap {
 		return
 	}
 	rd := a.round(slot, round)
@@ -265,7 +265,7 @@ func (a *CachinABA) applyBval(slot int, round uint16, w int, v bool) {
 
 func (a *CachinABA) applyAux(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
-	if !s.started || s.halted || int(round) > roundCap {
+	if !s.started || a.halted.Get(slot) || int(round) > roundCap {
 		return
 	}
 	rd := a.round(slot, round)
@@ -452,8 +452,8 @@ func (a *CachinABA) pruneRounds(slot int, current uint16) {
 			// Shared-coin shares are pruned only when every slot has left
 			// the round; per-slot coins prune with their slot.
 			if a.sharedCoin {
-				for _, s := range a.slots {
-					if s.started && !s.halted && s.round <= k.Round {
+				for i, s := range a.slots {
+					if s.started && !a.halted.Get(i) && s.round <= k.Round {
 						return false
 					}
 				}

@@ -49,7 +49,7 @@ type CBC struct {
 	valid     func(slot int, value []byte) Verdict
 	onDeliver func(slot int, value []byte, cert []byte)
 
-	finDone packet.BitSet // compressed O(N) NACK: slot delivered
+	finDone packet.BitSet // compressed O(N) NACK: slot delivered, the one record of it
 }
 
 type cbcSlot struct {
@@ -57,9 +57,8 @@ type cbcSlot struct {
 
 	// cert is the quorum certificate over the value this node signed;
 	// shares that arrive ahead of the value park in it.
-	cert      tally[[]byte, *threshsig.SigShare, []byte]
-	certHash  Hash8
-	delivered bool
+	cert     tally[[]byte, *threshsig.SigShare, []byte]
+	certHash Hash8
 	// pending says the predicate could not judge the assembled value yet:
 	// this node has not echoed it, and Recheck asks again.
 	pending bool
@@ -110,23 +109,15 @@ func NewCBC(env *Env, opts CBCOptions) *CBC {
 	return c
 }
 
-// Delivered reports whether a slot completed.
-func (c *CBC) Delivered(slot int) bool { return c.slots[slot].delivered }
+// Delivered reports whether a slot completed: its FINISH row bit.
+func (c *CBC) Delivered(slot int) bool { return c.finDone.Get(slot) }
 
 // DeliveredCount returns the number of completed slots.
-func (c *CBC) DeliveredCount() int {
-	n := 0
-	for _, s := range c.slots {
-		if s.delivered {
-			n++
-		}
-	}
-	return n
-}
+func (c *CBC) DeliveredCount() int { return c.finDone.Count() }
 
 // Value returns a delivered slot's value (nil before delivery).
 func (c *CBC) Value(slot int) []byte {
-	if !c.slots[slot].delivered {
+	if !c.Delivered(slot) {
 		return nil
 	}
 	return c.slots[slot].value
@@ -153,11 +144,10 @@ func (c *CBC) Propose(slot int, value []byte) {
 }
 
 func (c *CBC) acceptValue(slot int, value []byte) {
-	s := c.slots[slot]
-	if s.assembled {
+	if c.held.Get(slot) {
 		return
 	}
-	c.hold(slot, &s.valueSlot, value)
+	c.hold(slot, &c.slots[slot].valueSlot, value)
 	c.echo(slot)
 	c.deliver(slot)
 }
@@ -170,7 +160,7 @@ func (c *CBC) echo(slot int) {
 	s := c.slots[slot]
 	// A node signs once per slot, and only a value it holds: a FINISH over
 	// another hash may have dropped the one it was judging.
-	if s.cert.open || s.delivered || !s.assembled {
+	if s.cert.open || c.Delivered(slot) || !c.held.Get(slot) {
 		return
 	}
 	verdict := Accept
@@ -246,7 +236,7 @@ func (c *CBC) finish(slot int) core.Intent {
 
 func (c *CBC) handleFinish(slot int, raw []byte) {
 	s := c.slots[slot]
-	if s.delivered {
+	if c.Delivered(slot) {
 		return
 	}
 	h, cert, err := DecodeFinish(raw)
@@ -257,7 +247,7 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 	msg := c.shareMessage(slot, h)
 	env := c.env
 	env.Exec(env.Suite.Cost.TSVerify, func() {
-		if s.delivered {
+		if c.Delivered(slot) {
 			return
 		}
 		if _, err := c.echoes.check(msg, cert); err != nil {
@@ -269,12 +259,12 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 		// Keep the certificate servable, off the air until a peer's
 		// FINISH row asks for it.
 		env.T.Hold(c.finish(slot))
-		if s.assembled && HashValue(s.value) != h {
+		if c.held.Get(slot) && HashValue(s.value) != h {
 			// A certificate for a different value than we assembled: the
 			// certificate wins (2f+1 nodes vouched for it).
 			c.drop(slot, &s.valueSlot)
 		}
-		if !s.assembled {
+		if !c.held.Get(slot) {
 			c.want(slot)
 			return
 		}
@@ -284,7 +274,7 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 
 func (c *CBC) deliver(slot int) {
 	s := c.slots[slot]
-	if s.delivered || !s.cert.done || !s.assembled {
+	if c.Delivered(slot) || !s.cert.done || !c.held.Get(slot) {
 		return
 	}
 	if HashValue(s.value) != s.certHash {
@@ -294,7 +284,6 @@ func (c *CBC) deliver(slot int) {
 		c.want(slot)
 		return
 	}
-	s.delivered = true
 	c.finDone.Set(slot)
 	c.env.T.SetNack(c.kind, packet.PhaseFinish, c.finDone)
 	c.env.T.Remove(core.IntentKey{Kind: c.kind, Phase: packet.PhaseEcho, Slot: uint8(slot), Sub: uint8(c.env.Me)})

@@ -715,8 +715,8 @@ func TestHaltedAgreementKeepsOnlyDecidedClaims(t *testing.T) {
 		abas[i] = NewCachinABA(env, CachinOptions{Slots: 4, SharedCoin: true, Coin: SigCoin(env)})
 	}
 	halted := func() bool {
-		for _, s := range abas[0].slots {
-			if !s.halted {
+		for slot := range abas[0].slots {
+			if !abas[0].halted.Get(slot) {
 				return false
 			}
 		}

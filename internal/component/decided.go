@@ -10,10 +10,10 @@ import (
 const roundCap = 64
 
 // termination is one instance's share of the DECIDED gadget, embedded by
-// value in the instance's slot.
+// value in the instance's slot; whether it halted is its bit in the
+// gadget's DECIDED row.
 type termination struct {
 	decided *bool
-	halted  bool
 	// claimed is each peer's DECIDED claim — 0 none yet, else 1 + the value
 	// claimed — and claims counts the peers claiming each value. A peer's
 	// first claim is the one that counts.
@@ -105,8 +105,7 @@ func (d *deciding) applyDecided(slot, w int, v bool) {
 		d.decide(slot, v)
 	}
 	// N-f claims: every honest node can now terminate from claims alone.
-	if matching >= d.env.N-d.env.F && !t.halted {
-		t.halted = true
+	if matching >= d.env.N-d.env.F && !d.halted.Get(slot) {
 		d.halted.Set(slot)
 		d.env.T.SetNack(packet.KindABA, packet.PhaseDecided, d.halted)
 		d.env.T.RemoveWhere(func(k core.IntentKey) bool {

@@ -43,7 +43,7 @@ type dissemination struct {
 	frag  int
 	slots int
 
-	held packet.BitSet // this node's INITIAL row
+	held packet.BitSet // this node's INITIAL row: the slots whose value it holds
 	// repair is this node's REPAIR row: every slot set but those whose
 	// value the quorum evidence says must complete here and it lacks. It is
 	// nil until the first such slot, so an epoch that loses nothing carries
@@ -52,11 +52,11 @@ type dissemination struct {
 }
 
 // valueSlot is one instance's dissemination state, embedded by value in
-// the components' slot structs.
+// the components' slot structs; whether the value is assembled is the
+// slot's bit in the INITIAL row (held).
 type valueSlot struct {
-	value     []byte
-	frags     [][]byte // sized by the first fragment's count; nil entry: not yet received
-	assembled bool
+	value []byte
+	frags [][]byte // sized by the first fragment's count; nil entry: not yet received
 }
 
 func newDissemination(env *Env, kind packet.Kind, small bool, fragSize, slots int) dissemination {
@@ -72,7 +72,7 @@ func newDissemination(env *Env, kind packet.Kind, small bool, fragSize, slots in
 // node's want of it, and keeps the value servable: its fragments wait off
 // the air as REPAIR intents until a peer's REPAIR row asks for the slot.
 func (d *dissemination) hold(slot int, s *valueSlot, value []byte) {
-	s.assembled, s.value = true, value
+	s.value = value
 	d.held.Set(slot)
 	d.env.T.SetNack(d.kind, packet.PhaseInitial, d.held)
 	if d.wanted(slot) {
@@ -85,9 +85,7 @@ func (d *dissemination) hold(slot int, s *valueSlot, value []byte) {
 // drop forgets an assembled value the quorum evidence contradicts, and
 // the REPAIR intents that would serve it.
 func (d *dissemination) drop(slot int, s *valueSlot) {
-	s.assembled = false
-	s.value = nil
-	s.frags = nil
+	s.value, s.frags = nil, nil
 	d.held.Clear(slot)
 	d.env.T.SetNack(d.kind, packet.PhaseInitial, d.held)
 	d.env.T.RemoveWhere(func(k core.IntentKey) bool {
@@ -172,7 +170,7 @@ func (d *dissemination) intents(slot int, phase packet.Phase, value []byte, put 
 // wants: the embedding component re-checks the hash against its quorum
 // evidence before delivering, so a forged repair cannot be delivered.
 func (d *dissemination) receive(slot int, s *valueSlot, w int, phase packet.Phase, e packet.Entry) ([]byte, bool) {
-	if s.assembled || phase == packet.PhaseRepair && !d.wanted(slot) || phase != packet.PhaseRepair && w != d.leader(slot) {
+	if d.held.Get(slot) || phase == packet.PhaseRepair && !d.wanted(slot) || phase != packet.PhaseRepair && w != d.leader(slot) {
 		return nil, false
 	}
 	if d.small {

@@ -230,18 +230,17 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 			t.Run("equivocating leader", func(t *testing.T) {
 				tn, v := lone()
 				feed(v, 0, packet.PhaseInitial, other)
-				if !v.slots[0].assembled {
+				if !v.held.Get(0) {
 					t.Fatal("leader's INITIAL not assembled")
 				}
 				feed(v, 1, packet.PhaseFinish, packet.Entry{Slot: 0, Data: finish})
 				tn.settle(time.Minute)
-				s := v.slots[0]
-				if s.delivered || s.assembled || !v.wanted(0) {
+				if v.Delivered(0) || v.held.Get(0) || !v.wanted(0) {
 					t.Fatalf("after a certificate for another value: delivered=%v assembled=%v wanted=%v",
-						s.delivered, s.assembled, v.wanted(0))
+						v.Delivered(0), v.held.Get(0), v.wanted(0))
 				}
 				feed(v, 2, packet.PhaseInitial, initial...) // INITIAL only from the leader
-				if s.assembled {
+				if v.held.Get(0) {
 					t.Fatal("a peer's INITIAL fragments assembled")
 				}
 				feed(v, 2, packet.PhaseRepair, initial...) // any peer may serve
@@ -257,11 +256,11 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 				feed(v, 0, packet.PhaseRepair, initial...)
 				feed(v, 2, packet.PhaseRepair, initial...)
 				tn.settle(time.Minute)
-				if s := v.slots[0]; s.assembled || s.frags != nil {
-					t.Fatalf("unwanted REPAIR entries kept: assembled=%v frags=%d", s.assembled, len(s.frags))
+				if s := v.slots[0]; v.held.Get(0) || s.frags != nil {
+					t.Fatalf("unwanted REPAIR entries kept: assembled=%v frags=%d", v.held.Get(0), len(s.frags))
 				}
 				feed(v, 0, packet.PhaseInitial, initial...)
-				if !v.slots[0].assembled {
+				if !v.held.Get(0) {
 					t.Fatal("the leader's INITIAL fragments did not assemble")
 				}
 			})
@@ -275,7 +274,7 @@ func TestCertifiedBroadcastKernel(t *testing.T) {
 				}
 				feed(v, 2, packet.PhaseRepair, other)
 				tn.settle(time.Minute)
-				if v.Delivered(0) || v.slots[0].assembled || !v.wanted(0) {
+				if v.Delivered(0) || v.held.Get(0) || !v.wanted(0) {
 					t.Fatal("forged repair value kept")
 				}
 				feed(v, 2, packet.PhaseRepair, initial...)

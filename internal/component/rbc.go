@@ -114,7 +114,7 @@ func (r *RBC) ProposeEncrypted(slot int, plain []byte) {
 // acceptValue handles a fully assembled proposal (own or received).
 func (r *RBC) acceptValue(slot int, value []byte) {
 	s := r.slots[slot]
-	if s.assembled {
+	if r.held.Get(slot) {
 		return
 	}
 	r.hold(slot, &s.valueSlot, value)
@@ -231,13 +231,13 @@ func (r *RBC) maybeDeliver(slot int) {
 	if !found {
 		return
 	}
-	if s.assembled && HashValue(s.value) != qh {
+	if r.held.Get(slot) && HashValue(s.value) != qh {
 		// The quorum converged on a different proposal than the one we
 		// assembled (equivocating leader). Drop ours and repair.
 		r.env.Reject()
 		r.drop(slot, &s.valueSlot)
 	}
-	if !s.assembled {
+	if !r.held.Get(slot) {
 		r.want(slot)
 		return
 	}

@@ -202,7 +202,7 @@ func unwanted(t *testing.T, d *dissemination, s *valueSlot, phase packet.Phase, 
 		handle()
 		return
 	}
-	state := func() string { return fmt.Sprintf("assembled=%v frags=%q", s.assembled, s.frags) }
+	state := func() string { return fmt.Sprintf("assembled=%v frags=%q", d.held.Get(int(e.Slot)), s.frags) }
 	before := state()
 	handle()
 	if after := state(); after != before {

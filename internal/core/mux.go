@@ -14,13 +14,14 @@ import (
 // Mux is one node's ConsensusBatcher: everything node-scoped, once — the
 // scheduler, CPU, keys and configuration, the station, the interceptor, the
 // send state (one fragment sequence space, the packet-building storage),
-// one reassembly buffer per peer and the one frame decoder — and the open
-// epochs, each a Transport holding that epoch's intents, NACK rows,
-// handlers, timers and counters. It is the layer underneath both
-// workloads, which both run on protocol.Chain: it keeps a window of epochs
-// open and closes them behind its commit frontier once its peers are past
-// them (Heard). A node's sequence space runs on across its epochs and
-// across a crash, so a receiver can tell a late packet from a newer one.
+// one reassembly buffer per peer, the one frame decoder and the node's
+// counters (Stats), which every epoch counts into — and the open epochs,
+// each a Transport holding that epoch's intents, NACK rows, handlers and
+// timers. It is the layer underneath both workloads, which both run on
+// protocol.Chain: it keeps a window of epochs open and closes them behind
+// its commit frontier once its peers are past them (Heard). A node's
+// sequence space runs on across its epochs and across a crash, so a
+// receiver can tell a late packet from a newer one.
 //
 // Outbound, the Mux is its station's wireless.Source: when the station wins
 // the medium it builds frames from whatever its epochs have dirty at that
@@ -35,11 +36,12 @@ import (
 // Inbound, ReceiveFrame is the one receive path. It first notes the
 // sender's turn — when this node last heard any radio frame from each
 // station, which paces every epoch's unasked re-sends — and then routes:
-// frames for epochs that are not (or no longer) open are counted and
-// dropped before any CPU is charged; once the receiver opens the epoch,
-// its first frames carry NACK rows with nothing done, which bring the
-// sender's state back on the air, and OnUnknownEpoch gives the SMR layer
-// an early signal that a peer is already working on a future epoch.
+// frames for epochs that are not (or no longer) open are counted
+// (Stats.DroppedEpoch) and dropped before any CPU is charged; once the
+// receiver opens the epoch, its first frames carry NACK rows with nothing
+// done, which bring the sender's state back on the air, and OnUnknownEpoch
+// gives the SMR layer an early signal that a peer is already working on a
+// future epoch.
 type Mux struct {
 	sched *sim.Scheduler
 	cpu   *sim.CPU
@@ -81,9 +83,8 @@ type Mux struct {
 	paced     bool
 	awaited   time.Duration
 
-	closedStats Stats // accumulated counters of closed transports
+	stats       Stats // the node's counters, its epochs' included
 	entries     EntryBytes
-	dropped     uint64
 	droppedSess uint64
 }
 
@@ -232,10 +233,10 @@ func (m *Mux) OpenEpochs() []uint16 {
 	return out
 }
 
-// Close stops and discards an epoch's transport, folding its counters into
-// the mux-level stats. This is the epoch garbage collection hook: after
-// Close, the epoch's intents, NACK maps, and timers are gone and inbound
-// frames for it are dropped.
+// Close stops and discards an epoch's transport. This is the epoch garbage
+// collection hook: after Close, the epoch's intents, NACK maps, and timers
+// are gone and inbound frames for it are dropped; what it counted stays in
+// the node's Stats.
 func (m *Mux) Close(epoch uint16) {
 	i, ok := m.find(epoch)
 	if !ok {
@@ -243,7 +244,6 @@ func (m *Mux) Close(epoch uint16) {
 	}
 	t := m.epochs[i]
 	t.Stop()
-	m.closedStats = AddStats(m.closedStats, t.Stats())
 	m.epochs = slices.Delete(m.epochs, i, i+1)
 	m.ready = m.ready && m.pending()
 }
@@ -266,10 +266,6 @@ func (m *Mux) Heard(station int) int {
 	return m.heard[station] - 1
 }
 
-// DroppedUnknownEpoch counts reassembled frames discarded because their
-// epoch had no open transport.
-func (m *Mux) DroppedUnknownEpoch() uint64 { return m.dropped }
-
 // DroppedSession counts reassembled frames discarded for an unparsable
 // header or a session mismatch (foreign or corrupted traffic), and radio
 // frames whose fragment header names another sender than the station that
@@ -280,26 +276,23 @@ func (m *Mux) DroppedSession() uint64 { return m.droppedSess }
 // that belongs to no single epoch's transport — the chain layer calls it
 // for mempool admission-control rejections, so backpressure drops surface
 // in the same Stats.Rejected counter Byzantine discards use.
-func (m *Mux) NoteRejected() { m.closedStats.Rejected++ }
+func (m *Mux) NoteRejected() { m.stats.Rejected++ }
 
-// Stats aggregates counters across closed and still-open transports.
+// Stats returns a snapshot of the node's counters, across its open and
+// closed epochs, with a copy of its entry-byte ledger.
 func (m *Mux) Stats() Stats {
-	s := m.closedStats
-	for _, t := range m.epochs {
-		s = AddStats(s, t.Stats())
-	}
-	s.DroppedEpoch += m.dropped
-	return AddStats(s, Stats{Entries: &m.entries})
+	s, e := m.stats, m.entries
+	s.Entries = &e
+	return s
 }
 
-// AddStats sums two transport counter snapshots field-by-field. Deployment
-// layers use it to fold discarded transports into run-level aggregates.
-// Where b carries a ledger the sum's is a fresh copy, so a Mux never hands
-// out its own.
+// AddStats sums two counter snapshots field-by-field. Deployment layers use
+// it to fold their nodes' counters into run-level aggregates. Where b
+// carries a ledger the sum's is a fresh copy, so neither operand's is
+// written.
 func AddStats(a, b Stats) Stats {
 	a.LogicalSent += b.LogicalSent
 	a.FragmentsSent += b.FragmentsSent
-	a.BytesSent += b.BytesSent
 	a.LogicalRecv += b.LogicalRecv
 	a.AuthFailures += b.AuthFailures
 	a.DroppedEpoch += b.DroppedEpoch
@@ -348,7 +341,7 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 	m.heard[from] = max(m.heard[from], int(epoch)+1)
 	t := m.Lookup(epoch)
 	if t == nil {
-		m.dropped++
+		m.stats.DroppedEpoch++
 		if m.OnUnknownEpoch != nil {
 			m.OnUnknownEpoch(epoch)
 		}

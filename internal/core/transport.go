@@ -124,14 +124,14 @@ func DefaultConfig(batched bool) Config {
 	}
 }
 
-// Stats counts transport-level work.
+// Stats counts one node's transport-level work across its epochs: every
+// Transport counts into its Mux's.
 type Stats struct {
 	LogicalSent   uint64 // signed logical packets
 	FragmentsSent uint64 // radio frames queued on the station
-	BytesSent     uint64
 	LogicalRecv   uint64
 	AuthFailures  uint64
-	DroppedEpoch  uint64 // frames for other epochs
+	DroppedEpoch  uint64 // frames for an epoch with no open transport
 	SignOps       uint64
 	VerifyOps     uint64
 	// Rejected counts component-level discards of invalid inbound state:
@@ -140,8 +140,8 @@ type Stats struct {
 	// quorum. Under an active-Byzantine scenario this is the measure of how
 	// much adversarial traffic the defenses absorbed.
 	Rejected uint64
-	// Entries is the entry-byte ledger, kept once per node by its Mux (nil
-	// in an epoch's own counters).
+	// Entries is the entry-byte ledger, kept beside the counters by the
+	// Mux: a copy in Mux.Stats, nil in Transport.Stats.
 	Entries *EntryBytes
 }
 
@@ -159,9 +159,9 @@ const (
 )
 
 // Transport is one epoch of a node's ConsensusBatcher (or baseline)
-// instance: the epoch's intent store, NACK rows, handlers, timers and
-// counters. Everything node-scoped — scheduler, CPU, radio, keys, the send
-// and receive state — is its Mux's, once.
+// instance: the epoch's intent store, NACK rows, handlers and timers.
+// Everything node-scoped — scheduler, CPU, radio, keys, the send and
+// receive state, the counters — is its Mux's, once.
 type Transport struct {
 	m     *Mux
 	epoch uint16
@@ -197,8 +197,6 @@ type Transport struct {
 	retxFn    func()
 	paced     bool
 	stopped   bool
-
-	stats Stats
 }
 
 // The retransmission policy: an intent that went out is re-sent
@@ -277,12 +275,14 @@ func (t *Transport) BindStation(st *wireless.Station) { t.m.BindStation(st) }
 func (t *Transport) SetInterceptor(ic Interceptor) { t.m.SetInterceptor(ic) }
 
 // NoteRejected counts one component-level discard of invalid inbound
-// state (see Stats.Rejected). Components call it through their Env when a
-// share, certificate, proof, or proposal fails verification.
-func (t *Transport) NoteRejected() { t.stats.Rejected++ }
+// state (see Stats.Rejected) in its node's counters. Components call it
+// through their Env when a share, certificate, proof, or proposal fails
+// verification.
+func (t *Transport) NoteRejected() { t.m.stats.Rejected++ }
 
-// Stats returns a snapshot of the counters.
-func (t *Transport) Stats() Stats { return t.stats }
+// Stats returns a snapshot of its node's counters (Mux.Stats) without the
+// entry-byte ledger.
+func (t *Transport) Stats() Stats { return t.m.stats }
 
 // Batched reports whether the epoch runs on ConsensusBatcher rather than
 // the per-instance baseline: the mode an engine's wireless rules follow,
@@ -413,7 +413,7 @@ func (t *Transport) apply(in Intent) {
 	e := &t.live[i]
 	e.Intent, e.age = in, 0
 	t.markDirty(e)
-	t.Flush()
+	t.flush()
 }
 
 // markDirty queues an intent for the next frame.
@@ -485,7 +485,7 @@ func (t *Transport) SetNack(kind packet.Kind, phase packet.Phase, bits packet.Bi
 	r.bits = bits.Clone()
 	if changed {
 		t.rowsChanged = true
-		t.Flush()
+		t.flush()
 	}
 }
 
@@ -510,11 +510,11 @@ func rowOrder(kind packet.Kind, phase packet.Phase) uint16 {
 	return uint16(kind)<<8 | uint16(phase)
 }
 
-// Flush says the epoch has something to send: the node contends for the
+// flush says the epoch has something to send: the node contends for the
 // medium (Mux.flush), and whatever is dirty when its station wins goes
 // out. Calls before then coalesce — this is where channel-contention
 // pressure turns into batching opportunity.
-func (t *Transport) Flush() {
+func (t *Transport) flush() {
 	if !t.stopped {
 		t.m.flush()
 	}
@@ -587,7 +587,7 @@ func (t *Transport) resend() {
 		}
 	}
 	if marked {
-		t.Flush()
+		t.flush()
 	}
 	if paced {
 		t.paced, t.m.paced, t.m.awaited = true, true, oldest
@@ -765,7 +765,7 @@ func (t *Transport) ask(e *liveIntent, now time.Duration, next *time.Duration) b
 // answer sends what requests queued and arms the timer for the rest.
 func (t *Transport) answer(flush bool, next time.Duration) {
 	if flush {
-		t.Flush()
+		t.flush()
 	}
 	t.armRetx(next)
 }
@@ -922,17 +922,16 @@ func (t *Transport) sendLogical(sections []packet.Section, follows bool) {
 	}
 	sig := m.auth.Sign()
 	signed := m.cpu.Charge(m.auth.CostSign)
-	t.stats.SignOps++
+	m.stats.SignOps++
 	raw := append(body, byte(len(sig)>>8), byte(len(sig)))
 	raw = append(raw, sig...)
 	m.out.enc = raw
-	t.stats.LogicalSent++
-	t.stats.BytesSent += uint64(len(raw))
+	m.stats.LogicalSent++
 	chunk := st.Channel().Config().MaxFrame - fragHeaderLen
 	total := fragmentCount(len(raw), chunk)
 	for i := 0; i < total; i++ {
 		m.out.fragBuf = appendFragment(m.out.fragBuf[:0], raw, uint16(st.ID()), m.out.seq, i, total, chunk)
-		t.stats.FragmentsSent++
+		m.stats.FragmentsSent++
 		if i == 0 && !follows {
 			st.Queue(m.out.fragBuf, signed)
 		} else {
@@ -1009,17 +1008,17 @@ func (t *Transport) dispatch(from uint16, raw []byte, stale bool) {
 	if t.stopped {
 		return
 	}
-	t.stats.VerifyOps++
+	t.m.stats.VerifyOps++
 	dec := &t.m.dec
 	frame, _, err := dec.Decode(raw)
 	if err != nil {
-		t.stats.AuthFailures++
+		t.m.stats.AuthFailures++
 		return
 	}
 	if !t.m.auth.Verify(from, frame.Sender, frame.Sig) {
-		t.stats.AuthFailures++
+		t.m.stats.AuthFailures++
 	} else {
-		t.stats.LogicalRecv++
+		t.m.stats.LogicalRecv++
 		for i := range frame.Sections {
 			sec := &frame.Sections[i]
 			// The kind is a byte off the wire: past the table, no handler.

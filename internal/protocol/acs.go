@@ -46,6 +46,7 @@ func Coins() []CoinKind { return []CoinKind{CoinLocal, CoinSig, CoinFlip} }
 type binaryAgreement interface {
 	Input(slot int, v bool)
 	Decided(slot int) *bool
+	DecidedCount() int
 }
 
 // newABA builds the ABA matching the coin kind; shared is one coin per
@@ -79,7 +80,8 @@ func newABA(env *component.Env, slots int, coin CoinKind, shared bool, onDecide 
 // ACS is HoneyBadgerBFT's (and BEAT's) asynchronous common subset: N
 // parallel RBCs feed N parallel ABAs; the union of 1-decided slots is the
 // epoch output. Optional threshold encryption adds the decryption-share
-// exchange after the subset is fixed.
+// exchange after the subset is fixed. Which slots delivered and what
+// their agreements decided, it reads from the RBC and the ABA.
 type ACS struct {
 	env     *component.Env
 	rbc     *component.RBC
@@ -89,19 +91,16 @@ type ACS struct {
 
 	abaStarted bool
 	slots      []acsSlot // by proposer slot
-	nDelivered int
-	nDecided   int
 	outputs    [][]byte
 	onDecide   func()
 }
 
-// acsSlot is what the subset knows about one proposer's slot: whether its
-// RBC delivered, whether its ABA decided and what, whether its ciphertext
-// went to the decryptor, and its decrypted proposal once opened (nil for a
-// malformed ciphertext).
+// acsSlot is what the subset adds to one proposer's slot: whether its
+// ciphertext went to the decryptor, and its decrypted proposal once opened
+// (nil for a malformed ciphertext).
 type acsSlot struct {
-	delivered, decided, accepted, submitted, opened bool
-	plain                                           []byte
+	submitted, opened bool
+	plain             []byte
 }
 
 // newACS builds the instance and registers its components.
@@ -118,7 +117,7 @@ func newACS(env *component.Env, opts Options) Instance {
 	})
 	// The parallel ABAs share one coin per round where the epoch's
 	// transport batches them: the wireless rule of Sec. V-A.
-	a.aba = newABA(env, env.N, opts.Coin, env.T.Batched(), a.onABADecide)
+	a.aba = newABA(env, env.N, opts.Coin, env.T.Batched(), func(int, bool) { a.maybeFinish() })
 	if opts.Encrypt {
 		a.dec = component.NewDecryptor(env, env.N, a.onPlain)
 	}
@@ -143,27 +142,13 @@ func (a *ACS) Outputs() [][]byte { return a.outputs }
 // RBCs complete, ALL ABA instances start simultaneously — 1 for the
 // completed set, 0 for the rest — so Byzantine nodes cannot exploit early
 // coin access, and the fastest 2f+1 proposals are favored.
-func (a *ACS) onRBCDeliver(slot int, _ []byte) {
-	if s := &a.slots[slot]; !s.delivered {
-		s.delivered = true
-		a.nDelivered++
-	}
-	if !a.abaStarted && a.nDelivered >= a.env.Quorum() {
+func (a *ACS) onRBCDeliver(int, []byte) {
+	if !a.abaStarted && a.rbc.DeliveredCount() >= a.env.Quorum() {
 		a.abaStarted = true
 		for s := range a.slots {
-			a.aba.Input(s, a.slots[s].delivered)
+			a.aba.Input(s, a.rbc.Delivered(s))
 		}
 	}
-	a.maybeFinish()
-}
-
-func (a *ACS) onABADecide(slot int, v bool) {
-	s := &a.slots[slot]
-	if !s.decided {
-		s.decided = true
-		a.nDecided++
-	}
-	s.accepted = v
 	a.maybeFinish()
 }
 
@@ -178,15 +163,15 @@ func (a *ACS) onPlain(slot int, plain []byte) {
 // delivered ciphertext goes to the decryptor as soon as the subset is
 // fixed, so the accepted slots' decryption shares travel together.
 func (a *ACS) maybeFinish() {
-	if a.outputs != nil || a.nDecided < a.env.N {
+	if a.outputs != nil || a.aba.DecidedCount() < a.env.N {
 		return
 	}
 	ready := true
 	for slot := range a.slots {
 		s := &a.slots[slot]
 		switch {
-		case !s.accepted || s.opened:
-		case !s.delivered:
+		case !*a.aba.Decided(slot) || s.opened:
+		case !a.rbc.Delivered(slot):
 			ready = false // RBC totality will deliver it; NACK repair is running
 		case !a.encrypt:
 		case s.submitted:
@@ -210,7 +195,7 @@ func (a *ACS) maybeFinish() {
 	}
 	outputs := make([][]byte, a.env.N)
 	for slot, s := range a.slots {
-		if !s.accepted {
+		if !*a.aba.Decided(slot) {
 			continue
 		}
 		if a.encrypt {

@@ -94,8 +94,9 @@ func runBadCiphertextEpoch(t *testing.T, bad func(env *component.Env, plain []by
 	rejected := make([]uint64, len(insts))
 	for i, a := range insts {
 		if a.Outputs() == nil {
+			d := a.aba.Decided(badSlot)
 			t.Fatalf("node %d still waits at %v: bad slot accepted=%v opened=%v",
-				i, sched.Now(), a.slots[badSlot].accepted, a.slots[badSlot].opened)
+				i, sched.Now(), d != nil && *d, a.slots[badSlot].opened)
 		}
 		out := a.Outputs()
 		for slot := range out {
@@ -107,7 +108,7 @@ func runBadCiphertextEpoch(t *testing.T, bad func(env *component.Env, plain []by
 				t.Errorf("node %d slot %d: output %q, want %q", i, slot, out[slot], want)
 			}
 		}
-		if !a.slots[badSlot].accepted {
+		if !*a.aba.Decided(badSlot) {
 			t.Errorf("node %d: the bad slot was not accepted; the test did not reach the hand-off", i)
 		}
 		rejected[i] = envs[i].T.Stats().Rejected

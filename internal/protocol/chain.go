@@ -116,17 +116,15 @@ type Chain struct {
 	committedBytes uint64
 	dedupDropped   int
 	commitLatency  time.Duration // summed start->commit across committed epochs
-	// submitAt records when each locally admitted transaction was
-	// submitted; commit moves the entry into txLat as a true per-
-	// transaction submit->commit latency sample. MeanCommitLatency is
-	// epoch-granularity (proposal cut -> epoch commit) and under bursty
-	// load wildly understates what a client actually waits — a
-	// transaction can sit pooled across many epochs before any cut takes
-	// it — so the percentile reporting runs off these samples instead.
-	// Bookkeeping only: no scheduler or RNG interaction, so enabling it
-	// cannot shift a simulated outcome.
-	submitAt map[txKey]time.Duration
-	txLat    []time.Duration
+	// txLat holds a true per-transaction submit->commit latency sample
+	// for each locally admitted transaction, in commit order: commit
+	// reads its admission instant off the pool (Mempool.MarkCommitted).
+	// MeanCommitLatency is epoch-granularity (proposal cut -> epoch
+	// commit) and under bursty load wildly understates what a client
+	// actually waits — a transaction can sit pooled across many epochs
+	// before any cut takes it — so the percentile reporting runs off
+	// these samples instead.
+	txLat []time.Duration
 
 	ageEvt *sim.Event
 	// OnCommit, if set, fires after each epoch commits (driver barrier).
@@ -150,14 +148,13 @@ func NewChain(env component.Env, mux *core.Mux, cfg ChainConfig) *Chain {
 		cfg.Mempool.Shard, cfg.Mempool.Shards = env.Me, env.N
 	}
 	c := &Chain{
-		env:      env,
-		mux:      mux,
-		cfg:      cfg,
-		mempool:  NewMempool(cfg.Mempool),
-		epochs:   make(map[int]*chainEpoch),
-		led:      make(map[int]component.Led),
-		submitAt: make(map[txKey]time.Duration),
-		peerMax:  -1,
+		env:     env,
+		mux:     mux,
+		cfg:     cfg,
+		mempool: NewMempool(cfg.Mempool),
+		epochs:  make(map[int]*chainEpoch),
+		led:     make(map[int]component.Led),
+		peerMax: -1,
 	}
 	mux.OnUnknownEpoch = c.onPeerEpoch
 	return c
@@ -207,7 +204,6 @@ func (c *Chain) Submit(tx []byte) bool {
 		}
 		return false
 	}
-	c.submitAt[txDigest(tx)] = c.env.Sched.Now()
 	c.advance()
 	return true
 }
@@ -296,7 +292,9 @@ func (c *Chain) canStart() bool {
 }
 
 // armAgeTimer schedules the re-evaluation at which the oldest pending
-// transaction trips the age half of the cut policy.
+// transaction trips the age half of the cut policy. advance calls it once
+// it can start no epoch: with the window open and the chain not capped,
+// the pool is then not Ready.
 func (c *Chain) armAgeTimer() {
 	c.ageEvt.Cancel()
 	c.ageEvt = nil
@@ -305,9 +303,6 @@ func (c *Chain) armAgeTimer() {
 	}
 	if c.cfg.MaxEpochs > 0 && c.nextStart >= c.cfg.MaxEpochs {
 		return // chain capped; nothing left to start
-	}
-	if c.mempool.Ready(c.env.Sched.Now()) {
-		return // policy already satisfied; advance() consumed what it could
 	}
 	at, ok := c.mempool.AgeDeadline()
 	if !ok {
@@ -442,14 +437,10 @@ func (c *Chain) commit(e int, ep *chainEpoch) {
 	c.log = append(c.log, LogEntry{Epoch: e, Txs: txs})
 	c.committedTxs += len(txs)
 	now := c.env.Sched.Now()
-	for _, k := range keys {
-		if at, ok := c.submitAt[k]; ok {
-			c.txLat = append(c.txLat, now-at)
-			delete(c.submitAt, k)
-		}
+	for _, at := range c.mempool.MarkCommitted(keys, e) {
+		c.txLat = append(c.txLat, now-at)
 	}
 	c.commitLatency += now - ep.startedAt
-	c.mempool.MarkCommitted(keys, e)
 	// Our own proposals that lost the common subset go back in the pool.
 	c.mempool.Requeue(e)
 	c.mempool.GC(e)

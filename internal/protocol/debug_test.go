@@ -42,8 +42,8 @@ func TestDebugHoneyBadgerTrace(t *testing.T) {
 	for i, a := range insts {
 		decs, plains := "", 0
 		for s, sl := range a.slots {
-			if sl.decided {
-				decs += fmt.Sprintf("%d:%v ", s, sl.accepted)
+			if d := a.aba.Decided(s); d != nil {
+				decs += fmt.Sprintf("%d:%v ", s, *d)
 			} else {
 				decs += fmt.Sprintf("%d:? ", s)
 			}

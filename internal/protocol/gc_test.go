@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,10 +16,12 @@ import (
 // gcNet is four chains, one epoch at a time, so the GC lag is 3: an epoch
 // may close gcLag commits after its own and must close gcHold lags after
 // it; a client hands every node that is up a transaction every two seconds.
+// admitted records, by node, when its Submit took each transaction.
 type gcNet struct {
-	sched  *sim.Scheduler
-	nodes  []*node.Node
-	chains []*Chain
+	sched    *sim.Scheduler
+	nodes    []*node.Node
+	chains   []*Chain
+	admitted []map[string]time.Duration
 }
 
 // gcWindow is gcNet's pipeline depth and gcLag the GC lag it sets.
@@ -42,13 +45,14 @@ func newGCNet(t *testing.T, seed int64) *gcNet {
 		nd := node.New(g.sched, ch, wireless.NodeID(i), suites[i], node.Config{Transport: core.DefaultConfig(true), Seed: seed})
 		g.nodes = append(g.nodes, nd)
 		g.chains = append(g.chains, NewChain(*nd.Env(4), nd.Mux(), cfg))
+		g.admitted = append(g.admitted, make(map[string]time.Duration))
 	}
 	seq := 0
 	var client func()
 	client = func() {
 		for i, c := range g.chains {
-			if !g.nodes[i].Down() {
-				c.Submit(MakeClientTx(seq, 64))
+			if tx := MakeClientTx(seq, 64); !g.nodes[i].Down() && c.Submit(tx) {
+				g.admitted[i][string(tx)] = g.sched.Now()
 			}
 		}
 		seq++
@@ -141,5 +145,41 @@ func TestGCWaitsForPeersFrontiers(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestTxLatencySample: a node's tx-latency sample holds one entry per
+// transaction it admitted and committed — its commit instant minus its
+// Submit instant — in commit order, and none for the client's arrivals
+// while it was down, which it commits too once it is back.
+func TestTxLatencySample(t *testing.T) {
+	g := newGCNet(t, 5)
+	c := g.chains[3]
+	var want []time.Duration
+	unadmitted := 0
+	c.OnCommit = func(int) {
+		log := c.Log()
+		for _, tx := range log[len(log)-1].Txs {
+			if at, ok := g.admitted[3][string(tx)]; ok {
+				want = append(want, g.sched.Now()-at)
+			} else {
+				unadmitted++
+			}
+		}
+	}
+	g.until(t, "two epochs committed", func() bool { return c.CommittedEpochs() >= 2 })
+	g.nodes[3].Crash()
+	c.Crash()
+	back := g.sched.Now() + time.Minute
+	g.until(t, "a minute of arrivals", func() bool { return g.sched.Now() >= back })
+	g.nodes[3].Recover()
+	c.Recover()
+	frontier := g.chains[0].CommittedEpochs()
+	g.until(t, "node 3 commits past the survivors' frontier", func() bool { return c.CommittedEpochs() > frontier+1 })
+	if unadmitted == 0 || len(want) == 0 {
+		t.Fatalf("node 3 committed %d transactions it admitted and %d it did not; want both", len(want), unadmitted)
+	}
+	if got := c.TxLatencies(); !slices.Equal(got, want) {
+		t.Fatalf("tx-latency sample %v, want %v", got, want)
 	}
 }

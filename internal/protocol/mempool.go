@@ -62,7 +62,7 @@ type MempoolConfig struct {
 type mtx struct {
 	data []byte
 	key  txKey
-	enq  time.Duration
+	enq  time.Duration // admitted: the age policy's clock, the tx latency's start
 	// inflight is the epoch currently proposing this transaction, or -1.
 	// In-flight transactions stay in the pool (their slot may be rejected
 	// by the common subset) but are skipped by later cuts until requeued.
@@ -252,13 +252,17 @@ func (m *Mempool) Cut(epoch int, now time.Duration) [][]byte {
 	return out
 }
 
-// MarkCommitted records keys as committed in epoch and drops matching
-// transactions from the pool, whether pending or in flight.
-func (m *Mempool) MarkCommitted(keys []txKey, epoch int) {
+// MarkCommitted records keys as committed in epoch, drops matching
+// transactions from the pool, whether pending or in flight, and returns
+// the admission instants of those it held, in keys order.
+func (m *Mempool) MarkCommitted(keys []txKey, epoch int) (admitted []time.Duration) {
 	drop := make(map[txKey]bool, len(keys))
 	for _, k := range keys {
 		m.committed[k] = epoch
 		drop[k] = true
+		if e, ok := m.index[k]; ok {
+			admitted = append(admitted, e.enq)
+		}
 	}
 	kept := m.txs[:0]
 	for _, e := range m.txs {
@@ -276,6 +280,7 @@ func (m *Mempool) MarkCommitted(keys []txKey, epoch int) {
 		m.txs[i] = nil
 	}
 	m.txs = kept
+	return admitted
 }
 
 // Requeue returns epoch's surviving in-flight transactions to pending:

@@ -255,7 +255,7 @@ func (d *mhcDriver) onGlobalCommit(cl *mhcCluster, entry protocol.LogEntry) {
 		c, ok := d.parseCut(tx)
 		if !ok {
 			// Malformed or out-of-range: rejected with no crypto spent.
-			d.rejectCut(cl, g)
+			d.rejectCut(cl)
 			continue
 		}
 		d.certs.Verifies++
@@ -263,7 +263,7 @@ func (d *mhcDriver) onGlobalCommit(cl *mhcCluster, entry protocol.LogEntry) {
 			if d.certified(c) {
 				d.acceptCut(cl, tx, c)
 			} else {
-				d.rejectCut(cl, g)
+				d.rejectCut(cl)
 			}
 		})
 	}
@@ -286,13 +286,11 @@ func (d *mhcDriver) acceptCut(cl *mhcCluster, tx []byte, c cut) {
 }
 
 // rejectCut discards a committed global transaction that failed cut
-// authentication, counting it into the seat transport's Stats.Rejected
-// like every other verification discard.
-func (d *mhcDriver) rejectCut(cl *mhcCluster, g int) {
+// authentication, counting it into the seat's Stats.Rejected like every
+// other verification discard.
+func (d *mhcDriver) rejectCut(cl *mhcCluster) {
 	d.certs.RejectedCuts++
-	if tr := cl.seat().Mux().Lookup(uint16(g)); tr != nil {
-		tr.NoteRejected()
-	}
+	cl.seat().Mux().NoteRejected()
 }
 
 // beacon broadcasts the cluster seat's current global frontier — cut

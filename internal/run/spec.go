@@ -209,6 +209,10 @@ func (s Spec) normalize() Spec {
 	if s.Workload.Kind == "" {
 		s.Workload.Kind = LoadOneShot
 	}
+	if s.Workload.TxSize <= 0 {
+		s.Workload.TxSize = 64
+	}
+	s.Workload.TxSize = max(s.Workload.TxSize, 12)
 	switch s.Workload.Kind {
 	case LoadOneShot:
 		if s.Workload.Epochs <= 0 {
@@ -216,12 +220,6 @@ func (s Spec) normalize() Spec {
 		}
 		if s.Workload.BatchSize <= 0 {
 			s.Workload.BatchSize = 4
-		}
-		if s.Workload.TxSize <= 0 {
-			s.Workload.TxSize = 64
-		}
-		if s.Workload.TxSize < 12 {
-			s.Workload.TxSize = 12
 		}
 		// A depth-1 chain whose unsharded pool cuts one batch at a time.
 		batch := 0
@@ -239,12 +237,6 @@ func (s Spec) normalize() Spec {
 		}
 		if s.Workload.Window <= 0 {
 			s.Workload.Window = 1
-		}
-		if s.Workload.TxSize <= 0 {
-			s.Workload.TxSize = 64
-		}
-		if s.Workload.TxSize < 12 {
-			s.Workload.TxSize = 12
 		}
 		if s.Workload.TxInterval <= 0 {
 			s.Workload.TxInterval = 4 * time.Second
@@ -299,14 +291,11 @@ func (s Spec) validate() error {
 	return nil
 }
 
-// Nodes returns the deployment's flat node count (the scenario id space).
+// Nodes returns the deployment's flat node count (the scenario id space)
+// of a normalized Spec, whose clustered PerCluster is set.
 func (s Spec) Nodes() int {
 	if s.Topology.Kind == TopoClustered {
-		per := s.Topology.PerCluster
-		if per == 0 {
-			per = s.N
-		}
-		return s.Topology.Clusters * per
+		return s.Topology.Clusters * s.Topology.PerCluster
 	}
 	return s.N
 }
