@@ -88,12 +88,11 @@ func newInstance(env *component.Env, kind Component, l load) (instance, error) {
 	case ABALC:
 		c := component.NewBrachaABA(env, component.BrachaOptions{Slots: l.slots})
 		return agreement(c.Input, c.Decided), nil
-	case ABASC, ABACP:
-		coin := component.SigCoin
-		if kind == ABACP {
-			coin = component.FlipCoin
-		}
-		c := component.NewCachinABA(env, component.CachinOptions{Slots: l.slots, SharedCoin: l.shared, Coin: coin(env)})
+	case ABASC:
+		c := component.NewCachinABA(env, component.SigCoin(env), component.CachinOptions{Slots: l.slots, SharedCoin: l.shared})
+		return agreement(c.Input, c.Decided), nil
+	case ABACP:
+		c := component.NewCachinABA(env, component.FlipCoin(env), component.CachinOptions{Slots: l.slots, SharedCoin: l.shared})
 		return agreement(c.Input, c.Decided), nil
 	}
 	return instance{}, fmt.Errorf("bench: unknown component %q", kind)

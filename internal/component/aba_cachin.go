@@ -16,14 +16,15 @@ import (
 //
 // Only every third round draws the threshold coin; the others use a fixed
 // one (fixedCoin).
-type CachinABA struct {
+type CachinABA[S, V any] struct {
 	deciding
-	coin       collector[[]byte, coinShare, bool]
+	coin       collector[[]byte, S, V]
+	bit        func(V) bool
 	sharedCoin bool
 	slots      []*abaSlot
-	// shared holds the shared coin of each round, by round (SharedCoin
-	// only); a per-slot coin lives in its slot's round record.
-	shared []*coinState
+	// coins holds every coin mentioned, the shared coin of a round
+	// (SharedCoin) and a slot's own alike.
+	coins map[coinKey]*coinState[S, V]
 }
 
 type coinKey struct {
@@ -38,8 +39,8 @@ func coinOfID(id int) coinKey { return coinKey{slot: uint8(id >> 16), round: uin
 
 // coinState is one coin: the tally of its shares over the coin's name,
 // and who is waiting for its value.
-type coinState struct {
-	tally[[]byte, coinShare, bool]
+type coinState[S, V any] struct {
+	tally[[]byte, S, V]
 	released bool
 	waiting  []func(bool)
 }
@@ -66,27 +67,28 @@ type abaRound struct {
 	auxVal    bool
 	valsReady bool
 	advanced  bool
-	coin      *coinState // the slot's own coin for the round (not SharedCoin)
 }
 
 // CachinOptions configures the component.
 type CachinOptions struct {
 	Slots      int
-	Coin       CoinSource
 	SharedCoin bool // one coin per round across all instances (batched mode)
 	OnDecide   func(slot int, value bool)
 }
 
-// NewCachinABA creates the component and registers it on the transport.
-func NewCachinABA(env *Env, opts CachinOptions) *CachinABA {
-	a := &CachinABA{
+// NewCachinABA creates the component, drawing coin, and registers it on
+// the transport.
+func NewCachinABA[S, V any](env *Env, coin Coin[S, V], opts CachinOptions) *CachinABA[S, V] {
+	a := &CachinABA[S, V]{
 		deciding:   deciding{env: env, onDecide: opts.OnDecide},
+		bit:        coin.bit,
 		sharedCoin: opts.SharedCoin,
+		coins:      make(map[coinKey]*coinState[S, V]),
 	}
 	a.pruned = func(p packet.Phase) bool {
 		return p == packet.PhaseBval || p == packet.PhaseAux || (p == packet.PhaseShare && !a.sharedCoin)
 	}
-	a.coin = collector[[]byte, coinShare, bool]{scheme: opts.Coin.scheme, env: env, combined: a.coinCombined}
+	a.coin = collector[[]byte, S, V]{scheme: coin.scheme, env: env, combined: a.coinCombined}
 	for i := 0; i < opts.Slots; i++ {
 		s := &abaSlot{}
 		a.slots = append(a.slots, s)
@@ -101,7 +103,7 @@ func NewCachinABA(env *Env, opts CachinOptions) *CachinABA {
 // Sec. V-A (all parallel instances start simultaneously once 2f+1 RBCs
 // finish) is enforced by the protocol layer calling Input for all slots in
 // the same event.
-func (a *CachinABA) Input(slot int, v bool) {
+func (a *CachinABA[S, V]) Input(slot int, v bool) {
 	s := a.slots[slot]
 	if s.started {
 		return
@@ -114,7 +116,7 @@ func (a *CachinABA) Input(slot int, v bool) {
 
 // round returns the record of round r of a slot, creating it on first
 // mention. Callers have checked r against roundCap.
-func (a *CachinABA) round(slot int, r uint16) *abaRound {
+func (a *CachinABA[S, V]) round(slot int, r uint16) *abaRound {
 	s := a.slots[slot]
 	for len(s.rounds) <= int(r) {
 		s.rounds = append(s.rounds, nil)
@@ -125,7 +127,7 @@ func (a *CachinABA) round(slot int, r uint16) *abaRound {
 	return s.rounds[r]
 }
 
-func (a *CachinABA) startRound(slot int) {
+func (a *CachinABA[S, V]) startRound(slot int) {
 	s := a.slots[slot]
 	if a.halted.Get(slot) {
 		return
@@ -159,7 +161,7 @@ func b2i(v bool) int {
 	return 0
 }
 
-func (a *CachinABA) sendBval(slot int, round uint16, v bool) {
+func (a *CachinABA[S, V]) sendBval(slot int, round uint16, v bool) {
 	rd := a.round(slot, round)
 	if rd.bvalSent[b2i(v)] {
 		return
@@ -170,7 +172,7 @@ func (a *CachinABA) sendBval(slot int, round uint16, v bool) {
 }
 
 // publishBval puts the BVALs this node has sent in a round on the air.
-func (a *CachinABA) publishBval(slot int, round uint16, rd *abaRound) {
+func (a *CachinABA[S, V]) publishBval(slot int, round uint16, rd *abaRound) {
 	var bits uint8
 	if rd.bvalSent[0] {
 		bits |= 1
@@ -184,7 +186,7 @@ func (a *CachinABA) publishBval(slot int, round uint16, rd *abaRound) {
 	})
 }
 
-func (a *CachinABA) sendAux(slot int, round uint16, v bool) {
+func (a *CachinABA[S, V]) sendAux(slot int, round uint16, v bool) {
 	rd := a.round(slot, round)
 	if rd.auxSent {
 		return
@@ -196,7 +198,7 @@ func (a *CachinABA) sendAux(slot int, round uint16, v bool) {
 }
 
 // publishAux puts the AUX vote this node cast in a round on the air.
-func (a *CachinABA) publishAux(slot int, round uint16, rd *abaRound) {
+func (a *CachinABA[S, V]) publishAux(slot int, round uint16, rd *abaRound) {
 	a.env.T.Update(core.Intent{
 		IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux, Slot: uint8(slot), Round: round},
 		Data:      []byte{uint8(b2i(rd.auxVal))},
@@ -204,7 +206,7 @@ func (a *CachinABA) publishAux(slot int, round uint16, rd *abaRound) {
 }
 
 // HandleSection implements core.Handler.
-func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
+func (a *CachinABA[S, V]) HandleSection(from uint16, sec packet.Section) {
 	w, ok := a.env.peer(from)
 	if !ok {
 		return
@@ -238,7 +240,7 @@ func (a *CachinABA) HandleSection(from uint16, sec packet.Section) {
 	}
 }
 
-func (a *CachinABA) applyBval(slot int, round uint16, w int, v bool) {
+func (a *CachinABA[S, V]) applyBval(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
 	if !s.started || a.halted.Get(slot) || int(round) > roundCap {
 		return
@@ -263,7 +265,7 @@ func (a *CachinABA) applyBval(slot int, round uint16, w int, v bool) {
 	}
 }
 
-func (a *CachinABA) applyAux(slot int, round uint16, w int, v bool) {
+func (a *CachinABA[S, V]) applyAux(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
 	if !s.started || a.halted.Get(slot) || int(round) > roundCap {
 		return
@@ -279,7 +281,7 @@ func (a *CachinABA) applyAux(slot int, round uint16, w int, v bool) {
 // checkRound fires when N-f AUX votes carrying bin_values have arrived:
 // in a fixed-coin round, advance at once; else release the coin share,
 // and once the coin is known, advance.
-func (a *CachinABA) checkRound(slot int, round uint16) {
+func (a *CachinABA[S, V]) checkRound(slot int, round uint16) {
 	s := a.slots[slot]
 	if round != s.round || s.rounds[round].advanced {
 		return
@@ -325,7 +327,7 @@ func fixedCoin(round uint16) (coin, fixed bool) {
 
 // coinKeyFor returns the coin identity for (slot, round) under the
 // configured sharing mode.
-func (a *CachinABA) coinKeyFor(slot int, round uint16) coinKey {
+func (a *CachinABA[S, V]) coinKeyFor(slot int, round uint16) coinKey {
 	if a.sharedCoin {
 		return coinKey{slot: sharedSlot, round: round}
 	}
@@ -333,32 +335,23 @@ func (a *CachinABA) coinKeyFor(slot int, round uint16) coinKey {
 }
 
 // shareIntent is where this node's share of coin k goes on the air.
-func (a *CachinABA) shareIntent(k coinKey) core.IntentKey {
+func (a *CachinABA[S, V]) shareIntent(k coinKey) core.IntentKey {
 	return core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Slot: k.slot, Sub: uint8(a.env.Me), Round: k.round}
 }
 
-// coinState returns coin k's state, creating it on first mention: the
-// shared coin is kept with its round, a slot's own in the slot's round
-// record. The caller has checked k's slot and round are in range.
-func (a *CachinABA) coinState(k coinKey) *coinState {
-	var at **coinState
-	if k.slot == sharedSlot {
-		for len(a.shared) <= int(k.round) {
-			a.shared = append(a.shared, nil)
-		}
-		at = &a.shared[k.round]
-	} else {
-		at = &a.round(int(k.slot), k.round).coin
-	}
-	if *at == nil {
-		cs := &coinState{}
+// coinState returns coin k's state, creating it on first mention. The
+// caller has checked k's slot and round are in range.
+func (a *CachinABA[S, V]) coinState(k coinKey) *coinState[S, V] {
+	cs := a.coins[k]
+	if cs == nil {
+		cs = &coinState[S, V]{}
 		cs.subject, cs.open = coinName(a.env.Session, a.env.Epoch, k.slot, k.round), true
-		*at = cs
+		a.coins[k] = cs
 	}
-	return *at
+	return cs
 }
 
-func (a *CachinABA) releaseCoinShare(slot int, round uint16) {
+func (a *CachinABA[S, V]) releaseCoinShare(slot int, round uint16) {
 	k := a.coinKeyFor(slot, round)
 	cs := a.coinState(k)
 	if cs.released {
@@ -368,7 +361,7 @@ func (a *CachinABA) releaseCoinShare(slot int, round uint16) {
 	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k))
 }
 
-func (a *CachinABA) handleCoinShare(slot uint8, round uint16, w int, flags uint8, data []byte) {
+func (a *CachinABA[S, V]) handleCoinShare(slot uint8, round uint16, w int, flags uint8, data []byte) {
 	if a.sharedCoin != (slot == sharedSlot) {
 		return // batched mode uses the shared coin and nothing else does
 	}
@@ -383,25 +376,25 @@ func (a *CachinABA) handleCoinShare(slot uint8, round uint16, w int, flags uint8
 	a.coin.offer(&a.coinState(k).tally, k.id(), w, flags, data)
 }
 
-func (a *CachinABA) coinCombined(id int, v bool) {
-	cs := a.coinState(coinOfID(id))
+func (a *CachinABA[S, V]) coinCombined(id int, v V) {
+	cs, coin := a.coins[coinOfID(id)], a.bit(v)
 	for _, fn := range cs.waiting {
-		fn(v)
+		fn(coin)
 	}
 	cs.waiting = nil
 }
 
-func (a *CachinABA) withCoin(slot int, round uint16, fn func(bool)) {
+func (a *CachinABA[S, V]) withCoin(slot int, round uint16, fn func(bool)) {
 	cs := a.coinState(a.coinKeyFor(slot, round))
 	if cs.done {
-		fn(cs.value)
+		fn(a.bit(cs.value))
 		return
 	}
 	cs.waiting = append(cs.waiting, fn)
 }
 
 // advance applies the round decision rule and moves to the next round.
-func (a *CachinABA) advance(slot int, round uint16, vals [2]bool, coin bool) {
+func (a *CachinABA[S, V]) advance(slot int, round uint16, vals [2]bool, coin bool) {
 	s := a.slots[slot]
 	if round != s.round {
 		return
@@ -436,7 +429,7 @@ func (a *CachinABA) advance(slot int, round uint16, vals [2]bool, coin bool) {
 // coin share, or the certificate that took the share's place (settle): the
 // peer climbs the schedule the protocol's own way, with no estimate
 // injected.
-func (a *CachinABA) pruneRounds(slot int, current uint16) {
+func (a *CachinABA[S, V]) pruneRounds(slot int, current uint16) {
 	if current < 2 {
 		return
 	}

@@ -24,12 +24,13 @@ import (
 //   - batched parallel instances share one coin per round (SharedCoin);
 //   - serial execution releases coin shares only for the active instance,
 //     so Byzantine nodes cannot learn future coins early.
-type refCachinABA struct {
+type refCachinABA[S, V any] struct {
 	refDeciding
-	coin       collector[[]byte, coinShare, bool]
+	coin       collector[[]byte, S, V]
+	bit        func(V) bool
 	sharedCoin bool
 	slots      []*refAbaSlot
-	coins      map[int]*coinState // by coinKey.id
+	coins      map[int]*coinState[S, V] // by coinKey.id
 }
 
 type refAbaSlot struct {
@@ -52,16 +53,17 @@ type refAbaRound struct {
 }
 
 // newRefCachinABA creates the component and registers it on the transport.
-func newRefCachinABA(env *Env, opts CachinOptions) *refCachinABA {
-	a := &refCachinABA{
+func newRefCachinABA[S, V any](env *Env, coin Coin[S, V], opts CachinOptions) *refCachinABA[S, V] {
+	a := &refCachinABA[S, V]{
 		refDeciding: refDeciding{env: env, onDecide: opts.OnDecide},
+		bit:         coin.bit,
 		sharedCoin:  opts.SharedCoin,
-		coins:       make(map[int]*coinState),
+		coins:       make(map[int]*coinState[S, V]),
 	}
 	a.pruned = func(p packet.Phase) bool {
 		return p == packet.PhaseBval || p == packet.PhaseAux || (p == packet.PhaseShare && !a.sharedCoin)
 	}
-	a.coin = collector[[]byte, coinShare, bool]{scheme: opts.Coin.scheme, env: env, combined: a.coinCombined}
+	a.coin = collector[[]byte, S, V]{scheme: coin.scheme, env: env, combined: a.coinCombined}
 	for i := 0; i < opts.Slots; i++ {
 		s := &refAbaSlot{rounds: make(map[uint16]*refAbaRound)}
 		a.slots = append(a.slots, s)
@@ -76,7 +78,7 @@ func newRefCachinABA(env *Env, opts CachinOptions) *refCachinABA {
 // Sec. V-A (all parallel instances start simultaneously once 2f+1 RBCs
 // finish) is enforced by the protocol layer calling Input for all slots in
 // the same event.
-func (a *refCachinABA) Input(slot int, v bool) {
+func (a *refCachinABA[S, V]) Input(slot int, v bool) {
 	s := a.slots[slot]
 	if s.started {
 		return
@@ -87,7 +89,7 @@ func (a *refCachinABA) Input(slot int, v bool) {
 	a.startRound(slot)
 }
 
-func (a *refCachinABA) round(slot int, r uint16) *refAbaRound {
+func (a *refCachinABA[S, V]) round(slot int, r uint16) *refAbaRound {
 	s := a.slots[slot]
 	rd := s.rounds[r]
 	if rd == nil {
@@ -100,7 +102,7 @@ func (a *refCachinABA) round(slot int, r uint16) *refAbaRound {
 	return rd
 }
 
-func (a *refCachinABA) startRound(slot int) {
+func (a *refCachinABA[S, V]) startRound(slot int) {
 	s := a.slots[slot]
 	if s.halted {
 		return
@@ -128,7 +130,7 @@ func (a *refCachinABA) startRound(slot int) {
 	a.checkRound(slot, s.round)
 }
 
-func (a *refCachinABA) sendBval(slot int, round uint16, v bool) {
+func (a *refCachinABA[S, V]) sendBval(slot int, round uint16, v bool) {
 	rd := a.round(slot, round)
 	if rd.bvalSent[b2i(v)] {
 		return
@@ -139,7 +141,7 @@ func (a *refCachinABA) sendBval(slot int, round uint16, v bool) {
 }
 
 // publishBval puts the BVALs this node has sent in a round on the air.
-func (a *refCachinABA) publishBval(slot int, round uint16, rd *refAbaRound) {
+func (a *refCachinABA[S, V]) publishBval(slot int, round uint16, rd *refAbaRound) {
 	var bits uint8
 	if rd.bvalSent[0] {
 		bits |= 1
@@ -153,7 +155,7 @@ func (a *refCachinABA) publishBval(slot int, round uint16, rd *refAbaRound) {
 	})
 }
 
-func (a *refCachinABA) sendAux(slot int, round uint16, v bool) {
+func (a *refCachinABA[S, V]) sendAux(slot int, round uint16, v bool) {
 	rd := a.round(slot, round)
 	if rd.auxSent {
 		return
@@ -165,7 +167,7 @@ func (a *refCachinABA) sendAux(slot int, round uint16, v bool) {
 }
 
 // publishAux puts the AUX vote this node cast in a round on the air.
-func (a *refCachinABA) publishAux(slot int, round uint16, rd *refAbaRound) {
+func (a *refCachinABA[S, V]) publishAux(slot int, round uint16, rd *refAbaRound) {
 	a.env.T.Update(core.Intent{
 		IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseAux, Slot: uint8(slot), Round: round},
 		Data:      []byte{uint8(b2i(rd.auxVal))},
@@ -173,7 +175,7 @@ func (a *refCachinABA) publishAux(slot int, round uint16, rd *refAbaRound) {
 }
 
 // HandleSection implements core.Handler.
-func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
+func (a *refCachinABA[S, V]) HandleSection(from uint16, sec packet.Section) {
 	w := int(from)
 	switch sec.Phase {
 	case packet.PhaseBval:
@@ -204,7 +206,7 @@ func (a *refCachinABA) HandleSection(from uint16, sec packet.Section) {
 	}
 }
 
-func (a *refCachinABA) applyBval(slot int, round uint16, w int, v bool) {
+func (a *refCachinABA[S, V]) applyBval(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
 	if !s.started || s.halted || int(round) > roundCap {
 		return
@@ -227,7 +229,7 @@ func (a *refCachinABA) applyBval(slot int, round uint16, w int, v bool) {
 	}
 }
 
-func (a *refCachinABA) applyAux(slot int, round uint16, w int, v bool) {
+func (a *refCachinABA[S, V]) applyAux(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
 	if !s.started || s.halted || int(round) > roundCap {
 		return
@@ -244,7 +246,7 @@ func (a *refCachinABA) applyAux(slot int, round uint16, w int, v bool) {
 // checkRound fires when N-f AUX votes carrying bin_values have arrived:
 // in a fixed-coin round, advance at once; else release the coin share,
 // and once the coin is known, advance.
-func (a *refCachinABA) checkRound(slot int, round uint16) {
+func (a *refCachinABA[S, V]) checkRound(slot int, round uint16) {
 	s := a.slots[slot]
 	if round != s.round || s.rounds[round].advanced {
 		return
@@ -274,7 +276,7 @@ func (a *refCachinABA) checkRound(slot int, round uint16) {
 
 // coinKeyFor returns the coin identity for (slot, round) under the
 // configured sharing mode.
-func (a *refCachinABA) coinKeyFor(slot int, round uint16) coinKey {
+func (a *refCachinABA[S, V]) coinKeyFor(slot int, round uint16) coinKey {
 	if a.sharedCoin {
 		return coinKey{slot: sharedSlot, round: round}
 	}
@@ -282,21 +284,21 @@ func (a *refCachinABA) coinKeyFor(slot int, round uint16) coinKey {
 }
 
 // shareIntent is where this node's share of coin k goes on the air.
-func (a *refCachinABA) shareIntent(k coinKey) core.IntentKey {
+func (a *refCachinABA[S, V]) shareIntent(k coinKey) core.IntentKey {
 	return core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Slot: k.slot, Sub: uint8(a.env.Me), Round: k.round}
 }
 
-func (a *refCachinABA) coinState(k coinKey) *coinState {
+func (a *refCachinABA[S, V]) coinState(k coinKey) *coinState[S, V] {
 	cs := a.coins[k.id()]
 	if cs == nil {
-		cs = &coinState{}
+		cs = &coinState[S, V]{}
 		cs.subject, cs.open = coinName(a.env.Session, a.env.Epoch, k.slot, k.round), true
 		a.coins[k.id()] = cs
 	}
 	return cs
 }
 
-func (a *refCachinABA) releaseCoinShare(slot int, round uint16) {
+func (a *refCachinABA[S, V]) releaseCoinShare(slot int, round uint16) {
 	k := a.coinKeyFor(slot, round)
 	cs := a.coinState(k)
 	if cs.released {
@@ -306,7 +308,7 @@ func (a *refCachinABA) releaseCoinShare(slot int, round uint16) {
 	a.coin.contribute(&cs.tally, k.id(), a.shareIntent(k))
 }
 
-func (a *refCachinABA) handleCoinShare(slot uint8, round uint16, w int, flags uint8, data []byte) {
+func (a *refCachinABA[S, V]) handleCoinShare(slot uint8, round uint16, w int, flags uint8, data []byte) {
 	if a.sharedCoin != (slot == sharedSlot) {
 		return // batched mode uses the shared coin and nothing else does
 	}
@@ -318,25 +320,25 @@ func (a *refCachinABA) handleCoinShare(slot uint8, round uint16, w int, flags ui
 	a.coin.offer(&a.coinState(k).tally, k.id(), w, flags, data)
 }
 
-func (a *refCachinABA) coinCombined(id int, v bool) {
+func (a *refCachinABA[S, V]) coinCombined(id int, v V) {
 	cs := a.coins[id]
 	for _, fn := range cs.waiting {
-		fn(v)
+		fn(a.bit(v))
 	}
 	cs.waiting = nil
 }
 
-func (a *refCachinABA) withCoin(slot int, round uint16, fn func(bool)) {
+func (a *refCachinABA[S, V]) withCoin(slot int, round uint16, fn func(bool)) {
 	cs := a.coinState(a.coinKeyFor(slot, round))
 	if cs.done {
-		fn(cs.value)
+		fn(a.bit(cs.value))
 		return
 	}
 	cs.waiting = append(cs.waiting, fn)
 }
 
 // advance applies the round decision rule and moves to the next round.
-func (a *refCachinABA) advance(slot int, round uint16, vals [2]bool, coin bool) {
+func (a *refCachinABA[S, V]) advance(slot int, round uint16, vals [2]bool, coin bool) {
 	s := a.slots[slot]
 	if round != s.round {
 		return
@@ -364,7 +366,7 @@ func (a *refCachinABA) advance(slot int, round uint16, vals [2]bool, coin bool) 
 // pruneRounds parks outbound state older than the previous round: a
 // lagging honest peer can be at most one coin exchange behind, and beyond
 // that the DECIDED gadget carries it over the line.
-func (a *refCachinABA) pruneRounds(slot int, current uint16) {
+func (a *refCachinABA[S, V]) pruneRounds(slot int, current uint16) {
 	if current < 2 {
 		return
 	}

@@ -222,6 +222,49 @@ func TestBrachaABAMatchesMapModel(t *testing.T) {
 	}
 }
 
+// coinID names one entry of a coinMaterial: peer w's share of the coin
+// of (slot, round), or, under w = 0, that coin's certificate.
+type coinID struct {
+	w     int
+	slot  uint8
+	round uint16
+}
+
+// coinMaterial makes what the reference-model streams draw their coin
+// shares from: every peer's genuine share, encoded in full, of every coin
+// a stream may ask for (session 42, epoch 0, slots 0–2 and the shared
+// slot, rounds 1–6), and each such coin's certificate, made of peers 1
+// and 2's shares — nil under a coin without certificates.
+func coinMaterial[S, V any](t testing.TB, suites []*crypto.Suite, coin func(*Env) Coin[S, V]) map[coinID][]byte {
+	t.Helper()
+	out, made := map[coinID][]byte{}, map[coinID]S{}
+	var c Coin[S, V]
+	for w := 1; w < 4; w++ {
+		peer := &Env{N: 4, F: 1, Me: w, Session: 42, Suite: suites[w], Rand: rand.New(rand.NewSource(int64(w)))}
+		c = coin(peer)
+		for _, slot := range []uint8{0, 1, 2, sharedSlot} {
+			for round := uint16(1); round <= 6; round++ {
+				sh, err := c.share(coinName(42, 0, slot, round))
+				if err != nil {
+					t.Fatal(err)
+				}
+				made[coinID{w, slot, round}], out[coinID{w, slot, round}] = sh, c.encode(sh)
+			}
+		}
+	}
+	for _, slot := range []uint8{0, 1, 2, sharedSlot} {
+		for round := uint16(1); round <= 6; round++ {
+			pair := []S{made[coinID{1, slot, round}], made[coinID{2, slot, round}]}
+			_, cert, err := c.combine(coinName(42, 0, slot, round), pair)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[coinID{0, slot, round}] = cert
+		}
+	}
+	return out
+}
+
 // TestCachinABAMatchesMapModel streams random BVAL, AUX, coin-share and
 // DECIDED sections into CachinABA and into its map-based oracle, under
 // both coin-sharing modes, with every peer live and with every peer one
@@ -235,44 +278,13 @@ func TestCachinABAMatchesMapModel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Every peer's share of every coin the stream may ask for.
-	type coinID struct {
-		w     int
-		slot  uint8
-		round uint16
-	}
-	shares := map[coinID][]byte{}
-	var coin CoinSource
-	for w := 1; w < 4; w++ {
-		peer := &Env{N: 4, F: 1, Me: w, Session: 42, Suite: suites[w], Rand: rand.New(rand.NewSource(int64(w)))}
-		coin = SigCoin(peer)
-		for _, slot := range []uint8{0, 1, 2, sharedSlot} {
-			for round := uint16(1); round <= 6; round++ {
-				sh, err := coin.share(coinName(42, 0, slot, round))
-				if err != nil {
-					t.Fatal(err)
-				}
-				shares[coinID{w, slot, round}] = coin.encode(sh)
-			}
-		}
-	}
-	// And every such coin's certificate, filed under sender 0.
-	for _, slot := range []uint8{0, 1, 2, sharedSlot} {
-		for round := uint16(1); round <= 6; round++ {
-			pair := []coinShare{{raw: shares[coinID{1, slot, round}]}, {raw: shares[coinID{2, slot, round}]}}
-			_, cert, err := coin.combine(coinName(42, 0, slot, round), pair)
-			if err != nil {
-				t.Fatal(err)
-			}
-			shares[coinID{0, slot, round}] = cert
-		}
-	}
+	shares := coinMaterial(t, suites, SigCoin)
 	for _, mode := range []struct{ shared, regressed bool }{{true, false}, {false, false}, {true, true}, {false, true}} {
 		t.Run(fmt.Sprintf("shared=%v,regressed=%v", mode.shared, mode.regressed), func(t *testing.T) {
 			const seed = 5
 			dense, ref := newABASide(seed, suites[0]), newABASide(seed, suites[0])
-			a := NewCachinABA(dense.env, CachinOptions{Slots: 3, Coin: SigCoin(dense.env), SharedCoin: mode.shared, OnDecide: dense.decided})
-			r := newRefCachinABA(ref.env, CachinOptions{Slots: 3, Coin: SigCoin(ref.env), SharedCoin: mode.shared, OnDecide: ref.decided})
+			a := NewCachinABA(dense.env, SigCoin(dense.env), CachinOptions{Slots: 3, SharedCoin: mode.shared, OnDecide: dense.decided})
+			r := newRefCachinABA(ref.env, SigCoin(ref.env), CachinOptions{Slots: 3, SharedCoin: mode.shared, OnDecide: ref.decided})
 			if mode.regressed {
 				dense.regress()
 				ref.regress()

@@ -216,16 +216,16 @@ var fallbackUsers = []struct {
 		func(in core.Intent) int { return int(in.Round)/3 - 1 },
 		func(t *testing.T, tn *testNet) fallbackRig {
 			// The coins of rounds 3 and 6, the first two that are drawn.
-			var abas []*CachinABA
+			var abas []*sigABA
 			for _, env := range tn.envs {
-				a := NewCachinABA(env, CachinOptions{Slots: 2, SharedCoin: true, Coin: SigCoin(env)})
+				a := NewCachinABA(env, SigCoin(env), CachinOptions{Slots: 2, SharedCoin: true})
 				for _, round := range []uint16{3, 6} {
 					a.withCoin(0, round, func(bool) {})
 					a.releaseCoinShare(0, round)
 				}
 				abas = append(abas, a)
 			}
-			return sigRig(tn.envs[0].Suite.TSLow, 2, func(i, k int) (*tally[[]byte, coinShare, bool], []byte) {
+			return sigRig(tn.envs[0].Suite.TSLow, 2, func(i, k int) (*tally[[]byte, *threshsig.SigShare, []byte], []byte) {
 				t := &abas[i].coinState(coinKey{slot: sharedSlot, round: uint16(3 * (k + 1))}).tally
 				return t, t.cert
 			})

@@ -103,13 +103,12 @@ func TestPRBCByzantineShareRejected(t *testing.T) {
 // rejects more entries than the fixed-round ones it heard.
 func TestCachinABAByzantineCoinShares(t *testing.T) {
 	tn := newTestNet(t, 23, 0, true)
-	abas := make([]*CachinABA, 4)
+	abas := make([]*sigABA, 4)
 	for i, env := range tn.envs {
 		env := env
-		abas[i] = NewCachinABA(env, CachinOptions{
+		abas[i] = NewCachinABA(env, SigCoin(env), CachinOptions{
 			Slots:      2,
 			SharedCoin: true,
-			Coin:       SigCoin(env),
 		})
 	}
 	// Count the fixed-round share entries each node hears on the way in.

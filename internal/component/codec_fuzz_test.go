@@ -94,7 +94,7 @@ func FuzzCertEntry(f *testing.F) {
 	env := tn.envs[0]
 	coinName := coinName(env.Session, env.Epoch, sharedSlot, 1)
 	proofMsg := []byte("prbc-done proof subject")
-	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, coinShare, bool] { return SigCoin(env).scheme })
+	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] { return SigCoin(env).scheme })
 	dones := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
 		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
 	})
@@ -107,9 +107,9 @@ func FuzzCertEntry(f *testing.F) {
 	f.Add(coinCert[:len(coinCert)-1])
 	f.Add(certOf(coins, env.Suite.TSLow.K, coinName[:len(coinName)-1]))
 	f.Fuzz(func(t *testing.T, raw []byte) {
-		coin := collector[[]byte, coinShare, bool]{scheme: coins[0], env: env, combined: func(int, bool) {}}
+		coin := collector[[]byte, *threshsig.SigShare, []byte]{scheme: coins[0], env: env, combined: func(int, []byte) {}}
 		done := collector[[]byte, *threshsig.SigShare, []byte]{scheme: dones[0], env: env, combined: func(int, []byte) {}}
-		var openCoin, parkedCoin tally[[]byte, coinShare, bool]
+		var openCoin, parkedCoin tally[[]byte, *threshsig.SigShare, []byte]
 		var openProof, parkedProof tally[[]byte, *threshsig.SigShare, []byte]
 		openCoin.subject, openCoin.open = coinName, true
 		openProof.subject, openProof.open = proofMsg, true
@@ -180,7 +180,7 @@ func FuzzShareEntry(f *testing.F) {
 	env := tn.envs[0]
 	coinName := coinName(env.Session, env.Epoch, sharedSlot, 3)
 	proofMsg := []byte("prbc-done proof subject")
-	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, coinShare, bool] { return SigCoin(env).scheme })
+	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] { return SigCoin(env).scheme })
 	dones := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
 		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
 	})
@@ -222,8 +222,8 @@ func FuzzShareEntry(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		recs := parseShareRecords(raw)
 		key := core.IntentKey{Kind: packet.KindPRBC, Phase: packet.PhaseDone}
-		coin := collector[[]byte, coinShare, bool]{scheme: coins[0], env: env, combined: func(int, bool) {}}
-		var coinTally tally[[]byte, coinShare, bool]
+		coin := collector[[]byte, *threshsig.SigShare, []byte]{scheme: coins[0], env: env, combined: func(int, []byte) {}}
+		var coinTally tally[[]byte, *threshsig.SigShare, []byte]
 		coin.begin(&coinTally, 0, coinName, key)
 		tn.settle(time.Second)
 		offerRecords(tn, &coin, &coinTally, recs)

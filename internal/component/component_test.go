@@ -9,6 +9,8 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crypto"
+	"repro/internal/crypto/threshcoin"
+	"repro/internal/crypto/threshsig"
 	"repro/internal/packet"
 	"repro/internal/sim"
 	"repro/internal/wireless"
@@ -307,18 +309,23 @@ func TestCBCDeliversWithCert(t *testing.T) {
 	}
 }
 
+// The two Cachin agreements, by coin: ABA-SC and ABA-CP.
+type (
+	sigABA  = CachinABA[*threshsig.SigShare, []byte]
+	flipABA = CachinABA[*threshcoin.CoinShare, [32]byte]
+)
+
 func TestCachinABAAgreementAllOnes(t *testing.T) {
 	for _, shared := range []bool{true, false} {
 		shared := shared
 		t.Run(fmt.Sprintf("sharedCoin=%v", shared), func(t *testing.T) {
 			tn := newTestNet(t, 8, 0, true)
-			abas := make([]*CachinABA, 4)
+			abas := make([]*sigABA, 4)
 			for i, env := range tn.envs {
 				env := env
-				abas[i] = NewCachinABA(env, CachinOptions{
+				abas[i] = NewCachinABA(env, SigCoin(env), CachinOptions{
 					Slots:      4,
 					SharedCoin: shared,
-					Coin:       SigCoin(env),
 				})
 			}
 			for i := range tn.envs {
@@ -347,13 +354,12 @@ func TestCachinABAAgreementAllOnes(t *testing.T) {
 
 func TestCachinABAMixedInputsAgree(t *testing.T) {
 	tn := newTestNet(t, 9, 0, true)
-	abas := make([]*CachinABA, 4)
+	abas := make([]*flipABA, 4)
 	for i, env := range tn.envs {
 		env := env
-		abas[i] = NewCachinABA(env, CachinOptions{
+		abas[i] = NewCachinABA(env, FlipCoin(env), CachinOptions{
 			Slots:      2,
 			SharedCoin: true,
-			Coin:       FlipCoin(env),
 		})
 	}
 	// Split inputs 2-2: agreement must still hold (either value is valid).
@@ -392,185 +398,181 @@ func TestCachinABAMixedInputsAgree(t *testing.T) {
 //     agree on seeds 1–50, and every coin share any node publishes is for a
 //     round ≡ 0 (mod 3).
 func TestCachinCoinSchedule(t *testing.T) {
-	coins := []struct {
-		name string
-		coin func(*Env) CoinSource
-	}{{"SC", SigCoin}, {"CP", FlipCoin}}
-	for _, c := range coins {
-		t.Run(c.name+"/unanimous", func(t *testing.T) {
-			for _, shared := range []bool{true, false} {
-				tn := newTestNet(t, 31, 0, true)
-				abas := make([]*CachinABA, 4)
-				recs := make([]*recorder, 4)
-				decidedIn := make([][2]uint16, 4)
-				for i, env := range tn.envs {
-					i := i
-					recs[i] = record(env)
-					abas[i] = NewCachinABA(env, CachinOptions{Slots: 2, SharedCoin: shared, Coin: c.coin(env),
-						OnDecide: func(slot int, _ bool) { decidedIn[i][slot] = abas[i].slots[slot].round }})
+	testCoinSchedule(t, "SC", SigCoin)
+	testCoinSchedule(t, "CP", FlipCoin)
+}
+
+func testCoinSchedule[S, V any](t *testing.T, name string, coin func(*Env) Coin[S, V]) {
+	t.Run(name+"/unanimous", func(t *testing.T) {
+		for _, shared := range []bool{true, false} {
+			tn := newTestNet(t, 31, 0, true)
+			abas := make([]*CachinABA[S, V], 4)
+			recs := make([]*recorder, 4)
+			decidedIn := make([][2]uint16, 4)
+			for i, env := range tn.envs {
+				i := i
+				recs[i] = record(env)
+				abas[i] = NewCachinABA(env, coin(env), CachinOptions{Slots: 2, SharedCoin: shared,
+					OnDecide: func(slot int, _ bool) { decidedIn[i][slot] = abas[i].slots[slot].round }})
+			}
+			for i := range abas {
+				abas[i].Input(0, true)
+				abas[i].Input(1, false)
+			}
+			tn.run(t, 20*time.Minute, func() bool {
+				for _, a := range abas {
+					if a.DecidedCount() < 2 {
+						return false
+					}
 				}
-				for i := range abas {
-					abas[i].Input(0, true)
-					abas[i].Input(1, false)
+				return true
+			})
+			for i, a := range abas {
+				if v0, v1 := a.Decided(0), a.Decided(1); !*v0 || *v1 || decidedIn[i] != [2]uint16{1, 2} {
+					t.Errorf("shared=%v node %d: decided %v in round %d and %v in round %d; want true in 1, false in 2",
+						shared, i, *v0, decidedIn[i][0], *v1, decidedIn[i][1])
 				}
-				tn.run(t, 20*time.Minute, func() bool {
-					for _, a := range abas {
-						if a.DecidedCount() < 2 {
-							return false
-						}
+				if got := recs[i].entries(packet.PhaseShare, int(sharedSlot)); len(got) != 0 {
+					t.Errorf("shared=%v node %d published %d shared-coin entries", shared, i, len(got))
+				}
+				for slot := 0; slot < 2; slot++ {
+					if got := recs[i].entries(packet.PhaseShare, slot); len(got) != 0 {
+						t.Errorf("shared=%v node %d published %d coin entries for slot %d", shared, i, len(got), slot)
 					}
-					return true
-				})
-				for i, a := range abas {
-					if v0, v1 := a.Decided(0), a.Decided(1); !*v0 || *v1 || decidedIn[i] != [2]uint16{1, 2} {
-						t.Errorf("shared=%v node %d: decided %v in round %d and %v in round %d; want true in 1, false in 2",
-							shared, i, *v0, decidedIn[i][0], *v1, decidedIn[i][1])
-					}
-					if got := recs[i].entries(packet.PhaseShare, int(sharedSlot)); len(got) != 0 {
-						t.Errorf("shared=%v node %d published %d shared-coin entries", shared, i, len(got))
-					}
-					for slot := 0; slot < 2; slot++ {
-						if got := recs[i].entries(packet.PhaseShare, slot); len(got) != 0 {
-							t.Errorf("shared=%v node %d published %d coin entries for slot %d", shared, i, len(got), slot)
-						}
-						for r, rd := range a.slots[slot].rounds {
-							if rd != nil && rd.coin != nil {
-								t.Errorf("shared=%v node %d opened slot %d's coin of round %d", shared, i, slot, r)
-							}
-						}
-					}
-					if len(a.shared) != 0 {
-						t.Errorf("shared=%v node %d opened %d shared coins", shared, i, len(a.shared))
-					}
+				}
+				for k := range a.coins {
+					t.Errorf("shared=%v node %d opened the coin of slot %d round %d", shared, i, k.slot, k.round)
 				}
 			}
-		})
-		t.Run(c.name+"/split", func(t *testing.T) {
-			suites, err := crypto.Deal(4, 1, crypto.LightConfig(), rand.New(rand.NewSource(78)))
+		}
+	})
+	t.Run(name+"/split", func(t *testing.T) {
+		suites, err := crypto.Deal(4, 1, crypto.LightConfig(), rand.New(rand.NewSource(78)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		side := newABASide(6, suites[0])
+		env := side.env
+		rec := record(env)
+		a := NewCachinABA(env, coin(env), CachinOptions{Slots: 1, OnDecide: side.decided})
+		sharesOut := func() (rounds []uint16) {
+			for _, in := range rec.seen {
+				if in.Phase == packet.PhaseShare {
+					rounds = append(rounds, in.Round)
+				}
+			}
+			return rounds
+		}
+		made := func(w int, round uint16) S {
+			peer := &Env{N: 4, F: 1, Me: w, Session: env.Session, Suite: suites[w], Rand: rand.New(rand.NewSource(int64(w)))}
+			sh, err := coin(peer).share(coinName(env.Session, env.Epoch, 0, round))
 			if err != nil {
 				t.Fatal(err)
 			}
-			side := newABASide(6, suites[0])
-			env := side.env
-			rec := record(env)
-			a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: c.coin(env), OnDecide: side.decided})
-			sharesOut := func() (rounds []uint16) {
-				for _, in := range rec.seen {
-					if in.Phase == packet.PhaseShare {
-						rounds = append(rounds, in.Round)
-					}
-				}
-				return rounds
+			return sh
+		}
+		share := func(w int, round uint16) []byte { return coin(env).encode(made(w, round)) }
+		// What round 3's coin will be, combined off to the side.
+		c := coin(env)
+		v3, _, err := c.combine(coinName(env.Session, env.Epoch, 0, 3), []S{made(1, 3), made(2, 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coin3 := c.bit(v3)
+		// vote has peers 1 and 2 send their round-r BVALs and AUX
+		// votes: with both, BVALs for 0 and 1 and AUX votes v and ¬v;
+		// else BVAL and AUX for v alone.
+		vote := func(r uint16, both bool, v bool) {
+			bits := uint8(1) << b2i(v)
+			if both {
+				bits = 3
 			}
-			share := func(w int, round uint16) []byte {
-				peer := &Env{N: 4, F: 1, Me: w, Session: env.Session, Suite: suites[w], Rand: rand.New(rand.NewSource(int64(w)))}
-				src := c.coin(peer)
-				sh, err := src.share(coinName(env.Session, env.Epoch, 0, round))
-				if err != nil {
-					t.Fatal(err)
+			for _, w := range []uint16{1, 2} {
+				aux := v
+				if both && w == 2 {
+					aux = !v
 				}
-				return src.encode(sh)
+				a.HandleSection(w, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseBval, Entries: []packet.Entry{{Round: r, Data: []byte{bits}}}})
+				a.HandleSection(w, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseAux, Entries: []packet.Entry{{Round: r, Data: []byte{uint8(b2i(aux))}}}})
 			}
-			// What round 3's coin will be, combined off to the side.
-			coin3, _, err := c.coin(env).combine(coinName(env.Session, env.Epoch, 0, 3), []coinShare{{raw: share(1, 3)}, {raw: share(2, 3)}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// vote has peers 1 and 2 send their round-r BVALs and AUX
-			// votes: with both, BVALs for 0 and 1 and AUX votes v and ¬v;
-			// else BVAL and AUX for v alone.
-			vote := func(r uint16, both bool, v bool) {
-				bits := uint8(1) << b2i(v)
-				if both {
-					bits = 3
-				}
-				for _, w := range []uint16{1, 2} {
-					aux := v
-					if both && w == 2 {
-						aux = !v
-					}
-					a.HandleSection(w, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseBval, Entries: []packet.Entry{{Round: r, Data: []byte{bits}}}})
-					a.HandleSection(w, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseAux, Entries: []packet.Entry{{Round: r, Data: []byte{uint8(b2i(aux))}}}})
-				}
-				side.sched.RunFor(time.Second)
-			}
-			a.Input(0, true)
-			// A peer's share of round 1's coin, which no honest node draws.
-			rejected, busy := env.T.Stats().Rejected, env.CPU.BusyTotal()
-			a.HandleSection(1, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseShare, Entries: []packet.Entry{{Sub: 1, Round: 1, Data: share(1, 1)}}})
 			side.sched.RunFor(time.Second)
-			if env.T.Stats().Rejected != rejected+1 || env.CPU.BusyTotal() != busy || a.slots[0].rounds[1].coin != nil {
-				t.Errorf("a round-1 coin share was not dropped unread: rejected %d → %d, CPU %v → %v",
-					rejected, env.T.Stats().Rejected, busy, env.CPU.BusyTotal())
+		}
+		a.Input(0, true)
+		// A peer's share of round 1's coin, which no honest node draws.
+		rejected, busy := env.T.Stats().Rejected, env.CPU.BusyTotal()
+		a.HandleSection(1, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseShare, Entries: []packet.Entry{{Sub: 1, Round: 1, Data: share(1, 1)}}})
+		side.sched.RunFor(time.Second)
+		if _, opened := a.coins[coinKey{slot: 0, round: 1}]; env.T.Stats().Rejected != rejected+1 || env.CPU.BusyTotal() != busy || opened {
+			t.Errorf("a round-1 coin share was not dropped unread: rejected %d → %d, CPU %v → %v",
+				rejected, env.T.Stats().Rejected, busy, env.CPU.BusyTotal())
+		}
+		// Rounds 1 and 2: both values reach this node's vals, so each
+		// round's estimate is its fixed coin, and nothing decides.
+		vote(1, true, true)
+		vote(2, true, false)
+		if s := a.slots[0]; s.round != 3 || s.est != false || a.Decided(0) != nil {
+			t.Fatalf("after two split rounds: round %d, est %v, decided %v; want round 3, est false, undecided", s.round, s.est, a.Decided(0))
+		}
+		if got := sharesOut(); len(got) != 0 {
+			t.Fatalf("coin shares went out in fixed rounds %v", got)
+		}
+		// Round 3: the peers agree on the coming coin's value, and this
+		// node waits for the coin to decide.
+		vote(3, false, coin3)
+		if a.Decided(0) != nil {
+			t.Fatal("decided in round 3 before its coin existed")
+		}
+		if got := sharesOut(); len(got) != 1 || got[0] != 3 {
+			t.Fatalf("coin shares went out in rounds %v; want round 3's once", got)
+		}
+		a.HandleSection(1, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseShare, Entries: []packet.Entry{{Sub: 1, Round: 3, Data: share(1, 3)}}})
+		side.sched.RunFor(time.Minute)
+		if v := a.Decided(0); v == nil || *v != coin3 || !a.coins[coinKey{slot: 0, round: 3}].done || a.slots[0].round != 4 {
+			t.Fatalf("after round 3's coin (%v): decided %v in round %d", coin3, v, a.slots[0].round-1)
+		}
+	})
+	t.Run(name+"/agreement", func(t *testing.T) {
+		for seed := int64(1); seed <= 50; seed++ {
+			tn := newTestNet(t, seed, 0, true)
+			abas := make([]*CachinABA[S, V], 4)
+			recs := make([]*recorder, 4)
+			for i, env := range tn.envs {
+				recs[i] = record(env)
+				abas[i] = NewCachinABA(env, coin(env), CachinOptions{Slots: 3, SharedCoin: seed%2 == 0})
 			}
-			// Rounds 1 and 2: both values reach this node's vals, so each
-			// round's estimate is its fixed coin, and nothing decides.
-			vote(1, true, true)
-			vote(2, true, false)
-			if s := a.slots[0]; s.round != 3 || s.est != false || a.Decided(0) != nil {
-				t.Fatalf("after two split rounds: round %d, est %v, decided %v; want round 3, est false, undecided", s.round, s.est, a.Decided(0))
+			for i := range abas {
+				abas[i].Input(0, i%2 == 0)
+				abas[i].Input(1, true)
+				abas[i].Input(2, false)
 			}
-			if got := sharesOut(); len(got) != 0 {
-				t.Fatalf("coin shares went out in fixed rounds %v", got)
-			}
-			// Round 3: the peers agree on the coming coin's value, and this
-			// node waits for the coin to decide.
-			vote(3, false, coin3)
-			if a.Decided(0) != nil {
-				t.Fatal("decided in round 3 before its coin existed")
-			}
-			if got := sharesOut(); len(got) != 1 || got[0] != 3 {
-				t.Fatalf("coin shares went out in rounds %v; want round 3's once", got)
-			}
-			a.HandleSection(1, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseShare, Entries: []packet.Entry{{Sub: 1, Round: 3, Data: share(1, 3)}}})
-			side.sched.RunFor(time.Minute)
-			if v := a.Decided(0); v == nil || *v != coin3 || !a.slots[0].rounds[3].coin.done || a.slots[0].round != 4 {
-				t.Fatalf("after round 3's coin (%v): decided %v in round %d", coin3, v, a.slots[0].round-1)
-			}
-		})
-		t.Run(c.name+"/agreement", func(t *testing.T) {
-			for seed := int64(1); seed <= 50; seed++ {
-				tn := newTestNet(t, seed, 0, true)
-				abas := make([]*CachinABA, 4)
-				recs := make([]*recorder, 4)
-				for i, env := range tn.envs {
-					recs[i] = record(env)
-					abas[i] = NewCachinABA(env, CachinOptions{Slots: 3, SharedCoin: seed%2 == 0, Coin: c.coin(env)})
-				}
-				for i := range abas {
-					abas[i].Input(0, i%2 == 0)
-					abas[i].Input(1, true)
-					abas[i].Input(2, false)
-				}
-				tn.run(t, 60*time.Minute, func() bool {
-					for _, a := range abas {
-						if a.DecidedCount() < 3 {
-							return false
-						}
-					}
-					return true
-				})
-				for slot := 0; slot < 3; slot++ {
-					want := *abas[0].Decided(slot)
-					for i := 1; i < 4; i++ {
-						if *abas[i].Decided(slot) != want {
-							t.Fatalf("seed %d: agreement violated on slot %d", seed, slot)
-						}
-					}
-					if slot > 0 && want != (slot == 1) {
-						t.Fatalf("seed %d: unanimous slot %d decided %v (validity)", seed, slot, want)
+			tn.run(t, 60*time.Minute, func() bool {
+				for _, a := range abas {
+					if a.DecidedCount() < 3 {
+						return false
 					}
 				}
-				for i, rec := range recs {
-					for _, in := range rec.seen {
-						if _, fixed := fixedCoin(in.Round); in.Phase == packet.PhaseShare && fixed {
-							t.Fatalf("seed %d: node %d published a coin share for round %d", seed, i, in.Round)
-						}
+				return true
+			})
+			for slot := 0; slot < 3; slot++ {
+				want := *abas[0].Decided(slot)
+				for i := 1; i < 4; i++ {
+					if *abas[i].Decided(slot) != want {
+						t.Fatalf("seed %d: agreement violated on slot %d", seed, slot)
+					}
+				}
+				if slot > 0 && want != (slot == 1) {
+					t.Fatalf("seed %d: unanimous slot %d decided %v (validity)", seed, slot, want)
+				}
+			}
+			for i, rec := range recs {
+				for _, in := range rec.seen {
+					if _, fixed := fixedCoin(in.Round); in.Phase == packet.PhaseShare && fixed {
+						t.Fatalf("seed %d: node %d published a coin share for round %d", seed, i, in.Round)
 					}
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 func TestBrachaABAAgreement(t *testing.T) {
@@ -606,13 +608,12 @@ func TestBrachaABAAgreement(t *testing.T) {
 
 func TestCachinABAWithCrashFault(t *testing.T) {
 	tn := newTestNet(t, 11, 0, true)
-	abas := make([]*CachinABA, 4)
+	abas := make([]*sigABA, 4)
 	for i, env := range tn.envs {
 		env := env
-		abas[i] = NewCachinABA(env, CachinOptions{
+		abas[i] = NewCachinABA(env, SigCoin(env), CachinOptions{
 			Slots:      1,
 			SharedCoin: true,
-			Coin:       SigCoin(env),
 		})
 	}
 	// Node 3 crashed: no input, and its transport is silenced.
@@ -710,9 +711,9 @@ func TestBatchedFewerAccessesThanBaseline(t *testing.T) {
 // instance, go too.
 func TestHaltedAgreementKeepsOnlyDecidedClaims(t *testing.T) {
 	tn := newTestNet(t, 8, 0, true)
-	abas := make([]*CachinABA, 4)
+	abas := make([]*sigABA, 4)
 	for i, env := range tn.envs {
-		abas[i] = NewCachinABA(env, CachinOptions{Slots: 4, SharedCoin: true, Coin: SigCoin(env)})
+		abas[i] = NewCachinABA(env, SigCoin(env), CachinOptions{Slots: 4, SharedCoin: true})
 	}
 	halted := func() bool {
 		for slot := range abas[0].slots {

@@ -453,13 +453,13 @@ func TestDecryptorShareBeforeCiphertext(t *testing.T) {
 
 // collectorRig is one user's tally on node 0, seen through the one
 // collector with the type parameters erased, so a single table can drive
-// CBC's certificate, PRBC's DONE proof, both coins and the Decryptor.
+// CBC's certificate, PRBC's DONE proof, the cut certificate, both coins
+// and the Decryptor.
 type collectorRig struct {
 	k, kBare    int // shares a combination takes: verified, bare
 	verifyCost  time.Duration
 	combineCost time.Duration // what a combination of the shares as first sent is charged
 	certCost    time.Duration // 0: the scheme has no certificates
-	decodeFirst bool          // an undecodable full share is refused before anything is charged
 	bare        bool          // shares go on the air bare first
 	offer       func(w int, flags uint8, raw []byte)
 	offerCert   func(raw []byte)   // a certificate entry, from node 1
@@ -501,7 +501,7 @@ func rigOf[X, S, V any](c *collector[X, S, V], tl *tally[X, S, V], id int, peers
 		return sh
 	}
 	r := collectorRig{
-		k: c.k, kBare: c.kBare, verifyCost: c.verifyCost, combineCost: c.combineCost, decodeFirst: true, bare: c.bare != nil, combined: runs,
+		k: c.k, kBare: c.kBare, verifyCost: c.verifyCost, combineCost: c.combineCost, bare: c.bare != nil, combined: runs,
 		offer:     func(w int, flags uint8, raw []byte) { c.offer(tl, id, w, flags, raw) },
 		offerCert: func(raw []byte) { c.offer(tl, id, 1, certFlag, raw) },
 		cert:      func() []byte { return certOf(peers, c.k, tl.subject) },
@@ -646,29 +646,35 @@ var collectorUsers = []struct {
 	}},
 }
 
-func coinRig(t *testing.T, tn *testNet, source func(*Env) CoinSource) collectorRig {
-	a := NewCachinABA(tn.envs[0], CachinOptions{Slots: 2, Coin: source(tn.envs[0])})
+func coinRig[S, V any](t *testing.T, tn *testNet, coin func(*Env) Coin[S, V]) collectorRig {
+	a := NewCachinABA(tn.envs[0], coin(tn.envs[0]), CachinOptions{Slots: 2})
 	k := coinKey{slot: 1, round: 1}
 	cs := a.coinState(k)
 	var got []bool
 	a.withCoin(1, 1, func(v bool) { got = append(got, v) })
 	a.releaseCoinShare(1, 1)
-	peers := peerSchemes(tn, func(env *Env) scheme[[]byte, coinShare, bool] {
-		return source(env).scheme
-	})
+	peers := peerSchemes(tn, func(env *Env) scheme[[]byte, S, V] { return coin(env).scheme })
 	r := rigOf(&a.coin, &cs.tally, k.id(), peers)
 	r.foreign = func() []byte { return certOf(peers, r.k, a.coinState(coinKey{slot: 1, round: 2}).subject) }
 	r.sharePhase = packet.PhaseShare
-	r.decodeFirst = false // a coin share is charged before it is looked into
 	r.check = func(t *testing.T) {
 		// Any two other shares give the same bit.
-		s := source(tn.envs[3]).scheme
-		want, _, err := s.combine(cs.subject, []coinShare{{raw: r.peer(2)}, {raw: r.peer(3)}})
+		s := coin(tn.envs[3])
+		shares := make([]S, 0, 2)
+		for w := 2; w <= 3; w++ {
+			sh, err := s.decode(r.peer(w))
+			if err != nil {
+				t.Fatal(err)
+			}
+			shares = append(shares, sh)
+		}
+		v, _, err := s.combine(cs.subject, shares)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(got) != 1 || got[0] != want || cs.value != want {
-			t.Errorf("coin waiters saw %v, tally holds %v, want %v", got, cs.value, want)
+		want := s.bit(v)
+		if len(got) != 1 || got[0] != want || a.bit(cs.value) != want {
+			t.Errorf("coin waiters saw %v, tally holds %v, want %v", got, a.bit(cs.value), want)
 		}
 		a.withCoin(1, 1, func(v bool) { got = append(got, v) })
 		if len(got) != 2 || got[1] != want {
@@ -679,7 +685,9 @@ func coinRig(t *testing.T, tn *testNet, source func(*Env) CoinSource) collectorR
 }
 
 // TestShareCollector runs the one collect → combine machine through each
-// of its users, on node 0 with the peers' shares handed in directly.
+// of its users, on node 0 with the peers' shares handed in directly. Under
+// every user, both coins included, an undecodable share, bare or full, is
+// refused before anything is charged: one rejection, no CPU time.
 //
 // Under a scheme that sends its shares bare — the four signature users and
 // the Decryptor — a corrupted bare share is held unverified and free; the
@@ -752,12 +760,8 @@ func TestShareCollector(t *testing.T) {
 				}
 			}
 
-			wantCost := r.verifyCost
-			if r.decodeFirst {
-				wantCost = 0
-			}
-			if cost, rej := offered(1, full, good[:len(good)/2]); cost != wantCost || rej != 1 || r.held() != 1 {
-				t.Errorf("undecodable share: charged %v (want %v), %d rejections, %d held", cost, wantCost, rej, r.held())
+			if cost, rej := offered(1, full, good[:len(good)/2]); cost != 0 || rej != 1 || r.held() != 1 {
+				t.Errorf("undecodable share: charged %v, %d rejections, %d held", cost, rej, r.held())
 			}
 			bad := append([]byte(nil), good...)
 			bad[len(bad)-1] ^= 1
@@ -971,98 +975,8 @@ func TestOwnShareReplay(t *testing.T) {
 		return out
 	}
 	t.Run("coin", func(t *testing.T) {
-		for _, c := range []struct {
-			name string
-			coin func(*Env) CoinSource
-		}{{"SC", SigCoin}, {"CP", FlipCoin}} {
-			tn := newTestNet(t, 43, 0, true)
-			env := tn.envs[0]
-			rec := record(env)
-			a := NewCachinABA(env, CachinOptions{Slots: 1, Coin: c.coin(env)})
-			a.Input(0, true)
-			peer := func(w int, round uint16) core.Intent {
-				src := c.coin(tn.envs[w])
-				sh, err := src.share(coinName(env.Session, env.Epoch, 0, round))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return core.Intent{IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Sub: uint8(w), Round: round}, Data: src.encode(sh)}
-			}
-			// Peer 2 has no agreement of its own; it listens for node 0's
-			// share entries by round.
-			heard := map[uint16][]packet.Entry{}
-			tn.envs[2].T.Register(packet.KindABA, core.HandlerFunc(func(from uint16, sec packet.Section) {
-				for _, e := range sec.Entries {
-					if from == 0 && sec.Phase == packet.PhaseShare {
-						heard[e.Round] = append(heard[e.Round], packet.Entry{Flags: e.Flags, Data: bytes.Clone(e.Data)})
-					}
-				}
-			}))
-			// Rounds 3 and 6 are the first two that draw the threshold
-			// coin. Round 3: node 0's share and peer 1's make the coin.
-			a.releaseCoinShare(0, 3)
-			a.handleCoinShare(0, 3, 1, 0, peer(1, 3).Data)
-			tn.settle(time.Second)
-			cs := a.coinState(coinKey{slot: 0, round: 3})
-			if !cs.done {
-				t.Fatalf("%s: round 3's coin was not made", c.name)
-			}
-			rounds := []uint16{3}
-			if c.name == "SC" {
-				// Round 6: two peers' shares combine before node 0's is
-				// released. That share is never made — no CPU is charged —
-				// and the certificate goes out in its place.
-				rounds = append(rounds, 6)
-				a.handleCoinShare(0, 6, 1, 0, peer(1, 6).Data)
-				a.handleCoinShare(0, 6, 2, 0, peer(2, 6).Data)
-				tn.settle(time.Second)
-				busy := env.CPU.BusyTotal()
-				a.releaseCoinShare(0, 6)
-				if env.CPU.BusyTotal() != busy {
-					t.Errorf("round 6: a share was made after the coin existed")
-				}
-				tn.settle(time.Second)
-				cert := a.coinState(coinKey{slot: 0, round: 6}).cert
-				got := onAir(rec, packet.PhaseShare, 6)
-				if cert == nil || len(got) != 1 || got[0].Flags != certFlag || !bytes.Equal(got[0].Data, cert) {
-					t.Fatalf("round 6: certificate %x, published %+v; want the certificate once", cert, got)
-				}
-			}
-			// The node leaves the rounds behind.
-			a.pruneRounds(0, 8)
-			tn.settle(time.Minute)
-			before := map[uint16]int{}
-			for _, r := range rounds {
-				before[r] = len(heard[r])
-			}
-			// Peer 1 comes back without the bit its row had shown, and
-			// sends its shares of the rounds.
-			done := packet.NewBitSet(4)
-			done.Set(2)
-			tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, done)
-			tn.settle(5 * time.Second)
-			tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, packet.NewBitSet(4))
-			tn.settle(5 * time.Second)
-			for _, r := range rounds {
-				if n := len(heard[r]) - before[r]; n != 0 {
-					t.Fatalf("%s: round %d's parked share went out %d times unasked", c.name, r, n)
-				}
-			}
-			for _, r := range rounds {
-				tn.envs[1].T.Update(peer(1, r))
-			}
-			tn.settle(2 * time.Second)
-			for _, r := range rounds {
-				got := onAir(rec, packet.PhaseShare, r)
-				want := got[len(got)-1]
-				if h := heard[r]; len(h) != before[r]+1 || h[before[r]].Flags != want.Flags || !bytes.Equal(h[before[r]].Data, want.Data) {
-					t.Fatalf("%s: %d answers to the reborn peer's round-%d share, want one of the parked intent", c.name, len(h)-before[r], r)
-				}
-				if cert := a.coinState(coinKey{slot: 0, round: r}).cert; (cert != nil) != (c.name == "SC") || cert != nil && (want.Flags != certFlag || !bytes.Equal(want.Data, cert)) {
-					t.Errorf("%s: round %d's certificate %x; the parked intent went out with flags %d", c.name, r, cert, want.Flags)
-				}
-			}
-		}
+		replayCoin(t, "SC", SigCoin, onAir)
+		replayCoin(t, "CP", FlipCoin, onAir)
 	})
 	t.Run("decryptor", func(t *testing.T) {
 		tn := newTestNet(t, 44, 0, true)
@@ -1103,6 +1017,97 @@ func TestOwnShareReplay(t *testing.T) {
 			t.Errorf("share re-served %d times to a peer that lost its state, published %d times", len(heard)-before, len(published))
 		}
 	})
+}
+
+// replayCoin is TestOwnShareReplay's coin case, under one coin.
+func replayCoin[S, V any](t *testing.T, name string, coin func(*Env) Coin[S, V], onAir func(*recorder, packet.Phase, uint16) []core.Intent) {
+	tn := newTestNet(t, 43, 0, true)
+	env := tn.envs[0]
+	rec := record(env)
+	a := NewCachinABA(env, coin(env), CachinOptions{Slots: 1})
+	a.Input(0, true)
+	peer := func(w int, round uint16) core.Intent {
+		src := coin(tn.envs[w])
+		sh, err := src.share(coinName(env.Session, env.Epoch, 0, round))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Intent{IntentKey: core.IntentKey{Kind: packet.KindABA, Phase: packet.PhaseShare, Sub: uint8(w), Round: round}, Data: src.encode(sh)}
+	}
+	// Peer 2 has no agreement of its own; it listens for node 0's
+	// share entries by round.
+	heard := map[uint16][]packet.Entry{}
+	tn.envs[2].T.Register(packet.KindABA, core.HandlerFunc(func(from uint16, sec packet.Section) {
+		for _, e := range sec.Entries {
+			if from == 0 && sec.Phase == packet.PhaseShare {
+				heard[e.Round] = append(heard[e.Round], packet.Entry{Flags: e.Flags, Data: bytes.Clone(e.Data)})
+			}
+		}
+	}))
+	// Rounds 3 and 6 are the first two that draw the threshold
+	// coin. Round 3: node 0's share and peer 1's make the coin.
+	a.releaseCoinShare(0, 3)
+	a.handleCoinShare(0, 3, 1, 0, peer(1, 3).Data)
+	tn.settle(time.Second)
+	cs := a.coinState(coinKey{slot: 0, round: 3})
+	if !cs.done {
+		t.Fatalf("%s: round 3's coin was not made", name)
+	}
+	rounds := []uint16{3}
+	if name == "SC" {
+		// Round 6: two peers' shares combine before node 0's is
+		// released. That share is never made — no CPU is charged —
+		// and the certificate goes out in its place.
+		rounds = append(rounds, 6)
+		a.handleCoinShare(0, 6, 1, 0, peer(1, 6).Data)
+		a.handleCoinShare(0, 6, 2, 0, peer(2, 6).Data)
+		tn.settle(time.Second)
+		busy := env.CPU.BusyTotal()
+		a.releaseCoinShare(0, 6)
+		if env.CPU.BusyTotal() != busy {
+			t.Errorf("round 6: a share was made after the coin existed")
+		}
+		tn.settle(time.Second)
+		cert := a.coinState(coinKey{slot: 0, round: 6}).cert
+		got := onAir(rec, packet.PhaseShare, 6)
+		if cert == nil || len(got) != 1 || got[0].Flags != certFlag || !bytes.Equal(got[0].Data, cert) {
+			t.Fatalf("round 6: certificate %x, published %+v; want the certificate once", cert, got)
+		}
+	}
+	// The node leaves the rounds behind.
+	a.pruneRounds(0, 8)
+	tn.settle(time.Minute)
+	before := map[uint16]int{}
+	for _, r := range rounds {
+		before[r] = len(heard[r])
+	}
+	// Peer 1 comes back without the bit its row had shown, and
+	// sends its shares of the rounds.
+	done := packet.NewBitSet(4)
+	done.Set(2)
+	tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, done)
+	tn.settle(5 * time.Second)
+	tn.envs[1].T.SetNack(packet.KindRBC, packet.PhaseEcho, packet.NewBitSet(4))
+	tn.settle(5 * time.Second)
+	for _, r := range rounds {
+		if n := len(heard[r]) - before[r]; n != 0 {
+			t.Fatalf("%s: round %d's parked share went out %d times unasked", name, r, n)
+		}
+	}
+	for _, r := range rounds {
+		tn.envs[1].T.Update(peer(1, r))
+	}
+	tn.settle(2 * time.Second)
+	for _, r := range rounds {
+		got := onAir(rec, packet.PhaseShare, r)
+		want := got[len(got)-1]
+		if h := heard[r]; len(h) != before[r]+1 || h[before[r]].Flags != want.Flags || !bytes.Equal(h[before[r]].Data, want.Data) {
+			t.Fatalf("%s: %d answers to the reborn peer's round-%d share, want one of the parked intent", name, len(h)-before[r], r)
+		}
+		if cert := a.coinState(coinKey{slot: 0, round: r}).cert; (cert != nil) != (name == "SC") || cert != nil && (want.Flags != certFlag || !bytes.Equal(want.Data, cert)) {
+			t.Errorf("%s: round %d's certificate %x; the parked intent went out with flags %d", name, r, cert, want.Flags)
+		}
+	}
 }
 
 // TestLedValueLog pins the write-ahead log of led values (Env.Led). A

@@ -83,9 +83,10 @@ const (
 // tally is one threshold value in the making: the shares gathered so far
 // (verified, unless they came bare), and the value once it exists —
 // combined here, or accepted from a peer that combined it. CBC's quorum
-// certificate and CachinABA's coin are each one of these, embedded by
-// value in their slot; PRBC's DONE proof, the Decryptor's plaintext and
-// the cut certificate are a slot of a shareSlots.
+// certificate is one of these, embedded by value in its slot, and each of
+// CachinABA's coins one, in its coin table; PRBC's DONE proof, the
+// Decryptor's plaintext and the cut certificate are a slot of a
+// shareSlots.
 type tally[X, S, V any] struct {
 	subject X    // what the shares are shares of
 	open    bool // subject is known: shares can be verified

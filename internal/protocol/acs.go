@@ -52,26 +52,14 @@ type binaryAgreement interface {
 // newABA builds the ABA matching the coin kind; shared is one coin per
 // round across the parallel instances.
 func newABA(env *component.Env, slots int, coin CoinKind, shared bool, onDecide func(int, bool)) binaryAgreement {
+	cachin := component.CachinOptions{Slots: slots, SharedCoin: shared, OnDecide: onDecide}
 	switch coin {
 	case CoinLocal:
-		return component.NewBrachaABA(env, component.BrachaOptions{
-			Slots:    slots,
-			OnDecide: onDecide,
-		})
+		return component.NewBrachaABA(env, component.BrachaOptions{Slots: slots, OnDecide: onDecide})
 	case CoinSig:
-		return component.NewCachinABA(env, component.CachinOptions{
-			Slots:      slots,
-			SharedCoin: shared,
-			Coin:       component.SigCoin(env),
-			OnDecide:   onDecide,
-		})
+		return component.NewCachinABA(env, component.SigCoin(env), cachin)
 	case CoinFlip:
-		return component.NewCachinABA(env, component.CachinOptions{
-			Slots:      slots,
-			SharedCoin: shared,
-			Coin:       component.FlipCoin(env),
-			OnDecide:   onDecide,
-		})
+		return component.NewCachinABA(env, component.FlipCoin(env), cachin)
 	default:
 		panic(fmt.Sprintf("protocol: unknown coin kind %q", coin))
 	}

@@ -111,11 +111,9 @@ type Chain struct {
 	// engine past nextCommit+Window.
 	peerMax int
 
-	log            []LogEntry
-	committedTxs   int
-	committedBytes uint64
-	dedupDropped   int
-	commitLatency  time.Duration // summed start->commit across committed epochs
+	log           []LogEntry
+	dedupDropped  int
+	commitLatency time.Duration // summed start->commit across committed epochs
 	// txLat holds a true per-transaction submit->commit latency sample
 	// for each locally admitted transaction, in commit order: commit
 	// reads its admission instant off the pool (Mempool.MarkCommitted).
@@ -170,10 +168,22 @@ func (c *Chain) Log() []LogEntry { return c.log }
 func (c *Chain) CommittedEpochs() int { return c.nextCommit }
 
 // CommittedTxs returns the total committed transaction count.
-func (c *Chain) CommittedTxs() int { return c.committedTxs }
+func (c *Chain) CommittedTxs() (n int) {
+	for _, entry := range c.log {
+		n += len(entry.Txs)
+	}
+	return n
+}
 
 // CommittedBytes returns the total committed payload bytes.
-func (c *Chain) CommittedBytes() uint64 { return c.committedBytes }
+func (c *Chain) CommittedBytes() (n uint64) {
+	for _, entry := range c.log {
+		for _, tx := range entry.Txs {
+			n += uint64(len(tx))
+		}
+	}
+	return n
+}
 
 // DedupDropped returns how many accepted-proposal transactions the commit
 // step suppressed as duplicates (proposed by several nodes, or re-proposed
@@ -431,11 +441,9 @@ func (c *Chain) commit(e int, ep *chainEpoch) {
 			seen[k] = true
 			txs = append(txs, tx)
 			keys = append(keys, k)
-			c.committedBytes += uint64(len(tx))
 		}
 	}
 	c.log = append(c.log, LogEntry{Epoch: e, Txs: txs})
-	c.committedTxs += len(txs)
 	now := c.env.Sched.Now()
 	for _, at := range c.mempool.MarkCommitted(keys, e) {
 		c.txLat = append(c.txLat, now-at)
