@@ -1,8 +1,10 @@
 package component
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/crypto"
 	"repro/internal/packet"
 )
 
@@ -44,8 +46,64 @@ func TestBrachaApplyViewAllocations(t *testing.T) {
 	if allocs != 1 {
 		t.Errorf("a view that changes this node's own: %v allocations, want 1 (the view published)", allocs)
 	}
-	if p := a.phase(0, r, 0); p.myEcho[2] != voteZero || p.echoes[2*4+0] != voteZero {
+	if p := a.phase(0, r, 0); p.myEcho()[2] != voteZero || p.echoes()[2*4+0] != voteZero {
 		t.Fatalf("round %d: peer 2's vote was not echoed and self-applied", r)
+	}
+}
+
+// TestBrachaPhaseIsOneBlock: a Bracha phase is at most two allocations,
+// one block that holds its eight tables and a small header over it: at
+// N = 4 its bytes are the block's 2N² + 10N and at most 64 more.
+func TestBrachaPhaseIsOneBlock(t *testing.T) {
+	side := newABASide(1, nil)
+	side.env.T.SetInterceptor(nil)
+	a := NewBrachaABA(side.env, BrachaOptions{Slots: 1})
+	a.Input(0, true)
+	a.phase(0, roundCap, 0) // the rounds table at its cap: only phases allocate below
+	r := uint16(1)
+	if allocs := testing.AllocsPerRun(roundCap-3, func() {
+		r++
+		a.phase(0, r, 1)
+	}); allocs > 2 {
+		t.Errorf("a phase is %v allocations, want at most 2", allocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for r := uint16(2); r < roundCap; r++ {
+		a.phase(0, r, 2)
+	}
+	runtime.ReadMemStats(&after)
+	n := side.env.N
+	if bytes, block := (after.TotalAlloc-before.TotalAlloc)/(roundCap-2), uint64(2*n*n+10*n); bytes > block+64 {
+		t.Errorf("a phase is %d bytes, want at most its %d-byte block and 64 more", bytes, block)
+	}
+}
+
+// TestCachinABASlotsOnFirstInput: a CachinABA keeps no record of an
+// instance until its Input, so what it allocates until then — BVAL and AUX
+// votes for every instance heard meanwhile included — is the same number of
+// objects for 1 instance as for the 64 of Alea's serial agreement.
+func TestCachinABASlotsOnFirstInput(t *testing.T) {
+	suites, err := crypto.DealCached(4, 1, crypto.LightConfig(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	side := newABASide(1, suites[0])
+	side.env.T.SetInterceptor(nil)
+	coin := FlipCoin(side.env)
+	built := func(slots int) float64 {
+		var votes []packet.Entry
+		for slot := 0; slot < slots; slot++ {
+			votes = append(votes, packet.Entry{Slot: uint8(slot), Round: 1, Data: []byte{1}})
+		}
+		return testing.AllocsPerRun(20, func() {
+			a := NewCachinABA(side.env, coin, CachinOptions{Slots: slots})
+			a.HandleSection(1, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseBval, Entries: votes})
+			a.HandleSection(2, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseAux, Entries: votes})
+		})
+	}
+	if one, many := built(1), built(64); many != one {
+		t.Errorf("built before its first Input, a CachinABA is %v objects with 1 instance and %v with 64", one, many)
 	}
 }
 

@@ -20,7 +20,7 @@ import (
 // Termination is the DECIDED-claim gadget CachinABA uses (deciding).
 type BrachaABA struct {
 	deciding
-	slots []*brachaSlot
+	slots []*brachaSlot // by instance, nil until its Input
 }
 
 const (
@@ -30,10 +30,8 @@ const (
 )
 
 type brachaSlot struct {
-	termination
-	started bool
-	round   uint16
-	est     uint8 // voteZero or voteOne
+	round uint16
+	est   uint8 // voteZero or voteOne
 	// rounds is indexed by round number and grows to the highest round
 	// mentioned; applyView caps what a peer can mention at roundCap.
 	rounds []brachaRound
@@ -44,21 +42,46 @@ type brachaRound struct {
 }
 
 // brachaPhase is one voting phase: N embedded vote-RBCs, one per voter.
-// Every table is a span of one backing array. Counts are bytes: node ids
-// and slots travel in one byte, so N fits.
+// Its eight tables lie in one block at fixed offsets, read through the
+// methods below: four N-vectors, then two N×N matrices, all voteNone until
+// set, then two 3N count tables. Counts are bytes: node ids and slots
+// travel in one byte, so N fits.
 type brachaPhase struct {
-	myVote    uint8   // voteNone until cast
-	votes     []uint8 // voter -> claimed vote (voteNone if unknown)
-	myEcho    []uint8 // voter -> value I echoed (voteNone if none)
-	myReady   []uint8
-	delivered []uint8 // voter -> delivered vote (voteNone if not yet)
-	echoes    []uint8 // voter*N + echoer -> value (voteNone if none yet)
-	readies   []uint8
-	echoCnt   []uint8 // voter*3 + value -> echoers that echoed it
-	readyCnt  []uint8
-	nDeliv    int
-	resolved  bool // phase threshold reached and consumed
+	n        int
+	nDeliv   int
+	myVote   uint8 // voteNone until cast
+	resolved bool  // phase threshold reached and consumed
+	block    []uint8
 }
+
+func newBrachaPhase(n int) *brachaPhase {
+	votes := 4*n + 2*n*n
+	p := &brachaPhase{n: n, myVote: voteNone, block: make([]uint8, votes+2*3*n)}
+	for i := range p.block[:votes] {
+		p.block[i] = voteNone
+	}
+	return p
+}
+
+func (p *brachaPhase) span(at, size int) []uint8 { return p.block[at : at+size : at+size] }
+
+// votes is voter -> claimed vote (voteNone if unknown).
+func (p *brachaPhase) votes() []uint8 { return p.span(0, p.n) }
+
+// myEcho is voter -> value I echoed (voteNone if none); myReady follows it.
+func (p *brachaPhase) myEcho() []uint8  { return p.span(p.n, p.n) }
+func (p *brachaPhase) myReady() []uint8 { return p.span(2*p.n, p.n) }
+
+// delivered is voter -> delivered vote (voteNone if not yet).
+func (p *brachaPhase) delivered() []uint8 { return p.span(3*p.n, p.n) }
+
+// echoes is voter*N + echoer -> value (voteNone if none yet); readies too.
+func (p *brachaPhase) echoes() []uint8  { return p.span(4*p.n, p.n*p.n) }
+func (p *brachaPhase) readies() []uint8 { return p.span(4*p.n+p.n*p.n, p.n*p.n) }
+
+// echoCnt is voter*3 + value -> echoers that echoed it; readyCnt too.
+func (p *brachaPhase) echoCnt() []uint8  { return p.span(4*p.n+2*p.n*p.n, 3*p.n) }
+func (p *brachaPhase) readyCnt() []uint8 { return p.span(7*p.n+2*p.n*p.n, 3*p.n) }
 
 // BrachaOptions configures the component.
 type BrachaOptions struct {
@@ -69,12 +92,8 @@ type BrachaOptions struct {
 // NewBrachaABA creates the component and registers it on the transport.
 func NewBrachaABA(env *Env, opts BrachaOptions) *BrachaABA {
 	a := &BrachaABA{deciding: deciding{env: env, onDecide: opts.OnDecide, pruned: isVotePhase}}
-	for i := 0; i < opts.Slots; i++ {
-		s := &brachaSlot{}
-		a.slots = append(a.slots, s)
-		a.terms = append(a.terms, &s.termination)
-	}
-	a.start()
+	a.slots = make([]*brachaSlot, opts.Slots)
+	a.start(opts.Slots)
 	env.T.Register(packet.KindABA, a)
 	return a
 }
@@ -83,14 +102,11 @@ func isVotePhase(p packet.Phase) bool { return p >= packet.PhaseVote1 && p <= pa
 
 // Input starts an instance with an initial estimate.
 func (a *BrachaABA) Input(slot int, v bool) {
-	s := a.slots[slot]
-	if s.started {
+	if a.slots[slot] != nil {
 		return
 	}
-	s.started = true
-	s.est = uint8(b2i(v))
-	s.round = 1
-	a.castVote(slot, s.round, 0, s.est)
+	a.slots[slot] = &brachaSlot{est: uint8(b2i(v)), round: 1}
+	a.castVote(slot, 1, 0, uint8(b2i(v)))
 }
 
 func (a *BrachaABA) phase(slot int, round uint16, ph int) *brachaPhase {
@@ -100,25 +116,7 @@ func (a *BrachaABA) phase(slot int, round uint16, ph int) *brachaPhase {
 	}
 	rd := &s.rounds[round]
 	if rd.phases[ph] == nil {
-		// Four vectors and two matrices of votes, all "none" to begin
-		// with, then the two count tables.
-		n := a.env.N
-		votes := 4*n + 2*n*n
-		buf := make([]uint8, votes+2*3*n)
-		for i := range buf[:votes] {
-			buf[i] = voteNone
-		}
-		carve := func(size int) []uint8 {
-			span := buf[:size:size]
-			buf = buf[size:]
-			return span
-		}
-		rd.phases[ph] = &brachaPhase{
-			myVote: voteNone,
-			votes:  carve(n), myEcho: carve(n), myReady: carve(n), delivered: carve(n),
-			echoes: carve(n * n), readies: carve(n * n),
-			echoCnt: carve(3 * n), readyCnt: carve(3 * n),
-		}
+		rd.phases[ph] = newBrachaPhase(a.env.N)
 	}
 	return rd.phases[ph]
 }
@@ -142,8 +140,8 @@ func (a *BrachaABA) publish(slot int, round uint16, ph int) []byte {
 	p := a.phase(slot, round, ph)
 	view := make([]byte, 0, 1+2*a.env.N)
 	view = append(view, p.myVote)
-	view = append(view, p.myEcho...)
-	view = append(view, p.myReady...)
+	view = append(view, p.myEcho()...)
+	view = append(view, p.myReady()...)
 	a.env.T.Update(core.Intent{
 		IntentKey: core.IntentKey{
 			Kind:  packet.KindABA,
@@ -180,51 +178,53 @@ func (a *BrachaABA) HandleSection(from uint16, sec packet.Section) {
 // embedded per-vote reliable broadcasts. A peer's first vote, echo or
 // ready for a voter is the one that counts.
 func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte) {
-	s := a.slots[slot]
 	n := a.env.N
-	if !s.started || a.halted.Get(slot) || int(round) > roundCap || len(data) < 1+2*n {
+	if a.slots[slot] == nil || a.halted.Get(slot) || int(round) > roundCap || len(data) < 1+2*n {
 		return
 	}
 	p := a.phase(slot, round, ph)
+	votes, myEcho, myReady, delivered := p.votes(), p.myEcho(), p.myReady(), p.delivered()
 	quorum, weak := a.env.Quorum(), a.env.Weak()
 	changed := false
 
 	// w's own vote: treat as the INITIAL of w's vote-RBC.
-	if v := data[0]; v <= voteBot && p.votes[w] == voteNone {
-		p.votes[w] = v
-		if p.myEcho[w] == voteNone {
-			p.myEcho[w] = v
+	if v := data[0]; v <= voteBot && votes[w] == voteNone {
+		votes[w] = v
+		if myEcho[w] == voteNone {
+			myEcho[w] = v
 			changed = true
 		}
 	}
 	// w's echo vector.
+	echoes, echoCnt := p.echoes(), p.echoCnt()
 	for u := 0; u < n; u++ {
 		v := data[1+u]
-		if v > voteBot || p.echoes[u*n+w] != voteNone {
+		if v > voteBot || echoes[u*n+w] != voteNone {
 			continue
 		}
-		p.echoes[u*n+w] = v
-		p.echoCnt[u*3+int(v)]++
-		if int(p.echoCnt[u*3+int(v)]) >= quorum && p.myReady[u] == voteNone {
-			p.myReady[u] = v
+		echoes[u*n+w] = v
+		echoCnt[u*3+int(v)]++
+		if int(echoCnt[u*3+int(v)]) >= quorum && myReady[u] == voteNone {
+			myReady[u] = v
 			changed = true
 		}
 	}
 	// w's ready vector.
+	readies, readyCnt := p.readies(), p.readyCnt()
 	for u := 0; u < n; u++ {
 		v := data[1+n+u]
-		if v > voteBot || p.readies[u*n+w] != voteNone {
+		if v > voteBot || readies[u*n+w] != voteNone {
 			continue
 		}
-		p.readies[u*n+w] = v
-		p.readyCnt[u*3+int(v)]++
-		cnt := int(p.readyCnt[u*3+int(v)])
-		if cnt >= weak && p.myReady[u] == voteNone {
-			p.myReady[u] = v
+		readies[u*n+w] = v
+		readyCnt[u*3+int(v)]++
+		cnt := int(readyCnt[u*3+int(v)])
+		if cnt >= weak && myReady[u] == voteNone {
+			myReady[u] = v
 			changed = true
 		}
-		if cnt >= quorum && p.delivered[u] == voteNone {
-			p.delivered[u] = v
+		if cnt >= quorum && delivered[u] == voteNone {
+			delivered[u] = v
 			p.nDeliv++
 		}
 	}
@@ -246,7 +246,7 @@ func (a *BrachaABA) checkPhase(slot int, round uint16, ph int) {
 	}
 	p.resolved = true
 	counts := [3]int{}
-	for _, v := range p.delivered {
+	for _, v := range p.delivered() {
 		if v != voteNone {
 			counts[v]++
 		}

@@ -21,7 +21,10 @@ type CachinABA[S, V any] struct {
 	coin       collector[[]byte, S, V]
 	bit        func(V) bool
 	sharedCoin bool
-	slots      []*abaSlot
+	// slots is by instance, nil until its Input: a slot not started takes
+	// no part in a round, so an agreement of many serial instances keeps
+	// records only for those it reached.
+	slots []*abaSlot
 	// coins holds every coin mentioned, the shared coin of a round
 	// (SharedCoin) and a slot's own alike.
 	coins map[coinKey]*coinState[S, V]
@@ -46,10 +49,8 @@ type coinState[S, V any] struct {
 }
 
 type abaSlot struct {
-	termination
-	started bool
-	round   uint16
-	est     bool
+	round uint16
+	est   bool
 	// rounds is indexed by round number and grows to the highest round
 	// mentioned (nil: not yet); what a peer can mention is capped at
 	// roundCap.
@@ -89,12 +90,8 @@ func NewCachinABA[S, V any](env *Env, coin Coin[S, V], opts CachinOptions) *Cach
 		return p == packet.PhaseBval || p == packet.PhaseAux || (p == packet.PhaseShare && !a.sharedCoin)
 	}
 	a.coin = collector[[]byte, S, V]{scheme: coin.scheme, env: env, combined: a.coinCombined}
-	for i := 0; i < opts.Slots; i++ {
-		s := &abaSlot{}
-		a.slots = append(a.slots, s)
-		a.terms = append(a.terms, &s.termination)
-	}
-	a.start()
+	a.slots = make([]*abaSlot, opts.Slots)
+	a.start(opts.Slots)
 	env.T.Register(packet.KindABA, a)
 	return a
 }
@@ -104,13 +101,10 @@ func NewCachinABA[S, V any](env *Env, coin Coin[S, V], opts CachinOptions) *Cach
 // finish) is enforced by the protocol layer calling Input for all slots in
 // the same event.
 func (a *CachinABA[S, V]) Input(slot int, v bool) {
-	s := a.slots[slot]
-	if s.started {
+	if a.slots[slot] != nil {
 		return
 	}
-	s.started = true
-	s.est = v
-	s.round = 1
+	a.slots[slot] = &abaSlot{est: v, round: 1}
 	a.startRound(slot)
 }
 
@@ -242,7 +236,7 @@ func (a *CachinABA[S, V]) HandleSection(from uint16, sec packet.Section) {
 
 func (a *CachinABA[S, V]) applyBval(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
-	if !s.started || a.halted.Get(slot) || int(round) > roundCap {
+	if s == nil || a.halted.Get(slot) || int(round) > roundCap {
 		return
 	}
 	rd := a.round(slot, round)
@@ -267,7 +261,7 @@ func (a *CachinABA[S, V]) applyBval(slot int, round uint16, w int, v bool) {
 
 func (a *CachinABA[S, V]) applyAux(slot int, round uint16, w int, v bool) {
 	s := a.slots[slot]
-	if !s.started || a.halted.Get(slot) || int(round) > roundCap {
+	if s == nil || a.halted.Get(slot) || int(round) > roundCap {
 		return
 	}
 	rd := a.round(slot, round)
@@ -446,7 +440,7 @@ func (a *CachinABA[S, V]) pruneRounds(slot int, current uint16) {
 			// the round; per-slot coins prune with their slot.
 			if a.sharedCoin {
 				for i, s := range a.slots {
-					if s.started && !a.halted.Get(i) && s.round <= k.Round {
+					if s != nil && !a.halted.Get(i) && s.round <= k.Round {
 						return false
 					}
 				}

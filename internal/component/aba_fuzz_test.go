@@ -224,6 +224,9 @@ func sameABA[S, V any](t *testing.T, step int, what string, a *CachinABA[S, V], 
 	t.Helper()
 	sameSoFar(t, step, what, dense, ref)
 	for slot, s := range a.slots {
+		if s == nil {
+			s = new(abaSlot) // no Input yet: no record, the oracle's zero one
+		}
 		o := r.slots[slot]
 		d, od := a.Decided(slot), r.Decided(slot)
 		if (d == nil) != (od == nil) || d != nil && *d != *od {

@@ -357,6 +357,9 @@ func TestCachinABAMatchesMapModel(t *testing.T) {
 				ref.sched.RunFor(time.Second)
 				sameSoFar(t, step, what, dense, ref)
 				for slot, s := range a.slots {
+					if s == nil {
+						s = new(abaSlot) // no Input yet: no record, the oracle's zero one
+					}
 					if halted := a.halted.Get(slot); s.round != r.slots[slot].round || s.est != r.slots[slot].est || halted != r.slots[slot].halted {
 						t.Fatalf("step %d (%s): slot %d at round %d est %v halted %v, oracle round %d est %v halted %v", step, what, slot,
 							s.round, s.est, halted, r.slots[slot].round, r.slots[slot].est, r.slots[slot].halted)

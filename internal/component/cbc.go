@@ -44,7 +44,7 @@ type CBC struct {
 	dissemination
 	echoes  collector[[]byte, *threshsig.SigShare, []byte]
 	echoTag string
-	slots   []*cbcSlot
+	slots   []cbcSlot
 
 	valid     func(slot int, value []byte) Verdict
 	onDeliver func(slot int, value []byte, cert []byte)
@@ -100,9 +100,7 @@ func NewCBC(env *Env, opts CBCOptions) *CBC {
 	c.echoes = collector[[]byte, *threshsig.SigShare, []byte]{
 		scheme: sigScheme(env, env.Suite.TSHigh, env.Suite.TSHighShare), env: env, combined: c.certified,
 	}
-	for i := 0; i < opts.Slots; i++ {
-		c.slots = append(c.slots, &cbcSlot{})
-	}
+	c.slots = make([]cbcSlot, opts.Slots)
 	c.dissemination = newDissemination(env, opts.Kind, opts.Small, opts.FragSize, opts.Slots)
 	env.T.SetNack(opts.Kind, packet.PhaseFinish, c.finDone)
 	env.T.Register(opts.Kind, c)
@@ -157,7 +155,7 @@ func (c *CBC) acceptValue(slot int, value []byte) {
 // peers' shares park in the tally. A refused value is counted in
 // Stats.Rejected and never echoed.
 func (c *CBC) echo(slot int) {
-	s := c.slots[slot]
+	s := &c.slots[slot]
 	// A node signs once per slot, and only a value it holds: a FINISH over
 	// another hash may have dropped the one it was judging.
 	if s.cert.open || c.Delivered(slot) || !c.held.Get(slot) {
@@ -180,8 +178,8 @@ func (c *CBC) echo(slot int) {
 // Recheck asks the validity predicate again about every value it left
 // pending: the engine calls it when what the predicate reads has changed.
 func (c *CBC) Recheck() {
-	for slot, s := range c.slots {
-		if s.pending {
+	for slot := range c.slots {
+		if c.slots[slot].pending {
 			c.echo(slot)
 		}
 	}
@@ -198,7 +196,7 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 		if slot >= len(c.slots) {
 			continue
 		}
-		s := c.slots[slot]
+		s := &c.slots[slot]
 		switch sec.Phase {
 		case packet.PhaseInitial, packet.PhaseRepair:
 			if value, whole := c.receive(slot, &s.valueSlot, w, sec.Phase, e); whole {
@@ -216,7 +214,7 @@ func (c *CBC) HandleSection(from uint16, sec packet.Section) {
 
 // certified runs once the ECHO shares combined here.
 func (c *CBC) certified(slot int, _ []byte) {
-	s := c.slots[slot]
+	s := &c.slots[slot]
 	s.certHash = HashValue(s.value)
 	// Anyone holding the certificate can publish it: it verifies under
 	// the threshold key regardless of the sender.
@@ -227,7 +225,7 @@ func (c *CBC) certified(slot int, _ []byte) {
 // finish is the slot's FINISH intent: its certificate and the hash it
 // certifies.
 func (c *CBC) finish(slot int) core.Intent {
-	s := c.slots[slot]
+	s := &c.slots[slot]
 	return core.Intent{
 		IntentKey: core.IntentKey{Kind: c.kind, Phase: packet.PhaseFinish, Slot: uint8(slot)},
 		Data:      EncodeFinish(s.certHash, s.cert.value),
@@ -235,7 +233,7 @@ func (c *CBC) finish(slot int) core.Intent {
 }
 
 func (c *CBC) handleFinish(slot int, raw []byte) {
-	s := c.slots[slot]
+	s := &c.slots[slot]
 	if c.Delivered(slot) {
 		return
 	}
@@ -273,7 +271,7 @@ func (c *CBC) handleFinish(slot int, raw []byte) {
 }
 
 func (c *CBC) deliver(slot int) {
-	s := c.slots[slot]
+	s := &c.slots[slot]
 	if c.Delivered(slot) || !s.cert.done || !c.held.Get(slot) {
 		return
 	}

@@ -9,8 +9,8 @@ import (
 // passing it means a liveness bug, not bad luck with the coin.
 const roundCap = 64
 
-// termination is one instance's share of the DECIDED gadget, embedded by
-// value in the instance's slot; whether it halted is its bit in the
+// termination is one instance's share of the DECIDED gadget, made on the
+// instance's first decision or claim; whether it halted is its bit in the
 // gadget's DECIDED row.
 type termination struct {
 	decided *bool
@@ -27,7 +27,8 @@ type termination struct {
 // est = v) until N-f claims confirm that every honest node can terminate
 // from claims alone.
 type deciding struct {
-	env      *Env
+	env *Env
+	// terms is by instance, nil until one decides or a peer claims it.
 	terms    []*termination
 	onDecide func(slot int, value bool)
 	// halted is the DECIDED NACK row: the instances that need no more
@@ -41,19 +42,33 @@ type deciding struct {
 // start sizes the DECIDED row to the instances and installs it: a node
 // reborn into the epoch shows every instance unhalted, so the peers'
 // claims come back on the air for it.
-func (d *deciding) start() {
-	d.halted = packet.NewBitSet(len(d.terms))
+func (d *deciding) start(slots int) {
+	d.terms = make([]*termination, slots)
+	d.halted = packet.NewBitSet(slots)
 	d.env.T.SetNack(packet.KindABA, packet.PhaseDecided, d.halted)
 }
 
+// term returns the slot's record, making it on first mention.
+func (d *deciding) term(slot int) *termination {
+	if d.terms[slot] == nil {
+		d.terms[slot] = &termination{}
+	}
+	return d.terms[slot]
+}
+
 // Decided returns the decision for a slot, or nil.
-func (d *deciding) Decided(slot int) *bool { return d.terms[slot].decided }
+func (d *deciding) Decided(slot int) *bool {
+	if t := d.terms[slot]; t != nil {
+		return t.decided
+	}
+	return nil
+}
 
 // DecidedCount returns how many instances have decided.
 func (d *deciding) DecidedCount() int {
 	n := 0
 	for _, t := range d.terms {
-		if t.decided != nil {
+		if t != nil && t.decided != nil {
 			n++
 		}
 	}
@@ -62,7 +77,7 @@ func (d *deciding) DecidedCount() int {
 
 // decide records the local decision and broadcasts a DECIDED claim.
 func (d *deciding) decide(slot int, v bool) {
-	t := d.terms[slot]
+	t := d.term(slot)
 	if t.decided != nil {
 		return
 	}
@@ -90,7 +105,7 @@ func (d *deciding) handleDecided(w int, sec packet.Section) {
 }
 
 func (d *deciding) applyDecided(slot, w int, v bool) {
-	t := d.terms[slot]
+	t := d.term(slot)
 	if t.claimed == nil {
 		t.claimed = make([]uint8, d.env.N)
 	}

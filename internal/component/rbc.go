@@ -18,7 +18,7 @@ import (
 // every peer holding the value serves its fragments, and only those.
 type RBC struct {
 	dissemination
-	slots []*rbcSlot
+	slots []rbcSlot
 
 	onDeliver func(slot int, value []byte)
 
@@ -52,11 +52,13 @@ func NewRBC(env *Env, opts RBCOptions) *RBC {
 		echoDone:  packet.NewBitSet(opts.Slots),
 		readyDone: packet.NewBitSet(opts.Slots),
 	}
-	for i := 0; i < opts.Slots; i++ {
-		r.slots = append(r.slots, &rbcSlot{
-			echoes:  make(hashVotes, env.N),
-			readies: make(hashVotes, env.N),
-		})
+	// One block of slots and one of their votes, ECHO then READY per slot.
+	r.slots = make([]rbcSlot, opts.Slots)
+	votes := make(hashVotes, 2*opts.Slots*env.N)
+	for i := range r.slots {
+		at := 2 * i * env.N
+		r.slots[i].echoes = votes[at : at+env.N : at+env.N]
+		r.slots[i].readies = votes[at+env.N : at+2*env.N : at+2*env.N]
 	}
 	r.dissemination = newDissemination(env, packet.KindRBC, opts.Small, DefaultFragSize, opts.Slots)
 	env.T.SetNack(r.kind, packet.PhaseEcho, r.echoDone)
@@ -70,7 +72,7 @@ func (r *RBC) Delivered(slot int) bool { return r.slots[slot].delivered }
 
 // Value returns the delivered value of a slot (nil before delivery).
 func (r *RBC) Value(slot int) []byte {
-	s := r.slots[slot]
+	s := &r.slots[slot]
 	if !s.delivered {
 		return nil
 	}
@@ -80,8 +82,8 @@ func (r *RBC) Value(slot int) []byte {
 // DeliveredCount returns how many slots have delivered.
 func (r *RBC) DeliveredCount() int {
 	n := 0
-	for _, s := range r.slots {
-		if s.delivered {
+	for i := range r.slots {
+		if r.slots[i].delivered {
 			n++
 		}
 	}
@@ -113,7 +115,7 @@ func (r *RBC) ProposeEncrypted(slot int, plain []byte) {
 
 // acceptValue handles a fully assembled proposal (own or received).
 func (r *RBC) acceptValue(slot int, value []byte) {
-	s := r.slots[slot]
+	s := &r.slots[slot]
 	if r.held.Get(slot) {
 		return
 	}
@@ -171,7 +173,7 @@ func (r *RBC) handleValue(w int, phase packet.Phase, e packet.Entry) {
 }
 
 func (r *RBC) applyEcho(slot, w int, h Hash8) {
-	s := r.slots[slot]
+	s := &r.slots[slot]
 	if !s.echoes.cast(w, h) {
 		return
 	}
@@ -185,7 +187,7 @@ func (r *RBC) applyEcho(slot, w int, h Hash8) {
 }
 
 func (r *RBC) applyReady(slot, w int, h Hash8) {
-	s := r.slots[slot]
+	s := &r.slots[slot]
 	if !s.readies.cast(w, h) {
 		return
 	}
@@ -201,7 +203,7 @@ func (r *RBC) applyReady(slot, w int, h Hash8) {
 }
 
 func (r *RBC) sendReady(slot int, h Hash8) {
-	s := r.slots[slot]
+	s := &r.slots[slot]
 	if s.sentReady {
 		return
 	}
@@ -214,7 +216,7 @@ func (r *RBC) sendReady(slot int, h Hash8) {
 }
 
 func (r *RBC) maybeDeliver(slot int) {
-	s := r.slots[slot]
+	s := &r.slots[slot]
 	if s.delivered {
 		return
 	}

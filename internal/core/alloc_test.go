@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -94,6 +95,89 @@ func TestRetransmitTimerAllocatesNothing(t *testing.T) {
 	})
 	if frames < 15 || allocs != float64(frames) {
 		t.Fatalf("%v allocations over %d re-sent radio frames, want one each", allocs, frames)
+	}
+}
+
+// epochCycle runs one epoch on m: open it, publish k intents, take a
+// peer's NACK row for each of rows (kind, phase) pairs and close it.
+func epochCycle(m *Mux, epoch uint16, k, rows int) {
+	t := m.Open(epoch)
+	for i := 0; i < k; i++ {
+		t.Update(Intent{IntentKey: IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: uint8(i % 16), Sub: uint8(i / 16)}, Data: cycleData})
+	}
+	for i := 0; i < rows; i++ {
+		sec := packet.Section{Kind: packet.KindABA, Phase: packet.Phase(i), Nack: packet.BitSet{0x0f}}
+		t.heardFrom(0, &sec, false)
+	}
+	m.Close(epoch)
+}
+
+var cycleData = []byte{1}
+
+// TestEpochReusesStore: a warm Mux's epoch allocates what is its own — the
+// Transport, its retransmission event and the timer's bound callback, and,
+// for each peer row it keeps, the row's slot for the peer and the copy of
+// its bits — and nothing for its
+// intent store or its table of rows, which the epoch it closed before left
+// grown, whatever number of intents and rows it holds.
+func TestEpochReusesStore(t *testing.T) {
+	const perEpoch, perPeerRow = 3, 2
+	s := sim.New(1)
+	cfg := DefaultConfig(true)
+	m := NewMux(s, sim.NewCPU(s), &SizedAuth{Len: 56}, cfg)
+	for _, c := range []struct{ k, rows int }{{0, 0}, {1, 1}, {64, 8}, {128, 16}} {
+		epoch := uint16(0)
+		cycle := func() {
+			epoch++
+			epochCycle(m, epoch, c.k, c.rows)
+		}
+		cycle() // grow the store and the rows to this size
+		if allocs, want := testing.AllocsPerRun(20, cycle), float64(perEpoch+perPeerRow*c.rows); allocs != want {
+			t.Errorf("%d intents, %d rows: %v allocations per epoch, want %v", c.k, c.rows, allocs, want)
+		}
+	}
+}
+
+// TestClosedTransportWritesAlone: the epoch Open makes after a Close starts
+// with the closed one's storage, emptied, and what a component still
+// holding the closed transport writes to it — an Update, a held intent, a
+// NACK row — goes to storage of its own: the new epoch sends only its own
+// intents and rows.
+func TestClosedTransportWritesAlone(t *testing.T) {
+	r := newMuxRig(t, 2, true)
+	old := r.muxes[0].Open(1)
+	for slot := uint8(0); slot < 8; slot++ {
+		old.Update(intentFor(slot))
+	}
+	old.SetNack(packet.KindRBC, packet.PhaseEcho, packet.BitSet{0x01})
+	r.sched.Run()
+	r.muxes[0].Close(1)
+	next := r.muxes[0].Open(2)
+	if cap(next.live) == 0 || cap(next.rows) == 0 {
+		t.Fatalf("the new epoch's store (cap %d) and rows (cap %d) do not reuse the closed epoch's", cap(next.live), cap(next.rows))
+	}
+	var got []uint8
+	var nacks []packet.Kind
+	r.muxes[1].Open(2).Register(packet.KindRBC, HandlerFunc(func(from uint16, sec packet.Section) {
+		for _, e := range sec.Entries {
+			got = append(got, e.Slot)
+		}
+		if len(sec.Nack) > 0 {
+			nacks = append(nacks, sec.Kind)
+		}
+	}))
+	next.Update(intentFor(3))
+	for slot := uint8(0); slot < 8; slot++ {
+		old.Update(intentFor(slot))
+		old.Hold(intentFor(slot + 8))
+	}
+	old.SetNack(packet.KindRBC, packet.PhaseReady, packet.BitSet{0x03})
+	r.sched.Run()
+	if !slices.Equal(got, []uint8{3}) || len(nacks) != 0 {
+		t.Fatalf("the new epoch sent slots %v and rows of %v, want slot 3 and no row", got, nacks)
+	}
+	if len(next.live) != 1 || len(next.rows) != 0 {
+		t.Fatalf("the new epoch holds %d intents and %d rows, want 1 and 0", len(next.live), len(next.rows))
 	}
 }
 

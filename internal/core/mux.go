@@ -59,6 +59,10 @@ type Mux struct {
 	windowFn          func()
 	served            int
 	out               sendState
+	// spare holds the intent stores and NACK rows of closed epochs, emptied,
+	// for the epochs Open makes next: an epoch starts with the capacity its
+	// predecessors grew, as it does with the send state.
+	spare []epochStore
 	// jobFree recycles the records received packets wait on the CPU in.
 	jobFree []*verifyJob
 	reasm   reassembler
@@ -212,6 +216,10 @@ func (m *Mux) Open(epoch uint16) *Transport {
 	}
 	t := &Transport{m: m, epoch: epoch, retxEvt: new(sim.Event)}
 	t.retxFn = t.retransmit
+	if n := len(m.spare); n > 0 {
+		t.live, t.rows = m.spare[n-1].live, m.spare[n-1].rows
+		m.spare = m.spare[:n-1]
+	}
 	m.epochs = slices.Insert(m.epochs, i, t)
 	return t
 }
@@ -233,10 +241,19 @@ func (m *Mux) OpenEpochs() []uint16 {
 	return out
 }
 
+// epochStore is an epoch's intent store and NACK rows, the storage that
+// grows with what the epoch's components publish and hear.
+type epochStore struct {
+	live []liveIntent
+	rows []nackRow
+}
+
 // Close stops and discards an epoch's transport. This is the epoch garbage
-// collection hook: after Close, the epoch's intents, NACK maps, and timers
+// collection hook: after Close, the epoch's intents, NACK rows, and timers
 // are gone and inbound frames for it are dropped; what it counted stays in
-// the node's Stats.
+// the node's Stats. The store and the rows are emptied and go to the next
+// epoch Open makes; the closed transport keeps none of them, so a component
+// that still writes to it writes to storage of its own.
 func (m *Mux) Close(epoch uint16) {
 	i, ok := m.find(epoch)
 	if !ok {
@@ -244,6 +261,10 @@ func (m *Mux) Close(epoch uint16) {
 	}
 	t := m.epochs[i]
 	t.Stop()
+	clear(t.live)
+	clear(t.rows)
+	m.spare = append(m.spare, epochStore{live: t.live[:0], rows: t.rows[:0]})
+	t.live, t.rows, t.nDirty = nil, nil, 0
 	m.epochs = slices.Delete(m.epochs, i, i+1)
 	m.ready = m.ready && m.pending()
 }

@@ -161,7 +161,9 @@ const (
 // Transport is one epoch of a node's ConsensusBatcher (or baseline)
 // instance: the epoch's intent store, NACK rows, handlers and timers.
 // Everything node-scoped — scheduler, CPU, radio, keys, the send and
-// receive state, the counters — is its Mux's, once.
+// receive state, the counters — is its Mux's, once. The storage of the
+// store and the rows outlives the epoch: Mux.Close empties it and hands it
+// to the next epoch Mux.Open makes, so a node's epochs grow it once.
 type Transport struct {
 	m     *Mux
 	epoch uint16
@@ -239,7 +241,9 @@ type nackRow struct {
 // sendState is what one node's epochs share on the way to the radio: the
 // fragment sequence space (one node's frames across its epochs form a
 // single one, so receivers keep one reassembly buffer per peer) and the
-// storage packets are built in, so a new epoch's transport starts warm.
+// storage packets are built in, so a new epoch's transport starts warm —
+// as it does with the intent store and NACK rows a closed epoch left
+// (Mux.Close).
 type sendState struct {
 	seq uint32
 	// Section and entry scratch, reused across builds. nextRow is the

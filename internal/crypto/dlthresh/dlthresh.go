@@ -58,6 +58,7 @@ type cache struct {
 
 	bases    memo.Memo[string, *mont.Table] // Base.Tag -> comb of the element
 	combined memo.Memo[[32]byte, *big.Int]  // first K shares' (index, V) -> Combine's element
+	polys    memo.Memo[string, *polyCheck]  // fit's indices, then the tail's -> onPolynomial's powers
 }
 
 // PrivateShare is party Index's share of the secret.
@@ -296,31 +297,65 @@ func (pk *PublicKey) CombineBare(shares []*Share) (*big.Int, error) {
 // component of every element, which is all the caller needs: it checks
 // the combined element's membership itself.
 func (pk *PublicKey) onPolynomial(fit []*Share, sh *Share) bool {
+	pc := pk.polyFor(fit, sh.Index)
+	lhs, lexp := []*big.Int{sh.V}, []*big.Int{pc.l}
+	var rhs, rexp []*big.Int
+	for i, a := range fit {
+		if pc.left[i] {
+			lhs, lexp = append(lhs, a.V), append(lexp, pc.pow[i])
+		} else {
+			rhs, rexp = append(rhs, a.V), append(rexp, pc.pow[i])
+		}
+	}
+	return pk.Group.MulExp(lhs, lexp).Cmp(pk.Group.MulExp(rhs, rexp)) == 0
+}
+
+// polyCheck is onPolynomial's relation for one fit and tail index, a pure
+// function of their indices: V^l = Π V_i^{±pow_i}, with pow_i = |c_i| for
+// c_i = l·N_i/D_i, and left[i] saying c_i < 0, so V_i's power is on V's
+// side.
+type polyCheck struct {
+	l    *big.Int
+	pow  []*big.Int
+	left []bool
+}
+
+// polyFor returns the relation of fit and the tail index x, memoized by
+// the exact index sequence, as the collector hands the same sets over
+// again and again.
+func (pk *PublicKey) polyFor(fit []*Share, x int) *polyCheck {
+	key := make([]byte, 0, 8*(len(fit)+1))
+	for _, sh := range fit {
+		key = binary.BigEndian.AppendUint64(key, uint64(sh.Index))
+	}
+	key = binary.BigEndian.AppendUint64(key, uint64(x))
+	return pk.cc.polys.Get(string(key), func() *polyCheck { return newPolyCheck(fit, x) })
+}
+
+// newPolyCheck computes the relation: N_i = Π_{m≠i} (x − x_m), D_i =
+// Π_{m≠i} (x_i − x_m), l = lcm |D_i|.
+func newPolyCheck(fit []*Share, x int) *polyCheck {
 	num, den := make([]*big.Int, len(fit)), make([]*big.Int, len(fit))
 	l := big.NewInt(1)
 	for i, a := range fit {
 		num[i], den[i] = big.NewInt(1), big.NewInt(1)
 		for m, b := range fit {
 			if m != i {
-				num[i].Mul(num[i], big.NewInt(int64(sh.Index-b.Index)))
+				num[i].Mul(num[i], big.NewInt(int64(x-b.Index)))
 				den[i].Mul(den[i], big.NewInt(int64(a.Index-b.Index)))
 			}
 		}
 		d := new(big.Int).Abs(den[i])
 		l.Mul(l, d.Quo(d, new(big.Int).GCD(nil, nil, l, d)))
 	}
-	lhs, lexp := []*big.Int{sh.V}, []*big.Int{l}
-	var rhs, rexp []*big.Int
-	for i, a := range fit {
+	pc := &polyCheck{l: l, pow: make([]*big.Int, len(fit)), left: make([]bool, len(fit))}
+	for i := range fit {
 		c := new(big.Int).Mul(l, num[i])
 		c.Quo(c, den[i])
-		if c.Sign() < 0 {
-			lhs, lexp = append(lhs, a.V), append(lexp, c.Neg(c))
-		} else {
-			rhs, rexp = append(rhs, a.V), append(rexp, c)
-		}
+		pc.left[i] = c.Sign() < 0
+		pc.pow[i] = c.Abs(c)
 	}
-	return pk.Group.MulExp(lhs, lexp).Cmp(pk.Group.MulExp(rhs, rexp)) == 0
+	return pc
 }
 
 var errRange = errors.New("dlthresh: share out of range")

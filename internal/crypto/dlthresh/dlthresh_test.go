@@ -315,6 +315,66 @@ func TestCombineMemoExact(t *testing.T) {
 	}
 }
 
+// TestPolyCheckMemo: the bare-share check's powers, memoized by the fit's
+// indices and the tail's, are the ones a fresh computation gives, for every
+// fit of K indices in either order and every tail index outside it, at
+// (K, L) = (2, 4) and (5, 13) — on a miss, on a hit and after the memo
+// overflowed — and they are the integer Lagrange relation: l·p(x) =
+// Σ ±pow_i·p(x_i) for a polynomial p of degree K−1.
+func TestPolyCheckMemo(t *testing.T) {
+	for _, kl := range [][2]int{{2, 4}, {5, 13}} {
+		k, l := kl[0], kl[1]
+		pk := &PublicKey{K: k, L: l, cc: &cache{}}
+		all := make([]*Share, l)
+		for i := range all {
+			all[i] = &Share{Index: i + 1}
+		}
+		// p(x) = 3 + 5x − 2x² + … , degree K−1.
+		p := func(x int) *big.Int {
+			sum, pow := new(big.Int), big.NewInt(1)
+			for c := 0; c < k; c++ {
+				sum.Add(sum, new(big.Int).Mul(big.NewInt(int64(3+5*c-7*(c%2))), pow))
+				pow.Mul(pow, big.NewInt(int64(x)))
+			}
+			return sum
+		}
+		sets := 0
+		for pass := 0; pass < 2; pass++ {
+			subsets(all, k, func(fit []*Share) {
+				rev := slices.Clone(fit)
+				slices.Reverse(rev)
+				for _, order := range [][]*Share{fit, rev} {
+					for _, tail := range all {
+						if slices.Contains(order, tail) {
+							continue
+						}
+						got, want := pk.polyFor(order, tail.Index), newPolyCheck(order, tail.Index)
+						if got.l.Cmp(want.l) != 0 || !slices.Equal(got.left, want.left) ||
+							!slices.EqualFunc(got.pow, want.pow, func(a, b *big.Int) bool { return a.Cmp(b) == 0 }) {
+							t.Fatalf("(%d,%d) fit %v tail %d: memo %+v, fresh %+v", k, l, indices(order), tail.Index, got, want)
+						}
+						lhs, rhs := new(big.Int).Mul(got.l, p(tail.Index)), new(big.Int)
+						for i, sh := range order {
+							term := new(big.Int).Mul(got.pow[i], p(sh.Index))
+							if got.left[i] {
+								term.Neg(term)
+							}
+							rhs.Add(rhs, term)
+						}
+						if lhs.Cmp(rhs) != 0 {
+							t.Fatalf("(%d,%d) fit %v tail %d: l·p(x) = %v, the powers give %v", k, l, indices(order), tail.Index, lhs, rhs)
+						}
+						sets++
+					}
+				}
+			})
+		}
+		if sets == 0 || pk.cc.polys.Len() == 0 {
+			t.Fatalf("(%d,%d): %d sets checked, %d memo entries", k, l, sets, pk.cc.polys.Len())
+		}
+	}
+}
+
 func indices(set []*Share) []int {
 	out := make([]int, len(set))
 	for i, sh := range set {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -125,8 +127,26 @@ func TestAleaAgreement(t *testing.T) {
 }
 
 // TestAleaOrder pins the common permutation: deterministic for an epoch
-// identity, a valid permutation, and epoch-rotated.
+// identity, a valid permutation, and epoch-rotated. The pinned orders are
+// those a fresh generator seeded from the identity draws, in any order of
+// calls on the reused ones.
 func TestAleaOrder(t *testing.T) {
+	for _, c := range []struct {
+		domain  string
+		session uint32
+		epoch   uint16
+		want    []int
+	}{
+		{"alea-pi", 42, 3, []int{2, 4, 0, 1, 5, 3, 6}},
+		{"dumbo-pi", 7, 100, []int{1, 5, 8, 2, 9, 11, 0, 3, 10, 12, 4, 6, 7}},
+		{"alea-pi", 1, 65535, []int{1, 2, 3, 0}},
+		{"alea-pi", 42, 3, []int{2, 4, 0, 1, 5, 3, 6}},
+	} {
+		if got := commonPermutation(c.domain, c.session, c.epoch, len(c.want)); !slices.Equal(got, c.want) {
+			t.Errorf("%s session %d epoch %d: order %v, want %v", c.domain, c.session, c.epoch, got, c.want)
+		}
+	}
+
 	a := commonPermutation("alea-pi", 42, 3, 7)
 	b := commonPermutation("alea-pi", 42, 3, 7)
 	seen := make([]bool, 7)
@@ -152,6 +172,27 @@ func TestAleaOrder(t *testing.T) {
 	if !rotated {
 		t.Error("order never rotates across epochs")
 	}
+}
+
+// TestCommonPermutationConcurrent: concurrent simulations draw their
+// orders from the shared generators at once, and each gets its own.
+func TestCommonPermutationConcurrent(t *testing.T) {
+	want := []int{1, 5, 8, 2, 9, 11, 0, 3, 10, 12, 4, 6, 7}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if got := commonPermutation("dumbo-pi", 7, 100, len(want)); !slices.Equal(got, want) {
+					t.Errorf("order %v, want %v", got, want)
+					return
+				}
+				commonPermutation("alea-pi", uint32(i), uint16(i), 4+i%10)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // TestEngineRegistry covers the registry surface the drivers and the
