@@ -65,7 +65,13 @@ func TestRepairRowServesFragments(t *testing.T) {
 			var heard []section
 			tn.envs[2].T.Register(k.kind, core.HandlerFunc(func(from uint16, sec packet.Section) {
 				if from == 0 {
+					// The section, its entries and their bytes are the
+					// transport's only until the handler returns.
+					sec.Nack = packet.BitSet(bytes.Clone(sec.Nack))
 					sec.Entries = append([]packet.Entry(nil), sec.Entries...)
+					for i := range sec.Entries {
+						sec.Entries[i].Data = bytes.Clone(sec.Entries[i].Data)
+					}
 					heard = append(heard, section{tn.sched.Now(), sec})
 				}
 			}))

@@ -42,13 +42,20 @@ func appendFragment(dst, raw []byte, sender uint16, seq uint32, idx, total, chun
 }
 
 // partial is the multi-fragment logical packet one transmitter has in the
-// making. The record and its chunk table are reused from packet to packet.
+// making. The record, its span table and its body storage are reused from
+// packet to packet: a fragment's body is copied in as it arrives, so no
+// radio frame is kept past the call that delivered it.
 type partial struct {
-	seq    uint32
-	total  uint8    // 0: nothing in the making
-	have   int      // fragments present
-	chunks [][]byte // by fragment index, nil until heard; a heard body is non-nil even when empty
+	seq   uint32
+	total uint8  // 0: nothing in the making
+	have  int    // fragments present
+	spans []span // by fragment index
+	body  []byte // the bodies heard, in arrival order
 }
+
+// span is where a heard fragment's body lies in partial.body; n < 0 until
+// it is heard, so an empty body counts.
+type span struct{ off, n int }
 
 // reassembler holds one reassembly buffer per transmitting station, indexed
 // by the station id the channel reports — never by the sender the fragment
@@ -60,25 +67,27 @@ type reassembler struct {
 
 // feed consumes one radio frame heard from station from and returns the
 // completed logical packet, and its sequence number, when all of its
-// fragments are present. forged
-// reports a fragment whose header names another sender than the station
-// that transmitted it; it is dropped, so a forger can park or supersede
-// partial packets only under its own id.
-func (r *reassembler) feed(from wireless.NodeID, frag []byte) (raw []byte, seq uint32, ok, forged bool) {
+// fragments are present. A single-fragment packet is the frame's body,
+// which the caller must copy to keep; a multi-fragment one is assembled
+// into a buffer taken from pool, and pooled says so. forged reports a
+// fragment whose header names another sender than the station that
+// transmitted it; it is dropped, so a forger can park or supersede partial
+// packets only under its own id.
+func (r *reassembler) feed(from wireless.NodeID, frag []byte, pool *packetBufs) (raw []byte, seq uint32, pooled, ok, forged bool) {
 	if len(frag) < fragHeaderLen {
-		return nil, 0, false, false
+		return nil, 0, false, false, false
 	}
 	if binary.BigEndian.Uint16(frag[0:]) != uint16(from) {
-		return nil, 0, false, true
+		return nil, 0, false, false, true
 	}
 	seq = binary.BigEndian.Uint32(frag[2:])
 	idx, total := frag[6], frag[7]
 	if total == 0 || idx >= total {
-		return nil, 0, false, false
+		return nil, 0, false, false, false
 	}
 	body := frag[fragHeaderLen:]
 	if total == 1 {
-		return body, seq, true, false
+		return body, seq, false, true, false
 	}
 	// from is the channel's word, not the wire's: the table grows to the
 	// largest station id attached and no further.
@@ -87,27 +96,50 @@ func (r *reassembler) feed(from wireless.NodeID, frag []byte) (raw []byte, seq u
 	}
 	p := &r.bufs[from]
 	if p.total == 0 || seq > p.seq {
-		clear(p.chunks)
-		p.chunks = append(p.chunks[:0], make([][]byte, total)...)
-		p.seq, p.total, p.have = seq, total, 0
+		p.spans = p.spans[:0]
+		for range total {
+			p.spans = append(p.spans, span{n: -1})
+		}
+		p.seq, p.total, p.have, p.body = seq, total, 0, p.body[:0]
 	}
-	if seq < p.seq || total != p.total || p.chunks[idx] != nil {
-		return nil, 0, false, false // stale, inconsistent or duplicate fragment
+	if seq < p.seq || total != p.total || p.spans[idx].n >= 0 {
+		return nil, 0, false, false, false // stale, inconsistent or duplicate fragment
 	}
-	p.chunks[idx] = body
+	p.spans[idx] = span{len(p.body), len(body)}
+	p.body = append(p.body, body...)
 	p.have++
 	if p.have < int(p.total) {
-		return nil, 0, false, false
+		return nil, 0, false, false, false
 	}
-	n := 0
-	for _, c := range p.chunks {
-		n += len(c)
+	raw = pool.take()
+	for _, sp := range p.spans {
+		raw = append(raw, p.body[sp.off:sp.off+sp.n]...)
 	}
-	out := make([]byte, 0, n)
-	for _, c := range p.chunks {
-		out = append(out, c...)
-	}
-	clear(p.chunks)
 	p.total = 0
-	return out, seq, true, false
+	return raw, seq, true, true, false
+}
+
+// packetBufs is a Mux's free list of packet buffers. A received logical
+// packet's bytes are in one from the moment the Mux routes it until its
+// dispatch returns (verifyJob.exec), when the buffer is cleared and goes
+// back: the decoded frame's Nack, Data and Sig alias it, and a handler
+// that kept one of them reads zeros at once instead of a later packet.
+type packetBufs [][]byte
+
+// take returns an empty buffer, with the capacity an earlier packet grew it
+// to.
+func (p *packetBufs) take() []byte {
+	n := len(*p)
+	if n == 0 {
+		return nil
+	}
+	b := (*p)[n-1]
+	*p = (*p)[:n-1]
+	return b
+}
+
+// put clears b and puts it back on the free list.
+func (p *packetBufs) put(b []byte) {
+	clear(b)
+	*p = append(*p, b[:0])
 }

@@ -100,19 +100,28 @@ func fuzzFragments(data []byte) (froms []wireless.NodeID, frags [][]byte) {
 // another or no station — to the reassembler and to the oracle. A
 // fragment whose header names its transmitter must get the oracle's
 // answer; one that does not must be dropped as forged, and the oracle
-// never sees it. Nothing may panic.
+// never sees it. Nothing may panic. The reassembler hears every fragment
+// from one scratch buffer, overwritten once feed has returned and its
+// answer has been checked, as the channel reuses its frame buffers, and a
+// completed packet's buffer goes back to the pool cleared: a reassembler
+// that kept a frame past the call that delivered it, or a packet buffer
+// past handing it over, gives the oracle a different answer.
 func FuzzReassembler(f *testing.F) {
 	f.Add([]byte{0, 0, 1, 0, 2<<2 | 1, 'a', 0, 0, 1, 1, 2<<2 | 1, 'b'})                     // two fragments, in order
 	f.Add([]byte{1, 0, 1, 1, 3 << 2, 1, 0, 1, 1, 3 << 2, 1, 0, 1, 0, 3 << 2})               // duplicate, empty bodies
 	f.Add([]byte{2, 0, 5, 0, 2 << 2, 2, 0, 1, 0, 2 << 2, 2, 0, 1, 1, 2 << 2})               // parked 0xFFFFFFFF makes seq 1 stale
 	f.Add([]byte{3, 6, 5, 0, 2 << 2, 0, 0, 1, 0, 2<<2 | 1, 'x', 0, 0, 1, 1, 2<<2 | 1, 'y'}) // forged under another's name
 	f.Add([]byte{0, 7, 0, 0, 1 << 2, 0, 5, 0, 3, 1 << 2, 0, 0, 2, 0, 2 << 2, 0, 0, 2, 0, 3 << 2})
+	f.Add([]byte{1, 0, 1, 1, 2<<2 | 2, 'c', 'd', 1, 0, 1, 0, 2<<2 | 2, 'a', 'b'}) // two fragments, out of order
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var r reassembler
+		var pool packetBufs
+		var scratch []byte
 		ref := &refReassembler{bufs: make(map[uint16]*refPartial)}
 		froms, frags := fuzzFragments(data)
 		for i, frag := range frags {
-			got, _, ok, forged := r.feed(froms[i], frag)
+			scratch = append(scratch[:0], frag...)
+			got, _, pooled, ok, forged := r.feed(froms[i], scratch, &pool)
 			if len(frag) >= fragHeaderLen && binary.BigEndian.Uint16(frag) != uint16(froms[i]) {
 				if ok || !forged {
 					t.Fatalf("fragment %d (%x from station %d): ok=%v forged=%v, want it dropped as forged", i, frag, froms[i], ok, forged)
@@ -122,6 +131,12 @@ func FuzzReassembler(f *testing.F) {
 			want, wantOK := ref.feed(frag)
 			if ok != wantOK || forged || !bytes.Equal(got, want) {
 				t.Fatalf("fragment %d (%x from station %d): (%x, %v, forged=%v), oracle (%x, %v)", i, frag, froms[i], got, ok, forged, want, wantOK)
+			}
+			if pooled {
+				pool.put(got)
+			}
+			for j := range scratch {
+				scratch[j] = ^scratch[j]
 			}
 		}
 		if len(r.bufs) > 4 {
@@ -163,7 +178,7 @@ func TestForgedFragmentCannotShadowVictim(t *testing.T) {
 			s, tx, rx, door := tc.rig(t)
 			var got [][]byte
 			rx.Register(packet.KindRBC, HandlerFunc(func(_ uint16, sec packet.Section) {
-				got = append(got, sec.Entries[0].Data)
+				got = append(got, bytes.Clone(sec.Entries[0].Data))
 			}))
 			door.ReceiveFrame(forger, forgery)
 			if d := rx.m.DroppedSession(); d != 1 {

@@ -63,11 +63,13 @@ type Mux struct {
 	// for the epochs Open makes next: an epoch starts with the capacity its
 	// predecessors grew, as it does with the send state.
 	spare []epochStore
-	// jobFree recycles the records received packets wait on the CPU in.
+	// jobFree recycles the records received packets wait on the CPU in, and
+	// pkts the buffers their bytes wait in.
 	jobFree []*verifyJob
+	pkts    packetBufs
 	reasm   reassembler
 	// Every received packet is parsed by the one decoder: its frame lives
-	// until the handlers return, see dispatch.
+	// until the handlers return, as the packet buffer does, see dispatch.
 	dec   packet.Decoder
 	icept Interceptor
 
@@ -341,20 +343,40 @@ var _ wireless.Receiver = (*Mux)(nil)
 
 // ReceiveFrame implements wireless.Receiver, the node's one receive path:
 // reassemble, then route by the frame header's epoch. Authentication
-// happens inside the routed transport, on the node's CPU.
+// happens inside the routed transport, on the node's CPU. The payload is
+// read only until ReceiveFrame returns: a routed packet is copied into one
+// of the Mux's packet buffers (packetBufs), and a dropped one is not
+// copied at all.
 func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 	m.noteTurn(from)
-	raw, seq, ok, forged := m.reasm.feed(from, payload)
+	raw, seq, pooled, ok, forged := m.reasm.feed(from, payload, &m.pkts)
 	if forged {
 		m.droppedSess++
 	}
 	if !ok {
 		return
 	}
+	t := m.route(from, raw)
+	if t == nil {
+		if pooled {
+			m.pkts.put(raw)
+		}
+		return
+	}
+	if !pooled {
+		raw = append(m.pkts.take(), raw...)
+	}
+	t.receiveLogical(uint16(from), raw, seq)
+}
+
+// route returns the open transport a packet station from transmitted goes
+// to, by its header's session and epoch, or nil when the packet is
+// dropped: unparsable, another session's, or an epoch not open here.
+func (m *Mux) route(from wireless.NodeID, raw []byte) *Transport {
 	_, session, epoch, ok := packet.PeekHeader(raw)
 	if !ok || session != m.cfg.Session {
 		m.droppedSess++
-		return
+		return nil
 	}
 	for int(from) >= len(m.heard) {
 		m.heard = append(m.heard, 0)
@@ -366,9 +388,8 @@ func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
 		if m.OnUnknownEpoch != nil {
 			m.OnUnknownEpoch(epoch)
 		}
-		return
 	}
-	t.receiveLogical(uint16(from), raw, seq)
+	return t
 }
 
 // unheard is the lastHeard of a station no frame has come from.

@@ -179,7 +179,7 @@ func TestCrashMidBurstNextPacketDelivered(t *testing.T) {
 	var got [][]byte
 	rx.Open(1).Register(packet.KindRBC, HandlerFunc(func(_ uint16, sec packet.Section) {
 		for _, e := range sec.Entries {
-			got = append(got, e.Data)
+			got = append(got, bytes.Clone(e.Data))
 		}
 	}))
 	value := func(b byte) Intent {

@@ -957,10 +957,11 @@ type verifyJob struct {
 }
 
 // exec runs at the job's completion time on the CPU: verify and dispatch,
-// then the record goes back to the free list.
+// then the packet buffer and the record go back to their free lists.
 func (j *verifyJob) exec() {
 	t := j.t
 	t.dispatch(j.from, j.raw, j.stale)
+	t.m.pkts.put(j.raw)
 	j.t, j.raw = nil, nil
 	t.m.jobFree = append(t.m.jobFree, j)
 }
@@ -977,11 +978,12 @@ func (t *Transport) ReceiveFrame(from wireless.NodeID, payload []byte) {
 // number, by which a packet completed after a newer one of the epoch from
 // the same station is stale.
 //
-// raw is shared and read-only: it is the channel's private copy of the
-// transmission (or the reassembler's fresh buffer), handed to every
-// receiver alike, and the decoded frame's Nack, Data and Sig alias it.
+// raw is one of the Mux's packet buffers (packetBufs), which receiveLogical
+// takes over: it goes back to the free list when dispatch returns, or now
+// if the transport is stopped.
 func (t *Transport) receiveLogical(from uint16, raw []byte, seq uint32) {
 	if t.stopped {
+		t.m.pkts.put(raw)
 		return
 	}
 	for int(from) >= len(t.newest) {
@@ -1036,10 +1038,10 @@ func (t *Transport) dispatch(from uint16, raw []byte, stale bool) {
 		}
 	}
 	// The frame was the handlers' only until they returned: its sections
-	// and entries are the decoder's reused storage. A handler may keep an
-	// entry's Data (immutable bytes of raw), never sec.Entries; zeroing the
-	// storage makes one that does read zeros at once instead of a later
-	// frame's votes.
+	// and entries are the decoder's reused storage, and every Nack, Data and
+	// Sig aliases raw, the packet buffer exec clears and reuses. A handler
+	// copies what it keeps, bytes and entries alike; zeroing both makes one
+	// that kept an alias read zeros at once instead of a later frame's.
 	dec.Release()
 }
 

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -45,14 +47,23 @@ func newRig(t *testing.T, n int, batched bool, mutate func(*wireless.Config)) *r
 		for _, k := range []packet.Kind{packet.KindRBC, packet.KindABA} {
 			k := k
 			tr.Register(k, HandlerFunc(func(from uint16, sec packet.Section) {
-				// A section is the transport's only until the handler
-				// returns; keeping one means copying its entries.
-				sec.Entries = append([]packet.Entry(nil), sec.Entries...)
-				r.received[i][k] = append(r.received[i][k], recv{from, sec})
+				r.received[i][k] = append(r.received[i][k], recv{from, keepSection(sec)})
 			}))
 		}
 	}
 	return r
+}
+
+// keepSection copies a section deep enough to keep it: a section is the
+// transport's only until the handler returns, its entries the decoder's
+// storage and its bytes the packet buffer.
+func keepSection(sec packet.Section) packet.Section {
+	sec.Nack = packet.BitSet(bytes.Clone(sec.Nack))
+	sec.Entries = slices.Clone(sec.Entries)
+	for i := range sec.Entries {
+		sec.Entries[i].Data = bytes.Clone(sec.Entries[i].Data)
+	}
+	return sec
 }
 
 func TestBatchedMergesIntents(t *testing.T) {
@@ -632,17 +643,18 @@ func TestStationBoundAfterConstruction(t *testing.T) {
 }
 
 // TestHandlerMustNotKeepEntries is the retention guard: a received frame's
-// sections and entries are the decoder's reused storage, zeroed as soon as
-// the handlers return, so a handler that keeps sec.Entries (and not a
-// copy) reads zeros — not its own frame, and not the next one's votes. An
-// entry's Data is bytes of the immutable transmission and may be kept.
+// sections and entries are the decoder's reused storage, and an entry's
+// Data bytes of the Mux's packet buffer, all zeroed as soon as the
+// handlers return, so a handler that keeps sec.Entries or an entry's Data
+// (and not a copy) reads zeros — not its own frame, and not the next
+// one's votes.
 func TestHandlerMustNotKeepEntries(t *testing.T) {
 	r := newRig(t, 2, true, nil)
 	var kept []packet.Entry
 	var data []byte
 	r.transports[1].Register(packet.KindABA, HandlerFunc(func(_ uint16, sec packet.Section) {
-		kept = sec.Entries // wrong: aliases the decoder's storage
-		data = sec.Entries[0].Data
+		kept = sec.Entries         // wrong: aliases the decoder's storage
+		data = sec.Entries[0].Data // wrong too: aliases the packet buffer
 		if e := sec.Entries[0]; e.Slot != 3 || e.Round != 7 || e.Flags != 1 {
 			t.Errorf("inside the handler the entry reads %+v", e)
 		}
@@ -659,8 +671,8 @@ func TestHandlerMustNotKeepEntries(t *testing.T) {
 	if e := kept[0]; e.Slot != 0 || e.Round != 0 || e.Flags != 0 || e.Data != nil {
 		t.Errorf("entry kept past the handler reads %+v, want zeros", e)
 	}
-	if len(data) != 2 || data[0] != 0xAA || data[1] != 0xBB {
-		t.Errorf("Data kept past the handler reads %x, want aabb", data)
+	if len(data) != 2 || data[0] != 0 || data[1] != 0 {
+		t.Errorf("Data kept past the handler reads %x, want 0000", data)
 	}
 }
 
@@ -692,7 +704,7 @@ func BenchmarkReceiveLogical(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.receiveLogical(2, raw, uint32(i))
+		tr.receiveLogical(2, append(tr.m.pkts.take(), raw...), uint32(i))
 		s.Step()
 	}
 	if got := tr.Stats().LogicalRecv; got != uint64(b.N) {

@@ -10,7 +10,10 @@ import (
 )
 
 // Receiver consumes frames delivered by the channel. Implementations are
-// invoked from scheduler events; they must not block.
+// invoked from scheduler events; they must not block. The payload is the
+// channel's buffer, which it clears and reuses once the last receiver of
+// the transmission has returned: a receiver may read it only until
+// ReceiveFrame returns, and copies what it keeps.
 type Receiver interface {
 	ReceiveFrame(from NodeID, payload []byte)
 }
@@ -20,7 +23,9 @@ type Receiver interface {
 // delivery delay and whether to drop the frame for this receiver. The
 // asynchronous model permits unbounded but finite delays between honest
 // nodes; hooks used in tests must respect eventual delivery for honest
-// pairs or rely on the NACK retransmission machinery.
+// pairs or rely on the NACK retransmission machinery. The payload is the
+// channel's buffer, as a Receiver is handed it: the hook may read it only
+// until it returns.
 type DeliveryHook func(from, to NodeID, payload []byte) (extra time.Duration, drop bool)
 
 // Stats aggregates channel-level counters. Channel accesses are the
@@ -66,7 +71,7 @@ type Source interface {
 // notBefore, and follows says it continues the access of the frame queued
 // before it (Station.Follow).
 type queued struct {
-	frame     []byte
+	frame     *frame
 	notBefore time.Duration
 	follows   bool
 }
@@ -111,8 +116,37 @@ type Channel struct {
 	collisionAir    time.Duration
 	collisionHeld   time.Duration
 	collisionDoneFn func()
-	// free holds delivery records for reuse.
-	free []*delivery
+	// free holds delivery records for reuse, and frames the frame buffers
+	// no queue, transmission or pending delivery holds.
+	free   []*delivery
+	frames []*frame
+}
+
+// frame is a payload in the channel's keeping, from Station.Queue or
+// Station.Follow until the last delivery of its transmission has run: buf
+// has capacity MaxFrame, and refs counts the deliveries still pending.
+type frame struct {
+	buf  []byte
+	refs int
+}
+
+// takeFrame returns a frame buffer holding a copy of payload.
+func (c *Channel) takeFrame(payload []byte) *frame {
+	var f *frame
+	if n := len(c.frames); n > 0 {
+		f, c.frames = c.frames[n-1], c.frames[:n-1]
+	} else {
+		f = &frame{buf: make([]byte, 0, c.cfg.MaxFrame)}
+	}
+	f.buf = append(f.buf, payload...)
+	return f
+}
+
+// putFrame clears f and puts it back on the free list.
+func (c *Channel) putFrame(f *frame) {
+	clear(f.buf)
+	f.buf = f.buf[:0]
+	c.frames = append(c.frames, f)
 }
 
 // NewChannel creates a channel with the given configuration. It panics on
@@ -188,8 +222,14 @@ func (s *Station) Kick() {
 // the one before it ends, whether it is the next fragment of the same
 // packet or the first of another packet the burst carries, so the hold
 // before its not-before is part of it too; a crash while a frame of the
-// burst is on the air or held for ends the burst after that frame.
+// burst is on the air or held for ends the burst after that frame. The
+// buffers of the frames discarded go back to the channel at once.
 func (s *Station) Reset() {
+	for _, q := range s.st.queue {
+		if q.frame != s.ch.tx.frame {
+			s.ch.putFrame(q.frame)
+		}
+	}
 	s.st.queue = s.st.queue[:0]
 	s.st.gen++
 	s.st.cw = s.ch.cfg.CWMin
@@ -205,11 +245,11 @@ func (s *Station) Broadcast(payload []byte) {
 // Queue appends a frame to the station's transmit queue: it goes out in
 // queue order at a channel access of its own, and its first bit no earlier
 // than notBefore — until then the station holds the medium it won. Sources
-// call it from Build. The payload is copied, so the caller may reuse the
-// buffer, and the copy is what every receiver is handed: private to the
-// channel, never pooled, never written again. Frames larger than MaxFrame
-// panic: framing and fragmentation are the transport layer's
-// responsibility.
+// call it from Build. The payload is copied into a frame buffer of the
+// channel's own, so the caller may reuse its buffer; every receiver is
+// handed that copy, which goes back to the channel's free list once the
+// last of them has returned (Receiver). Frames larger than MaxFrame panic:
+// framing and fragmentation are the transport layer's responsibility.
 func (s *Station) Queue(payload []byte, notBefore time.Duration) {
 	s.enqueue(payload, notBefore, false)
 }
@@ -232,9 +272,7 @@ func (s *Station) enqueue(payload []byte, notBefore time.Duration, follows bool)
 	if len(payload) > s.ch.cfg.MaxFrame {
 		panic(fmt.Sprintf("wireless: frame of %d bytes exceeds MTU %d", len(payload), s.ch.cfg.MaxFrame))
 	}
-	buf := make([]byte, len(payload))
-	copy(buf, payload)
-	s.st.queue = append(s.st.queue, queued{frame: buf, notBefore: notBefore, follows: follows})
+	s.st.queue = append(s.st.queue, queued{frame: s.ch.takeFrame(payload), notBefore: notBefore, follows: follows})
 }
 
 // kick ensures a contention round is scheduled when the medium next idles.
@@ -320,11 +358,13 @@ func (c *Channel) access() {
 
 // transmission is a successful frame on the medium, from beginTx to txDone:
 // the medium is the station's from won — the win, or the end of the frame
-// it follows in a burst (cont) — and the frame on the air from start.
+// it follows in a burst (cont) — and the frame on the air from start. The
+// frame stays at the head of the station's queue until txDone pops it,
+// unless Reset drops the queue first, which leaves this frame alone.
 type transmission struct {
 	st              *station
 	gen             uint64
-	frame           []byte
+	frame           *frame
 	cont            bool
 	won, start, end time.Duration
 	held            time.Duration
@@ -343,7 +383,7 @@ func (c *Channel) beginTx(st *station, won time.Duration, cont bool) {
 		first += c.cfg.SlotTime
 	}
 	start := max(first, q.notBefore)
-	end := start + c.cfg.Airtime(len(q.frame))
+	end := start + c.cfg.Airtime(len(q.frame.buf))
 	c.busyTill = end
 	st.txUntil = end
 	c.tx = transmission{st: st, gen: st.gen, frame: q.frame, cont: cont, won: won, start: start, end: end, held: start - first}
@@ -367,7 +407,7 @@ func (c *Channel) txDone() {
 	if !tx.cont {
 		c.stats.Accesses++
 	}
-	c.stats.BytesOnAir += uint64(len(tx.frame))
+	c.stats.BytesOnAir += uint64(len(tx.frame.buf))
 	c.stats.AirTime += tx.end - tx.won
 	c.stats.Held += tx.held
 	c.deliver(st, tx.frame, tx.start, tx.end)
@@ -387,7 +427,7 @@ func (c *Channel) beginCollision(winners []*station, won time.Duration) {
 	for _, st := range winners {
 		q := st.queue[0]
 		start := max(won, q.notBefore)
-		end = max(end, start+c.cfg.Airtime(len(q.frame)))
+		end = max(end, start+c.cfg.Airtime(len(q.frame.buf)))
 		held = min(held, start-won)
 	}
 	c.busyTill = end
@@ -412,8 +452,10 @@ func (c *Channel) collisionDone() {
 }
 
 // deliver fans a successful frame out to every other station, applying
-// half-duplex, random loss, and the adversary hook.
-func (c *Channel) deliver(from *station, frame []byte, start, end time.Duration) {
+// half-duplex, random loss, and the adversary hook. The frame goes back to
+// the free list when the last delivery it posts has run, or now if it
+// posts none.
+func (c *Channel) deliver(from *station, f *frame, start, end time.Duration) {
 	rng := c.sched.Rand()
 	for _, st := range c.stations {
 		if st == from {
@@ -429,7 +471,7 @@ func (c *Channel) deliver(from *station, frame []byte, start, end time.Duration)
 		}
 		extra := time.Duration(0)
 		if c.hook != nil {
-			d, drop := c.hook(from.id, st.id, frame)
+			d, drop := c.hook(from.id, st.id, f.buf)
 			if drop {
 				c.stats.LostHook++
 				continue
@@ -444,27 +486,34 @@ func (c *Channel) deliver(from *station, frame []byte, start, end time.Duration)
 			d = &delivery{c: c}
 			d.run = d.exec
 		}
-		d.recv, d.from, d.frame = st.recv, from.id, frame
+		d.recv, d.from, d.frame = st.recv, from.id, f
+		f.refs++
 		c.sched.Post(end+extra, d.run)
+	}
+	if f.refs == 0 {
+		c.putFrame(f)
 	}
 }
 
 // delivery is one frame on its way to one receiver. Records are recycled
 // through Channel.free, so a delivery allocates no closure. The frame is
-// the channel's private copy of the transmission (see Broadcast), shared
-// by every receiver of it and never written again: receivers must treat it
-// as read-only, and may keep it.
+// the channel's copy of the transmission (see Queue), shared by every
+// receiver of it: receivers read it only until they return, and the last
+// delivery to run puts it back on the free list.
 type delivery struct {
 	c     *Channel
 	recv  Receiver
 	from  NodeID
-	frame []byte
+	frame *frame
 	run   func() // exec, bound once
 }
 
 func (d *delivery) exec() {
-	recv, from, frame := d.recv, d.from, d.frame
+	c, recv, from, f := d.c, d.recv, d.from, d.frame
 	d.recv, d.frame = nil, nil
-	d.c.free = append(d.c.free, d)
-	recv.ReceiveFrame(from, frame)
+	c.free = append(c.free, d)
+	recv.ReceiveFrame(from, f.buf)
+	if f.refs--; f.refs == 0 {
+		c.putFrame(f)
+	}
 }

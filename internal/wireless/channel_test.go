@@ -1,6 +1,7 @@
 package wireless
 
 import (
+	"bytes"
 	"testing"
 	"time"
 
@@ -16,12 +17,14 @@ type sink struct {
 	sched *sim.Scheduler
 }
 
+// ReceiveFrame keeps a copy of the payload: the channel reuses its buffer
+// once the frame's last receiver has returned.
 func (s *sink) ReceiveFrame(from NodeID, payload []byte) {
 	s.frames = append(s.frames, struct {
 		from    NodeID
 		payload []byte
 		at      time.Duration
-	}{from, payload, s.sched.Now()})
+	}{from, bytes.Clone(payload), s.sched.Now()})
 }
 
 func lossless() Config {
@@ -320,7 +323,8 @@ type discard struct{}
 func (discard) ReceiveFrame(NodeID, []byte) {}
 
 // BenchmarkDeliver is one successful transmission fanned out to three
-// receivers, each delivery an event. Steady state allocates nothing.
+// receivers, each delivery an event. Steady state allocates nothing: the
+// frame buffer and the delivery records come back to the channel.
 func BenchmarkDeliver(b *testing.B) {
 	s := sim.New(1)
 	ch := NewChannel(s, lossless())
@@ -331,7 +335,7 @@ func BenchmarkDeliver(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ch.deliver(ch.stations[0], frame, s.Now(), s.Now())
+		ch.deliver(ch.stations[0], ch.takeFrame(frame), s.Now(), s.Now())
 		s.Run()
 	}
 	if got := ch.Stats().Frames; got != 3*uint64(b.N) {
@@ -339,13 +343,13 @@ func BenchmarkDeliver(b *testing.B) {
 	}
 }
 
-// TestContendedBroadcastAllocatesOnlyTheCopy: three stations that keep
-// their queues full contend, collide and transmit, and in the steady state
-// the only allocation is Broadcast's copy of each frame. A transmit queue
-// keeps its capacity as it drains (txDone slides it down instead of
-// re-slicing it from the front), and a collision's completion is a bound
-// method, not a fresh closure.
-func TestContendedBroadcastAllocatesOnlyTheCopy(t *testing.T) {
+// TestContendedBroadcastAllocatesNothing: three stations that keep their
+// queues full contend, collide and transmit, and in the steady state
+// nothing is allocated. Broadcast copies each frame into a buffer from the
+// channel's free list, a transmit queue keeps its capacity as it drains
+// (txDone slides it down instead of re-slicing it from the front), and a
+// collision's completion is a bound method, not a fresh closure.
+func TestContendedBroadcastAllocatesNothing(t *testing.T) {
 	s := sim.New(3)
 	ch := NewChannel(s, lossless())
 	var st [3]*Station
@@ -371,9 +375,104 @@ func TestContendedBroadcastAllocatesOnlyTheCopy(t *testing.T) {
 	if got := after.Accesses - before.Accesses; got != 12*(runs+1) {
 		t.Fatalf("%d frames transmitted, want %d", got, 12*(runs+1))
 	}
-	if allocs != 12 {
-		t.Fatalf("%v allocations per round of 12 frames, want 12", allocs)
+	if allocs != 0 {
+		t.Fatalf("%v allocations per round of 12 frames, want 0", allocs)
 	}
+}
+
+// receiverFunc adapts a function to Receiver.
+type receiverFunc func(from NodeID, payload []byte)
+
+func (f receiverFunc) ReceiveFrame(from NodeID, payload []byte) { f(from, payload) }
+
+// TestChannelRecyclesFrames: the channel's frame buffers come back to it
+// and to nothing else while a frame is in use. A warm channel allocates
+// nothing per frame across Queue/Follow bursts, collisions and Resets; a
+// Reset while the head frame is mid-air leaves that frame whole; a buffer
+// is not handed to another frame while a delivery of it that the hook
+// delayed is pending; and a receiver that kept the payload reads zeros
+// once the last delivery of it has run.
+func TestChannelRecyclesFrames(t *testing.T) {
+	t.Run("budget", func(t *testing.T) {
+		s := sim.New(3)
+		ch := NewChannel(s, lossless())
+		var st [3]*Station
+		for i := range st {
+			st[i] = ch.Attach(NodeID(i), discard{})
+		}
+		frame := make([]byte, 60)
+		crash := func() { st[1].Reset() }
+		round := func() {
+			for i := 0; i < 12; i++ {
+				st[i%3].Queue(frame, 0)
+				st[i%3].Follow(frame, 0)
+			}
+			st[2].Reset() // still waiting for the medium
+			st[2].Queue(frame, 0)
+			for _, x := range st {
+				x.Kick()
+			}
+			s.PostAfter(40*time.Millisecond, crash)
+			s.Run()
+		}
+		round()
+		round()
+		before := ch.Stats()
+		const runs = 50
+		allocs := testing.AllocsPerRun(runs, round)
+		after := ch.Stats()
+		if after.Collisions == before.Collisions || after.Accesses == before.Accesses {
+			t.Fatalf("%d collisions and %d accesses in the measured rounds, want some of each",
+				after.Collisions-before.Collisions, after.Accesses-before.Accesses)
+		}
+		if allocs != 0 {
+			t.Fatalf("%v allocations per round of up to 25 frames, want 0", allocs)
+		}
+	})
+	t.Run("ownership", func(t *testing.T) {
+		s := sim.New(7)
+		ch := NewChannel(s, lossless())
+		var kept [][]byte   // the payloads as handed over, never copied
+		var got [3][][]byte // copies taken at delivery, by receiver
+		var st [3]*Station
+		for i := range st {
+			id := NodeID(i)
+			st[i] = ch.Attach(id, receiverFunc(func(_ NodeID, payload []byte) {
+				got[id] = append(got[id], bytes.Clone(payload))
+				kept = append(kept, payload)
+			}))
+		}
+		a, b := bytes.Repeat([]byte{0xA}, 40), bytes.Repeat([]byte{0xB}, 40)
+		ch.SetDeliveryHook(func(_, to NodeID, payload []byte) (time.Duration, bool) {
+			if to == 2 && len(payload) > 0 && payload[0] == 0xA {
+				return time.Minute, false
+			}
+			return 0, false
+		})
+		st[0].Queue(a, time.Second) // held: mid-air from its win
+		st[0].Kick()
+		s.PostAfter(500*time.Millisecond, func() { st[0].Reset() })
+		s.RunFor(10 * time.Second)
+		if len(got[1]) != 1 || !bytes.Equal(got[1][0], a) {
+			t.Fatalf("station 1 got %x, want the frame Reset found mid-air, whole", got[1])
+		}
+		for i := 0; i < 4; i++ {
+			st[0].Broadcast(b)
+			s.RunFor(10 * time.Second)
+		}
+		if !bytes.Equal(kept[0], a) {
+			t.Fatalf("the buffer of a frame whose delayed delivery is pending reads %x, want it untouched", kept[0])
+		}
+		s.Run()
+		if len(got[2]) != 5 || !bytes.Equal(got[2][4], a) {
+			t.Fatalf("station 2 got %x, want 4 frames of 0xB then the delayed 0xA frame", got[2])
+		}
+		for i, p := range kept {
+			if !bytes.Equal(p, make([]byte, len(p))) {
+				t.Fatalf("kept payload %d reads %x after its last delivery, want zeros", i, p)
+			}
+		}
+	})
 }
 
 // source is a Source that, at each win, queues perBuild two-byte frames —
