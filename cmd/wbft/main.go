@@ -39,8 +39,8 @@
 // internal/scenario.Parse): ';'-separated events of the form
 // kind[@at[+duration]][:args], with the full event vocabulary
 //
-//	crash@30m:3              node 3 off the air, memory lost
-//	recover@55m:3            node 3 rejoins with stable storage only
+//	crash@30m:3              node 3 off the air, paused with all its state
+//	recover@55m:3            node 3 resumes where it stopped
 //	partition@10m:0,1/2,3    split {0,1} from {2,3}
 //	heal@20m                 end the partition
 //	loss@5m+90s:0.5          50% delivery loss for 90s

@@ -1,8 +1,9 @@
 // Recovery: crash a replica mid-run and watch it rejoin the replicated
-// log. Node 2 goes down around epoch 5, comes back around epoch 10 with
-// only its stable storage (committed log, mempool digests, keys), and
-// catches up through the epoch mux's unknown-epoch signal and NACK
-// retransmission — converging to the same gap-free log as everyone else.
+// log. Node 2 goes down around epoch 5 — a crash pauses it, so it keeps
+// its log, its mempool and every epoch it had open, with each vote and
+// value in them — comes back around epoch 10, and catches up through the
+// epoch mux's unknown-epoch signal and NACK retransmission, converging to
+// the same gap-free log as everyone else.
 //
 //	go run ./examples/recovery
 package main
@@ -47,9 +48,9 @@ func main() {
 	}
 	fmt.Printf("\nthroughput %.2f B/s; %d channel accesses (%d collisions)\n",
 		res.Chain.ThroughputBps, res.Accesses, res.Collisions)
-	fmt.Println("\nthe recovered replica rejoined mid-run: frames for epochs it had never")
-	fmt.Println("opened tripped core.Mux.OnUnknownEpoch, the chain re-opened its pipeline")
-	fmt.Println("at the commit frontier, and the peers — holding every epoch it had not")
+	fmt.Println("\nthe recovered replica rejoined mid-run: it resumed the epochs it had open")
+	fmt.Println("where it left them, frames for epochs it had never opened tripped")
+	fmt.Println("core.Mux.OnUnknownEpoch, and the peers — holding every epoch it had not")
 	fmt.Println("moved past — answered the undone bits of its NACK rows with the proposals,")
-	fmt.Println("votes, and decryption shares it lost.")
+	fmt.Println("votes, and decryption shares it missed while it was down.")
 }

@@ -416,8 +416,9 @@ func (a *CachinABA[S, V]) advance(slot int, round uint16, vals [2]bool, coin boo
 // pruneRounds parks outbound state older than the previous round: a
 // lagging honest peer can be at most one coin exchange behind, and beyond
 // that the DECIDED gadget carries it over the line. A peer that lost its
-// state — reborn from a full-stop crash, it restarts the instance at round
-// 1, and if no honest node decided the slot the gadget cannot carry it —
+// state — a Byzantine one, since a crash keeps it: it restarts the
+// instance at round 1, and if no honest node decided the slot the gadget
+// cannot carry it —
 // asks for a parked round by sending its own entries of it, and this
 // node's transport answers with this node's votes of the round and the round's
 // coin share, or the certificate that took the share's place (settle): the

@@ -133,10 +133,10 @@ func (c *CBC) shareMessage(slot int, h Hash8) []byte {
 	return append(msg, h[:]...)
 }
 
-// Propose starts instance slot with this node as leader. A logged value
-// (dissemination.propose) gets its certificate back through the FINISH
-// row: a peer that holds the certificate serves it to a row that shows the
-// slot undone.
+// Propose starts instance slot with this node as leader. A leader that
+// missed its own certificate gets it back through the FINISH row: a peer
+// that holds the certificate serves it to a row that shows the slot
+// undone.
 func (c *CBC) Propose(slot int, value []byte) {
 	c.acceptValue(slot, c.propose(slot, value))
 }

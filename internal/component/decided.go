@@ -40,7 +40,7 @@ type deciding struct {
 }
 
 // start sizes the DECIDED row to the instances and installs it: a node
-// reborn into the epoch shows every instance unhalted, so the peers'
+// that opens the epoch late shows every instance unhalted, so the peers'
 // claims come back on the air for it.
 func (d *deciding) start(slots int) {
 	d.terms = make([]*termination, slots)

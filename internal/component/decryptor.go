@@ -10,8 +10,8 @@ import (
 // one decryption share per accepted ciphertext, bare; 2f+1 bare shares
 // that agree give the ciphertext's key, and its plaintext if the key meets
 // the ciphertext's commitment. Bare shares that disagree, or f+1 of them
-// that wait too long for the rest (a peer that crashed after it combined
-// sends its share no more), turn the slot to proved shares, each
+// that wait too long for the rest (a peer may crash and stay down), turn
+// the slot to proved shares, each
 // verified, of which f+1 give the key (decScheme). Either way the key is
 // the one every honest node gets: a ciphertext whose commitment it does
 // not meet — a Byzantine proposer's, made under another key — is refused

@@ -124,20 +124,13 @@ func (d *dissemination) fragments(size int) int {
 	return (size + d.frag - 1) / d.frag
 }
 
-// propose publishes this node's value for a slot it leads and returns it:
-// the value the epoch's log (Env.Led) holds for the kind, a replay, or else
-// the argument, recorded before its first send. A value too large for the
-// fragment-count byte is refused here, loudly: on the wire the count would
-// wrap, every receiver would drop the fragments, and the instance would
-// stall with nothing to show for it.
+// propose publishes this node's value for a slot it leads and returns it.
+// A value too large for the fragment-count byte is refused here, loudly:
+// on the wire the count would wrap, every receiver would drop the
+// fragments, and the instance would stall with nothing to show for it.
 func (d *dissemination) propose(slot int, value []byte) []byte {
 	if d.leader(slot) != d.env.Me {
 		panic(fmt.Sprintf("component: node %d proposing kind-%d slot %d led by %d", d.env.Me, d.kind, slot, d.leader(slot)))
-	}
-	if logged, ok := d.env.Led[d.kind]; ok {
-		value = logged
-	} else if d.env.Led != nil {
-		d.env.Led[d.kind] = value
 	}
 	if !d.small && d.fragments(len(value)) > maxFragments {
 		panic(fmt.Sprintf("component: %d B value exceeds the %d B one broadcast can carry (%d fragments of %d B)",

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/crypto"
-	"repro/internal/packet"
 	"repro/internal/sim"
 )
 
@@ -33,14 +32,7 @@ type Env struct {
 	CPU     *sim.CPU
 	Sched   *sim.Scheduler
 	Rand    *rand.Rand
-	Led     Led // the epoch's log of the values this node leads (nil: none kept)
 }
-
-// Led is one node's write-ahead log for one epoch: the value it led on each
-// wire kind (its own slot is Me). Peers bind themselves to the first value
-// a slot carries, so a node that crashed and recovers re-proposes the
-// logged one (dissemination.propose; Aguilera, Chen and Toueg's model).
-type Led map[packet.Kind][]byte
 
 // Quorum returns 2f+1.
 func (e *Env) Quorum() int { return 2*e.F + 1 }

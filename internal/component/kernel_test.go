@@ -3,7 +3,6 @@ package component
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
 	"strings"
 	"testing"
 	"time"
@@ -327,9 +326,11 @@ func TestEveryNodeCertifies(t *testing.T) {
 
 // TestHeldFinishOutlivesItsCombiners: nodes 2 and 3 hear no ECHO, so they
 // deliver slot 0 from the FINISH of nodes 0 and 1, the only combiners.
-// Both combiners then crash, and node 0, the leader, comes back with
-// amnesia and replays its logged value, asking nothing. Only the survivors
-// hold the certificate now, and they serve it to its FINISH row.
+// Both combiners then lose their state, and node 0, the leader, comes back
+// with none and proposes another value — an amnesiac node equivocates,
+// which makes it Byzantine. Only the survivors hold the certificate now:
+// they serve it to its FINISH row, and the leader delivers the value the
+// certificate names, not the one it proposed.
 func TestHeldFinishOutlivesItsCombiners(t *testing.T) {
 	for _, k := range kernelKinds {
 		t.Run(k.name, func(t *testing.T) {
@@ -343,8 +344,6 @@ func TestHeldFinishOutlivesItsCombiners(t *testing.T) {
 					}
 				}))
 			}
-			log := Led{}
-			tn.envs[0].Led = log
 			nodes[0].Propose(0, kernelValue(0, k.small))
 			tn.run(t, 10*time.Minute, func() bool { return nodes[2].Delivered(0) && nodes[3].Delivered(0) })
 			if nodes[0].slots[0].cert.cert == nil && nodes[1].slots[0].cert.cert == nil {
@@ -357,7 +356,7 @@ func TestHeldFinishOutlivesItsCombiners(t *testing.T) {
 			leader.Propose(0, kernelValue(7, k.small))
 			tn.run(t, tn.sched.Now()+10*time.Minute, func() bool { return leader.Delivered(0) })
 			if !bytes.Equal(leader.Value(0), kernelValue(0, k.small)) {
-				t.Errorf("the reborn leader delivered %q…, want its logged value", leader.Value(0)[:1])
+				t.Errorf("the reborn leader delivered %q…, want the certified first value", leader.Value(0)[:1])
 			}
 		})
 	}
@@ -1108,123 +1107,4 @@ func replayCoin[S, V any](t *testing.T, name string, coin func(*Env) Coin[S, V],
 			t.Errorf("%s: round %d's certificate %x; the parked intent went out with flags %d", name, r, cert, want.Flags)
 		}
 	}
-}
-
-// TestLedValueLog pins the write-ahead log of led values (Env.Led). A
-// broadcast whose log already holds a value for its kind publishes that
-// value's INITIAL fragments in place of the argument, and delivers it with
-// its REPAIR row never asking for its own slot; a fresh log records the argument before
-// the first send; a nil log records nothing. Node 0 replays on slot 0,
-// node 1 proposes into a fresh log on slot 1, node 2 into none on slot 2.
-func TestLedValueLog(t *testing.T) {
-	logged, arg := bytes.Repeat([]byte("L"), 400), bytes.Repeat([]byte("A"), 400)
-	initial := func(rec *recorder, slot int) []byte {
-		var v []byte
-		for _, e := range rec.entries(packet.PhaseInitial, slot) {
-			v = append(v, e.Data...)
-		}
-		return v
-	}
-	type broadcast interface {
-		Propose(slot int, value []byte)
-		Value(slot int) []byte
-		wanted(slot int) bool
-	}
-	for _, tc := range []struct {
-		name string
-		kind packet.Kind
-		make func(env *Env) broadcast
-	}{
-		{"rbc", packet.KindRBC, func(env *Env) broadcast { return NewRBC(env, RBCOptions{Slots: 4}) }},
-		{"cbc", packet.KindCBCValue, func(env *Env) broadcast {
-			return NewCBC(env, CBCOptions{Kind: packet.KindCBCValue, Slots: 4})
-		}},
-		{"vcbc", packet.KindVCBC, func(env *Env) broadcast {
-			return NewCBC(env, CBCOptions{Kind: packet.KindVCBC, Slots: 4})
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			tn := newTestNet(t, 45, 0, true)
-			logs := []Led{{tc.kind: logged}, {}, nil}
-			nodes := make([]broadcast, len(tn.envs))
-			recs := make([]*recorder, len(logs))
-			for i, env := range tn.envs {
-				nodes[i] = tc.make(env)
-			}
-			for i, log := range logs {
-				env := tn.envs[i]
-				env.Led = log
-				recs[i] = record(env)
-				nodes[i].Propose(i, arg)
-			}
-			want := func(i int) []byte {
-				if i == 0 {
-					return logged
-				}
-				return arg
-			}
-			asked := make([]bool, len(logs))
-			tn.run(t, 10*time.Minute, func() bool {
-				for i := range logs {
-					asked[i] = asked[i] || nodes[i].wanted(i)
-				}
-				for i := range logs {
-					if nodes[i].Value(i) == nil {
-						return false
-					}
-				}
-				return true
-			})
-			for i, log := range logs {
-				if got := initial(recs[i], i); !bytes.Equal(got, want(i)) {
-					t.Errorf("node %d: INITIAL carries %q…, want %q…", i, got[:1], want(i)[:1])
-				}
-				if got := nodes[i].Value(i); !bytes.Equal(got, want(i)) {
-					t.Errorf("node %d: delivered %q…, want %q…", i, got[:1], want(i)[:1])
-				}
-				if asked[i] {
-					t.Errorf("node %d: its REPAIR row asked for its own slot", i)
-				}
-				if log != nil && !bytes.Equal(log[tc.kind], want(i)) {
-					t.Errorf("node %d: log holds %q…, want %q…", i, log[tc.kind][:1], want(i)[:1])
-				}
-			}
-			if tn.envs[2].Led != nil {
-				t.Error("a nil log was filled")
-			}
-		})
-	}
-	// The encrypted proposal path logs the ciphertext: a replay re-sends it
-	// with no encryption charged and no randomness drawn.
-	t.Run("encrypted", func(t *testing.T) {
-		tn := newTestNet(t, 46, 0, true)
-		plain := []byte("the batch")
-		ct, err := tn.envs[3].Suite.TE.Encrypt(plain, tn.envs[3].Rand)
-		if err != nil {
-			t.Fatal(err)
-		}
-		sealed := EncodeCiphertext(ct)
-		for i, log := range []Led{{packet.KindRBC: sealed}, {}} {
-			env := tn.envs[i]
-			env.Led, env.Rand = log, rand.New(rand.NewSource(7))
-			rec := record(env)
-			NewRBC(env, RBCOptions{Slots: 4}).ProposeEncrypted(i, plain)
-			busy, draw := env.CPU.BusyTotal(), env.Rand.Int63()
-			fresh := rand.New(rand.NewSource(7)).Int63()
-			if i == 0 {
-				if busy != 0 || draw != fresh || !bytes.Equal(initial(rec, 0), sealed) {
-					t.Errorf("replay: charged %v, drew randomness %v, re-sent the logged ciphertext %v",
-						busy, draw != fresh, bytes.Equal(initial(rec, 0), sealed))
-				}
-				continue
-			}
-			if busy != env.Suite.Cost.TEEncrypt {
-				t.Errorf("fresh: charged %v, want TEEncrypt %v", busy, env.Suite.Cost.TEEncrypt)
-			}
-			tn.run(t, time.Minute, func() bool { return len(log) > 0 })
-			if got, err := DecodeCiphertext(log[packet.KindRBC]); err != nil || !bytes.Equal(initial(rec, 1), log[packet.KindRBC]) {
-				t.Errorf("fresh: logged %v (%v), INITIAL carries the logged value %v", got, err, bytes.Equal(initial(rec, 1), log[packet.KindRBC]))
-			}
-		}
-	})
 }

@@ -96,14 +96,8 @@ func (r *RBC) Propose(slot int, value []byte) {
 }
 
 // ProposeEncrypted proposes plain threshold-encrypted on the node's CPU,
-// HoneyBadgerBFT's and BEAT's proposal path. A logged ciphertext goes out
-// again as it is, with no encryption charged or randomness drawn: peers
-// echoed that one, and a fresh encryption would be another value.
+// HoneyBadgerBFT's and BEAT's proposal path.
 func (r *RBC) ProposeEncrypted(slot int, plain []byte) {
-	if _, ok := r.env.Led[r.kind]; ok {
-		r.Propose(slot, nil)
-		return
-	}
 	r.env.Exec(r.env.Suite.Cost.TEEncrypt, func() {
 		ct, err := r.env.Suite.TE.Encrypt(plain, r.env.Rand)
 		if err != nil {

@@ -71,7 +71,8 @@ func (s *shareSlots[X, S, V]) HandleSection(from uint16, sec packet.Section) {
 // live — with the certificate in its place, if the value has one: a peer
 // that missed share frames (half-duplex, loss) still needs it. The
 // transport parks it once every peer's row shows the slot done, and a peer
-// that turns up without the done bit again (crash recovery) brings it back.
+// that turns up without the done bit (a late joiner, or one that lost its
+// state) brings it back.
 func (s *shareSlots[X, S, V]) settled(slot int, value V) {
 	s.done.Set(slot)
 	s.setRow()

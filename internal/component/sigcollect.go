@@ -64,10 +64,11 @@ var resendEvery = core.DefaultConfig(true).RetxInterval
 
 // bareWait is how long a tally that holds k bare shares, enough for a
 // verified combination, waits for the kBare a bare one takes before it
-// turns to proofs: the last honest shares may never come (a peer that
-// crashed after it combined keeps no share to re-send), and k verified
-// ones do. Two base re-send periods: a share lost once is re-sent within
-// them.
+// turns to proofs: the last honest shares may never come (a peer may
+// crash and stay down), and k verified ones do. Two base re-send periods:
+// a share lost once is re-sent within them. The wait runs on the node's
+// clock (core.Transport.After), so a node that is down does not turn to
+// proofs until it is back.
 var bareWait = 2 * resendEvery
 
 // The flags of an entry of a share phase. certFlag marks one that carries
@@ -380,7 +381,7 @@ func (c *collector[X, S, V]) add(t *tally[X, S, V], id, w int, share S) {
 	}
 	if t.nShares < need {
 		if bare && t.nShares == c.k {
-			c.env.Sched.After(bareWait, func() {
+			c.env.T.After(bareWait, func() {
 				if !t.done && !t.combining {
 					c.toProofs(t)
 				}

@@ -51,14 +51,21 @@ type Mux struct {
 	station *wireless.Station
 	// epochs are the open epochs' transports, sorted by epoch.
 	epochs []*Transport
-	// windowOpen says the aggregation window of an idle node is running
-	// (windowFn is m.windowClosed, bound once); ready says the node
-	// contends for the medium. served is the epoch of the last frame a
-	// baseline node built, where its round-robin resumes.
+	// windowOpen says the aggregation window of an idle node is running,
+	// on the timer window (windowFn is m.windowClosed, bound once); ready
+	// says the node contends for the medium. served is the epoch of the
+	// last frame a baseline node built, where its round-robin resumes.
 	windowOpen, ready bool
+	window            *sim.Event
 	windowFn          func()
 	served            int
 	out               sendState
+	// down says the node has crashed (Crash): it hears, contends and
+	// re-sends nothing, and its timers wait for Recover — the transports'
+	// are disarmed, and the actions of the others that came due meanwhile
+	// (Due) wait in deferred.
+	down     bool
+	deferred []func()
 	// spare holds the intent stores and NACK rows of closed epochs, emptied,
 	// for the epochs Open makes next: an epoch starts with the capacity its
 	// predecessors grew, as it does with the send state.
@@ -97,7 +104,7 @@ type Mux struct {
 // NewMux creates a node's transport layer with no epoch open. cfg applies
 // to every epoch (Session, RetxInterval, Batched).
 func NewMux(sched *sim.Scheduler, cpu *sim.CPU, auth *SizedAuth, cfg Config) *Mux {
-	m := &Mux{sched: sched, cpu: cpu, auth: auth, cfg: cfg, served: -1}
+	m := &Mux{sched: sched, cpu: cpu, auth: auth, cfg: cfg, served: -1, window: new(sim.Event)}
 	m.windowFn = m.windowClosed
 	return m
 }
@@ -115,14 +122,16 @@ func (m *Mux) BindStation(st *wireless.Station) {
 
 // flush starts the node contending for the medium: an idle node after the
 // aggregation window, flushDelay, so that a burst of updates shares its
-// first frame; a node already contending at once.
+// first frame; a node already contending at once; a node that is down not
+// until it recovers.
 func (m *Mux) flush() {
 	switch {
+	case m.down:
 	case m.ready:
 		m.kick()
 	case !m.windowOpen:
 		m.windowOpen = true
-		m.sched.PostAfter(flushDelay, m.windowFn)
+		m.sched.Arm(m.window, flushDelay, m.windowFn)
 	}
 }
 
@@ -181,6 +190,9 @@ func (m *Mux) pending() bool { return slices.ContainsFunc(m.epochs, (*Transport)
 // an access of its own, and the node goes on contending while another
 // epoch has something to send.
 func (m *Mux) Build() {
+	if m.down {
+		return // won a contention round that began before the crash
+	}
 	if m.cfg.Batched {
 		follows := false
 		for _, t := range m.epochs {
@@ -234,15 +246,6 @@ func (m *Mux) Lookup(epoch uint16) *Transport {
 	return nil
 }
 
-// OpenEpochs returns the open epochs in ascending order.
-func (m *Mux) OpenEpochs() []uint16 {
-	out := make([]uint16, len(m.epochs))
-	for i, t := range m.epochs {
-		out[i] = t.epoch
-	}
-	return out
-}
-
 // epochStore is an epoch's intent store and NACK rows, the storage that
 // grows with what the epoch's components publish and hear.
 type epochStore struct {
@@ -271,11 +274,63 @@ func (m *Mux) Close(epoch uint16) {
 	m.ready = m.ready && m.pending()
 }
 
-// Stop closes every open epoch.
-func (m *Mux) Stop() {
-	for _, e := range m.OpenEpochs() {
-		m.Close(e)
+// Crash pauses the node's transport layer: it drops every frame it is
+// handed, stops contending for the medium and disarms its own timers — the
+// aggregation window and each open epoch's retransmission timer — and the
+// action of any other timer of the node's that comes due while it is down
+// waits for Recover (Due). It closes no epoch: every intent, NACK row and
+// handler is kept. What the node's CPU already had charged still
+// completes, and what it produces waits in the store; the frames already
+// queued are the station's to drop (wireless.Station.Reset). Idempotent.
+func (m *Mux) Crash() {
+	m.down, m.ready = true, false
+	if m.windowOpen {
+		m.window.Cancel() // a queued handle cannot be re-armed
+		m.window, m.windowOpen = new(sim.Event), false
 	}
+	for _, t := range m.epochs {
+		t.disarm()
+	}
+}
+
+// Recover resumes a crashed transport layer: the actions of the timers
+// that came due while it was down run, and each open epoch looks again at
+// what is due to be re-sent — re-arming its timer for the rest — and puts its
+// NACK rows on the air afresh, as a silent peer coming back asks with its
+// first frame: an epoch whose every intent has settled meanwhile would
+// otherwise never tell its peers what it still lacks. The node contends
+// once an epoch has something to send. Idempotent.
+func (m *Mux) Recover() {
+	if !m.down {
+		return
+	}
+	m.down, m.paced = false, false
+	for _, fn := range m.deferred {
+		fn()
+	}
+	m.deferred = nil
+	for _, t := range m.epochs {
+		t.paced = false
+		t.rowsChanged = t.rowsChanged || slices.ContainsFunc(t.rows, func(r nackRow) bool { return r.bits != nil })
+		t.resend()
+	}
+	if m.pending() {
+		m.flush()
+	}
+}
+
+// Down reports whether the node is crashed.
+func (m *Mux) Down() bool { return m.down }
+
+// Due runs fn, the action of a timer of the node's that has come due — a
+// component's (Transport.After) or the chain engine's: at once, or, while
+// the node is down, once it recovers, in the order the timers came due.
+func (m *Mux) Due(fn func()) {
+	if m.down {
+		m.deferred = append(m.deferred, fn)
+		return
+	}
+	fn()
 }
 
 // Heard returns the highest epoch a frame from station named, or -1 if
@@ -346,8 +401,11 @@ var _ wireless.Receiver = (*Mux)(nil)
 // happens inside the routed transport, on the node's CPU. The payload is
 // read only until ReceiveFrame returns: a routed packet is copied into one
 // of the Mux's packet buffers (packetBufs), and a dropped one is not
-// copied at all.
+// copied at all. A node that is down hears nothing.
 func (m *Mux) ReceiveFrame(from wireless.NodeID, payload []byte) {
+	if m.down {
+		return
+	}
 	m.noteTurn(from)
 	raw, seq, pooled, ok, forged := m.reasm.feed(from, payload, &m.pkts)
 	if forged {

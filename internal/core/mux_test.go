@@ -147,8 +147,8 @@ func TestMuxCloseGarbageCollects(t *testing.T) {
 	sent := r.muxes[0].Stats().LogicalSent
 
 	r.muxes[1].Close(1)
-	if epochs := r.muxes[1].OpenEpochs(); len(epochs) != 0 {
-		t.Fatalf("open epochs after close: %v", epochs)
+	if n := len(r.muxes[1].epochs); n != 0 {
+		t.Fatalf("%d epochs open after close", n)
 	}
 	sender.Update(intentFor(1))
 	r.sched.Run()
@@ -194,12 +194,13 @@ func TestCrashMidBurstNextPacketDelivered(t *testing.T) {
 		}
 	}
 	r.sched.RunFor(r.ch.Config().SlotTime + time.Millisecond) // into the second
-	tx.Stop()
+	tx.Crash()
 	tx.station.Reset()
 	r.sched.Run()
 	if p := rx.reasm.bufs[0]; p.have != 2 || p.total != 3 || len(got) != 0 {
 		t.Fatalf("after the crash the receiver holds %d of %d fragments and %d values, want 2 of 3 and none", p.have, p.total, len(got))
 	}
+	tx.Recover()
 	tx.Open(1).Update(value(2))
 	r.sched.Run()
 	if len(got) != 1 || got[0][0] != 2 {

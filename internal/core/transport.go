@@ -527,22 +527,33 @@ func (t *Transport) flush() {
 // never is a due time no intent reaches.
 const never = time.Duration(math.MaxInt64)
 
-// armRetx makes the retransmission timer fire no later than at.
+// armRetx makes the retransmission timer fire no later than at. A node
+// that is down arms nothing: Mux.Recover looks at every intent again.
 func (t *Transport) armRetx(at time.Duration) {
-	if t.stopped || t.m.cfg.RetxInterval <= 0 || at == never {
+	if t.stopped || t.m.down || t.m.cfg.RetxInterval <= 0 || at == never {
 		return
 	}
-	if t.retxArmed {
-		if t.retxEvt.At() <= at {
-			return
-		}
-		// A queued handle cannot be re-armed; the cancelled one is
-		// discarded where it lies.
-		t.retxEvt.Cancel()
-		t.retxEvt = new(sim.Event)
+	if t.retxArmed && t.retxEvt.At() <= at {
+		return
 	}
+	t.disarm()
 	t.retxArmed = true
 	t.m.sched.Arm(t.retxEvt, at-t.m.sched.Now(), t.retxFn)
+}
+
+// disarm cancels the retransmission timer. A queued handle cannot be
+// re-armed; the cancelled one is discarded where it lies.
+func (t *Transport) disarm() {
+	if t.retxArmed {
+		t.retxEvt.Cancel()
+		t.retxEvt, t.retxArmed = new(sim.Event), false
+	}
+}
+
+// After runs fn d from now as a timer of its node's (Mux.Due): one that
+// comes due while the node is down runs when it recovers, not before.
+func (t *Transport) After(d time.Duration, fn func()) {
+	t.m.sched.PostAfter(d, func() { t.m.Due(fn) })
 }
 
 // retransmit is the retransmission timer's callback: every intent due by

@@ -4,14 +4,23 @@
 // configuration. internal/run's group builder and the bench rigs build
 // their nodes here instead of hand-wiring the same five objects.
 //
-// The layer also owns the node fault lifecycle the scenario engine drives:
-// Crash takes the node off the air (inbound gate closed, radio queue
-// flushed, every open epoch closed, in-memory state forfeited) and Recover
-// brings it back with only its "stable storage" — keys, station, fragment
-// sequence number, and whatever state the protocol layer chose to persist —
-// and the node's trust status: a node armed with a byz.Behavior
-// (SetBehavior) becomes actively Byzantine, its outbound component state
-// rewritten by the behavior before it reaches the air.
+// The layer also owns the node fault lifecycle the scenario engine drives.
+// A crash pauses the node: Crash closes the inbound gate, flushes the
+// radio queue and stops the node's transport (core.Mux.Crash) — it no
+// longer contends or re-sends, and no timer of its runs — but the node
+// keeps everything it holds: its keys, station and fragment sequence
+// number, every open epoch with its intents, NACK rows and component
+// state, and all of the protocol layer's state. CPU work charged before
+// the crash still completes, as if the crash fell at its end; what it
+// produces waits in the node's store, and nothing reaches the air.
+// Recover re-arms the timers and the node contends again with what it
+// held, so a recovered node never contradicts what it sent before. A node
+// that comes back without its state is not a crashed node: it may
+// contradict its own votes, which makes it Byzantine, and it counts
+// against f. The layer also owns the node's trust status: a node armed
+// with a byz.Behavior (SetBehavior) becomes actively Byzantine, its
+// outbound component state rewritten by the behavior before it reaches
+// the air.
 package node
 
 import (
@@ -51,7 +60,6 @@ type Node struct {
 	session uint32
 	station *wireless.Station
 	mux     *core.Mux
-	down    bool
 }
 
 // New wires a node with no epoch open: its caller opens each epoch's
@@ -73,7 +81,7 @@ func New(sched *sim.Scheduler, ch *wireless.Channel, id wireless.NodeID, suite *
 		CostSign:   suite.Cost.PKSign,
 		CostVerify: suite.Cost.PKVerify,
 	}, cfg.Transport)
-	n.station = ch.Attach(id, n)
+	n.station = ch.Attach(id, n.mux)
 	n.mux.BindStation(n.station)
 	return n
 }
@@ -97,7 +105,7 @@ func (n *Node) Env(size int) *component.Env {
 }
 
 // Down reports whether the node is currently crashed.
-func (n *Node) Down() bool { return n.down }
+func (n *Node) Down() bool { return n.mux.Down() }
 
 // SetBehavior arms an active-Byzantine behavior: an interceptor seeded
 // from the node's private randomness covers every open and future epoch
@@ -107,35 +115,23 @@ func (n *Node) SetBehavior(b byz.Behavior) {
 	n.mux.SetInterceptor(&byz.Interceptor{Rand: n.Rand, Sched: n.sched, Behavior: b})
 }
 
-// ReceiveFrame implements wireless.Receiver: the node is the station's
-// receiver so that a crash can gate inbound delivery.
-func (n *Node) ReceiveFrame(from wireless.NodeID, payload []byte) {
-	if n.down {
-		return
-	}
-	n.mux.ReceiveFrame(from, payload)
-}
-
-// Crash takes the node off the air: inbound frames are discarded, the
-// radio queue is flushed, and every open epoch is closed. Counters and the
-// fragment sequence number survive; in-memory protocol state does not.
-// Idempotent.
+// Crash pauses the node: inbound frames are discarded, the radio queue is
+// flushed, and its transport stops contending and re-sending
+// (core.Mux.Crash). None of its timers runs while it is down: the
+// transport's are disarmed, and the chain engine's and the components'
+// run on the node's clock (core.Mux.Due), so one that comes due waits for
+// recovery. Every open epoch and all protocol state survive. Idempotent.
 func (n *Node) Crash() {
-	if n.down {
-		return
-	}
-	n.down = true
-	n.mux.Stop()
+	n.mux.Crash()
 	n.station.Reset()
 }
 
-// Recover brings a crashed node back with amnesia: the same station, keys
-// and mux, no epoch open. The protocol layer decides what "stable storage"
-// survived and how to rejoin. Idempotent.
-func (n *Node) Recover() { n.down = false }
+// Recover resumes a crashed node with everything it held: the timers that
+// came due while it was down run, its transport re-arms its own and
+// contends again for what its open epochs have to send
+// (core.Mux.Recover). Idempotent.
+func (n *Node) Recover() { n.mux.Recover() }
 
 // Stats returns the node's cumulative transport counters, closed epochs
 // included.
 func (n *Node) Stats() core.Stats { return n.mux.Stats() }
-
-var _ wireless.Receiver = (*Node)(nil)

@@ -1,8 +1,10 @@
 package node
 
 import (
+	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -32,11 +34,17 @@ func losslessNet() wireless.Config {
 // retransmitted: the tests count what each send delivers.
 func wire(t *testing.T, seed int64, n int) (*sim.Scheduler, *wireless.Channel, []*Node) {
 	t.Helper()
+	tcfg := core.DefaultConfig(true)
+	tcfg.RetxInterval = 0
+	return wireWith(t, seed, n, tcfg)
+}
+
+// wireWith is wire with the transport configuration tcfg.
+func wireWith(t *testing.T, seed int64, n int, tcfg core.Config) (*sim.Scheduler, *wireless.Channel, []*Node) {
+	t.Helper()
 	sched := sim.New(seed)
 	ch := wireless.NewChannel(sched, losslessNet())
 	suites := deal(t, n)
-	tcfg := core.DefaultConfig(true)
-	tcfg.RetxInterval = 0
 	nodes := make([]*Node, n)
 	for i := range nodes {
 		nodes[i] = New(sched, ch, wireless.NodeID(i), suites[i], Config{Transport: tcfg, Seed: seed})
@@ -103,33 +111,44 @@ func TestCrashRecoverTransportLifecycle(t *testing.T) {
 	nodes[3].Recover()
 }
 
-// TestMuxNodeCrashKeepsMux: a node keeps one mux across crashes; closed
-// epochs fold into the cumulative counters.
+// TestMuxNodeCrashKeepsMux: a crash pauses the node on the mux it keeps.
+// Its epochs stay open with what they hold, and nothing goes on the air
+// while it is down — not an intent updated meanwhile (work its CPU had
+// charged before the crash), not a re-send, however many re-send periods
+// the outage lasts. Back up, it sends what it held.
 func TestMuxNodeCrashKeepsMux(t *testing.T) {
-	sched, _, nodes := wire(t, 2, 4)
+	sched, _, nodes := wireWith(t, 2, 4, core.DefaultConfig(true))
 	a, b := nodes[0], nodes[1]
+	var heard [][]byte
+	b.Mux().Open(0).Register(packet.KindRBC, core.HandlerFunc(func(_ uint16, sec packet.Section) {
+		for _, e := range sec.Entries {
+			heard = append(heard, bytes.Clone(e.Data))
+		}
+	}))
 	tr := a.Mux().Open(0)
 	tr.Update(core.Intent{IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho}, Data: []byte("y")})
-	b.Mux().Open(0)
 	sched.RunFor(time.Minute)
-	if a.Stats().LogicalSent == 0 {
+	if len(heard) == 0 {
 		t.Fatal("node never sent")
 	}
-	sent := a.Stats().LogicalSent
-	mux := a.Mux()
+	sent, mux := a.Stats().LogicalSent, a.Mux()
 	a.Crash()
-	if got := len(a.Mux().OpenEpochs()); got != 0 {
-		t.Fatalf("crash left %d epochs open", got)
+	if a.Mux().Lookup(0) != tr {
+		t.Fatal("crash closed epoch 0")
+	}
+	tr.Update(core.Intent{IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 1}, Data: []byte("z")})
+	before := len(heard)
+	sched.RunFor(time.Hour)
+	if a.Stats().LogicalSent != sent || len(heard) != before {
+		t.Fatalf("the crashed node sent %d packets, %d entries heard", a.Stats().LogicalSent-sent, len(heard)-before)
 	}
 	a.Recover()
 	if a.Mux() != mux {
 		t.Fatal("mux replaced across recovery")
 	}
-	tr2 := a.Mux().Open(1)
-	tr2.Update(core.Intent{IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho}, Data: []byte("z")})
 	sched.RunFor(time.Minute)
-	if a.Stats().LogicalSent <= sent {
-		t.Error("recovered node not sending")
+	if !slices.ContainsFunc(heard[before:], func(d []byte) bool { return string(d) == "z" }) {
+		t.Error("the recovered node did not send what it updated while down")
 	}
 }
 

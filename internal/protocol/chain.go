@@ -83,7 +83,14 @@ const gcHold = 8
 // its dedup).
 const MaxWindow = dedupHorizon + 1
 
-// Chain is one node's replicated-log engine.
+// Chain is one node's replicated-log engine. It has no crash handling of
+// its own: a crash pauses the node (node.Node.Crash) and the engine loses
+// nothing — the log, the mempool, the frontiers and every open epoch's
+// instance, with each value proposed, vote cast and agreement decided — so
+// a recovered node never contradicts what it sent. Its timers run their
+// actions on the node's clock (core.Mux.Due), which holds one that comes
+// due while the node is down until it recovers. A node that loses this
+// state is not crashed but Byzantine, and counts against f.
 type Chain struct {
 	// env is the node's component environment; every epoch runs on a copy
 	// with its own Epoch and transport.
@@ -93,9 +100,6 @@ type Chain struct {
 
 	mempool *Mempool
 	epochs  map[int]*chainEpoch
-	// led is each epoch's write-ahead log of the values this node leads
-	// (component.Led). Crash preserves it; entries die with the epoch GC.
-	led map[int]component.Led
 	// nextStart is the lowest epoch not yet started here; nextCommit the
 	// lowest not yet committed. Invariant: nextCommit <= nextStart <
 	// nextCommit + Window.
@@ -124,7 +128,10 @@ type Chain struct {
 	// these samples instead.
 	txLat []time.Duration
 
+	// ageEvt is the cut policy's age timer, which runs onAge (advance on
+	// the node's clock, bound once).
 	ageEvt *sim.Event
+	onAge  func()
 	// OnCommit, if set, fires after each epoch commits (driver barrier).
 	OnCommit func(epoch int)
 	// OnEpochOpen, if set, fires when the engine opens an epoch, with the
@@ -151,9 +158,9 @@ func NewChain(env component.Env, mux *core.Mux, cfg ChainConfig) *Chain {
 		cfg:     cfg,
 		mempool: NewMempool(cfg.Mempool),
 		epochs:  make(map[int]*chainEpoch),
-		led:     make(map[int]component.Led),
 		peerMax: -1,
 	}
+	c.onAge = func() { mux.Due(c.advance) }
 	mux.OnUnknownEpoch = c.onPeerEpoch
 	return c
 }
@@ -228,38 +235,6 @@ func (c *Chain) TxLatencies() []time.Duration { return c.txLat }
 // or a peer's pipeline signal triggers.
 func (c *Chain) Start() { c.advance() }
 
-// Crash models a process failure with stable storage: the committed log,
-// the mempool (pending transactions and committed-digest horizon), the
-// commit frontier, and the log of every value this node led in an open
-// epoch (its batch or ciphertext, Dumbo's W vector and commit set)
-// survive; every in-flight epoch's protocol state and per-epoch transport
-// are discarded. The node-level crash (radio off, inbound gated) is the
-// deployment layer's job — see node.Node.Crash.
-func (c *Chain) Crash() {
-	c.ageEvt.Cancel()
-	c.ageEvt = nil
-	c.mux.Stop()
-	for e, ep := range c.epochs {
-		ep.hold.Cancel()
-		delete(c.epochs, e)
-	}
-}
-
-// Recover restarts the engine after Crash: the pipeline resumes at the
-// commit frontier (the epochs lost in flight are re-opened with fresh
-// instances) and converges to the same log as everyone else — decided
-// epochs are repaired from peers' NACK retransmissions, and the DECIDED
-// gadget carries their ABAs over the line. This is the late-join path
-// core.Mux.OnUnknownEpoch exists for: frames from epochs the peers are
-// already driving pull the recovered node forward as fast as the pipeline
-// window allows. Peers must still hold the frontier epochs: their GC waits
-// for this node's frames to show it past an epoch, for up to gcHold lags.
-func (c *Chain) Recover() {
-	c.nextStart = c.nextCommit
-	c.peerMax = -1 // re-learn the peers' frontier from their frames
-	c.advance()
-}
-
 // onPeerEpoch handles a frame for an epoch this node has not opened. A
 // frame for an epoch at or past nextStart means peers have already cut
 // proposals up to there, so waiting on our own batch policy only delays
@@ -318,20 +293,16 @@ func (c *Chain) armAgeTimer() {
 	if !ok {
 		return
 	}
-	c.ageEvt = c.env.Sched.At(at, c.advance)
+	c.ageEvt = c.env.Sched.At(at, c.onAge)
 }
 
 // startEpoch opens the epoch's transport on the mux, builds the component
-// environment and the protocol instance, and submits a cut proposal, or
-// none if the epoch's log holds values to re-propose. Under HoldEmpty an
-// epoch with nothing ready to cut is held instead: its instance receives
-// and votes, and propose starts it later.
+// environment and the protocol instance, and submits a cut proposal. Under
+// HoldEmpty an epoch with nothing ready to cut is held instead: its
+// instance receives and votes, and propose starts it later.
 func (c *Chain) startEpoch(e int) {
-	if c.led[e] == nil {
-		c.led[e] = component.Led{}
-	}
 	env := c.env
-	env.Epoch, env.T, env.Led = uint16(e), c.mux.Open(uint16(e)), c.led[e]
+	env.Epoch, env.T = uint16(e), c.mux.Open(uint16(e))
 	if c.OnEpochOpen != nil {
 		c.OnEpochOpen(e, &env)
 	}
@@ -342,14 +313,17 @@ func (c *Chain) startEpoch(e int) {
 	})
 	c.epochs[e] = ep
 	now := c.env.Sched.Now()
-	switch {
-	case len(env.Led) > 0:
-		ep.inst.Start(nil)
-	case c.cfg.HoldEmpty && !c.mempool.Ready(now):
-		ep.hold = c.env.Sched.At(now+maxTxAge, func() { c.propose(e, ep) })
-	default:
+	if !c.cfg.HoldEmpty || c.mempool.Ready(now) {
 		c.propose(e, ep)
+		return
 	}
+	ep.hold = c.env.Sched.At(now+maxTxAge, func() {
+		c.mux.Due(func() {
+			if ep.hold != nil { // not released while the node was down
+				c.propose(e, ep)
+			}
+		})
+	})
 }
 
 // propose starts epoch e's instance with a cut of the pool, ending its
@@ -400,7 +374,6 @@ func (c *Chain) collect() {
 		}
 		c.mux.Close(uint16(e))
 		delete(c.epochs, e)
-		delete(c.led, e)
 	}
 }
 

@@ -94,7 +94,6 @@ func TestGCWaitsForPeersFrontiers(t *testing.T) {
 				return g.chains[3].CommittedEpochs() >= 2 && g.nodes[0].Mux().Heard(3) == g.chains[3].CommittedEpochs()
 			})
 			g.nodes[3].Crash()
-			g.chains[3].Crash()
 			needed := g.chains[3].CommittedEpochs()
 			// The survivors commit past the needed epoch by more than the lag.
 			g.until(t, "survivors move on", func() bool { return g.chains[0].CommittedEpochs() > needed+gcLag+1 })
@@ -123,7 +122,6 @@ func TestGCWaitsForPeersFrontiers(t *testing.T) {
 				return
 			}
 			g.nodes[3].Recover()
-			g.chains[3].Recover()
 			g.until(t, "node 3 catches up", func() bool { return g.chains[3].CommittedEpochs() > needed })
 			// Node 3's frames now name epochs past the needed one; the
 			// survivors' next commit closes it.
@@ -169,11 +167,9 @@ func TestTxLatencySample(t *testing.T) {
 	}
 	g.until(t, "two epochs committed", func() bool { return c.CommittedEpochs() >= 2 })
 	g.nodes[3].Crash()
-	c.Crash()
 	back := g.sched.Now() + time.Minute
 	g.until(t, "a minute of arrivals", func() bool { return g.sched.Now() >= back })
 	g.nodes[3].Recover()
-	c.Recover()
 	frontier := g.chains[0].CommittedEpochs()
 	g.until(t, "node 3 commits past the survivors' frontier", func() bool { return c.CommittedEpochs() > frontier+1 })
 	if unadmitted == 0 || len(want) == 0 {

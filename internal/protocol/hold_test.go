@@ -106,7 +106,7 @@ func (g *holdNet) hasTx(e int, tx []byte) bool {
 // transaction is submitted to it, a cut it lost in an earlier epoch is
 // requeued at that epoch's commit, or its pool's maxTxAge has passed since
 // it joined; the epoch's instance votes meanwhile. A crashed chain's hold
-// never proposes.
+// does not run while it is down, and runs once it recovers.
 func TestChainHoldsEmptyProposal(t *testing.T) {
 	tx := func(seq int) []byte { return MakeClientTx(seq, 64) }
 
@@ -191,15 +191,19 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 	})
 
 	t.Run("crash", func(t *testing.T) {
+		// Node 2 crashes holding epoch 0 and stays down past its hold's
+		// deadline: the hold does not run while it is down. It runs at the
+		// recovery, the deadline having passed, and the node commits the
+		// epoch the others decided meanwhile.
 		g := newHoldNet(t, 1, 1)
 		g.chains[0].Submit(tx(0))
 		g.until(t, "node 2 opens epoch 0", func() bool { return len(g.opened[2]) > 0 })
 		g.nodes[2].Crash()
-		g.chains[2].Crash()
 		deadline := g.opened[2][0] + maxTxAge
 		g.until(t, "epoch 0 commits at the others", func() bool {
 			return g.sched.Now() > deadline && g.chains[0].CommittedEpochs() >= 1 && g.chains[1].CommittedEpochs() >= 1 && g.chains[3].CommittedEpochs() >= 1
 		})
+		g.sched.RunFor(time.Minute)
 		if at, ok := g.proposed[2][0]; ok {
 			t.Errorf("crashed node 2 proposed at %v", at)
 		}
@@ -207,6 +211,15 @@ func TestChainHoldsEmptyProposal(t *testing.T) {
 			if want := g.opened[i][0] + maxTxAge; g.proposed[i][0] != want {
 				t.Errorf("node %d proposed at %v, want its join %v plus maxTxAge", i, g.proposed[i][0], g.opened[i][0])
 			}
+		}
+		back := g.sched.Now()
+		g.nodes[2].Recover()
+		g.until(t, "node 2 commits epoch 0", func() bool { return g.chains[2].CommittedEpochs() >= 1 })
+		if at, ok := g.proposed[2][0]; !ok || at != back {
+			t.Errorf("recovered node 2 proposed at %v (%v), want its recovery at %v", at, ok, back)
+		}
+		if err := CheckLogs(g.chains); err != nil {
+			t.Fatal(err)
 		}
 	})
 }

@@ -19,9 +19,10 @@ import (
 // batches instead (oneshot.go).
 //
 // The Scenario supports the full vocabulary including mid-run recovery: a
-// recovered node restarts its chain engine at the commit frontier (its
-// log and mempool digests are stable storage) and catches up through
-// core.Mux.OnUnknownEpoch and the state its NACK rows ask its peers for.
+// crash pauses a node with all its state (node.Node.Crash), and a
+// recovered node resumes its epochs where it stopped and catches up
+// through core.Mux.OnUnknownEpoch and the state its NACK rows ask its
+// peers for.
 // Peers serve repairs only for epochs their GC hasn't closed; the GC waits
 // for a crashed node's epoch for up to 8 × (Window + 2) epochs
 // (protocol.Chain), so an outage the peers commit more epochs during leaves
@@ -253,12 +254,9 @@ func runChain(spec Spec) (*Report, error) {
 	for i, c := range g.chains {
 		c.OnCommit = func(int) { g.observe(i) }
 	}
-	// Recovery is mid-run: the chain engine resumes at its commit frontier
-	// and catches up on the live pipeline.
-	d.wire(lifecycle{
-		crashed:   func(i int) { g.chains[i].Crash() },
-		recovered: func(i int) { g.chains[i].Recover() },
-	})
+	// Recovery is mid-run: a crash pauses the node and its chain engine,
+	// which resumes where it stopped and catches up on the live pipeline.
+	d.wire(lifecycle{})
 	locals := []*chainGroup{g}
 	clock := newEpochClock(spec)
 	var gen *traffic.Gen

@@ -165,17 +165,15 @@ func TestConformanceEngines(t *testing.T) {
 // 30 s, 1, 2 or 3 m and recover at twice that, for every engine × both
 // transports × seeds 1–4, plus the seed-7 cells at 1 m and 2 m under their
 // earlier names — 144 cells. The in-flight epochs must then complete
-// cooperatively from survivor state plus the recovered nodes'
-// re-proposals. Every engine recovers the same way: the write-ahead log of
-// led values (component.Led) has a recovered node re-propose every value
-// its peers may have echoed or signed — its batch, and Dumbo's W vector
-// and commit set; a survivor's transport brings back what it parked for a
-// peer whose NACK rows show the slots undone — its votes, values and
-// certificates, so a CBC slot the node re-proposed, or one its agreement
-// accepted without it, comes back by its FINISH row with no request from
-// any engine — and the ABA rounds a survivor has parked come back for a
-// recovered node whose NACK row lost a bit, each asked for by the node's
-// own entries of the round (core.Transport's request).
+// cooperatively from the state every node kept: a crash pauses a node
+// (node.Node.Crash), so the recovered nodes come back with every value
+// they proposed — the batch, and Dumbo's W vector and commit set — and
+// every vote and share they made. Every engine recovers the same way: a
+// survivor's transport brings back what it parked for a peer whose NACK
+// rows show the slots undone — its votes, values and certificates, so a
+// CBC slot the node's agreement accepted without it comes back by its
+// FINISH row with no request from any engine — and the DECIDED gadget
+// settles the agreements the survivors decided.
 func TestFullStopRecovery(t *testing.T) {
 	type cell struct {
 		seed int64
@@ -283,9 +281,9 @@ func TestDelayAdversaryAsksForNoParkedRound(t *testing.T) {
 
 // TestChurnRecovery pins the churn wedge: under an 80 % duty cycle one
 // node at a time crashes every 2 min from 1 m on and rejoins 1 min later,
-// and a HoneyBadger proposer reborn inside an epoch it led must re-send the
-// ciphertext its peers echoed, not a fresh encryption of its batch (seed 1
-// stopped at frontier [6 6 6 5] when it did).
+// and a HoneyBadger proposer back inside an epoch it led must send the
+// ciphertext its peers echoed, which a crash keeps, not a fresh encryption
+// of its batch (seed 1 stopped at frontier [6 6 6 5] when it did).
 func TestChurnRecovery(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		seed := seed
@@ -298,6 +296,38 @@ func TestChurnRecovery(t *testing.T) {
 			rep, err := Run(spec)
 			if err != nil {
 				t.Fatalf("churn wedged: %v", err)
+			}
+			checkConformance(t, spec, rep)
+		})
+	}
+}
+
+// TestChurnKeepsAgreement runs the two churn cells in which a node that
+// crashed inside an agreement and came back without its state voted again
+// from a fresh estimate, and logs diverged with no Byzantine node: HB-SC
+// at seed 139 and Alea-SC at seed 153. A crash pauses a node, so the
+// recovered node keeps every vote and decision, and the logs agree
+// (protocol.CheckLogs).
+func TestChurnKeepsAgreement(t *testing.T) {
+	for _, c := range []struct {
+		kind   protocol.Kind
+		epochs int
+		seed   int64
+		plan   string
+	}{
+		{protocol.HoneyBadger, 6, 139, "dutycycle@0s:0.8,60s;churn@1m:2m,1m"},
+		{protocol.AleaKind, 12, 153, "dutycycle@0s:0.8,60s;churn@30s:1m,30s"},
+	} {
+		c := c
+		t.Run(fmt.Sprintf("%s/seed%d", c.kind, c.seed), func(t *testing.T) {
+			t.Parallel()
+			spec := Defaults(c.kind, protocol.CoinSig)
+			spec.Workload = Chain(c.epochs)
+			spec.Seed = c.seed
+			spec.Scenario = scenario.MustParse(c.plan)
+			rep, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
 			checkConformance(t, spec, rep)
 		})

@@ -148,10 +148,9 @@ func (d *deployment) fold(rep *Report) {
 // mean for the state it keeps beside each node.
 type lifecycle struct {
 	nodes []*node.Node // in scenario node-id order; filled by deployment.wire
-	// crashed tears down the driver's in-memory state for node i, which
-	// has just gone off the air; recovered restarts it on the node, which
-	// is back with no epoch open. Either may be nil.
-	crashed, recovered func(i int)
+	// recovered, if set, restarts what the driver keeps beside node i,
+	// which is back with everything it held when it crashed.
+	recovered func(i int)
 	// armed, if set, extends a byz event beyond node i itself.
 	armed func(i int, b byz.Behavior)
 }
@@ -165,9 +164,6 @@ func (l lifecycle) CrashNode(i int) {
 		return
 	}
 	l.nodes[i].Crash()
-	if l.crashed != nil {
-		l.crashed(i)
-	}
 }
 
 // RecoverNode implements scenario.Lifecycle.

@@ -150,7 +150,6 @@ func (d *mhcDriver) member(flat int) (*mhcCluster, int) {
 // cuts it submits from then on.
 func (d *mhcDriver) lifecycle() lifecycle {
 	return lifecycle{
-		crashed:   d.crashed,
 		recovered: d.recovered,
 		armed: func(i int, b byz.Behavior) {
 			cl, _ := d.member(i)
@@ -163,16 +162,10 @@ func (d *mhcDriver) lifecycle() lifecycle {
 	}
 }
 
-func (d *mhcDriver) crashed(flat int) {
-	cl, i := d.member(flat)
-	cl.local.chains[i].Crash()
-	cl.members[i].latest = nil // its transports are gone with the mux epochs
-}
-
-// recovered is mid-run chain recovery.
+// recovered is mid-run recovery: the member's node resumed its chain
+// where it stopped.
 func (d *mhcDriver) recovered(flat int) {
-	cl, i := d.member(flat)
-	cl.local.chains[i].Recover()
+	cl, _ := d.member(flat)
 	// Both driver-glue directions stalled by a whole-cluster outage must
 	// restart here, because no further local commit may come to retrigger
 	// them: pending cuts go up (relay duty re-evaluated against the
@@ -296,11 +289,11 @@ func (d *mhcDriver) rejectCut(cl *mhcCluster) {
 // beacon broadcasts the cluster seat's current global frontier — cut
 // count plus rolling digest — through the rotating relay's newest open
 // local epoch transport. Followers keep the highest count heard. A live
-// honest member with no open epoch — one that came back with its chain
-// already at the target (Chain.Recover cannot reopen epochs past
-// MaxEpochs) — has nothing to hear a beacon on: it learns the frontier
-// directly from its cluster's uplink seat, the same driver-level link
-// relays hand cuts up through in the other direction.
+// honest member that has opened no epoch yet — one that crashed before its
+// first and has heard no frame since it came back — has nothing to hear a
+// beacon on: it learns the frontier directly from its cluster's uplink
+// seat, the same driver-level link relays hand cuts up through in the
+// other direction.
 func (d *mhcDriver) beacon(cl *mhcCluster, g int) {
 	p := d.spec.Topology.PerCluster
 	var relay *mhcMember

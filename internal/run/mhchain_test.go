@@ -131,6 +131,71 @@ func TestClusteredChainRecoveredAtTarget(t *testing.T) {
 	}
 }
 
+// TestClusteredChainCrashBeforeCutShare: a cluster member crashes the
+// instant it commits local epoch e, before its share of the cut has gone
+// out, and the other members never send theirs: each holds its own share
+// alone, and the cut can certify only once the crashed member's share
+// reaches them. A crash keeps the member's epoch open, so the share its
+// CPU finishes waits in the epoch's store, goes out after the recovery,
+// and the cut is certified and ordered.
+func TestClusteredChainCrashBeforeCutShare(t *testing.T) {
+	const c, e, crashed = 1, 1, 2
+	spec := quickMHChainSpec(protocol.HoneyBadger, protocol.CoinSig, 3, 1)
+	d, err := newMHCDriver(spec.normalize())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := d.clusters[c]
+	now := d.dep.sched.Now
+	var down, signed time.Duration
+	for i, ch := range cl.local.chains {
+		epochE := map[*core.Transport]bool{}
+		cl.local.nodes[i].Mux().SetInterceptor(interceptFunc(func(tr *core.Transport, in core.Intent) []core.Intent {
+			if !epochE[tr] || in.Kind != packet.KindGlobal || in.Phase != packet.PhaseDone {
+				return []core.Intent{in}
+			}
+			if i != crashed {
+				return nil
+			}
+			if signed == 0 {
+				signed = now()
+			}
+			return []core.Intent{in}
+		}))
+		onOpen := ch.OnEpochOpen
+		ch.OnEpochOpen = func(ep int, env *component.Env) {
+			epochE[env.T] = ep == e
+			onOpen(ep, env)
+		}
+	}
+	onCommit := cl.local.chains[crashed].OnCommit
+	cl.local.chains[crashed].OnCommit = func(ep int) {
+		onCommit(ep)
+		if ep != e {
+			return
+		}
+		d.dep.sched.Post(now(), func() {
+			down = now()
+			cl.local.nodes[crashed].Crash()
+		})
+		d.dep.sched.Post(now()+2*time.Minute, func() {
+			cl.local.nodes[crashed].Recover()
+			d.recovered(c*spec.Topology.PerCluster + crashed)
+		})
+	}
+	if _, err := d.run(); err != nil {
+		t.Fatal(err)
+	}
+	if down == 0 || signed < down {
+		t.Fatalf("the member crashed at %v and signed its share at %v: not a crash before the share", down, signed)
+	}
+	for i, m := range cl.members {
+		if i != crashed && m.cuts[e].Cert() == nil {
+			t.Errorf("member %d holds no certificate of the cut", i)
+		}
+	}
+}
+
 // TestClusteredChainByzantineMember arms a Byzantine member (and, through
 // it, the cluster's uplink seat) and requires the untainted clusters to
 // stay safe and live: local logs agree, their cuts are all ordered with

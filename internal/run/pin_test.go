@@ -97,7 +97,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.SingleHop(), run.OneShot(4))
 			spec.Scenario = scenario.MustParse("crash@10s:3;recover@30s:3")
 			return spec
-		}, "a8c2b6c2f7b961175823f50c8e014f030dceaeb28e190ce6dd2fa8663f6eecec"},
+		}, "a05c96eced20aaa499b1f8d62e547956ce5f36961d2e51c890229f224b4497b0"},
 		{"Clustered×OneShot", "HB-SC", func() run.Spec {
 			return base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 		}, "8de870e643c97c2c7db583c474a00cb11491f47404466212f8bdd7a7b7d3d8b3"},
@@ -112,12 +112,12 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "e8c853b817711ab8644d062c42ea41b7dc7922dbef08b0fb566e54f130a1e0c4"},
+		}, "d69ace84045194dea206c1844fbb69551ddcbc12e920a96297c6129fd59128a9"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Scenario = scenario.MustParse("crash@30s:2;recover@1m:2")
 			return spec
-		}, "fbe499961c436cfd3627438fe36aa6fe955255cd1ac48cfe7fcd963b046e94fb"},
+		}, "12a2d8a52b2983130207ff1de7d8375d3ca43b9ca542a3aa42721c9295650bce"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
@@ -162,7 +162,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.Clustered(4, 4), fast(4))
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@30s:0;recover@1m30s:0")
 			return spec
-		}, "614d5d06fd552e7506a2a25913f47e027f541ab068cd02c38512604b934d3915"},
+		}, "48a82996245859c359e0906ef93d6d1be6cfb192095ddbd1e5f9edbf0989b04b"},
 	}
 	for _, tc := range cases {
 		tc := tc

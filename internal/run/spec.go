@@ -119,8 +119,8 @@ type Workload struct {
 // epoch e proposes batch e, and a batch the common subset leaves out is
 // proposed again in the next epoch. The payloads are sized so that a
 // batch, framed and sealed (or, with Encrypt, framed for the ciphertext),
-// is BatchSize × TxSize bytes on the air. Recovery is the chain's: a node
-// back mid-epoch resumes the epoch it crashed in.
+// is BatchSize × TxSize bytes on the air. Recovery is the chain's: a crash
+// pauses a node, and one back mid-epoch resumes the epoch it crashed in.
 func OneShot(epochs int) Workload {
 	return Workload{Kind: LoadOneShot, Epochs: epochs, BatchSize: 4, TxSize: 64}
 }

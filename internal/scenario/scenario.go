@@ -26,8 +26,8 @@ type Kind string
 
 // The event vocabulary.
 const (
-	KindCrash     Kind = "crash"     // node goes off the air, memory lost
-	KindRecover   Kind = "recover"   // node rejoins with stable storage only
+	KindCrash     Kind = "crash"     // node goes off the air, paused with all its state
+	KindRecover   Kind = "recover"   // node resumes where it stopped
 	KindPartition Kind = "partition" // frames cross groups are dropped
 	KindHeal      Kind = "heal"      // partition ends
 	KindLoss      Kind = "loss"      // elevated random loss for a window
@@ -82,17 +82,19 @@ type Plan struct {
 	Events []Event
 }
 
-// CrashAt schedules a crash of one node: it stops sending, its radio queue
-// is flushed, inbound frames are discarded, and its in-memory protocol
-// state is lost. Committed state (the SMR log, mempool digests) survives,
-// modelling a process crash with stable storage.
+// CrashAt schedules a crash of one node, which pauses it: it stops
+// sending, its radio queue is flushed, inbound frames are discarded and
+// its timers stop, but it loses no state — its committed log and mempool,
+// every open epoch and every vote, value and share in it survive, so it
+// never contradicts what it sent (node.Node.Crash). A node that loses its
+// state is not crashed but Byzantine, and counts against f.
 func CrashAt(at time.Duration, nd int) Event {
 	return Event{At: at, Kind: KindCrash, Node: nd}
 }
 
-// RecoverAt schedules the recovery of a crashed node. The chain drivers,
-// which run every workload, restart its chain engine at the commit
-// frontier and let it catch up over NACK retransmission.
+// RecoverAt schedules the recovery of a crashed node. It resumes every
+// epoch where it stopped, with its timers re-armed, and catches up on
+// what it missed over NACK retransmission.
 func RecoverAt(at time.Duration, nd int) Event {
 	return Event{At: at, Kind: KindRecover, Node: nd}
 }
