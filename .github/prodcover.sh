@@ -69,15 +69,13 @@ wbft -topology clustered -workload chain -epochs 4 -arrival poisson -rate 0.05
 wbft chain -epochs 6 -scenario "mobility@0s:20,900"
 wbft chain -epochs 6 -scenario "dutycycle@0s:0.8,60s;churn@30s:1m,30s"
 # What the README's list leaves out: the fourth engine, the heavy parameter
-# set, the delay adversary, the Report's JSON writer, an Alea node that
-# crashes after proposing and comes back with its epochs as it left them,
-# and a full stop (two of four nodes down at once) under the delay
-# adversary on the baseline transport. A crash pauses a node, so no crash
-# reaches Transport.request, which answers a peer whose NACK row lost a
-# bit: the Byzantine equivocators of wbft-bench's byz and alea sweeps do.
+# set, the delay adversary, the Report's JSON writer, and an Alea node that
+# crashes after proposing and comes back with its epochs as it left them.
+# A crash pauses a node, so no crash reaches Transport.request, which
+# answers a peer whose NACK row lost a bit: the Byzantine equivocators of
+# wbft-bench's byz and alea sweeps do.
 wbft -protocol alea -coin SC -heavy -epochs 1 -scenario "delay:0.25,10s"
 wbft chain -protocol alea -epochs 6 -scenario "crash@2m:2;recover@4m:2" -json report.json
-wbft chain -protocol alea -baseline -epochs 5 -txinterval 1s -seed 10 -scenario "delay:0.25,10s;crash@1m:1;crash@1m:2;recover@2m:1;recover@2m:2"
 
 # The benchmark's core rigs (benchmark/layers.go) are the one entry point that
 # runs core.New, Transport.BindStation and Transport.ReceiveFrame — a

@@ -79,7 +79,9 @@ func TestSendPathAllocatesNothing(t *testing.T) {
 // TestRetransmitTimerAllocatesNothing: the retransmission timer re-arms the
 // one event the transport owns. Left alone with its state, a transport
 // re-sends it on the backed-off schedule (16 x the interval by the time the
-// measurement starts), and that allocates nothing.
+// measurement starts), and that allocates nothing; nor does an update whose
+// re-send, due one interval after it goes out, pre-empts the armed timer
+// (the handle is re-armed where it is queued).
 func TestRetransmitTimerAllocatesNothing(t *testing.T) {
 	s, tr, intents := newSendRig(true, 4*time.Second)
 	for _, in := range intents {
@@ -94,6 +96,19 @@ func TestRetransmitTimerAllocatesNothing(t *testing.T) {
 	})
 	if frames < 15 || allocs != 0 {
 		t.Fatalf("%v allocations over %d re-sent radio frames, want none", allocs, frames)
+	}
+	preempted := 0
+	allocs = testing.AllocsPerRun(4, func() {
+		armed := tr.retxEvt.At()
+		tr.Update(intents[0])
+		s.RunFor(time.Second) // the update goes out; its re-send is due in 4 s
+		if tr.retxEvt.At() < armed {
+			preempted++
+		}
+		s.RunFor(20 * time.Minute)
+	})
+	if preempted != 5 || allocs != 0 {
+		t.Fatalf("%v allocations per pre-empting update (%d of 5 pre-empted), want none", allocs, preempted)
 	}
 }
 

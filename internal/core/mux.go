@@ -285,8 +285,8 @@ func (m *Mux) Close(epoch uint16) {
 func (m *Mux) Crash() {
 	m.down, m.ready = true, false
 	if m.windowOpen {
-		m.window.Cancel() // a queued handle cannot be re-armed
-		m.window, m.windowOpen = new(sim.Event), false
+		m.window.Cancel()
+		m.windowOpen = false
 	}
 	for _, t := range m.epochs {
 		t.disarm()
@@ -364,34 +364,29 @@ func (m *Mux) Stats() Stats {
 	return s
 }
 
-// AddStats sums two counter snapshots field-by-field. Deployment layers use
-// it to fold their nodes' counters into run-level aggregates. Where b
-// carries a ledger the sum's is a fresh copy, so neither operand's is
-// written.
-func AddStats(a, b Stats) Stats {
-	a.LogicalSent += b.LogicalSent
-	a.FragmentsSent += b.FragmentsSent
-	a.LogicalRecv += b.LogicalRecv
-	a.AuthFailures += b.AuthFailures
-	a.DroppedEpoch += b.DroppedEpoch
-	a.SignOps += b.SignOps
-	a.VerifyOps += b.VerifyOps
-	a.Rejected += b.Rejected
-	if b.Entries != nil {
-		sum := new(EntryBytes)
-		if a.Entries != nil {
-			*sum = *a.Entries
-		}
-		for k := range sum {
-			for p := range sum[k] {
-				for c := range sum[k][p] {
-					sum[k][p][c] += b.Entries[k][p][c]
-				}
+// AddStats adds the node's counters and its entry-byte ledger into sum,
+// giving sum a ledger of its own if it has none: deployment layers fold
+// their nodes into one run-level aggregate, one ledger for all of them.
+func (m *Mux) AddStats(sum *Stats) {
+	b := &m.stats
+	sum.LogicalSent += b.LogicalSent
+	sum.FragmentsSent += b.FragmentsSent
+	sum.LogicalRecv += b.LogicalRecv
+	sum.AuthFailures += b.AuthFailures
+	sum.DroppedEpoch += b.DroppedEpoch
+	sum.SignOps += b.SignOps
+	sum.VerifyOps += b.VerifyOps
+	sum.Rejected += b.Rejected
+	if sum.Entries == nil {
+		sum.Entries = new(EntryBytes)
+	}
+	for k := range sum.Entries {
+		for p := range sum.Entries[k] {
+			for c := range sum.Entries[k][p] {
+				sum.Entries[k][p][c] += m.entries[k][p][c]
 			}
 		}
-		a.Entries = sum
 	}
-	return a
 }
 
 var _ wireless.Receiver = (*Mux)(nil)

@@ -541,12 +541,12 @@ func (t *Transport) armRetx(at time.Duration) {
 	t.m.sched.Arm(t.retxEvt, at-t.m.sched.Now(), t.retxFn)
 }
 
-// disarm cancels the retransmission timer. A queued handle cannot be
-// re-armed; the cancelled one is discarded where it lies.
+// disarm cancels the retransmission timer; the handle is re-armed as it
+// is (sim.Scheduler.Arm).
 func (t *Transport) disarm() {
 	if t.retxArmed {
 		t.retxEvt.Cancel()
-		t.retxEvt, t.retxArmed = new(sim.Event), false
+		t.retxArmed = false
 	}
 }
 

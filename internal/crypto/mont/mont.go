@@ -25,9 +25,19 @@
 //     multiplication; at 8 words it is parity, and the gain there is the
 //     multiplication count alone.
 //
+// The big.Int calls allocate their result and nothing else. A caller that
+// chains operations — threshsig's CRT halves — stays in words between
+// them: an Elem is one residue in the form the kernel works on, held by
+// value, and Mul, Pow, MulPow, Table.Pow, Equal, IsZero and SetInt (of a
+// non-negative value at most twice the modulus's width) read and write
+// Elems without allocating. Int and CRT.Join are the exits, and allocate
+// the big.Int they return; Inv goes through big.Int.ModInverse and
+// allocates what that does. What is left allocating is a Table's comb,
+// once per table.
+//
 // A modulus of any other width (or an even one, or a 32-bit platform) has
-// no kernel and answers the same calls through big.Int.Exp, so callers
-// have one path whatever the parameter set.
+// no kernel and answers the same calls through math/big — its Elems hold
+// a *big.Int — so callers have one path whatever the parameter set.
 //
 // A Modulus is immutable after construction, a Table is immutable once
 // built (sync.Once), and all per-call scratch is on the stack, so every
@@ -64,8 +74,20 @@ type Modulus struct {
 	w     int              // kernel width in words: 4, 8, or 0 (math/big answers)
 	m     [maxWords]uint64 // modulus, little-endian words
 	r2    [maxWords]uint64 // R^2 mod m (to-Montgomery factor), R = 2^(64w)
+	r3    [maxWords]uint64 // R^3 mod m: takes a value's upper w words into the form
 	one   [maxWords]uint64 // R mod m: 1 in Montgomery form
 	n0inv uint64           // -m^{-1} mod 2^64
+}
+
+// Elem is one residue of a Modulus in the form its arithmetic works on.
+// With a kernel it is w words in Montgomery form (x·R mod m), held by
+// value, so an Elem on the stack costs no allocation; with none it is the
+// residue as a *big.Int, which the calls that set it allocate afresh (or
+// share with SetInt's reduced input) and never write. The zero Elem is
+// unset: set it before reading it.
+type Elem struct {
+	w [maxWords]uint64
+	n *big.Int
 }
 
 // NewModulus prepares m > 0 (nil otherwise). An odd 4- or 8-word modulus
@@ -90,8 +112,11 @@ func NewModulus(m *big.Int) *Modulus {
 	}
 	mod.n0inv = -inv
 	r := new(big.Int).Lsh(big.NewInt(1), uint(64*mod.w))
-	load(mod.one[:], new(big.Int).Mod(r, m))
-	load(mod.r2[:], r.Mod(r.Mul(r, r), m))
+	r.Mod(r, m)
+	load(mod.one[:], r)
+	r2 := new(big.Int).Mul(r, r)
+	load(mod.r2[:], r2.Mod(r2, m))
+	load(mod.r3[:], r2.Mod(r2.Mul(r2, r), m))
 	return mod
 }
 
@@ -107,13 +132,10 @@ func (mod *Modulus) Exp(x, e *big.Int) *big.Int {
 	if mod.w == 0 || e.Sign() < 0 {
 		return new(big.Int).Exp(x, e, mod.nat)
 	}
-	var win [winSize * maxWords]uint64
-	var z [maxWords]uint64
-	width := windowBits(e.BitLen())
-	span := mod.w << width
-	mod.window(win[:span], x)
-	mod.powProduct(z[:mod.w], win[:span], width, [][]big.Word{e.Bits()})
-	return mod.fromMont(z[:mod.w])
+	var z Elem
+	mod.SetInt(&z, x)
+	mod.Pow(&z, &z, e)
+	return mod.Int(&z)
 }
 
 // MulExp returns the product of bases[i]^exps[i] mod m, fully reduced,
@@ -137,8 +159,123 @@ func (mod *Modulus) MulExp(bases, exps []*big.Int) *big.Int {
 		}
 		return z
 	}
+	var stack [8]Elem
+	xs := stack[:0]
+	for _, b := range bases {
+		var x Elem
+		mod.SetInt(&x, b)
+		xs = append(xs, x)
+	}
+	var z Elem
+	mod.MulPow(&z, xs, exps)
+	return mod.Int(&z)
+}
+
+// SetInt sets z to x mod m, for any x. With a kernel, an x of at most 2w
+// words, non-negative — every residue of a modulus twice the width, such
+// as an RSA value split into its CRT halves — is taken in two
+// multiplications and an addition, x = hi·R + lo giving x·R = lo·R² +
+// hi·R³ in Montgomery form, with no allocation; anything else is reduced
+// by math/big first.
+func (mod *Modulus) SetInt(z *Elem, x *big.Int) {
+	if mod.w == 0 {
+		if x.Sign() >= 0 && x.Cmp(mod.nat) < 0 {
+			z.n = x
+		} else {
+			z.n = new(big.Int).Mod(x, mod.nat)
+		}
+		return
+	}
+	w, words := mod.w, x.Bits()
+	if x.Sign() < 0 || len(words) > 2*w {
+		x = new(big.Int).Mod(x, mod.nat)
+		words = x.Bits()
+	}
+	var lo, hi [maxWords]uint64
+	for i, wd := range words {
+		if i < w {
+			lo[i] = uint64(wd)
+		} else {
+			hi[i-w] = uint64(wd)
+		}
+	}
+	// Either operand of the kernel may be any w-word value as long as the
+	// other is below m: the product then stays below 2m before its final
+	// subtraction.
+	mod.mul(z.w[:w], lo[:w], mod.r2[:w])
+	if len(words) > w {
+		mod.mul(hi[:w], hi[:w], mod.r3[:w])
+		mod.add(z.w[:w], z.w[:w], hi[:w])
+	}
+}
+
+// IsZero reports whether x is 0 mod m.
+func (mod *Modulus) IsZero(x *Elem) bool {
+	if mod.w == 0 {
+		return x.n.Sign() == 0
+	}
+	var or uint64
+	for _, wd := range x.w[:mod.w] {
+		or |= wd
+	}
+	return or == 0
+}
+
+// Equal reports whether x and y are the same residue.
+func (mod *Modulus) Equal(x, y *Elem) bool {
+	if mod.w == 0 {
+		return x.n.Cmp(y.n) == 0
+	}
+	return x.w == y.w
+}
+
+// Mul sets z = x·y mod m. z may alias x or y.
+func (mod *Modulus) Mul(z, x, y *Elem) {
+	if mod.w == 0 {
+		p := new(big.Int).Mul(x.n, y.n)
+		z.n = p.Mod(p, mod.nat)
+		return
+	}
+	mod.mul(z.w[:mod.w], x.w[:mod.w], y.w[:mod.w])
+}
+
+// Pow sets z = x^e mod m for e ≥ 0 (it panics on a negative e: Inv takes
+// inverses). z may alias x.
+func (mod *Modulus) Pow(z, x *Elem, e *big.Int) {
+	if e.Sign() < 0 {
+		panic("mont: Pow with a negative exponent")
+	}
+	if mod.w == 0 {
+		z.n = new(big.Int).Exp(x.n, e, mod.nat)
+		return
+	}
+	var win [winSize * maxWords]uint64
+	width := windowBits(e.BitLen())
+	span := mod.w << width
+	mod.window(win[:span], x)
+	mod.powProduct(z.w[:mod.w], win[:span], width, [][]big.Word{e.Bits()})
+}
+
+// MulPow sets z to the product of xs[i]^es[i] mod m, every es[i] ≥ 0, on
+// one squaring chain shared by all the powers. The bases are taken by
+// value, so that a caller can gather them into a slice on its stack.
+func (mod *Modulus) MulPow(z *Elem, xs []Elem, es []*big.Int) {
+	for _, e := range es {
+		if e.Sign() < 0 {
+			panic("mont: MulPow with a negative exponent")
+		}
+	}
+	if mod.w == 0 {
+		p := big.NewInt(1)
+		for i := range xs {
+			p.Mul(p, new(big.Int).Exp(xs[i].n, es[i], mod.nat))
+			p.Mod(p, mod.nat)
+		}
+		z.n = p
+		return
+	}
 	bits := 0
-	for _, e := range exps {
+	for _, e := range es {
 		bits = max(bits, e.BitLen())
 	}
 	width := windowBits(bits)
@@ -147,26 +284,66 @@ func (mod *Modulus) MulExp(bases, exps []*big.Int) *big.Int {
 	// combine — or eight with 2-bit ones fit the stack.
 	var stack [2 * winSize * maxWords]uint64
 	win := stack[:]
-	if need := len(bases) * span; need > len(win) {
+	if need := len(xs) * span; need > len(win) {
 		win = make([]uint64, need)
 	}
 	var wstack [8][]big.Word
 	words := wstack[:0]
-	for i, b := range bases {
-		mod.window(win[i*span:(i+1)*span], b)
-		words = append(words, exps[i].Bits())
+	for i := range xs {
+		mod.window(win[i*span:(i+1)*span], &xs[i])
+		words = append(words, es[i].Bits())
 	}
-	var z [maxWords]uint64
-	mod.powProduct(z[:mod.w], win, width, words)
-	return mod.fromMont(z[:mod.w])
+	mod.powProduct(z.w[:mod.w], win, width, words)
 }
 
-// window fills win with the window table of x in Montgomery form: win[j]
-// = x^j·R for j below the table's len(win)/w entries.
-func (mod *Modulus) window(win []uint64, x *big.Int) {
+// Inv sets z = x^-1 mod m and reports whether x is a unit; z is left as
+// it was when it is not. It is big.Int.ModInverse behind the Elem form,
+// and allocates what that does.
+func (mod *Modulus) Inv(z, x *Elem) bool {
+	var v big.Int
+	if mod.w == 0 {
+		v.Set(x.n)
+	} else {
+		v.SetBits(mod.words(x))
+	}
+	if v.ModInverse(&v, mod.nat) == nil {
+		return false
+	}
+	if mod.w == 0 {
+		z.n = new(big.Int).Set(&v)
+		return true
+	}
+	load(z.w[:mod.w], &v)
+	mod.mul(z.w[:mod.w], z.w[:mod.w], mod.r2[:mod.w])
+	return true
+}
+
+// Int returns x's residue as a fresh big.Int: the way out of the Elem
+// form, and its one allocation.
+func (mod *Modulus) Int(x *Elem) *big.Int {
+	if mod.w == 0 {
+		return new(big.Int).Set(x.n)
+	}
+	return new(big.Int).SetBits(mod.words(x))
+}
+
+// words returns x's residue as fresh big.Words, with a kernel.
+func (mod *Modulus) words(x *Elem) []big.Word {
+	var z [maxWords]uint64
+	mod.plain(z[:mod.w], x.w[:mod.w])
+	out := make([]big.Word, mod.w)
+	for i, wd := range z[:mod.w] {
+		out[i] = big.Word(wd)
+	}
+	return out
+}
+
+// window fills win with the window table of x: win[j] = x^j in
+// Montgomery form, for j below the table's len(win)/w entries.
+func (mod *Modulus) window(win []uint64, x *Elem) {
 	w := mod.w
 	copy(win[:w], mod.one[:w])
-	mod.toMont(win[w:2*w], x)
+	copy(win[w:2*w], x.w[:w])
 	for j := 2; j < len(win)/w; j++ {
 		mod.mul(win[j*w:(j+1)*w], win[(j-1)*w:j*w], win[w:2*w])
 	}
@@ -221,24 +398,42 @@ func load(dst []uint64, x *big.Int) {
 	}
 }
 
-// toMont sets z = x·R mod m, reducing x into [0, m) first if need be.
-func (mod *Modulus) toMont(z []uint64, x *big.Int) {
-	if x.Sign() < 0 || x.Cmp(mod.nat) >= 0 {
-		x = new(big.Int).Mod(x, mod.nat)
-	}
-	load(z, x)
-	mod.mul(z, z, mod.r2[:mod.w])
-}
-
-// fromMont leaves the Montgomery domain (a multiplication by plain 1
-// strips the R factor) and returns the residue. z is overwritten.
-func (mod *Modulus) fromMont(z []uint64) *big.Int {
+// plain sets z to x out of Montgomery form: a multiplication by plain 1
+// strips the R factor.
+func (mod *Modulus) plain(z, x []uint64) {
 	var plain1 [maxWords]uint64
 	plain1[0] = 1
-	mod.mul(z, z, plain1[:mod.w])
-	out := make([]big.Word, mod.w)
-	for i, wd := range z {
-		out[i] = big.Word(wd)
+	mod.mul(z, x, plain1[:mod.w])
+}
+
+// add sets z = x + y mod m for x, y < m.
+func (mod *Modulus) add(z, x, y []uint64) {
+	var s, d [maxWords]uint64
+	var c, b uint64
+	for i := range z {
+		s[i], c = bits.Add64(x[i], y[i], c)
 	}
-	return new(big.Int).SetBits(out)
+	for i := range z {
+		d[i], b = bits.Sub64(s[i], mod.m[i], b)
+	}
+	if c != 0 || b == 0 {
+		copy(z, d[:len(z)])
+	} else {
+		copy(z, s[:len(z)])
+	}
+}
+
+// sub sets z = x - y mod m for x, y < m.
+func (mod *Modulus) sub(z, x, y []uint64) {
+	var d [maxWords]uint64
+	var b, c uint64
+	for i := range z {
+		d[i], b = bits.Sub64(x[i], y[i], b)
+	}
+	if b != 0 {
+		for i := range z {
+			d[i], c = bits.Add64(d[i], mod.m[i], c)
+		}
+	}
+	copy(z, d[:len(z)])
 }

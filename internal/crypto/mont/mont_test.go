@@ -297,3 +297,135 @@ func BenchmarkExp512MulExp(b *testing.B) {
 		sink = mod.MulExp(bases, exps)
 	}
 }
+
+// TestElemMatchesBigInt checks the Elem calls — SetInt from any integer,
+// Mul, Pow, MulPow, Table.Pow, Inv, Equal, IsZero and Int — against
+// math/big at both kernel widths and one with no kernel. SetInt's inputs
+// reach its every branch: below m, up to 2w words (the RSA value a CRT
+// half is split from, the top word full), wider, and negative.
+func TestElemMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	for _, bitLen := range []int{256, 250, 512, 320} {
+		m := randOdd(rng, bitLen)
+		mod := NewModulus(m)
+		words := 2 * max(mod.w, 4)
+		ins := []*big.Int{
+			big.NewInt(0), big.NewInt(1), new(big.Int).Sub(m, big.NewInt(1)), new(big.Int).Set(m),
+			randBits(rng, 64*words),
+			new(big.Int).Sub(new(big.Int).Lsh(big.NewInt(1), uint(64*words)), big.NewInt(1)),
+			new(big.Int).Lsh(big.NewInt(1), uint(64*words)),
+			new(big.Int).Neg(randBits(rng, bitLen+10)),
+		}
+		for _, x := range ins {
+			for _, y := range ins {
+				var ex, ey, z Elem
+				mod.SetInt(&ex, x)
+				mod.SetInt(&ey, y)
+				xm, ym := new(big.Int).Mod(x, m), new(big.Int).Mod(y, m)
+				if got := mod.Int(&ex); got.Cmp(xm) != 0 {
+					t.Fatalf("m=%v: SetInt(%v) reads %v", m, x, got)
+				}
+				if mod.IsZero(&ex) != (xm.Sign() == 0) || mod.Equal(&ex, &ey) != (xm.Cmp(ym) == 0) {
+					t.Fatalf("m=%v: IsZero/Equal wrong for %v, %v", m, x, y)
+				}
+				mod.Mul(&z, &ex, &ey)
+				if want := new(big.Int).Mod(new(big.Int).Mul(xm, ym), m); mod.Int(&z).Cmp(want) != 0 {
+					t.Fatalf("m=%v: Mul(%v, %v) = %v, want %v", m, x, y, mod.Int(&z), want)
+				}
+				e, f := randBits(rng, 300), randBits(rng, 40)
+				mod.Pow(&z, &ex, e)
+				if want := new(big.Int).Exp(xm, e, m); mod.Int(&z).Cmp(want) != 0 {
+					t.Fatalf("m=%v: Pow(%v, %v) = %v, want %v", m, x, e, mod.Int(&z), want)
+				}
+				mod.NewElemTable(&ex, bitLen, TeethShort).Pow(&z, e)
+				if want := new(big.Int).Exp(xm, e, m); mod.Int(&z).Cmp(want) != 0 {
+					t.Fatalf("m=%v: Table.Pow(%v, %v) = %v, want %v", m, x, e, mod.Int(&z), want)
+				}
+				mod.MulPow(&z, []Elem{ex, ey}, []*big.Int{e, f})
+				want := new(big.Int).Mul(new(big.Int).Exp(xm, e, m), new(big.Int).Exp(ym, f, m))
+				if want.Mod(want, m); mod.Int(&z).Cmp(want) != 0 {
+					t.Fatalf("m=%v: MulPow = %v, want %v", m, mod.Int(&z), want)
+				}
+				inv := new(big.Int).ModInverse(xm, m)
+				if ok := mod.Inv(&z, &ex); ok != (inv != nil) || (ok && mod.Int(&z).Cmp(inv) != 0) {
+					t.Fatalf("m=%v: Inv(%v) = %v, %v; want %v", m, x, mod.Int(&z), ok, inv)
+				}
+			}
+		}
+	}
+}
+
+// TestCRTJoin checks Join against Garner on math/big, for prime pairs on
+// one kernel width (the words path), pairs of mixed and kernel-less widths
+// (math/big behind the same call), and either prime the larger.
+func TestCRTJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	prime := func(bitLen int) *big.Int {
+		for {
+			if c := randOdd(rng, bitLen); c.ProbablyPrime(10) {
+				return c
+			}
+		}
+	}
+	for _, pair := range [][2]int{{256, 256}, {240, 256}, {512, 512}, {256, 512}, {384, 384}} {
+		p, q := prime(pair[0]), prime(pair[1])
+		for _, pq := range [][2]*big.Int{{p, q}, {q, p}} {
+			mp, mq := NewModulus(pq[0]), NewModulus(pq[1])
+			c := NewCRT(mp, mq)
+			n := new(big.Int).Mul(pq[0], pq[1])
+			for _, y := range []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(n, big.NewInt(1)), pq[0], pq[1], randBelow(rng, n), randBelow(rng, n)} {
+				var yp, yq Elem
+				mp.SetInt(&yp, y)
+				mq.SetInt(&yq, y)
+				if got := c.Join(&yp, &yq); got.Cmp(y) != 0 {
+					t.Fatalf("%d/%d bits: Join of %v's residues = %v", pair[0], pair[1], y, got)
+				}
+			}
+		}
+	}
+	if m := NewModulus(big.NewInt(7)); NewCRT(m, m) != nil {
+		t.Error("a CRT of a modulus with itself")
+	}
+}
+
+// TestElemCallsAllocateNothing: at a kernel width, the Elem calls work on
+// the stack; Int and Join allocate only the big.Int they return and its
+// words.
+func TestElemCallsAllocateNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	m, q := randOdd(rng, 256), randOdd(rng, 256)
+	for !m.ProbablyPrime(10) {
+		m = randOdd(rng, 256)
+	}
+	for !q.ProbablyPrime(10) {
+		q = randOdd(rng, 256)
+	}
+	mod, modQ := NewModulus(m), NewModulus(q)
+	c := NewCRT(mod, modQ)
+	wide := randBelow(rng, new(big.Int).Mul(m, q))
+	e := randBits(rng, 256)
+	var x, y, z Elem
+	mod.SetInt(&x, wide)
+	tab := mod.NewElemTable(&x, 256, TeethShort)
+	tab.Pow(&z, e) // builds the comb
+	xs, es := []Elem{x, x}, []*big.Int{e, e}
+	for name, f := range map[string]func(){
+		"SetInt": func() { mod.SetInt(&y, wide) },
+		"Mul":    func() { mod.Mul(&z, &x, &y) },
+		"Pow":    func() { mod.Pow(&z, &x, e) },
+		"MulPow": func() { mod.MulPow(&z, xs, es) },
+		"Table":  func() { tab.Pow(&z, e) },
+		"Equal":  func() { _ = mod.Equal(&x, &y) || mod.IsZero(&z) },
+	} {
+		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+			t.Errorf("%s: %v allocations, want none", name, allocs)
+		}
+	}
+	modQ.SetInt(&y, wide)
+	if allocs := testing.AllocsPerRun(20, func() { sink = c.Join(&x, &y) }); allocs != 2 {
+		t.Errorf("Join: %v allocations, want 2 (the big.Int and its words)", allocs)
+	}
+	if allocs := testing.AllocsPerRun(20, func() { sink = mod.Int(&x) }); allocs != 2 {
+		t.Errorf("Int: %v allocations, want 2 (the big.Int and its words)", allocs)
+	}
+}

@@ -23,12 +23,13 @@ const (
 )
 
 // Table raises one fixed base to many exponents through a Lim–Lee comb.
-// The comb is built on the first Exp that can use it, so constructing a
-// Table costs nothing and a Table that is never read stays empty. Safe
-// for concurrent use.
+// The comb is built on the first power that can use it, so constructing a
+// Table costs one reduction of its base and a Table that is never read
+// stays empty. Safe for concurrent use.
 type Table struct {
 	mod   *Modulus
-	base  *big.Int // as given; reduced when the comb is built
+	base  *big.Int // as given to NewTable; nil for a table of an Elem
+	x     Elem     // the base, reduced
 	teeth int      // rows of the exponent matrix
 	cols  int      // its columns: the comb covers teeth*cols exponent bits
 
@@ -42,18 +43,47 @@ type Table struct {
 // up to expBits bits (at most 64*maxWords). Exp accepts any exponent; a
 // longer one takes the windowed path.
 func (mod *Modulus) NewTable(base *big.Int, expBits, teeth int) *Table {
-	expBits = min(expBits, 64*maxWords)
-	return &Table{mod: mod, base: base, teeth: teeth, cols: (expBits + teeth - 1) / teeth}
+	t := mod.newTable(expBits, teeth)
+	t.base = base
+	mod.SetInt(&t.x, base)
+	return t
 }
 
-// Base returns the table's base as it was given.
+// NewElemTable is NewTable for a base already in Elem form.
+func (mod *Modulus) NewElemTable(x *Elem, expBits, teeth int) *Table {
+	t := mod.newTable(expBits, teeth)
+	t.x = *x
+	return t
+}
+
+func (mod *Modulus) newTable(expBits, teeth int) *Table {
+	expBits = min(expBits, 64*maxWords)
+	return &Table{mod: mod, teeth: teeth, cols: (expBits + teeth - 1) / teeth}
+}
+
+// Base returns the table's base as it was given to NewTable, nil for a
+// table made by NewElemTable.
 func (t *Table) Base() *big.Int { return t.base }
 
-// Exp returns base^e mod m, fully reduced — bit-exact with big.Int.Exp.
+// Exp returns base^e mod m, fully reduced — bit-exact with big.Int.Exp —
+// for a table made by NewTable; a negative e takes math/big with the base
+// as given.
 func (t *Table) Exp(e *big.Int) *big.Int {
+	if e.Sign() < 0 {
+		return t.mod.Exp(t.base, e)
+	}
+	var z Elem
+	t.Pow(&z, e)
+	return t.mod.Int(&z)
+}
+
+// Pow sets z = base^e mod m for e ≥ 0, through the comb when the modulus
+// has a kernel and e fits the comb's span, and by Modulus.Pow otherwise.
+func (t *Table) Pow(z *Elem, e *big.Int) {
 	mod := t.mod
 	if mod.w == 0 || e.Sign() < 0 || e.BitLen() > t.teeth*t.cols {
-		return mod.Exp(t.base, e)
+		mod.Pow(z, &t.x, e)
+		return
 	}
 	t.once.Do(t.build)
 	w := mod.w
@@ -61,9 +91,8 @@ func (t *Table) Exp(e *big.Int) *big.Int {
 	// to teeth-1.
 	var ew [maxWords + 1]uint64
 	load(ew[:], e)
-	var zb [maxWords]uint64
-	z := zb[:w]
-	copy(z, mod.one[:w])
+	zw := z.w[:w]
+	copy(zw, mod.one[:w])
 	started := false
 	for c := t.cols - 1; c >= 0; c-- {
 		idx := 0
@@ -71,19 +100,18 @@ func (t *Table) Exp(e *big.Int) *big.Int {
 			idx = idx<<1 | int(ew[k>>6]>>(uint(k)&63)&1)
 		}
 		if started {
-			mod.mul(z, z, z)
+			mod.mul(zw, zw, zw)
 		}
 		if idx == 0 {
 			continue
 		}
 		if started {
-			mod.mul(z, z, t.comb[idx*w:(idx+1)*w])
+			mod.mul(zw, zw, t.comb[idx*w:(idx+1)*w])
 		} else {
-			copy(z, t.comb[idx*w:(idx+1)*w])
+			copy(zw, t.comb[idx*w:(idx+1)*w])
 			started = true
 		}
 	}
-	return mod.fromMont(z)
 }
 
 func (t *Table) build() {
@@ -91,7 +119,7 @@ func (t *Table) build() {
 	comb := make([]uint64, w<<t.teeth)
 	entry := func(i int) []uint64 { return comb[i*w : (i+1)*w] }
 	copy(entry(0), mod.one[:w])
-	mod.toMont(entry(1), t.base)
+	copy(entry(1), t.x.w[:w])
 	for j := 1; j < t.teeth; j++ {
 		p := entry(1 << j)
 		copy(p, entry(1<<(j-1)))

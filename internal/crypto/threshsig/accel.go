@@ -20,6 +20,13 @@ import (
 // comb table in a fifth of the multiplications again, and an inverse
 // power through a comb is a Fermat-negated exponent, not a ModInverse.
 //
+// A value stays in the halves, as mont.Elems, from the split of its input
+// to the one recombination of its output (mont.CRT.Join): only what
+// leaves the package — a share's X, a signature, a proof's commitments —
+// becomes a big.Int, and a check such as Verify's compares halves and
+// allocates nothing. A dealt share's exponent is reduced mod p-1 and q-1
+// once, by Deal (dealtShare).
+//
 // Combine does not go through exp: its k+1 short powers, of either sign,
 // are one product in each half (root) — the numerator and the denominator
 // each on one squaring chain, one ModInverse, the check sigma^e = H(msg)
@@ -34,27 +41,34 @@ import (
 // gets the same speedup — a simulator-level optimization, not a protocol
 // change.
 type accel struct {
-	p, q  crtPrime
-	qInvP *big.Int // q^{-1} mod p: Garner recombination constant
+	p, q crtPrime
+	crt  *mont.CRT
 
 	// The key's fixed bases, set by Deal; their combs are built on the
 	// first signature share (v) or share verification (v_i) that reads
 	// them.
 	v   base
 	vks []base
+	// dealt holds each dealt share's exponent reduced in both halves, by
+	// index.
+	dealt []dealtShare
 }
+
+// dealtShare is a dealt s_i with its residues mod p-1 and mod q-1.
+type dealtShare struct{ s, sp, sq *big.Int }
 
 // crtPrime is one prime factor of the modulus with its engine.
 type crtPrime struct {
-	n   *big.Int // the prime
-	nm1 *big.Int // n-1: Fermat exponent reduction modulus
+	nm1 *big.Int // the prime minus 1: Fermat exponent reduction modulus
 	mod *mont.Modulus
 }
 
-// base is a value about to be raised to a power.
+// base is a value about to be raised to a power. A key that knows its
+// primes holds it in the halves (xp, xq) and v only when it came in as a
+// big.Int; a key that does not holds v alone.
 type base struct {
 	v      *big.Int    // the value mod N
-	xp, xq *big.Int    // v mod p, mod q; nil when the key does not know its primes
+	xp, xq mont.Elem   // v mod p, mod q
 	tp, tq *mont.Table // combs of xp, xq; nil for a base raised once
 }
 
@@ -64,113 +78,140 @@ type base struct {
 const invBits = 48
 
 func newCRTPrime(n *big.Int) crtPrime {
-	return crtPrime{n: n, nm1: new(big.Int).Sub(n, one), mod: mont.NewModulus(n)}
+	return crtPrime{nm1: new(big.Int).Sub(n, one), mod: mont.NewModulus(n)}
 }
 
 func newAccel(p, q *big.Int) *accel {
-	inv := new(big.Int).ModInverse(q, p)
-	if inv == nil {
+	a := &accel{p: newCRTPrime(p), q: newCRTPrime(q)}
+	if a.crt = mont.NewCRT(a.p.mod, a.q.mod); a.crt == nil {
 		return nil // not distinct primes; fall back to plain Exp
 	}
-	return &accel{p: newCRTPrime(p), q: newCRTPrime(q), qInvP: inv}
+	return a
 }
 
 // split prepares x for a single power.
 func (a *accel) split(x *big.Int) base {
-	return base{v: x, xp: new(big.Int).Mod(x, a.p.n), xq: new(big.Int).Mod(x, a.q.n)}
+	b := base{v: x}
+	a.p.mod.SetInt(&b.xp, x)
+	a.q.mod.SetInt(&b.xq, x)
+	return b
 }
 
-// fixed prepares x for many powers: split plus, at the widths that have
-// them, comb tables, which are built on first use.
-func (a *accel) fixed(x *big.Int, teeth int) base {
-	b := a.split(x)
+// fixed prepares x for many powers (see table).
+func (a *accel) fixed(x *big.Int, teeth int) base { return a.table(a.split(x), teeth) }
+
+// table gives b, at the widths that have them, comb tables, which are
+// built on first use.
+func (a *accel) table(b base, teeth int) base {
 	if a.p.mod.HasKernel() && a.q.mod.HasKernel() {
-		b.tp = a.p.mod.NewTable(b.xp, a.p.nm1.BitLen(), teeth)
-		b.tq = a.q.mod.NewTable(b.xq, a.q.nm1.BitLen(), teeth)
+		b.tp = a.p.mod.NewElemTable(&b.xp, a.p.nm1.BitLen(), teeth)
+		b.tq = a.q.mod.NewElemTable(&b.xq, a.q.nm1.BitLen(), teeth)
 	}
 	return b
 }
 
-// exp returns b^e mod p*q. A negative e is the inverse power, nil when b
-// is not a unit — what big.Int.Exp answers.
-func (a *accel) exp(b base, e *big.Int) *big.Int {
-	if e.Sign() < 0 && (b.xp.Sign() == 0 || b.xq.Sign() == 0) {
-		return nil
+// raise returns b^ep in p's half and b^eq in q's, false when an exponent
+// is negative and b is not a unit.
+func (a *accel) raise(b base, ep, eq *big.Int) (base, bool) {
+	var r base
+	if (ep.Sign() < 0 || eq.Sign() < 0) && !a.isUnit(b) {
+		return r, false
 	}
-	return a.garner(a.p.exp(b.xp, b.tp, e), a.q.exp(b.xq, b.tq, e))
+	a.p.exp(&r.xp, &b.xp, b.tp, ep)
+	a.q.exp(&r.xq, &b.xq, b.tq, eq)
+	return r, true
+}
+
+// mul returns x*y in the halves.
+func (a *accel) mul(x, y base) base {
+	var r base
+	a.p.mod.Mul(&r.xp, &x.xp, &y.xp)
+	a.q.mod.Mul(&r.xq, &x.xq, &y.xq)
+	return r
+}
+
+// value returns b mod p*q, recombined from its halves.
+func (a *accel) value(b base) *big.Int { return a.crt.Join(&b.xp, &b.xq) }
+
+// same reports whether x and y are one value mod p*q.
+func (a *accel) same(x, y base) bool {
+	return a.p.mod.Equal(&x.xp, &y.xp) && a.q.mod.Equal(&x.xq, &y.xq)
+}
+
+// isUnit reports whether b is invertible mod p*q: nonzero in both halves.
+func (a *accel) isUnit(b base) bool {
+	return !a.p.mod.IsZero(&b.xp) && !a.q.mod.IsZero(&b.xq)
 }
 
 // root is PublicKey.root in the CRT halves: each half's product is checked
 // against x there, and only one that passes both is recombined.
 func (a *accel) root(bases []base, f *fold, e *big.Int) *big.Int {
-	var stack [8]*big.Int
+	var stack [16]mont.Elem
 	xs := stack[:0]
-	for _, b := range bases {
-		xs = append(xs, b.xp)
+	for i := range bases {
+		xs = append(xs, bases[i].xp)
 	}
-	yp := a.p.root(xs, f, e)
-	if yp == nil {
+	var yp, yq mont.Elem
+	if !a.p.root(&yp, xs, f, e) {
 		return nil
 	}
-	for i, b := range bases {
-		xs[i] = b.xq
+	for i := range bases {
+		xs[i] = bases[i].xq
 	}
-	yq := a.q.root(xs, f, e)
-	if yq == nil {
+	if !a.q.root(&yq, xs, f, e) {
 		return nil
 	}
-	return a.garner(yp, yq)
+	return a.crt.Join(&yp, &yq)
 }
 
-// garner returns the y in [0, p*q) with y = yp mod p and y = yq mod q:
-// y = yq + q * (qInvP * (yp - yq) mod p). yp is overwritten.
-func (a *accel) garner(yp, yq *big.Int) *big.Int {
-	h := yp.Sub(yp, yq)
-	h.Mul(h, a.qInvP)
-	h.Mod(h, a.p.n)
-	h.Mul(h, a.q.n)
-	return h.Add(h, yq)
-}
-
-// root returns the fold's product over xs, the last of which is x, mod
-// the prime when its e-th power is x there, and nil otherwise.
-func (cp *crtPrime) root(xs []*big.Int, f *fold, e *big.Int) *big.Int {
-	y := f.raise(cp.mod, cp.n, xs)
-	if cp.mod.Exp(y, e).Cmp(xs[len(xs)-1]) != 0 {
-		return nil
+// root sets y to the fold's product over xs, the last of which is x, mod
+// the prime and reports whether its e-th power is x there.
+func (cp *crtPrime) root(y *mont.Elem, xs []mont.Elem, f *fold, e *big.Int) bool {
+	if !f.raiseIn(cp.mod, y, xs) {
+		return false
 	}
-	return y
+	var chk mont.Elem
+	cp.mod.Pow(&chk, y, e)
+	return cp.mod.Equal(&chk, &xs[len(xs)-1])
 }
 
-// exp computes x^e mod the prime for x in [0, prime), through x's comb t
-// when it has one. The exponent is reduced mod prime-1 (valid by Fermat's
-// little theorem for units; x = 0 is handled explicitly, where the
-// reduction would be wrong: 0^e = 0 for e > 0 but 0^0 = 1), which also
-// turns a negative exponent — x must then be a unit — into its
-// non-negative residue: x^-e = x^{(prime-1) - e}. That residue is as long
-// as the prime. A comb does not care; without one, an exponent invBits
-// shorter than the prime is raised as written and inverted instead, a
-// half-width ModInverse costing about as much as invBits bits of exponent:
-// the 256-bit challenge of verifyShareFull at TS-768 and up, whose halves
-// are 384 bits or more (at TS-512 it is as long as a half, and is
-// reduced). Combine's short exponents of either sign do not come here
-// (root).
-func (cp *crtPrime) exp(x *big.Int, t *mont.Table, e *big.Int) *big.Int {
-	if x.Sign() == 0 {
-		if e.Sign() == 0 {
-			return big.NewInt(1)
-		}
-		return new(big.Int)
+// reduce returns the exponent a power mod the prime takes for e: e itself
+// when it is in [0, prime-1), and otherwise its residue mod prime-1 — the
+// same power of a unit, by Fermat's little theorem — taken in
+// [1, prime-1], so that 0, which is no unit, still raises to 0 (0^e = 0
+// for e > 0, where a residue of 0 would give 0^0 = 1).
+func (cp *crtPrime) reduce(e *big.Int) *big.Int {
+	if e.Sign() >= 0 && e.Cmp(cp.nm1) < 0 {
+		return e
 	}
+	r := new(big.Int).Mod(e, cp.nm1)
+	if r.Sign() == 0 {
+		r.Set(cp.nm1)
+	}
+	return r
+}
+
+// exp sets z = x^e mod the prime, through x's comb t when it has one. The
+// exponent is reduced (reduce), which also turns a negative exponent — x
+// must then be a unit — into its non-negative residue: x^-e =
+// x^{(prime-1) - e}. That residue is as long as the prime. A comb does not
+// care; without one, an exponent invBits shorter than the prime is raised
+// as written and inverted instead, a half-width ModInverse costing about
+// as much as invBits bits of exponent: the 256-bit challenge of
+// verifyShareFull at TS-768 and up, whose halves are 384 bits or more (at
+// TS-512 it is as long as a half, and is reduced). Combine's short
+// exponents of either sign do not come here (root).
+func (cp *crtPrime) exp(z, x *mont.Elem, t *mont.Table, e *big.Int) {
 	if t == nil && e.Sign() < 0 && e.BitLen()+invBits < cp.nm1.BitLen() {
-		y := cp.mod.Exp(x, new(big.Int).Neg(e))
-		return y.ModInverse(y, cp.n)
+		var abs big.Int
+		cp.mod.Pow(z, x, abs.Abs(e))
+		cp.mod.Inv(z, z)
+		return
 	}
-	if e.Sign() < 0 || e.Cmp(cp.nm1) >= 0 {
-		e = new(big.Int).Mod(e, cp.nm1)
-	}
+	e = cp.reduce(e)
 	if t != nil {
-		return t.Exp(e)
+		t.Pow(z, e)
+		return
 	}
-	return cp.mod.Exp(x, e)
+	cp.mod.Pow(z, x, e)
 }

@@ -143,8 +143,8 @@ func TestVerifierMatchesVerifyShare(t *testing.T) {
 }
 
 // TestAccelMatchesPlainExp pins the CRT accelerator against math/big across
-// edge exponents (0, 1, e >= p-1, e < 0) and base values (0, 1, p, multiples of a
-// prime factor).
+// edge exponents (0, 1, e >= p-1, e < 0), as given and reduced for the
+// halves, and base values (0, 1, p, multiples of a prime factor).
 func TestAccelMatchesPlainExp(t *testing.T) {
 	fix := Fixtures()[0]
 	acc := newAccel(fix.P, fix.Q)
@@ -172,9 +172,21 @@ func TestAccelMatchesPlainExp(t *testing.T) {
 		for _, cb := range []base{acc.split(b), acc.fixed(b, mont.TeethShort), acc.fixed(b, mont.TeethLong)} {
 			for _, e := range exps {
 				want := new(big.Int).Exp(b, e, n)
-				got := acc.exp(cb, e)
+				var got *big.Int
+				if r, ok := acc.raise(cb, e, e); ok {
+					got = acc.value(r)
+				}
 				if (got == nil) != (want == nil) || (got != nil && got.Cmp(want) != 0) {
-					t.Errorf("acc.exp(%v, %v) = %v, want %v", b, e, got, want)
+					t.Errorf("acc.raise(%v, %v) = %v, want %v", b, e, got, want)
+				}
+				if e.Sign() < 0 {
+					continue
+				}
+				// Reduced for the halves first, as Deal reduces a dealt
+				// share's exponent.
+				ep, eq := acc.p.reduce(e), acc.q.reduce(e)
+				if r, _ := acc.raise(cb, ep, eq); acc.value(r).Cmp(want) != 0 {
+					t.Errorf("acc.raise(%v, %v reduced) = %v, want %v", b, e, acc.value(r), want)
 				}
 			}
 		}

@@ -19,8 +19,8 @@ type pkCache struct {
 	// Verify. One message is touched by every party of the simulation, so
 	// the hit rate is ~(parties-1)/parties.
 	msgs memo.Memo[[32]byte, *msgCtx]
-	// folds: Combine's exponents keyed by subset.
-	folds memo.Memo[string, *fold]
+	// folds: Combine's exponents keyed by a digest of the subset.
+	folds memo.Memo[[32]byte, *fold]
 	// combos: Combine's answers, the signature or the error, keyed by the
 	// message digest and the first k shares' (index, X) in their order —
 	// the whole of what a combination reads. Every party combines every
@@ -38,8 +38,7 @@ type combination struct {
 
 // msgCtx is the per-message exponentiation context.
 type msgCtx struct {
-	x   *big.Int // H(msg) in Z_N
-	xb  base     // x prepared for one power: Combine's last base
+	xb  base     // x = H(msg) in Z_N, prepared for one power: Combine's last base, Verify's target
 	x4d *big.Int // x^{4*delta} — the share-proof base
 	// y = x^{2*delta}, the one base every big power of the message is
 	// taken from: a share is x_i = y^{s_i}, and the proof commitments are
@@ -56,12 +55,12 @@ func (pk *PublicKey) oneShot(v *big.Int) base {
 	return pk.acc.split(v)
 }
 
-// fixed prepares v for many powers (see accel.fixed).
-func (pk *PublicKey) fixed(v *big.Int, teeth int) base {
+// fixed prepares b for many powers (see accel.table).
+func (pk *PublicKey) fixed(b base, teeth int) base {
 	if pk.acc == nil {
-		return base{v: v}
+		return b
 	}
-	return pk.acc.fixed(v, teeth)
+	return pk.acc.table(b, teeth)
 }
 
 // vBase and vkBase return the key's fixed bases V and VK_index.
@@ -79,19 +78,89 @@ func (pk *PublicKey) vkBase(index int) base {
 	return pk.acc.vks[index-1]
 }
 
-// pow returns b^e mod N through the CRT accelerator when the key was
-// produced by Deal; hand-built keys fall back to plain modexp. Either
-// way a negative e is the inverse power, and the result is then nil when
-// b is not a unit mod N.
-func (pk *PublicKey) pow(b base, e *big.Int) *big.Int {
-	if b.xp != nil {
-		return pk.acc.exp(b, e)
+// The calls below run through the CRT accelerator when the key was
+// produced by Deal, in the halves from a base's split to a value's
+// recombination, and by plain modexp mod N on a hand-built key. They are
+// the key's one arithmetic: every operation of the scheme is written on
+// them once.
+
+// exps returns e as each half raises it, reduced once (crtPrime.reduce)
+// for an exponent raised more than once, or e itself on a hand-built key.
+func (pk *PublicKey) exps(e *big.Int) (ep, eq *big.Int) {
+	if pk.acc == nil {
+		return e, e
 	}
-	return new(big.Int).Exp(b.v, e, pk.N)
+	return pk.acc.p.reduce(e), pk.acc.q.reduce(e)
 }
 
-// exp is pow for a base raised once.
-func (pk *PublicKey) exp(v, e *big.Int) *big.Int { return pk.pow(pk.oneShot(v), e) }
+// shareExps returns a private share's exponent for each half: a dealt
+// share's as Deal reduced it, S itself otherwise.
+func (pk *PublicKey) shareExps(share PrivateShare) (sp, sq *big.Int) {
+	if pk.acc != nil {
+		d := pk.acc.dealt
+		if i := share.Index - 1; i >= 0 && i < len(d) && d[i].s.Cmp(share.S) == 0 {
+			return d[i].sp, d[i].sq
+		}
+	}
+	return share.S, share.S
+}
+
+// raise returns b^e as a base, where e is ep in p's half and eq in q's —
+// one exponent, as exps or shareExps give it (a hand-built key reads ep). A negative exponent is the inverse power, and raise reports false
+// when b is then not a unit mod N.
+func (pk *PublicKey) raise(b base, ep, eq *big.Int) (base, bool) {
+	if pk.acc != nil {
+		return pk.acc.raise(b, ep, eq)
+	}
+	r := new(big.Int).Exp(b.v, ep, pk.N)
+	return base{v: r}, r != nil
+}
+
+// mul returns x*y mod N.
+func (pk *PublicKey) mul(x, y base) base {
+	if pk.acc != nil {
+		return pk.acc.mul(x, y)
+	}
+	r := new(big.Int).Mul(x.v, y.v)
+	return base{v: r.Mod(r, pk.N)}
+}
+
+// value returns b as a big.Int: the way out of the halves.
+func (pk *PublicKey) value(b base) *big.Int {
+	if pk.acc != nil {
+		return pk.acc.value(b)
+	}
+	return b.v
+}
+
+// same reports whether x and y are one value mod N.
+func (pk *PublicKey) same(x, y base) bool {
+	if pk.acc != nil {
+		return pk.acc.same(x, y)
+	}
+	return x.v.Cmp(y.v) == 0
+}
+
+// isUnit reports whether x is invertible mod N.
+func (pk *PublicKey) isUnit(x base) bool {
+	if pk.acc != nil {
+		return pk.acc.isUnit(x)
+	}
+	return new(big.Int).GCD(nil, nil, x.v, pk.N).Cmp(one) == 0
+}
+
+// pow is raise's power as a big.Int, nil where raise reports false.
+func (pk *PublicKey) pow(b base, ep, eq *big.Int) *big.Int {
+	r, ok := pk.raise(b, ep, eq)
+	if !ok {
+		return nil
+	}
+	return pk.value(r)
+}
+
+// exp returns v^e mod N; a negative e is the inverse power, and the result
+// is then nil when v is not a unit mod N.
+func (pk *PublicKey) exp(v, e *big.Int) *big.Int { return pk.pow(pk.oneShot(v), e, e) }
 
 // ctxFor returns the per-message context, computing and caching it on
 // first use.
@@ -102,10 +171,14 @@ func (pk *PublicKey) ctxFor(msg []byte) *msgCtx {
 	return pk.cc.msgs.Get(sha256.Sum256(msg), func() *msgCtx { return pk.newCtx(msg) })
 }
 
-func (pk *PublicKey) newCtx(msg []byte) *msgCtx {
-	x := hashToModulus(pk.N, pk.Salt, msg)
-	y := pk.exp(x, new(big.Int).Lsh(pk.delta, 1))
-	return &msgCtx{x: x, xb: pk.oneShot(x), x4d: pk.exp(y, two), y: pk.fixed(y, mont.TeethShort)}
+func (pk *PublicKey) newCtx(msg []byte) *msgCtx { return pk.ctxOf(hashToModulus(pk.N, pk.Salt, msg)) }
+
+// ctxOf returns the context of a message that hashes to x.
+func (pk *PublicKey) ctxOf(x *big.Int) *msgCtx {
+	xb := pk.oneShot(x)
+	d2 := new(big.Int).Lsh(pk.delta, 1)
+	y, _ := pk.raise(xb, d2, d2)
+	return &msgCtx{xb: xb, x4d: pk.value(pk.mul(y, y)), y: pk.fixed(y, mont.TeethShort)}
 }
 
 // comboKey digests a message digest and the (index, X) pairs of the
@@ -124,16 +197,17 @@ func comboKey(msgDigest [32]byte, use []*SigShare) [32]byte {
 }
 
 // foldFor returns the fold of the given subset (see newFold), cached when
-// the key carries a cache. The subset is keyed by its exact index
-// sequence, so distinct share orderings cache separately — correctness
+// the key carries a cache. The subset is keyed by a digest of its exact
+// index sequence, so distinct share orderings cache separately — correctness
 // never depends on canonicalization.
 func (pk *PublicKey) foldFor(subset []*SigShare) *fold {
 	if pk.cc == nil {
 		return pk.newFold(subset)
 	}
-	key := make([]byte, 0, 2*len(subset))
+	var stack [64]byte
+	key := stack[:0]
 	for _, sh := range subset {
 		key = binary.BigEndian.AppendUint16(key, uint16(sh.Index))
 	}
-	return pk.cc.folds.Get(string(key), func() *fold { return pk.newFold(subset) })
+	return pk.cc.folds.Get(sha256.Sum256(key), func() *fold { return pk.newFold(subset) })
 }

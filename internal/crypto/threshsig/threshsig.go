@@ -27,7 +27,9 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"slices"
 
+	"repro/internal/crypto/memo"
 	"repro/internal/crypto/mont"
 )
 
@@ -87,7 +89,7 @@ type pendingProof struct {
 	pk  *PublicKey
 	ctx *msgCtx
 	s   *big.Int // s_i
-	w   *big.Int
+	w   []byte   // the nonce's bytes as read; Prove makes them a number
 }
 
 // Signature is a combined threshold signature.
@@ -163,12 +165,18 @@ func Deal(name string, p, q *big.Int, k, l int, rand io.Reader) (*Key, error) {
 	if pk.acc != nil {
 		pk.acc.v = pk.acc.fixed(pk.V, mont.TeethLong)
 		pk.acc.vks = make([]base, l)
+		pk.acc.dealt = make([]dealtShare, l)
+		for i, sh := range shares {
+			sp, sq := pk.exps(sh.S)
+			pk.acc.dealt[i] = dealtShare{s: new(big.Int).Set(sh.S), sp: sp, sq: sq}
+		}
 	}
 	pk.VKs = make([]*big.Int, l)
 	for i, sh := range shares {
 		// Through v's comb: the l powers here pay for it, and the run's
 		// first signature share finds it built.
-		pk.VKs[i] = pk.pow(pk.vBase(), sh.S)
+		sp, sq := pk.shareExps(sh)
+		pk.VKs[i] = pk.pow(pk.vBase(), sp, sq)
 		if pk.acc != nil {
 			pk.acc.vks[i] = pk.acc.fixed(pk.VKs[i], mont.TeethLong)
 		}
@@ -230,10 +238,11 @@ func (pk *PublicKey) Sign(share PrivateShare, msg []byte, rand io.Reader) (*SigS
 func (pk *PublicKey) SignBare(share PrivateShare, msg []byte, rand io.Reader) (*SigShare, error) {
 	ctx := pk.ctxFor(msg)
 	// x_i = x^{2*delta*s_i} = y^{s_i}
-	xi := pk.pow(ctx.y, share.S)
-	// Random w of |N| + 2*256 bits.
-	w, err := randBits(rand, pk.N.BitLen()+512)
-	if err != nil {
+	sp, sq := pk.shareExps(share)
+	xi := pk.pow(ctx.y, sp, sq)
+	// Random w of |N| + 2*256 bits, read now and made a number by Prove.
+	w := make([]byte, (pk.N.BitLen()+512+7)/8)
+	if _, err := io.ReadFull(rand, w); err != nil {
 		return nil, err
 	}
 	return &SigShare{Index: share.Index, X: xi, pending: &pendingProof{pk: pk, ctx: ctx, s: share.S, w: w}}, nil
@@ -254,14 +263,18 @@ func (sh *SigShare) Prove() {
 	// Proof of log equality: log_{x4d}(xi^2) == log_v(v_i), exponent s_i.
 	// x4d = x^{4*delta}.
 	pk := p.pk
+	w := new(big.Int).SetBytes(p.w)
 	xi2 := pk.exp(sh.X, two)
 	vi := pk.VKs[sh.Index-1]
-	t1 := pk.pow(p.ctx.y, new(big.Int).Lsh(p.w, 1)) // x4d^w
-	t2 := pk.pow(pk.vBase(), p.w)
-	c := proofChallenge(pk, p.ctx.x4d, xi2, vi, t1, t2)
+	// t1 = x4d^w = (y^w)^2 and t2 = v^w, w reduced once for both.
+	wp, wq := pk.exps(w)
+	yw, _ := pk.raise(p.ctx.y, wp, wq)
+	vw, _ := pk.raise(pk.vBase(), wp, wq)
+	d := proofChallenge(pk, p.ctx.x4d, xi2, vi, pk.value(pk.mul(yw, yw)), pk.value(vw))
+	c := new(big.Int).SetBytes(d[:])
 	// z = w + c*s_i over the integers.
 	z := new(big.Int).Mul(c, p.s)
-	sh.C, sh.Z = c, z.Add(z, p.w)
+	sh.C, sh.Z = c, z.Add(z, w)
 }
 
 // VerifyShare checks a signature share against msg.
@@ -307,20 +320,25 @@ func (pk *PublicKey) verifyShareFull(ctx *msgCtx, sh *SigShare) error {
 	if !pk.isUnit(xi) {
 		return errors.New("threshsig: degenerate share")
 	}
-	xi2 := pk.pow(xi, two)
+	xi2 := pk.mul(xi, xi)
 	vi := pk.VKs[sh.Index-1]
 	// Recompute commitments: t1 = x4d^z * xi2^{-c}, t2 = v^z * vi^{-c},
-	// with x4d^z = y^{2z}.
+	// with x4d^z = (y^z)^2 and z reduced once for both.
 	negC := new(big.Int).Neg(sh.C)
-	t1 := pk.mulPow(ctx.y, new(big.Int).Lsh(sh.Z, 1), pk.oneShot(xi2), negC)
-	if t1 == nil {
+	zp, zq := pk.exps(sh.Z)
+	yz, _ := pk.raise(ctx.y, zp, zq)
+	xc, ok := pk.raise(xi2, negC, negC)
+	if !ok {
 		return errors.New("threshsig: degenerate share")
 	}
-	t2 := pk.mulPow(pk.vBase(), sh.Z, pk.vkBase(sh.Index), negC)
-	if t2 == nil {
+	t1 := pk.mul(pk.mul(yz, yz), xc)
+	vz, _ := pk.raise(pk.vBase(), zp, zq)
+	vc, ok := pk.raise(pk.vkBase(sh.Index), negC, negC)
+	if !ok {
 		return errors.New("threshsig: degenerate verification key")
 	}
-	if proofChallenge(pk, x4d, xi2, vi, t1, t2).Cmp(sh.C) != 0 {
+	t2 := pk.mul(vz, vc)
+	if !isDigest(sh.C, proofChallenge(pk, x4d, pk.value(xi2), vi, pk.value(t1), pk.value(t2))) {
 		return errors.New("threshsig: share proof rejected")
 	}
 	return nil
@@ -386,7 +404,7 @@ func sharesInRange(pk *PublicKey, use []*SigShare) bool {
 
 // combine is Combine past its argument checks, with no answer memo.
 func (pk *PublicKey) combine(msg []byte, use []*SigShare) (*Signature, error) {
-	var stack [8]base
+	var stack [16]base
 	bases := stack[:0]
 	for _, sh := range use {
 		// An exponent may be negative: an inverse power, for which the
@@ -419,9 +437,8 @@ func (pk *PublicKey) Verify(msg []byte, sig *Signature) error {
 	if sig == nil || sig.S == nil || sig.S.Sign() <= 0 || sig.S.Cmp(pk.N) >= 0 {
 		return errors.New("threshsig: malformed signature")
 	}
-	x := pk.ctxFor(msg).x
-	got := pk.exp(sig.S, pk.E)
-	if got.Cmp(x) != 0 {
+	x := pk.ctxFor(msg).xb
+	if s, _ := pk.raise(pk.oneShot(sig.S), pk.E, pk.E); !pk.same(s, x) {
 		return errVerify
 	}
 	return nil
@@ -483,36 +500,55 @@ func (f *fold) add(i int, e *big.Int) {
 	side.exp = append(side.exp, e)
 }
 
-// raise returns the fold's product over xs mod n: each side on one
-// squaring chain of mod, or by big.Int.Exp when mod is nil, and the
-// denominator inverted once. Every base of the denominator must be a unit
-// mod n.
-func (f *fold) raise(mod *mont.Modulus, n *big.Int, xs []*big.Int) *big.Int {
-	num := f.num.raise(mod, n, xs)
+// raise returns the fold's product over xs mod n by big.Int.Exp, the
+// denominator inverted once: a hand-built key's combination. Every base of
+// the denominator must be a unit mod n.
+func (f *fold) raise(n *big.Int, xs []*big.Int) *big.Int {
+	num := f.num.raise(n, xs)
 	if len(f.den.at) == 0 {
 		return num
 	}
-	den := f.den.raise(mod, n, xs)
+	den := f.den.raise(n, xs)
 	num.Mul(num, den.ModInverse(den, n))
 	return num.Mod(num, n)
 }
 
 // raise returns the side's product over xs mod n.
-func (p *powers) raise(mod *mont.Modulus, n *big.Int, xs []*big.Int) *big.Int {
-	var stack [8]*big.Int
+func (p *powers) raise(n *big.Int, xs []*big.Int) *big.Int {
+	z := big.NewInt(1)
+	for i, at := range p.at {
+		z.Mul(z, new(big.Int).Exp(xs[at], p.exp[i], n))
+		z.Mod(z, n)
+	}
+	return z
+}
+
+// raiseIn sets z to the fold's product over xs in one CRT half: each side
+// on one squaring chain of mod, and the denominator inverted once — on
+// math/big, a Fermat inversion being a power as long as the half. It
+// reports false when the denominator is not a unit.
+func (f *fold) raiseIn(mod *mont.Modulus, z *mont.Elem, xs []mont.Elem) bool {
+	f.num.raiseIn(mod, z, xs)
+	if len(f.den.at) == 0 {
+		return true
+	}
+	var den mont.Elem
+	f.den.raiseIn(mod, &den, xs)
+	if !mod.Inv(&den, &den) {
+		return false
+	}
+	mod.Mul(z, z, &den)
+	return true
+}
+
+// raiseIn sets z to the side's product over xs in mod's half.
+func (p *powers) raiseIn(mod *mont.Modulus, z *mont.Elem, xs []mont.Elem) {
+	var stack [16]mont.Elem
 	bs := stack[:0]
 	for _, at := range p.at {
 		bs = append(bs, xs[at])
 	}
-	if mod != nil {
-		return mod.MulExp(bs, p.exp)
-	}
-	z := big.NewInt(1)
-	for i, b := range bs {
-		z.Mul(z, new(big.Int).Exp(b, p.exp[i], n))
-		z.Mod(z, n)
-	}
-	return z
+	mod.MulPow(z, bs, p.exp)
 }
 
 // root returns the fold's product over bases — the subset's shares, then
@@ -523,50 +559,41 @@ func (pk *PublicKey) root(bases []base, f *fold) *big.Int {
 	if pk.acc != nil {
 		return pk.acc.root(bases, f, pk.E)
 	}
-	var stack [8]*big.Int
+	var stack [16]*big.Int
 	xs := stack[:0]
 	for _, b := range bases {
 		xs = append(xs, b.v)
 	}
-	s := f.raise(nil, pk.N, xs)
+	s := f.raise(pk.N, xs)
 	if new(big.Int).Exp(s, pk.E, pk.N).Cmp(xs[len(xs)-1]) != 0 {
 		return nil
 	}
 	return s
 }
 
-// mulPow computes x^a * w^b mod N. A negative exponent is an inverse
-// power; the result is nil when its base is not a unit mod N.
-func (pk *PublicKey) mulPow(x base, a *big.Int, w base, b *big.Int) *big.Int {
-	xa, wb := pk.pow(x, a), pk.pow(w, b)
-	if xa == nil || wb == nil {
-		return nil
-	}
-	xa.Mul(xa, wb)
-	return xa.Mod(xa, pk.N)
-}
-
-// isUnit reports whether x is invertible mod N: nonzero mod both primes
-// when the key knows them.
-func (pk *PublicKey) isUnit(x base) bool {
-	if x.xp != nil {
-		return x.xp.Sign() != 0 && x.xq.Sign() != 0
-	}
-	return new(big.Int).GCD(nil, nil, x.v, pk.N).Cmp(one) == 0
-}
-
-func proofChallenge(pk *PublicKey, parts ...*big.Int) *big.Int {
-	h := sha256.New()
-	h.Write([]byte("threshsig-proof-v1"))
-	h.Write(pk.N.Bytes())
+// proofChallenge hashes the proof's parts, each length-prefixed, after N:
+// the challenge c, as a 256-bit big-endian number. The input is laid out
+// in a stack buffer and hashed in one call.
+func proofChallenge(pk *PublicKey, parts ...*big.Int) [32]byte {
+	var stack [4096]byte
+	buf := append(stack[:0], "threshsig-proof-v1"...)
+	n := (pk.N.BitLen() + 7) / 8
+	buf = slices.Grow(buf, n)[:len(buf)+n]
+	pk.N.FillBytes(buf[len(buf)-n:])
 	for _, p := range parts {
-		b := p.Bytes()
-		var lb [4]byte
-		binary.BigEndian.PutUint32(lb[:], uint32(len(b)))
-		h.Write(lb[:])
-		h.Write(b)
+		buf = memo.AppendMagnitude(buf, p)
 	}
-	return new(big.Int).SetBytes(h.Sum(nil))
+	return sha256.Sum256(buf)
+}
+
+// isDigest reports whether c is the number whose 32 big-endian bytes are d.
+func isDigest(c *big.Int, d [32]byte) bool {
+	if c.Sign() < 0 || c.BitLen() > 256 {
+		return false
+	}
+	var b [32]byte
+	c.FillBytes(b[:])
+	return b == d
 }
 
 func evalPoly(coeffs []*big.Int, x int64, m *big.Int) *big.Int {
@@ -596,12 +623,4 @@ func randBelow(rand io.Reader, max *big.Int) (*big.Int, error) {
 			return v, nil
 		}
 	}
-}
-
-func randBits(rand io.Reader, bits int) (*big.Int, error) {
-	buf := make([]byte, (bits+7)/8)
-	if _, err := io.ReadFull(rand, buf); err != nil {
-		return nil, err
-	}
-	return new(big.Int).SetBytes(buf), nil
 }

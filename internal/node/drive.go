@@ -34,12 +34,13 @@ func Drive(sched *sim.Scheduler, deadline time.Duration, done func() bool) error
 }
 
 // SumStats folds every node's cumulative transport counters (crashed and
-// recovered transports included) into one aggregate.
+// recovered transports included) into one aggregate, with one entry-byte
+// ledger for all of them.
 func SumStats(nodes []*Node) core.Stats {
 	var s core.Stats
 	for _, n := range nodes {
 		if n != nil {
-			s = core.AddStats(s, n.Stats())
+			n.mux.AddStats(&s)
 		}
 	}
 	return s

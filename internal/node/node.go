@@ -131,7 +131,3 @@ func (n *Node) Crash() {
 // contends again for what its open epochs have to send
 // (core.Mux.Recover). Idempotent.
 func (n *Node) Recover() { n.mux.Recover() }
-
-// Stats returns the node's cumulative transport counters, closed epochs
-// included.
-func (n *Node) Stats() core.Stats { return n.mux.Stats() }

@@ -86,7 +86,7 @@ func TestCrashRecoverTransportLifecycle(t *testing.T) {
 	if recv[3] != before {
 		t.Error("crashed node still receiving")
 	}
-	preStats := nodes[3].Stats()
+	preStats := nodes[3].Mux().Stats()
 
 	nodes[3].Recover()
 	// Re-open the epoch and re-register (the protocol layer's job).
@@ -100,7 +100,7 @@ func TestCrashRecoverTransportLifecycle(t *testing.T) {
 	if recv[0] == 0 {
 		t.Error("recovered node not sending")
 	}
-	post := nodes[3].Stats()
+	post := nodes[3].Mux().Stats()
 	if post.LogicalSent < preStats.LogicalSent || post.VerifyOps <= preStats.VerifyOps {
 		t.Errorf("stats lost across crash: pre %+v post %+v", preStats, post)
 	}
@@ -131,7 +131,7 @@ func TestMuxNodeCrashKeepsMux(t *testing.T) {
 	if len(heard) == 0 {
 		t.Fatal("node never sent")
 	}
-	sent, mux := a.Stats().LogicalSent, a.Mux()
+	sent, mux := a.Mux().Stats().LogicalSent, a.Mux()
 	a.Crash()
 	if a.Mux().Lookup(0) != tr {
 		t.Fatal("crash closed epoch 0")
@@ -139,8 +139,8 @@ func TestMuxNodeCrashKeepsMux(t *testing.T) {
 	tr.Update(core.Intent{IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho, Slot: 1}, Data: []byte("z")})
 	before := len(heard)
 	sched.RunFor(time.Hour)
-	if a.Stats().LogicalSent != sent || len(heard) != before {
-		t.Fatalf("the crashed node sent %d packets, %d entries heard", a.Stats().LogicalSent-sent, len(heard)-before)
+	if a.Mux().Stats().LogicalSent != sent || len(heard) != before {
+		t.Fatalf("the crashed node sent %d packets, %d entries heard", a.Mux().Stats().LogicalSent-sent, len(heard)-before)
 	}
 	a.Recover()
 	if a.Mux() != mux {
@@ -213,5 +213,40 @@ func TestDriveErrors(t *testing.T) {
 	err = Drive(sched2, time.Hour, func() bool { return false })
 	if !errors.Is(err, ErrDeadline) {
 		t.Fatalf("busy loop: got %v, want deadline", err)
+	}
+}
+
+// TestSumStatsOneLedger: SumStats adds every node's counters and
+// entry-byte ledger, node by node, into one ledger — the only allocation
+// it makes — and reads the same as the per-node snapshots summed.
+func TestSumStatsOneLedger(t *testing.T) {
+	sched, _, nodes := wire(t, 4, 4)
+	for i, n := range nodes {
+		n.Mux().Open(0).Update(core.Intent{IntentKey: core.IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho}, Data: []byte{byte(i)}})
+	}
+	sched.RunFor(time.Minute)
+	var want core.Stats
+	var ledger core.EntryBytes
+	for _, n := range nodes {
+		st := n.Mux().Stats()
+		want.LogicalSent += st.LogicalSent
+		want.LogicalRecv += st.LogicalRecv
+		want.SignOps += st.SignOps
+		want.VerifyOps += st.VerifyOps
+		for k := range ledger {
+			for p := range ledger[k] {
+				for c := range ledger[k][p] {
+					ledger[k][p][c] += st.Entries[k][p][c]
+				}
+			}
+		}
+	}
+	got := SumStats(append(nodes, nil))
+	if got.LogicalSent == 0 || got.LogicalSent != want.LogicalSent || got.LogicalRecv != want.LogicalRecv ||
+		got.SignOps != want.SignOps || got.VerifyOps != want.VerifyOps || *got.Entries != ledger {
+		t.Fatalf("SumStats = %+v, the nodes' snapshots sum to %+v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { SumStats(nodes) }); allocs != 1 {
+		t.Errorf("SumStats made %v allocations, want 1 (the ledger)", allocs)
 	}
 }

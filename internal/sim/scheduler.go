@@ -12,18 +12,22 @@ import (
 )
 
 // Event is the cancellation handle for a callback scheduled with At or
-// After, which allocate it, or with Arm, which takes one the caller owns.
-// Most events are never cancelled; schedule those with Post or PostAfter
-// instead, which need no handle at all — the queue slot itself carries
-// the callback.
+// After, which allocate it, or with Arm, which takes one the caller owns
+// and may re-arm it while it is still queued. Most events are never
+// cancelled; schedule those with Post or PostAfter instead, which need no
+// handle at all — the queue slot itself carries the callback.
 type Event struct {
-	at        time.Duration
-	fn        func()
-	s         *Scheduler
+	at time.Duration
+	fn func()
+	s  *Scheduler
+	// seq is the sequence number of the handle's current queue slot: a
+	// slot of the handle with another one was left behind by a re-arm,
+	// and is skipped as a cancelled one is.
+	seq       uint64
 	cancelled bool
-	// popped marks that the event's queue slot has been consumed (fired,
-	// skipped, or compacted away), so a late Cancel must not perturb the
-	// scheduler's cancelled-event accounting.
+	// popped marks that the event's current queue slot has been consumed
+	// (fired, skipped, or compacted away), so a late Cancel must not
+	// perturb the scheduler's cancelled-event accounting.
 	popped bool
 }
 
@@ -120,7 +124,7 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Event {
 	if t < s.now {
 		t = s.now
 	}
-	e := &Event{at: t, fn: fn, s: s}
+	e := &Event{at: t, fn: fn, s: s, seq: s.seq}
 	s.push(item{at: t, seq: s.seq, e: e})
 	s.seq++
 	return e
@@ -128,17 +132,19 @@ func (s *Scheduler) At(t time.Duration, fn func()) *Event {
 
 // Arm schedules fn to run d from now on a handle the caller owns, exactly
 // as After would — same clamping, same place in the firing order, the one
-// next sequence number — minus After's allocation. The handle must not be
-// queued: a zero Event, one that has fired (a timer re-arming itself from
-// its callback), or a cancelled one whose slot is gone. Arm resets it.
+// next sequence number — minus After's allocation. The handle may be in
+// any state: a zero Event, one that has fired (a timer re-arming itself
+// from its callback), a cancelled one, or one still queued, whose slot
+// Arm cancels first, as Cancel would, and leaves where it lies to be
+// skipped. Arm resets it.
 func (s *Scheduler) Arm(e *Event, d time.Duration, fn func()) {
-	if e.s != nil && !e.popped {
-		panic("sim: Arm on an event that is still queued")
+	if e.s == s && !e.popped {
+		e.Cancel()
 	}
 	if d < 0 {
 		d = 0
 	}
-	*e = Event{at: s.now + d, fn: fn, s: s}
+	*e = Event{at: s.now + d, fn: fn, s: s, seq: s.seq}
 	s.push(item{at: e.at, seq: s.seq, e: e})
 	s.seq++
 }
@@ -178,6 +184,10 @@ func (s *Scheduler) step(limit time.Duration) bool {
 		it := s.popMin()
 		fn := it.fn
 		if e := it.e; e != nil {
+			if it.seq != e.seq { // left behind by a re-arm
+				s.nCancelled--
+				continue
+			}
 			e.popped = true
 			if e.cancelled {
 				s.nCancelled--
@@ -300,8 +310,10 @@ func (s *Scheduler) maybeCompact() {
 	}
 	live := s.heap[:0]
 	for _, it := range s.heap {
-		if it.e != nil && it.e.cancelled {
-			it.e.popped = true
+		if e := it.e; e != nil && (it.seq != e.seq || e.cancelled) {
+			if it.seq == e.seq {
+				e.popped = true
+			}
 			continue
 		}
 		live = append(live, it)

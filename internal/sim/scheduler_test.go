@@ -414,9 +414,10 @@ func TestArmFiresLikeAfter(t *testing.T) {
 	}
 }
 
-// TestArmCancelAndReuse: an armed handle cancels like any other, may not be
-// armed again while its slot is still queued, and may once the slot has
-// gone; re-arming allocates nothing.
+// TestArmCancelAndReuse: an armed handle cancels like any other, and may
+// be armed again in any state: after it fired, after it was cancelled, and
+// while its slot is still queued — that slot is then cancelled, counted
+// and skipped as a cancelled event's is. Re-arming allocates nothing.
 func TestArmCancelAndReuse(t *testing.T) {
 	s := New(1)
 	var e Event
@@ -427,14 +428,15 @@ func TestArmCancelAndReuse(t *testing.T) {
 	if e.Cancelled() || e.At() != time.Second || s.Pending() != 1 {
 		t.Fatalf("armed: cancelled=%v at=%v pending=%d", e.Cancelled(), e.At(), s.Pending())
 	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("Arm on a queued event did not panic")
-			}
-		}()
-		s.Arm(&e, time.Second, fn)
-	}()
+	s.Arm(&e, 2*time.Second, fn) // queued: the first slot is left behind
+	if e.Cancelled() || e.At() != 2*time.Second || s.Pending() != 1 || s.Cancelled() != 1 {
+		t.Fatalf("re-armed while queued: cancelled=%v at=%v pending=%d cancelled slots=%d",
+			e.Cancelled(), e.At(), s.Pending(), s.Cancelled())
+	}
+	s.RunUntil(time.Second)
+	if fired != 0 || s.Pending() != 1 || s.Cancelled() != 0 {
+		t.Fatalf("the slot left behind fired or stayed: fired=%d pending=%d cancelled=%d", fired, s.Pending(), s.Cancelled())
+	}
 	e.Cancel()
 	s.Run()
 	if fired != 0 || s.Pending() != 0 || s.Cancelled() != 0 {
@@ -451,5 +453,21 @@ func TestArmCancelAndReuse(t *testing.T) {
 	})
 	if allocs != 0 || fired != 102 {
 		t.Fatalf("re-arming: %v allocations per cycle, %d firings", allocs, fired)
+	}
+	// A pre-empting re-arm, as a retransmission timer does when an earlier
+	// re-send comes due: the handle fires once, at the earlier time.
+	at := time.Duration(0)
+	mark := func() { fired++; at = s.Now() }
+	allocs = testing.AllocsPerRun(100, func() {
+		s.Arm(&e, 2*time.Second, fn)
+		s.Arm(&e, time.Second, mark)
+		start := s.Now()
+		s.Run()
+		if at-start != time.Second {
+			t.Fatalf("pre-empted timer fired %v after arming, want 1s", at-start)
+		}
+	})
+	if allocs != 0 || fired != 203 || s.Cancelled() != 0 {
+		t.Fatalf("pre-empting re-arm: %v allocations per cycle, %d firings, %d cancelled slots left", allocs, fired, s.Cancelled())
 	}
 }
