@@ -15,9 +15,10 @@ func brachaView(vote uint8, echoes, readies [4]uint8) []byte {
 }
 
 // TestBrachaApplyViewAllocations: merging a peer's view into a phase that
-// exists allocates nothing when the view changes nothing — the common case,
-// every retransmission is one — and exactly the one published view when it
-// does: the self-apply consumes the bytes publish built.
+// exists allocates nothing, whether the view changes nothing — the common
+// case, every retransmission is one — or changes this node's own view too:
+// the view is published from the phase's record, and the self-apply reads
+// the same bytes.
 func TestBrachaApplyViewAllocations(t *testing.T) {
 	side := newABASide(1, nil)
 	side.env.T.SetInterceptor(nil) // the log allocates
@@ -43,39 +44,40 @@ func TestBrachaApplyViewAllocations(t *testing.T) {
 		r++
 		a.applyView(0, r, 0, 2, news)
 	})
-	if allocs != 1 {
-		t.Errorf("a view that changes this node's own: %v allocations, want 1 (the view published)", allocs)
+	if allocs != 0 {
+		t.Errorf("a view that changes this node's own: %v allocations, want 0", allocs)
 	}
-	if p := a.phase(0, r, 0); p.myEcho()[2] != voteZero || p.echoes()[2*4+0] != voteZero {
-		t.Fatalf("round %d: peer 2's vote was not echoed and self-applied", r)
+	if p := a.phase(0, r, 0); p.myEcho()[2] != voteZero || p.echoCnt()[2*3+voteZero] != 1 || p.view()[1+2] != voteZero {
+		t.Fatalf("round %d: peer 2's vote was not echoed, published and self-applied", r)
 	}
 }
 
-// TestBrachaPhaseIsOneBlock: a Bracha phase is at most two allocations,
-// one block that holds its eight tables and a small header over it: at
-// N = 4 its bytes are the block's 2N² + 10N and at most 64 more.
-func TestBrachaPhaseIsOneBlock(t *testing.T) {
+// TestBrachaPhaseBudget: a Bracha phase is a record carved from its
+// agreement's slab and nothing of its own: at N = 4, the phases of an
+// instance's rounds 2 to roundCap-1 cost at most 96 bytes each, the slab's
+// chunks and its table of them amortized over them, and at most two
+// allocations per chunk.
+func TestBrachaPhaseBudget(t *testing.T) {
 	side := newABASide(1, nil)
 	side.env.T.SetInterceptor(nil)
 	a := NewBrachaABA(side.env, BrachaOptions{Slots: 1})
 	a.Input(0, true)
 	a.phase(0, roundCap, 0) // the rounds table at its cap: only phases allocate below
-	r := uint16(1)
-	if allocs := testing.AllocsPerRun(roundCap-3, func() {
-		r++
-		a.phase(0, r, 1)
-	}); allocs > 2 {
-		t.Errorf("a phase is %v allocations, want at most 2", allocs)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
+	phases := 0
 	for r := uint16(2); r < roundCap; r++ {
-		a.phase(0, r, 2)
+		for ph := 0; ph < 3; ph++ {
+			a.phase(0, r, ph)
+			phases++
+		}
 	}
 	runtime.ReadMemStats(&after)
-	n := side.env.N
-	if bytes, block := (after.TotalAlloc-before.TotalAlloc)/(roundCap-2), uint64(2*n*n+10*n); bytes > block+64 {
-		t.Errorf("a phase is %d bytes, want at most its %d-byte block and 64 more", bytes, block)
+	if bytes := (after.TotalAlloc - before.TotalAlloc) / uint64(phases); bytes > 96 {
+		t.Errorf("a phase is %d bytes, want at most 96", bytes)
+	}
+	if mallocs, chunks := after.Mallocs-before.Mallocs, uint64(phases/brachaChunk+1); mallocs > 2*chunks {
+		t.Errorf("%d phases made %d allocations, want at most 2 for each of their %d chunks", phases, mallocs, chunks)
 	}
 }
 
@@ -126,7 +128,7 @@ func BenchmarkBrachaApplyView(b *testing.B) {
 			a.HandleSection(w, sec)
 			a.HandleSection(w, sec)
 		}
-		if a.slots[0].rounds[1].phases[1] == nil {
+		if a.slots[0].rounds[1][1] == 0 {
 			b.Fatal("phase 1 did not resolve")
 		}
 	}

@@ -21,6 +21,13 @@ import (
 type BrachaABA struct {
 	deciding
 	slots []*brachaSlot // by instance, nil until its Input
+	// recs is the slab the phase records are carved from, brachaChunk
+	// records to a chunk, made as the last one fills; made counts the
+	// records carved. A record never moves: the transport keeps its view as
+	// the Data of its intent, parked ones of rounds left behind included.
+	recs [][]uint8
+	made uint16
+	size int // a record's bytes, brachaRecord(N)
 }
 
 const (
@@ -29,59 +36,86 @@ const (
 	voteBot  = 2
 )
 
+// brachaChunk is the number of phase records a chunk of the slab holds.
+// An instance that decides in its first round uses four — the round's
+// three phases and the next round's first vote — so a chunk holds two
+// such instances, and at N = 4 its 416 B are a size class of their own.
+const brachaChunk = 8
+
+// brachaRounds is the length of an instance's rounds table when its
+// record is made at Input: rounds 0 to 2, enough for an instance that
+// decides in round 1 and casts round 2's first vote. A peer that mentions
+// a later round grows it.
+const brachaRounds = 3
+
 type brachaSlot struct {
 	round uint16
 	est   uint8 // voteZero or voteOne
 	// rounds is indexed by round number and grows to the highest round
-	// mentioned; applyView caps what a peer can mention at roundCap.
-	rounds []brachaRound
-}
-
-type brachaRound struct {
-	phases [3]*brachaPhase
+	// mentioned; applyView caps what a peer can mention at roundCap. It
+	// holds each phase's record, by number + 1: 0 until the phase is made.
+	// A uint16 holds every number: an agreement makes at most one record
+	// per instance (256 at most: a slot travels in a byte), round (0 to
+	// roundCap) and phase, 49 920 in all. Until it grows, rounds is early,
+	// in the instance's own record (early comes first: the record is then
+	// 48 B).
+	early  [brachaRounds][3]uint16
+	rounds [][3]uint16
 }
 
 // brachaPhase is one voting phase: N embedded vote-RBCs, one per voter.
-// Its eight tables lie in one block at fixed offsets, read through the
-// methods below: four N-vectors, then two N×N matrices, all voteNone until
-// set, then two 3N count tables. Counts are bytes: node ids and slots
+// Its record is N+2N² bits and 11N+3 bytes of the slab, read through the
+// methods below: the count of votes delivered, whether the phase is
+// resolved, this node's view [myVote | echo[N] | ready[N]] as it was last
+// published, three voter vectors (voteNone until set) and two 3N count
+// tables, then the seen-bits — whether each voter's vote, and each
+// voter's echo and ready from each echoer, has come — of which the first
+// to come is the one that counts. Counts are bytes: node ids and slots
 // travel in one byte, so N fits.
 type brachaPhase struct {
-	n        int
-	nDeliv   int
-	myVote   uint8 // voteNone until cast
-	resolved bool  // phase threshold reached and consumed
-	block    []uint8
+	n int
+	b []uint8
 }
 
-func newBrachaPhase(n int) *brachaPhase {
-	votes := 4*n + 2*n*n
-	p := &brachaPhase{n: n, myVote: voteNone, block: make([]uint8, votes+2*3*n)}
-	for i := range p.block[:votes] {
-		p.block[i] = voteNone
-	}
-	return p
-}
+// brachaRecord is the bytes of a phase record for n voters.
+func brachaRecord(n int) int { return 11*n + 3 + (n+2*n*n+7)/8 }
 
-func (p *brachaPhase) span(at, size int) []uint8 { return p.block[at : at+size : at+size] }
+func (p brachaPhase) span(at, size int) []uint8 { return p.b[at : at+size : at+size] }
 
-// votes is voter -> claimed vote (voteNone if unknown).
-func (p *brachaPhase) votes() []uint8 { return p.span(0, p.n) }
+// nDeliv is the number of votes delivered; resolved says the phase's
+// threshold was reached and consumed.
+func (p brachaPhase) nDeliv() *uint8   { return &p.b[0] }
+func (p brachaPhase) resolved() *uint8 { return &p.b[1] }
+
+// view is this node's published view; its first byte is its own vote,
+// voteNone until cast.
+func (p brachaPhase) view() []uint8 { return p.span(2, 1+2*p.n) }
 
 // myEcho is voter -> value I echoed (voteNone if none); myReady follows it.
-func (p *brachaPhase) myEcho() []uint8  { return p.span(p.n, p.n) }
-func (p *brachaPhase) myReady() []uint8 { return p.span(2*p.n, p.n) }
+func (p brachaPhase) myEcho() []uint8  { return p.span(3+2*p.n, p.n) }
+func (p brachaPhase) myReady() []uint8 { return p.span(3+3*p.n, p.n) }
 
 // delivered is voter -> delivered vote (voteNone if not yet).
-func (p *brachaPhase) delivered() []uint8 { return p.span(3*p.n, p.n) }
-
-// echoes is voter*N + echoer -> value (voteNone if none yet); readies too.
-func (p *brachaPhase) echoes() []uint8  { return p.span(4*p.n, p.n*p.n) }
-func (p *brachaPhase) readies() []uint8 { return p.span(4*p.n+p.n*p.n, p.n*p.n) }
+func (p brachaPhase) delivered() []uint8 { return p.span(3+4*p.n, p.n) }
 
 // echoCnt is voter*3 + value -> echoers that echoed it; readyCnt too.
-func (p *brachaPhase) echoCnt() []uint8  { return p.span(4*p.n+2*p.n*p.n, 3*p.n) }
-func (p *brachaPhase) readyCnt() []uint8 { return p.span(7*p.n+2*p.n*p.n, 3*p.n) }
+func (p brachaPhase) echoCnt() []uint8  { return p.span(3+5*p.n, 3*p.n) }
+func (p brachaPhase) readyCnt() []uint8 { return p.span(3+8*p.n, 3*p.n) }
+
+// The seen-bits: bit w is voter w's vote, N + u*N + w echoer w's echo for
+// voter u, and N + N² + u*N + w its ready.
+func (p brachaPhase) seenEcho(u, w int) int  { return p.n + u*p.n + w }
+func (p brachaPhase) seenReady(u, w int) int { return p.n + p.n*p.n + u*p.n + w }
+
+// first sets seen-bit i and reports whether it was clear.
+func (p brachaPhase) first(i int) bool {
+	b, m := &p.b[3+11*p.n+int(uint(i)/8)], uint8(1)<<(uint(i)%8)
+	if *b&m != 0 {
+		return false
+	}
+	*b |= m
+	return true
+}
 
 // BrachaOptions configures the component.
 type BrachaOptions struct {
@@ -91,7 +125,7 @@ type BrachaOptions struct {
 
 // NewBrachaABA creates the component and registers it on the transport.
 func NewBrachaABA(env *Env, opts BrachaOptions) *BrachaABA {
-	a := &BrachaABA{deciding: deciding{env: env, onDecide: opts.OnDecide, pruned: isVotePhase}}
+	a := &BrachaABA{deciding: deciding{env: env, onDecide: opts.OnDecide, pruned: isVotePhase}, size: brachaRecord(env.N)}
 	a.slots = make([]*brachaSlot, opts.Slots)
 	a.start(opts.Slots)
 	env.T.Register(packet.KindABA, a)
@@ -105,43 +139,69 @@ func (a *BrachaABA) Input(slot int, v bool) {
 	if a.slots[slot] != nil {
 		return
 	}
-	a.slots[slot] = &brachaSlot{est: uint8(b2i(v)), round: 1}
+	s := &brachaSlot{est: uint8(b2i(v)), round: 1}
+	s.rounds = s.early[:]
+	a.slots[slot] = s
 	a.castVote(slot, 1, 0, uint8(b2i(v)))
 }
 
-func (a *BrachaABA) phase(slot int, round uint16, ph int) *brachaPhase {
+func (a *BrachaABA) phase(slot int, round uint16, ph int) brachaPhase {
 	s := a.slots[slot]
 	for len(s.rounds) <= int(round) {
-		s.rounds = append(s.rounds, brachaRound{})
+		s.rounds = append(s.rounds, [3]uint16{})
 	}
-	rd := &s.rounds[round]
-	if rd.phases[ph] == nil {
-		rd.phases[ph] = newBrachaPhase(a.env.N)
+	ref := &s.rounds[round][ph]
+	if *ref == 0 {
+		*ref = a.carve()
 	}
-	return rd.phases[ph]
+	return a.record(*ref)
+}
+
+// carve makes a phase record, voteNone where a vote is unset, and returns
+// its number + 1.
+func (a *BrachaABA) carve() uint16 {
+	if int(a.made)%brachaChunk == 0 {
+		a.recs = append(a.recs, make([]uint8, brachaChunk*a.size))
+	}
+	a.made++
+	p := a.record(a.made)
+	p.view()[0] = voteNone
+	unset := p.span(3+2*p.n, 3*p.n) // myEcho, myReady, delivered
+	for i := range unset {
+		unset[i] = voteNone
+	}
+	return a.made
+}
+
+// record returns the record numbered ref - 1.
+func (a *BrachaABA) record(ref uint16) brachaPhase {
+	i := uint(ref - 1)
+	at := int(i%brachaChunk) * a.size
+	return brachaPhase{n: a.env.N, b: a.recs[i/brachaChunk][at : at+a.size : at+a.size]}
 }
 
 // castVote sets this node's vote for (slot, round, phase), publishes the
 // updated vote-RBC view and applies it locally.
 func (a *BrachaABA) castVote(slot int, round uint16, ph int, v uint8) {
 	p := a.phase(slot, round, ph)
-	if p.myVote != voteNone {
+	if p.view()[0] != voteNone {
 		return
 	}
-	p.myVote = v
-	a.applyView(slot, round, ph, a.env.Me, a.publish(slot, round, ph))
+	p.view()[0] = v
+	a.applyView(slot, round, ph, a.env.Me, a.publish(slot, round, ph, p))
 }
 
-// publish puts my vote-RBC view [myVote | echo[N] | ready[N]] on the air
-// and returns it. The bytes are a snapshot nobody writes again (an
-// interceptor that corrupts an intent corrupts a copy), so the caller
-// applies the same ones locally.
-func (a *BrachaABA) publish(slot int, round uint16, ph int) []byte {
-	p := a.phase(slot, round, ph)
-	view := make([]byte, 0, 1+2*a.env.N)
-	view = append(view, p.myVote)
-	view = append(view, p.myEcho()...)
-	view = append(view, p.myReady()...)
+// publish writes my vote-RBC view [myVote | echo[N] | ready[N]] into the
+// phase's record, puts it on the air and returns it. The transport keeps
+// the record's own bytes as the intent's Data until the key's next
+// Update, so every write to the view — the vote castVote sets, the vectors
+// copied here — is followed by an Update of its key before anything else
+// runs. (With an interceptor installed, which may drop or hold an update,
+// the transport copies what it is handed.)
+func (a *BrachaABA) publish(slot int, round uint16, ph int, p brachaPhase) []byte {
+	view := p.view()
+	copy(view[1:], p.myEcho())
+	copy(view[1+p.n:], p.myReady())
 	a.env.T.Update(core.Intent{
 		IntentKey: core.IntentKey{
 			Kind:  packet.KindABA,
@@ -176,33 +236,33 @@ func (a *BrachaABA) HandleSection(from uint16, sec packet.Section) {
 
 // applyView merges a peer's vote-RBC view into local state, advancing the
 // embedded per-vote reliable broadcasts. A peer's first vote, echo or
-// ready for a voter is the one that counts.
+// ready for a voter is the one that counts. data may be this node's own
+// view, the record's bytes: applyView reads all of it before it
+// republishes, which rewrites them.
 func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte) {
 	n := a.env.N
 	if a.slots[slot] == nil || a.halted.Get(slot) || int(round) > roundCap || len(data) < 1+2*n {
 		return
 	}
 	p := a.phase(slot, round, ph)
-	votes, myEcho, myReady, delivered := p.votes(), p.myEcho(), p.myReady(), p.delivered()
+	myEcho, myReady, delivered := p.myEcho(), p.myReady(), p.delivered()
 	quorum, weak := a.env.Quorum(), a.env.Weak()
 	changed := false
 
 	// w's own vote: treat as the INITIAL of w's vote-RBC.
-	if v := data[0]; v <= voteBot && votes[w] == voteNone {
-		votes[w] = v
+	if v := data[0]; v <= voteBot && p.first(w) {
 		if myEcho[w] == voteNone {
 			myEcho[w] = v
 			changed = true
 		}
 	}
 	// w's echo vector.
-	echoes, echoCnt := p.echoes(), p.echoCnt()
+	echoCnt := p.echoCnt()
 	for u := 0; u < n; u++ {
 		v := data[1+u]
-		if v > voteBot || echoes[u*n+w] != voteNone {
+		if v > voteBot || !p.first(p.seenEcho(u, w)) {
 			continue
 		}
-		echoes[u*n+w] = v
 		echoCnt[u*3+int(v)]++
 		if int(echoCnt[u*3+int(v)]) >= quorum && myReady[u] == voteNone {
 			myReady[u] = v
@@ -210,13 +270,12 @@ func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte
 		}
 	}
 	// w's ready vector.
-	readies, readyCnt := p.readies(), p.readyCnt()
+	readyCnt := p.readyCnt()
 	for u := 0; u < n; u++ {
 		v := data[1+n+u]
-		if v > voteBot || readies[u*n+w] != voteNone {
+		if v > voteBot || !p.first(p.seenReady(u, w)) {
 			continue
 		}
-		readies[u*n+w] = v
 		readyCnt[u*3+int(v)]++
 		cnt := int(readyCnt[u*3+int(v)])
 		if cnt >= weak && myReady[u] == voteNone {
@@ -225,11 +284,11 @@ func (a *BrachaABA) applyView(slot int, round uint16, ph int, w int, data []byte
 		}
 		if cnt >= quorum && delivered[u] == voteNone {
 			delivered[u] = v
-			p.nDeliv++
+			*p.nDeliv()++
 		}
 	}
 	if changed {
-		a.applyView(slot, round, ph, a.env.Me, a.publish(slot, round, ph))
+		a.applyView(slot, round, ph, a.env.Me, a.publish(slot, round, ph, p))
 	}
 	a.checkPhase(slot, round, ph)
 }
@@ -241,10 +300,10 @@ func (a *BrachaABA) checkPhase(slot int, round uint16, ph int) {
 		return
 	}
 	p := a.phase(slot, round, ph)
-	if p.resolved || p.myVote == voteNone || p.nDeliv < a.env.N-a.env.F {
+	if *p.resolved() != 0 || p.view()[0] == voteNone || int(*p.nDeliv()) < a.env.N-a.env.F {
 		return
 	}
-	p.resolved = true
+	*p.resolved() = 1
 	counts := [3]int{}
 	for _, v := range p.delivered() {
 		if v != voteNone {

@@ -244,3 +244,140 @@ func sameABA[S, V any](t *testing.T, step int, what string, a *CachinABA[S, V], 
 		t.Fatalf("step %d (%s): charged %v, oracle %v", step, what, d, o)
 	}
 }
+
+// An input of FuzzBrachaABASection is a mode byte, of which only bit 2
+// counts (modeRegressed: peers that lost state), and a sequence of
+// abaRecords. op's low two bits pick the phase (VOTE1, VOTE2, VOTE3,
+// DECIDED); bits 7, 6 and 5 are as in FuzzCachinABASection. The sender is
+// peer 1 + from mod 3, and the entry is for slot mod 4 — 3 is no
+// instance — and round refRounds[round mod len], and carries data; arg is
+// not read.
+const brachaFuzzSeed = 5
+
+// brachaSection is the section r sends.
+func (r abaRecord) brachaSection() packet.Section {
+	phase := []packet.Phase{packet.PhaseVote1, packet.PhaseVote2, packet.PhaseVote3, packet.PhaseDecided}[r.op&3]
+	e := packet.Entry{Slot: r.slot % 4, Round: refRounds[int(r.round)%len(refRounds)], Data: r.data}
+	return packet.Section{Kind: packet.KindABA, Phase: phase, Entries: []packet.Entry{e}}
+}
+
+// brachaSeeds are inputs drawn as TestBrachaABAMatchesMapModel draws its
+// stream, two with the peers live and two with peers that lost state: the
+// three instances start one by one, and the sections are vote-RBC views
+// that mostly say what most votes of their phase say — now and then
+// another vote, ⊥, none, a value past them or a short view — with
+// DECIDED claims coming late.
+func brachaSeeds() [][]byte {
+	var out [][]byte
+	for i, mode := range []byte{0, 0, modeRegressed, modeRegressed} {
+		rng := rand.New(rand.NewSource(300 + int64(i)))
+		b := []byte{mode}
+		for step := 0; step < 400; step++ {
+			r := abaRecord{from: byte(rng.Intn(3)), slot: byte(rng.Intn(4)), round: byte(rng.Intn(len(refRounds)))}
+			if step%4 == 3 {
+				r.op |= 0x80
+			}
+			if step%80 == 0 && step/80 < 3 {
+				r.op |= 0x40 | byte(rng.Intn(2))<<5
+			}
+			if step >= 300 && rng.Intn(6) == 0 {
+				r.op |= 3
+				r.data = []byte{uint8(rng.Intn(2))}
+				b = r.append(b)
+				continue
+			}
+			ph := rng.Intn(3)
+			r.op |= byte(ph)
+			lean := uint8(int(r.slot)+int(refRounds[r.round])+ph) % 2
+			r.data = make([]byte, 1+2*4)
+			for i := range r.data {
+				switch p := rng.Intn(20); {
+				case p < 11:
+					r.data[i] = lean
+				case p < 19:
+					r.data[i] = uint8(rng.Intn(4)) // 0, 1, ⊥, none
+				default:
+					r.data[i] = 4 + uint8(rng.Intn(250))
+				}
+			}
+			if rng.Intn(30) == 0 {
+				r.data = r.data[:rng.Intn(len(r.data))]
+			}
+			b = r.append(b)
+		}
+		out = append(out, b)
+	}
+	return out
+}
+
+// FuzzBrachaABASection feeds arbitrary vote-RBC views of every phase and
+// DECIDED claims from peers 1–3 to node 0's BrachaABA and, side by side,
+// to its map-based oracle (refBrachaABA), with the peers live or ones that
+// lost state. Neither side may panic, and after every section they agree
+// on everything they published and decided and on every instance's round,
+// estimate and halt.
+func FuzzBrachaABASection(f *testing.F) {
+	for _, seed := range brachaSeeds() {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		if len(raw) == 0 {
+			return
+		}
+		mode, recs := raw[0], parseABARecords(raw[1:])
+		dense, ref := newABASide(brachaFuzzSeed, nil), newABASide(brachaFuzzSeed, nil)
+		a := NewBrachaABA(dense.env, BrachaOptions{Slots: 3, OnDecide: dense.decided})
+		r := newRefBrachaABA(ref.env, BrachaOptions{Slots: 3, OnDecide: ref.decided})
+		if mode&modeRegressed != 0 {
+			dense.regress()
+			ref.regress()
+		}
+		started := 0
+		for step, rec := range recs {
+			if rec.op&0x80 != 0 {
+				dense.sched.RunFor(time.Second)
+				ref.sched.RunFor(time.Second)
+			}
+			if rec.op&0x40 != 0 && started < len(a.slots) {
+				v := rec.op&0x20 != 0
+				a.Input(started, v)
+				r.Input(started, v)
+				started++
+			}
+			from := uint16(1 + int(rec.from)%3)
+			sec := rec.brachaSection()
+			if mode&modeRegressed != 0 {
+				dense.deliver(from, sec)
+				ref.deliver(from, sec)
+			} else {
+				a.HandleSection(from, sec)
+				r.HandleSection(from, sec)
+			}
+			sameBracha(t, step, fmt.Sprintf("phase %d from %d", sec.Phase, from), a, r, dense, ref)
+		}
+		dense.sched.RunFor(time.Minute)
+		ref.sched.RunFor(time.Minute)
+		sameBracha(t, len(recs), "the last minute", a, r, dense, ref)
+	})
+}
+
+// sameBracha fails the test where a and its oracle r differ: in their
+// logs, or in an instance's decision, round, estimate or halt.
+func sameBracha(t *testing.T, step int, what string, a *BrachaABA, r *refBrachaABA, dense, ref *abaSide) {
+	t.Helper()
+	sameSoFar(t, step, what, dense, ref)
+	for slot, s := range a.slots {
+		if s == nil {
+			s = new(brachaSlot) // no Input yet: no record, the oracle's zero one
+		}
+		o := r.slots[slot]
+		d, od := a.Decided(slot), r.Decided(slot)
+		if (d == nil) != (od == nil) || d != nil && *d != *od {
+			t.Fatalf("step %d (%s): slot %d decided %v, oracle %v", step, what, slot, d, od)
+		}
+		if halted := a.halted.Get(slot); s.round != o.round || s.est != o.est || halted != o.halted {
+			t.Fatalf("step %d (%s): slot %d at round %d est %v halted %v, oracle round %d est %v halted %v", step, what, slot,
+				s.round, s.est, halted, o.round, o.est, o.halted)
+		}
+	}
+}

@@ -606,6 +606,61 @@ func TestBrachaABAAgreement(t *testing.T) {
 	}
 }
 
+// viewWithholder passes a node's outbound intents until drop is set, and
+// drops them after; passed is a copy of the last one it passed.
+type viewWithholder struct {
+	drop   bool
+	passed []byte
+}
+
+func (w *viewWithholder) Outbound(_ *core.Transport, in core.Intent) []core.Intent {
+	if w.drop {
+		return nil
+	}
+	w.passed = bytes.Clone(in.Data)
+	return []core.Intent{in}
+}
+
+// TestWithheldViewKeepsLastPassed: BrachaABA publishes its views from its
+// phase records and rewrites them in place, so when an interceptor drops
+// an update of a view's key, the transport must still send the view the
+// interceptor passed last, byte for byte, and not the bytes the record
+// holds now.
+func TestWithheldViewKeepsLastPassed(t *testing.T) {
+	tn := newTestNet(t, 12, 0, true)
+	ic := &viewWithholder{}
+	tn.muxes[0].SetInterceptor(ic)
+	a := NewBrachaABA(tn.envs[0], BrachaOptions{Slots: 1})
+	var heard [][]byte // node 0's round-1 views of slot 0, as node 1 hears them
+	tn.envs[1].T.Register(packet.KindABA, core.HandlerFunc(func(from uint16, sec packet.Section) {
+		for _, e := range sec.Entries {
+			if from == 0 && sec.Phase == packet.PhaseVote1 && e.Slot == 0 && e.Round == 1 {
+				heard = append(heard, bytes.Clone(e.Data))
+			}
+		}
+	}))
+	a.Input(0, true)
+	// Peers 1 and 2 vote: node 0 echoes each, and withholds both updates.
+	ic.drop = true
+	none := [4]uint8{voteNone, voteNone, voteNone, voteNone}
+	for w := uint16(1); w <= 2; w++ {
+		a.HandleSection(w, packet.Section{Kind: packet.KindABA, Phase: packet.PhaseVote1,
+			Entries: []packet.Entry{{Slot: 0, Round: 1, Data: brachaView(voteOne, none, none)}}})
+	}
+	if view := a.phase(0, 1, 0).view(); bytes.Equal(view, ic.passed) {
+		t.Fatalf("the record's view %x is still the one passed last: nothing was withheld", view)
+	}
+	tn.sched.RunFor(30 * time.Second)
+	if len(heard) == 0 {
+		t.Fatal("node 1 heard no view of node 0's")
+	}
+	for i, v := range heard {
+		if !bytes.Equal(v, ic.passed) {
+			t.Fatalf("node 1's view %d from node 0 is %x, want %x, the last the interceptor passed", i, v, ic.passed)
+		}
+	}
+}
+
 func TestCachinABAWithCrashFault(t *testing.T) {
 	tn := newTestNet(t, 11, 0, true)
 	abas := make([]*sigABA, 4)

@@ -200,13 +200,12 @@ func epochCycle(m *Mux, epoch uint16, k, rows int) {
 var cycleData = []byte{1}
 
 // TestEpochReusesStore: a warm Mux's epoch allocates what is its own — the
-// Transport, its retransmission event and the timer's bound callback, and,
-// for each peer row it keeps, the row's slot for the peer and the copy of
-// its bits — and nothing for its
-// intent store or its table of rows, which the epoch it closed before left
-// grown, whatever number of intents and rows it holds.
+// Transport, its retransmission event and the timer's bound callback — and
+// nothing for its intent store, its table of rows or the peers' rows it
+// keeps, which the epoch it closed before left grown, whatever number of
+// intents and rows it holds.
 func TestEpochReusesStore(t *testing.T) {
-	const perEpoch, perPeerRow = 3, 2
+	const perEpoch = 3
 	s := sim.New(1)
 	cfg := DefaultConfig(true)
 	m := NewMux(s, sim.NewCPU(s), &SizedAuth{Len: 56}, cfg)
@@ -217,9 +216,35 @@ func TestEpochReusesStore(t *testing.T) {
 			epochCycle(m, epoch, c.k, c.rows)
 		}
 		cycle() // grow the store and the rows to this size
-		if allocs, want := testing.AllocsPerRun(20, cycle), float64(perEpoch+perPeerRow*c.rows); allocs != want {
-			t.Errorf("%d intents, %d rows: %v allocations per epoch, want %v", c.k, c.rows, allocs, want)
+		if allocs := testing.AllocsPerRun(20, cycle); allocs != perEpoch {
+			t.Errorf("%d intents, %d rows: %v allocations per epoch, want %v", c.k, c.rows, allocs, perEpoch)
 		}
+	}
+}
+
+// TestRecycledRowsHearNoOne: the peers' bitmaps a closed epoch leaves for
+// reuse are no row heard. A peer that sent a row in the epoch before and
+// none in this one does not hold back a slot the row of the one peer
+// heard confirms, and the new epoch's rows reuse the old bitmaps.
+func TestRecycledRowsHearNoOne(t *testing.T) {
+	s := sim.New(1)
+	m := NewMux(s, sim.NewCPU(s), &SizedAuth{Len: 56}, DefaultConfig(true))
+	key := IntentKey{Kind: packet.KindRBC, Phase: packet.PhaseEcho}
+	old := m.Open(1)
+	for _, from := range []uint16{1, 2} {
+		sec := packet.Section{Kind: key.Kind, Phase: key.Phase, Nack: packet.BitSet{0x02}}
+		old.heardFrom(from, &sec, false)
+	}
+	m.Close(1)
+	tr := m.Open(2)
+	tr.Update(Intent{IntentKey: key, Data: []byte{1}})
+	sec := packet.Section{Kind: key.Kind, Phase: key.Phase, Nack: packet.BitSet{0x01}}
+	tr.heardFrom(1, &sec, false)
+	if peers := tr.rows[0].peers; len(peers) != 3 || len(peers[2]) != 0 || cap(peers[2]) == 0 {
+		t.Fatalf("the new epoch's row keeps the peers' bitmaps %x: want the closed epoch's 3, peer 2's emptied and reused", peers)
+	}
+	if e := tr.live[0]; e.dirty || e.due != never {
+		t.Fatal("the slot peer 1's row confirms did not park: a bitmap left by the closed epoch counted as heard")
 	}
 }
 

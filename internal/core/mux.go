@@ -257,8 +257,10 @@ type epochStore struct {
 // collection hook: after Close, the epoch's intents, NACK rows, and timers
 // are gone and inbound frames for it are dropped; what it counted stays in
 // the node's Stats. The store and the rows are emptied and go to the next
-// epoch Open makes; the closed transport keeps none of them, so a component
-// that still writes to it writes to storage of its own.
+// epoch Open makes, each row's table of the peers' bitmaps left in place
+// past the end of the rows, every bitmap emptied, for the rows the next
+// epoch makes (Transport.row); the closed transport keeps none of them,
+// so a component that still writes to it writes to storage of its own.
 func (m *Mux) Close(epoch uint16) {
 	i, ok := m.find(epoch)
 	if !ok {
@@ -267,7 +269,13 @@ func (m *Mux) Close(epoch uint16) {
 	t := m.epochs[i]
 	t.Stop()
 	clear(t.live)
-	clear(t.rows)
+	for r := range t.rows {
+		peers := t.rows[r].peers
+		for j := range peers {
+			peers[j] = peers[j][:0]
+		}
+		t.rows[r] = nackRow{peers: peers}
+	}
 	m.spare = append(m.spare, epochStore{live: t.live[:0], rows: t.rows[:0]})
 	t.live, t.rows, t.nDirty = nil, nil, 0
 	m.epochs = slices.Delete(m.epochs, i, i+1)

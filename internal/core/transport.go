@@ -235,7 +235,9 @@ type nackRow struct {
 	kind  packet.Kind
 	phase packet.Phase
 	bits  packet.BitSet
-	peers []packet.BitSet // by sender; nil: none heard from it
+	// peers is by sender; an empty bitmap (nil, or one a closed epoch
+	// left for reuse): none heard from it. A kept row is never empty.
+	peers []packet.BitSet
 }
 
 // sendState is what one node's epochs share on the way to the radio: the
@@ -307,14 +309,28 @@ func (t *Transport) Stop() {
 // starts over. With an interceptor installed, the intent first passes
 // through it and whatever comes back — possibly nothing — is applied
 // instead.
+//
+// The transport keeps an intent's Data, unread until a frame carries it,
+// until the key's next Update: a component may rewrite those bytes in
+// place if it updates the key after each write (BrachaABA publishes its
+// views from its phase records). An interceptor may drop or hold an
+// update, so with one installed every path through it (Update, Revise,
+// Hold) hands it a copy, and a withheld update leaves the transport the
+// bytes it was handed last.
 func (t *Transport) Update(in Intent) {
 	if t.m.icept == nil {
 		t.apply(in)
 		return
 	}
-	for _, out := range t.m.icept.Outbound(t, in) {
+	for _, out := range t.outbound(in) {
 		t.apply(out)
 	}
+}
+
+// outbound passes in through the interceptor with a copy of its Data.
+func (t *Transport) outbound(in Intent) []Intent {
+	in.Data = bytes.Clone(in.Data)
+	return t.m.icept.Outbound(t, in)
 }
 
 // Revise replaces the flags and data of a live intent and leaves its send
@@ -331,7 +347,7 @@ func (t *Transport) Revise(in Intent) {
 		t.revise(in)
 		return
 	}
-	for _, out := range t.m.icept.Outbound(t, in) {
+	for _, out := range t.outbound(in) {
 		t.revise(out)
 	}
 }
@@ -363,7 +379,7 @@ func (t *Transport) Hold(in Intent) {
 		t.hold(in)
 		return
 	}
-	for _, out := range t.m.icept.Outbound(t, in) {
+	for _, out := range t.outbound(in) {
 		t.hold(out)
 	}
 }
@@ -504,7 +520,14 @@ func (t *Transport) findRow(kind packet.Kind, phase packet.Phase) (i int, found 
 func (t *Transport) row(kind packet.Kind, phase packet.Phase) *nackRow {
 	i, found := t.findRow(kind, phase)
 	if !found {
-		t.rows = slices.Insert(t.rows, i, nackRow{kind: kind, phase: phase})
+		// The rows of an epoch closed before left their tables of the
+		// peers' bitmaps, emptied, past the end (Mux.Close): the new row
+		// takes the one Insert is about to overwrite.
+		var peers []packet.BitSet
+		if n := len(t.rows); n < cap(t.rows) {
+			peers = t.rows[:n+1][n].peers
+		}
+		t.rows = slices.Insert(t.rows, i, nackRow{kind: kind, phase: phase, peers: peers})
 	}
 	return &t.rows[i]
 }
@@ -695,7 +718,7 @@ func (t *Transport) settled(e *liveIntent) bool {
 	}
 	heard := false
 	for _, row := range t.rows[i].peers {
-		if row != nil {
+		if len(row) > 0 {
 			if !row.Get(int(e.Slot)) {
 				return false
 			}
