@@ -2,6 +2,7 @@ package component
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/packet"
@@ -186,9 +187,7 @@ func (d *dissemination) receive(slot int, s *valueSlot, w int, phase packet.Phas
 			return nil, false
 		}
 	}
-	var value []byte
-	for _, f := range s.frags {
-		value = append(value, f...)
-	}
-	return value, true
+	// One allocation sized from the fragments (nil for an empty value, as
+	// before).
+	return slices.Concat(s.frags...), true
 }

@@ -28,12 +28,13 @@
 // The big.Int calls allocate their result and nothing else. A caller that
 // chains operations — threshsig's CRT halves — stays in words between
 // them: an Elem is one residue in the form the kernel works on, held by
-// value, and Mul, Pow, MulPow, Table.Pow, Equal, IsZero and SetInt (of a
-// non-negative value at most twice the modulus's width) read and write
-// Elems without allocating. Int and CRT.Join are the exits, and allocate
-// the big.Int they return; Inv goes through big.Int.ModInverse and
-// allocates what that does. What is left allocating is a Table's comb,
-// once per table.
+// value, and Mul, Pow, MulPow, PowEach, Inv, Table.Pow, Equal, IsZero and
+// SetInt (of a non-negative value at most twice the modulus's width) read
+// and write Elems without allocating. PowEach raises one base to a batch
+// of exponents through a comb on the stack; Inv is a binary GCD in stack
+// words (inv.go). Int and CRT.Join are the exits, and allocate the big.Int
+// they return. What is left allocating is a Table's comb, once per table,
+// for a base that outlives one batch of powers.
 //
 // A modulus of any other width (or an even one, or a 32-bit platform) has
 // no kernel and answers the same calls through math/big — its Elems hold
@@ -214,11 +215,7 @@ func (mod *Modulus) IsZero(x *Elem) bool {
 	if mod.w == 0 {
 		return x.n.Sign() == 0
 	}
-	var or uint64
-	for _, wd := range x.w[:mod.w] {
-		or |= wd
-	}
-	return or == 0
+	return isZero(x.w[:mod.w])
 }
 
 // Equal reports whether x and y are the same residue.
@@ -294,28 +291,6 @@ func (mod *Modulus) MulPow(z *Elem, xs []Elem, es []*big.Int) {
 		words = append(words, es[i].Bits())
 	}
 	mod.powProduct(z.w[:mod.w], win, width, words)
-}
-
-// Inv sets z = x^-1 mod m and reports whether x is a unit; z is left as
-// it was when it is not. It is big.Int.ModInverse behind the Elem form,
-// and allocates what that does.
-func (mod *Modulus) Inv(z, x *Elem) bool {
-	var v big.Int
-	if mod.w == 0 {
-		v.Set(x.n)
-	} else {
-		v.SetBits(mod.words(x))
-	}
-	if v.ModInverse(&v, mod.nat) == nil {
-		return false
-	}
-	if mod.w == 0 {
-		z.n = new(big.Int).Set(&v)
-		return true
-	}
-	load(z.w[:mod.w], &v)
-	mod.mul(z.w[:mod.w], z.w[:mod.w], mod.r2[:mod.w])
-	return true
 }
 
 // Int returns x's residue as a fresh big.Int: the way out of the Elem

@@ -1,6 +1,7 @@
 package mont
 
 import (
+	"fmt"
 	"math/big"
 	"math/rand"
 	"testing"
@@ -11,6 +12,7 @@ func randOdd(rng *rand.Rand, bitLen int) *big.Int {
 	b := make([]byte, (bitLen+7)/8)
 	rng.Read(b)
 	x := new(big.Int).SetBytes(b)
+	x.Rsh(x, uint(8*len(b)-bitLen))
 	x.SetBit(x, bitLen-1, 1)
 	x.SetBit(x, 0, 1)
 	return x
@@ -24,9 +26,19 @@ func randBits(rng *rand.Rand, n int) *big.Int {
 	return new(big.Int).Rand(rng, new(big.Int).Lsh(big.NewInt(1), uint(n)))
 }
 
-// checkAll compares the engine's three ways of raising x^e (and, with a
-// second pair, x^e·y^f) against math/big. It is the one oracle behind the
-// property test, the edge cases and the fuzz target.
+// randPrime returns a random prime with exactly bits bits.
+func randPrime(rng *rand.Rand, bitLen int) *big.Int {
+	for {
+		if c := randOdd(rng, bitLen); c.ProbablyPrime(10) {
+			return c
+		}
+	}
+}
+
+// checkAll compares the engine's four ways of raising x^e (and, with a
+// second pair, x^e·y^f, and x to e and f on one comb) and its inversion
+// of x against math/big. It is the one oracle behind the property test,
+// the edge cases and the fuzz target.
 func checkAll(t *testing.T, mod *Modulus, x, e, y, f *big.Int) {
 	t.Helper()
 	m := mod.nat
@@ -51,6 +63,39 @@ func checkAll(t *testing.T, mod *Modulus, x, e, y, f *big.Int) {
 	}
 	if got := mod.MulExp([]*big.Int{x, y}, []*big.Int{e, f}); !same(got, prod) {
 		t.Fatalf("m=%v: MulExp(%v^%v, %v^%v) = %v, want %v", m, x, e, y, f, got, prod)
+	}
+	if e.Sign() >= 0 && f.Sign() >= 0 {
+		var xe Elem
+		mod.SetInt(&xe, x)
+		zs := make([]Elem, 2)
+		mod.PowEach(zs, &xe, []*big.Int{e, f})
+		for i, ei := range []*big.Int{e, f} {
+			if got, want := mod.Int(&zs[i]), new(big.Int).Exp(x, ei, m); got.Cmp(want) != 0 {
+				t.Fatalf("m=%v: PowEach(%v, [%v %v])[%d] = %v, want %v", m, x, e, f, i, got, want)
+			}
+		}
+	}
+	checkInv(t, mod, x)
+}
+
+// checkInv compares Inv with big.Int.ModInverse: the inverse of a unit,
+// and, for anything else, false with z left as it was.
+func checkInv(t *testing.T, mod *Modulus, x *big.Int) {
+	t.Helper()
+	m := mod.nat
+	var ex, z, before Elem
+	mod.SetInt(&ex, x)
+	mod.SetInt(&z, big.NewInt(7))
+	before = z
+	want := new(big.Int).ModInverse(new(big.Int).Mod(x, m), m)
+	ok := mod.Inv(&z, &ex)
+	switch {
+	case ok != (want != nil):
+		t.Fatalf("m=%v: Inv(%v) reports %v, ModInverse %v", m, x, ok, want)
+	case ok && mod.Int(&z).Cmp(want) != 0:
+		t.Fatalf("m=%v: Inv(%v) = %v, want %v", m, x, mod.Int(&z), want)
+	case !ok && !mod.Equal(&z, &before):
+		t.Fatalf("m=%v: Inv(%v) of a non-unit wrote %v", m, x, mod.Int(&z))
 	}
 }
 
@@ -110,6 +155,74 @@ func TestEdgeCases(t *testing.T) {
 			for _, e := range exps {
 				checkAll(t, mod, x, e, mm1, big.NewInt(3))
 				checkAll(t, mod, big.NewInt(5), all256, x, e)
+			}
+		}
+	}
+}
+
+// TestInvMatchesBigInt checks Inv against big.Int.ModInverse at both
+// kernel widths and on the math/big path, mod 3 times an odd number: over
+// random residues, 0, 1 and m-1, and multiples of 3, which are no units.
+// At the kernel widths it also inverts residues whose Montgomery words,
+// which the GCD starts from, lead with m's own top bits (m - 2^k, m - 2^k
+// - 2 and m less a random number 40 bits shorter than it) or are tiny:
+// there the GCD's 64-bit approximations tie or mislead a comparison, and a
+// batch's result comes out negative.
+func TestInvMatchesBigInt(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	three := big.NewInt(3)
+	for _, tc := range []struct{ bitLen, w int }{{256, 4}, {200, 4}, {512, 8}, {450, 8}, {320, 0}} {
+		m := new(big.Int).Mul(three, randOdd(rng, tc.bitLen-2))
+		mod := NewModulus(m)
+		if mod.w != tc.w {
+			t.Fatalf("%d-bit modulus: kernel width %d, want %d", m.BitLen(), mod.w, tc.w)
+		}
+		xs := []*big.Int{
+			big.NewInt(0), big.NewInt(1), new(big.Int).Sub(m, big.NewInt(1)),
+			three, new(big.Int).Sub(m, three), new(big.Int).Mul(three, randBits(rng, tc.bitLen-4)),
+		}
+		for range 300 {
+			xs = append(xs, randBelow(rng, m))
+		}
+		if tc.w != 0 {
+			// x = v·R^-1, so that SetInt puts v in x's words.
+			rInv := new(big.Int).Lsh(big.NewInt(1), uint(64*tc.w))
+			rInv.ModInverse(rInv, m)
+			words := func(v *big.Int) *big.Int { return v.Mod(v.Mul(v, rInv), m) }
+			for _, k := range []int{1, 31, 32, 33, 40, 64, 100, tc.bitLen - 40} {
+				pk := new(big.Int).Lsh(big.NewInt(1), uint(k))
+				xs = append(xs, words(new(big.Int).Sub(m, pk)), words(new(big.Int).Sub(m, pk.Add(pk, big.NewInt(2)))), words(pk))
+			}
+			for range 300 {
+				xs = append(xs, words(new(big.Int).Sub(m, randBits(rng, tc.bitLen-40))))
+			}
+		}
+		for _, x := range xs {
+			checkInv(t, mod, x)
+		}
+	}
+}
+
+// TestPowEachMatchesExp checks PowEach against Exp for each exponent of a
+// batch — 0, 1, a short one, one of the modulus's length and one past the
+// comb's 512-bit span — and for a batch of 0 alone, which spans no bits,
+// at both kernel widths and on the math/big path, the base being the
+// batch's first output.
+func TestPowEachMatchesExp(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, bitLen := range []int{256, 512, 320} {
+		m := randOdd(rng, bitLen)
+		mod := NewModulus(m)
+		es := []*big.Int{big.NewInt(0), big.NewInt(1), randBits(rng, 40), randBits(rng, bitLen), randBits(rng, 64*maxWords+100)}
+		for _, batch := range [][]*big.Int{es, es[:1], es[1:4], es[3:]} {
+			x := randBelow(rng, m)
+			zs := make([]Elem, len(batch))
+			mod.SetInt(&zs[0], x)
+			mod.PowEach(zs, &zs[0], batch)
+			for i, e := range batch {
+				if got, want := mod.Int(&zs[i]), new(big.Int).Exp(x, e, m); got.Cmp(want) != 0 {
+					t.Fatalf("%d bits: PowEach(%v)[%d], exponent %v, = %v, want %v", bitLen, x, i, e, got, want)
+				}
 			}
 		}
 	}
@@ -298,6 +411,36 @@ func BenchmarkExp512MulExp(b *testing.B) {
 	}
 }
 
+// BenchmarkInv is one inversion at each kernel width, by Inv in words and
+// by big.Int.ModInverse, over the same 16 random residues of a prime.
+func BenchmarkInv(b *testing.B) {
+	for _, bitLen := range []int{256, 512} {
+		rng := rand.New(rand.NewSource(13))
+		m := randPrime(rng, bitLen)
+		mod := NewModulus(m)
+		var xs [16]*big.Int
+		var es [16]Elem
+		for i := range xs {
+			xs[i] = randBelow(rng, m)
+			mod.SetInt(&es[i], xs[i])
+		}
+		b.Run(fmt.Sprintf("words=%d/Inv", mod.w), func(b *testing.B) {
+			b.ReportAllocs()
+			var z Elem
+			for i := 0; i < b.N; i++ {
+				mod.Inv(&z, &es[i&15])
+			}
+		})
+		b.Run(fmt.Sprintf("words=%d/ModInverse", mod.w), func(b *testing.B) {
+			b.ReportAllocs()
+			var z big.Int
+			for i := 0; i < b.N; i++ {
+				z.ModInverse(xs[i&15], m)
+			}
+		})
+	}
+}
+
 // TestElemMatchesBigInt checks the Elem calls — SetInt from any integer,
 // Mul, Pow, MulPow, Table.Pow, Inv, Equal, IsZero and Int — against
 // math/big at both kernel widths and one with no kernel. SetInt's inputs
@@ -337,7 +480,9 @@ func TestElemMatchesBigInt(t *testing.T) {
 				if want := new(big.Int).Exp(xm, e, m); mod.Int(&z).Cmp(want) != 0 {
 					t.Fatalf("m=%v: Pow(%v, %v) = %v, want %v", m, x, e, mod.Int(&z), want)
 				}
-				mod.NewElemTable(&ex, bitLen, TeethShort).Pow(&z, e)
+				var et Table
+				mod.InitTable(&et, &ex, bitLen, TeethShort)
+				et.Pow(&z, e)
 				if want := new(big.Int).Exp(xm, e, m); mod.Int(&z).Cmp(want) != 0 {
 					t.Fatalf("m=%v: Table.Pow(%v, %v) = %v, want %v", m, x, e, mod.Int(&z), want)
 				}
@@ -360,15 +505,8 @@ func TestElemMatchesBigInt(t *testing.T) {
 // (math/big behind the same call), and either prime the larger.
 func TestCRTJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	prime := func(bitLen int) *big.Int {
-		for {
-			if c := randOdd(rng, bitLen); c.ProbablyPrime(10) {
-				return c
-			}
-		}
-	}
 	for _, pair := range [][2]int{{256, 256}, {240, 256}, {512, 512}, {256, 512}, {384, 384}} {
-		p, q := prime(pair[0]), prime(pair[1])
+		p, q := randPrime(rng, pair[0]), randPrime(rng, pair[1])
 		for _, pq := range [][2]*big.Int{{p, q}, {q, p}} {
 			mp, mq := NewModulus(pq[0]), NewModulus(pq[1])
 			c := NewCRT(mp, mq)
@@ -389,33 +527,35 @@ func TestCRTJoin(t *testing.T) {
 }
 
 // TestElemCallsAllocateNothing: at a kernel width, the Elem calls work on
-// the stack; Int and Join allocate only the big.Int they return and its
-// words.
+// the stack, PowEach's comb and Inv's GCD included (both at 8 words too);
+// Int and Join allocate only the big.Int they return and its words.
 func TestElemCallsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	m, q := randOdd(rng, 256), randOdd(rng, 256)
-	for !m.ProbablyPrime(10) {
-		m = randOdd(rng, 256)
-	}
-	for !q.ProbablyPrime(10) {
-		q = randOdd(rng, 256)
-	}
+	m, q := randPrime(rng, 256), randPrime(rng, 256)
 	mod, modQ := NewModulus(m), NewModulus(q)
 	c := NewCRT(mod, modQ)
 	wide := randBelow(rng, new(big.Int).Mul(m, q))
 	e := randBits(rng, 256)
 	var x, y, z Elem
 	mod.SetInt(&x, wide)
-	tab := mod.NewElemTable(&x, 256, TeethShort)
+	var tab Table
+	mod.InitTable(&tab, &x, 256, TeethShort)
 	tab.Pow(&z, e) // builds the comb
 	xs, es := []Elem{x, x}, []*big.Int{e, e}
+	mod8 := NewModulus(randPrime(rng, 512))
+	var x8 Elem
+	mod8.SetInt(&x8, wide)
 	for name, f := range map[string]func(){
-		"SetInt": func() { mod.SetInt(&y, wide) },
-		"Mul":    func() { mod.Mul(&z, &x, &y) },
-		"Pow":    func() { mod.Pow(&z, &x, e) },
-		"MulPow": func() { mod.MulPow(&z, xs, es) },
-		"Table":  func() { tab.Pow(&z, e) },
-		"Equal":  func() { _ = mod.Equal(&x, &y) || mod.IsZero(&z) },
+		"SetInt":   func() { mod.SetInt(&y, wide) },
+		"Mul":      func() { mod.Mul(&z, &x, &y) },
+		"Pow":      func() { mod.Pow(&z, &x, e) },
+		"MulPow":   func() { mod.MulPow(&z, xs, es) },
+		"PowEach":  func() { mod.PowEach(xs, &x, es) },
+		"PowEach8": func() { mod8.PowEach(xs, &x8, es) },
+		"Inv":      func() { mod.Inv(&z, &x) },
+		"Inv8":     func() { mod8.Inv(&z, &x8) },
+		"Table":    func() { tab.Pow(&z, e) },
+		"Equal":    func() { _ = mod.Equal(&x, &y) || mod.IsZero(&z) },
 	} {
 		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 			t.Errorf("%s: %v allocations, want none", name, allocs)

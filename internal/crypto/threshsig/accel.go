@@ -17,8 +17,11 @@ import (
 // width and, for the scheme's oversized integer exponents, half the
 // exponent length). The halves run on the mont engine, so a base that
 // recurs — v, the v_i, each message's x^{2*delta} — is raised through a
-// comb table in a fifth of the multiplications again, and an inverse
-// power through a comb is a Fermat-negated exponent, not a ModInverse.
+// comb in a fifth of the multiplications again, and an inverse power
+// through a comb is a Fermat-negated exponent, not an inversion. A
+// message's dealt shares are its base's one batch of powers: they are
+// raised together, through one comb per half on the stack
+// (msgCtx.dealtShares).
 //
 // A value stays in the halves, as mont.Elems, from the split of its input
 // to the one recombination of its output (mont.CRT.Join): only what
@@ -29,12 +32,12 @@ import (
 //
 // Combine does not go through exp: its k+1 short powers, of either sign,
 // are one product in each half (root) — the numerator and the denominator
-// each on one squaring chain, one ModInverse, the check sigma^e = H(msg)
-// there — and one Garner step. What still reaches exp's short-inverse
-// branch is share verification's challenge power (verifyShareFull:
-// (x_i^2)^-c, and v_i^-c at the widths with no comb) at TS-768 and up,
-// whose halves are long enough that a 256-bit c and an inversion cost less
-// than a Fermat-negated exponent.
+// each on one squaring chain, one inversion in words (mont.Modulus.Inv),
+// the check sigma^e = H(msg) there — and one Garner step. What still
+// reaches exp's short-inverse branch is share verification's challenge
+// power (verifyShareFull: (x_i^2)^-c, and v_i^-c at the widths with no
+// comb) at TS-768 and up, whose halves are long enough that a 256-bit c
+// and an inversion cost less than a Fermat-negated exponent.
 //
 // This mirrors what a real signer does with its own key (RSA-CRT), except
 // here the simulation plays every party and the dealer, so verification
@@ -72,10 +75,12 @@ type base struct {
 	tp, tq *mont.Table // combs of xp, xq; nil for a base raised once
 }
 
-// invBits is the exponent length one half-width ModInverse is worth
-// (3 µs against 16 µs for a 256-bit power at 4 words). Only
-// verifyShareFull's challenge, at TS-768 and up, is short enough by it.
-const invBits = 48
+// invBits is about the exponent length one half-width inversion is worth:
+// 30 bits at 6 words, where math/big inverts (4.6 µs against 40 µs for a
+// 256-bit power), and 15 at 8 words, where mont.Modulus.Inv does (4 µs
+// against 60 µs). Only verifyShareFull's challenge, at TS-768 and up, is
+// short enough by it.
+const invBits = 32
 
 func newCRTPrime(n *big.Int) crtPrime {
 	return crtPrime{nm1: new(big.Int).Sub(n, one), mod: mont.NewModulus(n)}
@@ -97,17 +102,24 @@ func (a *accel) split(x *big.Int) base {
 	return b
 }
 
-// fixed prepares x for many powers (see table).
-func (a *accel) fixed(x *big.Int, teeth int) base { return a.table(a.split(x), teeth) }
-
-// table gives b, at the widths that have them, comb tables, which are
-// built on first use.
-func (a *accel) table(b base, teeth int) base {
-	if a.p.mod.HasKernel() && a.q.mod.HasKernel() {
-		b.tp = a.p.mod.NewElemTable(&b.xp, a.p.nm1.BitLen(), teeth)
-		b.tq = a.q.mod.NewElemTable(&b.xq, a.q.nm1.BitLen(), teeth)
-	}
+// fixed prepares x for many powers, with combs of its own (see table).
+func (a *accel) fixed(x *big.Int, teeth int) base {
+	b := a.split(x)
+	a.table(&b, new(combs), teeth)
 	return b
+}
+
+// combs are the comb tables of a base's two halves.
+type combs struct{ p, q mont.Table }
+
+// table gives b, at the widths that have them, the comb tables c, which
+// are built on first use.
+func (a *accel) table(b *base, c *combs, teeth int) {
+	if a.p.mod.HasKernel() && a.q.mod.HasKernel() {
+		a.p.mod.InitTable(&c.p, &b.xp, a.p.nm1.BitLen(), teeth)
+		a.q.mod.InitTable(&c.q, &b.xq, a.q.nm1.BitLen(), teeth)
+		b.tp, b.tq = &c.p, &c.q
+	}
 }
 
 // raise returns b^ep in p's half and b^eq in q's, false when an exponent
@@ -196,7 +208,7 @@ func (cp *crtPrime) reduce(e *big.Int) *big.Int {
 // must then be a unit — into its non-negative residue: x^-e =
 // x^{(prime-1) - e}. That residue is as long as the prime. A comb does not
 // care; without one, an exponent invBits shorter than the prime is raised
-// as written and inverted instead, a half-width ModInverse costing about
+// as written and inverted instead, a half-width inversion costing about
 // as much as invBits bits of exponent: the 256-bit challenge of
 // verifyShareFull at TS-768 and up, whose halves are 384 bits or more (at
 // TS-512 it is as long as a half, and is reduced). Combine's short

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
+	"sync"
 
 	"repro/internal/crypto/memo"
 	"repro/internal/crypto/mont"
@@ -14,10 +15,11 @@ import (
 // hands the same Suite to every sweep cell), and each memo is guarded;
 // package memo says why none of it changes observable behaviour.
 type pkCache struct {
-	// msgs: per-message context (x = H(msg), x4d = x^{4*delta} and the
-	// comb of y = x^{2*delta}) shared by Sign, VerifyShare, Combine, and
-	// Verify. One message is touched by every party of the simulation, so
-	// the hit rate is ~(parties-1)/parties.
+	// msgs: per-message context (x = H(msg), x4d = x^{4*delta}, y =
+	// x^{2*delta} with its combs, and the dealt shares x_i = y^{s_i})
+	// shared by Sign, VerifyShare, Combine, and Verify. One message is
+	// touched by every party of the simulation, so the hit rate is
+	// ~(parties-1)/parties.
 	msgs memo.Memo[[32]byte, *msgCtx]
 	// folds: Combine's exponents keyed by a digest of the subset.
 	folds memo.Memo[[32]byte, *fold]
@@ -36,15 +38,24 @@ type combination struct {
 	err error
 }
 
-// msgCtx is the per-message exponentiation context.
+// msgCtx is the per-message exponentiation context: one allocation, with
+// y's combs held in it, beside its values and, once a dealt share signs,
+// the message's dealt shares.
 type msgCtx struct {
 	xb  base     // x = H(msg) in Z_N, prepared for one power: Combine's last base, Verify's target
 	x4d *big.Int // x^{4*delta} — the share-proof base
 	// y = x^{2*delta}, the one base every big power of the message is
 	// taken from: a share is x_i = y^{s_i}, and the proof commitments are
-	// x4d^w = y^{2w} and x4d^z = y^{2z} — about a dozen powers per message
-	// across its signers and verifiers.
+	// x4d^w = y^{2w} and x4d^z = y^{2z}.
 	y base
+	// yc holds y's combs, built on first use: Prove's y^w,
+	// verifyShareFull's y^z and the share of an S that is not a dealt one.
+	yc combs
+	// dealt holds every dealt share's x_i = y^{s_i} in the halves, p's
+	// then q's, computed together on the first SignBare by a dealt share
+	// (dealtShares): each of a message's L signers asks for one.
+	once  sync.Once
+	dealt []mont.Elem
 }
 
 // oneShot prepares v for a single power.
@@ -53,14 +64,6 @@ func (pk *PublicKey) oneShot(v *big.Int) base {
 		return base{v: v}
 	}
 	return pk.acc.split(v)
-}
-
-// fixed prepares b for many powers (see accel.table).
-func (pk *PublicKey) fixed(b base, teeth int) base {
-	if pk.acc == nil {
-		return b
-	}
-	return pk.acc.table(b, teeth)
 }
 
 // vBase and vkBase return the key's fixed bases V and VK_index.
@@ -93,21 +96,56 @@ func (pk *PublicKey) exps(e *big.Int) (ep, eq *big.Int) {
 	return pk.acc.p.reduce(e), pk.acc.q.reduce(e)
 }
 
-// shareExps returns a private share's exponent for each half: a dealt
-// share's as Deal reduced it, S itself otherwise.
-func (pk *PublicKey) shareExps(share PrivateShare) (sp, sq *big.Int) {
+// dealtAt returns the index of share among the dealt ones when it is one
+// of them (its S is the dealt s_i), -1 otherwise and on a hand-built key.
+func (pk *PublicKey) dealtAt(share PrivateShare) int {
 	if pk.acc != nil {
 		d := pk.acc.dealt
 		if i := share.Index - 1; i >= 0 && i < len(d) && d[i].s.Cmp(share.S) == 0 {
-			return d[i].sp, d[i].sq
+			return i
 		}
 	}
-	return share.S, share.S
+	return -1
+}
+
+// share returns x_i = y^{s_i} for share on the message of ctx: a dealt
+// share's from the message's dealt shares, any other share's through y's
+// combs.
+func (pk *PublicKey) share(ctx *msgCtx, share PrivateShare) *big.Int {
+	i := pk.dealtAt(share)
+	if i < 0 {
+		return pk.pow(ctx.y, share.S, share.S)
+	}
+	xs := ctx.dealtShares(pk.acc)
+	return pk.acc.crt.Join(&xs[i], &xs[len(pk.acc.dealt)+i])
+}
+
+// dealtShares returns every dealt share's x_i = y^{s_i} in the halves, p's
+// then q's, computed on the first call: one comb of y per half, on the
+// stack, raises it to all of the exponents (mont.Modulus.PowEach).
+func (c *msgCtx) dealtShares(a *accel) []mont.Elem {
+	c.once.Do(func() {
+		l := len(a.dealt)
+		xs := make([]mont.Elem, 2*l)
+		var stack [16]*big.Int
+		es := stack[:0]
+		for _, d := range a.dealt {
+			es = append(es, d.sp)
+		}
+		a.p.mod.PowEach(xs[:l], &c.y.xp, es)
+		for i, d := range a.dealt {
+			es[i] = d.sq
+		}
+		a.q.mod.PowEach(xs[l:], &c.y.xq, es)
+		c.dealt = xs
+	})
+	return c.dealt
 }
 
 // raise returns b^e as a base, where e is ep in p's half and eq in q's —
-// one exponent, as exps or shareExps give it (a hand-built key reads ep). A negative exponent is the inverse power, and raise reports false
-// when b is then not a unit mod N.
+// one exponent, as exps gives it or as Deal reduced a dealt share's (a
+// hand-built key reads ep). A negative exponent is the inverse power, and
+// raise reports false when b is then not a unit mod N.
 func (pk *PublicKey) raise(b base, ep, eq *big.Int) (base, bool) {
 	if pk.acc != nil {
 		return pk.acc.raise(b, ep, eq)
@@ -178,7 +216,11 @@ func (pk *PublicKey) ctxOf(x *big.Int) *msgCtx {
 	xb := pk.oneShot(x)
 	d2 := new(big.Int).Lsh(pk.delta, 1)
 	y, _ := pk.raise(xb, d2, d2)
-	return &msgCtx{xb: xb, x4d: pk.value(pk.mul(y, y)), y: pk.fixed(y, mont.TeethShort)}
+	c := &msgCtx{xb: xb, x4d: pk.value(pk.mul(y, y)), y: y}
+	if pk.acc != nil {
+		pk.acc.table(&c.y, &c.yc, mont.TeethShort)
+	}
+	return c
 }
 
 // comboKey digests a message digest and the (index, X) pairs of the

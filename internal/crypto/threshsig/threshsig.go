@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"math/bits"
 	"slices"
 
 	"repro/internal/crypto/memo"
@@ -175,7 +176,10 @@ func Deal(name string, p, q *big.Int, k, l int, rand io.Reader) (*Key, error) {
 	for i, sh := range shares {
 		// Through v's comb: the l powers here pay for it, and the run's
 		// first signature share finds it built.
-		sp, sq := pk.shareExps(sh)
+		sp, sq := sh.S, sh.S
+		if pk.acc != nil {
+			sp, sq = pk.acc.dealt[i].sp, pk.acc.dealt[i].sq
+		}
 		pk.VKs[i] = pk.pow(pk.vBase(), sp, sq)
 		if pk.acc != nil {
 			pk.acc.vks[i] = pk.acc.fixed(pk.VKs[i], mont.TeethLong)
@@ -197,24 +201,32 @@ func delta(l int) *big.Int {
 	return d
 }
 
-// hashToModulus maps a message to an element of Z_N^*.
+// hashToModulus maps a message to an element of Z_N^*: the counter-mode
+// SHA-256 of (tag, salt, counter, msg), |N| + 128 bits of it, mod N. The
+// input is laid out once, in a stack buffer for any message that fits,
+// and each counter step rewrites its counter in place and hashes it in one
+// call, so the result is all that is allocated.
 func hashToModulus(n *big.Int, salt [16]byte, msg []byte) *big.Int {
+	const tag = "threshsig-h2m"
+	var in [512]byte
+	buf := append(append(append(in[:0], tag...), salt[:]...), 0, 0, 0, 0)
+	buf = append(buf, msg...)
+	ctr := buf[len(tag)+len(salt) : len(tag)+len(salt)+4]
 	need := (n.BitLen()+7)/8 + 16
-	buf := make([]byte, 0, need)
-	var ctr uint32
-	for len(buf) < need {
-		h := sha256.New()
-		h.Write([]byte("threshsig-h2m"))
-		h.Write(salt[:])
-		var cb [4]byte
-		binary.BigEndian.PutUint32(cb[:], ctr)
-		h.Write(cb[:])
-		h.Write(msg)
-		buf = h.Sum(buf)
-		ctr++
+	var outStack [512]byte
+	out := outStack[:0]
+	for i := uint32(0); len(out) < need; i++ {
+		binary.BigEndian.PutUint32(ctr, i)
+		h := sha256.Sum256(buf)
+		out = append(out, h[:]...)
 	}
-	x := new(big.Int).SetBytes(buf)
-	x.Mod(x, n)
+	// One array holds x's words, with room for the one the division adds,
+	// and the quotient's after them: the reduction runs in x's own words.
+	xw := len(out)*8/bits.UintSize + 1
+	words := make([]big.Word, 2*xw-len(n.Bits()))
+	x := new(big.Int).SetBits(words[:0:xw])
+	x.SetBytes(out)
+	new(big.Int).SetBits(words[xw:xw]).QuoRem(x, n, x)
 	if x.Sign() == 0 {
 		x.SetInt64(1)
 	}
@@ -238,8 +250,7 @@ func (pk *PublicKey) Sign(share PrivateShare, msg []byte, rand io.Reader) (*SigS
 func (pk *PublicKey) SignBare(share PrivateShare, msg []byte, rand io.Reader) (*SigShare, error) {
 	ctx := pk.ctxFor(msg)
 	// x_i = x^{2*delta*s_i} = y^{s_i}
-	sp, sq := pk.shareExps(share)
-	xi := pk.pow(ctx.y, sp, sq)
+	xi := pk.share(ctx, share)
 	// Random w of |N| + 2*256 bits, read now and made a number by Prove.
 	w := make([]byte, (pk.N.BitLen()+512+7)/8)
 	if _, err := io.ReadFull(rand, w); err != nil {
@@ -524,9 +535,9 @@ func (p *powers) raise(n *big.Int, xs []*big.Int) *big.Int {
 }
 
 // raiseIn sets z to the fold's product over xs in one CRT half: each side
-// on one squaring chain of mod, and the denominator inverted once — on
-// math/big, a Fermat inversion being a power as long as the half. It
-// reports false when the denominator is not a unit.
+// on one squaring chain of mod, and the denominator inverted once, in
+// words (mont.Modulus.Inv) — a Fermat inversion would be a power as long
+// as the half. It reports false when the denominator is not a unit.
 func (f *fold) raiseIn(mod *mont.Modulus, z *mont.Elem, xs []mont.Elem) bool {
 	f.num.raiseIn(mod, z, xs)
 	if len(f.den.at) == 0 {
