@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math/big"
+	"slices"
 
 	"repro/internal/crypto/dleq"
 	"repro/internal/crypto/dlthresh"
@@ -26,9 +27,11 @@ var errNonCanonical = errors.New("component: certificate not in canonical form")
 var errBareShare = errors.New("component: bare share value out of range")
 
 func appendBig(buf []byte, v *big.Int) []byte {
-	b := v.Bytes()
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(b)))
-	return append(buf, b...)
+	n := (v.BitLen() + 7) / 8
+	buf = binary.BigEndian.AppendUint16(buf, uint16(n))
+	buf = slices.Grow(buf, n)[:len(buf)+n]
+	v.FillBytes(buf[len(buf)-n:])
+	return buf
 }
 
 func readBig(buf []byte) (*big.Int, []byte, error) {

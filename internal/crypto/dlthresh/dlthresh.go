@@ -16,7 +16,10 @@
 // be made bare (ShareBare) and proved later, only if it must be
 // (Share.Prove): its nonce is drawn when the share is made, so the late
 // proof is the one Share makes, and the caller's randomness is read
-// exactly as by Share.
+// exactly as by Share. Every party of a use asks for its bare share, so a
+// dealt key raises the use's base to all the dealt shares at once, through
+// one comb on the stack, on the first ShareBare by a dealt share; the
+// base's comb on the heap is built only for a proof or a verification.
 package dlthresh
 
 import (
@@ -43,10 +46,11 @@ type PublicKey struct {
 	K     int        // shares needed
 	L     int        // total parties
 
-	// cc holds the comb tables of the key's fixed bases and of each live
-	// use's base, and memoized interpolations: every party combines every
-	// use, and parties that hold the same first K shares interpolate the
-	// same element. All are pure functions of public inputs, so hits are
+	// cc holds the comb tables of the key's fixed bases, a record of each
+	// live use (its base's comb and its dealt shares), and memoized
+	// interpolations: every party combines every use, and parties that
+	// hold the same first K shares interpolate the same element. All but
+	// the dealt secrets are pure functions of public inputs, so hits are
 	// exact. Guarded: dealt keys are shared across concurrent simulations.
 	cc *cache
 }
@@ -55,10 +59,25 @@ type cache struct {
 	vk       *mont.Table   // comb of VK, built on its first power
 	vkMember func() bool   // VK's membership verdict, checked on its first power
 	vks      []*mont.Table // combs of the VKs, each built on its first verification
+	// dealt holds the dealt s_i by index, recorded by Deal, so that a
+	// use's dealt shares can be raised together (use.dealtShares); a key
+	// from NewPublicKey records none.
+	dealt []*big.Int
 
-	bases    memo.Memo[string, *mont.Table] // Base.Tag -> comb of the element
-	combined memo.Memo[[32]byte, *big.Int]  // first K shares' (index, V) -> Combine's element
-	polys    memo.Memo[string, *polyCheck]  // fit's indices, then the tail's -> onPolynomial's powers
+	bases    memo.Memo[string, *use]         // Base.Tag -> the use's record
+	combined memo.Memo[[32]byte, *big.Int]   // first K shares' (index, V) -> Combine's element
+	polys    memo.Memo[[32]byte, *polyCheck] // fit's indices, then the tail's -> onPolynomial's powers
+}
+
+// use is one use's record, shared by everyone who touches it: the comb of
+// its base, built on its first power (Share's, Prove's, VerifyShare's, or
+// that of a share whose S is not a dealt one), and every dealt share's
+// V_i = base^{s_i}, computed together on the first ShareBare by a dealt
+// share: each of a use's L parties asks for one, most of them bare.
+type use struct {
+	t     *mont.Table
+	once  sync.Once
+	dealt []mont.Elem
 }
 
 // PrivateShare is party Index's share of the secret.
@@ -112,12 +131,14 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 		return nil, err
 	}
 	priv := make([]PrivateShare, l)
-	vks := make([]*big.Int, l)
+	vks, dealt := make([]*big.Int, l), make([]*big.Int, l)
 	for i, sh := range shares {
 		priv[i] = PrivateShare{Index: sh.X, S: sh.Y}
-		vks[i] = g.ExpG(sh.Y)
+		vks[i], dealt[i] = g.ExpG(sh.Y), sh.Y
 	}
-	return &Key{Public: NewPublicKey(g, g.ExpG(s), vks, k), Shares: priv}, nil
+	pk := NewPublicKey(g, g.ExpG(s), vks, k)
+	pk.cc.dealt = dealt
+	return &Key{Public: pk, Shares: priv}, nil
 }
 
 // NewPublicKey assembles a key from its verification material.
@@ -146,20 +167,45 @@ func (pk *PublicKey) ExpVK(e *big.Int) *big.Int {
 	return v
 }
 
-// table returns the comb of b's element, shared by everyone who touches
-// the use: each party raises it to its share and its proof nonce, every
-// share's verification raises it once more, and a coin's hash-to-group
+// use returns the record of b's use. Its comb serves every power of the
+// base but a dealt share's bare V: Share's V and its proof's nonce, a late
+// proof's nonce, and every share's verification; a coin's hash-to-group
 // element costs as much as any of those powers.
-func (pk *PublicKey) table(b Base) *mont.Table {
-	return pk.cc.bases.Get(string(b.Tag), func() *mont.Table {
-		return pk.Group.Table(b.Element(), mont.TeethShort)
+func (pk *PublicKey) use(b Base) *use {
+	return pk.cc.bases.Get(string(b.Tag), func() *use {
+		return &use{t: pk.Group.Table(b.Element(), mont.TeethShort)}
 	})
 }
 
+// dealtAt returns the index of priv among the dealt shares when it is one
+// of them (its S is the dealt s_i), -1 otherwise and on a key from
+// NewPublicKey.
+func (pk *PublicKey) dealtAt(priv PrivateShare) int {
+	d := pk.cc.dealt
+	if i := priv.Index - 1; i >= 0 && i < len(d) && d[i].Cmp(priv.S) == 0 {
+		return i
+	}
+	return -1
+}
+
+// dealtShares returns every dealt share's V_i = base^{s_i}, computed on
+// the first call: one comb of the base on the stack raises it to all of
+// them (mont.Table.PowEach), and the use's own comb stays unbuilt.
+func (u *use) dealtShares(dealt []*big.Int) []mont.Elem {
+	u.once.Do(func() {
+		vs := make([]mont.Elem, len(dealt))
+		u.t.PowEach(vs, dealt)
+		u.dealt = vs
+	})
+	return u.dealt
+}
+
 // Share produces party priv.Index's share of the use named by b, with its
-// proof.
+// proof. The proof raises the base's comb to its nonce, so V comes from
+// that comb too, and not from the use's dealt shares.
 func (pk *PublicKey) Share(b Base, priv PrivateShare, rand io.Reader) (*Share, error) {
-	sh, err := pk.ShareBare(b, priv, rand)
+	u := pk.use(b)
+	sh, err := pk.newShare(u, priv, u.t.Exp(priv.S), rand)
 	if err != nil {
 		return nil, err
 	}
@@ -168,17 +214,30 @@ func (pk *PublicKey) Share(b Base, priv PrivateShare, rand io.Reader) (*Share, e
 }
 
 // ShareBare produces party priv.Index's share of the use named by b
-// without its proof: V alone, one exponentiation of Share's three. The
-// proof's nonce is drawn from rand now, as Share draws it, so rand is left
-// where Share would leave it and the share's Prove makes the proof Share
-// would have made.
+// without its proof: V alone, one exponentiation of Share's three, taken
+// from the use's dealt shares when priv is a dealt share. The proof's
+// nonce is drawn from rand now, as Share draws it, so rand is left where
+// Share would leave it and the share's Prove makes the proof Share would
+// have made.
 func (pk *PublicKey) ShareBare(b Base, priv PrivateShare, rand io.Reader) (*Share, error) {
-	t := pk.table(b)
+	u := pk.use(b)
+	var v *big.Int
+	if i := pk.dealtAt(priv); i >= 0 {
+		v = u.t.Int(&u.dealtShares(pk.cc.dealt)[i])
+	} else {
+		v = u.t.Exp(priv.S)
+	}
+	return pk.newShare(u, priv, v, rand)
+}
+
+// newShare draws the proof's nonce of priv's share V of u, and returns the
+// share, its proof pending.
+func (pk *PublicKey) newShare(u *use, priv PrivateShare, v *big.Int, rand io.Reader) (*Share, error) {
 	w, err := dleq.Nonce(pk.Group, rand)
 	if err != nil {
 		return nil, fmt.Errorf("dlthresh: drawing the proof's nonce: %w", err)
 	}
-	return &Share{Index: priv.Index, V: t.Exp(priv.S), pending: &pendingProof{pk: pk, base: t, s: priv.S, w: w}}, nil
+	return &Share{Index: priv.Index, V: v, pending: &pendingProof{pk: pk, base: u.t, s: priv.S, w: w}}, nil
 }
 
 // Prove gives a share made by ShareBare its proof, at most once: a share
@@ -213,7 +272,7 @@ func (pk *PublicKey) VerifyShare(b Base, sh *Share) error {
 		sh.Proof.Z.Sign() < 0 || sh.Proof.Z.Cmp(g.Q) >= 0 {
 		return errRange
 	}
-	return dleq.Verify(g, g.GTable(), pk.table(b), pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
+	return dleq.Verify(g, g.GTable(), pk.use(b).t, pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
 }
 
 // inRange reports whether v is a value a share can have: in (0, P). The
@@ -298,8 +357,9 @@ func (pk *PublicKey) CombineBare(shares []*Share) (*big.Int, error) {
 // the combined element's membership itself.
 func (pk *PublicKey) onPolynomial(fit []*Share, sh *Share) bool {
 	pc := pk.polyFor(fit, sh.Index)
-	lhs, lexp := []*big.Int{sh.V}, []*big.Int{pc.l}
-	var rhs, rexp []*big.Int
+	var lStack, lexpStack, rStack, rexpStack [8]*big.Int
+	lhs, lexp := append(lStack[:0], sh.V), append(lexpStack[:0], pc.l)
+	rhs, rexp := rStack[:0], rexpStack[:0]
 	for i, a := range fit {
 		if pc.left[i] {
 			lhs, lexp = append(lhs, a.V), append(lexp, pc.pow[i])
@@ -321,15 +381,17 @@ type polyCheck struct {
 }
 
 // polyFor returns the relation of fit and the tail index x, memoized by
-// the exact index sequence, as the collector hands the same sets over
-// again and again.
+// a digest of the exact index sequence, as the collector hands the same
+// sets over again and again. The digest's input is laid out in a stack
+// buffer, not allocated.
 func (pk *PublicKey) polyFor(fit []*Share, x int) *polyCheck {
-	key := make([]byte, 0, 8*(len(fit)+1))
+	var stack [128]byte
+	key := stack[:0]
 	for _, sh := range fit {
 		key = binary.BigEndian.AppendUint64(key, uint64(sh.Index))
 	}
 	key = binary.BigEndian.AppendUint64(key, uint64(x))
-	return pk.cc.polys.Get(string(key), func() *polyCheck { return newPolyCheck(fit, x) })
+	return pk.cc.polys.Get(sha256.Sum256(key), func() *polyCheck { return newPolyCheck(fit, x) })
 }
 
 // newPolyCheck computes the relation: N_i = Π_{m≠i} (x − x_m), D_i =

@@ -1,14 +1,18 @@
 // Package memo is the one bounded memo behind the crypto packages' host-
-// time caches: per-message exponentiation contexts, comb tables, Lagrange
-// coefficients, the exponents of a threshold signature's share set,
-// subgroup-membership verdicts (among them the powers of a verified
-// member, recorded without a check), discrete-log interpolations by their
-// shares' indices and values, and threshold-signature combinations,
-// signature or error, by their message and shares' indices and values.
+// time caches: per-message exponentiation contexts, a discrete-log use's
+// record (its base's comb and its dealt shares), Lagrange coefficients,
+// the exponents of a threshold signature's share set, subgroup-membership
+// verdicts (among them the powers of a verified member, recorded without
+// a check), discrete-log interpolations by their shares' indices and
+// values, threshold-signature combinations, signature or error, by their
+// message and shares' indices and values, and ciphertext openings,
+// plaintext or error, by their tag, with the KEM secret each was opened
+// under.
 //
 // None of it changes observable behaviour: everything cached is a pure
 // function of its key, so a hit returns exactly what a fresh computation
-// would. Virtual-time charges are made by the callers through the cost
+// would. An opening is a function of its tag and its KEM secret, and a
+// hit serves only a caller with the same secret. Virtual-time charges are made by the callers through the cost
 // model and are likewise untouched — the simulated MCU still pays full
 // price per operation; only the host machine skips repeat work.
 package memo

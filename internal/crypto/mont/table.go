@@ -15,9 +15,10 @@ import (
 //	  6       64     272      86
 //
 // so 8 teeth suit a base that lives as long as its key, and 6 teeth a
-// base raised a few times: a threshold-signature message's y to each of
-// its L signers' shares (PowEach: 616 multiplications for four powers,
-// against 727 with 8 teeth at four times the memory and 1340 windowed).
+// base raised a few times: a threshold-signature message's y, or a
+// ciphertext's C1, to each of its L parties' shares (PowEach: 616
+// multiplications for four powers, against 727 with 8 teeth at four times
+// the memory and 1340 windowed).
 const (
 	TeethLong  = 8
 	TeethShort = 6
@@ -91,6 +92,14 @@ func (t *Table) build() {
 	t.comb = make([]uint64, t.mod.w<<t.teeth)
 	t.mod.buildComb(t.comb, &t.x, t.teeth, t.cols)
 }
+
+// PowEach sets zs[i] = base^es[i] mod m through Modulus.PowEach's comb on
+// the stack, leaving the table's own comb unbuilt: for a batch of powers
+// of a base that may never be raised again.
+func (t *Table) PowEach(zs []Elem, es []*big.Int) { t.mod.PowEach(zs, &t.x, es) }
+
+// Int returns z, an Elem of the table's modulus, as a fresh big.Int.
+func (t *Table) Int(z *Elem) *big.Int { return t.mod.Int(z) }
 
 // PowEach sets zs[i] = x^es[i] mod m for every es[i] ≥ 0: one base raised
 // to a batch of exponents, through a comb of TeethShort teeth over the

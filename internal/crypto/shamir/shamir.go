@@ -147,8 +147,7 @@ func LagrangeSet(subset []Share, q *big.Int) []*big.Int {
 
 // randInt samples a uniform element of [0, q).
 func randInt(rand io.Reader, q *big.Int) (*big.Int, error) {
-	max := new(big.Int).Set(q)
-	bits := max.BitLen()
+	bits := q.BitLen()
 	bytes := (bits + 7) / 8
 	buf := make([]byte, bytes)
 	for {

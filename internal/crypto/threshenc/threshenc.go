@@ -27,9 +27,18 @@
 // discrete-log threshold kernel's (dlthresh), with a ciphertext's C1 as
 // the base; this package adds the ElGamal KEM, the AES body, the key
 // commitment and the binding tag.
+//
+// Every party opens every accepted ciphertext, and every honest quorum
+// gives it the one key C1^z, so a dealt key opens a ciphertext once per
+// KEM secret: the opening, plaintext or ErrCommitment, is memoized by the
+// ciphertext's tag with the secret it was opened under, and serves only a
+// caller that combined the same secret, with a plaintext of its own. The
+// KEM digests lay C1 and the secret out on the stack and allocate
+// nothing.
 package threshenc
 
 import (
+	"bytes"
 	"crypto/aes"
 	"crypto/cipher"
 	"crypto/sha256"
@@ -41,12 +50,29 @@ import (
 
 	"repro/internal/crypto/dlthresh"
 	"repro/internal/crypto/group"
+	"repro/internal/crypto/memo"
 	"repro/internal/crypto/shamir"
 )
 
 // PublicKey encrypts and verifies decryption shares; its VK is the
 // encryption key g^z.
-type PublicKey struct{ dlthresh.PublicKey }
+type PublicKey struct {
+	dlthresh.PublicKey
+
+	// opened memoizes openings by ciphertext tag, with the KEM secret each
+	// was opened under: every party opens every accepted ciphertext, from
+	// the one key C1^z that any honest quorum gives. Deal creates it; a
+	// key built otherwise opens every time.
+	opened *memo.Memo[[32]byte, *opening]
+}
+
+// opening is open's answer for a ciphertext under the KEM secret hr: the
+// plaintext, or ErrCommitment.
+type opening struct {
+	hr    *big.Int
+	plain []byte
+	err   error
+}
 
 // PrivateShare is party i's decryption key share.
 type PrivateShare = dlthresh.PrivateShare
@@ -80,7 +106,8 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Key{Public: PublicKey{key.Public}, Shares: key.Shares}, nil
+	pk := PublicKey{PublicKey: key.Public, opened: new(memo.Memo[[32]byte, *opening])}
+	return &Key{Public: pk, Shares: key.Shares}, nil
 }
 
 // base names ct.C1. The caller has checked the tag, which binds C1, so
@@ -145,7 +172,7 @@ func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	return open(ct, hr)
+	return pk.open(ct, hr)
 }
 
 // CombineBare recovers the plaintext from BareQuorum unverified shares,
@@ -161,7 +188,30 @@ func (pk *PublicKey) CombineBare(ct *Ciphertext, shares []*DecShare) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	return open(ct, hr)
+	return pk.open(ct, hr)
+}
+
+// open is ct's opening under the KEM secret hr, memoized by ct's tag,
+// which binds C1, the commitment and the body. An entry serves only a
+// caller whose hr is the one it was opened under: shares steered to
+// another key (Combine on unverified shares) open the ciphertext
+// themselves, and neither answer stands in for the other. Every caller
+// gets its own copy of the plaintext.
+func (pk *PublicKey) open(ct *Ciphertext, hr *big.Int) ([]byte, error) {
+	if pk.opened == nil {
+		return open(ct, hr)
+	}
+	o := pk.opened.Get(ct.Tag, func() *opening {
+		plain, err := open(ct, hr)
+		return &opening{hr: hr, plain: plain, err: err}
+	})
+	if o.hr.Cmp(hr) != 0 {
+		return open(ct, hr)
+	}
+	if o.err != nil {
+		return nil, o.err
+	}
+	return bytes.Clone(o.plain), nil
 }
 
 // open decrypts ct's body under the KEM secret hr, once hr meets the
@@ -195,16 +245,39 @@ func CheckCiphertext(ct *Ciphertext) error {
 	return nil
 }
 
+// maxElement bounds the bytes of a group element the KEM digests lay out
+// on the stack: SG-3072's are 384. A longer C1 — a malformed one off the
+// wire — takes the heap.
+const maxElement = 512
+
 // bindTag digests (C1, Commit, Body), C1 behind its length so that no
 // other C1 and body can shift bytes between them under the same tag.
 func bindTag(ct *Ciphertext) [32]byte {
-	c1 := ct.C1.Bytes()
-	return digest("threshenc-tag", binary.BigEndian.AppendUint16(nil, uint16(len(c1))), c1, ct.Commit[:], ct.Body)
+	var stack [2 + maxElement]byte
+	c1 := magnitude(stack[2:], ct.C1)
+	binary.BigEndian.PutUint16(stack[:2], uint16(len(c1)))
+	return digest("threshenc-tag", stack[:2], c1, ct.Commit[:], ct.Body)
 }
 
-func kdf(el *big.Int) [32]byte { return digest("threshenc-kdf", el.Bytes()) }
+func kdf(el *big.Int) [32]byte {
+	var stack [maxElement]byte
+	return digest("threshenc-kdf", magnitude(stack[:], el))
+}
 
-func commitment(el *big.Int) [32]byte { return digest("threshenc-commit", el.Bytes()) }
+func commitment(el *big.Int) [32]byte {
+	var stack [maxElement]byte
+	return digest("threshenc-commit", magnitude(stack[:], el))
+}
+
+// magnitude returns |v|'s big-endian bytes, as v.Bytes gives them, laid
+// out in stack when they fit.
+func magnitude(stack []byte, v *big.Int) []byte {
+	n := (v.BitLen() + 7) / 8
+	if n > len(stack) {
+		return v.Bytes()
+	}
+	return v.FillBytes(stack[:n])
+}
 
 func digest(domain string, parts ...[]byte) [32]byte {
 	h := sha256.New()
