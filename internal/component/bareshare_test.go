@@ -300,7 +300,7 @@ func TestBareShareFallback(t *testing.T) {
 			return in
 		}},
 		{"forged-full", func(in core.Intent) core.Intent {
-			in.Data = appendBig(appendBig(append([]byte(nil), in.Data...), big.NewInt(7)), big.NewInt(9))
+			in.Data = appendBig(appendBig(append([]byte(nil), in.Data...), big.NewInt(7), 0), big.NewInt(9), 0)
 			in.Flags = proofFlag
 			return in
 		}},

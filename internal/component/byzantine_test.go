@@ -173,7 +173,7 @@ func TestDecodeCiphertextChecksTag(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw := EncodeCiphertext(ct)
+	raw := EncodeCiphertext(tn.envs[0].Suite.TE.Group, ct)
 	if _, err := DecodeCiphertext(raw); err != nil {
 		t.Fatalf("genuine ciphertext refused: %v", err)
 	}

@@ -120,12 +120,12 @@ func cbcSeeds(f *testing.F, ki int) [][]byte {
 	// flagged full, with a made-up proof behind it.
 	full := func(w byte, slot int) []cbcRecord {
 		sh := nodes[w].slots[slot].cert.mine.share
-		return []cbcRecord{{op: op(packet.PhaseEcho), from: w, e: packet.Entry{Slot: byte(slot), Sub: w, Flags: proofFlag, Data: EncodeSigShare(sh)}}}
+		return []cbcRecord{{op: op(packet.PhaseEcho), from: w, e: packet.Entry{Slot: byte(slot), Sub: w, Flags: proofFlag, Data: EncodeSigShare(tn.envs[w].Suite.TSHigh, sh)}}}
 	}
 	forged := func(w byte, slot int) []cbcRecord {
 		sh := *nodes[w].slots[slot].cert.mine.share
 		sh.C, sh.Z = big.NewInt(7), big.NewInt(9)
-		return []cbcRecord{{op: op(packet.PhaseEcho), from: w, e: packet.Entry{Slot: byte(slot), Sub: w, Flags: proofFlag, Data: EncodeSigShare(&sh)}}}
+		return []cbcRecord{{op: op(packet.PhaseEcho), from: w, e: packet.Entry{Slot: byte(slot), Sub: w, Flags: proofFlag, Data: EncodeSigShare(tn.envs[w].Suite.TSHigh, &sh)}}}
 	}
 	// corrupt has peer w send a bare share of a slot whose X is off.
 	corrupt := func(w byte, slot int) []cbcRecord {

@@ -1,6 +1,7 @@
 package component
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"math/big"
@@ -19,6 +20,10 @@ import (
 // A bare share stops after the first, its value: the index and X (a
 // signature share) or V (a decryption share) without the proof (C, Z)
 // that follows them in a full one.
+//
+// Each integer goes out at its field's width (widths), not at its own
+// length: a value with a leading zero byte is as long on the air as any
+// other, so no frame's length depends on the arithmetic that made it.
 
 var errShortShare = errors.New("component: truncated share encoding")
 
@@ -26,8 +31,28 @@ var errNonCanonical = errors.New("component: certificate not in canonical form")
 
 var errBareShare = errors.New("component: bare share value out of range")
 
-func appendBig(buf []byte, v *big.Int) []byte {
-	n := (v.BitLen() + 7) / 8
+// widths are the byte widths of a share's three fields: its value, and
+// its proof's challenge and response.
+type widths [3]int
+
+// sigWidths are a threshold-signature share's: X below N, C a SHA-256
+// digest, and Z = w + c·s_i, with w of |N| + 512 bits and c·s_i shorter,
+// below 2^(|N|+513).
+func sigWidths(pk *threshsig.PublicKey) widths {
+	return widths{(pk.N.BitLen() + 7) / 8, sha256.Size, (pk.N.BitLen() + 513 + 7) / 8}
+}
+
+// dlWidths are a discrete-log share's over g: V an element, C and Z
+// scalars below Q.
+func dlWidths(g *group.Group) widths {
+	q := (g.Q.BitLen() + 7) / 8
+	return widths{g.ElementLen(), q, q}
+}
+
+// appendBig appends v behind its length, at width bytes, or at its own
+// length if that is longer (a value no honest share has).
+func appendBig(buf []byte, v *big.Int, width int) []byte {
+	n := max(width, (v.BitLen()+7)/8)
 	buf = binary.BigEndian.AppendUint16(buf, uint16(n))
 	buf = slices.Grow(buf, n)[:len(buf)+n]
 	v.FillBytes(buf[len(buf)-n:])
@@ -46,10 +71,10 @@ func readBig(buf []byte) (*big.Int, []byte, error) {
 	return new(big.Int).SetBytes(buf[:n]), buf[n:], nil
 }
 
-func encodeShare(index int, ints ...*big.Int) []byte {
+func encodeShare(w widths, index int, ints ...*big.Int) []byte {
 	buf := []byte{byte(index)}
-	for _, v := range ints {
-		buf = appendBig(buf, v)
+	for i, v := range ints {
+		buf = appendBig(buf, v, w[i])
 	}
 	return buf
 }
@@ -73,10 +98,10 @@ func decodeShare(buf []byte, n int) (int, []*big.Int, error) {
 
 // EncodeSigShare serializes a threshold-signature share with its proof,
 // making the proof first if the share was made bare
-// (threshsig.SigShare.Prove).
-func EncodeSigShare(sh *threshsig.SigShare) []byte {
+// (threshsig.SigShare.Prove), at pk's widths.
+func EncodeSigShare(pk *threshsig.PublicKey, sh *threshsig.SigShare) []byte {
 	sh.Prove()
-	return encodeShare(sh.Index, sh.X, sh.C, sh.Z)
+	return encodeShare(sigWidths(pk), sh.Index, sh.X, sh.C, sh.Z)
 }
 
 // DecodeSigShare parses a threshold-signature share.
@@ -90,8 +115,8 @@ func DecodeSigShare(buf []byte) (*threshsig.SigShare, error) {
 
 // EncodeBareSigShare serializes a threshold-signature share without its
 // proof: the prefix of EncodeSigShare's bytes that holds the index and X.
-func EncodeBareSigShare(sh *threshsig.SigShare) []byte {
-	return encodeShare(sh.Index, sh.X)
+func EncodeBareSigShare(pk *threshsig.PublicKey, sh *threshsig.SigShare) []byte {
+	return encodeShare(sigWidths(pk), sh.Index, sh.X)
 }
 
 // DecodeBareSigShare parses a bare threshold-signature share; C and Z are
@@ -106,10 +131,10 @@ func DecodeBareSigShare(buf []byte) (*threshsig.SigShare, error) {
 
 // EncodeDLShare serializes a discrete-log threshold share, a coin share
 // or a decryption share, with its proof, making the proof first if the
-// share was made bare (dlthresh.Share.Prove).
-func EncodeDLShare(sh *dlthresh.Share) []byte {
+// share was made bare (dlthresh.Share.Prove), at g's widths.
+func EncodeDLShare(g *group.Group, sh *dlthresh.Share) []byte {
 	sh.Prove()
-	return encodeShare(sh.Index, sh.V, sh.Proof.C, sh.Proof.Z)
+	return encodeShare(dlWidths(g), sh.Index, sh.V, sh.Proof.C, sh.Proof.Z)
 }
 
 // DecodeDLShare parses a discrete-log threshold share.
@@ -123,8 +148,8 @@ func DecodeDLShare(buf []byte) (*dlthresh.Share, error) {
 
 // EncodeBareDLShare serializes a discrete-log threshold share without its
 // proof: the prefix of EncodeDLShare's bytes that holds the index and V.
-func EncodeBareDLShare(sh *dlthresh.Share) []byte {
-	return encodeShare(sh.Index, sh.V)
+func EncodeBareDLShare(g *group.Group, sh *dlthresh.Share) []byte {
+	return encodeShare(dlWidths(g), sh.Index, sh.V)
 }
 
 // DecodeBareDLShare parses a bare discrete-log threshold share; its Proof
@@ -142,9 +167,10 @@ func DecodeBareDLShare(buf []byte) (*dlthresh.Share, error) {
 func CiphertextOverhead(g *group.Group) int { return 2 + threshenc.CiphertextOverhead(g) }
 
 // EncodeCiphertext serializes a threshold ciphertext for RBC dissemination:
-// C1, the key commitment, the tag, and the body behind its length.
-func EncodeCiphertext(ct *threshenc.Ciphertext) []byte {
-	buf := appendBig(nil, ct.C1)
+// C1 at g's element width, the key commitment, the tag, and the body
+// behind its length.
+func EncodeCiphertext(g *group.Group, ct *threshenc.Ciphertext) []byte {
+	buf := appendBig(nil, ct.C1, g.ElementLen())
 	buf = append(buf, ct.Commit[:]...)
 	buf = append(buf, ct.Tag[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(ct.Body)))

@@ -10,35 +10,48 @@ import (
 	"repro/internal/core"
 	"repro/internal/crypto/dleq"
 	"repro/internal/crypto/dlthresh"
+	"repro/internal/crypto/group"
 	"repro/internal/crypto/threshsig"
 	"repro/internal/packet"
 )
 
 // FuzzShareCodec feeds arbitrary bytes to the one threshold-share wire
 // codec through both share types that ride it, full and bare. No decoder
-// may panic, and whatever decodes re-encodes to a canonical form: decoding
+// may panic, and whatever decodes re-encodes to a canonical form, each
+// field at its width or at its own length if that is longer: decoding
 // that form gives the same share, and encoding that share gives the same
 // bytes (leading zeros and trailing bytes of the input are not preserved,
 // the value is). A full share's bytes also decode bare, to its index and
-// X, and the two bare forms are one.
+// X, and the two bare forms are one where the two values' widths are
+// (TS-512's X and SG-512's V, both 64 bytes).
 func FuzzShareCodec(f *testing.F) {
+	fix, err := threshsig.FixtureByName("TS-512")
+	if err != nil {
+		f.Fatal(err)
+	}
+	pk := &threshsig.PublicKey{N: new(big.Int).Mul(fix.P, fix.Q)}
+	g, err := group.ByName("SG-512")
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Add([]byte{})
 	f.Add([]byte{1})
 	f.Add([]byte{2, 0, 1, 7, 0, 1, 8, 0, 1, 9})
 	f.Add([]byte{2, 0, 2, 0, 7, 0, 0, 0, 3, 1, 2, 3, 0xFF}) // leading zero, empty int, trailing byte
 	f.Add([]byte{3, 0xFF, 0xFF, 1})                         // length past the end
-	f.Add(EncodeDLShare(&dlthresh.Share{Index: 4, V: big.NewInt(1 << 40), Proof: &dleq.Proof{C: big.NewInt(5), Z: new(big.Int)}}))
-	f.Add(EncodeBareSigShare(&threshsig.SigShare{Index: 3, X: big.NewInt(1 << 50)}))
+	f.Add(EncodeDLShare(g, &dlthresh.Share{Index: 4, V: big.NewInt(1 << 40), Proof: &dleq.Proof{C: big.NewInt(5), Z: new(big.Int)}}))
+	f.Add(EncodeBareSigShare(pk, &threshsig.SigShare{Index: 3, X: big.NewInt(1 << 50)}))
+	f.Add(EncodeSigShare(pk, &threshsig.SigShare{Index: 2, X: new(big.Int).Lsh(big.NewInt(1), 600), C: big.NewInt(1), Z: big.NewInt(2)}))
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		bare, bareErr := DecodeBareSigShare(raw)
 		if bareErr == nil {
-			canon := EncodeBareSigShare(bare)
+			canon := EncodeBareSigShare(pk, bare)
 			again, err := DecodeBareSigShare(canon)
 			if err != nil || again.Index != bare.Index || again.X.Cmp(bare.X) != 0 || again.C != nil || again.Z != nil {
 				t.Fatalf("bare share changed across encode/decode: %+v vs %+v (%v)", bare, again, err)
 			}
-			if len(canon) > len(raw) {
-				t.Fatalf("canonical bare form (%d B) longer than its source (%d B)", len(canon), len(raw))
+			if want := 3 + max(sigWidths(pk)[0], (bare.X.BitLen()+7)/8); len(canon) != want {
+				t.Fatalf("canonical bare form is %d B, its widths make %d", len(canon), want)
 			}
 		}
 		bareDL, bareDLErr := DecodeBareDLShare(raw)
@@ -46,7 +59,7 @@ func FuzzShareCodec(f *testing.F) {
 			t.Fatalf("one bare shape, two verdicts: sig %v, dl %v", bareErr, bareDLErr)
 		}
 		if bareErr == nil && (bareDL.Index != bare.Index || bareDL.V.Cmp(bare.X) != 0 || bareDL.Proof != nil ||
-			!bytes.Equal(EncodeBareDLShare(bareDL), EncodeBareSigShare(bare))) {
+			!bytes.Equal(EncodeBareDLShare(g, bareDL), EncodeBareSigShare(pk, bare))) {
 			t.Fatalf("the two bare share types differ on one input: %+v vs %+v", bare, bareDL)
 		}
 		sig, sigErr := DecodeSigShare(raw)
@@ -60,13 +73,10 @@ func FuzzShareCodec(f *testing.F) {
 		if sigErr != nil {
 			return
 		}
-		canon := EncodeSigShare(sig)
-		if other := EncodeDLShare(dl); !bytes.Equal(canon, other) {
-			t.Fatalf("the two share types encode one input differently:\n %x\n %x", canon, other)
+		if dl.Index != sig.Index || dl.V.Cmp(sig.X) != 0 || dl.Proof.C.Cmp(sig.C) != 0 || dl.Proof.Z.Cmp(sig.Z) != 0 {
+			t.Fatalf("the two share types decode one input differently: %+v vs %+v", sig, dl)
 		}
-		if len(canon) > len(raw) {
-			t.Fatalf("canonical form (%d B) longer than its source (%d B)", len(canon), len(raw))
-		}
+		canon := EncodeSigShare(pk, sig)
 		sig2, err := DecodeSigShare(canon)
 		if err != nil {
 			t.Fatalf("canonical form does not decode: %v", err)
@@ -74,7 +84,7 @@ func FuzzShareCodec(f *testing.F) {
 		if !sameSigShare(sig, sig2) {
 			t.Fatalf("share changed across encode/decode: %+v vs %+v", sig, sig2)
 		}
-		if again := EncodeSigShare(sig2); !bytes.Equal(again, canon) {
+		if again := EncodeSigShare(pk, sig2); !bytes.Equal(again, canon) {
 			t.Fatalf("canonical form is not a fixed point:\n %x\n %x", canon, again)
 		}
 	})

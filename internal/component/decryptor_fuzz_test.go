@@ -89,7 +89,7 @@ func steeredShare(tb testing.TB, tn *testNet, ct *threshenc.Ciphertext, x *big.I
 	if _, err := key.Combine(ct, []*threshenc.DecShare{own, sh}); err != nil {
 		tb.Fatalf("steered share does not meet the commitment with node %d's: %v", j, err)
 	}
-	return EncodeBareDLShare(sh)
+	return EncodeBareDLShare(g, sh)
 }
 
 // A FuzzDecryptorSection input is a sequence of cbcRecords: op's top bit
@@ -147,7 +147,7 @@ func decSeeds(f *testing.F) [][]byte {
 		if err != nil {
 			f.Fatal(err)
 		}
-		e := packet.Entry{Slot: uint8(slot), Sub: uint8(w), Flags: proofFlag, Data: EncodeDLShare(sh)}
+		e := packet.Entry{Slot: uint8(slot), Sub: uint8(w), Flags: proofFlag, Data: EncodeDLShare(tn.envs[w].Suite.TE.Group, sh)}
 		return cbcRecord{op: op, from: byte(w), e: e}
 	}
 	input := func(rs ...cbcRecord) []byte {
@@ -169,7 +169,7 @@ func decSeeds(f *testing.F) [][]byte {
 	cert := share(1, 0, decLater|decSubmit)
 	cert.e.Flags = certFlag
 	forged := share(0, 2, decSubmit)
-	forged.e.Data = appendBig(appendBig(bytes.Clone(forged.e.Data), big.NewInt(7)), big.NewInt(9))
+	forged.e.Data = appendBig(appendBig(bytes.Clone(forged.e.Data), big.NewInt(7), 0), big.NewInt(9), 0)
 	forged.e.Flags = proofFlag
 	refusedCt, x := foreignCiphertext(f, tn, []byte{'p', 'l', 'a', 'i', 'n', byte('0' + decRefused)}, decFuzzSeed)
 	steered := share(0, decRefused, decSubmit)

@@ -919,7 +919,7 @@ func TestCertificateBeforeSubject(t *testing.T) {
 		t.Fatal(err)
 	}
 	busy := env.CPU.BusyTotal()
-	p.dones.HandleSection(2, packet.Section{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Entries: []packet.Entry{{Slot: 1, Sub: 2, Data: EncodeSigShare(sh)}}})
+	p.dones.HandleSection(2, packet.Section{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Entries: []packet.Entry{{Slot: 1, Sub: 2, Data: EncodeSigShare(env.Suite.TSLow, sh)}}})
 	p.dones.HandleSection(3, packet.Section{Kind: packet.KindPRBC, Phase: packet.PhaseDone, Entries: []packet.Entry{{Slot: 1, Sub: 3, Flags: certFlag, Data: cert}}})
 	if env.CPU.BusyTotal() != busy || p.dones.tallies[1].done {
 		t.Fatal("something was checked before the subject")

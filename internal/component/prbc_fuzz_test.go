@@ -103,12 +103,12 @@ func prbcSeeds(f *testing.F) [][]byte {
 	// share with a made-up proof behind it; corrupt its bare share with
 	// X off.
 	full := func(w, slot int) []cbcRecord {
-		return entry(w, slot, proofFlag, EncodeSigShare(nodes[w].dones.tallies[slot].mine.share))
+		return entry(w, slot, proofFlag, EncodeSigShare(tn.envs[w].Suite.TSLow, nodes[w].dones.tallies[slot].mine.share))
 	}
 	forged := func(w, slot int) []cbcRecord {
 		sh := *nodes[w].dones.tallies[slot].mine.share
 		sh.C, sh.Z = big.NewInt(7), big.NewInt(9)
-		return entry(w, slot, proofFlag, EncodeSigShare(&sh))
+		return entry(w, slot, proofFlag, EncodeSigShare(tn.envs[w].Suite.TSLow, &sh))
 	}
 	corrupt := func(w, slot int) []cbcRecord {
 		data := bytes.Clone(done(w, slot, 0)[0].e.Data)

@@ -103,7 +103,7 @@ func (r *RBC) ProposeEncrypted(slot int, plain []byte) {
 		if err != nil {
 			panic("component: encrypting proposal: " + err.Error())
 		}
-		r.Propose(slot, EncodeCiphertext(ct))
+		r.Propose(slot, EncodeCiphertext(r.env.Suite.TE.Group, ct))
 	})
 }
 

@@ -505,9 +505,9 @@ func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) 
 	return scheme[[]byte, *threshsig.SigShare, []byte]{
 		k: key.K, kBare: key.K, shareCost: cost.TSSign, verifyCost: cost.TSVerifyShare, combineCost: cost.TSCombine, certCost: cost.TSVerify,
 		share:  func(msg []byte) (*threshsig.SigShare, error) { return must(key.SignBare(priv, msg, env.Rand)) },
-		encode: EncodeSigShare,
+		encode: func(sh *threshsig.SigShare) []byte { return EncodeSigShare(key, sh) },
 		decode: DecodeSigShare,
-		bare:   EncodeBareSigShare,
+		bare:   func(sh *threshsig.SigShare) []byte { return EncodeBareSigShare(key, sh) },
 		decodeBare: func(raw []byte) (*threshsig.SigShare, error) {
 			sh, err := DecodeBareSigShare(raw)
 			if err != nil {
@@ -552,7 +552,7 @@ func flipScheme(env *Env) scheme[[]byte, *threshcoin.CoinShare, [32]byte] {
 		share: func(name []byte) (*threshcoin.CoinShare, error) {
 			return must(key.Share(env.Suite.TCShare, name, env.Rand))
 		},
-		encode:  EncodeDLShare,
+		encode:  func(sh *threshcoin.CoinShare) []byte { return EncodeDLShare(key.Group, sh) },
 		decode:  DecodeDLShare,
 		verify:  key.VerifyShare,
 		combine: uncertified(key.Combine),
@@ -583,9 +583,9 @@ func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []by
 		share: func(ct *threshenc.Ciphertext) (*threshenc.DecShare, error) {
 			return key.DecryptShareBare(env.Suite.TEShare, ct, env.Rand)
 		},
-		encode: EncodeDLShare,
+		encode: func(sh *threshenc.DecShare) []byte { return EncodeDLShare(key.Group, sh) },
 		decode: DecodeDLShare,
-		bare:   EncodeBareDLShare,
+		bare:   func(sh *threshenc.DecShare) []byte { return EncodeBareDLShare(key.Group, sh) },
 		decodeBare: func(raw []byte) (*threshenc.DecShare, error) {
 			sh, err := DecodeBareDLShare(raw)
 			if err != nil {

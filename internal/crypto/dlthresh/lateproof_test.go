@@ -69,10 +69,10 @@ func TestLateProofMatchesShare(t *testing.T) {
 							t.Fatalf("%s: readers part after the share: next draws %d and %d", what, a, b)
 						}
 					}
-					if !bytes.Equal(component.EncodeBareDLShare(late), component.EncodeBareDLShare(full)) {
+					if !bytes.Equal(component.EncodeBareDLShare(g, late), component.EncodeBareDLShare(g, full)) {
 						t.Fatalf("%s: bare encodings differ", what)
 					}
-					if got, want := component.EncodeDLShare(late), component.EncodeDLShare(full); !bytes.Equal(got, want) {
+					if got, want := component.EncodeDLShare(g, late), component.EncodeDLShare(g, full); !bytes.Equal(got, want) {
 						t.Fatalf("%s: late share encodes as\n %x\nShare's as\n %x", what, got, want)
 					}
 					proof := late.Proof

@@ -42,7 +42,7 @@ func TestKnownAnswers(t *testing.T) {
 			if err := key.Public.VerifyShare(name, shares[i]); err != nil {
 				t.Fatalf("%s: share %d rejected: %v", g.Name, i+1, err)
 			}
-			wire.Write(component.EncodeDLShare(shares[i]))
+			wire.Write(component.EncodeDLShare(g, shares[i]))
 		}
 		coin, err := key.Public.Combine(name, []*threshcoin.CoinShare{shares[3], shares[1]})
 		if err != nil {

@@ -39,7 +39,7 @@ func TestKnownAnswers(t *testing.T) {
 		}
 		// The ciphertext depends on the master public key g^z, which the
 		// verification keys alone do not pin.
-		ctWire := sha256.Sum256(component.EncodeCiphertext(ct))
+		ctWire := sha256.Sum256(component.EncodeCiphertext(g, ct))
 		wire := sha256.New()
 		shares := make([]*threshenc.DecShare, 4)
 		for i := range shares {
@@ -49,7 +49,7 @@ func TestKnownAnswers(t *testing.T) {
 			if err := key.Public.VerifyShare(ct, shares[i]); err != nil {
 				t.Fatalf("%s: share %d rejected: %v", g.Name, i+1, err)
 			}
-			wire.Write(component.EncodeDLShare(shares[i]))
+			wire.Write(component.EncodeDLShare(g, shares[i]))
 		}
 		got, err := key.Public.Combine(ct, []*threshenc.DecShare{shares[3], shares[1]})
 		if err != nil {

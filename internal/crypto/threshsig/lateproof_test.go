@@ -50,10 +50,10 @@ func TestLateProofMatchesSign(t *testing.T) {
 				if late.C != nil || late.Z != nil {
 					t.Fatalf("%s: SignBare made a proof", what)
 				}
-				if !bytes.Equal(component.EncodeBareSigShare(late), component.EncodeBareSigShare(full)) {
+				if !bytes.Equal(component.EncodeBareSigShare(pk, late), component.EncodeBareSigShare(pk, full)) {
 					t.Fatalf("%s: bare encodings differ", what)
 				}
-				if got, want := component.EncodeSigShare(late), component.EncodeSigShare(full); !bytes.Equal(got, want) {
+				if got, want := component.EncodeSigShare(pk, late), component.EncodeSigShare(pk, full); !bytes.Equal(got, want) {
 					t.Fatalf("%s: late share encodes as\n %x\nSign's as\n %x", what, got, want)
 				}
 				c, z := late.C, late.Z
@@ -95,7 +95,7 @@ func TestLateProofConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want = append(want, component.EncodeSigShare(sh))
+			want = append(want, component.EncodeSigShare(&apart.Public, sh))
 		}
 	}
 	const cells = 4
@@ -118,7 +118,7 @@ func TestLateProofConcurrent(t *testing.T) {
 				}
 			}
 			for _, sh := range bare {
-				got[c] = append(got[c], component.EncodeSigShare(sh))
+				got[c] = append(got[c], component.EncodeSigShare(&shared.Public, sh))
 			}
 		}(c)
 	}

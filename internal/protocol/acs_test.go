@@ -21,7 +21,7 @@ func TestACSRejectsSemivalidCiphertext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		raw := component.EncodeCiphertext(ct)
+		raw := component.EncodeCiphertext(env.Suite.TE.Group, ct)
 		raw[len(raw)-1] ^= 0xA5
 		return raw
 	})
@@ -49,7 +49,7 @@ func TestACSRefusesUncommittedCiphertext(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return component.EncodeCiphertext(ct)
+		return component.EncodeCiphertext(env.Suite.TE.Group, ct)
 	})
 	for i, r := range rejected {
 		if r == 0 {

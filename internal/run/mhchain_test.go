@@ -189,10 +189,23 @@ func TestClusteredChainCrashBeforeCutShare(t *testing.T) {
 	if down == 0 || signed < down {
 		t.Fatalf("the member crashed at %v and signed its share at %v: not a crash before the share", down, signed)
 	}
-	for i, m := range cl.members {
-		if i != crashed && m.cuts[e].Cert() == nil {
-			t.Errorf("member %d holds no certificate of the cut", i)
+	// The run ends once the global order holds every cut, which the first
+	// certificate gives; the other members combine theirs from the shares
+	// still on the air, so the clock runs on until they do, or 10 minutes.
+	missing := func() []int {
+		var out []int
+		for i, m := range cl.members {
+			if i != crashed && m.cuts[e].Cert() == nil {
+				out = append(out, i)
+			}
 		}
+		return out
+	}
+	for deadline := now() + 10*time.Minute; len(missing()) > 0 && now() < deadline; {
+		d.dep.sched.RunFor(10 * time.Second)
+	}
+	for _, i := range missing() {
+		t.Errorf("member %d holds no certificate of the cut", i)
 	}
 }
 

@@ -112,12 +112,12 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), run.OneShot(2))
 			spec.Scenario = scenario.MustParse("crash@10s:1;recover@1m:1;byz@0s:11:garbage")
 			return spec
-		}, "d69ace84045194dea206c1844fbb69551ddcbc12e920a96297c6129fd59128a9"},
+		}, "d37f8d82d94f875dd8a631aa9ec881dbfc7a505ad543e28a4c53cd874337df19"},
 		{"SingleHop×Chain", "fixed-interval-crash-recover", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(4))
 			spec.Scenario = scenario.MustParse("crash@30s:2;recover@1m:2")
 			return spec
-		}, "12a2d8a52b2983130207ff1de7d8375d3ca43b9ca542a3aa42721c9295650bce"},
+		}, "90b085d566e824f3863fd68e53bc2354a095c34387ed602c476a3b86b12e65a2"},
 		{"SingleHop×Chain", "poisson", func() run.Spec {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.SingleHop(), fast(3))
 			spec.Workload.Arrival = traffic.Pattern{Kind: traffic.Poisson, Rate: 0.05, Clients: 100}
@@ -130,7 +130,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 1024
 			spec.Scenario = scenario.MustParse("byz@1m:3:equivocate")
 			return spec
-		}, "c9b1fc1b08a480b63e5d40921dcd7af62dcf38313279dd33a5fc2f0a9a19ee70"},
+		}, "7de6860e4d8d79e212d21fc7c4648e37f554a95700c5cd70de633a1ae6b15435"},
 		{"SingleHop×Chain", "Alea-onoff-capped-churn", func() run.Spec {
 			// The alea_overload benchmark workload's shape, shorter: bursty
 			// overload against a 2 KiB pool, and churn whose 10-minute
@@ -143,7 +143,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec.Workload.Mempool.MaxPendingBytes = 2048
 			spec.Scenario = scenario.MustParse("churn@0s+1h:15m,10m")
 			return spec
-		}, "528c18ad8a7ab0858ee98cc15b524d1375f5fbcd0f3f9eeb2e3d02a65b7f702b"},
+		}, "1aca2ed54a727f9e55f98d3dc4b84500cfabe546c568a6b311b3e56b443f91a3"},
 		{"Clustered×Chain", "Dumbo-SC-relay-leader-crash", func() run.Spec {
 			spec := base(protocol.DumboKind, protocol.CoinSig, run.Clustered(4, 4), fast(3))
 			// Cluster 0 member 1 is the designated relay for local epoch 1.
@@ -154,7 +154,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.HoneyBadger, protocol.CoinSig, run.Clustered(4, 4), fast(2))
 			spec.Scenario = scenario.MustParse("byz@0s:5:garbage")
 			return spec
-		}, "c90cd50c8f9f7aa5d072df01d9692140583229fddd03a03323b96f14d903fe4c"},
+		}, "19a39a9946cca529f67a04a5ca225e986452449682870c301c6e070bdbff35a6"},
 		{"Clustered×Chain", "BEAT-forgecut-relay-crash-recover", func() run.Spec {
 			// A forging seat the whole run, and cluster 0's member 0 away
 			// for a minute, about two relay turns, back through mid-run
@@ -162,7 +162,7 @@ func TestMatrixPinned(t *testing.T) {
 			spec := base(protocol.BEAT, "", run.Clustered(4, 4), fast(4))
 			spec.Scenario = scenario.MustParse("byz@0s:15:forgecut;crash@30s:0;recover@1m30s:0")
 			return spec
-		}, "48a82996245859c359e0906ef93d6d1be6cfb192095ddbd1e5f9edbf0989b04b"},
+		}, "dd41956e648fc1b8ca7ec8b141ed8699b1f17ac8baca0d9d6ae798668af0f13d"},
 	}
 	for _, tc := range cases {
 		tc := tc
