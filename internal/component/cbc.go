@@ -98,7 +98,7 @@ func NewCBC(env *Env, opts CBCOptions) *CBC {
 		c.echoTag = "vcbc-echo"
 	}
 	c.echoes = collector[[]byte, *threshsig.SigShare, []byte]{
-		scheme: sigScheme(env, env.Suite.TSHigh, env.Suite.TSHighShare), env: env, combined: c.certified,
+		scheme: sigScheme(env, true), env: env, combined: c.certified,
 	}
 	c.slots = make([]cbcSlot, opts.Slots)
 	c.dissemination = newDissemination(env, opts.Kind, opts.Small, opts.FragSize, opts.Slots)

@@ -106,7 +106,7 @@ func FuzzCertEntry(f *testing.F) {
 	proofMsg := []byte("prbc-done proof subject")
 	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] { return SigCoin(env).scheme })
 	dones := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
-		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+		return sigScheme(env, false)
 	})
 	coinCert := certOf(coins, env.Suite.TSLow.K, coinName)
 	proofCert := certOf(dones, env.Suite.TSLow.K, proofMsg)
@@ -192,7 +192,7 @@ func FuzzShareEntry(f *testing.F) {
 	proofMsg := []byte("prbc-done proof subject")
 	coins := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] { return SigCoin(env).scheme })
 	dones := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
-		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+		return sigScheme(env, false)
 	})
 	coinCert := certOf(coins, env.Suite.TSLow.K, coinName)
 	proofCert := certOf(dones, env.Suite.TSLow.K, proofMsg)

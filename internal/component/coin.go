@@ -23,7 +23,7 @@ type Coin[S, V any] struct {
 // (hash of the unique combined signature), as HoneyBadgerBFT does. The
 // signature is the coin's certificate.
 func SigCoin(env *Env) Coin[*threshsig.SigShare, []byte] {
-	return Coin[*threshsig.SigShare, []byte]{sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare), func(sig []byte) bool {
+	return Coin[*threshsig.SigShare, []byte]{sigScheme(env, false), func(sig []byte) bool {
 		d := sha256.Sum256(sig)
 		return d[0]&1 == 1
 	}}

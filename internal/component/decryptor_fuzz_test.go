@@ -143,7 +143,7 @@ func decSeeds(f *testing.F) [][]byte {
 		return cbcRecord{op: op, from: byte(w), e: recs[w].entries(packet.PhaseDecShare, slot)[0]}
 	}
 	full := func(w, slot int, op byte) cbcRecord {
-		sh, err := tn.envs[w].Suite.TE.DecryptShare(tn.envs[w].Suite.TEShare, cts[slot], rand.New(rand.NewSource(int64(w))))
+		sh, err := tn.envs[w].Suite.Ops.Dec.DecryptShareBare(tn.envs[w].Suite.TEShare, cts[slot], rand.New(rand.NewSource(int64(w))))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -216,7 +216,7 @@ func FuzzDecryptorSection(f *testing.F) {
 		var genuine [4][4]*big.Int
 		for slot, ct := range cts {
 			for w, peer := range tn.envs {
-				sh, err := key.DecryptShareBare(peer.Suite.TEShare, ct, rand.New(rand.NewSource(0)))
+				sh, err := env.Suite.Ops.Dec.DecryptShareBare(peer.Suite.TEShare, ct, rand.New(rand.NewSource(0)))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -255,7 +255,7 @@ func FuzzDecryptorSection(f *testing.F) {
 				phase = packet.PhaseEcho
 			case int(r.e.Slot) >= 4 || from == 3 || r.e.Flags&certFlag != 0:
 			case r.e.Flags&proofFlag != 0:
-				if sh, err := DecodeDLShare(r.e.Data); err == nil && sh.Index == int(from)+1 && key.VerifyShare(cts[slot], sh) == nil {
+				if sh, err := DecodeDLShare(r.e.Data); err == nil && sh.Index == int(from)+1 && env.Suite.Ops.Dec.VerifyShare(cts[slot], sh) == nil {
 					good[slot][from], proved[slot][from] = true, true
 				}
 			default:

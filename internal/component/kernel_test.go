@@ -571,7 +571,7 @@ var collectorUsers = []struct {
 		c := NewCBC(tn.envs[0], CBCOptions{Kind: packet.KindCBCValue, Slots: 4})
 		c.Propose(0, []byte("certified value"))
 		peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
-			return sigScheme(env, env.Suite.TSHigh, env.Suite.TSHighShare)
+			return sigScheme(env, true)
 		})
 		r := rigOf(&c.echoes, &c.slots[0].cert, 0, peers)
 		r.foreign = func() []byte { return certOf(peers, r.k, c.shareMessage(1, HashValue([]byte("certified value")))) }
@@ -591,7 +591,7 @@ var collectorUsers = []struct {
 		value := []byte("proven value")
 		p.onRBCDeliver(1, value)
 		peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
-			return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+			return sigScheme(env, false)
 		})
 		r := rigOf(&p.dones.collector, &p.dones.tallies[1], 1, peers)
 		r.foreign = func() []byte { return certOf(peers, r.k, p.doneMessage(2, HashValue(value))) }
@@ -608,7 +608,7 @@ var collectorUsers = []struct {
 		c := NewCutCert(tn.envs[0], func(cert []byte) { got = append(got, cert) })
 		c.Begin([]byte("cut of cluster 1, epoch 3"))
 		peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
-			return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+			return sigScheme(env, false)
 		})
 		r := rigOf(&c.collector, &c.tallies[0], 0, peers)
 		r.foreign = func() []byte { return certOf(peers, r.k, []byte("cut of cluster 1, epoch 4")) }
@@ -910,7 +910,7 @@ func TestCertificateBeforeSubject(t *testing.T) {
 	p := NewPRBC(env, PRBCOptions{Slots: 4, OnProof: func(int, []byte) { proofs++ }})
 	value := []byte("proven ahead of delivery")
 	peers := peerSchemes(tn, func(env *Env) scheme[[]byte, *threshsig.SigShare, []byte] {
-		return sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+		return sigScheme(env, false)
 	})
 	msg := p.doneMessage(1, HashValue(value))
 	cert := certOf(peers, env.Suite.TSLow.K, msg)

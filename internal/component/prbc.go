@@ -39,7 +39,7 @@ type PRBCOptions struct {
 // the DONE row goes up at once.
 func NewPRBC(env *Env, opts PRBCOptions) *PRBC {
 	p := &PRBC{env: env, onDeliver: opts.OnDeliver}
-	low := sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+	low := sigScheme(env, false)
 	p.dones.init(env, low, packet.KindPRBC, packet.PhaseDone, opts.Slots, func(slot int, _ []byte) {
 		if opts.OnProof != nil {
 			opts.OnProof(slot, p.rbc.Value(slot))
@@ -93,7 +93,7 @@ type CutCert struct{ sigSlots }
 // with the certificate, when it is combined here or taken from a peer.
 func NewCutCert(env *Env, onCert func(cert []byte)) *CutCert {
 	c := &CutCert{}
-	low := sigScheme(env, env.Suite.TSLow, env.Suite.TSLowShare)
+	low := sigScheme(env, false)
 	c.init(env, low, packet.KindGlobal, packet.PhaseDone, 1, func(_ int, cert []byte) { onCert(cert) })
 	return c
 }

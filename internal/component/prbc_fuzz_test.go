@@ -157,7 +157,11 @@ func prbcFuzzRun(t *testing.T, raw []byte, eager bool) []core.Intent {
 	p := NewPRBC(env, PRBCOptions{Slots: 4})
 	if eager {
 		p.dones.share = func(msg []byte) (*threshsig.SigShare, error) {
-			return must(key.Sign(env.Suite.TSLowShare, msg, env.Rand))
+			sh, err := env.Suite.Ops.Low.SignBare(env.Suite.TSLowShare, msg, env.Rand)
+			if err == nil {
+				sh.Prove()
+			}
+			return must(sh, err)
 		}
 	}
 	var sent []core.Intent
@@ -219,7 +223,7 @@ func prbcFuzzRun(t *testing.T, raw []byte, eager bool) []core.Intent {
 		}
 		peers := 0
 		for w, offered := range shares[slot] {
-			genuine, err := key.SignBare(tn.envs[w].Suite.TSLowShare, msg, rand.New(rand.NewSource(0)))
+			genuine, err := env.Suite.Ops.Low.SignBare(tn.envs[w].Suite.TSLowShare, msg, rand.New(rand.NewSource(0)))
 			if err != nil {
 				t.Fatal(err)
 			}

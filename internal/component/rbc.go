@@ -99,7 +99,7 @@ func (r *RBC) Propose(slot int, value []byte) {
 // HoneyBadgerBFT's and BEAT's proposal path.
 func (r *RBC) ProposeEncrypted(slot int, plain []byte) {
 	r.env.Exec(r.env.Suite.Cost.TEEncrypt, func() {
-		ct, err := r.env.Suite.TE.Encrypt(plain, r.env.Rand)
+		ct, err := r.env.Suite.Ops.Dec.Encrypt(plain, r.env.Rand)
 		if err != nil {
 			panic("component: encrypting proposal: " + err.Error())
 		}

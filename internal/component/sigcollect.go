@@ -490,12 +490,19 @@ func must[S any](sh S, err error) (S, error) {
 // shareCost still charges the whole of threshsig.Sign at share time, and
 // the proof's nonce is drawn there, so neither the clock nor the node's
 // randomness can tell whether the proof was ever made.
-func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) scheme[[]byte, *threshsig.SigShare, []byte] {
-	cost := env.Suite.Cost
-	// Combine verifies the signature it makes (threshsig.Combine): a bad
-	// share, bare or not, fails here.
+//
+// high picks the suite's 2f+1 key (TSHigh), and not its f+1 one (TSLow).
+// Shares are made, verified and combined by the suite's Ops; a peer's
+// certificate is checked by the key itself.
+func sigScheme(env *Env, high bool) scheme[[]byte, *threshsig.SigShare, []byte] {
+	cost, key, ops, priv := env.Suite.Cost, env.Suite.TSLow, env.Suite.Ops.Low, env.Suite.TSLowShare
+	if high {
+		key, ops, priv = env.Suite.TSHigh, env.Suite.Ops.High, env.Suite.TSHighShare
+	}
+	// A combination checks the signature it makes (threshsig.Combine): a
+	// bad share, bare or not, fails here.
 	combine := func(msg []byte, shares []*threshsig.SigShare) ([]byte, []byte, error) {
-		sig, err := key.Combine(msg, shares)
+		sig, err := ops.Combine(msg, shares)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -504,7 +511,7 @@ func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) 
 	}
 	return scheme[[]byte, *threshsig.SigShare, []byte]{
 		k: key.K, kBare: key.K, shareCost: cost.TSSign, verifyCost: cost.TSVerifyShare, combineCost: cost.TSCombine, certCost: cost.TSVerify,
-		share:  func(msg []byte) (*threshsig.SigShare, error) { return must(key.SignBare(priv, msg, env.Rand)) },
+		share:  func(msg []byte) (*threshsig.SigShare, error) { return must(ops.SignBare(priv, msg, env.Rand)) },
 		encode: func(sh *threshsig.SigShare) []byte { return EncodeSigShare(key, sh) },
 		decode: DecodeSigShare,
 		bare:   func(sh *threshsig.SigShare) []byte { return EncodeBareSigShare(key, sh) },
@@ -518,7 +525,7 @@ func sigScheme(env *Env, key *threshsig.PublicKey, priv threshsig.PrivateShare) 
 			}
 			return sh, nil
 		},
-		verify:      key.VerifyShare,
+		verify:      ops.VerifyShare,
 		combine:     combine,
 		combineBare: combine,
 		check: func(msg, raw []byte) ([]byte, error) {
@@ -546,16 +553,16 @@ func uncertified[X, S, V any](combine func(x X, shares []S) (V, error)) func(x X
 // flipScheme is the suite's threshold coin flipping: shares of a coin's
 // name combine into its digest.
 func flipScheme(env *Env) scheme[[]byte, *threshcoin.CoinShare, [32]byte] {
-	cost, key := env.Suite.Cost, env.Suite.TC
+	cost, key, ops := env.Suite.Cost, env.Suite.TC, env.Suite.Ops.Coin
 	return scheme[[]byte, *threshcoin.CoinShare, [32]byte]{
 		k: key.K, shareCost: cost.TCShare, verifyCost: cost.TCVerifyShare, combineCost: cost.TCCombine,
 		share: func(name []byte) (*threshcoin.CoinShare, error) {
-			return must(key.Share(env.Suite.TCShare, name, env.Rand))
+			return must(ops.Share(env.Suite.TCShare, name, env.Rand))
 		},
 		encode:  func(sh *threshcoin.CoinShare) []byte { return EncodeDLShare(key.Group, sh) },
 		decode:  DecodeDLShare,
-		verify:  key.VerifyShare,
-		combine: uncertified(key.Combine),
+		verify:  ops.VerifyShare,
+		combine: uncertified(ops.Combine),
 	}
 }
 
@@ -576,12 +583,12 @@ func flipScheme(env *Env) scheme[[]byte, *threshcoin.CoinShare, [32]byte] {
 // has no plaintext: it combines to a nil one (opening), and its tally
 // settles with that.
 func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte] {
-	cost, key := env.Suite.Cost, env.Suite.TE
+	cost, key, ops := env.Suite.Cost, env.Suite.TE, env.Suite.Ops.Dec
 	return scheme[*threshenc.Ciphertext, *threshenc.DecShare, []byte]{
 		k: key.K, kBare: key.BareQuorum(), shareCost: cost.TEDecShare, verifyCost: cost.TEVerifyShare,
 		combineCost: cost.TECombine,
 		share: func(ct *threshenc.Ciphertext) (*threshenc.DecShare, error) {
-			return key.DecryptShareBare(env.Suite.TEShare, ct, env.Rand)
+			return ops.DecryptShareBare(env.Suite.TEShare, ct, env.Rand)
 		},
 		encode: func(sh *threshenc.DecShare) []byte { return EncodeDLShare(key.Group, sh) },
 		decode: DecodeDLShare,
@@ -596,9 +603,9 @@ func decScheme(env *Env) scheme[*threshenc.Ciphertext, *threshenc.DecShare, []by
 			}
 			return sh, nil
 		},
-		verify:      key.VerifyShare,
-		combine:     opening(env, key.Combine),
-		combineBare: opening(env, key.CombineBare),
+		verify:      ops.VerifyShare,
+		combine:     opening(env, ops.Combine),
+		combineBare: opening(env, ops.CombineBare),
 	}
 }
 

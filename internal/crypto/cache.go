@@ -14,6 +14,7 @@ type dealKey struct {
 	N, F int
 	Cfg  Config
 	Seed int64
+	Real bool // RealSuites
 }
 
 // dealEntry is one cached deal; the Once keeps the expensive dealer run
@@ -47,7 +48,7 @@ var (
 // transports pays for modular-exponentiation-heavy keygen once instead of
 // once per cell.
 func DealCached(n, f int, cfg Config, seed int64) ([]*Suite, error) {
-	k := dealKey{N: n, F: f, Cfg: cfg, Seed: seed}
+	k := dealKey{N: n, F: f, Cfg: cfg, Seed: seed, Real: realSuites.Load()}
 	dealMu.Lock()
 	e, ok := dealCache[k]
 	if !ok {

@@ -100,10 +100,15 @@ type Share struct {
 // pendingProof is what proves a share made bare: the key, the comb of the
 // use's base, the maker's key share and the proof's nonce, drawn when the
 // share was made.
+// A share the ideal key issued (Ideal.ShareBare) has its ideal key and
+// the use's tag instead of the key, the comb and s_i.
 type pendingProof struct {
 	pk   *PublicKey
 	base *mont.Table
 	s, w *big.Int
+
+	ideal *Ideal
+	tag   []byte
 }
 
 // Base names the element the shares of one use are powers of. Tag keys
@@ -118,6 +123,8 @@ type Base struct {
 type Key struct {
 	Public PublicKey
 	Shares []PrivateShare
+	// Ideal is the key's ideal functionality, which runs use (Ideal).
+	Ideal *Ideal
 }
 
 // Deal shares a fresh secret (k, l) over g.
@@ -138,7 +145,9 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 	}
 	pk := NewPublicKey(g, g.ExpG(s), vks, k)
 	pk.cc.dealt = dealt
-	return &Key{Public: pk, Shares: priv}, nil
+	key := &Key{Public: pk, Shares: priv}
+	key.Ideal = newIdeal(&key.Public, s)
+	return key, nil
 }
 
 // NewPublicKey assembles a key from its verification material.
@@ -249,6 +258,10 @@ func (sh *Share) Prove() {
 	}
 	sh.pending = nil
 	if sh.Proof != nil {
+		return
+	}
+	if p.ideal != nil {
+		sh.Proof = p.ideal.proof(sh.Index, p.tag, sh.V, p.w)
 		return
 	}
 	g := p.pk.Group

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/crypto/group"
 	"repro/internal/crypto/pksig"
@@ -39,7 +40,65 @@ type Suite struct {
 	TE      *threshenc.PublicKey
 	TEShare threshenc.PrivateShare
 
+	// Ops make, check and combine the shares of the four keys above.
+	Ops Ops
+
 	Cost CostModel
+}
+
+// Ops are the share operations a run performs with a suite's threshold
+// keys. Deal hands out each key's ideal functionality (threshsig.Ideal,
+// threshcoin.Ideal, threshenc.Ideal), which decides every verdict and
+// output as the real arithmetic does at a fraction of its host time; the
+// keys' own methods, the real arithmetic, stand in their place only
+// under RealSuites. Encryption is the real arithmetic either way, since
+// a ciphertext's bytes reach hashes (the ideal key only remembers its KEM
+// secret), and so is checking a combined signature, which is cheap and
+// reads the real signature.
+type Ops struct {
+	Low, High SigScheme
+	Coin      CoinScheme
+	Dec       DecScheme
+}
+
+// SigScheme is threshold signing: *threshsig.PublicKey or
+// *threshsig.Ideal.
+type SigScheme interface {
+	SignBare(priv threshsig.PrivateShare, msg []byte, rand io.Reader) (*threshsig.SigShare, error)
+	VerifyShare(msg []byte, sh *threshsig.SigShare) error
+	Combine(msg []byte, shares []*threshsig.SigShare) (*threshsig.Signature, error)
+}
+
+// CoinScheme is threshold coin flipping: *threshcoin.PublicKey or
+// *threshcoin.Ideal.
+type CoinScheme interface {
+	Share(priv threshcoin.PrivateShare, name []byte, rand io.Reader) (*threshcoin.CoinShare, error)
+	VerifyShare(name []byte, sh *threshcoin.CoinShare) error
+	Combine(name []byte, shares []*threshcoin.CoinShare) ([32]byte, error)
+}
+
+// DecScheme is threshold decryption: *threshenc.PublicKey or
+// *threshenc.Ideal.
+type DecScheme interface {
+	Encrypt(plaintext []byte, rand io.Reader) (*threshenc.Ciphertext, error)
+	DecryptShareBare(priv threshenc.PrivateShare, ct *threshenc.Ciphertext, rand io.Reader) (*threshenc.DecShare, error)
+	VerifyShare(ct *threshenc.Ciphertext, sh *threshenc.DecShare) error
+	Combine(ct *threshenc.Ciphertext, shares []*threshenc.DecShare) ([]byte, error)
+	CombineBare(ct *threshenc.Ciphertext, shares []*threshenc.DecShare) ([]byte, error)
+}
+
+// realSuites says Deal hands out the real arithmetic in Ops (RealSuites).
+var realSuites atomic.Bool
+
+// RealSuites makes Deal, and DealCached on its own cache, hand out suites
+// whose Ops are the keys themselves, until the returned function is
+// called. It is a test seam: the crypto packages' tests and Fig. 10's
+// microbenchmarks use the keys directly, and the one test that compares
+// whole runs under both (equivalence_test.go) goes through it. Nothing
+// else may call it.
+func RealSuites() (restore func()) {
+	realSuites.Store(true)
+	return func() { realSuites.Store(false) }
 }
 
 // Config selects parameter sets for a deal.
@@ -114,6 +173,10 @@ func Deal(n, f int, cfg Config, masterRand io.Reader) ([]*Suite, error) {
 		return nil, fmt.Errorf("crypto: dealing encryption: %w", err)
 	}
 
+	ops := Ops{Low: tsLow.Ideal, High: tsHigh.Ideal, Coin: tc.Ideal, Dec: te.Ideal}
+	if realSuites.Load() {
+		ops = Ops{Low: &tsLow.Public, High: &tsHigh.Public, Coin: &tc.Public, Dec: &te.Public}
+	}
 	cost := CostFor(cfg.ThresholdSet)
 	suites := make([]*Suite, n)
 	for i := 0; i < n; i++ {
@@ -130,6 +193,7 @@ func Deal(n, f int, cfg Config, masterRand io.Reader) ([]*Suite, error) {
 			TCShare:     tc.Shares[i],
 			TE:          &te.Public,
 			TEShare:     te.Shares[i],
+			Ops:         ops,
 			Cost:        cost,
 		}
 	}

@@ -37,6 +37,8 @@ type CoinShare = dlthresh.Share
 type Key struct {
 	Public PublicKey
 	Shares []PrivateShare
+	// Ideal is the coin's ideal functionality, which runs use.
+	Ideal *Ideal
 }
 
 // Deal generates a (k, l) threshold coin over g.
@@ -45,7 +47,9 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Key{Public: PublicKey{key.Public}, Shares: key.Shares}, nil
+	out := &Key{Public: PublicKey{key.Public}, Shares: key.Shares}
+	out.Ideal = &Ideal{pk: &out.Public, dl: key.Ideal}
+	return out, nil
 }
 
 // base names the per-coin base element ĥ = HashToGroup(name): every party
@@ -70,17 +74,52 @@ func (pk *PublicKey) VerifyShare(name []byte, sh *CoinShare) error {
 // its 32-byte digest. All callers with any k valid shares obtain the same
 // value.
 func (pk *PublicKey) Combine(name []byte, shares []*CoinShare) ([32]byte, error) {
-	var out [32]byte
 	sigma, err := pk.PublicKey.Combine(shares)
 	if err != nil {
-		return out, err
+		return [32]byte{}, err
 	}
+	return coin(name, sigma), nil
+}
+
+// coin is the digest of the named coin's element sigma.
+func coin(name []byte, sigma *big.Int) [32]byte {
+	var out [32]byte
 	d := sha256.New()
 	d.Write([]byte("threshcoin-out"))
 	d.Write(name)
 	d.Write(sigma.Bytes())
-	copy(out[:], d.Sum(nil))
-	return out, nil
+	d.Sum(out[:0])
+	return out
+}
+
+// Ideal is the coin's ideal functionality (dlthresh.Ideal) with the
+// coin's API: a combination of k issued shares gives the digest a real
+// one gives. Its shares are verified before they are combined; an
+// unverified share that was not issued fails a combination, where a real
+// one would give another coin.
+type Ideal struct {
+	pk *PublicKey
+	dl *dlthresh.Ideal
+}
+
+// Share issues party i's share of the named coin, reading rand as
+// PublicKey.Share does.
+func (id *Ideal) Share(priv PrivateShare, name []byte, rand io.Reader) (*CoinShare, error) {
+	return id.dl.Share(id.pk.base(name), priv, rand)
+}
+
+// VerifyShare checks a share of the named coin.
+func (id *Ideal) VerifyShare(name []byte, sh *CoinShare) error {
+	return id.dl.VerifyShare(id.pk.base(name), sh)
+}
+
+// Combine returns the named coin's digest from k issued shares.
+func (id *Ideal) Combine(name []byte, shares []*CoinShare) ([32]byte, error) {
+	sigma, err := id.dl.Combine(id.pk.base(name), shares)
+	if err != nil {
+		return [32]byte{}, err
+	}
+	return coin(name, sigma), nil
 }
 
 // Bit reduces a combined coin digest to a single bit.

@@ -14,24 +14,28 @@ import (
 // at SG-512, (k, l) = (2, 4):
 //   - the KEM digests — bindTag, kdf and commitment — nothing: C1 and the
 //     KEM secret are laid out on the stack;
-//   - a second opening of a ciphertext from the same bare shares, the
-//     interpolation and the opening both memoized: the plaintext's copy,
-//     the combined element and the products and membership key of the
-//     bare-share check — 8.
+//   - a second opening of a ciphertext from the same bare shares by the
+//     key's ideal functionality, as a run's every party after the first
+//     opens it: the element's copy and the plaintext's — at most 8.
 func TestDecryptionAllocations(t *testing.T) {
 	key := testKey(t, 2, 4)
-	pk := &key.Public
+	pk, id := &key.Public, key.Ideal
 	rng := rand.New(rand.NewSource(12))
 	plain := make([]byte, 256)
-	ct, err := pk.Encrypt(plain, rng)
+	ct, err := id.Encrypt(plain, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	shares := bareShares(t, key, ct, rng)[:pk.BareQuorum()]
-	if _, err := pk.CombineBare(ct, shares); err != nil {
+	shares := make([]*DecShare, pk.BareQuorum())
+	for i := range shares {
+		if shares[i], err = id.DecryptShareBare(key.Shares[i], ct, rng); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := id.CombineBare(ct, shares); err != nil {
 		t.Fatal(err)
 	}
-	hr, err := pk.PublicKey.CombineBare(shares)
+	hr, err := pk.PublicKey.CombineBare(bareShares(t, key, ct, rng)[:pk.BareQuorum()])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +48,7 @@ func TestDecryptionAllocations(t *testing.T) {
 		{"kdf", 0, func() error { kdf(hr); return nil }},
 		{"commitment", 0, func() error { commitment(hr); return nil }},
 		{"second opening", 8, func() error {
-			got, err := pk.CombineBare(ct, shares)
+			got, err := id.CombineBare(ct, shares)
 			if err == nil && !bytes.Equal(got, plain) {
 				err = errors.New("wrong plaintext")
 			}
@@ -66,14 +70,14 @@ func TestDecryptionAllocations(t *testing.T) {
 	}
 }
 
-// TestOpeningsHitOnlyTheirKey: the openings memo serves a caller only
-// under the KEM secret its entry was opened under, and each caller gets a
-// plaintext of its own. Mirroring TestCombineBareResistsSteering, an
-// honest opening of a ciphertext committed to a Byzantine encryptor's key
-// X comes first and is memoized (ErrCommitment); a Combine of shares
-// steered to X then opens it under X itself, and the honest verdict
-// stands after it. On an honest ciphertext, a caller that changes its
-// plaintext does not change the next caller's.
+// TestOpeningsHitOnlyTheirKey: an opening serves a caller only under the
+// KEM secret it combined, and each caller gets a plaintext of its own.
+// Mirroring TestCombineBareResistsSteering, an honest opening of a
+// ciphertext committed to a Byzantine encryptor's key X comes first
+// (ErrCommitment); a Combine of shares steered to X then opens it under X
+// itself, and the honest verdict stands after it. On an honest
+// ciphertext, a caller that changes its plaintext does not change the
+// next caller's.
 func TestOpeningsHitOnlyTheirKey(t *testing.T) {
 	key := testKey(t, 2, 4)
 	pk := &key.Public
@@ -88,9 +92,6 @@ func TestOpeningsHitOnlyTheirKey(t *testing.T) {
 
 	if got, err := pk.CombineBare(ct, honest[:3]); !errors.Is(err, ErrCommitment) {
 		t.Fatalf("honest bare shares: %q, %v; want ErrCommitment", got, err)
-	}
-	if _, hit := pk.opened.Peek(ct.Tag); !hit {
-		t.Fatal("the honest opening was not memoized: the test no longer tests the memo")
 	}
 	lag := shamir.LagrangeSet([]shamir.Share{{X: 1}, {X: 2}}, g.Q)
 	rest := g.Mul(x, g.Exp(honest[0].V, new(big.Int).Sub(g.Q, lag[0])))

@@ -28,20 +28,17 @@
 // the base; this package adds the ElGamal KEM, the AES body, the key
 // commitment and the binding tag.
 //
-// Every party opens every accepted ciphertext, and every honest quorum
-// gives it the one key C1^z, so a dealt key opens a ciphertext once per
-// KEM secret: the opening, plaintext or ErrCommitment, is memoized by the
-// ciphertext's tag with the secret it was opened under, and serves only a
-// caller that combined the same secret, with a plaintext of its own. The
-// KEM digests lay C1 and the secret out on the stack and allocate
-// nothing.
+// A run decrypts through the key's ideal functionality (Ideal): shares
+// are tags, a combination of issued ones gives the one key C1^z, and a
+// ciphertext is opened once. The KEM digests lay C1 and the secret out on
+// the stack and allocate nothing.
 package threshenc
 
 import (
 	"bytes"
 	"crypto/aes"
-	"crypto/cipher"
 	"crypto/sha256"
+	"crypto/subtle"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -58,20 +55,6 @@ import (
 // encryption key g^z.
 type PublicKey struct {
 	dlthresh.PublicKey
-
-	// opened memoizes openings by ciphertext tag, with the KEM secret each
-	// was opened under: every party opens every accepted ciphertext, from
-	// the one key C1^z that any honest quorum gives. Deal creates it; a
-	// key built otherwise opens every time.
-	opened *memo.Memo[[32]byte, *opening]
-}
-
-// opening is open's answer for a ciphertext under the KEM secret hr: the
-// plaintext, or ErrCommitment.
-type opening struct {
-	hr    *big.Int
-	plain []byte
-	err   error
 }
 
 // PrivateShare is party i's decryption key share.
@@ -98,6 +81,8 @@ var ErrCommitment = errors.New("threshenc: combined key does not meet the cipher
 type Key struct {
 	Public PublicKey
 	Shares []PrivateShare
+	// Ideal is the key's ideal functionality, which runs use.
+	Ideal *Ideal
 }
 
 // Deal generates a (k, l) threshold encryption key.
@@ -106,8 +91,10 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	pk := PublicKey{PublicKey: key.Public, opened: new(memo.Memo[[32]byte, *opening])}
-	return &Key{Public: pk, Shares: key.Shares}, nil
+	pk := PublicKey{PublicKey: key.Public}
+	out := &Key{Public: pk, Shares: key.Shares}
+	out.Ideal = &Ideal{pk: &out.Public, dl: key.Ideal}
+	return out, nil
 }
 
 // base names ct.C1. The caller has checked the tag, which binds C1, so
@@ -118,9 +105,15 @@ func base(ct *Ciphertext) dlthresh.Base {
 
 // Encrypt produces a ciphertext decryptable by any k parties.
 func (pk *PublicKey) Encrypt(plaintext []byte, rand io.Reader) (*Ciphertext, error) {
+	ct, _, err := pk.encrypt(plaintext, rand)
+	return ct, err
+}
+
+// encrypt is Encrypt, with the ciphertext's KEM secret VK^r = C1^z.
+func (pk *PublicKey) encrypt(plaintext []byte, rand io.Reader) (*Ciphertext, *big.Int, error) {
 	r, err := shamir.RandInt(rand, pk.Group.Q)
 	if err != nil {
-		return nil, fmt.Errorf("threshenc: sampling nonce: %w", err)
+		return nil, nil, fmt.Errorf("threshenc: sampling nonce: %w", err)
 	}
 	c1 := pk.Group.ExpG(r)
 	hr := pk.ExpVK(r)
@@ -128,7 +121,7 @@ func (pk *PublicKey) Encrypt(plaintext []byte, rand io.Reader) (*Ciphertext, err
 	xorStream(kdf(hr), plaintext, body)
 	ct := &Ciphertext{C1: c1, Commit: commitment(hr), Body: body}
 	ct.Tag = bindTag(ct)
-	return ct, nil
+	return ct, hr, nil
 }
 
 // DecryptShare produces party i's decryption share for ct.
@@ -172,7 +165,7 @@ func (pk *PublicKey) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error)
 	if err != nil {
 		return nil, err
 	}
-	return pk.open(ct, hr)
+	return open(ct, hr)
 }
 
 // CombineBare recovers the plaintext from BareQuorum unverified shares,
@@ -188,30 +181,7 @@ func (pk *PublicKey) CombineBare(ct *Ciphertext, shares []*DecShare) ([]byte, er
 	if err != nil {
 		return nil, err
 	}
-	return pk.open(ct, hr)
-}
-
-// open is ct's opening under the KEM secret hr, memoized by ct's tag,
-// which binds C1, the commitment and the body. An entry serves only a
-// caller whose hr is the one it was opened under: shares steered to
-// another key (Combine on unverified shares) open the ciphertext
-// themselves, and neither answer stands in for the other. Every caller
-// gets its own copy of the plaintext.
-func (pk *PublicKey) open(ct *Ciphertext, hr *big.Int) ([]byte, error) {
-	if pk.opened == nil {
-		return open(ct, hr)
-	}
-	o := pk.opened.Get(ct.Tag, func() *opening {
-		plain, err := open(ct, hr)
-		return &opening{hr: hr, plain: plain, err: err}
-	})
-	if o.hr.Cmp(hr) != 0 {
-		return open(ct, hr)
-	}
-	if o.err != nil {
-		return nil, o.err
-	}
-	return bytes.Clone(o.plain), nil
+	return open(ct, hr)
 }
 
 // open decrypts ct's body under the KEM secret hr, once hr meets the
@@ -290,13 +260,127 @@ func digest(domain string, parts ...[]byte) [32]byte {
 	return out
 }
 
-// xorStream encrypts/decrypts src into dst with AES-CTR under seed.
+// xorStream encrypts/decrypts src into dst with AES-CTR under seed: the
+// key is seed's first half and the initial counter block its second, as
+// cipher.NewCTR counts, with the key stream made block by block on the
+// stack.
 func xorStream(seed [32]byte, src, dst []byte) {
 	block, err := aes.NewCipher(seed[:16])
 	if err != nil {
 		panic(err) // 16-byte key is always valid
 	}
-	var iv [aes.BlockSize]byte
-	copy(iv[:], seed[16:])
-	cipher.NewCTR(block, iv[:]).XORKeyStream(dst, src)
+	var ctr, stream [aes.BlockSize]byte
+	copy(ctr[:], seed[16:])
+	for at := 0; at < len(src); at += aes.BlockSize {
+		block.Encrypt(stream[:], ctr[:])
+		subtle.XORBytes(dst[at:], src[at:], stream[:])
+		for i := len(ctr) - 1; i >= 0; i-- {
+			if ctr[i]++; ctr[i] != 0 {
+				break
+			}
+		}
+	}
+}
+
+// Ideal is the key's ideal functionality (dlthresh.Ideal) with the key's
+// decryption API: shares are issued and checked as tags, and a
+// combination of issued shares gives the KEM secret C1^z, which is
+// checked against the ciphertext's commitment and opens its body as a
+// real combination's does. A combination of K verified shares that holds
+// one that was not issued is refused with ErrCommitment, the verdict a
+// real one reaches on the other element it interpolates. The ciphertext
+// checks are the real key's, and so is Encrypt, whose bytes reach hashes.
+// Every combination of a ciphertext's issued shares gives its one KEM
+// secret, so the ideal key opens it once: the plaintext, or
+// ErrCommitment, is memoized by its tag, and each caller gets its own
+// copy of the plaintext.
+type Ideal struct {
+	pk     *PublicKey
+	dl     *dlthresh.Ideal
+	opened memo.Memo[[32]byte, opening]
+}
+
+// opening is a ciphertext's plaintext, or ErrCommitment.
+type opening struct {
+	plain []byte
+	err   error
+}
+
+// open is open under the ciphertext's one KEM secret hr, memoized.
+func (id *Ideal) open(ct *Ciphertext, hr *big.Int) ([]byte, error) {
+	o, ok := id.opened.Peek(ct.Tag)
+	if !ok {
+		o = id.opened.Get(ct.Tag, func() opening {
+			plain, err := open(ct, hr)
+			return opening{plain, err}
+		})
+	}
+	if o.err != nil {
+		return nil, o.err
+	}
+	return bytes.Clone(o.plain), nil
+}
+
+// Encrypt is PublicKey.Encrypt, bit for bit, and records the ciphertext's
+// KEM secret C1^z = VK^r as the element its shares combine to, which the
+// combinations then find and do not raise C1 to the dealer's secret for.
+func (id *Ideal) Encrypt(plaintext []byte, rand io.Reader) (*Ciphertext, error) {
+	ct, hr, err := id.pk.encrypt(plaintext, rand)
+	if err != nil {
+		return nil, err
+	}
+	id.dl.Record(base(ct), hr)
+	return ct, nil
+}
+
+// DecryptShareBare issues party i's bare share of ct, reading rand as
+// PublicKey.DecryptShareBare does.
+func (id *Ideal) DecryptShareBare(priv PrivateShare, ct *Ciphertext, rand io.Reader) (*DecShare, error) {
+	if err := CheckCiphertext(ct); err != nil {
+		return nil, err
+	}
+	return id.dl.ShareBare(base(ct), priv, rand)
+}
+
+// DecryptShare issues party i's share of ct with its proof.
+func (id *Ideal) DecryptShare(priv PrivateShare, ct *Ciphertext, rand io.Reader) (*DecShare, error) {
+	if err := CheckCiphertext(ct); err != nil {
+		return nil, err
+	}
+	return id.dl.Share(base(ct), priv, rand)
+}
+
+// VerifyShare checks a decryption share of ct.
+func (id *Ideal) VerifyShare(ct *Ciphertext, sh *DecShare) error {
+	if err := CheckCiphertext(ct); err != nil {
+		return err
+	}
+	return id.dl.VerifyShare(base(ct), sh)
+}
+
+// Combine opens ct from k verified shares.
+func (id *Ideal) Combine(ct *Ciphertext, shares []*DecShare) ([]byte, error) {
+	if err := CheckCiphertext(ct); err != nil {
+		return nil, err
+	}
+	hr, err := id.dl.Combine(base(ct), shares)
+	if errors.Is(err, dlthresh.ErrNotIssued) {
+		return nil, ErrCommitment
+	}
+	if err != nil {
+		return nil, err
+	}
+	return id.open(ct, hr)
+}
+
+// CombineBare opens ct from BareQuorum unverified shares.
+func (id *Ideal) CombineBare(ct *Ciphertext, shares []*DecShare) ([]byte, error) {
+	if err := CheckCiphertext(ct); err != nil {
+		return nil, err
+	}
+	hr, err := id.dl.CombineBare(base(ct), shares)
+	if err != nil {
+		return nil, err
+	}
+	return id.open(ct, hr)
 }

@@ -86,11 +86,16 @@ type SigShare struct {
 // pendingProof is what proves a share made bare: the signer's key share
 // and the proof's nonce, drawn when the share was made, and the message's
 // context from the key's memo.
+// A share the ideal key issued (Ideal.SignBare) has its ideal key and the
+// message's digest instead of the key, the context and s_i.
 type pendingProof struct {
 	pk  *PublicKey
 	ctx *msgCtx
 	s   *big.Int // s_i
 	w   []byte   // the nonce's bytes as read; Prove makes them a number
+
+	ideal *Ideal
+	md    [32]byte
 }
 
 // Signature is a combined threshold signature.
@@ -105,6 +110,8 @@ func (s *Signature) Bytes() []byte { return s.S.Bytes() }
 type Key struct {
 	Public PublicKey
 	Shares []PrivateShare
+	// Ideal is the key's ideal functionality, which runs use (Ideal).
+	Ideal *Ideal
 }
 
 // Deal generates a (k, l) threshold key from the fixture primes p and q
@@ -189,7 +196,9 @@ func Deal(name string, p, q *big.Int, k, l int, rand io.Reader) (*Key, error) {
 		return nil, fmt.Errorf("threshsig: sampling salt: %w", err)
 	}
 	pk.cc = &pkCache{}
-	return &Key{Public: pk, Shares: shares}, nil
+	key := &Key{Public: pk, Shares: shares}
+	key.Ideal = newIdeal(&key.Public, p, q, d)
+	return key, nil
 }
 
 // delta returns l! as a big integer.
@@ -269,6 +278,10 @@ func (sh *SigShare) Prove() {
 	}
 	sh.pending = nil
 	if sh.C != nil || sh.Z != nil {
+		return
+	}
+	if p.ideal != nil {
+		sh.C, sh.Z = p.ideal.proof(sh.Index, &p.md, sh.X, p.w)
 		return
 	}
 	// Proof of log equality: log_{x4d}(xi^2) == log_v(v_i), exponent s_i.
