@@ -1,6 +1,19 @@
 // Package crypto bundles the threshold-cryptography substrates into a
 // per-node Suite and provides the virtual-time cost model that charges
 // cryptographic work against protocol latency.
+//
+// Inside a run, real threshold arithmetic decides only which shares and
+// certificates are valid, what a combination yields (unique: a
+// signature, a coin, a plaintext), how long each encoding is and how many
+// bytes each operation reads from the node's randomness; virtual time
+// reads none of it (CostModel). So a run makes, checks and combines shares
+// through each key's ideal functionality (Suite.Ops): tags keyed by the
+// dealer's secret, checked by recomputing them after the real decode and
+// range checks, and combined to the output the dealer's secret gives,
+// with the real nonce draws. It decides all four the same way at a
+// fraction of the host time. The real share arithmetic runs in the crypto
+// packages' tests, in Fig. 10's microbenchmarks and, through RealSuites,
+// in the one test that compares whole runs under both.
 package crypto
 
 import "time"
@@ -17,8 +30,9 @@ import "time"
 // microbenchmarks (Fig. 10 repro) measure those real times separately,
 // while simulations use this model so crypto/airtime ratios match the
 // paper's hardware. See EXPERIMENTS.md. The modeled STM32 has one core:
-// n operations are charged n times the per-operation cost, and the
-// host-side memos and comb tables never discount virtual time.
+// n operations are charged n times the per-operation cost, and neither
+// the ideal suite a run uses nor the host-side memos and comb tables of
+// the real keys discount virtual time.
 type CostModel struct {
 	PKSign   time.Duration // public-key digital signature over a frame
 	PKVerify time.Duration // verification of a frame signature

@@ -16,10 +16,12 @@
 // be made bare (ShareBare) and proved later, only if it must be
 // (Share.Prove): its nonce is drawn when the share is made, so the late
 // proof is the one Share makes, and the caller's randomness is read
-// exactly as by Share. Every party of a use asks for its bare share, so a
-// dealt key raises the use's base to all the dealt shares at once, through
-// one comb on the stack, on the first ShareBare by a dealt share; the
-// base's comb on the heap is built only for a proof or a verification.
+// exactly as by Share.
+//
+// A run shares, verifies and combines through the key's ideal
+// functionality (Ideal), which issues shares as tags and hands out base^s;
+// the real arithmetic here is what the crypto tests, Fig. 10's
+// microbenchmarks and the equivalence test run.
 package dlthresh
 
 import (
@@ -29,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"math/big"
-	"sync"
 
 	"repro/internal/crypto/dleq"
 	"repro/internal/crypto/group"
@@ -46,38 +47,21 @@ type PublicKey struct {
 	K     int        // shares needed
 	L     int        // total parties
 
-	// cc holds the comb tables of the key's fixed bases, a record of each
-	// live use (its base's comb and its dealt shares), and memoized
-	// interpolations: every party combines every use, and parties that
-	// hold the same first K shares interpolate the same element. All but
-	// the dealt secrets are pure functions of public inputs, so hits are
-	// exact. Guarded: dealt keys are shared across concurrent simulations.
+	// cc holds the comb tables of the key's fixed bases and of each live
+	// use's base, and memoized interpolations: parties that hold the same
+	// first K shares interpolate the same element. All are pure functions
+	// of public inputs, so hits are exact. Guarded: dealt keys are shared
+	// across concurrent simulations.
 	cc *cache
 }
 
 type cache struct {
-	vk       *mont.Table   // comb of VK, built on its first power
-	vkMember func() bool   // VK's membership verdict, checked on its first power
-	vks      []*mont.Table // combs of the VKs, each built on its first verification
-	// dealt holds the dealt s_i by index, recorded by Deal, so that a
-	// use's dealt shares can be raised together (use.dealtShares); a key
-	// from NewPublicKey records none.
-	dealt []*big.Int
+	vk  *mont.Table   // comb of VK, built on its first power
+	vks []*mont.Table // combs of the VKs, each built on its first verification
 
-	bases    memo.Memo[string, *use]         // Base.Tag -> the use's record
+	bases    memo.Memo[string, *mont.Table]  // Base.Tag -> the comb of the use's base
 	combined memo.Memo[[32]byte, *big.Int]   // first K shares' (index, V) -> Combine's element
 	polys    memo.Memo[[32]byte, *polyCheck] // fit's indices, then the tail's -> onPolynomial's powers
-}
-
-// use is one use's record, shared by everyone who touches it: the comb of
-// its base, built on its first power (Share's, Prove's, VerifyShare's, or
-// that of a share whose S is not a dealt one), and every dealt share's
-// V_i = base^{s_i}, computed together on the first ShareBare by a dealt
-// share: each of a use's L parties asks for one, most of them bare.
-type use struct {
-	t     *mont.Table
-	once  sync.Once
-	dealt []mont.Elem
 }
 
 // PrivateShare is party Index's share of the secret.
@@ -137,84 +121,42 @@ func Deal(g *group.Group, k, l int, rand io.Reader) (*Key, error) {
 	if err != nil {
 		return nil, err
 	}
-	priv := make([]PrivateShare, l)
-	vks, dealt := make([]*big.Int, l), make([]*big.Int, l)
+	priv, vks := make([]PrivateShare, l), make([]*big.Int, l)
 	for i, sh := range shares {
 		priv[i] = PrivateShare{Index: sh.X, S: sh.Y}
-		vks[i], dealt[i] = g.ExpG(sh.Y), sh.Y
+		vks[i] = g.ExpG(sh.Y)
 	}
-	pk := NewPublicKey(g, g.ExpG(s), vks, k)
-	pk.cc.dealt = dealt
-	key := &Key{Public: pk, Shares: priv}
+	key := &Key{Public: NewPublicKey(g, g.ExpG(s), vks, k), Shares: priv}
 	key.Ideal = newIdeal(&key.Public, s)
 	return key, nil
 }
 
 // NewPublicKey assembles a key from its verification material.
 func NewPublicKey(g *group.Group, vk *big.Int, vks []*big.Int, k int) PublicKey {
-	cc := &cache{
-		vk:       g.Table(vk, mont.TeethLong),
-		vkMember: sync.OnceValue(func() bool { return g.IsElementCached(vk) }),
-		vks:      make([]*mont.Table, len(vks)),
-	}
+	cc := &cache{vk: g.Table(vk, mont.TeethLong), vks: make([]*mont.Table, len(vks))}
 	for i, v := range vks {
 		cc.vks[i] = g.Table(v, mont.TeethLong)
 	}
 	return PublicKey{Group: g, VK: vk, VKs: vks, K: k, L: len(vks), cc: cc}
 }
 
-// ExpVK returns VK^e through the key's comb. A power of a member of the
-// group is a member, so once VK has passed the membership check the power
-// is recorded as one (group.RecordElement): an encryption's KEM secret
-// VK^r is the element its decryption shares combine to, and the check of
-// that element (CombineBare) then takes no membership power.
-func (pk *PublicKey) ExpVK(e *big.Int) *big.Int {
-	v := pk.cc.vk.Exp(e)
-	if pk.cc.vkMember() {
-		pk.Group.RecordElement(v)
-	}
-	return v
-}
+// ExpVK returns VK^e through the key's comb.
+func (pk *PublicKey) ExpVK(e *big.Int) *big.Int { return pk.cc.vk.Exp(e) }
 
-// use returns the record of b's use. Its comb serves every power of the
-// base but a dealt share's bare V: Share's V and its proof's nonce, a late
-// proof's nonce, and every share's verification; a coin's hash-to-group
-// element costs as much as any of those powers.
-func (pk *PublicKey) use(b Base) *use {
-	return pk.cc.bases.Get(string(b.Tag), func() *use {
-		return &use{t: pk.Group.Table(b.Element(), mont.TeethShort)}
+// use returns the comb of b's base, which serves every power of it:
+// a share's V and its proof's nonce, and every share's verification; a
+// coin's hash-to-group element costs as much as any of those powers.
+func (pk *PublicKey) use(b Base) *mont.Table {
+	return pk.cc.bases.Get(string(b.Tag), func() *mont.Table {
+		return pk.Group.Table(b.Element(), mont.TeethShort)
 	})
-}
-
-// dealtAt returns the index of priv among the dealt shares when it is one
-// of them (its S is the dealt s_i), -1 otherwise and on a key from
-// NewPublicKey.
-func (pk *PublicKey) dealtAt(priv PrivateShare) int {
-	d := pk.cc.dealt
-	if i := priv.Index - 1; i >= 0 && i < len(d) && d[i].Cmp(priv.S) == 0 {
-		return i
-	}
-	return -1
-}
-
-// dealtShares returns every dealt share's V_i = base^{s_i}, computed on
-// the first call: one comb of the base on the stack raises it to all of
-// them (mont.Table.PowEach), and the use's own comb stays unbuilt.
-func (u *use) dealtShares(dealt []*big.Int) []mont.Elem {
-	u.once.Do(func() {
-		vs := make([]mont.Elem, len(dealt))
-		u.t.PowEach(vs, dealt)
-		u.dealt = vs
-	})
-	return u.dealt
 }
 
 // Share produces party priv.Index's share of the use named by b, with its
-// proof. The proof raises the base's comb to its nonce, so V comes from
-// that comb too, and not from the use's dealt shares.
+// proof.
 func (pk *PublicKey) Share(b Base, priv PrivateShare, rand io.Reader) (*Share, error) {
-	u := pk.use(b)
-	sh, err := pk.newShare(u, priv, u.t.Exp(priv.S), rand)
+	t := pk.use(b)
+	sh, err := pk.newShare(t, priv, t.Exp(priv.S), rand)
 	if err != nil {
 		return nil, err
 	}
@@ -223,30 +165,23 @@ func (pk *PublicKey) Share(b Base, priv PrivateShare, rand io.Reader) (*Share, e
 }
 
 // ShareBare produces party priv.Index's share of the use named by b
-// without its proof: V alone, one exponentiation of Share's three, taken
-// from the use's dealt shares when priv is a dealt share. The proof's
-// nonce is drawn from rand now, as Share draws it, so rand is left where
-// Share would leave it and the share's Prove makes the proof Share would
-// have made.
+// without its proof: V alone, one exponentiation of Share's three. The
+// proof's nonce is drawn from rand now, as Share draws it, so rand is left
+// where Share would leave it and the share's Prove makes the proof Share
+// would have made.
 func (pk *PublicKey) ShareBare(b Base, priv PrivateShare, rand io.Reader) (*Share, error) {
-	u := pk.use(b)
-	var v *big.Int
-	if i := pk.dealtAt(priv); i >= 0 {
-		v = u.t.Int(&u.dealtShares(pk.cc.dealt)[i])
-	} else {
-		v = u.t.Exp(priv.S)
-	}
-	return pk.newShare(u, priv, v, rand)
+	t := pk.use(b)
+	return pk.newShare(t, priv, t.Exp(priv.S), rand)
 }
 
-// newShare draws the proof's nonce of priv's share V of u, and returns the
-// share, its proof pending.
-func (pk *PublicKey) newShare(u *use, priv PrivateShare, v *big.Int, rand io.Reader) (*Share, error) {
+// newShare draws the proof's nonce of priv's share V of the use whose
+// base's comb is t, and returns the share, its proof pending.
+func (pk *PublicKey) newShare(t *mont.Table, priv PrivateShare, v *big.Int, rand io.Reader) (*Share, error) {
 	w, err := dleq.Nonce(pk.Group, rand)
 	if err != nil {
 		return nil, fmt.Errorf("dlthresh: drawing the proof's nonce: %w", err)
 	}
-	return &Share{Index: priv.Index, V: v, pending: &pendingProof{pk: pk, base: u.t, s: priv.S, w: w}}, nil
+	return &Share{Index: priv.Index, V: v, pending: &pendingProof{pk: pk, base: t, s: priv.S, w: w}}, nil
 }
 
 // Prove gives a share made by ShareBare its proof, at most once: a share
@@ -285,7 +220,7 @@ func (pk *PublicKey) VerifyShare(b Base, sh *Share) error {
 		sh.Proof.Z.Sign() < 0 || sh.Proof.Z.Cmp(g.Q) >= 0 {
 		return errRange
 	}
-	return dleq.Verify(g, g.GTable(), pk.use(b).t, pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
+	return dleq.Verify(g, g.GTable(), pk.use(b), pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
 }
 
 // inRange reports whether v is a value a share can have: in (0, P). The
@@ -352,8 +287,7 @@ func (pk *PublicKey) CombineBare(shares []*Share) (*big.Int, error) {
 	}
 	// Every party that combines shares of this use agrees on v, unless a
 	// wrong share got past the check above: the memoized verdict serves
-	// the parties after the first, and all of them when v is an
-	// encryption's KEM secret (ExpVK).
+	// the parties after the first.
 	if !pk.Group.IsElementCached(v) {
 		return nil, ErrInconsistent
 	}

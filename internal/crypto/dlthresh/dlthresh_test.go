@@ -423,38 +423,6 @@ func TestCombineMemoRefusesOutOfRange(t *testing.T) {
 	}
 }
 
-// TestExpVKRecordsOnlyMembers: ExpVK records its power as a member only
-// for a VK that is one. A hand-built key whose VK is outside the subgroup
-// records nothing, so the group's verdict memo still gives every power of
-// it its true verdict.
-func TestExpVKRecordsOnlyMembers(t *testing.T) {
-	key := testKey(t, 2, 4)
-	g := key.Public.Group
-	minusOne := new(big.Int).Sub(g.P, big.NewInt(1))
-	pk := NewPublicKey(g, g.Mul(key.Public.VK, minusOne), key.Public.VKs, key.Public.K)
-	rng := rand.New(rand.NewSource(39))
-	members := 0
-	for i := 0; i < 8; i++ {
-		r := new(big.Int).Rand(rng, g.Q)
-		v := pk.ExpVK(r)
-		truth := g.IsElement(v)
-		if got := g.IsElementCached(v); got != truth {
-			t.Errorf("VK outside the subgroup, exponent %v: IsElementCached %v, IsElement %v", r, got, truth)
-		}
-		if truth {
-			members++
-		}
-		if v := key.Public.ExpVK(r); !g.IsElementCached(v) {
-			t.Error("a power of a dealt VK is not a member")
-		}
-	}
-	if members == 0 || members == 8 {
-		t.Errorf("%d of 8 powers are members: the test wants both kinds", members)
-	}
-}
-
-// TestMemosOverflow: the base memo, filled up, is cleared and goes on
-// giving the verdicts a cold one gives.
 func TestMemosOverflow(t *testing.T) {
 	key := testKey(t, 2, 4)
 	pk := &key.Public

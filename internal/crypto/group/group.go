@@ -165,15 +165,6 @@ func (g *Group) IsElementCached(v *big.Int) bool {
 	return g.members.Get(memberKey(v), func() bool { return g.Exp(v, g.Q).Cmp(big.NewInt(1)) == 0 })
 }
 
-// RecordElement records v as a member in IsElementCached's verdict memo,
-// with no membership power. The caller must know v is one: a power of a
-// value that has passed the check, say.
-func (g *Group) RecordElement(v *big.Int) {
-	if v.Sign() > 0 && v.Cmp(g.P) < 0 {
-		g.members.Get(memberKey(v), func() bool { return true })
-	}
-}
-
 // memberKey is v's key in the verdict memo, its big-endian bytes. They
 // are laid out in a stack buffer, so the key's string is the one
 // allocation. v is in (0, P).

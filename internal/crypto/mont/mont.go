@@ -28,11 +28,10 @@
 // The big.Int calls allocate their result and nothing else. A caller that
 // chains operations — threshsig's CRT halves — stays in words between
 // them: an Elem is one residue in the form the kernel works on, held by
-// value, and Mul, Pow, MulPow, PowEach, Inv, Table.Pow, Equal, IsZero and
-// SetInt (of a non-negative value at most twice the modulus's width) read
-// and write Elems without allocating. PowEach raises one base to a batch
-// of exponents through a comb on the stack; Inv is a binary GCD in stack
-// words (inv.go). Int and CRT.Join are the exits, and allocate the big.Int
+// value, and Mul, Pow, MulPow, Inv, Table.Pow, Equal, IsZero and SetInt
+// (of a non-negative value at most twice the modulus's width) read and
+// write Elems without allocating. Inv is a binary GCD in stack words
+// (inv.go). Int and CRT.Join are the exits, and allocate the big.Int
 // they return. What is left allocating is a Table's comb, once per table,
 // for a base that outlives one batch of powers.
 //

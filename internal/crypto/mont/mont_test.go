@@ -64,17 +64,6 @@ func checkAll(t *testing.T, mod *Modulus, x, e, y, f *big.Int) {
 	if got := mod.MulExp([]*big.Int{x, y}, []*big.Int{e, f}); !same(got, prod) {
 		t.Fatalf("m=%v: MulExp(%v^%v, %v^%v) = %v, want %v", m, x, e, y, f, got, prod)
 	}
-	if e.Sign() >= 0 && f.Sign() >= 0 {
-		var xe Elem
-		mod.SetInt(&xe, x)
-		zs := make([]Elem, 2)
-		mod.PowEach(zs, &xe, []*big.Int{e, f})
-		for i, ei := range []*big.Int{e, f} {
-			if got, want := mod.Int(&zs[i]), new(big.Int).Exp(x, ei, m); got.Cmp(want) != 0 {
-				t.Fatalf("m=%v: PowEach(%v, [%v %v])[%d] = %v, want %v", m, x, e, f, i, got, want)
-			}
-		}
-	}
 	checkInv(t, mod, x)
 }
 
@@ -203,33 +192,6 @@ func TestInvMatchesBigInt(t *testing.T) {
 	}
 }
 
-// TestPowEachMatchesExp checks PowEach against Exp for each exponent of a
-// batch — 0, 1, a short one, one of the modulus's length and one past the
-// comb's 512-bit span — and for a batch of 0 alone, which spans no bits,
-// at both kernel widths and on the math/big path, the base being the
-// batch's first output.
-func TestPowEachMatchesExp(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	for _, bitLen := range []int{256, 512, 320} {
-		m := randOdd(rng, bitLen)
-		mod := NewModulus(m)
-		es := []*big.Int{big.NewInt(0), big.NewInt(1), randBits(rng, 40), randBits(rng, bitLen), randBits(rng, 64*maxWords+100)}
-		for _, batch := range [][]*big.Int{es, es[:1], es[1:4], es[3:]} {
-			x := randBelow(rng, m)
-			zs := make([]Elem, len(batch))
-			mod.SetInt(&zs[0], x)
-			mod.PowEach(zs, &zs[0], batch)
-			for i, e := range batch {
-				if got, want := mod.Int(&zs[i]), new(big.Int).Exp(x, e, m); got.Cmp(want) != 0 {
-					t.Fatalf("%d bits: PowEach(%v)[%d], exponent %v, = %v, want %v", bitLen, x, i, e, got, want)
-				}
-			}
-		}
-	}
-}
-
-// TestMulExpManyBases takes the heap path (more than two bases) and the
-// degenerate shapes.
 func TestMulExpManyBases(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	for _, bitLen := range []int{256, 512, 320} {
@@ -527,7 +489,7 @@ func TestCRTJoin(t *testing.T) {
 }
 
 // TestElemCallsAllocateNothing: at a kernel width, the Elem calls work on
-// the stack, PowEach's comb and Inv's GCD included (both at 8 words too);
+// the stack, Inv's GCD included (at 8 words too);
 // Int and Join allocate only the big.Int they return and its words.
 func TestElemCallsAllocateNothing(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
@@ -546,16 +508,14 @@ func TestElemCallsAllocateNothing(t *testing.T) {
 	var x8 Elem
 	mod8.SetInt(&x8, wide)
 	for name, f := range map[string]func(){
-		"SetInt":   func() { mod.SetInt(&y, wide) },
-		"Mul":      func() { mod.Mul(&z, &x, &y) },
-		"Pow":      func() { mod.Pow(&z, &x, e) },
-		"MulPow":   func() { mod.MulPow(&z, xs, es) },
-		"PowEach":  func() { mod.PowEach(xs, &x, es) },
-		"PowEach8": func() { mod8.PowEach(xs, &x8, es) },
-		"Inv":      func() { mod.Inv(&z, &x) },
-		"Inv8":     func() { mod8.Inv(&z, &x8) },
-		"Table":    func() { tab.Pow(&z, e) },
-		"Equal":    func() { _ = mod.Equal(&x, &y) || mod.IsZero(&z) },
+		"SetInt": func() { mod.SetInt(&y, wide) },
+		"Mul":    func() { mod.Mul(&z, &x, &y) },
+		"Pow":    func() { mod.Pow(&z, &x, e) },
+		"MulPow": func() { mod.MulPow(&z, xs, es) },
+		"Inv":    func() { mod.Inv(&z, &x) },
+		"Inv8":   func() { mod8.Inv(&z, &x8) },
+		"Table":  func() { tab.Pow(&z, e) },
+		"Equal":  func() { _ = mod.Equal(&x, &y) || mod.IsZero(&z) },
 	} {
 		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 			t.Errorf("%s: %v allocations, want none", name, allocs)

@@ -16,9 +16,7 @@ import (
 //
 // so 8 teeth suit a base that lives as long as its key, and 6 teeth a
 // base raised a few times: a threshold-signature message's y, or a
-// ciphertext's C1, to each of its L parties' shares (PowEach: 616
-// multiplications for four powers, against 727 with 8 teeth at four times
-// the memory and 1340 windowed).
+// ciphertext's C1, to each of its L parties' shares.
 const (
 	TeethLong  = 8
 	TeethShort = 6
@@ -93,45 +91,8 @@ func (t *Table) build() {
 	t.mod.buildComb(t.comb, &t.x, t.teeth, t.cols)
 }
 
-// PowEach sets zs[i] = base^es[i] mod m through Modulus.PowEach's comb on
-// the stack, leaving the table's own comb unbuilt: for a batch of powers
-// of a base that may never be raised again.
-func (t *Table) PowEach(zs []Elem, es []*big.Int) { t.mod.PowEach(zs, &t.x, es) }
-
 // Int returns z, an Elem of the table's modulus, as a fresh big.Int.
 func (t *Table) Int(z *Elem) *big.Int { return t.mod.Int(z) }
-
-// PowEach sets zs[i] = x^es[i] mod m for every es[i] ≥ 0: one base raised
-// to a batch of exponents, through a comb of TeethShort teeth over the
-// longest of them that is built for the batch and held on the stack (4
-// KiB), so the call allocates nothing. An exponent past 64*maxWords bits
-// takes Modulus.Pow. x may be one of zs.
-func (mod *Modulus) PowEach(zs []Elem, x *Elem, es []*big.Int) {
-	span := 0
-	for _, e := range es {
-		if e.Sign() < 0 {
-			panic("mont: PowEach with a negative exponent")
-		}
-		span = max(span, e.BitLen())
-	}
-	base := *x
-	if mod.w == 0 {
-		for i, e := range es {
-			zs[i].n = new(big.Int).Exp(base.n, e, mod.nat)
-		}
-		return
-	}
-	cols := (min(span, 64*maxWords) + TeethShort - 1) / TeethShort
-	var comb [maxWords << TeethShort]uint64
-	mod.buildComb(comb[:mod.w<<TeethShort], &base, TeethShort, cols)
-	for i, e := range es {
-		if e.BitLen() > TeethShort*cols {
-			mod.Pow(&zs[i], &base, e)
-			continue
-		}
-		mod.combPow(zs[i].w[:mod.w], comb[:mod.w<<TeethShort], TeethShort, cols, e)
-	}
-}
 
 // buildComb fills comb, 2^teeth entries of w words, with the Lim–Lee comb
 // of x over teeth rows of cols exponent bits: entry i is the product over

@@ -18,17 +18,13 @@ import (
 // exponent length). The halves run on the mont engine, so a base that
 // recurs — v, the v_i, each message's x^{2*delta} — is raised through a
 // comb in a fifth of the multiplications again, and an inverse power
-// through a comb is a Fermat-negated exponent, not an inversion. A
-// message's dealt shares are its base's one batch of powers: they are
-// raised together, through one comb per half on the stack
-// (msgCtx.dealtShares).
+// through a comb is a Fermat-negated exponent, not an inversion.
 //
 // A value stays in the halves, as mont.Elems, from the split of its input
 // to the one recombination of its output (mont.CRT.Join): only what
 // leaves the package — a share's X, a signature, a proof's commitments —
 // becomes a big.Int, and a check such as Verify's compares halves and
-// allocates nothing. A dealt share's exponent is reduced mod p-1 and q-1
-// once, by Deal (dealtShare).
+// allocates nothing.
 //
 // Combine does not go through exp: its k+1 short powers, of either sign,
 // are one product in each half (root) — the numerator and the denominator
@@ -52,13 +48,7 @@ type accel struct {
 	// them.
 	v   base
 	vks []base
-	// dealt holds each dealt share's exponent reduced in both halves, by
-	// index.
-	dealt []dealtShare
 }
-
-// dealtShare is a dealt s_i with its residues mod p-1 and mod q-1.
-type dealtShare struct{ s, sp, sq *big.Int }
 
 // crtPrime is one prime factor of the modulus with its engine.
 type crtPrime struct {

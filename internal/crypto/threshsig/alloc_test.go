@@ -13,8 +13,8 @@ import (
 //   - SignBare: X (a big.Int and its words), the share, its pending proof
 //     and the nonce's bytes — 5.
 //   - Verify: nothing.
-//   - combine, the answer memo bypassed: the signature, σ and its words —
-//     3 (the fold's denominator is inverted in words, mont.Modulus.Inv).
+//   - Combine: the signature, σ and its words — 3 (the fold's
+//     denominator is inverted in words, mont.Modulus.Inv).
 //   - VerifyShare: 21, against 74 before its halves stayed in words: the
 //     proof's exponents reduced for the halves, -c, and the three values
 //     the challenge hashes. Its reductions divide, on math/big's pooled
@@ -23,11 +23,10 @@ import (
 //
 // And a fresh message's context with its first SignBare, in bytes, at most
 // 2 KiB (the key's memo bypassed, so that no map growth is counted): the
-// context, one allocation with y's combs in it (704 B), the message's four
-// dealt shares in both halves (576 B), its hash, x^{4*delta} and the share,
-// 1.9 KiB in all, against 5.6 KiB while each message built a 6-tooth comb
-// of y per half. The hash's reduction divides too, so this is not held
-// under the race detector either.
+// context, one allocation with y's combs in it (704 B, the combs unbuilt:
+// a share is a windowed power), its hash, x^{4*delta} and the share. The
+// hash's reduction divides too, so this is not held under the race
+// detector either.
 func TestThresholdSigAllocations(t *testing.T) {
 	key := testKey(t, 2, 4)
 	pk := &key.Public
@@ -53,7 +52,7 @@ func TestThresholdSigAllocations(t *testing.T) {
 	}{
 		{"SignBare", 5, false, func() error { _, err := pk.SignBare(key.Shares[1], msg, rng); return err }},
 		{"Verify", 0, false, func() error { return pk.Verify(msg, sig) }},
-		{"combine", 3, false, func() error { _, err := pk.combine(msg, shares); return err }},
+		{"Combine", 3, false, func() error { _, err := pk.Combine(msg, shares); return err }},
 		{"VerifyShare", 21, true, func() error { return pk.VerifyShare(msg, proved) }},
 	} {
 		var err error

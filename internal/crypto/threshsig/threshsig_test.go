@@ -1,7 +1,6 @@
 package threshsig
 
 import (
-	"crypto/sha256"
 	"math/big"
 	"math/rand"
 	"strings"
@@ -205,60 +204,5 @@ func TestDealValidation(t *testing.T) {
 	// invert the exponent (the check costs about half a second here).
 	if _, err := Deal(fix.Name, fix.P, fix.Q, 1, 65537, rng); err == nil || !strings.Contains(err.Error(), "not coprime") {
 		t.Errorf("l=65537: Deal = %v, want a not-coprime error", err)
-	}
-}
-
-// TestCombineMemo pins the host-time answer memo to what a fresh
-// combination computes: a repeated question — the message and the first k
-// shares' indices and X, bare or proved — is answered from the memo with
-// the plain key's signature bytes or error text; a share whose X has a
-// good share's magnitude (negated) or its residue (plus N) is combined
-// without the memo, so it gets the plain key's answer and leaves
-// the memo as it was; and a caller that changes the signature it got
-// changes no later answer.
-func TestCombineMemo(t *testing.T) {
-	key := testKey(t, 2, 4)
-	pk, plain := &key.Public, slowKey(key.Public)
-	msg := []byte("cbc echo quorum")
-	all := bareShares(t, key, msg, 8)
-	bad := &SigShare{Index: 4, X: new(big.Int).Add(all[3].X, one)}
-	sets := [][]*SigShare{
-		{all[0], all[1]},
-		{all[1], all[0]},
-		{all[2], all[3], all[0]}, // a spare share is not read
-		{all[2], bad},
-	}
-	for pass := 0; pass < 2; pass++ {
-		for i, set := range sets {
-			if got, want := combineOutcome(pk, msg, set), combineOutcome(plain, msg, set); got != want {
-				t.Errorf("pass %d, set %d: dealt key %s, plain key %s", pass, i, got, want)
-			}
-		}
-	}
-	if n := pk.cc.combos.Len(); n != len(sets) {
-		t.Fatalf("memo holds %d answers for %d questions", n, len(sets))
-	}
-	neg := &SigShare{Index: all[1].Index, X: new(big.Int).Neg(all[1].X)}
-	if comboKey(sha256.Sum256(msg), []*SigShare{all[0], neg}) != comboKey(sha256.Sum256(msg), sets[0]) {
-		t.Fatal("a negated share has its own memo key: the test no longer tests the memo")
-	}
-	wrapped := &SigShare{Index: all[1].Index, X: new(big.Int).Add(all[1].X, pk.N)}
-	for _, sh := range []*SigShare{neg, wrapped} {
-		set := []*SigShare{all[0], sh}
-		if got, want := combineOutcome(pk, msg, set), combineOutcome(plain, msg, set); got != want {
-			t.Errorf("X %v outside (0, N): dealt key %s, plain key %s", sh.X.Sign(), got, want)
-		}
-	}
-	if n := pk.cc.combos.Len(); n != len(sets) {
-		t.Errorf("memo holds %d answers after shares outside (0, N), want %d", n, len(sets))
-	}
-	sig, err := pk.Combine(msg, sets[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := new(big.Int).Set(sig.S)
-	sig.S.SetInt64(1)
-	if again, err := pk.Combine(msg, sets[0]); err != nil || again.S.Cmp(want) != 0 {
-		t.Errorf("a caller's change to its signature reached the memo: %v", err)
 	}
 }

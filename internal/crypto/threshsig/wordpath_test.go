@@ -38,12 +38,10 @@ func sameInt(a, b *big.Int) bool {
 // and Z, VerifyShare's verdict, and Combine's and Verify's outcomes. The
 // inputs take every edge of the word path:
 //   - message hashes x that are 0 mod p and 0 mod q, and x = N-1;
-//   - every dealt share, whose X the message computes for all of them on
-//     the first, so that each equals the plain key's x^{2*delta*s_i};
-//   - private shares that are not the dealt ones, raised through y's
-//     combs: of exponent 0, p-1, a multiple of both p-1 and q-1, s_i+1
-//     and -s_i (an inverse power, none when the message base is not a
-//     unit);
+//   - every dealt share, whose X equals the plain key's x^{2*delta*s_i};
+//   - private shares that are not the dealt ones: of exponent 0, p-1, a
+//     multiple of both p-1 and q-1, s_i+1 and -s_i (an inverse power, none
+//     when the message base is not a unit);
 //   - shares X = N-1 and X = p, and signatures 1, N-1 and p.
 func TestWordPathMatchesPlain(t *testing.T) {
 	for _, set := range []string{"TS-512", "TS-768", "TS-1024"} {
@@ -63,9 +61,7 @@ func TestWordPathMatchesPlain(t *testing.T) {
 		both := new(big.Int).Mul(pm1, new(big.Int).Sub(q, one))
 		nm1 := new(big.Int).Sub(n, one)
 		s1, s2 := key.Shares[0].S, key.Shares[1].S
-		// Every dealt share, whose X comes from the message's dealt shares,
-		// computed together on the first (msgCtx.dealtShares), then shares
-		// that are not the dealt ones, raised through y's combs.
+		// Every dealt share, then shares that are not the dealt ones.
 		privs := append(append([]PrivateShare(nil), key.Shares...),
 			PrivateShare{Index: 1, S: new(big.Int)},
 			PrivateShare{Index: 2, S: pm1},
@@ -73,11 +69,6 @@ func TestWordPathMatchesPlain(t *testing.T) {
 			PrivateShare{Index: 1, S: new(big.Int).Add(s1, one)},
 			PrivateShare{Index: 2, S: new(big.Int).Neg(s2)},
 		)
-		for i, priv := range privs {
-			if dealt := i < len(key.Shares); (fast.dealtAt(priv) >= 0) != dealt {
-				t.Fatalf("%s, share %d: dealt %v, but dealtAt says %d", set, i, dealt, fast.dealtAt(priv))
-			}
-		}
 		hashes := map[string]*big.Int{
 			"natural": nil,
 			"0 mod p": new(big.Int).Mul(p, big.NewInt(12345)),
@@ -104,9 +95,6 @@ func TestWordPathMatchesPlain(t *testing.T) {
 				}
 				if !sameInt(f.X, g.X) {
 					t.Fatalf("%s, share %d: X %v on the dealt key, %v on the plain one", what, i, f.X, g.X)
-				}
-				if i < len(key.Shares) && len(fast.ctxFor(msg).dealt) != 2*len(key.Shares) {
-					t.Fatalf("%s, share %d: a dealt share's X, but the message holds %d dealt shares' halves", what, i, len(fast.ctxFor(msg).dealt))
 				}
 				if f.X == nil {
 					continue

@@ -2,12 +2,12 @@ package run_test
 
 import (
 	"fmt"
-	"math/big"
 	"math/rand"
 	"sync"
 	"testing"
 
-	"repro/internal/crypto/dleq"
+	"repro/internal/crypto"
+	"repro/internal/crypto/threshcoin"
 	"repro/internal/crypto/threshenc"
 	"repro/internal/crypto/threshsig"
 	"repro/internal/protocol"
@@ -15,8 +15,8 @@ import (
 )
 
 // memoSpec is a short hb_sc chain: threshold encryption, threshold-signed
-// coins and DONE proofs, so every memo and every comb table of the crypto
-// layer is on its path. Each caller passes a seed no other test uses, so
+// coins and DONE proofs, so every memo of the ideal threshold suite a run
+// uses is on its path. Each caller passes a seed no other test uses, so
 // its crypto.DealCached suite starts cold.
 func memoSpec(seed int64) run.Spec {
 	spec := run.Defaults(protocol.HoneyBadger, protocol.CoinSig)
@@ -34,60 +34,74 @@ func mustDigest(t *testing.T, spec run.Spec) string {
 	return reportDigest(t, rep)
 }
 
-// memoCap is cacheCap of threshsig, threshenc and threshcoin.
+// memoCap is memo.Cap, the bound of every ideal key's memo.
 const memoCap = 4096
 
-// fillMemos leaves the per-message and combination memos of both
-// threshold-signature keys (a combination builds its message's context)
-// and the per-ciphertext and interpolation memos of the encryption key
-// two entries short of their cap, on a suite nothing has touched yet: a
-// run that follows overflows each of them within its first epoch, the
-// maps are cleared under it, and it goes on with whatever it re-derives.
+// fillMemos leaves the memos of the ideal threshold suite a run uses two
+// entries short of their cap, on a suite nothing has touched yet: both
+// signature keys' signatures, the coin's elements, and the decryption
+// key's KEM secrets and openings. A run that follows overflows each of
+// them within its first epoch, the maps are cleared under it, and it goes
+// on with whatever it re-derives.
 func fillMemos(t *testing.T, spec run.Spec) {
 	t.Helper()
 	suites, err := run.DealtSuites(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := suites[0]
+	ops := suites[0].Ops
 	rng := rand.New(rand.NewSource(99))
-	// A share that fails group membership: rejected right after the
-	// ciphertext's context is created.
-	junk := &threshenc.DecShare{Index: 1, V: big.NewInt(2),
-		Proof: &dleq.Proof{C: big.NewInt(1), Z: big.NewInt(1)}}
 	for i := 0; i < memoCap-2; i++ {
 		msg := []byte(fmt.Sprintf("filler/%d", i))
-		ct, err := s.TE.Encrypt(msg, rng)
+		for _, sig := range []struct {
+			key    crypto.SigScheme
+			shares func(*crypto.Suite) threshsig.PrivateShare
+		}{
+			{ops.Low, func(s *crypto.Suite) threshsig.PrivateShare { return s.TSLowShare }},
+			{ops.High, func(s *crypto.Suite) threshsig.PrivateShare { return s.TSHighShare }},
+		} {
+			var shares []*threshsig.SigShare
+			for _, s := range suites {
+				sh, err := sig.key.SignBare(sig.shares(s), msg, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shares = append(shares, sh)
+			}
+			if _, err := sig.key.Combine(msg, shares); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var coins []*threshcoin.CoinShare
+		var decs []*threshenc.DecShare
+		ct, err := ops.Dec.Encrypt(msg, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if s.TE.VerifyShare(ct, junk) == nil {
-			t.Fatal("junk decryption share accepted")
-		}
-		// Shares of distinct values, in range, that combine to nothing
-		// any run asks for: one memoized answer per key each.
-		sigs := make([]*threshsig.SigShare, max(s.TSLow.K, s.TSHigh.K))
-		decs := make([]*threshenc.DecShare, s.TE.K)
-		for j := range sigs {
-			sigs[j] = &threshsig.SigShare{Index: j + 1, X: big.NewInt(int64(len(sigs)*i + j + 2))}
-		}
-		for j := range decs {
-			decs[j] = &threshenc.DecShare{Index: j + 1, V: big.NewInt(int64(len(decs)*i + j + 2))}
-		}
-		for _, key := range []*threshsig.PublicKey{s.TSLow, s.TSHigh} {
-			if _, err := key.Combine(msg, sigs); err == nil {
-				t.Fatal("filler signature shares combined")
+		for _, s := range suites {
+			c, err := ops.Coin.Share(s.TCShare, msg, rng)
+			if err != nil {
+				t.Fatal(err)
 			}
+			d, err := ops.Dec.DecryptShareBare(s.TEShare, ct, rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			coins, decs = append(coins, c), append(decs, d)
 		}
-		if _, err := s.TE.Combine(ct, decs); err == nil {
-			t.Fatal("filler decryption shares opened a ciphertext")
+		if _, err := ops.Coin.Combine(msg, coins); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ops.Dec.CombineBare(ct, decs); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
 
-// TestMemoStateDoesNotMoveTrajectory: what a run finds in the crypto
-// memos — nothing, everything, or maps that overflow and are cleared
-// under it — changes host time only, never a byte of the outcome.
+// TestMemoStateDoesNotMoveTrajectory: what a run finds in the ideal
+// threshold suite's memos — nothing, everything, or maps that overflow
+// and are cleared under it — changes host time only, never a byte of the
+// outcome.
 func TestMemoStateDoesNotMoveTrajectory(t *testing.T) {
 	t.Run("cold-warm", func(t *testing.T) {
 		spec := memoSpec(0x15c01d)
@@ -104,8 +118,8 @@ func TestMemoStateDoesNotMoveTrajectory(t *testing.T) {
 			t.Errorf("warm run %s differs from the run whose memos overflowed %s", warm, over)
 		}
 	})
-	// Two runs race to build the lazily built tables of one cold suite
-	// (the -race job is what makes this a check).
+	// Two runs race to fill the memos of one cold suite (the -race job is
+	// what makes this a check).
 	t.Run("concurrent", func(t *testing.T) {
 		spec := memoSpec(0x15c03d)
 		var reps [2]*run.Report
