@@ -91,9 +91,6 @@ func (t *Table) build() {
 	t.mod.buildComb(t.comb, &t.x, t.teeth, t.cols)
 }
 
-// Int returns z, an Elem of the table's modulus, as a fresh big.Int.
-func (t *Table) Int(z *Elem) *big.Int { return t.mod.Int(z) }
-
 // buildComb fills comb, 2^teeth entries of w words, with the Lim–Lee comb
 // of x over teeth rows of cols exponent bits: entry i is the product over
 // the set bits j of i of x^(2^(j*cols)), in Montgomery form.

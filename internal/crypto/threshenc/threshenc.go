@@ -342,14 +342,6 @@ func (id *Ideal) DecryptShareBare(priv PrivateShare, ct *Ciphertext, rand io.Rea
 	return id.dl.ShareBare(base(ct), priv, rand)
 }
 
-// DecryptShare issues party i's share of ct with its proof.
-func (id *Ideal) DecryptShare(priv PrivateShare, ct *Ciphertext, rand io.Reader) (*DecShare, error) {
-	if err := CheckCiphertext(ct); err != nil {
-		return nil, err
-	}
-	return id.dl.Share(base(ct), priv, rand)
-}
-
 // VerifyShare checks a decryption share of ct.
 func (id *Ideal) VerifyShare(ct *Ciphertext, sh *DecShare) error {
 	if err := CheckCiphertext(ct); err != nil {

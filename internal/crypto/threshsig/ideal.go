@@ -107,16 +107,6 @@ func (id *Ideal) SignBare(share PrivateShare, msg []byte, rand io.Reader) (*SigS
 	return &SigShare{Index: share.Index, X: x, pending: &pendingProof{ideal: id, md: md, w: w}}, nil
 }
 
-// Sign issues party share.Index's share of msg with its proof.
-func (id *Ideal) Sign(share PrivateShare, msg []byte, rand io.Reader) (*SigShare, error) {
-	sh, err := id.SignBare(share, msg, rand)
-	if err != nil {
-		return nil, err
-	}
-	sh.Prove()
-	return sh, nil
-}
-
 var errNotIssued = errors.New("threshsig: share proof rejected")
 
 // VerifyShare checks a share of msg as PublicKey.VerifyShare does its
