@@ -208,19 +208,29 @@ func (sh *Share) Prove() {
 // copy of a good share, or one with Z + Q for Z — is a second encoding of
 // a share, and is refused before its proof is checked.
 func (pk *PublicKey) VerifyShare(b Base, sh *Share) error {
+	if err := pk.checkShare(sh); err != nil {
+		return err
+	}
+	g := pk.Group
+	return dleq.Verify(g, g.GTable(), pk.use(b), pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
+}
+
+// checkShare is VerifyShare's checks before the proof's: the index, the
+// material, and the ranges.
+func (pk *PublicKey) checkShare(sh *Share) error {
 	if sh == nil || sh.Index < 1 || sh.Index > pk.L {
 		return errors.New("dlthresh: bad share index")
 	}
 	if sh.V == nil || sh.Proof == nil || sh.Proof.C == nil || sh.Proof.Z == nil {
 		return errors.New("dlthresh: missing share material")
 	}
-	g := pk.Group
+	q := pk.Group.Q
 	if !pk.inRange(sh.V) ||
-		sh.Proof.C.Sign() < 0 || sh.Proof.C.Cmp(g.Q) >= 0 ||
-		sh.Proof.Z.Sign() < 0 || sh.Proof.Z.Cmp(g.Q) >= 0 {
+		sh.Proof.C.Sign() < 0 || sh.Proof.C.Cmp(q) >= 0 ||
+		sh.Proof.Z.Sign() < 0 || sh.Proof.Z.Cmp(q) >= 0 {
 		return errRange
 	}
-	return dleq.Verify(g, g.GTable(), pk.use(b), pk.cc.vks[sh.Index-1], sh.V, sh.Proof)
+	return nil
 }
 
 // inRange reports whether v is a value a share can have: in (0, P). The
@@ -263,18 +273,9 @@ func (pk *PublicKey) BareQuorum() int { return 2*pk.K - 1 }
 // a wrong element, for one membership power and a few small powers on top
 // of Combine — less than verifying each share's proof.
 func (pk *PublicKey) CombineBare(shares []*Share) (*big.Int, error) {
-	n := pk.BareQuorum()
-	if len(shares) < n {
-		return nil, fmt.Errorf("dlthresh: need %d bare shares, have %d", n, len(shares))
-	}
-	shares = shares[:n]
-	for i, sh := range shares {
-		if sh.Index < 1 || sh.Index > pk.L || duplicate(shares[:i], sh.Index) {
-			return nil, fmt.Errorf("dlthresh: bad or duplicate share index %d", sh.Index)
-		}
-		if !pk.inRange(sh.V) {
-			return nil, errRange
-		}
+	shares, err := pk.bareQuorum(shares)
+	if err != nil {
+		return nil, err
 	}
 	for _, sh := range shares[pk.K:] {
 		if !pk.onPolynomial(shares[:pk.K], sh) {
@@ -292,6 +293,25 @@ func (pk *PublicKey) CombineBare(shares []*Share) (*big.Int, error) {
 		return nil, ErrInconsistent
 	}
 	return v, nil
+}
+
+// bareQuorum returns the first BareQuorum shares, after CombineBare's
+// checks of their count, indices and values.
+func (pk *PublicKey) bareQuorum(shares []*Share) ([]*Share, error) {
+	n := pk.BareQuorum()
+	if len(shares) < n {
+		return nil, fmt.Errorf("dlthresh: need %d bare shares, have %d", n, len(shares))
+	}
+	shares = shares[:n]
+	for i, sh := range shares {
+		if sh.Index < 1 || sh.Index > pk.L || duplicate(shares[:i], sh.Index) {
+			return nil, fmt.Errorf("dlthresh: bad or duplicate share index %d", sh.Index)
+		}
+		if !pk.inRange(sh.V) {
+			return nil, errRange
+		}
+	}
+	return shares, nil
 }
 
 // onPolynomial reports whether sh lies on the polynomial of degree K−1 in
@@ -385,17 +405,9 @@ func duplicate(shares []*Share, index int) bool {
 // exactly those (combineKey), once every V has passed the range check;
 // the caller gets its own copy of the element.
 func (pk *PublicKey) Combine(shares []*Share) (*big.Int, error) {
-	if len(shares) < pk.K {
-		return nil, fmt.Errorf("dlthresh: need %d shares, have %d", pk.K, len(shares))
-	}
-	shares = shares[:pk.K]
-	for i, sh := range shares {
-		if duplicate(shares[:i], sh.Index) {
-			return nil, fmt.Errorf("dlthresh: duplicate share %d", sh.Index)
-		}
-		if !pk.inRange(sh.V) {
-			return nil, errRange
-		}
+	shares, err := pk.firstK(shares)
+	if err != nil {
+		return nil, err
 	}
 	v := pk.cc.combined.Get(combineKey(shares), func() *big.Int {
 		var ptStack [8]shamir.Share
@@ -408,4 +420,22 @@ func (pk *PublicKey) Combine(shares []*Share) (*big.Int, error) {
 		return pk.Group.MulExp(vs, shamir.LagrangeSet(pts, pk.Group.Q))
 	})
 	return new(big.Int).Set(v), nil
+}
+
+// firstK returns the first K shares, after Combine's checks of their
+// count, indices and values.
+func (pk *PublicKey) firstK(shares []*Share) ([]*Share, error) {
+	if len(shares) < pk.K {
+		return nil, fmt.Errorf("dlthresh: need %d shares, have %d", pk.K, len(shares))
+	}
+	shares = shares[:pk.K]
+	for i, sh := range shares {
+		if duplicate(shares[:i], sh.Index) {
+			return nil, fmt.Errorf("dlthresh: duplicate share %d", sh.Index)
+		}
+		if !pk.inRange(sh.V) {
+			return nil, errRange
+		}
+	}
+	return shares, nil
 }

@@ -151,17 +151,8 @@ func (id *Ideal) issued(t []byte, sh *Share) bool {
 // VerifyShare checks a share of the use b names as PublicKey.VerifyShare
 // does its index and ranges, then against the share the ideal key issued.
 func (id *Ideal) VerifyShare(b Base, sh *Share) error {
-	pk, g := id.pk, id.pk.Group
-	if sh == nil || sh.Index < 1 || sh.Index > pk.L {
-		return errors.New("dlthresh: bad share index")
-	}
-	if sh.V == nil || sh.Proof == nil || sh.Proof.C == nil || sh.Proof.Z == nil {
-		return errors.New("dlthresh: missing share material")
-	}
-	if !pk.inRange(sh.V) ||
-		sh.Proof.C.Sign() < 0 || sh.Proof.C.Cmp(g.Q) >= 0 ||
-		sh.Proof.Z.Sign() < 0 || sh.Proof.Z.Cmp(g.Q) >= 0 {
-		return errRange
+	if err := id.pk.checkShare(sh); err != nil {
+		return err
 	}
 	if id.element(b) == nil || !id.issued(b.Tag, sh) || sh.Proof.C.Cmp(id.scalar('c', sh.Index, b.Tag, sh.V, sh.Proof.Z)) != 0 {
 		return ErrNotIssued
@@ -173,25 +164,24 @@ func (id *Ideal) VerifyShare(b Base, sh *Share) error {
 // PublicKey.Combine does, and returns base^s when every one of them was
 // issued.
 func (id *Ideal) Combine(b Base, shares []*Share) (*big.Int, error) {
-	pk := id.pk
-	if len(shares) < pk.K {
-		return nil, fmt.Errorf("dlthresh: need %d shares, have %d", pk.K, len(shares))
+	shares, err := id.pk.firstK(shares)
+	if err != nil {
+		return nil, err
 	}
-	shares = shares[:pk.K]
-	for i, sh := range shares {
-		if duplicate(shares[:i], sh.Index) {
-			return nil, fmt.Errorf("dlthresh: duplicate share %d", sh.Index)
-		}
-		if !pk.inRange(sh.V) {
-			return nil, errRange
-		}
+	return id.combine(b, shares, ErrNotIssued)
+}
+
+// combine returns base^s when every share was issued and the base is in
+// the group, and refusal otherwise.
+func (id *Ideal) combine(b Base, shares []*Share, refusal error) (*big.Int, error) {
+	for _, sh := range shares {
 		if !id.issued(b.Tag, sh) {
-			return nil, ErrNotIssued
+			return nil, refusal
 		}
 	}
 	el := id.element(b)
 	if el == nil {
-		return nil, ErrNotIssued
+		return nil, refusal
 	}
 	return new(big.Int).Set(el), nil
 }
@@ -200,28 +190,9 @@ func (id *Ideal) Combine(b Base, shares []*Share) (*big.Int, error) {
 // PublicKey.CombineBare does, and returns base^s when every one of them
 // was issued (ErrInconsistent otherwise).
 func (id *Ideal) CombineBare(b Base, shares []*Share) (*big.Int, error) {
-	pk := id.pk
-	n := pk.BareQuorum()
-	if len(shares) < n {
-		return nil, fmt.Errorf("dlthresh: need %d bare shares, have %d", n, len(shares))
+	shares, err := id.pk.bareQuorum(shares)
+	if err != nil {
+		return nil, err
 	}
-	shares = shares[:n]
-	for i, sh := range shares {
-		if sh.Index < 1 || sh.Index > pk.L || duplicate(shares[:i], sh.Index) {
-			return nil, fmt.Errorf("dlthresh: bad or duplicate share index %d", sh.Index)
-		}
-		if !pk.inRange(sh.V) {
-			return nil, errRange
-		}
-	}
-	for _, sh := range shares {
-		if !id.issued(b.Tag, sh) {
-			return nil, ErrInconsistent
-		}
-	}
-	el := id.element(b)
-	if el == nil {
-		return nil, ErrInconsistent
-	}
-	return new(big.Int).Set(el), nil
+	return id.combine(b, shares, ErrInconsistent)
 }

@@ -126,17 +126,12 @@ func (id *Ideal) VerifyShare(msg []byte, sh *SigShare) error {
 // returns msg's signature when every one of them was issued.
 func (id *Ideal) Combine(msg []byte, shares []*SigShare) (*Signature, error) {
 	pk := id.pk
-	if len(shares) < pk.K {
-		return nil, fmt.Errorf("threshsig: need %d shares, have %d", pk.K, len(shares))
+	use, err := pk.firstK(shares)
+	if err != nil {
+		return nil, err
 	}
-	use := shares[:pk.K]
 	md := sha256.Sum256(msg)
-	for i, sh := range use {
-		for _, prev := range use[:i] {
-			if prev.Index == sh.Index {
-				return nil, fmt.Errorf("threshsig: duplicate share %d", sh.Index)
-			}
-		}
+	for _, sh := range use {
 		if !id.issued(sh.Index, &md, sh.X) {
 			return nil, fmt.Errorf("threshsig: combination failed (bad share among inputs): %w", errVerify)
 		}

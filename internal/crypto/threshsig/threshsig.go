@@ -374,16 +374,9 @@ func (pk *PublicKey) verifyShareFull(ctx *msgCtx, sh *SigShare) error {
 // x_i^{2*lambda_i*b} (foldFor), and checks sigma^e = x before it is
 // recombined (root).
 func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error) {
-	if len(shares) < pk.K {
-		return nil, fmt.Errorf("threshsig: need %d shares, have %d", pk.K, len(shares))
-	}
-	use := shares[:pk.K]
-	for i, sh := range use {
-		for _, prev := range use[:i] {
-			if prev.Index == sh.Index {
-				return nil, fmt.Errorf("threshsig: duplicate share %d", sh.Index)
-			}
-		}
+	use, err := pk.firstK(shares)
+	if err != nil {
+		return nil, err
 	}
 	var stack [16]base
 	bases := stack[:0]
@@ -409,6 +402,23 @@ func (pk *PublicKey) Combine(msg []byte, shares []*SigShare) (*Signature, error)
 		return nil, fmt.Errorf("threshsig: combination failed (bad share among inputs): %w", errVerify)
 	}
 	return &Signature{S: sigma}, nil
+}
+
+// firstK returns the first k shares, after Combine's checks of their
+// count and indices.
+func (pk *PublicKey) firstK(shares []*SigShare) ([]*SigShare, error) {
+	if len(shares) < pk.K {
+		return nil, fmt.Errorf("threshsig: need %d shares, have %d", pk.K, len(shares))
+	}
+	use := shares[:pk.K]
+	for i, sh := range use {
+		for _, prev := range use[:i] {
+			if prev.Index == sh.Index {
+				return nil, fmt.Errorf("threshsig: duplicate share %d", sh.Index)
+			}
+		}
+	}
+	return use, nil
 }
 
 var errVerify = errors.New("threshsig: verification failed")
